@@ -5,9 +5,8 @@
 //! against a 1-shard map — which *is* a single `ElidableLock` guarding
 //! one transactional map — and an N-shard map (default 16), and reports
 //! committed-ops throughput. Emits a `perf-baseline`-kind JSON document
-//! so the existing `bench compare` harness diffs runs (`--json PATH`),
-//! with the sharded run's merged per-shard observability report embedded
-//! under `shard_stats`.
+//! (`--json PATH`) with the sharded run's merged per-shard observability
+//! report embedded under `shard_stats`.
 //!
 //! The audit fraction is what makes the comparison honest rather than a
 //! hash-table microbenchmark: audits are maintenance scans that must run
@@ -28,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rtle_bench::baseline::BenchResult;
+use rtle_bench::report::BenchResult;
 use rtle_core::{ElidableLock, ElisionPolicy};
 use rtle_htm::prng::SplitMix64;
 use rtle_obs::{Json, LiveServer, MetricsRegistry, SCHEMA_VERSION};
@@ -353,7 +352,7 @@ fn main() {
     );
 
     if let Some(path) = args.json {
-        // perf-baseline kind: `bench compare` diffs the rows; the extra
+        // perf-baseline kind: named lower-is-better rows; the extra
         // fields (speedup + the merged shard-stats document) ride along
         // for the tier-1 smoke gate and operators.
         let doc = Json::obj([

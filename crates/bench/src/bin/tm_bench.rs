@@ -3,9 +3,8 @@
 //! See [`rtle_bench::tm`] for why each mix is in the set.
 //!
 //! Emits a `perf-baseline`-kind JSON document (`--json PATH`) whose rows
-//! are thread-ns per committed transaction, so `bench compare` diffs
-//! runs against `TM_0.json` with the same lower-is-better gate as every
-//! other baseline. Committed-ops counts ride along for eyeballing.
+//! are thread-ns per committed transaction (lower is better, like every
+//! other exported row). Committed-ops counts ride along for eyeballing.
 //!
 //! ```sh
 //! cargo run -p rtle-bench --release --bin tm_bench            # full

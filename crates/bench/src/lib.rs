@@ -15,7 +15,6 @@
 //! then writes its sweep results as a schema-versioned JSON document for
 //! collection and diffing (see EXPERIMENTS.md).
 
-pub mod baseline;
 pub mod diag;
 pub mod figures;
 pub mod micro;

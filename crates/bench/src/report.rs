@@ -13,6 +13,17 @@ use rtle_obs::{Json, SCHEMA_VERSION};
 
 use crate::figures::{Scale, Series};
 
+/// One headline row of an experiment binary's `perf-baseline`-kind JSON
+/// export (`shard_bench`, `slo_bench`, `tm_bench`): a stable name and a
+/// lower-is-better cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchResult {
+    /// Stable row name.
+    pub name: String,
+    /// Median ns/op.
+    pub ns_per_op: f64,
+}
+
 /// Parsed command-line arguments shared by every figure binary.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {

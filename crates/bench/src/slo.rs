@@ -118,7 +118,7 @@ pub struct SloConfig {
 }
 
 impl SloConfig {
-    /// The full-size run the checked-in `SLO_0.json` baseline uses.
+    /// The full-size run.
     pub fn full() -> SloConfig {
         SloConfig {
             // Enough workers that an audit's blocking hold occupies one
@@ -668,8 +668,7 @@ pub fn slo_section(cfg: &SloConfig, outcomes: &[SloOutcome]) -> Json {
 }
 
 /// The complete `slo_bench` export: a `perf-baseline`-kind document
-/// (so `bench compare` diffs the headline rows) with the full `slo`
-/// section embedded.
+/// (headline rows) with the full `slo` section embedded.
 pub fn doc_to_json(cfg: &SloConfig, outcomes: &[SloOutcome]) -> Json {
     let mut benches = Vec::new();
     for o in outcomes {

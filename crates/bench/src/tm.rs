@@ -17,7 +17,7 @@
 //! [`DynAccess`] barrier, so measured differences are runtime, not
 //! workload. Committed operations over a fixed wall-clock duration is
 //! the headline number; the JSON export reshapes it as ns/commit so the
-//! `bench compare` regression gate (lower = better) applies unchanged.
+//! rows read lower = better like every other exported row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ use rtle_core::{ElidableLock, ElisionPolicy};
 use rtle_htm::{DynAccess, TxAccess, TxCell};
 use rtle_hytm::{Norec, Tl2};
 
-use crate::baseline::BenchResult;
+use crate::report::BenchResult;
 
 /// Thread count both the baseline rows and the acceptance ratio use.
 pub const DEFAULT_THREADS: usize = 8;
@@ -182,7 +182,7 @@ pub struct TmMeasurement {
 
 impl TmMeasurement {
     /// Thread-seconds per committed transaction, in ns — the
-    /// lower-is-better reshaping `bench compare` expects.
+    /// lower-is-better reshaping the exported rows use.
     pub fn ns_per_commit(&self) -> f64 {
         self.elapsed.as_nanos() as f64 * self.threads as f64 / self.committed.max(1) as f64
     }

@@ -455,6 +455,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "core/src/elidable.rs",
     "core/src/orec.rs",
     "htm/src/swhtm.rs",
+    // Every abort of every rung unwinds through here: a stray panic in
+    // the raise/catch pair would surface as a bogus abort or a lost one.
+    "htm/src/unwind.rs",
     "hytm/src/norec.rs",
     "hytm/src/tl2.rs",
     "shard/src/map.rs",

@@ -18,11 +18,11 @@
 use std::cell::Cell;
 
 use rtle_htm::{TxCell, TxWord};
+use rtle_hytm::TmCtx;
 use rtle_obs::{TraceKind, Tracer};
 
 use crate::abort_codes;
 use crate::orec::{OrecKind, OrecTable};
-use crate::policy::ElisionPolicy;
 
 /// Which path the current critical-section execution runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,251 +45,191 @@ pub enum ExecMode {
 /// [`Ctx::read`] and [`Ctx::write`]; this is the contract the compiler
 /// enforces in the paper's GCC-based setup and the type system encourages
 /// here.
-pub struct Ctx<'a> {
-    mode: ExecMode,
-    policy: ElisionPolicy,
-    write_flag: &'a TxCell<bool>,
-    orecs: Option<&'a OrecTable>,
-    /// Slow path: epoch snapshot taken before the transaction started.
-    local_seq: u64,
-    /// Orec count for this execution (read transactionally on the slow
-    /// path so resizes doom in-flight transactions).
-    active_n: usize,
-    /// Under lock: the current odd epoch stamped into acquired orecs.
-    epoch_now: u64,
-    /// Under lock: `uniq_r_orecs` / `uniq_w_orecs` (§4.2) — once all orecs
-    /// are acquired the barrier becomes trivial.
-    uniq_r: Cell<u32>,
-    uniq_w: Cell<u32>,
-    /// Under lock, RW-TLE: whether `write_flag` has been set already (the
-    /// flag needs setting only once per critical section, §3).
-    wrote: Cell<bool>,
-    /// Under lock, when the operation is sampled: the causal tracer and
-    /// this thread's trace id, so protocol instants (write-flag raise) land
-    /// on the timeline. `None` on the speculative paths — an instant
-    /// recorded inside a transaction that later aborts would be a lie.
-    trace: Option<(&'a Tracer, u64)>,
-    /// [`ExecMode::Stm`]: the software backend's transactional context;
-    /// reads and writes delegate to its barriers.
-    stm: Option<&'a rtle_hytm::TmCtx<'a>>,
+pub struct Ctx<'a>(pub(crate) Rung<'a>);
+
+/// The rung of the ladder an execution runs on, carrying exactly the state
+/// that rung's barriers need. Each variant is built by the one function
+/// that enters the rung (`fast_attempt`, `slow_attempt`, `enter_locked`,
+/// `software_attempt`), so a policy/path combination that cannot occur has
+/// no representation.
+pub(crate) enum Rung<'a> {
+    /// Uninstrumented hardware transaction.
+    Fast,
+    /// RW-TLE slow path: reads are plain, writes self-abort (Figure 2).
+    SlowRw,
+    /// FG-TLE slow path: orec checks before every access (Figure 3).
+    SlowFg {
+        orecs: &'a OrecTable,
+        /// Epoch snapshot taken before the transaction started.
+        local_seq: u64,
+        /// Active orec count, read transactionally so resizes doom
+        /// in-flight transactions.
+        n: usize,
+    },
+    /// Pessimistic execution holding the lock.
+    Holder(Holder<'a>),
+    /// Software transaction: accesses delegate to the backend's barriers.
+    Software(&'a TmCtx<'a>),
 }
 
-impl<'a> Ctx<'a> {
-    pub(crate) fn fast(policy: ElisionPolicy, write_flag: &'a TxCell<bool>) -> Self {
-        Ctx {
-            mode: ExecMode::FastHtm,
-            policy,
-            write_flag,
-            orecs: None,
-            local_seq: 0,
-            active_n: 0,
-            epoch_now: 0,
-            uniq_r: Cell::new(0),
-            uniq_w: Cell::new(0),
-            wrote: Cell::new(false),
-            trace: None,
-            stm: None,
-        }
-    }
-
-    pub(crate) fn slow(
-        policy: ElisionPolicy,
+/// The lock holder's instrumentation. The instrumented variants carry
+/// `trace` when the operation is sampled — the causal tracer and this
+/// thread's trace id, so protocol instants (write-flag raise, epoch bump)
+/// land on the timeline. Speculative rungs never do: an instant recorded
+/// inside a transaction that later aborts would be a lie.
+pub(crate) enum Holder<'a> {
+    /// Lock/TLE, and adaptive FG-TLE collapsed to plain TLE: none.
+    Plain,
+    /// RW-TLE: the first write raises `write_flag` (§3).
+    Rw {
         write_flag: &'a TxCell<bool>,
-        orecs: Option<&'a OrecTable>,
-        local_seq: u64,
-        active_n: usize,
-    ) -> Self {
-        Ctx {
-            mode: ExecMode::SlowHtm,
-            policy,
-            write_flag,
-            orecs,
-            local_seq,
-            active_n,
-            epoch_now: 0,
-            uniq_r: Cell::new(0),
-            uniq_w: Cell::new(0),
-            wrote: Cell::new(false),
-            trace: None,
-            stm: None,
-        }
-    }
-
-    pub(crate) fn under_lock(
-        policy: ElisionPolicy,
-        write_flag: &'a TxCell<bool>,
-        orecs: Option<&'a OrecTable>,
-        epoch_now: u64,
-        active_n: usize,
+        /// Whether this critical section raised the flag already.
+        wrote: Cell<bool>,
         trace: Option<(&'a Tracer, u64)>,
-    ) -> Self {
-        Ctx {
-            mode: ExecMode::UnderLock,
-            policy,
-            write_flag,
-            orecs,
-            local_seq: 0,
-            active_n,
-            epoch_now,
-            uniq_r: Cell::new(0),
-            uniq_w: Cell::new(0),
-            wrote: Cell::new(false),
-            trace,
-            stm: None,
-        }
-    }
+    },
+    /// FG-TLE: stamp the orecs of every access with the holder's epoch.
+    Fg {
+        orecs: &'a OrecTable,
+        /// The current odd epoch stamped into acquired orecs.
+        epoch_now: u64,
+        n: usize,
+        /// `uniq_r_orecs` / `uniq_w_orecs` (§4.2) — once all orecs are
+        /// acquired the barrier becomes trivial.
+        uniq_r: Cell<u32>,
+        uniq_w: Cell<u32>,
+        trace: Option<(&'a Tracer, u64)>,
+    },
+}
 
-    /// A software-transaction context: every access delegates to the
-    /// backend's read/write barriers through `tm`.
-    pub(crate) fn stm(
-        policy: ElisionPolicy,
-        write_flag: &'a TxCell<bool>,
-        tm: &'a rtle_hytm::TmCtx<'a>,
-    ) -> Self {
-        Ctx {
-            mode: ExecMode::Stm,
-            policy,
-            write_flag,
-            orecs: None,
-            local_seq: 0,
-            active_n: 0,
-            epoch_now: 0,
-            uniq_r: Cell::new(0),
-            uniq_w: Cell::new(0),
-            wrote: Cell::new(false),
-            trace: None,
-            stm: Some(tm),
-        }
-    }
-
+impl Ctx<'_> {
     /// The path this execution runs on.
     #[inline]
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        match self.0 {
+            Rung::Fast => ExecMode::FastHtm,
+            Rung::SlowRw | Rung::SlowFg { .. } => ExecMode::SlowHtm,
+            Rung::Holder(_) => ExecMode::UnderLock,
+            Rung::Software(_) => ExecMode::Stm,
+        }
     }
 
     /// Whether this execution is speculative (may abort and re-run).
     #[inline]
     pub fn is_speculative(&self) -> bool {
-        self.mode != ExecMode::UnderLock
+        !matches!(self.0, Rung::Holder(_))
     }
 
     /// Read barrier.
     #[inline]
     pub fn read<T: TxWord>(&self, cell: &TxCell<T>) -> T {
-        match self.mode {
-            ExecMode::FastHtm => cell.read(),
-            ExecMode::SlowHtm => {
-                if let (
-                    ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. },
-                    Some(orecs),
-                ) = (self.policy, self.orecs)
-                {
-                    // Figure 3, read_barrier, HTM side: abort if the write
-                    // orec is owned. The transactional orec read doubles as
-                    // a subscription (replacing the paper's fence argument).
-                    if let Some((slot, stamp)) =
-                        orecs.read_conflict_slot(cell.addr(), self.active_n, self.local_seq)
-                    {
-                        // Attribute, then abort: the abort unwinds at once,
-                        // so every OREC_CONFLICT abort is attributed to
-                        // exactly one slot (the heatmap invariant).
-                        orecs.note_conflict(slot, stamp);
-                        rtle_htm::abort(abort_codes::OREC_CONFLICT);
-                    }
+        match &self.0 {
+            // RW-TLE reads are uninstrumented on both sides.
+            Rung::Fast | Rung::SlowRw | Rung::Holder(Holder::Plain | Holder::Rw { .. }) => {}
+            Rung::SlowFg {
+                orecs,
+                local_seq,
+                n,
+            } => {
+                // Figure 3, read_barrier, HTM side: abort if the write
+                // orec is owned. The transactional orec read doubles as
+                // a subscription (replacing the paper's fence argument).
+                if let Some((slot, stamp)) = orecs.read_conflict_slot(cell.addr(), *n, *local_seq) {
+                    // Attribute, then abort: the abort unwinds at once,
+                    // so every OREC_CONFLICT abort is attributed to
+                    // exactly one slot (the heatmap invariant).
+                    orecs.note_conflict(slot, stamp);
+                    rtle_htm::abort(abort_codes::OREC_CONFLICT);
                 }
-                // RW-TLE reads are uninstrumented on the slow path.
-                cell.read()
             }
-            ExecMode::Stm => self.stm.expect("Stm mode carries a TmCtx").read(cell),
-            ExecMode::UnderLock => {
-                if let (
-                    ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. },
-                    Some(orecs),
-                ) = (self.policy, self.orecs)
+            Rung::Holder(Holder::Fg {
+                orecs,
+                epoch_now,
+                n,
+                uniq_r,
+                ..
+            }) => {
+                // Figure 3, read_barrier, lock side, with the uniq
+                // shortcut: stop hashing once every orec is owned.
+                if (uniq_r.get() as usize) < *n
+                    && orecs.stamp(OrecKind::Read, cell.addr(), *epoch_now)
                 {
-                    // Figure 3, read_barrier, lock side, with the uniq
-                    // shortcut: stop hashing once every orec is owned.
-                    if (self.uniq_r.get() as usize) < self.active_n
-                        && orecs.stamp(OrecKind::Read, cell.addr(), self.epoch_now)
-                    {
-                        self.uniq_r.set(self.uniq_r.get() + 1);
-                    }
+                    uniq_r.set(uniq_r.get() + 1);
                 }
-                cell.read()
             }
+            Rung::Software(tm) => return tm.read(cell),
         }
+        cell.read()
     }
 
     /// Write barrier.
     #[inline]
     pub fn write<T: TxWord>(&self, cell: &TxCell<T>, value: T) {
-        match self.mode {
-            ExecMode::FastHtm => cell.write(value),
-            ExecMode::SlowHtm => {
-                match (self.policy, self.orecs) {
-                    (ElisionPolicy::RwTle, _) => {
-                        // Figure 2: a slow-path transaction that needs to
-                        // write cannot commit under RW-TLE.
-                        rtle_htm::abort(abort_codes::RW_SLOW_WRITE);
-                    }
-                    (
-                        ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. },
-                        Some(orecs),
-                    ) => {
-                        if let Some((slot, stamp)) =
-                            orecs.write_conflict_slot(cell.addr(), self.active_n, self.local_seq)
-                        {
-                            orecs.note_conflict(slot, stamp);
-                            rtle_htm::abort(abort_codes::OREC_CONFLICT);
-                        }
-                    }
-                    _ => unreachable!("slow path requires a refined policy"),
+        match &self.0 {
+            Rung::Fast | Rung::Holder(Holder::Plain) => {}
+            // Figure 2: a slow-path transaction that needs to write cannot
+            // commit under RW-TLE.
+            Rung::SlowRw => rtle_htm::abort(abort_codes::RW_SLOW_WRITE),
+            Rung::SlowFg {
+                orecs,
+                local_seq,
+                n,
+            } => {
+                if let Some((slot, stamp)) = orecs.write_conflict_slot(cell.addr(), *n, *local_seq)
+                {
+                    orecs.note_conflict(slot, stamp);
+                    rtle_htm::abort(abort_codes::OREC_CONFLICT);
                 }
-                cell.write(value);
             }
-            ExecMode::Stm => self.stm.expect("Stm mode carries a TmCtx").write(cell, value),
-            ExecMode::UnderLock => {
-                match (self.policy, self.orecs) {
-                    (ElisionPolicy::RwTle, _)
-                        // Figure 2, lock side: raise the write flag once.
-                        // The plain store dooms every subscribed slow-path
-                        // transaction before the data store below can be
-                        // observed (the TSO argument of §3, made explicit
-                        // by the emulation's versioned stores).
-                        if !self.wrote.get() => {
-                            self.write_flag.write(true);
-                            self.wrote.set(true);
-                            if let Some((tracer, tid)) = self.trace {
-                                tracer.instant_now(tid, TraceKind::WriteFlagSet, 0);
-                            }
-                        }
-                    (
-                        ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. },
-                        Some(orecs),
-                    )
-                        if (self.uniq_w.get() as usize) < self.active_n
-                            && orecs.stamp(OrecKind::Write, cell.addr(), self.epoch_now)
-                        => {
-                            self.uniq_w.set(self.uniq_w.get() + 1);
-                        }
-                    _ => {}
+            Rung::Holder(Holder::Rw {
+                write_flag,
+                wrote,
+                trace,
+            }) => {
+                // Figure 2, lock side: raise the write flag once. The plain
+                // store dooms every subscribed slow-path transaction before
+                // the data store below can be observed (the TSO argument of
+                // §3, made explicit by the emulation's versioned stores).
+                if !wrote.replace(true) {
+                    write_flag.write(true);
+                    if let Some((tracer, tid)) = trace {
+                        tracer.instant_now(*tid, TraceKind::WriteFlagSet, 0);
+                    }
                 }
-                cell.write(value);
             }
+            Rung::Holder(Holder::Fg {
+                orecs,
+                epoch_now,
+                n,
+                uniq_w,
+                ..
+            }) => {
+                if (uniq_w.get() as usize) < *n
+                    && orecs.stamp(OrecKind::Write, cell.addr(), *epoch_now)
+                {
+                    uniq_w.set(uniq_w.get() + 1);
+                }
+            }
+            Rung::Software(tm) => return tm.write(cell, value),
         }
+        cell.write(value);
     }
 
     /// Counters of distinct orecs acquired so far under the lock (§4.2's
     /// `uniq_r_orecs` / `uniq_w_orecs`); diagnostics.
     pub fn uniq_orecs(&self) -> (u32, u32) {
-        (self.uniq_r.get(), self.uniq_w.get())
+        match &self.0 {
+            Rung::Holder(Holder::Fg { uniq_r, uniq_w, .. }) => (uniq_r.get(), uniq_w.get()),
+            _ => (0, 0),
+        }
     }
 
     /// The software backend driving an [`ExecMode::Stm`] execution
     /// (`None` on hardware and lock paths).
     pub fn software_backend(&self) -> Option<&'static str> {
-        self.stm.and_then(|t| t.backend_name())
+        match self.0 {
+            Rung::Software(tm) => tm.backend_name(),
+            _ => None,
+        }
     }
 }
 
@@ -307,160 +247,298 @@ impl rtle_htm::TxAccess for Ctx<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
-    fn flag() -> TxCell<bool> {
-        TxCell::new(false)
+    use super::*;
+    use crate::policy::{ElisionPolicy, RetryPolicy};
+    use crate::ElidableLock;
+
+    /// Every test here obtains its `Ctx` from the ladder itself, never by
+    /// building a `Rung` by hand, so each also checks *which* variant its
+    /// policy × rung constructs: fast = `execute` on a free lock, holder =
+    /// `lock_section`, slow = one `try_speculate` attempt while this thread
+    /// holds the section guard, software = `execute` on a lock with a
+    /// backend and a hardware-hostile critical section.
+    fn variant(ctx: &Ctx<'_>) -> &'static str {
+        match &ctx.0 {
+            Rung::Fast => "Fast",
+            Rung::SlowRw => "SlowRw",
+            Rung::SlowFg { .. } => "SlowFg",
+            Rung::Holder(Holder::Plain) => "Holder::Plain",
+            Rung::Holder(Holder::Rw { .. }) => "Holder::Rw",
+            Rung::Holder(Holder::Fg { .. }) => "Holder::Fg",
+            Rung::Software(_) => "Software",
+        }
+    }
+
+    /// A lock whose slow path gives up after one attempt, so a
+    /// `try_speculate` against a held lock is exactly one slow attempt.
+    fn lock(policy: ElisionPolicy) -> ElidableLock {
+        ElidableLock::builder()
+            .policy(policy)
+            .retry(RetryPolicy {
+                max_slow_attempts: Some(1),
+                ..Default::default()
+            })
+            .build()
+    }
+
+    fn aborts(lock: &ElidableLock, code: u8) -> u64 {
+        lock.stats().snapshot().aborts_by_code[code as usize]
+    }
+
+    /// Speculates `cs` on a second thread while the caller holds `l`'s
+    /// section guard, expecting a *hopeless* slow abort with `code` — after
+    /// which the speculator waits for the release, so it cannot share the
+    /// holder's thread. Once the abort is counted, runs `release` (which
+    /// drops the guard) and returns the speculator's (fast-path) result.
+    fn hopeless_slow_attempt<R: Send>(
+        l: &ElidableLock,
+        code: u8,
+        cs: impl Fn(&Ctx<'_>) -> R + Sync,
+        release: impl FnOnce(),
+    ) -> Option<R> {
+        std::thread::scope(|s| {
+            let speculator = s.spawn(|| l.try_speculate(&cs));
+            while aborts(l, code) == 0 {
+                std::thread::yield_now();
+            }
+            release();
+            speculator.join().expect("speculator panicked")
+        })
+    }
+
+    #[test]
+    fn each_policy_and_rung_constructs_its_variant() {
+        const ADAPTIVE: ElisionPolicy = ElisionPolicy::AdaptiveFgTle {
+            initial_orecs: 4,
+            max_orecs: 16,
+        };
+        // (policy, execute on a free lock, slow attempt, holder)
+        let table = [
+            (
+                ElisionPolicy::LockOnly,
+                "Holder::Plain",
+                None,
+                "Holder::Plain",
+            ),
+            (ElisionPolicy::Tle, "Fast", None, "Holder::Plain"),
+            (ElisionPolicy::RwTle, "Fast", Some("SlowRw"), "Holder::Rw"),
+            (
+                ElisionPolicy::FgTle { orecs: 4 },
+                "Fast",
+                Some("SlowFg"),
+                "Holder::Fg",
+            ),
+            (ADAPTIVE, "Fast", Some("SlowFg"), "Holder::Fg"),
+        ];
+        for (policy, free, slow, holder) in table {
+            let l = lock(policy);
+            assert_eq!(l.execute(variant), free, "{}", policy.label());
+            let g = l.lock_section();
+            assert_eq!(variant(g.ctx()), holder, "{}", policy.label());
+            assert_eq!(g.ctx().mode(), ExecMode::UnderLock);
+            assert!(!g.ctx().is_speculative());
+            assert_eq!(policy.has_slow_path(), slow.is_some());
+            if slow.is_some() {
+                // (A policy without a slow path would wait for the guard.)
+                let seen = l.try_speculate(|ctx| (variant(ctx), ctx.mode()));
+                assert_eq!(
+                    seen,
+                    slow.map(|v| (v, ExecMode::SlowHtm)),
+                    "{}",
+                    policy.label()
+                );
+            }
+            drop(g);
+
+            // The software rung replaces the lock fallback on every
+            // policy that speculates at all.
+            let sw = ElidableLock::builder()
+                .policy(policy)
+                .with_software_backend(Arc::new(rtle_hytm::Norec::new()))
+                .build();
+            let seen = sw.execute(|ctx| {
+                rtle_htm::htm_unfriendly_instruction();
+                (variant(ctx), ctx.software_backend())
+            });
+            let expect = match policy {
+                ElisionPolicy::LockOnly => ("Holder::Plain", None),
+                _ => ("Software", Some("norec")),
+            };
+            assert_eq!(seen, expect, "{}", policy.label());
+        }
     }
 
     #[test]
     fn fast_mode_reads_and_writes_plainly() {
-        let f = flag();
-        let ctx = Ctx::fast(ElisionPolicy::Tle, &f);
-        assert_eq!(ctx.mode(), ExecMode::FastHtm);
-        assert!(ctx.is_speculative());
         let c = TxCell::new(4u64);
-        assert_eq!(ctx.read(&c), 4);
-        ctx.write(&c, 5);
+        lock(ElisionPolicy::Tle).execute(|ctx| {
+            assert_eq!(variant(ctx), "Fast");
+            assert_eq!(ctx.mode(), ExecMode::FastHtm);
+            assert!(ctx.is_speculative());
+            assert_eq!(ctx.read(&c), 4);
+            ctx.write(&c, 5);
+        });
         assert_eq!(c.read_plain(), 5);
     }
 
     #[test]
     fn under_lock_rwtle_sets_flag_once() {
-        let f = flag();
-        let ctx = Ctx::under_lock(ElisionPolicy::RwTle, &f, None, 1, 0, None);
-        assert!(!ctx.is_speculative());
+        let l = lock(ElisionPolicy::RwTle);
         let c = TxCell::new(0u64);
-        assert!(!f.read_plain());
-        ctx.write(&c, 1);
-        assert!(f.read_plain(), "first write must raise the flag");
-        ctx.write(&c, 2);
-        assert_eq!(c.read_plain(), 2);
+        let g = l.lock_section();
+        assert_eq!(variant(g.ctx()), "Holder::Rw");
+        // Before the holder's first write a slow reader commits beside it.
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), Some(0));
+        g.ctx().write(&c, 1);
+        g.ctx().write(&c, 2);
+        // The first write raised the flag: slow readers now abort at start
+        // and wait for the release.
+        let seen = hopeless_slow_attempt(
+            &l,
+            abort_codes::WRITE_FLAG_SET,
+            |ctx| ctx.read(&c),
+            || drop(g),
+        );
+        assert_eq!(seen, Some(2));
+        assert_eq!(aborts(&l, abort_codes::WRITE_FLAG_SET), 1);
+        // The exit protocol reset the flag for the next holder's readers.
+        let g = l.lock_section();
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), Some(2));
+        drop(g);
     }
 
     #[test]
     fn under_lock_fgtle_stamps_and_uniq_shortcut() {
-        let f = flag();
-        let orecs = OrecTable::new(2);
-        let ctx = Ctx::under_lock(ElisionPolicy::FgTle { orecs: 2 }, &f, Some(&orecs), 1, 2, None);
+        let l = lock(ElisionPolicy::FgTle { orecs: 2 });
+        let g = l.lock_section();
+        let Rung::Holder(Holder::Fg { epoch_now, .. }) = g.ctx().0 else {
+            panic!("FG-TLE holder is {}", variant(g.ctx()));
+        };
         let cells: Vec<Box<TxCell<u64>>> = (0..32).map(|_| Box::new(TxCell::new(0))).collect();
         for c in &cells {
-            ctx.write(c, 7);
-            let _ = ctx.read(c);
+            g.ctx().write(c, 7);
+            let _ = g.ctx().read(c);
         }
-        let (ur, uw) = ctx.uniq_orecs();
+        let (ur, uw) = g.ctx().uniq_orecs();
         assert!(uw <= 2 && ur <= 2, "cannot acquire more than all orecs");
         // With 32 random addresses over 2 orecs, both are owned w.h.p.
         assert_eq!(uw, 2);
-        assert_eq!(orecs.stamped_since(OrecKind::Write, 1), 2);
+        let orecs = l.orec_table().expect("FG-TLE has orecs");
+        assert_eq!(orecs.stamped_since(OrecKind::Write, epoch_now), 2);
     }
 
     #[test]
     fn slow_fgtle_read_conflict_aborts() {
-        let f = flag();
-        let orecs = OrecTable::new(1); // every address aliases
-        let c = TxCell::new(0u64);
-        // Holder (epoch 1) owns the only write orec.
-        orecs.stamp(OrecKind::Write, 0x1234, 1);
-        let r = rtle_htm::swhtm::try_txn(|| {
-            let ctx = Ctx::slow(ElisionPolicy::FgTle { orecs: 1 }, &f, Some(&orecs), 1, 1);
-            ctx.read(&c)
-        });
-        assert_eq!(
-            r,
-            Err(rtle_htm::AbortCode::Explicit(abort_codes::OREC_CONFLICT))
-        );
+        let l = lock(ElisionPolicy::FgTle { orecs: 1 }); // every address aliases
+        let (held, c) = (TxCell::new(0u64), TxCell::new(0u64));
+        let g = l.lock_section();
+        // The holder owns the only write orec.
+        g.ctx().write(&held, 1);
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), None);
+        assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
     }
 
     #[test]
     fn slow_fgtle_write_conflicts_on_read_orec() {
-        let f = flag();
-        let orecs = OrecTable::new(1);
-        let c = TxCell::new(0u64);
-        orecs.stamp(OrecKind::Read, 0x1, 1); // holder only *read*
-                                             // Slow reads are fine...
-        let r = rtle_htm::swhtm::try_txn(|| {
-            let ctx = Ctx::slow(ElisionPolicy::FgTle { orecs: 1 }, &f, Some(&orecs), 1, 1);
-            ctx.read(&c)
-        });
-        assert!(r.is_ok(), "read-read parallelism");
-        // ...but a slow write to a read-owned orec must abort.
-        let r = rtle_htm::swhtm::try_txn(|| {
-            let ctx = Ctx::slow(ElisionPolicy::FgTle { orecs: 1 }, &f, Some(&orecs), 1, 1);
-            ctx.write(&c, 9);
-        });
+        let l = lock(ElisionPolicy::FgTle { orecs: 1 });
+        let (held, c) = (TxCell::new(0u64), TxCell::new(0u64));
+        let g = l.lock_section();
+        let _ = g.ctx().read(&held); // holder only *read*
+                                     // Slow reads are fine...
         assert_eq!(
-            r,
-            Err(rtle_htm::AbortCode::Explicit(abort_codes::OREC_CONFLICT))
+            l.try_speculate(|ctx| ctx.read(&c)),
+            Some(0),
+            "read-read parallelism"
         );
+        // ...but a slow write to a read-owned orec must abort.
+        assert_eq!(l.try_speculate(|ctx| ctx.write(&c, 9)), None);
+        assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
         assert_eq!(c.read_plain(), 0);
     }
 
     #[test]
     fn slow_rwtle_write_aborts() {
-        let f = flag();
+        let l = lock(ElisionPolicy::RwTle);
         let c = TxCell::new(0u64);
-        let r = rtle_htm::swhtm::try_txn(|| {
-            let ctx = Ctx::slow(ElisionPolicy::RwTle, &f, None, 0, 0);
-            ctx.write(&c, 1);
-        });
-        assert_eq!(
-            r,
-            Err(rtle_htm::AbortCode::Explicit(abort_codes::RW_SLOW_WRITE))
+        let g = l.lock_section();
+        hopeless_slow_attempt(
+            &l,
+            abort_codes::RW_SLOW_WRITE,
+            |ctx| ctx.write(&c, 1),
+            || {
+                assert_eq!(c.read_plain(), 0, "no slow write beside the holder");
+                drop(g);
+            },
         );
-        assert_eq!(c.read_plain(), 0);
+        assert_eq!(aborts(&l, abort_codes::RW_SLOW_WRITE), 1);
+        assert_eq!(
+            c.read_plain(),
+            1,
+            "committed on the fast path after the release"
+        );
     }
 
     #[test]
     fn slow_path_conflicts_are_attributed_to_their_slot() {
-        let f = flag();
-        let orecs = OrecTable::new(1); // every address aliases to slot 0
-        let c = TxCell::new(0u64);
-        orecs.stamp(OrecKind::Write, 0x1234, 1);
+        let l = lock(ElisionPolicy::FgTle { orecs: 1 }); // every address aliases to slot 0
+        let (held, c) = (TxCell::new(0u64), TxCell::new(0u64));
+        let g = l.lock_section();
+        let Rung::Holder(Holder::Fg { epoch_now, .. }) = g.ctx().0 else {
+            panic!("FG-TLE holder is {}", variant(g.ctx()));
+        };
+        g.ctx().write(&held, 1);
         for _ in 0..3 {
-            let r = rtle_htm::swhtm::try_txn(|| {
-                let ctx = Ctx::slow(ElisionPolicy::FgTle { orecs: 1 }, &f, Some(&orecs), 1, 1);
-                ctx.read(&c)
-            });
-            assert!(r.is_err());
+            assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), None);
         }
-        let h = orecs.heatmap();
+        let h = l.orec_heatmap().expect("FG-TLE has orecs");
         assert_eq!(h.total_conflicts(), 3, "one attribution per self-abort");
         assert_eq!(h.conflicts[0], 3);
-        assert_eq!(h.conflict_epoch[0], 1, "the owning stamp is recorded");
+        assert_eq!(
+            h.conflict_epoch[0], epoch_now,
+            "the owning stamp is recorded"
+        );
     }
 
     #[test]
     fn write_flag_raise_is_traced_when_enabled() {
-        let f = flag();
-        let tracer = Tracer::new(1, 16);
-        let ctx = Ctx::under_lock(ElisionPolicy::RwTle, &f, None, 1, 0, Some((&tracer, 5)));
+        // A sampled operation that falls back to the lock hands its tracer
+        // to the holder rung.
+        let recorder = Arc::new(rtle_obs::Recorder::new(rtle_obs::ObsConfig::default()));
+        let l = ElidableLock::builder()
+            .policy(ElisionPolicy::RwTle)
+            .recorder(Arc::clone(&recorder))
+            .build();
         let c = TxCell::new(0u64);
-        ctx.write(&c, 1);
-        ctx.write(&c, 2);
-        if tracer.enabled() {
-            let r = tracer.drain();
-            assert_eq!(r.len(), 1, "the flag instant is recorded once");
-            assert_eq!(r[0].kind, TraceKind::WriteFlagSet);
-            assert_eq!(r[0].tid, 5);
-        } else {
-            assert!(tracer.drain().is_empty());
-        }
+        l.execute(|ctx| {
+            rtle_htm::htm_unfriendly_instruction();
+            ctx.write(&c, 1);
+            ctx.write(&c, 2);
+        });
+        let raises = recorder
+            .tracer()
+            .drain()
+            .iter()
+            .filter(|r| r.kind == TraceKind::WriteFlagSet)
+            .count();
+        let expected = if recorder.tracer().enabled() { 1 } else { 0 };
+        assert_eq!(raises, expected, "the flag instant is recorded once");
     }
 
     #[test]
     fn slow_fgtle_unowned_orecs_allow_writes() {
-        let f = flag();
-        let orecs = OrecTable::new(4);
+        let l = lock(ElisionPolicy::FgTle { orecs: 4 });
         let c = TxCell::new(0u64);
-        // local_seq 2: stamps from epoch 1 are released.
-        orecs.stamp(OrecKind::Write, c.addr(), 1);
-        let r = rtle_htm::swhtm::try_txn(|| {
-            let ctx = Ctx::slow(ElisionPolicy::FgTle { orecs: 4 }, &f, Some(&orecs), 2, 4);
+        // An earlier holder stamped `c`'s orec; its release bumped the
+        // epoch past the stamp.
+        l.lock_section().ctx().write(&c, 1);
+        let _g = l.lock_section();
+        let r = l.try_speculate(|ctx| {
             ctx.write(&c, 5);
             ctx.read(&c)
         });
-        assert_eq!(r, Ok(5));
+        assert_eq!(r, Some(5));
         assert_eq!(c.read_plain(), 5);
     }
 }

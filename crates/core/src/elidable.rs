@@ -14,11 +14,12 @@
 //! speculation continues on the instrumented slow path, concurrent with the
 //! single lock holder.
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
-use rtle_hytm::{run_sw, SoftwareTm};
+use rtle_hytm::{sw_attempt, SoftwareTm, SwDescriptor, SwPhase};
 use rtle_obs::{
     AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, Outcome, PathKind, Recorder,
     SourceSnapshot, TraceKind,
@@ -26,9 +27,9 @@ use rtle_obs::{
 
 use crate::abort_codes;
 use crate::adaptive::AdaptiveState;
-use crate::barrier::Ctx;
+use crate::barrier::{Ctx, Holder, Rung};
 use crate::epoch::SeqEpoch;
-use crate::lock::{saturated_pause, TatasLock, BACKOFF_MAX, BACKOFF_MIN};
+use crate::lock::{backoff_until, TatasLock};
 use crate::orec::OrecTable;
 use crate::policy::{ElisionPolicy, RetryPolicy};
 use crate::stats::{ExecStats, Path};
@@ -436,9 +437,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                 }),
             None => None,
         };
-        let r = self.execute_inner(&cs, rec);
-        self.stats.record_op();
-        r
+        self.execute_inner(&cs, rec)
     }
 
     /// Executes `cs` like [`Self::execute`], additionally recording the
@@ -481,6 +480,47 @@ impl<B: HtmBackend> ElidableLock<B> {
         }
     }
 
+    /// Which instrumented slow path this lock's policy has, if any, with
+    /// the state that path needs.
+    fn slow_path(&self) -> Option<SlowPath<'_>> {
+        match (self.policy, &self.orecs) {
+            (ElisionPolicy::RwTle, _) => Some(SlowPath::Rw),
+            (_, Some(orecs)) => Some(SlowPath::Fg(orecs)),
+            _ => None,
+        }
+    }
+
+    /// Counts one speculative attempt's outcome and, when the operation is
+    /// sampled (`sampled` carries the attempt's start), mirrors it to the
+    /// recorder. A commit completes the operation.
+    fn note_attempt<R>(
+        &self,
+        path: Path,
+        outcome: &Result<R, AbortCode>,
+        attempt: u32,
+        sampled: Option<(Rec<'_>, Instant)>,
+    ) {
+        let observed = match outcome {
+            Ok(_) => {
+                self.stats.record_commit(path);
+                self.stats.record_op();
+                Outcome::Commit
+            }
+            Err(code) => {
+                self.stats.record_abort(path, *code);
+                Outcome::from_abort(*code)
+            }
+        };
+        if let Some((rc, t0)) = sampled {
+            let kind = match path {
+                Path::FastHtm => PathKind::FastHtm,
+                Path::SlowHtm => PathKind::SlowHtm,
+                Path::UnderLock => PathKind::Lock,
+            };
+            rc.attempt(kind, observed, attempt, t0);
+        }
+    }
+
     /// The speculative half of [`Self::execute`]'s ladder: fast attempts
     /// while the lock is free, instrumented slow attempts while it is held,
     /// up to the retry policy's budgets. `Ok` carries the committed result;
@@ -494,83 +534,47 @@ impl<B: HtmBackend> ElidableLock<B> {
         let mut slow_attempts = 0u32;
         while attempts < self.retry.max_attempts {
             if self.lock.is_held() {
-                if self.policy.has_slow_path()
-                    && self
+                if let Some(slow) = self.slow_path() {
+                    if self
                         .retry
                         .max_slow_attempts
-                        .is_none_or(|cap| slow_attempts < cap)
-                {
+                        .is_some_and(|cap| slow_attempts >= cap)
+                    {
+                        // Anti-starvation cap exceeded: stop speculating and
+                        // take the lock, bounding this operation's total work.
+                        break;
+                    }
                     // Refined TLE: speculate on the instrumented slow path,
                     // concurrently with the lock holder. These attempts are
                     // not charged to the fast-path budget (§6.2.1), but an
                     // anti-starvation cap may bound them (RetryPolicy).
-                    let t0 = rec.map(|_| Instant::now());
-                    match self.slow_attempt(cs) {
-                        Ok(r) => {
-                            self.stats.record_commit(Path::SlowHtm);
-                            if let (Some(rc), Some(t0)) = (rec, t0) {
-                                rc.attempt(
-                                    PathKind::SlowHtm,
-                                    Outcome::Commit,
-                                    attempts + slow_attempts,
-                                    t0,
-                                );
-                            }
-                            return Ok(r);
-                        }
+                    let sampled = rec.map(|rc| (rc, Instant::now()));
+                    let outcome = self.slow_attempt(slow, cs);
+                    self.note_attempt(Path::SlowHtm, &outcome, attempts + slow_attempts, sampled);
+                    match outcome {
+                        Ok(r) => return Ok(r),
                         Err(code) => {
-                            self.stats.record_abort(Path::SlowHtm, code);
-                            if let (Some(rc), Some(t0)) = (rec, t0) {
-                                rc.attempt(
-                                    PathKind::SlowHtm,
-                                    Outcome::from_abort(code),
-                                    attempts + slow_attempts,
-                                    t0,
-                                );
-                            }
                             slow_attempts += 1;
                             if slow_attempt_hopeless(code) {
                                 self.lock.spin_while_held();
                             } else {
                                 brief_pause();
                             }
-                            continue;
                         }
                     }
-                } else if self.policy.has_slow_path() {
-                    // Anti-starvation cap exceeded: stop speculating and
-                    // take the lock, bounding this operation's total work.
-                    break;
+                } else {
+                    // Standard TLE: wait for the lock to be released.
+                    self.lock.spin_while_held();
                 }
-                // Standard TLE: wait for the lock to be released.
-                self.lock.spin_while_held();
                 continue;
             }
 
-            let t0 = rec.map(|_| Instant::now());
-            match self.fast_attempt(cs) {
-                Ok(r) => {
-                    self.stats.record_commit(Path::FastHtm);
-                    if let (Some(rc), Some(t0)) = (rec, t0) {
-                        rc.attempt(
-                            PathKind::FastHtm,
-                            Outcome::Commit,
-                            attempts + slow_attempts,
-                            t0,
-                        );
-                    }
-                    return Ok(r);
-                }
+            let sampled = rec.map(|rc| (rc, Instant::now()));
+            let outcome = self.fast_attempt(cs);
+            self.note_attempt(Path::FastHtm, &outcome, attempts + slow_attempts, sampled);
+            match outcome {
+                Ok(r) => return Ok(r),
                 Err(code) => {
-                    self.stats.record_abort(Path::FastHtm, code);
-                    if let (Some(rc), Some(t0)) = (rec, t0) {
-                        rc.attempt(
-                            PathKind::FastHtm,
-                            Outcome::from_abort(code),
-                            attempts + slow_attempts,
-                            t0,
-                        );
-                    }
                     attempts += 1;
                     if self.retry.give_up_on_unsupported && !code.may_retry() {
                         break;
@@ -597,11 +601,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         if self.policy == ElisionPolicy::LockOnly {
             return None;
         }
-        let r = self.speculative_phase(&cs, None).ok();
-        if r.is_some() {
-            self.stats.record_op();
-        }
-        r
+        self.speculative_phase(&cs, None).ok()
     }
 
     /// Whether the lock word is currently held (advisory snapshot).
@@ -654,13 +654,54 @@ impl<B: HtmBackend> ElidableLock<B> {
             return None;
         }
         self.sw_running.fetch_add_plain(1);
-        if self.lock.is_held() {
-            self.sw_running.fetch_add_plain(u64::MAX);
-            return None;
-        }
-        Some(SoftwarePresence {
+        // The guard exists from the raise on, so the retreat below is its
+        // drop — the one place the counter comes back down.
+        let presence = SoftwarePresence {
             counter: &self.sw_running,
-        })
+        };
+        // A holder that acquired between the check and the raise sees the
+        // counter and waits in `quiesce_software`; we see the held lock and
+        // retreat. Both sides eventually stop colliding because software
+        // transactions are finite and lock holds are finite.
+        (!self.lock.is_held()).then_some(presence)
+    }
+
+    /// The blocking form of [`Self::try_software_presence`]: waits out the
+    /// current holder (with the lock's backoff) and retries until the
+    /// presence is raised. Only safe while the caller holds no other
+    /// presence or lock.
+    fn software_presence(&self) -> SoftwarePresence<'_> {
+        loop {
+            self.lock.spin_while_held();
+            if let Some(presence) = self.try_software_presence() {
+                return presence;
+            }
+        }
+    }
+
+    /// One attempt on this lock's software rung: raises the presence
+    /// (blocking — call it before enrolling any participant), runs `cs` as
+    /// one [`sw_attempt`] on `tm`, and counts a commit on this lock's
+    /// [`ExecStats`]. `None` when the attempt aborted; the caller decides
+    /// whether to retry. Must run inside an [`SwPhase`] bracket on `tm`.
+    ///
+    /// Both software drivers go through here: [`Self::execute`]'s fallback
+    /// retries it until it commits, and `rtle-stm`'s `atomically` bounds
+    /// the retries and interleaves participant enrollment.
+    pub fn software_attempt<R>(
+        &self,
+        tm: &dyn SoftwareTm,
+        desc: &RefCell<SwDescriptor>,
+        cs: impl FnOnce(&Ctx<'_>) -> R,
+    ) -> Option<R> {
+        // The lock holder's instrumented writes do not speak the backend's
+        // validation protocol, so software transactions never overlap a
+        // held lock (and vice versa — see `quiesce_software`).
+        let _presence = self.software_presence();
+        let r = sw_attempt(tm, desc, |tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
+        self.stats.record_stm_commit();
+        self.stats.record_op();
+        Some(r)
     }
 
     /// Participant-side hardware commit hook: gives this lock's software
@@ -703,39 +744,16 @@ impl<B: HtmBackend> ElidableLock<B> {
         self.select_software_backend().map(|tm| tm.name())
     }
 
-    /// Runs `cs` as a software transaction on `tm`, cooperating with the
-    /// pessimistic lock path via the `sw_running` presence counter: the
-    /// lock holder's instrumented writes do not speak the backend's
-    /// validation protocol, so software transactions never overlap a held
-    /// lock (and vice versa — see [`Self::quiesce_software`]).
+    /// Runs `cs` as a software transaction on `tm`: [`Self::software_attempt`]
+    /// until one commits.
     fn run_software<R>(&self, tm: &dyn SoftwareTm, cs: &impl Fn(&Ctx<'_>) -> R) -> R {
-        // Presence protocol: raise the counter only while the lock is
-        // observed free, re-checking after the raise. A holder that
-        // acquired between our check and raise sees the counter and waits
-        // in `quiesce_software`; we see the held lock and retreat. Both
-        // sides eventually stop colliding because software transactions
-        // are finite and lock holds are finite.
+        let _phase = SwPhase::enter(tm);
+        let desc = RefCell::new(SwDescriptor::default());
         loop {
-            self.lock.spin_while_held();
-            self.sw_running.fetch_add_plain(1);
-            if !self.lock.is_held() {
-                break;
-            }
-            self.sw_running.fetch_add_plain(u64::MAX);
-        }
-        struct Presence<'a>(&'a TxCell<u64>);
-        impl Drop for Presence<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_add_plain(u64::MAX);
+            if let Some(r) = self.software_attempt(tm, &desc, cs) {
+                return r;
             }
         }
-        let _presence = Presence(&self.sw_running);
-        let r = run_sw(tm, |tmctx| {
-            let ctx = Ctx::stm(self.policy, &self.write_flag, tmctx);
-            cs(&ctx)
-        });
-        self.stats.record_stm_commit();
-        r
     }
 
     /// Lock-holder side of the software/pessimistic exclusion: after
@@ -743,19 +761,8 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// backend. New arrivals observe the held lock and retreat, so this
     /// terminates.
     fn quiesce_software(&self) {
-        if self.sw_backends.is_empty() {
-            return;
-        }
-        let mut backoff = BACKOFF_MIN;
-        while self.sw_running.read_plain() != 0 {
-            if backoff >= BACKOFF_MAX {
-                saturated_pause();
-            } else {
-                for _ in 0..backoff {
-                    std::hint::spin_loop();
-                }
-                backoff <<= 1;
-            }
+        if !self.sw_backends.is_empty() {
+            backoff_until(|| self.sw_running.read_plain() == 0);
         }
     }
 
@@ -781,8 +788,7 @@ impl<B: HtmBackend> ElidableLock<B> {
             if !self.retry.lazy_subscription && self.lock.subscribe() {
                 rtle_htm::abort(abort_codes::LOCK_HELD);
             }
-            let ctx = Ctx::fast(self.policy, &self.write_flag);
-            let r = cs(&ctx);
+            let r = cs(&Ctx(Rung::Fast));
             if self.retry.lazy_subscription && self.lock.subscribe() {
                 rtle_htm::abort(abort_codes::LAZY_LOCK_HELD);
             }
@@ -792,13 +798,17 @@ impl<B: HtmBackend> ElidableLock<B> {
     }
 
     /// One instrumented slow-path attempt (lock observed held).
-    fn slow_attempt<R>(&self, cs: &impl Fn(&Ctx<'_>) -> R) -> Result<R, AbortCode> {
+    fn slow_attempt<R>(
+        &self,
+        slow: SlowPath<'_>,
+        cs: &impl Fn(&Ctx<'_>) -> R,
+    ) -> Result<R, AbortCode> {
         // FG-TLE's local_seq_number: epoch snapshot *before* the
         // transaction begins (Figure 3 header comment).
         let local_seq = self.epoch.snapshot();
         self.backend.try_txn(|| {
-            let ctx = match self.policy {
-                ElisionPolicy::RwTle => {
+            let ctx = match slow {
+                SlowPath::Rw => {
                     // Eager-return strategy (§6.3): subscribe to the lock so
                     // its release aborts us back onto the fast path — unless
                     // lazy subscription was requested, which replaces it.
@@ -809,19 +819,21 @@ impl<B: HtmBackend> ElidableLock<B> {
                     if self.write_flag.read() {
                         rtle_htm::abort(abort_codes::WRITE_FLAG_SET);
                     }
-                    Ctx::slow(self.policy, &self.write_flag, None, 0, 0)
+                    Ctx(Rung::SlowRw)
                 }
-                ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. } => {
-                    let orecs = self.orecs.as_ref().expect("FG policy has orecs");
+                SlowPath::Fg(orecs) => {
                     if self.adaptive.is_some() && !self.fg_enabled.read() {
                         rtle_htm::abort(abort_codes::FG_DISABLED);
                     }
                     // Read the active size inside the transaction (§4.1:
                     // safe resizing requires slow transactions to read it).
                     let n = orecs.active_tx();
-                    Ctx::slow(self.policy, &self.write_flag, Some(orecs), local_seq, n)
+                    Ctx(Rung::SlowFg {
+                        orecs,
+                        local_seq,
+                        n,
+                    })
                 }
-                _ => unreachable!("slow path requires a refined policy"),
             };
             let r = cs(&ctx);
             if self.retry.lazy_subscription && self.lock.subscribe() {
@@ -835,41 +847,43 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// Pessimistic execution: acquire the lock and run the (instrumented,
     /// for refined policies) critical section. Guaranteed to complete in
     /// one attempt — the property §4.1 highlights.
-    fn run_under_lock<R>(&self, cs: &impl Fn(&Ctx<'_>) -> R, rec: Option<Rec<'_>>, prior_attempts: u32) -> R {
+    fn run_under_lock<R>(
+        &self,
+        cs: &impl Fn(&Ctx<'_>) -> R,
+        rec: Option<Rec<'_>>,
+        prior_attempts: u32,
+    ) -> R {
+        let section = self.enter_locked(rec.map(|rc| (rc.recorder.tracer(), rc.thread_key)));
+        let r = cs(&section.ctx);
+        if let Some(rc) = rec {
+            rc.recorder
+                .record_lock_hold(section.t0.elapsed().as_nanos() as u64);
+            rc.attempt(PathKind::Lock, Outcome::Commit, prior_attempts, section.t0);
+        }
+        r
+    }
+
+    /// The holder rung: acquires the lock and builds the guard whose drop
+    /// leaves it — the one entry to pessimistic execution, shared by
+    /// [`Self::execute`]'s fallback and [`Self::lock_section`].
+    fn enter_locked<'a>(
+        &'a self,
+        trace: Option<(&'a rtle_obs::Tracer, u64)>,
+    ) -> LockedSection<'a, B> {
         self.lock.acquire();
         self.quiesce_software();
         // Recorded at acquisition (not completion) so concurrent observers
         // see the pessimistic execution while it is in flight.
         self.stats.record_commit(Path::UnderLock);
+        self.stats.record_op();
         let t0 = Instant::now();
-
-        let trace_ctx = rec.map(|rc| (rc.recorder.tracer(), rc.thread_key));
-        let (ctx, fg_on, holder_epoch) = self.locked_prologue(trace_ctx);
-
-        let r = cs(&ctx);
-
-        self.locked_epilogue(fg_on, holder_epoch, trace_ctx);
-
-        let held = t0.elapsed();
-        self.stats.record_time_locked(held);
-        if let Some(rc) = rec {
-            rc.recorder.record_lock_hold(held.as_nanos() as u64);
-            rc.attempt(PathKind::Lock, Outcome::Commit, prior_attempts, t0);
-        }
-        self.lock.release();
-        r
-    }
-
-    /// The lock-holder entry protocol (after acquisition, before the
-    /// critical section runs): adaptive decisions, epoch begin, and the
-    /// instrumented [`Ctx`]. Returns `(ctx, fg_on, holder_epoch)`.
-    fn locked_prologue<'a>(
-        &'a self,
-        trace_ctx: Option<(&'a rtle_obs::Tracer, u64)>,
-    ) -> (Ctx<'a>, bool, u64) {
-        match self.policy {
-            ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. } => {
-                let orecs = self.orecs.as_ref().expect("FG policy has orecs");
+        let holder = match (self.policy, &self.orecs) {
+            (ElisionPolicy::RwTle, _) => Holder::Rw {
+                write_flag: &self.write_flag,
+                wrote: Cell::new(false),
+                trace,
+            },
+            (_, Some(orecs)) => {
                 if let Some(ad) = &self.adaptive {
                     // Resizes / mode flips are only legal right here, while
                     // holding the lock and before the CS runs (§4.2.1).
@@ -883,60 +897,25 @@ impl<B: HtmBackend> ElidableLock<B> {
                     );
                 }
                 if self.fg_enabled.read_plain() {
-                    let epoch_now = self.epoch.begin_locked_section();
-                    let n = orecs.active_plain();
-                    (
-                        Ctx::under_lock(
-                            self.policy,
-                            &self.write_flag,
-                            Some(orecs),
-                            epoch_now,
-                            n,
-                            trace_ctx,
-                        ),
-                        true,
-                        epoch_now,
-                    )
+                    Holder::Fg {
+                        orecs,
+                        epoch_now: self.epoch.begin_locked_section(),
+                        n: orecs.active_plain(),
+                        uniq_r: Cell::new(0),
+                        uniq_w: Cell::new(0),
+                        trace,
+                    }
                 } else {
                     // Collapsed to plain TLE: uninstrumented under lock.
-                    (
-                        Ctx::under_lock(self.policy, &self.write_flag, None, 0, 0, trace_ctx),
-                        false,
-                        0,
-                    )
+                    Holder::Plain
                 }
             }
-            _ => (
-                Ctx::under_lock(self.policy, &self.write_flag, None, 0, 0, trace_ctx),
-                false,
-                0,
-            ),
-        }
-    }
-
-    /// The lock-holder exit protocol (after the critical section, before
-    /// release): write-flag reset / pre-release epoch bump.
-    fn locked_epilogue(
-        &self,
-        fg_on: bool,
-        holder_epoch: u64,
-        trace_ctx: Option<(&rtle_obs::Tracer, u64)>,
-    ) {
-        match self.policy {
-            ElisionPolicy::RwTle
-                // Reset the write flag before releasing the lock (§3).
-                if self.write_flag.read_plain() => {
-                    self.write_flag.write(false);
-                }
-            ElisionPolicy::FgTle { .. } | ElisionPolicy::AdaptiveFgTle { .. } if fg_on => {
-                // Pre-release epoch bump: releases all orecs at once
-                // without aborting slow-path transactions (§4.2).
-                self.epoch.end_locked_section();
-                if let Some((tracer, tid)) = trace_ctx {
-                    tracer.instant_now(tid, TraceKind::EpochBump, holder_epoch);
-                }
-            }
-            _ => {}
+            _ => Holder::Plain,
+        };
+        LockedSection {
+            lock: self,
+            ctx: Ctx(Rung::Holder(holder)),
+            t0,
         }
     }
 
@@ -957,19 +936,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// A panic while the guard is held leaves the lock held (poisoned),
     /// matching [`ElidableLock::execute`]'s panic semantics.
     pub fn lock_section(&self) -> LockedSection<'_, B> {
-        self.lock.acquire();
-        self.quiesce_software();
-        self.stats.record_commit(Path::UnderLock);
-        self.stats.record_op();
-        let t0 = Instant::now();
-        let (ctx, fg_on, holder_epoch) = self.locked_prologue(None);
-        LockedSection {
-            lock: self,
-            ctx,
-            t0,
-            fg_on,
-            holder_epoch,
-        }
+        self.enter_locked(None)
     }
 }
 
@@ -1034,8 +1001,6 @@ pub struct LockedSection<'a, B: HtmBackend> {
     lock: &'a ElidableLock<B>,
     ctx: Ctx<'a>,
     t0: Instant,
-    fg_on: bool,
-    holder_epoch: u64,
 }
 
 impl<'a, B: HtmBackend> LockedSection<'a, B> {
@@ -1046,14 +1011,31 @@ impl<'a, B: HtmBackend> LockedSection<'a, B> {
 }
 
 impl<B: HtmBackend> Drop for LockedSection<'_, B> {
+    /// The lock-holder exit protocol: write-flag reset / pre-release epoch
+    /// bump, then release.
     fn drop(&mut self) {
         if std::thread::panicking() {
             // A panicking critical section leaves the lock held (poisoned),
-            // exactly like the closure-based pessimistic path.
+            // like a raw spin lock would.
             return;
         }
-        self.lock
-            .locked_epilogue(self.fg_on, self.holder_epoch, None);
+        match &self.ctx.0 {
+            // Reset the write flag before releasing the lock (§3).
+            Rung::Holder(Holder::Rw { write_flag, .. }) if write_flag.read_plain() => {
+                write_flag.write(false);
+            }
+            Rung::Holder(Holder::Fg {
+                epoch_now, trace, ..
+            }) => {
+                // Pre-release epoch bump: releases all orecs at once
+                // without aborting slow-path transactions (§4.2).
+                self.lock.epoch.end_locked_section();
+                if let Some((tracer, tid)) = trace {
+                    tracer.instant_now(*tid, TraceKind::EpochBump, *epoch_now);
+                }
+            }
+            _ => {}
+        }
         self.lock.stats.record_time_locked(self.t0.elapsed());
         self.lock.lock.release();
     }
@@ -1082,6 +1064,16 @@ impl<B: HtmBackend> std::fmt::Debug for ElidableLock<B> {
             .field("held", &self.lock.is_held())
             .finish_non_exhaustive()
     }
+}
+
+/// The instrumented slow path a refined policy speculates on while the
+/// lock is held.
+#[derive(Clone, Copy)]
+enum SlowPath<'a> {
+    /// RW-TLE (§3).
+    Rw,
+    /// FG-TLE (§4) over this lock's orec table.
+    Fg(&'a OrecTable),
 }
 
 /// Slow-path aborts that cannot succeed while the current holder runs:

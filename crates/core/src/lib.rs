@@ -53,7 +53,7 @@ pub mod stats;
 
 pub use barrier::{Ctx, ExecMode};
 pub use elidable::{ElidableLock, ElidableLockBuilder, LockedSection, SoftwarePresence};
-pub use lock::{TatasLock, TicketLock};
+pub use lock::TatasLock;
 pub use orec::OrecTable;
 pub use policy::{ElisionPolicy, RetryPolicy};
 pub use stats::{ExecStats, StatsSnapshot};

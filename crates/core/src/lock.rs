@@ -14,12 +14,15 @@ use std::hint;
 const FREE: u64 = 0;
 const HELD: u64 = 1;
 
-/// Initial backoff spin count; doubled on each failed acquisition attempt.
-pub(crate) const BACKOFF_MIN: u32 = 1 << 4;
+/// Initial backoff spin count; doubled after each failed probe.
+const BACKOFF_MIN: u32 = 1 << 4;
 /// Backoff ceiling.
-pub(crate) const BACKOFF_MAX: u32 = 1 << 14;
+const BACKOFF_MAX: u32 = 1 << 14;
 
-/// One saturated-backoff wait: spin `BACKOFF_MAX` then yield the CPU.
+/// The one waiting loop of the lock family: probes `done` with bounded
+/// exponential backoff between probes, and once the backoff saturates
+/// spins `BACKOFF_MAX` then yields the CPU.
+///
 /// Pure spinning is right for the short holds TLE expects, but once
 /// backoff saturates the hold is long (a pessimistic section doing real
 /// work — or a blocking wait), and on an oversubscribed host a pure
@@ -28,11 +31,18 @@ pub(crate) const BACKOFF_MAX: u32 = 1 << 14;
 /// test-and-test-and-set-with-backoff shape while degrading gracefully
 /// when threads outnumber cores.
 #[inline]
-pub(crate) fn saturated_pause() {
-    for _ in 0..BACKOFF_MAX {
-        hint::spin_loop();
+pub(crate) fn backoff_until(mut done: impl FnMut() -> bool) {
+    let mut backoff = BACKOFF_MIN;
+    while !done() {
+        for _ in 0..backoff {
+            hint::spin_loop();
+        }
+        if backoff < BACKOFF_MAX {
+            backoff <<= 1;
+        } else {
+            std::thread::yield_now();
+        }
     }
-    std::thread::yield_now();
 }
 
 /// Test-and-test-and-set spin lock with exponential backoff, built on a
@@ -81,22 +91,9 @@ impl TatasLock {
     }
 
     /// Acquires the lock, spinning with exponential backoff (yielding
-    /// once the backoff saturates — see [`saturated_pause`]).
+    /// once the backoff saturates — see [`backoff_until`]).
     pub fn acquire(&self) {
-        let mut backoff = BACKOFF_MIN;
-        loop {
-            if self.try_acquire() {
-                return;
-            }
-            if backoff >= BACKOFF_MAX {
-                saturated_pause();
-            } else {
-                for _ in 0..backoff {
-                    hint::spin_loop();
-                }
-                backoff <<= 1;
-            }
-        }
+        backoff_until(|| self.try_acquire());
     }
 
     /// Releases the lock.
@@ -110,17 +107,7 @@ impl TatasLock {
     /// retry policy: "we spin until the lock is not held after every
     /// failure" (§6.2.1, citing Kleen's TSX anti-patterns \[16\]).
     pub fn spin_while_held(&self) {
-        let mut backoff = BACKOFF_MIN;
-        while self.is_held() {
-            if backoff >= BACKOFF_MAX {
-                saturated_pause();
-            } else {
-                for _ in 0..backoff {
-                    hint::spin_loop();
-                }
-                backoff <<= 1;
-            }
-        }
+        backoff_until(|| !self.is_held());
     }
 
     /// Test hook: force the lock word to `HELD` without the CAS protocol,
@@ -128,62 +115,6 @@ impl TatasLock {
     #[doc(hidden)]
     pub fn force_held_for_test(&self) {
         self.word.store_plain_for_test(HELD);
-    }
-}
-
-/// FIFO ticket lock — the fairness building block for the anti-starvation
-/// mechanism the paper notes is "trivial to add" (§6.2.1).
-///
-/// Unlike [`TatasLock`], acquisition order is the arrival order, so a
-/// thread that stops speculating (e.g. after exhausting
-/// [`crate::RetryPolicy::max_slow_attempts`]) is served in bounded time no
-/// matter how many other threads keep hammering the lock. Both words are
-/// [`TxCell`]s, so hardware transactions can subscribe exactly as with the
-/// TATAS lock.
-#[derive(Debug, Default)]
-pub struct TicketLock {
-    next: TxCell<u64>,
-    serving: TxCell<u64>,
-}
-
-impl TicketLock {
-    /// A new, free lock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Non-transactional probe.
-    #[inline]
-    pub fn is_held(&self) -> bool {
-        self.serving.read_plain() != self.next.read_plain()
-    }
-
-    /// Transactional probe/subscription: reads both words inside the
-    /// current transaction; any later ticket draw or hand-off aborts the
-    /// subscriber. Returns whether the lock was held.
-    #[inline]
-    pub fn subscribe(&self) -> bool {
-        self.serving.read() != self.next.read()
-    }
-
-    /// Acquires (FIFO). Returns the ticket number served.
-    pub fn acquire(&self) -> u64 {
-        let ticket = self.next.fetch_add_plain(1);
-        let mut backoff = BACKOFF_MIN;
-        while self.serving.read_plain() != ticket {
-            for _ in 0..backoff {
-                hint::spin_loop();
-            }
-            backoff = (backoff << 1).min(BACKOFF_MAX);
-        }
-        ticket
-    }
-
-    /// Releases, handing the lock to the next ticket holder.
-    pub fn release(&self) {
-        let s = self.serving.read_plain();
-        debug_assert!(s != self.next.read_plain(), "release of a free TicketLock");
-        self.serving.write(s + 1);
     }
 }
 
@@ -247,64 +178,6 @@ mod tests {
         assert!(r.is_err());
         // Clean up the forced state.
         l.release();
-    }
-
-    #[test]
-    fn ticket_lock_roundtrip_and_exclusion() {
-        let l = Arc::new(TicketLock::new());
-        assert!(!l.is_held());
-        let t = l.acquire();
-        assert_eq!(t, 0);
-        assert!(l.is_held());
-        l.release();
-        assert!(!l.is_held());
-
-        let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let inside = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (l, counter, inside) =
-                    (Arc::clone(&l), Arc::clone(&counter), Arc::clone(&inside));
-                scope.spawn(move || {
-                    for _ in 0..500 {
-                        l.acquire();
-                        assert_eq!(inside.fetch_add(1, std::sync::atomic::Ordering::SeqCst), 0);
-                        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        inside.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                        l.release();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 2000);
-    }
-
-    #[test]
-    fn ticket_lock_is_fifo() {
-        // Tickets are served in draw order: a queue of acquisitions from
-        // one thread observes strictly increasing tickets.
-        let l = TicketLock::new();
-        for expect in 0..10u64 {
-            assert_eq!(l.acquire(), expect);
-            l.release();
-        }
-    }
-
-    #[test]
-    fn ticket_subscription_dooms_speculator() {
-        let l = TicketLock::new();
-        let r = rtle_htm::swhtm::try_txn(|| {
-            assert!(!l.subscribe());
-            // A concurrent arrival draws a ticket (modelled via the
-            // external-writer test hook; a real plain RMW from another
-            // thread behaves identically).
-            let n = l.next.read_unvalidated();
-            l.next.store_plain_for_test(n + 1);
-            l.subscribe()
-        });
-        assert!(r.is_err(), "ticket draw must doom the subscriber");
-        // Restore.
-        l.serving.write(l.next.read_plain());
     }
 
     #[test]

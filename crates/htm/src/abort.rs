@@ -1,14 +1,14 @@
-//! Abort codes and the unwinding machinery used to transfer control out of a
-//! software transaction.
+//! Abort codes: why a transaction attempt failed.
 //!
 //! Real HTM aborts by rolling the processor back to the `xbegin` point and
 //! materializing an abort status in `eax`. The software emulation mirrors
-//! that with a panic carrying a [`TxAbortPayload`]: the runtime in
-//! [`crate::swhtm`] catches exactly this payload, rolls the redo log back
-//! (by discarding it) and returns the [`AbortCode`] to the caller. Any other
-//! panic payload is resumed untouched so that genuine bugs still surface.
+//! that by unwinding on the [`Channel::Htm`] channel of [`crate::unwind`]:
+//! the runtime in [`crate::swhtm`] catches it, rolls the redo log back (by
+//! discarding it) and returns the [`AbortCode`] to the caller.
 
 use std::fmt;
+
+use crate::unwind::{self, Channel};
 
 /// The `xabort` immediate we use for [`AbortCode::Unsupported`] when running
 /// on the real-RTM backend, so both backends report the same condition.
@@ -66,21 +66,13 @@ impl fmt::Display for AbortCode {
     }
 }
 
-/// Panic payload identifying a transactional abort (as opposed to a real
-/// panic). Carried through `panic_any` and caught by the transaction runner.
-#[derive(Debug, Clone, Copy)]
-pub struct TxAbortPayload(pub AbortCode);
-
 /// Unwinds out of the current software transaction with `code`.
 ///
 /// Must only be called while a software transaction is active; the runner in
 /// [`crate::swhtm::try_txn`] is the matching catch point.
-#[cold]
-#[inline(never)]
+#[inline]
 pub fn raise(code: AbortCode) -> ! {
-    // A panic hook printing "thread panicked" for every emulated abort would
-    // drown the test output; try_txn installs a silencing hook once.
-    std::panic::panic_any(TxAbortPayload(code));
+    unwind::raise(Channel::Htm, code)
 }
 
 #[cfg(test)]

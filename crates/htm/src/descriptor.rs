@@ -7,14 +7,81 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A buffered (redo-log) write: target cell, its stripe, and the new word.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WriteEntry {
-    /// Raw pointer to the cell's backing `AtomicU64`. Valid for the duration
-    /// of the transaction: cells are only accessed through live references,
-    /// and the log is discarded when the transaction ends.
-    pub cell: *const AtomicU64,
+/// One buffered write of a [`RedoLog`]: target cell and the new word.
+#[derive(Debug)]
+pub struct WriteEntry<C> {
+    /// Raw pointer to the target cell. Valid for the duration of the
+    /// transaction: cells are only accessed through live references, and
+    /// the log is discarded when the transaction ends.
+    pub cell: *const C,
+    /// The word to store at commit.
     pub value: u64,
+}
+
+/// The lazy-versioning write log shared by the emulated HTM ([`SwTxn`],
+/// over raw `AtomicU64` words) and `rtle-hytm`'s software-TM descriptor
+/// (over `TxCell<u64>`): entries in first-write program order, a later
+/// write to the same cell superseding the earlier entry in place, and
+/// read-own-write lookups scanning back-to-front.
+#[derive(Debug)]
+pub struct RedoLog<C> {
+    entries: Vec<WriteEntry<C>>,
+}
+
+impl<C> Default for RedoLog<C> {
+    fn default() -> Self {
+        RedoLog {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<C> RedoLog<C> {
+    /// Latest buffered value for `cell`, if this transaction wrote it.
+    pub fn lookup(&self, cell: *const C) -> Option<u64> {
+        self.entries
+            .iter()
+            .rev()
+            .find(|e| std::ptr::eq(e.cell, cell))
+            .map(|e| e.value)
+    }
+
+    /// Buffers (or supersedes) a write to `cell`.
+    pub fn log_write(&mut self, cell: *const C, value: u64) {
+        match self
+            .entries
+            .iter_mut()
+            .rev()
+            .find(|e| std::ptr::eq(e.cell, cell))
+        {
+            Some(e) => e.value = value,
+            None => self.entries.push(WriteEntry { cell, value }),
+        }
+    }
+
+    /// The buffered writes, in first-write order.
+    pub fn iter(&self) -> std::slice::Iter<'_, WriteEntry<C>> {
+        self.entries.iter()
+    }
+
+    /// Whether nothing was written.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Discards every buffered write.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+impl<'a, C> IntoIterator for &'a RedoLog<C> {
+    type Item = &'a WriteEntry<C>;
+    type IntoIter = std::slice::Iter<'a, WriteEntry<C>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// A small open-addressing set of stripe indices, used both to deduplicate
@@ -107,8 +174,6 @@ impl StripeSet {
 pub(crate) struct SwTxn {
     /// TL2 read-version: global clock snapshot taken at begin.
     pub rv: u64,
-    /// Flat-nesting depth. The transaction commits when depth returns to 0.
-    pub depth: u32,
     /// Capacity limits captured at begin (config may change mid-flight).
     pub read_capacity: u32,
     pub write_capacity: u32,
@@ -116,43 +181,18 @@ pub(crate) struct SwTxn {
     pub read_stripes: StripeSet,
     /// Distinct stripes written (locked at commit).
     pub write_stripes: StripeSet,
-    /// Redo log, in program order; later entries supersede earlier ones for
-    /// the same cell (read-after-write scans back-to-front).
-    pub redo: Vec<WriteEntry>,
+    /// Buffered writes, published at commit.
+    pub redo: RedoLog<AtomicU64>,
 }
 
 impl SwTxn {
     pub fn reset(&mut self, rv: u64, read_capacity: u32, write_capacity: u32) {
         self.rv = rv;
-        self.depth = 1;
         self.read_capacity = read_capacity;
         self.write_capacity = write_capacity;
         self.read_stripes.clear();
         self.write_stripes.clear();
         self.redo.clear();
-    }
-
-    /// Looks up the latest buffered value for `cell`, if any.
-    pub fn read_own_write(&self, cell: *const AtomicU64) -> Option<u64> {
-        self.redo
-            .iter()
-            .rev()
-            .find(|e| std::ptr::eq(e.cell, cell))
-            .map(|e| e.value)
-    }
-
-    /// Buffers (or overwrites) a write to `cell`.
-    pub fn log_write(&mut self, cell: *const AtomicU64, value: u64) {
-        if let Some(e) = self
-            .redo
-            .iter_mut()
-            .rev()
-            .find(|e| std::ptr::eq(e.cell, cell))
-        {
-            e.value = value;
-            return;
-        }
-        self.redo.push(WriteEntry { cell, value });
     }
 }
 
@@ -257,13 +297,15 @@ mod tests {
         let b = AtomicU64::new(0);
         let mut t = SwTxn::default();
         t.reset(2, 16, 16);
-        assert_eq!(t.read_own_write(&a), None);
-        t.log_write(&a, 10);
-        t.log_write(&b, 20);
-        t.log_write(&a, 30);
-        assert_eq!(t.read_own_write(&a), Some(30));
-        assert_eq!(t.read_own_write(&b), Some(20));
-        assert_eq!(t.redo.len(), 2, "second write to a supersedes in place");
+        assert_eq!(t.redo.lookup(&a), None);
+        t.redo.log_write(&a, 10);
+        t.redo.log_write(&b, 20);
+        t.redo.log_write(&a, 30);
+        assert_eq!(t.redo.lookup(&a), Some(30));
+        assert_eq!(t.redo.lookup(&b), Some(20));
+        assert_eq!(t.redo.iter().count(), 2, "second write to a supersedes in place");
+        t.reset(4, 16, 16);
+        assert!(t.redo.is_empty(), "reset discards the log");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! Both backends expose the same closure-based interface through
 //! [`backend::HtmBackend`]. Explicit aborts and barrier-raised conflicts use
-//! panic-based unwinding internally (payload [`abort::TxAbortPayload`]), which
+//! panic-based unwinding internally (the [`unwind`] channel), which
 //! mirrors the "returns twice" control flow of `xbegin` without forcing user
 //! code to thread `Result`s through every read.
 //!
@@ -65,6 +65,7 @@ pub mod rtm;
 pub mod stats;
 pub mod stripe;
 pub mod swhtm;
+pub mod unwind;
 pub mod word;
 
 pub use abort::AbortCode;
@@ -74,6 +75,7 @@ pub use backend::RtmBackend;
 pub use backend::{HtmBackend, SwHtmBackend};
 pub use cell::TxCell;
 pub use config::HtmConfig;
+pub use descriptor::RedoLog;
 pub use stats::HtmStats;
 pub use word::TxWord;
 

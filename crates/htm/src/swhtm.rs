@@ -25,19 +25,18 @@
 //!    by the stripe locks, which both transactional *and plain* readers
 //!    respect — commits are atomic for everyone (strong atomicity).
 //!
-//! Control transfer on abort uses a panic with [`crate::abort::TxAbortPayload`];
-//! the runner catches exactly that payload and translates it back into an
-//! `Err(AbortCode)`. Genuine panics propagate unchanged.
+//! Control transfer on abort unwinds on [`Channel::Htm`] of
+//! [`crate::unwind`]; the runner catches exactly that channel and translates
+//! it back into an `Err(AbortCode)`. Genuine panics propagate unchanged.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
-use std::sync::Once;
 
-use crate::abort::{self, AbortCode, TxAbortPayload};
+use crate::abort::{self, AbortCode};
 use crate::config;
 use crate::descriptor::{self, with_txn};
 use crate::stats;
 use crate::stripe;
+use crate::unwind::{self, Channel};
 
 /// Runs `f` as one software transaction attempt.
 ///
@@ -54,19 +53,10 @@ use crate::stripe;
 /// Re-raises any non-abort panic from `f` after rolling the transaction
 /// back, so invariant violations in user code still surface.
 pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
-    install_silent_abort_hook();
-
     if descriptor::in_sw_txn() {
-        // Flat nesting: run inline as part of the enclosing transaction.
-        with_txn(|t| t.depth += 1);
-        let r = run_catching(f);
-        match r {
-            Ok(v) => {
-                with_txn(|t| t.depth -= 1);
-                return Ok(v);
-            }
-            Err(payload) => resume(payload), // outer runner owns cleanup
-        }
+        // Flat nesting: run inline as part of the enclosing transaction. An
+        // abort unwinds straight through to the outer runner's catch.
+        return Ok(f());
     }
 
     stats::record_start();
@@ -77,45 +67,27 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
 
     let rv = stripe::clock();
     with_txn(|t| t.reset(rv, config::read_capacity(), config::write_capacity()));
-    descriptor::set_active(true);
 
-    let outcome = run_catching(f);
-    match outcome {
-        Ok(value) => match commit() {
-            Ok(()) => {
-                descriptor::set_active(false);
-                stats::record_commit();
-                Ok(value)
-            }
-            Err(code) => {
-                descriptor::set_active(false);
-                stats::record_abort(code);
-                Err(code)
-            }
-        },
-        Err(payload) => {
-            // Roll back: the redo log is simply discarded.
+    /// Marks the thread as inside a transaction until dropped — on commit,
+    /// on abort, and when a foreign unwind passes through.
+    struct Active;
+    impl Drop for Active {
+        fn drop(&mut self) {
             descriptor::set_active(false);
-            with_txn(|t| t.redo.clear());
-            match payload.downcast::<TxAbortPayload>() {
-                Ok(a) => {
-                    stats::record_abort(a.0);
-                    Err(a.0)
-                }
-                Err(other) => panic::resume_unwind(other),
-            }
         }
     }
-}
+    descriptor::set_active(true);
+    let active = Active;
+    // An aborted attempt's redo log is simply never written back; the next
+    // begin's reset discards it.
+    let outcome = unwind::catch(Channel::Htm, f).and_then(|value| commit().map(|()| value));
+    drop(active);
 
-type PanicPayload = Box<dyn std::any::Any + Send>;
-
-fn run_catching<R>(f: impl FnOnce() -> R) -> Result<R, PanicPayload> {
-    panic::catch_unwind(AssertUnwindSafe(f))
-}
-
-fn resume(payload: PanicPayload) -> ! {
-    panic::resume_unwind(payload)
+    match outcome {
+        Ok(_) => stats::record_commit(),
+        Err(code) => stats::record_abort(code),
+    }
+    outcome
 }
 
 /// Commit protocol for the descriptor on this thread. On `Err`, all stripe
@@ -196,7 +168,7 @@ pub(crate) fn read_barrier(cell: &AtomicU64) -> u64 {
     let addr = cell as *const AtomicU64 as usize;
     let idx = stripe::stripe_index(addr);
 
-    let (rv, own) = with_txn(|t| (t.rv, t.read_own_write(cell)));
+    let (rv, own) = with_txn(|t| (t.rv, t.redo.lookup(cell)));
     if let Some(v) = own {
         return v;
     }
@@ -232,7 +204,7 @@ pub(crate) fn write_barrier(cell: &AtomicU64, value: u64) {
     }
 
     let over = with_txn(|t| {
-        t.log_write(cell, value);
+        t.redo.log_write(cell, value);
         t.write_stripes.insert(idx) && t.write_stripes.len() > t.write_capacity
     });
     if over {
@@ -278,20 +250,6 @@ fn tick(which: usize, one_in: u64) -> bool {
     })
 }
 
-/// Installs (once) a panic hook that stays silent for transactional aborts
-/// and defers to the previous hook for everything else.
-fn install_silent_abort_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<TxAbortPayload>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,18 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn real_panics_propagate() {
-        let r = std::panic::catch_unwind(|| {
-            let _ = try_txn(|| -> u64 { panic!("user bug") });
-        });
-        assert!(r.is_err());
-        assert!(
-            !descriptor::in_sw_txn(),
-            "descriptor cleaned up after panic"
-        );
-    }
-
-    #[test]
     fn flat_nesting_commits_together() {
         let a = TxCell::new(0u64);
         let b = TxCell::new(0u64);
@@ -359,18 +305,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!((a.read_plain(), b.read_plain()), (1, 2));
-    }
-
-    #[test]
-    fn flat_nesting_inner_abort_kills_outer() {
-        let a = TxCell::new(0u64);
-        let r: Result<(), AbortCode> = try_txn(|| {
-            a.write(1);
-            let _: Result<(), AbortCode> = try_txn(|| crate::abort(9));
-            unreachable!("inner abort must unwind the flat nest");
-        });
-        assert_eq!(r, Err(AbortCode::Explicit(9)));
-        assert_eq!(a.read_plain(), 0);
     }
 
     #[test]

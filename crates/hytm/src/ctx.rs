@@ -5,7 +5,7 @@ use std::cell::RefCell;
 
 use rtle_htm::{TxCell, TxWord};
 
-use crate::descriptor::{sw_abort, SwDescriptor};
+use crate::descriptor::{abort_sw, SwDescriptor};
 use crate::stats::TmStats;
 use crate::tm::SoftwareTm;
 
@@ -110,7 +110,7 @@ pub(crate) fn validate(desc: &mut SwDescriptor, clock: &TxCell<u64>, stats: &TmS
         let t = wait_even(clock);
         stats.record_validation();
         if !desc.reads_still_valid() {
-            sw_abort();
+            abort_sw();
         }
         if clock.read_plain() == t {
             return t;
@@ -127,7 +127,7 @@ pub(crate) fn sw_read(
     stats: &TmStats,
     cell: &TxCell<u64>,
 ) -> u64 {
-    if let Some(v) = desc.lookup_write(cell) {
+    if let Some(v) = desc.writes.lookup(cell) {
         return v;
     }
     let mut val = cell.read_plain();
@@ -142,7 +142,7 @@ pub(crate) fn sw_read(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::catch_sw;
+    use rtle_htm::unwind::{catch, Channel};
     use crate::norec::Norec;
 
     #[test]
@@ -194,7 +194,7 @@ mod tests {
         let a = TxCell::new(5u64);
         let b = TxCell::new(6u64);
 
-        let r = catch_sw(|| {
+        let r = catch(Channel::Sw, || {
             let desc = RefCell::new(SwDescriptor::default());
             desc.borrow_mut().reset(0);
             let ctx = TmCtx::sw(&tm, &desc);
@@ -204,7 +204,7 @@ mod tests {
             tm.clock.write(2);
             ctx.read(&b) // must revalidate -> value mismatch -> abort
         });
-        assert_eq!(r, None, "software transaction must abort");
+        assert!(r.is_err(), "software transaction must abort");
         // Restore for other tests sharing the cells (none, but tidy).
         a.write(5);
     }

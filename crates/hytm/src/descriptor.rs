@@ -1,71 +1,26 @@
-//! The NOrec software-transaction descriptor: a value-logging read set and
-//! a buffering write set, plus the abort-unwinding machinery for the
-//! software path (mirroring what `rtle-htm` does for emulated hardware
-//! transactions).
+//! The software-transaction descriptor: a value-logging read set and a
+//! buffering write set ([`rtle_htm::RedoLog`], the same log the emulated
+//! HTM buffers into). Aborts unwind on the `Sw` channel of
+//! [`rtle_htm::unwind`], mirroring what `rtle-htm` does for emulated
+//! hardware transactions.
 
-use std::panic;
-
-use rtle_htm::TxCell;
-
-/// Panic payload marking a software-transaction abort (validation failure).
-/// Caught by the NOrec/RHNOrec execute loops; real panics pass through.
-#[derive(Debug, Clone, Copy)]
-pub struct SwAbort;
-
-/// Unwinds out of the current software transaction attempt.
-#[cold]
-#[inline(never)]
-pub(crate) fn sw_abort() -> ! {
-    panic::panic_any(SwAbort);
-}
+use rtle_htm::unwind::{self, Channel};
+use rtle_htm::{AbortCode, RedoLog, TxCell};
 
 /// Explicitly aborts the current software transaction attempt by
-/// unwinding with the [`SwAbort`] payload. For external retry drivers
-/// (`rtle-stm`'s participant enrollment backs off a held lock this way);
-/// only meaningful under [`crate::tm::sw_attempt`] / the backend `execute`
-/// loops, which catch the payload and count the abort.
+/// unwinding on the software channel — validation failures inside the
+/// backends, and external retry drivers (`rtle-stm`'s participant
+/// enrollment backs off a held lock this way). Only meaningful under
+/// [`crate::tm::sw_attempt`] / the backend `execute` loops, which catch the
+/// unwind and count the abort.
 pub fn abort_sw() -> ! {
-    sw_abort()
-}
-
-/// Runs one software attempt, translating `SwAbort` unwinds into `None`.
-pub(crate) fn catch_sw<R>(f: impl FnOnce() -> R) -> Option<R> {
-    match panic::catch_unwind(panic::AssertUnwindSafe(f)) {
-        Ok(r) => Some(r),
-        Err(payload) => {
-            if payload.downcast_ref::<SwAbort>().is_some() {
-                None
-            } else {
-                panic::resume_unwind(payload)
-            }
-        }
-    }
-}
-
-/// Installs (once) a panic hook that silences `SwAbort` unwinds.
-pub(crate) fn install_silent_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<SwAbort>().is_none() {
-                prev(info);
-            }
-        }));
-    });
+    unwind::raise(Channel::Sw, AbortCode::Conflict)
 }
 
 /// One logged read: the cell and the value observed (NOrec validates *by
 /// value*, which is what makes it immune to false conflicts).
 #[derive(Clone, Copy)]
 pub(crate) struct ReadEntry {
-    pub cell: *const TxCell<u64>,
-    pub value: u64,
-}
-
-/// One buffered write.
-#[derive(Clone, Copy)]
-pub(crate) struct WriteEntry {
     pub cell: *const TxCell<u64>,
     pub value: u64,
 }
@@ -80,7 +35,7 @@ pub struct SwDescriptor {
     /// global sequence clock; TL2: the sampled read version `rv`).
     pub(crate) snapshot: u64,
     pub(crate) reads: Vec<ReadEntry>,
-    pub(crate) writes: Vec<WriteEntry>,
+    pub(crate) writes: RedoLog<TxCell<u64>>,
 }
 
 impl SwDescriptor {
@@ -88,29 +43,6 @@ impl SwDescriptor {
         self.snapshot = snapshot;
         self.reads.clear();
         self.writes.clear();
-    }
-
-    /// Latest buffered value for `cell`, if written by this transaction.
-    pub(crate) fn lookup_write(&self, cell: *const TxCell<u64>) -> Option<u64> {
-        self.writes
-            .iter()
-            .rev()
-            .find(|e| std::ptr::eq(e.cell, cell))
-            .map(|e| e.value)
-    }
-
-    /// Buffers (or supersedes) a write.
-    pub(crate) fn log_write(&mut self, cell: *const TxCell<u64>, value: u64) {
-        if let Some(e) = self
-            .writes
-            .iter_mut()
-            .rev()
-            .find(|e| std::ptr::eq(e.cell, cell))
-        {
-            e.value = value;
-            return;
-        }
-        self.writes.push(WriteEntry { cell, value });
     }
 
     /// Logs a validated read.
@@ -143,12 +75,12 @@ mod tests {
         let mut d = SwDescriptor::default();
         d.reset(2);
         assert!(d.is_read_only());
-        d.log_write(&a, 1);
-        d.log_write(&b, 2);
-        d.log_write(&a, 3);
-        assert_eq!(d.lookup_write(&a), Some(3));
-        assert_eq!(d.lookup_write(&b), Some(2));
-        assert_eq!(d.writes.len(), 2);
+        d.writes.log_write(&a, 1);
+        d.writes.log_write(&b, 2);
+        d.writes.log_write(&a, 3);
+        assert_eq!(d.writes.lookup(&a), Some(3));
+        assert_eq!(d.writes.lookup(&b), Some(2));
+        assert_eq!(d.writes.iter().count(), 2);
         assert!(!d.is_read_only());
     }
 
@@ -168,26 +100,10 @@ mod tests {
     }
 
     #[test]
-    fn catch_sw_translates_aborts() {
-        assert_eq!(catch_sw(|| 5), Some(5));
-        let r: Option<u64> = catch_sw(|| sw_abort());
-        assert_eq!(r, None);
-    }
-
-    #[test]
-    fn catch_sw_propagates_real_panics() {
-        install_silent_hook();
-        let r = panic::catch_unwind(|| {
-            let _ = catch_sw(|| -> u64 { panic!("real bug") });
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn reset_clears_logs() {
         let a = TxCell::new(0u64);
         let mut d = SwDescriptor::default();
-        d.log_write(&a, 1);
+        d.writes.log_write(&a, 1);
         d.log_read(&a, 0);
         d.reset(4);
         assert!(d.is_read_only());

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtle_htm::TxCell;
 
-use crate::descriptor::{sw_abort, SwDescriptor};
+use crate::descriptor::{abort_sw, SwDescriptor};
 use crate::stats::{CommitKind, TmStats};
 use crate::tm::{run_sw, SoftwareTm};
 use crate::TmCtx;
@@ -164,7 +164,7 @@ impl Tl2 {
                 saturated += 1;
                 if saturated >= MAX_SATURATED_ROUNDS {
                     self.rollback(held);
-                    sw_abort();
+                    abort_sw();
                 }
             }
         }
@@ -185,7 +185,7 @@ impl SoftwareTm for Tl2 {
     }
 
     fn read(&self, d: &mut SwDescriptor, cell: &TxCell<u64>) -> u64 {
-        if let Some(v) = d.lookup_write(cell) {
+        if let Some(v) = d.writes.lookup(cell) {
             return v;
         }
         let s = self.stripe_for(cell);
@@ -194,7 +194,7 @@ impl SoftwareTm for Tl2 {
         let w2 = self.stripes[s].load(Ordering::Acquire);
         if w1 & 1 == 1 || w1 != w2 || newer_than(w1, d.snapshot) {
             // Locked, changed underneath us, or written after our snapshot.
-            sw_abort();
+            abort_sw();
         }
         d.log_read(cell, val);
         val
@@ -239,7 +239,7 @@ impl SoftwareTm for Tl2 {
                 };
                 if w & 1 == 1 || newer_than(w, d.snapshot) {
                     self.rollback(&held);
-                    sw_abort();
+                    abort_sw();
                 }
             }
         }

@@ -18,17 +18,18 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
+use rtle_htm::unwind::{self, Channel};
 use rtle_htm::TxCell;
 
 use crate::ctx::TmCtx;
-use crate::descriptor::{catch_sw, install_silent_hook, SwDescriptor};
+use crate::descriptor::SwDescriptor;
 use crate::stats::{CommitKind, TmStats};
 
 /// One software transactional memory: the begin/read/write/commit/abort
 /// lifecycle plus the commit-time hook hardware transactions must run when
 /// software transactions are live.
 ///
-/// Aborts are signalled by unwinding (`SwAbort` via `sw_abort()`), never by
+/// Aborts are signalled by unwinding ([`crate::abort_sw`]), never by
 /// return value — [`run_sw`] catches the unwind, records the abort, and
 /// retries from `begin`.
 pub trait SoftwareTm: Send + Sync + std::fmt::Debug {
@@ -50,7 +51,7 @@ pub trait SoftwareTm: Send + Sync + std::fmt::Debug {
     /// Transactional write barrier. The default buffers into the write log
     /// (lazy versioning), which is what every backend here wants.
     fn write(&self, d: &mut SwDescriptor, cell: &TxCell<u64>, value: u64) {
-        d.log_write(cell, value);
+        d.writes.log_write(cell, value);
     }
 
     /// Commit the attempt. Publishes the write log or aborts by unwinding.
@@ -92,7 +93,7 @@ pub fn run_sw<R>(tm: &dyn SoftwareTm, cs: impl Fn(&TmCtx<'_>) -> R) -> R {
 }
 
 /// Brackets one software transaction's `enter_sw`/`exit_sw` lifecycle.
-/// `exit_sw` must run even if the closure panics for real (not `SwAbort`):
+/// `exit_sw` must run even if the closure panics for real (not an abort):
 /// leaking e.g. RH-NOrec's software counter would force every future
 /// hardware commit to bump the clock forever — hence a drop guard.
 ///
@@ -126,10 +127,9 @@ pub fn sw_attempt<R>(
     desc: &RefCell<SwDescriptor>,
     cs: impl FnOnce(&TmCtx<'_>) -> R,
 ) -> Option<R> {
-    install_silent_hook();
     let t0 = Instant::now();
     tm.begin(&mut desc.borrow_mut());
-    let outcome = catch_sw(|| {
+    let outcome = unwind::catch(Channel::Sw, || {
         let ctx = TmCtx::sw(tm, desc);
         let r = cs(&ctx);
         let kind = tm.commit(&mut desc.borrow_mut());
@@ -137,12 +137,12 @@ pub fn sw_attempt<R>(
     });
     tm.stats().record_sw_time(t0.elapsed());
     match outcome {
-        Some((r, kind)) => {
+        Ok((r, kind)) => {
             tm.stats().record_commit(kind);
             tm.stats().record_op();
             Some(r)
         }
-        None => {
+        Err(_) => {
             tm.stats().record_sw_abort();
             None
         }

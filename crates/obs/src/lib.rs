@@ -13,10 +13,9 @@
 //! * **Histograms** ([`Histogram`]) — log-linear (HDR-style) with atomic
 //!   buckets, for critical-section latency, lock-hold time, and retry
 //!   counts; mergeable across threads.
-//! * **Recorder / sinks** ([`Recorder`], [`Sink`]) — one shared object
-//!   absorbs everything and produces schema-versioned [`ObsSnapshot`]s;
-//!   sinks deliver them in memory ([`MemorySink`]), as human-readable
-//!   text ([`TextSink`]), or as JSON ([`JsonSink`]).
+//! * **Recorder** ([`Recorder`]) — one shared object absorbs everything
+//!   and produces schema-versioned [`ObsSnapshot`]s, exported as JSON
+//!   ([`ObsSnapshot::to_json`]) or scraped live (below).
 //! * **Decision tracing** ([`AdaptDecision`]) — each adaptive FG-TLE
 //!   resize/collapse/re-enable with the slow-commit/abort window signal
 //!   that triggered it.
@@ -43,7 +42,8 @@
 //!
 //! Recording is opt-in: the lock runtime holds an `Option<Arc<Recorder>>`
 //! and pays only an `Option` null-check when none is installed, plus a
-//! sampling mask test ([`Recorder::should_sample`]) when one is.
+//! per-thread sampling-ticket decrement (period
+//! [`Recorder::sample_period`]) when one is.
 //!
 //! The [`json`] module is a self-contained JSON writer/parser — exports
 //! must work in offline build environments where serde cannot be
@@ -66,9 +66,7 @@ pub use event::{AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind};
 pub use hist::{HistSnapshot, Histogram};
 pub use json::{parse as parse_json, Json};
 pub use live::LiveServer;
-pub use recorder::{
-    JsonSink, MemorySink, ObsConfig, ObsSnapshot, Recorder, Sink, TextSink, SCHEMA_VERSION,
-};
+pub use recorder::{ObsConfig, ObsSnapshot, Recorder, SCHEMA_VERSION};
 pub use registry::{LiveSource, MetricsRegistry, SourceSnapshot, SCRAPE_WINDOW_TAIL};
 pub use trace::{TraceKind, TraceRecord, Tracer};
 pub use watchdog::{

@@ -1,6 +1,7 @@
 //! The [`Recorder`]: one object that absorbs attempt events, latency
 //! samples, and adaptive-policy decisions, and produces schema-versioned
-//! [`ObsSnapshot`]s that flow to [`Sink`]s.
+//! [`ObsSnapshot`]s (exported as JSON by every `--json` tool and served
+//! live through [`crate::registry`]).
 //!
 //! A recorder is shared behind an `Arc`: the lock runtime (or the
 //! simulator) holds one and feeds it from the hot path; the harness
@@ -10,7 +11,6 @@
 //! mutex-guarded `Vec` because decisions happen at most once per
 //! adaptation window and always under the elided lock.
 
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -146,13 +146,6 @@ impl Recorder {
     /// The recorder's configuration.
     pub fn config(&self) -> &ObsConfig {
         &self.cfg
-    }
-
-    /// Whether operation number `op_seq` (any per-thread counter) should
-    /// be recorded, honouring `sample_shift`.
-    #[inline]
-    pub fn should_sample(&self, op_seq: u64) -> bool {
-        op_seq & self.sample_mask == 0
     }
 
     /// The sampling period (`2^sample_shift`): one in this many
@@ -567,150 +560,6 @@ impl ObsSnapshot {
         })
     }
 
-    /// A compact human-readable report (what [`TextSink`] writes).
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "observability snapshot (schema v{}, latencies in {}, 1-in-{} sampling)",
-            self.schema_version,
-            self.latency_unit,
-            1u64 << self.sample_shift
-        );
-        let tc = self.total_commits().max(1);
-        let _ = writeln!(out, "  commits by path:");
-        for (label, n) in &self.commits {
-            let _ = writeln!(
-                out,
-                "    {label:<10} {n:>12}  ({:.1}%)",
-                *n as f64 * 100.0 / tc as f64
-            );
-        }
-        let ta = self.total_aborts();
-        let _ = writeln!(out, "  aborts by cause ({ta} total):");
-        for (label, n) in &self.aborts {
-            if *n > 0 {
-                let _ = writeln!(
-                    out,
-                    "    {label:<12} {n:>12}  ({:.1}%)",
-                    *n as f64 * 100.0 / ta.max(1) as f64
-                );
-            }
-        }
-        for &(code, n) in &self.explicit_codes {
-            let _ = writeln!(out, "      explicit code {code}: {n}");
-        }
-        for (name, h) in [
-            ("cs_latency", &self.cs_latency),
-            ("lock_hold", &self.lock_hold),
-            ("retries", &self.retries),
-        ] {
-            let _ = writeln!(
-                out,
-                "  {name:<10} n={} mean={:.1} p50={} p99={} max={}",
-                h.count,
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.99),
-                h.max
-            );
-        }
-        if !self.decisions.is_empty() {
-            let _ = writeln!(out, "  adaptive decisions ({}):", self.decisions.len());
-            for d in &self.decisions {
-                let hot = match d.hot_slot {
-                    Some((slot, n)) => format!("  hot slot {slot} ({n} conflicts)"),
-                    None => String::new(),
-                };
-                let _ = writeln!(
-                    out,
-                    "    {:<9} orecs {} -> {}  (window: {} slow commits, {} slow aborts){hot}",
-                    d.action.label(),
-                    d.orecs_before,
-                    d.orecs_after,
-                    d.slow_commits,
-                    d.slow_aborts
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  events: {} recorded, {} resident in ring",
-            self.events_recorded,
-            self.recent_events.len()
-        );
-        if let Some(last) = self.windows.last() {
-            let _ = writeln!(
-                out,
-                "  windows: {} closed; last: {} ops, p50={} p99={} p999={}, fallback {:.1}%",
-                self.windows.len(),
-                last.ops(),
-                last.latency_p(0.50),
-                last.latency_p(0.99),
-                last.latency_p(0.999),
-                last.fallback_rate() * 100.0
-            );
-        }
-        out
-    }
-}
-
-/// A destination for snapshots.
-pub trait Sink {
-    /// Delivers one snapshot.
-    fn emit(&mut self, snap: &ObsSnapshot) -> std::io::Result<()>;
-}
-
-/// Keeps emitted snapshots in memory (tests, programmatic consumers).
-#[derive(Default)]
-pub struct MemorySink {
-    /// Snapshots in emission order.
-    pub snapshots: Vec<ObsSnapshot>,
-}
-
-impl Sink for MemorySink {
-    fn emit(&mut self, snap: &ObsSnapshot) -> std::io::Result<()> {
-        self.snapshots.push(snap.clone());
-        Ok(())
-    }
-}
-
-/// Writes [`ObsSnapshot::render_text`] to any [`Write`] (stderr, a log
-/// file).
-pub struct TextSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> TextSink<W> {
-    /// A text sink over `w`.
-    pub fn new(w: W) -> Self {
-        TextSink { w }
-    }
-}
-
-impl<W: Write> Sink for TextSink<W> {
-    fn emit(&mut self, snap: &ObsSnapshot) -> std::io::Result<()> {
-        self.w.write_all(snap.render_text().as_bytes())
-    }
-}
-
-/// Writes pretty-printed snapshot JSON to any [`Write`].
-pub struct JsonSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> JsonSink<W> {
-    /// A JSON sink over `w`.
-    pub fn new(w: W) -> Self {
-        JsonSink { w }
-    }
-}
-
-impl<W: Write> Sink for JsonSink<W> {
-    fn emit(&mut self, snap: &ObsSnapshot) -> std::io::Result<()> {
-        self.w.write_all(snap.to_json().to_string_pretty().as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -728,14 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn sampling_mask() {
-        let all = Recorder::new(ObsConfig::default());
-        assert!((0..100).all(|i| all.should_sample(i)));
+    fn sampling_period() {
+        assert_eq!(Recorder::new(ObsConfig::default()).sample_period(), 1);
         let sixteenth = Recorder::new(ObsConfig {
             sample_shift: 4,
             ..ObsConfig::default()
         });
-        assert_eq!((0..160).filter(|&i| sixteenth.should_sample(i)).count(), 10);
+        assert_eq!(sixteenth.sample_period(), 16);
     }
 
     #[test]
@@ -773,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn json_sink_round_trips_snapshot() {
+    fn json_export_round_trips_snapshot() {
         let r = Recorder::new(ObsConfig {
             latency_unit: "cycles",
             ..ObsConfig::default()
@@ -801,10 +649,8 @@ mod tests {
         });
         let snap = r.snapshot();
 
-        let mut buf = Vec::new();
-        JsonSink::new(&mut buf).emit(&snap).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed = crate::json::parse(&text).expect("sink output parses");
+        let text = snap.to_json().to_string_pretty();
+        let parsed = crate::json::parse(&text).expect("export parses");
         let back = ObsSnapshot::from_json(&parsed).expect("schema round-trips");
         assert_eq!(back, snap);
         assert_eq!(back.decisions[0].action, AdaptAction::Grow);
@@ -836,7 +682,6 @@ mod tests {
         let parsed = crate::json::parse(&snap.to_json().to_string()).unwrap();
         let back = ObsSnapshot::from_json(&parsed).expect("v2 round-trips");
         assert_eq!(back, snap);
-        assert!(snap.render_text().contains("windows: 1 closed"));
     }
 
     #[test]
@@ -875,33 +720,6 @@ mod tests {
             m.insert("schema_version".into(), Json::UInt(999));
         }
         assert!(ObsSnapshot::from_json(&j).is_none());
-    }
-
-    #[test]
-    fn memory_and_text_sinks() {
-        let r = Recorder::new(ObsConfig::default());
-        r.record_attempt(0, commit(PathKind::FastHtm, 0, 42));
-        r.record_decision(AdaptDecision {
-            action: AdaptAction::Collapse,
-            orecs_before: 1,
-            orecs_after: 1,
-            slow_commits: 0,
-            slow_aborts: 0,
-            hot_slot: None,
-        });
-        let snap = r.snapshot();
-
-        let mut mem = MemorySink::default();
-        mem.emit(&snap).unwrap();
-        assert_eq!(mem.snapshots.len(), 1);
-        assert_eq!(mem.snapshots[0].total_commits(), 1);
-
-        let mut buf = Vec::new();
-        TextSink::new(&mut buf).emit(&snap).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("commits by path"));
-        assert!(text.contains("collapse"));
-        assert!(text.contains("fast_htm"));
     }
 
     #[test]

@@ -23,13 +23,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use rtle_core::{ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection, RetryPolicy, SoftwarePresence};
+use rtle_core::{
+    ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection, RetryPolicy, SoftwarePresence,
+};
+use rtle_htm::unwind::{self, Channel};
 use rtle_htm::{DynAccess, SwHtmBackend};
-use rtle_hytm::{sw_attempt, Norec, SoftwareTm, SwDescriptor, SwPhase};
+use rtle_hytm::{Norec, SoftwareTm, SwDescriptor, SwPhase};
 
 use crate::tx::{
-    catch_restart, flush_locked, flush_via, install_restart_hook, run_participant_hooks, Lock,
-    LockedPlan, Mode, Tx, TxError, TxInner, TxResult,
+    flush_locked, flush_via, run_participant_hooks, Lock, LockedPlan, Mode, Tx, TxError, TxInner,
+    TxResult,
 };
 use crate::var::{WaitList, Waiter};
 
@@ -234,7 +237,6 @@ impl Stm {
     /// The closure may run any number of times and must be side-effect
     /// free outside its transactional accesses.
     pub fn atomically<'env, R>(&'env self, f: impl Fn(&Tx<'env, '_>) -> TxResult<R>) -> R {
-        install_restart_hook();
         let inner: RefCell<TxInner<'env>> = RefCell::new(TxInner::new());
         // Participant locks discovered in failed attempts seed the
         // pessimistic plan, so the Locked rung usually acquires the full
@@ -309,23 +311,15 @@ impl Stm {
         let desc = RefCell::new(SwDescriptor::default());
         let presences: RefCell<Vec<SoftwarePresence<'env>>> = RefCell::new(Vec::new());
         for _ in 0..SW_ATTEMPTS {
-            // Presence on the space lock itself first. Blocking here is
-            // safe — this thread holds no other presences or locks yet.
-            loop {
-                while self.lock.is_held() {
-                    std::hint::spin_loop();
-                }
-                if let Some(p) = self.lock.try_software_presence() {
-                    presences.borrow_mut().push(p);
-                    break;
-                }
-            }
-            let outcome = sw_attempt(tm_ref, &desc, |tmctx| {
+            // `software_attempt` raises the presence on the space lock
+            // itself first (blocking is safe — this thread holds no other
+            // presences or locks yet) and counts the commit on its stats.
+            let outcome = self.lock.software_attempt(tm_ref, &desc, |ctx| {
                 inner.borrow_mut().reset();
                 let tx = Tx::new(
                     self,
                     Mode::Sw {
-                        acc: tmctx,
+                        acc: ctx,
                         tm: &tm,
                         presences: &presences,
                     },
@@ -333,12 +327,13 @@ impl Stm {
                 );
                 let r = f(&tx);
                 if r.is_ok() {
-                    flush_via(&inner.borrow(), tmctx);
+                    flush_via(&inner.borrow(), ctx);
                 }
                 r
             });
             // The attempt (and, on success, its backend commit) is over:
-            // release all presences before deciding what to do next.
+            // release the participant presences before deciding what to
+            // do next.
             presences.borrow_mut().clear();
             match outcome {
                 Some(done) => return Some(done),
@@ -377,13 +372,13 @@ impl Stm {
                     })
                     .collect(),
             };
-            let attempt = catch_restart(|| {
+            let attempt = unwind::catch(Channel::Restart, || {
                 inner.borrow_mut().reset();
                 let tx = Tx::new(self, Mode::Locked(&locked), inner);
                 f(&tx)
             });
             match attempt {
-                Some(done) => {
+                Ok(done) => {
                     if done.is_ok() {
                         flush_locked(&inner.borrow(), &locked);
                     }
@@ -391,7 +386,7 @@ impl Stm {
                     drop(sections); // releases the locks (writes visible)
                     return done;
                 }
-                None => {
+                Err(_) => {
                     StmStats::bump(&self.stats.plan_restarts);
                     let missing = inner
                         .borrow_mut()

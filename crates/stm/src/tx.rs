@@ -20,8 +20,9 @@
 //! * **Locked** — every needed lock is held pessimistically, acquired in
 //!   ascending address order (the same total order `rtle-shard` uses for
 //!   cross-shard transfers, so the deadlock-freedom argument composes).
-//!   Touching a lock outside the held plan unwinds with [`StmRestart`];
-//!   the driver grows the plan and re-runs.
+//!   Touching a lock outside the held plan unwinds on the `Restart` channel
+//!   of [`rtle_htm::unwind`] ([`restart`]); the driver grows the plan and
+//!   re-runs.
 //!
 //! In **every** mode the transaction buffers its writes in an append-only
 //! redo log and flushes them at commit time. Append-only is what makes
@@ -42,11 +43,11 @@
 //! closure's own stack frame.
 
 use std::cell::RefCell;
-use std::panic;
 use std::sync::Arc;
 
 use rtle_core::{ElidableLock, SoftwarePresence};
-use rtle_htm::{DynAccess, SwHtmBackend, TxAccess, TxCell, TxWord};
+use rtle_htm::unwind::{self, Channel};
+use rtle_htm::{AbortCode, DynAccess, SwHtmBackend, TxAccess, TxCell, TxWord};
 use rtle_hytm::SoftwareTm;
 use rtle_shard::ShardedTxMap;
 
@@ -506,63 +507,18 @@ pub(crate) fn flush_locked(inner: &TxInner<'_>, plan: &LockedPlan<'_>) {
 // Locked-mode restart (plan growth)
 // ----------------------------------------------------------------------
 
-/// Panic payload for Locked-mode plan growth: the attempt touched a lock
-/// it does not hold, so the driver must widen the plan and re-acquire.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StmRestart;
-
-/// Unwinds the current Locked-mode attempt for plan growth.
-#[cold]
-#[inline(never)]
-pub(crate) fn restart() -> ! {
-    panic::panic_any(StmRestart);
-}
-
-/// Runs one Locked-mode attempt, translating [`StmRestart`] unwinds into
-/// `None`; real panics propagate (leaving held locks poisoned, matching
+/// Unwinds the current Locked-mode attempt for plan growth: it touched a
+/// lock it does not hold, so the driver must widen the plan and
+/// re-acquire. Caught by the `Restart`-channel catch around the attempt;
+/// real panics propagate (leaving held locks poisoned, matching
 /// `ElidableLock::execute`'s panic semantics).
-pub(crate) fn catch_restart<R>(f: impl FnOnce() -> R) -> Option<R> {
-    match panic::catch_unwind(panic::AssertUnwindSafe(f)) {
-        Ok(r) => Some(r),
-        Err(payload) => {
-            if payload.downcast_ref::<StmRestart>().is_some() {
-                None
-            } else {
-                panic::resume_unwind(payload)
-            }
-        }
-    }
-}
-
-/// Installs (once) a panic hook that silences [`StmRestart`] unwinds so
-/// plan growth does not spam stderr. Chains the previous hook.
-pub(crate) fn install_restart_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<StmRestart>().is_none() {
-                prev(info);
-            }
-        }));
-    });
+pub(crate) fn restart() -> ! {
+    unwind::raise(Channel::Restart, AbortCode::Conflict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn restart_is_caught_and_real_panics_pass() {
-        install_restart_hook();
-        assert_eq!(catch_restart(|| 3), Some(3));
-        let r: Option<u64> = catch_restart(|| restart());
-        assert_eq!(r, None);
-        let real = panic::catch_unwind(|| {
-            let _ = catch_restart(|| -> u64 { panic!("real bug") });
-        });
-        assert!(real.is_err());
-    }
 
     #[test]
     fn tx_error_is_comparable() {

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use rtle_avltree::AvlSet;
     pub use rtle_core::{
         Ctx, ElidableLock, ElidableLockBuilder, ElisionPolicy, ExecMode, LockedSection,
-        RetryPolicy, StatsSnapshot, TatasLock, TicketLock,
+        RetryPolicy, StatsSnapshot, TatasLock,
     };
     pub use rtle_htm::{AbortCode, PlainAccess, TxAccess, TxCell};
     pub use rtle_hytm::{Norec, RhNorec, TmCtx};
