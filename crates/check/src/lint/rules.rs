@@ -138,21 +138,26 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         allowed: &["Acquire", "SeqCst"],
         why: "strong-atomicity read of a possibly-concurrently-committed cell; Acquire is the floor",
     },
-    // Statistics and configuration: counters with no synchronization role.
+    // Statistics: every counter of the workspace's hot paths (HtmStats,
+    // ExecStats, TmStats, StmStats) lives in per-thread lanes, and the
+    // lanes module is the only place that touches the atomics. Counters
+    // with no synchronization role: Relaxed, and nothing stronger — a
+    // stronger ordering would imply a role they must never grow.
     OrderingRule {
-        file_suffix: "htm/src/stats.rs",
+        file_suffix: "htm/src/lanes.rs",
         receiver: "*",
         op: AtomicOp::Load,
         allowed: &["Relaxed"],
-        why: "statistics counters: monotonic, advisory, no ordering role",
+        why: "lane sums: monotonic statistics counters, advisory, no ordering role",
     },
     OrderingRule {
-        file_suffix: "htm/src/stats.rs",
+        file_suffix: "htm/src/lanes.rs",
         receiver: "*",
         op: AtomicOp::FetchAdd,
         allowed: &["Relaxed"],
-        why: "statistics counters: monotonic, advisory, no ordering role",
+        why: "lane bumps: monotonic statistics counters, advisory, no ordering role",
     },
+    // Configuration: values with no synchronization role.
     OrderingRule {
         file_suffix: "htm/src/config.rs",
         receiver: "*",
@@ -217,36 +222,7 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         allowed: &["Acquire", "AcqRel", "SeqCst"],
         why: "stripe lock acquisition; both success and failure orderings must be at least Acquire",
     },
-    // Hybrid-TM statistics: same contract as htm/src/stats.rs.
-    OrderingRule {
-        file_suffix: "hytm/src/stats.rs",
-        receiver: "*",
-        op: AtomicOp::Load,
-        allowed: &["Relaxed"],
-        why: "software-TM statistics counters: monotonic, advisory, no ordering role",
-    },
-    OrderingRule {
-        file_suffix: "hytm/src/stats.rs",
-        receiver: "*",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "software-TM statistics counters: monotonic, advisory, no ordering role",
-    },
     // ---- rtle-core ------------------------------------------------------
-    OrderingRule {
-        file_suffix: "core/src/stats.rs",
-        receiver: "*",
-        op: AtomicOp::Load,
-        allowed: &["Relaxed"],
-        why: "per-lock statistics counters: monotonic, advisory",
-    },
-    OrderingRule {
-        file_suffix: "core/src/stats.rs",
-        receiver: "*",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "per-lock statistics counters: monotonic, advisory",
-    },
     // The adaptive state is written only by the lock holder; the lock's
     // own acquire/release edges order every access.
     OrderingRule {
@@ -426,27 +402,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         op: AtomicOp::FetchAdd,
         allowed: &["Relaxed"],
         why: "live-mirror monotone counters: single-writer rotator, racy readers",
-    },
-    // ---- rtle-stm: transaction-space statistics -------------------------
-    // The composable-transaction space keeps only advisory counters in
-    // atomics (rung mix, parks, wakeup accounting). All synchronization —
-    // commit publication, waiter registration, park/wake — goes through
-    // the underlying ElidableLock protocol and the WaitList mutex, so
-    // Relaxed is the only correct ordering here: anything stronger would
-    // imply a synchronization role these counters must never grow.
-    OrderingRule {
-        file_suffix: "stm/src/space.rs",
-        receiver: "*",
-        op: AtomicOp::Load,
-        allowed: &["Relaxed"],
-        why: "stm space statistics (rung mix, parks, wakeups): monotonic, advisory, no ordering role",
-    },
-    OrderingRule {
-        file_suffix: "stm/src/space.rs",
-        receiver: "*",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "stm space statistics (rung mix, parks, wakeups): monotonic, advisory, no ordering role",
     },
 ];
 
@@ -778,6 +733,6 @@ mod tests {
         assert_eq!(r.allowed, &["Acquire", "SeqCst"]);
         assert!(rule_for("crates/htm/src/cell.rs", "raw", AtomicOp::Swap).is_none());
         // Wildcard receiver.
-        assert!(rule_for("crates/core/src/stats.rs", "anything", AtomicOp::FetchAdd).is_some());
+        assert!(rule_for("crates/htm/src/lanes.rs", "anything", AtomicOp::FetchAdd).is_some());
     }
 }

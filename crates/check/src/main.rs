@@ -7,7 +7,8 @@
 //!   verify the seeded analyzer mutants are caught. With `--json <file>`
 //!   the full report is exported through the rtle-obs JSON schema.
 //! * `model` — exhaustively check the standard protocol configurations
-//!   *and* verify the seeded lazy-subscription mutant is caught.
+//!   *and* verify the seeded model mutants (lazy subscription, TL2 stale
+//!   read, swhtm validate-first extension) are caught.
 //! * `all` (default) — everything.
 //!
 //! Exit code 0 iff everything is clean (and every mutant was detected).
@@ -16,7 +17,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rtle_check::model::{
-    explore, explore_tl2, mutant_config, standard_suite, tl2_mutant_config, tl2_suite,
+    explore, explore_tl2, mutant_config, standard_suite, swhtm_mutant_config, tl2_mutant_config,
+    tl2_suite,
 };
 use rtle_check::{find_workspace_root, lint, passes};
 
@@ -97,7 +99,8 @@ fn run_model() -> bool {
     }
 
     // The TL2 machine: same explorer discipline, same oracle, over the
-    // software-TM backend's safe configurations.
+    // safe configurations of the software-TM backend (`tl2-*`) and of the
+    // emulated HTM's cached-rv + snapshot-extension variant (`swhtm-*`).
     for cfg in tl2_suite() {
         let r = explore_tl2(&cfg);
         println!(
@@ -120,10 +123,15 @@ fn run_model() -> bool {
         ok &= r.clean();
     }
 
-    // The oracles' own regression tests: both seeded mutants must be
-    // *caught* — the unsafe-lazy-subscription zombie and the TL2
-    // skipped-revalidation stale read.
-    for mutant in [explore(&mutant_config()), explore_tl2(&tl2_mutant_config())] {
+    // The oracles' own regression tests: every seeded mutant must be
+    // *caught* — the unsafe-lazy-subscription zombie, the TL2
+    // skipped-revalidation stale read, and the swhtm extension that
+    // revalidates before it samples the clock.
+    for mutant in [
+        explore(&mutant_config()),
+        explore_tl2(&tl2_mutant_config()),
+        explore_tl2(&swhtm_mutant_config()),
+    ] {
         let caught = mutant
             .violations
             .iter()

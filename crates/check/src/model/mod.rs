@@ -27,6 +27,9 @@
 //! (per-stripe versioned write-locks, global version clock): its own
 //! small-step machine, its own safe suite, and a seeded stale-read mutant
 //! ([`tl2_mutant_config`]) the serializability oracle must likewise catch.
+//! The same machine, configured with a cached read-version and snapshot
+//! extension, is `rtle-htm`'s emulated HTM; its seeded mutant
+//! ([`swhtm_mutant_config`]) extends in the wrong order.
 
 pub mod explore;
 pub mod machine;
@@ -38,4 +41,7 @@ pub use explore::{explore, judge_terminal, Report, TerminalVerdict, ViolationRep
 pub use machine::{Config, Op, Policy, State, Subscription, ThreadSpec, Val};
 pub use oracle::{find_serial_witness, CommitPath, Committed, HOp};
 pub use suite::{mutant_config, standard_suite};
-pub use tl2::{explore_tl2, judge_tl2_terminal, tl2_mutant_config, tl2_suite, Tl2Config, Tl2State};
+pub use tl2::{
+    explore_tl2, judge_tl2_terminal, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension,
+    Tl2Config, Tl2State,
+};

@@ -34,6 +34,26 @@
 //!   still advance, exactly like the runtime's `fetch_add`) stays
 //!   bounded and the DFS terminates.
 //!
+//! # The swhtm configuration
+//!
+//! `rtle-htm`'s emulated HTM runs the same protocol with two differences,
+//! selected by [`Tl2Config::extension`]:
+//!
+//! * **Cached read-version.** Begin reads no shared state: `rv` is the
+//!   last clock value the thread observed. The model keeps the `Begin`
+//!   step as that *earlier observation* — any number of other threads'
+//!   steps may fall between it and the first read, so `rv` ranges over
+//!   every clock value from the thread's start to its first access — and a
+//!   retry does not pass through `Begin` again: it carries over the `rv`
+//!   of the aborted attempt (its last extension sample or drawn `wv`).
+//! * **Snapshot extension.** A read that meets an unlocked stripe newer
+//!   than `rv` does not abort: it samples the clock (one step), revalidates
+//!   the read set stripe by stripe against the old `rv` (one step each),
+//!   advances `rv` to the sample and re-runs the read.
+//!   [`Extension::ValidateFirst`] is the seeded bug — revalidate, *then*
+//!   sample — which lets a writer commit between the two and land inside
+//!   the new snapshot unchecked; the oracle must catch the zombie read.
+//!
 //! Stripes map as `loc % stripes` instead of the runtime's Fibonacci
 //! hash, for the same reason the TLE model indexes orecs transparently:
 //! configurations can then pin down aliasing exactly.
@@ -64,6 +84,20 @@ pub struct Tl2Config {
     /// Skip commit-time read-set revalidation when the clock advanced —
     /// the seeded stale-read bug. Never set in the safe suite.
     pub stale_read_mutant: bool,
+    /// `None`: `crates/hytm`'s TL2 — every attempt samples the clock at
+    /// begin and a newer stripe aborts. `Some`: `crates/htm`'s swhtm — a
+    /// cached `rv` carried across attempts, and snapshot extension in the
+    /// given step order.
+    pub extension: Option<Extension>,
+}
+
+/// The step order of a snapshot extension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Extension {
+    /// Sample the clock, then revalidate the read set (the runtime).
+    SampleFirst,
+    /// Revalidate, then sample — the seeded bug. Never in the safe suite.
+    ValidateFirst,
 }
 
 impl Tl2Config {
@@ -118,6 +152,10 @@ enum Phase {
     Begin,
     /// Execute op `i` (read barrier or write buffering).
     Op(u8),
+    /// Extension on behalf of op `i`: sample the clock.
+    ExtSample(u8),
+    /// Extension on behalf of op `i`: revalidate the `j`-th read stripe.
+    ExtValidate(u8, u8),
     /// Acquire the `k`-th sorted write stripe (enabled iff unlocked).
     LockStripe(u8),
     /// `wv = clock + 2; clock = wv` (the runtime's `fetch_add`).
@@ -140,8 +178,12 @@ enum Phase {
 struct Thread {
     phase: Phase,
     attempts: u8,
-    /// Clock snapshot from `Begin`.
+    /// Read-version: the clock snapshot from `Begin`, advanced by
+    /// extension.
     rv: u64,
+    /// During a sample-first extension, the `rv` being revalidated against
+    /// (`rv` itself already holds the sample, as in the runtime).
+    ext_rv: u64,
     /// Commit version from `ClockBump`.
     wv: u64,
     /// Stripes subscribed by the read barrier (insertion order, deduped).
@@ -162,6 +204,7 @@ impl Thread {
             phase: Phase::Begin,
             attempts: 0,
             rv: 0,
+            ext_rv: 0,
             wv: 0,
             read_stripes: Vec::new(),
             write_stripes: Vec::new(),
@@ -173,6 +216,7 @@ impl Thread {
 
     fn reset_attempt(&mut self) {
         self.rv = 0;
+        self.ext_rv = 0;
         self.wv = 0;
         self.read_stripes.clear();
         self.write_stripes.clear();
@@ -326,9 +370,21 @@ impl Tl2State {
                             None => {
                                 let s = cfg.stripe_of(loc);
                                 let stripe = self.stripes[s as usize];
-                                let th = &self.threads[t];
-                                if stripe.owner.is_some() || stripe.version > th.rv {
+                                let th = &mut self.threads[t];
+                                if stripe.owner.is_some() {
                                     return self.abort_with_budget(cfg, t);
+                                }
+                                if stripe.version > th.rv {
+                                    th.phase = match cfg.extension {
+                                        None => return self.abort_with_budget(cfg, t),
+                                        Some(Extension::ValidateFirst)
+                                            if !th.read_stripes.is_empty() =>
+                                        {
+                                            Phase::ExtValidate(i, 0)
+                                        }
+                                        Some(_) => Phase::ExtSample(i),
+                                    };
+                                    return;
                                 }
                                 if !self.threads[t].read_stripes.contains(&s) {
                                     self.threads[t].read_stripes.push(s);
@@ -368,6 +424,43 @@ impl Tl2State {
                     th.write_stripes = ws;
                     th.phase = Phase::LockStripe(0);
                 }
+            }
+
+            Phase::ExtSample(i) => {
+                let clock = self.clock;
+                let th = &mut self.threads[t];
+                th.ext_rv = std::mem::replace(&mut th.rv, clock);
+                th.phase = match cfg.extension {
+                    Some(Extension::SampleFirst) if !th.read_stripes.is_empty() => {
+                        Phase::ExtValidate(i, 0)
+                    }
+                    // Nothing (left) to revalidate: the snapshot is extended.
+                    _ => {
+                        th.ext_rv = 0;
+                        Phase::Op(i)
+                    }
+                };
+            }
+
+            Phase::ExtValidate(i, j) => {
+                let th = &self.threads[t];
+                let stripe = self.stripes[th.read_stripes[j as usize] as usize];
+                let against = match cfg.extension {
+                    Some(Extension::SampleFirst) => th.ext_rv,
+                    _ => th.rv,
+                };
+                if stripe.owner.is_some() || stripe.version > against {
+                    return self.abort_with_budget(cfg, t);
+                }
+                let th = &mut self.threads[t];
+                th.phase = if (j as usize + 1) < th.read_stripes.len() {
+                    Phase::ExtValidate(i, j + 1)
+                } else if cfg.extension == Some(Extension::ValidateFirst) {
+                    Phase::ExtSample(i)
+                } else {
+                    th.ext_rv = 0;
+                    Phase::Op(i)
+                };
             }
 
             Phase::LockStripe(k) => {
@@ -480,11 +573,18 @@ impl Tl2State {
         }
         let th = &mut self.threads[t];
         th.attempts += 1;
+        // swhtm carries the latest clock value the attempt saw — a drawn
+        // `wv`, else its (possibly extended) `rv` — into the retry, which
+        // does not sample again.
+        let carried = cfg.extension.map(|_| th.rv.max(th.wv));
         th.reset_attempt();
-        th.phase = if th.attempts >= cfg.max_attempts {
-            Phase::Atomic
-        } else {
-            Phase::Begin
+        th.phase = match carried {
+            _ if th.attempts >= cfg.max_attempts => Phase::Atomic,
+            Some(rv) => {
+                th.rv = rv;
+                Phase::Op(0)
+            }
+            None => Phase::Begin,
         };
     }
 }
@@ -591,72 +691,95 @@ fn inc(loc: u8) -> Vec<Op> {
     vec![Op::Read(loc), Op::Write(loc, Val::LastReadPlus(loc, 1))]
 }
 
-/// Safe TL2 configurations: the explorer must find **zero** violations in
-/// every one, over every interleaving.
-pub fn tl2_suite() -> Vec<Tl2Config> {
+/// The five workloads of the safe suite, configured for one protocol
+/// (`extension`), named `<protocol>-<workload>`.
+fn workloads(protocol: &str, extension: Option<Extension>) -> Vec<Tl2Config> {
+    let cfg = |name: &str, threads: Vec<Vec<Op>>, nloc, stripes, max_attempts| Tl2Config {
+        name: format!("{protocol}-{name}"),
+        threads,
+        nloc,
+        stripes,
+        max_attempts,
+        stale_read_mutant: false,
+        extension,
+    };
     vec![
         // Two incrementers on one counter: the commit-time revalidation
         // (and its wv == rv + 2 shortcut) carry the whole correctness
         // burden; the oracle additionally rules out lost updates.
-        Tl2Config {
-            name: "tl2-counter".into(),
-            threads: vec![inc(0), inc(0)],
-            nloc: 1,
-            stripes: 2,
-            max_attempts: 2,
-            stale_read_mutant: false,
-        },
+        cfg("counter", vec![inc(0), inc(0)], 1, 2, 2),
         // Writer of the invariant pair vs a read-only scanner: the read
         // barrier must never let the scanner observe x=1, y=0.
-        Tl2Config {
-            name: "tl2-invariant-pair".into(),
-            threads: vec![
+        cfg(
+            "invariant-pair",
+            vec![
                 vec![Op::Write(0, Val::Const(1)), Op::Write(1, Val::Const(1))],
                 vec![Op::Read(0), Op::Read(1)],
             ],
-            nloc: 2,
-            stripes: 2,
-            max_attempts: 2,
-            stale_read_mutant: false,
-        },
+            2,
+            2,
+            2,
+        ),
         // Write skew: each thread reads the other's location and writes
         // its own. Commit-time validation must serialize them.
-        Tl2Config {
-            name: "tl2-write-skew".into(),
-            threads: vec![
+        cfg(
+            "write-skew",
+            vec![
                 vec![Op::Read(0), Op::Write(1, Val::LastReadPlus(0, 1))],
                 vec![Op::Read(1), Op::Write(0, Val::LastReadPlus(1, 1))],
             ],
-            nloc: 2,
-            stripes: 2,
-            max_attempts: 2,
-            stale_read_mutant: false,
-        },
+            2,
+            2,
+            2,
+        ),
         // Every location aliases one stripe: false conflicts must cost
         // retries, never correctness (the runtime's `with_stripes(1)`).
-        Tl2Config {
-            name: "tl2-aliased-stripes".into(),
-            threads: vec![inc(0), inc(1)],
-            nloc: 2,
-            stripes: 1,
-            max_attempts: 2,
-            stale_read_mutant: false,
-        },
+        cfg("aliased-stripes", vec![inc(0), inc(1)], 2, 1, 2),
         // Three threads: two disjoint writers (distinct stripes — they
         // may hold their locks concurrently) and a scanner across both.
-        Tl2Config {
-            name: "tl2-3thread-disjoint".into(),
-            threads: vec![
+        cfg(
+            "3thread-disjoint",
+            vec![
                 vec![Op::Write(0, Val::Const(1))],
                 vec![Op::Write(1, Val::Const(2))],
                 vec![Op::Read(0), Op::Read(1)],
             ],
-            nloc: 2,
-            stripes: 2,
-            max_attempts: 1,
-            stale_read_mutant: false,
-        },
+            2,
+            2,
+            1,
+        ),
     ]
+}
+
+/// The extension workload: a scanner of the pair `(x, y)`, a writer of the
+/// whole pair, and a writer of `y` alone. The lone `y` write is what makes
+/// the scanner's second read meet a newer stripe *before* the pair writer
+/// commits — the window in which a validate-first extension goes wrong.
+fn extension_pair(name: &str, extension: Extension) -> Tl2Config {
+    Tl2Config {
+        name: name.into(),
+        threads: vec![
+            vec![Op::Write(1, Val::Const(5))],
+            vec![Op::Write(0, Val::Const(1)), Op::Write(1, Val::Const(1))],
+            vec![Op::Read(0), Op::Read(1)],
+        ],
+        nloc: 2,
+        stripes: 2,
+        max_attempts: 1,
+        stale_read_mutant: false,
+        extension: Some(extension),
+    }
+}
+
+/// Safe configurations: the explorer must find **zero** violations in
+/// every one, over every interleaving. Every workload runs as `tl2-*`
+/// (`crates/hytm`'s TL2: begin-time sample, abort on a newer stripe) and
+/// as `swhtm-*` (`crates/htm`: cached `rv`, snapshot extension).
+pub fn tl2_suite() -> Vec<Tl2Config> {
+    let mut suite = workloads("tl2", None);
+    suite.extend(workloads("swhtm", Some(Extension::SampleFirst)));
+    suite.push(extension_pair("swhtm-extension-pair", Extension::SampleFirst));
+    suite
 }
 
 /// The seeded TL2 bug: skip read-set revalidation when the clock
@@ -671,7 +794,16 @@ pub fn tl2_mutant_config() -> Tl2Config {
         stripes: 2,
         max_attempts: 2,
         stale_read_mutant: true,
+        extension: None,
     }
+}
+
+/// The seeded extension bug: revalidate the read set, *then* sample the
+/// clock. The pair writer commits between the two, the scanner's snapshot
+/// jumps past it unchecked, and the scanner commits old `x` with new `y` —
+/// the explorer must report a non-serializable history.
+pub fn swhtm_mutant_config() -> Tl2Config {
+    extension_pair("swhtm-validate-first-mutant", Extension::ValidateFirst)
 }
 
 #[cfg(test)]
@@ -732,6 +864,25 @@ mod tests {
     }
 
     #[test]
+    fn extension_mutant_is_caught_as_a_zombie_read() {
+        let r = explore_tl2(&swhtm_mutant_config());
+        assert!(
+            r.violations.iter().any(|v| v.kind == "non-serializable"),
+            "validate-before-sample must let a zombie read commit; report: {r:?}"
+        );
+    }
+
+    #[test]
+    fn extension_order_is_the_only_difference() {
+        // The same workload, sampling first, is clean (it is in the safe
+        // suite) — and it does extend: the scanner commits read-only in
+        // terminals where both writers committed before its second read.
+        let r = explore_tl2(&extension_pair("swhtm-extension-fixed", Extension::SampleFirst));
+        assert!(r.clean(), "sample-first must be clean: {:?}", r.violations.first());
+        assert!(r.fast_commit_terminals > 0);
+    }
+
+    #[test]
     fn validate_rejects_bad_configs() {
         let bad = Tl2Config {
             name: "bad".into(),
@@ -740,6 +891,7 @@ mod tests {
             stripes: 1,
             max_attempts: 1,
             stale_read_mutant: false,
+            extension: None,
         };
         assert!(std::panic::catch_unwind(|| bad.validate()).is_err());
     }

@@ -1,10 +1,11 @@
 //! Acceptance tests for the interleaving checker: every safe configuration
-//! explores clean, the protocol paths are actually exercised, and both
-//! seeded mutants (unsafe lazy subscription; TL2 skipped revalidation)
-//! are detected.
+//! explores clean, the protocol paths are actually exercised, and the
+//! seeded mutants (unsafe lazy subscription; TL2 skipped revalidation;
+//! swhtm validate-before-sample extension) are detected.
 
 use rtle_check::model::{
-    explore, explore_tl2, mutant_config, standard_suite, tl2_mutant_config, tl2_suite,
+    explore, explore_tl2, mutant_config, standard_suite, swhtm_mutant_config, tl2_mutant_config,
+    tl2_suite,
 };
 
 #[test]
@@ -118,6 +119,35 @@ fn tl2_stale_read_mutant_is_caught() {
         .iter()
         .find(|v| v.kind == "non-serializable")
         .expect("the seeded TL2 stale-read bug was NOT detected — oracle regression");
+    assert!(
+        v.detail.contains("matches no serial order"),
+        "unexpected violation detail: {}",
+        v.detail
+    );
+}
+
+#[test]
+fn swhtm_configurations_verify_and_the_extension_mutant_is_caught() {
+    // The emulated HTM's protocol — a cached (stale) read-version and
+    // snapshot extension — is in the safe suite under `swhtm-*`, including
+    // the mutant's own workload with the steps in the right order.
+    let swhtm: Vec<_> = tl2_suite()
+        .into_iter()
+        .filter(|c| c.name.starts_with("swhtm-"))
+        .collect();
+    assert!(swhtm.iter().any(|c| c.name == "swhtm-extension-pair"));
+    assert!(swhtm.len() >= 6, "every TL2 workload has its swhtm twin");
+    for cfg in &swhtm {
+        let r = explore_tl2(cfg);
+        assert!(r.clean(), "{}: {:?}", r.config, r.violations.first());
+    }
+
+    let r = explore_tl2(&swhtm_mutant_config());
+    let v = r
+        .violations
+        .iter()
+        .find(|v| v.kind == "non-serializable")
+        .expect("the seeded validate-first extension was NOT detected — oracle regression");
     assert!(
         v.detail.contains("matches no serial order"),
         "unexpected violation detail: {}",

@@ -503,7 +503,6 @@ impl<B: HtmBackend> ElidableLock<B> {
         let observed = match outcome {
             Ok(_) => {
                 self.stats.record_commit(path);
-                self.stats.record_op();
                 Outcome::Commit
             }
             Err(code) => {
@@ -700,7 +699,6 @@ impl<B: HtmBackend> ElidableLock<B> {
         let _presence = self.software_presence();
         let r = sw_attempt(tm, desc, |tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
         self.stats.record_stm_commit();
-        self.stats.record_op();
         Some(r)
     }
 
@@ -875,7 +873,6 @@ impl<B: HtmBackend> ElidableLock<B> {
         // Recorded at acquisition (not completion) so concurrent observers
         // see the pessimistic execution while it is in flight.
         self.stats.record_commit(Path::UnderLock);
-        self.stats.record_op();
         let t0 = Instant::now();
         let holder = match (self.policy, &self.orecs) {
             (ElisionPolicy::RwTle, _) => Holder::Rw {

@@ -3,9 +3,9 @@
 //! counts by cause, lock acquisitions, and total time spent with the lock
 //! held. Figures 6 and 7 are plotted directly from these quantities.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use rtle_htm::lanes::Lanes;
 use rtle_htm::AbortCode;
 
 /// Which execution path completed (or attempted) a critical section.
@@ -19,29 +19,36 @@ pub enum Path {
     UnderLock,
 }
 
-/// Shared, relaxed counters attached to one [`crate::ElidableLock`].
+// Counter indices into the lanes.
+const OPS: usize = 0;
+const FAST_COMMITS: usize = 1;
+const SLOW_COMMITS: usize = 2;
+const STM_COMMITS: usize = 3;
+const LOCK_ACQUISITIONS: usize = 4;
+const FAST_ABORTS: usize = 5;
+const SLOW_ABORTS: usize = 6;
+const ABORTS_CONFLICT: usize = 7;
+const ABORTS_CAPACITY: usize = 8;
+const ABORTS_EXPLICIT: usize = 9;
+const ABORTS_UNSUPPORTED: usize = 10;
+const ABORTS_OTHER: usize = 11;
+/// Aborts reported against [`Path::UnderLock`] — a caller bug (the
+/// pessimistic path cannot abort), but counted rather than silently
+/// dropped so release-build misuse is observable.
+const LOCK_PATH_ABORTS: usize = 12;
+const TIME_LOCKED_NS: usize = 13;
+/// Explicit aborts broken down by runtime code: `ABORTS_BY_CODE + c` for
+/// `c` in `crate::abort_codes::*`, 0..8.
+const ABORTS_BY_CODE: usize = 14;
+const COUNTERS: usize = ABORTS_BY_CODE + 8;
+
+/// Relaxed counters attached to one [`crate::ElidableLock`], kept in
+/// per-thread lanes: counting an operation writes no line another running
+/// thread writes, and — the lanes being block-aligned — none the lock word
+/// or the lock's read-mostly configuration lives on.
 #[derive(Debug, Default)]
 pub struct ExecStats {
-    ops: AtomicU64,
-    fast_commits: AtomicU64,
-    slow_commits: AtomicU64,
-    stm_commits: AtomicU64,
-    lock_acquisitions: AtomicU64,
-    fast_aborts: AtomicU64,
-    slow_aborts: AtomicU64,
-    aborts_conflict: AtomicU64,
-    aborts_capacity: AtomicU64,
-    aborts_explicit: AtomicU64,
-    aborts_unsupported: AtomicU64,
-    aborts_other: AtomicU64,
-    /// Explicit aborts broken down by runtime code (index =
-    /// `crate::abort_codes::*`, 0..8).
-    aborts_by_code: [AtomicU64; 8],
-    /// Aborts reported against [`Path::UnderLock`] — a caller bug (the
-    /// pessimistic path cannot abort), but counted rather than silently
-    /// dropped so release-build misuse is observable.
-    lock_path_aborts: AtomicU64,
-    time_locked_ns: AtomicU64,
+    lanes: Lanes<COUNTERS>,
 }
 
 impl ExecStats {
@@ -50,44 +57,53 @@ impl ExecStats {
         Self::default()
     }
 
+    /// One critical section completed, counted on `commits` and on `ops`.
     #[inline]
-    pub(crate) fn record_op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+    fn record_op(&self, commits: usize) {
+        let lane = self.lanes.mine();
+        lane.add(commits, 1);
+        lane.add(OPS, 1);
     }
 
+    /// One critical section completed by committing on `path`.
     #[inline]
     pub(crate) fn record_commit(&self, path: Path) {
-        match path {
-            Path::FastHtm => &self.fast_commits,
-            Path::SlowHtm => &self.slow_commits,
-            Path::UnderLock => &self.lock_acquisitions,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.record_op(match path {
+            Path::FastHtm => FAST_COMMITS,
+            Path::SlowHtm => SLOW_COMMITS,
+            Path::UnderLock => LOCK_ACQUISITIONS,
+        });
     }
 
     #[inline]
     pub(crate) fn record_abort(&self, path: Path, code: AbortCode) {
-        match path {
-            Path::FastHtm => self.fast_aborts.fetch_add(1, Ordering::Relaxed),
-            Path::SlowHtm => self.slow_aborts.fetch_add(1, Ordering::Relaxed),
-            Path::UnderLock => {
-                debug_assert!(false, "lock path cannot abort (code {code:?})");
-                self.lock_path_aborts.fetch_add(1, Ordering::Relaxed)
-            }
-        };
-        match code {
-            AbortCode::Conflict => &self.aborts_conflict,
-            AbortCode::Capacity => &self.aborts_capacity,
-            AbortCode::Explicit(c) => {
-                if let Some(slot) = self.aborts_by_code.get(c as usize) {
-                    slot.fetch_add(1, Ordering::Relaxed);
+        let lane = self.lanes.mine();
+        lane.add(
+            match path {
+                Path::FastHtm => FAST_ABORTS,
+                Path::SlowHtm => SLOW_ABORTS,
+                Path::UnderLock => {
+                    debug_assert!(false, "lock path cannot abort (code {code:?})");
+                    LOCK_PATH_ABORTS
                 }
-                &self.aborts_explicit
-            }
-            AbortCode::Unsupported => &self.aborts_unsupported,
-            AbortCode::Nested | AbortCode::Spurious => &self.aborts_other,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+            },
+            1,
+        );
+        lane.add(
+            match code {
+                AbortCode::Conflict => ABORTS_CONFLICT,
+                AbortCode::Capacity => ABORTS_CAPACITY,
+                AbortCode::Explicit(c) => {
+                    if c < 8 {
+                        lane.add(ABORTS_BY_CODE + c as usize, 1);
+                    }
+                    ABORTS_EXPLICIT
+                }
+                AbortCode::Unsupported => ABORTS_UNSUPPORTED,
+                AbortCode::Nested | AbortCode::Spurious => ABORTS_OTHER,
+            },
+            1,
+        );
     }
 
     /// One critical section completed on a pluggable software-TM backend
@@ -95,45 +111,45 @@ impl ExecStats {
     /// the backend retries internally and reports its own abort counters).
     #[inline]
     pub(crate) fn record_stm_commit(&self) {
-        self.stm_commits.fetch_add(1, Ordering::Relaxed);
+        self.record_op(STM_COMMITS);
     }
 
     #[inline]
     pub(crate) fn record_time_locked(&self, d: Duration) {
-        self.time_locked_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.lanes.add(TIME_LOCKED_NS, d.as_nanos() as u64);
     }
 
     /// Number of slow-path HTM commits so far (used by the adaptive
     /// heuristic as its benefit signal).
     #[inline]
     pub(crate) fn slow_commits_now(&self) -> u64 {
-        self.slow_commits.load(Ordering::Relaxed)
+        self.lanes.sum(SLOW_COMMITS)
     }
 
     #[inline]
     pub(crate) fn slow_aborts_now(&self) -> u64 {
-        self.slow_aborts.load(Ordering::Relaxed)
+        self.lanes.sum(SLOW_ABORTS)
     }
 
     /// Consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let c = self.lanes.sums();
         StatsSnapshot {
-            ops: self.ops.load(Ordering::Relaxed),
-            fast_commits: self.fast_commits.load(Ordering::Relaxed),
-            slow_commits: self.slow_commits.load(Ordering::Relaxed),
-            stm_commits: self.stm_commits.load(Ordering::Relaxed),
-            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            fast_aborts: self.fast_aborts.load(Ordering::Relaxed),
-            slow_aborts: self.slow_aborts.load(Ordering::Relaxed),
-            aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
-            aborts_capacity: self.aborts_capacity.load(Ordering::Relaxed),
-            aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
-            aborts_unsupported: self.aborts_unsupported.load(Ordering::Relaxed),
-            aborts_other: self.aborts_other.load(Ordering::Relaxed),
-            aborts_by_code: std::array::from_fn(|i| self.aborts_by_code[i].load(Ordering::Relaxed)),
-            lock_path_aborts: self.lock_path_aborts.load(Ordering::Relaxed),
-            time_locked: Duration::from_nanos(self.time_locked_ns.load(Ordering::Relaxed)),
+            ops: c[OPS],
+            fast_commits: c[FAST_COMMITS],
+            slow_commits: c[SLOW_COMMITS],
+            stm_commits: c[STM_COMMITS],
+            lock_acquisitions: c[LOCK_ACQUISITIONS],
+            fast_aborts: c[FAST_ABORTS],
+            slow_aborts: c[SLOW_ABORTS],
+            aborts_conflict: c[ABORTS_CONFLICT],
+            aborts_capacity: c[ABORTS_CAPACITY],
+            aborts_explicit: c[ABORTS_EXPLICIT],
+            aborts_unsupported: c[ABORTS_UNSUPPORTED],
+            aborts_other: c[ABORTS_OTHER],
+            aborts_by_code: std::array::from_fn(|i| c[ABORTS_BY_CODE + i]),
+            lock_path_aborts: c[LOCK_PATH_ABORTS],
+            time_locked: Duration::from_nanos(c[TIME_LOCKED_NS]),
             taken_at_ns: rtle_obs::epoch::now_ns(),
         }
     }
@@ -266,17 +282,17 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let s = ExecStats::new();
-        s.record_op();
-        s.record_op();
         s.record_commit(Path::FastHtm);
         s.record_commit(Path::SlowHtm);
         s.record_commit(Path::UnderLock);
+        s.record_stm_commit();
         s.record_abort(Path::FastHtm, AbortCode::Conflict);
         s.record_abort(Path::SlowHtm, AbortCode::Explicit(4));
         s.record_time_locked(Duration::from_micros(5));
 
         let snap = s.snapshot();
-        assert_eq!(snap.ops, 2);
+        assert_eq!(snap.ops, 4, "every commit, on any path, completes one op");
+        assert_eq!(snap.stm_commits, 1);
         assert_eq!(snap.fast_commits, 1);
         assert_eq!(snap.slow_commits, 1);
         assert_eq!(snap.lock_acquisitions, 1);

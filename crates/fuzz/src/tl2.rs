@@ -178,6 +178,7 @@ pub fn random_safe_tl2_config(rng: &mut SplitMix64, idx: u64) -> Tl2Config {
         stripes,
         max_attempts: rng.range_inclusive(1, 2) as u8,
         stale_read_mutant: false,
+        extension: None,
     }
 }
 

@@ -57,11 +57,10 @@ impl<T: TxWord> TxCell<T> {
         if crate::rtm::in_hw_txn() {
             return T::from_word(self.raw.load(Ordering::Acquire));
         }
-        if descriptor::in_sw_txn() {
-            T::from_word(swhtm::read_barrier(&self.raw))
-        } else {
-            T::from_word(self.seqlock_read())
-        }
+        T::from_word(
+            descriptor::if_active(|th| swhtm::read_barrier(th, &self.raw))
+                .unwrap_or_else(|| self.seqlock_read()),
+        )
     }
 
     /// Writes the cell in the current execution mode (see module docs).
@@ -72,10 +71,9 @@ impl<T: TxWord> TxCell<T> {
             self.raw.store(value.to_word(), Ordering::Release);
             return;
         }
-        if descriptor::in_sw_txn() {
-            swhtm::write_barrier(&self.raw, value.to_word());
-        } else {
-            self.store_plain(value.to_word());
+        let word = value.to_word();
+        if descriptor::if_active(|th| swhtm::write_barrier(th, &self.raw, word)).is_none() {
+            self.store_plain(word);
         }
     }
 

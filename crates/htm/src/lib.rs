@@ -57,6 +57,7 @@ pub mod cell;
 pub mod config;
 pub mod descriptor;
 pub mod hash;
+pub mod lanes;
 #[cfg(feature = "mutant-publication")]
 pub mod mutants;
 pub mod prng;

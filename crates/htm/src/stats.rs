@@ -3,20 +3,31 @@
 //! The paper's evaluation leans on "lightweight statistics" (§6.2.1):
 //! commits and aborts per path, broken down by cause. These counters are the
 //! emulated equivalent of the hardware performance events a real TSX study
-//! would read. They are process-global, relaxed, and cheap.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! would read. They are process-global, relaxed, and kept in per-thread
+//! [`Lanes`] so that counting a transaction writes no line another running
+//! thread writes.
 
 use crate::abort::AbortCode;
+use crate::lanes::{Lane, Lanes};
 
-static STARTS: AtomicU64 = AtomicU64::new(0);
-static COMMITS: AtomicU64 = AtomicU64::new(0);
-static ABORT_CONFLICT: AtomicU64 = AtomicU64::new(0);
-static ABORT_CAPACITY: AtomicU64 = AtomicU64::new(0);
-static ABORT_EXPLICIT: AtomicU64 = AtomicU64::new(0);
-static ABORT_UNSUPPORTED: AtomicU64 = AtomicU64::new(0);
-static ABORT_NESTED: AtomicU64 = AtomicU64::new(0);
-static ABORT_SPURIOUS: AtomicU64 = AtomicU64::new(0);
+const STARTS: usize = 0;
+const COMMITS: usize = 1;
+const ABORT_CONFLICT: usize = 2;
+const ABORT_CAPACITY: usize = 3;
+const ABORT_EXPLICIT: usize = 4;
+const ABORT_UNSUPPORTED: usize = 5;
+const ABORT_NESTED: usize = 6;
+const ABORT_SPURIOUS: usize = 7;
+const COUNTERS: usize = 8;
+
+static EVENTS: Lanes<COUNTERS> = Lanes::new();
+
+/// The lane of the thread holding stripe-owner token `token`; the runtime
+/// looks it up once per transaction attempt.
+#[inline]
+pub(crate) fn lane_of(token: u64) -> Lane<'static, COUNTERS> {
+    EVENTS.of_token(token)
+}
 
 /// Immutable snapshot of the global HTM counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,15 +53,16 @@ pub struct HtmStats {
 impl HtmStats {
     /// Reads the current counter values.
     pub fn snapshot() -> Self {
+        let c = EVENTS.sums();
         HtmStats {
-            starts: STARTS.load(Ordering::Relaxed),
-            commits: COMMITS.load(Ordering::Relaxed),
-            aborts_conflict: ABORT_CONFLICT.load(Ordering::Relaxed),
-            aborts_capacity: ABORT_CAPACITY.load(Ordering::Relaxed),
-            aborts_explicit: ABORT_EXPLICIT.load(Ordering::Relaxed),
-            aborts_unsupported: ABORT_UNSUPPORTED.load(Ordering::Relaxed),
-            aborts_nested: ABORT_NESTED.load(Ordering::Relaxed),
-            aborts_spurious: ABORT_SPURIOUS.load(Ordering::Relaxed),
+            starts: c[STARTS],
+            commits: c[COMMITS],
+            aborts_conflict: c[ABORT_CONFLICT],
+            aborts_capacity: c[ABORT_CAPACITY],
+            aborts_explicit: c[ABORT_EXPLICIT],
+            aborts_unsupported: c[ABORT_UNSUPPORTED],
+            aborts_nested: c[ABORT_NESTED],
+            aborts_spurious: c[ABORT_SPURIOUS],
         }
     }
 
@@ -83,26 +95,25 @@ impl HtmStats {
 }
 
 #[inline]
-pub(crate) fn record_start() {
-    STARTS.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn record_start(lane: Lane<'_, COUNTERS>) {
+    lane.add(STARTS, 1);
 }
 
+/// Counts how one started attempt ended: a commit, or an abort with a code.
 #[inline]
-pub(crate) fn record_commit() {
-    COMMITS.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_abort(code: AbortCode) {
-    let c = match code {
-        AbortCode::Conflict => &ABORT_CONFLICT,
-        AbortCode::Capacity => &ABORT_CAPACITY,
-        AbortCode::Explicit(_) => &ABORT_EXPLICIT,
-        AbortCode::Unsupported => &ABORT_UNSUPPORTED,
-        AbortCode::Nested => &ABORT_NESTED,
-        AbortCode::Spurious => &ABORT_SPURIOUS,
-    };
-    c.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn record_end(lane: Lane<'_, COUNTERS>, abort: Option<AbortCode>) {
+    lane.add(
+        match abort {
+            None => COMMITS,
+            Some(AbortCode::Conflict) => ABORT_CONFLICT,
+            Some(AbortCode::Capacity) => ABORT_CAPACITY,
+            Some(AbortCode::Explicit(_)) => ABORT_EXPLICIT,
+            Some(AbortCode::Unsupported) => ABORT_UNSUPPORTED,
+            Some(AbortCode::Nested) => ABORT_NESTED,
+            Some(AbortCode::Spurious) => ABORT_SPURIOUS,
+        },
+        1,
+    );
 }
 
 #[cfg(test)]

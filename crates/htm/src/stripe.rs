@@ -12,26 +12,27 @@
 //!
 //! The global clock is the TL2-style shared commit counter. Plain stores
 //! also draw fresh clock values so that a store performed *after* a
-//! transaction snapshotted the clock is guaranteed to carry a larger
-//! version and dooms that transaction — this is what makes the emulation
-//! strongly atomic.
+//! transaction read a line is guaranteed to carry a version larger than
+//! any read-version that transaction holds and dooms it — this is what
+//! makes the emulation strongly atomic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::config::{LINE_SHIFT, STRIPE_COUNT};
 use crate::hash::wang_mix64;
+use crate::lanes::Block;
 
 /// The global commit clock. Starts at 2 and advances by 2 so that lock-bit
 /// (LSB) and version never collide. Version 0 marks "never written".
-static CLOCK: AtomicU64 = AtomicU64::new(2);
+///
+/// Alone in its block: it is the one line every writing commit must pull
+/// exclusive, so nothing read-mostly (the table below, configuration) may
+/// share it.
+static CLOCK: Block<AtomicU64> = Block(AtomicU64::new(2));
 
-static STRIPES: OnceLock<Box<[AtomicU64]>> = OnceLock::new();
-
-#[inline]
-fn stripes() -> &'static [AtomicU64] {
-    STRIPES.get_or_init(|| (0..STRIPE_COUNT).map(|_| AtomicU64::new(0)).collect())
-}
+/// The table itself: a plain zeroed static (8 MiB of `.bss`, paged in as
+/// stripes are first touched), so a stripe access is one indexed load.
+static STRIPES: [AtomicU64; STRIPE_COUNT] = [const { AtomicU64::new(0) }; STRIPE_COUNT];
 
 /// Maps a `TxCell` address to its stripe index.
 #[inline]
@@ -42,7 +43,7 @@ pub fn stripe_index(addr: usize) -> u32 {
 /// Loads the raw stripe word (Acquire).
 #[inline]
 pub fn load(idx: u32) -> u64 {
-    stripes()[idx as usize].load(Ordering::Acquire)
+    STRIPES[idx as usize].load(Ordering::Acquire)
 }
 
 /// Whether a raw stripe word is currently locked.
@@ -69,7 +70,7 @@ pub fn locked_word(owner: u64) -> u64 {
 /// if the stripe was locked (by anyone) or the CAS raced.
 #[inline]
 pub fn try_lock(idx: u32, owner: u64) -> Result<u64, u64> {
-    let s = &stripes()[idx as usize];
+    let s = &STRIPES[idx as usize];
     let cur = s.load(Ordering::Acquire);
     if is_locked(cur) {
         return Err(cur);
@@ -103,13 +104,20 @@ pub fn lock_spin(idx: u32, owner: u64) -> u64 {
 #[inline]
 pub fn unlock(idx: u32, version: u64) {
     debug_assert!(version & 1 == 0, "versions are even");
-    stripes()[idx as usize].store(version, Ordering::Release);
+    STRIPES[idx as usize].store(version, Ordering::Release);
 }
 
-/// Reads the global clock (the transaction's read-version snapshot).
+/// Samples the global clock (a snapshot extension's new read-version).
 #[inline]
 pub fn clock() -> u64 {
     CLOCK.load(Ordering::Acquire)
+}
+
+/// Address of the global clock word (layout tests: it must sit alone in a
+/// [`crate::lanes::BLOCK_BYTES`] block).
+#[doc(hidden)]
+pub fn clock_addr() -> usize {
+    &CLOCK as *const Block<AtomicU64> as usize
 }
 
 /// Advances the global clock and returns the new (even) commit version.

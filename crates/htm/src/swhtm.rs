@@ -9,12 +9,17 @@
 //!
 //! Protocol outline:
 //!
-//! 1. **Begin** — snapshot the global clock as `rv`; optionally inject a
-//!    spurious abort (configurable rate).
+//! 1. **Begin** — no shared access at all. The read-version `rv` is the
+//!    last clock value this thread observed (its own last commit version
+//!    `wv`, or its last snapshot extension; 0 on a fresh thread), carried
+//!    over in the thread's descriptor. Optionally inject a spurious abort
+//!    (configurable rate).
 //! 2. **Read barrier** — read own redo log first; otherwise sample the
-//!    stripe word, load the value, re-sample. Abort on a locked stripe or a
-//!    version newer than `rv` (the snapshot can no longer be extended —
-//!    best-effort HTM aborts rather than revalidates).
+//!    stripe word, load the value, re-sample. Abort on a locked stripe. An
+//!    unlocked stripe newer than `rv` triggers a **snapshot extension**:
+//!    sample the global clock *first*, then revalidate every stripe read so
+//!    far against the old `rv`; if all still hold, `rv` advances to the
+//!    sample and the read goes on, else the transaction aborts `Conflict`.
 //! 3. **Write barrier** — buffer the word in the redo log; count distinct
 //!    lines against the write capacity.
 //! 4. **Commit** — read-only transactions commit immediately (their reads
@@ -23,17 +28,42 @@
 //!    the TL2 "nobody else committed" shortcut), write back the redo log and
 //!    release the stripes at version `wv`. The write-back window is covered
 //!    by the stripe locks, which both transactional *and plain* readers
-//!    respect — commits are atomic for everyone (strong atomicity).
+//!    respect — commits are atomic for everyone (strong atomicity). The
+//!    `fetch_add` that draws `wv` is the only shared line a committing
+//!    transaction writes besides its own data's stripes.
+//!
+//! Why a stale `rv` is safe. TL2 needs only that `rv` is a value the clock
+//! held *no later than* begin: every read is of an unlocked stripe with
+//! version ≤ `rv`, unchanged across the load. A writer that releases a
+//! stripe after we read it locked it before drawing its version; had it
+//! drawn a version ≤ `rv` it would have held the lock since before our
+//! begin and our read would have met the lock. So everything we read is
+//! the memory state as of clock value `rv`, and a smaller `rv` only makes
+//! more stripes look new. Extension keeps the invariant: once the clock is
+//! sampled as `now`, a writer with version ≤ `now` that touches a stripe we
+//! read holds or has released that stripe by the time we revalidate it, so
+//! revalidation meets its lock or its version > old `rv`; a writer that
+//! locks later draws a version > `now`. The shortcut survives as well:
+//! `wv == rv + 2` still means the clock stood at `rv` when we bumped it —
+//! nobody drew a version since `rv` was observed. And lock subscription is
+//! unaffected: an acquisition is a plain store, which publishes the lock
+//! word at a fresh version, above any `rv` cached before it.
+//!
+//! This is also closer to the hardware than a begin-time snapshot. Real HTM
+//! aborts a transaction only for lines already in its read or write set; a
+//! snapshot fixed at begin aborts on *any* line written since begin, read
+//! or not. With extension, a line written before its first read is simply
+//! read at its new value.
 //!
 //! Control transfer on abort unwinds on [`Channel::Htm`] of
 //! [`crate::unwind`]; the runner catches exactly that channel and translates
 //! it back into an `Err(AbortCode)`. Genuine panics propagate unchanged.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::abort::{self, AbortCode};
 use crate::config;
-use crate::descriptor::{self, with_txn};
+use crate::descriptor::{with_thread, SwTxn, ThreadState};
 use crate::stats;
 use crate::stripe;
 use crate::unwind::{self, Channel};
@@ -53,157 +83,173 @@ use crate::unwind::{self, Channel};
 /// Re-raises any non-abort panic from `f` after rolling the transaction
 /// back, so invariant violations in user code still surface.
 pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
-    if descriptor::in_sw_txn() {
-        // Flat nesting: run inline as part of the enclosing transaction. An
-        // abort unwinds straight through to the outer runner's catch.
-        return Ok(f());
-    }
-
-    stats::record_start();
-    if let Some(code) = injected_abort() {
-        stats::record_abort(code);
-        return Err(code);
-    }
-
-    let rv = stripe::clock();
-    with_txn(|t| t.reset(rv, config::read_capacity(), config::write_capacity()));
-
-    /// Marks the thread as inside a transaction until dropped — on commit,
-    /// on abort, and when a foreign unwind passes through.
-    struct Active;
-    impl Drop for Active {
-        fn drop(&mut self) {
-            descriptor::set_active(false);
+    with_thread(|th| {
+        if th.is_active() {
+            // Flat nesting: run inline as part of the enclosing transaction.
+            // An abort unwinds straight through to the outer runner's catch.
+            return Ok(f());
         }
-    }
-    descriptor::set_active(true);
-    let active = Active;
-    // An aborted attempt's redo log is simply never written back; the next
-    // begin's reset discards it.
-    let outcome = unwind::catch(Channel::Htm, f).and_then(|value| commit().map(|()| value));
-    drop(active);
 
-    match outcome {
-        Ok(_) => stats::record_commit(),
-        Err(code) => stats::record_abort(code),
-    }
-    outcome
+        let lane = stats::lane_of(th.token());
+        stats::record_start(lane);
+        let outcome = match injected_abort() {
+            Some(code) => Err(code),
+            None => {
+                th.with_txn(|t| t.reset(config::read_capacity(), config::write_capacity()));
+                let active = th.activate();
+                // An aborted attempt's redo log is simply never written
+                // back; the next begin's reset discards it.
+                let outcome = unwind::catch(Channel::Htm, f)
+                    .and_then(|value| th.with_txn(|t| commit(t, th.token())).map(|()| value));
+                drop(active);
+                outcome
+            }
+        };
+        stats::record_end(lane, outcome.as_ref().err().copied());
+        outcome
+    })
 }
 
-/// Commit protocol for the descriptor on this thread. On `Err`, all stripe
-/// locks taken here have been released with their old versions restored.
-fn commit() -> Result<(), AbortCode> {
-    with_txn(|t| {
-        if t.write_stripes.is_empty() {
-            // Read-only: every read was individually validated against rv.
-            return Ok(());
-        }
-        let owner = descriptor::thread_token();
+/// Backs out of a commit: releases every stripe in `locked` at its pre-lock
+/// version.
+fn unlock_all(locked: &mut Vec<(u32, u64)>) {
+    for (s, prev) in locked.drain(..) {
+        stripe::unlock(s, prev);
+    }
+}
 
-        // Phase 1: lock the write set.
-        let mut locked: Vec<(u32, u64)> = Vec::with_capacity(t.write_stripes.len() as usize);
-        for s in t.write_stripes.iter() {
-            match stripe::try_lock(s, owner) {
-                Ok(prev) => locked.push((s, prev)),
-                Err(_) => {
-                    for &(ls, prev) in &locked {
-                        stripe::unlock(ls, prev);
-                    }
-                    return Err(AbortCode::Conflict);
-                }
+/// Commit protocol for descriptor `t` of the thread holding `owner`. On
+/// `Err`, all stripe locks taken here have been released with their old
+/// versions restored.
+fn commit(t: &mut SwTxn, owner: u64) -> Result<(), AbortCode> {
+    if t.write_stripes.is_empty() {
+        // Read-only: every read was individually validated against rv.
+        return Ok(());
+    }
+
+    // Phase 1: lock the write set.
+    debug_assert!(t.locked.is_empty());
+    for s in t.write_stripes.iter() {
+        match stripe::try_lock(s, owner) {
+            Ok(prev) => t.locked.push((s, prev)),
+            Err(_) => {
+                unlock_all(&mut t.locked);
+                return Err(AbortCode::Conflict);
             }
         }
+    }
 
-        // Phase 2: draw the commit version.
-        let wv = stripe::next_commit_version();
+    // Phase 2: draw the commit version. Whatever happens next, it is the
+    // latest clock value this thread has seen: the next begin's rv.
+    let wv = stripe::next_commit_version();
+    let rv = std::mem::replace(&mut t.rv, wv);
 
-        // Phase 3: validate the read set (unless no one committed since rv).
-        // A stripe we locked ourselves is validated against the version it
-        // held *before* we locked it — skipping that check is the classic
-        // TL2 lost-update bug (two readers of the same line both locking it
-        // for write and both committing).
-        if wv != t.rv + 2 {
-            for s in t.read_stripes.iter() {
-                let w = stripe::load(s);
-                let bad = if stripe::is_locked(w) {
-                    if stripe::owner_of(w) == owner {
-                        locked
-                            .iter()
-                            .find(|&&(ls, _)| ls == s)
-                            .map(|&(_, prev)| prev)
-                            .expect("self-locked stripe must be in the locked list")
-                            > t.rv
-                    } else {
-                        true
-                    }
+    // Phase 3: validate the read set (unless no one committed since rv).
+    // A stripe we locked ourselves is validated against the version it
+    // held *before* we locked it — skipping that check is the classic
+    // TL2 lost-update bug (two readers of the same line both locking it
+    // for write and both committing).
+    if wv != rv + 2 {
+        for s in t.read_stripes.iter() {
+            let w = stripe::load(s);
+            let bad = if stripe::is_locked(w) {
+                if stripe::owner_of(w) == owner {
+                    t.locked
+                        .iter()
+                        .find(|&&(ls, _)| ls == s)
+                        .map(|&(_, prev)| prev)
+                        .expect("self-locked stripe must be in the locked list")
+                        > rv
                 } else {
-                    w > t.rv
-                };
-                if bad {
-                    for &(ls, prev) in &locked {
-                        stripe::unlock(ls, prev);
-                    }
-                    return Err(AbortCode::Conflict);
+                    true
                 }
+            } else {
+                w > rv
+            };
+            if bad {
+                unlock_all(&mut t.locked);
+                return Err(AbortCode::Conflict);
             }
         }
+    }
 
-        // Phase 4: write back under the stripe locks, then release at wv.
-        for e in &t.redo {
-            // SAFETY: `cell` was captured from a live `&TxCell` earlier in
-            // this same transaction; the cell cannot have been dropped while
-            // a reference existed, and the log does not outlive try_txn.
-            unsafe { (*e.cell).store(e.value, std::sync::atomic::Ordering::Release) };
+    // Phase 4: write back under the stripe locks, then release at wv.
+    for e in &t.redo {
+        // SAFETY: `cell` was captured from a live `&TxCell` earlier in
+        // this same transaction; the cell cannot have been dropped while
+        // a reference existed, and the log does not outlive try_txn.
+        unsafe { (*e.cell).store(e.value, Ordering::Release) };
+    }
+    for (ls, _) in t.locked.drain(..) {
+        stripe::unlock(ls, wv);
+    }
+    Ok(())
+}
+
+/// Snapshot extension: `t` met an unlocked stripe newer than its `rv`.
+/// Samples the clock, then checks that nothing read so far has changed
+/// since the old `rv`; on success the reads so far are equally the memory
+/// state as of the sample, which becomes `rv`. The order matters — a
+/// writer that slips in between a validation and a later clock sample
+/// would be inside the new snapshot without having been checked.
+#[cold]
+fn extend_snapshot(t: &mut SwTxn) -> Result<(), AbortCode> {
+    // Kept even when validation fails: the retry then begins from it.
+    let rv = std::mem::replace(&mut t.rv, stripe::clock());
+    for s in t.read_stripes.iter() {
+        let w = stripe::load(s);
+        if stripe::is_locked(w) || w > rv {
+            return Err(AbortCode::Conflict);
         }
-        for &(ls, _) in &locked {
-            stripe::unlock(ls, wv);
-        }
-        Ok(())
-    })
+    }
+    Ok(())
 }
 
 /// Transactional read barrier for `cell` (called via `TxCell::read`).
 #[inline]
-pub(crate) fn read_barrier(cell: &AtomicU64) -> u64 {
-    let addr = cell as *const AtomicU64 as usize;
-    let idx = stripe::stripe_index(addr);
-
-    let (rv, own) = with_txn(|t| (t.rv, t.redo.lookup(cell)));
-    if let Some(v) = own {
-        return v;
+pub(crate) fn read_barrier(th: &ThreadState, cell: &AtomicU64) -> u64 {
+    let idx = stripe::stripe_index(cell as *const AtomicU64 as usize);
+    let read = th.with_txn(|t| {
+        if let Some(v) = t.redo.lookup(cell) {
+            return Ok(v);
+        }
+        let w1 = stripe::load(idx);
+        if stripe::is_locked(w1) {
+            return Err(AbortCode::Conflict);
+        }
+        if w1 > t.rv {
+            extend_snapshot(t)?;
+            // The version was published before the clock sample.
+            debug_assert!(w1 <= t.rv);
+        }
+        let val = cell.load(Ordering::Acquire);
+        if stripe::load(idx) != w1 {
+            return Err(AbortCode::Conflict);
+        }
+        if t.read_stripes.insert(idx) && t.read_stripes.len() > t.read_capacity {
+            return Err(AbortCode::Capacity);
+        }
+        Ok(val)
+    });
+    match read {
+        Ok(val) => val,
+        Err(code) => abort::raise(code),
     }
-
-    let w1 = stripe::load(idx);
-    if stripe::is_locked(w1) || w1 > rv {
-        abort::raise(AbortCode::Conflict);
-    }
-    let val = cell.load(std::sync::atomic::Ordering::Acquire);
-    let w2 = stripe::load(idx);
-    if w2 != w1 {
-        abort::raise(AbortCode::Conflict);
-    }
-
-    let over = with_txn(|t| t.read_stripes.insert(idx) && t.read_stripes.len() > t.read_capacity);
-    if over {
-        abort::raise(AbortCode::Capacity);
-    }
-    val
 }
 
 /// Transactional write barrier for `cell` (called via `TxCell::write`).
 #[inline]
-pub(crate) fn write_barrier(cell: &AtomicU64, value: u64) {
-    let addr = cell as *const AtomicU64 as usize;
-    let idx = stripe::stripe_index(addr);
+pub(crate) fn write_barrier(th: &ThreadState, cell: &AtomicU64, value: u64) {
+    let idx = stripe::stripe_index(cell as *const AtomicU64 as usize);
 
     // Eager sanity check: a stripe currently locked by another committer is
     // a conflict we will certainly lose; abort now (hardware would too).
     let w = stripe::load(idx);
-    if stripe::is_locked(w) && stripe::owner_of(w) != descriptor::thread_token() {
+    if stripe::is_locked(w) && stripe::owner_of(w) != th.token() {
         abort::raise(AbortCode::Conflict);
     }
 
-    let over = with_txn(|t| {
+    let over = th.with_txn(|t| {
         t.redo.log_write(cell, value);
         t.write_stripes.insert(idx) && t.write_stripes.len() > t.write_capacity
     });
@@ -403,8 +449,94 @@ mod tests {
             // calling the non-transactional path directly; the emulation
             // treats it as an external strongly-atomic write.
             c.store_plain_for_test(123);
-            let _ = c.read(); // version now exceeds rv -> conflict
+            let _ = c.read(); // version now exceeds rv; extension finds c changed
         });
         assert_eq!(r, Err(AbortCode::Conflict));
+    }
+
+    /// This thread's current read-version.
+    fn rv_now() -> u64 {
+        with_thread(|th| th.with_txn(|t| t.rv))
+    }
+
+    #[test]
+    fn store_to_a_line_not_yet_read_is_no_conflict() {
+        // Real HTM aborts only for lines already in the read/write set. A
+        // line written after begin but before its first read is simply read
+        // at its new value: the snapshot extends over the store.
+        crate::HtmConfig::default().with_installed(|| {
+            let x = Box::new(TxCell::new(1u64));
+            let y = Box::new(TxCell::new(0u64));
+            let r = try_txn(|| {
+                let before = x.read();
+                y.store_plain_for_test(7);
+                let seen = y.read();
+                x.write(before + seen);
+                seen
+            });
+            assert_eq!(r, Ok(7));
+            assert_eq!(x.read_plain(), 8);
+        });
+    }
+
+    #[test]
+    fn extension_fails_once_a_read_line_changed() {
+        // Read X; X and then Y are stored; reading the newer Y must not
+        // extend the snapshot past the store to X — (old X, new Y) is the
+        // zombie view.
+        crate::HtmConfig::default().with_installed(|| {
+            let x = Box::new(TxCell::new(0u64));
+            let y = Box::new(TxCell::new(0u64));
+            let r: Result<(u64, u64), AbortCode> = try_txn(|| {
+                let old_x = x.read();
+                x.store_plain_for_test(1);
+                y.store_plain_for_test(1);
+                (old_x, y.read())
+            });
+            assert_eq!(r, Err(AbortCode::Conflict));
+            // The failed extension still refreshed rv: the retry runs clean.
+            assert_eq!(try_txn(|| (x.read(), y.read())), Ok((1, 1)));
+        });
+    }
+
+    #[test]
+    fn cached_rv_survives_an_idle_thread() {
+        crate::HtmConfig::default().with_installed(|| {
+            let cells: Vec<Box<TxCell<u64>>> = (0..3).map(|_| Box::new(TxCell::new(0))).collect();
+            try_txn(|| cells[0].write(1)).unwrap();
+            let stale = rv_now();
+
+            // 10^4 foreign commits while this thread sits idle.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 0..10_000u64 {
+                        try_txn(|| cells.iter().for_each(|c| c.write(i))).unwrap();
+                    }
+                });
+            });
+            assert_eq!(rv_now(), stale, "nothing refreshes an idle thread's rv");
+
+            // The first read extends over everything missed; the others are
+            // then inside the snapshot.
+            let rvs = try_txn(|| cells.iter().map(|c| (c.read(), rv_now())).collect::<Vec<_>>())
+                .expect("a stale rv costs an extension, never the transaction");
+            assert!(rvs.iter().all(|&(v, _)| v == 9_999));
+            assert!(rvs[0].1 >= stale + 2 * 10_000, "one extension, at the first read");
+            assert!(rvs.iter().all(|&(_, rv)| rv == rvs[0].1), "and no second one");
+        });
+    }
+
+    #[test]
+    fn commit_reuses_its_lock_list() {
+        crate::HtmConfig::default().with_installed(|| {
+            let cells: Vec<Box<TxCell<u64>>> = (0..8).map(|_| Box::new(TxCell::new(0))).collect();
+            let capacity = || with_thread(|th| th.with_txn(|t| (t.locked.len(), t.locked.capacity())));
+            try_txn(|| cells.iter().for_each(|c| c.write(1))).unwrap();
+            let (len, cap) = capacity();
+            assert_eq!(len, 0, "empty outside commit");
+            assert!(cap >= 8);
+            try_txn(|| cells.iter().for_each(|c| c.write(2))).unwrap();
+            assert_eq!(capacity(), (0, cap), "same allocation, commit after commit");
+        });
     }
 }

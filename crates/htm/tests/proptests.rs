@@ -42,48 +42,53 @@ fn gen_step(rng: &mut SplitMix64, ncells: usize) -> Step {
 /// history of plain writes and (possibly self-aborting) transactions.
 #[test]
 fn history_matches_reference() {
-    let mut rng = SplitMix64::new(0x51e9_0001);
-    for _case in 0..256 {
-        let cells: Vec<TxCell<u64>> = (0..8).map(|_| TxCell::new(0)).collect();
-        let mut model = [0u64; 8];
-        let steps: Vec<Step> = (0..rng.below(40)).map(|_| gen_step(&mut rng, 8)).collect();
+    // The sibling `write_capacity_respected` installs write capacities of
+    // 1–31 process-wide; hold the configuration at its default for as long
+    // as this test assumes it.
+    HtmConfig::default().with_installed(|| {
+        let mut rng = SplitMix64::new(0x51e9_0001);
+        for _case in 0..256 {
+            let cells: Vec<TxCell<u64>> = (0..8).map(|_| TxCell::new(0)).collect();
+            let mut model = [0u64; 8];
+            let steps: Vec<Step> = (0..rng.below(40)).map(|_| gen_step(&mut rng, 8)).collect();
 
-        for step in &steps {
-            match step {
-                Step::PlainWrite { i, v } => {
-                    cells[*i].write(*v);
-                    model[*i] = *v;
-                }
-                Step::Txn { writes, abort_with } => {
-                    let r = swhtm::try_txn(|| {
-                        for (i, v) in writes {
-                            cells[*i].write(*v);
-                        }
-                        if let Some(code) = abort_with {
-                            rtle_htm::abort(*code);
-                        }
-                    });
-                    match (r, abort_with) {
-                        (Ok(()), None) => {
+            for step in &steps {
+                match step {
+                    Step::PlainWrite { i, v } => {
+                        cells[*i].write(*v);
+                        model[*i] = *v;
+                    }
+                    Step::Txn { writes, abort_with } => {
+                        let r = swhtm::try_txn(|| {
                             for (i, v) in writes {
-                                model[*i] = *v;
+                                cells[*i].write(*v);
                             }
-                        }
-                        (Err(AbortCode::Explicit(c)), Some(expected)) => {
-                            assert_eq!(c, *expected);
-                        }
-                        (other, _) => {
-                            panic!("unexpected outcome {other:?} for {step:?}")
+                            if let Some(code) = abort_with {
+                                rtle_htm::abort(*code);
+                            }
+                        });
+                        match (r, abort_with) {
+                            (Ok(()), None) => {
+                                for (i, v) in writes {
+                                    model[*i] = *v;
+                                }
+                            }
+                            (Err(AbortCode::Explicit(c)), Some(expected)) => {
+                                assert_eq!(c, *expected);
+                            }
+                            (other, _) => {
+                                panic!("unexpected outcome {other:?} for {step:?}")
+                            }
                         }
                     }
                 }
             }
-        }
 
-        for (cell, expected) in cells.iter().zip(model.iter()) {
-            assert_eq!(cell.read_plain(), *expected);
+            for (cell, expected) in cells.iter().zip(model.iter()) {
+                assert_eq!(cell.read_plain(), *expected);
+            }
         }
-    }
+    });
 }
 
 /// Read-your-own-writes inside a transaction, for arbitrary write

@@ -2,8 +2,9 @@
 //! paper's Figures 8 (slow-path throughput split), 9 (execution-type
 //! distribution) and 10 (value-based validations per transaction).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use rtle_htm::lanes::Lanes;
 
 /// How one transaction ultimately committed — the categories of Figure 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,18 +21,22 @@ pub enum CommitKind {
     StmSlowCommit,
 }
 
-/// Relaxed shared counters for one TM instance.
+// Counter indices into the lanes.
+const OPS: usize = 0;
+const HTM_FAST: usize = 1;
+const HTM_SLOW: usize = 2;
+const STM_FAST_COMMIT: usize = 3;
+const STM_SLOW_COMMIT: usize = 4;
+const HW_ABORTS: usize = 5;
+const SW_ABORTS: usize = 6;
+const VALIDATIONS: usize = 7;
+const SW_TIME_NS: usize = 8;
+const COUNTERS: usize = 9;
+
+/// Relaxed counters for one TM instance, in per-thread lanes.
 #[derive(Debug, Default)]
 pub struct TmStats {
-    ops: AtomicU64,
-    htm_fast: AtomicU64,
-    htm_slow: AtomicU64,
-    stm_fast_commit: AtomicU64,
-    stm_slow_commit: AtomicU64,
-    hw_aborts: AtomicU64,
-    sw_aborts: AtomicU64,
-    validations: AtomicU64,
-    sw_time_ns: AtomicU64,
+    lanes: Lanes<COUNTERS>,
 }
 
 impl TmStats {
@@ -42,53 +47,55 @@ impl TmStats {
 
     #[inline]
     pub(crate) fn record_op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.lanes.add(OPS, 1);
     }
 
     #[inline]
     pub(crate) fn record_commit(&self, kind: CommitKind) {
-        match kind {
-            CommitKind::HtmFast => &self.htm_fast,
-            CommitKind::HtmSlow => &self.htm_slow,
-            CommitKind::StmFastCommit => &self.stm_fast_commit,
-            CommitKind::StmSlowCommit => &self.stm_slow_commit,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.lanes.add(
+            match kind {
+                CommitKind::HtmFast => HTM_FAST,
+                CommitKind::HtmSlow => HTM_SLOW,
+                CommitKind::StmFastCommit => STM_FAST_COMMIT,
+                CommitKind::StmSlowCommit => STM_SLOW_COMMIT,
+            },
+            1,
+        );
     }
 
     #[inline]
     pub(crate) fn record_hw_abort(&self) {
-        self.hw_aborts.fetch_add(1, Ordering::Relaxed);
+        self.lanes.add(HW_ABORTS, 1);
     }
 
     #[inline]
     pub(crate) fn record_sw_abort(&self) {
-        self.sw_aborts.fetch_add(1, Ordering::Relaxed);
+        self.lanes.add(SW_ABORTS, 1);
     }
 
     #[inline]
     pub(crate) fn record_validation(&self) {
-        self.validations.fetch_add(1, Ordering::Relaxed);
+        self.lanes.add(VALIDATIONS, 1);
     }
 
     #[inline]
     pub(crate) fn record_sw_time(&self, d: Duration) {
-        self.sw_time_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.lanes.add(SW_TIME_NS, d.as_nanos() as u64);
     }
 
     /// Consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> TmStatsSnapshot {
+        let c = self.lanes.sums();
         TmStatsSnapshot {
-            ops: self.ops.load(Ordering::Relaxed),
-            htm_fast: self.htm_fast.load(Ordering::Relaxed),
-            htm_slow: self.htm_slow.load(Ordering::Relaxed),
-            stm_fast_commit: self.stm_fast_commit.load(Ordering::Relaxed),
-            stm_slow_commit: self.stm_slow_commit.load(Ordering::Relaxed),
-            hw_aborts: self.hw_aborts.load(Ordering::Relaxed),
-            sw_aborts: self.sw_aborts.load(Ordering::Relaxed),
-            validations: self.validations.load(Ordering::Relaxed),
-            sw_time: Duration::from_nanos(self.sw_time_ns.load(Ordering::Relaxed)),
+            ops: c[OPS],
+            htm_fast: c[HTM_FAST],
+            htm_slow: c[HTM_SLOW],
+            stm_fast_commit: c[STM_FAST_COMMIT],
+            stm_slow_commit: c[STM_SLOW_COMMIT],
+            hw_aborts: c[HW_ABORTS],
+            sw_aborts: c[SW_ABORTS],
+            validations: c[VALIDATIONS],
+            sw_time: Duration::from_nanos(c[SW_TIME_NS]),
         }
     }
 }

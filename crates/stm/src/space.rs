@@ -19,13 +19,13 @@
 //! reruns the ladder from the top when woken.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use rtle_core::{
     ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection, RetryPolicy, SoftwarePresence,
 };
+use rtle_htm::lanes::Lanes;
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::{DynAccess, SwHtmBackend};
 use rtle_hytm::{Norec, SoftwareTm, SwDescriptor, SwPhase};
@@ -44,20 +44,25 @@ const SW_ATTEMPTS: usize = 8;
 const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Counters for the composable-transaction plane. All counters are
-/// monotonic statistics read at quiescence or for telemetry — `Relaxed`
-/// throughout (per the workspace ordering table in DESIGN.md §3).
+/// monotonic statistics read at quiescence or for telemetry, kept in
+/// per-thread lanes (`Relaxed` throughout, per the workspace ordering
+/// table in DESIGN.md §3).
 #[derive(Debug, Default)]
 pub struct StmStats {
-    commits_spec: AtomicU64,
-    commits_sw: AtomicU64,
-    commits_locked: AtomicU64,
-    parks: AtomicU64,
-    wakes_notified: AtomicU64,
-    wakes_timeout: AtomicU64,
-    retry_reruns: AtomicU64,
-    plan_restarts: AtomicU64,
-    wakeups_sent: AtomicU64,
+    lanes: Lanes<COUNTERS>,
 }
+
+// Counter indices into the lanes.
+const COMMITS_SPEC: usize = 0;
+const COMMITS_SW: usize = 1;
+const COMMITS_LOCKED: usize = 2;
+const PARKS: usize = 3;
+const WAKES_NOTIFIED: usize = 4;
+const WAKES_TIMEOUT: usize = 5;
+const RETRY_RERUNS: usize = 6;
+const PLAN_RESTARTS: usize = 7;
+const WAKEUPS_SENT: usize = 8;
+const COUNTERS: usize = 9;
 
 /// Point-in-time copy of [`StmStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,22 +95,19 @@ impl StmStatsSnapshot {
 }
 
 impl StmStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Copies the counters.
     pub fn snapshot(&self) -> StmStatsSnapshot {
+        let c = self.lanes.sums();
         StmStatsSnapshot {
-            commits_spec: self.commits_spec.load(Ordering::Relaxed),
-            commits_sw: self.commits_sw.load(Ordering::Relaxed),
-            commits_locked: self.commits_locked.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            wakes_notified: self.wakes_notified.load(Ordering::Relaxed),
-            wakes_timeout: self.wakes_timeout.load(Ordering::Relaxed),
-            retry_reruns: self.retry_reruns.load(Ordering::Relaxed),
-            plan_restarts: self.plan_restarts.load(Ordering::Relaxed),
-            wakeups_sent: self.wakeups_sent.load(Ordering::Relaxed),
+            commits_spec: c[COMMITS_SPEC],
+            commits_sw: c[COMMITS_SW],
+            commits_locked: c[COMMITS_LOCKED],
+            parks: c[PARKS],
+            wakes_notified: c[WAKES_NOTIFIED],
+            wakes_timeout: c[WAKES_TIMEOUT],
+            retry_reruns: c[RETRY_RERUNS],
+            plan_restarts: c[PLAN_RESTARTS],
+            wakeups_sent: c[WAKEUPS_SENT],
         }
     }
 }
@@ -387,7 +389,7 @@ impl Stm {
                     return done;
                 }
                 Err(_) => {
-                    StmStats::bump(&self.stats.plan_restarts);
+                    self.stats.lanes.add(PLAN_RESTARTS, 1);
                     let missing = inner
                         .borrow_mut()
                         .missing
@@ -410,11 +412,14 @@ impl Stm {
     /// after the writes are visible (post HTM commit / backend commit /
     /// lock release).
     fn finish(&self, rung: Rung, inner: &RefCell<TxInner<'_>>) {
-        StmStats::bump(match rung {
-            Rung::Spec => &self.stats.commits_spec,
-            Rung::Sw => &self.stats.commits_sw,
-            Rung::Locked => &self.stats.commits_locked,
-        });
+        self.stats.lanes.add(
+            match rung {
+                Rung::Spec => COMMITS_SPEC,
+                Rung::Sw => COMMITS_SW,
+                Rung::Locked => COMMITS_LOCKED,
+            },
+            1,
+        );
         let logs = inner.borrow();
         let mut seen: Vec<*const WaitList> = Vec::new();
         for w in &logs.writes {
@@ -431,9 +436,7 @@ impl Stm {
             // committed values this wake publishes went through the
             // rung's own commit protocol before finish() runs.
             let woken = unsafe { &*wl }.wake_all();
-            self.stats
-                .wakeups_sent
-                .fetch_add(woken as u64, Ordering::Relaxed);
+            self.stats.lanes.add(WAKEUPS_SENT, woken as u64);
         }
     }
 
@@ -473,14 +476,14 @@ impl Stm {
             // TxCell's internal Acquire floor orders the load itself.
             .any(|r| unsafe { (*r.cell).read_plain() } != r.value);
         if changed {
-            StmStats::bump(&self.stats.retry_reruns);
+            self.stats.lanes.add(RETRY_RERUNS, 1);
             return;
         }
-        StmStats::bump(&self.stats.parks);
+        self.stats.lanes.add(PARKS, 1);
         if waiter.park(PARK_TIMEOUT) {
-            StmStats::bump(&self.stats.wakes_notified);
+            self.stats.lanes.add(WAKES_NOTIFIED, 1);
         } else {
-            StmStats::bump(&self.stats.wakes_timeout);
+            self.stats.lanes.add(WAKES_TIMEOUT, 1);
         }
     }
 

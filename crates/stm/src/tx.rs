@@ -102,8 +102,19 @@ pub(crate) struct TxInner<'env> {
 }
 
 impl<'env> TxInner<'env> {
+    /// Fresh per-call state. The logs start above the allocator's
+    /// thread-cache sizes on purpose: a log grown from empty is a chain of
+    /// `realloc`s through those sizes, where glibc hands a thread chunks
+    /// other threads' arenas own (anything it freed lately, say tree nodes
+    /// the loader allocated) and `realloc` then locks the owning arena —
+    /// all clients serialising on one arena is a third of the throughput.
+    /// A request this size is always served from the thread's own arena.
     pub(crate) fn new() -> Self {
-        TxInner::default()
+        TxInner {
+            reads: Vec::with_capacity(64),
+            writes: Vec::with_capacity(32),
+            ..TxInner::default()
+        }
     }
 
     pub(crate) fn reset(&mut self) {

@@ -8,8 +8,27 @@ echo "== build (release) =="
 cargo build --workspace --release
 cargo build --workspace --examples
 
+# Every `cargo test` below runs under `timeout`: a test binary that hangs
+# (a spinning partner thread whose stop flag is never raised, a lost
+# wakeup) fails its stage in minutes instead of stalling the gate. On a
+# 2-core box the whole workspace suite runs in under a minute once built
+# (building the test targets takes a few more); the single-target
+# invocations take seconds.
+test_timeout=900
+cargo_test() {
+    timeout --kill-after=30 "$test_timeout" cargo test "$@" || {
+        status=$?
+        if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+            echo "cargo test $* timed out after ${test_timeout}s — a test binary hung"
+        fi
+        exit "$status"
+    }
+}
+
 echo "== tests =="
-cargo test --workspace --release -q
+# Includes tests/fast_path_sharing.rs (counter-lane/clock layout, lane
+# books vs per-thread ground truth) and the htm zombie hunt.
+cargo_test --workspace --release -q
 
 echo "== clippy (deny warnings) =="
 cargo clippy --all-targets -q -- -D warnings
@@ -17,7 +36,11 @@ cargo clippy --all-targets -q -- -D warnings
 echo "== rtle-check (lint + path-sensitive analysis + interleaving model) =="
 # Zero-findings gate: `all` runs the lint, the four concurrency passes
 # (lockset, lock-order, publication, §4 fence — any unsuppressed finding
-# or missed seeded mutant is a non-zero exit), and the model checker.
+# or missed seeded mutant is a non-zero exit), and the model checker,
+# which must verify every safe configuration (TLE family, TL2, and the
+# emulated HTM's cached-rv + snapshot-extension `swhtm-*` twins) and
+# catch its three seeded mutants: unsafe lazy subscription, the TL2
+# stale read, and the swhtm extension that validates before it samples.
 # The analyze step is re-run standalone below to enforce its wall-clock
 # budget and validate the JSON export.
 cargo run -p rtle-check --release
@@ -88,7 +111,7 @@ cargo check -q -p rtle-hytm --features tl2-stale-read-mutant
 echo "== trace-off overhead gate =="
 # The causal-tracing feature must be a true no-op when compiled out: the
 # overhead suite's trace-off test only exists in this configuration.
-cargo test -p rtle-bench --release --no-default-features --test overhead -q
+cargo_test -p rtle-bench --release --no-default-features --test overhead -q
 
 echo "== diag --json/--trace smoke =="
 tmp="$(mktemp -d)"
@@ -466,6 +489,6 @@ echo "== benchmark harness self-tests =="
 # The repo benchmark (BENCHMARK.json, benchmark/) is its own package:
 # build it against the changed crates and run its harness self-tests
 # (~6 s; each workload runs 200 ms against its exact oracles).
-cargo test --offline --manifest-path benchmark/Cargo.toml -q
+cargo_test --offline --manifest-path benchmark/Cargo.toml -q
 
 echo "tier1: all green"

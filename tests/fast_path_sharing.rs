@@ -1,0 +1,168 @@
+//! What the fast path shares between threads: the commit clock, and
+//! nothing else.
+//!
+//! Layout: every counter lane and the global clock sit in blocks of their
+//! own, so no statistic shares a line with another thread's statistics,
+//! with the lock word, or with the lock's read-mostly configuration.
+//! Books: per-thread lanes are an implementation detail — `HtmStats` and
+//! `ExecStats` snapshots must still equal what the threads actually did,
+//! exactly, also when more threads run than there are lanes.
+//!
+//! One storm per binary: `HtmStats` and the chaos configuration are
+//! process-global.
+
+use std::mem::{align_of, size_of};
+use std::sync::atomic::AtomicU64;
+
+use rtle_core::{ElidableLock, ElisionPolicy, ExecStats};
+use rtle_htm::lanes::{Block, Lanes, BLOCK_BYTES, LANES};
+use rtle_htm::{stripe, swhtm, AbortCode, HtmConfig, HtmStats, TxCell};
+
+/// Two threads per lane (tokens are handed out in spawn order).
+const THREADS: usize = 2 * LANES;
+
+#[test]
+fn lanes_and_clock_sit_alone_in_their_blocks() {
+    const { assert!(BLOCK_BYTES >= 128, "a line and its prefetch pair") };
+    assert!(align_of::<Lanes<1>>() >= BLOCK_BYTES);
+    assert_eq!(size_of::<Lanes<1>>(), LANES * BLOCK_BYTES, "one block per lane");
+
+    // The clock's block holds the clock and padding, nothing else.
+    assert_eq!(size_of::<Block<AtomicU64>>(), BLOCK_BYTES);
+    assert_eq!(stripe::clock_addr() % BLOCK_BYTES, 0);
+
+    // ExecStats starts and ends on block boundaries, so whatever else an
+    // ElidableLock holds — lock word, policy, retry — lives on other lines.
+    assert!(align_of::<ExecStats>() >= BLOCK_BYTES);
+    assert_eq!(size_of::<ExecStats>() % BLOCK_BYTES, 0);
+    let lock = ElidableLock::builder().build();
+    let (base, stats) = (
+        &lock as *const ElidableLock as usize,
+        lock.stats() as *const ExecStats as usize,
+    );
+    assert_eq!(stats % BLOCK_BYTES, 0);
+    assert!(stats >= base && stats + size_of::<ExecStats>() <= base + size_of::<ElidableLock>());
+}
+
+/// What one thread saw its own attempts do.
+#[derive(Default, Clone, Copy, PartialEq, Eq, Debug)]
+struct Seen {
+    starts: u64,
+    commits: u64,
+    conflict: u64,
+    capacity: u64,
+    explicit: u64,
+    spurious: u64,
+}
+
+#[test]
+fn snapshots_equal_the_per_thread_ground_truth() {
+    const ROUNDS: u64 = 300;
+    let chaos = HtmConfig {
+        spurious_one_in: 5,
+        conflict_one_in: 9,
+        capacity_one_in: 13,
+        ..HtmConfig::default()
+    };
+    chaos.with_installed(|| {
+        // Phase 1 — bare transactions: each thread tallies its own
+        // outcomes; the global snapshot must be their sum.
+        let hot = TxCell::new(0u64);
+        let before = HtmStats::snapshot();
+        let seen: Vec<Seen> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let hot = &hot;
+                    s.spawn(move || {
+                        let mut seen = Seen::default();
+                        for i in 0..ROUNDS {
+                            seen.starts += 1;
+                            match swhtm::try_txn(|| {
+                                hot.write(hot.read() + 1);
+                                if (i + t as u64).is_multiple_of(17) {
+                                    rtle_htm::abort(3);
+                                }
+                            }) {
+                                Ok(()) => seen.commits += 1,
+                                Err(AbortCode::Conflict) => seen.conflict += 1,
+                                Err(AbortCode::Capacity) => seen.capacity += 1,
+                                Err(AbortCode::Explicit(_)) => seen.explicit += 1,
+                                Err(AbortCode::Spurious) => seen.spurious += 1,
+                                Err(other) => panic!("unexpected abort {other}"),
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let total = seen.iter().fold(Seen::default(), |a, b| Seen {
+            starts: a.starts + b.starts,
+            commits: a.commits + b.commits,
+            conflict: a.conflict + b.conflict,
+            capacity: a.capacity + b.capacity,
+            explicit: a.explicit + b.explicit,
+            spurious: a.spurious + b.spurious,
+        });
+        let d = HtmStats::snapshot().since(&before);
+        assert_eq!(
+            Seen {
+                starts: d.starts,
+                commits: d.commits,
+                conflict: d.aborts_conflict,
+                capacity: d.aborts_capacity,
+                explicit: d.aborts_explicit,
+                spurious: d.aborts_spurious,
+            },
+            total
+        );
+        assert_eq!(hot.read_plain(), total.commits, "and the commits were real");
+        assert!(total.commits > 0 && total.spurious > 0 && total.explicit > 0);
+
+        // Phase 2 — through a lock: every attempt the lock counts is one
+        // the HTM counted, every call is one op, and the per-thread
+        // pessimistic sections are all on the books.
+        const SECTIONS: u64 = 5;
+        let lock = ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 64 })
+            .build();
+        let cell = TxCell::new(0u64);
+        let before = HtmStats::snapshot();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        lock.execute(|ctx| ctx.write(&cell, ctx.read(&cell) + 1));
+                    }
+                    for _ in 0..SECTIONS {
+                        let section = lock.lock_section();
+                        let ctx = section.ctx();
+                        ctx.write(&cell, ctx.read(&cell) + 1);
+                    }
+                });
+            }
+        });
+        let calls = THREADS as u64 * (ROUNDS + SECTIONS);
+        let d = HtmStats::snapshot().since(&before);
+        let books = lock.stats().snapshot();
+        assert_eq!(cell.read_plain(), calls);
+        assert_eq!(books.ops, calls);
+        assert_eq!(
+            books.ops,
+            books.fast_commits + books.slow_commits + books.stm_commits + books.lock_acquisitions
+        );
+        assert!(books.lock_acquisitions >= THREADS as u64 * SECTIONS);
+        assert_eq!(d.commits, books.fast_commits + books.slow_commits);
+        assert_eq!(d.aborts(), books.fast_aborts + books.slow_aborts);
+        assert_eq!(d.starts, d.commits + d.aborts());
+        assert_eq!(
+            books.fast_aborts + books.slow_aborts,
+            books.aborts_conflict
+                + books.aborts_capacity
+                + books.aborts_explicit
+                + books.aborts_unsupported
+                + books.aborts_other
+        );
+    });
+}

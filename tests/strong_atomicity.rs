@@ -9,6 +9,17 @@ use std::sync::Arc;
 
 use refined_tle::prelude::*;
 
+/// Raises `stop` when dropped — also when the checking thread panics, so a
+/// failed assertion ends the test instead of leaving its partner threads
+/// spinning on a flag nobody will ever set.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// A writer increments `seq` then `data` (in that order) inside critical
 /// sections; plain readers outside any critical section must never
 /// observe `data > seq` (publication order) and must see both values
@@ -56,9 +67,14 @@ fn outside_readers_see_ordered_committed_state() {
             {
                 let (seq, data, stop) = (Arc::clone(&seq), Arc::clone(&data), Arc::clone(&stop));
                 scope.spawn(move || {
+                    let _stop = StopOnDrop(&stop);
                     let mut last_seq = 0u64;
                     let mut last_data = 0u64;
-                    for _ in 0..30_000 {
+                    // At least 30 000 looks, and not done before the
+                    // writers have published anything to look at.
+                    let mut looks = 0u32;
+                    while looks < 30_000 || last_data == 0 {
+                        looks += 1;
                         // Read in publication-reverse order: data first,
                         // then seq. Committed order (seq before data in
                         // program order within the CS, atomically
@@ -71,7 +87,6 @@ fn outside_readers_see_ordered_committed_state() {
                         last_seq = s;
                         last_data = d;
                     }
-                    stop.store(true, Ordering::Relaxed);
                 });
             }
         });
@@ -102,16 +117,25 @@ fn outside_writes_are_respected_by_speculation() {
                 }
             });
         }
-        // Speculating readers: each CS reads the cell twice; the two reads
-        // must agree (the transaction would have aborted otherwise).
+        // Speculating reader: each CS reads the cell twice; when the
+        // speculation commits, the two reads must agree (the transaction
+        // would have aborted otherwise). Speculation only — once `execute`
+        // falls back to the lock its reads are plain, and nothing orders two
+        // plain reads against a writer that never takes the lock.
         {
             let (lock, cell, stop) = (Arc::clone(&lock), Arc::clone(&cell), Arc::clone(&stop));
             scope.spawn(move || {
+                let _stop = StopOnDrop(&stop);
+                let mut committed = 0u32;
                 for _ in 0..20_000 {
-                    let (a, b) = lock.execute(|ctx| (ctx.read(&cell), ctx.read(&cell)));
-                    assert_eq!(a, b, "torn snapshot across an outside write");
+                    if let Some((a, b)) =
+                        lock.try_speculate(|ctx| (ctx.read(&cell), ctx.read(&cell)))
+                    {
+                        assert_eq!(a, b, "torn snapshot across an outside write");
+                        committed += 1;
+                    }
                 }
-                stop.store(true, Ordering::Relaxed);
+                assert!(committed > 0, "no speculation ever committed");
             });
         }
     });
