@@ -299,7 +299,7 @@ mod tests {
         let has_spans = rows.iter().any(|r| !r.trace.is_empty());
         assert_eq!(
             has_spans,
-            rtle_obs::Tracer::new(1, 1).enabled(),
+            rtle_obs::Tracer::new().enabled(),
             "spans present exactly when the trace feature is compiled in"
         );
     }

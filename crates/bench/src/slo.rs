@@ -206,7 +206,7 @@ impl Target {
     /// through `execute_from` — the runtime-side intended-start hook —
     /// while the sharded target (whose per-key API picks the lock
     /// internally) is timed harness-side into the same recorder.
-    fn op(&self, rec: &Recorder, tkey: u64, intended: Instant, action: u64, key: u64) {
+    fn op(&self, rec: &Recorder, intended: Instant, action: u64, key: u64) {
         match self {
             Target::SingleLock { lock, map } => {
                 lock.execute_from(intended, |ctx: &Ctx<'_>| match action {
@@ -233,7 +233,10 @@ impl Target {
                         std::hint::black_box(map.get(key));
                     }
                 }
-                rec.record_op_latency(tkey, intended.elapsed().as_nanos() as u64);
+                rec.record_op_latency(
+                    rtle_htm::thread_token(),
+                    intended.elapsed().as_nanos() as u64,
+                );
             }
         }
     }
@@ -247,7 +250,7 @@ impl Target {
     /// remaining passes re-verify read-only. Identical work in both
     /// targets; the single lock pins the world for the hold, the
     /// sharded map only `probe_key`'s shard.
-    fn audit(&self, rec: &Recorder, tkey: u64, intended: Instant, cfg: &SloConfig, probe_key: u64) {
+    fn audit(&self, rec: &Recorder, intended: Instant, cfg: &SloConfig, probe_key: u64) {
         fn sweep(m: &TxMap<u64>, ctx: &Ctx<'_>, cfg: &SloConfig) -> u64 {
             let mut acc = 0u64;
             for pass in 0..cfg.audit_passes {
@@ -279,7 +282,10 @@ impl Target {
             }
         };
         std::hint::black_box(acc);
-        rec.record_op_latency(tkey, intended.elapsed().as_nanos() as u64);
+        rec.record_op_latency(
+            rtle_htm::thread_token(),
+            intended.elapsed().as_nanos() as u64,
+        );
     }
 }
 
@@ -341,15 +347,15 @@ fn wait_until(t0: Instant, target_ns: u64) {
 }
 
 /// Runs one configuration under the schedule. The returned outcome owns
-/// everything the JSON export needs. When `registry` is given, the
-/// run's watchdog publishes its live mirror there (the recorder and map
-/// sources are registered by [`run_slo`] before the clock starts).
+/// everything the JSON export needs. `wd` rides the window rotator; its
+/// live mirror, like the recorder and map sources, was registered by
+/// [`run_slo`] before the scrape endpoint was announced.
 fn run_target(
     cfg: &SloConfig,
     name: String,
     target: Target,
     rec: Arc<Recorder>,
-    registry: Option<Arc<MetricsRegistry>>,
+    mut wd: Watchdog,
 ) -> SloOutcome {
     let target = Arc::new(target);
     // Pre-populate half the key range so gets hit (outside the clock).
@@ -378,14 +384,8 @@ fn run_target(
         let stop = Arc::clone(&stop);
         let flight_to = cfg.flight_dir.as_ref().map(|d| d.join(format!("slo_flight_{name}.json")));
         let tick = Duration::from_millis((cfg.window_ms / 4).max(5));
-        let wd_name = format!("{name}_watchdog");
         std::thread::spawn(move || {
-            let mut wd = Watchdog::new(WatchdogConfig::default());
-            let live_mirror = registry.map(|reg| {
-                let mirror = wd.live();
-                reg.register(wd_name, Arc::clone(&mirror) as Arc<dyn LiveSource>);
-                mirror
-            });
+            let live_mirror = wd.live();
             let mut flight_path = None;
             let coll = rec.windows().expect("harness recorder always has windows");
             loop {
@@ -401,9 +401,7 @@ fn run_target(
                         if let (Some(path), None) = (&flight_to, &flight_path) {
                             let doc = flight_record(&ev, &coll.series(), &rec.snapshot());
                             if std::fs::write(path, doc.to_string_pretty()).is_ok() {
-                                if let Some(mirror) = &live_mirror {
-                                    mirror.set_flight_record_path(path.display().to_string());
-                                }
+                                live_mirror.set_flight_record_path(path.display().to_string());
                                 flight_path = Some(path.clone());
                             }
                         }
@@ -458,7 +456,7 @@ fn run_target(
                         // scans are not tied to the hot set, so the sharded
                         // target spreads them over all shards.
                         let probe = rng.below(cfg.keys);
-                        target.audit(&rec, t as u64, intended, cfg, probe);
+                        target.audit(&rec, intended, cfg, probe);
                     } else {
                         // 80/10/10 get/insert/remove normally; the storm
                         // turns write-heavy (flash-crowd updates).
@@ -471,7 +469,7 @@ fn run_target(
                         } else {
                             rng.below(10)
                         };
-                        target.op(&rec, t as u64, intended, action, key);
+                        target.op(&rec, intended, action, key);
                     }
                     count += 1;
                     next_ns += exp_gap_ns(&mut rng, mean_gap_ns);
@@ -522,7 +520,6 @@ fn harness_recorder(cfg: &SloConfig) -> Arc<Recorder> {
     Arc::new(Recorder::new(ObsConfig {
         window_len_ms: cfg.window_ms,
         window_series_cap: cfg.series_cap,
-        window_stripes: cfg.threads.next_power_of_two(),
         ..ObsConfig::default()
     }))
 }
@@ -544,60 +541,62 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloOutcome> {
     };
     let capacity = (cfg.keys as usize) * 2;
 
-    // The live scrape endpoint, when asked for: one registry + server
-    // outlives both target runs, so an operator watching `diag top` sees
-    // the single-lock collapse and the sharded recovery back to back.
-    let live = cfg.live.as_ref().map(|addr| {
-        let registry = Arc::new(MetricsRegistry::new());
-        let server = LiveServer::start(Arc::clone(&registry), addr.as_str())
-            .unwrap_or_else(|e| panic!("cannot bind live endpoint on {addr}: {e}"));
-        eprintln!("slo: live endpoint at http://{}/metrics", server.addr());
-        if let Some(path) = &cfg.live_port_file {
-            std::fs::write(path, server.addr().to_string()).expect("write live port file");
-        }
-        (registry, server)
-    });
-    let registry = live.as_ref().map(|(r, _)| Arc::clone(r));
-
-    let rec = harness_recorder(cfg);
-    if let Some(reg) = &registry {
-        reg.register("single_lock", Arc::clone(&rec) as Arc<dyn LiveSource>);
-    }
+    let single_rec = harness_recorder(cfg);
     let single = Target::SingleLock {
         lock: Box::new(
             ElidableLock::builder()
                 .policy(policy)
                 .retry(retry)
-                .recorder(Arc::clone(&rec))
+                .recorder(Arc::clone(&single_rec))
                 .build(),
         ),
         map: TxMap::with_capacity(capacity),
     };
-    let single_out = run_target(cfg, "single_lock".into(), single, rec, registry.clone());
+    let mut single_wd = Watchdog::new(WatchdogConfig::default());
 
-    let rec = harness_recorder(cfg);
+    let sharded_rec = harness_recorder(cfg);
     let sharded_name = format!("sharded{}", cfg.shards);
-    if let Some(reg) = &registry {
-        reg.register(&sharded_name, Arc::clone(&rec) as Arc<dyn LiveSource>);
-    }
     let map = Arc::new(ShardedTxMap::with_builder(
         cfg.shards,
         (capacity / cfg.shards).max(64),
         ElidableLock::builder()
             .policy(policy)
             .retry(retry)
-            .recorder(Arc::clone(&rec)),
+            .recorder(Arc::clone(&sharded_rec)),
     ));
-    if let Some(reg) = &registry {
-        reg.register(
-            format!("{sharded_name}_map"),
-            Arc::clone(&map) as Arc<dyn LiveSource>,
-        );
-    }
-    let sharded = Target::Sharded { map };
-    let sharded_out = run_target(cfg, sharded_name, sharded, rec, registry);
+    let mut sharded_wd = Watchdog::new(WatchdogConfig::default());
 
-    if let Some((_, mut server)) = live {
+    // The live scrape endpoint, when asked for: one registry + server
+    // outlives both target runs, so an operator watching `diag top` sees
+    // the single-lock collapse and the sharded recovery back to back.
+    // Every source of both runs is registered before the address is
+    // announced, so the first scrape already sees the full source set.
+    let live = cfg.live.as_ref().map(|addr| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let sources: [(String, Arc<dyn LiveSource>); 5] = [
+            ("single_lock".into(), single_rec.clone()),
+            ("single_lock_watchdog".into(), single_wd.live()),
+            (sharded_name.clone(), sharded_rec.clone()),
+            (format!("{sharded_name}_map"), map.clone()),
+            (format!("{sharded_name}_watchdog"), sharded_wd.live()),
+        ];
+        for (name, source) in sources {
+            registry.register(name, source);
+        }
+        let server = LiveServer::start(registry, addr.as_str())
+            .unwrap_or_else(|e| panic!("cannot bind live endpoint on {addr}: {e}"));
+        eprintln!("slo: live endpoint at http://{}/metrics", server.addr());
+        if let Some(path) = &cfg.live_port_file {
+            std::fs::write(path, server.addr().to_string()).expect("write live port file");
+        }
+        server
+    });
+
+    let single_out = run_target(cfg, "single_lock".into(), single, single_rec, single_wd);
+    let sharded = Target::Sharded { map };
+    let sharded_out = run_target(cfg, sharded_name, sharded, sharded_rec, sharded_wd);
+
+    if let Some(mut server) = live {
         server.shutdown();
     }
     vec![single_out, sharded_out]

@@ -1,8 +1,8 @@
 //! The declarative concurrency-invariant table and the rule engine.
 //!
 //! Every atomic-ordering use inside [`ORDERING_SCOPE`] (`crates/core`,
-//! `crates/htm`, `crates/hytm`, `crates/shard`, and the live-telemetry
-//! files of `crates/obs`) must either
+//! `crates/htm`, `crates/hytm`, `crates/shard`, and the recording and
+//! live-telemetry files of `crates/obs`) must either
 //! match a row of [`ORDERING_RULES`] (file + receiver + operation →
 //! allowed orderings) or carry a nearby `// ordering: <reason>` annotation;
 //! anything else is a finding. The table is the reviewable artifact: adding
@@ -33,7 +33,8 @@ pub enum AtomicOp {
     Store,
     /// `.swap(v, ordering)`
     Swap,
-    /// `.fetch_add(v, ordering)` / `.fetch_sub(v, ordering)`
+    /// `.fetch_add(v, ordering)` / `.fetch_sub(v, ordering)` /
+    /// `.fetch_max(v, ordering)`
     FetchAdd,
     /// `.compare_exchange*(cur, new, success, failure)` — both orderings
     /// are checked against the allowed set.
@@ -48,7 +49,7 @@ impl AtomicOp {
             AtomicOp::Load => "load",
             AtomicOp::Store => "store",
             AtomicOp::Swap => "swap",
-            AtomicOp::FetchAdd => "fetch_add/fetch_sub",
+            AtomicOp::FetchAdd => "fetch_add/fetch_sub/fetch_max",
             AtomicOp::CompareExchange => "compare_exchange",
             AtomicOp::Fence => "fence",
         }
@@ -316,49 +317,62 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         allowed: &["Relaxed"],
         why: "routing-counter snapshot read: advisory imbalance metric, no synchronization role",
     },
-    // ---- rtle-obs -------------------------------------------------------
-    // The windowed collector's only synchronizing atomic is the epoch
-    // bump that flips writers onto the other phase buffer: AcqRel so the
-    // rotator's subsequent drains are ordered after the flip, and a
-    // writer that observed the new epoch publishes into the new phase.
-    // Everything else is per-stripe monotonic counters drained by
-    // `swap(0)`: stragglers racing a rotation land in whichever phase
-    // they read the epoch from and are attributed one window late — by
-    // design, never lost — so Relaxed carries no correctness weight.
+    // ---- rtle-obs: the recording side -----------------------------------
+    // Everything a recording thread writes — the lane's event counters and
+    // histogram words, its ring segments' cursors and slots — is a
+    // monotonic statistic or a self-validating diagnostic word on the
+    // thread's own lane. A window is the difference of two readings of
+    // those words, a snapshot their sum; neither resets anything, so no
+    // ordering carries correctness weight: Relaxed, and nothing stronger —
+    // a stronger ordering would imply a role they must never grow.
     OrderingRule {
-        file_suffix: "obs/src/window.rs",
-        receiver: "epoch",
-        op: AtomicOp::FetchAdd,
-        allowed: &["AcqRel"],
-        why: "window rotation flip: orders the rotator's drains after the epoch bump",
-    },
-    OrderingRule {
-        file_suffix: "obs/src/window.rs",
-        receiver: "epoch",
-        op: AtomicOp::Load,
-        allowed: &["Relaxed"],
-        why: "phase selection / advisory epoch read: one-window-late attribution is tolerated",
-    },
-    OrderingRule {
-        file_suffix: "obs/src/window.rs",
+        file_suffix: "obs/src/lane.rs",
         receiver: "*",
         op: AtomicOp::FetchAdd,
         allowed: &["Relaxed"],
-        why: "per-stripe window counters: monotonic telemetry, drained via swap at rotation",
+        why: "lane event counters: monotonic statistics, summed by snapshots, differenced by windows",
     },
     OrderingRule {
-        file_suffix: "obs/src/window.rs",
-        receiver: "*",
-        op: AtomicOp::Swap,
-        allowed: &["Relaxed"],
-        why: "rotation drain (swap-to-zero) and window start stamp: single-rotator protocol",
-    },
-    OrderingRule {
-        file_suffix: "obs/src/window.rs",
+        file_suffix: "obs/src/lane.rs",
         receiver: "*",
         op: AtomicOp::Load,
         allowed: &["Relaxed"],
-        why: "window start / length snapshot reads: advisory telemetry, no synchronization role",
+        why: "lane reading: each monotonic word read once; a racing sample is in this reading or the next",
+    },
+    OrderingRule {
+        file_suffix: "obs/src/hist.rs",
+        receiver: "*",
+        op: AtomicOp::FetchAdd,
+        allowed: &["Relaxed"],
+        why: "histogram bucket / value sum / running maximum: monotonic statistics words",
+    },
+    OrderingRule {
+        file_suffix: "obs/src/hist.rs",
+        receiver: "*",
+        op: AtomicOp::Load,
+        allowed: &["Relaxed"],
+        why: "histogram snapshot and max pre-check: advisory statistics reads",
+    },
+    OrderingRule {
+        file_suffix: "obs/src/ring.rs",
+        receiver: "cursor",
+        op: AtomicOp::FetchAdd,
+        allowed: &["Relaxed"],
+        why: "ring slot claim: hands out slots of the lane's segment, publishes nothing",
+    },
+    OrderingRule {
+        file_suffix: "obs/src/ring.rs",
+        receiver: "*",
+        op: AtomicOp::Store,
+        allowed: &["Relaxed"],
+        why: "ring slot words: self-validating (valid bit stored last, generation tag in every word)",
+    },
+    OrderingRule {
+        file_suffix: "obs/src/ring.rs",
+        receiver: "*",
+        op: AtomicOp::Load,
+        allowed: &["Relaxed"],
+        why: "racy diagnostic reads of cursors and slot words; the record decoder rejects torn slots",
     },
     // ---- rtle-obs: live scrape plane ------------------------------------
     // The scrape server's only atomic is its shutdown flag: Release on
@@ -426,7 +440,12 @@ pub const ORDERING_SCOPE: &[&str] = &[
     "crates/htm/src/",
     "crates/hytm/src/",
     "crates/shard/src/",
+    "crates/obs/src/lane.rs",
+    "crates/obs/src/hist.rs",
+    "crates/obs/src/ring.rs",
+    "crates/obs/src/trace.rs",
     "crates/obs/src/window.rs",
+    "crates/obs/src/recorder.rs",
     "crates/obs/src/registry.rs",
     "crates/obs/src/live.rs",
     "crates/obs/src/watchdog.rs",
@@ -452,6 +471,7 @@ const OP_PATTERNS: &[(&str, AtomicOp)] = &[
     (".swap(", AtomicOp::Swap),
     (".fetch_add(", AtomicOp::FetchAdd),
     (".fetch_sub(", AtomicOp::FetchAdd),
+    (".fetch_max(", AtomicOp::FetchAdd),
     (".compare_exchange(", AtomicOp::CompareExchange),
     (".compare_exchange_weak(", AtomicOp::CompareExchange),
     ("fence(", AtomicOp::Fence),

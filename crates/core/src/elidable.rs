@@ -72,82 +72,34 @@ pub struct ElidableLock<B: HtmBackend = SwHtmBackend> {
     recorder: Option<Arc<Recorder>>,
 }
 
-/// Per-thread identity for observability: a stable small key (ring and
-/// window stripe selection) and a decrementing sampling ticket.
+/// The per-thread sampling ticket. (The thread's recorder lane is
+/// selected by [`rtle_htm::thread_token`], like every other counter lane.)
 mod obs_thread {
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static NEXT_KEY: AtomicU64 = AtomicU64::new(0);
-
-    /// Sentinel for "this thread has no key yet"; real keys are the
-    /// small dense integers `NEXT_KEY` hands out.
-    const UNASSIGNED: u64 = u64::MAX;
-
-    /// The thread's whole observability identity in one const-initialized
-    /// TLS slot: the stable key (ring/window stripe selection) and the
-    /// decrementing sampling ticket. One slot means one TLS address
-    /// computation per operation; const initialization means no
-    /// lazy-init branch or destructor registration on that path (a
-    /// non-const `thread_local!` pays an initialization check on every
-    /// access). The key is allocated lazily behind the [`UNASSIGNED`]
-    /// sentinel, off the unsampled path entirely.
-    struct ObsTls {
-        key: Cell<u64>,
-        /// Operations left until the next sampled one; `0` = sample now.
-        ticket: Cell<u64>,
-    }
 
     thread_local! {
-        static TLS: ObsTls = const {
-            ObsTls {
-                key: Cell::new(UNASSIGNED),
-                ticket: Cell::new(0),
-            }
-        };
-    }
-
-    #[inline]
-    fn key_of(t: &ObsTls) -> u64 {
-        let k = t.key.get();
-        if k != UNASSIGNED {
-            k
-        } else {
-            // ordering: key allocation — only uniqueness matters, the
-            // value never synchronizes other memory.
-            let k = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
-            t.key.set(k);
-            k
-        }
-    }
-
-    /// The calling thread's stable observability key (also the window
-    /// collector's stripe selector).
-    #[inline]
-    pub(super) fn key() -> u64 {
-        TLS.with(key_of)
+        /// Operations left until the next sampled one; `0` = sample now.
+        /// Const-initialised and destructor-free, so the unsampled path —
+        /// the one an always-on recorder puts every operation but the
+        /// sampled minority through — is one TLS read-modify-write.
+        static TICKET: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Ticket-based sampling: one decrement-and-test per operation,
     /// reloading with `period - 1` each time it hits zero, so a thread
-    /// samples 1 in `period` operations. Returns the thread key for
-    /// sampled operations, so the caller needs no second TLS access.
-    /// The unsampled path — the one an always-on recorder puts every
-    /// operation but the sampled minority through — is a single TLS
-    /// read-modify-write of the const-initialized slot. The ticket is
-    /// shared across locks on the thread, so with several sampled
-    /// recorders the phases interleave — fine for statistics.
+    /// samples 1 in `period` operations. The ticket is shared across
+    /// locks on the thread, so with several sampled recorders the phases
+    /// interleave — fine for statistics.
     #[inline]
-    pub(super) fn take_ticket(period: u64) -> Option<u64> {
-        TLS.with(|t| {
-            let v = t.ticket.get();
-            if v == 0 {
-                t.ticket.set(period.saturating_sub(1));
-                Some(key_of(t))
+    pub(super) fn take_ticket(period: u64) -> bool {
+        TICKET.with(|t| {
+            let left = t.get();
+            t.set(if left == 0 {
+                period.saturating_sub(1)
             } else {
-                t.ticket.set(v - 1);
-                None
-            }
+                left - 1
+            });
+            left == 0
         })
     }
 }
@@ -430,12 +382,11 @@ impl<B: HtmBackend> ElidableLock<B> {
         // retry loop: unsampled (and recorder-less) operations run the
         // exact uninstrumented path.
         let rec = match &self.recorder {
-            Some(recorder) => obs_thread::take_ticket(recorder.sample_period())
-                .map(|thread_key| Rec {
-                    recorder,
-                    thread_key,
-                }),
-            None => None,
+            Some(recorder) if obs_thread::take_ticket(recorder.sample_period()) => Some(Rec {
+                recorder,
+                thread_key: rtle_htm::thread_token(),
+            }),
+            _ => None,
         };
         self.execute_inner(&cs, rec)
     }
@@ -455,8 +406,10 @@ impl<B: HtmBackend> ElidableLock<B> {
     pub fn execute_from<R>(&self, intended_start: Instant, cs: impl Fn(&Ctx<'_>) -> R) -> R {
         let r = self.execute(cs);
         if let Some(recorder) = &self.recorder {
-            recorder
-                .record_op_latency(obs_thread::key(), intended_start.elapsed().as_nanos() as u64);
+            recorder.record_op_latency(
+                rtle_htm::thread_token(),
+                intended_start.elapsed().as_nanos() as u64,
+            );
         }
         r
     }

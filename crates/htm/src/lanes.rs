@@ -44,6 +44,44 @@ impl<T> std::ops::Deref for Block<T> {
 const _: () = assert!(std::mem::align_of::<Block<u8>>() == BLOCK_BYTES);
 const _: () = assert!(LANES.is_power_of_two());
 
+/// The lane `key` selects: a thread token, or any other per-thread key.
+#[inline]
+fn lane_index(key: u64) -> usize {
+    key as usize & (LANES - 1)
+}
+
+/// One `T` per lane on the heap, each alone in its own [`Block`]s: per-thread
+/// state too big or too structured for a [`Lanes`] of bare counters (the
+/// recorder's histograms and ring segments). The caller names the lane —
+/// the runtime passes [`crate::thread_token`], the simulator its logical
+/// thread ids — and `T` stays safe to share, because keys beyond [`LANES`]
+/// do.
+#[derive(Debug)]
+pub struct PerLane<T>(Box<[Block<T>; LANES]>);
+
+impl<T> PerLane<T> {
+    /// [`LANES`] lanes, each built by `lane`.
+    pub fn new(mut lane: impl FnMut() -> T) -> Self {
+        let lanes: Box<[Block<T>]> = (0..LANES).map(|_| Block(lane())).collect();
+        PerLane(
+            lanes
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("LANES lanes collected")),
+        )
+    }
+
+    /// The lane `key` selects.
+    #[inline]
+    pub fn of(&self, key: u64) -> &T {
+        &self.0[lane_index(key)]
+    }
+
+    /// Every lane, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map(|lane| &lane.0)
+    }
+}
+
 /// `N` monotonic counters, each spread over [`LANES`] per-thread lanes.
 #[derive(Debug)]
 pub struct Lanes<const N: usize> {
@@ -78,7 +116,7 @@ impl<const N: usize> Lanes<N> {
     /// The lane of the thread holding stripe-owner token `token`.
     #[inline]
     pub(crate) fn of_token(&self, token: u64) -> Lane<'_, N> {
-        Lane(&self.lanes[token as usize & (LANES - 1)])
+        Lane(&self.lanes[lane_index(token)])
     }
 
     /// Current value of `counter`: the sum over the lanes.
@@ -123,6 +161,24 @@ mod tests {
         assert_eq!(std::mem::size_of::<Lanes<1>>(), LANES * BLOCK_BYTES);
         // 17 counters spill into a second block per lane, never a shared one.
         assert_eq!(std::mem::size_of::<Lanes<17>>(), LANES * 2 * BLOCK_BYTES);
+    }
+
+    #[test]
+    fn per_lane_state_is_block_aligned_and_selected_by_key() {
+        let lanes = PerLane::new(|| AtomicU64::new(0));
+        for key in 0..(2 * LANES as u64 + 3) {
+            lanes.of(key).fetch_add(1, Ordering::Relaxed);
+        }
+        let addrs: Vec<usize> = lanes
+            .iter()
+            .map(|l| l as *const AtomicU64 as usize)
+            .collect();
+        assert_eq!(addrs.len(), LANES);
+        assert!(addrs.iter().all(|a| a % BLOCK_BYTES == 0));
+        assert!(addrs.windows(2).all(|w| w[1] - w[0] == BLOCK_BYTES));
+        let counts: Vec<u64> = lanes.iter().map(|l| l.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts[..3], [3, 3, 3]);
+        assert!(counts[3..].iter().all(|&n| n == 2));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use backend::RtmBackend;
 pub use backend::{HtmBackend, SwHtmBackend};
 pub use cell::TxCell;
 pub use config::HtmConfig;
-pub use descriptor::RedoLog;
+pub use descriptor::{thread_token, RedoLog};
 pub use stats::HtmStats;
 pub use word::TxWord;
 

@@ -30,30 +30,47 @@ pub enum PathKind {
     Lock,
 }
 
+/// Number of execution paths.
+pub const PATHS: usize = 3;
+/// Number of outcome kinds ([`Outcome::Commit`] is kind 0).
+pub const OUTCOMES: usize = 7;
+/// Explicit-abort protocol codes counted separately (code mod 8).
+pub const EXPLICIT_CODES: usize = 8;
+
+/// Stable lowercase path labels used in every export, in
+/// [`PathKind::index`] order.
+pub const PATH_LABELS: [&str; PATHS] = ["fast_htm", "slow_htm", "lock"];
+/// Stable lowercase outcome labels used in every export, in
+/// [`Outcome::index`] order (slot 0, "commit", is never an abort label).
+pub const OUTCOME_LABELS: [&str; OUTCOMES] = [
+    "commit",
+    "conflict",
+    "capacity",
+    "explicit",
+    "unsupported",
+    "nested",
+    "spurious",
+];
+
 impl PathKind {
+    /// Every path, in [`Self::index`] order.
+    pub const ALL: [PathKind; PATHS] = [PathKind::FastHtm, PathKind::SlowHtm, PathKind::Lock];
+
+    /// Position in every per-path table: the counter arrays,
+    /// [`PATH_LABELS`] and the packed event's path field.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable lowercase label used in JSON exports.
     pub fn label(self) -> &'static str {
-        match self {
-            PathKind::FastHtm => "fast_htm",
-            PathKind::SlowHtm => "slow_htm",
-            PathKind::Lock => "lock",
-        }
+        PATH_LABELS[self.index()]
     }
 
-    fn code(self) -> u64 {
-        match self {
-            PathKind::FastHtm => 0,
-            PathKind::SlowHtm => 1,
-            PathKind::Lock => 2,
-        }
-    }
-
-    fn from_code(c: u64) -> PathKind {
-        match c {
-            0 => PathKind::FastHtm,
-            1 => PathKind::SlowHtm,
-            _ => PathKind::Lock,
-        }
+    /// The path for an export label (inverse of [`Self::label`]).
+    pub fn from_label(label: &str) -> Option<PathKind> {
+        Self::ALL.into_iter().find(|p| p.label() == label)
     }
 }
 
@@ -95,21 +112,10 @@ impl Outcome {
         matches!(self, Outcome::Commit)
     }
 
-    /// Stable lowercase label used in JSON exports ("commit",
-    /// "conflict", "explicit", ...).
-    pub fn label(self) -> &'static str {
-        match self {
-            Outcome::Commit => "commit",
-            Outcome::AbortConflict => "conflict",
-            Outcome::AbortCapacity => "capacity",
-            Outcome::AbortExplicit(_) => "explicit",
-            Outcome::AbortUnsupported => "unsupported",
-            Outcome::AbortNested => "nested",
-            Outcome::AbortSpurious => "spurious",
-        }
-    }
-
-    fn kind_code(self) -> u64 {
+    /// Position in every per-outcome table: the abort counter arrays,
+    /// [`OUTCOME_LABELS`] and the packed event's kind field.
+    #[inline]
+    pub fn index(self) -> usize {
         match self {
             Outcome::Commit => 0,
             Outcome::AbortConflict => 1,
@@ -119,6 +125,19 @@ impl Outcome {
             Outcome::AbortNested => 5,
             Outcome::AbortSpurious => 6,
         }
+    }
+
+    /// Stable lowercase label used in JSON exports ("commit",
+    /// "conflict", "explicit", ...).
+    pub fn label(self) -> &'static str {
+        OUTCOME_LABELS[self.index()]
+    }
+
+    /// The outcome for an export label (inverse of [`Self::label`]);
+    /// "explicit" comes back with protocol code 0.
+    pub fn from_label(label: &str) -> Option<Outcome> {
+        let kind = OUTCOME_LABELS.iter().position(|&l| l == label)?;
+        Some(Outcome::from_codes(kind as u64, 0))
     }
 
     fn explicit_code(self) -> u64 {
@@ -171,8 +190,8 @@ impl AttemptEvent {
     #[inline]
     pub fn pack(self) -> u64 {
         VALID_BIT
-            | (self.path.code() << PATH_SHIFT)
-            | (self.outcome.kind_code() << KIND_SHIFT)
+            | ((self.path.index() as u64) << PATH_SHIFT)
+            | ((self.outcome.index() as u64) << KIND_SHIFT)
             | (self.outcome.explicit_code() << EXPLICIT_SHIFT)
             | ((self.attempt as u64) << ATTEMPT_SHIFT)
             | self.latency.min(LATENCY_MASK)
@@ -187,7 +206,7 @@ impl AttemptEvent {
         let kind = (word >> KIND_SHIFT) & 0x7;
         let explicit = ((word >> EXPLICIT_SHIFT) & 0xff) as u8;
         Some(AttemptEvent {
-            path: PathKind::from_code((word >> PATH_SHIFT) & 0x3),
+            path: PathKind::ALL[((word >> PATH_SHIFT) as usize & 0x3).min(PATHS - 1)],
             outcome: Outcome::from_codes(kind, explicit),
             attempt: ((word >> ATTEMPT_SHIFT) & 0xff) as u8,
             latency: word & LATENCY_MASK,
@@ -206,6 +225,23 @@ impl AttemptEvent {
             pairs.push(("abort_code", Json::UInt(c as u64)));
         }
         Json::obj(pairs)
+    }
+
+    /// Rebuilds an event from [`Self::to_json`] output; `None` on shape
+    /// mismatch.
+    pub fn from_json(j: &Json) -> Option<AttemptEvent> {
+        let outcome = match Outcome::from_label(j.get("outcome")?.as_str()?)? {
+            Outcome::AbortExplicit(_) => {
+                Outcome::AbortExplicit(j.get("abort_code")?.as_u64()? as u8)
+            }
+            other => other,
+        };
+        Some(AttemptEvent {
+            path: PathKind::from_label(j.get("path")?.as_str()?)?,
+            outcome,
+            attempt: j.get("attempt")?.as_u64()? as u8,
+            latency: j.get("latency")?.as_u64()?,
+        })
     }
 }
 
@@ -325,6 +361,31 @@ mod tests {
         assert_eq!(back.latency, LATENCY_MASK);
         assert_eq!(back.path, PathKind::Lock);
         assert_eq!(back.attempt, 1);
+    }
+
+    #[test]
+    fn labels_and_indexes_are_one_table() {
+        for (i, p) in PathKind::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i);
+            assert_eq!(PathKind::from_label(p.label()), Some(p));
+        }
+        for (i, &label) in OUTCOME_LABELS.iter().enumerate() {
+            let o = Outcome::from_label(label).expect("every label has an outcome");
+            assert_eq!((o.index(), o.label()), (i, label));
+        }
+        assert_eq!(
+            Outcome::from_label("explicit"),
+            Some(Outcome::AbortExplicit(0))
+        );
+        assert_eq!(PathKind::from_label("bogus"), None);
+        assert_eq!(Outcome::from_label("bogus"), None);
+        let ev = AttemptEvent {
+            path: PathKind::SlowHtm,
+            outcome: Outcome::AbortExplicit(6),
+            attempt: 4,
+            latency: 99,
+        };
+        assert_eq!(AttemptEvent::from_json(&ev.to_json()), Some(ev));
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! every magnitude: values are grouped by their floor-log2 into *tiers*,
 //! and each tier is split into [`SUB_BUCKETS`] linear sub-buckets.
 //!
-//! Recording is one atomic fetch-add on a `Relaxed` counter; histograms
-//! are therefore safe to share across threads behind an `Arc` and can be
-//! merged (summed bucket-wise) after the fact.
+//! Recording is three `Relaxed` updates (bucket, value sum, running
+//! maximum) of words that only ever grow, so a histogram can be shared
+//! across threads, two [`HistSnapshot`]s of one histogram can be
+//! subtracted ([`HistSnapshot::since`] — how a telemetry window is cut),
+//! and snapshots of several can be summed ([`HistSnapshot::merged`] — how
+//! the recorder's per-thread lanes become one distribution).
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::Json;
 
@@ -27,22 +30,23 @@ pub const TIERS: usize = 40;
 const BUCKETS: usize = TIERS * SUB_BUCKETS;
 
 /// A concurrent log-linear histogram of `u64` values (unit-agnostic:
-/// nanoseconds, simulator cycles, or plain counts like retries).
+/// nanoseconds, simulator cycles, or plain counts like retries). The
+/// buckets are inline (10 KiB), so a histogram sits wherever its owner
+/// does — inside one recorder lane, on lines no other lane touches.
 pub struct Histogram {
-    counts: Box<[AtomicU64]>,
-    /// Sum of recorded values (saturating on overflow in practice —
-    /// wrapping is acceptable for a diagnostics mean).
+    counts: [AtomicU64; BUCKETS],
+    /// Sum of recorded values (wrapping is acceptable for a diagnostics
+    /// mean).
     total: AtomicU64,
-    /// Running maximum, maintained with a CAS loop only on increase.
+    /// Running maximum, written only on increase.
     max: AtomicU64,
 }
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
-        let counts = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
+    pub const fn new() -> Self {
         Histogram {
-            counts,
+            counts: [const { AtomicU64::new(0) }; BUCKETS],
             total: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -80,91 +84,41 @@ impl Histogram {
         (1u64 << tier) | (sub << (tier - SUB_SHIFT))
     }
 
-    /// Records one sample. One relaxed fetch-add plus (rarely) a CAS to
-    /// raise the maximum.
+    /// Records one sample: the bucket, the value sum, and (only when it
+    /// grows) the maximum.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.counts[Self::bucket_index(v)].fetch_add(1, Relaxed);
-        self.total.fetch_add(v, Relaxed);
-        let mut cur = self.max.load(Relaxed);
-        while v > cur {
-            match self.max.compare_exchange_weak(cur, v, Relaxed, Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
+        // ordering: monotonic statistics words with no synchronization
+        // role; each is exact on its own once the recording threads are
+        // quiet, which is all a snapshot or a window difference needs.
+        self.counts[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        // A zero (the usual retry count) moves neither the sum nor the max.
+        if v > 0 {
+            self.total.fetch_add(v, Ordering::Relaxed);
+            if v > self.max.load(Ordering::Relaxed) {
+                self.max.fetch_max(v, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Adds every bucket of `other` into `self` (cross-thread merge).
-    pub fn merge(&self, other: &Histogram) {
-        for (dst, src) in self.counts.iter().zip(other.counts.iter()) {
-            let n = src.load(Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Relaxed);
-            }
-        }
-        self.total.fetch_add(other.total.load(Relaxed), Relaxed);
-        let om = other.max.load(Relaxed);
-        let mut cur = self.max.load(Relaxed);
-        while om > cur {
-            match self.max.compare_exchange_weak(cur, om, Relaxed, Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Takes the histogram's contents, leaving it empty: every bucket
-    /// (and the value sum and running maximum) is `swap(0)`, so each
-    /// recorded sample is returned by **exactly one** drain even when
-    /// writers are concurrent. A racing [`Self::record`] lands either in
-    /// this drain or, if its fetch-add executes after the swap, in the
-    /// next one — late attribution, never loss. The windowed telemetry
-    /// rotator ([`crate::window`]) is built on this guarantee.
-    ///
-    /// Under a concurrent writer the drained `total`/`max` may be off by
-    /// the in-flight sample relative to the buckets (the three updates in
-    /// `record` are not one atomic step); that skews a window's mean by
-    /// at most one sample, which is fine for diagnostics.
-    pub fn drain(&self) -> HistSnapshot {
-        let buckets: Vec<(u64, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                // ordering: counter hand-off; exactness comes from the
-                // swap's read-modify-write atomicity, not from ordering.
-                let n = c.swap(0, Relaxed);
-                (n > 0).then(|| (Self::bucket_floor(i), n))
-            })
-            .collect();
-        let count = buckets.iter().map(|&(_, n)| n).sum();
-        HistSnapshot {
-            count,
-            total: self.total.swap(0, Relaxed),
-            max: self.max.swap(0, Relaxed),
-            buckets,
         }
     }
 
     /// An immutable snapshot (not atomic with respect to concurrent
-    /// recording; counters may be mid-flight, which is fine for
-    /// diagnostics).
+    /// recording: a racing sample's bucket, sum and maximum may straddle
+    /// it, which skews a mean by at most that sample).
     pub fn snapshot(&self) -> HistSnapshot {
+        // ordering: statistics reads, as in `record`.
         let buckets: Vec<(u64, u64)> = self
             .counts
             .iter()
             .enumerate()
             .filter_map(|(i, c)| {
-                let n = c.load(Relaxed);
+                let n = c.load(Ordering::Relaxed);
                 (n > 0).then(|| (Self::bucket_floor(i), n))
             })
             .collect();
-        let count = buckets.iter().map(|&(_, n)| n).sum();
         HistSnapshot {
-            count,
-            total: self.total.load(Relaxed),
-            max: self.max.load(Relaxed),
+            count: buckets.iter().map(|&(_, n)| n).sum(),
+            total: self.total.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
             buckets,
         }
     }
@@ -191,19 +145,9 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// An empty snapshot (what a fresh histogram drains to).
-    pub fn empty() -> HistSnapshot {
-        HistSnapshot {
-            count: 0,
-            total: 0,
-            max: 0,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Sums many snapshots bucket-wise — e.g. per-stripe window
-    /// histograms into one merged window, or a whole window series into
-    /// a full-run distribution.
+    /// Sums many snapshots bucket-wise — e.g. the lanes' shares of a
+    /// window into one merged window, or a whole window series into a
+    /// full-run distribution.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a HistSnapshot>) -> HistSnapshot {
         let mut buckets = std::collections::BTreeMap::<u64, u64>::new();
         let (mut count, mut total, mut max) = (0u64, 0u64, 0u64);
@@ -220,6 +164,31 @@ impl HistSnapshot {
             total,
             max,
             buckets: buckets.into_iter().collect(),
+        }
+    }
+
+    /// What was recorded between `earlier` and `self`, two snapshots of
+    /// the **same** histogram: every bucket and the value sum only grow,
+    /// so the difference is exact per word, and successive differences
+    /// telescope — their sum is the last snapshot. The running maximum
+    /// cannot be subtracted; the difference reports the floor of its top
+    /// non-empty bucket (an underestimate by at most one sub-bucket
+    /// width, like every percentile).
+    pub fn since(&self, earlier: &HistSnapshot) -> HistSnapshot {
+        let mut before = earlier.buckets.iter().peekable();
+        let buckets: Vec<(u64, u64)> = self
+            .buckets
+            .iter()
+            .filter_map(|&(floor, n)| {
+                let was = before.next_if(|&&(f, _)| f == floor).map_or(0, |&(_, n)| n);
+                (n > was).then_some((floor, n - was))
+            })
+            .collect();
+        HistSnapshot {
+            count: buckets.iter().map(|&(_, n)| n).sum(),
+            total: self.total.wrapping_sub(earlier.total),
+            max: buckets.last().map_or(0, |&(floor, _)| floor),
+            buckets,
         }
     }
 
@@ -341,24 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_combined_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for i in 0..500u64 {
-            let v = i * 37 % 10_000;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), both.snapshot());
-    }
-
-    #[test]
     fn json_round_trip() {
         let h = Histogram::new();
         for v in [0, 1, 17, 900, 65_537, 1 << 30] {
@@ -374,19 +325,36 @@ mod tests {
     }
 
     #[test]
-    fn drain_takes_everything_exactly_once() {
+    fn differences_telescope_to_the_last_snapshot() {
         let h = Histogram::new();
-        for v in [3u64, 3, 900, 65_537] {
-            h.record(v);
+        let mut cuts = vec![h.snapshot()];
+        for round in 0..4u64 {
+            for i in 0..50 * round {
+                h.record(i * 131 % 70_000 + round);
+            }
+            cuts.push(h.snapshot());
         }
-        let first = h.drain();
-        assert_eq!(first.count, 4);
-        assert_eq!(first.max, 65_537);
-        assert_eq!(first.total, 3 + 3 + 900 + 65_537);
-        let second = h.drain();
-        assert_eq!(second, HistSnapshot::empty(), "drain must leave it empty");
-        h.record(7);
-        assert_eq!(h.drain().count, 1, "histogram usable again after drain");
+        let windows: Vec<HistSnapshot> = cuts.windows(2).map(|w| w[1].since(&w[0])).collect();
+        assert_eq!(
+            windows[0],
+            HistSnapshot::default(),
+            "nothing recorded in round 0"
+        );
+        assert_eq!(windows[1].count, 50);
+        let sum = HistSnapshot::merged(&windows);
+        let last = cuts.last().unwrap();
+        assert_eq!(
+            (sum.count, sum.total, &sum.buckets),
+            (last.count, last.total, &last.buckets)
+        );
+        for w in &windows {
+            assert_eq!(
+                w.max,
+                w.buckets.last().map_or(0, |b| b.0),
+                "max = top bucket floor"
+            );
+            assert!(w.max <= last.max);
+        }
     }
 
     #[test]
@@ -400,7 +368,7 @@ mod tests {
         }
         let snaps: Vec<HistSnapshot> = parts.iter().map(Histogram::snapshot).collect();
         assert_eq!(HistSnapshot::merged(&snaps), whole.snapshot());
-        assert_eq!(HistSnapshot::merged([]), HistSnapshot::empty());
+        assert_eq!(HistSnapshot::merged([]), HistSnapshot::default());
     }
 
     #[test]

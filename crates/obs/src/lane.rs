@@ -1,0 +1,129 @@
+//! The recorder lane: everything a recording thread counts, on lines no
+//! other lane's threads write.
+//!
+//! A [`crate::Recorder`] holds [`rtle_htm::lanes::LANES`] of these, one
+//! per [`rtle_htm::lanes::Block`], selected by `thread_key & (LANES - 1)`
+//! — the runtime passes [`rtle_htm::thread_token`], the simulator its
+//! logical thread ids. Every word in a lane is monotonic and bumped with
+//! an atomic read-modify-write, so threads beyond `LANES` share lanes at
+//! a cost in speed, never in exactness; a snapshot sums the lanes, and a
+//! telemetry window is the difference of two readings of them
+//! ([`crate::window`]). The lane's segments of the event and trace rings
+//! are [`crate::ring::Ring`]'s, selected by the same key.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::event::{AttemptEvent, Outcome, EXPLICIT_CODES, OUTCOMES, PATHS};
+use crate::hist::Histogram;
+use crate::window::WindowCounts;
+
+/// One thread's recording state. See the module docs.
+pub(crate) struct Lane {
+    commits: [AtomicU64; PATHS],
+    aborts: [AtomicU64; OUTCOMES],
+    explicit: [AtomicU64; EXPLICIT_CODES],
+    /// Critical-section latency of committed attempts.
+    pub cs_latency: Histogram,
+    /// Time the fallback lock was held per acquisition.
+    pub lock_hold: Histogram,
+    /// Attempts needed before an operation committed (0 = first try).
+    pub retries: Histogram,
+    /// End-to-end operation latency (intended start to completion when
+    /// the harness corrects for coordinated omission); what windows cut.
+    pub op_latency: Histogram,
+}
+
+impl Lane {
+    pub fn new() -> Lane {
+        Lane {
+            commits: Default::default(),
+            aborts: Default::default(),
+            explicit: Default::default(),
+            cs_latency: Histogram::new(),
+            lock_hold: Histogram::new(),
+            retries: Histogram::new(),
+            op_latency: Histogram::new(),
+        }
+    }
+
+    /// Counts one attempt event, once: the path's commit counter and the
+    /// critical-section and retry histograms on commit, the outcome's
+    /// abort counter (and the protocol code's) otherwise.
+    #[inline]
+    pub fn count(&self, ev: AttemptEvent) {
+        // ordering: monotonic statistics counters, no synchronization
+        // role; exact once the recording threads are quiet.
+        match ev.outcome {
+            Outcome::Commit => {
+                self.commits[ev.path.index()].fetch_add(1, Ordering::Relaxed);
+                self.cs_latency.record(ev.latency);
+                self.retries.record(ev.attempt as u64);
+            }
+            abort => {
+                self.aborts[abort.index()].fetch_add(1, Ordering::Relaxed);
+                if let Outcome::AbortExplicit(code) = abort {
+                    self.explicit[code as usize % EXPLICIT_CODES].fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// A reading of the lane's event counters and operation latencies.
+    /// Not atomic against concurrent recording, and it need not be: each
+    /// word is read once and only grows, so a racing sample is in this
+    /// reading or the next.
+    pub fn read(&self) -> WindowCounts {
+        // ordering: statistics reads, as in `count`.
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        WindowCounts {
+            commits: std::array::from_fn(|i| read(&self.commits[i])),
+            aborts: std::array::from_fn(|i| read(&self.aborts[i])),
+            explicit: std::array::from_fn(|i| read(&self.explicit[i])),
+            latency: self.op_latency.snapshot(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::PathKind;
+    use rtle_htm::lanes::{Block, PerLane, BLOCK_BYTES, LANES};
+
+    #[test]
+    fn a_lane_is_whole_blocks_with_its_histograms_inline() {
+        // Nothing a recording thread bumps is behind a pointer into memory
+        // another lane could share: the four 10 KiB bucket arrays are part
+        // of the lane, and the lane is padded out to whole blocks.
+        assert!(std::mem::size_of::<Lane>() > 4 * 1280 * 8);
+        assert_eq!(std::mem::size_of::<Block<Lane>>() % BLOCK_BYTES, 0);
+        assert_eq!(std::mem::align_of::<Block<Lane>>(), BLOCK_BYTES);
+    }
+
+    #[test]
+    fn an_event_is_counted_once_on_the_lane_its_key_selects() {
+        let lanes = PerLane::new(Lane::new);
+        let ev = |outcome| AttemptEvent {
+            path: PathKind::SlowHtm,
+            outcome,
+            attempt: 2,
+            latency: 70,
+        };
+        lanes.of(3).count(ev(Outcome::Commit));
+        lanes
+            .of(3 + LANES as u64)
+            .count(ev(Outcome::AbortExplicit(12)));
+        lanes.of(4).count(ev(Outcome::AbortNested));
+        let read: Vec<WindowCounts> = lanes.iter().map(Lane::read).collect();
+        assert_eq!(read[3].commits, [0, 1, 0]);
+        assert_eq!(read[3].aborts, [0, 0, 0, 1, 0, 0, 0]);
+        assert_eq!(read[3].explicit[12 % EXPLICIT_CODES], 1);
+        assert_eq!(read[4].aborts[Outcome::AbortNested.index()], 1);
+        assert_eq!(lanes.of(3).cs_latency.snapshot().count, 1);
+        assert_eq!(lanes.of(3).retries.snapshot().buckets, [(2, 1)]);
+        let untouched = read.iter().enumerate().filter(|&(i, _)| i != 3 && i != 4);
+        assert!(untouched
+            .into_iter()
+            .all(|(_, r)| *r == WindowCounts::default()));
+    }
+}

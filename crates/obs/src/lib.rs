@@ -9,25 +9,31 @@
 //! * **Attempt events** ([`AttemptEvent`]) — one record per retry-loop
 //!   pass (path, outcome, attempt index, critical-section latency),
 //!   packed into a single `u64` so recording is a tear-free relaxed
-//!   store, buffered in striped lock-free rings ([`EventRing`]).
+//!   store, buffered in a lock-free ring ([`EventRing`], the one-word
+//!   instance of [`ring::Ring`]).
 //! * **Histograms** ([`Histogram`]) — log-linear (HDR-style) with atomic
 //!   buckets, for critical-section latency, lock-hold time, and retry
-//!   counts; mergeable across threads.
+//!   counts; snapshots sum across threads and subtract across time.
 //! * **Recorder** ([`Recorder`]) — one shared object absorbs everything
 //!   and produces schema-versioned [`ObsSnapshot`]s, exported as JSON
-//!   ([`ObsSnapshot::to_json`]) or scraped live (below).
+//!   ([`ObsSnapshot::to_json`]) or scraped live (below). Everything a
+//!   recording thread writes — counters, histograms, its segments of the
+//!   event and trace rings — lives in the one lane its thread key
+//!   selects ([`rtle_htm::lanes::PerLane`]), on lines no other running
+//!   thread writes.
 //! * **Decision tracing** ([`AdaptDecision`]) — each adaptive FG-TLE
 //!   resize/collapse/re-enable with the slow-commit/abort window signal
 //!   that triggered it.
 //! * **Causal tracing** ([`Tracer`], gated behind the `trace` feature) —
-//!   per-thread span buffers for critical sections, path transitions,
+//!   per-lane span buffers for critical sections, path transitions,
 //!   write-flag sets, epoch bumps and adaptive decisions, exported as
 //!   Chrome `trace_event` JSON loadable in Perfetto.
 //! * **Windowed telemetry** ([`WindowCollector`], [`TimeSeries`]) —
-//!   epoch-rotated per-thread windows closed every N ms into a bounded
-//!   series of [`WindowSnapshot`]s (per-window p50/p99/p999 latency,
-//!   abort-cause rates, path-mix), giving tail-latency SLOs a time axis
-//!   that cumulative counters cannot provide.
+//!   every N ms the difference between two readings of the recorder's
+//!   monotonic lanes becomes one [`WindowSnapshot`] (per-window
+//!   p50/p99/p999 latency, abort-cause rates, path-mix) in a bounded
+//!   series, giving tail-latency SLOs a time axis that cumulative
+//!   counters cannot provide.
 //! * **Collapse watchdog** ([`Watchdog`]) — inspects each closed window
 //!   for collapse signatures (fallback-rate spike + commit-rate floor,
 //!   sustained conflict storms) and assembles a postmortem
@@ -54,6 +60,7 @@ pub mod epoch;
 pub mod event;
 pub mod hist;
 pub mod json;
+mod lane;
 pub mod live;
 pub mod recorder;
 pub mod registry;
@@ -67,6 +74,7 @@ pub use hist::{HistSnapshot, Histogram};
 pub use json::{parse as parse_json, Json};
 pub use live::LiveServer;
 pub use recorder::{ObsConfig, ObsSnapshot, Recorder, SCHEMA_VERSION};
+pub use ring::EventRing;
 pub use registry::{LiveSource, MetricsRegistry, SourceSnapshot, SCRAPE_WINDOW_TAIL};
 pub use trace::{TraceKind, TraceRecord, Tracer};
 pub use watchdog::{

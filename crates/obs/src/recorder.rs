@@ -6,20 +6,24 @@
 //! A recorder is shared behind an `Arc`: the lock runtime (or the
 //! simulator) holds one and feeds it from the hot path; the harness
 //! snapshots it at any time. Everything on the recording side is
-//! lock-free and `Relaxed` — a handful of fetch-adds and one ring store
-//! per *sampled* operation — except decision tracing, which is a
-//! mutex-guarded `Vec` because decisions happen at most once per
-//! adaptation window and always under the elided lock.
+//! lock-free, `Relaxed`, and lands in the recording thread's own lane
+//! (`lane.rs`) — a handful of fetch-adds on lines no other running
+//! thread writes, and one ring store per *sampled* operation — except
+//! decision tracing, which is a mutex-guarded `Vec` because decisions
+//! happen at most once per adaptation window and always under the elided
+//! lock.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::event::{AdaptDecision, AdaptAction, AttemptEvent, Outcome, PathKind};
-use crate::hist::{HistSnapshot, Histogram};
+use rtle_htm::lanes::PerLane;
+
+use crate::event::{AdaptAction, AdaptDecision, AttemptEvent, OUTCOME_LABELS, PATH_LABELS};
+use crate::hist::HistSnapshot;
 use crate::json::Json;
+use crate::lane::Lane;
 use crate::ring::EventRing;
 use crate::trace::{TraceKind, Tracer};
-use crate::window::{WindowCollector, WindowSnapshot};
+use crate::window::{WindowCollector, WindowCounts, WindowSnapshot};
 
 /// Version stamped into every exported snapshot. Bump on any
 /// backwards-incompatible change to the JSON layout.
@@ -29,63 +33,33 @@ use crate::window::{WindowCollector, WindowSnapshot};
 /// it). See the [`crate::json`] module docs for the migration policy.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Static configuration for a [`Recorder`].
+/// Static configuration for a [`Recorder`]. How many threads record is
+/// not part of it: the lanes and ring sizes are constants
+/// ([`rtle_htm::lanes::LANES`], [`EventRing`], [`Tracer`]).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Sample 1 in `2^sample_shift` operations for event/histogram
     /// recording. `0` records every operation; `4` records 1 in 16.
     pub sample_shift: u32,
-    /// Slots per ring stripe (rounded up to a power of two).
-    pub ring_capacity: usize,
-    /// Independent ring stripes (rounded up to a power of two). More
-    /// stripes means less cross-thread contention on the ring cursors.
-    pub stripes: usize,
     /// Unit of every latency value fed to this recorder: `"ns"` for the
     /// real runtime, `"cycles"` for the simulator. Purely descriptive —
     /// stamped into snapshots so downstream tooling never mixes units.
     pub latency_unit: &'static str,
-    /// Trace-ring stripes (rounded up to a power of two). Ignored when
-    /// the `trace` feature is off.
-    pub trace_stripes: usize,
-    /// Trace slots per stripe (rounded up to a power of two). Ignored
-    /// when the `trace` feature is off.
-    pub trace_capacity: usize,
     /// Windowed-telemetry period in milliseconds; `0` (the default)
-    /// disables the window collector entirely, keeping the hot path free
-    /// of even the forwarding branch's target.
+    /// disables the window collector.
     pub window_len_ms: u64,
     /// Closed windows retained in the bounded time series.
     pub window_series_cap: usize,
-    /// Window collector stripes (rounded up to a power of two); stripe
-    /// = `thread_key & (stripes - 1)`.
-    pub window_stripes: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             sample_shift: 0,
-            ring_capacity: 1024,
-            stripes: 8,
             latency_unit: "ns",
-            trace_stripes: 8,
-            trace_capacity: 4096,
             window_len_ms: 0,
             window_series_cap: 256,
-            window_stripes: 8,
         }
-    }
-}
-
-const PATHS: usize = 3;
-const OUTCOMES: usize = 7; // index = Outcome kind code; 0 is Commit (unused)
-const EXPLICIT_CODES: usize = 8;
-
-fn path_index(p: PathKind) -> usize {
-    match p {
-        PathKind::FastHtm => 0,
-        PathKind::SlowHtm => 1,
-        PathKind::Lock => 2,
     }
 }
 
@@ -94,38 +68,39 @@ fn path_index(p: PathKind) -> usize {
 pub struct Recorder {
     cfg: ObsConfig,
     sample_mask: u64,
+    /// Everything the recording threads count, one lane per thread.
+    lanes: Arc<PerLane<Lane>>,
     ring: EventRing,
-    /// Critical-section latency of committed attempts.
-    cs_latency: Histogram,
-    /// Time the fallback lock was held per acquisition.
-    lock_hold: Histogram,
-    /// Attempts needed before an operation committed (0 = first try).
-    retries: Histogram,
-    commits: [AtomicU64; PATHS],
-    aborts: [AtomicU64; OUTCOMES],
-    explicit_codes: [AtomicU64; EXPLICIT_CODES],
     decisions: Mutex<Vec<AdaptDecision>>,
     tracer: Tracer,
     windows: Option<WindowCollector>,
 }
 
+/// `(label, count)` pairs sorted by label — the order the JSON object
+/// form carries, so a snapshot compares equal after a round-trip.
+fn labelled(labels: &[&str], counts: &[u64]) -> Vec<(String, u64)> {
+    let mut pairs: Vec<(String, u64)> = labels
+        .iter()
+        .zip(counts)
+        .map(|(&l, &n)| (l.to_string(), n))
+        .collect();
+    pairs.sort();
+    pairs
+}
+
 impl Recorder {
     /// A recorder with the given configuration.
     pub fn new(cfg: ObsConfig) -> Recorder {
+        let lanes = Arc::new(PerLane::new(Lane::new));
         Recorder {
             sample_mask: (1u64 << cfg.sample_shift.min(63)) - 1,
-            ring: EventRing::new(cfg.stripes, cfg.ring_capacity),
-            cs_latency: Histogram::new(),
-            lock_hold: Histogram::new(),
-            retries: Histogram::new(),
-            commits: Default::default(),
-            aborts: Default::default(),
-            explicit_codes: Default::default(),
+            ring: EventRing::new(),
             decisions: Mutex::new(Vec::new()),
-            tracer: Tracer::new(cfg.trace_stripes, cfg.trace_capacity),
+            tracer: Tracer::new(),
             windows: (cfg.window_len_ms > 0).then(|| {
-                WindowCollector::new(cfg.window_len_ms, cfg.window_series_cap, cfg.window_stripes)
+                WindowCollector::over(Arc::clone(&lanes), cfg.window_len_ms, cfg.window_series_cap)
             }),
+            lanes,
             cfg,
         }
     }
@@ -157,48 +132,36 @@ impl Recorder {
         self.sample_mask + 1
     }
 
-    /// Records one attempt event: bumps the path/outcome counters, feeds
-    /// the retry and critical-section histograms on commit, and publishes
-    /// the packed event to the ring. `thread_key` picks the ring stripe.
+    /// Records one attempt event on the lane `thread_key` selects: counts
+    /// it once (windows are cut from the same counters, not fed a copy)
+    /// and publishes the packed event to the lane's ring segment.
     #[inline]
     pub fn record_attempt(&self, thread_key: u64, ev: AttemptEvent) {
-        match ev.outcome {
-            Outcome::Commit => {
-                self.commits[path_index(ev.path)].fetch_add(1, Relaxed);
-                self.cs_latency.record(ev.latency);
-                self.retries.record(ev.attempt as u64);
-            }
-            other => {
-                self.aborts[other.kind_index()].fetch_add(1, Relaxed);
-                if let Outcome::AbortExplicit(c) = other {
-                    self.explicit_codes[c as usize % EXPLICIT_CODES].fetch_add(1, Relaxed);
-                }
-            }
-        }
-        if let Some(w) = &self.windows {
-            w.record_attempt(thread_key, ev);
-        }
-        self.ring.push(thread_key, ev.pack());
+        self.lanes.of(thread_key).count(ev);
+        self.ring.push(thread_key, |_| [ev.pack()]);
     }
 
-    /// Records one end-to-end operation latency into the open telemetry
-    /// window (no-op without a window collector). Unlike attempt events
+    /// Records one end-to-end operation latency for the telemetry
+    /// windows (no-op without a window collector). Unlike attempt events
     /// this is fed for **every** operation, not just sampled ones —
     /// honest tail percentiles cannot be sampled — and the caller is
     /// expected to measure from the operation's *intended* start so the
     /// per-window p99/p999 are coordinated-omission-corrected.
     #[inline]
     pub fn record_op_latency(&self, thread_key: u64, latency_ns: u64) {
-        if let Some(w) = &self.windows {
-            w.record_latency(thread_key, latency_ns);
+        if self.windows.is_some() {
+            self.lanes.of(thread_key).op_latency.record(latency_ns);
         }
     }
 
     /// Records how long the fallback lock was held, in the recorder's
-    /// latency unit.
+    /// latency unit, on the calling thread's lane.
     #[inline]
     pub fn record_lock_hold(&self, duration: u64) {
-        self.lock_hold.record(duration);
+        self.lanes
+            .of(rtle_htm::thread_token())
+            .lock_hold
+            .record(duration);
     }
 
     /// Appends an adaptive-policy decision to the trace, stamped with the
@@ -228,58 +191,46 @@ impl Recorder {
         self.decisions.lock().unwrap().clone()
     }
 
-    /// A point-in-time snapshot of everything the recorder holds.
-    ///
-    /// Count lists are sorted by label — the same order the JSON object
-    /// form carries — so a snapshot compares equal after a round-trip.
+    /// The event counters summed over the lanes.
+    fn counts(&self) -> WindowCounts {
+        let mut sum = WindowCounts::default();
+        for lane in self.lanes.iter() {
+            sum.merge(&lane.read());
+        }
+        sum
+    }
+
+    /// One of the lanes' histograms, merged.
+    fn hist(&self, of: impl Fn(&Lane) -> HistSnapshot) -> HistSnapshot {
+        let parts: Vec<HistSnapshot> = self.lanes.iter().map(of).collect();
+        HistSnapshot::merged(&parts)
+    }
+
+    /// A point-in-time snapshot of everything the recorder holds. Reads
+    /// only: neither the counters nor the ring are reset.
     pub fn snapshot(&self) -> ObsSnapshot {
-        let mut commit_labels = [PathKind::FastHtm, PathKind::SlowHtm, PathKind::Lock];
-        commit_labels.sort_by_key(|p| p.label());
-        let outcome_labels = [
-            "commit",
-            "conflict",
-            "capacity",
-            "explicit",
-            "unsupported",
-            "nested",
-            "spurious",
-        ];
-        let mut aborts: Vec<(String, u64)> = outcome_labels
-            .iter()
-            .enumerate()
-            .skip(1) // index 0 is "commit", not an abort
-            .map(|(i, &l)| (l.to_string(), self.aborts[i].load(Relaxed)))
-            .collect();
-        aborts.sort();
+        let counts = self.counts();
         ObsSnapshot {
             schema_version: SCHEMA_VERSION,
             latency_unit: self.cfg.latency_unit.to_string(),
             sample_shift: self.cfg.sample_shift,
-            commits: commit_labels
-                .iter()
-                .map(|&p| {
-                    (
-                        p.label().to_string(),
-                        self.commits[path_index(p)].load(Relaxed),
-                    )
-                })
+            commits: labelled(&PATH_LABELS, &counts.commits),
+            // Slot 0 is "commit", not an abort.
+            aborts: labelled(&OUTCOME_LABELS[1..], &counts.aborts[1..]),
+            explicit_codes: (0u64..)
+                .zip(counts.explicit)
+                .filter(|&(_, n)| n > 0)
                 .collect(),
-            aborts,
-            explicit_codes: self
-                .explicit_codes
-                .iter()
-                .enumerate()
-                .filter_map(|(c, n)| {
-                    let n = n.load(Relaxed);
-                    (n > 0).then_some((c as u64, n))
-                })
-                .collect(),
-            cs_latency: self.cs_latency.snapshot(),
-            lock_hold: self.lock_hold.snapshot(),
-            retries: self.retries.snapshot(),
+            cs_latency: self.hist(|l| l.cs_latency.snapshot()),
+            lock_hold: self.hist(|l| l.lock_hold.snapshot()),
+            retries: self.hist(|l| l.retries.snapshot()),
             decisions: self.decisions(),
             events_recorded: self.ring.pushed(),
-            recent_events: self.ring.drain(),
+            recent_events: self
+                .ring
+                .resident()
+                .filter_map(|[word]| AttemptEvent::unpack(word))
+                .collect(),
             windows: self
                 .windows
                 .as_ref()
@@ -289,39 +240,27 @@ impl Recorder {
     }
 }
 
-/// Live scraping reads the same atomics as [`Recorder::snapshot`] but
-/// **non-destructively**: no ring drain, no counter reset, so a scrape
-/// every second cannot disturb the end-of-run export (and vice versa).
-/// Lives here rather than in `registry.rs` because it reads the
-/// recorder's private counter fields directly.
+/// Live scraping reads the same lanes as [`Recorder::snapshot`], and like
+/// it resets nothing, so a scrape every second cannot disturb the
+/// end-of-run export (and vice versa).
 impl crate::registry::LiveSource for Recorder {
     fn live_snapshot(&self) -> crate::registry::SourceSnapshot {
-        const PATH_LABELS: [&str; PATHS] = ["fast_htm", "slow_htm", "lock"];
-        const ABORT_LABELS: [&str; OUTCOMES] = [
-            "commit",
-            "conflict",
-            "capacity",
-            "explicit",
-            "unsupported",
-            "nested",
-            "spurious",
-        ];
+        let counts = self.counts();
         let mut counters: Vec<(String, u64)> = Vec::new();
-        for (i, label) in PATH_LABELS.iter().enumerate() {
-            counters.push((format!("commits_{label}"), self.commits[i].load(Relaxed)));
+        for (label, n) in PATH_LABELS.iter().zip(counts.commits) {
+            counters.push((format!("commits_{label}"), n));
         }
-        for (i, label) in ABORT_LABELS.iter().enumerate().skip(1) {
-            counters.push((format!("aborts_{label}"), self.aborts[i].load(Relaxed)));
+        for (label, n) in OUTCOME_LABELS.iter().zip(counts.aborts).skip(1) {
+            counters.push((format!("aborts_{label}"), n));
         }
-        for (c, n) in self.explicit_codes.iter().enumerate() {
-            let n = n.load(Relaxed);
+        for (c, n) in counts.explicit.into_iter().enumerate() {
             if n > 0 {
                 counters.push((format!("explicit_code_{c}"), n));
             }
         }
         counters.push(("events_recorded".into(), self.ring.pushed()));
-        let cs = self.cs_latency.snapshot();
-        let hold = self.lock_hold.snapshot();
+        let cs = self.hist(|l| l.cs_latency.snapshot());
+        let hold = self.hist(|l| l.lock_hold.snapshot());
         counters.push(("cs_latency_count".into(), cs.count));
         counters.push(("lock_hold_count".into(), hold.count));
         let mut gauges: Vec<(String, f64)> = vec![
@@ -334,9 +273,14 @@ impl crate::registry::LiveSource for Recorder {
         if let Some(w) = &self.windows {
             counters.push(("windows_closed".into(), w.epoch()));
             counters.push(("windows_dropped".into(), w.series_dropped()));
-            gauges.push(("window_len_ms".into(), (w.window_len_ns() / 1_000_000) as f64));
+            gauges.push((
+                "window_len_ms".into(),
+                (w.window_len_ns() / 1_000_000) as f64,
+            ));
             windows = w.series();
-            let tail = windows.len().saturating_sub(crate::registry::SCRAPE_WINDOW_TAIL);
+            let tail = windows
+                .len()
+                .saturating_sub(crate::registry::SCRAPE_WINDOW_TAIL);
             windows.drain(..tail);
         }
         crate::registry::SourceSnapshot {
@@ -345,22 +289,6 @@ impl crate::registry::LiveSource for Recorder {
             gauges,
             windows,
             labels: Vec::new(),
-        }
-    }
-}
-
-impl Outcome {
-    /// Index into the per-outcome abort counter array (1..=6; commit is 0
-    /// and never used as an abort index).
-    pub(crate) fn kind_index(self) -> usize {
-        match self {
-            Outcome::Commit => 0,
-            Outcome::AbortConflict => 1,
-            Outcome::AbortCapacity => 2,
-            Outcome::AbortExplicit(_) => 3,
-            Outcome::AbortUnsupported => 4,
-            Outcome::AbortNested => 5,
-            Outcome::AbortSpurious => 6,
         }
     }
 }
@@ -494,32 +422,6 @@ impl ObsSnapshot {
                 hot_slot,
             })
         }
-        fn attempt(j: &Json) -> Option<AttemptEvent> {
-            let path = match j.get("path")?.as_str()? {
-                "fast_htm" => PathKind::FastHtm,
-                "slow_htm" => PathKind::SlowHtm,
-                "lock" => PathKind::Lock,
-                _ => return None,
-            };
-            let outcome = match j.get("outcome")?.as_str()? {
-                "commit" => Outcome::Commit,
-                "conflict" => Outcome::AbortConflict,
-                "capacity" => Outcome::AbortCapacity,
-                "explicit" => {
-                    Outcome::AbortExplicit(j.get("abort_code")?.as_u64()? as u8)
-                }
-                "unsupported" => Outcome::AbortUnsupported,
-                "nested" => Outcome::AbortNested,
-                "spurious" => Outcome::AbortSpurious,
-                _ => return None,
-            };
-            Some(AttemptEvent {
-                path,
-                outcome,
-                attempt: j.get("attempt")?.as_u64()? as u8,
-                latency: j.get("latency")?.as_u64()?,
-            })
-        }
         Some(ObsSnapshot {
             schema_version: version,
             latency_unit: j.get("latency_unit")?.as_str()?.to_string(),
@@ -549,7 +451,7 @@ impl ObsSnapshot {
                 .get("recent_events")?
                 .as_arr()?
                 .iter()
-                .map(attempt)
+                .map(AttemptEvent::from_json)
                 .collect::<Option<Vec<_>>>()?,
             windows: j
                 .get("windows")?
@@ -559,13 +461,12 @@ impl ObsSnapshot {
                 .collect::<Option<Vec<_>>>()?,
         })
     }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::event::{Outcome, PathKind};
 
     fn commit(path: PathKind, attempt: u8, latency: u64) -> AttemptEvent {
         AttemptEvent {
@@ -665,7 +566,6 @@ mod tests {
         );
         let r = Recorder::new(ObsConfig {
             window_len_ms: 50,
-            window_stripes: 2,
             ..ObsConfig::default()
         });
         for i in 0..40u64 {
@@ -674,7 +574,15 @@ mod tests {
         }
         let rot = r.windows().expect("collector configured").rotate();
         assert_eq!(rot.merged.ops(), 40);
-        assert_eq!(rot.merged.counts.commits[0], 40, "attempts forwarded");
+        assert_eq!(
+            rot.merged.counts.commits[0], 40,
+            "windows are cut from the lanes"
+        );
+        assert_eq!(
+            r.snapshot().total_commits(),
+            40,
+            "which count each attempt once"
+        );
 
         let snap = r.snapshot();
         assert_eq!(snap.windows.len(), 1);
@@ -699,14 +607,21 @@ mod tests {
 
         let live1 = r.live_snapshot();
         let live2 = r.live_snapshot();
-        assert_eq!(live1.counters, live2.counters, "scrapes must not drain anything");
-        assert!(live1.counters.contains(&("commits_fast_htm".to_string(), 32)));
-        assert!(live1.counters.contains(&("events_recorded".to_string(), 32)));
+        assert_eq!(
+            live1.counters, live2.counters,
+            "scrapes must not drain anything"
+        );
+        assert!(live1
+            .counters
+            .contains(&("commits_fast_htm".to_string(), 32)));
+        assert!(live1
+            .counters
+            .contains(&("events_recorded".to_string(), 32)));
         assert_eq!(live1.windows.len(), 1);
         assert_eq!(live1.windows[0].ops(), 32);
 
-        // The destructive end-of-run snapshot still sees every resident
-        // ring event after any number of scrapes.
+        // The end-of-run snapshot still sees every resident ring event
+        // after any number of scrapes.
         let snap = r.snapshot();
         assert_eq!(snap.recent_events.len(), 32);
         assert_eq!(snap.total_commits(), 32);
@@ -747,11 +662,18 @@ mod tests {
                 })
             })
             .collect();
-        // Snapshot while writers are running: must never panic or tear.
+        // Snapshot while writers are running: must never panic, and every
+        // word it reads is a monotonic count bounded by the final one. The
+        // words are read one after another, not atomically, so equalities
+        // *between* them (cs_latency.count == commits) hold only at
+        // quiescence, below.
+        let mut last = 0;
         for _ in 0..20 {
             let s = r.snapshot();
-            assert!(s.total_commits() <= 8 * 8_000);
-            assert!(s.cs_latency.count == s.total_commits());
+            assert!(s.total_commits() >= last && s.total_commits() <= 8 * 8_000);
+            assert!(s.cs_latency.count <= 8 * 8_000 && s.retries.count <= 8 * 8_000);
+            assert!(s.total_aborts() <= 8 * 2_000 && s.events_recorded <= 8 * 10_000);
+            last = s.total_commits();
         }
         for t in threads {
             t.join().unwrap();
@@ -759,7 +681,60 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.total_commits(), 8 * 8_000);
         assert_eq!(s.total_aborts(), 8 * 2_000);
+        assert_eq!(s.cs_latency.count, s.total_commits());
         assert_eq!(s.retries.count, 8 * 8_000);
         assert_eq!(s.events_recorded, 8 * 10_000);
+    }
+
+    #[test]
+    fn logical_keys_beyond_the_lanes_keep_exact_books() {
+        // The simulator drives one recorder from one OS thread with its
+        // logical thread ids as keys; 36 of them share 16 lanes.
+        let r = Recorder::new(ObsConfig {
+            latency_unit: "cycles",
+            window_len_ms: 1_000,
+            ..ObsConfig::default()
+        });
+        for key in 0..36u64 {
+            for i in 0..=key {
+                r.record_attempt(key, commit(PathKind::SlowHtm, (i % 4) as u8, 10 * key + i));
+                r.record_op_latency(key, 1_000 + key);
+            }
+            r.record_attempt(
+                key,
+                AttemptEvent {
+                    path: PathKind::FastHtm,
+                    outcome: Outcome::AbortExplicit(key as u8),
+                    attempt: 0,
+                    latency: 0,
+                },
+            );
+            r.record_lock_hold(key);
+        }
+        let ops: u64 = (1..=36).sum();
+        let s = r.snapshot();
+        assert_eq!(s.total_commits(), ops);
+        assert_eq!(s.total_aborts(), 36);
+        assert_eq!(s.explicit_codes.iter().map(|&(_, n)| n).sum::<u64>(), 36);
+        assert_eq!(
+            (s.cs_latency.count, s.retries.count, s.lock_hold.count),
+            (ops, ops, 36)
+        );
+        assert_eq!(
+            s.cs_latency.max,
+            10 * 35 + 35,
+            "the cumulative maximum is exact"
+        );
+        assert_eq!(s.events_recorded, ops + 36);
+        assert_eq!(
+            s.recent_events.len() as u64,
+            ops + 36,
+            "no lane segment wrapped"
+        );
+        let w = r.windows().unwrap().rotate().merged;
+        assert_eq!(
+            (w.counts.total_commits(), w.counts.total_aborts(), w.ops()),
+            (ops, 36, ops)
+        );
     }
 }

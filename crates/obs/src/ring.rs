@@ -1,175 +1,203 @@
-//! A striped, lock-free, bounded ring of packed events.
+//! A lock-free, bounded ring of packed records, one segment per lane.
 //!
-//! The hot path pushes one `u64` per sampled attempt; the ring must never
-//! block, allocate, or serialize writers. Each *stripe* is an independent
-//! power-of-two circular buffer with its own wrapping cursor; a writer
-//! picks a stripe by hashing its thread id, does one `fetch_add` to claim
-//! a slot and one `Relaxed` store to publish the packed word. Old events
-//! are overwritten — the ring keeps the most recent `capacity` events per
-//! stripe, which is the right shape for "what just happened" diagnostics.
+//! The hot path pushes one record per sampled attempt (one word) or trace
+//! span (two words); the ring must never block, allocate, or serialize
+//! writers. [`Ring<W, N>`] is [`rtle_htm::lanes::LANES`] segments of `N`
+//! slots of `W` words, each segment — wrapping cursor and slots — alone
+//! in its own [`rtle_htm::lanes::Block`]s: a writer claims a slot of its
+//! lane's segment with one `fetch_add` and stores the words, on lines no
+//! other lane's writers touch. Old records are overwritten — a segment
+//! keeps its most recent `N`, which is the right shape for "what just
+//! happened" diagnostics.
 //!
-//! Reads are racy by design: a drain sees whatever packed words are
-//! published at that instant. Because an event is a single word with a
-//! valid bit ([`crate::event::AttemptEvent::pack`]), a racy read yields
-//! either a complete event or an empty slot, never a torn one.
+//! Reads are racy by design. Word 0 of a record carries a valid bit and is
+//! stored **last**, so a one-word record ([`crate::event::AttemptEvent`])
+//! reads back complete or empty, never torn; a wider record
+//! ([`crate::trace::TraceRecord`]) additionally packs the slot's
+//! *generation* — how often the segment had wrapped when the slot was
+//! claimed, handed to the packing closure — into every word, and its
+//! decoder rejects a slot whose words disagree.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::AttemptEvent;
+use rtle_htm::lanes::PerLane;
 
-/// Line-aligned so adjacent stripes' cursors never false-share: each
-/// sampled push does a `fetch_add` on its stripe's cursor, and stripes
-/// exist precisely so writers on different threads do not contend.
-#[repr(align(64))]
-struct Stripe {
+struct Segment<const W: usize, const N: usize> {
     cursor: AtomicU64,
-    slots: Box<[AtomicU64]>,
+    slots: [[AtomicU64; W]; N],
 }
 
-impl Stripe {
-    fn new(capacity: usize) -> Stripe {
-        Stripe {
-            cursor: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+/// A bounded multi-writer ring of `W`-word records, `N` slots per lane.
+/// See the module docs.
+pub struct Ring<const W: usize, const N: usize> {
+    lanes: PerLane<Segment<W, N>>,
+}
+
+/// The recorder's attempt-event ring: one-word records, 8192 slots over
+/// the 16 lanes.
+pub type EventRing = Ring<1, 512>;
+
+impl<const W: usize, const N: usize> Ring<W, N> {
+    const MASK: usize = {
+        assert!(W > 0 && N.is_power_of_two());
+        N - 1
+    };
+
+    /// An empty ring.
+    pub fn new() -> Self {
+        Ring {
+            lanes: PerLane::new(|| Segment {
+                cursor: AtomicU64::new(0),
+                slots: [const { [const { AtomicU64::new(0) }; W] }; N],
+            }),
         }
     }
 
+    /// Publishes one record to the segment of the lane `thread_key`
+    /// selects. `pack` is handed the claimed slot's generation.
     #[inline]
-    fn push(&self, word: u64) {
-        let at = self.cursor.fetch_add(1, Relaxed) as usize & (self.slots.len() - 1);
-        self.slots[at].store(word, Relaxed);
-    }
-}
-
-/// A bounded multi-writer event ring. See the module docs.
-pub struct EventRing {
-    stripes: Box<[Stripe]>,
-}
-
-impl EventRing {
-    /// A ring with `stripes` independent buffers of `capacity` slots
-    /// each. Both are rounded up to powers of two (minimum 1 stripe,
-    /// 8 slots).
-    pub fn new(stripes: usize, capacity: usize) -> EventRing {
-        let stripes = stripes.max(1).next_power_of_two();
-        let capacity = capacity.max(8).next_power_of_two();
-        EventRing {
-            stripes: (0..stripes).map(|_| Stripe::new(capacity)).collect(),
+    pub fn push(&self, thread_key: u64, pack: impl FnOnce(u64) -> [u64; W]) {
+        let seg = self.lanes.of(thread_key);
+        // ordering: the cursor only hands out slots and the words are
+        // self-validating (module docs); nothing is published through them.
+        let claim = seg.cursor.fetch_add(1, Ordering::Relaxed);
+        let slot = &seg.slots[claim as usize & Self::MASK];
+        let words = pack(claim / N as u64);
+        for (cell, word) in slot.iter().zip(words).rev() {
+            cell.store(word, Ordering::Relaxed);
         }
     }
 
-    /// Total slots across all stripes.
-    pub fn capacity(&self) -> usize {
-        self.stripes.len() * self.stripes[0].slots.len()
-    }
-
-    /// Publishes a packed event word to the stripe for `thread_key`
-    /// (any per-thread value; callers hash a thread id once and reuse it).
-    #[inline]
-    pub fn push(&self, thread_key: u64, word: u64) {
-        let s = rtle_htm::hash::wang_mix64(thread_key) as usize & (self.stripes.len() - 1);
-        self.stripes[s].push(word);
-    }
-
-    /// Number of events published so far (monotone; includes
+    /// Number of records published so far (monotone; includes
     /// overwritten ones).
     pub fn pushed(&self) -> u64 {
-        self.stripes.iter().map(|s| s.cursor.load(Relaxed)).sum()
+        // ordering: statistics read.
+        self.lanes
+            .iter()
+            .map(|seg| seg.cursor.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Collects the currently resident events, oldest-first within each
-    /// stripe. Racy with concurrent pushes (see module docs).
-    pub fn drain(&self) -> Vec<AttemptEvent> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            let n = stripe.slots.len();
-            let cur = stripe.cursor.load(Relaxed) as usize;
-            // Start at the oldest resident slot: `cur` is the next write
-            // position, so `cur..cur+n` (mod n) is oldest..newest once the
-            // stripe has wrapped, and skipping empty slots handles the
-            // pre-wrap prefix.
-            for i in 0..n {
-                let word = stripe.slots[(cur + i) & (n - 1)].load(Relaxed);
-                if let Some(ev) = AttemptEvent::unpack(word) {
-                    out.push(ev);
-                }
-            }
-        }
-        out
+    /// The words of every slot, lane by lane and oldest-first within a
+    /// lane. Racy with concurrent pushes; never-written slots read as
+    /// zeros, and the record's decoder tells those and torn slots apart
+    /// from records (module docs).
+    pub fn resident(&self) -> impl Iterator<Item = [u64; W]> + '_ {
+        self.lanes.iter().flat_map(|seg| {
+            // `cur` is the next write position, so `cur..cur+n` (mod n) is
+            // oldest..newest once the segment has wrapped.
+            // ordering: racy diagnostic reads, as in `push`.
+            let cur = seg.cursor.load(Ordering::Relaxed) as usize;
+            (0..N).map(move |i| {
+                let slot = &seg.slots[(cur + i) & Self::MASK];
+                std::array::from_fn(|w| slot[w].load(Ordering::Relaxed))
+            })
+        })
+    }
+}
+
+impl<const W: usize, const N: usize> Default for Ring<W, N> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Outcome, PathKind};
+    use rtle_htm::lanes::LANES;
     use std::sync::Arc;
 
-    fn ev(attempt: u8, latency: u64) -> AttemptEvent {
-        AttemptEvent {
-            path: PathKind::FastHtm,
-            outcome: Outcome::Commit,
-            attempt,
-            latency,
-        }
+    const VALID: u64 = 1 << 63;
+
+    /// A test record: every word carries the valid bit, the low 7 bits of
+    /// the slot generation and the same 48-bit payload.
+    fn words<const W: usize>(generation: u64, payload: u64) -> [u64; W] {
+        [VALID | (generation & 0x7f) << 48 | payload; W]
     }
 
-    #[test]
-    fn keeps_most_recent_when_overflowing() {
-        let ring = EventRing::new(1, 8);
+    /// The payload of a slot whose words all agree; `None` for an empty or
+    /// torn slot.
+    fn payload<const W: usize>(slot: [u64; W]) -> Option<u64> {
+        (slot[0] & VALID != 0 && slot.iter().all(|&w| w == slot[0]))
+            .then_some(slot[0] & ((1 << 48) - 1))
+    }
+
+    fn keeps_most_recent_when_overflowing<const W: usize>() {
+        let ring = Ring::<W, 8>::new();
         for i in 0..20u64 {
-            ring.push(0, ev(0, i).pack());
+            ring.push(3, |g| words(g, i));
         }
-        let events = ring.drain();
-        assert_eq!(events.len(), 8);
-        let latencies: Vec<u64> = events.iter().map(|e| e.latency).collect();
-        assert_eq!(latencies, (12..20).collect::<Vec<_>>(), "oldest-first, most recent kept");
-        assert_eq!(ring.pushed(), 20);
+        ring.push(4, |g| words(g, 77));
+        let kept: Vec<u64> = ring.resident().filter_map(payload).collect();
+        let mut expected: Vec<u64> = (12..20).collect();
+        expected.push(77);
+        assert_eq!(kept, expected, "lane order, oldest-first, most recent kept");
+        assert_eq!(ring.pushed(), 21);
+        assert_eq!(ring.resident().count(), 8 * LANES, "every slot is visited");
     }
 
-    #[test]
-    fn partial_fill_returns_only_written() {
-        let ring = EventRing::new(2, 16);
-        ring.push(1, ev(3, 77).pack());
-        ring.push(2, ev(5, 99).pack());
-        let events = ring.drain();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().any(|e| e.latency == 77 && e.attempt == 3));
-        assert!(events.iter().any(|e| e.latency == 99 && e.attempt == 5));
-    }
-
-    #[test]
-    fn rounds_capacity_to_power_of_two() {
-        let ring = EventRing::new(3, 100);
-        assert_eq!(ring.capacity(), 4 * 128);
-    }
-
-    #[test]
-    fn concurrent_pushes_never_tear() {
-        let ring = Arc::new(EventRing::new(4, 64));
+    fn concurrent_pushes_never_tear<const W: usize>() {
+        let ring = Arc::new(Ring::<W, 64>::new());
         let threads: Vec<_> = (0..8u64)
             .map(|t| {
                 let ring = Arc::clone(&ring);
                 std::thread::spawn(move || {
                     for i in 0..5_000u64 {
-                        // Encode thread & sequence so any torn word would
-                        // decode to an impossible combination.
-                        ring.push(t, ev((t as u8) * 8, i).pack());
+                        // Two writers per lane: thread and sequence in the
+                        // payload, so a torn slot that slipped through
+                        // would decode to an impossible combination.
+                        ring.push(t % 4, |g| words(g, t << 32 | i));
                     }
                 })
             })
             .collect();
-        // Drain concurrently while writers run.
+        // Read concurrently while writers run.
         for _ in 0..50 {
-            for e in ring.drain() {
-                assert!(e.attempt % 8 == 0 && e.attempt < 64);
-                assert!(e.latency < 5_000);
+            for p in ring.resident().filter_map(payload) {
+                assert!(p >> 32 < 8 && p & 0xffff_ffff < 5_000, "torn record {p:#x}");
             }
         }
         for t in threads {
             t.join().unwrap();
         }
         assert_eq!(ring.pushed(), 8 * 5_000);
-        assert!(!ring.drain().is_empty());
+        assert_eq!(ring.resident().filter_map(payload).count(), 4 * 64);
+    }
+
+    #[test]
+    fn both_slot_widths_keep_the_most_recent_records() {
+        keeps_most_recent_when_overflowing::<1>();
+        keeps_most_recent_when_overflowing::<2>();
+    }
+
+    #[test]
+    fn both_slot_widths_never_yield_torn_records() {
+        concurrent_pushes_never_tear::<1>();
+        concurrent_pushes_never_tear::<2>();
+    }
+
+    #[test]
+    fn partial_fill_returns_only_written() {
+        let ring = EventRing::new();
+        ring.push(1, |_| [VALID | 77]);
+        ring.push(2, |_| [VALID | 99]);
+        let written: Vec<[u64; 1]> = ring.resident().filter(|w| w[0] != 0).collect();
+        assert_eq!(written, [[VALID | 77], [VALID | 99]]);
+    }
+
+    #[test]
+    fn the_generation_counts_wraps_of_the_lane_segment() {
+        let ring = Ring::<2, 8>::new();
+        let mut seen = Vec::new();
+        for _ in 0..17 {
+            ring.push(5, |g| {
+                seen.push(g);
+                [VALID, 0]
+            });
+        }
+        assert_eq!(seen[..8], [0; 8]);
+        assert_eq!(seen[8..16], [1; 8]);
+        assert_eq!(seen[16], 2);
     }
 }

@@ -4,18 +4,20 @@
 //! Counters (the rest of this crate) answer *how often*; this module
 //! answers *when* and *in what order* — which lock-holder span a burst of
 //! slow-path commits overlapped, when the write flag went up, where the
-//! adaptive policy resized. Events are recorded into striped bounded
-//! rings (the [`crate::ring::EventRing`] shape) and exported as Chrome
-//! `trace_event` JSON that loads directly in Perfetto.
+//! adaptive policy resized. Events are recorded into the two-word
+//! instance of [`crate::ring::Ring`] (the attempt-event ring is the
+//! one-word instance), in the segment of the lane the record's thread id
+//! selects, and exported as Chrome `trace_event` JSON that loads directly
+//! in Perfetto.
 //!
 //! A trace record needs more bits than an attempt event (timestamp +
 //! duration + argument), so it packs into **two** `u64` words instead of
 //! one. Torn reads are detected with a 7-bit *generation tag* stored in
-//! both words: a writer claims a slot, writes word 1, then word 0 (which
-//! carries the valid bit); a racy drain accepts a pair only when both
-//! tags match. A tag collision needs the same slot to be mid-overwrite
-//! exactly 128 generations apart — acceptable for a diagnostics buffer,
-//! and impossible once writers have quiesced.
+//! both words: the ring stores word 1, then word 0 (which carries the
+//! valid bit); a racy drain accepts a pair only when both tags match. A
+//! tag collision needs the same slot to be mid-overwrite exactly 128
+//! generations apart — acceptable for a diagnostics buffer, and
+//! impossible once writers have quiesced.
 //!
 //! ```text
 //! word 0: bit 63     valid
@@ -212,91 +214,20 @@ impl TraceRecord {
     }
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::{TraceRecord, TAG_MASK};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    pub(super) struct TraceStripe {
-        cursor: AtomicU64,
-        /// `2 * capacity` words: slot `i` occupies words `2i` and `2i+1`.
-        words: Box<[AtomicU64]>,
-    }
-
-    impl TraceStripe {
-        pub(super) fn new(capacity: usize) -> TraceStripe {
-            TraceStripe {
-                cursor: AtomicU64::new(0),
-                words: (0..2 * capacity).map(|_| AtomicU64::new(0)).collect(),
-            }
-        }
-
-        #[inline]
-        pub(super) fn push(&self, rec: TraceRecord) {
-            let cap = self.words.len() / 2;
-            let claim = self.cursor.fetch_add(1, Relaxed);
-            let at = (claim as usize & (cap - 1)) * 2;
-            // The generation tag is the wrap count: two writers racing on
-            // the same slot are `cap` claims apart, so their tags differ.
-            let (w0, w1) = rec.pack((claim / cap as u64) & TAG_MASK);
-            // Word 1 first, then word 0 (the valid bit): a drain that
-            // sees the new w0 with the old w1 rejects on tag mismatch.
-            self.words[at + 1].store(w1, Relaxed);
-            self.words[at].store(w0, Relaxed);
-        }
-
-        pub(super) fn pushed(&self) -> u64 {
-            self.cursor.load(Relaxed)
-        }
-
-        pub(super) fn drain_into(&self, out: &mut Vec<TraceRecord>) {
-            let cap = self.words.len() / 2;
-            let cur = self.cursor.load(Relaxed) as usize;
-            for i in 0..cap {
-                let at = ((cur + i) & (cap - 1)) * 2;
-                let w0 = self.words[at].load(Relaxed);
-                let w1 = self.words[at + 1].load(Relaxed);
-                if let Some(rec) = TraceRecord::unpack(w0, w1) {
-                    out.push(rec);
-                }
-            }
-        }
-    }
-}
-
-/// Records [`TraceRecord`]s into striped bounded rings. With the `trace`
-/// feature off this is a zero-sized type whose methods do nothing — see
-/// the module docs.
+/// Records [`TraceRecord`]s into a bounded ring of 32768 slots (2048 per
+/// lane).
+/// With the `trace` feature off this is a zero-sized type whose methods
+/// do nothing — see the module docs.
+#[derive(Default)]
 pub struct Tracer {
     #[cfg(feature = "trace")]
-    stripes: Box<[imp::TraceStripe]>,
-}
-
-#[cfg(feature = "trace")]
-fn epoch_instant() -> std::time::Instant {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-    *EPOCH.get_or_init(std::time::Instant::now)
+    ring: crate::ring::Ring<2, 2048>,
 }
 
 impl Tracer {
-    /// A tracer with `stripes` independent rings of `capacity` slots each
-    /// (both rounded up to powers of two). With the feature off the
-    /// arguments are ignored.
-    pub fn new(stripes: usize, capacity: usize) -> Tracer {
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (stripes, capacity);
-            Tracer {}
-        }
-        #[cfg(feature = "trace")]
-        {
-            let stripes = stripes.max(1).next_power_of_two();
-            let capacity = capacity.max(8).next_power_of_two();
-            Tracer {
-                stripes: (0..stripes).map(|_| imp::TraceStripe::new(capacity)).collect(),
-            }
-        }
+    /// An empty tracer.
+    pub fn new() -> Tracer {
+        Tracer::default()
     }
 
     /// Whether this build records traces (`trace` feature on).
@@ -305,18 +236,16 @@ impl Tracer {
         cfg!(feature = "trace")
     }
 
-    /// Nanoseconds since the tracer's process-wide epoch (first call).
+    /// Nanoseconds since the process epoch ([`crate::epoch`]) — the
+    /// timebase of window starts, flight records and live scrapes.
     /// Returns 0 with the feature off — callers gate on [`Self::enabled`]
     /// so the clock read itself is compiled out.
     #[inline]
     pub fn now(&self) -> u64 {
-        #[cfg(not(feature = "trace"))]
-        {
+        if cfg!(feature = "trace") {
+            crate::epoch::now_ns()
+        } else {
             0
-        }
-        #[cfg(feature = "trace")]
-        {
-            epoch_instant().elapsed().as_nanos() as u64
         }
     }
 
@@ -362,8 +291,10 @@ impl Tracer {
     #[cfg(feature = "trace")]
     #[inline]
     fn push(&self, rec: TraceRecord) {
-        let s = rtle_htm::hash::wang_mix64(rec.tid as u64) as usize & (self.stripes.len() - 1);
-        self.stripes[s].push(rec);
+        self.ring.push(rec.tid as u64, |generation| {
+            let (w0, w1) = rec.pack(generation);
+            [w0, w1]
+        });
     }
 
     /// Total records published (monotone; includes overwritten ones).
@@ -375,7 +306,7 @@ impl Tracer {
         }
         #[cfg(feature = "trace")]
         {
-            self.stripes.iter().map(|s| s.pushed()).sum()
+            self.ring.pushed()
         }
     }
 
@@ -389,10 +320,11 @@ impl Tracer {
         }
         #[cfg(feature = "trace")]
         {
-            let mut out = Vec::new();
-            for s in self.stripes.iter() {
-                s.drain_into(&mut out);
-            }
+            let mut out: Vec<TraceRecord> = self
+                .ring
+                .resident()
+                .filter_map(|[w0, w1]| TraceRecord::unpack(w0, w1))
+                .collect();
             out.sort_by_key(|r| (r.ts, r.tid, r.dur));
             out
         }
@@ -405,14 +337,20 @@ impl Tracer {
 /// trace_event unit) as fractional values, and the exact raw values ride
 /// along under `args` so tools can round-trip losslessly.
 pub fn chrome_event(rec: &TraceRecord, pid: u64) -> Json {
-    let mut args = vec![("raw_ts", Json::UInt(rec.ts)), ("raw_dur", Json::UInt(rec.dur))];
+    let mut args = vec![
+        ("raw_ts", Json::UInt(rec.ts)),
+        ("raw_dur", Json::UInt(rec.dur)),
+    ];
     if rec.arg != 0 || !rec.kind.is_span() {
         args.push(("arg", Json::UInt(rec.arg)));
     }
     let mut pairs = vec![
         ("name", Json::Str(rec.kind.label().into())),
         ("cat", Json::Str("rtle".into())),
-        ("ph", Json::Str(if rec.kind.is_span() { "X" } else { "i" }.into())),
+        (
+            "ph",
+            Json::Str(if rec.kind.is_span() { "X" } else { "i" }.into()),
+        ),
         ("ts", Json::Num(rec.ts as f64 / 1_000.0)),
         ("pid", Json::UInt(pid)),
         ("tid", Json::UInt(rec.tid as u64)),
@@ -423,7 +361,14 @@ pub fn chrome_event(rec: &TraceRecord, pid: u64) -> Json {
     } else {
         pairs.push((
             "s",
-            Json::Str(if rec.kind.is_process_scoped() { "p" } else { "t" }.into()),
+            Json::Str(
+                if rec.kind.is_process_scoped() {
+                    "p"
+                } else {
+                    "t"
+                }
+                .into(),
+            ),
         ));
     }
     Json::obj(pairs)
@@ -526,7 +471,13 @@ mod tests {
     use super::*;
 
     fn rec(tid: u16, kind: TraceKind, ts: u64, dur: u64, arg: u64) -> TraceRecord {
-        TraceRecord { tid, kind, ts, dur, arg }
+        TraceRecord {
+            tid,
+            kind,
+            ts,
+            dur,
+            arg,
+        }
     }
 
     #[test]
@@ -611,7 +562,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert_when_feature_off() {
-        let t = Tracer::new(4, 64);
+        let t = Tracer::new();
         t.span_ending_now(0, TraceKind::FastCommit, 10, 0);
         t.instant_now(0, TraceKind::EpochBump, 3);
         if !t.enabled() {
@@ -630,7 +581,7 @@ mod tests {
 
         #[test]
         fn records_spans_and_instants() {
-            let t = Tracer::new(2, 128);
+            let t = Tracer::new();
             assert!(t.enabled());
             t.span_at(3, TraceKind::LockHeld, 1_000, 500, 0);
             t.span_at(4, TraceKind::SlowCommit, 1_100, 50, 0);
@@ -645,39 +596,57 @@ mod tests {
         }
 
         #[test]
-        fn span_ending_now_uses_the_monotonic_epoch() {
-            let t = Tracer::new(1, 16);
-            let before = t.now();
+        fn span_ending_now_is_stamped_on_the_process_epoch() {
+            // Pin the epoch well before the tracer exists: a tracer with a
+            // private epoch would stamp its first span near zero.
+            let pinned = crate::epoch::now_ns();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let t = Tracer::new();
+            let before = crate::epoch::now_ns();
+            assert!(before >= pinned + 20_000_000);
             t.span_ending_now(0, TraceKind::FastCommit, 5, 0);
+            let after = crate::epoch::now_ns();
             let r = t.drain();
             assert_eq!(r.len(), 1);
             assert_eq!(r[0].dur, 5);
-            assert!(r[0].ts + 5 >= before, "ends at-or-after the pre-read clock");
+            assert!(
+                r[0].ts + 5 >= before && r[0].ts + 5 <= after,
+                "span ends at {} on the epoch clock, outside [{before}, {after}]",
+                r[0].ts + 5
+            );
         }
 
         #[test]
-        fn overwrites_keep_most_recent() {
-            let t = Tracer::new(1, 8);
-            for i in 0..50u64 {
+        fn a_tid_keeps_its_lane_segments_most_recent_records() {
+            let t = Tracer::new();
+            for i in 0..5_000u64 {
                 t.span_at(0, TraceKind::FastCommit, i, 1, 0);
             }
+            t.span_at(1, TraceKind::SlowCommit, 9_999, 1, 0);
             let r = t.drain();
-            assert_eq!(r.len(), 8);
-            assert_eq!(r.iter().map(|x| x.ts).collect::<Vec<_>>(), (42..50).collect::<Vec<_>>());
-            assert_eq!(t.recorded(), 50);
+            assert_eq!(
+                r.len(),
+                2048 + 1,
+                "one lane segment of tid 0, one record of tid 1"
+            );
+            assert_eq!(r[0].ts, 5_000 - 2048);
+            assert_eq!(r.last().unwrap().tid, 1);
+            assert_eq!(t.recorded(), 5_001);
         }
 
         #[test]
         fn concurrent_pushes_never_yield_torn_records() {
-            let t = Arc::new(Tracer::new(2, 64));
+            let t = Arc::new(Tracer::new());
             let threads: Vec<_> = (0..8u64)
                 .map(|id| {
                     let t = Arc::clone(&t);
                     std::thread::spawn(move || {
-                        for i in 0..5_000u64 {
-                            // tid and arg agree so a torn pair that slipped
-                            // through would decode to an impossible record.
-                            t.span_at(id, TraceKind::SlowCommit, i, i & 0xff, id);
+                        for i in 0..20_000u64 {
+                            // Four tids, so two writers per lane segment;
+                            // thread and `i` ride in both words, so a torn
+                            // pair that slipped through the generation tag
+                            // would decode to an impossible record.
+                            t.span_at(id % 4, TraceKind::SlowCommit, i << 3 | id, i, id);
                         }
                     })
                 })
@@ -685,14 +654,14 @@ mod tests {
             for _ in 0..50 {
                 for r in t.drain() {
                     assert_eq!(r.kind, TraceKind::SlowCommit);
-                    assert_eq!(r.arg, r.tid as u64);
-                    assert!(r.ts < 5_000);
+                    assert_eq!((r.ts & 7, r.ts >> 3), (r.arg, r.dur), "torn {r:?}");
+                    assert_eq!(r.arg % 4, r.tid as u64);
                 }
             }
             for th in threads {
                 th.join().unwrap();
             }
-            assert_eq!(t.recorded(), 8 * 5_000);
+            assert_eq!(t.recorded(), 8 * 20_000);
         }
     }
 }

@@ -1,117 +1,46 @@
-//! Windowed telemetry: epoch-rotated per-thread counters and latency
-//! histograms, snapshotted into a bounded time series.
+//! Windowed telemetry: successive differences of the recorder's
+//! monotonic lanes, kept as a bounded time series.
 //!
 //! Cumulative counters answer "how did the run go overall"; they cannot
 //! show a 50 ms lemming collapse or a pessimistic-audit stall, because
 //! the healthy minutes around the incident average it away. This module
-//! adds the time dimension: writers record into the **open** window
-//! lock-free, a rotator closes the window every N milliseconds, and each
-//! closed window becomes a [`WindowSnapshot`] (per-window p50/p99/p999
-//! latency, abort-cause rates, path-mix) in a bounded [`TimeSeries`]
-//! ring.
+//! adds the time dimension: a rotator closes a window every N
+//! milliseconds, and each closed window becomes a [`WindowSnapshot`]
+//! (per-window p50/p99/p999 latency, abort-cause rates, path-mix) in a
+//! bounded [`TimeSeries`] ring.
 //!
-//! # Rotation protocol (no lost samples)
+//! # A window is a difference of two readings
 //!
-//! Each stripe holds **two** phase buffers; writers pick the buffer by
-//! the low bit of a global window epoch. Rotation is:
+//! Writers never know about windows: they bump their recorder lane
+//! (`lane.rs`), whose words only grow. A rotation reads every lane
+//! ([`WindowCounts`]), subtracts the reading that opened the window
+//! ([`WindowCounts::since`]), and keeps the new reading to open the next
+//! one — the technique of every `since` in this workspace. Nothing is
+//! reset, so nothing can be lost or counted twice: each word's window
+//! values telescope, and `sum(all windows) == cumulative` holds word for
+//! word once writers quiesce. A sample racing a rotation lands in this
+//! window or the next (its bucket and its value sum possibly one window
+//! apart, which skews two window means by that one sample). Rotations
+//! are serialized by one mutex, off the hot path; a rotation writes
+//! nothing a recording thread reads or writes.
 //!
-//! 1. `epoch.fetch_add(1, AcqRel)` — new samples start landing in the
-//!    other phase buffer;
-//! 2. drain the just-retired phase with `swap(0)` per counter/bucket
-//!    ([`crate::hist::Histogram::drain`]).
-//!
-//! A writer that read the old epoch just before the flip may still
-//! increment the retired buffer *after* the drain; the swap guarantees
-//! that increment is collected by the **next** drain of that phase (two
-//! rotations later). Samples can therefore be attributed one window
-//! late under a race, but are never lost and never double-counted —
-//! `sum(all windows) == sum(all records)` once writers quiesce. The
-//! stress test `tests/window_stress.rs` pounds this invariant with 8
-//! writers across hundreds of flips.
-//!
-//! Stripes are selected directly by `thread_key & (stripes - 1)` (unlike
-//! the event ring's hashed striping) so a harness that hands out dense
-//! thread keys gets per-thread buffers, and tests can address stripes
-//! deterministically.
+//! `tests/window_stress.rs` checks the telescoping under 8 writers and a
+//! 1 ms rotator.
 
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{AcqRel, Relaxed},
-};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
-use crate::event::{AttemptEvent, Outcome, PathKind};
-use crate::hist::{HistSnapshot, Histogram};
+use rtle_htm::lanes::PerLane;
+
+use crate::event::{AttemptEvent, EXPLICIT_CODES, OUTCOMES, OUTCOME_LABELS, PATHS, PATH_LABELS};
+use crate::hist::HistSnapshot;
 use crate::json::Json;
+use crate::lane::Lane;
 
-/// Execution paths (indexes match [`PathKind`] order).
-const PATHS: usize = 3;
-/// Outcome kinds (index = `Outcome::kind_index`; 0 is commit, unused).
-const OUTCOMES: usize = 7;
-/// Explicit-abort protocol codes tracked per window.
-const EXPLICIT_CODES: usize = 8;
-
-const PATH_LABELS: [&str; PATHS] = ["fast_htm", "slow_htm", "lock"];
-const ABORT_LABELS: [&str; OUTCOMES] = [
-    "commit", // index 0, never used as an abort label
-    "conflict",
-    "capacity",
-    "explicit",
-    "unsupported",
-    "nested",
-    "spurious",
-];
-
-/// One phase buffer of one stripe: the counters a writer touches.
-/// Line-aligned so two stripes' open buffers never share a cache line
-/// (the counters are written every sampled op; cross-thread false
-/// sharing here shows up directly in the recorder overhead bench).
-#[repr(align(64))]
-struct PhaseSlots {
-    commits: [AtomicU64; PATHS],
-    aborts: [AtomicU64; OUTCOMES],
-    explicit: [AtomicU64; EXPLICIT_CODES],
-    /// End-to-end operation latency (intended-start to completion when
-    /// the harness corrects for coordinated omission).
-    latency: Histogram,
-}
-
-impl PhaseSlots {
-    fn new() -> PhaseSlots {
-        PhaseSlots {
-            commits: Default::default(),
-            aborts: Default::default(),
-            explicit: Default::default(),
-            latency: Histogram::new(),
-        }
-    }
-
-    /// Takes this phase's contents (swap-to-zero; see the module docs).
-    fn drain(&self) -> WindowCounts {
-        // ordering: counter hand-off via swap's read-modify-write
-        // atomicity; Relaxed suffices because a straggler's increment is
-        // simply collected by the next drain of this phase.
-        let take = |a: &AtomicU64| a.swap(0, Relaxed);
-        WindowCounts {
-            commits: std::array::from_fn(|i| take(&self.commits[i])),
-            aborts: std::array::from_fn(|i| take(&self.aborts[i])),
-            explicit: std::array::from_fn(|i| take(&self.explicit[i])),
-            latency: self.latency.drain(),
-        }
-    }
-}
-
-/// Two phase buffers; the open one is `phases[epoch & 1]`.
-#[repr(align(64))]
-struct Stripe {
-    phases: [PhaseSlots; 2],
-}
-
-/// The raw counts drained from one window (or one stripe of it).
+/// The counts of one window (or one lane's share of it) — or, as a
+/// reading of a lane, everything counted so far.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WindowCounts {
-    /// Commits per path, indexed like [`PathKind`] (fast, slow, lock).
+    /// Commits per path, indexed by [`crate::PathKind::index`].
     pub commits: [u64; PATHS],
     /// Aborts per outcome kind (index 0 — commit — always zero).
     pub aborts: [u64; OUTCOMES],
@@ -122,7 +51,22 @@ pub struct WindowCounts {
 }
 
 impl WindowCounts {
-    /// Field-wise sum (used to merge per-stripe drains).
+    /// What was counted between `earlier` and `self`, two readings of
+    /// the same lane (see the module docs).
+    pub fn since(&self, earlier: &WindowCounts) -> WindowCounts {
+        fn sub<const N: usize>(now: &[u64; N], then: &[u64; N]) -> [u64; N] {
+            std::array::from_fn(|i| now[i] - then[i])
+        }
+        WindowCounts {
+            commits: sub(&self.commits, &earlier.commits),
+            aborts: sub(&self.aborts, &earlier.aborts),
+            explicit: sub(&self.explicit, &earlier.explicit),
+            latency: self.latency.since(&earlier.latency),
+        }
+    }
+
+    /// Field-wise sum (merges the lanes' shares of a window, or a series
+    /// of windows).
     pub fn merge(&mut self, other: &WindowCounts) {
         for (d, s) in self.commits.iter_mut().zip(other.commits) {
             *d += s;
@@ -147,11 +91,10 @@ impl WindowCounts {
     }
 }
 
-/// One closed window: drained counts plus its position on the timeline.
+/// One closed window: its counts plus its position on the timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowSnapshot {
-    /// Zero-based window index (the epoch value the window was open
-    /// under).
+    /// Zero-based window index (the number of rotations before it).
     pub index: u64,
     /// Window start, ns since the process epoch ([`crate::epoch`]) —
     /// the same timebase live scrapes and flight records use, so a
@@ -183,7 +126,7 @@ impl WindowSnapshot {
         if total == 0 {
             return 0.0;
         }
-        self.counts.commits[2] as f64 / total as f64
+        self.counts.commits[crate::PathKind::Lock.index()] as f64 / total as f64
     }
 
     /// Commits per second over the window's actual length.
@@ -232,7 +175,10 @@ impl WindowSnapshot {
                 "commits",
                 label_map(&PATH_LABELS, &self.counts.commits, false),
             ),
-            ("aborts", label_map(&ABORT_LABELS, &self.counts.aborts, true)),
+            (
+                "aborts",
+                label_map(&OUTCOME_LABELS, &self.counts.aborts, true),
+            ),
             (
                 "explicit_codes",
                 Json::Arr(
@@ -271,7 +217,7 @@ impl WindowSnapshot {
             len_ns: j.get("len_ns")?.as_u64()?,
             counts: WindowCounts {
                 commits: labelled(j.get("commits")?, &PATH_LABELS, 0)?,
-                aborts: labelled(j.get("aborts")?, &ABORT_LABELS, 1)?,
+                aborts: labelled(j.get("aborts")?, &OUTCOME_LABELS, 1)?,
                 explicit,
                 latency: HistSnapshot::from_json(j.get("latency")?)?,
             },
@@ -329,53 +275,59 @@ impl TimeSeries {
 }
 
 /// The result of one rotation: the merged closed window plus the
-/// per-stripe drains it was merged from (tests use the latter to check
+/// per-lane shares it was merged from (tests use the latter to check
 /// merged == sum of per-thread windows).
 #[derive(Debug, Clone)]
 pub struct WindowRotation {
-    /// The closed window, all stripes merged.
+    /// The closed window, all lanes merged.
     pub merged: WindowSnapshot,
-    /// Per-stripe drained counts, stripe-index order.
-    pub per_stripe: Vec<WindowCounts>,
+    /// Per-lane counts, lane-index order.
+    pub per_lane: Vec<WindowCounts>,
 }
 
-/// The windowed-telemetry collector. Writers are lock-free; one rotator
-/// (any thread) closes windows. See the module docs for the protocol.
+/// What the rotator keeps between rotations.
+struct Open {
+    /// The closed windows.
+    series: TimeSeries,
+    /// Start of the open window, ns since the process epoch.
+    start_ns: u64,
+    /// The per-lane readings that opened it.
+    opened_at: Vec<WindowCounts>,
+}
+
+/// The windowed-telemetry collector: closes windows over a recorder's
+/// lanes. Any thread may rotate. See the module docs.
 pub struct WindowCollector {
-    stripes: Box<[Stripe]>,
-    /// Global window epoch; low bit selects the open phase buffer.
-    epoch: AtomicU64,
+    lanes: Arc<PerLane<Lane>>,
     window_len_ns: u64,
-    t0: Instant,
-    /// Start of the open window, ns since `t0`.
-    open_start_ns: AtomicU64,
-    /// Serializes rotators and holds the closed-window ring.
-    series: Mutex<TimeSeries>,
+    open: Mutex<Open>,
 }
 
 impl WindowCollector {
-    /// A collector rotating `window_len_ms`-long windows into a series
-    /// of at most `series_cap` snapshots, with `stripes` (rounded up to
-    /// a power of two) per-thread buffers.
-    pub fn new(window_len_ms: u64, series_cap: usize, stripes: usize) -> WindowCollector {
-        let stripes = stripes.next_power_of_two().max(1);
-        // All collectors share the process-start monotonic epoch as t0,
-        // so window start offsets, flight records, and live scrapes all
-        // speak the same timebase. The first window opens *now*, not at
-        // the epoch, hence the explicit open_start_ns initialisation.
-        let t0 = crate::epoch::process_epoch();
-        let born_ns = t0.elapsed().as_nanos() as u64;
+    /// A collector over lanes of its own (a [`crate::Recorder`]
+    /// configured with `window_len_ms > 0` makes one over *its* lanes),
+    /// rotating `window_len_ms`-long windows into a series of at most
+    /// `series_cap` snapshots.
+    pub fn new(window_len_ms: u64, series_cap: usize) -> WindowCollector {
+        WindowCollector::over(Arc::new(PerLane::new(Lane::new)), window_len_ms, series_cap)
+    }
+
+    pub(crate) fn over(
+        lanes: Arc<PerLane<Lane>>,
+        window_len_ms: u64,
+        series_cap: usize,
+    ) -> WindowCollector {
         WindowCollector {
-            stripes: (0..stripes)
-                .map(|_| Stripe {
-                    phases: [PhaseSlots::new(), PhaseSlots::new()],
-                })
-                .collect(),
-            epoch: AtomicU64::new(0),
             window_len_ns: window_len_ms.max(1) * 1_000_000,
-            t0,
-            open_start_ns: AtomicU64::new(born_ns),
-            series: Mutex::new(TimeSeries::new(series_cap)),
+            open: Mutex::new(Open {
+                series: TimeSeries::new(series_cap),
+                // Window starts, flight records and live scrapes all speak
+                // the process-epoch timebase; the first window opens
+                // *now*, not at the epoch.
+                start_ns: crate::epoch::now_ns(),
+                opened_at: lanes.iter().map(Lane::read).collect(),
+            }),
+            lanes,
         }
     }
 
@@ -384,121 +336,83 @@ impl WindowCollector {
         self.window_len_ns
     }
 
-    /// The current window epoch (== index of the open window).
+    /// The index of the open window (== windows closed so far).
     pub fn epoch(&self) -> u64 {
-        // ordering: advisory read for reporting; the phase selection in
-        // `slots` re-reads it.
-        self.epoch.load(Relaxed)
-    }
-
-    /// ns since the process epoch (the collector's timebase).
-    pub fn now_ns(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
-    }
-
-    #[inline]
-    fn slots(&self, thread_key: u64) -> &PhaseSlots {
-        // ordering: the epoch read is advisory — a stale value routes
-        // the sample to the phase being drained, where the swap-based
-        // drain attributes it to a later window instead of losing it
-        // (module docs); no synchronization edge is required.
-        let e = self.epoch.load(Relaxed);
-        let s = (thread_key as usize) & (self.stripes.len() - 1);
-        &self.stripes[s].phases[(e & 1) as usize]
+        let open = self.open.lock().unwrap();
+        open.series.dropped() + open.series.len() as u64
     }
 
     /// Records one end-to-end operation latency (ns, ideally measured
     /// from the *intended* start to correct for coordinated omission)
-    /// into the open window. Lock-free.
+    /// on the lane `thread_key` selects. Lock-free.
     #[inline]
     pub fn record_latency(&self, thread_key: u64, latency_ns: u64) {
-        self.slots(thread_key).latency.record(latency_ns);
+        self.lanes.of(thread_key).op_latency.record(latency_ns);
     }
 
-    /// Feeds one attempt event's path/outcome into the open window's
-    /// rate counters. Lock-free.
+    /// Counts one attempt event on the lane `thread_key` selects.
+    /// Lock-free.
     #[inline]
     pub fn record_attempt(&self, thread_key: u64, ev: AttemptEvent) {
-        let p = self.slots(thread_key);
-        match ev.outcome {
-            Outcome::Commit => {
-                let i = match ev.path {
-                    PathKind::FastHtm => 0,
-                    PathKind::SlowHtm => 1,
-                    PathKind::Lock => 2,
-                };
-                // ordering: statistics counter, merged at drain time.
-                p.commits[i].fetch_add(1, Relaxed);
-            }
-            other => {
-                // ordering: statistics counter, merged at drain time.
-                p.aborts[other.kind_index()].fetch_add(1, Relaxed);
-                if let Outcome::AbortExplicit(c) = other {
-                    // ordering: statistics counter, merged at drain time.
-                    p.explicit[c as usize % EXPLICIT_CODES].fetch_add(1, Relaxed);
-                }
-            }
-        }
+        self.lanes.of(thread_key).count(ev);
     }
 
-    /// Closes the open window unconditionally: flips the epoch, drains
-    /// the retired phase, pushes the merged snapshot onto the series,
-    /// and returns the drains. Rotators are serialized by the series
-    /// mutex (rotation is off the hot path; writers never take it).
+    /// Closes the open window unconditionally: reads the lanes, pushes
+    /// what they counted since the window opened onto the series, and
+    /// returns it. Rotators are serialized by the collector's mutex
+    /// (writers never take it).
     pub fn rotate(&self) -> WindowRotation {
-        let mut series = self.series.lock().unwrap();
-        let now = self.now_ns();
-        // ordering: AcqRel — the flip must not be reordered after the
-        // drains below (Release), and this rotator must observe prior
-        // rotations' flips (Acquire); writers racing with the flip are
-        // handled by the swap-based drain (module docs).
-        let index = self.epoch.fetch_add(1, AcqRel);
-        let retired = (index & 1) as usize;
-        let per_stripe: Vec<WindowCounts> = self
-            .stripes
-            .iter()
-            .map(|s| s.phases[retired].drain())
-            .collect();
-        let mut counts = WindowCounts::default();
-        for sc in &per_stripe {
-            counts.merge(sc);
-        }
-        // ordering: rotators are serialized by the series mutex; the
-        // swap just hands the previous window-start to this rotation.
-        let start_ns = self.open_start_ns.swap(now, Relaxed);
-        let merged = WindowSnapshot {
-            index,
-            start_ns,
-            len_ns: now.saturating_sub(start_ns).max(1),
-            counts,
-        };
-        series.push(merged.clone());
-        WindowRotation { merged, per_stripe }
+        Self::close(&self.lanes, &mut self.open.lock().unwrap())
     }
 
     /// Rotates only if the open window has reached the configured
     /// length; the rotator thread calls this on its tick.
     pub fn maybe_rotate(&self) -> Option<WindowRotation> {
-        // ordering: advisory deadline check; `rotate` re-reads the
-        // clock under the series mutex.
-        let start = self.open_start_ns.load(Relaxed);
-        (self.now_ns().saturating_sub(start) >= self.window_len_ns).then(|| self.rotate())
+        let mut open = self.open.lock().unwrap();
+        let due = crate::epoch::now_ns().saturating_sub(open.start_ns) >= self.window_len_ns;
+        due.then(|| Self::close(&self.lanes, &mut open))
+    }
+
+    fn close(lanes: &PerLane<Lane>, open: &mut Open) -> WindowRotation {
+        let now = crate::epoch::now_ns();
+        let read: Vec<WindowCounts> = lanes.iter().map(Lane::read).collect();
+        let per_lane: Vec<WindowCounts> = read
+            .iter()
+            .zip(&open.opened_at)
+            .map(|(now, then)| now.since(then))
+            .collect();
+        let mut counts = WindowCounts::default();
+        for lane in &per_lane {
+            counts.merge(lane);
+        }
+        let merged = WindowSnapshot {
+            index: open.series.dropped() + open.series.len() as u64,
+            start_ns: open.start_ns,
+            len_ns: now.saturating_sub(open.start_ns).max(1),
+            counts,
+        };
+        open.series.push(merged.clone());
+        open.start_ns = now;
+        open.opened_at = read;
+        WindowRotation { merged, per_lane }
     }
 
     /// The closed-window series, oldest first.
     pub fn series(&self) -> Vec<WindowSnapshot> {
-        self.series.lock().unwrap().windows()
+        self.open.lock().unwrap().series.windows()
     }
 
     /// Windows evicted from the bounded series so far.
     pub fn series_dropped(&self) -> u64 {
-        self.series.lock().unwrap().dropped()
+        self.open.lock().unwrap().series.dropped()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Outcome, PathKind};
+    use rtle_htm::lanes::LANES;
 
     fn commit(path: PathKind, latency: u64) -> AttemptEvent {
         AttemptEvent {
@@ -510,8 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn rotation_drains_into_distinct_windows() {
-        let c = WindowCollector::new(1_000, 16, 4);
+    fn rotation_cuts_distinct_windows() {
+        let c = WindowCollector::new(1_000, 16);
         c.record_attempt(0, commit(PathKind::FastHtm, 10));
         c.record_latency(0, 100);
         let w1 = c.rotate().merged;
@@ -541,8 +455,8 @@ mod tests {
     }
 
     #[test]
-    fn merged_window_is_sum_of_stripes() {
-        let c = WindowCollector::new(1_000, 16, 8);
+    fn merged_window_is_sum_of_lanes() {
+        let c = WindowCollector::new(1_000, 16);
         for key in 0..8u64 {
             for _ in 0..=key {
                 c.record_attempt(key, commit(PathKind::FastHtm, 5));
@@ -550,12 +464,13 @@ mod tests {
             }
         }
         let rot = c.rotate();
-        assert_eq!(rot.per_stripe.len(), 8);
-        for (key, stripe) in rot.per_stripe.iter().enumerate() {
-            assert_eq!(stripe.commits[0], key as u64 + 1, "stripe {key}");
+        assert_eq!(rot.per_lane.len(), LANES);
+        for (key, lane) in rot.per_lane.iter().enumerate() {
+            let expected = if key < 8 { key as u64 + 1 } else { 0 };
+            assert_eq!(lane.commits[0], expected, "lane {key}");
         }
         let mut sum = WindowCounts::default();
-        for s in &rot.per_stripe {
+        for s in &rot.per_lane {
             sum.merge(s);
         }
         assert_eq!(rot.merged.counts, sum);
@@ -563,8 +478,37 @@ mod tests {
     }
 
     #[test]
+    fn windows_telescope_to_the_cumulative_reading() {
+        let c = WindowCollector::new(1_000, 64);
+        let mut all = WindowCounts::default();
+        for round in 0..5u64 {
+            // Logical keys beyond LANES share lanes; the books stay exact.
+            for key in 0..36u64 {
+                c.record_attempt(key, commit(PathKind::SlowHtm, key));
+                c.record_latency(key, 100 * (key + round) + 7);
+            }
+            let w = c.rotate().merged;
+            assert_eq!(w.counts.commits, [0, 36, 0], "round {round} counted once");
+            assert_eq!(w.ops(), 36);
+            assert_eq!(
+                w.counts.latency.max,
+                w.counts.latency.buckets.last().unwrap().0
+            );
+            all.merge(&w.counts);
+        }
+        let mut cumulative = WindowCounts::default();
+        for lane in c.lanes.iter() {
+            cumulative.merge(&lane.read());
+        }
+        // The cumulative maximum is exact; a window's is its top bucket.
+        assert!(all.latency.max <= cumulative.latency.max);
+        all.latency.max = cumulative.latency.max;
+        assert_eq!(all, cumulative);
+    }
+
+    #[test]
     fn series_is_bounded_and_counts_drops() {
-        let c = WindowCollector::new(1_000, 3, 1);
+        let c = WindowCollector::new(1_000, 3);
         for i in 0..5u64 {
             c.record_latency(0, i + 1);
             c.rotate();
@@ -582,23 +526,23 @@ mod tests {
     #[test]
     fn maybe_rotate_respects_the_deadline() {
         // 1000 ms window: the deadline cannot have passed yet.
-        let c = WindowCollector::new(1_000, 4, 1);
+        let c = WindowCollector::new(1_000, 4);
         assert!(c.maybe_rotate().is_none());
-        // 1 ms window: spin past the deadline. now_ns is relative to
-        // the shared process epoch, not this collector's birth, so the
-        // wait must be measured from a captured base.
-        let c = WindowCollector::new(1, 4, 1);
-        let base = c.now_ns();
-        while c.now_ns() < base + 2_000_000 {
+        // 1 ms window: spin past the deadline, measured on the process
+        // epoch's clock like the collector's own.
+        let c = WindowCollector::new(1, 4);
+        let base = crate::epoch::now_ns();
+        while crate::epoch::now_ns() < base + 2_000_000 {
             std::hint::spin_loop();
         }
         assert!(c.maybe_rotate().is_some());
+        assert_eq!(c.epoch(), 1);
     }
 
     #[test]
     fn windows_are_anchored_to_the_process_epoch() {
         let before = crate::epoch::now_ns();
-        let c = WindowCollector::new(1, 4, 1);
+        let c = WindowCollector::new(1, 4);
         c.record_latency(0, 5);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let w = c.rotate().merged;
@@ -607,13 +551,19 @@ mod tests {
             "first window starts at collector birth ({} >= {before}), not at the epoch",
             w.start_ns
         );
-        assert!(w.len_ns < 1_000_000_000, "len is the window, not process uptime");
-        assert_eq!(w.start_ns + w.len_ns, c.series()[0].start_ns + c.series()[0].len_ns);
+        assert!(
+            w.len_ns < 1_000_000_000,
+            "len is the window, not process uptime"
+        );
+        assert_eq!(
+            w.start_ns + w.len_ns,
+            c.series()[0].start_ns + c.series()[0].len_ns
+        );
     }
 
     #[test]
     fn window_json_round_trips() {
-        let c = WindowCollector::new(50, 8, 2);
+        let c = WindowCollector::new(50, 8);
         for i in 0..100u64 {
             c.record_attempt(i % 2, commit(PathKind::FastHtm, i));
             c.record_latency(i % 2, i * 17 + 3);
@@ -646,7 +596,7 @@ mod tests {
 
     #[test]
     fn percentiles_come_from_window_latency() {
-        let c = WindowCollector::new(50, 8, 1);
+        let c = WindowCollector::new(50, 8);
         for v in 1..=1000u64 {
             c.record_latency(0, v);
         }

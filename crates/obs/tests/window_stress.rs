@@ -1,41 +1,53 @@
-//! Stress test for the windowed-telemetry rotation protocol: 8 writers
-//! hammer a [`WindowCollector`] while a rotator flips the epoch as fast
-//! as it can. The invariants under test are the module's core claims:
+//! Stress test for windows-as-differences: 8 writers hammer a windowed
+//! [`Recorder`] while a rotator closes a window every millisecond. The
+//! invariants under test are the module's core claims:
 //!
-//! * **no lost samples** — once writers quiesce and the collector is
-//!   rotated twice more (draining both phase buffers), the sum over all
-//!   closed windows equals exactly what the writers recorded;
-//! * **merged == sum of stripes** — every rotation's merged window is
-//!   the field-wise sum of its per-stripe drains.
+//! * **conservation** — once writers quiesce and the tail window is
+//!   closed, the field-wise sum over all closed windows equals exactly
+//!   what the writers recorded, which is also exactly what the
+//!   cumulative snapshot reports: every counter and every latency bucket;
+//! * **merged == sum of lanes** — every rotation's merged window is the
+//!   field-wise sum of its per-lane shares.
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
+use rtle_htm::lanes::LANES;
 use rtle_obs::window::WindowCounts;
-use rtle_obs::{AttemptEvent, Outcome, PathKind, WindowCollector};
+use rtle_obs::{
+    AttemptEvent, HistSnapshot, Histogram, ObsConfig, Outcome, PathKind, Recorder, WindowCollector,
+};
 
 const WRITERS: u64 = 8;
 const OPS_PER_WRITER: u64 = 40_000;
 
 #[test]
-#[cfg_attr(miri, ignore = "timing-sensitive 8-writer stress: rotator paces on wall-clock sleeps")]
-fn no_samples_lost_across_epoch_flips() {
-    let c = Arc::new(WindowCollector::new(1, 1 << 16, WRITERS as usize));
+#[cfg_attr(
+    miri,
+    ignore = "timing-sensitive 8-writer stress: rotator paces on wall-clock sleeps"
+)]
+fn no_samples_lost_across_rotations() {
+    let rec = Arc::new(Recorder::new(ObsConfig {
+        window_len_ms: 1,
+        window_series_cap: 1 << 16,
+        ..ObsConfig::default()
+    }));
     let stop = Arc::new(AtomicBool::new(false));
 
-    // The rotator: flip every millisecond-ish tick (throttled so the
-    // bounded series can provably retain every window), checking the
-    // merged-equals-stripe-sum invariant on every single rotation.
+    // The rotator: close a window every millisecond-ish tick (throttled so
+    // the bounded series can provably retain every window), checking the
+    // merged-equals-lane-sum invariant on every single rotation.
     let rotator = {
-        let c = Arc::clone(&c);
+        let rec = Arc::clone(&rec);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut rotations = 0u64;
             while !stop.load(Relaxed) {
-                let rot = c.rotate();
+                let rot = rec.windows().unwrap().rotate();
+                assert_eq!(rot.per_lane.len(), LANES);
                 let mut sum = WindowCounts::default();
-                for s in &rot.per_stripe {
-                    sum.merge(s);
+                for lane in &rot.per_lane {
+                    sum.merge(lane);
                 }
                 assert_eq!(rot.merged.counts, sum, "rotation {rotations}");
                 rotations += 1;
@@ -45,10 +57,12 @@ fn no_samples_lost_across_epoch_flips() {
         })
     };
 
+    // Each writer keeps its own ground-truth latency histogram.
     let writers: Vec<_> = (0..WRITERS)
         .map(|t| {
-            let c = Arc::clone(&c);
+            let rec = Arc::clone(&rec);
             std::thread::spawn(move || {
+                let truth = Histogram::new();
                 for i in 0..OPS_PER_WRITER {
                     let ev = if i % 5 == 4 {
                         AttemptEvent {
@@ -65,26 +79,32 @@ fn no_samples_lost_across_epoch_flips() {
                             latency: i % 512,
                         }
                     };
-                    c.record_attempt(t, ev);
-                    c.record_latency(t, 100 + (i * 7) % 10_000);
+                    rec.record_attempt(t, ev);
+                    let latency = 100 + (i * 7 + t) % 10_000;
+                    rec.record_op_latency(t, latency);
+                    truth.record(latency);
                 }
+                truth.snapshot()
             })
         })
         .collect();
-    for w in writers {
-        w.join().unwrap();
-    }
+    let truths: Vec<HistSnapshot> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+    let truth = HistSnapshot::merged(&truths);
 
     stop.store(true, Relaxed);
     let rotations = rotator.join().unwrap();
-    // Writers have quiesced; two more rotations drain both phase
-    // buffers, collecting any straggler that was attributed late.
-    c.rotate();
-    c.rotate();
+    // Writers have quiesced; one more rotation closes the tail window.
+    let windows = rec.windows().unwrap();
+    windows.rotate();
+    assert_eq!(
+        windows.rotate().merged.counts,
+        WindowCounts::default(),
+        "nothing left over"
+    );
 
-    let series = c.series();
+    let series = windows.series();
     assert!(
-        c.series_dropped() == 0,
+        windows.series_dropped() == 0,
         "series cap must hold every window for this accounting"
     );
     let mut all = WindowCounts::default();
@@ -104,7 +124,23 @@ fn no_samples_lost_across_epoch_flips() {
         "sanity: the work actually spread across windows"
     );
 
-    // Window indexes are the rotation epochs, strictly consecutive.
+    // Every latency bucket and the value sum telescope to the writers'
+    // ground truth; a window's `max` is the floor of its top bucket.
+    assert_eq!(all.latency.buckets, truth.buckets);
+    assert_eq!(all.latency.total, truth.total);
+    assert_eq!(all.latency.max, truth.buckets.last().unwrap().0);
+
+    // ... and the windows were cut from the same counters the cumulative
+    // snapshot reports, each event counted once.
+    let snap = rec.snapshot();
+    assert_eq!(snap.total_commits(), all.total_commits());
+    assert_eq!(snap.total_aborts(), all.total_aborts());
+    assert_eq!(snap.explicit_codes, vec![(4, total_ops / 5)]);
+    assert_eq!(snap.cs_latency.count, all.total_commits());
+    assert_eq!(snap.events_recorded, total_ops);
+    assert_eq!(snap.windows, series);
+
+    // Window indexes are the rotation count, strictly consecutive.
     for (i, pair) in series.windows(2).enumerate() {
         assert_eq!(pair[1].index, pair[0].index + 1, "gap after window {i}");
     }
@@ -113,9 +149,9 @@ fn no_samples_lost_across_epoch_flips() {
 #[test]
 fn merged_window_equals_sum_of_per_thread_windows() {
     // Deterministic single-threaded shape check: distinct per-thread
-    // loads land in distinct stripes (direct key striping) and the
-    // merged window is exactly their sum.
-    let c = WindowCollector::new(1_000, 16, 8);
+    // loads land in distinct lanes (direct key selection) and the merged
+    // window is exactly their sum.
+    let c = WindowCollector::new(1_000, 16);
     for t in 0..WRITERS {
         for i in 0..(t + 1) * 10 {
             c.record_attempt(
@@ -132,18 +168,19 @@ fn merged_window_equals_sum_of_per_thread_windows() {
     }
     let rot = c.rotate();
     let mut sum = WindowCounts::default();
-    for (t, stripe) in rot.per_stripe.iter().enumerate() {
+    for (t, lane) in rot.per_lane.iter().enumerate() {
+        let expected = if (t as u64) < WRITERS {
+            (t as u64 + 1) * 10
+        } else {
+            0
+        };
         assert_eq!(
-            stripe.commits[0],
-            (t as u64 + 1) * 10,
-            "stripe {t} holds exactly its thread's commits"
+            lane.commits[0], expected,
+            "lane {t} holds exactly its thread's commits"
         );
-        assert_eq!(stripe.latency.count, (t as u64 + 1) * 10);
-        sum.merge(stripe);
+        assert_eq!(lane.latency.count, expected);
+        sum.merge(lane);
     }
     assert_eq!(rot.merged.counts, sum);
-    assert_eq!(
-        rot.merged.ops(),
-        (1..=WRITERS).map(|t| t * 10).sum::<u64>()
-    );
+    assert_eq!(rot.merged.ops(), (1..=WRITERS).map(|t| t * 10).sum::<u64>());
 }

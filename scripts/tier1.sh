@@ -26,8 +26,11 @@ cargo_test() {
 }
 
 echo "== tests =="
-# Includes tests/fast_path_sharing.rs (counter-lane/clock layout, lane
-# books vs per-thread ground truth) and the htm zombie hunt.
+# Includes tests/fast_path_sharing.rs (counter-lane/clock/recorder-lane
+# layout, lane books vs per-thread ground truth — HtmStats, ExecStats and
+# the recorder with windows on), the htm zombie hunt, and the sampled-
+# recorder overhead gate of crates/bench/tests/overhead.rs (2.5 x bare +
+# 50 ns).
 cargo_test --workspace --release -q
 
 echo "== clippy (deny warnings) =="
@@ -110,7 +113,9 @@ cargo check -q -p rtle-hytm --features tl2-stale-read-mutant
 
 echo "== trace-off overhead gate =="
 # The causal-tracing feature must be a true no-op when compiled out: the
-# overhead suite's trace-off test only exists in this configuration.
+# overhead suite's trace-off test only exists in this configuration, and
+# its every-operation recorder gate (bare + 200 ns) only asserts here,
+# where the recorder's price is not mixed with the tracer's.
 cargo_test -p rtle-bench --release --no-default-features --test overhead -q
 
 echo "== diag --json/--trace smoke =="

@@ -4,19 +4,22 @@
 //! Layout: every counter lane and the global clock sit in blocks of their
 //! own, so no statistic shares a line with another thread's statistics,
 //! with the lock word, or with the lock's read-mostly configuration.
-//! Books: per-thread lanes are an implementation detail — `HtmStats` and
-//! `ExecStats` snapshots must still equal what the threads actually did,
-//! exactly, also when more threads run than there are lanes.
+//! Books: per-thread lanes are an implementation detail — `HtmStats`,
+//! `ExecStats` and recorder snapshots must still equal what the threads
+//! actually did, exactly, also when more threads run than there are lanes.
 //!
 //! One storm per binary: `HtmStats` and the chaos configuration are
 //! process-global.
 
 use std::mem::{align_of, size_of};
 use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use std::time::Instant;
 
 use rtle_core::{ElidableLock, ElisionPolicy, ExecStats};
-use rtle_htm::lanes::{Block, Lanes, BLOCK_BYTES, LANES};
+use rtle_htm::lanes::{Block, Lanes, PerLane, BLOCK_BYTES, LANES};
 use rtle_htm::{stripe, swhtm, AbortCode, HtmConfig, HtmStats, TxCell};
+use rtle_obs::{ObsConfig, Recorder};
 
 /// Two threads per lane (tokens are handed out in spawn order).
 const THREADS: usize = 2 * LANES;
@@ -25,7 +28,11 @@ const THREADS: usize = 2 * LANES;
 fn lanes_and_clock_sit_alone_in_their_blocks() {
     const { assert!(BLOCK_BYTES >= 128, "a line and its prefetch pair") };
     assert!(align_of::<Lanes<1>>() >= BLOCK_BYTES);
-    assert_eq!(size_of::<Lanes<1>>(), LANES * BLOCK_BYTES, "one block per lane");
+    assert_eq!(
+        size_of::<Lanes<1>>(),
+        LANES * BLOCK_BYTES,
+        "one block per lane"
+    );
 
     // The clock's block holds the clock and padding, nothing else.
     assert_eq!(size_of::<Block<AtomicU64>>(), BLOCK_BYTES);
@@ -42,6 +49,27 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
     );
     assert_eq!(stats % BLOCK_BYTES, 0);
     assert!(stats >= base && stats + size_of::<ExecStats>() <= base + size_of::<ElidableLock>());
+
+    // Heap lanes — the recorder's counters and histograms, the event and
+    // trace ring segments — start on block boundaries and never share a
+    // block, whatever the size of a lane (here: not a multiple of anything).
+    type Odd = [AtomicU64; 5131];
+    let lanes = PerLane::<Odd>::new(|| [const { AtomicU64::new(0) }; 5131]);
+    let starts: Vec<usize> = lanes
+        .iter()
+        .map(|lane| lane as *const Odd as usize)
+        .collect();
+    assert_eq!(starts.len(), LANES);
+    assert!(starts.iter().all(|s| s % BLOCK_BYTES == 0));
+    assert!(starts
+        .windows(2)
+        .all(|w| w[1] >= (w[0] + size_of::<Odd>()).next_multiple_of(BLOCK_BYTES)));
+    for key in 0..2 * LANES {
+        assert_eq!(
+            lanes.of(key as u64) as *const Odd as usize,
+            starts[key % LANES]
+        );
+    }
 }
 
 /// What one thread saw its own attempts do.
@@ -164,5 +192,65 @@ fn snapshots_equal_the_per_thread_ground_truth() {
                 + books.aborts_unsupported
                 + books.aborts_other
         );
+
+        // Phase 3 — the recorder is one more lane user. Default sampling
+        // records every operation, windows are on, two threads share each
+        // lane: every attempt is on the recorder's books exactly once, in
+        // the cumulative snapshot and in the window cut from the same
+        // lanes.
+        let rec = Arc::new(Recorder::new(ObsConfig {
+            window_len_ms: 1_000,
+            ..ObsConfig::default()
+        }));
+        let lock = ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 64 })
+            .recorder(Arc::clone(&rec))
+            .build();
+        let cell = TxCell::new(0u64);
+        let tallies: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut calls = 0;
+                        for _ in 0..ROUNDS {
+                            lock.execute_from(Instant::now(), |ctx| {
+                                ctx.write(&cell, ctx.read(&cell) + 1)
+                            });
+                            calls += 1;
+                        }
+                        calls
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let calls: u64 = tallies.iter().sum();
+        let books = lock.stats().snapshot();
+        let snap = rec.snapshot();
+        let aborts = books.fast_aborts + books.slow_aborts;
+        assert_eq!(cell.read_plain(), calls);
+        assert_eq!(
+            snap.commits,
+            [
+                ("fast_htm".to_string(), books.fast_commits),
+                ("lock".to_string(), books.lock_acquisitions),
+                ("slow_htm".to_string(), books.slow_commits),
+            ]
+        );
+        assert_eq!(snap.total_commits(), calls);
+        assert_eq!(snap.total_aborts(), aborts);
+        assert!(aborts > 0, "the chaos reached this lock too");
+        assert_eq!(snap.cs_latency.count, calls);
+        assert_eq!(snap.retries.count, calls);
+        assert_eq!(snap.lock_hold.count, books.lock_acquisitions);
+        assert_eq!(snap.events_recorded, calls + aborts);
+        let window = rec.windows().unwrap().rotate().merged;
+        assert_eq!(
+            window.counts.total_commits(),
+            calls,
+            "counted once, not once per view"
+        );
+        assert_eq!(window.counts.total_aborts(), aborts);
+        assert_eq!(window.ops(), calls);
     });
 }
