@@ -254,6 +254,27 @@ mod tests {
     }
 
     #[test]
+    fn bare_imported_ordering_is_audited_like_a_qualified_one() {
+        // `use std::sync::atomic::Ordering::Relaxed;` must not hide a site:
+        // on a covered receiver a non-conforming bare ordering is a table
+        // violation, on an uncovered one it is unaudited.
+        let covered = "impl X { fn read(&self) { self.raw.load(Relaxed); } }";
+        let f = lint_str("/ws/crates/htm/src/cell.rs", covered);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "ordering-table");
+
+        let f = lint_str("/ws/crates/core/src/other.rs", "fn f() { MYSTERY.store(1, Relaxed); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "ordering-unaudited");
+
+        // And the watchdog's live-mirror rows now match real sites.
+        let mirror = "fn f(&self) { self.fired.fetch_add(1, Relaxed); self.state.store(2, Release); }";
+        let f = lint_str("/ws/crates/obs/src/watchdog.rs", mirror);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].msg.contains("store on `state`"), "{}", f[0].msg);
+    }
+
+    #[test]
     fn test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn f() { X.load(Ordering::SeqCst); }\n}\n";
         let f = lint_str("/ws/crates/core/src/other.rs", src);

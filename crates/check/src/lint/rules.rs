@@ -551,20 +551,27 @@ fn argument_list(code: &str, open: usize) -> String {
     out
 }
 
-/// Pulls `Ordering::X` (and fully qualified variants) names out of an
-/// argument list.
+/// The five orderings, recognised bare when a file imports them
+/// (`use …::Ordering::Relaxed; x.load(Relaxed)`).
+const ORDERING_NAMES: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
+/// Pulls the ordering names out of an argument list, in argument order:
+/// any `Ordering::X` (however qualified), and a bare imported
+/// [`ORDERING_NAMES`] member that is not a segment of some other path or
+/// a field access.
 fn extract_orderings(args: &str) -> Vec<String> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut found = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = args[from..].find("Ordering::") {
-        let at = from + rel + "Ordering::".len();
-        let name: String = args[at..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        from = at;
-        if !name.is_empty() {
-            found.push(name);
+    let mut pos = 0;
+    while let Some(rel) = args[pos..].find(is_ident) {
+        let start = pos + rel;
+        let len = args[start..].find(|c| !is_ident(c)).unwrap_or(args.len() - start);
+        let (before, word) = (args[..start].trim_end(), &args[start..start + len]);
+        pos = start + len;
+        let qualified = before.ends_with("Ordering::");
+        let bare = ORDERING_NAMES.contains(&word) && !before.ends_with("::") && !before.ends_with('.');
+        if qualified || bare {
+            found.push(word.to_string());
         }
     }
     found
@@ -731,6 +738,24 @@ mod tests {
         // TxCell::write / Vec-ish calls carry no Ordering argument.
         assert!(uses_of("orec.write(epoch);").is_empty());
         assert!(uses_of("self.buf.store(x, y);").is_empty());
+    }
+
+    #[test]
+    fn bare_imported_orderings_are_seen() {
+        let u = uses_of("self.state.load(Relaxed)");
+        assert_eq!(u.len(), 1, "{u:?}");
+        assert_eq!((u[0].op, u[0].receiver.as_str()), (AtomicOp::Load, "state"));
+        assert_eq!(u[0].orderings, vec!["Relaxed"]);
+        // Argument order is kept when the two spellings mix.
+        let u = uses_of("s.compare_exchange(cur, next, AcqRel, Ordering::Acquire)");
+        assert_eq!(u[0].orderings, vec!["AcqRel", "Acquire"]);
+        let u = uses_of("fence(SeqCst);");
+        assert_eq!((u[0].op, &u[0].orderings), (AtomicOp::Fence, &vec!["SeqCst".to_string()]));
+        // A same-named segment of another path, a field, or a longer
+        // identifier is not an ordering.
+        assert!(uses_of("buf.store(x, Mode::Relaxed);").is_empty());
+        assert!(uses_of("buf.store(x, cfg.Relaxed);").is_empty());
+        assert!(uses_of("buf.store(x, RelaxedMode);").is_empty());
     }
 
     #[test]

@@ -16,10 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rtle_check::model::{
-    explore, explore_tl2, mutant_config, standard_suite, swhtm_mutant_config, tl2_mutant_config,
-    tl2_suite,
-};
+use rtle_check::model::{explore_mutants, explore_safe, Report};
 use rtle_check::{find_workspace_root, lint, passes};
 
 fn run_lint(root: &Path) -> bool {
@@ -74,83 +71,51 @@ fn run_analyze(root: &Path, json: Option<&Path>) -> bool {
     report.ok()
 }
 
-fn run_model() -> bool {
-    let mut ok = true;
-    for cfg in standard_suite() {
-        let r = explore(&cfg);
-        println!(
-            "model: {:<24} {:>7} states {:>6} terminals (paths f/s/l: {}/{}/{}) -> {}",
-            r.config,
-            r.states,
-            r.terminals,
-            r.fast_commit_terminals,
-            r.slow_commit_terminals,
-            r.lock_commit_terminals,
-            if r.clean() {
-                "OK".to_string()
-            } else {
-                format!("{} VIOLATIONS", r.violation_count)
-            }
-        );
-        for v in &r.violations {
-            println!("model:   [{}] {} (schedule {:?})", v.kind, v.detail, v.schedule);
-        }
-        ok &= r.clean();
-    }
-
-    // The TL2 machine: same explorer discipline, same oracle, over the
-    // safe configurations of the software-TM backend (`tl2-*`) and of the
-    // emulated HTM's cached-rv + snapshot-extension variant (`swhtm-*`).
-    for cfg in tl2_suite() {
-        let r = explore_tl2(&cfg);
-        println!(
-            "model: {:<24} {:>7} states {:>6} terminals (paths ro/wr/atomic: {}/{}/{}) -> {}",
-            r.config,
-            r.states,
-            r.terminals,
-            r.fast_commit_terminals,
-            r.slow_commit_terminals,
-            r.lock_commit_terminals,
-            if r.clean() {
-                "OK".to_string()
-            } else {
-                format!("{} VIOLATIONS", r.violation_count)
-            }
-        );
-        for v in &r.violations {
-            println!("model:   [{}] {} (schedule {:?})", v.kind, v.detail, v.schedule);
-        }
-        ok &= r.clean();
-    }
-
-    // The oracles' own regression tests: every seeded mutant must be
-    // *caught* — the unsafe-lazy-subscription zombie, the TL2
-    // skipped-revalidation stale read, and the swhtm extension that
-    // revalidates before it samples the clock.
-    for mutant in [
-        explore(&mutant_config()),
-        explore_tl2(&tl2_mutant_config()),
-        explore_tl2(&swhtm_mutant_config()),
-    ] {
-        let caught = mutant
-            .violations
-            .iter()
-            .any(|v| v.kind == "non-serializable");
-        println!(
-            "model: {:<24} {:>7} states {:>6} terminals -> {}",
-            mutant.config,
-            mutant.states,
-            mutant.terminals,
-            if caught {
-                format!("MUTANT CAUGHT ({} violations, as required)", mutant.violation_count)
-            } else {
-                "MUTANT MISSED — oracle regression!".to_string()
-            }
-        );
-        if let Some(v) = mutant.violations.first() {
+/// Prints one explored configuration and returns whether it met its
+/// contract: a safe configuration is clean over every interleaving, a
+/// seeded mutant is caught as a serializability violation.
+fn print_model_row(r: &Report, mutant: bool) -> bool {
+    let row = format!(
+        "model: {:<24} {:>7} states {:>6} terminals",
+        r.config, r.states, r.terminals
+    );
+    if mutant {
+        let caught = r.violations.iter().any(|v| v.kind == "non-serializable");
+        let verdict = if caught {
+            format!("MUTANT CAUGHT ({} violations, as required)", r.violation_count)
+        } else {
+            "MUTANT MISSED — oracle regression!".to_string()
+        };
+        println!("{row} -> {verdict}");
+        if let Some(v) = r.violations.first() {
             println!("model:   witness: {} (schedule {:?})", v.detail, v.schedule);
         }
-        ok &= caught;
+        return caught;
+    }
+    let verdict = if r.clean() {
+        "OK".to_string()
+    } else {
+        format!("{} VIOLATIONS", r.violation_count)
+    };
+    println!(
+        "{row} (paths {}: {}/{}/{}) -> {verdict}",
+        r.path_labels, r.fast_commit_terminals, r.slow_commit_terminals, r.lock_commit_terminals,
+    );
+    for v in &r.violations {
+        println!("model:   [{}] {} (schedule {:?})", v.kind, v.detail, v.schedule);
+    }
+    r.clean()
+}
+
+/// One loop over every machine's safe suite (TLE family, `tl2-*`, and the
+/// emulated HTM's cached-rv + snapshot-extension `swhtm-*`), then over the
+/// seeded mutants — all through the one generic explorer.
+fn run_model() -> bool {
+    let safe = explore_safe().into_iter().map(|r| (r, false));
+    let mutants = explore_mutants().into_iter().map(|r| (r, true));
+    let mut ok = true;
+    for (r, mutant) in safe.chain(mutants) {
+        ok &= print_model_row(&r, mutant);
     }
     ok
 }

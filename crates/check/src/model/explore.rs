@@ -1,4 +1,5 @@
-//! Exhaustive DFS over all interleavings of a configuration.
+//! Exhaustive DFS over all interleavings of a configuration, generic over
+//! the [`Machine`] being explored.
 //!
 //! Plain stateful search: every reachable global state is visited once
 //! (memoized in a hash set), every enabled thread is tried from every
@@ -12,8 +13,8 @@
 
 use std::collections::HashSet;
 
-use super::machine::{Config, State};
-use super::oracle::find_serial_witness;
+use super::machine::Machine;
+use super::oracle::{find_serial_witness, CommitPath};
 
 /// Cap on recorded violations per configuration (counting continues).
 const MAX_RECORDED_VIOLATIONS: usize = 5;
@@ -43,6 +44,9 @@ pub struct Report {
     pub violation_count: u64,
     /// Recorded violations.
     pub violations: Vec<ViolationReport>,
+    /// The machine's names for the three commit paths
+    /// ([`Machine::PATH_LABELS`]).
+    pub path_labels: &'static str,
     /// Commit-path coverage over all terminal states: how many terminal
     /// histories contain at least one fast / slow / lock commit.
     pub fast_commit_terminals: u64,
@@ -87,28 +91,23 @@ pub struct TerminalVerdict {
     pub lock: bool,
 }
 
-/// Judges one terminal state of `cfg`: structural invariants first, then
-/// the serializability oracle over the committed history.
-pub fn judge_terminal(cfg: &Config, state: &State) -> TerminalVerdict {
+/// Judges one terminal state: structural invariants first, then the
+/// serializability oracle over the committed history (replayed from
+/// all-zero memory, where every machine starts).
+pub fn judge<M: Machine>(state: &M) -> TerminalVerdict {
     let entries: Vec<_> = state.committed().iter().flatten().collect();
+    let took = |path| entries.iter().any(|e| e.path == path);
     let mut v = TerminalVerdict {
         violation: None,
-        fast: false,
-        slow: false,
-        lock: false,
+        fast: took(CommitPath::Fast),
+        slow: took(CommitPath::Slow),
+        lock: took(CommitPath::Lock),
     };
-    for e in &entries {
-        match e.path {
-            super::oracle::CommitPath::Fast => v.fast = true,
-            super::oracle::CommitPath::Slow => v.slow = true,
-            super::oracle::CommitPath::Lock => v.lock = true,
-        }
-    }
-    if let Some(why) = state.terminal_invariant_violation() {
+    if let Some(why) = state.invariant_violation() {
         v.violation = Some(("bad-terminal", why));
         return v;
     }
-    let init = vec![0u64; cfg.nloc as usize];
+    let init = vec![0u64; state.data().len()];
     if find_serial_witness(&init, state.data(), &entries).is_none() {
         let hist: Vec<String> = entries.iter().map(|e| e.to_string()).collect();
         v.violation = Some((
@@ -123,48 +122,42 @@ pub fn judge_terminal(cfg: &Config, state: &State) -> TerminalVerdict {
     v
 }
 
-fn check_terminal(cfg: &Config, state: &State, schedule: &[u8], report: &mut Report) {
-    report.terminals += 1;
-    let verdict = judge_terminal(cfg, state);
-    report.fast_commit_terminals += verdict.fast as u64;
-    report.slow_commit_terminals += verdict.slow as u64;
-    report.lock_commit_terminals += verdict.lock as u64;
-    if let Some((kind, detail)) = verdict.violation {
-        record(report, kind, detail, schedule);
-    }
-}
-
 /// Explores every interleaving of `cfg` and checks every terminal state.
-pub fn explore(cfg: &Config) -> Report {
-    cfg.validate();
+pub fn explore<M: Machine>(cfg: &M::Config) -> Report {
     let mut report = Report {
-        config: cfg.name.clone(),
+        config: M::name(cfg).to_string(),
         states: 0,
         terminals: 0,
         violation_count: 0,
         violations: Vec::new(),
+        path_labels: M::PATH_LABELS,
         fast_commit_terminals: 0,
         slow_commit_terminals: 0,
         lock_commit_terminals: 0,
     };
 
-    let initial = State::initial(cfg);
-    let mut visited: HashSet<State> = HashSet::new();
+    let initial = M::initial(cfg);
+    let mut visited: HashSet<M> = HashSet::new();
     visited.insert(initial.clone());
-    let mut stack: Vec<(State, Vec<u8>)> = vec![(initial, Vec::new())];
+    let mut stack: Vec<(M, Vec<u8>)> = vec![(initial, Vec::new())];
 
     while let Some((state, schedule)) = stack.pop() {
         report.states += 1;
-        let enabled: Vec<usize> = (0..cfg.threads.len())
-            .filter(|&t| state.enabled(cfg, t))
-            .collect();
+        let enabled = state.enabled_threads(cfg);
         if enabled.is_empty() {
             if state.terminal() {
-                check_terminal(cfg, &state, &schedule, &mut report);
+                report.terminals += 1;
+                let verdict = judge(&state);
+                report.fast_commit_terminals += verdict.fast as u64;
+                report.slow_commit_terminals += verdict.slow as u64;
+                report.lock_commit_terminals += verdict.lock as u64;
+                if let Some((kind, detail)) = verdict.violation {
+                    record(&mut report, kind, detail, &schedule);
+                }
             } else {
-                // Cannot happen (the lock holder is always enabled), but a
-                // modeling bug should surface as a finding, not silently
-                // shrink the state space.
+                // Cannot happen (a lock or stripe holder is always
+                // enabled), but a modeling bug should surface as a
+                // finding, not silently shrink the state space.
                 record(
                     &mut report,
                     "stuck",

@@ -1,75 +1,65 @@
-//! The protocol state machine: configurations, per-thread phases, and the
-//! small-step transition function.
+//! The machine interface, and what every protocol machine shares.
 //!
-//! Fidelity notes (kept deliberately close to `rtle-core`):
+//! A protocol model is a type implementing [`Machine`]: a global state
+//! that can say which threads may step, step one of them, and — once
+//! every thread is done — hand over its final memory and committed
+//! history. Everything that *drives* a machine is written once against
+//! this trait: the exhaustive explorer and the terminal judge in
+//! [`super::explore`], and `rtle-fuzz`'s PCT runner, replay, shrinker and
+//! hunt. A new machine (the x86-TSO store-buffer model, say) is one
+//! `impl Machine` and inherits all of them.
 //!
-//! * A fast attempt with eager subscription reads the lock *inside* the
-//!   transaction first ([`Phase::FastSub`]); if the lock is held it aborts
-//!   (the runtime's `LOCK_HELD`), otherwise the subscription stays in the
-//!   read set so a later acquisition dooms the transaction.
-//! * RW-TLE slow attempts subscribe `write_flag` (never the lock — the lock
-//!   is held by definition) and abort if it is raised; slow *writes* abort
-//!   (`RW_SLOW_WRITE`). The holder raises the flag before its first write
-//!   and lowers it before releasing the lock.
-//! * FG-TLE slow attempts snapshot the epoch when they start, then check
-//!   (and thereby subscribe) the write orec before each read and both orecs
-//!   before each write. The holder bumps the epoch after acquiring, stamps
-//!   the matching orec *before* each access (elided when already stamped
-//!   this section — §4.2's duplicate-store elision), and bumps again before
-//!   release. `owned(orec, local_seq) = orec >= local_seq`, exactly the
-//!   runtime's rule — including its conservative pre-first-section corner
-//!   where snapshot 0 sees virgin orecs as owned (spurious abort, safe
-//!   direction).
-//! * Threads observe the lock state in a separate probe step
-//!   ([`Phase::Decide`]) before acting on it, so the model contains the
-//!   real code's probe/act races.
-//!
-//! The model indexes orecs as `loc % orecs` instead of the runtime's
-//! Thomas-Wang hash: the protocol logic is what is being checked, and a
-//! transparent mapping lets configurations pin down aliasing exactly.
+//! The thread programs ([`Op`], [`Val`]) and the per-attempt bookkeeping
+//! ([`AttemptLog`]: write buffer, access log, last-read values) are the
+//! same for every transactional protocol, so they live here too.
+
+use std::hash::Hash;
 
 use super::oracle::{CommitPath, Committed, HOp};
 
-/// Which refinement the lock runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Policy {
-    /// Plain TLE: no speculation while the lock is held.
-    Tle,
-    /// RW-TLE (§3): read-only speculation under the lock, gated by
-    /// `write_flag`.
-    RwTle,
-    /// FG-TLE (§4): read/write speculation under the lock, gated by
-    /// ownership records.
-    FgTle {
-        /// Number of ownership records (addresses map as `loc % orecs`).
-        orecs: u8,
-    },
-}
+/// A small-step protocol model over `Config`'s closed thread programs.
+///
+/// Contract the drivers rely on: all data locations start at 0; every
+/// thread commits exactly one [`Committed`] entry; `step` is
+/// deterministic; and a state with no enabled thread is either
+/// [`terminal`](Machine::terminal) or a modeling bug (`stuck`).
+pub trait Machine: Clone + Eq + Hash {
+    /// The closed configuration a run starts from.
+    type Config;
+    /// How reports label the three [`CommitPath`]s, in `Fast/Slow/Lock`
+    /// order (`"f/s/l"`, `"ro/wr/atomic"`).
+    const PATH_LABELS: &'static str;
 
-impl Policy {
-    fn has_slow_path(self) -> bool {
-        !matches!(self, Policy::Tle)
+    /// Display name of `cfg` (reports and witnesses).
+    fn name(cfg: &Self::Config) -> &str;
+    /// Number of threads.
+    fn threads(cfg: &Self::Config) -> usize;
+    /// A crude static estimate of one run's length in steps — PCT's first
+    /// change-point horizon, before observed lengths take over.
+    fn horizon_hint(cfg: &Self::Config) -> u64;
+    /// The initial state. Panics if `cfg` is internally inconsistent.
+    fn initial(cfg: &Self::Config) -> Self;
+    /// Is thread `t` able to take a step? Disabled threads model spin-waits.
+    fn enabled(&self, cfg: &Self::Config, t: usize) -> bool;
+    /// Executes one step of thread `t`, which must be enabled.
+    fn step(&mut self, cfg: &Self::Config, t: usize);
+    /// All threads done?
+    fn terminal(&self) -> bool;
+    /// Structural invariants that must hold in a terminal state; a
+    /// human-readable complaint on violation.
+    fn invariant_violation(&self) -> Option<String>;
+    /// Shared data memory (judged in terminal states).
+    fn data(&self) -> &[u64];
+    /// The committed history, one entry per thread (all present in a valid
+    /// terminal state).
+    fn committed(&self) -> &[Option<Committed>];
+
+    /// The threads able to step, lowest id first.
+    fn enabled_threads(&self, cfg: &Self::Config) -> Vec<usize> {
+        (0..Self::threads(cfg))
+            .filter(|&t| self.enabled(cfg, t))
+            .collect()
     }
-
-    fn is_fg(self) -> bool {
-        matches!(self, Policy::FgTle { .. })
-    }
-}
-
-/// How fast-path transactions subscribe to the elided lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Subscription {
-    /// Subscribe (transactionally read) the lock before the critical
-    /// section. The safe textbook scheme.
-    Eager,
-    /// No subscription during the body; an atomic lock check at commit
-    /// (models the instrumented / hardware-assisted safe lazy variant from
-    /// the companion paper).
-    LazySafe,
-    /// No subscription and **no commit-time check** — the deliberately
-    /// broken mutant. Zombie transactions can commit mid-critical-section
-    /// state; the serializability oracle must flag it.
-    LazyUnsafe,
 }
 
 /// Value written by an [`Op::Write`].
@@ -92,199 +82,71 @@ pub enum Op {
 }
 
 impl Op {
-    fn is_write(self) -> bool {
+    /// Is this a write?
+    pub fn is_write(self) -> bool {
         matches!(self, Op::Write(..))
     }
 
-    fn loc(self) -> u8 {
+    /// The location accessed.
+    pub fn loc(self) -> u8 {
         match self {
             Op::Read(l) | Op::Write(l, _) => l,
         }
     }
 }
 
-/// One thread's program and disposition.
-#[derive(Debug, Clone)]
-pub struct ThreadSpec {
-    /// The critical-section body.
-    pub ops: Vec<Op>,
-    /// A hostile thread goes straight for the lock (models an `Unsupported`
-    /// abort — syscall, page fault — forcing the pessimistic path).
-    pub hostile: bool,
-}
-
-/// A closed model configuration: policy, subscription mode, thread
-/// programs, and retry budgets.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Display name (used in reports and violation messages).
-    pub name: String,
-    /// Which refinement the lock runs.
-    pub policy: Policy,
-    /// Fast-path lock subscription mode.
-    pub sub: Subscription,
-    /// Per-thread programs.
-    pub threads: Vec<ThreadSpec>,
-    /// Number of data locations (all start at 0).
-    pub nloc: u8,
-    /// Fast attempts before a thread gives up and takes the lock.
-    pub max_fast_attempts: u8,
-    /// Total slow-attempt budget per thread.
-    pub max_slow_attempts: u8,
-}
-
-impl Config {
-    /// Panics if the configuration is internally inconsistent (bad
-    /// location indices, `LastReadPlus` without a preceding read).
-    ///
-    /// Up to 8 threads are accepted: the exhaustive explorer stays at 2–3
-    /// (state-space limits), while `rtle-fuzz`'s randomized PCT scheduler
-    /// drives the same machines at 4–8.
-    pub fn validate(&self) {
-        assert!(!self.threads.is_empty() && self.threads.len() <= 8);
-        for spec in &self.threads {
-            let mut seen = vec![false; self.nloc as usize];
-            for op in &spec.ops {
-                assert!((op.loc() as usize) < self.nloc as usize, "loc out of range");
-                match *op {
-                    Op::Read(l) => seen[l as usize] = true,
-                    Op::Write(_, Val::LastReadPlus(l, _)) => {
-                        assert!(seen[l as usize], "LastReadPlus must follow a read of loc");
-                    }
-                    Op::Write(_, Val::Const(_)) => {}
+/// Panics unless `programs` is 1–8 thread bodies over `nloc` locations in
+/// which every [`Val::LastReadPlus`] follows a read of its location.
+///
+/// Up to 8 threads are accepted: the exhaustive explorer stays at 2–3
+/// (state-space limits), while `rtle-fuzz`'s randomized PCT scheduler
+/// drives the same machines at 4–8.
+pub fn validate_programs<'a>(programs: impl ExactSizeIterator<Item = &'a [Op]>, nloc: u8) {
+    assert!((1..=8).contains(&programs.len()));
+    for ops in programs {
+        let mut seen = vec![false; nloc as usize];
+        for op in ops {
+            assert!(op.loc() < nloc, "loc out of range");
+            match *op {
+                Op::Read(l) => seen[l as usize] = true,
+                Op::Write(_, Val::LastReadPlus(l, _)) => {
+                    assert!(seen[l as usize], "LastReadPlus must follow a read of loc");
                 }
+                Op::Write(_, Val::Const(_)) => {}
             }
         }
-        if let Policy::FgTle { orecs } = self.policy {
-            assert!(orecs >= 1);
-        }
     }
 }
 
-/// A cache line in the model: the lock word, the `write_flag`, a data
-/// location, or an orec. (The epoch counter is only ever read plainly, so
-/// it has no line.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Line {
-    Lock,
-    Flag,
-    Data(u8),
-    ROrec(u8),
-    WOrec(u8),
-}
-
-/// Where a thread is in its lifecycle. Fast/Slow phases are speculative
-/// (abortable); Lock phases run pessimistically under the lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Phase {
-    /// Probe the lock and choose a path.
-    Decide,
-    /// Eager subscription: transactional read of the lock.
-    FastSub,
-    /// Execute op `i` speculatively.
-    FastOp(u8),
-    /// Commit the fast transaction (lazy-safe checks the lock here).
-    FastCommit,
-    /// Begin a slow attempt: RW checks the flag, FG snapshots the epoch.
-    SlowStart,
-    /// FG: orec conflict check (and subscription) for op `i`.
-    SlowCheck(u8),
-    /// Execute op `i` speculatively under the slow path.
-    SlowAccess(u8),
-    /// Commit the slow transaction.
-    SlowCommit,
-    /// Acquire the lock (enabled only while it is free).
-    LockAcquire,
-    /// FG: post-acquire epoch bump.
-    LockPrep,
-    /// FG: stamp the orec for op `i`; RW: raise the flag before the first
-    /// write.
-    LockStamp(u8),
-    /// Execute op `i` pessimistically.
-    LockAccess(u8),
-    /// FG: pre-release epoch bump; RW: lower the flag.
-    LockFinish,
-    /// Release the lock and record the critical section in the history.
-    LockRelease,
-    /// Program complete.
-    Done,
-}
-
-impl Phase {
-    fn speculative(self) -> bool {
-        matches!(
-            self,
-            Phase::FastSub
-                | Phase::FastOp(_)
-                | Phase::FastCommit
-                | Phase::SlowStart
-                | Phase::SlowCheck(_)
-                | Phase::SlowAccess(_)
-                | Phase::SlowCommit
-        )
-    }
-
-    fn fast(self) -> bool {
-        matches!(self, Phase::FastSub | Phase::FastOp(_) | Phase::FastCommit)
-    }
-}
-
-/// Per-thread dynamic state.
+/// What one attempt at a critical section has buffered and observed;
+/// every machine's per-thread state embeds one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Thread {
-    phase: Phase,
-    fast_attempts: u8,
-    slow_attempts: u8,
-    /// Set when a published store hit this transaction's footprint; the
-    /// next step aborts.
-    doomed: bool,
-    read_set: Vec<Line>,
-    write_set: Vec<Line>,
-    /// Speculative write buffer, published at commit.
+pub struct AttemptLog {
+    /// Speculative write buffer, last-write-wins per location, published
+    /// at commit.
     wbuf: Vec<(u8, u64)>,
     /// Data reads/writes of the current attempt, in program order.
     ops_log: Vec<HOp>,
-    /// Last value read per location (for `Val::LastReadPlus`).
+    /// Last value read per location (for [`Val::LastReadPlus`]).
     last_read: Vec<Option<u64>>,
-    /// FG slow path: epoch snapshot taken at `SlowStart`.
-    local_seq: u64,
-    /// RW lock path: whether this holder has raised `write_flag`.
-    flag_raised: bool,
 }
 
-impl Thread {
-    fn new(nloc: u8) -> Self {
-        Thread {
-            phase: Phase::Decide,
-            fast_attempts: 0,
-            slow_attempts: 0,
-            doomed: false,
-            read_set: Vec::new(),
-            write_set: Vec::new(),
+impl AttemptLog {
+    /// An empty log over `nloc` locations.
+    pub fn new(nloc: u8) -> Self {
+        AttemptLog {
             wbuf: Vec::new(),
             ops_log: Vec::new(),
             last_read: vec![None; nloc as usize],
-            local_seq: 0,
-            flag_raised: false,
         }
     }
 
-    fn reset_attempt(&mut self) {
-        self.doomed = false;
-        self.read_set.clear();
-        self.write_set.clear();
+    /// Forgets the attempt (abort, or a fresh start).
+    pub fn reset(&mut self) {
         self.wbuf.clear();
         self.ops_log.clear();
         for v in &mut self.last_read {
             *v = None;
-        }
-        self.local_seq = 0;
-        self.flag_raised = false;
-    }
-
-    fn subscribe(&mut self, line: Line) {
-        if !self.read_set.contains(&line) {
-            self.read_set.push(line);
         }
     }
 
@@ -299,467 +161,46 @@ impl Thread {
         }
     }
 
-    /// Speculative execution of one op against `data` (reads go through the
-    /// write buffer; writes are buffered until commit).
-    fn spec_access(&mut self, data: &[u64], op: Op) {
-        match op {
-            Op::Read(loc) => {
-                let buffered = self
-                    .wbuf
-                    .iter()
-                    .rev()
-                    .find(|&&(l, _)| l == loc)
-                    .map(|&(_, v)| v);
-                let v = match buffered {
-                    Some(v) => v, // read-own-write: line already in write set
-                    None => {
-                        self.subscribe(Line::Data(loc));
-                        data[loc as usize]
-                    }
-                };
-                self.last_read[loc as usize] = Some(v);
-                self.ops_log.push(HOp::Read(loc, v));
-            }
-            Op::Write(loc, val) => {
-                let v = self.eval(val);
-                match self.wbuf.iter_mut().find(|(l, _)| *l == loc) {
-                    Some(slot) => slot.1 = v,
-                    None => self.wbuf.push((loc, v)),
-                }
-                if !self.write_set.contains(&Line::Data(loc)) {
-                    self.write_set.push(Line::Data(loc));
-                }
-                self.ops_log.push(HOp::Write(loc, v));
-            }
-        }
+    /// The buffered writes, in first-write order.
+    pub fn writes(&self) -> &[(u8, u64)] {
+        &self.wbuf
     }
-}
 
-/// Shared memory and metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Shared {
-    data: Vec<u64>,
-    lock: bool,
-    flag: bool,
-    epoch: u64,
-    r_orecs: Vec<u64>,
-    w_orecs: Vec<u64>,
-}
+    /// This attempt's own buffered write to `loc`, if any (a read must
+    /// observe it instead of memory).
+    pub fn buffered(&self, loc: u8) -> Option<u64> {
+        self.wbuf.iter().find(|&&(l, _)| l == loc).map(|&(_, v)| v)
+    }
 
-/// One global model state: shared memory, every thread, and the committed
-/// history (indexed by thread — each thread commits exactly once).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct State {
-    shared: Shared,
-    threads: Vec<Thread>,
-    committed: Vec<Option<Committed>>,
-}
+    /// Logs a read of `loc` that observed `v`.
+    pub fn read(&mut self, loc: u8, v: u64) {
+        self.last_read[loc as usize] = Some(v);
+        self.ops_log.push(HOp::Read(loc, v));
+    }
 
-impl State {
-    /// Initial state for `cfg`: all locations 0, all threads at
-    /// [`Phase::Decide`].
-    pub fn initial(cfg: &Config) -> Self {
-        let orecs = match cfg.policy {
-            Policy::FgTle { orecs } => orecs as usize,
-            _ => 0,
-        };
-        State {
-            shared: Shared {
-                data: vec![0; cfg.nloc as usize],
-                lock: false,
-                flag: false,
-                epoch: 0,
-                r_orecs: vec![0; orecs],
-                w_orecs: vec![0; orecs],
-            },
-            threads: cfg.threads.iter().map(|_| Thread::new(cfg.nloc)).collect(),
-            committed: vec![None; cfg.threads.len()],
+    /// Logs a speculative write: buffered until commit.
+    pub fn write_buffered(&mut self, loc: u8, val: Val) {
+        let v = self.write_through(loc, val);
+        match self.wbuf.iter_mut().find(|(l, _)| *l == loc) {
+            Some(slot) => slot.1 = v,
+            None => self.wbuf.push((loc, v)),
         }
     }
 
-    /// Final shared data (terminal-state inspection).
-    pub fn data(&self) -> &[u64] {
-        &self.shared.data
+    /// Logs a pessimistic write and returns the value to store now.
+    pub fn write_through(&mut self, loc: u8, val: Val) -> u64 {
+        let v = self.eval(val);
+        self.ops_log.push(HOp::Write(loc, v));
+        v
     }
 
-    /// The committed history, one entry per thread (all present in a valid
-    /// terminal state).
-    pub fn committed(&self) -> &[Option<Committed>] {
-        &self.committed
-    }
-
-    /// All threads done?
-    pub fn terminal(&self) -> bool {
-        self.threads.iter().all(|t| t.phase == Phase::Done)
-    }
-
-    /// Structural invariants that must hold in a terminal state. Returns a
-    /// human-readable complaint on violation.
-    pub fn terminal_invariant_violation(&self) -> Option<String> {
-        if self.shared.lock {
-            return Some("terminal state with the lock still held".into());
-        }
-        if self.shared.flag {
-            return Some("terminal state with write_flag still raised".into());
-        }
-        if !self.shared.epoch.is_multiple_of(2) {
-            return Some(format!(
-                "terminal state with odd epoch {}",
-                self.shared.epoch
-            ));
-        }
-        if let Some(t) = self.committed.iter().position(|c| c.is_none()) {
-            return Some(format!("thread {t} finished without committing"));
-        }
-        None
-    }
-
-    fn wants_lock(cfg: &Config, th: &Thread, spec: &ThreadSpec) -> bool {
-        spec.hostile || th.fast_attempts >= cfg.max_fast_attempts
-    }
-
-    /// Is thread `t` able to take a step? Disabled threads model the
-    /// runtime's spin-wait loops.
-    pub fn enabled(&self, cfg: &Config, t: usize) -> bool {
-        let th = &self.threads[t];
-        match th.phase {
-            Phase::Done => false,
-            Phase::LockAcquire => !self.shared.lock,
-            Phase::Decide => {
-                if !self.shared.lock {
-                    return true;
-                }
-                // Lock held at the probe: lock-bound threads spin; others
-                // may speculate on the slow path while budget remains.
-                !Self::wants_lock(cfg, th, &cfg.threads[t])
-                    && cfg.policy.has_slow_path()
-                    && th.slow_attempts < cfg.max_slow_attempts
-            }
-            _ => true,
-        }
-    }
-
-    fn orec_index(policy: Policy, loc: u8) -> usize {
-        match policy {
-            Policy::FgTle { orecs } => loc as usize % orecs as usize,
-            _ => 0,
-        }
-    }
-
-    /// Dooms every *other* speculative thread whose footprint contains
-    /// `line` (a store was just published on it).
-    fn publish(threads: &mut [Thread], publisher: usize, line: Line) {
-        for (u, th) in threads.iter_mut().enumerate() {
-            if u != publisher
-                && th.phase.speculative()
-                && (th.read_set.contains(&line) || th.write_set.contains(&line))
-            {
-                th.doomed = true;
-            }
-        }
-    }
-
-    fn abort(&mut self, t: usize) {
-        let th = &mut self.threads[t];
-        if th.phase.fast() {
-            th.fast_attempts += 1;
-        } else {
-            th.slow_attempts += 1;
-        }
-        th.reset_attempt();
-        th.phase = Phase::Decide;
-    }
-
-    /// Executes one step of thread `t`. Caller must ensure
-    /// [`State::enabled`] holds.
-    pub fn step(&mut self, cfg: &Config, t: usize) {
-        debug_assert!(self.enabled(cfg, t));
-        if self.threads[t].doomed {
-            // A conflicting store hit this transaction's footprint; the
-            // hardware delivers the abort at the next instruction boundary.
-            self.abort(t);
-            return;
-        }
-
-        let spec = &cfg.threads[t];
-        // Lines on which a store was published this step; dooms are applied
-        // once the per-thread borrow below is released.
-        let mut published: Vec<Line> = Vec::new();
-        let mut commit: Option<CommitPath> = None;
-        let mut abort = false;
-
-        {
-            let (shared, th) = (&mut self.shared, &mut self.threads[t]);
-            match th.phase {
-                Phase::Done => unreachable!("done threads are never enabled"),
-                Phase::Decide => {
-                    th.reset_attempt();
-                    if !shared.lock {
-                        if Self::wants_lock(cfg, th, spec) {
-                            th.phase = Phase::LockAcquire;
-                        } else {
-                            th.phase = match cfg.sub {
-                                Subscription::Eager => Phase::FastSub,
-                                _ if spec.ops.is_empty() => Phase::FastCommit,
-                                _ => Phase::FastOp(0),
-                            };
-                        }
-                    } else {
-                        // enabled() guaranteed the slow route is open.
-                        th.phase = Phase::SlowStart;
-                    }
-                }
-
-                // ---- fast path -------------------------------------------
-                Phase::FastSub => {
-                    th.subscribe(Line::Lock);
-                    if shared.lock {
-                        abort = true; // LOCK_HELD
-                    } else if spec.ops.is_empty() {
-                        th.phase = Phase::FastCommit;
-                    } else {
-                        th.phase = Phase::FastOp(0);
-                    }
-                }
-                Phase::FastOp(i) => {
-                    th.spec_access(&shared.data, spec.ops[i as usize]);
-                    th.phase = if (i as usize + 1) < spec.ops.len() {
-                        Phase::FastOp(i + 1)
-                    } else {
-                        Phase::FastCommit
-                    };
-                }
-                Phase::FastCommit => {
-                    if cfg.sub == Subscription::LazySafe && shared.lock {
-                        // Safe lazy variant: atomic lock check fused with
-                        // commit (LAZY_LOCK_HELD).
-                        abort = true;
-                    } else {
-                        for &(loc, v) in &th.wbuf {
-                            shared.data[loc as usize] = v;
-                            published.push(Line::Data(loc));
-                        }
-                        commit = Some(CommitPath::Fast);
-                    }
-                }
-
-                // ---- slow path -------------------------------------------
-                Phase::SlowStart => match cfg.policy {
-                    Policy::RwTle => {
-                        th.subscribe(Line::Flag);
-                        if shared.flag {
-                            abort = true; // writer active
-                        } else if spec.ops.is_empty() {
-                            th.phase = Phase::SlowCommit;
-                        } else {
-                            th.phase = Phase::SlowAccess(0);
-                        }
-                    }
-                    Policy::FgTle { .. } => {
-                        th.local_seq = shared.epoch;
-                        th.phase = if spec.ops.is_empty() {
-                            Phase::SlowCommit
-                        } else {
-                            Phase::SlowCheck(0)
-                        };
-                    }
-                    Policy::Tle => unreachable!("plain TLE has no slow path"),
-                },
-                Phase::SlowCheck(i) => {
-                    // FG only: check (and subscribe) the orecs guarding op i
-                    // (Figure 3's read/write barriers).
-                    let op = spec.ops[i as usize];
-                    let h = Self::orec_index(cfg.policy, op.loc());
-                    th.subscribe(Line::WOrec(h as u8));
-                    let mut conflict = shared.w_orecs[h] >= th.local_seq;
-                    if op.is_write() {
-                        th.subscribe(Line::ROrec(h as u8));
-                        conflict |= shared.r_orecs[h] >= th.local_seq;
-                    }
-                    if conflict {
-                        abort = true;
-                    } else {
-                        th.phase = Phase::SlowAccess(i);
-                    }
-                }
-                Phase::SlowAccess(i) => {
-                    let op = spec.ops[i as usize];
-                    if cfg.policy == Policy::RwTle && op.is_write() {
-                        abort = true; // RW_SLOW_WRITE
-                    } else {
-                        th.spec_access(&shared.data, op);
-                        th.phase = if (i as usize + 1) < spec.ops.len() {
-                            match cfg.policy {
-                                Policy::FgTle { .. } => Phase::SlowCheck(i + 1),
-                                _ => Phase::SlowAccess(i + 1),
-                            }
-                        } else {
-                            Phase::SlowCommit
-                        };
-                    }
-                }
-                Phase::SlowCommit => {
-                    for &(loc, v) in &th.wbuf {
-                        shared.data[loc as usize] = v;
-                        published.push(Line::Data(loc));
-                    }
-                    commit = Some(CommitPath::Slow);
-                }
-
-                // ---- lock path -------------------------------------------
-                Phase::LockAcquire => {
-                    debug_assert!(!shared.lock);
-                    shared.lock = true;
-                    published.push(Line::Lock);
-                    th.phase = Phase::LockPrep; // normalize() skips it for TLE/RW
-                }
-                Phase::LockPrep => {
-                    debug_assert!(cfg.policy.is_fg());
-                    shared.epoch = shared.epoch.wrapping_add(1); // now odd
-                    th.phase = if spec.ops.is_empty() {
-                        Phase::LockFinish
-                    } else {
-                        Phase::LockStamp(0)
-                    };
-                }
-                Phase::LockStamp(i) => {
-                    let op = spec.ops[i as usize];
-                    match cfg.policy {
-                        Policy::RwTle => {
-                            debug_assert!(op.is_write() && !th.flag_raised);
-                            shared.flag = true;
-                            published.push(Line::Flag);
-                            th.flag_raised = true;
-                        }
-                        Policy::FgTle { .. } => {
-                            let h = Self::orec_index(cfg.policy, op.loc());
-                            if op.is_write() {
-                                debug_assert!(shared.w_orecs[h] < shared.epoch);
-                                shared.w_orecs[h] = shared.epoch;
-                                published.push(Line::WOrec(h as u8));
-                            } else {
-                                debug_assert!(shared.r_orecs[h] < shared.epoch);
-                                shared.r_orecs[h] = shared.epoch;
-                                published.push(Line::ROrec(h as u8));
-                            }
-                        }
-                        Policy::Tle => unreachable!("normalize skips TLE stamps"),
-                    }
-                    th.phase = Phase::LockAccess(i);
-                }
-                Phase::LockAccess(i) => {
-                    match spec.ops[i as usize] {
-                        Op::Read(loc) => {
-                            let v = shared.data[loc as usize];
-                            th.last_read[loc as usize] = Some(v);
-                            th.ops_log.push(HOp::Read(loc, v));
-                        }
-                        Op::Write(loc, val) => {
-                            let v = th.eval(val);
-                            shared.data[loc as usize] = v;
-                            published.push(Line::Data(loc));
-                            th.ops_log.push(HOp::Write(loc, v));
-                        }
-                    }
-                    th.phase = if (i as usize + 1) < spec.ops.len() {
-                        Phase::LockStamp(i + 1)
-                    } else {
-                        Phase::LockFinish
-                    };
-                }
-                Phase::LockFinish => {
-                    match cfg.policy {
-                        Policy::FgTle { .. } => {
-                            shared.epoch = shared.epoch.wrapping_add(1); // even
-                        }
-                        Policy::RwTle => {
-                            debug_assert!(th.flag_raised);
-                            shared.flag = false;
-                            published.push(Line::Flag);
-                            th.flag_raised = false;
-                        }
-                        Policy::Tle => unreachable!("normalize skips TLE finish"),
-                    }
-                    th.phase = Phase::LockRelease;
-                }
-                Phase::LockRelease => {
-                    shared.lock = false;
-                    published.push(Line::Lock);
-                    commit = Some(CommitPath::Lock);
-                }
-            }
-        }
-
-        for line in published {
-            Self::publish(&mut self.threads, t, line);
-        }
-        if abort {
-            self.abort(t);
-        } else if let Some(path) = commit {
-            let ops = std::mem::take(&mut self.threads[t].ops_log);
-            self.committed[t] = Some(Committed {
-                thread: t as u8,
-                path,
-                ops,
-            });
-            self.threads[t].reset_attempt();
-            self.threads[t].phase = Phase::Done;
-        }
-        self.normalize(cfg, t);
-    }
-
-    /// Skips phases that are no-ops under the current policy/state (e.g.
-    /// TLE never stamps; an already-stamped FG orec elides the duplicate
-    /// store, §4.2). Skip decisions only read state that nobody else can
-    /// change concurrently (the holder's own orecs/flag), so eliding the
-    /// scheduling point is sound.
-    fn normalize(&mut self, cfg: &Config, t: usize) {
-        loop {
-            let spec = &cfg.threads[t];
-            let th = &self.threads[t];
-            let next = match th.phase {
-                Phase::LockPrep if !cfg.policy.is_fg() => Some(if spec.ops.is_empty() {
-                    Phase::LockFinish
-                } else {
-                    Phase::LockStamp(0)
-                }),
-                Phase::LockStamp(i) => {
-                    let op = spec.ops[i as usize];
-                    match cfg.policy {
-                        Policy::Tle => Some(Phase::LockAccess(i)),
-                        Policy::RwTle => {
-                            if !op.is_write() || th.flag_raised {
-                                Some(Phase::LockAccess(i))
-                            } else {
-                                None
-                            }
-                        }
-                        Policy::FgTle { .. } => {
-                            let h = Self::orec_index(cfg.policy, op.loc());
-                            let arr = if op.is_write() {
-                                &self.shared.w_orecs
-                            } else {
-                                &self.shared.r_orecs
-                            };
-                            if arr[h] >= self.shared.epoch {
-                                Some(Phase::LockAccess(i)) // duplicate stamp elided
-                            } else {
-                                None
-                            }
-                        }
-                    }
-                }
-                Phase::LockFinish => match cfg.policy {
-                    Policy::Tle => Some(Phase::LockRelease),
-                    Policy::RwTle if !th.flag_raised => Some(Phase::LockRelease),
-                    _ => None,
-                },
-                _ => None,
-            };
-            match next {
-                Some(p) => self.threads[t].phase = p,
-                None => break,
-            }
+    /// Hands the access log over as thread `t`'s committed critical
+    /// section; the caller resets the attempt.
+    pub fn commit(&mut self, t: usize, path: CommitPath) -> Committed {
+        Committed {
+            thread: t as u8,
+            path,
+            ops: std::mem::take(&mut self.ops_log),
         }
     }
 }

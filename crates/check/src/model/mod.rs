@@ -23,25 +23,26 @@
 //! commit-time check) reproduces the zombie-transaction hazard the paper's
 //! companion work warns about, and the oracle must catch it.
 //!
-//! The [`tl2`] module applies the same treatment to the TL2 software TM
-//! (per-stripe versioned write-locks, global version clock): its own
-//! small-step machine, its own safe suite, and a seeded stale-read mutant
-//! ([`tl2_mutant_config`]) the serializability oracle must likewise catch.
-//! The same machine, configured with a cached read-version and snapshot
-//! extension, is `rtle-htm`'s emulated HTM; its seeded mutant
-//! ([`swhtm_mutant_config`]) extends in the wrong order.
+//! Every protocol model implements [`Machine`] ([`machine`]); the explorer,
+//! the terminal judge and — in `rtle-fuzz` — the PCT runner, replay,
+//! shrinker and hunt are each written once against it. [`tle`] is the
+//! machine above. [`tl2`] is the TL2 software TM (per-stripe versioned
+//! write-locks, global version clock) with its own safe suite and a seeded
+//! stale-read mutant ([`tl2_mutant_config`]); configured with a cached
+//! read-version and snapshot extension it is `rtle-htm`'s emulated HTM,
+//! whose seeded mutant ([`swhtm_mutant_config`]) extends in the wrong
+//! order. The oracle must catch every mutant.
 
 pub mod explore;
 pub mod machine;
 pub mod oracle;
 pub mod suite;
 pub mod tl2;
+pub mod tle;
 
-pub use explore::{explore, judge_terminal, Report, TerminalVerdict, ViolationReport};
-pub use machine::{Config, Op, Policy, State, Subscription, ThreadSpec, Val};
+pub use explore::{explore, judge, Report, TerminalVerdict, ViolationReport};
+pub use machine::{AttemptLog, Machine, Op, Val};
 pub use oracle::{find_serial_witness, CommitPath, Committed, HOp};
-pub use suite::{mutant_config, standard_suite};
-pub use tl2::{
-    explore_tl2, judge_tl2_terminal, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension,
-    Tl2Config, Tl2State,
-};
+pub use suite::{explore_mutants, explore_safe, mutant_config, standard_suite};
+pub use tl2::{swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension, Tl2Config, Tl2State};
+pub use tle::{Config, Policy, State, Subscription, ThreadSpec};

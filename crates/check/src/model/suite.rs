@@ -1,8 +1,13 @@
 //! The standard model-checking suite: small closed configurations covering
 //! every protocol variant, plus the deliberately broken lazy-subscription
-//! mutant used as a regression test *for the oracle*.
+//! mutant used as a regression test *for the oracle* — and the registry of
+//! every machine's suite and mutants ([`explore_safe`],
+//! [`explore_mutants`]) that `rtle-check model` walks.
 
-use super::machine::{Config, Op, Policy, Subscription, ThreadSpec, Val};
+use super::explore::{explore, Report};
+use super::machine::{Op, Val};
+use super::tl2::{swhtm_mutant_config, tl2_mutant_config, tl2_suite, Tl2State};
+use super::tle::{Config, Policy, State, Subscription, ThreadSpec};
 
 fn t(ops: Vec<Op>) -> ThreadSpec {
     ThreadSpec {
@@ -127,4 +132,24 @@ pub fn mutant_config() -> Config {
         Subscription::LazyUnsafe,
         0,
     )
+}
+
+/// Explores every safe configuration of every machine: each report must
+/// come back clean. A new machine's suite joins here.
+pub fn explore_safe() -> Vec<Report> {
+    let mut reports: Vec<Report> = standard_suite().iter().map(explore::<State>).collect();
+    reports.extend(tl2_suite().iter().map(explore::<Tl2State>));
+    reports
+}
+
+/// Explores every seeded mutant — the oracle's own regression tests: the
+/// unsafe-lazy-subscription zombie, the TL2 skipped-revalidation stale
+/// read, and the swhtm extension that revalidates before it samples the
+/// clock. Each report must contain a `non-serializable` violation.
+pub fn explore_mutants() -> Vec<Report> {
+    vec![
+        explore::<State>(&mutant_config()),
+        explore::<Tl2State>(&tl2_mutant_config()),
+        explore::<Tl2State>(&swhtm_mutant_config()),
+    ]
 }

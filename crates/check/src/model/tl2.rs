@@ -1,6 +1,6 @@
 //! Small-step operational model of the TL2 software TM in
-//! `crates/hytm/src/tl2.rs`, explored exhaustively like the TLE machine
-//! in [`super::machine`].
+//! `crates/hytm/src/tl2.rs` — [`Machine`] for [`Tl2State`], explored and
+//! fuzzed by the same drivers as the TLE machine in [`super::tle`].
 //!
 //! Fidelity notes (kept deliberately close to the runtime):
 //!
@@ -58,14 +58,8 @@
 //! hash, for the same reason the TLE model indexes orecs transparently:
 //! configurations can then pin down aliasing exactly.
 
-use super::explore::Report;
-use super::machine::{Op, Val};
-use super::oracle::{find_serial_witness, CommitPath, Committed, HOp};
-use std::collections::HashSet;
-
-/// Cap on recorded violations per configuration (counting continues) —
-/// same budget as the TLE explorer.
-const MAX_RECORDED_VIOLATIONS: usize = 5;
+use super::machine::{validate_programs, AttemptLog, Machine, Op, Val};
+use super::oracle::{CommitPath, Committed};
 
 /// A closed TL2 model configuration.
 #[derive(Debug, Clone)]
@@ -101,27 +95,10 @@ pub enum Extension {
 }
 
 impl Tl2Config {
-    /// Panics if the configuration is internally inconsistent (mirrors
-    /// [`super::machine::Config::validate`]).
+    /// Panics if the configuration is internally inconsistent.
     pub fn validate(&self) {
-        assert!(!self.threads.is_empty() && self.threads.len() <= 8);
+        validate_programs(self.threads.iter().map(|ops| &ops[..]), self.nloc);
         assert!(self.stripes >= 1);
-        for ops in &self.threads {
-            let mut seen = vec![false; self.nloc as usize];
-            for op in ops {
-                let loc = match *op {
-                    Op::Read(l) | Op::Write(l, _) => l,
-                };
-                assert!((loc as usize) < self.nloc as usize, "loc out of range");
-                match *op {
-                    Op::Read(l) => seen[l as usize] = true,
-                    Op::Write(_, Val::LastReadPlus(l, _)) => {
-                        assert!(seen[l as usize], "LastReadPlus must follow a read of loc");
-                    }
-                    Op::Write(_, Val::Const(_)) => {}
-                }
-            }
-        }
     }
 
     fn stripe_of(&self, loc: u8) -> u8 {
@@ -133,11 +110,7 @@ impl Tl2Config {
     fn footprint_stripes(&self, t: usize) -> Vec<u8> {
         let mut s: Vec<u8> = self.threads[t]
             .iter()
-            .map(|op| {
-                self.stripe_of(match *op {
-                    Op::Read(l) | Op::Write(l, _) => l,
-                })
-            })
+            .map(|op| self.stripe_of(op.loc()))
             .collect();
         s.sort_unstable();
         s.dedup();
@@ -190,12 +163,8 @@ struct Thread {
     read_stripes: Vec<u8>,
     /// Sorted, deduplicated write stripes (computed entering commit).
     write_stripes: Vec<u8>,
-    /// Speculative write buffer, last-write-wins per location.
-    wbuf: Vec<(u8, u64)>,
-    /// Data reads/writes of the current attempt, in program order.
-    ops_log: Vec<HOp>,
-    /// Last value read per location (for [`Val::LastReadPlus`]).
-    last_read: Vec<Option<u64>>,
+    /// Write buffer, access log and last-read values of the attempt.
+    log: AttemptLog,
 }
 
 impl Thread {
@@ -208,9 +177,7 @@ impl Thread {
             wv: 0,
             read_stripes: Vec::new(),
             write_stripes: Vec::new(),
-            wbuf: Vec::new(),
-            ops_log: Vec::new(),
-            last_read: vec![None; nloc as usize],
+            log: AttemptLog::new(nloc),
         }
     }
 
@@ -220,22 +187,7 @@ impl Thread {
         self.wv = 0;
         self.read_stripes.clear();
         self.write_stripes.clear();
-        self.wbuf.clear();
-        self.ops_log.clear();
-        for v in &mut self.last_read {
-            *v = None;
-        }
-    }
-
-    fn eval(&self, v: Val) -> u64 {
-        match v {
-            Val::Const(c) => c,
-            Val::LastReadPlus(loc, k) => {
-                self.last_read[loc as usize]
-                    .expect("config validated: LastReadPlus follows a read")
-                    + k
-            }
-        }
+        self.log.reset();
     }
 }
 
@@ -259,10 +211,29 @@ pub struct Tl2State {
     committed: Vec<Option<Committed>>,
 }
 
-impl Tl2State {
+impl Machine for Tl2State {
+    type Config = Tl2Config;
+    /// Read-only / writer / atomic-fallback commits.
+    const PATH_LABELS: &'static str = "ro/wr/atomic";
+
+    fn name(cfg: &Tl2Config) -> &str {
+        &cfg.name
+    }
+
+    fn threads(cfg: &Tl2Config) -> usize {
+        cfg.threads.len()
+    }
+
+    /// TL2 writers take more commit steps than TLE threads, hence the
+    /// larger slack.
+    fn horizon_hint(cfg: &Tl2Config) -> u64 {
+        cfg.threads.iter().map(|t| t.len() as u64 + 6).sum()
+    }
+
     /// Initial state for `cfg`: all locations 0, clock 0, every thread at
     /// [`Phase::Begin`].
-    pub fn initial(cfg: &Tl2Config) -> Self {
+    fn initial(cfg: &Tl2Config) -> Self {
+        cfg.validate();
         Tl2State {
             data: vec![0; cfg.nloc as usize],
             stripes: vec![
@@ -278,23 +249,19 @@ impl Tl2State {
         }
     }
 
-    /// Final shared data (terminal-state inspection).
-    pub fn data(&self) -> &[u64] {
+    fn data(&self) -> &[u64] {
         &self.data
     }
 
-    /// The committed history, one entry per thread.
-    pub fn committed(&self) -> &[Option<Committed>] {
+    fn committed(&self) -> &[Option<Committed>] {
         &self.committed
     }
 
-    /// All threads done?
-    pub fn terminal(&self) -> bool {
+    fn terminal(&self) -> bool {
         self.threads.iter().all(|t| t.phase == Phase::Done)
     }
 
-    /// Structural invariants that must hold in a terminal state.
-    pub fn terminal_invariant_violation(&self) -> Option<String> {
+    fn invariant_violation(&self) -> Option<String> {
         if let Some(s) = self.stripes.iter().position(|s| s.owner.is_some()) {
             return Some(format!("terminal state with stripe {s} still locked"));
         }
@@ -307,10 +274,9 @@ impl Tl2State {
         None
     }
 
-    /// Is thread `t` able to take a step? A thread spinning on a held
-    /// stripe (lock acquisition or the atomic fallback) is disabled, like
-    /// the runtime's bounded TATAS spin.
-    pub fn enabled(&self, cfg: &Tl2Config, t: usize) -> bool {
+    /// A thread spinning on a held stripe (lock acquisition or the atomic
+    /// fallback) is disabled, like the runtime's bounded TATAS spin.
+    fn enabled(&self, cfg: &Tl2Config, t: usize) -> bool {
         let th = &self.threads[t];
         match th.phase {
             Phase::Done => false,
@@ -325,21 +291,7 @@ impl Tl2State {
         }
     }
 
-    fn commit(&mut self, t: usize, path: CommitPath) {
-        let ops = std::mem::take(&mut self.threads[t].ops_log);
-        self.committed[t] = Some(Committed {
-            thread: t as u8,
-            path,
-            ops,
-        });
-        let th = &mut self.threads[t];
-        th.reset_attempt();
-        th.phase = Phase::Done;
-    }
-
-    /// Executes one step of thread `t`. Caller must ensure
-    /// [`Tl2State::enabled`] holds.
-    pub fn step(&mut self, cfg: &Tl2Config, t: usize) {
+    fn step(&mut self, cfg: &Tl2Config, t: usize) {
         debug_assert!(self.enabled(cfg, t));
         let ops = &cfg.threads[t];
         match self.threads[t].phase {
@@ -359,13 +311,7 @@ impl Tl2State {
                 let op = ops[i as usize];
                 match op {
                     Op::Read(loc) => {
-                        let buffered = self.threads[t]
-                            .wbuf
-                            .iter()
-                            .rev()
-                            .find(|&&(l, _)| l == loc)
-                            .map(|&(_, v)| v);
-                        let v = match buffered {
+                        let v = match self.threads[t].log.buffered(loc) {
                             Some(v) => v, // read-own-write, no barrier
                             None => {
                                 let s = cfg.stripe_of(loc);
@@ -392,25 +338,15 @@ impl Tl2State {
                                 self.data[loc as usize]
                             }
                         };
-                        let th = &mut self.threads[t];
-                        th.last_read[loc as usize] = Some(v);
-                        th.ops_log.push(HOp::Read(loc, v));
+                        self.threads[t].log.read(loc, v);
                     }
-                    Op::Write(loc, val) => {
-                        let th = &mut self.threads[t];
-                        let v = th.eval(val);
-                        match th.wbuf.iter_mut().find(|(l, _)| *l == loc) {
-                            Some(slot) => slot.1 = v,
-                            None => th.wbuf.push((loc, v)),
-                        }
-                        th.ops_log.push(HOp::Write(loc, v));
-                    }
+                    Op::Write(loc, val) => self.threads[t].log.write_buffered(loc, val),
                 }
                 // Advance past the op just executed.
                 let th = &mut self.threads[t];
                 if (i as usize + 1) < ops.len() {
                     th.phase = Phase::Op(i + 1);
-                } else if th.wbuf.is_empty() {
+                } else if th.log.writes().is_empty() {
                     // Read-only: every read was validated against rv at
                     // read time; the transaction serializes at its begin
                     // point with no commit-time work (the runtime's
@@ -418,7 +354,7 @@ impl Tl2State {
                     self.commit(t, CommitPath::Fast);
                 } else {
                     let mut ws: Vec<u8> =
-                        th.wbuf.iter().map(|&(l, _)| cfg.stripe_of(l)).collect();
+                        th.log.writes().iter().map(|&(l, _)| cfg.stripe_of(l)).collect();
                     ws.sort_unstable();
                     ws.dedup();
                     th.write_stripes = ws;
@@ -509,7 +445,7 @@ impl Tl2State {
             }
 
             Phase::WriteBack => {
-                for &(loc, v) in &self.threads[t].wbuf.clone() {
+                for &(loc, v) in self.threads[t].log.writes() {
                     self.data[loc as usize] = v;
                 }
                 self.threads[t].phase = Phase::Release;
@@ -535,16 +471,9 @@ impl Tl2State {
                 let mut wrote = false;
                 for &op in ops {
                     match op {
-                        Op::Read(loc) => {
-                            let v = self.data[loc as usize];
-                            let th = &mut self.threads[t];
-                            th.last_read[loc as usize] = Some(v);
-                            th.ops_log.push(HOp::Read(loc, v));
-                        }
+                        Op::Read(loc) => self.threads[t].log.read(loc, self.data[loc as usize]),
                         Op::Write(loc, val) => {
-                            let v = self.threads[t].eval(val);
-                            self.data[loc as usize] = v;
-                            self.threads[t].ops_log.push(HOp::Write(loc, v));
+                            self.data[loc as usize] = self.threads[t].log.write_through(loc, val);
                             let s = cfg.stripe_of(loc);
                             if !self.threads[t].write_stripes.contains(&s) {
                                 self.threads[t].write_stripes.push(s);
@@ -563,6 +492,15 @@ impl Tl2State {
                 self.commit(t, CommitPath::Lock);
             }
         }
+    }
+}
+
+impl Tl2State {
+    fn commit(&mut self, t: usize, path: CommitPath) {
+        let th = &mut self.threads[t];
+        self.committed[t] = Some(th.log.commit(t, path));
+        th.reset_attempt();
+        th.phase = Phase::Done;
     }
 
     fn abort_with_budget(&mut self, cfg: &Tl2Config, t: usize) {
@@ -587,104 +525,6 @@ impl Tl2State {
             None => Phase::Begin,
         };
     }
-}
-
-/// Judges one terminal TL2 state: structural invariants first, then the
-/// serializability oracle — the same two-stage verdict as
-/// [`super::explore::judge_terminal`].
-pub fn judge_tl2_terminal(cfg: &Tl2Config, state: &Tl2State) -> Option<(&'static str, String)> {
-    if let Some(why) = state.terminal_invariant_violation() {
-        return Some(("bad-terminal", why));
-    }
-    let entries: Vec<_> = state.committed().iter().flatten().collect();
-    let init = vec![0u64; cfg.nloc as usize];
-    if find_serial_witness(&init, state.data(), &entries).is_none() {
-        let hist: Vec<String> = entries.iter().map(|e| e.to_string()).collect();
-        return Some((
-            "non-serializable",
-            format!(
-                "history [{}] with final memory {:?} matches no serial order",
-                hist.join(", "),
-                state.data()
-            ),
-        ));
-    }
-    None
-}
-
-/// Explores every interleaving of the TL2 configuration and checks every
-/// terminal state. Returns the same [`Report`] shape as the TLE
-/// explorer; `fast`/`slow`/`lock` terminal counters map to
-/// read-only / writer / atomic-fallback commits.
-pub fn explore_tl2(cfg: &Tl2Config) -> Report {
-    cfg.validate();
-    let mut report = Report {
-        config: cfg.name.clone(),
-        states: 0,
-        terminals: 0,
-        violation_count: 0,
-        violations: Vec::new(),
-        fast_commit_terminals: 0,
-        slow_commit_terminals: 0,
-        lock_commit_terminals: 0,
-    };
-
-    let initial = Tl2State::initial(cfg);
-    let mut visited: HashSet<Tl2State> = HashSet::new();
-    visited.insert(initial.clone());
-    let mut stack: Vec<(Tl2State, Vec<u8>)> = vec![(initial, Vec::new())];
-
-    while let Some((state, schedule)) = stack.pop() {
-        report.states += 1;
-        let enabled: Vec<usize> = (0..cfg.threads.len())
-            .filter(|&t| state.enabled(cfg, t))
-            .collect();
-        if enabled.is_empty() {
-            if state.terminal() {
-                report.terminals += 1;
-                let entries: Vec<_> = state.committed().iter().flatten().collect();
-                for e in &entries {
-                    match e.path {
-                        CommitPath::Fast => report.fast_commit_terminals += 1,
-                        CommitPath::Slow => report.slow_commit_terminals += 1,
-                        CommitPath::Lock => report.lock_commit_terminals += 1,
-                    }
-                }
-                if let Some((kind, detail)) = judge_tl2_terminal(cfg, &state) {
-                    report.violation_count += 1;
-                    if report.violations.len() < MAX_RECORDED_VIOLATIONS {
-                        report.violations.push(super::explore::ViolationReport {
-                            kind,
-                            detail,
-                            schedule: schedule.clone(),
-                        });
-                    }
-                }
-            } else {
-                // A non-terminal state where every thread waits on a
-                // stripe would be a lock-leak modeling bug; surface it.
-                report.violation_count += 1;
-                if report.violations.len() < MAX_RECORDED_VIOLATIONS {
-                    report.violations.push(super::explore::ViolationReport {
-                        kind: "stuck",
-                        detail: "non-terminal state with no enabled thread".into(),
-                        schedule: schedule.clone(),
-                    });
-                }
-            }
-            continue;
-        }
-        for t in enabled {
-            let mut next = state.clone();
-            next.step(cfg, t);
-            if visited.insert(next.clone()) {
-                let mut sched = schedule.clone();
-                sched.push(t as u8);
-                stack.push((next, sched));
-            }
-        }
-    }
-    report
 }
 
 fn inc(loc: u8) -> Vec<Op> {
@@ -808,12 +648,13 @@ pub fn swhtm_mutant_config() -> Tl2Config {
 
 #[cfg(test)]
 mod tests {
+    use super::super::explore::explore;
     use super::*;
 
     #[test]
     fn suite_is_clean() {
         for cfg in tl2_suite() {
-            let r = explore_tl2(&cfg);
+            let r = explore::<Tl2State>(&cfg);
             assert!(r.terminals > 0, "{}: no terminal states", cfg.name);
             assert!(
                 r.clean(),
@@ -828,7 +669,7 @@ mod tests {
     #[test]
     fn counter_exercises_all_paths() {
         let cfg = &tl2_suite()[0];
-        let r = explore_tl2(cfg);
+        let r = explore::<Tl2State>(cfg);
         assert!(r.slow_commit_terminals > 0, "writer commits must appear");
         assert!(
             r.lock_commit_terminals > 0,
@@ -838,14 +679,14 @@ mod tests {
 
     #[test]
     fn invariant_pair_has_read_only_commits() {
-        let r = explore_tl2(&tl2_suite()[1]);
+        let r = explore::<Tl2State>(&tl2_suite()[1]);
         assert!(r.fast_commit_terminals > 0, "read-only commits must appear");
         assert!(r.clean());
     }
 
     #[test]
     fn mutant_is_caught_as_non_serializable() {
-        let r = explore_tl2(&tl2_mutant_config());
+        let r = explore::<Tl2State>(&tl2_mutant_config());
         assert!(
             r.violations.iter().any(|v| v.kind == "non-serializable"),
             "the stale-read mutant must produce a lost update; report: {r:?}"
@@ -859,13 +700,13 @@ mod tests {
         let mut cfg = tl2_mutant_config();
         cfg.stale_read_mutant = false;
         cfg.name = "tl2-stale-read-fixed".into();
-        let r = explore_tl2(&cfg);
+        let r = explore::<Tl2State>(&cfg);
         assert!(r.clean(), "fixed config must be clean: {:?}", r.violations.first());
     }
 
     #[test]
     fn extension_mutant_is_caught_as_a_zombie_read() {
-        let r = explore_tl2(&swhtm_mutant_config());
+        let r = explore::<Tl2State>(&swhtm_mutant_config());
         assert!(
             r.violations.iter().any(|v| v.kind == "non-serializable"),
             "validate-before-sample must let a zombie read commit; report: {r:?}"
@@ -877,7 +718,7 @@ mod tests {
         // The same workload, sampling first, is clean (it is in the safe
         // suite) — and it does extend: the scanner commits read-only in
         // terminals where both writers committed before its second read.
-        let r = explore_tl2(&extension_pair("swhtm-extension-fixed", Extension::SampleFirst));
+        let r = explore::<Tl2State>(&extension_pair("swhtm-extension-fixed", Extension::SampleFirst));
         assert!(r.clean(), "sample-first must be clean: {:?}", r.violations.first());
         assert!(r.fast_commit_terminals > 0);
     }

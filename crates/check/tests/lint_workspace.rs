@@ -21,3 +21,31 @@ fn workspace_lint_is_clean() {
             .join("\n")
     );
 }
+
+/// The watchdog's live mirror imports its ordering (`use …::Relaxed`), so
+/// every one of its atomic accesses is a bare `Relaxed` argument: the
+/// scanner must see them, and each must land on one of the three
+/// `obs/src/watchdog.rs` table rows rather than go unaudited.
+#[test]
+fn watchdog_live_mirror_sites_match_their_table_rows() {
+    use rtle_check::lint::rules::{ordering_uses, rule_for};
+    use rtle_check::lint::source::SourceFile;
+
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
+    let path = "crates/obs/src/watchdog.rs";
+    let text = std::fs::read_to_string(root.join(path)).expect("watchdog source");
+    let sf = SourceFile::parse(&text);
+    let uses: Vec<_> = sf
+        .stmts
+        .iter()
+        .filter(|s| !s.in_test)
+        .flat_map(ordering_uses)
+        .collect();
+    assert!(uses.len() >= 12, "only {} live-mirror sites seen", uses.len());
+    for u in &uses {
+        let rule = rule_for(path, &u.receiver, u.op)
+            .unwrap_or_else(|| panic!("{path}:{}: `{}` matches no row", u.line, u.receiver));
+        assert_eq!(rule.file_suffix, "obs/src/watchdog.rs");
+        assert_eq!(u.orderings, ["Relaxed"], "{path}:{}", u.line);
+    }
+}

@@ -4,14 +4,14 @@
 //! swhtm validate-before-sample extension) are detected.
 
 use rtle_check::model::{
-    explore, explore_tl2, mutant_config, standard_suite, swhtm_mutant_config, tl2_mutant_config,
-    tl2_suite,
+    explore, explore_mutants, explore_safe, mutant_config, standard_suite, swhtm_mutant_config,
+    tl2_mutant_config, tl2_suite, State, Tl2State,
 };
 
 #[test]
 fn standard_suite_is_violation_free() {
     for cfg in standard_suite() {
-        let r = explore(&cfg);
+        let r = explore::<State>(&cfg);
         assert!(
             r.clean(),
             "{}: {} violations, first: {:?}",
@@ -29,7 +29,7 @@ fn suite_exercises_every_commit_path() {
     let mut saw_slow = false;
     let mut saw_lock = false;
     for cfg in standard_suite() {
-        let r = explore(&cfg);
+        let r = explore::<State>(&cfg);
         saw_fast |= r.fast_commit_terminals > 0;
         saw_slow |= r.slow_commit_terminals > 0;
         saw_lock |= r.lock_commit_terminals > 0;
@@ -45,7 +45,7 @@ fn rw_tle_allows_concurrent_readers() {
         .into_iter()
         .find(|c| c.name == "rwtle-reader-vs-reader")
         .expect("suite config exists");
-    let r = explore(&cfg);
+    let r = explore::<State>(&cfg);
     assert!(r.clean(), "{:?}", r.violations.first());
     assert!(
         r.slow_commit_terminals > 0,
@@ -59,7 +59,7 @@ fn fg_tle_allows_disjoint_writers() {
         .into_iter()
         .find(|c| c.name == "fgtle-disjoint")
         .expect("suite config exists");
-    let r = explore(&cfg);
+    let r = explore::<State>(&cfg);
     assert!(r.clean(), "{:?}", r.violations.first());
     assert!(
         r.slow_commit_terminals > 0,
@@ -69,7 +69,7 @@ fn fg_tle_allows_disjoint_writers() {
 
 #[test]
 fn unsafe_lazy_subscription_mutant_is_caught() {
-    let r = explore(&mutant_config());
+    let r = explore::<State>(&mutant_config());
     assert!(
         r.violation_count > 0,
         "the seeded lazy-subscription bug was NOT detected — oracle regression"
@@ -92,7 +92,7 @@ fn tl2_suite_is_violation_free_and_concurrent() {
     let mut saw_ro = false;
     let mut saw_writer = false;
     for cfg in tl2_suite() {
-        let r = explore_tl2(&cfg);
+        let r = explore::<Tl2State>(&cfg);
         assert!(
             r.clean(),
             "{}: {} violations, first: {:?}",
@@ -109,11 +109,42 @@ fn tl2_suite_is_violation_free_and_concurrent() {
 }
 
 #[test]
+fn path_coverage_counts_terminal_histories_on_every_machine() {
+    // `Report` documents the three path counters as "terminal histories
+    // containing at least one such commit" — so none can exceed the
+    // terminal count, whatever the machine. A per-commit count would:
+    // `tl2-counter` has 14 writer commits over its 8 terminals.
+    let reports = explore_safe().into_iter().chain(explore_mutants());
+    let mut seen = 0;
+    for r in reports {
+        for (label, n) in [
+            ("fast", r.fast_commit_terminals),
+            ("slow", r.slow_commit_terminals),
+            ("lock", r.lock_commit_terminals),
+        ] {
+            assert!(
+                n <= r.terminals,
+                "{}: {label} path counted {n} times over {} terminals ({})",
+                r.config,
+                r.terminals,
+                r.path_labels
+            );
+        }
+        seen += 1;
+    }
+    assert_eq!(
+        seen,
+        standard_suite().len() + tl2_suite().len() + 3,
+        "both suites and the three seeded mutants"
+    );
+}
+
+#[test]
 fn tl2_stale_read_mutant_is_caught() {
     // The TL2 analog of the lazy-subscription contract: skipping read-set
     // revalidation when the clock advanced must surface as a lost update
     // the serializability oracle flags.
-    let r = explore_tl2(&tl2_mutant_config());
+    let r = explore::<Tl2State>(&tl2_mutant_config());
     let v = r
         .violations
         .iter()
@@ -138,11 +169,11 @@ fn swhtm_configurations_verify_and_the_extension_mutant_is_caught() {
     assert!(swhtm.iter().any(|c| c.name == "swhtm-extension-pair"));
     assert!(swhtm.len() >= 6, "every TL2 workload has its swhtm twin");
     for cfg in &swhtm {
-        let r = explore_tl2(cfg);
+        let r = explore::<Tl2State>(cfg);
         assert!(r.clean(), "{}: {:?}", r.config, r.violations.first());
     }
 
-    let r = explore_tl2(&swhtm_mutant_config());
+    let r = explore::<Tl2State>(&swhtm_mutant_config());
     let v = r
         .violations
         .iter()
@@ -164,6 +195,6 @@ fn safe_lazy_subscription_is_clean_under_same_workload() {
         .into_iter()
         .find(|c| c.name == "tle-lazysafe-pair")
         .expect("suite config exists");
-    let r = explore(&cfg);
+    let r = explore::<State>(&cfg);
     assert!(r.clean(), "{:?}", r.violations.first());
 }

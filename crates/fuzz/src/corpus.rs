@@ -4,37 +4,71 @@
 //! one and fails loudly if the fuzzer's behaviour on that seed drifts
 //! (oracle regression, scheduler change, shrinker change). The mutant
 //! entries double as the fuzzer's *fitness test*: a fuzzer that can no
-//! longer find a seeded bug — the TLE lazy-subscription zombie or the
-//! TL2 stale read — within its budget is broken, whatever else it
-//! reports.
+//! longer find a seeded bug — the TLE lazy-subscription zombie, the TL2
+//! stale read or the swhtm validate-first extension — within its budget is
+//! broken, whatever else it reports.
 
-use rtle_check::model::{mutant_config, tl2_mutant_config};
+use rtle_check::model::{
+    mutant_config, swhtm_mutant_config, tl2_mutant_config, State, Tl2State,
+};
 
 use crate::schedule::{hunt, HuntReport};
-use crate::tl2::hunt_tl2;
 
 /// The documented default seed (see EXPERIMENTS.md): `fuzz run --seed
-/// 0xf422` must catch both mutants, and `fuzz replay 0xf422` must print
-/// the identical witness.
+/// 0xf422` must catch every seeded mutant, and `fuzz replay 0xf422` must
+/// print the identical witness.
 pub const DOC_SEED: u64 = 0xf422;
 
-/// Default iteration budget for the mutant fitness hunts.
+/// Default iteration budget of the shallow mutants' fitness hunts (both
+/// are caught within a handful of runs from any seed).
 pub const MUTANT_BUDGET: u64 = 256;
 
-/// Which protocol machine a corpus entry drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Machine {
-    /// The TLE machine with the lazy-unsafe subscription mutant.
-    Tle,
-    /// The TL2 machine with the stale-read (skipped revalidation) mutant.
-    Tl2,
+/// One seeded mutant and how to hunt it.
+#[derive(Debug, Clone, Copy)]
+pub struct Mutant {
+    /// Its configuration name — the key `fuzz replay --mutant` and the
+    /// corpus entries use.
+    pub name: &'static str,
+    /// Default iteration budget of its fitness hunt.
+    pub budget: u64,
+    /// The fitness hunt: `(seed, budget)` to report.
+    pub hunt: fn(u64, u64) -> HuntReport,
+}
+
+/// Every seeded mutant of every machine — the same three `rtle-check
+/// model` must catch exhaustively. A new machine's mutant joins here.
+pub const MUTANTS: [Mutant; 3] = [
+    Mutant {
+        name: "tle-lazyunsafe-mutant",
+        budget: MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<State>(&mutant_config(), seed, budget),
+    },
+    Mutant {
+        name: "tl2-stale-read-mutant",
+        budget: MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<Tl2State>(&tl2_mutant_config(), seed, budget),
+    },
+    // A depth-4 bug (three forced preemptions at near-exact steps: the
+    // scanner must validate between the two writers' commits and sample
+    // after the second), so PCT's 1/(n·k^(d-1)) bound bites: over seeds
+    // 0..80 the catch came at a median of ~1000 runs, worst 5875.
+    Mutant {
+        name: "swhtm-validate-first-mutant",
+        budget: 64 * MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<Tl2State>(&swhtm_mutant_config(), seed, budget),
+    },
+];
+
+/// The mutant whose configuration is named `name`.
+pub fn mutant(name: &str) -> Option<&'static Mutant> {
+    MUTANTS.iter().find(|m| m.name == name)
 }
 
 /// One pinned corpus entry.
 #[derive(Debug, Clone, Copy)]
 pub struct CorpusEntry {
-    /// The mutant machine this entry hunts.
-    pub machine: Machine,
+    /// Configuration name of the mutant this entry hunts ([`Mutant::name`]).
+    pub mutant: &'static str,
     /// Hunt seed.
     pub seed: u64,
     /// Iteration budget.
@@ -45,64 +79,65 @@ pub struct CorpusEntry {
     pub note: &'static str,
 }
 
-/// The pinned entries. Each runs against its machine's seeded mutant;
+/// The pinned entries. Each runs against the seeded mutant it names;
 /// distinct seeds cover distinct schedule families.
 pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
-        machine: Machine::Tle,
+        mutant: "tle-lazyunsafe-mutant",
         seed: DOC_SEED,
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
         note: "documented seed: the EXPERIMENTS.md lazy-subscription catch",
     },
     CorpusEntry {
-        machine: Machine::Tle,
+        mutant: "tle-lazyunsafe-mutant",
         seed: 0x0001,
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
         note: "smallest seed, independent schedule family",
     },
     CorpusEntry {
-        machine: Machine::Tle,
+        mutant: "tle-lazyunsafe-mutant",
         seed: 0xdead_beef,
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
         note: "third independent seed",
     },
     CorpusEntry {
-        machine: Machine::Tl2,
+        mutant: "tl2-stale-read-mutant",
         seed: DOC_SEED,
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
         note: "documented seed: the TL2 stale-read (skipped revalidation) catch",
     },
+    CorpusEntry {
+        mutant: "swhtm-validate-first-mutant",
+        seed: DOC_SEED,
+        budget: 64 * MUTANT_BUDGET,
+        expect_kind: "non-serializable",
+        note: "documented seed: the swhtm validate-before-sample extension, caught at run 391 (so not within MUTANT_BUDGET; this mutant's own budget is 64x)",
+    },
+    CorpusEntry {
+        mutant: "swhtm-validate-first-mutant",
+        seed: 0x0002,
+        budget: MUTANT_BUDGET,
+        expect_kind: "non-serializable",
+        note: "smallest seed that catches the swhtm extension within MUTANT_BUDGET",
+    },
 ];
-
-/// Runs the TLE mutant fitness hunt for `seed`/`budget`.
-pub fn mutant_hunt(seed: u64, budget: u64) -> HuntReport {
-    hunt(&mutant_config(), seed, budget)
-}
-
-/// Runs the TL2 mutant fitness hunt for `seed`/`budget`.
-pub fn tl2_mutant_hunt(seed: u64, budget: u64) -> HuntReport {
-    hunt_tl2(&tl2_mutant_config(), seed, budget)
-}
 
 /// Replays one corpus entry; `Ok(witness)` if the expectation held.
 pub fn replay_entry(e: &CorpusEntry) -> Result<String, String> {
-    let report = match e.machine {
-        Machine::Tle => mutant_hunt(e.seed, e.budget),
-        Machine::Tl2 => tl2_mutant_hunt(e.seed, e.budget),
-    };
-    match report.failure {
+    let m = mutant(e.mutant).ok_or_else(|| format!("no seeded mutant named {:?}", e.mutant))?;
+    match (m.hunt)(e.seed, e.budget).failure {
         Some(f) if f.kind == e.expect_kind => Ok(f.witness()),
         Some(f) => Err(format!(
-            "{:?} seed {:#x}: expected kind {:?}, found {:?}",
-            e.machine, e.seed, e.expect_kind, f.kind
+            "{} seed {:#x}: expected kind {:?}, found {:?}",
+            e.mutant, e.seed, e.expect_kind, f.kind
         )),
         None => Err(format!(
-            "{:?} seed {:#x}: expected {:?} within {} iterations, found nothing",
-            e.machine, e.seed, e.expect_kind, e.budget
+            "{} seed {:#x}: expected {:?} within {} iterations, found nothing",
+            e.mutant, e.seed, e.expect_kind, e.budget
         )),
     }
 }
@@ -119,8 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn corpus_covers_both_machines() {
-        assert!(ENTRIES.iter().any(|e| e.machine == Machine::Tle));
-        assert!(ENTRIES.iter().any(|e| e.machine == Machine::Tl2));
+    fn corpus_covers_every_seeded_mutant() {
+        for m in MUTANTS {
+            assert_eq!((m.hunt)(1, 1).config, m.name, "the key is the config's own name");
+            assert!(
+                ENTRIES.iter().any(|e| e.mutant == m.name),
+                "no pinned corpus entry hunts {}",
+                m.name
+            );
+        }
     }
 }

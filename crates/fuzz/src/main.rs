@@ -3,31 +3,33 @@
 //! ```text
 //! fuzz run    [--seed S] [--iters N] [--configs N] [--budget N] [--quick]
 //!             [--no-chaos] [--json PATH]
-//! fuzz replay <seed> [--budget N] [--tl2]
+//! fuzz replay <seed> [--budget N] [--mutant <config-name>]
 //! fuzz corpus
 //! ```
 //!
-//! * `run` — the full campaign: (1) mutant fitness (both seeded mutants
-//!   — the TLE lazy-subscription zombie and the TL2 stale read — must be
-//!   caught within the budget), (2) a sweep of the standard TLE and TL2
-//!   suites plus random safe 4–8-thread configurations of both machines
-//!   (must stay clean), (3) chaos runs over the real runtime, classic
-//!   HTM-or-lock and TL2-software-backed (must show zero oracle
-//!   divergence). Exit code 0 iff all three hold. `--quick` is the
-//!   deterministic, time-budgeted tier-1 profile.
-//! * `replay <seed>` — re-runs the mutant hunt for `seed` (`--tl2` picks
-//!   the TL2 machine) and prints the identical witness block `run`
-//!   printed (one-line reproduction).
+//! * `run` — the full campaign: (1) mutant fitness (every seeded mutant
+//!   — the TLE lazy-subscription zombie, the TL2 stale read, the swhtm
+//!   validate-first extension — must be caught within the budget), (2) a
+//!   sweep of the standard TLE and TL2/swhtm suites plus random safe
+//!   4–8-thread configurations of each machine (must stay clean), (3)
+//!   chaos runs over the real runtime, classic HTM-or-lock and
+//!   TL2-software-backed (must show zero oracle divergence). Exit code 0
+//!   iff all three hold. `--quick` is the deterministic, time-budgeted
+//!   tier-1 profile.
+//! * `replay <seed>` — re-runs the fitness hunt of one seeded mutant for
+//!   `seed` (`--mutant` names its configuration; default
+//!   `tle-lazyunsafe-mutant`) and prints the identical witness block
+//!   `run` printed (one-line reproduction).
 //! * `corpus` — replays every pinned corpus seed and verifies it.
 
 use std::process::ExitCode;
 
-use rtle_check::model::{standard_suite, tl2_suite};
+use rtle_check::model::{standard_suite, tl2_suite, State, Tl2State};
 use rtle_fuzz::chaos::{run_chaos, ChaosPlan};
-use rtle_fuzz::corpus::{self, DOC_SEED, MUTANT_BUDGET};
+use rtle_fuzz::configs::{random_safe_config, random_safe_tl2_config};
+use rtle_fuzz::corpus::{self, Mutant, DOC_SEED};
 use rtle_fuzz::report::campaign_json;
-use rtle_fuzz::schedule::{hunt, random_safe_config, HuntReport};
-use rtle_fuzz::tl2::{hunt_tl2, random_safe_tl2_config};
+use rtle_fuzz::schedule::{hunt, HuntReport};
 use rtle_htm::prng::SplitMix64;
 
 fn parse_u64(s: &str) -> Option<u64> {
@@ -42,7 +44,8 @@ struct RunArgs {
     seed: u64,
     iters: u64,
     configs: u64,
-    budget: u64,
+    /// `--budget`: overrides every mutant's own fitness budget.
+    budget: Option<u64>,
     chaos: bool,
     quick: bool,
     json: Option<String>,
@@ -51,39 +54,48 @@ struct RunArgs {
 fn usage(err: &str) -> ExitCode {
     eprintln!("fuzz: {err}");
     eprintln!("usage: fuzz run [--seed S] [--iters N] [--configs N] [--budget N] [--quick] [--no-chaos] [--json PATH]");
-    eprintln!("       fuzz replay <seed> [--budget N] [--tl2]");
+    eprintln!("       fuzz replay <seed> [--budget N] [--mutant <config-name>]");
     eprintln!("       fuzz corpus");
     ExitCode::from(2)
 }
 
-fn print_hunt(r: &HuntReport) {
+/// Prints one sweep row (and the witness of a failure); true iff clean.
+fn print_hunt(r: &HuntReport) -> bool {
     println!(
-        "fuzz: {:<24} {:>5} iters (paths f/s/l: {}/{}/{}) -> {}",
+        "fuzz: {:<24} {:>5} iters (paths {}: {}/{}/{}) -> {}",
         r.config,
         r.iterations,
+        r.path_labels,
         r.fast_terminals,
         r.slow_terminals,
         r.lock_terminals,
         if r.clean() { "OK" } else { "FAILURE" }
     );
+    if let Some(f) = &r.failure {
+        println!("{}", f.witness());
+    }
+    r.clean()
 }
 
-fn print_mutant(label: &str, budget: u64, r: &HuntReport, ok: &mut bool) {
+/// Runs and prints one mutant's fitness hunt (`budget` overrides its
+/// own); the report is caught iff it carries a failure.
+fn mutant_fitness(m: &Mutant, seed: u64, budget: Option<u64>) -> HuntReport {
+    let budget = budget.unwrap_or(m.budget);
+    let r = (m.hunt)(seed, budget);
     match &r.failure {
         Some(f) => {
             println!(
-                "fuzz: {label} mutant fitness: CAUGHT at iteration {} (budget {budget})",
-                f.iteration
+                "fuzz: {} fitness: CAUGHT at iteration {} (budget {budget})",
+                m.name, f.iteration
             );
             println!("{}", f.witness());
         }
-        None => {
-            println!(
-                "fuzz: {label} mutant fitness: MISSED within {budget} iterations — fuzzer regression!"
-            );
-            *ok = false;
-        }
+        None => println!(
+            "fuzz: {} fitness: MISSED within {budget} iterations — fuzzer regression!",
+            m.name
+        ),
     }
+    r
 }
 
 fn print_chaos(label: &str, plan: &ChaosPlan, r: &rtle_fuzz::chaos::ChaosReport) {
@@ -106,54 +118,33 @@ fn print_chaos(label: &str, plan: &ChaosPlan, r: &rtle_fuzz::chaos::ChaosReport)
 fn cmd_run(a: RunArgs) -> ExitCode {
     let mut ok = true;
 
-    // 1. Mutant fitness: the fuzzer must re-find both seeded bugs — the
-    // TLE lazy-subscription zombie and the TL2 stale read.
-    let mutant = corpus::mutant_hunt(a.seed, a.budget);
-    print_mutant("tle", a.budget, &mutant, &mut ok);
-    let tl2_mutant = corpus::tl2_mutant_hunt(a.seed, a.budget);
-    print_mutant("tl2", a.budget, &tl2_mutant, &mut ok);
+    // 1. Mutant fitness: the fuzzer must re-find every seeded bug.
+    let mutants: Vec<HuntReport> = corpus::MUTANTS
+        .iter()
+        .map(|m| mutant_fitness(m, a.seed, a.budget))
+        .collect();
+    ok &= mutants.iter().all(|r| r.failure.is_some());
 
-    // 2. Safe sweep: both machines' standard suites + random 4–8-thread
-    // configs of each.
-    let mut hunts = Vec::new();
-    for cfg in standard_suite() {
-        let r = hunt(&cfg, a.seed, a.iters);
-        print_hunt(&r);
-        if let Some(f) = &r.failure {
-            println!("{}", f.witness());
-            ok = false;
-        }
-        hunts.push(r);
-    }
-    for cfg in tl2_suite() {
-        let r = hunt_tl2(&cfg, a.seed, a.iters);
-        print_hunt(&r);
-        if let Some(f) = &r.failure {
-            println!("{}", f.witness());
-            ok = false;
-        }
-        hunts.push(r);
-    }
+    // 2. Safe sweep, one loop through the one generic hunt: every
+    // machine's standard suite, then random 4–8-thread configs of each.
+    let (tle, tl2) = (standard_suite(), tl2_suite());
     let mut cfg_rng = SplitMix64::new(a.seed ^ 0xc0f1_65ee_d000_0001);
-    for idx in 0..a.configs {
-        let cfg = random_safe_config(&mut cfg_rng, idx);
-        let r = hunt(&cfg, a.seed.wrapping_add(idx), a.iters);
-        print_hunt(&r);
-        if let Some(f) = &r.failure {
-            println!("{}", f.witness());
-            ok = false;
-        }
-        hunts.push(r);
-    }
     let mut tl2_cfg_rng = SplitMix64::new(a.seed ^ 0x712f_c0f1_65ee_d002);
-    for idx in 0..a.configs {
+    let suites = tle
+        .iter()
+        .map(|cfg| hunt::<State>(cfg, a.seed, a.iters))
+        .chain(tl2.iter().map(|cfg| hunt::<Tl2State>(cfg, a.seed, a.iters)));
+    let random_tle = (0..a.configs).map(|idx| {
+        let cfg = random_safe_config(&mut cfg_rng, idx);
+        hunt::<State>(&cfg, a.seed.wrapping_add(idx), a.iters)
+    });
+    let random_tl2 = (0..a.configs).map(|idx| {
         let cfg = random_safe_tl2_config(&mut tl2_cfg_rng, idx);
-        let r = hunt_tl2(&cfg, a.seed.wrapping_add(idx), a.iters);
-        print_hunt(&r);
-        if let Some(f) = &r.failure {
-            println!("{}", f.witness());
-            ok = false;
-        }
+        hunt::<Tl2State>(&cfg, a.seed.wrapping_add(idx), a.iters)
+    });
+    let mut hunts = Vec::new();
+    for r in suites.chain(random_tle).chain(random_tl2) {
+        ok &= print_hunt(&r);
         hunts.push(r);
     }
 
@@ -194,14 +185,7 @@ fn cmd_run(a: RunArgs) -> ExitCode {
     }
 
     if let Some(path) = &a.json {
-        let doc = campaign_json(
-            a.seed,
-            &mutant,
-            &tl2_mutant,
-            &hunts,
-            chaos.as_ref(),
-            tl2_chaos.as_ref(),
-        );
+        let doc = campaign_json(a.seed, &mutants, &hunts, chaos.as_ref(), tl2_chaos.as_ref());
         if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
             eprintln!("fuzz: cannot write {path}: {e}");
             ok = false;
@@ -218,27 +202,15 @@ fn cmd_run(a: RunArgs) -> ExitCode {
     }
 }
 
-fn cmd_replay(seed: u64, budget: u64, tl2: bool) -> ExitCode {
-    let report = if tl2 {
-        corpus::tl2_mutant_hunt(seed, budget)
-    } else {
-        corpus::mutant_hunt(seed, budget)
+fn cmd_replay(seed: u64, budget: Option<u64>, mutant: &str) -> ExitCode {
+    let Some(m) = corpus::mutant(mutant) else {
+        let known: Vec<&str> = corpus::MUTANTS.iter().map(|m| m.name).collect();
+        return usage(&format!("no seeded mutant {mutant:?} (known: {})", known.join(", ")));
     };
-    match report.failure {
-        Some(f) => {
-            println!(
-                "fuzz: {} mutant fitness: CAUGHT at iteration {} (budget {})",
-                if tl2 { "tl2" } else { "tle" },
-                f.iteration,
-                budget
-            );
-            println!("{}", f.witness());
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!("fuzz: seed {seed:#x} finds nothing within {budget} iterations");
-            ExitCode::FAILURE
-        }
+    if mutant_fitness(m, seed, budget).failure.is_some() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -246,9 +218,9 @@ fn cmd_corpus() -> ExitCode {
     let mut ok = true;
     for e in corpus::ENTRIES {
         match corpus::replay_entry(e) {
-            Ok(_) => println!("fuzz: corpus {:?} {:#010x} OK — {}", e.machine, e.seed, e.note),
+            Ok(_) => println!("fuzz: corpus {} {:#010x} OK — {}", e.mutant, e.seed, e.note),
             Err(err) => {
-                println!("fuzz: corpus {:?} {:#010x} FAILED — {err}", e.machine, e.seed);
+                println!("fuzz: corpus {} {:#010x} FAILED — {err}", e.mutant, e.seed);
                 ok = false;
             }
         }
@@ -271,7 +243,7 @@ fn main() -> ExitCode {
                 seed: DOC_SEED,
                 iters: 192,
                 configs: 8,
-                budget: MUTANT_BUDGET,
+                budget: None,
                 chaos: true,
                 quick: false,
                 json: None,
@@ -299,7 +271,7 @@ fn main() -> ExitCode {
                                     "--seed" => a.seed = n,
                                     "--iters" => a.iters = n.max(1),
                                     "--configs" => a.configs = n,
-                                    _ => a.budget = n.max(1),
+                                    _ => a.budget = Some(n.max(1)),
                                 }
                             }
                         }
@@ -313,8 +285,8 @@ fn main() -> ExitCode {
             let Some(seed) = args.get(1).and_then(|s| parse_u64(s)) else {
                 return usage("replay needs a seed");
             };
-            let mut budget = MUTANT_BUDGET;
-            let mut tl2 = false;
+            let mut budget = None;
+            let mut mutant = corpus::MUTANTS[0].name;
             let mut it = args[2..].iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -322,13 +294,18 @@ fn main() -> ExitCode {
                         let Some(n) = it.next().and_then(|v| parse_u64(v)) else {
                             return usage("--budget needs a number");
                         };
-                        budget = n.max(1);
+                        budget = Some(n.max(1));
                     }
-                    "--tl2" => tl2 = true,
+                    "--mutant" => {
+                        let Some(name) = it.next() else {
+                            return usage("--mutant needs a configuration name");
+                        };
+                        mutant = name;
+                    }
                     other => return usage(&format!("unknown flag {other:?}")),
                 }
             }
-            cmd_replay(seed, budget, tl2)
+            cmd_replay(seed, budget, mutant)
         }
         "corpus" => cmd_corpus(),
         other => usage(&format!("unknown subcommand {other:?}")),

@@ -10,8 +10,10 @@ use crate::schedule::HuntReport;
 
 /// Schema version of the fuzz JSON document (bumped on layout changes).
 /// v2: `tl2_mutant_fitness` and `tl2_chaos` sections, `stm_commits` in
-/// chaos reports.
-pub const FUZZ_SCHEMA_VERSION: u64 = 2;
+/// chaos reports. v3: `mutant_fitness` is an array with one hunt per
+/// seeded mutant, keyed by its `config` name (`tl2_mutant_fitness` is
+/// folded into it).
+pub const FUZZ_SCHEMA_VERSION: u64 = 3;
 
 /// One hunt report as JSON.
 pub fn hunt_json(r: &HuntReport) -> Json {
@@ -61,13 +63,12 @@ pub fn chaos_json(r: &ChaosReport) -> Json {
     ])
 }
 
-/// The full campaign document. `mutant` / `chaos` cover the TLE machine
-/// and the classic HTM-or-lock runtime; `tl2_mutant` / `tl2_chaos` cover
-/// the TL2 machine and the software-backed runtime tier.
+/// The full campaign document. `mutants` holds one fitness hunt per
+/// seeded mutant; `chaos` covers the classic HTM-or-lock runtime and
+/// `tl2_chaos` the software-backed runtime tier.
 pub fn campaign_json(
     seed: u64,
-    mutant: &HuntReport,
-    tl2_mutant: &HuntReport,
+    mutants: &[HuntReport],
     hunts: &[HuntReport],
     chaos: Option<&ChaosReport>,
     tl2_chaos: Option<&ChaosReport>,
@@ -76,8 +77,10 @@ pub fn campaign_json(
         ("tool", Json::Str("rtle-fuzz".into())),
         ("fuzz_schema_version", Json::UInt(FUZZ_SCHEMA_VERSION)),
         ("seed", Json::UInt(seed)),
-        ("mutant_fitness", hunt_json(mutant)),
-        ("tl2_mutant_fitness", hunt_json(tl2_mutant)),
+        (
+            "mutant_fitness",
+            Json::Arr(mutants.iter().map(hunt_json).collect()),
+        ),
         ("hunts", Json::Arr(hunts.iter().map(hunt_json).collect())),
     ];
     if let Some(c) = chaos {
@@ -96,26 +99,29 @@ mod tests {
 
     #[test]
     fn campaign_json_round_trips() {
-        let mutant = corpus::mutant_hunt(corpus::DOC_SEED, corpus::MUTANT_BUDGET);
-        let tl2_mutant = corpus::tl2_mutant_hunt(corpus::DOC_SEED, corpus::MUTANT_BUDGET);
-        let doc = campaign_json(corpus::DOC_SEED, &mutant, &tl2_mutant, &[], None, None);
+        let mutants: Vec<_> = corpus::MUTANTS
+            .iter()
+            .map(|m| (m.hunt)(corpus::DOC_SEED, m.budget))
+            .collect();
+        let doc = campaign_json(corpus::DOC_SEED, &mutants, &[], None, None);
         let text = doc.to_string();
         let parsed = rtle_obs::parse_json(&text).expect("fuzz json parses");
         assert_eq!(
             parsed.get("fuzz_schema_version").and_then(Json::as_u64),
             Some(FUZZ_SCHEMA_VERSION)
         );
-        for section in ["mutant_fitness", "tl2_mutant_fitness"] {
+        let fitness = parsed
+            .get("mutant_fitness")
+            .and_then(Json::as_arr)
+            .expect("mutant_fitness array");
+        assert_eq!(fitness.len(), corpus::MUTANTS.len());
+        for (entry, m) in fitness.iter().zip(corpus::MUTANTS) {
+            assert_eq!(entry.get("config").and_then(Json::as_str), Some(m.name));
             assert_eq!(
-                parsed
-                    .get(section)
-                    .and_then(|m| m.get("clean"))
-                    .and_then(|c| match c {
-                        Json::Bool(b) => Some(*b),
-                        _ => None,
-                    }),
-                Some(false),
-                "{section}: the hunt must have found the seeded bug"
+                entry.get("clean"),
+                Some(&Json::Bool(false)),
+                "{}: the hunt must have found the seeded bug",
+                m.name
             );
         }
     }

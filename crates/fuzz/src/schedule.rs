@@ -3,13 +3,14 @@
 //! Where `rtle-check`'s exhaustive DFS proves small configurations correct
 //! over *every* interleaving (2–3 threads, tiny footprints), this module
 //! samples *long, asymmetric* interleavings the DFS cannot reach: 4–8
-//! threads, bigger programs, PCT priority schedules. Every terminal state
-//! is judged by the same [`rtle_check::model::judge_terminal`] oracle the
-//! explorer uses, so a fuzzer finding and an explorer finding speak the
-//! same language — and every finding carries the schedule that produced
-//! it, replayable and shrinkable.
+//! threads, bigger programs, PCT priority schedules. Every driver here is
+//! generic over [`Machine`], so each exists once for every protocol model,
+//! and every terminal state is judged by the same
+//! [`rtle_check::model::judge`] oracle the explorer uses: a fuzzer finding
+//! and an explorer finding speak the same language — and every finding
+//! carries the schedule that produced it, replayable and shrinkable.
 
-use rtle_check::model::{judge_terminal, Config, Op, Policy, State, Subscription, ThreadSpec, Val};
+use rtle_check::model::{judge, Machine};
 use rtle_htm::prng::SplitMix64;
 
 use crate::pct::Pct;
@@ -22,25 +23,28 @@ pub const MAX_STEPS: u64 = 1_000_000;
 
 /// One randomized run: the schedule taken and the state it ended in.
 #[derive(Debug, Clone)]
-pub struct RunOutcome {
+pub struct RunOutcome<M> {
     /// Thread choices in step order.
     pub schedule: Vec<u8>,
     /// The (terminal, unless `stuck`) state reached.
-    pub state: State,
+    pub state: M,
 }
 
 /// Runs `cfg` once under a PCT schedule drawn from `rng`.
-pub fn run_pct(cfg: &Config, rng: &mut SplitMix64, depth: u32, horizon: u64) -> RunOutcome {
-    let mut pct = Pct::new(rng, cfg.threads.len(), depth, horizon);
-    let mut state = State::initial(cfg);
+pub fn run_pct<M: Machine>(
+    cfg: &M::Config,
+    rng: &mut SplitMix64,
+    depth: u32,
+    horizon: u64,
+) -> RunOutcome<M> {
+    let mut pct = Pct::new(rng, M::threads(cfg), depth, horizon);
+    let mut state = M::initial(cfg);
     let mut schedule = Vec::new();
     let mut step = 0u64;
     while !state.terminal() && step < MAX_STEPS {
-        let enabled: Vec<usize> = (0..cfg.threads.len())
-            .filter(|&t| state.enabled(cfg, t))
-            .collect();
+        let enabled = state.enabled_threads(cfg);
         if enabled.is_empty() {
-            break; // stuck; judge_terminal reports the missing commits
+            break; // stuck; judge reports the missing commits
         }
         let t = pct.pick(step, &enabled);
         state.step(cfg, t);
@@ -57,17 +61,17 @@ pub fn run_pct(cfg: &Config, rng: &mut SplitMix64, depth: u32, horizon: u64) -> 
 /// different context, replayable. After the schedule is exhausted the run
 /// is completed deterministically (lowest-id enabled thread first), so a
 /// replay always reaches a terminal state.
-pub fn replay(cfg: &Config, schedule: &[u8]) -> State {
-    let mut state = State::initial(cfg);
+pub fn replay<M: Machine>(cfg: &M::Config, schedule: &[u8]) -> M {
+    let mut state = M::initial(cfg);
     for &t in schedule {
         let t = t as usize;
-        if t < cfg.threads.len() && state.enabled(cfg, t) {
+        if t < M::threads(cfg) && state.enabled(cfg, t) {
             state.step(cfg, t);
         }
     }
     let mut guard = 0u64;
     while !state.terminal() && guard < MAX_STEPS {
-        match (0..cfg.threads.len()).find(|&t| state.enabled(cfg, t)) {
+        match (0..M::threads(cfg)).find(|&t| state.enabled(cfg, t)) {
             Some(t) => state.step(cfg, t),
             None => break,
         }
@@ -120,6 +124,9 @@ impl Failure {
 pub struct HuntReport {
     /// Configuration name.
     pub config: String,
+    /// The machine's names for the three commit paths
+    /// ([`Machine::PATH_LABELS`]).
+    pub path_labels: &'static str,
     /// Iterations actually run (stops early on the first failure).
     pub iterations: u64,
     /// Runs whose history contained a fast-path commit.
@@ -140,24 +147,20 @@ impl HuntReport {
 }
 
 /// Fuzzes `cfg` for up to `max_iters` PCT runs from `seed`, stopping at
-/// the first oracle violation (which is then greedily shrunk).
-pub fn hunt(cfg: &Config, seed: u64, max_iters: u64) -> HuntReport {
-    cfg.validate();
+/// the first oracle violation (which is then greedily shrunk). Pure
+/// function of `(cfg, seed, max_iters)`.
+pub fn hunt<M: Machine>(cfg: &M::Config, seed: u64, max_iters: u64) -> HuntReport {
     let mut rng = SplitMix64::new(seed);
     // Change-point horizon. PCT's guarantee is 1/(n·k^(d-1)) with `k` the
     // *actual* execution length — overshooting k wastes change points past
     // the end of the run, collapsing the catch rate quadratically for
-    // depth-3 bugs. Start with a crude static estimate, then track the
-    // observed schedule length run over run (still a pure function of the
-    // seed).
-    let mut horizon: u64 = cfg
-        .threads
-        .iter()
-        .map(|t| t.ops.len() as u64 + 4)
-        .sum::<u64>()
-        .max(8);
+    // depth-3 bugs. Start with the machine's crude static estimate, then
+    // track the observed schedule length run over run (still a pure
+    // function of the seed).
+    let mut horizon = M::horizon_hint(cfg).max(8);
     let mut report = HuntReport {
-        config: cfg.name.clone(),
+        config: M::name(cfg).to_string(),
+        path_labels: M::PATH_LABELS,
         iterations: 0,
         fast_terminals: 0,
         slow_terminals: 0,
@@ -169,24 +172,23 @@ pub fn hunt(cfg: &Config, seed: u64, max_iters: u64) -> HuntReport {
         // Depth 2–4: most protocol bugs (zombie reads, missed
         // subscriptions) need one or two forced preemptions.
         let depth = 2 + rng.below(3) as u32;
-        let run = run_pct(cfg, &mut rng, depth, horizon);
+        let run = run_pct::<M>(cfg, &mut rng, depth, horizon);
         horizon = (run.schedule.len() as u64).max(4);
-        let verdict = judge_terminal(cfg, &run.state);
+        let verdict = judge(&run.state);
         report.fast_terminals += verdict.fast as u64;
         report.slow_terminals += verdict.slow as u64;
         report.lock_terminals += verdict.lock as u64;
         if let Some((kind, _)) = verdict.violation {
-            let shrunk = shrink_schedule(cfg, &run.schedule, kind, |c, s| {
-                let st = replay(c, s);
-                matches!(judge_terminal(c, &st).violation, Some((k, _)) if k == kind)
-            });
-            let final_state = replay(cfg, &shrunk);
-            let detail = judge_terminal(cfg, &final_state)
+            let still_fails = |s: &[u8]| {
+                matches!(judge(&replay::<M>(cfg, s)).violation, Some((k, _)) if k == kind)
+            };
+            let shrunk = shrink_schedule(&run.schedule, still_fails);
+            let detail = judge(&replay::<M>(cfg, &shrunk))
                 .violation
                 .map(|(_, d)| d)
                 .unwrap_or_else(|| "shrunk schedule no longer fails (shrinker bug)".into());
             report.failure = Some(Failure {
-                config: cfg.name.clone(),
+                config: report.config.clone(),
                 seed,
                 iteration: it,
                 kind,
@@ -200,99 +202,53 @@ pub fn hunt(cfg: &Config, seed: u64, max_iters: u64) -> HuntReport {
     report
 }
 
-/// A random *safe* configuration at 4–8 threads: any violation the oracle
-/// reports against one of these is a genuine protocol/model bug, never an
-/// expected mutant. Pure function of the rng stream.
-pub fn random_safe_config(rng: &mut SplitMix64, idx: u64) -> Config {
-    let nthreads = rng.range_inclusive(4, 8) as usize;
-    let nloc = rng.range_inclusive(2, 4) as u8;
-    let policy = match rng.below(3) {
-        0 => Policy::Tle,
-        1 => Policy::RwTle,
-        _ => Policy::FgTle {
-            orecs: rng.range_inclusive(1, 3) as u8,
-        },
-    };
-    let sub = if rng.bool() {
-        Subscription::Eager
-    } else {
-        Subscription::LazySafe
-    };
-    let mut threads = Vec::with_capacity(nthreads);
-    for _ in 0..nthreads {
-        let hostile = rng.below(4) == 0;
-        let nops = rng.range_inclusive(1, 3) as usize;
-        let mut ops = Vec::with_capacity(nops);
-        let mut readable: Option<u8> = None;
-        for _ in 0..nops {
-            let loc = rng.below(nloc as u64) as u8;
-            if rng.bool() {
-                readable = Some(loc);
-                ops.push(Op::Read(loc));
-            } else {
-                let val = match readable {
-                    Some(l) if rng.bool() => Val::LastReadPlus(l, 1 + rng.below(3)),
-                    _ => Val::Const(1 + rng.below(7)),
-                };
-                ops.push(Op::Write(loc, val));
-            }
-        }
-        threads.push(ThreadSpec { ops, hostile });
-    }
-    let has_slow = !matches!(policy, Policy::Tle);
-    Config {
-        name: format!("fuzz-rand-{idx}"),
-        policy,
-        sub,
-        threads,
-        nloc,
-        max_fast_attempts: rng.range_inclusive(1, 2) as u8,
-        max_slow_attempts: if has_slow {
-            rng.range_inclusive(1, 2) as u8
-        } else {
-            0
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtle_check::model::standard_suite;
+    use rtle_check::model::{mutant_config, standard_suite, tl2_mutant_config, tl2_suite};
+    use rtle_check::model::{State, Tl2State};
+
+    fn replays_bit_identically<M: Machine + std::fmt::Debug>(cfg: &M::Config) {
+        let mut rng = SplitMix64::new(0xdead_beef);
+        for _ in 0..32 {
+            let run = run_pct::<M>(cfg, &mut rng, 3, 64);
+            assert!(run.state.terminal());
+            assert_eq!(replay::<M>(cfg, &run.schedule), run.state);
+        }
+    }
 
     #[test]
     fn recorded_schedule_replays_to_identical_state() {
-        let cfg = &standard_suite()[0];
-        let mut rng = SplitMix64::new(0xdead_beef);
-        for _ in 0..32 {
-            let run = run_pct(cfg, &mut rng, 3, 64);
-            assert!(run.state.terminal());
-            let replayed = replay(cfg, &run.schedule);
-            assert_eq!(replayed, run.state, "replay must be bit-identical");
-        }
+        replays_bit_identically::<State>(&standard_suite()[0]);
+        replays_bit_identically::<Tl2State>(&tl2_suite()[0]);
     }
 
-    #[test]
-    fn random_safe_configs_validate_and_terminate() {
-        let mut rng = SplitMix64::new(0x0420_0001);
-        for idx in 0..16 {
-            let cfg = random_safe_config(&mut rng, idx);
-            cfg.validate();
-            assert!(cfg.threads.len() >= 4 && cfg.threads.len() <= 8);
-            let run = run_pct(&cfg, &mut rng, 3, 256);
-            assert!(run.state.terminal(), "{}: run did not terminate", cfg.name);
-        }
-    }
-
-    #[test]
-    fn hunt_is_deterministic_in_seed() {
-        let cfg = rtle_check::model::mutant_config();
-        let a = hunt(&cfg, 0x5eed, 128);
-        let b = hunt(&cfg, 0x5eed, 128);
+    fn hunts_deterministically<M: Machine>(cfg: &M::Config) {
+        let a = hunt::<M>(cfg, 0x5eed, 128);
+        let b = hunt::<M>(cfg, 0x5eed, 128);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(
             a.failure.map(|f| f.witness()),
             b.failure.map(|f| f.witness())
         );
+    }
+
+    #[test]
+    fn hunt_is_deterministic_in_seed() {
+        hunts_deterministically::<State>(&mutant_config());
+        hunts_deterministically::<Tl2State>(&tl2_mutant_config());
+    }
+
+    #[test]
+    fn tl2_suite_hunts_stay_clean() {
+        for cfg in tl2_suite() {
+            let r = hunt::<Tl2State>(&cfg, 0x712f_0001, 48);
+            assert!(
+                r.clean(),
+                "{}: fuzzer found a violation the explorer did not: {:?}",
+                cfg.name,
+                r.failure
+            );
+        }
     }
 }

@@ -16,22 +16,15 @@
 //! completes the run deterministically (see [`crate::schedule::replay`]),
 //! so any subsequence of a valid schedule is itself replayable.
 //!
-//! The shrinker is generic over the machine's configuration type — the
-//! `fails` callback owns replay and judgment — so the TLE machine
-//! ([`crate::schedule`]) and the TL2 machine ([`crate::tl2`]) share one
-//! implementation.
+//! The shrinker knows nothing of machines — the `fails` callback owns
+//! replay and judgment — so every [`rtle_check::model::Machine`] shares it.
 
-/// Shrinks `schedule` while `fails(cfg, candidate)` keeps reporting the
+/// Shrinks `schedule` while `fails(candidate)` keeps reporting the
 /// original violation kind. Returns the reduced schedule (possibly
 /// unchanged). Pure and deterministic.
-pub fn shrink_schedule<C>(
-    cfg: &C,
-    schedule: &[u8],
-    _kind: &'static str,
-    fails: impl Fn(&C, &[u8]) -> bool,
-) -> Vec<u8> {
+pub fn shrink_schedule(schedule: &[u8], fails: impl Fn(&[u8]) -> bool) -> Vec<u8> {
     let mut cur = schedule.to_vec();
-    debug_assert!(fails(cfg, &cur), "shrinker fed a non-failing schedule");
+    debug_assert!(fails(&cur), "shrinker fed a non-failing schedule");
 
     // Pass 1: greedy segment deletion.
     let mut chunk = (cur.len() / 2).max(1);
@@ -41,7 +34,7 @@ pub fn shrink_schedule<C>(
             let end = (start + chunk).min(cur.len());
             let mut cand = cur.clone();
             cand.drain(start..end);
-            if fails(cfg, &cand) {
+            if fails(&cand) {
                 cur = cand; // keep position: the next segment slid into place
             } else {
                 start += chunk;
@@ -60,7 +53,7 @@ pub fn shrink_schedule<C>(
         while i + window <= cur.len() {
             let mut cand = cur.clone();
             cand[i..i + window].rotate_left(1);
-            if cand < cur && fails(cfg, &cand) {
+            if cand < cur && fails(&cand) {
                 cur = cand;
             } else {
                 i += 1;
@@ -73,7 +66,7 @@ pub fn shrink_schedule<C>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtle_check::model::{judge_terminal, mutant_config, Config};
+    use rtle_check::model::{judge, mutant_config, State};
     use rtle_htm::prng::SplitMix64;
 
     use crate::schedule::{replay, run_pct};
@@ -87,17 +80,16 @@ mod tests {
         let mut checked = 0;
         let mut horizon = 12;
         for _ in 0..256 {
-            let run = run_pct(&cfg, &mut rng, 3, horizon);
+            let run = run_pct::<State>(&cfg, &mut rng, 3, horizon);
             horizon = (run.schedule.len() as u64).max(4);
-            let Some((kind, _)) = judge_terminal(&cfg, &run.state).violation else {
+            let Some((kind, _)) = judge(&run.state).violation else {
                 continue;
             };
-            let fails = |c: &Config, s: &[u8]| {
-                let st = replay(c, s);
-                matches!(judge_terminal(c, &st).violation, Some((k, _)) if k == kind)
+            let fails = |s: &[u8]| {
+                matches!(judge(&replay::<State>(&cfg, s)).violation, Some((k, _)) if k == kind)
             };
-            let shrunk = shrink_schedule(&cfg, &run.schedule, kind, fails);
-            assert!(fails(&cfg, &shrunk), "shrunk schedule must still fail");
+            let shrunk = shrink_schedule(&run.schedule, fails);
+            assert!(fails(&shrunk), "shrunk schedule must still fail");
             assert!(shrunk.len() <= run.schedule.len());
             checked += 1;
             if checked >= 5 {

@@ -9,13 +9,19 @@
 //!   two hunts from the same seed produce byte-for-byte identical
 //!   witnesses, including the shrunk schedule.
 
-use rtle_check::model::{judge_terminal, mutant_config, standard_suite};
+use rtle_check::model::{judge, mutant_config, standard_suite, State};
 use rtle_fuzz::corpus::{self, DOC_SEED, MUTANT_BUDGET};
 use rtle_fuzz::schedule::{hunt, replay};
 
+/// The lazy-subscription mutant's fitness hunt.
+fn mutant_hunt(seed: u64, budget: u64) -> rtle_fuzz::HuntReport {
+    let m = corpus::mutant("tle-lazyunsafe-mutant").expect("known mutant");
+    (m.hunt)(seed, budget)
+}
+
 #[test]
 fn documented_seed_catches_mutant_within_budget() {
-    let report = corpus::mutant_hunt(DOC_SEED, MUTANT_BUDGET);
+    let report = mutant_hunt(DOC_SEED, MUTANT_BUDGET);
     let f = report
         .failure
         .expect("documented seed must catch the mutant within the budget");
@@ -27,8 +33,7 @@ fn documented_seed_catches_mutant_within_budget() {
         MUTANT_BUDGET
     );
     // The shrunk schedule, replayed from scratch, still exhibits the bug.
-    let state = replay(&mutant_config(), &f.schedule);
-    let verdict = judge_terminal(&mutant_config(), &state);
+    let verdict = judge(&replay::<State>(&mutant_config(), &f.schedule));
     assert!(
         matches!(verdict.violation, Some(("non-serializable", _))),
         "shrunk witness schedule must reproduce the violation"
@@ -38,10 +43,8 @@ fn documented_seed_catches_mutant_within_budget() {
 #[test]
 fn replay_witness_is_byte_for_byte_deterministic() {
     for seed in [DOC_SEED, 0x0001, 0xdead_beef] {
-        let a = corpus::mutant_hunt(seed, MUTANT_BUDGET);
-        let b = corpus::mutant_hunt(seed, MUTANT_BUDGET);
-        let wa = a.failure.map(|f| f.witness());
-        let wb = b.failure.map(|f| f.witness());
+        let witness = || mutant_hunt(seed, MUTANT_BUDGET).failure.map(|f| f.witness());
+        let (wa, wb) = (witness(), witness());
         assert!(wa.is_some(), "seed {seed:#x} must catch the mutant");
         assert_eq!(wa, wb, "seed {seed:#x}: witness must be reproducible byte-for-byte");
     }
@@ -52,7 +55,7 @@ fn replay_witness_is_byte_for_byte_deterministic() {
 #[test]
 fn standard_suite_stays_clean_under_fuzzing() {
     for cfg in standard_suite() {
-        let report = hunt(&cfg, DOC_SEED, 128);
+        let report = hunt::<State>(&cfg, DOC_SEED, 128);
         assert!(
             report.clean(),
             "{}: unexpected violation: {:?}",

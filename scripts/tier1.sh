@@ -39,11 +39,13 @@ cargo clippy --all-targets -q -- -D warnings
 echo "== rtle-check (lint + path-sensitive analysis + interleaving model) =="
 # Zero-findings gate: `all` runs the lint, the four concurrency passes
 # (lockset, lock-order, publication, §4 fence — any unsuppressed finding
-# or missed seeded mutant is a non-zero exit), and the model checker,
-# which must verify every safe configuration (TLE family, TL2, and the
-# emulated HTM's cached-rv + snapshot-extension `swhtm-*` twins) and
-# catch its three seeded mutants: unsafe lazy subscription, the TL2
-# stale read, and the swhtm extension that validates before it samples.
+# or missed seeded mutant is a non-zero exit), and the model checker:
+# one generic explorer + terminal judge (`model::explore::<M>`,
+# `model::judge`) over every `impl Machine`, which must verify every safe
+# configuration (TLE family, TL2, and the emulated HTM's cached-rv +
+# snapshot-extension `swhtm-*` twins) and catch its three seeded mutants:
+# unsafe lazy subscription, the TL2 stale read, and the swhtm extension
+# that validates before it samples.
 # The analyze step is re-run standalone below to enforce its wall-clock
 # budget and validate the JSON export.
 cargo run -p rtle-check --release
@@ -155,11 +157,20 @@ rustc --edition 2021 -O --extern rtle_obs="$obs_rlib" \
 
 echo "== fuzz (seeded quick campaign + mutant fitness) =="
 # Fixed seed: the campaign is deterministic on the model side (PCT hunts,
-# mutant fitness) and oracle-checked on the chaos side. Exit code gates:
-# a missed mutant, any model violation, or any chaos divergence fails.
+# mutant fitness — the same machines as above, through the one generic
+# `run_pct`/`replay`/`hunt` of rtle-fuzz's schedule.rs) and oracle-checked
+# on the chaos side. Exit code gates: a missed mutant, any model
+# violation, or any chaos divergence fails.
 fuzz_json="$tmp/fuzz.json"
 cargo run -p rtle-fuzz --release --bin fuzz -- run --quick --seed 0xf422 --json "$fuzz_json" >/dev/null
 grep -q '"tool":"rtle-fuzz"' "$fuzz_json" || { echo "fuzz json missing"; exit 1; }
+# The export must list every seeded mutant as caught: a `mutant_fitness`
+# entry is a hunt report, and a caught mutant is one that is not clean
+# (the writer sorts keys, so `clean` sits right before `config`).
+for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-mutant; do
+    grep -q "\"clean\":false,\"config\":\"$mutant\"" "$fuzz_json" \
+        || { echo "fuzz json: $mutant not reported as caught"; exit 1; }
+done
 
 echo "== tm_bench smoke (software-TM three-way + JSON export) =="
 # Quick run of the NOrec vs TL2 vs RTLE comparison; the validator checks
