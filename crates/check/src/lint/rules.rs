@@ -94,21 +94,50 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         allowed: &["Release", "SeqCst"],
         why: "TxCell stores publish protocol state; Release is the floor",
     },
-    // Stripe version words + the global clock implement TL2-style
-    // publication: no Relaxed anywhere in the file.
+    // The versioned-lock protocol — stripe table, commit clock, read →
+    // extend → validate, lock → stamp → release — is written once, here,
+    // for both of its instances (the emulated HTM's global table and each
+    // `rtle_hytm::Tl2`'s own), so these rows are the only ones it has.
+    //
+    // The clock is the serialization spine: every rv is a sample of it (or
+    // an earlier one carried over), every writer commit bumps it, and the
+    // `wv == rv + 2` "nobody else committed" validation shortcut reasons
+    // from the value the bump returned about one total order of bumps and
+    // samples every thread agrees on — hence SeqCst on both, not just
+    // Acquire/AcqRel. (Same `mov` / `lock xadd` on x86-64. Whether a
+    // release-sequence argument carries the shortcut at AcqRel is for the
+    // weak-memory model to show, with a TSO machine to check it.)
+    OrderingRule {
+        file_suffix: "htm/src/stripe.rs",
+        receiver: "clock",
+        op: AtomicOp::Load,
+        allowed: &["SeqCst"],
+        why: "clock sample fixes a read-version; must join the single total order of commit bumps",
+    },
+    OrderingRule {
+        file_suffix: "htm/src/stripe.rs",
+        receiver: "clock",
+        op: AtomicOp::FetchAdd,
+        allowed: &["SeqCst"],
+        why: "clock bump: the wv == rv+2 no-other-writer shortcut needs a total order of bumps; SeqCst",
+    },
+    // Stripe words: loads validate (pre/post read, extension, commit
+    // revalidation), the CAS acquires the lock, stores release it (commit
+    // at the new version, back-out at the pre-lock version). No Relaxed
+    // anywhere in the file.
     OrderingRule {
         file_suffix: "htm/src/stripe.rs",
         receiver: "*",
         op: AtomicOp::Load,
         allowed: &["Acquire", "SeqCst"],
-        why: "stripe versions / global clock are validation reads; Acquire is the floor",
+        why: "stripe version reads validate against the read-version; Acquire is the floor",
     },
     OrderingRule {
         file_suffix: "htm/src/stripe.rs",
         receiver: "*",
         op: AtomicOp::Store,
         allowed: &["Release", "SeqCst"],
-        why: "stripe unlock publishes the new version; Release is the floor",
+        why: "stripe unlock (commit or back-out) publishes the version; Release is the floor",
     },
     OrderingRule {
         file_suffix: "htm/src/stripe.rs",
@@ -116,13 +145,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         op: AtomicOp::CompareExchange,
         allowed: &["Acquire", "AcqRel", "SeqCst"],
         why: "stripe lock acquisition; both success and failure orderings must be at least Acquire",
-    },
-    OrderingRule {
-        file_suffix: "htm/src/stripe.rs",
-        receiver: "CLOCK",
-        op: AtomicOp::FetchAdd,
-        allowed: &["AcqRel", "SeqCst"],
-        why: "global-clock bump orders commit timestamps; AcqRel is the floor",
     },
     // Commit-time strong-atomicity publication in the software HTM.
     OrderingRule {
@@ -176,53 +198,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     // (One-off sites — NEXT_TOKEN in htm/descriptor.rs, NEXT_KEY in
     // core/elidable.rs — are audited by in-source `// ordering:`
     // annotations instead of table rows.)
-    // ---- rtle-hytm: the TL2 software backend ----------------------------
-    // The global version clock is the serialization spine of TL2: every
-    // begin samples it and every writer commit bumps it, and the
-    // `wv == rv + 2` "nobody else committed" validation shortcut is only
-    // sound if those bumps form one total order every thread agrees on —
-    // hence SeqCst on both sides, not just AcqRel.
-    OrderingRule {
-        file_suffix: "hytm/src/tl2.rs",
-        receiver: "clock",
-        op: AtomicOp::Load,
-        allowed: &["SeqCst"],
-        why: "TL2 clock sample fixes the transaction's snapshot; must join the single total order of commit bumps",
-    },
-    OrderingRule {
-        file_suffix: "hytm/src/tl2.rs",
-        receiver: "clock",
-        op: AtomicOp::FetchAdd,
-        allowed: &["SeqCst"],
-        why: "TL2 clock bump: the wv == rv+2 no-other-writer shortcut needs a total order of bumps; SeqCst",
-    },
-    // Stripe version-locks: reads validate (pre/post read, commit
-    // revalidation), the CAS acquires the lock, stores release it (commit
-    // at the new version, rollback at the pre-lock version).
-    OrderingRule {
-        file_suffix: "hytm/src/tl2.rs",
-        receiver: "stripes",
-        op: AtomicOp::Load,
-        allowed: &["Acquire", "SeqCst"],
-        why: "stripe version reads validate against the snapshot; Acquire is the floor",
-    },
-    OrderingRule {
-        file_suffix: "hytm/src/tl2.rs",
-        receiver: "stripes",
-        op: AtomicOp::Store,
-        allowed: &["Release", "SeqCst"],
-        why: "stripe release (commit write-back / rollback) publishes the new version; Release is the floor",
-    },
-    // Wildcard receiver: the only CAS in the file is the stripe-lock
-    // acquisition, and the multi-line `&&`-chained call site defeats the
-    // scanner's receiver recovery.
-    OrderingRule {
-        file_suffix: "hytm/src/tl2.rs",
-        receiver: "*",
-        op: AtomicOp::CompareExchange,
-        allowed: &["Acquire", "AcqRel", "SeqCst"],
-        why: "stripe lock acquisition; both success and failure orderings must be at least Acquire",
-    },
     // ---- rtle-core ------------------------------------------------------
     // The adaptive state is written only by the lock holder; the lock's
     // own acquire/release edges order every access.
@@ -424,6 +399,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "core/src/elidable.rs",
     "core/src/orec.rs",
     "htm/src/swhtm.rs",
+    // Every read, extension and commit of both the emulated HTM and TL2.
+    "htm/src/stripe.rs",
     // Every abort of every rung unwinds through here: a stray panic in
     // the raise/catch pair would surface as a bogus abort or a lost one.
     "htm/src/unwind.rs",

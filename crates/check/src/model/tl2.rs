@@ -1,6 +1,9 @@
-//! Small-step operational model of the TL2 software TM in
-//! `crates/hytm/src/tl2.rs` — [`Machine`] for [`Tl2State`], explored and
-//! fuzzed by the same drivers as the TLE machine in [`super::tle`].
+//! Small-step operational model of the versioned-lock protocol in
+//! `crates/htm/src/stripe.rs` (`Table::{read, extend, validate,
+//! commit}` over a `Footprint`) — the one copy of TL2 that both `rtle_hytm::Tl2`
+//! (`crates/hytm/src/tl2.rs`) and the emulated HTM
+//! (`crates/htm/src/swhtm.rs`) run. [`Machine`] for [`Tl2State`], explored
+//! and fuzzed by the same drivers as the TLE machine in [`super::tle`].
 //!
 //! Fidelity notes (kept deliberately close to the runtime):
 //!
@@ -24,7 +27,8 @@
 //! * [`Tl2Config::stale_read_mutant`] skips the commit-time read-set
 //!   revalidation even though the clock advanced — the same seeded bug
 //!   the `tl2-stale-read-mutant` cargo feature reintroduces in the
-//!   runtime. The serializability oracle must flag the resulting lost
+//!   runtime's `Table::commit` (feature of `rtle-htm`; tier-1 runs a
+//!   storm of each instance under it). The serializability oracle must flag the resulting lost
 //!   updates; if it ever stops doing so, the oracle has regressed.
 //! * A thread that exhausts [`Tl2Config::max_attempts`] aborts runs its
 //!   final attempt as **one atomic step** (enabled only while every
@@ -36,8 +40,13 @@
 //!
 //! # The swhtm configuration
 //!
-//! `rtle-htm`'s emulated HTM runs the same protocol with two differences,
-//! selected by [`Tl2Config::extension`]:
+//! What the runtime runs is [`Tl2Config::extension`]` = Some(SampleFirst)`.
+//! `None` is TL2 as `rtle-hytm` ran it while it had a copy of its own —
+//! begin-time sample, abort on a newer stripe. No runtime runs that any
+//! more (`Tl2` extends like the emulated HTM; its fresh sample at every
+//! begin is a carried-over `rv` plus an extension over an empty read set);
+//! the `tl2-*` rows are kept until they are retired in their own change.
+//! `Some` differs from `None` in two ways:
 //!
 //! * **Cached read-version.** Begin reads no shared state: `rv` is the
 //!   last clock value the thread observed. The model keeps the `Begin`
@@ -78,10 +87,10 @@ pub struct Tl2Config {
     /// Skip commit-time read-set revalidation when the clock advanced —
     /// the seeded stale-read bug. Never set in the safe suite.
     pub stale_read_mutant: bool,
-    /// `None`: `crates/hytm`'s TL2 — every attempt samples the clock at
-    /// begin and a newer stripe aborts. `Some`: `crates/htm`'s swhtm — a
-    /// cached `rv` carried across attempts, and snapshot extension in the
-    /// given step order.
+    /// `None`: classic TL2 — every attempt samples the clock at begin and
+    /// a newer stripe aborts (no runtime runs this any more). `Some`: the
+    /// protocol of `crates/htm/src/stripe.rs` — an `rv` carried across
+    /// attempts, and snapshot extension in the given step order.
     pub extension: Option<Extension>,
 }
 
@@ -613,8 +622,8 @@ fn extension_pair(name: &str, extension: Extension) -> Tl2Config {
 
 /// Safe configurations: the explorer must find **zero** violations in
 /// every one, over every interleaving. Every workload runs as `tl2-*`
-/// (`crates/hytm`'s TL2: begin-time sample, abort on a newer stripe) and
-/// as `swhtm-*` (`crates/htm`: cached `rv`, snapshot extension).
+/// (classic TL2: begin-time sample, abort on a newer stripe) and as
+/// `swhtm-*` (the runtime's protocol: carried `rv`, snapshot extension).
 pub fn tl2_suite() -> Vec<Tl2Config> {
     let mut suite = workloads("tl2", None);
     suite.extend(workloads("swhtm", Some(Extension::SampleFirst)));

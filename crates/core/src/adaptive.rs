@@ -251,6 +251,52 @@ mod tests {
         }
     }
 
+    /// What `adaptive_integration::adaptive_keeps_slow_path_when_it_pays`
+    /// observes with real threads, decided here from counts alone: a window
+    /// in which the slow path committed anything never shrinks the range or
+    /// collapses the lock — not at a single orec, not between idle windows
+    /// — and a collapsed lock that sees demand comes back and then stays.
+    #[test]
+    fn paying_slow_path_is_never_shrunk_or_collapsed() {
+        let st = AdaptiveState::new(4);
+        let orecs = OrecTable::with_active(4, 4);
+        let fg = TxCell::new(true);
+        let stats = ExecStats::new();
+        let paying_window = |commits: u64| {
+            for _ in 0..commits {
+                stats.record_commit(Path::SlowHtm);
+            }
+            run_windows(&st, &orecs, &fg, &stats, 1);
+        };
+
+        for _ in 0..50 {
+            paying_window(1);
+            assert_eq!(orecs.active_plain(), 4, "one commit a window is enough");
+            assert!(fg.read_plain());
+        }
+        // Shrunk to a single orec by idleness, the next idle window would
+        // collapse: alternating paying and idle windows never get there.
+        run_windows(&st, &orecs, &fg, &stats, 2);
+        assert_eq!(orecs.active_plain(), 1);
+        for _ in 0..50 {
+            paying_window(1);
+            run_windows(&st, &orecs, &fg, &stats, 1);
+            assert!(fg.read_plain(), "a paying window resets the idle count");
+            assert_eq!(orecs.active_plain(), 1);
+        }
+        // Collapsed for real; demand brings it back, and commits keep it.
+        run_windows(&st, &orecs, &fg, &stats, 1);
+        assert!(!fg.read_plain(), "two idle windows in a row collapse");
+        stats.record_abort(Path::SlowHtm, AbortCode::Explicit(5));
+        run_windows(&st, &orecs, &fg, &stats, 1);
+        assert!(fg.read_plain(), "demand re-enables");
+        for _ in 0..50 {
+            paying_window(3);
+            assert!(fg.read_plain());
+            assert_eq!(orecs.active_plain(), 4);
+        }
+    }
+
     /// Every adaptation is traceable: the full shrink → collapse →
     /// re-enable → grow lifecycle appears in the recorder's decision
     /// trace, with the window signals that triggered each step.

@@ -18,6 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 
+use rtle_htm::wait::backoff_until;
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
 use rtle_hytm::{sw_attempt, SoftwareTm, SwDescriptor, SwPhase};
 use rtle_obs::{
@@ -29,7 +30,7 @@ use crate::abort_codes;
 use crate::adaptive::AdaptiveState;
 use crate::barrier::{Ctx, Holder, Rung};
 use crate::epoch::SeqEpoch;
-use crate::lock::{backoff_until, TatasLock};
+use crate::lock::TatasLock;
 use crate::orec::OrecTable;
 use crate::policy::{ElisionPolicy, RetryPolicy};
 use crate::stats::{ExecStats, Path};

@@ -8,42 +8,11 @@
 //! compare-and-swap) dooms every subscribed transaction — the mechanism
 //! TLE's correctness rests on.
 
+use rtle_htm::wait::backoff_until;
 use rtle_htm::TxCell;
-use std::hint;
 
 const FREE: u64 = 0;
 const HELD: u64 = 1;
-
-/// Initial backoff spin count; doubled after each failed probe.
-const BACKOFF_MIN: u32 = 1 << 4;
-/// Backoff ceiling.
-const BACKOFF_MAX: u32 = 1 << 14;
-
-/// The one waiting loop of the lock family: probes `done` with bounded
-/// exponential backoff between probes, and once the backoff saturates
-/// spins `BACKOFF_MAX` then yields the CPU.
-///
-/// Pure spinning is right for the short holds TLE expects, but once
-/// backoff saturates the hold is long (a pessimistic section doing real
-/// work — or a blocking wait), and on an oversubscribed host a pure
-/// spinner steals entire scheduler quanta from the very holder it waits
-/// for, multiplying the convoy. The yield keeps the paper's
-/// test-and-test-and-set-with-backoff shape while degrading gracefully
-/// when threads outnumber cores.
-#[inline]
-pub(crate) fn backoff_until(mut done: impl FnMut() -> bool) {
-    let mut backoff = BACKOFF_MIN;
-    while !done() {
-        for _ in 0..backoff {
-            hint::spin_loop();
-        }
-        if backoff < BACKOFF_MAX {
-            backoff <<= 1;
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
 
 /// Test-and-test-and-set spin lock with exponential backoff, built on a
 /// transactionally visible word.

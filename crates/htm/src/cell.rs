@@ -21,8 +21,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::descriptor;
-use crate::stripe;
+use crate::stripe::{self, GLOBAL};
 use crate::swhtm;
+use crate::wait::backoff_until;
 use crate::word::TxWord;
 
 /// A 64-bit-word shared cell, tracked by the emulated HTM.
@@ -93,58 +94,66 @@ impl<T: TxWord> TxCell<T> {
         T::from_word(self.raw.load(Ordering::Acquire))
     }
 
-    /// Seqlock read against the cell's stripe: spins while a committer holds
+    /// Seqlock read against the cell's stripe: waits while a committer holds
     /// the line, retries if the version moved under the load.
     #[inline]
     fn seqlock_read(&self) -> u64 {
         let idx = stripe::stripe_index(self.addr());
-        loop {
-            let w1 = stripe::load(idx);
+        let mut val = 0;
+        backoff_until(|| {
+            let w1 = GLOBAL.load(idx);
             if stripe::is_locked(w1) {
-                std::hint::spin_loop();
-                continue;
+                return false;
             }
-            let val = self.raw.load(Ordering::Acquire);
-            let w2 = stripe::load(idx);
-            if w1 == w2 {
-                return val;
-            }
-            std::hint::spin_loop();
-        }
+            val = self.raw.load(Ordering::Acquire);
+            GLOBAL.load(idx) == w1
+        });
+        val
+    }
+
+    /// The one plain (non-transactional) write path: waits for the stripe
+    /// lock (a plain store must always succeed — exactly like an
+    /// uninstrumented store eventually wins the cache line on real
+    /// hardware), runs `access` on the raw word under it and releases — at
+    /// a fresh global-clock version if `access` reports that it stored, so
+    /// that concurrent transactions that read the line are doomed (strong
+    /// atomicity); at the old version otherwise, invisibly.
+    #[inline]
+    fn under_stripe_lock<R>(&self, access: impl FnOnce(&AtomicU64) -> (bool, R)) -> R {
+        let idx = stripe::stripe_index(self.addr());
+        let owner = descriptor::thread_token();
+        let mut prev = 0;
+        backoff_until(|| GLOBAL.try_lock(idx, owner).map(|p| prev = p).is_ok());
+        let (stored, result) = access(&self.raw);
+        GLOBAL.unlock(idx, if stored { GLOBAL.next_version() } else { prev });
+        result
+    }
+
+    /// Plain store (see [`Self::under_stripe_lock`]).
+    #[inline]
+    fn store_plain(&self, word: u64) {
+        self.under_stripe_lock(|raw| (true, raw.store(word, Ordering::Release)));
     }
 
     /// Plain atomic fetch-add on the raw word (only sensible for integer
-    /// payloads). Takes the stripe lock like a plain store, so it is
-    /// strongly atomic and dooms conflicting transactions. Returns the
-    /// previous value. Must not be called inside a software transaction.
+    /// payloads). Strongly atomic like a plain store, and dooms conflicting
+    /// transactions. Returns the previous value. Must not be called inside
+    /// a software transaction.
     pub fn fetch_add_plain(&self, delta: u64) -> T {
         debug_assert!(
             !descriptor::in_sw_txn(),
             "fetch_add_plain inside a software transaction"
         );
-        let idx = stripe::stripe_index(self.addr());
-        let _prev = stripe::lock_spin(idx, descriptor::thread_token());
-        let cur = self.raw.load(Ordering::Acquire);
-        self.raw.store(cur.wrapping_add(delta), Ordering::Release);
-        stripe::unlock(idx, stripe::next_commit_version());
-        T::from_word(cur)
+        T::from_word(self.under_stripe_lock(|raw| {
+            let cur = raw.load(Ordering::Acquire);
+            raw.store(cur.wrapping_add(delta), Ordering::Release);
+            (true, cur)
+        }))
     }
 
-    /// Plain store: takes the stripe lock, stores, releases at a fresh
-    /// global-clock version so concurrent transactions are doomed (strong
-    /// atomicity).
-    #[inline]
-    fn store_plain(&self, word: u64) {
-        let idx = stripe::stripe_index(self.addr());
-        let _prev = stripe::lock_spin(idx, descriptor::thread_token());
-        self.raw.store(word, Ordering::Release);
-        stripe::unlock(idx, stripe::next_commit_version());
-    }
-
-    /// Plain (non-transactional) compare-and-swap. Takes the stripe lock,
-    /// compares, conditionally stores, and releases at a fresh version when
-    /// the store happened (so subscribed transactions are doomed) or at the
-    /// old version when it did not (a failed CAS is invisible).
+    /// Plain (non-transactional) compare-and-swap: stores `new` iff the
+    /// cell holds `expected`, dooming subscribed transactions when it does
+    /// (a failed CAS is invisible).
     ///
     /// Returns `true` iff the exchange happened. Must not be called inside
     /// a software transaction (it would bypass the redo log); debug-asserted.
@@ -153,17 +162,13 @@ impl<T: TxWord> TxCell<T> {
             !descriptor::in_sw_txn(),
             "compare_exchange_plain inside a software transaction"
         );
-        let idx = stripe::stripe_index(self.addr());
-        let prev = stripe::lock_spin(idx, descriptor::thread_token());
-        let cur = self.raw.load(Ordering::Acquire);
-        if cur == expected.to_word() {
-            self.raw.store(new.to_word(), Ordering::Release);
-            stripe::unlock(idx, stripe::next_commit_version());
-            true
-        } else {
-            stripe::unlock(idx, prev);
-            false
-        }
+        self.under_stripe_lock(|raw| {
+            let hit = raw.load(Ordering::Acquire) == expected.to_word();
+            if hit {
+                raw.store(new.to_word(), Ordering::Release);
+            }
+            (hit, hit)
+        })
     }
 
     /// Test hook: forces the plain-store path even while a software

@@ -7,6 +7,8 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::stripe::Footprint;
+
 /// One buffered write of a [`RedoLog`]: target cell and the new word.
 #[derive(Debug)]
 pub struct WriteEntry<C> {
@@ -89,146 +91,32 @@ impl<'a, C> IntoIterator for &'a RedoLog<C> {
     }
 }
 
-/// A small open-addressing set of stripe indices, used both to deduplicate
-/// the read/write sets and to count distinct lines against the capacity
-/// limits. `slots` stores `stripe + 1` so that 0 can be the empty sentinel,
-/// indexed by the stripe index itself (already a Wang hash of the line);
-/// `order` remembers the occupied slots in insertion order, so iterating
-/// and clearing cost the footprint, not the table's high-water mark.
-#[derive(Debug)]
-pub(crate) struct StripeSet {
-    slots: Vec<u32>,
-    order: Vec<u32>,
-}
-
-impl StripeSet {
-    pub const fn new() -> Self {
-        StripeSet {
-            slots: Vec::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Doubles the table (64 slots to start with) and re-seats the members
-    /// in their insertion order.
-    #[cold]
-    fn grow(&mut self) {
-        let members: Vec<u32> = self.iter().collect();
-        self.slots = vec![0; (self.slots.len() * 2).max(64)];
-        self.order.clear();
-        for stripe in members {
-            self.insert(stripe);
-        }
-    }
-
-    /// Inserts `stripe`; returns `true` iff it was not already present.
-    pub fn insert(&mut self, stripe: u32) -> bool {
-        // Load factor below one half (also covers the empty table).
-        if self.order.len() * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() as u32 - 1;
-        let key = stripe + 1;
-        let mut i = stripe & mask;
-        loop {
-            let v = self.slots[i as usize];
-            if v == key {
-                return false;
-            }
-            if v == 0 {
-                self.slots[i as usize] = key;
-                self.order.push(i);
-                return true;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    #[cfg(test)]
-    pub fn contains(&self, stripe: u32) -> bool {
-        if self.slots.is_empty() {
-            return false;
-        }
-        let mask = self.slots.len() as u32 - 1;
-        let mut i = stripe & mask;
-        loop {
-            match self.slots[i as usize] {
-                0 => return false,
-                v if v == stripe + 1 => return true,
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    pub fn len(&self) -> u32 {
-        self.order.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Iterates the distinct stripes in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.order.iter().map(|&i| self.slots[i as usize] - 1)
-    }
-
-    /// Empties the set, keeping the table. Returns how many slots it had
-    /// to reset — the members, however large the table has grown.
-    pub fn clear(&mut self) -> usize {
-        for &i in &self.order {
-            self.slots[i as usize] = 0;
-        }
-        let reset = self.order.len();
-        self.order.clear();
-        reset
-    }
-}
-
 /// Software-transaction state for one thread. Lives across transactions:
-/// the tables and logs keep their allocations, and `rv` carries the last
-/// clock value this thread observed into the next begin.
+/// the footprint and the log keep their allocations, and the footprint's
+/// `rv` carries the last clock value this thread observed into the next
+/// begin.
 #[derive(Debug)]
 pub(crate) struct SwTxn {
-    /// TL2 read-version: some value the global clock held no later than
-    /// this transaction's begin. Not sampled at begin — it is whatever the
-    /// thread last observed (its own last commit version or its last
-    /// snapshot extension; 0 on a fresh thread) and advances by extension.
-    pub rv: u64,
-    /// Capacity limits captured at begin (config may change mid-flight).
-    pub read_capacity: u32,
-    pub write_capacity: u32,
-    /// Distinct stripes read (validated at extension, and at commit when
-    /// the txn has writes).
-    pub read_stripes: StripeSet,
-    /// Distinct stripes written (locked at commit).
-    pub write_stripes: StripeSet,
+    /// Lines read and written, as stripes of [`crate::stripe::GLOBAL`].
+    pub footprint: Footprint,
     /// Buffered writes, published at commit.
     pub redo: RedoLog<AtomicU64>,
-    /// Commit scratch: the stripes locked so far with their pre-lock
-    /// versions. Empty outside `commit`.
-    pub locked: Vec<(u32, u64)>,
 }
 
 impl SwTxn {
     const fn new() -> Self {
         SwTxn {
-            rv: 0,
-            read_capacity: 0,
-            write_capacity: 0,
-            read_stripes: StripeSet::new(),
-            write_stripes: StripeSet::new(),
+            footprint: Footprint::new(),
             redo: RedoLog::new(),
-            locked: Vec::new(),
         }
     }
 
-    /// Begins a transaction: empties the sets and the log. `rv` stays.
-    pub fn reset(&mut self, read_capacity: u32, write_capacity: u32) {
-        self.read_capacity = read_capacity;
-        self.write_capacity = write_capacity;
-        self.read_stripes.clear();
-        self.write_stripes.clear();
+    /// Begins a transaction: empties the footprint and the log. The
+    /// read-version is not sampled — it is whatever the thread last
+    /// observed (its own last commit version or its last snapshot
+    /// extension; 0 on a fresh thread) and advances by extension.
+    pub fn reset(&mut self) {
+        self.footprint.begin(self.footprint.rv);
         self.redo.clear();
     }
 }
@@ -359,86 +247,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stripe_set_insert_dedup_count() {
-        let mut s = StripeSet::new();
-        assert!(s.is_empty());
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
-        assert!(s.insert(9));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(5));
-        assert!(s.contains(9));
-        assert!(!s.contains(6));
-        let mut got: Vec<u32> = s.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![5, 9]);
-    }
-
-    #[test]
-    fn stripe_set_grows_past_initial_capacity() {
-        let mut s = StripeSet::new();
-        for i in 0..10_000u32 {
-            assert!(s.insert(i));
-        }
-        assert_eq!(s.len(), 10_000);
-        for i in 0..10_000u32 {
-            assert!(s.contains(i));
-        }
-        assert!(!s.contains(10_001));
-    }
-
-    #[test]
-    fn stripe_set_clear() {
-        let mut s = StripeSet::new();
-        s.insert(1);
-        s.insert(2);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(1));
-        assert!(s.insert(1));
-    }
-
-    #[test]
-    fn clear_costs_the_footprint_not_the_high_water_mark() {
-        let mut s = StripeSet::new();
-        for i in 0..4000u32 {
-            s.insert(i.wrapping_mul(0x9e37_79b9) >> 12);
-        }
-        let big = s.len() as usize;
-        assert!(big > 3900, "a 4000-line footprint (a few aliases aside)");
-        assert_eq!(s.clear(), big);
-        // The table stays grown; the next, one-line transaction must not
-        // pay for it.
-        assert!(s.insert(7));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![7]);
-        assert_eq!(s.clear(), 1, "one member, one slot reset");
-        assert_eq!(s.clear(), 0, "an empty set resets nothing");
-    }
-
-    #[test]
-    fn iteration_keeps_insertion_order_across_growth() {
-        let mut s = StripeSet::new();
-        let members: Vec<u32> = (0..200u32).map(|i| i * 64 + 3).collect();
-        for &m in &members {
-            s.insert(m);
-        }
-        assert_eq!(s.iter().collect::<Vec<_>>(), members);
-    }
-
-    #[test]
-    fn stripe_zero_is_representable() {
-        let mut s = StripeSet::new();
-        assert!(s.insert(0));
-        assert!(s.contains(0));
-        assert!(!s.insert(0));
-    }
-
-    #[test]
     fn redo_log_read_own_write_and_supersede() {
         let a = AtomicU64::new(0);
         let b = AtomicU64::new(0);
         let mut t = SwTxn::new();
-        t.reset(16, 16);
+        t.reset();
         assert_eq!(t.redo.lookup(&a), None);
         t.redo.log_write(&a, 10);
         t.redo.log_write(&b, 20);
@@ -446,7 +259,7 @@ mod tests {
         assert_eq!(t.redo.lookup(&a), Some(30));
         assert_eq!(t.redo.lookup(&b), Some(20));
         assert_eq!(t.redo.iter().count(), 2, "second write to a supersedes in place");
-        t.reset(16, 16);
+        t.reset();
         assert!(t.redo.is_empty(), "reset discards the log");
     }
 

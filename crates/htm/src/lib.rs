@@ -17,6 +17,10 @@
 //!   transactions and plain (non-transactional) accesses. The emulation is
 //!   deliberately *best effort*: it has configurable read/write capacity
 //!   limits and spurious-abort injection so that fallback paths get exercised.
+//! * [`stripe`] — the versioned-lock (TL2) protocol the emulation is a
+//!   caller of: stripe table, commit clock, read → extend → validate,
+//!   lock → stamp → release, written once. `rtle-hytm`'s `Tl2` is its
+//!   other caller.
 //! * `rtm` *(feature `rtm`)* — a thin backend over the real Intel RTM
 //!   intrinsics (`_xbegin`/`_xend`/`_xabort`/`_xtest`) with runtime CPUID
 //!   detection, for machines that do have TSX.
@@ -67,6 +71,7 @@ pub mod stats;
 pub mod stripe;
 pub mod swhtm;
 pub mod unwind;
+pub mod wait;
 pub mod word;
 
 pub use abort::AbortCode;

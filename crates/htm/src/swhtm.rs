@@ -7,53 +7,37 @@
 //! the attempt failed. Retry policy is entirely the caller's business, just
 //! as with `xbegin`.
 //!
-//! Protocol outline:
+//! The protocol itself — stripe table, commit clock, read → extend →
+//! validate, lock → stamp → release — lives in [`crate::stripe`], which
+//! also carries the argument for why it is safe. This module is the
+//! emulation's caller of it on [`stripe::GLOBAL`], plus what only hardware
+//! has: capacity limits, abort injection and the eager write check.
 //!
 //! 1. **Begin** — no shared access at all. The read-version `rv` is the
 //!    last clock value this thread observed (its own last commit version
 //!    `wv`, or its last snapshot extension; 0 on a fresh thread), carried
-//!    over in the thread's descriptor. Optionally inject a spurious abort
+//!    over in the thread's footprint. Optionally inject a spurious abort
 //!    (configurable rate).
-//! 2. **Read barrier** — read own redo log first; otherwise sample the
-//!    stripe word, load the value, re-sample. Abort on a locked stripe. An
-//!    unlocked stripe newer than `rv` triggers a **snapshot extension**:
-//!    sample the global clock *first*, then revalidate every stripe read so
-//!    far against the old `rv`; if all still hold, `rv` advances to the
-//!    sample and the read goes on, else the transaction aborts `Conflict`.
+//! 2. **Read barrier** — read own redo log first; otherwise
+//!    [`Table::read`](stripe::Table::read) through the cell's cache line:
+//!    abort on a locked stripe, extend the snapshot over an unlocked
+//!    stripe newer than `rv`. Count distinct lines against the read
+//!    capacity.
 //! 3. **Write barrier** — buffer the word in the redo log; count distinct
 //!    lines against the write capacity.
-//! 4. **Commit** — read-only transactions commit immediately (their reads
-//!    were each validated against `rv`). Writers lock their write stripes,
-//!    draw a commit version `wv`, validate the read set (unless `wv == rv+2`,
-//!    the TL2 "nobody else committed" shortcut), write back the redo log and
-//!    release the stripes at version `wv`. The write-back window is covered
-//!    by the stripe locks, which both transactional *and plain* readers
-//!    respect — commits are atomic for everyone (strong atomicity). The
-//!    `fetch_add` that draws `wv` is the only shared line a committing
-//!    transaction writes besides its own data's stripes.
+//! 4. **Commit** — [`Table::commit`](stripe::Table::commit), trying each
+//!    write stripe once (hardware does not wait) and writing the redo log
+//!    back with raw `Release` stores. The write-back window is covered by
+//!    the stripe locks, which both transactional *and plain* readers
+//!    respect — commits are atomic for everyone (strong atomicity).
 //!
-//! Why a stale `rv` is safe. TL2 needs only that `rv` is a value the clock
-//! held *no later than* begin: every read is of an unlocked stripe with
-//! version ≤ `rv`, unchanged across the load. A writer that releases a
-//! stripe after we read it locked it before drawing its version; had it
-//! drawn a version ≤ `rv` it would have held the lock since before our
-//! begin and our read would have met the lock. So everything we read is
-//! the memory state as of clock value `rv`, and a smaller `rv` only makes
-//! more stripes look new. Extension keeps the invariant: once the clock is
-//! sampled as `now`, a writer with version ≤ `now` that touches a stripe we
-//! read holds or has released that stripe by the time we revalidate it, so
-//! revalidation meets its lock or its version > old `rv`; a writer that
-//! locks later draws a version > `now`. The shortcut survives as well:
-//! `wv == rv + 2` still means the clock stood at `rv` when we bumped it —
-//! nobody drew a version since `rv` was observed. And lock subscription is
-//! unaffected: an acquisition is a plain store, which publishes the lock
-//! word at a fresh version, above any `rv` cached before it.
-//!
-//! This is also closer to the hardware than a begin-time snapshot. Real HTM
-//! aborts a transaction only for lines already in its read or write set; a
-//! snapshot fixed at begin aborts on *any* line written since begin, read
-//! or not. With extension, a line written before its first read is simply
-//! read at its new value.
+//! Carrying `rv` over is also closer to the hardware than a begin-time
+//! snapshot. Real HTM aborts a transaction only for lines already in its
+//! read or write set; a snapshot fixed at begin aborts on *any* line
+//! written since begin, read or not. With extension, a line written before
+//! its first read is simply read at its new value. And lock subscription
+//! is unaffected: an acquisition is a plain store, which publishes the
+//! lock word at a fresh version, above any `rv` cached before it.
 //!
 //! Control transfer on abort unwinds on [`Channel::Htm`] of
 //! [`crate::unwind`]; the runner catches exactly that channel and translates
@@ -65,7 +49,7 @@ use crate::abort::{self, AbortCode};
 use crate::config;
 use crate::descriptor::{with_thread, SwTxn, ThreadState};
 use crate::stats;
-use crate::stripe;
+use crate::stripe::{self, GLOBAL};
 use crate::unwind::{self, Channel};
 
 /// Runs `f` as one software transaction attempt.
@@ -95,7 +79,7 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
         let outcome = match injected_abort() {
             Some(code) => Err(code),
             None => {
-                th.with_txn(|t| t.reset(config::read_capacity(), config::write_capacity()));
+                th.with_txn(SwTxn::reset);
                 let active = th.activate();
                 // An aborted attempt's redo log is simply never written
                 // back; the next begin's reset discards it.
@@ -110,99 +94,21 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
     })
 }
 
-/// Backs out of a commit: releases every stripe in `locked` at its pre-lock
-/// version.
-fn unlock_all(locked: &mut Vec<(u32, u64)>) {
-    for (s, prev) in locked.drain(..) {
-        stripe::unlock(s, prev);
-    }
-}
-
-/// Commit protocol for descriptor `t` of the thread holding `owner`. On
-/// `Err`, all stripe locks taken here have been released with their old
-/// versions restored.
+/// Commits descriptor `t` of the thread holding `owner`: each write stripe
+/// is tried once, the redo log written back under the stripe locks.
 fn commit(t: &mut SwTxn, owner: u64) -> Result<(), AbortCode> {
-    if t.write_stripes.is_empty() {
-        // Read-only: every read was individually validated against rv.
-        return Ok(());
-    }
-
-    // Phase 1: lock the write set.
-    debug_assert!(t.locked.is_empty());
-    for s in t.write_stripes.iter() {
-        match stripe::try_lock(s, owner) {
-            Ok(prev) => t.locked.push((s, prev)),
-            Err(_) => {
-                unlock_all(&mut t.locked);
-                return Err(AbortCode::Conflict);
+    GLOBAL.commit(
+        &mut t.footprint,
+        |s| GLOBAL.try_lock(s, owner).ok(),
+        || {
+            for e in &t.redo {
+                // SAFETY: `cell` was captured from a live `&TxCell` earlier in
+                // this same transaction; the cell cannot have been dropped while
+                // a reference existed, and the log does not outlive try_txn.
+                unsafe { (*e.cell).store(e.value, Ordering::Release) };
             }
-        }
-    }
-
-    // Phase 2: draw the commit version. Whatever happens next, it is the
-    // latest clock value this thread has seen: the next begin's rv.
-    let wv = stripe::next_commit_version();
-    let rv = std::mem::replace(&mut t.rv, wv);
-
-    // Phase 3: validate the read set (unless no one committed since rv).
-    // A stripe we locked ourselves is validated against the version it
-    // held *before* we locked it — skipping that check is the classic
-    // TL2 lost-update bug (two readers of the same line both locking it
-    // for write and both committing).
-    if wv != rv + 2 {
-        for s in t.read_stripes.iter() {
-            let w = stripe::load(s);
-            let bad = if stripe::is_locked(w) {
-                if stripe::owner_of(w) == owner {
-                    t.locked
-                        .iter()
-                        .find(|&&(ls, _)| ls == s)
-                        .map(|&(_, prev)| prev)
-                        .expect("self-locked stripe must be in the locked list")
-                        > rv
-                } else {
-                    true
-                }
-            } else {
-                w > rv
-            };
-            if bad {
-                unlock_all(&mut t.locked);
-                return Err(AbortCode::Conflict);
-            }
-        }
-    }
-
-    // Phase 4: write back under the stripe locks, then release at wv.
-    for e in &t.redo {
-        // SAFETY: `cell` was captured from a live `&TxCell` earlier in
-        // this same transaction; the cell cannot have been dropped while
-        // a reference existed, and the log does not outlive try_txn.
-        unsafe { (*e.cell).store(e.value, Ordering::Release) };
-    }
-    for (ls, _) in t.locked.drain(..) {
-        stripe::unlock(ls, wv);
-    }
-    Ok(())
-}
-
-/// Snapshot extension: `t` met an unlocked stripe newer than its `rv`.
-/// Samples the clock, then checks that nothing read so far has changed
-/// since the old `rv`; on success the reads so far are equally the memory
-/// state as of the sample, which becomes `rv`. The order matters — a
-/// writer that slips in between a validation and a later clock sample
-/// would be inside the new snapshot without having been checked.
-#[cold]
-fn extend_snapshot(t: &mut SwTxn) -> Result<(), AbortCode> {
-    // Kept even when validation fails: the retry then begins from it.
-    let rv = std::mem::replace(&mut t.rv, stripe::clock());
-    for s in t.read_stripes.iter() {
-        let w = stripe::load(s);
-        if stripe::is_locked(w) || w > rv {
-            return Err(AbortCode::Conflict);
-        }
-    }
-    Ok(())
+        },
+    )
 }
 
 /// Transactional read barrier for `cell` (called via `TxCell::read`).
@@ -213,20 +119,8 @@ pub(crate) fn read_barrier(th: &ThreadState, cell: &AtomicU64) -> u64 {
         if let Some(v) = t.redo.lookup(cell) {
             return Ok(v);
         }
-        let w1 = stripe::load(idx);
-        if stripe::is_locked(w1) {
-            return Err(AbortCode::Conflict);
-        }
-        if w1 > t.rv {
-            extend_snapshot(t)?;
-            // The version was published before the clock sample.
-            debug_assert!(w1 <= t.rv);
-        }
-        let val = cell.load(Ordering::Acquire);
-        if stripe::load(idx) != w1 {
-            return Err(AbortCode::Conflict);
-        }
-        if t.read_stripes.insert(idx) && t.read_stripes.len() > t.read_capacity {
+        let val = GLOBAL.read(&mut t.footprint, idx, || cell.load(Ordering::Acquire))?;
+        if t.footprint.reads.len() > config::read_capacity() {
             return Err(AbortCode::Capacity);
         }
         Ok(val)
@@ -244,14 +138,15 @@ pub(crate) fn write_barrier(th: &ThreadState, cell: &AtomicU64, value: u64) {
 
     // Eager sanity check: a stripe currently locked by another committer is
     // a conflict we will certainly lose; abort now (hardware would too).
-    let w = stripe::load(idx);
+    let w = GLOBAL.load(idx);
     if stripe::is_locked(w) && stripe::owner_of(w) != th.token() {
         abort::raise(AbortCode::Conflict);
     }
 
     let over = th.with_txn(|t| {
         t.redo.log_write(cell, value);
-        t.write_stripes.insert(idx) && t.write_stripes.len() > t.write_capacity
+        t.footprint.write(idx);
+        t.footprint.writes.len() > config::write_capacity()
     });
     if over {
         abort::raise(AbortCode::Capacity);
@@ -456,47 +351,7 @@ mod tests {
 
     /// This thread's current read-version.
     fn rv_now() -> u64 {
-        with_thread(|th| th.with_txn(|t| t.rv))
-    }
-
-    #[test]
-    fn store_to_a_line_not_yet_read_is_no_conflict() {
-        // Real HTM aborts only for lines already in the read/write set. A
-        // line written after begin but before its first read is simply read
-        // at its new value: the snapshot extends over the store.
-        crate::HtmConfig::default().with_installed(|| {
-            let x = Box::new(TxCell::new(1u64));
-            let y = Box::new(TxCell::new(0u64));
-            let r = try_txn(|| {
-                let before = x.read();
-                y.store_plain_for_test(7);
-                let seen = y.read();
-                x.write(before + seen);
-                seen
-            });
-            assert_eq!(r, Ok(7));
-            assert_eq!(x.read_plain(), 8);
-        });
-    }
-
-    #[test]
-    fn extension_fails_once_a_read_line_changed() {
-        // Read X; X and then Y are stored; reading the newer Y must not
-        // extend the snapshot past the store to X — (old X, new Y) is the
-        // zombie view.
-        crate::HtmConfig::default().with_installed(|| {
-            let x = Box::new(TxCell::new(0u64));
-            let y = Box::new(TxCell::new(0u64));
-            let r: Result<(u64, u64), AbortCode> = try_txn(|| {
-                let old_x = x.read();
-                x.store_plain_for_test(1);
-                y.store_plain_for_test(1);
-                (old_x, y.read())
-            });
-            assert_eq!(r, Err(AbortCode::Conflict));
-            // The failed extension still refreshed rv: the retry runs clean.
-            assert_eq!(try_txn(|| (x.read(), y.read())), Ok((1, 1)));
-        });
+        with_thread(|th| th.with_txn(|t| t.footprint.rv))
     }
 
     #[test]
@@ -523,20 +378,6 @@ mod tests {
             assert!(rvs.iter().all(|&(v, _)| v == 9_999));
             assert!(rvs[0].1 >= stale + 2 * 10_000, "one extension, at the first read");
             assert!(rvs.iter().all(|&(_, rv)| rv == rvs[0].1), "and no second one");
-        });
-    }
-
-    #[test]
-    fn commit_reuses_its_lock_list() {
-        crate::HtmConfig::default().with_installed(|| {
-            let cells: Vec<Box<TxCell<u64>>> = (0..8).map(|_| Box::new(TxCell::new(0))).collect();
-            let capacity = || with_thread(|th| th.with_txn(|t| (t.locked.len(), t.locked.capacity())));
-            try_txn(|| cells.iter().for_each(|c| c.write(1))).unwrap();
-            let (len, cap) = capacity();
-            assert_eq!(len, 0, "empty outside commit");
-            assert!(cap >= 8);
-            try_txn(|| cells.iter().for_each(|c| c.write(2))).unwrap();
-            assert_eq!(capacity(), (0, cap), "same allocation, commit after commit");
         });
     }
 }

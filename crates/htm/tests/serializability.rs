@@ -125,17 +125,33 @@ fn strong_atomicity_plain_reader_sees_whole_commits() {
 #[test]
 fn no_lost_updates_on_single_counter() {
     const THREADS: usize = 4;
-    const INCS: usize = 2_000;
+    const INCS: usize = 4_000;
     let counter = Arc::new(TxCell::new(0u64));
+    // The increments take less time than spawning the threads does: start
+    // them together, or they run one after the other and race with nobody.
+    let start = Arc::new(std::sync::Barrier::new(THREADS));
 
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
-            let counter = Arc::clone(&counter);
+            let (counter, start) = (Arc::clone(&counter), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait();
                 let mut committed = 0u64;
-                for _ in 0..INCS {
+                for i in 0..INCS {
                     loop {
-                        match swhtm::try_txn(|| counter.write(counter.read() + 1)) {
+                        // Every so often the read goes stale before the
+                        // write: whoever runs during the yield commits in
+                        // between, and this attempt must fail validation.
+                        // (Optimised, the window is otherwise a few
+                        // nanoseconds wide and nothing ever lands in it.)
+                        let rmw = || {
+                            let seen = counter.read();
+                            if i % 8 == 0 {
+                                std::thread::yield_now();
+                            }
+                            counter.write(seen + 1);
+                        };
+                        match swhtm::try_txn(rmw) {
                             Ok(()) => {
                                 committed += 1;
                                 break;

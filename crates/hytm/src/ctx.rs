@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 
+use rtle_htm::wait::backoff_until;
 use rtle_htm::{TxCell, TxWord};
 
 use crate::descriptor::{abort_sw, SwDescriptor};
@@ -88,16 +89,15 @@ impl rtle_htm::TxAccess for TmCtx<'_> {
     }
 }
 
-/// Spins until the clock is even (no commit in progress) and returns it.
+/// Waits until the clock is even (no commit in progress) and returns it.
 #[inline]
 pub(crate) fn wait_even(clock: &TxCell<u64>) -> u64 {
-    loop {
-        let v = clock.read_plain();
-        if v & 1 == 0 {
-            return v;
-        }
-        std::hint::spin_loop();
-    }
+    let mut v = 0;
+    backoff_until(|| {
+        v = clock.read_plain();
+        v & 1 == 0
+    });
+    v
 }
 
 /// NOrec's value-based validation: waits for a stable even clock under
@@ -108,7 +108,7 @@ pub(crate) fn wait_even(clock: &TxCell<u64>) -> u64 {
 pub(crate) fn validate(desc: &mut SwDescriptor, clock: &TxCell<u64>, stats: &TmStats) -> u64 {
     loop {
         let t = wait_even(clock);
-        stats.record_validation();
+        stats.record_validations(1);
         if !desc.reads_still_valid() {
             abort_sw();
         }

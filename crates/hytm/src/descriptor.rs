@@ -4,6 +4,7 @@
 //! [`rtle_htm::unwind`], mirroring what `rtle-htm` does for emulated
 //! hardware transactions.
 
+use rtle_htm::stripe::Footprint;
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::{AbortCode, RedoLog, TxCell};
 
@@ -25,24 +26,30 @@ pub(crate) struct ReadEntry {
     pub value: u64,
 }
 
-/// Per-attempt software transaction state: the value-logging read set and
-/// the buffering write set every [`crate::tm::SoftwareTm`] backend works
-/// on. Public only because it appears in the trait's method signatures;
-/// all of its contents and operations are crate-private.
+/// Per-attempt software transaction state: the buffering write set every
+/// [`crate::tm::SoftwareTm`] backend works on, and what each validates
+/// its reads with — NOrec a value log under a clock snapshot, TL2 the
+/// versioned-lock protocol's footprint. Public only because it appears in
+/// the trait's method signatures; all of its contents and operations are
+/// crate-private.
 #[derive(Default)]
 pub struct SwDescriptor {
-    /// Clock value this attempt's snapshot is consistent with (NOrec: even
-    /// global sequence clock; TL2: the sampled read version `rv`).
+    /// NOrec: the even global sequence clock value the value log is
+    /// consistent with.
     pub(crate) snapshot: u64,
     pub(crate) reads: Vec<ReadEntry>,
     pub(crate) writes: RedoLog<TxCell<u64>>,
+    /// TL2: read-version and read/write stripes in the instance's table.
+    pub(crate) footprint: Footprint,
 }
 
 impl SwDescriptor {
+    /// Begins an attempt at clock value `snapshot`, with empty logs.
     pub(crate) fn reset(&mut self, snapshot: u64) {
         self.snapshot = snapshot;
         self.reads.clear();
         self.writes.clear();
+        self.footprint.begin(snapshot);
     }
 
     /// Logs a validated read.

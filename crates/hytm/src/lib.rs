@@ -22,10 +22,12 @@
 //!   back to a clock-acquired single-global-lock commit that halts
 //!   everything.
 //!
-//! Beyond the paper's baselines, [`tl2::Tl2`] implements the TL2 STM (Dice,
+//! Beyond the paper's baselines, [`tl2::Tl2`] is the TL2 STM (Dice,
 //! Shalev, Shavit; DISC 2006): per-stripe versioned write-locks plus a
 //! global version clock, so *disjoint* writers commit concurrently instead
-//! of serializing through one sequence lock. All three are unified behind
+//! of serializing through one sequence lock. It is an instance of the
+//! versioned-lock protocol of [`rtle_htm::stripe`], which the emulated HTM
+//! underneath runs too. All three are unified behind
 //! the [`tm::SoftwareTm`] trait — begin/read/write/commit lifecycle plus
 //! stats and the hardware commit-time hook — so `rtle-core`'s
 //! `ElidableLock` can plug any of them in as its software fallback

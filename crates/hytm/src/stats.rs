@@ -74,8 +74,8 @@ impl TmStats {
     }
 
     #[inline]
-    pub(crate) fn record_validation(&self) {
-        self.lanes.add(VALIDATIONS, 1);
+    pub(crate) fn record_validations(&self, n: u64) {
+        self.lanes.add(VALIDATIONS, n);
     }
 
     #[inline]
@@ -192,9 +192,7 @@ mod tests {
     #[test]
     fn validations_per_txn() {
         let s = TmStats::new();
-        for _ in 0..6 {
-            s.record_validation();
-        }
+        s.record_validations(6);
         s.record_commit(CommitKind::StmFastCommit);
         s.record_commit(CommitKind::StmSlowCommit);
         let snap = s.snapshot();

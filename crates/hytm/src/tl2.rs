@@ -8,23 +8,26 @@
 //! validation: false conflicts from stripe aliasing, and no immunity to the
 //! ABA-style silent updates NOrec's value logging shrugs off.
 //!
-//! Protocol:
+//! The protocol is [`rtle_htm::stripe`]'s — the one the emulated HTM runs
+//! on its global table — on a table of this instance's own; this file
+//! supplies what differs:
 //!
-//! * **Begin** — sample the global clock (`rv`, always even).
-//! * **Read** — check the stripe unlocked and not newer than `rv`, load the
-//!   value, re-check the stripe word unchanged; abort otherwise.
-//! * **Commit (writers)** — lock the write stripes in ascending index order
-//!   (bounded TATAS spin, then abort), advance the clock (`wv`), validate
-//!   the read set against `rv` unless `wv == rv + 2` (nobody else
-//!   committed), write back, release every stripe at version `wv`.
+//! * **Stripe map** — the cell's *word* address, Fibonacci-hashed.
+//! * **Begin** — `rv` is a fresh sample of the instance's clock.
+//! * **Read** — through the footprint, loading with a strongly atomic
+//!   plain read. A stripe newer than `rv` extends the snapshot (sample
+//!   first, then revalidate) instead of aborting.
+//! * **Commit (writers)** — each write stripe is waited for through the
+//!   one waiting loop, bounded (a preempted holder must not wedge every
+//!   writer forever), and the log is written back with strongly atomic
+//!   stores, which doom racing hardware transactions.
 //!
-//! All version comparisons use wrapping order (`newer_than`), so the clock
-//! survives wraparound exactly like [`rtle_core`-style epoch counters];
+//! Versions compare in wrapping order, so the clock survives wraparound;
 //! [`Tl2::starting_at`] exists so tests can pin the clock near `u64::MAX`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rtle_htm::TxCell;
+use rtle_htm::stripe::{BoxedTable, Table};
+use rtle_htm::wait::backoff_until;
+use rtle_htm::{thread_token, AbortCode, TxCell};
 
 use crate::descriptor::{abort_sw, SwDescriptor};
 use crate::stats::{CommitKind, TmStats};
@@ -34,23 +37,9 @@ use crate::TmCtx;
 /// Default number of version-lock stripes (power of two).
 pub const DEFAULT_STRIPES: usize = 4096;
 
-/// Spin bounds for the stripe-lock TATAS loop — the same exponential
-/// backoff discipline as `rtle-core`'s lock (`BACKOFF_MIN..BACKOFF_MAX`,
-/// then a saturated yielding pause).
-const BACKOFF_MIN: u32 = 1 << 4;
-const BACKOFF_MAX: u32 = 1 << 14;
-/// Saturated-pause rounds on one locked stripe before the transaction
-/// gives up and aborts (bounded spin: a preempted lock holder must not
-/// wedge every writer forever).
-const MAX_SATURATED_ROUNDS: u32 = 1024;
-
-/// `true` iff version `v` is newer than snapshot `rv` in wrapping order.
-/// Exact for distances below 2^63 — far beyond any reachable in-flight
-/// span, since each commit advances the clock by 2.
-#[inline]
-fn newer_than(v: u64, rv: u64) -> bool {
-    v != rv && v.wrapping_sub(rv) < u64::MAX / 2
-}
+/// Probes of one locked stripe (the last thousand of them a yield apart)
+/// before a committing transaction gives up and aborts.
+const STRIPE_WAIT_PROBES: u32 = 1 << 10;
 
 /// A TL2 software transactional memory instance.
 ///
@@ -58,12 +47,8 @@ fn newer_than(v: u64, rv: u64) -> bool {
 /// be accessed through the [`TmCtx`] passed to the closure.
 #[derive(Debug)]
 pub struct Tl2 {
-    /// Global version clock; always even (advanced by 2 per writer commit).
-    clock: AtomicU64,
-    /// Versioned write-locks: even = version of the last commit that wrote
-    /// the stripe, odd = locked (`previous_version | 1`).
-    stripes: Box<[AtomicU64]>,
-    mask: usize,
+    /// Version clock and versioned write-locks (a power of two of them).
+    table: BoxedTable,
     stats: TmStats,
 }
 
@@ -82,8 +67,7 @@ impl Tl2 {
     /// A fresh instance with `stripes` version locks (rounded up to a
     /// power of two, minimum 1).
     pub fn with_stripes(stripes: usize) -> Self {
-        let n = stripes.max(1).next_power_of_two();
-        Self::build(n, 0)
+        Self::build(stripes.max(1).next_power_of_two(), 0)
     }
 
     /// A fresh instance whose clock (and every stripe version) starts at
@@ -92,15 +76,12 @@ impl Tl2 {
     /// Panics if `clock` is odd (an odd clock would read as a locked
     /// stripe / in-flight commit that never completes).
     pub fn starting_at(clock: u64) -> Self {
-        assert!(clock.is_multiple_of(2), "TL2 clock must start even");
         Self::build(DEFAULT_STRIPES, clock)
     }
 
     fn build(stripes: usize, clock: u64) -> Self {
         Tl2 {
-            clock: AtomicU64::new(clock),
-            stripes: (0..stripes).map(|_| AtomicU64::new(clock)).collect(),
-            mask: stripes - 1,
+            table: Table::boxed(stripes, clock),
             stats: TmStats::new(),
         }
     }
@@ -112,7 +93,7 @@ impl Tl2 {
 
     /// Current global version clock (diagnostics/tests).
     pub fn clock(&self) -> u64 {
-        self.clock.load(Ordering::SeqCst)
+        self.table.clock()
     }
 
     /// Runs `cs` as one atomic transaction, retrying on validation aborts
@@ -125,49 +106,19 @@ impl Tl2 {
     /// address — cheap and uniform enough that disjoint working sets land
     /// on disjoint stripes with high probability).
     #[inline]
-    fn stripe_for(&self, cell: *const TxCell<u64>) -> usize {
+    fn stripe_for(&self, cell: *const TxCell<u64>) -> u32 {
         let addr = cell as usize as u64 >> 3;
-        (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask
+        (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u32 & (self.table.stripes() - 1) as u32
     }
 
-    /// Restores the pre-lock version of every held stripe (commit abort).
-    fn rollback(&self, held: &[(usize, u64)]) {
-        for &(i, prev) in held {
-            self.stripes[i].store(prev, Ordering::Release);
+    /// Books the read-set validations a step of the protocol cost and
+    /// unwinds the attempt if the step failed.
+    fn settle<T>(&self, d: &mut SwDescriptor, step: Result<T, AbortCode>) -> T {
+        let validations = std::mem::take(&mut d.footprint.validations);
+        if validations > 0 {
+            self.stats.record_validations(validations);
         }
-    }
-
-    /// Locks stripe `i` with bounded exponential-backoff spinning.
-    /// Returns the pre-lock version; aborts the transaction (after
-    /// rolling back `held`) once the spin budget saturates.
-    fn lock_stripe(&self, i: usize, held: &[(usize, u64)]) -> u64 {
-        let mut backoff = BACKOFF_MIN;
-        let mut saturated = 0u32;
-        loop {
-            let w = self.stripes[i].load(Ordering::Acquire);
-            if w & 1 == 0
-                && self.stripes[i]
-                    .compare_exchange(w, w | 1, Ordering::Acquire, Ordering::Acquire)
-                    .is_ok()
-            {
-                return w;
-            }
-            // Locked (or the CAS raced): back off exponentially, then
-            // yield — a preempted holder needs the CPU to release.
-            for _ in 0..backoff {
-                std::hint::spin_loop();
-            }
-            if backoff < BACKOFF_MAX {
-                backoff <<= 1;
-            } else {
-                std::thread::yield_now();
-                saturated += 1;
-                if saturated >= MAX_SATURATED_ROUNDS {
-                    self.rollback(held);
-                    abort_sw();
-                }
-            }
-        }
+        step.unwrap_or_else(|_| abort_sw())
     }
 }
 
@@ -181,80 +132,48 @@ impl SoftwareTm for Tl2 {
     }
 
     fn begin(&self, d: &mut SwDescriptor) {
-        d.reset(self.clock.load(Ordering::SeqCst));
+        d.reset(self.table.clock());
     }
 
     fn read(&self, d: &mut SwDescriptor, cell: &TxCell<u64>) -> u64 {
         if let Some(v) = d.writes.lookup(cell) {
             return v;
         }
-        let s = self.stripe_for(cell);
-        let w1 = self.stripes[s].load(Ordering::Acquire);
-        let val = cell.read_plain();
-        let w2 = self.stripes[s].load(Ordering::Acquire);
-        if w1 & 1 == 1 || w1 != w2 || newer_than(w1, d.snapshot) {
-            // Locked, changed underneath us, or written after our snapshot.
-            abort_sw();
-        }
-        d.log_read(cell, val);
-        val
+        let stripe = self.stripe_for(cell);
+        // Fails on a lock, a word that moved, or a failed extension.
+        let read = self
+            .table
+            .read(&mut d.footprint, stripe, || cell.read_plain());
+        self.settle(d, read)
+    }
+
+    fn write(&self, d: &mut SwDescriptor, cell: &TxCell<u64>, value: u64) {
+        d.writes.log_write(cell, value);
+        d.footprint.write(self.stripe_for(cell));
     }
 
     fn commit(&self, d: &mut SwDescriptor) -> CommitKind {
-        if d.is_read_only() {
-            // Every read was validated against rv at read time; a read-only
-            // transaction serializes at its begin point for free.
-            return CommitKind::StmFastCommit;
-        }
-
-        // Lock the write stripes in ascending index order (no deadlock).
-        let mut idxs: Vec<usize> = d.writes.iter().map(|w| self.stripe_for(w.cell)).collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        let mut held: Vec<(usize, u64)> = Vec::with_capacity(idxs.len());
-        for &i in &idxs {
-            let prev = self.lock_stripe(i, &held);
-            held.push((i, prev));
-        }
-
-        let wv = self.clock.fetch_add(2, Ordering::SeqCst).wrapping_add(2);
-        // Seeded mutant (`tl2-stale-read-mutant`, never default): skip the
-        // read-set revalidation precisely when the clock advanced — the
-        // one case it matters. The fuzz campaign's pinned seed and the
-        // model checker's TL2 mutant config must both catch this.
-        #[cfg(not(feature = "tl2-stale-read-mutant"))]
-        let clock_advanced = wv != d.snapshot.wrapping_add(2);
-        #[cfg(feature = "tl2-stale-read-mutant")]
-        let clock_advanced = false;
-        if clock_advanced {
-            // Someone committed since our snapshot: revalidate the read
-            // set. Stripes we hold ourselves are checked at their pre-lock
-            // version.
-            self.stats.record_validation();
-            for r in &d.reads {
-                let i = self.stripe_for(r.cell);
-                let w = match held.binary_search_by_key(&i, |h| h.0) {
-                    Ok(p) => held[p].1,
-                    Err(_) => self.stripes[i].load(Ordering::Acquire),
-                };
-                if w & 1 == 1 || newer_than(w, d.snapshot) {
-                    self.rollback(&held);
-                    abort_sw();
-                }
+        let owner = thread_token();
+        let acquire = |stripe| {
+            let (mut prev, mut probes) = (None, 0);
+            backoff_until(|| {
+                prev = self.table.try_lock(stripe, owner).ok();
+                probes += 1;
+                prev.is_some() || probes == STRIPE_WAIT_PROBES
+            });
+            prev
+        };
+        let committed = self.table.commit(&mut d.footprint, acquire, || {
+            for w in &d.writes {
+                // SAFETY: cells outlive the transaction (captured from live
+                // references inside the executing closure). The stores are
+                // strongly atomic (they doom racing hardware transactions),
+                // and the held stripe locks exclude every conflicting software
+                // commit.
+                unsafe { (*w.cell).write(w.value) };
             }
-        }
-
-        for w in &d.writes {
-            // SAFETY: cells outlive the transaction (captured from live
-            // references inside the executing closure). The stores are
-            // strongly atomic (they doom racing hardware transactions),
-            // and the held stripe locks exclude every conflicting software
-            // commit.
-            unsafe { (*w.cell).write(w.value) };
-        }
-        for &(i, _) in &held {
-            self.stripes[i].store(wv, Ordering::Release);
-        }
+        });
+        self.settle(d, committed);
         CommitKind::StmFastCommit
     }
 
@@ -285,7 +204,10 @@ mod tests {
         assert_eq!(a.read_plain(), 3);
         let s = tm.stats().snapshot();
         assert_eq!(s.ops, 1);
-        assert_eq!(s.stm_fast_commit, 1, "TL2 commits are always StmFast: {s:?}");
+        assert_eq!(
+            s.stm_fast_commit, 1,
+            "TL2 commits are always StmFast: {s:?}"
+        );
     }
 
     #[test]
@@ -306,8 +228,7 @@ mod tests {
         assert_eq!(tm.clock(), before + 2);
         assert!(tm.clock().is_multiple_of(2));
         // The written stripe carries the commit version.
-        let s = tm.stripe_for(&a);
-        assert_eq!(tm.stripes[s].load(Ordering::SeqCst), before + 2);
+        assert_eq!(tm.table.load(tm.stripe_for(&a)), before + 2);
     }
 
     #[test]
@@ -329,7 +250,10 @@ mod tests {
             ctx.write(&x, v + 1);
         });
         assert_eq!(x.read_plain(), 2, "no lost update");
-        assert!(tm.stats().snapshot().sw_aborts >= 1, "stale attempt aborted");
+        assert!(
+            tm.stats().snapshot().sw_aborts >= 1,
+            "stale attempt aborted"
+        );
         assert!(tm.stats().snapshot().validations >= 1);
     }
 
@@ -461,16 +385,6 @@ mod tests {
         });
         assert_eq!(x.read_plain(), 2, "no lost update across the wrap");
         assert!(tm.stats().snapshot().sw_aborts >= 1);
-    }
-
-    #[test]
-    fn newer_than_wrapping_order() {
-        assert!(newer_than(2, 0));
-        assert!(!newer_than(0, 2), "older is not newer");
-        assert!(!newer_than(6, 6), "equal is not newer");
-        // Across the wrap: 0 is two commits after 2^64 - 2.
-        assert!(newer_than(0, u64::MAX - 1));
-        assert!(!newer_than(u64::MAX - 1, 0));
     }
 
     #[test]

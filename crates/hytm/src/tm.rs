@@ -15,7 +15,7 @@
 //! not do anything useful with it. It is `pub` only so trait objects can
 //! cross the crate boundary.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 use rtle_htm::unwind::{self, Channel};
@@ -82,11 +82,25 @@ pub trait SoftwareTm: Send + Sync + std::fmt::Debug {
 /// Runs `cs` as one software transaction against `tm`, retrying aborted
 /// attempts until one commits. Records per-attempt wall time, the commit
 /// kind, aborts, and the completed op on `tm`'s [`TmStats`].
+///
+/// The descriptor is kept for the thread's next call: its logs and TL2's
+/// footprint tables are built once per thread, not once per transaction.
+/// (A nested call finds no spare and builds its own.)
+///
+/// # Panics
+///
+/// Panics once the thread has destroyed its thread-locals, like
+/// [`rtle_htm::swhtm::try_txn`]: a thread-local destructor cannot run a
+/// transaction.
 pub fn run_sw<R>(tm: &dyn SoftwareTm, cs: impl Fn(&TmCtx<'_>) -> R) -> R {
+    thread_local! {
+        static SPARE: Cell<Option<SwDescriptor>> = const { Cell::new(None) };
+    }
     let _phase = SwPhase::enter(tm);
-    let desc = RefCell::new(SwDescriptor::default());
+    let desc = RefCell::new(SPARE.take().unwrap_or_default());
     loop {
         if let Some(r) = sw_attempt(tm, &desc, &cs) {
+            SPARE.set(Some(desc.into_inner()));
             return r;
         }
     }

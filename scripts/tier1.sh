@@ -109,9 +109,26 @@ echo "== seeded analyzer mutants still compile =="
 # them so the seeded code cannot rot while staying caught.
 cargo check -q -p rtle-shard --features mutant-lock-order
 cargo check -q -p rtle-htm --features mutant-publication
-# The TL2 runtime mutant (caught by the model explorer and the pinned
-# fuzz seed, not the static passes) gets the same anti-rot gate.
-cargo check -q -p rtle-hytm --features tl2-stale-read-mutant
+
+echo "== seeded protocol mutant must fail the storms =="
+# The stale-read mutant lives where the `wv == rv + 2` shortcut does, in
+# rtle-htm's versioned-lock protocol, so it breaks both instances. It is
+# *run*, not just type-checked: one oracle-checked storm per instance must
+# exit non-zero under it (each caught it 20/20 in release on a 2-core
+# box). What the model explorer and the pinned fuzz seed catch is the
+# model's copy of the bug; this stage is the check on the code's.
+mutant_must_fail() {
+    # It must build (a compile error is not a catch), then fail.
+    cargo test --release -q --features "$1" -p "$2" --test "$3" --no-run
+    if timeout --kill-after=30 "$test_timeout" \
+        cargo test --release -q --features "$1" -p "$2" --test "$3" >/dev/null 2>&1; then
+        echo "tl2-stale-read-mutant: $2 --test $3 passed under the mutant"
+        exit 1
+    fi
+    echo "ok: $2 --test $3 fails under the mutant"
+}
+mutant_must_fail rtle-htm/tl2-stale-read-mutant rtle-hytm backend_agreement
+mutant_must_fail tl2-stale-read-mutant rtle-htm serializability
 
 echo "== trace-off overhead gate =="
 # The causal-tracing feature must be a true no-op when compiled out: the
