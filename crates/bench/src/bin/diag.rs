@@ -12,8 +12,8 @@
 //! cargo run -p rtle-bench --release --bin diag -- top 127.0.0.1:9090
 //! ```
 //!
-//! `top ADDR` connects to a live scrape endpoint (`slo_bench --live` /
-//! `shard_bench --live`) and renders a refreshing per-source view:
+//! `top ADDR` connects to a live scrape endpoint (`slo_bench --live`)
+//! and renders a refreshing per-source view:
 //! commit-path mix, window latency percentiles, abort composition,
 //! shard imbalance and watchdog status. `--iters N` bounds the refresh
 //! count (0 = until the endpoint goes away, the default);
@@ -36,6 +36,7 @@ use rtle_bench::diag::{
 use rtle_bench::slo::{load_versioned, render_slo, render_timeline, SloViewError};
 use rtle_bench::BenchArgs;
 use rtle_obs::Json;
+use std::path::PathBuf;
 
 fn write_doc(path: &std::path::Path, doc: String) {
     if let Err(e) = std::fs::write(path, doc + "\n") {
@@ -103,36 +104,91 @@ fn run_top_command(rest: &[String]) -> ! {
     }
 }
 
+/// The flags only `diag` understands, split off before the shared
+/// parser sees (and rejects) them.
+#[derive(Default)]
+struct DiagFlags {
+    /// `--trace PATH`: write the Chrome `trace_event` document there.
+    trace: Option<PathBuf>,
+    /// `--heatmap`: print the per-orec conflict hot-spot report.
+    heatmap: bool,
+    /// `--slo FILE`: render a saved export's verdict summary.
+    slo: Option<PathBuf>,
+    /// `--timeline FILE`: render a saved export's or flight record's
+    /// per-window timeline.
+    timeline: Option<PathBuf>,
+}
+
+const USAGE: &str = "usage: diag [THREADS] [--quick] [--json PATH] [--heatmap] [--trace PATH]
+       diag --slo FILE | --timeline FILE
+       diag top ADDR [--iters N] [--interval-ms N]";
+
+/// A malformed argument: says what was wrong, prints the usage, exit 2.
+fn usage_error(what: std::fmt::Arguments<'_>) -> ! {
+    eprintln!("diag: {what}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+fn split_flags(raw: Vec<String>) -> (DiagFlags, Vec<String>) {
+    let mut own = DiagFlags::default();
+    let mut shared = Vec::new();
+    let mut it = raw.into_iter();
+    while let Some(a) = it.next() {
+        let mut path = || {
+            it.next()
+                .map(PathBuf::from)
+                .unwrap_or_else(|| usage_error(format_args!("{a} requires a path argument")))
+        };
+        match a.as_str() {
+            "--trace" => own.trace = Some(path()),
+            "--heatmap" => own.heatmap = true,
+            "--slo" => own.slo = Some(path()),
+            "--timeline" => own.timeline = Some(path()),
+            _ => shared.push(a),
+        }
+    }
+    (own, shared)
+}
+
 fn main() {
     // The `top` subcommand owns its own flags; dispatch before the
-    // shared flag parser sees (and rejects) them.
+    // flag parsers see (and reject) them.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("top") {
         run_top_command(&raw[1..]);
     }
-    let args = BenchArgs::parse();
-    if let Some(path) = args.slo.as_deref() {
+    let (own, shared) = split_flags(raw);
+    let args = BenchArgs::try_parse_args(shared).unwrap_or_else(|bad| {
+        eprintln!("diag: unrecognized flag: {bad}");
+        eprintln!("{USAGE}");
+        std::process::exit(1);
+    });
+    if let Some(path) = own.slo.as_deref() {
         view_file(path, render_slo);
     }
-    if let Some(path) = args.timeline.as_deref() {
+    if let Some(path) = own.timeline.as_deref() {
         view_file(path, render_timeline);
     }
-    let threads: usize = args
-        .rest
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(36);
+    // No positional means the paper's 36 threads; one that is not a
+    // number is a typo, not a request for the full-scale default.
+    let threads: usize = match args.rest.first() {
+        None => 36,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            usage_error(format_args!("thread count must be a number, got {s:?}"))
+        }),
+    };
     let sim_ms = if args.quick { 1 } else { 2 };
     let rows = run_diag(threads, sim_ms);
     print_diag_table(threads, &rows);
-    if args.heatmap {
+    if own.heatmap {
         println!();
         print_heatmap_report(&rows);
     }
     if let Some(path) = args.json.as_deref() {
         write_doc(path, diag_to_json(threads, &rows).to_string_pretty());
     }
-    if let Some(path) = args.trace.as_deref() {
+    if let Some(path) = own.trace.as_deref() {
         write_doc(path, diag_trace_to_json(&rows).to_string_pretty());
     }
 }

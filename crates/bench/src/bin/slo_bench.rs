@@ -14,8 +14,7 @@
 //! point `diag top ADDR` at it to watch the collapse live.
 //! `--live-port-file` writes the bound address for scripted scrapers.
 //!
-//! The JSON export is a `perf-baseline`-kind document (headline latency
-//! rows) carrying the full schema-versioned `slo` section;
+//! The JSON export carries the full schema-versioned `slo` section;
 //! view saved runs with `diag --slo FILE` / `diag --timeline FILE`.
 
 use rtle_bench::slo::{render_slo, render_timeline, run_slo, SloConfig};

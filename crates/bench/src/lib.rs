@@ -4,9 +4,10 @@
 //! One function — and one binary under `src/bin/` — per figure of the
 //! paper's evaluation section (§6, Figures 5–13). Each function sweeps the
 //! paper's parameter grid on the deterministic simulator and returns the
-//! series the figure plots; the binaries print them as CSV. Criterion
-//! micro-benchmarks for the *real* (non-simulated) implementation live
-//! under `benches/`.
+//! series the figure plots; the binaries print them as CSV. The *real*
+//! (non-simulated) implementation is measured by the standalone
+//! `benchmark/` package; what runs real threads here is `slo_bench`, the
+//! open-loop tail-latency harness ([`slo`]).
 //!
 //! Scale: every function takes a [`Scale`] so integration tests can run
 //! miniature sweeps while the binaries run the full figures.
@@ -17,10 +18,8 @@
 
 pub mod diag;
 pub mod figures;
-pub mod micro;
 pub mod report;
 pub mod slo;
-pub mod tm;
 pub mod top;
 
 pub use figures::{Scale, Series};

@@ -13,17 +13,6 @@ use rtle_obs::{Json, SCHEMA_VERSION};
 
 use crate::figures::{Scale, Series};
 
-/// One headline row of an experiment binary's `perf-baseline`-kind JSON
-/// export (`shard_bench`, `slo_bench`, `tm_bench`): a stable name and a
-/// lower-is-better cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
-    /// Stable row name.
-    pub name: String,
-    /// Median ns/op.
-    pub ns_per_op: f64,
-}
-
 /// Parsed command-line arguments shared by every figure binary.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
@@ -31,17 +20,6 @@ pub struct BenchArgs {
     pub quick: bool,
     /// `--json <path>`: where to write the structured report.
     pub json: Option<PathBuf>,
-    /// `--trace <path>`: where to write a Chrome `trace_event` document
-    /// (Perfetto-loadable) for binaries that collect causal traces.
-    pub trace: Option<PathBuf>,
-    /// `--heatmap` present: print the per-orec conflict hot-spot report.
-    pub heatmap: bool,
-    /// `--slo <path>`: render a saved `slo_bench` export's verdict
-    /// summary instead of running a sweep.
-    pub slo: Option<PathBuf>,
-    /// `--timeline <path>`: render a saved `slo_bench` export's
-    /// per-window timeline, or a watchdog flight record.
-    pub timeline: Option<PathBuf>,
     /// Remaining positional arguments, in order.
     pub rest: Vec<String>,
 }
@@ -49,8 +27,7 @@ pub struct BenchArgs {
 /// The flag summary printed when a binary is invoked with a flag nobody
 /// understands. Binaries with extra flags of their own parse those first
 /// and only hand the remainder to [`BenchArgs`].
-pub const USAGE: &str = "shared flags: [--quick] [--json PATH] [--trace PATH] [--heatmap] \
-                         [--slo FILE] [--timeline FILE]";
+pub const USAGE: &str = "shared flags: [--quick] [--json PATH]";
 
 impl BenchArgs {
     /// Parses `std::env::args()` (skipping the binary name). An
@@ -84,28 +61,6 @@ impl BenchArgs {
                         std::process::exit(2);
                     });
                     out.json = Some(PathBuf::from(p));
-                }
-                "--trace" => {
-                    let p = it.next().unwrap_or_else(|| {
-                        eprintln!("--trace requires a path argument");
-                        std::process::exit(2);
-                    });
-                    out.trace = Some(PathBuf::from(p));
-                }
-                "--heatmap" => out.heatmap = true,
-                "--slo" => {
-                    let p = it.next().unwrap_or_else(|| {
-                        eprintln!("--slo requires a path argument");
-                        std::process::exit(2);
-                    });
-                    out.slo = Some(PathBuf::from(p));
-                }
-                "--timeline" => {
-                    let p = it.next().unwrap_or_else(|| {
-                        eprintln!("--timeline requires a path argument");
-                        std::process::exit(2);
-                    });
-                    out.timeline = Some(PathBuf::from(p));
                 }
                 flag if flag.starts_with('-') => return Err(a),
                 _ => out.rest.push(a),
@@ -256,28 +211,27 @@ mod tests {
 
     #[test]
     fn args_parse_flags_and_positionals() {
-        let a = BenchArgs::parse_args(
-            ["--quick", "--json", "/tmp/x.json", "--trace", "/tmp/t.json", "--heatmap", "12"]
-                .map(String::from),
-        );
+        let a = BenchArgs::parse_args(["--quick", "--json", "/tmp/x.json", "12"].map(String::from));
         assert!(a.quick);
         assert_eq!(a.scale(), Scale::Quick);
         assert_eq!(a.json.as_deref(), Some(Path::new("/tmp/x.json")));
-        assert_eq!(a.trace.as_deref(), Some(Path::new("/tmp/t.json")));
-        assert!(a.heatmap);
         assert_eq!(a.rest, vec!["12".to_string()]);
         assert_eq!(BenchArgs::parse_args(std::iter::empty()).scale(), Scale::Full);
     }
 
     #[test]
     fn unknown_flags_are_rejected_not_swallowed() {
-        let err = BenchArgs::try_parse_args(
-            ["--quick", "--heatmpa"].map(String::from),
-        )
-        .unwrap_err();
-        assert_eq!(err, "--heatmpa");
-        let err = BenchArgs::try_parse_args(["-q"].map(String::from)).unwrap_err();
-        assert_eq!(err, "-q");
+        // The last two are `diag`'s own flags: a figure binary given one
+        // must refuse it, not run and print no heatmap.
+        for (args, bad) in [
+            (&["--quick", "--heatmpa"][..], "--heatmpa"),
+            (&["-q"], "-q"),
+            (&["--heatmap"], "--heatmap"),
+            (&["--slo", "x"], "--slo"),
+        ] {
+            let err = BenchArgs::try_parse_args(args.iter().map(|a| a.to_string())).unwrap_err();
+            assert_eq!(err, bad);
+        }
         // Positionals (no dash) still pass through untouched.
         let ok = BenchArgs::try_parse_args(["12", "top"].map(String::from)).unwrap();
         assert_eq!(ok.rest, vec!["12".to_string(), "top".to_string()]);

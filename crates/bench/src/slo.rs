@@ -113,7 +113,7 @@ pub struct SloConfig {
     /// `/metrics` and `/json` for the whole run.
     pub live: Option<String>,
     /// Where to write the endpoint's actual address (useful with a
-    /// `:0` ephemeral port — the tier-1 scrape smoke reads this).
+    /// `:0` ephemeral port — the `tests/cli.rs` scraper reads this).
     pub live_port_file: Option<PathBuf>,
 }
 
@@ -666,28 +666,12 @@ pub fn slo_section(cfg: &SloConfig, outcomes: &[SloOutcome]) -> Json {
     ])
 }
 
-/// The complete `slo_bench` export: a `perf-baseline`-kind document
-/// (headline rows) with the full `slo` section embedded.
+/// The complete `slo_bench` export: the document header (`load_versioned`
+/// checks its `schema_version`) around the `slo` section.
 pub fn doc_to_json(cfg: &SloConfig, outcomes: &[SloOutcome]) -> Json {
-    let mut benches = Vec::new();
-    for o in outcomes {
-        benches.push(Json::obj([
-            ("name", Json::Str(format!("slo_{}_p50_ns", o.name))),
-            ("ns_per_op", Json::Num(o.merged_latency.percentile(0.50) as f64)),
-        ]));
-        if let Some(w) = &o.worst {
-            benches.push(Json::obj([
-                ("name", Json::Str(format!("slo_{}_worst_p99_ns", o.name))),
-                ("ns_per_op", Json::Num(w.p99_ns as f64)),
-            ]));
-        }
-    }
     Json::obj([
         ("schema_version", Json::UInt(SCHEMA_VERSION)),
         ("tool", Json::Str("slo_bench".into())),
-        ("kind", Json::Str("perf-baseline".into())),
-        ("latency_unit", Json::Str("ns".into())),
-        ("benches", Json::Arr(benches)),
         ("slo", slo_section(cfg, outcomes)),
     ])
 }

@@ -1,8 +1,8 @@
 //! `diag top`: a refreshing terminal view over a live scrape endpoint.
 //!
 //! Connects to the `/json` route of an [`rtle_obs::LiveServer`] (started
-//! by `slo_bench --live` or `shard_bench --live`), parses the
-//! `live-registry` document, and renders one compact panel per source:
+//! by `slo_bench --live`), parses the `live-registry` document, and
+//! renders one compact panel per source:
 //! commit-path mix and latency percentiles for recorders, imbalance
 //! gauges for sharded maps, armed/fired state for collapse watchdogs.
 //! Pure functions ([`fetch_live`], [`render_top`]) do the work so tests

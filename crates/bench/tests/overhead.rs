@@ -4,11 +4,55 @@
 //! same op must stay within a small factor; and a default recorder, which
 //! records every operation, must stay under a fixed per-operation price.
 
-use rtle_bench::micro::measure_ns;
 use rtle_core::{Ctx, ElidableLock, ElisionPolicy};
 use rtle_htm::TxCell;
 use rtle_obs::{ObsConfig, Recorder};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Batches used for the median estimate.
+const BATCHES: usize = 7;
+
+/// Minimum wall time per batch during calibration.
+const MIN_BATCH_NANOS: u128 = 1_000_000; // 1 ms
+
+/// Measures `op` and returns the median ns/op over [`BATCHES`] batches,
+/// after calibrating the per-batch iteration count to at least 1 ms of
+/// wall time (so timer granularity is irrelevant).
+fn measure_ns<F: FnMut()>(mut op: F) -> f64 {
+    // Calibrate: double the batch size until a batch takes >= 1 ms.
+    let mut iters: u64 = 1;
+    loop {
+        let t = Instant::now();
+        for _ in 0..iters {
+            op();
+        }
+        let el = t.elapsed().as_nanos();
+        if el >= MIN_BATCH_NANOS || iters >= 1 << 28 {
+            break;
+        }
+        // Jump close to the target, then keep doubling conservatively.
+        let scale = (MIN_BATCH_NANOS / el.max(1)).clamp(2, 1 << 10) as u64;
+        iters = iters.saturating_mul(scale);
+    }
+    let mut samples = [0f64; BATCHES];
+    for s in &mut samples {
+        let t = Instant::now();
+        for _ in 0..iters {
+            op();
+        }
+        *s = t.elapsed().as_nanos() as f64 / iters as f64;
+    }
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[BATCHES / 2]
+}
+
+#[test]
+fn measures_something_positive() {
+    let mut x = 0u64;
+    let ns = measure_ns(|| x = std::hint::black_box(x).wrapping_add(1));
+    assert!(ns > 0.0 && ns < 1e6, "implausible ns/op: {ns}");
+}
 
 /// Not inlined, so every lock is measured through the same machine code.
 #[inline(never)]

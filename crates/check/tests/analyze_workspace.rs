@@ -58,6 +58,17 @@ fn report_round_trips_through_obs_json() {
         Some(SCHEMA_VERSION)
     );
     assert_eq!(back.get("kind").and_then(Json::as_str), Some("check-findings"));
+    assert_eq!(back.get("tool").and_then(Json::as_str), Some("rtle-check"));
+    let findings = back
+        .get("findings")
+        .and_then(Json::as_arr)
+        .expect("findings array");
+    assert!(
+        findings
+            .iter()
+            .all(|f| f.get("suppressed") == Some(&Json::Bool(true))),
+        "unsuppressed findings in export"
+    );
     assert_eq!(
         back.get("files").and_then(Json::as_u64),
         Some(report.files as u64)

@@ -46,7 +46,7 @@ use crate::registry::{LiveSource, SourceSnapshot};
 use crate::window::WindowSnapshot;
 
 /// Thresholds for the collapse signatures. The defaults are tuned on
-/// the `shard_bench`/`slo_bench` collapse reproductions: a healthy
+/// the `slo_bench` single-lock collapse reproduction: a healthy
 /// elided map stays under 5% fallback and ~0.5 aborts/commit even
 /// under storms, while a convoyed single lock blows through all three
 /// thresholds at once.
@@ -446,7 +446,7 @@ mod tests {
     }
 
     /// Replays the collapse trace recorded from a single-lock
-    /// `shard_bench`-style run: ~9.5k commits/s nearly all on HTM, then
+    /// `slo_bench`-style run: ~9.5k commits/s nearly all on HTM, then
     /// pessimistic audits convoy the lock — fallback share jumps to
     /// ~70% while throughput drops 15x and OREC_CONFLICT aborts storm.
     /// The watchdog must fire on the first collapsed window.

@@ -72,8 +72,8 @@ impl ShardReport {
         imbalance(&aborts)
     }
 
-    /// The JSON export document (`kind: "shard-stats"`). Layout mirrors
-    /// the perf-baseline documents: a `kind` discriminator and
+    /// The JSON export document (`kind: "shard-stats"`). Layout follows
+    /// the workspace's other exports: a `kind` discriminator and
     /// `schema_version` at top level, aggregate metrics flat, per-shard
     /// detail in an array.
     pub fn to_json(&self) -> Json {
