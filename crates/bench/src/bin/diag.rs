@@ -21,8 +21,7 @@
 //!
 //! `--heatmap` prints the per-orec conflict hot-spot report; `--trace`
 //! writes a Chrome `trace_event` document loadable in Perfetto
-//! (<https://ui.perfetto.dev>), one process per method (requires the
-//! default `trace` feature for non-empty tracks).
+//! (<https://ui.perfetto.dev>), one process per method.
 //!
 //! `--slo FILE` / `--timeline FILE` are offline viewers: they render a
 //! saved `slo_bench` export (verdict summary / per-window timeline) or

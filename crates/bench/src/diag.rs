@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use rtle_obs::trace::{chrome_document, chrome_event, chrome_process_name};
-use rtle_obs::{Json, ObsConfig, ObsSnapshot, Recorder, TraceRecord, SCHEMA_VERSION};
+use rtle_obs::{Json, ObsConfig, ObsSnapshot, Record, Recorder, SCHEMA_VERSION};
 use rtle_sim::engine::{Engine, RunMode};
 use rtle_sim::workloads::avl::{AvlConfig, AvlWorkload};
 use rtle_sim::{CostModel, MachineProfile, SimMethod, SimStats};
@@ -21,9 +21,9 @@ pub struct DiagRow {
     pub stats: SimStats,
     /// Attempt-level recorder snapshot (latencies in simulator cycles).
     pub snapshot: ObsSnapshot,
-    /// Causal trace of the run, cycle-stamped (empty when the `trace`
-    /// feature is off).
-    pub trace: Vec<TraceRecord>,
+    /// The run's resident records (attempt spans and holder instants),
+    /// cycle-stamped and time-ordered.
+    pub trace: Vec<Record>,
 }
 
 /// Runs the diagnostic workload (the Figure 5/6 AVL configuration:
@@ -61,7 +61,7 @@ pub fn run_diag(threads: usize, sim_ms: u64) -> Vec<DiagRow> {
                 label: m.label(),
                 stats,
                 snapshot: rec.snapshot(),
-                trace: rec.tracer().drain(),
+                trace: rec.records(),
             }
         })
         .collect()
@@ -223,7 +223,7 @@ mod tests {
         for m in methods {
             let label = m.get("method").and_then(Json::as_str).unwrap();
             let dist = m.get("path_distribution").expect("path distribution");
-            let frac_sum: f64 = ["fast_htm", "slow_htm", "lock"]
+            let frac_sum: f64 = rtle_obs::PATH_LABELS
                 .iter()
                 .map(|k| dist.get(k).and_then(Json::as_f64).unwrap_or(0.0))
                 .sum();
@@ -293,14 +293,13 @@ mod tests {
         let doc = diag_trace_to_json(&rows);
         let parsed = parse_json(&doc.to_string_pretty()).expect("trace JSON parses");
         let n = validate_chrome(&parsed).expect("valid trace_event document");
-        // At least the 13 process-name metadata events are always there;
-        // with the `trace` feature on, the spans come on top.
-        assert!(n >= rows.len(), "expected >= {} events, got {n}", rows.len());
-        let has_spans = rows.iter().any(|r| !r.trace.is_empty());
-        assert_eq!(
-            has_spans,
-            rtle_obs::Tracer::new().enabled(),
-            "spans present exactly when the trace feature is compiled in"
-        );
+        // One process-name metadata event per method, and every record.
+        let records: usize = rows.iter().map(|r| r.trace.len()).sum();
+        assert_eq!(n, rows.len() + records);
+        for r in &rows {
+            // (NOrec's software transactions are not recorded attempts.)
+            let recorded = r.snapshot.events_recorded > 0;
+            assert_eq!(!r.trace.is_empty(), recorded, "{}", r.label);
+        }
     }
 }

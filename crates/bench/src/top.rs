@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rtle_obs::{Json, WindowSnapshot, SCHEMA_VERSION};
+use rtle_obs::{Json, WindowSnapshot, PATH_LABELS, SCHEMA_VERSION};
 
 /// One `diag top` session.
 #[derive(Debug, Clone)]
@@ -92,19 +92,23 @@ fn pct(part: u64, total: u64) -> f64 {
     }
 }
 
+/// The commit-path mix every commit-counting source exports:
+/// `commits N: fast x% / slow x% / stm x% / lock x%`.
+fn render_commits(out: &mut String, src: &Json) {
+    use std::fmt::Write as _;
+    let per_path = PATH_LABELS.map(|path| counter(src, &format!("commits_{path}")));
+    let commits: u64 = per_path.iter().sum();
+    let shares: Vec<String> = PATH_LABELS
+        .iter()
+        .zip(per_path)
+        .map(|(path, n)| format!("{} {:.1}%", path.trim_end_matches("_htm"), pct(n, commits)))
+        .collect();
+    let _ = writeln!(out, "  commits {commits}: {}", shares.join(" / "));
+}
+
 fn render_recorder(out: &mut String, src: &Json) {
     use std::fmt::Write as _;
-    let fast = counter(src, "commits_fast_htm");
-    let slow = counter(src, "commits_slow_htm");
-    let lock = counter(src, "commits_lock");
-    let commits = fast + slow + lock;
-    let _ = writeln!(
-        out,
-        "  commits {commits}: fast {:.1}% / slow {:.1}% / lock {:.1}%",
-        pct(fast, commits),
-        pct(slow, commits),
-        pct(lock, commits),
-    );
+    render_commits(out, src);
     let aborts: Vec<(&str, u64)> = [
         ("conflict", "aborts_conflict"),
         ("capacity", "aborts_capacity"),
@@ -146,19 +150,7 @@ fn render_recorder(out: &mut String, src: &Json) {
 
 fn render_lock(out: &mut String, src: &Json) {
     use std::fmt::Write as _;
-    let fast = counter(src, "commits_fast_htm");
-    let slow = counter(src, "commits_slow_htm");
-    let stm = counter(src, "commits_stm");
-    let lock = counter(src, "commits_lock");
-    let commits = fast + slow + stm + lock;
-    let _ = writeln!(
-        out,
-        "  commits {commits}: fast {:.1}% / slow {:.1}% / stm {:.1}% / lock {:.1}%",
-        pct(fast, commits),
-        pct(slow, commits),
-        pct(stm, commits),
-        pct(lock, commits),
-    );
+    render_commits(out, src);
     let _ = writeln!(
         out,
         "  aborts: fast {} / slow {}, lock fallback {:.4}",
@@ -350,7 +342,10 @@ mod tests {
             view.contains("== demo (recorder) [software_backend=tl2] =="),
             "{view}"
         );
-        assert!(view.contains("fast 75.0% / slow 0.0% / lock 25.0%"), "{view}");
+        assert!(
+            view.contains("commits 100: fast 75.0% / slow 0.0% / stm 0.0% / lock 25.0%"),
+            "{view}"
+        );
         assert!(view.contains("aborts 10: conflict 100.0%"), "{view}");
         assert!(
             view.contains("FIRED x1 (fallback_collapse at window 9)"),

@@ -98,66 +98,15 @@ fn disabled_recording_adds_no_measurable_overhead() {
     );
     // The fixed price of recording *every* operation
     // (`ObsConfig::default()`): two `Instant` reads, the lane's counter
-    // and two histograms, one ring push — all on the recording thread's
-    // own lines; ~115 ns here, ~150 ns while the host is busy. A tripwire,
-    // not a tuning target: `obs.recorder_tax_ns` in `benchmark/` is the
-    // measurement. Only meaningful in optimized builds (debug keeps every
-    // call frame) and, like that probe, without the `trace` feature, whose
-    // span per attempt (a third clock read, a two-word ring push) is not
-    // the recorder's price: tier-1's trace-off stage runs it.
-    if !cfg!(debug_assertions) && !cfg!(feature = "trace") {
+    // and two histograms, one two-word ring push — all on the recording
+    // thread's own lines; ~115 ns here, ~150 ns while the host is busy. A
+    // tripwire, not a tuning target: `obs.recorder_tax_ns` in `benchmark/`
+    // is the measurement. Only meaningful in optimized builds (debug keeps
+    // every call frame).
+    if !cfg!(debug_assertions) {
         assert!(
             every_op - bare < 200.0,
             "every-op recording costs too much: bare={bare:.1}ns with_recorder={every_op:.1}ns"
         );
     }
-}
-
-/// With the `trace` cargo feature off (this crate built with
-/// `--no-default-features`), causal tracing must be compiled down to true
-/// no-ops: the tracer is a ZST, recording folds away to nothing, and no
-/// record is ever retained. This is the trace half of the pay-for-what-
-/// you-use guarantee; the timing guard above covers the recorder half.
-#[cfg(not(feature = "trace"))]
-#[test]
-fn trace_off_compiles_to_noops_on_the_fast_path() {
-    use rtle_obs::{TraceKind, Tracer};
-
-    assert_eq!(
-        std::mem::size_of::<Tracer>(),
-        0,
-        "trace-off Tracer must be a ZST"
-    );
-    let tracer = Tracer::new();
-    assert!(!tracer.enabled());
-
-    // The per-record cost must be indistinguishable from an empty loop —
-    // single-digit ns even on a loaded CI box (a real recording path
-    // costs a fetch_add plus two stores and cannot hide below that).
-    let ns = measure_ns(|| {
-        tracer.span_ending_now(0, TraceKind::FastCommit, 100, 0);
-        tracer.instant_now(0, TraceKind::EpochBump, 1);
-    });
-    // Only meaningful in optimized builds (debug keeps the calls).
-    if !cfg!(debug_assertions) {
-        assert!(ns < 5.0, "trace-off record must fold away: {ns:.2}ns/op");
-    }
-    assert_eq!(tracer.recorded(), 0);
-    assert!(tracer.drain().is_empty());
-
-    // An instrumented lock with a recorder still records *nothing* to the
-    // trace stream when the feature is off.
-    let rec = Arc::new(Recorder::new(ObsConfig::default()));
-    let lock = ElidableLock::builder()
-        .policy(ElisionPolicy::FgTle { orecs: 4 })
-        .recorder(Arc::clone(&rec))
-        .build();
-    let cell = TxCell::new(0u64);
-    for _ in 0..256 {
-        lock.execute(|ctx: &Ctx| {
-            let v = ctx.read(&cell);
-            ctx.write(&cell, v + 1);
-        });
-    }
-    assert_eq!(rec.tracer().recorded(), 0);
 }

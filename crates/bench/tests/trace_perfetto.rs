@@ -1,19 +1,17 @@
-//! Acceptance test for the causal-tracing tentpole: a deterministic
-//! 8-thread FG-TLE run exports a Chrome `trace_event` document that (a)
-//! passes the same structural checks Perfetto applies before loading, (b)
-//! survives a full parse → records → re-export round-trip, and (c) shows
-//! at least one lock-holder span overlapping a *committed* slow-path
-//! span — the paper's central claim ("slow-path transactions commit while
-//! the lock is held") made visible on a timeline.
-//!
-//! Runs meaningfully with the default `trace` feature; with
-//! `--no-default-features` it degrades to asserting the tracer records
-//! nothing.
+//! Acceptance test for the record stream's Chrome reading: a
+//! deterministic 8-thread FG-TLE run exports a Chrome `trace_event`
+//! document that (a) passes the same structural checks Perfetto applies
+//! before loading, (b) survives a full parse → records → re-export
+//! round-trip, (c) has a span on every path that committed, every abort
+//! span saying why and at which attempt, and (d) shows at least one
+//! lock-holder span overlapping a *committed* slow-path span — the
+//! paper's central claim ("slow-path transactions commit while the lock
+//! is held") made visible on a timeline.
 
 use std::sync::Arc;
 
 use rtle_obs::trace::{records_from_chrome_json, to_chrome_json, validate_chrome};
-use rtle_obs::{parse_json, ObsConfig, Recorder, TraceKind};
+use rtle_obs::{parse_json, Json, ObsConfig, Outcome, PathKind, Recorder};
 use rtle_sim::{Access, CostModel, Engine, OpSpec, RunMode, SimMethod, Workload};
 
 /// Thread 0 is HTM-hostile (locks every op); the others run disjoint
@@ -56,6 +54,9 @@ impl Workload for Mix {
 #[test]
 fn eight_thread_fg_tle_trace_loads_in_perfetto_shape() {
     const THREADS: usize = 8;
+    // Thread 0 leaves seven records per op (five doomed fast attempts, the
+    // holding window, the epoch bump): 100 ops stay inside its segment.
+    const OPS: u64 = 100;
     let rec = Arc::new(Recorder::new(ObsConfig {
         latency_unit: "cycles",
         ..ObsConfig::default()
@@ -66,19 +67,15 @@ fn eight_thread_fg_tle_trace_loads_in_perfetto_shape() {
         CostModel::default(),
         RunMode::FixedWork,
         Mix {
-            remaining: vec![200; THREADS],
+            remaining: vec![OPS; THREADS],
         },
     )
     .with_recorder(Arc::clone(&rec))
     .run();
-    assert_eq!(stats.ops, 200 * THREADS as u64);
+    assert_eq!(stats.ops, OPS * THREADS as u64);
     assert!(stats.slow_commits > 0, "slow path must commit: {stats:?}");
 
-    let records = rec.tracer().drain();
-    if !rec.tracer().enabled() {
-        assert!(records.is_empty(), "trace off: nothing recorded");
-        return;
-    }
+    let records = rec.records();
 
     // (a) Structural validity of the export, after a real parse of the
     // serialized text (not just the in-memory tree).
@@ -92,22 +89,58 @@ fn eight_thread_fg_tle_trace_loads_in_perfetto_shape() {
     let back = records_from_chrome_json(&parsed).expect("round-trip parse");
     assert_eq!(back, records, "raw args preserve exact cycle stamps");
 
-    // (c) A lock-holder span overlaps a committed slow-path span from a
+    // (c) Every path that committed has its span, and every abort span
+    // carries its outcome, its attempt index and — when explicit — the
+    // protocol code.
+    let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let named = |name: &str| {
+        let named = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
+        named.collect::<Vec<_>>()
+    };
+    assert!(stats.fast_commits > 0 && stats.lock_commits > 0);
+    for span in ["fast_commit", "slow_commit", "lock_held"] {
+        assert!(!named(span).is_empty(), "no {span} span");
+    }
+    assert!(
+        named("stm_commit").is_empty(),
+        "FG-TLE has no software rung"
+    );
+    let mut aborts = named("fast_abort");
+    aborts.extend(named("slow_abort"));
+    assert_eq!(aborts.len() as u64, stats.aborts, "no segment wrapped");
+    let mut explicit = 0;
+    for e in aborts {
+        let args = e.get("args").expect("args");
+        let outcome = args.get("outcome").and_then(Json::as_str).expect("outcome");
+        assert_ne!(outcome, "commit");
+        assert!(args.get("attempt").and_then(Json::as_u64).is_some());
+        let has_code = args.get("abort_code").and_then(Json::as_u64).is_some();
+        assert_eq!(has_code, outcome == "explicit", "{outcome}");
+        explicit += u64::from(has_code);
+    }
+    assert_eq!(
+        explicit, stats.aborts_eager_owned,
+        "orec-conflict self-aborts"
+    );
+
+    // (d) A lock-holder span overlaps a committed slow-path span from a
     // different thread.
-    let lock_spans: Vec<_> = records
-        .iter()
-        .filter(|r| r.kind == TraceKind::LockHeld)
-        .collect();
-    let slow_commits: Vec<_> = records
-        .iter()
-        .filter(|r| r.kind == TraceKind::SlowCommit)
-        .collect();
-    assert!(!lock_spans.is_empty(), "holder spans recorded");
-    assert!(!slow_commits.is_empty(), "slow-path commit spans recorded");
+    let spans_on = |path| {
+        let on_path = records.iter().filter(move |r| {
+            r.attempt().map(|a| (a.path, a.outcome)) == Some((path, Outcome::Commit))
+        });
+        on_path.collect::<Vec<_>>()
+    };
+    let lock_spans = spans_on(PathKind::Lock);
+    let slow_commits = spans_on(PathKind::SlowHtm);
+    assert_eq!(lock_spans.len() as u64, stats.lock_commits);
+    assert_eq!(slow_commits.len() as u64, stats.slow_commits);
     let overlap = lock_spans.iter().any(|l| {
-        slow_commits.iter().any(|s| {
-            s.tid != l.tid && s.ts < l.ts + l.dur && l.ts < s.ts + s.dur
-        })
+        slow_commits
+            .iter()
+            .any(|s| s.tid != l.tid && s.ts < l.ts + l.dur() && l.ts < s.ts + s.dur())
     });
     assert!(
         overlap,

@@ -211,6 +211,13 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     OrderingRule {
         file_suffix: "core/src/adaptive.rs",
         receiver: "*",
+        op: AtomicOp::Load,
+        allowed: &["Relaxed"],
+        why: "holder-only adaptation counters; the elided lock orders all accesses",
+    },
+    OrderingRule {
+        file_suffix: "core/src/adaptive.rs",
+        receiver: "*",
         op: AtomicOp::Swap,
         allowed: &["Relaxed"],
         why: "holder-only adaptation counters; the elided lock orders all accesses",

@@ -22,6 +22,32 @@ fn workspace_lint_is_clean() {
     );
 }
 
+/// Recording is not a build option: there is one record stream, and a
+/// recorded operation is a timestamped one. No crate may grow the `trace`
+/// cargo feature back.
+#[test]
+fn no_manifest_declares_a_trace_feature() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
+    let mut manifests = 0;
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let manifest = krate.expect("dir entry").path().join("Cargo.toml");
+        let Ok(text) = std::fs::read_to_string(&manifest) else {
+            continue;
+        };
+        manifests += 1;
+        let declares = text.lines().any(|line| {
+            let (key, value) = line.split_once('=').unwrap_or((line, ""));
+            key.trim() == "trace" || key.trim() == "default" && value.contains("\"trace\"")
+        });
+        assert!(
+            !declares,
+            "{} declares a `trace` feature",
+            manifest.display()
+        );
+    }
+    assert!(manifests >= 13, "only {manifests} crate manifests scanned");
+}
+
 /// The watchdog's live mirror imports its ordering (`use …::Relaxed`), so
 /// every one of its atomic accesses is a bare `Relaxed` argument: the
 /// scanner must see them, and each must land on one of the three

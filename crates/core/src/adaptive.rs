@@ -16,6 +16,10 @@
 //!
 //! All decisions are made by the lock holder (single writer), read by
 //! everyone else — the same asymmetry the rest of FG-TLE enjoys.
+//!
+//! The decision itself is [`Adaptation::step`], a function of plain
+//! values: the runtime applies it to its `OrecTable` and `fg_enabled`
+//! flag, the simulator (`rtle-sim`) to its engine state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,11 +30,74 @@ use crate::orec::OrecTable;
 use crate::stats::ExecStats;
 
 /// Decision cadence: adapt every this many lock acquisitions.
-const WINDOW: u64 = 32;
+pub const WINDOW: u64 = 32;
 /// Re-enable probe cadence (in windows) once the slow path was disabled.
 const REENABLE_WINDOWS: u64 = 32;
 /// Grow when slow aborts exceed this multiple of slow commits.
 const GROW_ABORT_FACTOR: u64 = 4;
+
+/// What one adaptation step reads and may change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Adaptation {
+    /// Orecs currently hashed over.
+    pub active: u64,
+    /// Orecs allocated: the growth limit.
+    pub capacity: u64,
+    /// The configured starting size, restored on re-enable.
+    pub initial: u64,
+    /// Whether the instrumented slow path is enabled.
+    pub enabled: bool,
+    /// Consecutive idle windows (enabled, no slow-path traffic).
+    pub idle_windows: u64,
+    /// Windows spent disabled since the collapse.
+    pub disabled_windows: u64,
+}
+
+impl Adaptation {
+    /// The decision for one window in which the slow path committed
+    /// `dsc` times and aborted `dsa` times: updates `active`, `enabled`
+    /// and the window counters in place and names what it did.
+    pub fn step(&mut self, dsc: u64, dsa: u64) -> Option<AdaptAction> {
+        if !self.enabled {
+            // Collapsed to plain TLE. Slow-path attempts during this
+            // state abort with FG_DISABLED and show up as slow aborts —
+            // that is *demand*: threads found the lock held and wanted to
+            // speculate. Re-enable immediately on demand, and probe
+            // periodically even without it.
+            self.disabled_windows += 1;
+            if dsa > 0 || self.disabled_windows.is_multiple_of(REENABLE_WINDOWS) {
+                self.active = self.initial.clamp(1, self.capacity);
+                self.enabled = true;
+                self.idle_windows = 0;
+                return Some(AdaptAction::Reenable);
+            }
+            return None;
+        }
+        if dsc == 0 && dsa == 0 {
+            // Slow path idle this window: the instrumentation under lock
+            // is pure overhead. Shrink; after two consecutive idle windows
+            // at a single orec, collapse to plain TLE.
+            self.idle_windows += 1;
+            if self.active > 1 {
+                self.active /= 2;
+                return Some(AdaptAction::Shrink);
+            }
+            if self.idle_windows >= 2 {
+                self.enabled = false;
+                self.disabled_windows = 0;
+                return Some(AdaptAction::Collapse);
+            }
+        } else {
+            self.idle_windows = 0;
+            // Slow path keeps aborting: most likely orec aliasing.
+            if dsa > GROW_ABORT_FACTOR * dsc.max(1) && self.active < self.capacity {
+                self.active = (self.active * 2).min(self.capacity);
+                return Some(AdaptAction::Grow);
+            }
+        }
+        None
+    }
+}
 
 /// Holder-maintained adaptation state for one lock.
 #[derive(Debug, Default)]
@@ -73,65 +140,41 @@ impl AdaptiveState {
         let sa = stats.slow_aborts_now();
         let dsc = sc - self.last_slow_commits.swap(sc, Ordering::Relaxed);
         let dsa = sa - self.last_slow_aborts.swap(sa, Ordering::Relaxed);
-        let trace = |action: AdaptAction, before: usize, after: usize, hot: Option<(u64, u64)>| {
-            if let Some(rec) = recorder {
-                rec.record_decision(AdaptDecision {
-                    action,
-                    orecs_before: before as u64,
-                    orecs_after: after as u64,
-                    slow_commits: dsc,
-                    slow_aborts: dsa,
-                    hot_slot: hot,
-                });
-            }
+        let before = Adaptation {
+            active: orecs.active_plain() as u64,
+            capacity: orecs.capacity() as u64,
+            initial: self.initial_orecs,
+            enabled: fg_enabled.read_plain(),
+            idle_windows: self.idle_windows.load(Ordering::Relaxed),
+            disabled_windows: self.disabled_windows.load(Ordering::Relaxed),
         };
-
-        if !fg_enabled.read_plain() {
-            // Currently collapsed to plain TLE. Slow-path attempts during
-            // this state abort with FG_DISABLED and show up as slow
-            // aborts — that is *demand*: threads found the lock held and
-            // wanted to speculate. Re-enable immediately on demand, and
-            // probe periodically even without it.
-            let dw = self.disabled_windows.fetch_add(1, Ordering::Relaxed) + 1;
-            if dsa > 0 || dw.is_multiple_of(REENABLE_WINDOWS) {
-                let before = orecs.active_plain();
-                let restored = (self.initial_orecs as usize).clamp(1, orecs.capacity());
-                orecs.resize_active(restored);
-                fg_enabled.write(true);
-                self.idle_windows.store(0, Ordering::Relaxed);
-                trace(AdaptAction::Reenable, before, restored, None);
-            }
-            return;
+        let mut after = before;
+        let action = after.step(dsc, dsa);
+        self.idle_windows
+            .store(after.idle_windows, Ordering::Relaxed);
+        self.disabled_windows
+            .store(after.disabled_windows, Ordering::Relaxed);
+        let Some(action) = action else { return };
+        if after.active != before.active {
+            orecs.resize_active(after.active as usize);
         }
-
-        let active = orecs.active_plain();
-        if dsc == 0 && dsa == 0 {
-            // Slow path idle this window: the instrumentation under lock is
-            // pure overhead. Shrink; after two consecutive idle windows at
-            // a single orec, collapse to plain TLE.
-            let idle = self.idle_windows.fetch_add(1, Ordering::Relaxed) + 1;
-            if active > 1 {
-                let target = (active / 2).max(1);
-                orecs.resize_active(target);
-                trace(AdaptAction::Shrink, active, target, None);
-            } else if idle >= 2 {
-                fg_enabled.write(false);
-                self.disabled_windows.store(0, Ordering::Relaxed);
-                trace(AdaptAction::Collapse, active, active, None);
-            }
-        } else {
-            self.idle_windows.store(0, Ordering::Relaxed);
-            if dsa > GROW_ABORT_FACTOR * dsc.max(1) && active < orecs.capacity() {
-                // Slow path keeps aborting: most likely orec aliasing. The
-                // conflict heatmap names the hottest slot so the decision
-                // trace shows *where* the aliasing concentrated.
-                let target = (active * 2).min(orecs.capacity());
-                orecs.resize_active(target);
-                let hot = orecs
-                    .hottest_conflict_slot()
-                    .map(|(slot, n)| (slot as u64, n));
-                trace(AdaptAction::Grow, active, target, hot);
-            }
+        if after.enabled != before.enabled {
+            fg_enabled.write(after.enabled);
+        }
+        if let Some(rec) = recorder {
+            // The conflict heatmap names the hottest slot, so a grow's
+            // trace shows *where* the aliasing concentrated.
+            let hot_slot = (action == AdaptAction::Grow)
+                .then(|| orecs.hottest_conflict_slot())
+                .flatten();
+            rec.record_decision(AdaptDecision {
+                action,
+                orecs_before: before.active,
+                orecs_after: after.active,
+                slow_commits: dsc,
+                slow_aborts: dsa,
+                hot_slot: hot_slot.map(|(slot, n)| (slot as u64, n)),
+            });
         }
     }
 }
@@ -139,8 +182,8 @@ impl AdaptiveState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Path;
     use rtle_htm::AbortCode;
+    use rtle_obs::PathKind;
 
     fn run_windows(
         st: &AdaptiveState,
@@ -181,7 +224,7 @@ mod tests {
             st.on_lock_acquired(&orecs, &fg, &stats, None);
         }
         for _ in 0..100 {
-            stats.record_abort(Path::SlowHtm, AbortCode::Explicit(4));
+            stats.record_abort(PathKind::SlowHtm, AbortCode::Explicit(4));
         }
         st.on_lock_acquired(&orecs, &fg, &stats, None);
         assert_eq!(orecs.active_plain(), 4, "doubled under abort pressure");
@@ -222,7 +265,7 @@ mod tests {
         // Threads now find the lock held and attempt the slow path: their
         // FG_DISABLED aborts are the demand signal.
         for _ in 0..10 {
-            stats.record_abort(Path::SlowHtm, AbortCode::Explicit(5));
+            stats.record_abort(PathKind::SlowHtm, AbortCode::Explicit(5));
         }
         run_windows(&st, &orecs, &fg, &stats, 1);
         assert!(fg.read_plain(), "re-enabled on demand within one window");
@@ -242,9 +285,9 @@ mod tests {
             }
             // Commits dominate aborts in every window.
             for _ in 0..20 {
-                stats.record_commit(Path::SlowHtm);
+                stats.record_commit(PathKind::SlowHtm);
             }
-            stats.record_abort(Path::SlowHtm, AbortCode::Conflict);
+            stats.record_abort(PathKind::SlowHtm, AbortCode::Conflict);
             st.on_lock_acquired(&orecs, &fg, &stats, None);
             assert_eq!(orecs.active_plain(), 16, "window {w}: size stable");
             assert!(fg.read_plain());
@@ -264,7 +307,7 @@ mod tests {
         let stats = ExecStats::new();
         let paying_window = |commits: u64| {
             for _ in 0..commits {
-                stats.record_commit(Path::SlowHtm);
+                stats.record_commit(PathKind::SlowHtm);
             }
             run_windows(&st, &orecs, &fg, &stats, 1);
         };
@@ -287,7 +330,7 @@ mod tests {
         // Collapsed for real; demand brings it back, and commits keep it.
         run_windows(&st, &orecs, &fg, &stats, 1);
         assert!(!fg.read_plain(), "two idle windows in a row collapse");
-        stats.record_abort(Path::SlowHtm, AbortCode::Explicit(5));
+        stats.record_abort(PathKind::SlowHtm, AbortCode::Explicit(5));
         run_windows(&st, &orecs, &fg, &stats, 1);
         assert!(fg.read_plain(), "demand re-enables");
         for _ in 0..50 {
@@ -318,14 +361,14 @@ mod tests {
         assert!(!fg.read_plain());
         // Demand (FG_DISABLED aborts) re-enables within one window.
         for _ in 0..5 {
-            stats.record_abort(Path::SlowHtm, AbortCode::Explicit(5));
+            stats.record_abort(PathKind::SlowHtm, AbortCode::Explicit(5));
         }
         step(1);
         assert!(fg.read_plain());
         // Abort pressure grows the range; the aborts concentrate on one
         // orec slot, which the heatmap attributes.
         for _ in 0..100 {
-            stats.record_abort(Path::SlowHtm, AbortCode::Explicit(4));
+            stats.record_abort(PathKind::SlowHtm, AbortCode::Explicit(4));
             orecs.note_conflict(3, 1);
         }
         step(1);

@@ -10,7 +10,10 @@
 //! |-------------|---------------------------------|-------------------------------------|
 //! | `FastHtm`   | plain access                    | plain access                        |
 //! | `SlowHtm`   | writes self-abort (Fig. 2)      | orec checks before access (Fig. 3)  |
-//! | `UnderLock` | 1st write sets `write_flag`     | stamp orecs, `uniq_*` shortcut      |
+//! | `Lock`      | 1st write sets `write_flag`     | stamp orecs, `uniq_*` shortcut      |
+//!
+//! On the fourth path, `Stm`, every access delegates to the software
+//! backend's own barriers.
 //!
 //! ("plain access" still goes through the HTM's own tracking when inside a
 //! transaction — that is the hardware's job, not the instrumentation's.)
@@ -19,25 +22,11 @@ use std::cell::Cell;
 
 use rtle_htm::{TxCell, TxWord};
 use rtle_hytm::TmCtx;
-use rtle_obs::{TraceKind, Tracer};
+use rtle_obs::{PathKind, RecordKind};
 
 use crate::abort_codes;
+use crate::elidable::Rec;
 use crate::orec::{OrecKind, OrecTable};
-
-/// Which path the current critical-section execution runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// Uninstrumented hardware transaction (lock observed free).
-    FastHtm,
-    /// Instrumented hardware transaction concurrent with a lock holder.
-    SlowHtm,
-    /// Software transaction on a pluggable [`rtle_hytm::SoftwareTm`]
-    /// backend (the lock-free fallback installed via
-    /// `ElidableLockBuilder::with_software_backend`).
-    Stm,
-    /// Pessimistic execution holding the lock (instrumented for RW-/FG-TLE).
-    UnderLock,
-}
 
 /// Execution token passed to critical-section closures.
 ///
@@ -72,11 +61,11 @@ pub(crate) enum Rung<'a> {
     Software(&'a TmCtx<'a>),
 }
 
-/// The lock holder's instrumentation. The instrumented variants carry
-/// `trace` when the operation is sampled — the causal tracer and this
-/// thread's trace id, so protocol instants (write-flag raise, epoch bump)
-/// land on the timeline. Speculative rungs never do: an instant recorded
-/// inside a transaction that later aborts would be a lie.
+/// The lock holder's instrumentation. The instrumented variants carry the
+/// operation's `rec` when it is sampled, so protocol instants (write-flag
+/// raise, epoch bump) land on the record timeline. Speculative rungs
+/// never do: an instant recorded inside a transaction that later aborts
+/// would be a lie.
 pub(crate) enum Holder<'a> {
     /// Lock/TLE, and adaptive FG-TLE collapsed to plain TLE: none.
     Plain,
@@ -85,7 +74,7 @@ pub(crate) enum Holder<'a> {
         write_flag: &'a TxCell<bool>,
         /// Whether this critical section raised the flag already.
         wrote: Cell<bool>,
-        trace: Option<(&'a Tracer, u64)>,
+        rec: Option<Rec<'a>>,
     },
     /// FG-TLE: stamp the orecs of every access with the holder's epoch.
     Fg {
@@ -97,19 +86,19 @@ pub(crate) enum Holder<'a> {
         /// acquired the barrier becomes trivial.
         uniq_r: Cell<u32>,
         uniq_w: Cell<u32>,
-        trace: Option<(&'a Tracer, u64)>,
+        rec: Option<Rec<'a>>,
     },
 }
 
 impl Ctx<'_> {
     /// The path this execution runs on.
     #[inline]
-    pub fn mode(&self) -> ExecMode {
+    pub fn mode(&self) -> PathKind {
         match self.0 {
-            Rung::Fast => ExecMode::FastHtm,
-            Rung::SlowRw | Rung::SlowFg { .. } => ExecMode::SlowHtm,
-            Rung::Holder(_) => ExecMode::UnderLock,
-            Rung::Software(_) => ExecMode::Stm,
+            Rung::Fast => PathKind::FastHtm,
+            Rung::SlowRw | Rung::SlowFg { .. } => PathKind::SlowHtm,
+            Rung::Software(_) => PathKind::Stm,
+            Rung::Holder(_) => PathKind::Lock,
         }
     }
 
@@ -183,7 +172,7 @@ impl Ctx<'_> {
             Rung::Holder(Holder::Rw {
                 write_flag,
                 wrote,
-                trace,
+                rec,
             }) => {
                 // Figure 2, lock side: raise the write flag once. The plain
                 // store dooms every subscribed slow-path transaction before
@@ -191,8 +180,8 @@ impl Ctx<'_> {
                 // §3, made explicit by the emulation's versioned stores).
                 if !wrote.replace(true) {
                     write_flag.write(true);
-                    if let Some((tracer, tid)) = trace {
-                        tracer.instant_now(*tid, TraceKind::WriteFlagSet, 0);
+                    if let Some(rc) = rec {
+                        rc.instant(RecordKind::WriteFlagSet);
                     }
                 }
             }
@@ -223,7 +212,7 @@ impl Ctx<'_> {
         }
     }
 
-    /// The software backend driving an [`ExecMode::Stm`] execution
+    /// The software backend driving a [`PathKind::Stm`] execution
     /// (`None` on hardware and lock paths).
     pub fn software_backend(&self) -> Option<&'static str> {
         match self.0 {
@@ -337,7 +326,7 @@ mod tests {
             assert_eq!(l.execute(variant), free, "{}", policy.label());
             let g = l.lock_section();
             assert_eq!(variant(g.ctx()), holder, "{}", policy.label());
-            assert_eq!(g.ctx().mode(), ExecMode::UnderLock);
+            assert_eq!(g.ctx().mode(), PathKind::Lock);
             assert!(!g.ctx().is_speculative());
             assert_eq!(policy.has_slow_path(), slow.is_some());
             if slow.is_some() {
@@ -345,7 +334,7 @@ mod tests {
                 let seen = l.try_speculate(|ctx| (variant(ctx), ctx.mode()));
                 assert_eq!(
                     seen,
-                    slow.map(|v| (v, ExecMode::SlowHtm)),
+                    slow.map(|v| (v, PathKind::SlowHtm)),
                     "{}",
                     policy.label()
                 );
@@ -375,7 +364,7 @@ mod tests {
         let c = TxCell::new(4u64);
         lock(ElisionPolicy::Tle).execute(|ctx| {
             assert_eq!(variant(ctx), "Fast");
-            assert_eq!(ctx.mode(), ExecMode::FastHtm);
+            assert_eq!(ctx.mode(), PathKind::FastHtm);
             assert!(ctx.is_speculative());
             assert_eq!(ctx.read(&c), 4);
             ctx.write(&c, 5);
@@ -502,9 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn write_flag_raise_is_traced_when_enabled() {
-        // A sampled operation that falls back to the lock hands its tracer
-        // to the holder rung.
+    fn write_flag_raise_is_recorded_once() {
+        // A sampled operation that falls back to the lock hands its
+        // recording context to the holder rung.
         let recorder = Arc::new(rtle_obs::Recorder::new(rtle_obs::ObsConfig::default()));
         let l = ElidableLock::builder()
             .policy(ElisionPolicy::RwTle)
@@ -516,14 +505,22 @@ mod tests {
             ctx.write(&c, 1);
             ctx.write(&c, 2);
         });
-        let raises = recorder
-            .tracer()
-            .drain()
+        let records = recorder.records();
+        let raises = records
             .iter()
-            .filter(|r| r.kind == TraceKind::WriteFlagSet)
+            .filter(|r| r.kind == RecordKind::WriteFlagSet)
             .count();
-        let expected = if recorder.tracer().enabled() { 1 } else { 0 };
-        assert_eq!(raises, expected, "the flag instant is recorded once");
+        assert_eq!(raises, 1, "the flag instant is recorded once");
+        let held = records
+            .iter()
+            .find(|r| r.label() == "lock_held")
+            .expect("the holding window is a span");
+        let raise = records.iter().find(|r| r.kind == RecordKind::WriteFlagSet);
+        let at = raise.expect("counted above").ts;
+        assert!(
+            held.ts <= at && at <= held.ts + held.dur(),
+            "raised at {at}, inside the holding window {held:?}"
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@ use rtle_htm::wait::backoff_until;
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
 use rtle_hytm::{sw_attempt, SoftwareTm, SwDescriptor, SwPhase};
 use rtle_obs::{
-    AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, Outcome, PathKind, Recorder,
-    SourceSnapshot, TraceKind,
+    commit_counters, AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, Outcome, PathKind,
+    RecordKind, Recorder, SourceSnapshot,
 };
 
 use crate::abort_codes;
@@ -33,7 +33,7 @@ use crate::epoch::SeqEpoch;
 use crate::lock::TatasLock;
 use crate::orec::OrecTable;
 use crate::policy::{ElisionPolicy, RetryPolicy};
-use crate::stats::{ExecStats, Path};
+use crate::stats::ExecStats;
 
 /// A lock whose critical sections are executed speculatively on HTM
 /// whenever possible, with the paper's refined slow paths.
@@ -68,8 +68,9 @@ pub struct ElidableLock<B: HtmBackend = SwHtmBackend> {
     sw_running: TxCell<u64>,
     stats: ExecStats,
     /// Attempt-level observability. `None` (the default) costs one branch
-    /// per operation; installed, sampled operations additionally pay two
-    /// `Instant` reads and a few relaxed stores.
+    /// per operation; installed, each attempt of a sampled operation
+    /// additionally pays two `Instant` reads (its start and its end), a
+    /// few relaxed counter bumps and one two-word ring push.
     recorder: Option<Arc<Recorder>>,
 }
 
@@ -107,43 +108,35 @@ mod obs_thread {
 
 /// Recording context threaded through one sampled operation.
 #[derive(Clone, Copy)]
-struct Rec<'a> {
+pub(crate) struct Rec<'a> {
     recorder: &'a Recorder,
     thread_key: u64,
 }
 
 impl Rec<'_> {
+    /// Records the attempt that began at `started` and ends now: the one
+    /// clock read here yields its latency, and `started` its timestamp.
     #[inline]
     fn attempt(&self, path: PathKind, outcome: Outcome, attempt: u32, started: Instant) {
-        let latency = started.elapsed().as_nanos() as u64;
-        // Mirror the attempt onto the causal-trace timeline: consecutive
-        // fast/slow/lock spans on the same tid *are* the path-transition
-        // history. `span_ending_now` is a no-op (and the mapping dead code)
-        // when the `trace` feature is off.
-        let tracer = self.recorder.tracer();
-        if tracer.enabled() {
-            let kind = match (path, outcome.is_commit()) {
-                (PathKind::FastHtm, true) => TraceKind::FastCommit,
-                (PathKind::FastHtm, false) => TraceKind::FastAbort,
-                (PathKind::SlowHtm, true) => TraceKind::SlowCommit,
-                (PathKind::SlowHtm, false) => TraceKind::SlowAbort,
-                (PathKind::Lock, _) => TraceKind::LockHeld,
-            };
-            let arg = match outcome {
-                Outcome::AbortExplicit(c) => c as u64,
-                _ => 0,
-            };
-            tracer.span_ending_now(self.thread_key, kind, latency, arg);
-        }
-        self.recorder.record_attempt(
+        let ev = AttemptEvent {
+            path,
+            outcome,
+            attempt: attempt.min(u8::MAX as u32) as u8,
+            latency: started.elapsed().as_nanos() as u64,
+        };
+        self.recorder.record(
             self.thread_key,
-            AttemptEvent {
-                path,
-                outcome,
-                attempt: attempt.min(u8::MAX as u32) as u8,
-                latency,
-            },
+            rtle_obs::epoch::ns_at(started),
+            RecordKind::Attempt(ev),
         );
+    }
+
+    /// Records a protocol instant (write-flag raise, epoch bump)
+    /// happening now. Only the lock holder calls this: an instant recorded
+    /// inside a transaction that later aborts would be a lie.
+    pub(crate) fn instant(&self, kind: RecordKind) {
+        self.recorder
+            .record(self.thread_key, rtle_obs::epoch::now_ns(), kind);
     }
 }
 
@@ -427,7 +420,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                 // the operation stays concurrent (a software transaction)
                 // instead of serializing behind the lock.
                 if let Some(tm) = self.select_software_backend() {
-                    return self.run_software(&**tm, cs);
+                    return self.run_software(&**tm, cs, rec, attempts);
                 }
                 self.run_under_lock(cs, rec, attempts)
             }
@@ -449,7 +442,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// recorder. A commit completes the operation.
     fn note_attempt<R>(
         &self,
-        path: Path,
+        path: PathKind,
         outcome: &Result<R, AbortCode>,
         attempt: u32,
         sampled: Option<(Rec<'_>, Instant)>,
@@ -465,12 +458,7 @@ impl<B: HtmBackend> ElidableLock<B> {
             }
         };
         if let Some((rc, t0)) = sampled {
-            let kind = match path {
-                Path::FastHtm => PathKind::FastHtm,
-                Path::SlowHtm => PathKind::SlowHtm,
-                Path::UnderLock => PathKind::Lock,
-            };
-            rc.attempt(kind, observed, attempt, t0);
+            rc.attempt(path, observed, attempt, t0);
         }
     }
 
@@ -503,7 +491,12 @@ impl<B: HtmBackend> ElidableLock<B> {
                     // anti-starvation cap may bound them (RetryPolicy).
                     let sampled = rec.map(|rc| (rc, Instant::now()));
                     let outcome = self.slow_attempt(slow, cs);
-                    self.note_attempt(Path::SlowHtm, &outcome, attempts + slow_attempts, sampled);
+                    self.note_attempt(
+                        PathKind::SlowHtm,
+                        &outcome,
+                        attempts + slow_attempts,
+                        sampled,
+                    );
                     match outcome {
                         Ok(r) => return Ok(r),
                         Err(code) => {
@@ -524,7 +517,12 @@ impl<B: HtmBackend> ElidableLock<B> {
 
             let sampled = rec.map(|rc| (rc, Instant::now()));
             let outcome = self.fast_attempt(cs);
-            self.note_attempt(Path::FastHtm, &outcome, attempts + slow_attempts, sampled);
+            self.note_attempt(
+                PathKind::FastHtm,
+                &outcome,
+                attempts + slow_attempts,
+                sampled,
+            );
             match outcome {
                 Ok(r) => return Ok(r),
                 Err(code) => {
@@ -652,7 +650,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         // held lock (and vice versa — see `quiesce_software`).
         let _presence = self.software_presence();
         let r = sw_attempt(tm, desc, |tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
-        self.stats.record_stm_commit();
+        self.stats.record_commit(PathKind::Stm);
         Some(r)
     }
 
@@ -697,12 +695,24 @@ impl<B: HtmBackend> ElidableLock<B> {
     }
 
     /// Runs `cs` as a software transaction on `tm`: [`Self::software_attempt`]
-    /// until one commits.
-    fn run_software<R>(&self, tm: &dyn SoftwareTm, cs: &impl Fn(&Ctx<'_>) -> R) -> R {
+    /// until one commits. A sampled operation records that one commit,
+    /// timed around the whole rung (the backend keeps its own abort books),
+    /// after the `prior_attempts` speculative ones it already recorded.
+    fn run_software<R>(
+        &self,
+        tm: &dyn SoftwareTm,
+        cs: &impl Fn(&Ctx<'_>) -> R,
+        rec: Option<Rec<'_>>,
+        prior_attempts: u32,
+    ) -> R {
+        let sampled = rec.map(|rc| (rc, Instant::now()));
         let _phase = SwPhase::enter(tm);
         let desc = RefCell::new(SwDescriptor::default());
         loop {
             if let Some(r) = self.software_attempt(tm, &desc, cs) {
+                if let Some((rc, t0)) = sampled {
+                    rc.attempt(PathKind::Stm, Outcome::Commit, prior_attempts, t0);
+                }
                 return r;
             }
         }
@@ -805,11 +815,10 @@ impl<B: HtmBackend> ElidableLock<B> {
         rec: Option<Rec<'_>>,
         prior_attempts: u32,
     ) -> R {
-        let section = self.enter_locked(rec.map(|rc| (rc.recorder.tracer(), rc.thread_key)));
+        let section = self.enter_locked(rec);
         let r = cs(&section.ctx);
         if let Some(rc) = rec {
-            rc.recorder
-                .record_lock_hold(section.t0.elapsed().as_nanos() as u64);
+            // The holding window: also the recorder's lock-hold sample.
             rc.attempt(PathKind::Lock, Outcome::Commit, prior_attempts, section.t0);
         }
         r
@@ -818,21 +827,18 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// The holder rung: acquires the lock and builds the guard whose drop
     /// leaves it — the one entry to pessimistic execution, shared by
     /// [`Self::execute`]'s fallback and [`Self::lock_section`].
-    fn enter_locked<'a>(
-        &'a self,
-        trace: Option<(&'a rtle_obs::Tracer, u64)>,
-    ) -> LockedSection<'a, B> {
+    fn enter_locked<'a>(&'a self, rec: Option<Rec<'a>>) -> LockedSection<'a, B> {
         self.lock.acquire();
         self.quiesce_software();
         // Recorded at acquisition (not completion) so concurrent observers
         // see the pessimistic execution while it is in flight.
-        self.stats.record_commit(Path::UnderLock);
+        self.stats.record_commit(PathKind::Lock);
         let t0 = Instant::now();
         let holder = match (self.policy, &self.orecs) {
             (ElisionPolicy::RwTle, _) => Holder::Rw {
                 write_flag: &self.write_flag,
                 wrote: Cell::new(false),
-                trace,
+                rec,
             },
             (_, Some(orecs)) => {
                 if let Some(ad) = &self.adaptive {
@@ -854,7 +860,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                         n: orecs.active_plain(),
                         uniq_r: Cell::new(0),
                         uniq_w: Cell::new(0),
-                        trace,
+                        rec,
                     }
                 } else {
                     // Collapsed to plain TLE: uninstrumented under lock.
@@ -922,17 +928,13 @@ where
 {
     fn live_snapshot(&self) -> SourceSnapshot {
         let s = self.stats.snapshot();
+        let mut counters = vec![("ops".into(), s.ops)];
+        counters.extend(commit_counters(s.commits()));
+        counters.push(("aborts_fast".into(), s.fast_aborts));
+        counters.push(("aborts_slow".into(), s.slow_aborts));
         SourceSnapshot {
             kind: "lock",
-            counters: vec![
-                ("ops".into(), s.ops),
-                ("commits_fast_htm".into(), s.fast_commits),
-                ("commits_slow_htm".into(), s.slow_commits),
-                ("commits_stm".into(), s.stm_commits),
-                ("commits_lock".into(), s.lock_acquisitions),
-                ("aborts_fast".into(), s.fast_aborts),
-                ("aborts_slow".into(), s.slow_aborts),
-            ],
+            counters,
             gauges: vec![("lock_fallback_rate".into(), s.lock_fallback_rate())],
             windows: Vec::new(),
             labels: self
@@ -975,14 +977,12 @@ impl<B: HtmBackend> Drop for LockedSection<'_, B> {
             Rung::Holder(Holder::Rw { write_flag, .. }) if write_flag.read_plain() => {
                 write_flag.write(false);
             }
-            Rung::Holder(Holder::Fg {
-                epoch_now, trace, ..
-            }) => {
+            Rung::Holder(Holder::Fg { epoch_now, rec, .. }) => {
                 // Pre-release epoch bump: releases all orecs at once
                 // without aborting slow-path transactions (§4.2).
                 self.lock.epoch.end_locked_section();
-                if let Some((tracer, tid)) = trace {
-                    tracer.instant_now(*tid, TraceKind::EpochBump, *epoch_now);
+                if let Some(rc) = rec {
+                    rc.instant(RecordKind::EpochBump(*epoch_now));
                 }
             }
             _ => {}
@@ -1499,7 +1499,7 @@ mod tests {
         let c = TxCell::new(0u64);
         {
             let g = lock.lock_section();
-            assert_eq!(g.ctx().mode(), crate::ExecMode::UnderLock);
+            assert_eq!(g.ctx().mode(), PathKind::Lock);
             let v = g.ctx().read(&c);
             g.ctx().write(&c, v + 9);
             // The guard is the lock holder; the lock word is set.

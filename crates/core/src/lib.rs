@@ -51,7 +51,7 @@ pub mod orec;
 pub mod policy;
 pub mod stats;
 
-pub use barrier::{Ctx, ExecMode};
+pub use barrier::Ctx;
 pub use elidable::{ElidableLock, ElidableLockBuilder, LockedSection, SoftwarePresence};
 pub use lock::TatasLock;
 pub use orec::OrecTable;

@@ -7,34 +7,24 @@ use std::time::Duration;
 
 use rtle_htm::lanes::Lanes;
 use rtle_htm::AbortCode;
-
-/// Which execution path completed (or attempted) a critical section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Path {
-    /// Uninstrumented hardware transaction (lock observed free).
-    FastHtm,
-    /// Instrumented hardware transaction running while the lock is held.
-    SlowHtm,
-    /// Pessimistic execution under the lock.
-    UnderLock,
-}
+use rtle_obs::{PathKind, PATHS};
 
 // Counter indices into the lanes.
 const OPS: usize = 0;
-const FAST_COMMITS: usize = 1;
-const SLOW_COMMITS: usize = 2;
-const STM_COMMITS: usize = 3;
-const LOCK_ACQUISITIONS: usize = 4;
+/// Commits per path: `COMMITS + PathKind::index()`, 1..=4.
+const COMMITS: usize = 1;
 const FAST_ABORTS: usize = 5;
+const _: () = assert!(FAST_ABORTS == COMMITS + PATHS);
 const SLOW_ABORTS: usize = 6;
 const ABORTS_CONFLICT: usize = 7;
 const ABORTS_CAPACITY: usize = 8;
 const ABORTS_EXPLICIT: usize = 9;
 const ABORTS_UNSUPPORTED: usize = 10;
 const ABORTS_OTHER: usize = 11;
-/// Aborts reported against [`Path::UnderLock`] — a caller bug (the
-/// pessimistic path cannot abort), but counted rather than silently
-/// dropped so release-build misuse is observable.
+/// Aborts reported against a path that cannot abort at this level — a
+/// caller bug (the pessimistic path completes in one attempt; a software
+/// backend retries internally and keeps its own abort books), but counted
+/// rather than silently dropped so release-build misuse is observable.
 const LOCK_PATH_ABORTS: usize = 12;
 const TIME_LOCKED_NS: usize = 13;
 /// Explicit aborts broken down by runtime code: `ABORTS_BY_CODE + c` for
@@ -57,33 +47,24 @@ impl ExecStats {
         Self::default()
     }
 
-    /// One critical section completed, counted on `commits` and on `ops`.
+    /// One critical section completed by committing on `path`: counted
+    /// on the path and on `ops`.
     #[inline]
-    fn record_op(&self, commits: usize) {
+    pub(crate) fn record_commit(&self, path: PathKind) {
         let lane = self.lanes.mine();
-        lane.add(commits, 1);
+        lane.add(COMMITS + path.index(), 1);
         lane.add(OPS, 1);
     }
 
-    /// One critical section completed by committing on `path`.
     #[inline]
-    pub(crate) fn record_commit(&self, path: Path) {
-        self.record_op(match path {
-            Path::FastHtm => FAST_COMMITS,
-            Path::SlowHtm => SLOW_COMMITS,
-            Path::UnderLock => LOCK_ACQUISITIONS,
-        });
-    }
-
-    #[inline]
-    pub(crate) fn record_abort(&self, path: Path, code: AbortCode) {
+    pub(crate) fn record_abort(&self, path: PathKind, code: AbortCode) {
         let lane = self.lanes.mine();
         lane.add(
             match path {
-                Path::FastHtm => FAST_ABORTS,
-                Path::SlowHtm => SLOW_ABORTS,
-                Path::UnderLock => {
-                    debug_assert!(false, "lock path cannot abort (code {code:?})");
+                PathKind::FastHtm => FAST_ABORTS,
+                PathKind::SlowHtm => SLOW_ABORTS,
+                PathKind::Stm | PathKind::Lock => {
+                    debug_assert!(false, "{path:?} path cannot abort (code {code:?})");
                     LOCK_PATH_ABORTS
                 }
             },
@@ -106,14 +87,6 @@ impl ExecStats {
         );
     }
 
-    /// One critical section completed on a pluggable software-TM backend
-    /// (outside [`Path`]: the software path never aborts at this level —
-    /// the backend retries internally and reports its own abort counters).
-    #[inline]
-    pub(crate) fn record_stm_commit(&self) {
-        self.record_op(STM_COMMITS);
-    }
-
     #[inline]
     pub(crate) fn record_time_locked(&self, d: Duration) {
         self.lanes.add(TIME_LOCKED_NS, d.as_nanos() as u64);
@@ -123,7 +96,7 @@ impl ExecStats {
     /// heuristic as its benefit signal).
     #[inline]
     pub(crate) fn slow_commits_now(&self) -> u64 {
-        self.lanes.sum(SLOW_COMMITS)
+        self.lanes.sum(COMMITS + PathKind::SlowHtm.index())
     }
 
     #[inline]
@@ -136,10 +109,10 @@ impl ExecStats {
         let c = self.lanes.sums();
         StatsSnapshot {
             ops: c[OPS],
-            fast_commits: c[FAST_COMMITS],
-            slow_commits: c[SLOW_COMMITS],
-            stm_commits: c[STM_COMMITS],
-            lock_acquisitions: c[LOCK_ACQUISITIONS],
+            fast_commits: c[COMMITS + PathKind::FastHtm.index()],
+            slow_commits: c[COMMITS + PathKind::SlowHtm.index()],
+            stm_commits: c[COMMITS + PathKind::Stm.index()],
+            lock_acquisitions: c[COMMITS + PathKind::Lock.index()],
             fast_aborts: c[FAST_ABORTS],
             slow_aborts: c[SLOW_ABORTS],
             aborts_conflict: c[ABORTS_CONFLICT],
@@ -200,6 +173,17 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Commits per path, in [`PathKind::index`] order (the lock path's
+    /// are the acquisitions).
+    pub fn commits(&self) -> [u64; PATHS] {
+        [
+            self.fast_commits,
+            self.slow_commits,
+            self.stm_commits,
+            self.lock_acquisitions,
+        ]
+    }
+
     /// Fraction of completed operations that fell back to the lock — the
     /// "failure rate" the paper quotes for ccTSA (§6.4.2).
     pub fn lock_fallback_rate(&self) -> f64 {
@@ -282,16 +266,16 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let s = ExecStats::new();
-        s.record_commit(Path::FastHtm);
-        s.record_commit(Path::SlowHtm);
-        s.record_commit(Path::UnderLock);
-        s.record_stm_commit();
-        s.record_abort(Path::FastHtm, AbortCode::Conflict);
-        s.record_abort(Path::SlowHtm, AbortCode::Explicit(4));
+        for path in PathKind::ALL {
+            s.record_commit(path);
+        }
+        s.record_abort(PathKind::FastHtm, AbortCode::Conflict);
+        s.record_abort(PathKind::SlowHtm, AbortCode::Explicit(4));
         s.record_time_locked(Duration::from_micros(5));
 
         let snap = s.snapshot();
         assert_eq!(snap.ops, 4, "every commit, on any path, completes one op");
+        assert_eq!(snap.commits(), [1; PATHS]);
         assert_eq!(snap.stm_commits, 1);
         assert_eq!(snap.fast_commits, 1);
         assert_eq!(snap.slow_commits, 1);
@@ -382,7 +366,7 @@ mod tests {
     fn lock_path_abort_is_a_debug_assertion() {
         let s = ExecStats::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.record_abort(Path::UnderLock, AbortCode::Conflict)
+            s.record_abort(PathKind::Lock, AbortCode::Conflict)
         }));
         assert!(r.is_err(), "misuse must trip the debug assertion");
     }
@@ -391,7 +375,7 @@ mod tests {
     #[test]
     fn lock_path_abort_is_counted_in_release() {
         let s = ExecStats::new();
-        s.record_abort(Path::UnderLock, AbortCode::Conflict);
+        s.record_abort(PathKind::Lock, AbortCode::Conflict);
         let snap = s.snapshot();
         assert_eq!(snap.lock_path_aborts, 1, "misuse is observable");
         assert_eq!(snap.aborts_conflict, 1);

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rtle_core::obs::{ObsConfig, Recorder};
+use rtle_core::obs::{ObsConfig, PathKind, RecordKind, Recorder};
 use rtle_core::{Ctx, ElidableLock, ElisionPolicy, TxCell};
 
 fn recorded_lock(policy: ElisionPolicy) -> (Arc<ElidableLock>, Arc<Recorder>) {
@@ -20,7 +20,7 @@ fn recorded_lock(policy: ElisionPolicy) -> (Arc<ElidableLock>, Arc<Recorder>) {
 }
 
 /// A single-threaded run populates every recorder surface: per-path
-/// commits, retry and latency histograms, the event ring, and lock-hold
+/// commits, retry and latency histograms, the record ring, and lock-hold
 /// samples when the pessimistic path runs.
 #[test]
 fn recorder_captures_fast_and_lock_paths() {
@@ -54,6 +54,96 @@ fn recorder_captures_fast_and_lock_paths() {
     let stats = lock.stats().snapshot();
     assert_eq!(stats.fast_commits, 90);
     assert_eq!(stats.lock_acquisitions, 10);
+}
+
+/// An operation that finishes on a software backend is on the recorder's
+/// books like any other: its aborted speculative attempts, then one
+/// commit on the `stm` path, so recorder and `ExecStats` agree on commits
+/// per path at 1-in-1 sampling.
+#[test]
+fn software_rung_commits_reach_the_recorder() {
+    let rec = Arc::new(Recorder::new(ObsConfig::default()));
+    let lock = ElidableLock::builder()
+        .policy(ElisionPolicy::Tle)
+        .with_software_backend(Arc::new(rtle_hytm::Tl2::new()))
+        .recorder(Arc::clone(&rec))
+        .build();
+    let c = TxCell::new(0u64);
+    for i in 0..40u64 {
+        lock.execute(|ctx: &Ctx| {
+            // Every fourth op exhausts speculation and lands on TL2.
+            if i % 4 == 3 {
+                rtle_htm::htm_unfriendly_instruction();
+            }
+            let v = ctx.read(&c);
+            ctx.write(&c, v + 1);
+        });
+    }
+    assert_eq!(c.read_plain(), 40);
+
+    let stats = lock.stats().snapshot();
+    assert_eq!((stats.stm_commits, stats.lock_acquisitions), (10, 0));
+    let snap = rec.snapshot();
+    assert_eq!(snap.total_commits(), stats.ops);
+    let commits: std::collections::HashMap<_, _> = snap.commits.iter().cloned().collect();
+    assert_eq!(commits["stm"], stats.stm_commits);
+    assert_eq!(commits["fast_htm"], stats.fast_commits);
+    assert_eq!(snap.total_aborts(), stats.fast_aborts + stats.slow_aborts);
+    assert_eq!(snap.retries.count, stats.ops, "in the retry books");
+    assert_eq!(snap.cs_latency.count, stats.ops);
+    assert_eq!(snap.lock_hold.count, 0, "the lock was never held");
+    // The commit comes after the speculative attempts it gave up on.
+    let stm = rec
+        .records()
+        .into_iter()
+        .filter_map(|r| r.attempt())
+        .find(|ev| ev.path == PathKind::Stm)
+        .expect("an stm commit in the ring");
+    assert_eq!(stm.attempt, 1, "after the one hopeless fast attempt");
+}
+
+/// One attempt, one record: under contention every attempt of a sampled
+/// operation — committed or aborted, on any path — is exactly one ring
+/// push, and the only other pushes are the holder's epoch bumps.
+#[test]
+#[cfg_attr(miri, ignore = "4-thread contended run: slow under the interpreter")]
+fn every_attempt_is_one_record_and_instants_are_the_rest() {
+    const THREADS: u64 = 4;
+    const OPS: u64 = 2_000;
+    let (lock, rec) = recorded_lock(ElisionPolicy::FgTle { orecs: 4 });
+    let c = TxCell::new(0u64);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (lock, c) = (&lock, &c);
+            s.spawn(move || {
+                for i in 0..OPS {
+                    lock.execute(|ctx: &Ctx| {
+                        // A steady trickle of lock holders to contend with.
+                        if (i + t) % 16 == 0 {
+                            rtle_htm::htm_unfriendly_instruction();
+                        }
+                        let v = ctx.read(c);
+                        ctx.write(c, v + 1);
+                    });
+                }
+            });
+        }
+    });
+    assert_eq!(c.read_plain(), THREADS * OPS);
+
+    let stats = lock.stats().snapshot();
+    let snap = rec.snapshot();
+    let attempts = stats.ops + stats.fast_aborts + stats.slow_aborts;
+    assert!(stats.lock_acquisitions >= THREADS * OPS / 16);
+    assert_eq!(snap.events_recorded, attempts);
+    // An FG-TLE holder bumps the epoch once per section.
+    assert_eq!(rec.pushed(), attempts + stats.lock_acquisitions);
+    let bumps = rec
+        .records()
+        .iter()
+        .filter(|r| matches!(r.kind, RecordKind::EpochBump(_)))
+        .count();
+    assert!(bumps > 0, "the instants share the attempts' ring");
 }
 
 /// Sampling records 1 in 2^k operations without losing the exact

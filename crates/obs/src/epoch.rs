@@ -19,11 +19,19 @@ pub fn process_epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds elapsed since [`process_epoch`], saturating at
-/// `u64::MAX` (≈584 years — effectively never).
-pub fn now_ns() -> u64 {
-    let ns = process_epoch().elapsed().as_nanos();
+/// Where `at` lies on the epoch timebase: nanoseconds since
+/// [`process_epoch`] (0 for an instant before it), saturating at
+/// `u64::MAX` (≈584 years — effectively never). Stamps a reading the
+/// caller already took, without another clock read.
+#[inline]
+pub fn ns_at(at: Instant) -> u64 {
+    let ns = at.saturating_duration_since(process_epoch()).as_nanos();
     u64::try_from(ns).unwrap_or(u64::MAX)
+}
+
+/// Nanoseconds elapsed since [`process_epoch`].
+pub fn now_ns() -> u64 {
+    ns_at(Instant::now())
 }
 
 #[cfg(test)]
@@ -36,6 +44,16 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let b = process_epoch();
         assert_eq!(a, b, "epoch must not drift between calls");
+    }
+
+    #[test]
+    fn an_instant_is_stamped_without_reading_the_clock_again() {
+        let before = now_ns();
+        let at = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let stamp = ns_at(at);
+        assert!(stamp >= before && stamp + 2_000_000 <= now_ns());
+        assert_eq!(stamp, ns_at(at), "a function of the instant alone");
     }
 
     #[test]

@@ -1,37 +1,35 @@
-//! Attempt events and adaptive-policy decision events.
+//! The recording vocabulary: the four paths of the ladder, how an
+//! attempt can end, and what the adaptive policy can decide.
 //!
 //! An [`AttemptEvent`] describes the outcome of one pass through
 //! `ElidableLock::execute`'s retry machinery: which path ran, how it
 //! ended, how many attempts it took, and how long the critical section
-//! was. To make recording tear-free with a single `Relaxed` store, the
-//! event packs into **one** `u64` ([`AttemptEvent::pack`]):
-//!
-//! ```text
-//! bit 63      : valid (distinguishes a written slot from an empty one)
-//! bits 62..61 : path        (2 bits)
-//! bits 60..58 : outcome kind (3 bits)
-//! bits 57..50 : explicit abort code (8 bits)
-//! bits 49..42 : attempt index (8 bits, saturating)
-//! bits 41..0  : latency (42 bits, saturating — ns or sim cycles)
-//! ```
+//! was. With a thread and a start time it is one kind of the recorder's
+//! one timestamped record ([`crate::trace::Record`], which also owns the
+//! packed layout).
 
 use rtle_htm::AbortCode;
 
 use crate::json::Json;
 
-/// Which execution path an attempt ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which rung of the ladder an execution runs on — the workspace's one
+/// path vocabulary: what `Ctx::mode()` answers, what `ExecStats` and the
+/// recorder count commits by, what every export labels them with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathKind {
-    /// The uninstrumented fast HTM path.
+    /// The uninstrumented fast HTM path (lock observed free).
     FastHtm,
-    /// The instrumented (write-flag / orec / STM) slow path.
+    /// The instrumented (write-flag / orec) slow HTM path, concurrent
+    /// with a lock holder.
     SlowHtm,
+    /// A software transaction on a pluggable `SoftwareTm` backend.
+    Stm,
     /// The pessimistic fallback under the real lock.
     Lock,
 }
 
 /// Number of execution paths.
-pub const PATHS: usize = 3;
+pub const PATHS: usize = 4;
 /// Number of outcome kinds ([`Outcome::Commit`] is kind 0).
 pub const OUTCOMES: usize = 7;
 /// Explicit-abort protocol codes counted separately (code mod 8).
@@ -39,7 +37,17 @@ pub const EXPLICIT_CODES: usize = 8;
 
 /// Stable lowercase path labels used in every export, in
 /// [`PathKind::index`] order.
-pub const PATH_LABELS: [&str; PATHS] = ["fast_htm", "slow_htm", "lock"];
+pub const PATH_LABELS: [&str; PATHS] = ["fast_htm", "slow_htm", "stm", "lock"];
+/// The `commits_<label>` counters a live source exports for its per-path
+/// commit counts (`commits` in [`PathKind::index`] order); viewers format
+/// the same keys from [`PATH_LABELS`].
+pub fn commit_counters(commits: [u64; PATHS]) -> impl Iterator<Item = (String, u64)> {
+    PATH_LABELS
+        .iter()
+        .zip(commits)
+        .map(|(label, n)| (format!("commits_{label}"), n))
+}
+
 /// Stable lowercase outcome labels used in every export, in
 /// [`Outcome::index`] order (slot 0, "commit", is never an abort label).
 pub const OUTCOME_LABELS: [&str; OUTCOMES] = [
@@ -54,12 +62,17 @@ pub const OUTCOME_LABELS: [&str; OUTCOMES] = [
 
 impl PathKind {
     /// Every path, in [`Self::index`] order.
-    pub const ALL: [PathKind; PATHS] = [PathKind::FastHtm, PathKind::SlowHtm, PathKind::Lock];
+    pub const ALL: [PathKind; PATHS] = [
+        PathKind::FastHtm,
+        PathKind::SlowHtm,
+        PathKind::Stm,
+        PathKind::Lock,
+    ];
 
     /// Position in every per-path table: the counter arrays,
-    /// [`PATH_LABELS`] and the packed event's path field.
+    /// [`PATH_LABELS`] and the packed record's path field.
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
     }
 
@@ -113,7 +126,7 @@ impl Outcome {
     }
 
     /// Position in every per-outcome table: the abort counter arrays,
-    /// [`OUTCOME_LABELS`] and the packed event's kind field.
+    /// [`OUTCOME_LABELS`] and the packed record's outcome field.
     #[inline]
     pub fn index(self) -> usize {
         match self {
@@ -140,14 +153,14 @@ impl Outcome {
         Some(Outcome::from_codes(kind as u64, 0))
     }
 
-    fn explicit_code(self) -> u64 {
+    pub(crate) fn explicit_code(self) -> u64 {
         match self {
             Outcome::AbortExplicit(c) => c as u64,
             _ => 0,
         }
     }
 
-    fn from_codes(kind: u64, explicit: u8) -> Outcome {
+    pub(crate) fn from_codes(kind: u64, explicit: u8) -> Outcome {
         match kind {
             0 => Outcome::Commit,
             1 => Outcome::AbortConflict,
@@ -160,15 +173,7 @@ impl Outcome {
     }
 }
 
-const VALID_BIT: u64 = 1 << 63;
-const LATENCY_BITS: u32 = 42;
-const LATENCY_MASK: u64 = (1 << LATENCY_BITS) - 1;
-const ATTEMPT_SHIFT: u32 = LATENCY_BITS; // 42
-const EXPLICIT_SHIFT: u32 = ATTEMPT_SHIFT + 8; // 50
-const KIND_SHIFT: u32 = EXPLICIT_SHIFT + 8; // 58
-const PATH_SHIFT: u32 = KIND_SHIFT + 3; // 61
-
-/// One attempt-level event. See the module docs for the packed layout.
+/// One attempt-level event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptEvent {
     /// Path the attempt ran on.
@@ -178,41 +183,12 @@ pub struct AttemptEvent {
     /// Zero-based attempt index within the operation (saturates at 255).
     pub attempt: u8,
     /// Duration of the attempt's critical section, in the recorder's
-    /// latency unit (ns on hardware, cycles in the simulator). Saturates
-    /// at 2^42 - 1 (~73 min in ns).
+    /// latency unit (ns on hardware, cycles in the simulator); on the
+    /// lock path, the window the lock was held for.
     pub latency: u64,
 }
 
 impl AttemptEvent {
-    /// Packs the event into one `u64` with the valid bit set. An all-zero
-    /// word is never a valid event, so empty ring slots are
-    /// distinguishable without a separate occupancy map.
-    #[inline]
-    pub fn pack(self) -> u64 {
-        VALID_BIT
-            | ((self.path.index() as u64) << PATH_SHIFT)
-            | ((self.outcome.index() as u64) << KIND_SHIFT)
-            | (self.outcome.explicit_code() << EXPLICIT_SHIFT)
-            | ((self.attempt as u64) << ATTEMPT_SHIFT)
-            | self.latency.min(LATENCY_MASK)
-    }
-
-    /// Unpacks a word previously produced by [`Self::pack`]; `None` for a
-    /// never-written (valid-bit-clear) slot.
-    pub fn unpack(word: u64) -> Option<AttemptEvent> {
-        if word & VALID_BIT == 0 {
-            return None;
-        }
-        let kind = (word >> KIND_SHIFT) & 0x7;
-        let explicit = ((word >> EXPLICIT_SHIFT) & 0xff) as u8;
-        Some(AttemptEvent {
-            path: PathKind::ALL[((word >> PATH_SHIFT) as usize & 0x3).min(PATHS - 1)],
-            outcome: Outcome::from_codes(kind, explicit),
-            attempt: ((word >> ATTEMPT_SHIFT) & 0xff) as u8,
-            latency: word & LATENCY_MASK,
-        })
-    }
-
     /// JSON form for exports.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
@@ -259,6 +235,14 @@ pub enum AdaptAction {
 }
 
 impl AdaptAction {
+    /// Every action, in the packed record's code order.
+    pub const ALL: [AdaptAction; 4] = [
+        AdaptAction::Shrink,
+        AdaptAction::Grow,
+        AdaptAction::Collapse,
+        AdaptAction::Reenable,
+    ];
+
     /// Stable lowercase label used in JSON exports.
     pub fn label(self) -> &'static str {
         match self {
@@ -267,6 +251,11 @@ impl AdaptAction {
             AdaptAction::Collapse => "collapse",
             AdaptAction::Reenable => "reenable",
         }
+    }
+
+    /// The action for an export label (inverse of [`Self::label`]).
+    pub fn from_label(label: &str) -> Option<AdaptAction> {
+        Self::ALL.into_iter().find(|a| a.label() == label)
     }
 }
 
@@ -317,53 +306,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_round_trips_every_field() {
-        let cases = [
-            AttemptEvent {
-                path: PathKind::FastHtm,
-                outcome: Outcome::Commit,
-                attempt: 0,
-                latency: 0,
-            },
-            AttemptEvent {
-                path: PathKind::SlowHtm,
-                outcome: Outcome::AbortExplicit(6),
-                attempt: 4,
-                latency: 123_456_789,
-            },
-            AttemptEvent {
-                path: PathKind::Lock,
-                outcome: Outcome::Commit,
-                attempt: 255,
-                latency: LATENCY_MASK,
-            },
-            AttemptEvent {
-                path: PathKind::FastHtm,
-                outcome: Outcome::AbortSpurious,
-                attempt: 17,
-                latency: 1,
-            },
-        ];
-        for ev in cases {
-            assert_eq!(AttemptEvent::unpack(ev.pack()), Some(ev), "{ev:?}");
-        }
-    }
-
-    #[test]
-    fn latency_saturates_instead_of_corrupting() {
-        let ev = AttemptEvent {
-            path: PathKind::Lock,
-            outcome: Outcome::Commit,
-            attempt: 1,
-            latency: u64::MAX,
-        };
-        let back = AttemptEvent::unpack(ev.pack()).unwrap();
-        assert_eq!(back.latency, LATENCY_MASK);
-        assert_eq!(back.path, PathKind::Lock);
-        assert_eq!(back.attempt, 1);
-    }
-
-    #[test]
     fn labels_and_indexes_are_one_table() {
         for (i, p) in PathKind::ALL.into_iter().enumerate() {
             assert_eq!(p.index(), i);
@@ -377,8 +319,12 @@ mod tests {
             Outcome::from_label("explicit"),
             Some(Outcome::AbortExplicit(0))
         );
+        for a in AdaptAction::ALL {
+            assert_eq!(AdaptAction::from_label(a.label()), Some(a));
+        }
         assert_eq!(PathKind::from_label("bogus"), None);
         assert_eq!(Outcome::from_label("bogus"), None);
+        assert_eq!(AdaptAction::from_label("bogus"), None);
         let ev = AttemptEvent {
             path: PathKind::SlowHtm,
             outcome: Outcome::AbortExplicit(6),
@@ -386,11 +332,6 @@ mod tests {
             latency: 99,
         };
         assert_eq!(AttemptEvent::from_json(&ev.to_json()), Some(ev));
-    }
-
-    #[test]
-    fn zero_word_is_not_an_event() {
-        assert_eq!(AttemptEvent::unpack(0), None);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! an atomic read-modify-write, so threads beyond `LANES` share lanes at
 //! a cost in speed, never in exactness; a snapshot sums the lanes, and a
 //! telemetry window is the difference of two readings of them
-//! ([`crate::window`]). The lane's segments of the event and trace rings
-//! are [`crate::ring::Ring`]'s, selected by the same key.
+//! ([`crate::window`]). The lane's segment of the record ring is
+//! [`crate::ring::Ring`]'s, selected by the same key.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::{AttemptEvent, Outcome, EXPLICIT_CODES, OUTCOMES, PATHS};
+use crate::event::{AttemptEvent, Outcome, PathKind, EXPLICIT_CODES, OUTCOMES, PATHS};
 use crate::hist::Histogram;
 use crate::window::WindowCounts;
 
@@ -24,7 +24,8 @@ pub(crate) struct Lane {
     explicit: [AtomicU64; EXPLICIT_CODES],
     /// Critical-section latency of committed attempts.
     pub cs_latency: Histogram,
-    /// Time the fallback lock was held per acquisition.
+    /// Time the fallback lock was held per acquisition: the latency of
+    /// the lock path's commits.
     pub lock_hold: Histogram,
     /// Attempts needed before an operation committed (0 = first try).
     pub retries: Histogram,
@@ -47,8 +48,9 @@ impl Lane {
     }
 
     /// Counts one attempt event, once: the path's commit counter and the
-    /// critical-section and retry histograms on commit, the outcome's
-    /// abort counter (and the protocol code's) otherwise.
+    /// critical-section and retry histograms (and, under the lock, the
+    /// hold time) on commit, the outcome's abort counter (and the
+    /// protocol code's) otherwise.
     #[inline]
     pub fn count(&self, ev: AttemptEvent) {
         // ordering: monotonic statistics counters, no synchronization
@@ -58,6 +60,9 @@ impl Lane {
                 self.commits[ev.path.index()].fetch_add(1, Ordering::Relaxed);
                 self.cs_latency.record(ev.latency);
                 self.retries.record(ev.attempt as u64);
+                if ev.path == PathKind::Lock {
+                    self.lock_hold.record(ev.latency);
+                }
             }
             abort => {
                 self.aborts[abort.index()].fetch_add(1, Ordering::Relaxed);
@@ -87,7 +92,6 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PathKind;
     use rtle_htm::lanes::{Block, PerLane, BLOCK_BYTES, LANES};
 
     #[test]
@@ -103,24 +107,30 @@ mod tests {
     #[test]
     fn an_event_is_counted_once_on_the_lane_its_key_selects() {
         let lanes = PerLane::new(Lane::new);
-        let ev = |outcome| AttemptEvent {
-            path: PathKind::SlowHtm,
+        let on = |path, outcome| AttemptEvent {
+            path,
             outcome,
             attempt: 2,
             latency: 70,
         };
+        let ev = |outcome| on(PathKind::SlowHtm, outcome);
         lanes.of(3).count(ev(Outcome::Commit));
         lanes
             .of(3 + LANES as u64)
             .count(ev(Outcome::AbortExplicit(12)));
         lanes.of(4).count(ev(Outcome::AbortNested));
         let read: Vec<WindowCounts> = lanes.iter().map(Lane::read).collect();
-        assert_eq!(read[3].commits, [0, 1, 0]);
+        assert_eq!(read[3].commits, [0, 1, 0, 0]);
         assert_eq!(read[3].aborts, [0, 0, 0, 1, 0, 0, 0]);
         assert_eq!(read[3].explicit[12 % EXPLICIT_CODES], 1);
         assert_eq!(read[4].aborts[Outcome::AbortNested.index()], 1);
         assert_eq!(lanes.of(3).cs_latency.snapshot().count, 1);
         assert_eq!(lanes.of(3).retries.snapshot().buckets, [(2, 1)]);
+        assert_eq!(lanes.of(3).lock_hold.snapshot().count, 0);
+        // A commit under the lock is also a hold-time sample.
+        lanes.of(5).count(on(PathKind::Lock, Outcome::Commit));
+        assert_eq!(lanes.of(5).read().commits, [0, 0, 0, 1]);
+        assert_eq!(lanes.of(5).lock_hold.snapshot().buckets, [(70, 1)]);
         let untouched = read.iter().enumerate().filter(|&(i, _)| i != 3 && i != 4);
         assert!(untouched
             .into_iter()

@@ -4,30 +4,28 @@
 //! The paper's evaluation (§6.2.1) leans on "various lightweight
 //! statistics collected during execution" — per-path commit counts,
 //! abort composition, lock-hold time. This crate turns those one-off
-//! counters into a reusable pipeline with four pieces:
+//! counters into a reusable pipeline with these pieces:
 //!
-//! * **Attempt events** ([`AttemptEvent`]) — one record per retry-loop
-//!   pass (path, outcome, attempt index, critical-section latency),
-//!   packed into a single `u64` so recording is a tear-free relaxed
-//!   store, buffered in a lock-free ring ([`EventRing`], the one-word
-//!   instance of [`ring::Ring`]).
+//! * **The record** ([`Record`]) — one timestamped, two-word entry per
+//!   retry-loop pass ([`AttemptEvent`]: path, outcome, attempt index,
+//!   critical-section latency — with the recording thread and the start
+//!   time) and per holder instant (write-flag raise, epoch bump, adaptive
+//!   decision), in one lock-free ring ([`ring::Ring`]). The snapshot's
+//!   recent events, the watchdog's flight record and the Chrome
+//!   `trace_event` export that loads in Perfetto ([`trace`]) are readings
+//!   of it.
 //! * **Histograms** ([`Histogram`]) — log-linear (HDR-style) with atomic
 //!   buckets, for critical-section latency, lock-hold time, and retry
 //!   counts; snapshots sum across threads and subtract across time.
 //! * **Recorder** ([`Recorder`]) — one shared object absorbs everything
 //!   and produces schema-versioned [`ObsSnapshot`]s, exported as JSON
 //!   ([`ObsSnapshot::to_json`]) or scraped live (below). Everything a
-//!   recording thread writes — counters, histograms, its segments of the
-//!   event and trace rings — lives in the one lane its thread key
-//!   selects ([`rtle_htm::lanes::PerLane`]), on lines no other running
+//!   recording thread writes — counters, histograms, its segment of the
+//!   record ring — lives in the one lane its thread key selects ([`rtle_htm::lanes::PerLane`]), on lines no other running
 //!   thread writes.
 //! * **Decision tracing** ([`AdaptDecision`]) — each adaptive FG-TLE
 //!   resize/collapse/re-enable with the slow-commit/abort window signal
 //!   that triggered it.
-//! * **Causal tracing** ([`Tracer`], gated behind the `trace` feature) —
-//!   per-lane span buffers for critical sections, path transitions,
-//!   write-flag sets, epoch bumps and adaptive decisions, exported as
-//!   Chrome `trace_event` JSON loadable in Perfetto.
 //! * **Windowed telemetry** ([`WindowCollector`], [`TimeSeries`]) —
 //!   every N ms the difference between two readings of the recorder's
 //!   monotonic lanes becomes one [`WindowSnapshot`] (per-window
@@ -69,14 +67,16 @@ pub mod trace;
 pub mod watchdog;
 pub mod window;
 
-pub use event::{AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind};
+pub use event::{
+    commit_counters, AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind, PATHS,
+    PATH_LABELS,
+};
 pub use hist::{HistSnapshot, Histogram};
 pub use json::{parse as parse_json, Json};
 pub use live::LiveServer;
 pub use recorder::{ObsConfig, ObsSnapshot, Recorder, SCHEMA_VERSION};
-pub use ring::EventRing;
 pub use registry::{LiveSource, MetricsRegistry, SourceSnapshot, SCRAPE_WINDOW_TAIL};
-pub use trace::{TraceKind, TraceRecord, Tracer};
+pub use trace::{Record, RecordKind};
 pub use watchdog::{
     flight_record, CollapseEvent, CollapseKind, Watchdog, WatchdogConfig, WatchdogLive,
 };

@@ -1,28 +1,31 @@
-//! The [`Recorder`]: one object that absorbs attempt events, latency
-//! samples, and adaptive-policy decisions, and produces schema-versioned
-//! [`ObsSnapshot`]s (exported as JSON by every `--json` tool and served
-//! live through [`crate::registry`]).
+//! The [`Recorder`]: one object that absorbs timestamped records
+//! (attempts and holder instants), latency samples, and adaptive-policy
+//! decisions, and produces schema-versioned [`ObsSnapshot`]s (exported as
+//! JSON by every `--json` tool and served live through
+//! [`crate::registry`]).
 //!
 //! A recorder is shared behind an `Arc`: the lock runtime (or the
 //! simulator) holds one and feeds it from the hot path; the harness
 //! snapshots it at any time. Everything on the recording side is
 //! lock-free, `Relaxed`, and lands in the recording thread's own lane
 //! (`lane.rs`) — a handful of fetch-adds on lines no other running
-//! thread writes, and one ring store per *sampled* operation — except
-//! decision tracing, which is a mutex-guarded `Vec` because decisions
-//! happen at most once per adaptation window and always under the elided
-//! lock.
+//! thread writes, and one two-word ring store per *sampled* attempt —
+//! except the full decision list, which is a mutex-guarded `Vec` because
+//! decisions happen at most once per adaptation window and always under
+//! the elided lock.
 
 use std::sync::{Arc, Mutex};
 
 use rtle_htm::lanes::PerLane;
 
-use crate::event::{AdaptAction, AdaptDecision, AttemptEvent, OUTCOME_LABELS, PATH_LABELS};
+use crate::event::{
+    commit_counters, AdaptAction, AdaptDecision, AttemptEvent, OUTCOME_LABELS, PATH_LABELS,
+};
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 use crate::lane::Lane;
-use crate::ring::EventRing;
-use crate::trace::{TraceKind, Tracer};
+use crate::ring::Ring;
+use crate::trace::{Record, RecordKind};
 use crate::window::{WindowCollector, WindowCounts, WindowSnapshot};
 
 /// Version stamped into every exported snapshot. Bump on any
@@ -30,12 +33,22 @@ use crate::window::{WindowCollector, WindowCounts, WindowSnapshot};
 ///
 /// History: v1 = cumulative counters/histograms only; v2 added the
 /// `windows` time series (and the windowed-telemetry documents built on
-/// it). See the [`crate::json`] module docs for the migration policy.
+/// it). The software rung's `stm` entry in per-path commit maps arrived
+/// without a bump: a v2 document written before it reads back with zero
+/// `stm` commits. See the [`crate::json`] module docs for the migration
+/// policy.
 pub const SCHEMA_VERSION: u64 = 2;
 
+/// Record slots per lane: 16 KiB a lane, 256 KiB a recorder, which reads
+/// as +0.2 MB (0.6 %) on `shard_batch`'s 33 MB `peak_rss_mb` against the
+/// 64 KiB of the one-word ring this replaced. The per-record cost does not
+/// depend on it (256 slots measured the same); 1024 attempts are several
+/// lock-holder spans' worth of context on every thread's track.
+pub const RING_SLOTS: usize = 1024;
+
 /// Static configuration for a [`Recorder`]. How many threads record is
-/// not part of it: the lanes and ring sizes are constants
-/// ([`rtle_htm::lanes::LANES`], [`EventRing`], [`Tracer`]).
+/// not part of it: the lanes and the ring size are constants
+/// ([`rtle_htm::lanes::LANES`], [`RING_SLOTS`]).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Sample 1 in `2^sample_shift` operations for event/histogram
@@ -63,16 +76,16 @@ impl Default for ObsConfig {
     }
 }
 
-/// Collects attempt events, latency histograms, and adaptive decisions.
-/// See the module docs.
+/// Collects timestamped records, latency histograms, and adaptive
+/// decisions. See the module docs.
 pub struct Recorder {
     cfg: ObsConfig,
     sample_mask: u64,
     /// Everything the recording threads count, one lane per thread.
     lanes: Arc<PerLane<Lane>>,
-    ring: EventRing,
+    /// Everything they stamp: the one record stream ([`crate::trace`]).
+    ring: Ring<2, RING_SLOTS>,
     decisions: Mutex<Vec<AdaptDecision>>,
-    tracer: Tracer,
     windows: Option<WindowCollector>,
 }
 
@@ -94,9 +107,8 @@ impl Recorder {
         let lanes = Arc::new(PerLane::new(Lane::new));
         Recorder {
             sample_mask: (1u64 << cfg.sample_shift.min(63)) - 1,
-            ring: EventRing::new(),
+            ring: Ring::new(),
             decisions: Mutex::new(Vec::new()),
-            tracer: Tracer::new(),
             windows: (cfg.window_len_ms > 0).then(|| {
                 WindowCollector::over(Arc::clone(&lanes), cfg.window_len_ms, cfg.window_series_cap)
             }),
@@ -110,12 +122,6 @@ impl Recorder {
     /// through this.
     pub fn windows(&self) -> Option<&WindowCollector> {
         self.windows.as_ref()
-    }
-
-    /// The recorder's causal tracer (inert unless the `trace` feature is
-    /// on — see [`crate::trace`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The recorder's configuration.
@@ -132,13 +138,23 @@ impl Recorder {
         self.sample_mask + 1
     }
 
-    /// Records one attempt event on the lane `thread_key` selects: counts
-    /// it once (windows are cut from the same counters, not fed a copy)
-    /// and publishes the packed event to the lane's ring segment.
+    /// Records one thing that happened at `ts` (an attempt's start, an
+    /// instant's time; the recorder's latency unit, on the process epoch
+    /// for real time) on the lane `thread_key` selects: an attempt is
+    /// counted once (windows are cut from the same counters, not fed a
+    /// copy), and the packed record goes to the lane's ring segment.
     #[inline]
-    pub fn record_attempt(&self, thread_key: u64, ev: AttemptEvent) {
-        self.lanes.of(thread_key).count(ev);
-        self.ring.push(thread_key, |_| [ev.pack()]);
+    pub fn record(&self, thread_key: u64, ts: u64, kind: RecordKind) {
+        if let RecordKind::Attempt(ev) = kind {
+            self.lanes.of(thread_key).count(ev);
+        }
+        let rec = Record {
+            tid: Record::tid_of(thread_key),
+            ts,
+            kind,
+        };
+        self.ring
+            .push(thread_key, |generation| rec.pack(generation));
     }
 
     /// Records one end-to-end operation latency for the telemetry
@@ -154,41 +170,38 @@ impl Recorder {
         }
     }
 
-    /// Records how long the fallback lock was held, in the recorder's
-    /// latency unit, on the calling thread's lane.
-    #[inline]
-    pub fn record_lock_hold(&self, duration: u64) {
-        self.lanes
-            .of(rtle_htm::thread_token())
-            .lock_hold
-            .record(duration);
-    }
-
-    /// Appends an adaptive-policy decision to the trace, stamped with the
-    /// tracer's current clock.
+    /// Appends an adaptive-policy decision to the decision list, stamped
+    /// now on the process epoch.
     pub fn record_decision(&self, d: AdaptDecision) {
-        let ts = self.tracer.now();
-        self.record_decision_at(d, ts);
+        self.record_decision_at(d, crate::epoch::now_ns());
     }
 
     /// Appends an adaptive-policy decision with an explicit timestamp in
     /// the recorder's latency unit (the simulator passes its sim clock),
-    /// and mirrors it onto the causal-trace timeline as a process-scoped
-    /// instant (`arg` = the post-decision orec count).
+    /// and puts it on the record timeline as a process-scoped instant
+    /// carrying the post-decision orec count.
     pub fn record_decision_at(&self, d: AdaptDecision, ts: u64) {
-        let kind = match d.action {
-            AdaptAction::Shrink => TraceKind::AdaptShrink,
-            AdaptAction::Grow => TraceKind::AdaptGrow,
-            AdaptAction::Collapse => TraceKind::AdaptCollapse,
-            AdaptAction::Reenable => TraceKind::AdaptReenable,
-        };
-        self.tracer.instant_at(0, kind, ts, d.orecs_after);
+        self.record(0, ts, RecordKind::Adapt(d.action, d.orecs_after));
         self.decisions.lock().unwrap().push(d);
     }
 
     /// The decisions traced so far.
     pub fn decisions(&self) -> Vec<AdaptDecision> {
         self.decisions.lock().unwrap().clone()
+    }
+
+    /// Total records published to the ring — attempts and instants
+    /// (monotone; includes overwritten ones).
+    pub fn pushed(&self) -> u64 {
+        self.ring.pushed()
+    }
+
+    /// The resident records, sorted by time. Racy with concurrent
+    /// recording (torn slots are discarded — [`crate::trace`]).
+    pub fn records(&self) -> Vec<Record> {
+        let mut out: Vec<Record> = self.ring.resident().filter_map(Record::unpack).collect();
+        out.sort_by_key(|r| (r.ts, r.tid));
+        out
     }
 
     /// The event counters summed over the lanes.
@@ -225,11 +238,11 @@ impl Recorder {
             lock_hold: self.hist(|l| l.lock_hold.snapshot()),
             retries: self.hist(|l| l.retries.snapshot()),
             decisions: self.decisions(),
-            events_recorded: self.ring.pushed(),
+            events_recorded: counts.attempts(),
             recent_events: self
                 .ring
                 .resident()
-                .filter_map(|[word]| AttemptEvent::unpack(word))
+                .filter_map(|words| Record::unpack(words)?.attempt())
                 .collect(),
             windows: self
                 .windows
@@ -246,10 +259,7 @@ impl Recorder {
 impl crate::registry::LiveSource for Recorder {
     fn live_snapshot(&self) -> crate::registry::SourceSnapshot {
         let counts = self.counts();
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        for (label, n) in PATH_LABELS.iter().zip(counts.commits) {
-            counters.push((format!("commits_{label}"), n));
-        }
+        let mut counters: Vec<(String, u64)> = commit_counters(counts.commits).collect();
         for (label, n) in OUTCOME_LABELS.iter().zip(counts.aborts).skip(1) {
             counters.push((format!("aborts_{label}"), n));
         }
@@ -258,7 +268,7 @@ impl crate::registry::LiveSource for Recorder {
                 counters.push((format!("explicit_code_{c}"), n));
             }
         }
-        counters.push(("events_recorded".into(), self.ring.pushed()));
+        counters.push(("events_recorded".into(), counts.attempts()));
         let cs = self.hist(|l| l.cs_latency.snapshot());
         let hold = self.hist(|l| l.lock_hold.snapshot());
         counters.push(("cs_latency_count".into(), cs.count));
@@ -316,9 +326,11 @@ pub struct ObsSnapshot {
     pub retries: HistSnapshot,
     /// Adaptive-policy decision trace, oldest first.
     pub decisions: Vec<AdaptDecision>,
-    /// Total events pushed to the ring (monotone, includes overwritten).
+    /// Total attempt events recorded (monotone; the ring keeps only the
+    /// most recent of them).
     pub events_recorded: u64,
-    /// Events resident in the ring at snapshot time.
+    /// Attempt events resident in the ring at snapshot time, lane by lane
+    /// and oldest first within a lane.
     pub recent_events: Vec<AttemptEvent>,
     /// Closed telemetry windows (oldest first); empty when the recorder
     /// was configured without a window collector. Schema v2.
@@ -402,13 +414,7 @@ impl ObsSnapshot {
             }
         }
         fn decision(j: &Json) -> Option<AdaptDecision> {
-            let action = match j.get("action")?.as_str()? {
-                "shrink" => AdaptAction::Shrink,
-                "grow" => AdaptAction::Grow,
-                "collapse" => AdaptAction::Collapse,
-                "reenable" => AdaptAction::Reenable,
-                _ => return None,
-            };
+            let action = AdaptAction::from_label(j.get("action")?.as_str()?)?;
             let hot_slot = match (j.get("hot_slot"), j.get("hot_slot_conflicts")) {
                 (Some(s), Some(c)) => Some((s.as_u64()?, c.as_u64()?)),
                 _ => None,
@@ -468,13 +474,22 @@ mod tests {
     use super::*;
     use crate::event::{Outcome, PathKind};
 
-    fn commit(path: PathKind, attempt: u8, latency: u64) -> AttemptEvent {
-        AttemptEvent {
+    fn commit(path: PathKind, attempt: u8, latency: u64) -> RecordKind {
+        RecordKind::Attempt(AttemptEvent {
             path,
             outcome: Outcome::Commit,
             attempt,
             latency,
-        }
+        })
+    }
+
+    fn abort(path: PathKind, outcome: Outcome, attempt: u8) -> RecordKind {
+        RecordKind::Attempt(AttemptEvent {
+            path,
+            outcome,
+            attempt,
+            latency: 0,
+        })
     }
 
     #[test]
@@ -490,19 +505,11 @@ mod tests {
     #[test]
     fn counters_and_histograms_populate() {
         let r = Recorder::new(ObsConfig::default());
-        r.record_attempt(0, commit(PathKind::FastHtm, 0, 100));
-        r.record_attempt(0, commit(PathKind::FastHtm, 2, 300));
-        r.record_attempt(
-            0,
-            AttemptEvent {
-                path: PathKind::SlowHtm,
-                outcome: Outcome::AbortExplicit(4),
-                attempt: 1,
-                latency: 0,
-            },
-        );
-        r.record_attempt(0, commit(PathKind::Lock, 3, 9_000));
-        r.record_lock_hold(8_500);
+        r.record(0, 0, commit(PathKind::FastHtm, 0, 100));
+        r.record(0, 0, commit(PathKind::FastHtm, 2, 300));
+        r.record(0, 0, abort(PathKind::SlowHtm, Outcome::AbortExplicit(4), 1));
+        r.record(0, 0, commit(PathKind::Lock, 3, 9_000));
+        r.record(0, 9_000, RecordKind::EpochBump(7));
         let s = r.snapshot();
         assert_eq!(s.total_commits(), 3);
         assert_eq!(s.total_aborts(), 1);
@@ -511,14 +518,107 @@ mod tests {
             vec![
                 ("fast_htm".to_string(), 2),
                 ("lock".to_string(), 1),
-                ("slow_htm".to_string(), 0)
+                ("slow_htm".to_string(), 0),
+                ("stm".to_string(), 0)
             ]
         );
         assert_eq!(s.explicit_codes, vec![(4, 1)]);
         assert_eq!(s.cs_latency.count, 3);
         assert_eq!(s.retries.count, 3);
-        assert_eq!(s.lock_hold.count, 1);
-        assert_eq!(s.recent_events.len(), 4);
+        assert_eq!(
+            (s.lock_hold.count, s.lock_hold.max),
+            (1, 9_000),
+            "a lock-path commit is the hold-time sample"
+        );
+        assert_eq!(s.recent_events.len(), 4, "instants are not attempt events");
+        assert_eq!((s.events_recorded, r.pushed()), (4, 5));
+    }
+
+    #[test]
+    fn records_come_back_timestamped_and_in_time_order() {
+        let r = Recorder::new(ObsConfig::default());
+        r.record(3, 1_000, commit(PathKind::Lock, 0, 500));
+        r.record(4, 1_100, commit(PathKind::SlowHtm, 0, 50));
+        r.record(3, 1_500, RecordKind::EpochBump(7));
+        r.record_decision_at(
+            AdaptDecision {
+                action: AdaptAction::Grow,
+                orecs_before: 64,
+                orecs_after: 128,
+                slow_commits: 2,
+                slow_aborts: 11,
+                hot_slot: None,
+            },
+            1_200,
+        );
+        let records = r.records();
+        let seen: Vec<(u16, u64, &str)> =
+            records.iter().map(|r| (r.tid, r.ts, r.label())).collect();
+        assert_eq!(
+            seen,
+            [
+                (3, 1_000, "lock_held"),
+                (4, 1_100, "slow_commit"),
+                (0, 1_200, "adapt_grow"),
+                (3, 1_500, "epoch_bump"),
+            ]
+        );
+        assert_eq!(records[0].dur(), 500);
+        assert_eq!(records[2].kind, RecordKind::Adapt(AdaptAction::Grow, 128));
+        assert_eq!(r.pushed(), 4);
+    }
+
+    #[test]
+    fn record_decision_stamps_the_process_epoch() {
+        // Pin the epoch well before the recorder exists: a stamp taken on
+        // a private epoch would land near zero.
+        let pinned = crate::epoch::now_ns();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let r = Recorder::new(ObsConfig::default());
+        let before = crate::epoch::now_ns();
+        assert!(before >= pinned + 20_000_000);
+        r.record_decision(AdaptDecision {
+            action: AdaptAction::Collapse,
+            orecs_before: 1,
+            orecs_after: 1,
+            slow_commits: 0,
+            slow_aborts: 0,
+            hot_slot: None,
+        });
+        let ts = r.records()[0].ts;
+        assert!(
+            ts >= before && ts <= crate::epoch::now_ns(),
+            "stamped at {ts}"
+        );
+    }
+
+    #[test]
+    fn the_lane_comes_from_the_full_key_and_the_stored_id_wraps() {
+        // Keys past the 10-bit id field — a process that has spawned more
+        // than 1023 threads — still record on their own lanes (8 and 1),
+        // under distinct ids.
+        let r = Recorder::new(ObsConfig::default());
+        for i in 0..RING_SLOTS as u64 + 5 {
+            r.record(5_000, i, commit(PathKind::FastHtm, 0, 1));
+        }
+        r.record(6_001, 9_999_999, commit(PathKind::SlowHtm, 0, 1));
+        let lane_of = |tid: u16| {
+            let slot = r
+                .ring
+                .resident()
+                .position(|w| Record::unpack(w).is_some_and(|rec| rec.tid == tid));
+            slot.expect("recorded") / RING_SLOTS
+        };
+        assert_eq!(lane_of(Record::tid_of(5_000)), 8);
+        assert_eq!(lane_of(Record::tid_of(6_001)), 1);
+        let records = r.records();
+        assert_eq!(
+            records.len(),
+            RING_SLOTS + 1,
+            "one full segment of key 5000, and key 6001's record beside it"
+        );
+        assert_eq!(records[0].ts, 5, "a lane keeps its most recent records");
+        assert_eq!(records.last().unwrap().tid, 6_001 % 1_024);
     }
 
     #[test]
@@ -528,18 +628,10 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..200u64 {
-            r.record_attempt(i % 4, commit(PathKind::FastHtm, (i % 3) as u8, i * 13));
+            r.record(i % 4, 0, commit(PathKind::FastHtm, (i % 3) as u8, i * 13));
         }
-        r.record_attempt(
-            1,
-            AttemptEvent {
-                path: PathKind::SlowHtm,
-                outcome: Outcome::AbortConflict,
-                attempt: 0,
-                latency: 0,
-            },
-        );
-        r.record_lock_hold(4_000);
+        r.record(1, 0, abort(PathKind::SlowHtm, Outcome::AbortConflict, 0));
+        r.record(2, 0, commit(PathKind::Lock, 5, 4_000));
         r.record_decision(AdaptDecision {
             action: AdaptAction::Grow,
             orecs_before: 64,
@@ -569,7 +661,7 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..40u64 {
-            r.record_attempt(i % 2, commit(PathKind::FastHtm, 0, 100));
+            r.record(i % 2, 0, commit(PathKind::FastHtm, 0, 100));
             r.record_op_latency(i % 2, 1_000 + i * 10);
         }
         let rot = r.windows().expect("collector configured").rotate();
@@ -600,7 +692,7 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..32u64 {
-            r.record_attempt(0, commit(PathKind::FastHtm, 0, 100 + i));
+            r.record(0, 0, commit(PathKind::FastHtm, 0, 100 + i));
             r.record_op_latency(0, 500);
         }
         r.windows().unwrap().rotate();
@@ -646,17 +738,9 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
                         if i % 5 == 4 {
-                            r.record_attempt(
-                                t,
-                                AttemptEvent {
-                                    path: PathKind::SlowHtm,
-                                    outcome: Outcome::AbortConflict,
-                                    attempt: 0,
-                                    latency: 0,
-                                },
-                            );
+                            r.record(t, 0, abort(PathKind::SlowHtm, Outcome::AbortConflict, 0));
                         } else {
-                            r.record_attempt(t, commit(PathKind::FastHtm, 1, i % 1_000));
+                            r.record(t, 0, commit(PathKind::FastHtm, 1, i % 1_000));
                         }
                     }
                 })
@@ -697,29 +781,25 @@ mod tests {
         });
         for key in 0..36u64 {
             for i in 0..=key {
-                r.record_attempt(key, commit(PathKind::SlowHtm, (i % 4) as u8, 10 * key + i));
+                r.record(
+                    key,
+                    0,
+                    commit(PathKind::SlowHtm, (i % 4) as u8, 10 * key + i),
+                );
                 r.record_op_latency(key, 1_000 + key);
             }
-            r.record_attempt(
+            r.record(
                 key,
-                AttemptEvent {
-                    path: PathKind::FastHtm,
-                    outcome: Outcome::AbortExplicit(key as u8),
-                    attempt: 0,
-                    latency: 0,
-                },
+                0,
+                abort(PathKind::FastHtm, Outcome::AbortExplicit(key as u8), 0),
             );
-            r.record_lock_hold(key);
         }
         let ops: u64 = (1..=36).sum();
         let s = r.snapshot();
         assert_eq!(s.total_commits(), ops);
         assert_eq!(s.total_aborts(), 36);
         assert_eq!(s.explicit_codes.iter().map(|&(_, n)| n).sum::<u64>(), 36);
-        assert_eq!(
-            (s.cs_latency.count, s.retries.count, s.lock_hold.count),
-            (ops, ops, 36)
-        );
+        assert_eq!((s.cs_latency.count, s.retries.count), (ops, ops));
         assert_eq!(
             s.cs_latency.max,
             10 * 35 + 35,

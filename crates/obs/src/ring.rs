@@ -1,7 +1,7 @@
 //! A lock-free, bounded ring of packed records, one segment per lane.
 //!
-//! The hot path pushes one record per sampled attempt (one word) or trace
-//! span (two words); the ring must never block, allocate, or serialize
+//! The hot path pushes one record per sampled attempt (and one per
+//! holder instant); the ring must never block, allocate, or serialize
 //! writers. [`Ring<W, N>`] is [`rtle_htm::lanes::LANES`] segments of `N`
 //! slots of `W` words, each segment — wrapping cursor and slots — alone
 //! in its own [`rtle_htm::lanes::Block`]s: a writer claims a slot of its
@@ -11,12 +11,10 @@
 //! happened" diagnostics.
 //!
 //! Reads are racy by design. Word 0 of a record carries a valid bit and is
-//! stored **last**, so a one-word record ([`crate::event::AttemptEvent`])
-//! reads back complete or empty, never torn; a wider record
-//! ([`crate::trace::TraceRecord`]) additionally packs the slot's
-//! *generation* — how often the segment had wrapped when the slot was
-//! claimed, handed to the packing closure — into every word, and its
-//! decoder rejects a slot whose words disagree.
+//! stored **last**, and the record ([`crate::trace::Record`], two words)
+//! packs the slot's *generation* — how often the segment had wrapped when
+//! the slot was claimed, handed to the packing closure — into every word;
+//! its decoder rejects a slot whose words disagree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,10 +30,6 @@ struct Segment<const W: usize, const N: usize> {
 pub struct Ring<const W: usize, const N: usize> {
     lanes: PerLane<Segment<W, N>>,
 }
-
-/// The recorder's attempt-event ring: one-word records, 8192 slots over
-/// the 16 lanes.
-pub type EventRing = Ring<1, 512>;
 
 impl<const W: usize, const N: usize> Ring<W, N> {
     const MASK: usize = {
@@ -123,8 +117,9 @@ mod tests {
             .then_some(slot[0] & ((1 << 48) - 1))
     }
 
-    fn keeps_most_recent_when_overflowing<const W: usize>() {
-        let ring = Ring::<W, 8>::new();
+    #[test]
+    fn keeps_the_most_recent_records_when_overflowing() {
+        let ring = Ring::<2, 8>::new();
         for i in 0..20u64 {
             ring.push(3, |g| words(g, i));
         }
@@ -137,8 +132,9 @@ mod tests {
         assert_eq!(ring.resident().count(), 8 * LANES, "every slot is visited");
     }
 
-    fn concurrent_pushes_never_tear<const W: usize>() {
-        let ring = Arc::new(Ring::<W, 64>::new());
+    #[test]
+    fn concurrent_pushes_never_yield_torn_records() {
+        let ring = Arc::new(Ring::<2, 64>::new());
         let threads: Vec<_> = (0..8u64)
             .map(|t| {
                 let ring = Arc::clone(&ring);
@@ -166,24 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn both_slot_widths_keep_the_most_recent_records() {
-        keeps_most_recent_when_overflowing::<1>();
-        keeps_most_recent_when_overflowing::<2>();
-    }
-
-    #[test]
-    fn both_slot_widths_never_yield_torn_records() {
-        concurrent_pushes_never_tear::<1>();
-        concurrent_pushes_never_tear::<2>();
-    }
-
-    #[test]
     fn partial_fill_returns_only_written() {
-        let ring = EventRing::new();
-        ring.push(1, |_| [VALID | 77]);
-        ring.push(2, |_| [VALID | 99]);
-        let written: Vec<[u64; 1]> = ring.resident().filter(|w| w[0] != 0).collect();
-        assert_eq!(written, [[VALID | 77], [VALID | 99]]);
+        let ring = Ring::<2, 8>::new();
+        ring.push(1, |_| [VALID | 77, 1]);
+        ring.push(2, |_| [VALID | 99, 2]);
+        let written: Vec<[u64; 2]> = ring.resident().filter(|w| w[0] != 0).collect();
+        assert_eq!(written, [[VALID | 77, 1], [VALID | 99, 2]]);
     }
 
     #[test]

@@ -411,16 +411,17 @@ mod tests {
     use crate::window::WindowCounts;
 
     /// Builds a window snapshot the way a rotator would have produced
-    /// it from live counters: per-path commits, conflict + explicit
-    /// aborts, and a flat latency distribution at `lat_ns`.
+    /// it from live counters: fast / slow / lock commits, conflict +
+    /// explicit aborts, and a flat latency distribution at `lat_ns`.
     fn window(
         index: u64,
         len_ms: u64,
-        commits: [u64; 3],
+        [fast, slow, lock]: [u64; 3],
         conflicts: u64,
         orec_explicit: u64,
         lat_ns: u64,
     ) -> WindowSnapshot {
+        let commits = [fast, slow, 0, lock];
         let total_ops = commits.iter().sum::<u64>();
         let mut aborts = [0u64; 7];
         aborts[1] = conflicts; // conflict
@@ -608,14 +609,15 @@ mod tests {
         windows.push(collapsed);
 
         let r = Recorder::new(ObsConfig::default());
-        r.record_attempt(
+        r.record(
             0,
-            crate::event::AttemptEvent {
+            0,
+            crate::RecordKind::Attempt(crate::event::AttemptEvent {
                 path: crate::event::PathKind::Lock,
                 outcome: crate::event::Outcome::Commit,
                 attempt: 7,
                 latency: 1_000_000,
-            },
+            }),
         );
         let doc = flight_record(&trigger, &windows, &r.snapshot());
         let text = doc.to_string_pretty();

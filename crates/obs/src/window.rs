@@ -89,6 +89,11 @@ impl WindowCounts {
     pub fn total_aborts(&self) -> u64 {
         self.aborts.iter().sum()
     }
+
+    /// Total attempts: every one committed or aborted.
+    pub fn attempts(&self) -> u64 {
+        self.total_commits() + self.total_aborts()
+    }
 }
 
 /// One closed window: its counts plus its position on the timeline.
@@ -202,7 +207,13 @@ impl WindowSnapshot {
         fn labelled<const N: usize>(j: &Json, labels: &[&str], off: usize) -> Option<[u64; N]> {
             let mut out = [0u64; N];
             for (i, &l) in labels.iter().enumerate().skip(off) {
-                out[i] = j.get(l)?.as_u64()?;
+                out[i] = match j.get(l) {
+                    Some(n) => n.as_u64()?,
+                    // A v2 document written before the software rung was
+                    // a path: its recorder counted no commits there.
+                    None if l == crate::PathKind::Stm.label() => 0,
+                    None => return None,
+                };
             }
             Some(out)
         }
@@ -430,7 +441,7 @@ mod tests {
         c.record_latency(0, 100);
         let w1 = c.rotate().merged;
         assert_eq!(w1.index, 0);
-        assert_eq!(w1.counts.commits, [1, 0, 0]);
+        assert_eq!(w1.counts.commits, [1, 0, 0, 0]);
         assert_eq!(w1.ops(), 1);
 
         c.record_attempt(1, commit(PathKind::Lock, 20));
@@ -445,7 +456,7 @@ mod tests {
         );
         let w2 = c.rotate().merged;
         assert_eq!(w2.index, 1);
-        assert_eq!(w2.counts.commits, [0, 0, 1]);
+        assert_eq!(w2.counts.commits, [0, 0, 0, 1]);
         assert_eq!(w2.explicit_aborts(4), 1);
         assert_eq!(w2.fallback_rate(), 1.0);
         assert_eq!(c.series().len(), 2);
@@ -488,7 +499,11 @@ mod tests {
                 c.record_latency(key, 100 * (key + round) + 7);
             }
             let w = c.rotate().merged;
-            assert_eq!(w.counts.commits, [0, 36, 0], "round {round} counted once");
+            assert_eq!(
+                w.counts.commits,
+                [0, 36, 0, 0],
+                "round {round} counted once"
+            );
             assert_eq!(w.ops(), 36);
             assert_eq!(
                 w.counts.latency.max,
@@ -592,6 +607,18 @@ mod tests {
             WindowSnapshot::from_json(&crate::json::parse(&text).unwrap()).expect("round-trip");
         assert_eq!(back, w);
         assert_eq!(back.latency_p(0.999), w.latency_p(0.999));
+
+        // A v2 document from before the software rung was a path has no
+        // `stm` entry; it still reads, with zero commits there.
+        let mut old = w.to_json();
+        let Json::Obj(fields) = &mut old else {
+            panic!("a window is an object")
+        };
+        let Some(Json::Obj(commits)) = fields.get_mut("commits") else {
+            panic!("with a commits map")
+        };
+        assert_eq!(commits.remove("stm"), Some(Json::UInt(0)));
+        assert_eq!(WindowSnapshot::from_json(&old), Some(w));
     }
 
     #[test]

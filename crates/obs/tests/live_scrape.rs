@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use rtle_obs::{
     AttemptEvent, Histogram, Json, LiveServer, LiveSource, MetricsRegistry, ObsConfig, Outcome,
-    PathKind, Recorder, SourceSnapshot, WindowCounts, WindowSnapshot,
+    PathKind, RecordKind, Recorder, SourceSnapshot, WindowCounts, WindowSnapshot,
 };
 
 fn golden_path() -> PathBuf {
@@ -202,14 +202,15 @@ fn eight_writers_scrape_under_load_loses_nothing_and_never_blocks() {
             let rec = Arc::clone(&rec);
             scope.spawn(move || {
                 for i in 0..OPS_PER_WRITER {
-                    rec.record_attempt(
+                    rec.record(
                         t,
-                        AttemptEvent {
+                        i,
+                        RecordKind::Attempt(AttemptEvent {
                             path: PathKind::FastHtm,
                             outcome: Outcome::Commit,
                             attempt: 0,
                             latency: i & 0xffff,
-                        },
+                        }),
                     );
                 }
             });

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use rtle_htm::lanes::LANES;
 use rtle_obs::window::WindowCounts;
 use rtle_obs::{
-    AttemptEvent, HistSnapshot, Histogram, ObsConfig, Outcome, PathKind, Recorder, WindowCollector,
+    AttemptEvent, HistSnapshot, Histogram, ObsConfig, Outcome, PathKind, RecordKind, Recorder,
+    WindowCollector,
 };
 
 const WRITERS: u64 = 8;
@@ -79,7 +80,7 @@ fn no_samples_lost_across_rotations() {
                             latency: i % 512,
                         }
                     };
-                    rec.record_attempt(t, ev);
+                    rec.record(t, i, RecordKind::Attempt(ev));
                     let latency = 100 + (i * 7 + t) % 10_000;
                     rec.record_op_latency(t, latency);
                     truth.record(latency);
@@ -116,7 +117,7 @@ fn no_samples_lost_across_rotations() {
         all.latency.count, total_ops,
         "lost or duplicated latency samples across {rotations} live rotations"
     );
-    assert_eq!(all.commits, [total_ops / 5 * 4, 0, 0], "lost commits");
+    assert_eq!(all.commits, [total_ops / 5 * 4, 0, 0, 0], "lost commits");
     assert_eq!(all.aborts[3], total_ops / 5, "lost explicit aborts");
     assert_eq!(all.explicit[4], total_ops / 5, "lost explicit-code counts");
     assert!(

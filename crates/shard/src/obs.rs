@@ -9,7 +9,9 @@ use std::sync::Arc;
 
 use rtle_core::StatsSnapshot;
 use rtle_htm::{HtmBackend, TxWord};
-use rtle_obs::{Json, LiveSource, MetricsRegistry, SourceSnapshot, SCHEMA_VERSION};
+use rtle_obs::{
+    commit_counters, Json, LiveSource, MetricsRegistry, SourceSnapshot, SCHEMA_VERSION,
+};
 
 use crate::sharded::ShardedTxMap;
 
@@ -203,23 +205,23 @@ where
     fn live_snapshot(&self) -> SourceSnapshot {
         let report = self.report();
         let m = &report.merged;
+        let mut counters = vec![
+            ("shards".into(), self.shard_count() as u64),
+            ("ops".into(), m.ops),
+        ];
+        counters.extend(commit_counters(m.commits()));
+        counters.extend([
+            ("aborts_fast".into(), m.fast_aborts),
+            ("aborts_slow".into(), m.slow_aborts),
+            ("routed_total".into(), report.routed.iter().sum()),
+            (
+                "heat_conflicts_total".into(),
+                report.heat_conflicts.iter().sum(),
+            ),
+        ]);
         SourceSnapshot {
             kind: "shard_map",
-            counters: vec![
-                ("shards".into(), self.shard_count() as u64),
-                ("ops".into(), m.ops),
-                ("commits_fast_htm".into(), m.fast_commits),
-                ("commits_slow_htm".into(), m.slow_commits),
-                ("commits_stm".into(), m.stm_commits),
-                ("commits_lock".into(), m.lock_acquisitions),
-                ("aborts_fast".into(), m.fast_aborts),
-                ("aborts_slow".into(), m.slow_aborts),
-                ("routed_total".into(), report.routed.iter().sum()),
-                (
-                    "heat_conflicts_total".into(),
-                    report.heat_conflicts.iter().sum(),
-                ),
-            ],
+            counters,
             gauges: vec![
                 ("load_imbalance".into(), report.load_imbalance()),
                 ("abort_imbalance".into(), report.abort_imbalance()),
@@ -373,8 +375,10 @@ mod tests {
         assert_eq!(counter("ops"), 150);
         assert_eq!(counter("shards"), 4);
         assert_eq!(counter("routed_total"), 150);
-        let commits =
-            counter("commits_fast_htm") + counter("commits_slow_htm") + counter("commits_lock");
+        let commits: u64 = rtle_obs::PATH_LABELS
+            .iter()
+            .map(|path| counter(&format!("commits_{path}")))
+            .sum();
         assert_eq!(commits, 150, "every insert committed on exactly one path");
         assert!(
             map_src.gauges.iter().any(|(k, _)| k == "load_imbalance"),

@@ -44,8 +44,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rtle_core::abort_codes;
+use rtle_core::adaptive::{Adaptation, WINDOW as ADAPT_WINDOW};
 use rtle_htm::hash::fast_hash;
-use rtle_obs::{AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind, Recorder, TraceKind};
+use rtle_obs::{AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind, RecordKind, Recorder};
 
 use crate::cost::CostModel;
 use crate::method::SimMethod;
@@ -97,13 +98,6 @@ struct Watch {
     write: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Path {
-    FastHtm,
-    SlowHtm,
-    SwTxn,
-}
-
 /// Cause attached to a pre-decided (forced) abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum ForcedCause {
@@ -116,7 +110,9 @@ enum ForcedCause {
 #[derive(Debug)]
 struct Attempt {
     t0: u64,
-    path: Path,
+    /// `FastHtm`/`SlowHtm` for hardware attempts, `Stm` for a software
+    /// transaction's read phase (never `Lock`: that path cannot abort).
+    path: PathKind,
     watches: Vec<Watch>,
     commit_writes: Vec<u64>,
     /// Abort regardless of validation (hostile instruction, capacity,
@@ -212,33 +208,28 @@ struct SwCommit {
 
 type Ev = Reverse<(u64, u64, EvKind)>;
 
-/// Adaptive FG-TLE state (mirrors `rtle_core::adaptive`): the lock holder
-/// adapts the active orec range every WINDOW acquisitions based on the
-/// slow path's recent benefit.
+/// Adaptive FG-TLE state: the runtime's decision
+/// ([`rtle_core::adaptive::Adaptation`]) plus the window bookkeeping the
+/// runtime keeps in `ExecStats` and its holder-only counters.
 #[derive(Debug, Default)]
 struct AdaptState {
-    active: u64,
-    initial: u64,
-    max: u64,
-    enabled: bool,
+    policy: Adaptation,
     sections: u64,
     last_slow_commits: u64,
     last_slow_aborts: u64,
     slow_aborts: u64,
-    idle_windows: u64,
-    disabled_windows: u64,
 }
-
-const ADAPT_WINDOW: u64 = 32;
-const ADAPT_REENABLE_WINDOWS: u64 = 32;
 
 impl AdaptState {
     fn new(initial: u64, max: u64) -> Self {
         AdaptState {
-            active: initial.max(1),
-            initial: initial.max(1),
-            max: max.max(1),
-            enabled: true,
+            policy: Adaptation {
+                active: initial.max(1),
+                capacity: max.max(1),
+                initial: initial.max(1),
+                enabled: true,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -254,50 +245,17 @@ impl AdaptState {
         self.last_slow_commits = slow_commits;
         let dsa = self.slow_aborts - self.last_slow_aborts;
         self.last_slow_aborts = self.slow_aborts;
-        let decide = |action, orecs_before, orecs_after| {
-            Some(AdaptDecision {
-                action,
-                orecs_before,
-                orecs_after,
-                slow_commits: dsc,
-                slow_aborts: dsa,
-                // Filled by the engine from its heatmap before recording.
-                hot_slot: None,
-            })
-        };
-
-        if !self.enabled {
-            self.disabled_windows += 1;
-            if dsa > 0 || self.disabled_windows.is_multiple_of(ADAPT_REENABLE_WINDOWS) {
-                let before = self.active;
-                self.enabled = true;
-                self.active = self.initial;
-                self.idle_windows = 0;
-                return decide(AdaptAction::Reenable, before, self.active);
-            }
-            return None;
-        }
-        if dsc == 0 && dsa == 0 {
-            self.idle_windows += 1;
-            if self.active > 1 {
-                let before = self.active;
-                self.active /= 2;
-                return decide(AdaptAction::Shrink, before, self.active);
-            }
-            if self.idle_windows >= 2 {
-                self.enabled = false;
-                self.disabled_windows = 0;
-                return decide(AdaptAction::Collapse, self.active, self.active);
-            }
-        } else {
-            self.idle_windows = 0;
-            if dsa > 4 * dsc.max(1) && self.active < self.max {
-                let before = self.active;
-                self.active = (self.active * 2).min(self.max);
-                return decide(AdaptAction::Grow, before, self.active);
-            }
-        }
-        None
+        let orecs_before = self.policy.active;
+        let action = self.policy.step(dsc, dsa)?;
+        Some(AdaptDecision {
+            action,
+            orecs_before,
+            orecs_after: self.policy.active,
+            slow_commits: dsc,
+            slow_aborts: dsa,
+            // Filled by the engine from its heatmap before recording.
+            hot_slot: None,
+        })
     }
 }
 
@@ -410,40 +368,18 @@ impl<W: Workload> Engine<W> {
         self
     }
 
-    /// Records one attempt resolution (latency `t1 - t0` cycles) when a
-    /// recorder is installed. HTM attempts also land in the causal trace
-    /// as spans stamped in simulator cycles; pessimistic executions emit
-    /// their `LockHeld` span in [`Self::schedule_lock_execution`] instead
-    /// (the holding window, not the full acquire-to-release latency).
+    /// Records one attempt resolution — the span `[t0, t1]` in simulator
+    /// cycles — when a recorder is installed.
     fn obs_attempt(&self, t: usize, path: PathKind, outcome: Outcome, t0: u64, t1: u64) {
         if let Some(rec) = &self.recorder {
-            let tracer = rec.tracer();
-            if tracer.enabled() {
-                let kind = match (path, outcome.is_commit()) {
-                    (PathKind::FastHtm, true) => Some(TraceKind::FastCommit),
-                    (PathKind::FastHtm, false) => Some(TraceKind::FastAbort),
-                    (PathKind::SlowHtm, true) => Some(TraceKind::SlowCommit),
-                    (PathKind::SlowHtm, false) => Some(TraceKind::SlowAbort),
-                    (PathKind::Lock, _) => None,
-                };
-                if let Some(kind) = kind {
-                    let arg = match outcome {
-                        Outcome::AbortExplicit(c) => c as u64,
-                        _ => 0,
-                    };
-                    tracer.span_at(t as u64, kind, t0, t1.saturating_sub(t0), arg);
-                }
-            }
             let attempt = ATTEMPTS - self.ts[t].attempts_left;
-            rec.record_attempt(
-                t as u64,
-                AttemptEvent {
-                    path,
-                    outcome,
-                    attempt: attempt.min(u8::MAX as u32) as u8,
-                    latency: t1.saturating_sub(t0),
-                },
-            );
+            let ev = AttemptEvent {
+                path,
+                outcome,
+                attempt: attempt.min(u8::MAX as u32) as u8,
+                latency: t1.saturating_sub(t0),
+            };
+            rec.record(t as u64, t0, RecordKind::Attempt(ev));
         }
     }
 
@@ -557,7 +493,7 @@ impl<W: Workload> Engine<W> {
     fn active_orecs_now(&self) -> u64 {
         match self.method {
             SimMethod::FgTle { orecs } => orecs as u64,
-            SimMethod::AdaptiveFgTle { .. } => self.adapt.active,
+            SimMethod::AdaptiveFgTle { .. } => self.adapt.policy.active,
             _ => 0,
         }
     }
@@ -741,7 +677,7 @@ impl<W: Workload> Engine<W> {
             }
             SimMethod::FgTle { .. } | SimMethod::AdaptiveFgTle { .. } => {
                 let fg_disabled = matches!(self.method, SimMethod::AdaptiveFgTle { .. })
-                    && !self.adapt.enabled;
+                    && !self.adapt.policy.enabled;
                 if spec.htm_hostile || fg_disabled {
                     // Hostile, or the adaptive policy collapsed to plain
                     // TLE (slow attempts self-abort on the disabled flag).
@@ -824,7 +760,7 @@ impl<W: Workload> Engine<W> {
 
         self.ts[t].pending = Some(Attempt {
             t0: start,
-            path: Path::FastHtm,
+            path: PathKind::FastHtm,
             watches,
             commit_writes,
             forced_abort: forced,
@@ -902,7 +838,7 @@ impl<W: Workload> Engine<W> {
         let forced = self.spurious_abort();
         self.ts[t].pending = Some(Attempt {
             t0: start,
-            path: Path::SlowHtm,
+            path: PathKind::SlowHtm,
             watches,
             commit_writes: Vec::new(),
             forced_abort: forced,
@@ -1017,7 +953,7 @@ impl<W: Workload> Engine<W> {
 
         self.ts[t].pending = Some(Attempt {
             t0: start,
-            path: Path::SlowHtm,
+            path: PathKind::SlowHtm,
             watches,
             commit_writes,
             forced_abort: forced,
@@ -1092,7 +1028,7 @@ impl<W: Workload> Engine<W> {
 
         self.ts[t].pending = Some(Attempt {
             t0: start,
-            path: Path::FastHtm,
+            path: PathKind::FastHtm,
             watches,
             commit_writes,
             forced_abort: forced,
@@ -1118,7 +1054,7 @@ impl<W: Workload> Engine<W> {
     /// at their own end event.
     fn eager_conflict_scan(&mut self, me: usize) -> bool {
         let watches: Vec<Watch> = match &self.ts[me].pending {
-            Some(a) if a.path != Path::SwTxn => a.watches.clone(),
+            Some(a) if a.path != PathKind::Stm => a.watches.clone(),
             _ => return false,
         };
         let mut i_die = false;
@@ -1147,7 +1083,7 @@ impl<W: Workload> Engine<W> {
 
     /// Removes a finished attempt's entries from the watcher index.
     fn unindex_attempt(&mut self, me: usize, attempt: &Attempt) {
-        if attempt.path == Path::SwTxn {
+        if attempt.path == PathKind::Stm {
             return;
         }
         for w in &attempt.watches {
@@ -1217,16 +1153,8 @@ impl<W: Workload> Engine<W> {
                     }
                 }
             };
-            match attempt.path {
-                Path::FastHtm => {
-                    self.obs_attempt(t, PathKind::FastHtm, outcome, attempt.t0, t1)
-                }
-                Path::SlowHtm => {
-                    self.obs_attempt(t, PathKind::SlowHtm, outcome, attempt.t0, t1)
-                }
-                Path::SwTxn => {}
-            }
-            if attempt.path == Path::SlowHtm {
+            self.obs_attempt(t, attempt.path, outcome, attempt.t0, t1);
+            if attempt.path == PathKind::SlowHtm {
                 self.adapt.slow_aborts += 1;
                 // A slow-path validation failure on an orec line means the
                 // holder stamped it during our window: attribute the abort
@@ -1235,7 +1163,7 @@ impl<W: Workload> Engine<W> {
                     self.note_orec_conflict(slot);
                 }
             }
-            if attempt.path == Path::FastHtm {
+            if attempt.path == PathKind::FastHtm {
                 self.ts[t].attempts_left = self.ts[t].attempts_left.saturating_sub(1);
             }
             if lazy_held {
@@ -1264,21 +1192,13 @@ impl<W: Workload> Engine<W> {
             *e = (*e).max(t1);
             self.clock_bumps.push(t1);
             self.stats.htm_slow_commits += 1;
-        } else if attempt.path == Path::FastHtm {
+        } else if attempt.path == PathKind::FastHtm {
             self.stats.fast_commits += 1;
         }
-        if attempt.path == Path::SlowHtm {
+        if attempt.path == PathKind::SlowHtm {
             self.stats.slow_commits += 1;
         }
-        match attempt.path {
-            Path::FastHtm => {
-                self.obs_attempt(t, PathKind::FastHtm, Outcome::Commit, attempt.t0, t1)
-            }
-            Path::SlowHtm => {
-                self.obs_attempt(t, PathKind::SlowHtm, Outcome::Commit, attempt.t0, t1)
-            }
-            Path::SwTxn => {}
-        }
+        self.obs_attempt(t, attempt.path, Outcome::Commit, attempt.t0, t1);
         self.complete_op(t, t1);
     }
 
@@ -1343,7 +1263,7 @@ impl<W: Workload> Engine<W> {
         }
         let fg_instrumented = match self.method {
             SimMethod::FgTle { .. } => true,
-            SimMethod::AdaptiveFgTle { .. } => self.adapt.enabled,
+            SimMethod::AdaptiveFgTle { .. } => self.adapt.policy.enabled,
             _ => false,
         };
 
@@ -1421,25 +1341,21 @@ impl<W: Workload> Engine<W> {
 
         self.stats.lock_commits += 1;
         self.stats.cycles_locked += e - s;
+        // The holding window [s, e], as the runtime records it — not
+        // acquire-to-release: it is the span slow-path commits visibly
+        // overlap with, and the recorder's lock-hold sample.
+        self.obs_attempt(t, PathKind::Lock, Outcome::Commit, s, e);
         if let Some(rec) = &self.recorder {
-            rec.record_lock_hold(e - s);
-            let tracer = rec.tracer();
-            if tracer.enabled() {
-                // The holding window [s, e], not acquire-to-release: this
-                // is the span slow-path commits visibly overlap with.
-                tracer.span_at(t as u64, TraceKind::LockHeld, s, e - s, 0);
-                if matches!(self.method, SimMethod::RwTle) {
-                    if let Some(fw) = first_write {
-                        tracer.instant_at(t as u64, TraceKind::WriteFlagSet, fw, 0);
-                    }
-                }
-                if fg_instrumented {
-                    // Pre-release epoch bump (§4.2) at the CS end.
-                    tracer.instant_at(t as u64, TraceKind::EpochBump, e, 0);
+            if matches!(self.method, SimMethod::RwTle) {
+                if let Some(fw) = first_write {
+                    rec.record(t as u64, fw, RecordKind::WriteFlagSet);
                 }
             }
+            if fg_instrumented {
+                // Pre-release epoch bump (§4.2) at the CS end.
+                rec.record(t as u64, e, RecordKind::EpochBump(0));
+            }
         }
-        self.obs_attempt(t, PathKind::Lock, Outcome::Commit, start, e + c.lock_release);
         self.complete_op(t, e + c.lock_release);
     }
 
@@ -1473,7 +1389,7 @@ impl<W: Workload> Engine<W> {
         }
         self.ts[t].pending = Some(Attempt {
             t0: start,
-            path: Path::SwTxn,
+            path: PathKind::Stm,
             watches,
             commit_writes,
             forced_abort: false,
@@ -1885,8 +1801,8 @@ mod tests {
     }
 
     /// Slot-level conflict attribution mirrors the runtime heatmap: every
-    /// attributed abort lands in exactly one slot, and the engine's causal
-    /// trace (when compiled in) carries cycle-stamped lock-holder spans.
+    /// attributed abort lands in exactly one slot, and the engine's record
+    /// stream carries cycle-stamped lock-holder spans.
     #[test]
     fn fg_heatmap_attributes_slow_aborts_and_traces() {
         use rtle_obs::ObsConfig;
@@ -1954,25 +1870,43 @@ mod tests {
         assert!(!hot.is_empty());
         assert!(hot.windows(2).all(|w| w[0].1 >= w[1].1), "descending");
 
-        let records = rec.tracer().drain();
-        if rec.tracer().enabled() {
-            let lock_spans = records
-                .iter()
-                .filter(|r| r.kind == rtle_obs::TraceKind::LockHeld)
-                .count() as u64;
-            assert!(lock_spans > 0, "holder spans in the causal trace");
-            assert!(
-                records
-                    .iter()
-                    .any(|r| r.kind == rtle_obs::TraceKind::SlowCommit),
-                "slow-path commits traced"
-            );
-            assert!(
-                records.windows(2).all(|w| w[0].ts <= w[1].ts),
-                "drain is time-ordered"
-            );
-        } else {
-            assert!(records.is_empty(), "trace off: recording is a no-op");
-        }
+        let records = rec.records();
+        let spans = |label| records.iter().filter(|r| r.label() == label).count();
+        assert!(spans("lock_held") > 0, "holder spans on the timeline");
+        assert!(spans("slow_commit") > 0, "slow-path commits recorded");
+        assert!(
+            records.windows(2).all(|w| w[0].ts <= w[1].ts),
+            "records come back time-ordered"
+        );
+    }
+
+    /// The lock-path record is the holding window `[s, e]` — the same
+    /// number as the hold-time sample and `cycles_locked`, with no
+    /// queueing or release cost in it.
+    #[test]
+    fn lock_path_record_is_the_holding_window() {
+        use rtle_obs::ObsConfig;
+        let rec = Arc::new(Recorder::new(ObsConfig {
+            latency_unit: "cycles",
+            ..ObsConfig::default()
+        }));
+        // Four threads queue on one lock: acquire-to-release latencies
+        // grow with the queue, holding windows do not.
+        let w = Synthetic::new(4, 8, 2, false, 50);
+        let s = Engine::new(
+            SimMethod::LockOnly { locks: 1 },
+            4,
+            CostModel::default(),
+            RunMode::FixedWork,
+            w,
+        )
+        .with_recorder(Arc::clone(&rec))
+        .run();
+        let snap = rec.snapshot();
+        assert_eq!(snap.lock_hold.count, s.lock_commits);
+        assert_eq!(snap.cs_latency, snap.lock_hold, "one record, one meaning");
+        assert_eq!(snap.cs_latency.total, s.cycles_locked);
+        let held: u64 = rec.records().iter().map(|r| r.dur()).sum();
+        assert_eq!(held, s.cycles_locked, "and the spans are the same windows");
     }
 }

@@ -48,12 +48,12 @@ pub use rtle_structs as structs;
 pub mod prelude {
     pub use rtle_avltree::AvlSet;
     pub use rtle_core::{
-        Ctx, ElidableLock, ElidableLockBuilder, ElisionPolicy, ExecMode, LockedSection,
-        RetryPolicy, StatsSnapshot, TatasLock,
+        Ctx, ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection, RetryPolicy,
+        StatsSnapshot, TatasLock,
     };
     pub use rtle_htm::{AbortCode, PlainAccess, TxAccess, TxCell};
     pub use rtle_hytm::{Norec, RhNorec, TmCtx};
-    pub use rtle_obs::{AdaptAction, AdaptDecision, ObsConfig, Recorder};
+    pub use rtle_obs::{AdaptAction, AdaptDecision, ObsConfig, PathKind, Recorder};
     pub use rtle_shard::{MapOp, OpResult, ShardedTxMap, TransferError};
     pub use rtle_stm::{atomically, or_else, Stm, StmBuilder, Tx, TxError, TxResult, TxVar};
     pub use rtle_structs::{TxHashSet, TxListSet};

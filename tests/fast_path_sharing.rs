@@ -50,8 +50,8 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
     assert_eq!(stats % BLOCK_BYTES, 0);
     assert!(stats >= base && stats + size_of::<ExecStats>() <= base + size_of::<ElidableLock>());
 
-    // Heap lanes — the recorder's counters and histograms, the event and
-    // trace ring segments — start on block boundaries and never share a
+    // Heap lanes — the recorder's counters and histograms, the record
+    // ring's segments — start on block boundaries and never share a
     // block, whatever the size of a lane (here: not a multiple of anything).
     type Odd = [AtomicU64; 5131];
     let lanes = PerLane::<Odd>::new(|| [const { AtomicU64::new(0) }; 5131]);
@@ -235,6 +235,7 @@ fn snapshots_equal_the_per_thread_ground_truth() {
                 ("fast_htm".to_string(), books.fast_commits),
                 ("lock".to_string(), books.lock_acquisitions),
                 ("slow_htm".to_string(), books.slow_commits),
+                ("stm".to_string(), books.stm_commits),
             ]
         );
         assert_eq!(snap.total_commits(), calls);
