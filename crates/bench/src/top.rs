@@ -12,6 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use rtle_obs::event::OUTCOME_LABELS;
 use rtle_obs::{Json, WindowSnapshot, PATH_LABELS, SCHEMA_VERSION};
 
 /// One `diag top` session.
@@ -109,18 +110,11 @@ fn render_commits(out: &mut String, src: &Json) {
 fn render_recorder(out: &mut String, src: &Json) {
     use std::fmt::Write as _;
     render_commits(out, src);
-    let aborts: Vec<(&str, u64)> = [
-        ("conflict", "aborts_conflict"),
-        ("capacity", "aborts_capacity"),
-        ("explicit", "aborts_explicit"),
-        ("unsupported", "aborts_unsupported"),
-        ("nested", "aborts_nested"),
-        ("spurious", "aborts_spurious"),
-    ]
-    .iter()
-    .map(|(label, key)| (*label, counter(src, key)))
-    .filter(|(_, n)| *n > 0)
-    .collect();
+    let aborts: Vec<(&str, u64)> = OUTCOME_LABELS[1..]
+        .iter()
+        .map(|label| (*label, counter(src, &format!("aborts_{label}"))))
+        .filter(|(_, n)| *n > 0)
+        .collect();
     if aborts.is_empty() {
         let _ = writeln!(out, "  aborts: none");
     } else {

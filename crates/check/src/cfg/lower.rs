@@ -32,7 +32,7 @@ const GUARD_METHODS: &[&str] = &[
 ];
 
 /// Atomic RMW/load/store method names that take `Ordering` arguments.
-const ATOMIC_METHODS: &[&str] = &[
+pub const ATOMIC_METHODS: &[&str] = &[
     "load",
     "store",
     "swap",
@@ -48,9 +48,10 @@ const ATOMIC_METHODS: &[&str] = &[
     "fetch_min",
 ];
 
-/// Lowers one parsed function (with its enclosing `cfg` context, e.g.
-/// `Some("test")` for a `#[cfg(test)] mod`) to a CFG.
-pub fn lower_fn(f: &FnItem, mod_cfg: Option<&str>) -> FnCfg {
+/// Lowers one parsed function to a CFG; `cfg_marker` is the marker
+/// [`crate::syntax::for_each_fn`] hands out with it (e.g. `Some("test")`
+/// anywhere under a `#[cfg(test)] mod`).
+pub fn lower_fn(f: &FnItem, cfg_marker: Option<&str>) -> FnCfg {
     let mut lw = Lowerer {
         blocks: vec![BasicBlock::default(), BasicBlock::default()],
         cur: 0,
@@ -70,7 +71,7 @@ pub fn lower_fn(f: &FnItem, mod_cfg: Option<&str>) -> FnCfg {
     FnCfg {
         name: f.name.clone(),
         line: f.line,
-        cfg_marker: f.cfg_feature.clone().or_else(|| mod_cfg.map(str::to_string)),
+        cfg_marker: cfg_marker.map(str::to_string),
         blocks: lw.blocks,
         entry: 0,
         exit: 1,
@@ -132,7 +133,6 @@ impl Lowerer {
                     line,
                 } => self.lower_let(pat, *tuple, init.as_ref(), else_block.as_ref(), *line),
                 Stmt::Expr(e) => self.lower_expr(e, false),
-                Stmt::Item(_) => {} // nested fns are lowered separately
             }
         }
         if b.is_unsafe {
@@ -377,10 +377,12 @@ impl Lowerer {
                 let rt = self.ret_target;
                 self.diverge(Some(rt), *line);
             }
-            Expr::Macro { name, text, line } => {
+            Expr::Macro { name, text, args, line } => {
                 if let Some(slice) = sorted_assert_slice(name, text) {
                     self.emit(EventKind::SortedFact { slice }, *line);
                 }
+                // The arguments may run zero times (`debug_assert!`).
+                self.lower_bypassed_closure(args);
             }
             Expr::Tuple(items, _) | Expr::Array(items, _) => {
                 for it in items {
@@ -652,17 +654,23 @@ fn block_tail_pair(b: &Block) -> Option<(String, String)> {
     Some((x.simple_symbol()?, y.simple_symbol()?))
 }
 
-/// Ordering idents among call arguments (`Ordering::Acquire` → "Acquire").
+/// The five orderings, recognised bare when a file imports them
+/// (`use …::Ordering::Relaxed; x.load(Relaxed)`).
+pub const ORDERING_NAMES: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
+/// Ordering idents among call arguments, in argument order: any
+/// `Ordering::X` path, however qualified, and a bare imported
+/// [`ORDERING_NAMES`] member (`Mode::Relaxed` and `cfg.Relaxed` are neither).
 fn ordering_args(args: &[Expr]) -> Vec<String> {
-    let mut out = Vec::new();
-    for a in args {
-        if let Expr::Path(segs, _) = a {
-            if segs.len() >= 2 && segs[segs.len() - 2] == "Ordering" {
-                out.push(segs[segs.len() - 1].clone());
-            }
-        }
-    }
-    out
+    let ordering = |a: &Expr| match a {
+        Expr::Path(segs, _) => match segs.as_slice() {
+            [.., q, name] if q == "Ordering" => Some(name.clone()),
+            [name] if ORDERING_NAMES.contains(&name.as_str()) => Some(name.clone()),
+            _ => None,
+        },
+        _ => None,
+    };
+    args.iter().filter_map(ordering).collect()
 }
 
 /// The `with_shards_locked` slice argument, symbolically.
@@ -713,7 +721,7 @@ mod tests {
     use crate::syntax::{for_each_fn, parse_file};
 
     fn lower_first(src: &str) -> FnCfg {
-        let items = parse_file(src);
+        let items = parse_file(src).items;
         let mut out = None;
         for_each_fn(&items, &mut |f, cfg| {
             if out.is_none() {
@@ -883,5 +891,23 @@ mod tests {
         // The `return 1` block reaches exit without passing the loop.
         let pdoms = cfg.postdominators();
         assert!(pdoms[cfg.entry][cfg.exit], "exit postdominates entry");
+    }
+
+    #[test]
+    fn macro_arguments_are_lowered_but_dominate_nothing() {
+        let cfg = lower_first(
+            "fn f(&self) -> u64 { debug_assert!(self.ready.load(Acquire)); unsafe { *self.slot.get() } }",
+        );
+        let load = cfg
+            .events()
+            .find(|(_, e)| matches!(&e.kind, EventKind::Atomic { op, recv, orderings }
+                if op == "load" && recv == "ready" && orderings == &["Acquire"]))
+            .expect("the atomic inside the macro is an event")
+            .0;
+        let read = cfg.events().find(|(_, e)| matches!(e.kind, EventKind::RawRead)).unwrap().0;
+        assert!(
+            !cfg.ev_dominates(&cfg.dominators(), load, read),
+            "a `debug_assert!` argument may never run"
+        );
     }
 }

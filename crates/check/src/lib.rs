@@ -3,10 +3,13 @@
 //!
 //! Two engines, both dependency-free:
 //!
-//! * [`lint`] — a hand-rolled source scanner enforcing the memory-ordering
-//!   invariant table over `rtle-core`/`rtle-htm`, the §4 fence discipline
-//!   in `orec.rs`, `// SAFETY:` comments on every `unsafe` block, and
-//!   `unwrap`/`panic!` bans in hot-path modules.
+//! * the static side — one reading of the source ([`syntax`]: one lexer
+//!   that keeps comments, one parser; [`cfg`]: one lowering to typed
+//!   events) and the seven [`passes`] over it: four path-sensitive flow
+//!   passes (lockset, lock order, publication, the §4 fence) and three
+//!   site-local ones (the memory-ordering invariant table over
+//!   `rtle-core`/`rtle-htm`/…, `// SAFETY:` comments on every `unsafe`
+//!   block, `unwrap`/`panic!` bans in hot-path modules).
 //! * [`model`] — an exhaustive interleaving explorer over small closed
 //!   configurations of the TLE / RW-TLE / FG-TLE / lazy-subscription state
 //!   machines, validating every committed history against a
@@ -20,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod cfg;
-pub mod lint;
 pub mod model;
 pub mod passes;
 pub mod syntax;

@@ -1,15 +1,19 @@
 //! `rtle-check` CLI:
 //! `rtle-check [--root <path>] [--json <file>] [lint|analyze|model|all]`.
 //!
-//! * `lint` — run the token-level lint pass over the workspace sources.
-//! * `analyze` — run the path-sensitive concurrency passes (lockset,
-//!   lock-order, publication, §4 fence) over the whole workspace and
-//!   verify the seeded analyzer mutants are caught. With `--json <file>`
-//!   the full report is exported through the rtle-obs JSON schema.
+//! * `lint` — run the three site-local passes (ordering table, `// SAFETY:`
+//!   comments, hot-path hygiene) over the workspace sources.
+//! * `analyze` — run the four path-sensitive flow passes (lockset,
+//!   lock-order, publication, §4 fence) and verify the seeded analyzer
+//!   mutants are caught.
 //! * `model` — exhaustively check the standard protocol configurations
 //!   *and* verify the seeded model mutants (lazy subscription, TL2 stale
 //!   read, swhtm validate-first extension) are caught.
-//! * `all` (default) — everything.
+//! * `all` (default) — all seven passes in one reading of the sources,
+//!   then the model.
+//!
+//! `lint`, `analyze` and `all` are pass filters over the one driver; with
+//! `--json <file>` its report is exported through the rtle-obs JSON schema.
 //!
 //! Exit code 0 iff everything is clean (and every mutant was detected).
 
@@ -17,31 +21,18 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rtle_check::model::{explore_mutants, explore_safe, Report};
-use rtle_check::{find_workspace_root, lint, passes};
+use rtle_check::passes::{analyze_workspace, FLOW_PASSES, PASSES};
+use rtle_check::find_workspace_root;
 
-fn run_lint(root: &Path) -> bool {
-    let findings = lint::lint_workspace(root);
-    if findings.is_empty() {
-        let n = lint::workspace_sources(root).len();
-        println!("lint: OK ({n} files, 0 findings)");
-        true
-    } else {
-        for f in &findings {
-            println!("lint: {f}");
-        }
-        println!("lint: FAILED ({} findings)", findings.len());
-        false
-    }
-}
-
-fn run_analyze(root: &Path, json: Option<&Path>) -> bool {
-    let report = passes::analyze_workspace(root);
+/// Runs `passes` over the workspace, printing under the `mode` label.
+fn run_passes(mode: &str, root: &Path, passes: &[&'static str], json: Option<&Path>) -> bool {
+    let report = analyze_workspace(root, passes);
     for f in report.unsuppressed() {
-        println!("analyze: {f}");
+        println!("{mode}: {f}");
     }
     for m in &report.mutants {
         println!(
-            "analyze: mutant {:<22} [{}] -> {}",
+            "{mode}: mutant {:<22} [{}] -> {}",
             m.feature,
             m.pass,
             if m.caught {
@@ -54,8 +45,9 @@ fn run_analyze(root: &Path, json: Option<&Path>) -> bool {
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
     let live = report.unsuppressed().count();
     println!(
-        "analyze: {} ({} files, {} fns, {live} findings, {suppressed} suppressed, {} ms)",
+        "{mode}: {} ({} passes, {} files, {} fns, {live} findings, {suppressed} suppressed, {} ms)",
         if report.ok() { "OK" } else { "FAILED" },
+        passes.len(),
         report.files,
         report.functions,
         report.elapsed_ms
@@ -63,10 +55,10 @@ fn run_analyze(root: &Path, json: Option<&Path>) -> bool {
     if let Some(path) = json {
         let text = report.to_json().to_string_pretty();
         if let Err(e) = std::fs::write(path, text) {
-            eprintln!("analyze: could not write {}: {e}", path.display());
+            eprintln!("{mode}: could not write {}: {e}", path.display());
             return false;
         }
-        println!("analyze: report written to {}", path.display());
+        println!("{mode}: report written to {}", path.display());
     }
     report.ok()
 }
@@ -155,18 +147,16 @@ fn main() -> ExitCode {
     });
 
     let mut ok = true;
-    if mode == "lint" || mode == "all" {
+    let passes = match mode.as_str() {
+        "lint" => &PASSES[FLOW_PASSES..],
+        "analyze" => &PASSES[..FLOW_PASSES],
+        "all" => &PASSES[..],
+        _ => &[],
+    };
+    if !passes.is_empty() {
+        let label = if mode == "all" { "check" } else { &mode };
         match &root {
-            Some(r) => ok &= run_lint(r),
-            None => {
-                eprintln!("rtle-check: could not locate the workspace root (use --root)");
-                ok = false;
-            }
-        }
-    }
-    if mode == "analyze" || mode == "all" {
-        match &root {
-            Some(r) => ok &= run_analyze(r, json.as_deref()),
+            Some(r) => ok &= run_passes(label, r, passes, json.as_deref()),
             None => {
                 eprintln!("rtle-check: could not locate the workspace root (use --root)");
                 ok = false;

@@ -1,9 +1,10 @@
-//! Path-sensitive concurrency passes over the lowered CFGs.
+//! The seven passes and their one driver.
 //!
-//! The driver ([`analyze_workspace`]) parses every workspace source
-//! file with [`crate::syntax`], lowers each function with
-//! [`crate::cfg`], and runs four passes, each scoped to the files whose
-//! invariants it encodes:
+//! The driver ([`analyze_workspace`]) reads every workspace source file
+//! once — [`crate::syntax::parse_file`]: one token stream, its comments,
+//! one item tree — lowers each function with [`crate::cfg`], and runs the
+//! passes, each scoped to the files whose invariants it encodes. Four are
+//! path-sensitive **flow passes** (`rtle-check analyze`):
 //!
 //! | pass          | scope                         | invariant |
 //! |---------------|-------------------------------|-----------|
@@ -11,6 +12,14 @@
 //! | `lock-order`  | `shard/src/`                  | cross-shard acquisition ascending |
 //! | `publication` | htm cell/swhtm/stripe, hytm tl2, core lock/barrier | Release publishes after init; raw reads behind Acquire |
 //! | `fence`       | `core/src/orec.rs`, `hytm/src/tl2.rs` | §4 store-load fence post-dominates the stamp |
+//!
+//! and three are **site-local passes** (`rtle-check lint`):
+//!
+//! | pass                    | scope                      | invariant |
+//! |-------------------------|----------------------------|-----------|
+//! | `ordering-table`        | [`ordering::ORDERING_SCOPE`] | every atomic site matches its [`ordering::ORDERING_RULES`] row, or (`ordering-unaudited`) carries `// ordering: <reason>` |
+//! | `unsafe-safety-comment` | every file                 | `unsafe` blocks and impls carry `// SAFETY:` |
+//! | `hot-path-hygiene`      | [`hygiene::HOT_PATH_FILES`] | no `unwrap`/`panic!` outside tests |
 //!
 //! Findings can be suppressed with a `// lockcheck: <reason>` comment
 //! within three lines (same mechanics as `// SAFETY:`); the reason is
@@ -20,8 +29,10 @@
 //! regression test for the analyzer itself.
 
 pub mod fence;
+pub mod hygiene;
 pub mod lock_order;
 pub mod lockset;
+pub mod ordering;
 pub mod publication;
 
 use std::fmt;
@@ -30,9 +41,22 @@ use std::path::{Path, PathBuf};
 use rtle_obs::{Json, SCHEMA_VERSION};
 
 use crate::cfg::{lower_fn, FnCfg};
-use crate::lint::source::SourceFile;
-use crate::lint::workspace_sources;
-use crate::syntax::{for_each_fn, parse_file};
+use crate::syntax::{for_each_fn, parse_file, Comments};
+
+/// The seven passes: the four flow passes, then the three site-local ones.
+pub const PASSES: [&str; 7] = [
+    "lockset",
+    "lock-order",
+    "publication",
+    "fence",
+    "ordering-table",
+    "unsafe-safety-comment",
+    "hot-path-hygiene",
+];
+
+/// How many of [`PASSES`] are flow passes (`rtle-check analyze` runs
+/// those, `rtle-check lint` the rest).
+pub const FLOW_PASSES: usize = 4;
 
 /// A raw (line, message) finding from a single pass run.
 #[derive(Debug)]
@@ -50,8 +74,9 @@ pub struct Finding {
     pub path: PathBuf,
     /// 1-based line.
     pub line: usize,
-    /// Pass name (`lockset`, `lock-order`, `publication`, `fence`,
-    /// or `suppression` for annotation-hygiene findings).
+    /// Pass name (one of [`PASSES`]; `ordering-unaudited` for the
+    /// ordering table's no-row verdict; `suppression` for
+    /// annotation-hygiene findings).
     pub pass: &'static str,
     /// Description.
     pub msg: String,
@@ -104,6 +129,8 @@ pub const EXPECTED_MUTANTS: &[(&str, &str)] = &[
 /// Whole-workspace analysis result.
 #[derive(Debug)]
 pub struct AnalysisReport {
+    /// The passes that ran.
+    pub passes: Vec<&'static str>,
     /// Source files scanned.
     pub files: usize,
     /// Non-test functions analyzed.
@@ -127,10 +154,13 @@ impl AnalysisReport {
         self.unsuppressed().count() == 0 && self.mutants.iter().all(|m| m.caught)
     }
 
+    /// (unsuppressed, suppressed) findings of one pass; the ordering
+    /// table's no-row verdict counts with its pass.
     fn pass_counts(&self, name: &str) -> (u64, u64) {
+        let of = |f: &&Finding| f.pass == name || (name == "ordering-table" && f.pass == "ordering-unaudited");
         let mut live = 0;
         let mut supp = 0;
-        for f in self.findings.iter().filter(|f| f.pass == name) {
+        for f in self.findings.iter().filter(of) {
             if f.suppressed {
                 supp += 1;
             } else {
@@ -142,8 +172,10 @@ impl AnalysisReport {
 
     /// The report as a JSON document in the rtle-obs export schema.
     pub fn to_json(&self) -> Json {
-        let passes = ["lockset", "lock-order", "publication", "fence", "suppression"]
+        let passes = self
+            .passes
             .iter()
+            .chain(&["suppression"])
             .map(|name| {
                 let (live, supp) = self.pass_counts(name);
                 Json::obj([
@@ -220,7 +252,7 @@ fn passes_for(path_str: &str) -> Vec<&'static str> {
     // is vacuous there today — keeping the file in scope means any future
     // orec-style stamp added to the backend is checked automatically.
     const FENCE_FILES: &[&str] = &["core/src/orec.rs", "hytm/src/tl2.rs"];
-    let mut v = Vec::new();
+    let mut v = vec!["unsafe-safety-comment"];
     if path_str.contains("shard/src/") {
         v.push("lockset");
         v.push("lock-order");
@@ -231,122 +263,132 @@ fn passes_for(path_str: &str) -> Vec<&'static str> {
     if FENCE_FILES.iter().any(|f| path_str.ends_with(f)) {
         v.push("fence");
     }
+    if ordering::ORDERING_SCOPE.iter().any(|s| path_str.contains(s)) {
+        v.push("ordering-table");
+    }
+    if hygiene::HOT_PATH_FILES.iter().any(|f| path_str.ends_with(f)) {
+        v.push("hot-path-hygiene");
+    }
     v
 }
 
-fn run_pass(name: &str, cfg: &FnCfg) -> Vec<PassFinding> {
-    match name {
+fn run_pass(
+    name: &'static str,
+    path: &str,
+    cfg: &FnCfg,
+    comments: &Comments,
+) -> Vec<(&'static str, PassFinding)> {
+    let findings = match name {
         "lockset" => lockset::run(cfg),
         "lock-order" => lock_order::run(cfg),
         "publication" => publication::run(cfg),
         "fence" => fence::run(cfg),
+        "ordering-table" => return ordering::run(path, cfg, comments),
+        // The token-level passes ran once, over the whole file.
         _ => Vec::new(),
-    }
-}
-
-/// The reason text of a `// lockcheck:` annotation near `line`, mirroring
-/// [`SourceFile::has_annotation`]'s search (three lines back plus the
-/// contiguous comment/attribute block above).
-fn annotation_reason(sf: &SourceFile, line: usize) -> Option<String> {
-    let grab = |comment: &str| -> Option<String> {
-        let at = comment.find("lockcheck:")?;
-        Some(comment[at + "lockcheck:".len()..].trim().to_string())
     };
-    let idx = line.saturating_sub(1).min(sf.lines.len().saturating_sub(1));
-    let from = idx.saturating_sub(3);
-    for l in &sf.lines[from..=idx] {
-        if let Some(r) = grab(&l.comment) {
-            return Some(r);
-        }
-    }
-    let mut i = idx;
-    let mut budget = 32;
-    while i > 0 && budget > 0 {
-        i -= 1;
-        budget -= 1;
-        let l = &sf.lines[i];
-        let code = l.code.trim();
-        if code.is_empty() || code.starts_with("#[") {
-            if let Some(r) = grab(&l.comment) {
-                return Some(r);
-            }
-            continue;
-        }
-        break;
-    }
-    None
+    findings.into_iter().map(|pf| (name, pf)).collect()
 }
 
-/// Analyzes one file's text; appends to `findings` / `mutant_hits` and
-/// returns the number of non-test functions analyzed.
+/// Recursively collects `.rs` files under `dir`.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let mut entries: Vec<_> = entries.flatten().map(|e| e.path()).collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            collect_rs(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The source files the passes cover: every crate's `src/` and the root
+/// facade's `src/` (tests and examples are exercised by the model checker
+/// and the compiler).
+pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let crates = root.join("crates");
+    if let Ok(entries) = std::fs::read_dir(&crates) {
+        let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
+        dirs.sort();
+        for d in dirs {
+            collect_rs(&d.join("src"), &mut files);
+        }
+    }
+    collect_rs(&root.join("src"), &mut files);
+    files
+}
+
+/// Runs those of `passes` that cover the file over its text — one parse;
+/// appends to `findings` / `mutant_hits` and returns the number of
+/// non-test functions lowered.
 fn analyze_file(
     rel_path: &Path,
     text: &str,
+    passes: &[&'static str],
     findings: &mut Vec<Finding>,
     mutant_hits: &mut Vec<(String, &'static str, usize)>,
 ) -> usize {
     let path_str = rel_path.to_string_lossy().replace('\\', "/");
-    let active = passes_for(&path_str);
+    let mut active = passes_for(&path_str);
+    active.retain(|p| passes.contains(p));
     if active.is_empty() {
         return 0;
     }
-    let sf = SourceFile::parse(text);
-    let items = parse_file(text);
-    let mut functions = 0;
-    for_each_fn(&items, &mut |f, mod_cfg| {
-        let cfg = lower_fn(f, mod_cfg);
-        if cfg.cfg_marker.as_deref() == Some("test") {
+    let src = parse_file(text);
+    let mut report = |pass: &'static str, mutant: Option<&str>, pf: PassFinding| {
+        if let Some(feature) = mutant {
+            mutant_hits.push((feature.to_string(), pass, pf.line));
             return;
         }
-        if sf
-            .lines
-            .get(f.line.saturating_sub(1))
-            .is_some_and(|l| l.in_test)
-        {
+        let reason = src.comments.annotation(pf.line, "lockcheck:");
+        if reason == Some("") {
+            findings.push(Finding {
+                path: rel_path.to_path_buf(),
+                line: pf.line,
+                pass: "suppression",
+                msg: "`// lockcheck:` suppression with an empty reason \
+                      (a reason is mandatory)"
+                    .into(),
+                suppressed: false,
+                reason: None,
+            });
+        }
+        findings.push(Finding {
+            path: rel_path.to_path_buf(),
+            line: pf.line,
+            pass,
+            msg: pf.msg,
+            suppressed: reason.is_some(),
+            reason: reason.map(str::to_string),
+        });
+    };
+    for (pass, pf) in hygiene::run(&src, &active) {
+        report(pass, None, pf);
+    }
+    let mut functions = 0;
+    for_each_fn(&src.items, &mut |f, marker| {
+        if marker == Some("test") {
             return;
         }
         functions += 1;
-        let mutant = cfg.mutant_feature().map(str::to_string);
+        let cfg = lower_fn(f, marker);
         for pass in &active {
-            for pf in run_pass(pass, &cfg) {
-                if let Some(feat) = &mutant {
-                    mutant_hits.push((feat.clone(), pass, pf.line));
-                    continue;
-                }
-                let annotated = sf.has_annotation(pf.line, 3, "lockcheck:");
-                let reason = if annotated {
-                    annotation_reason(&sf, pf.line)
-                } else {
-                    None
-                };
-                if annotated && reason.as_deref().is_none_or(str::is_empty) {
-                    findings.push(Finding {
-                        path: rel_path.to_path_buf(),
-                        line: pf.line,
-                        pass: "suppression",
-                        msg: "`// lockcheck:` suppression with an empty reason \
-                              (a reason is mandatory)"
-                            .into(),
-                        suppressed: false,
-                        reason: None,
-                    });
-                }
-                findings.push(Finding {
-                    path: rel_path.to_path_buf(),
-                    line: pf.line,
-                    pass,
-                    msg: pf.msg,
-                    suppressed: annotated,
-                    reason,
-                });
+            for (label, pf) in run_pass(pass, &path_str, &cfg, &src.comments) {
+                report(label, cfg.mutant_feature(), pf);
             }
         }
     });
     functions
 }
 
-/// Runs all four passes over the workspace rooted at `root`.
-pub fn analyze_workspace(root: &Path) -> AnalysisReport {
+/// Runs `passes` (a subset of [`PASSES`]) over the workspace rooted at
+/// `root`, reading each file once.
+pub fn analyze_workspace(root: &Path, passes: &[&'static str]) -> AnalysisReport {
     let start = std::time::Instant::now();
     let mut findings = Vec::new();
     let mut mutant_hits: Vec<(String, &'static str, usize)> = Vec::new();
@@ -358,10 +400,11 @@ pub fn analyze_workspace(root: &Path) -> AnalysisReport {
         };
         files += 1;
         let rel = path.strip_prefix(root).unwrap_or(&path);
-        functions += analyze_file(rel, &text, &mut findings, &mut mutant_hits);
+        functions += analyze_file(rel, &text, passes, &mut findings, &mut mutant_hits);
     }
     let mutants = EXPECTED_MUTANTS
         .iter()
+        .filter(|(_, pass)| passes.contains(pass))
         .map(|&(feature, pass)| {
             let all = mutant_hits.iter().filter(|(f, _, _)| f == feature).count();
             let hit = mutant_hits
@@ -376,6 +419,7 @@ pub fn analyze_workspace(root: &Path) -> AnalysisReport {
         })
         .collect();
     AnalysisReport {
+        passes: passes.to_vec(),
         files,
         functions,
         elapsed_ms: start.elapsed().as_millis() as u64,
@@ -393,7 +437,7 @@ pub(crate) mod tests {
     /// Parses `src` and lowers its first function — the shared fixture
     /// loader for the per-pass test modules.
     pub(crate) fn lower_first(src: &str) -> FnCfg {
-        let items = parse_file(src);
+        let items = parse_file(src).items;
         let mut out = None;
         crate::syntax::for_each_fn(&items, &mut |f, cfg| {
             if out.is_none() {
@@ -406,8 +450,13 @@ pub(crate) mod tests {
     fn analyze_one(rel: &str, text: &str) -> (Vec<Finding>, Vec<(String, &'static str, usize)>) {
         let mut findings = Vec::new();
         let mut hits = Vec::new();
-        analyze_file(Path::new(rel), text, &mut findings, &mut hits);
+        analyze_file(Path::new(rel), text, &PASSES, &mut findings, &mut hits);
         (findings, hits)
+    }
+
+    /// The site-local passes' fixture loader (the retired lint's name).
+    fn lint_str(fake_path: &str, code: &str) -> Vec<Finding> {
+        analyze_one(fake_path, code).0
     }
 
     #[test]
@@ -456,6 +505,7 @@ pub(crate) mod tests {
     #[test]
     fn report_json_has_schema_and_counts() {
         let report = AnalysisReport {
+            passes: PASSES.to_vec(),
             files: 3,
             functions: 7,
             elapsed_ms: 12,
@@ -481,5 +531,129 @@ pub(crate) mod tests {
         let text = j.to_string_pretty();
         let back = rtle_obs::parse_json(&text).expect("round-trip");
         assert_eq!(back.get("files").and_then(Json::as_u64), Some(3));
+    }
+
+    #[test]
+    fn conforming_cell_load_passes() {
+        let f = lint_str(
+            "/ws/crates/htm/src/cell.rs",
+            "impl X { fn read(&self) { self.raw.load(Ordering::Acquire); } }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn relaxed_cell_load_flagged() {
+        let f = lint_str(
+            "/ws/crates/htm/src/cell.rs",
+            "impl X { fn read(&self) { self.raw.load(Ordering::Relaxed); } }",
+        );
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "ordering-table");
+    }
+
+    #[test]
+    fn unaudited_atomic_needs_annotation() {
+        let src = "fn f() { MYSTERY.store(1, Ordering::Relaxed); }";
+        let f = lint_str("/ws/crates/core/src/other.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "ordering-unaudited");
+
+        let annotated =
+            "fn f() {\n    // ordering: test-only knob, no sync role\n    MYSTERY.store(1, Ordering::Relaxed);\n}";
+        let f = lint_str("/ws/crates/core/src/other.rs", annotated);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn bare_imported_ordering_is_audited_like_a_qualified_one() {
+        // `use std::sync::atomic::Ordering::Relaxed;` must not hide a site:
+        // on a covered receiver a non-conforming bare ordering is a table
+        // violation, on an uncovered one it is unaudited.
+        let covered = "impl X { fn read(&self) { self.raw.load(Relaxed); } }";
+        let f = lint_str("/ws/crates/htm/src/cell.rs", covered);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].pass, "ordering-table");
+
+        let f = lint_str("/ws/crates/core/src/other.rs", "fn f() { MYSTERY.store(1, Relaxed); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].pass, "ordering-unaudited");
+
+        // And the watchdog's live-mirror rows now match real sites.
+        let mirror = "fn f(&self) { self.fired.fetch_add(1, Relaxed); self.state.store(2, Release); }";
+        let f = lint_str("/ws/crates/obs/src/watchdog.rs", mirror);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].msg.contains("store on `state`"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn test_code_is_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn f() { X.load(Ordering::SeqCst); }\n}\n";
+        let f = lint_str("/ws/crates/core/src/other.rs", src);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn unsafe_without_safety_comment_flagged() {
+        let f = lint_str("/ws/crates/htm/src/x.rs", "fn f() { unsafe { foo(); } }");
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "unsafe-safety-comment");
+
+        let ok = "fn f() {\n    // SAFETY: foo is sound here because reasons.\n    unsafe { foo(); }\n}";
+        assert!(lint_str("/ws/crates/htm/src/x.rs", ok).is_empty());
+
+        // `unsafe fn` declarations are not blocks.
+        assert!(lint_str("/ws/crates/htm/src/x.rs", "pub unsafe fn g() {}").is_empty());
+    }
+
+    #[test]
+    fn hot_path_unwrap_flagged() {
+        let f = lint_str(
+            "/ws/crates/core/src/elidable.rs",
+            "fn f() { x.unwrap(); }",
+        );
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "hot-path-hygiene");
+        // expect() is allowed.
+        assert!(lint_str(
+            "/ws/crates/core/src/elidable.rs",
+            "fn f() { x.expect(\"invariant\"); }"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn every_fetch_method_is_audited() {
+        // The retired scanner's op list lacked `fetch_or/and/xor/min/update`.
+        let f = lint_str("/ws/crates/core/src/other.rs", "fn f() { FLAGS.fetch_or(1, Ordering::Relaxed); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].pass, "ordering-unaudited");
+        // On a covered file it lands on the read-modify-write row.
+        let f = lint_str("/ws/crates/htm/src/lanes.rs", "fn f(&self) { self.w.fetch_or(1, Ordering::AcqRel); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].pass, "ordering-table");
+        assert!(f[0].msg.starts_with("fetch_or on `w`"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn atomics_and_unsafe_inside_macro_arguments_are_seen() {
+        let src = "fn f(&self) -> Vec<u64> { vec![self.a.load(Ordering::SeqCst), unsafe { *self.p }] }";
+        let f = lint_str("/ws/crates/obs/src/watchdog.rs", src);
+        let mut passes: Vec<_> = f.iter().map(|f| f.pass).collect();
+        passes.sort_unstable();
+        assert_eq!(passes, ["ordering-table", "unsafe-safety-comment"], "{f:?}");
+    }
+
+    #[test]
+    fn lint_and_analyze_are_filters_over_the_one_driver() {
+        let src = "impl M {\n    fn len_plain(&self) -> usize {\n        unsafe { hint() };\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
+        let run = |passes: &[&'static str]| {
+            let mut findings = Vec::new();
+            analyze_file(Path::new("crates/shard/src/sharded.rs"), src, passes, &mut findings, &mut Vec::new());
+            findings.iter().map(|f| f.pass).collect::<Vec<_>>()
+        };
+        assert_eq!(run(&PASSES[..FLOW_PASSES]), ["lockset"]);
+        assert_eq!(run(&PASSES[FLOW_PASSES..]), ["unsafe-safety-comment"]);
+        assert_eq!(run(&PASSES), ["unsafe-safety-comment", "lockset"]);
     }
 }

@@ -1,4 +1,5 @@
-//! The declarative concurrency-invariant table and the rule engine.
+//! The `ordering-table` pass: the declarative concurrency-invariant table
+//! and the audit of every atomic site against it.
 //!
 //! Every atomic-ordering use inside [`ORDERING_SCOPE`] (`crates/core`,
 //! `crates/htm`, `crates/hytm`, `crates/shard`, and the recording and
@@ -8,23 +9,21 @@
 //! anything else is a finding. The table is the reviewable artifact: adding
 //! a new atomic means adding a row (or an annotation) stating its contract.
 //!
-//! # Migration note: retired textual rules
+//! A site is an `Atomic` or `Fence` event of [`crate::cfg::lower`] — the
+//! same events the `publication` and `fence` passes reason about, so the
+//! table and the flow passes cannot disagree about what an atomic is.
+//! `tests/conservation.rs` holds the other direction: every ordering name
+//! in a scope file's production code is carried by such an event.
 //!
-//! The lint used to carry an `orec-fence` rule family that checked §4's
-//! store-load fence by *textual adjacency* — "an `orec.write(` statement
-//! must be followed by a `fence(` statement before brace depth drops".
-//! That rule (and the statement-joining heuristics it leaned on) is
-//! retired: the `fence` pass in [`crate::passes`] now proves the same
-//! invariant path-sensitively on the CFG — the fence must come before
-//! any store-class event on *every* path from the stamp, which the
-//! textual rule could neither express (branches) nor check precisely
-//! (any `fence(` text counted, at any ordering). Keep new flow-sensitive
-//! invariants in `passes`; this table stays for per-site ordering
-//! contracts, which are genuinely local.
+//! Flow-sensitive invariants (§4's fence after the orec stamp, publication
+//! order) live in their own passes; this table stays for per-site
+//! ordering contracts, which are genuinely local.
 
-use super::source::Stmt;
+use super::PassFinding;
+use crate::cfg::{EventKind, FnCfg};
+use crate::syntax::Comments;
 
-/// Atomic operations the scanner recognizes.
+/// The table's operation classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomicOp {
     /// `.load(ordering)`
@@ -34,7 +33,8 @@ pub enum AtomicOp {
     /// `.swap(v, ordering)`
     Swap,
     /// `.fetch_add(v, ordering)` / `.fetch_sub(v, ordering)` /
-    /// `.fetch_max(v, ordering)`
+    /// `.fetch_max(v, ordering)` — and every other `fetch_*`
+    /// read-modify-write of [`crate::cfg::lower::ATOMIC_METHODS`].
     FetchAdd,
     /// `.compare_exchange*(cur, new, success, failure)` — both orderings
     /// are checked against the allowed set.
@@ -44,14 +44,16 @@ pub enum AtomicOp {
 }
 
 impl AtomicOp {
-    fn name(self) -> &'static str {
-        match self {
-            AtomicOp::Load => "load",
-            AtomicOp::Store => "store",
-            AtomicOp::Swap => "swap",
-            AtomicOp::FetchAdd => "fetch_add/fetch_sub/fetch_max",
-            AtomicOp::CompareExchange => "compare_exchange",
-            AtomicOp::Fence => "fence",
+    /// The class of an atomic method the lowering recognizes (or of the
+    /// free `fence`).
+    fn of(method: &str) -> AtomicOp {
+        match method {
+            "fence" => AtomicOp::Fence,
+            "load" => AtomicOp::Load,
+            "store" => AtomicOp::Store,
+            "swap" => AtomicOp::Swap,
+            m if m.starts_with("compare_exchange") => AtomicOp::CompareExchange,
+            _ => AtomicOp::FetchAdd,
         }
     }
 }
@@ -272,33 +274,11 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         why: "heatmap snapshot loads: advisory counter reads, no synchronization role",
     },
     // ---- rtle-shard -----------------------------------------------------
-    // The sharded map adds exactly one atomic of its own: the per-shard
-    // `routed` load counter. It is advisory (imbalance metrics only) and
-    // plays no part in the cross-shard locking protocol — mutual exclusion
-    // and ordering come entirely from each shard's ElidableLock, acquired
-    // in ascending shard-index order (deadlock freedom by total order; see
-    // DESIGN.md §10).
-    OrderingRule {
-        file_suffix: "shard/src/sharded.rs",
-        receiver: "routed",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "per-shard routing counter: advisory load metric, no synchronization role",
-    },
-    OrderingRule {
-        file_suffix: "shard/src/batch.rs",
-        receiver: "routed",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "per-shard routing counter (batch entry point): advisory, no synchronization role",
-    },
-    OrderingRule {
-        file_suffix: "shard/src/obs.rs",
-        receiver: "routed",
-        op: AtomicOp::Load,
-        allowed: &["Relaxed"],
-        why: "routing-counter snapshot read: advisory imbalance metric, no synchronization role",
-    },
+    // The sharded map has no atomic of its own: the per-shard `routed`
+    // load counter is a `Lanes<1>` (the `htm/src/lanes.rs` rows above state
+    // its contract), and mutual exclusion and ordering come entirely from
+    // each shard's ElidableLock, acquired in ascending shard-index order
+    // (deadlock freedom by total order; see DESIGN.md §10).
     // ---- rtle-obs: the recording side -----------------------------------
     // Everything a recording thread writes — the lane's event counters and
     // histogram words, its ring segments' cursors and slots — is a
@@ -401,22 +381,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     },
 ];
 
-/// Hot-path modules where `unwrap`/`panic!` are banned outside tests.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "core/src/elidable.rs",
-    "core/src/orec.rs",
-    "htm/src/swhtm.rs",
-    // Every read, extension and commit of both the emulated HTM and TL2.
-    "htm/src/stripe.rs",
-    // Every abort of every rung unwinds through here: a stray panic in
-    // the raise/catch pair would surface as a bogus abort or a lost one.
-    "htm/src/unwind.rs",
-    "hytm/src/norec.rs",
-    "hytm/src/tl2.rs",
-    "shard/src/map.rs",
-    "shard/src/sharded.rs",
-];
-
 /// Files whose atomic-ordering uses must be covered by the table (or
 /// annotated).
 pub const ORDERING_SCOPE: &[&str] = &[
@@ -436,216 +400,39 @@ pub const ORDERING_SCOPE: &[&str] = &[
     "crates/stm/src/",
 ];
 
-/// One ordering usage found in a statement.
+/// One audited site: an atomic operation or fence with its orderings.
 #[derive(Debug)]
 pub struct OrderingUse {
-    /// Operation.
+    /// Operation class.
     pub op: AtomicOp,
-    /// Normalized receiver name (empty for fences).
+    /// Method name as written (`fetch_sub`, `compare_exchange_weak`, `fence`).
+    pub method: String,
+    /// Receiver name ([`crate::syntax::Expr::receiver_name`]; empty for
+    /// fences and receivers with no name).
     pub receiver: String,
-    /// The `Ordering::X` names passed (compare-exchange has two).
+    /// The ordering names passed (compare-exchange has two).
     pub orderings: Vec<String>,
-    /// 1-based line of the statement.
+    /// 1-based line.
     pub line: usize,
 }
 
-const OP_PATTERNS: &[(&str, AtomicOp)] = &[
-    (".load(", AtomicOp::Load),
-    (".store(", AtomicOp::Store),
-    (".swap(", AtomicOp::Swap),
-    (".fetch_add(", AtomicOp::FetchAdd),
-    (".fetch_sub(", AtomicOp::FetchAdd),
-    (".fetch_max(", AtomicOp::FetchAdd),
-    (".compare_exchange(", AtomicOp::CompareExchange),
-    (".compare_exchange_weak(", AtomicOp::CompareExchange),
-    ("fence(", AtomicOp::Fence),
-];
-
-/// Extracts every atomic-ordering use from one logical statement.
-pub fn ordering_uses(stmt: &Stmt) -> Vec<OrderingUse> {
-    let code = &stmt.code;
-    if code.trim_start().starts_with("use ") {
-        return Vec::new();
-    }
-    let mut uses = Vec::new();
-    for &(pat, op) in OP_PATTERNS {
-        let mut from = 0;
-        while let Some(rel) = code[from..].find(pat) {
-            let at = from + rel;
-            from = at + pat.len();
-            // `fence(` must not be the tail of an identifier or a method
-            // (`.fence(` never occurs, but e.g. `my_fence(` should not
-            // match) — and the method patterns start with '.', so they are
-            // already anchored.
-            if op == AtomicOp::Fence {
-                if let Some(prev) = code[..at].chars().next_back() {
-                    if prev.is_alphanumeric() || prev == '_' || prev == '.' {
-                        continue;
-                    }
-                }
-            }
-            let args = argument_list(code, at + pat.len() - 1);
-            let orderings = extract_orderings(&args);
-            if orderings.is_empty() {
-                continue; // not an atomic op (e.g. TxCell::store, Vec ops)
-            }
-            uses.push(OrderingUse {
-                op,
-                receiver: if op == AtomicOp::Fence {
-                    String::new()
-                } else {
-                    receiver_name(code, at)
-                },
-                orderings,
-                line: stmt.line,
-            });
-        }
-    }
-    uses
-}
-
-/// Returns the balanced `(...)` argument text starting at `open` (the index
-/// of the opening parenthesis).
-fn argument_list(code: &str, open: usize) -> String {
-    let mut depth = 0i32;
-    let mut out = String::new();
-    for (bi, c) in code.char_indices() {
-        if bi < open {
-            continue;
-        }
-        match c {
-            '(' => {
-                depth += 1;
-                if depth == 1 {
-                    continue;
-                }
-            }
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        if depth >= 1 {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// The five orderings, recognised bare when a file imports them
-/// (`use …::Ordering::Relaxed; x.load(Relaxed)`).
-const ORDERING_NAMES: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// Pulls the ordering names out of an argument list, in argument order:
-/// any `Ordering::X` (however qualified), and a bare imported
-/// [`ORDERING_NAMES`] member that is not a segment of some other path or
-/// a field access.
-fn extract_orderings(args: &str) -> Vec<String> {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut found = Vec::new();
-    let mut pos = 0;
-    while let Some(rel) = args[pos..].find(is_ident) {
-        let start = pos + rel;
-        let len = args[start..].find(|c| !is_ident(c)).unwrap_or(args.len() - start);
-        let (before, word) = (args[..start].trim_end(), &args[start..start + len]);
-        pos = start + len;
-        let qualified = before.ends_with("Ordering::");
-        let bare = ORDERING_NAMES.contains(&word) && !before.ends_with("::") && !before.ends_with('.');
-        if qualified || bare {
-            found.push(word.to_string());
-        }
-    }
-    found
-}
-
-/// Walks back from the `.` of a method call to recover the receiver
-/// expression, then normalizes it to a bare name: trailing call/index
-/// groups stripped, last `.`/`::` segment taken, leading `&*(` dropped.
-fn receiver_name(code: &str, dot: usize) -> String {
-    let chars: Vec<char> = code[..dot].chars().collect();
-    let mut i = chars.len();
-    // Walk left over balanced groups and identifier characters.
-    while i > 0 {
-        let c = chars[i - 1];
-        match c {
-            ')' | ']' | '}' => {
-                let (open, close) = match c {
-                    ')' => ('(', ')'),
-                    ']' => ('[', ']'),
-                    _ => ('{', '}'),
-                };
-                let mut depth = 0;
-                while i > 0 {
-                    let d = chars[i - 1];
-                    if d == close {
-                        depth += 1;
-                    } else if d == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            i -= 1;
-                            break;
-                        }
-                    }
-                    i -= 1;
-                }
-            }
-            c if c.is_alphanumeric() || c == '_' || c == '.' || c == ':' => i -= 1,
-            '*' | '&' => i -= 1,
-            _ => break,
-        }
-    }
-    let expr: String = chars[i..].iter().collect();
-    normalize_receiver(&expr)
-}
-
-fn normalize_receiver(expr: &str) -> String {
-    let mut s = expr.trim().to_string();
-    loop {
-        let t = s.trim().to_string();
-        // Unwrap one outer parenthesis group.
-        let t = if t.starts_with('(') && t.ends_with(')') {
-            t[1..t.len() - 1].to_string()
-        } else {
-            t
+/// Every ordering use of one lowered function.
+pub fn ordering_uses(cfg: &FnCfg) -> Vec<OrderingUse> {
+    let site = |e: &crate::cfg::Event| {
+        let (method, receiver, orderings) = match &e.kind {
+            EventKind::Atomic { op, recv, orderings } => (op.as_str(), recv.as_str(), orderings.clone()),
+            EventKind::Fence { ordering } if !ordering.is_empty() => ("fence", "", vec![ordering.clone()]),
+            _ => return None,
         };
-        // Strip trailing call / index groups.
-        let t = strip_trailing_group(&t);
-        let t = t
-            .trim_start_matches(['&', '*', ' '])
-            .trim()
-            .to_string();
-        if t == s {
-            break;
-        }
-        s = t;
-    }
-    // Last path segment.
-    let s = s.rsplit("::").next().unwrap_or(&s).to_string();
-    let s = s.rsplit('.').next().unwrap_or(&s).to_string();
-    strip_trailing_group(&s)
-}
-
-fn strip_trailing_group(s: &str) -> String {
-    let t = s.trim_end();
-    for (open, close) in [('(', ')'), ('[', ']'), ('{', '}')] {
-        if t.ends_with(close) {
-            let mut depth = 0;
-            for (i, c) in t.char_indices().rev() {
-                if c == close {
-                    depth += 1;
-                } else if c == open {
-                    depth -= 1;
-                    if depth == 0 {
-                        return t[..i].trim_end().to_string();
-                    }
-                }
-            }
-        }
-    }
-    t.to_string()
+        Some(OrderingUse {
+            op: AtomicOp::of(method),
+            method: method.into(),
+            receiver: receiver.into(),
+            orderings,
+            line: e.line,
+        })
+    };
+    cfg.events().filter_map(|(_, e)| site(e)).collect()
 }
 
 /// Finds the table row covering `(path, receiver, op)`, if any.
@@ -655,26 +442,54 @@ pub fn rule_for(path: &str, receiver: &str, op: AtomicOp) -> Option<&'static Ord
     })
 }
 
-/// Formats an ordering-rule violation message.
-pub fn violation_msg(rule: &OrderingRule, u: &OrderingUse) -> String {
-    format!(
-        "{} on `{}` uses Ordering::{} but the invariant table allows only {:?} — {}",
-        u.op.name(),
-        if u.receiver.is_empty() { "<fence>" } else { &u.receiver },
-        u.orderings.join("/"),
-        rule.allowed,
-        rule.why
-    )
+/// Audits one lowered function of the file at `path`: a site on a table
+/// row must use an ordering the row allows (`ordering-table`); a site on
+/// no row needs a `// ordering: <reason>` annotation (`ordering-unaudited`).
+pub fn run(path: &str, cfg: &FnCfg, comments: &Comments) -> Vec<(&'static str, PassFinding)> {
+    let mut out = Vec::new();
+    for u in ordering_uses(cfg) {
+        let receiver = if u.receiver.is_empty() { "<fence>" } else { &u.receiver };
+        let orderings = u.orderings.join("/");
+        match rule_for(path, &u.receiver, u.op) {
+            Some(rule) if u.orderings.iter().all(|o| rule.allowed.contains(&o.as_str())) => {}
+            Some(rule) => out.push((
+                "ordering-table",
+                PassFinding {
+                    line: u.line,
+                    msg: format!(
+                        "{} on `{receiver}` uses Ordering::{orderings} but the invariant table allows only {:?} — {}",
+                        u.method, rule.allowed, rule.why
+                    ),
+                },
+            )),
+            None if comments.annotation(u.line, "ordering:").is_some() => {}
+            None => out.push((
+                "ordering-unaudited",
+                PassFinding {
+                    line: u.line,
+                    msg: format!(
+                        "atomic {} on `{receiver}` with Ordering::{orderings} has no invariant-table row and no `// ordering:` annotation",
+                        if u.op == AtomicOp::Fence { "fence" } else { "op" },
+                    ),
+                },
+            )),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::source::SourceFile;
+    use crate::cfg::lower_fn;
+    use crate::syntax::{for_each_fn, parse_file};
 
+    /// The sites of a statement-level fixture, lowered inside a function.
     fn uses_of(code: &str) -> Vec<OrderingUse> {
-        let sf = SourceFile::parse(code);
-        sf.stmts.iter().flat_map(ordering_uses).collect()
+        let src = parse_file(&format!("fn fixture() {{\n{code}\n}}"));
+        let mut uses = Vec::new();
+        for_each_fn(&src.items, &mut |f, marker| uses.extend(ordering_uses(&lower_fn(f, marker))));
+        uses
     }
 
     #[test]

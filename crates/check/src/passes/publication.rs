@@ -139,4 +139,16 @@ mod tests {
         let f = run(&cfg);
         assert_eq!(f.len(), 1, "dominance, not reachability: {f:?}");
     }
+
+    #[test]
+    fn bare_imported_release_store_is_a_publication() {
+        // `use …::Ordering::Release;` must not hide the publication: the
+        // lowering used to emit no event for a bare ordering argument.
+        let cfg = lower_first(
+            "fn publish(&self, v: u64) {\n                self.ready.store(true, Release);\n                unsafe { *self.slot.get() = v; }\n            }",
+        );
+        let f = run(&cfg);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].msg.contains("must precede publication"), "{}", f[0].msg);
+    }
 }

@@ -20,14 +20,17 @@ pub enum Item {
         /// Nested items.
         items: Vec<Item>,
     },
-    /// `impl ... { items }`.
+    /// `impl ... { items }`, or `trait ... { items }` (whose default
+    /// method bodies are functions like any other).
     Impl {
-        /// Best-effort self-type name (last path segment).
+        /// Best-effort self-type (or trait) name.
         type_name: String,
+        /// `cfg` marker from attributes, as for `Mod`.
+        cfg: Option<String>,
         /// Associated items.
         items: Vec<Item>,
     },
-    /// Anything else (struct, enum, use, const, trait, macro def, ...).
+    /// Anything else (struct, enum, use, const, macro call or def, ...).
     Other,
 }
 
@@ -45,6 +48,9 @@ pub struct FnItem {
     pub cfg_feature: Option<String>,
     /// Body (absent for trait method declarations).
     pub body: Option<Block>,
+    /// Items declared inside the body at any depth (`fn`, `impl`, ...),
+    /// hoisted here so [`for_each_fn`] visits them.
+    pub nested: Vec<Item>,
 }
 
 /// A `{ ... }` block.
@@ -76,8 +82,6 @@ pub enum Stmt {
     },
     /// Expression statement (with or without `;`).
     Expr(Expr),
-    /// A nested item (fn, mod, ...).
-    Item(Box<Item>),
 }
 
 /// One arm of a `match`.
@@ -232,6 +236,10 @@ pub enum Expr {
         name: String,
         /// Raw joined tokens of the arguments.
         text: String,
+        /// The arguments read as a comma-separated expression list (a
+        /// `Tuple`), so an atomic inside `vec![..]` or `assert!(..)` is
+        /// still an event; what is not an expression degrades to `Unknown`.
+        args: Box<Expr>,
         /// Line.
         line: usize,
     },
@@ -307,11 +315,21 @@ impl Expr {
         }
     }
 
-    /// Last name of [`Self::access_path`] that is a real identifier
-    /// (skipping `[..]` segments) — the "receiver name" for rule lookups.
+    /// The "receiver name" for rule lookups: the last name of the
+    /// expression once index, deref, reference and call-argument groups
+    /// are stripped — `self.stamps[i]` → `stamps`, `(*e.cell)` → `cell`,
+    /// `stripes()[idx]` → `stripes`, `self.words.as_ref()[i]` → `as_ref`.
     pub fn receiver_name(&self) -> Option<String> {
-        let p = self.access_path()?;
-        p.iter().rev().find(|s| *s != "[..]").cloned()
+        match self {
+            Expr::Path(segs, _) => segs.last().cloned(),
+            Expr::Field { name, .. } => Some(name.clone()),
+            Expr::MethodCall { method, .. } => Some(method.clone()),
+            Expr::Call { callee: e, .. }
+            | Expr::Index { base: e, .. }
+            | Expr::Deref(e, _)
+            | Expr::Ref(e, _) => e.receiver_name(),
+            _ => None,
+        }
     }
 
     /// If this expression indexes `<...>.shards[IDX]` (possibly under
@@ -343,19 +361,30 @@ impl Expr {
     }
 }
 
-/// Walks every function item (including nested in mods/impls), with the
-/// `cfg` context of enclosing modules threaded through.
+/// Walks every function item — in mods, impls, trait bodies and other
+/// functions' bodies — handing `f` each one with the `cfg` marker in
+/// effect for it: its own, or the nearest enclosing item's; `"test"` is
+/// sticky, so nothing inside a `#[cfg(test)]` item is production code.
 pub fn for_each_fn<'a>(items: &'a [Item], f: &mut impl FnMut(&'a FnItem, Option<&'a str>)) {
     fn walk<'a>(
         items: &'a [Item],
-        mod_cfg: Option<&'a str>,
+        ctx: Option<&'a str>,
         f: &mut impl FnMut(&'a FnItem, Option<&'a str>),
     ) {
+        let inherit = |own: &'a Option<String>| match ctx {
+            Some("test") => ctx,
+            _ => own.as_deref().or(ctx),
+        };
         for it in items {
             match it {
-                Item::Fn(func) => f(func, mod_cfg),
-                Item::Mod { cfg, items, .. } => walk(items, cfg.as_deref().or(mod_cfg), f),
-                Item::Impl { items, .. } => walk(items, mod_cfg, f),
+                Item::Fn(func) => {
+                    let cfg = inherit(&func.cfg_feature);
+                    f(func, cfg);
+                    walk(&func.nested, cfg, f);
+                }
+                Item::Mod { cfg, items, .. } | Item::Impl { cfg, items, .. } => {
+                    walk(items, inherit(cfg), f)
+                }
                 Item::Other => {}
             }
         }
@@ -396,6 +425,9 @@ fn dump_item(it: &Item, depth: usize, out: &mut String) {
             if let Some(b) = &f.body {
                 dump_block(b, depth + 1, out);
             }
+            for it in &f.nested {
+                dump_item(it, depth + 1, out);
+            }
         }
         Item::Mod { name, cfg, items } => {
             let _ = writeln!(
@@ -407,7 +439,7 @@ fn dump_item(it: &Item, depth: usize, out: &mut String) {
                 dump_item(it, depth + 1, out);
             }
         }
-        Item::Impl { type_name, items } => {
+        Item::Impl { type_name, items, .. } => {
             let _ = writeln!(out, "impl {type_name}");
             for it in items {
                 dump_item(it, depth + 1, out);
@@ -432,7 +464,6 @@ fn dump_block(b: &Block, depth: usize, out: &mut String) {
                 }
             }
             Stmt::Expr(e) => dump_expr(e, depth + 1, out),
-            Stmt::Item(it) => dump_item(it, depth + 1, out),
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Token-level lexer for the Rust subset the analyzer parses.
 //!
-//! Produces a flat token stream with line numbers. Comments are dropped
-//! (annotation lookups go through [`crate::lint::source::SourceFile`],
-//! which keeps them); string/char literals become a single `Lit` token
-//! carrying their source text — token-level patterns cannot match inside
-//! them, and attribute parsing can still read `cfg(feature = "...")`
-//! names.
+//! Produces a flat token stream with line numbers, and the comments as
+//! line-tagged trivia beside it ([`Comments`], which answers every
+//! `// ordering:` / `// SAFETY:` / `// lockcheck:` lookup). String/char
+//! literals become a single `Lit` token carrying their source text —
+//! token-level patterns cannot match inside them, and attribute parsing
+//! can still read `cfg(feature = "...")` names.
 
 /// Token kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,16 +41,56 @@ impl Tok {
     }
 }
 
+/// The comments of one file, by line, and which lines carry code.
+#[derive(Debug, Default)]
+pub struct Comments {
+    /// Index 0 = line 1: the comment text on the line (`//` tails and
+    /// block-comment content), and whether a token other than an
+    /// attribute's `#` starts it.
+    lines: Vec<(String, bool)>,
+}
+
+impl Comments {
+    fn line_mut(&mut self, line: usize) -> &mut (String, bool) {
+        if self.lines.len() < line {
+            self.lines.resize(line, Default::default());
+        }
+        &mut self.lines[line - 1]
+    }
+
+    /// The text after `needle` in a comment on `line` (1-based) or the
+    /// three lines above it, or anywhere in the contiguous
+    /// comment/attribute block immediately above (so multi-line SAFETY
+    /// comments of any length count, up to a sanity cap).
+    pub fn annotation(&self, line: usize, needle: &str) -> Option<&str> {
+        let grab = |i: usize| {
+            let comment = &self.lines.get(i)?.0;
+            let at = comment.find(needle)?;
+            Some(comment[at + needle.len()..].trim())
+        };
+        let idx = line.saturating_sub(1);
+        (idx.saturating_sub(3)..=idx).find_map(grab).or_else(|| {
+            (0..idx)
+                .rev()
+                .take(32)
+                .take_while(|&i| !self.lines.get(i).is_some_and(|l| l.1))
+                .find_map(grab)
+        })
+    }
+}
+
 /// Multi-char operators, longest first. `<<`/`>>` intentionally absent.
 const MULTI_PUNCT: &[&str] = &[
     "..=", "<<=", ">>=", "::", "->", "=>", "..", "&&", "||", "==", "!=", "<=", ">=", "+=", "-=",
     "*=", "/=", "%=", "^=", "&=", "|=",
 ];
 
-/// Lexes `text` into tokens. Never fails: unrecognized bytes are skipped.
-pub fn lex(text: &str) -> Vec<Tok> {
+/// Lexes `text` into tokens and comments. Never fails: unrecognized bytes
+/// are skipped.
+pub fn lex(text: &str) -> (Vec<Tok>, Comments) {
     let b: Vec<char> = text.chars().collect();
-    let mut toks = Vec::new();
+    let mut toks: Vec<Tok> = Vec::new();
+    let mut comments = Comments::default();
     let mut line = 1usize;
     let mut i = 0usize;
     while i < b.len() {
@@ -62,9 +102,11 @@ pub fn lex(text: &str) -> Vec<Tok> {
             }
             c if c.is_whitespace() => i += 1,
             '/' if b.get(i + 1) == Some(&'/') => {
+                let from = i + 2;
                 while i < b.len() && b[i] != '\n' {
                     i += 1;
                 }
+                comments.line_mut(line).0.extend(&b[from.min(i)..i]);
             }
             '/' if b.get(i + 1) == Some(&'*') => {
                 let mut depth = 1u32;
@@ -80,6 +122,7 @@ pub fn lex(text: &str) -> Vec<Tok> {
                         depth -= 1;
                         i += 2;
                     } else {
+                        comments.line_mut(line).0.push(b[i]);
                         i += 1;
                     }
                 }
@@ -144,7 +187,8 @@ pub fn lex(text: &str) -> Vec<Tok> {
             '\'' => {
                 // Char literal vs. lifetime/label.
                 let close = if b.get(i + 1) == Some(&'\\') {
-                    b[i + 2..].iter().position(|&c| c == '\'').map(|p| i + 2 + p)
+                    // The escaped character may itself be a quote (`'\''`).
+                    b.iter().skip(i + 3).position(|&c| c == '\'').map(|p| i + 3 + p)
                 } else if b.get(i + 2) == Some(&'\'') && b.get(i + 1) != Some(&'\'') {
                     Some(i + 2)
                 } else {
@@ -239,7 +283,14 @@ pub fn lex(text: &str) -> Vec<Tok> {
             }
         }
     }
-    toks
+    let mut last = 0;
+    for t in &toks {
+        if t.line != last {
+            last = t.line;
+            comments.line_mut(last).1 = !t.is("#");
+        }
+    }
+    (toks, comments)
 }
 
 /// Is position `i` the start of a raw (`r"`, `r#"`) or byte (`b"`, `br"`)
@@ -263,7 +314,7 @@ mod tests {
     use super::*;
 
     fn texts(code: &str) -> Vec<String> {
-        lex(code).into_iter().map(|t| t.text).collect()
+        lex(code).0.into_iter().map(|t| t.text).collect()
     }
 
     #[test]
@@ -302,7 +353,7 @@ mod tests {
 
     #[test]
     fn lines_are_tracked() {
-        let toks = lex("a\nb\n\nc");
+        let (toks, _) = lex("a\nb\n\nc");
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[2].line, 4);
@@ -312,5 +363,34 @@ mod tests {
     fn numbers_with_suffixes_and_ranges() {
         assert_eq!(texts("0xf422u64 1_000 2.5f64"), ["0xf422u64", "1_000", "2.5f64"]);
         assert_eq!(texts("0..3"), ["0", "..", "3"]);
+    }
+
+    #[test]
+    fn escaped_quote_is_one_char_literal() {
+        // `'\''` used to end at its second quote and leave a stray one
+        // that swallowed code up to the next quote in the file.
+        assert_eq!(texts("m('\\'', '\\\\'); fn b() {}"), ["m", "(", "' '", ",", "' '", ")", ";", "fn", "b", "(", ")", "{", "}"]);
+    }
+
+    #[test]
+    fn comments_are_kept_by_line() {
+        let (toks, c) = lex("a(); // ordering: one-off\n/* SAFETY: first line\n   second */ unsafe { b() }\nlet s = \"// lockcheck: no\";");
+        assert_eq!(c.annotation(1, "ordering:"), Some("one-off"));
+        assert_eq!(c.annotation(3, "SAFETY:"), Some("first line"), "block comments are tagged line by line");
+        assert_eq!(c.annotation(4, "lockcheck:"), None, "a literal is not a comment");
+        assert_eq!(toks.iter().filter(|t| t.is("unsafe")).map(|t| t.line).collect::<Vec<_>>(), [3]);
+    }
+
+    #[test]
+    fn annotation_window_and_comment_block() {
+        // Three lines up whatever they hold; further only through a
+        // contiguous comment/attribute block.
+        let near = "// SAFETY: near\na();\nb();\nunsafe { c() }";
+        assert_eq!(lex(near).1.annotation(4, "SAFETY:"), Some("near"));
+        let far = "// SAFETY: far\na();\nb();\nc();\nunsafe { d() }";
+        assert_eq!(lex(far).1.annotation(5, "SAFETY:"), None);
+        let block = "x();\n// SAFETY: long\n// two\n// three\n// four\n#[inline]\nunsafe { d() }";
+        assert_eq!(lex(block).1.annotation(7, "SAFETY:"), Some("long"));
+        assert_eq!(lex("// lockcheck:\nf();").1.annotation(2, "lockcheck:"), Some(""), "an empty reason is found, and empty");
     }
 }

@@ -8,21 +8,61 @@
 //! closures, and `cfg` attributes are kept faithfully because the
 //! dataflow passes depend on them.
 
-use super::ast::{Arm, Block, Expr, FnItem, Item, Stmt};
-use super::lexer::{lex, Tok, TokKind};
+use std::ops::Range;
 
-/// Parses a whole source file into items. Infallible by construction.
-pub fn parse_file(text: &str) -> Vec<Item> {
+use super::ast::{Arm, Block, Expr, FnItem, Item, Stmt};
+use super::lexer::{lex, Comments, Tok, TokKind};
+
+/// One source file, read once: the item tree the flow passes lower, and
+/// beside it what the token-level passes and annotation lookups need.
+#[derive(Debug)]
+pub struct ParsedFile {
+    /// Top-level items.
+    pub items: Vec<Item>,
+    /// The token stream the items were parsed from.
+    pub toks: Vec<Tok>,
+    /// The comments, by line.
+    pub comments: Comments,
+    /// Token ranges of the items under a `#[cfg(test)]` / `#[test]`
+    /// attribute — the same marker [`super::for_each_fn`] threads through.
+    pub test_spans: Vec<Range<usize>>,
+}
+
+impl ParsedFile {
+    /// Is token `idx` inside test-only code?
+    pub fn in_test(&self, idx: usize) -> bool {
+        self.test_spans.iter().any(|s| s.contains(&idx))
+    }
+}
+
+/// Parses a whole source file. Infallible by construction.
+pub fn parse_file(text: &str) -> ParsedFile {
+    let (toks, comments) = lex(text);
     let mut p = Parser {
-        toks: lex(text),
+        end: toks.len(),
+        toks,
         pos: 0,
+        nested: Vec::new(),
+        test_spans: Vec::new(),
     };
-    p.parse_items(false)
+    let items = p.parse_items(false);
+    ParsedFile {
+        items,
+        toks: p.toks,
+        comments,
+        test_spans: p.test_spans,
+    }
 }
 
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// One past the last token the cursor may see: the file's end, or the
+    /// closer of the macro token tree being re-read ([`Self::within_group`]).
+    end: usize,
+    /// Items met inside the body of the function being parsed.
+    nested: Vec<Item>,
+    test_spans: Vec<Range<usize>>,
 }
 
 /// Item-starting keywords valid both at top level and inside blocks.
@@ -34,11 +74,11 @@ impl Parser {
     // ---- token cursor ------------------------------------------------
 
     fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+        self.peek_at(0)
     }
 
     fn peek_at(&self, off: usize) -> Option<&Tok> {
-        self.toks.get(self.pos + off)
+        self.toks[..self.end].get(self.pos + off)
     }
 
     fn at(&self, s: &str) -> bool {
@@ -54,7 +94,7 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
+        let t = self.peek().cloned();
         if t.is_some() {
             self.pos += 1;
         }
@@ -71,7 +111,27 @@ impl Parser {
     }
 
     fn done(&self) -> bool {
-        self.pos >= self.toks.len()
+        self.pos >= self.end
+    }
+
+    /// Runs `f` over the inside of the balanced group whose opener was
+    /// just consumed — the cursor cannot leave it — and ends after its
+    /// closer. Macro token trees are read this way.
+    fn within_group<T>(&mut self, open: &str, close: &str, f: impl FnOnce(&mut Self) -> T) -> T {
+        let start = self.pos;
+        self.skip_balanced(open, close);
+        let after = self.pos;
+        let outer = std::mem::replace(&mut self.end, after.saturating_sub(1).max(start));
+        self.pos = start;
+        let out = f(self);
+        self.end = outer;
+        self.pos = after;
+        out
+    }
+
+    /// The opener at the cursor and its closer, if a group starts here.
+    fn group_delims(&self) -> Option<(&'static str, &'static str)> {
+        [("(", ")"), ("[", "]"), ("{", "}")].into_iter().find(|(open, _)| self.at(open))
     }
 
     /// Skips tokens until (and including) a balanced closer for `open`.
@@ -171,7 +231,18 @@ impl Parser {
     }
 
     fn parse_one_item(&mut self) -> Item {
+        let start = self.pos;
         let cfg = self.parse_attrs();
+        let test = cfg.as_deref() == Some("test");
+        let item = self.parse_item(cfg);
+        if test {
+            self.test_spans.push(start..self.pos);
+        }
+        item
+    }
+
+    /// One item, its attributes already consumed into `cfg`.
+    fn parse_item(&mut self, cfg: Option<String>) -> Item {
         // Visibility and item modifiers.
         if self.eat("pub") && self.at("(") {
             self.pos += 1;
@@ -221,7 +292,7 @@ impl Parser {
             self.eat(";");
             return Item::Other;
         }
-        if self.at("impl") {
+        if self.at("impl") || self.at("trait") {
             self.pos += 1;
             if self.at("<") {
                 self.skip_generics();
@@ -263,13 +334,34 @@ impl Parser {
             if self.eat("{") {
                 let items = self.parse_items(true);
                 self.eat("}");
-                return Item::Impl { type_name, items };
+                return Item::Impl {
+                    type_name,
+                    cfg,
+                    items,
+                };
             }
             return Item::Other;
         }
-        if ITEM_KEYWORDS.iter().any(|k| self.at(k)) || self.at("type") || self.at("use") {
-            // struct/enum/union/use/trait/macro_rules/type/extern: skip
-            // to `;` or over the balanced body.
+        if self.peek().is_some_and(|t| t.kind == TokKind::Ident) && self.at_off(1, "!") {
+            // `name! { .. }` / `macro_rules! name { .. }` in item position:
+            // the token tree is read as items, so the `fn`s of a macro
+            // template are functions like any other.
+            let mut name = self.bump().map(|t| t.text).unwrap_or_default();
+            self.pos += 1;
+            if self.peek().is_some_and(|t| t.kind == TokKind::Ident) {
+                name = self.bump().map(|t| t.text).unwrap_or_default();
+            }
+            let Some((open, close)) = self.group_delims() else {
+                return Item::Other;
+            };
+            self.pos += 1;
+            let items = self.within_group(open, close, |p| p.parse_items(false));
+            self.eat(";");
+            return Item::Mod { name, cfg, items };
+        }
+        if ITEM_KEYWORDS.iter().any(|k| self.at(k)) || self.at("type") {
+            // struct/enum/union/use/type/extern: skip to `;` or over the
+            // balanced body.
             self.pos += 1;
             self.skip_to_semi_or_brace();
             if self.at("{") {
@@ -317,6 +409,7 @@ impl Parser {
             }
             self.pos += 1;
         }
+        let outer = std::mem::take(&mut self.nested);
         let body = if self.at("{") {
             Some(self.parse_block())
         } else {
@@ -329,6 +422,7 @@ impl Parser {
             params,
             cfg_feature: cfg,
             body,
+            nested: std::mem::replace(&mut self.nested, outer),
         })
     }
 
@@ -352,10 +446,21 @@ impl Parser {
                 self.pos += 1;
                 continue;
             }
+            // Attributes on a `let` or expression statement are dropped;
+            // on an item they are the item's.
+            let item_attrs = self.at("#") && {
+                self.parse_attrs();
+                let is_item = self.starts_item();
+                if is_item {
+                    self.pos = before;
+                }
+                is_item
+            };
             if self.at("let") {
                 stmts.push(self.parse_let());
-            } else if self.starts_item() {
-                stmts.push(Stmt::Item(Box::new(self.parse_one_item())));
+            } else if item_attrs || self.starts_item() {
+                let item = self.parse_one_item();
+                self.nested.push(item);
             } else {
                 let e = self.parse_expr(true);
                 self.eat(";");
@@ -376,7 +481,7 @@ impl Parser {
 
     /// Does the cursor start a nested item rather than an expression?
     fn starts_item(&self) -> bool {
-        if self.at("#") || self.at("pub") {
+        if self.at("pub") {
             return true;
         }
         if ITEM_KEYWORDS.iter().any(|k| self.at(k)) {
@@ -495,6 +600,13 @@ impl Parser {
             let Some(op) = op else { break };
             let line = t.line;
             self.pos += 1;
+            // After an operand, `<` `<` is a shift (the lexer leaves it
+            // split), never a qualified path's generic-argument opener.
+            let op = match op {
+                "<" if self.eat("<") => "<<",
+                ">" if self.eat(">") => ">>",
+                op => op,
+            };
             let rhs = if (op == ".." || op == "..=") && !self.starts_expr() {
                 Expr::Unknown(line)
             } else {
@@ -650,18 +762,27 @@ impl Parser {
 
     /// Parses `( args )`; cursor on `(`.
     fn parse_call_args(&mut self) -> Vec<Expr> {
-        let mut args = Vec::new();
         self.eat("(");
-        while !self.done() && !self.at(")") {
+        let args = self.parse_expr_list(")");
+        self.eat(")");
+        args
+    }
+
+    /// Comma-separated expressions (`;` too: `[x; n]`, `vec![x; n]`) up to
+    /// an unconsumed `close` or the cursor's end.
+    fn parse_expr_list(&mut self, close: &str) -> Vec<Expr> {
+        let mut items = Vec::new();
+        while !self.done() && !self.at(close) {
             let before = self.pos;
-            args.push(self.parse_expr(true));
-            self.eat(",");
+            items.push(self.parse_expr(true));
+            if !self.eat(",") {
+                self.eat(";");
+            }
             if self.pos == before {
                 self.pos += 1;
             }
         }
-        self.eat(")");
-        args
+        items
     }
 
     fn parse_primary(&mut self, allow_struct: bool) -> Expr {
@@ -703,18 +824,7 @@ impl Parser {
         }
         if t.is("[") {
             self.pos += 1;
-            let mut items = Vec::new();
-            while !self.done() && !self.at("]") {
-                let before = self.pos;
-                items.push(self.parse_expr(true));
-                if !self.eat(",") {
-                    // `[x; n]` repeat form.
-                    self.eat(";");
-                }
-                if self.pos == before {
-                    self.pos += 1;
-                }
-            }
+            let items = self.parse_expr_list("]");
             self.eat("]");
             return Expr::Array(items, line);
         }
@@ -1007,30 +1117,22 @@ impl Parser {
             }
         }
         if self.at("!") && !self.at_off(1, "=") {
-            // Macro call: capture the raw argument tokens.
+            // Macro call: capture the raw argument tokens, and read them
+            // as a comma-separated expression list as well.
             self.pos += 1;
-            let (open, close) = match self.peek() {
-                Some(t) if t.is("(") => ("(", ")"),
-                Some(t) if t.is("[") => ("[", "]"),
-                Some(t) if t.is("{") => ("{", "}"),
-                _ => {
-                    return Expr::Macro {
-                        name: segs.last().cloned().unwrap_or_default(),
-                        text: String::new(),
-                        line,
-                    }
-                }
-            };
-            self.pos += 1;
-            let start = self.pos;
-            self.skip_balanced(open, close);
-            let text: Vec<String> = self.toks[start..self.pos.saturating_sub(1)]
-                .iter()
-                .map(|t| t.text.clone())
-                .collect();
+            let name = segs.last().cloned().unwrap_or_default();
+            let mut args = Vec::new();
+            let mut text = Vec::new();
+            if let Some((open, close)) = self.group_delims() {
+                self.pos += 1;
+                let start = self.pos;
+                args = self.within_group(open, close, |p| p.parse_expr_list(""));
+                text.extend(self.toks[start..self.pos.saturating_sub(1)].iter().map(|t| t.text.clone()));
+            }
             return Expr::Macro {
-                name: segs.last().cloned().unwrap_or_default(),
+                name,
                 text: text.join(" "),
+                args: Box::new(Expr::Tuple(args, line)),
                 line,
             };
         }
@@ -1121,6 +1223,9 @@ fn is_binding_ident(s: &str) -> bool {
 
 /// Extracts the `cfg` marker from one attribute's inner token run.
 fn cfg_marker(toks: &[Tok]) -> Option<String> {
+    if let [t] = toks {
+        return t.is("test").then(|| "test".into());
+    }
     if toks.first().map(|t| t.text.as_str()) != Some("cfg") {
         return None;
     }
@@ -1146,7 +1251,7 @@ mod tests {
     use super::parse_file;
 
     fn first_fn(src: &str) -> super::FnItem {
-        let items = parse_file(src);
+        let items = parse_file(src).items;
         for it in items {
             if let Item::Fn(f) = it {
                 return f;
@@ -1211,7 +1316,7 @@ mod tests {
     #[test]
     fn cfg_test_mod_marks_fns() {
         let src = "#[cfg(test)]\nmod tests { fn helper() {} }\nfn real() {}";
-        let items = parse_file(src);
+        let items = parse_file(src).items;
         let mut seen = Vec::new();
         for_each_fn(&items, &mut |f, cfg| seen.push((f.name.clone(), cfg.map(str::to_string))));
         assert_eq!(
@@ -1270,7 +1375,7 @@ mod tests {
     fn closures_nested_and_loops() {
         let src = "fn n(&self, idxs: &[usize]) {\n            for i in 0..idxs.len() {\n                let g = idxs.iter().map(|&i| self.shards[i].lock.lock_section());\n            }\n            while let Some(x) = it.next() { drop(x); }\n            'outer: loop { break 'outer; }\n        }";
         let f = first_fn(src);
-        let dump = dump_items(&parse_file(src));
+        let dump = dump_items(&parse_file(src).items);
         assert!(dump.contains("for [i]"), "{dump}");
         assert!(dump.contains("closure |i|"), "{dump}");
         assert!(dump.contains("while"), "{dump}");
@@ -1294,7 +1399,7 @@ mod tests {
                     continue;
                 }
                 let text = std::fs::read_to_string(&p).unwrap();
-                let items = parse_file(&text);
+                let items = parse_file(&text).items;
                 let mut fns = 0usize;
                 for_each_fn(&items, &mut |_, _| fns += 1);
                 // Re-export-only roots legitimately have no fns.
@@ -1303,5 +1408,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn fn_names(src: &str) -> Vec<(String, Option<String>)> {
+        let parsed = parse_file(src);
+        let mut seen = Vec::new();
+        for_each_fn(&parsed.items, &mut |f, cfg| seen.push((f.name.clone(), cfg.map(str::to_string))));
+        seen
+    }
+
+    fn names_only(src: &str) -> Vec<String> {
+        fn_names(src).into_iter().map(|(n, _)| n).collect()
+    }
+
+    #[test]
+    fn shift_after_an_operand_is_an_operator() {
+        // `x << 1` used to open a generic-argument list that ran to the
+        // next `>` in the file, swallowing every function on the way.
+        assert_eq!(names_only("fn a(x: u64) -> u64 { x << 1 } fn b() {} fn d() {}"), ["a", "b", "d"]);
+        assert_eq!(names_only("fn a(x: u64) -> u64 { (x >> 1) | (x << 63) } fn b() -> Vec<Vec<u8>> { Vec::<Vec<u8>>::new() } fn d() {}"), ["a", "b", "d"]);
+        let f = first_fn("fn a(x: u64) -> bool { x << 1 < y }");
+        let Stmt::Expr(Expr::Binary { op, lhs, .. }) = &f.body.unwrap().stmts[0] else { panic!("binary") };
+        assert_eq!(op, "<");
+        assert!(matches!(&**lhs, Expr::Binary { op, .. } if op == "<<"));
+    }
+
+    #[test]
+    fn trait_default_bodies_and_nested_items_are_functions() {
+        let src = "pub trait Tm: Sync { fn name(&self) -> &str; fn write(&self, v: u64) { self.enter(); } }\n\
+                   fn outer() { struct A; impl Drop for A { fn drop(&mut self) { g(); } } \
+                   let c = || { fn deep() {} deep() }; fn sub() {} }";
+        assert_eq!(names_only(src), ["name", "write", "outer", "drop", "deep", "sub"]);
+    }
+
+    #[test]
+    fn macro_token_trees_are_read() {
+        // Expression position: the arguments are expressions too.
+        let f = first_fn("fn f(&self) -> Vec<u64> { vec![self.a.load(Relaxed), 2] }");
+        let Stmt::Expr(Expr::Macro { name, args, .. }) = &f.body.unwrap().stmts[0] else { panic!("macro") };
+        let Expr::Tuple(args, _) = &**args else { panic!("tuple") };
+        assert_eq!((name.as_str(), args.len()), ("vec", 2));
+        assert!(matches!(&args[0], Expr::MethodCall { method, .. } if method == "load"));
+        // Item position: a template's functions are functions, and the
+        // reading cannot leave the macro's braces.
+        let src = "macro_rules! imp { ($t:ty) => { impl W for $t { fn to_word(self) -> u64 { self as u64 } } }; }\n\
+                   imp!(u8);\nthread_local! { static T: Cell<u8> = const { Cell::new(0) }; }\nfn after() {}";
+        assert_eq!(names_only(src), ["to_word", "after"]);
+    }
+
+    #[test]
+    fn test_markers_cover_impls_test_fns_and_everything_inside() {
+        let src = "#[cfg(test)]\nimpl X { #[cfg(debug_assertions)] fn a() {} }\n#[test]\nfn b() { fn c() {} }\n\
+                   #[cfg(feature = \"mutant-x\")]\nfn m() { fn inner() {} }\nfn real() {}";
+        let t = Some("test".to_string());
+        let m = Some("mutant-x".to_string());
+        assert_eq!(
+            fn_names(src),
+            [
+                ("a".into(), t.clone()),
+                ("b".into(), t.clone()),
+                ("c".into(), t),
+                ("m".into(), m.clone()),
+                ("inner".into(), m),
+                ("real".into(), None)
+            ]
+        );
+        let parsed = parse_file(src);
+        let tok = |text: &str| parsed.toks.iter().position(|t| t.is(text)).unwrap();
+        assert!(parsed.in_test(tok("a")) && parsed.in_test(tok("c")));
+        assert!(!parsed.in_test(tok("inner")) && !parsed.in_test(tok("real")));
+    }
+
+    #[test]
+    fn statement_attributes_keep_the_statement() {
+        let f = first_fn(
+            "fn f() { #[cfg(not(feature = \"m\"))] let adv = wv != rv + 2; #[cfg(feature = \"m\")] let adv = false; if adv { g(); } }",
+        );
+        let body = f.body.unwrap();
+        assert_eq!(body.stmts.len(), 3, "{body:?}");
+        assert!(matches!(&body.stmts[0], Stmt::Let { pat, .. } if pat == &["adv"]));
+        assert!(matches!(&body.stmts[2], Stmt::Expr(Expr::If { .. })));
     }
 }

@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use rtle_check::find_workspace_root;
-use rtle_check::passes::{analyze_workspace, EXPECTED_MUTANTS};
+use rtle_check::passes::{analyze_workspace, EXPECTED_MUTANTS, PASSES};
 use rtle_obs::{parse_json, Json, SCHEMA_VERSION};
 
 fn root() -> std::path::PathBuf {
@@ -16,7 +16,7 @@ fn root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_is_clean_and_mutants_are_caught() {
-    let report = analyze_workspace(&root());
+    let report = analyze_workspace(&root(), &PASSES);
     let live: Vec<String> = report.unsuppressed().map(|f| f.to_string()).collect();
     assert!(live.is_empty(), "unsuppressed findings:\n{}", live.join("\n"));
     assert_eq!(report.mutants.len(), EXPECTED_MUTANTS.len());
@@ -34,7 +34,7 @@ fn workspace_is_clean_and_mutants_are_caught() {
 
 #[test]
 fn suppressions_carry_reasons() {
-    let report = analyze_workspace(&root());
+    let report = analyze_workspace(&root(), &PASSES);
     let suppressed: Vec<_> = report.findings.iter().filter(|f| f.suppressed).collect();
     assert!(
         !suppressed.is_empty(),
@@ -50,7 +50,7 @@ fn suppressions_carry_reasons() {
 
 #[test]
 fn report_round_trips_through_obs_json() {
-    let report = analyze_workspace(&root());
+    let report = analyze_workspace(&root(), &PASSES);
     let text = report.to_json().to_string_pretty();
     let back = parse_json(&text).expect("valid JSON");
     assert_eq!(
@@ -73,6 +73,15 @@ fn report_round_trips_through_obs_json() {
         back.get("files").and_then(Json::as_u64),
         Some(report.files as u64)
     );
+    // All seven passes report, in order (then the annotation-hygiene
+    // bucket), and none has a finding that gates.
+    let passes = back.get("passes").and_then(Json::as_arr).expect("passes array");
+    let names: Vec<_> = passes.iter().filter_map(|p| p.get("name")?.as_str()).collect();
+    assert_eq!(names[..PASSES.len()], PASSES);
+    assert_eq!(names[PASSES.len()..], ["suppression"]);
+    for p in passes {
+        assert_eq!(p.get("findings").and_then(Json::as_u64), Some(0), "{p:?}");
+    }
     let mutants = back.get("mutants").and_then(Json::as_arr).expect("mutants array");
     assert_eq!(mutants.len(), EXPECTED_MUTANTS.len());
     assert!(mutants

@@ -38,7 +38,7 @@ fn check(name: &str, ext: &str, actual: &str) {
 }
 
 fn cfg_dump(src: &str) -> String {
-    let items = parse_file(src);
+    let items = parse_file(src).items;
     let mut out = String::new();
     for_each_fn(&items, &mut |f, mod_cfg| {
         let cfg = lower_fn(f, mod_cfg);
@@ -52,7 +52,7 @@ fn golden_ast_and_cfg() {
     for name in SNIPPETS {
         let src = std::fs::read_to_string(golden_dir().join(format!("{name}.rs")))
             .expect("read snippet");
-        check(name, "ast", &dump_items(&parse_file(&src)));
+        check(name, "ast", &dump_items(&parse_file(&src).items));
         check(name, "cfg", &cfg_dump(&src));
     }
 }
@@ -62,7 +62,7 @@ fn early_returns_snippet_keeps_fence_discipline() {
     // The snippet's loop body stamps, fences, then stores — the fence
     // pass must see it as clean even across continue/break edges.
     let src = std::fs::read_to_string(golden_dir().join("early_returns.rs")).unwrap();
-    let items = parse_file(&src);
+    let items = parse_file(&src).items;
     let mut findings = Vec::new();
     for_each_fn(&items, &mut |f, mod_cfg| {
         findings.extend(rtle_check::passes::fence::run(&lower_fn(f, mod_cfg)));

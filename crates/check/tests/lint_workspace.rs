@@ -1,20 +1,23 @@
-//! The lint pass must run clean on this workspace: `cargo test` therefore
-//! enforces the invariant table even when `scripts/tier1.sh` is skipped.
+//! The site-local passes (`rtle-check lint`) must run clean on this
+//! workspace: `cargo test` therefore enforces the invariant table even
+//! when `scripts/tier1.sh` is skipped.
 
 use std::path::Path;
 
-use rtle_check::lint::lint_workspace;
 use rtle_check::find_workspace_root;
+use rtle_check::passes::{analyze_workspace, FLOW_PASSES, PASSES};
 
 #[test]
 fn workspace_lint_is_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root locatable from crates/check");
-    let findings = lint_workspace(&root);
+    let report = analyze_workspace(&root, &PASSES[FLOW_PASSES..]);
+    assert!(report.mutants.is_empty(), "the seeded mutants belong to the flow passes");
     assert!(
-        findings.is_empty(),
+        report.findings.is_empty(),
         "lint findings:\n{}",
-        findings
+        report
+            .findings
             .iter()
             .map(|f| format!("  {f}"))
             .collect::<Vec<_>>()
@@ -49,24 +52,26 @@ fn no_manifest_declares_a_trace_feature() {
 }
 
 /// The watchdog's live mirror imports its ordering (`use …::Relaxed`), so
-/// every one of its atomic accesses is a bare `Relaxed` argument: the
-/// scanner must see them, and each must land on one of the three
-/// `obs/src/watchdog.rs` table rows rather than go unaudited.
+/// every one of its atomic accesses is a bare `Relaxed` argument — four of
+/// them inside a `vec![..]`: the lowering must emit an event for each, and
+/// each must land on one of the three `obs/src/watchdog.rs` table rows
+/// rather than go unaudited.
 #[test]
 fn watchdog_live_mirror_sites_match_their_table_rows() {
-    use rtle_check::lint::rules::{ordering_uses, rule_for};
-    use rtle_check::lint::source::SourceFile;
+    use rtle_check::cfg::lower_fn;
+    use rtle_check::passes::ordering::{ordering_uses, rule_for};
+    use rtle_check::syntax::{for_each_fn, parse_file};
 
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
     let path = "crates/obs/src/watchdog.rs";
     let text = std::fs::read_to_string(root.join(path)).expect("watchdog source");
-    let sf = SourceFile::parse(&text);
-    let uses: Vec<_> = sf
-        .stmts
-        .iter()
-        .filter(|s| !s.in_test)
-        .flat_map(ordering_uses)
-        .collect();
+    let src = parse_file(&text);
+    let mut uses = Vec::new();
+    for_each_fn(&src.items, &mut |f, marker| {
+        if marker != Some("test") {
+            uses.extend(ordering_uses(&lower_fn(f, marker)));
+        }
+    });
     assert!(uses.len() >= 12, "only {} live-mirror sites seen", uses.len());
     for u in &uses {
         let rule = rule_for(path, &u.receiver, u.op)

@@ -87,7 +87,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
             }
             let shard = &self.shards[sidx];
             let n = group.len() as u64;
-            shard.routed.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+            shard.routed.add(0, n);
             for chunk in group.chunks(BATCH_CHUNK) {
                 // The closure may run several times (fast path abort →
                 // retry → lock path); it only reads `ops` and returns

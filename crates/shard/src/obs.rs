@@ -4,7 +4,6 @@
 //! single JSON export (`kind: "shard-stats"`) that downstream tooling
 //! consumes the same way it consumes single-lock snapshots.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rtle_core::StatsSnapshot;
@@ -143,11 +142,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
 
     /// Operations routed per shard, in shard-index order.
     pub fn routed_counts(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            // ordering: advisory load counter (see `Shard::routed`).
-            .map(|s| s.routed.load(Ordering::Relaxed))
-            .collect()
+        self.shards.iter().map(|s| s.routed.sum(0)).collect()
     }
 
     /// One consistent-enough report over all shards.

@@ -36,10 +36,9 @@
 //! traffic on the same shards keeps speculating concurrently on the
 //! instrumented slow path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rtle_core::{ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection};
 use rtle_htm::hash::wang_mix64;
+use rtle_htm::lanes::Lanes;
 use rtle_htm::{HtmBackend, SwHtmBackend, TxWord};
 
 use crate::map::TxMap;
@@ -54,10 +53,11 @@ pub(crate) struct Shard<V: TxWord, B: HtmBackend> {
     pub(crate) lock: ElidableLock<B>,
     pub(crate) map: TxMap<V>,
     /// Operations routed to this shard (single-key, batched, and
-    /// cross-shard legs all count). Relaxed: advisory load metric with no
-    /// synchronization role; see the shard row of the rtle-check ordering
-    /// table.
-    pub(crate) routed: AtomicU64,
+    /// cross-shard legs all count): an advisory load metric every routed
+    /// op of every thread bumps, so it is a counter lane set of its own —
+    /// no line shared with the read-mostly lock and map headers beside
+    /// it, nor with another thread's bumps.
+    pub(crate) routed: Lanes<1>,
 }
 
 /// A transactional `u64 → V` map partitioned over `shards` independent
@@ -142,7 +142,7 @@ impl<V: TxWord + Default, B: HtmBackend + Clone> ShardedTxMap<V, B> {
                 .map(|_| Shard {
                     lock: template.clone().build(),
                     map: TxMap::with_capacity(capacity_per_shard),
-                    routed: AtomicU64::new(0),
+                    routed: Lanes::new(),
                 })
                 .collect(),
             // For 1 shard, bits = 0 and a 64-bit shift would be UB; route
@@ -170,9 +170,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     #[inline]
     fn route(&self, key: u64) -> &Shard<V, B> {
         let s = &self.shards[self.shard_of(key)];
-        // ordering: advisory load counter — uniqueness/ordering of the
-        // increments never synchronizes other memory.
-        s.routed.fetch_add(1, Ordering::Relaxed);
+        s.routed.add(0, 1);
         s
     }
 
@@ -206,8 +204,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         f: impl FnOnce(&TxMap<V>, &rtle_core::Ctx<'_>) -> R,
     ) -> R {
         let s = &self.shards[idx];
-        // ordering: advisory load counter — see `route`.
-        s.routed.fetch_add(1, Ordering::Relaxed);
+        s.routed.add(0, 1);
         let guard = s.lock.lock_section();
         f(&s.map, guard.ctx())
     }
@@ -264,7 +261,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         let guards: Vec<LockedSection<'_, B>> = idxs
             .iter()
             .map(|&i| {
-                self.shards[i].routed.fetch_add(1, Ordering::Relaxed);
+                self.shards[i].routed.add(0, 1);
                 self.shards[i].lock.lock_section()
             })
             .collect();
