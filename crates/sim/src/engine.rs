@@ -1475,6 +1475,9 @@ impl<W: Workload> Engine<W> {
 }
 
 #[cfg(test)]
+mod pin;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::Access;
