@@ -23,6 +23,15 @@
 //! * Threads observe the lock state in a separate probe step
 //!   ([`Phase::Decide`]) before acting on it, so the model contains the
 //!   real code's probe/act races.
+//! * [`Phase::Decide`] is a hand copy of Figure 1's choice of rung — the
+//!   runtime and the simulator both call `rtle_core::RetryPolicy::next_step`,
+//!   this crate does not link `rtle-core` — and differs from it in one
+//!   corner: *slow budget exhausted while the lock is held*. Here the
+//!   thread is disabled until the release (`enabled`'s
+//!   `slow_attempts < max_slow_attempts`) and then goes **fast**; the
+//!   runtime with `max_slow_attempts: Some(_)` answers `Step::Fallback`
+//!   and queues on the **lock**. Documented, not changed: state counts
+//!   and witnesses stay as they are.
 //!
 //! The model indexes orecs as `loc % orecs` instead of the runtime's
 //! Thomas-Wang hash: the protocol logic is what is being checked, and a

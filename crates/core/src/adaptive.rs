@@ -17,9 +17,12 @@
 //! All decisions are made by the lock holder (single writer), read by
 //! everyone else — the same asymmetry the rest of FG-TLE enjoys.
 //!
-//! The decision itself is [`Adaptation::step`], a function of plain
-//! values: the runtime applies it to its `OrecTable` and `fg_enabled`
-//! flag, the simulator (`rtle-sim`) to its engine state.
+//! The decision — [`Adaptation::step`] — and the window around it —
+//! [`Adaptation::on_lock_acquired`]: count sections, every [`WINDOW`]th
+//! take the slow-path deltas, step, name the decision — are functions of
+//! plain values, written once: the runtime applies the result to its
+//! `OrecTable` and `fg_enabled` flag, the simulator (`rtle-sim`) to its
+//! engine state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,7 +39,8 @@ const REENABLE_WINDOWS: u64 = 32;
 /// Grow when slow aborts exceed this multiple of slow commits.
 const GROW_ABORT_FACTOR: u64 = 4;
 
-/// What one adaptation step reads and may change.
+/// What one lock's adaptation reads and may change: the decision's state
+/// and the window bookkeeping around it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Adaptation {
     /// Orecs currently hashed over.
@@ -51,9 +55,45 @@ pub struct Adaptation {
     pub idle_windows: u64,
     /// Windows spent disabled since the collapse.
     pub disabled_windows: u64,
+    /// Lock acquisitions counted so far.
+    pub sections: u64,
+    /// The lock's slow-path commit total at the last window boundary.
+    pub last_slow_commits: u64,
+    /// The lock's slow-path abort total at the last window boundary.
+    pub last_slow_aborts: u64,
 }
 
 impl Adaptation {
+    /// Counts one lock acquisition (the holder calls this right after
+    /// acquiring, before the critical section runs: resizes are only
+    /// legal in that window). Every [`WINDOW`]th closes a window: the
+    /// lock's running `(slow commits, slow aborts)` totals are read from
+    /// `slow_totals`, their deltas go through [`Self::step`], and a step
+    /// that changed something is returned with the signals that
+    /// triggered it. `hot_slot` is left for the caller's heatmap.
+    pub fn on_lock_acquired(
+        &mut self,
+        slow_totals: impl FnOnce() -> (u64, u64),
+    ) -> Option<AdaptDecision> {
+        self.sections += 1;
+        if !self.sections.is_multiple_of(WINDOW) {
+            return None;
+        }
+        let (sc, sa) = slow_totals();
+        let dsc = sc - std::mem::replace(&mut self.last_slow_commits, sc);
+        let dsa = sa - std::mem::replace(&mut self.last_slow_aborts, sa);
+        let orecs_before = self.active;
+        let action = self.step(dsc, dsa)?;
+        Some(AdaptDecision {
+            action,
+            orecs_before,
+            orecs_after: self.active,
+            slow_commits: dsc,
+            slow_aborts: dsa,
+            hot_slot: None,
+        })
+    }
+
     /// The decision for one window in which the slow path committed
     /// `dsc` times and aborted `dsa` times: updates `active`, `enabled`
     /// and the window counters in place and names what it did.
@@ -99,7 +139,9 @@ impl Adaptation {
     }
 }
 
-/// Holder-maintained adaptation state for one lock.
+/// Holder-maintained adaptation state for one lock: what [`Adaptation`]
+/// owns beyond the active range and the enabled flag, which live where
+/// the slow path reads them (`OrecTable`, `fg_enabled`).
 #[derive(Debug, Default)]
 pub(crate) struct AdaptiveState {
     sections: AtomicU64,
@@ -118,8 +160,8 @@ impl AdaptiveState {
         }
     }
 
-    /// Called by the lock holder right after acquiring the lock, before the
-    /// critical section runs (resizes are only legal in that window).
+    /// Called by the lock holder right after acquiring the lock: load →
+    /// [`Adaptation::on_lock_acquired`] → apply.
     ///
     /// Every resize / collapse / re-enable is traced to `recorder` (when
     /// one is installed) with the window's slow-commit/abort signal, so a
@@ -131,15 +173,6 @@ impl AdaptiveState {
         stats: &ExecStats,
         recorder: Option<&Recorder>,
     ) {
-        let n = self.sections.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(WINDOW) {
-            return;
-        }
-
-        let sc = stats.slow_commits_now();
-        let sa = stats.slow_aborts_now();
-        let dsc = sc - self.last_slow_commits.swap(sc, Ordering::Relaxed);
-        let dsa = sa - self.last_slow_aborts.swap(sa, Ordering::Relaxed);
         let before = Adaptation {
             active: orecs.active_plain() as u64,
             capacity: orecs.capacity() as u64,
@@ -147,14 +180,23 @@ impl AdaptiveState {
             enabled: fg_enabled.read_plain(),
             idle_windows: self.idle_windows.load(Ordering::Relaxed),
             disabled_windows: self.disabled_windows.load(Ordering::Relaxed),
+            sections: self.sections.load(Ordering::Relaxed),
+            last_slow_commits: self.last_slow_commits.load(Ordering::Relaxed),
+            last_slow_aborts: self.last_slow_aborts.load(Ordering::Relaxed),
         };
         let mut after = before;
-        let action = after.step(dsc, dsa);
+        let decision =
+            after.on_lock_acquired(|| (stats.slow_commits_now(), stats.slow_aborts_now()));
         self.idle_windows
             .store(after.idle_windows, Ordering::Relaxed);
         self.disabled_windows
             .store(after.disabled_windows, Ordering::Relaxed);
-        let Some(action) = action else { return };
+        self.sections.store(after.sections, Ordering::Relaxed);
+        self.last_slow_commits
+            .store(after.last_slow_commits, Ordering::Relaxed);
+        self.last_slow_aborts
+            .store(after.last_slow_aborts, Ordering::Relaxed);
+        let Some(mut decision) = decision else { return };
         if after.active != before.active {
             orecs.resize_active(after.active as usize);
         }
@@ -162,19 +204,14 @@ impl AdaptiveState {
             fg_enabled.write(after.enabled);
         }
         if let Some(rec) = recorder {
-            // The conflict heatmap names the hottest slot, so a grow's
-            // trace shows *where* the aliasing concentrated.
-            let hot_slot = (action == AdaptAction::Grow)
-                .then(|| orecs.hottest_conflict_slot())
-                .flatten();
-            rec.record_decision(AdaptDecision {
-                action,
-                orecs_before: before.active,
-                orecs_after: after.active,
-                slow_commits: dsc,
-                slow_aborts: dsa,
-                hot_slot: hot_slot.map(|(slot, n)| (slot as u64, n)),
-            });
+            if decision.action == AdaptAction::Grow {
+                // The conflict heatmap names the hottest slot, so a grow's
+                // trace shows *where* the aliasing concentrated.
+                decision.hot_slot = orecs
+                    .hottest_conflict_slot()
+                    .map(|(slot, n)| (slot as u64, n));
+            }
+            rec.record_decision(decision);
         }
     }
 }

@@ -32,7 +32,7 @@ use crate::barrier::{Ctx, Holder, Rung};
 use crate::epoch::SeqEpoch;
 use crate::lock::TatasLock;
 use crate::orec::OrecTable;
-use crate::policy::{ElisionPolicy, RetryPolicy};
+use crate::policy::{slow_attempt_hopeless, ElisionPolicy, RetryPolicy, Step};
 use crate::stats::ExecStats;
 
 /// A lock whose critical sections are executed speculatively on HTM
@@ -462,9 +462,10 @@ impl<B: HtmBackend> ElidableLock<B> {
         }
     }
 
-    /// The speculative half of [`Self::execute`]'s ladder: fast attempts
-    /// while the lock is free, instrumented slow attempts while it is held,
-    /// up to the retry policy's budgets. `Ok` carries the committed result;
+    /// The speculative half of [`Self::execute`]'s ladder: whatever
+    /// [`RetryPolicy::next_step`] (Figure 1) chooses — fast attempts while
+    /// the lock is free, instrumented slow attempts while it is held — up
+    /// to the retry policy's budgets. `Ok` carries the committed result;
     /// `Err` carries the attempt count for the caller's fallback decision.
     fn speculative_phase<R>(
         &self,
@@ -473,22 +474,36 @@ impl<B: HtmBackend> ElidableLock<B> {
     ) -> Result<R, u32> {
         let mut attempts = 0u32;
         let mut slow_attempts = 0u32;
-        while attempts < self.retry.max_attempts {
-            if self.lock.is_held() {
-                if let Some(slow) = self.slow_path() {
-                    if self
-                        .retry
-                        .max_slow_attempts
-                        .is_some_and(|cap| slow_attempts >= cap)
-                    {
-                        // Anti-starvation cap exceeded: stop speculating and
-                        // take the lock, bounding this operation's total work.
-                        break;
+        let slow = self.slow_path();
+        loop {
+            let held = self.lock.is_held();
+            let step = self.retry.next_step(slow.is_some(), held, attempts, slow_attempts);
+            match (step, slow) {
+                (Step::Fast, _) => {
+                    let sampled = rec.map(|rc| (rc, Instant::now()));
+                    let outcome = self.fast_attempt(cs);
+                    self.note_attempt(
+                        PathKind::FastHtm,
+                        &outcome,
+                        attempts + slow_attempts,
+                        sampled,
+                    );
+                    match outcome {
+                        Ok(r) => return Ok(r),
+                        Err(code) => {
+                            attempts += 1;
+                            if self.retry.give_up_on_unsupported && !code.may_retry() {
+                                break;
+                            }
+                            // Anti-lemming: never start a transaction into
+                            // a held lock ([16]).
+                            self.lock.spin_while_held();
+                        }
                     }
+                }
+                (Step::Slow, Some(slow)) => {
                     // Refined TLE: speculate on the instrumented slow path,
-                    // concurrently with the lock holder. These attempts are
-                    // not charged to the fast-path budget (§6.2.1), but an
-                    // anti-starvation cap may bound them (RetryPolicy).
+                    // concurrently with the lock holder.
                     let sampled = rec.map(|rc| (rc, Instant::now()));
                     let outcome = self.slow_attempt(slow, cs);
                     self.note_attempt(
@@ -508,32 +523,10 @@ impl<B: HtmBackend> ElidableLock<B> {
                             }
                         }
                     }
-                } else {
-                    // Standard TLE: wait for the lock to be released.
-                    self.lock.spin_while_held();
                 }
-                continue;
-            }
-
-            let sampled = rec.map(|rc| (rc, Instant::now()));
-            let outcome = self.fast_attempt(cs);
-            self.note_attempt(
-                PathKind::FastHtm,
-                &outcome,
-                attempts + slow_attempts,
-                sampled,
-            );
-            match outcome {
-                Ok(r) => return Ok(r),
-                Err(code) => {
-                    attempts += 1;
-                    if self.retry.give_up_on_unsupported && !code.may_retry() {
-                        break;
-                    }
-                    // Anti-lemming: never start a transaction into a held
-                    // lock ([16]).
-                    self.lock.spin_while_held();
-                }
+                // Standard TLE (`Slow` is only chosen with a slow path).
+                (Step::AwaitRelease, _) | (Step::Slow, None) => self.lock.spin_while_held(),
+                (Step::Fallback, _) => break,
             }
         }
 
@@ -1025,22 +1018,6 @@ enum SlowPath<'a> {
     Rw,
     /// FG-TLE (§4) over this lock's orec table.
     Fg(&'a OrecTable),
-}
-
-/// Slow-path aborts that cannot succeed while the current holder runs:
-/// wait for the release instead of burning CPU on doomed retries.
-fn slow_attempt_hopeless(code: AbortCode) -> bool {
-    match code {
-        AbortCode::Explicit(c) => matches!(
-            c,
-            abort_codes::WRITE_FLAG_SET
-                | abort_codes::RW_SLOW_WRITE
-                | abort_codes::FG_DISABLED
-                | abort_codes::LAZY_LOCK_HELD
-        ),
-        AbortCode::Unsupported | AbortCode::Capacity => true,
-        _ => false,
-    }
 }
 
 /// Short fixed pause between hopeful slow-path retries.

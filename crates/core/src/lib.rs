@@ -55,7 +55,7 @@ pub use barrier::Ctx;
 pub use elidable::{ElidableLock, ElidableLockBuilder, LockedSection, SoftwarePresence};
 pub use lock::TatasLock;
 pub use orec::OrecTable;
-pub use policy::{ElisionPolicy, RetryPolicy};
+pub use policy::{ElisionPolicy, RetryPolicy, Step};
 pub use stats::{ExecStats, StatsSnapshot};
 
 /// Re-export of the paper's `fast_hash` (\[25\], Thomas Wang) used for orec

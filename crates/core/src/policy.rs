@@ -1,4 +1,11 @@
-//! Elision policies and the retry policy.
+//! Elision policies and the retry policy — including Figure 1's choice
+//! of rung, [`RetryPolicy::next_step`], the one function the runtime
+//! (`ElidableLock::speculative_phase`) and the simulator's engine both
+//! `match` on.
+
+use rtle_htm::AbortCode;
+
+use crate::abort_codes;
 
 /// Which synchronization algorithm an [`crate::ElidableLock`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +100,69 @@ impl Default for RetryPolicy {
     }
 }
 
+/// What Figure 1 does next for one operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The lock is free: one uninstrumented fast-path attempt.
+    Fast,
+    /// The lock is held and the policy is refined: one instrumented
+    /// slow-path attempt, concurrent with the holder.
+    Slow,
+    /// The lock is held and there is no slow path (standard TLE): wait
+    /// for the release, then decide again.
+    AwaitRelease,
+    /// A budget is spent: stop speculating (software TM or the lock).
+    Fallback,
+}
+
+impl RetryPolicy {
+    /// Figure 1's choice of rung, as a function of plain values: whether
+    /// the elision policy has a slow path, whether the lock is held right
+    /// now, and how many fast and slow attempts this operation has
+    /// already failed. Slow attempts never consume the fast budget
+    /// (§6.2.1); only [`Self::max_slow_attempts`] bounds them.
+    #[inline]
+    pub fn next_step(
+        &self,
+        has_slow_path: bool,
+        lock_held: bool,
+        fast_used: u32,
+        slow_used: u32,
+    ) -> Step {
+        if fast_used >= self.max_attempts {
+            Step::Fallback
+        } else if !lock_held {
+            Step::Fast
+        } else if !has_slow_path {
+            Step::AwaitRelease
+        } else if self.max_slow_attempts.is_some_and(|cap| slow_used >= cap) {
+            // Anti-starvation cap exceeded: take the lock, bounding this
+            // operation's total work.
+            Step::Fallback
+        } else {
+            Step::Slow
+        }
+    }
+}
+
+/// Slow-path aborts that cannot succeed while the current holder runs:
+/// the runtime waits for the release instead of burning CPU on doomed
+/// retries. (The simulator's engine keeps its own set, `awaits_release`;
+/// DESIGN §4b lists where the two differ.)
+pub fn slow_attempt_hopeless(code: AbortCode) -> bool {
+    match code {
+        AbortCode::Explicit(c) => matches!(
+            c,
+            abort_codes::WRITE_FLAG_SET
+                | abort_codes::RW_SLOW_WRITE
+                | abort_codes::FG_DISABLED
+                | abort_codes::LAZY_LOCK_HELD
+        ),
+        AbortCode::Unsupported | AbortCode::Capacity => true,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +200,73 @@ mod tests {
             .orec_capacity(),
             Some(1024)
         );
+    }
+
+    /// Figure 1, as a table.
+    #[test]
+    fn next_step_is_figure_1() {
+        let paper = RetryPolicy::default();
+        let capped = RetryPolicy {
+            max_slow_attempts: Some(2),
+            ..paper
+        };
+        // (policy, has slow path, lock held, fast used, slow used) -> step
+        let table = [
+            // Budget exhausted: fall back, whatever else holds.
+            (paper, false, false, 5, 0, Step::Fallback),
+            (paper, true, true, 5, 0, Step::Fallback),
+            (paper, true, false, 9, 9, Step::Fallback),
+            // Lock free: fast, with or without a slow path.
+            (paper, false, false, 0, 0, Step::Fast),
+            (paper, true, false, 4, 0, Step::Fast),
+            (capped, true, false, 0, 2, Step::Fast),
+            // Held, no slow path: standard TLE waits.
+            (paper, false, true, 0, 0, Step::AwaitRelease),
+            (paper, false, true, 4, 0, Step::AwaitRelease),
+            // Held, slow path: refined TLE speculates beside the holder.
+            (paper, true, true, 0, 0, Step::Slow),
+            (capped, true, true, 0, 1, Step::Slow),
+            // Held, slow cap reached: queue on the lock.
+            (capped, true, true, 0, 2, Step::Fallback),
+            (capped, true, true, 3, 7, Step::Fallback),
+        ];
+        for (policy, slow_path, held, fast, slow, want) in table {
+            assert_eq!(
+                policy.next_step(slow_path, held, fast, slow),
+                want,
+                "slow_path={slow_path} held={held} fast={fast} slow={slow} cap={:?}",
+                policy.max_slow_attempts
+            );
+        }
+        // Slow attempts never consume the fast budget (§6.2.1): uncapped,
+        // no number of them changes the answer.
+        for slow in [0, 1, 5, 1_000, u32::MAX] {
+            assert_eq!(paper.next_step(true, true, 4, slow), Step::Slow);
+            assert_eq!(paper.next_step(true, false, 4, slow), Step::Fast);
+        }
+        let none = RetryPolicy {
+            max_attempts: 0,
+            ..paper
+        };
+        assert_eq!(none.next_step(true, false, 0, 0), Step::Fallback);
+    }
+
+    #[test]
+    fn hopeless_slow_aborts_wait_for_the_release() {
+        for code in [
+            abort_codes::WRITE_FLAG_SET,
+            abort_codes::RW_SLOW_WRITE,
+            abort_codes::FG_DISABLED,
+            abort_codes::LAZY_LOCK_HELD,
+        ] {
+            assert!(slow_attempt_hopeless(AbortCode::Explicit(code)));
+        }
+        assert!(slow_attempt_hopeless(AbortCode::Unsupported));
+        assert!(slow_attempt_hopeless(AbortCode::Capacity));
+        assert!(!slow_attempt_hopeless(AbortCode::Conflict));
+        assert!(!slow_attempt_hopeless(AbortCode::Explicit(
+            abort_codes::OREC_CONFLICT
+        )));
     }
 
     #[test]

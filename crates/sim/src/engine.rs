@@ -28,6 +28,31 @@
 //! line-write events; event ordering guarantees any attempt ending later
 //! observes them.
 //!
+//! ## One attempt: plan → launch → resolve
+//!
+//! *Which* rung a thread tries next is not decided here: `on_ready` and
+//! `elision_decision` `match` on [`RetryPolicy::next_step`], the function
+//! the runtime's `ElidableLock::speculative_phase` matches on, under the
+//! paper's policy (five fast attempts, unlimited slow ones, no early
+//! give-up: TSX reports no "unsupported" code).
+//!
+//! A path is a value, a `Plan`: its `PathKind`, the lead-in before the
+//! first access, the per-access cost, the commit cost, the footprint
+//! factor of the capacity test, the subscriptions it watches beside its
+//! data (lock, write flag, active-size line, software count, clock),
+//! whether accesses also watch their orecs, and the two commit-time
+//! obligations (`rh_hw`, `lazy_lock`). `fast_plan`, `slow_plan`,
+//! `rh_plan` and `sw_plan` are the only places that differ per method.
+//! `Engine::launch` turns any plan into the in-flight `Attempt`: builds
+//! the watch list, draws the forced cause, indexes the attempt for eager
+//! conflicts and pushes its end event. Resolution is equally single:
+//! `on_attempt_end` / `on_sw_attempt_end` find the outcome,
+//! `Engine::abort` books a failed attempt and reschedules the thread —
+//! the aborts decided before launching (a hostile instruction, a raised
+//! write flag, an owned orec, ...) go through the same function — and
+//! `Engine::book` is the one place an outcome reaches `SimStats`' class
+//! counters *and* the recorder, software paths included.
+//!
 //! ## Simplifications
 //!
 //! Conflicting speculative attempts abort at the end of their window (real
@@ -35,8 +60,9 @@
 //! every method equally. A slow-path attempt that hits an already-owned
 //! orec or a raised write flag is charged one abort and then waits for the
 //! lock release (the real runtime retries and re-aborts, with the same net
-//! effect). RHNOrec software writer commits serialize on the clock; a
-//! commit that had to queue is classified as an SGL (slow) commit.
+//! effect); `awaits_release` is the engine's set of such aborts.
+//! RHNOrec software writer commits serialize on the clock; a commit that
+//! had to queue is classified as an SGL (slow) commit.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -44,9 +70,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rtle_core::abort_codes;
-use rtle_core::adaptive::{Adaptation, WINDOW as ADAPT_WINDOW};
+use rtle_core::adaptive::Adaptation;
+use rtle_core::{RetryPolicy, Step};
 use rtle_htm::hash::fast_hash;
-use rtle_obs::{AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind, RecordKind, Recorder};
+use rtle_obs::{AdaptAction, AttemptEvent, Outcome, PathKind, RecordKind, Recorder};
 
 use crate::cost::CostModel;
 use crate::method::SimMethod;
@@ -63,9 +90,6 @@ pub enum RunMode {
     /// (ccTSA's fixed total work; the result metric is the end time).
     FixedWork,
 }
-
-/// The paper's static retry policy.
-const ATTEMPTS: u32 = 5;
 
 /// Wang-mix hasher for `u64` line ids (the default SipHash dominates the
 /// simulator's profile otherwise).
@@ -107,6 +131,63 @@ enum ForcedCause {
     Uarch,
 }
 
+/// When a [`Plan`]'s subscription joins the attempt's read/write set.
+#[derive(Debug, Clone, Copy)]
+enum Since {
+    /// The attempt's start.
+    Start,
+    /// Just before commit: the attempt's end minus the plan's commit cost.
+    Commit,
+    /// A fixed time (the start of the covering critical section).
+    At(u64),
+}
+
+/// A path as a value: everything that distinguishes one kind of attempt
+/// from another. [`Engine::launch`] turns it into an [`Attempt`].
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    path: PathKind,
+    /// Cycles from the attempt's start to its first access.
+    lead_in: u64,
+    /// Cycles per access.
+    per_access: u64,
+    /// Cycles from the end of the section's work to the attempt's end.
+    commit: u64,
+    /// Tracked read lines per distinct line touched, for the capacity
+    /// test (orec reads double it); 0 for a path with no capacity test.
+    footprint: usize,
+    /// What the attempt watches beside its data, ahead of it and in this
+    /// order: `(line, since, write)`.
+    subscriptions: [Option<(u64, Since, bool)>; 2],
+    /// FG-TLE: every access also watches its write orec (a store its read
+    /// orec too) from this time — the covering section's start.
+    orecs_since: Option<u64>,
+    rh_hw: bool,
+    lazy_lock: bool,
+}
+
+/// The engine's wait-for-release set: aborts after which retrying against
+/// the same holder would only abort again, so the thread spins until the
+/// release. It differs from the runtime's
+/// [`rtle_core::policy::slow_attempt_hopeless`] in two places (DESIGN
+/// §4b): an owned orec waits here (the runtime retries and re-aborts),
+/// and a slow-path capacity abort retries here (the runtime waits).
+fn awaits_release(path: PathKind, outcome: Outcome) -> bool {
+    match outcome {
+        Outcome::AbortExplicit(code) => matches!(
+            code,
+            abort_codes::WRITE_FLAG_SET
+                | abort_codes::RW_SLOW_WRITE
+                | abort_codes::OREC_CONFLICT
+                | abort_codes::FG_DISABLED
+                | abort_codes::LAZY_LOCK_HELD
+        ),
+        // On the fast path the lock is free: nothing to wait for.
+        Outcome::AbortUnsupported => path == PathKind::SlowHtm,
+        _ => false,
+    }
+}
+
 #[derive(Debug)]
 struct Attempt {
     t0: u64,
@@ -115,9 +196,9 @@ struct Attempt {
     path: PathKind,
     watches: Vec<Watch>,
     commit_writes: Vec<u64>,
-    /// Abort regardless of validation (hostile instruction, capacity,
-    /// injected microarchitectural abort); the cause is recorded so the
-    /// statistics can attribute it.
+    /// Abort regardless of validation (capacity, injected
+    /// microarchitectural abort, loser of an eager pairwise conflict);
+    /// the cause is recorded so the statistics can attribute it.
     forced_abort: bool,
     forced_cause: ForcedCause,
     /// RHNOrec hardware attempt: resolve the clock obligation at commit.
@@ -130,7 +211,10 @@ struct Attempt {
 
 #[derive(Debug, Default)]
 struct ThreadState {
-    attempts_left: u32,
+    /// Failed fast-path attempts of the current operation.
+    fast_used: u32,
+    /// Failed slow-path attempts of the current operation.
+    slow_used: u32,
     op_active: bool,
     pending: Option<Attempt>,
     sw_commit: Option<SwCommit>,
@@ -208,64 +292,15 @@ struct SwCommit {
 
 type Ev = Reverse<(u64, u64, EvKind)>;
 
-/// Adaptive FG-TLE state: the runtime's decision
-/// ([`rtle_core::adaptive::Adaptation`]) plus the window bookkeeping the
-/// runtime keeps in `ExecStats` and its holder-only counters.
-#[derive(Debug, Default)]
-struct AdaptState {
-    policy: Adaptation,
-    sections: u64,
-    last_slow_commits: u64,
-    last_slow_aborts: u64,
-    slow_aborts: u64,
-}
-
-impl AdaptState {
-    fn new(initial: u64, max: u64) -> Self {
-        AdaptState {
-            policy: Adaptation {
-                active: initial.max(1),
-                capacity: max.max(1),
-                initial: initial.max(1),
-                enabled: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
-    /// Returns the decision taken when the active range (or enablement)
-    /// changed, with the window signals that triggered it.
-    fn on_lock_acquired(&mut self, slow_commits: u64) -> Option<AdaptDecision> {
-        self.sections += 1;
-        if !self.sections.is_multiple_of(ADAPT_WINDOW) {
-            return None;
-        }
-        let dsc = slow_commits - self.last_slow_commits;
-        self.last_slow_commits = slow_commits;
-        let dsa = self.slow_aborts - self.last_slow_aborts;
-        self.last_slow_aborts = self.slow_aborts;
-        let orecs_before = self.policy.active;
-        let action = self.policy.step(dsc, dsa)?;
-        Some(AdaptDecision {
-            action,
-            orecs_before,
-            orecs_after: self.policy.active,
-            slow_commits: dsc,
-            slow_aborts: dsa,
-            // Filled by the engine from its heatmap before recording.
-            hot_slot: None,
-        })
-    }
-}
-
 /// The simulator.
 pub struct Engine<W: Workload> {
     method: SimMethod,
     threads: usize,
     cost: CostModel,
     mode: RunMode,
-    lazy_subscription: bool,
+    /// The paper's static retry policy, read through
+    /// [`RetryPolicy::next_step`].
+    retry: RetryPolicy,
     /// Ablation: model §4.2's `uniq_*_orecs` shortcut (on by default).
     uniq_shortcut: bool,
     /// Uniform per-thread slowdown (SMT core sharing); scales the cost
@@ -292,7 +327,11 @@ pub struct Engine<W: Workload> {
     clock_bumps: Vec<u64>,
     clock_free_at: u64,
     sw_running: i64,
-    adapt: AdaptState,
+    /// Adaptive FG-TLE: the runtime's decision and its window
+    /// ([`Adaptation::on_lock_acquired`]), fed `stats.slow_commits` and
+    /// the running slow-path abort count below.
+    adapt: Adaptation,
+    slow_aborts: u64,
     stats: SimStats,
     last_completion: u64,
     /// Optional attempt-level recorder (latencies in simulator cycles).
@@ -316,10 +355,14 @@ impl<W: Workload> Engine<W> {
             _ => 1,
         };
         let adapt = match method {
-            SimMethod::AdaptiveFgTle { initial, max_orecs } => {
-                AdaptState::new(initial as u64, max_orecs as u64)
-            }
-            _ => AdaptState::default(),
+            SimMethod::AdaptiveFgTle { initial, max_orecs } => Adaptation {
+                active: (initial as u64).max(1),
+                capacity: (max_orecs as u64).max(1),
+                initial: (initial as u64).max(1),
+                enabled: true,
+                ..Default::default()
+            },
+            _ => Adaptation::default(),
         };
         let heat_capacity = match method {
             SimMethod::FgTle { orecs } => orecs,
@@ -335,7 +378,10 @@ impl<W: Workload> Engine<W> {
             threads,
             cost,
             mode,
-            lazy_subscription: false,
+            retry: RetryPolicy {
+                give_up_on_unsupported: false,
+                ..Default::default()
+            },
             uniq_shortcut: true,
             time_scale: 1.0,
             spurious_prob: 0.0,
@@ -352,35 +398,22 @@ impl<W: Workload> Engine<W> {
             clock_free_at: 0,
             sw_running: 0,
             adapt,
+            slow_aborts: 0,
             stats,
             last_completion: 0,
             recorder: None,
         }
     }
 
-    /// Installs an attempt-level recorder. The engine feeds it every HTM
-    /// attempt resolution, eager self-abort, pessimistic execution and
-    /// adaptive decision; latencies are in simulator **cycles** (configure
-    /// the recorder with `latency_unit: "cycles"`). Keep a clone of the
-    /// `Arc` to snapshot after the run.
+    /// Installs an attempt-level recorder. The engine feeds it every
+    /// attempt resolution — hardware, software and pessimistic, aborts
+    /// decided before launching included — and every adaptive decision;
+    /// latencies are in simulator **cycles** (configure the recorder with
+    /// `latency_unit: "cycles"`). Keep a clone of the `Arc` to snapshot
+    /// after the run.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
-    }
-
-    /// Records one attempt resolution — the span `[t0, t1]` in simulator
-    /// cycles — when a recorder is installed.
-    fn obs_attempt(&self, t: usize, path: PathKind, outcome: Outcome, t0: u64, t1: u64) {
-        if let Some(rec) = &self.recorder {
-            let attempt = ATTEMPTS - self.ts[t].attempts_left;
-            let ev = AttemptEvent {
-                path,
-                outcome,
-                attempt: attempt.min(u8::MAX as u32) as u8,
-                latency: t1.saturating_sub(t0),
-            };
-            rec.record(t as u64, t0, RecordKind::Attempt(ev));
-        }
     }
 
     /// Attributes one slow-path conflict abort to an orec slot (mirrors
@@ -406,7 +439,7 @@ impl<W: Workload> Engine<W> {
 
     /// Enables lazy lock subscription (§5) for elision methods.
     pub fn with_lazy_subscription(mut self, on: bool) -> Self {
-        self.lazy_subscription = on;
+        self.retry.lazy_subscription = on;
         self
     }
 
@@ -493,9 +526,13 @@ impl<W: Workload> Engine<W> {
     fn active_orecs_now(&self) -> u64 {
         match self.method {
             SimMethod::FgTle { orecs } => orecs as u64,
-            SimMethod::AdaptiveFgTle { .. } => self.adapt.policy.active,
+            SimMethod::AdaptiveFgTle { .. } => self.adapt.active,
             _ => 0,
         }
+    }
+
+    fn is_adaptive(&self) -> bool {
+        matches!(self.method, SimMethod::AdaptiveFgTle { .. })
     }
 
     /// Write-orec line for a workload line.
@@ -519,6 +556,8 @@ impl<W: Workload> Engine<W> {
         self.events.push(Reverse((time, self.seq, kind)));
     }
 
+    /// A committed write to `line` at `time`: applied now if `time` has
+    /// come, else scheduled.
     fn write_line_at(&mut self, line: u64, time: u64) {
         if time <= self.now {
             let e = self.last_write.entry(line).or_insert(0);
@@ -555,10 +594,7 @@ impl<W: Workload> Engine<W> {
             debug_assert!(time >= self.now, "event time went backwards");
             self.now = time;
             match kind {
-                EvKind::LineWrite(line) => {
-                    let e = self.last_write.entry(line).or_insert(0);
-                    *e = (*e).max(time);
-                }
+                EvKind::LineWrite(line) => self.write_line_at(line, time),
                 EvKind::Ready(t) => self.on_ready(t as usize),
                 EvKind::AttemptEnd(t) => self.on_attempt_end(t as usize),
                 EvKind::SwAttemptEnd(t) => self.on_sw_attempt_end(t as usize),
@@ -597,8 +633,9 @@ impl<W: Workload> Engine<W> {
 
         let fresh = !self.ts[t].op_active;
         let mut spec = if fresh {
-            self.ts[t].op_active = true;
-            self.ts[t].attempts_left = ATTEMPTS;
+            let th = &mut self.ts[t];
+            th.op_active = true;
+            (th.fast_used, th.slow_used) = (0, 0);
             self.workload.next_op(t)
         } else {
             self.workload.regenerate(t)
@@ -619,447 +656,295 @@ impl<W: Workload> Engine<W> {
             | SimMethod::RwTle
             | SimMethod::FgTle { .. }
             | SimMethod::AdaptiveFgTle { .. } => self.elision_decision(t, start, spec),
-            SimMethod::Norec => self.schedule_sw_txn(t, start, &spec),
-            SimMethod::RhNorec => {
-                if self.ts[t].attempts_left > 0 && !spec.htm_hostile {
-                    self.schedule_rh_hw_attempt(t, start, &spec);
-                } else {
-                    self.enter_sw_phase(t, start, &spec);
-                }
-            }
+            SimMethod::Norec => self.launch(t, start, &spec, self.sw_plan()),
+            // RHNOrec has no lock to find held: hardware while the budget
+            // lasts (a hostile operation skips it), then software.
+            SimMethod::RhNorec => match self.next_step(t, false) {
+                Step::Fast if !spec.htm_hostile => self.launch(t, start, &spec, self.rh_plan()),
+                _ => self.enter_sw_phase(t, start, &spec),
+            },
         }
         self.locks.iter_mut().for_each(|l| l.prune(self.now));
     }
 
+    /// Figure 1's choice of rung for thread `t`'s current operation: the
+    /// runtime's own function, under the paper's policy.
+    fn next_step(&self, t: usize, lock_held: bool) -> Step {
+        let th = &self.ts[t];
+        self.retry
+            .next_step(self.method.refined(), lock_held, th.fast_used, th.slow_used)
+    }
+
     fn elision_decision(&mut self, t: usize, start: u64, spec: OpSpec) {
-        if self.ts[t].attempts_left == 0 {
-            self.schedule_lock_execution(t, start, &spec);
-            return;
+        let c = self.cost;
+        let free_at = self.locks[0].free_at;
+        match self.next_step(t, self.locks[0].held(start)) {
+            Step::Fallback => self.schedule_lock_execution(t, start, &spec),
+            // Standard TLE: wait for the release, then re-decide one
+            // cycle after it.
+            Step::AwaitRelease => self.await_release(t, free_at + 1),
+            Step::Fast if spec.htm_hostile => {
+                // The HTM-unfriendly instruction sits at the start of the
+                // critical section (Figure 12 evaluated both placements
+                // with similar results, §6.3): the attempt dies at once.
+                let end = start + c.htm_begin + c.access + c.abort_penalty;
+                self.abort(
+                    t,
+                    PathKind::FastHtm,
+                    Outcome::AbortUnsupported,
+                    start,
+                    end,
+                    end,
+                );
+            }
+            Step::Fast => self.launch(t, start, &spec, self.fast_plan()),
+            Step::Slow => match self.slow_plan(start, &spec) {
+                Ok(plan) => self.launch(t, start, &spec, plan),
+                // Decided before launching: one cheap abort.
+                Err((outcome, end)) => self.abort(t, PathKind::SlowHtm, outcome, start, end, end),
+            },
         }
+    }
+
+    // ---- plans: a path as a value ------------------------------------------------
+
+    /// What every hardware path starts from: begin, plain accesses,
+    /// commit, the data alone as footprint.
+    fn hw_plan(&self, path: PathKind, subscriptions: [Option<(u64, Since, bool)>; 2]) -> Plan {
+        Plan {
+            path,
+            lead_in: self.cost.htm_begin,
+            per_access: self.cost.access,
+            commit: self.cost.htm_commit,
+            footprint: 1,
+            subscriptions,
+            orecs_since: None,
+            rh_hw: false,
+            lazy_lock: self.retry.lazy_subscription,
+        }
+    }
+
+    /// The uninstrumented fast path: subscribe to the lock (early, or
+    /// lazily just before commit).
+    fn fast_plan(&self) -> Plan {
+        let since = if self.retry.lazy_subscription {
+            Since::Commit
+        } else {
+            Since::Start
+        };
+        self.hw_plan(
+            PathKind::FastHtm,
+            [Some((self.lock_line(0), since, false)), None],
+        )
+    }
+
+    /// RHNOrec's hardware path: the fast path without a lock, plus the
+    /// commit instrumentation — the sw-count read and (conditionally) the
+    /// clock access live in the reduced window before commit. The clock
+    /// bump is a *write* there, visible to the eager pairwise scan so
+    /// concurrent bumps collide (the contention §6.2.2 blames for
+    /// RHNOrec's collapse).
+    fn rh_plan(&self) -> Plan {
+        let sw_count = (self.sw_count_line(), Since::Commit, false);
+        let clock = (self.sw_running > 0).then(|| (self.clock_line(), Since::Commit, true));
+        Plan {
+            rh_hw: true,
+            lazy_lock: false, // RHNOrec has no lock to subscribe to
+            ..self.hw_plan(PathKind::FastHtm, [Some(sw_count), clock])
+        }
+    }
+
+    /// A software transaction's read phase: value-logged accesses, no
+    /// hardware (no capacity, no injected aborts, no eager conflicts).
+    fn sw_plan(&self) -> Plan {
+        Plan {
+            path: PathKind::Stm,
+            lead_in: 0,
+            per_access: self.cost.sw_access,
+            commit: 0,
+            footprint: 0,
+            subscriptions: [None, None],
+            orecs_since: None,
+            rh_hw: false,
+            lazy_lock: false,
+        }
+    }
+
+    /// The instrumented slow path beside a lock holder (RW-TLE's or
+    /// FG-TLE's), or — when the attempt is hopeless from the start — the
+    /// abort it is charged instead, with the time that abort ends.
+    fn slow_plan(&mut self, start: u64, spec: &OpSpec) -> Result<Plan, (Outcome, u64)> {
+        let c = self.cost;
         let lock = &self.locks[0];
-        if !lock.held(start) {
-            self.schedule_fast_attempt(t, start, &spec);
-            return;
-        }
-        // Lock is held.
-        let free_at = lock.free_at;
-        match self.method {
-            SimMethod::Tle => {
-                // Standard TLE: wait for the release, then re-decide.
-                self.locks[0].waiters += 1;
-                self.push(free_at + 1, EvKind::Ready(t as u32));
-            }
-            SimMethod::RwTle => {
-                let covering = lock.covering(start);
-                let flag_raised = covering
-                    .and_then(|c| c.first_write)
-                    .is_some_and(|fw| fw <= start);
-                if spec.htm_hostile || flag_raised {
-                    // Hopeless while this holder runs: one cheap abort,
-                    // then wait (spinning) for the release.
-                    self.stats.aborts += 1;
-                    let outcome = if flag_raised {
-                        self.stats.aborts_eager_owned += 1;
-                        Outcome::AbortExplicit(abort_codes::WRITE_FLAG_SET)
-                    } else {
-                        self.stats.aborts_hostile += 1;
-                        Outcome::AbortUnsupported
-                    };
-                    self.obs_attempt(t, PathKind::SlowHtm, outcome, start, start + self.cost.abort_penalty);
-                    self.locks[0].waiters += 1;
-                    self.push(
-                        free_at.max(start + self.cost.abort_penalty),
-                        EvKind::Ready(t as u32),
-                    );
-                } else {
-                    self.schedule_rw_slow_attempt(t, start, &spec, covering);
-                }
-            }
-            SimMethod::FgTle { .. } | SimMethod::AdaptiveFgTle { .. } => {
-                let fg_disabled = matches!(self.method, SimMethod::AdaptiveFgTle { .. })
-                    && !self.adapt.policy.enabled;
-                if spec.htm_hostile || fg_disabled {
-                    // Hostile, or the adaptive policy collapsed to plain
-                    // TLE (slow attempts self-abort on the disabled flag).
-                    self.stats.aborts += 1;
-                    let outcome = if spec.htm_hostile {
-                        self.stats.aborts_hostile += 1;
-                        Outcome::AbortUnsupported
-                    } else {
-                        self.stats.aborts_eager_owned += 1;
-                        Outcome::AbortExplicit(abort_codes::FG_DISABLED)
-                    };
-                    self.obs_attempt(t, PathKind::SlowHtm, outcome, start, start + self.cost.abort_penalty);
-                    self.adapt.slow_aborts += 1;
-                    self.locks[0].waiters += 1;
-                    self.push(
-                        free_at.max(start + self.cost.abort_penalty),
-                        EvKind::Ready(t as u32),
-                    );
-                } else {
-                    self.schedule_fg_slow_attempt(t, start, &spec);
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
+        let cheap_abort = |code| Err((Outcome::AbortExplicit(code), start + c.abort_penalty));
+        let hostile = Err((Outcome::AbortUnsupported, start + c.abort_penalty));
 
-    // ---- speculative attempts --------------------------------------------------
+        if self.method == SimMethod::RwTle {
+            let covering = lock.covering(start);
+            let flag_raised = covering
+                .and_then(|cs| cs.first_write)
+                .is_some_and(|fw| fw <= start);
+            if flag_raised {
+                return cheap_abort(abort_codes::WRITE_FLAG_SET);
+            }
+            if spec.htm_hostile {
+                return hostile;
+            }
+            if let Some(fw) = spec.first_write() {
+                // Figure 2: the write barrier aborts the transaction at
+                // the first write.
+                let abort_at = start + c.htm_begin + (fw as u64 + 1) * c.access + c.abort_penalty;
+                return Err((Outcome::AbortExplicit(abort_codes::RW_SLOW_WRITE), abort_at));
+            }
+            // Read-only: subscribe to the write flag (from the covering CS
+            // start: a flag raised by that holder at any time dooms us)
+            // and to the lock (eager return on release, §6.3). No
+            // capacity test on this path.
+            let cs_start = covering.map_or(start, |cs| cs.start);
+            let flag = (self.flag_line(), Since::At(cs_start), false);
+            let lock = (self.lock_line(0), Since::Start, false);
+            return Ok(Plan {
+                lead_in: c.htm_begin + c.access,
+                footprint: 0,
+                ..self.hw_plan(PathKind::SlowHtm, [Some(flag), Some(lock)])
+            });
+        }
 
-    fn schedule_fast_attempt(&mut self, t: usize, start: u64, spec: &OpSpec) {
-        let c = self.cost;
         if spec.htm_hostile {
-            // The HTM-unfriendly instruction sits at the start of the
-            // critical section (Figure 12 evaluated both placements with
-            // similar results, §6.3): the attempt dies immediately.
-            self.stats.aborts += 1;
-            self.stats.aborts_hostile += 1;
-            let end = start + c.htm_begin + c.access + c.abort_penalty;
-            self.obs_attempt(t, PathKind::FastHtm, Outcome::AbortUnsupported, start, end);
-            self.ts[t].attempts_left = self.ts[t].attempts_left.saturating_sub(1);
-            self.push(end, EvKind::Ready(t as u32));
-            return;
+            return hostile;
         }
-        let dur = c.htm_begin + spec.trace.len() as u64 * c.access + spec.cs_compute + c.htm_commit;
-        let t1 = start + dur;
-
-        let (dr, dw) = spec.distinct_rw();
-        let forced_cause = if dr + dw > c.htm_read_capacity || dw > c.htm_write_capacity {
-            ForcedCause::Capacity
-        } else if self.spurious_abort() {
-            ForcedCause::Uarch
-        } else {
-            ForcedCause::None
-        };
-        let forced = forced_cause != ForcedCause::None;
-
-        let mut watches = Vec::with_capacity(spec.trace.len() + 1);
-        let lock_from = if self.lazy_subscription {
-            t1 - c.htm_commit
-        } else {
-            start
-        };
-        watches.push(Watch {
-            line: self.lock_line(0),
-            from: lock_from,
-            write: false,
-        });
-        let mut commit_writes = Vec::new();
-        for (i, a) in spec.trace.iter().enumerate() {
-            let at = start + c.htm_begin + i as u64 * c.access;
-            let line = self.data_line(a.line);
-            watches.push(Watch {
-                line,
-                from: at,
-                write: a.write,
-            });
-            if a.write {
-                commit_writes.push(line);
-            }
+        if self.is_adaptive() && !self.adapt.enabled {
+            // The adaptive policy collapsed to plain TLE: slow attempts
+            // self-abort on the disabled flag.
+            return cheap_abort(abort_codes::FG_DISABLED);
         }
-
-        self.ts[t].pending = Some(Attempt {
-            t0: start,
-            path: PathKind::FastHtm,
-            watches,
-            commit_writes,
-            forced_abort: forced,
-            forced_cause,
-            rh_hw: false,
-            lazy_lock: self.lazy_subscription,
-        });
-        if self.eager_conflict_scan(t) {
-            if let Some(a) = &mut self.ts[t].pending {
-                a.forced_abort = true;
-            }
-        }
-        self.push(t1, EvKind::AttemptEnd(t as u32));
-    }
-
-    fn schedule_rw_slow_attempt(
-        &mut self,
-        t: usize,
-        start: u64,
-        spec: &OpSpec,
-        covering: Option<CsRecord>,
-    ) {
-        let c = self.cost;
-        let cs_start = covering.map_or(start, |cs| cs.start);
-
-        if let Some(fw) = spec.first_write() {
-            // Figure 2: the write barrier aborts the transaction at the
-            // first write. Hopeless while this holder runs.
-            let abort_at = start + c.htm_begin + (fw as u64 + 1) * c.access + c.abort_penalty;
-            self.stats.aborts += 1;
-            self.stats.aborts_eager_owned += 1;
-            self.obs_attempt(
-                t,
-                PathKind::SlowHtm,
-                Outcome::AbortExplicit(abort_codes::RW_SLOW_WRITE),
-                start,
-                abort_at,
-            );
-            self.locks[0].waiters += 1;
-            let free_at = self.locks[0].free_at;
-            self.push(free_at.max(abort_at), EvKind::Ready(t as u32));
-            return;
-        }
-
-        // Read-only: subscribe to the write flag (from the covering CS
-        // start: a flag raised by that holder at any time dooms us) and to
-        // the lock (eager return on release, §6.3).
-        let dur = c.htm_begin
-            + c.access
-            + spec.trace.len() as u64 * c.access
-            + spec.cs_compute
-            + c.htm_commit;
-        let t1 = start + dur;
-        let mut watches = vec![
-            Watch {
-                line: self.flag_line(),
-                from: cs_start,
-                write: false,
-            },
-            Watch {
-                line: self.lock_line(0),
-                from: start,
-                write: false,
-            },
-        ];
-        for (i, a) in spec.trace.iter().enumerate() {
-            let at = start + c.htm_begin + c.access + i as u64 * c.access;
-            watches.push(Watch {
-                line: self.data_line(a.line),
-                from: at,
-                write: false,
-            });
-        }
-
-        let forced = self.spurious_abort();
-        self.ts[t].pending = Some(Attempt {
-            t0: start,
-            path: PathKind::SlowHtm,
-            watches,
-            commit_writes: Vec::new(),
-            forced_abort: forced,
-            forced_cause: if forced { ForcedCause::Uarch } else { ForcedCause::None },
-            rh_hw: false,
-            lazy_lock: self.lazy_subscription,
-        });
-        if self.eager_conflict_scan(t) {
-            if let Some(a) = &mut self.ts[t].pending {
-                a.forced_abort = true;
-            }
-        }
-        self.push(t1, EvKind::AttemptEnd(t as u32));
-    }
-
-    fn schedule_fg_slow_attempt(&mut self, t: usize, start: u64, spec: &OpSpec) {
-        let c = self.cost;
-        let cs_start = self.locks[0].covering(start).map_or(start, |cs| cs.start);
-
+        let cs_start = lock.covering(start).map_or(start, |cs| cs.start);
         // Eager ownership check: an orec stamped at/after the covering CS
         // start and before `start` is owned now — the paper's explicit
-        // `htm_abort()` in the barrier. One abort charged, then wait for
-        // the release (retrying against the same holder would re-abort).
-        let mut owned_slot: Option<u64> = None;
-        for a in &spec.trace {
+        // `htm_abort()` in the barrier.
+        let owned_since = |orec: u64| self.last_write_of(orec) >= cs_start;
+        let owned = spec.trace.iter().find_map(|a| {
             let w = self.w_orec_line(a.line);
-            if self.last_write_of(w) >= cs_start {
-                owned_slot = self.orec_slot_of_line(w);
-                break;
+            if owned_since(w) {
+                return Some(w);
             }
-            let r = self.r_orec_line(a.line);
-            if a.write && self.last_write_of(r) >= cs_start {
-                owned_slot = self.orec_slot_of_line(r);
-                break;
-            }
-        }
-        if let Some(slot) = owned_slot {
+            let r = a.write.then(|| self.r_orec_line(a.line));
+            r.filter(|&r| owned_since(r))
+        });
+        if let Some(slot) = owned.and_then(|line| self.orec_slot_of_line(line)) {
             // Attribute-then-abort, like the runtime barrier: the heatmap
             // names the slot whose ownership killed this attempt.
             self.note_orec_conflict(slot);
-            self.stats.aborts += 1;
-            self.stats.aborts_eager_owned += 1;
-            self.obs_attempt(
-                t,
-                PathKind::SlowHtm,
-                Outcome::AbortExplicit(abort_codes::OREC_CONFLICT),
-                start,
-                start + self.cost.abort_penalty,
-            );
-            self.adapt.slow_aborts += 1;
-            self.locks[0].waiters += 1;
-            let free_at = self.locks[0].free_at;
-            self.push(
-                free_at.max(start + self.cost.abort_penalty),
-                EvKind::Ready(t as u32),
-            );
-            return;
+            return cheap_abort(abort_codes::OREC_CONFLICT);
         }
-
-        let per_access = c.access + c.slow_barrier_extra;
-        let dur =
-            c.htm_begin + spec.trace.len() as u64 * per_access + spec.cs_compute + c.htm_commit;
-        let t1 = start + dur;
-
-        let (dr, dw) = spec.distinct_rw();
-        // Orec reads roughly double the tracked read footprint.
-        let forced_cause = if 2 * (dr + dw) > c.htm_read_capacity || dw > c.htm_write_capacity {
-            ForcedCause::Capacity
-        } else if self.spurious_abort() {
-            ForcedCause::Uarch
-        } else {
-            ForcedCause::None
-        };
-        let forced = forced_cause != ForcedCause::None;
-
-        let mut watches = Vec::with_capacity(2 * spec.trace.len() + 1);
-        if matches!(self.method, SimMethod::AdaptiveFgTle { .. }) {
-            // Read the active orec count inside the transaction (§4.1):
-            // a resize by the holder dooms this attempt.
-            watches.push(Watch {
-                line: self.active_size_line(),
-                from: start,
-                write: false,
-            });
-        }
-        let mut commit_writes = Vec::new();
-        for (i, a) in spec.trace.iter().enumerate() {
-            let at = start + c.htm_begin + i as u64 * per_access;
-            let line = self.data_line(a.line);
-            watches.push(Watch {
-                line,
-                from: at,
-                write: a.write,
-            });
-            // Orec subscriptions: watched from the CS start (local_seq
-            // snapshot semantics): any stamp by the current-or-later
-            // holder aborts us; stamps by earlier holders do not.
-            watches.push(Watch {
-                line: self.w_orec_line(a.line),
-                from: cs_start,
-                write: false,
-            });
-            if a.write {
-                watches.push(Watch {
-                    line: self.r_orec_line(a.line),
-                    from: cs_start,
-                    write: false,
-                });
-                commit_writes.push(line);
-            }
-        }
-
-        self.ts[t].pending = Some(Attempt {
-            t0: start,
-            path: PathKind::SlowHtm,
-            watches,
-            commit_writes,
-            forced_abort: forced,
-            forced_cause,
-            rh_hw: false,
-            lazy_lock: self.lazy_subscription,
-        });
-        if self.eager_conflict_scan(t) {
-            if let Some(a) = &mut self.ts[t].pending {
-                a.forced_abort = true;
-            }
-        }
-        self.push(t1, EvKind::AttemptEnd(t as u32));
+        // Read the active orec count inside the transaction (§4.1): a
+        // resize by the holder dooms this attempt.
+        let active_size = self
+            .is_adaptive()
+            .then(|| (self.active_size_line(), Since::Start, false));
+        Ok(Plan {
+            per_access: c.access + c.slow_barrier_extra,
+            // Orec reads roughly double the tracked read footprint.
+            footprint: 2,
+            // Watched from the CS start (local_seq snapshot semantics):
+            // any stamp by the current-or-later holder aborts us; stamps
+            // by earlier holders do not.
+            orecs_since: Some(cs_start),
+            ..self.hw_plan(PathKind::SlowHtm, [active_size, None])
+        })
     }
 
-    fn schedule_rh_hw_attempt(&mut self, t: usize, start: u64, spec: &OpSpec) {
-        let c = self.cost;
-        if spec.htm_hostile {
-            self.stats.aborts += 1;
-            self.stats.aborts_hostile += 1;
-            let end = start + c.htm_begin + c.access + c.abort_penalty;
-            self.obs_attempt(t, PathKind::FastHtm, Outcome::AbortUnsupported, start, end);
-            self.ts[t].attempts_left = self.ts[t].attempts_left.saturating_sub(1);
-            self.push(end, EvKind::Ready(t as u32));
-            return;
-        }
-        let dur = c.htm_begin + spec.trace.len() as u64 * c.access + spec.cs_compute + c.htm_commit;
-        let t1 = start + dur;
+    // ---- launch ------------------------------------------------------------------
 
-        let (dr, dw) = spec.distinct_rw();
-        let forced_cause = if dr + dw > c.htm_read_capacity || dw > c.htm_write_capacity {
+    /// Puts one attempt of `spec` on `plan`'s path in flight from `start`:
+    /// builds its watches, draws its forced cause, indexes it for eager
+    /// conflicts and schedules its end.
+    fn launch(&mut self, t: usize, start: u64, spec: &OpSpec, plan: Plan) {
+        let c = self.cost;
+        let hardware = plan.path != PathKind::Stm;
+        let accesses = spec.trace.len();
+        let first_access = start + plan.lead_in;
+        let t1 = first_access + accesses as u64 * plan.per_access + spec.cs_compute + plan.commit;
+
+        // The generator is stepped only by a hardware attempt that passed
+        // its capacity test (if its path has one).
+        let over_capacity = plan.footprint > 0 && {
+            let (dr, dw) = spec.distinct_rw();
+            plan.footprint * (dr + dw) > c.htm_read_capacity || dw > c.htm_write_capacity
+        };
+        let forced_cause = if over_capacity {
             ForcedCause::Capacity
-        } else if self.spurious_abort() {
+        } else if hardware && self.spurious_abort() {
             ForcedCause::Uarch
         } else {
             ForcedCause::None
         };
-        let forced = forced_cause != ForcedCause::None;
 
-        let mut watches = Vec::with_capacity(spec.trace.len() + 2);
-        // Commit instrumentation: the sw-count read and (conditionally)
-        // the clock access live in the reduced window before commit.
-        let commit_from = t1 - c.htm_commit;
-        watches.push(Watch {
-            line: self.sw_count_line(),
-            from: commit_from,
-            write: false,
-        });
-        // The conditional clock bump: a *write* in the reduced commit
-        // window, visible to the eager pairwise scan so concurrent bumps
-        // collide (the contention §6.2.2 blames for RHNOrec's collapse).
-        if self.sw_running > 0 {
-            watches.push(Watch {
-                line: self.clock_line(),
-                from: commit_from,
-                write: true,
-            });
+        let per_access_watches = if plan.orecs_since.is_some() { 2 } else { 1 };
+        let mut watches = Vec::with_capacity(2 + per_access_watches * accesses);
+        for (line, since, write) in plan.subscriptions.into_iter().flatten() {
+            let from = match since {
+                Since::Start => start,
+                Since::Commit => t1 - plan.commit,
+                Since::At(time) => time,
+            };
+            watches.push(Watch { line, from, write });
         }
         let mut commit_writes = Vec::new();
         for (i, a) in spec.trace.iter().enumerate() {
-            let at = start + c.htm_begin + i as u64 * c.access;
             let line = self.data_line(a.line);
             watches.push(Watch {
                 line,
-                from: at,
+                from: first_access + i as u64 * plan.per_access,
                 write: a.write,
             });
+            if let Some(from) = plan.orecs_since {
+                let orec = |line| Watch {
+                    line,
+                    from,
+                    write: false,
+                };
+                watches.push(orec(self.w_orec_line(a.line)));
+                if a.write {
+                    watches.push(orec(self.r_orec_line(a.line)));
+                }
+            }
             if a.write {
                 commit_writes.push(line);
             }
         }
 
+        let loses_eager_conflict = hardware && self.eager_conflict_scan(t, &watches);
         self.ts[t].pending = Some(Attempt {
             t0: start,
-            path: PathKind::FastHtm,
+            path: plan.path,
             watches,
             commit_writes,
-            forced_abort: forced,
+            forced_abort: forced_cause != ForcedCause::None || loses_eager_conflict,
             forced_cause,
-            rh_hw: true,
-            lazy_lock: false, // RHNOrec has no lock to subscribe to
+            rh_hw: plan.rh_hw,
+            lazy_lock: plan.lazy_lock,
         });
-        if self.eager_conflict_scan(t) {
-            if let Some(a) = &mut self.ts[t].pending {
-                a.forced_abort = true;
-            }
-        }
-        self.push(t1, EvKind::AttemptEnd(t as u32));
+        let end = if hardware {
+            EvKind::AttemptEnd
+        } else {
+            EvKind::SwAttemptEnd
+        };
+        self.push(t1, end(t as u32));
     }
 
     /// Eager pairwise conflict between in-flight *hardware* attempts,
     /// modelling cache-coherence conflict detection: when two concurrent
     /// attempts touch the same line and at least one writes it, the one
     /// that reached the line *earlier* is invalidated by the later access
-    /// (requester wins, as on Intel TSX). Registers the new attempt in the
-    /// per-line watcher index and returns `true` when the new attempt
-    /// itself is doomed; doomed victims are marked `forced_abort` and fail
-    /// at their own end event.
-    fn eager_conflict_scan(&mut self, me: usize) -> bool {
-        let watches: Vec<Watch> = match &self.ts[me].pending {
-            Some(a) if a.path != PathKind::Stm => a.watches.clone(),
-            _ => return false,
-        };
+    /// (requester wins, as on Intel TSX). Registers the new attempt's
+    /// `watches` in the per-line watcher index and returns `true` when
+    /// the new attempt itself is doomed; doomed victims are marked
+    /// `forced_abort` and fail at their own end event.
+    fn eager_conflict_scan(&mut self, me: usize, watches: &[Watch]) -> bool {
         let mut i_die = false;
         let mut victims: Vec<u32> = Vec::new();
-        for w in &watches {
+        for w in watches {
             let list = self.watchers.entry(w.line).or_default();
             for &(other, ofrom, owrite) in list.iter() {
                 if other as usize == me || !(w.write || owrite) {
@@ -1083,9 +968,6 @@ impl<W: Workload> Engine<W> {
 
     /// Removes a finished attempt's entries from the watcher index.
     fn unindex_attempt(&mut self, me: usize, attempt: &Attempt) {
-        if attempt.path == PathKind::Stm {
-            return;
-        }
         for w in &attempt.watches {
             if let Some(list) = self.watchers.get_mut(&w.line) {
                 list.retain(|e| e.0 as usize != me);
@@ -1098,64 +980,119 @@ impl<W: Workload> Engine<W> {
 
     // ---- attempt resolution -------------------------------------------------
 
+    /// The one place a resolution reaches the books: an abort bumps its
+    /// `SimStats` class counter, software time is accumulated, and the
+    /// span `[t0, t1]` (simulator cycles) goes to the recorder when one is
+    /// installed — so the two cannot disagree, on any path.
+    fn book(&mut self, t: usize, path: PathKind, outcome: Outcome, t0: u64, t1: u64) {
+        if path == PathKind::Stm {
+            self.stats.cycles_in_sw += t1 - t0;
+            if !outcome.is_commit() {
+                self.stats.sw_aborts += 1;
+            }
+        } else if !outcome.is_commit() {
+            self.stats.aborts += 1;
+            let s = &mut self.stats;
+            *match outcome {
+                Outcome::AbortConflict => &mut s.aborts_conflict,
+                Outcome::AbortCapacity => &mut s.aborts_capacity,
+                Outcome::AbortSpurious => &mut s.aborts_uarch,
+                Outcome::AbortUnsupported => &mut s.aborts_hostile,
+                Outcome::AbortExplicit(abort_codes::LAZY_LOCK_HELD) => &mut s.aborts_lazy,
+                Outcome::AbortExplicit(_) => &mut s.aborts_eager_owned,
+                Outcome::Commit | Outcome::AbortNested => {
+                    unreachable!("the engine produces no {outcome:?} abort")
+                }
+            } += 1;
+        }
+        if let Some(rec) = &self.recorder {
+            let ev = AttemptEvent {
+                path,
+                outcome,
+                attempt: self.ts[t].fast_used.min(u8::MAX as u32) as u8,
+                latency: t1.saturating_sub(t0),
+            };
+            rec.record(t as u64, t0, RecordKind::Attempt(ev));
+        }
+    }
+
+    /// One failed attempt over `[t0, t1]`: booked, charged to its path's
+    /// budget, and the thread rescheduled — at `retry_at`, or at the
+    /// lock's release if that is later and the abort is one of
+    /// [`awaits_release`]'s.
+    fn abort(
+        &mut self,
+        t: usize,
+        path: PathKind,
+        outcome: Outcome,
+        t0: u64,
+        t1: u64,
+        retry_at: u64,
+    ) {
+        self.book(t, path, outcome, t0, t1);
+        match path {
+            PathKind::FastHtm => self.ts[t].fast_used += 1,
+            PathKind::SlowHtm => {
+                self.ts[t].slow_used += 1;
+                self.slow_aborts += 1;
+            }
+            PathKind::Stm | PathKind::Lock => {}
+        }
+        if awaits_release(path, outcome) {
+            self.await_release(t, retry_at);
+        } else {
+            self.push(retry_at, EvKind::Ready(t as u32));
+        }
+    }
+
+    /// Thread `t` spins on the held lock and decides again at its
+    /// release, but not before `earliest`.
+    fn await_release(&mut self, t: usize, earliest: u64) {
+        let lock = &mut self.locks[0];
+        lock.waiters += 1;
+        let wake = lock.free_at.max(earliest);
+        self.push(wake, EvKind::Ready(t as u32));
+    }
+
     fn on_attempt_end(&mut self, t: usize) {
         let attempt = self.ts[t].pending.take().expect("attempt in flight");
         self.unindex_attempt(t, &attempt);
         let t1 = self.now;
 
-        let mut conflict = attempt.forced_abort;
-        let mut conflict_line = None;
-        if !conflict {
-            conflict_line = attempt
+        let conflict_line = if attempt.forced_abort {
+            None
+        } else {
+            attempt
                 .watches
                 .iter()
                 .find(|w| self.last_write_of(w.line) >= w.from)
-                .map(|w| w.line);
-            conflict = conflict_line.is_some();
-        }
-        // Lazy subscription: the lock must be free at commit time (§5).
-        let mut lazy_held = false;
-        if !conflict && attempt.lazy_lock && self.locks[0].held(t1) {
-            conflict = true;
-            lazy_held = true;
-        }
-        // RHNOrec hardware commit: clock obligations.
-        let mut rh_bumped = false;
-        if !conflict && attempt.rh_hw && self.sw_running > 0 {
+                .map(|w| w.line)
+        };
+        // RHNOrec hardware commit: clock obligations. An SGL/reduced
+        // write-back in progress, or a racing bump in our commit window,
+        // aborts us; otherwise we bump the clock ourselves.
+        let rh_clock = attempt.rh_hw && self.sw_running > 0;
+        let clock_busy = || {
             let commit_from = t1.saturating_sub(self.cost.htm_commit);
-            // An SGL/reduced write-back in progress, or a racing bump in
-            // our commit window, aborts us.
-            if self.clock_free_at > t1 || self.last_write_of(self.clock_line()) >= commit_from {
-                conflict = true;
-            } else {
-                rh_bumped = true;
-            }
-        }
+            self.clock_free_at > t1 || self.last_write_of(self.clock_line()) >= commit_from
+        };
+        let failure = if attempt.forced_abort || conflict_line.is_some() {
+            Some(match attempt.forced_cause {
+                ForcedCause::Capacity => Outcome::AbortCapacity,
+                ForcedCause::Uarch => Outcome::AbortSpurious,
+                ForcedCause::None => Outcome::AbortConflict,
+            })
+        } else if attempt.lazy_lock && self.locks[0].held(t1) {
+            // Lazy subscription: the lock must be free at commit time (§5).
+            Some(Outcome::AbortExplicit(abort_codes::LAZY_LOCK_HELD))
+        } else if rh_clock && clock_busy() {
+            Some(Outcome::AbortConflict)
+        } else {
+            None
+        };
 
-        if conflict {
-            self.stats.aborts += 1;
-            let outcome = if lazy_held {
-                self.stats.aborts_lazy += 1;
-                Outcome::AbortExplicit(abort_codes::LAZY_LOCK_HELD)
-            } else {
-                match attempt.forced_cause {
-                    ForcedCause::Capacity => {
-                        self.stats.aborts_capacity += 1;
-                        Outcome::AbortCapacity
-                    }
-                    ForcedCause::Uarch => {
-                        self.stats.aborts_uarch += 1;
-                        Outcome::AbortSpurious
-                    }
-                    ForcedCause::None => {
-                        self.stats.aborts_conflict += 1;
-                        Outcome::AbortConflict
-                    }
-                }
-            };
-            self.obs_attempt(t, attempt.path, outcome, attempt.t0, t1);
+        if let Some(outcome) = failure {
             if attempt.path == PathKind::SlowHtm {
-                self.adapt.slow_aborts += 1;
                 // A slow-path validation failure on an orec line means the
                 // holder stamped it during our window: attribute the abort
                 // to that slot, like the runtime's subscription aborts.
@@ -1163,42 +1100,25 @@ impl<W: Workload> Engine<W> {
                     self.note_orec_conflict(slot);
                 }
             }
-            if attempt.path == PathKind::FastHtm {
-                self.ts[t].attempts_left = self.ts[t].attempts_left.saturating_sub(1);
-            }
-            if lazy_held {
-                // Hopeless until the release: wait (spinning) like the
-                // real runtime's LAZY_LOCK_HELD handling.
-                self.locks[0].waiters += 1;
-                let free_at = self.locks[0].free_at;
-                self.push(
-                    free_at.max(t1 + self.cost.abort_penalty),
-                    EvKind::Ready(t as u32),
-                );
-            } else {
-                self.push(t1 + self.cost.abort_penalty, EvKind::Ready(t as u32));
-            }
+            let retry_at = t1 + self.cost.abort_penalty;
+            self.abort(t, attempt.path, outcome, attempt.t0, t1, retry_at);
             return;
         }
 
         // Commit.
-        for line in &attempt.commit_writes {
-            let e = self.last_write.entry(*line).or_insert(0);
-            *e = (*e).max(t1);
+        for &line in &attempt.commit_writes {
+            self.write_line_at(line, t1);
         }
-        if rh_bumped {
-            let cl = self.clock_line();
-            let e = self.last_write.entry(cl).or_insert(0);
-            *e = (*e).max(t1);
+        if rh_clock {
+            self.write_line_at(self.clock_line(), t1);
             self.clock_bumps.push(t1);
             self.stats.htm_slow_commits += 1;
         } else if attempt.path == PathKind::FastHtm {
             self.stats.fast_commits += 1;
-        }
-        if attempt.path == PathKind::SlowHtm {
+        } else {
             self.stats.slow_commits += 1;
         }
-        self.obs_attempt(t, attempt.path, Outcome::Commit, attempt.t0, t1);
+        self.book(t, attempt.path, Outcome::Commit, attempt.t0, t1);
         self.complete_op(t, t1);
     }
 
@@ -1243,8 +1163,9 @@ impl<W: Workload> Engine<W> {
         // Adaptive FG-TLE: resizes/mode flips happen right here, while
         // holding the lock (§4.2.1); the store to the active-size line
         // dooms in-flight slow attempts that subscribed to it.
-        if matches!(self.method, SimMethod::AdaptiveFgTle { .. }) {
-            if let Some(mut d) = self.adapt.on_lock_acquired(self.stats.slow_commits) {
+        if self.is_adaptive() {
+            let slow_totals = (self.stats.slow_commits, self.slow_aborts);
+            if let Some(mut d) = self.adapt.on_lock_acquired(|| slow_totals) {
                 self.write_line_at(self.active_size_line(), s);
                 if d.action == AdaptAction::Grow {
                     // Cite the hottest heatmap slot, like the runtime.
@@ -1263,7 +1184,7 @@ impl<W: Workload> Engine<W> {
         }
         let fg_instrumented = match self.method {
             SimMethod::FgTle { .. } => true,
-            SimMethod::AdaptiveFgTle { .. } => self.adapt.policy.enabled,
+            SimMethod::AdaptiveFgTle { .. } => self.adapt.enabled,
             _ => false,
         };
 
@@ -1344,7 +1265,7 @@ impl<W: Workload> Engine<W> {
         // The holding window [s, e], as the runtime records it — not
         // acquire-to-release: it is the span slow-path commits visibly
         // overlap with, and the recorder's lock-hold sample.
-        self.obs_attempt(t, PathKind::Lock, Outcome::Commit, s, e);
+        self.book(t, PathKind::Lock, Outcome::Commit, s, e);
         if let Some(rec) = &self.recorder {
             if matches!(self.method, SimMethod::RwTle) {
                 if let Some(fw) = first_write {
@@ -1367,37 +1288,7 @@ impl<W: Workload> Engine<W> {
             self.sw_running += 1;
             self.write_line_at(self.sw_count_line(), start);
         }
-        self.schedule_sw_txn(t, start, spec);
-    }
-
-    fn schedule_sw_txn(&mut self, t: usize, start: u64, spec: &OpSpec) {
-        let c = self.cost;
-        let t1 = start + spec.trace.len() as u64 * c.sw_access + spec.cs_compute;
-        let mut watches = Vec::with_capacity(spec.trace.len());
-        let mut commit_writes = Vec::new();
-        for (i, a) in spec.trace.iter().enumerate() {
-            let at = start + i as u64 * c.sw_access;
-            let line = self.data_line(a.line);
-            watches.push(Watch {
-                line,
-                from: at,
-                write: a.write,
-            });
-            if a.write {
-                commit_writes.push(line);
-            }
-        }
-        self.ts[t].pending = Some(Attempt {
-            t0: start,
-            path: PathKind::Stm,
-            watches,
-            commit_writes,
-            forced_abort: false,
-            forced_cause: ForcedCause::None,
-            rh_hw: false,
-            lazy_lock: false,
-        });
-        self.push(t1, EvKind::SwAttemptEnd(t as u32));
+        self.launch(t, start, spec, self.sw_plan());
     }
 
     /// End of a software transaction's read phase: pay for the value-based
@@ -1420,16 +1311,22 @@ impl<W: Workload> Engine<W> {
             .iter()
             .any(|w| self.last_write_of(w.line) >= w.from);
         if conflict {
-            self.stats.sw_aborts += 1;
-            self.stats.cycles_in_sw += t1v - attempt.t0;
-            self.push(t1v + c.abort_penalty / 2, EvKind::Ready(t as u32));
+            let retry_at = t1v + c.abort_penalty / 2;
+            self.abort(
+                t,
+                PathKind::Stm,
+                Outcome::AbortConflict,
+                attempt.t0,
+                t1v,
+                retry_at,
+            );
             return;
         }
 
         if attempt.commit_writes.is_empty() {
             // Read-only: serialized at the last validation point.
             self.stats.stm_fast_commits += 1;
-            self.stats.cycles_in_sw += t1v - attempt.t0;
+            self.book(t, PathKind::Stm, Outcome::Commit, attempt.t0, t1v);
             self.complete_op(t, t1v);
             return;
         }
@@ -1437,7 +1334,7 @@ impl<W: Workload> Engine<W> {
         // Writer: the commit (reduced hardware transaction or, when it has
         // to queue behind another committer, the single-global-lock
         // fallback) serializes on the clock.
-        let mut wlines = attempt.commit_writes.clone();
+        let mut wlines = attempt.commit_writes;
         wlines.sort_unstable();
         wlines.dedup();
         let writeback = c.sw_commit + wlines.len() as u64 * c.sw_writeback_per_line;
@@ -1469,7 +1366,7 @@ impl<W: Workload> Engine<W> {
         } else {
             self.stats.stm_fast_commits += 1;
         }
-        self.stats.cycles_in_sw += self.now - commit.t0;
+        self.book(t, PathKind::Stm, Outcome::Commit, commit.t0, self.now);
         self.complete_op(t, self.now);
     }
 }
@@ -1653,36 +1550,54 @@ mod tests {
         assert_eq!(s.aborts, 500, "5 attempts burned per op: {s:?}");
     }
 
+    /// The recorder's books equal `SimStats`' on every method, software
+    /// paths included: every resolution passes through the one `book`.
     #[test]
     fn recorder_sees_every_resolution() {
         use rtle_obs::ObsConfig;
-        let rec = Arc::new(Recorder::new(ObsConfig {
-            latency_unit: "cycles",
-            ..ObsConfig::default()
-        }));
-        let w = Synthetic::new(4, 8, 2, false, 200);
-        let s = Engine::new(
-            SimMethod::Tle,
-            4,
-            CostModel::default(),
-            RunMode::FixedWork,
-            w,
-        )
-        .with_recorder(Arc::clone(&rec))
-        .run();
-        let snap = rec.snapshot();
-        assert_eq!(snap.latency_unit, "cycles");
-        assert_eq!(snap.total_commits(), s.ops);
-        assert_eq!(
-            snap.total_aborts(),
-            s.aborts,
-            "every simulated abort must be recorded"
-        );
-        assert_eq!(snap.cs_latency.count, s.ops);
-        assert!(snap.cs_latency.percentile(0.5) > 0, "cycle latencies");
-        let commits: HashMap<_, _> = snap.commits.iter().cloned().collect();
-        assert_eq!(commits["fast_htm"], s.fast_commits);
-        assert_eq!(commits["lock"], s.lock_commits);
+        let mut methods = SimMethod::figure5_set();
+        methods.push(SimMethod::AdaptiveFgTle {
+            initial: 16,
+            max_orecs: 1024,
+        });
+        for method in methods {
+            let rec = Arc::new(Recorder::new(ObsConfig {
+                latency_unit: "cycles",
+                ..ObsConfig::default()
+            }));
+            let w = Synthetic::new(4, 8, 2, true, 200);
+            let s = Engine::new(method, 4, CostModel::default(), RunMode::FixedWork, w)
+                .with_recorder(Arc::clone(&rec))
+                .run();
+            let snap = rec.snapshot();
+            let label = method.label();
+            assert_eq!(snap.latency_unit, "cycles");
+            assert_eq!(s.ops, 800, "{label}");
+            assert_eq!(snap.total_commits(), s.ops, "{label}: commits recorded");
+            assert_eq!(
+                snap.total_aborts(),
+                s.aborts + s.sw_aborts,
+                "{label}: every simulated abort must be recorded"
+            );
+            assert_eq!(snap.cs_latency.count, s.ops, "{label}");
+            assert!(
+                snap.cs_latency.percentile(0.5) > 0,
+                "{label}: cycle latencies"
+            );
+            let commits: HashMap<_, _> = snap.commits.iter().cloned().collect();
+            assert_eq!(
+                commits["fast_htm"],
+                s.fast_commits + s.htm_slow_commits,
+                "{label}"
+            );
+            assert_eq!(commits["slow_htm"], s.slow_commits, "{label}");
+            assert_eq!(
+                commits["stm"],
+                s.stm_fast_commits + s.stm_slow_commits,
+                "{label}"
+            );
+            assert_eq!(commits["lock"], s.lock_commits, "{label}");
+        }
     }
 
     #[test]

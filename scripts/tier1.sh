@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, the full test suite, clippy, rtle-check, the
-# seeded mutants, the fuzz campaign and the benchmark harness's
-# self-tests. Every check of a document a binary
+# seeded mutants, the fuzz campaign, the checked-in figures and the
+# benchmark harness's self-tests. Every check of a document a binary
 # writes is a cargo test (the binaries themselves are driven by
 # crates/bench/tests/cli.rs); what is left here is what only a shell can
 # hold: exit codes, wall-clock budgets, and builds under other features.
@@ -138,6 +138,17 @@ grep -q '"tool":"rtle-fuzz"' "$fuzz_json" || { echo "fuzz json missing"; exit 1;
 for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-mutant; do
     grep -q "\"clean\":false,\"config\":\"$mutant\"" "$fuzz_json" \
         || { echo "fuzz json: $mutant not reported as caught"; exit 1; }
+done
+
+stage "results reproduce"
+# The simulator is deterministic and results/README.md promises the
+# checked-in figures regenerate bit-for-bit. Hold it with the four
+# cheapest figure binaries at full scale (NOrec/RHNOrec software paths,
+# multi-lock Lock.orig, TLE, RW-TLE, FG-TLE): any differing byte fails.
+for fig in fig08 fig09 fig10 fig13; do
+    ./target/release/"$fig" > "$tmp/$fig.txt"
+    cmp "$tmp/$fig.txt" "results/$fig.txt" \
+        || { echo "results/$fig.txt no longer reproduces: regenerate it with the change that moved it"; exit 1; }
 done
 
 stage "benchmark harness self-tests"
