@@ -201,36 +201,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     // core/elidable.rs — are audited by in-source `// ordering:`
     // annotations instead of table rows.)
     // ---- rtle-core ------------------------------------------------------
-    // The adaptive state is written only by the lock holder; the lock's
-    // own acquire/release edges order every access.
-    OrderingRule {
-        file_suffix: "core/src/adaptive.rs",
-        receiver: "*",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "holder-only adaptation counters; the elided lock orders all accesses",
-    },
-    OrderingRule {
-        file_suffix: "core/src/adaptive.rs",
-        receiver: "*",
-        op: AtomicOp::Load,
-        allowed: &["Relaxed"],
-        why: "holder-only adaptation counters; the elided lock orders all accesses",
-    },
-    OrderingRule {
-        file_suffix: "core/src/adaptive.rs",
-        receiver: "*",
-        op: AtomicOp::Swap,
-        allowed: &["Relaxed"],
-        why: "holder-only adaptation counters; the elided lock orders all accesses",
-    },
-    OrderingRule {
-        file_suffix: "core/src/adaptive.rs",
-        receiver: "*",
-        op: AtomicOp::Store,
-        allowed: &["Relaxed"],
-        why: "holder-only adaptation counters; the elided lock orders all accesses",
-    },
     // The paper's §4 store-load fence after an orec acquisition.
     OrderingRule {
         file_suffix: "core/src/orec.rs",

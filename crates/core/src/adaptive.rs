@@ -24,7 +24,7 @@
 //! `OrecTable` and `fg_enabled` flag, the simulator (`rtle-sim`) to its
 //! engine state.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use rtle_htm::TxCell;
 use rtle_obs::{AdaptAction, AdaptDecision, Recorder};
@@ -139,28 +139,24 @@ impl Adaptation {
     }
 }
 
-/// Holder-maintained adaptation state for one lock: what [`Adaptation`]
-/// owns beyond the active range and the enabled flag, which live where
-/// the slow path reads them (`OrecTable`, `fg_enabled`).
-#[derive(Debug, Default)]
-pub(crate) struct AdaptiveState {
-    sections: AtomicU64,
-    last_slow_commits: AtomicU64,
-    last_slow_aborts: AtomicU64,
-    idle_windows: AtomicU64,
-    disabled_windows: AtomicU64,
-    initial_orecs: u64,
-}
+/// Holder-maintained adaptation state for one lock. The active range and
+/// the enabled flag live where the slow path reads them (`OrecTable`,
+/// `fg_enabled`) and are copied in at every acquisition; the window
+/// bookkeeping lives only here. The mutex is never contended — only the
+/// thread holding the elided lock takes it — it is what lets a `&self`
+/// method own the value without `unsafe`.
+#[derive(Debug)]
+pub(crate) struct AdaptiveState(Mutex<Adaptation>);
 
 impl AdaptiveState {
     pub fn new(initial_orecs: usize) -> Self {
-        AdaptiveState {
-            initial_orecs: initial_orecs as u64,
+        AdaptiveState(Mutex::new(Adaptation {
+            initial: initial_orecs as u64,
             ..Default::default()
-        }
+        }))
     }
 
-    /// Called by the lock holder right after acquiring the lock: load →
+    /// Called by the lock holder right after acquiring the lock:
     /// [`Adaptation::on_lock_acquired`] → apply.
     ///
     /// Every resize / collapse / re-enable is traced to `recorder` (when
@@ -173,35 +169,22 @@ impl AdaptiveState {
         stats: &ExecStats,
         recorder: Option<&Recorder>,
     ) {
-        let before = Adaptation {
-            active: orecs.active_plain() as u64,
-            capacity: orecs.capacity() as u64,
-            initial: self.initial_orecs,
-            enabled: fg_enabled.read_plain(),
-            idle_windows: self.idle_windows.load(Ordering::Relaxed),
-            disabled_windows: self.disabled_windows.load(Ordering::Relaxed),
-            sections: self.sections.load(Ordering::Relaxed),
-            last_slow_commits: self.last_slow_commits.load(Ordering::Relaxed),
-            last_slow_aborts: self.last_slow_aborts.load(Ordering::Relaxed),
-        };
-        let mut after = before;
+        let mut state = self
+            .0
+            .lock()
+            .expect("poisoned: a lock holder panicked mid-adaptation");
+        state.active = orecs.active_plain() as u64;
+        state.capacity = orecs.capacity() as u64;
+        state.enabled = fg_enabled.read_plain();
+        let before = *state;
         let decision =
-            after.on_lock_acquired(|| (stats.slow_commits_now(), stats.slow_aborts_now()));
-        self.idle_windows
-            .store(after.idle_windows, Ordering::Relaxed);
-        self.disabled_windows
-            .store(after.disabled_windows, Ordering::Relaxed);
-        self.sections.store(after.sections, Ordering::Relaxed);
-        self.last_slow_commits
-            .store(after.last_slow_commits, Ordering::Relaxed);
-        self.last_slow_aborts
-            .store(after.last_slow_aborts, Ordering::Relaxed);
+            state.on_lock_acquired(|| (stats.slow_commits_now(), stats.slow_aborts_now()));
         let Some(mut decision) = decision else { return };
-        if after.active != before.active {
-            orecs.resize_active(after.active as usize);
+        if state.active != before.active {
+            orecs.resize_active(state.active as usize);
         }
-        if after.enabled != before.enabled {
-            fg_enabled.write(after.enabled);
+        if state.enabled != before.enabled {
+            fg_enabled.write(state.enabled);
         }
         if let Some(rec) = recorder {
             if decision.action == AdaptAction::Grow {

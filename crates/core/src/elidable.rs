@@ -14,13 +14,13 @@
 //! speculation continues on the instrumented slow path, concurrent with the
 //! single lock holder.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rtle_htm::wait::backoff_until;
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
-use rtle_hytm::{sw_attempt, SoftwareTm, SwDescriptor, SwPhase};
+use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_obs::{
     commit_counters, AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, Outcome, PathKind,
     RecordKind, Recorder, SourceSnapshot,
@@ -57,11 +57,13 @@ pub struct ElidableLock<B: HtmBackend = SwHtmBackend> {
     /// Adaptive FG-TLE's "slow path enabled" flag (§4.2.1).
     fg_enabled: TxCell<bool>,
     adaptive: Option<AdaptiveState>,
-    /// Pluggable software-TM fallbacks (`with_software_backend`). When
-    /// non-empty, operations that exhaust their speculation budget run as
-    /// software transactions instead of acquiring the lock.
-    sw_backends: Vec<Arc<dyn SoftwareTm>>,
-    /// Number of software transactions currently inside a backend. A
+    /// The pluggable software-TM fallback (`with_software_backend`). When
+    /// set, operations that exhaust their speculation budget run as
+    /// software transactions on it instead of acquiring the lock. One
+    /// backend by construction: two protocols over one data set do not
+    /// validate against each other's write-back (DESIGN §14a).
+    sw_backend: Option<Arc<dyn SoftwareTm>>,
+    /// Number of software transactions currently inside the backend. A
     /// [`TxCell`] so committing hardware transactions can subscribe to it:
     /// zero means no instrumentation needed, and a racing software entry
     /// (plain RMW) dooms them.
@@ -166,18 +168,17 @@ pub struct ElidableLockBuilder<B: HtmBackend = SwHtmBackend> {
     policy: ElisionPolicy,
     retry: RetryPolicy,
     recorder: Option<Arc<Recorder>>,
-    sw_backends: Vec<Arc<dyn SoftwareTm>>,
+    sw_backend: Option<Arc<dyn SoftwareTm>>,
 }
 
 impl<B: HtmBackend> std::fmt::Debug for ElidableLockBuilder<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let sw: Vec<&'static str> = self.sw_backends.iter().map(|t| t.name()).collect();
         f.debug_struct("ElidableLockBuilder")
             .field("policy", &self.policy.label())
             .field("backend", &self.backend.name())
             .field("retry", &self.retry)
             .field("recorder", &self.recorder.is_some())
-            .field("software", &sw)
+            .field("software", &self.sw_backend.as_ref().map(|tm| tm.name()))
             .finish()
     }
 }
@@ -189,7 +190,7 @@ impl Default for ElidableLockBuilder<SwHtmBackend> {
             policy: ElisionPolicy::Tle,
             retry: RetryPolicy::default(),
             recorder: None,
-            sw_backends: Vec::new(),
+            sw_backend: None,
         }
     }
 }
@@ -215,7 +216,7 @@ impl<B: HtmBackend> ElidableLockBuilder<B> {
             policy: self.policy,
             retry: self.retry,
             recorder: self.recorder,
-            sw_backends: self.sw_backends,
+            sw_backend: self.sw_backend,
         }
     }
 
@@ -225,15 +226,9 @@ impl<B: HtmBackend> ElidableLockBuilder<B> {
     /// fallback itself stays concurrent (NOrec: concurrent readers; TL2:
     /// concurrent disjoint writers too).
     ///
-    /// May be called more than once. With two or more backends the lock
-    /// chooses per workload using the orec conflict-heatmap signal:
-    /// concentrated conflicts (one hot slot dominating) select the *first*
-    /// registered backend — register the value-validating, hot-key-immune
-    /// one (NOrec) first — while dispersed conflicts select the *second*
-    /// (register the disjoint-writer-friendly one, TL2, second). Policies
-    /// without orecs always use the first.
+    /// A lock has one software backend: a second call replaces the first.
     pub fn with_software_backend(mut self, tm: Arc<dyn SoftwareTm>) -> Self {
-        self.sw_backends.push(tm);
+        self.sw_backend = Some(tm);
         self
     }
 
@@ -271,7 +266,7 @@ impl<B: HtmBackend> ElidableLockBuilder<B> {
             self.policy,
             self.retry,
             self.recorder,
-            self.sw_backends,
+            self.sw_backend,
         )
     }
 }
@@ -290,7 +285,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         policy: ElisionPolicy,
         retry: RetryPolicy,
         recorder: Option<Arc<Recorder>>,
-        sw_backends: Vec<Arc<dyn SoftwareTm>>,
+        sw_backend: Option<Arc<dyn SoftwareTm>>,
     ) -> Self {
         let orecs = policy.orec_capacity().map(OrecTable::new);
         if let (
@@ -320,7 +315,7 @@ impl<B: HtmBackend> ElidableLock<B> {
             orecs,
             fg_enabled: TxCell::new(true),
             adaptive,
-            sw_backends,
+            sw_backend,
             sw_running: TxCell::new(0),
             stats: ExecStats::new(),
             recorder,
@@ -419,7 +414,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                 // Speculation budget exhausted. With a pluggable software TM
                 // the operation stays concurrent (a software transaction)
                 // instead of serializing behind the lock.
-                if let Some(tm) = self.select_software_backend() {
+                if let Some(tm) = &self.sw_backend {
                     return self.run_software(&**tm, cs, rec, attempts);
                 }
                 self.run_under_lock(cs, rec, attempts)
@@ -568,19 +563,13 @@ impl<B: HtmBackend> ElidableLock<B> {
         }
     }
 
-    /// The software-TM fallbacks installed on this lock, in registration
-    /// order. Composable transactions use this to verify that a
-    /// participant lock shares its space's backends (`Arc` identity), the
-    /// precondition for the hybrid commit-hook protocol to cover both.
+    /// The software-TM fallback installed on this lock: empty or one
+    /// backend. Composable transactions use this to drive the space lock's
+    /// backend and to verify that a participant lock shares it (`Arc`
+    /// identity), the precondition for the hybrid commit-hook protocol to
+    /// cover both.
     pub fn software_backends(&self) -> &[Arc<dyn SoftwareTm>] {
-        &self.sw_backends
-    }
-
-    /// The software backend the lock would select right now (the
-    /// heatmap-driven choice `execute` makes), cloned for the caller to
-    /// drive directly. `None` when no fallback is installed.
-    pub fn selected_software_backend(&self) -> Option<Arc<dyn SoftwareTm>> {
-        self.select_software_backend().map(Arc::clone)
+        self.sw_backend.as_slice()
     }
 
     /// One non-blocking shot at the software-presence protocol: raises the
@@ -625,30 +614,30 @@ impl<B: HtmBackend> ElidableLock<B> {
 
     /// One attempt on this lock's software rung: raises the presence
     /// (blocking — call it before enrolling any participant), runs `cs` as
-    /// one [`sw_attempt`] on `tm`, and counts a commit on this lock's
+    /// one [`SwPhase::attempt`], and counts a commit on this lock's
     /// [`ExecStats`]. `None` when the attempt aborted; the caller decides
-    /// whether to retry. Must run inside an [`SwPhase`] bracket on `tm`.
+    /// whether to retry. `phase` must have been entered on this lock's
+    /// backend ([`Self::software_backends`]).
     ///
     /// Both software drivers go through here: [`Self::execute`]'s fallback
     /// retries it until it commits, and `rtle-stm`'s `atomically` bounds
     /// the retries and interleaves participant enrollment.
     pub fn software_attempt<R>(
         &self,
-        tm: &dyn SoftwareTm,
-        desc: &RefCell<SwDescriptor>,
+        phase: &SwPhase<'_>,
         cs: impl FnOnce(&Ctx<'_>) -> R,
     ) -> Option<R> {
         // The lock holder's instrumented writes do not speak the backend's
         // validation protocol, so software transactions never overlap a
         // held lock (and vice versa — see `quiesce_software`).
         let _presence = self.software_presence();
-        let r = sw_attempt(tm, desc, |tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
+        let r = phase.attempt(|tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
         self.stats.record_commit(PathKind::Stm);
         Some(r)
     }
 
     /// Participant-side hardware commit hook: gives this lock's software
-    /// backends their commit-time instrumentation if software transactions
+    /// backend its commit-time instrumentation if software transactions
     /// are live on it — the same [`Self::hw_commit_hooks`] the lock's own
     /// hardware paths run, exposed for hardware transactions that touched
     /// this lock's data as composable-transaction participants (their
@@ -659,32 +648,10 @@ impl<B: HtmBackend> ElidableLock<B> {
         self.hw_commit_hooks();
     }
 
-    /// Picks the software backend for the current workload, or `None`
-    /// when no fallback is installed. With two or more backends the orec
-    /// conflict heatmap decides: conflicts concentrated on one hot slot
-    /// favor the first registered backend (value-validating — a hot key
-    /// revalidates cheaply), dispersed conflicts favor the second
-    /// (per-stripe locking — disjoint writers never meet).
-    fn select_software_backend(&self) -> Option<&Arc<dyn SoftwareTm>> {
-        match self.sw_backends.len() {
-            0 => None,
-            1 => self.sw_backends.first(),
-            _ => {
-                let dispersed = self.orec_heatmap().is_some_and(|heat| {
-                    let total = heat.total_conflicts();
-                    let max_slot = heat.conflicts.iter().copied().max().unwrap_or(0);
-                    // Enough signal, and no single slot holding a majority.
-                    total >= 64 && max_slot * 2 <= total
-                });
-                self.sw_backends.get(if dispersed { 1 } else { 0 })
-            }
-        }
-    }
-
-    /// The software backend the lock would run right now, by name
+    /// The software backend this lock falls back to, by name
     /// (diagnostics / telemetry; `None` when no fallback is installed).
     pub fn software_backend_name(&self) -> Option<&'static str> {
-        self.select_software_backend().map(|tm| tm.name())
+        self.sw_backend.as_ref().map(|tm| tm.name())
     }
 
     /// Runs `cs` as a software transaction on `tm`: [`Self::software_attempt`]
@@ -699,10 +666,9 @@ impl<B: HtmBackend> ElidableLock<B> {
         prior_attempts: u32,
     ) -> R {
         let sampled = rec.map(|rc| (rc, Instant::now()));
-        let _phase = SwPhase::enter(tm);
-        let desc = RefCell::new(SwDescriptor::default());
+        let phase = SwPhase::enter(tm);
         loop {
-            if let Some(r) = self.software_attempt(tm, &desc, cs) {
+            if let Some(r) = self.software_attempt(&phase, cs) {
                 if let Some((rc, t0)) = sampled {
                     rc.attempt(PathKind::Stm, Outcome::Commit, prior_attempts, t0);
                 }
@@ -712,26 +678,26 @@ impl<B: HtmBackend> ElidableLock<B> {
     }
 
     /// Lock-holder side of the software/pessimistic exclusion: after
-    /// acquiring the lock, wait until no software transaction is inside a
-    /// backend. New arrivals observe the held lock and retreat, so this
+    /// acquiring the lock, wait until no software transaction is inside
+    /// the backend. New arrivals observe the held lock and retreat, so this
     /// terminates.
     fn quiesce_software(&self) {
-        if !self.sw_backends.is_empty() {
+        if self.sw_backend.is_some() {
             backoff_until(|| self.sw_running.read_plain() == 0);
         }
     }
 
     /// Hardware-commit hook: committing hardware transactions subscribe to
-    /// the software presence counter and give each live backend its chance
-    /// to serialize against them (NOrec bumps its clock; TL2 aborts the
-    /// hardware transaction, whose plain-store commits its stripe versions
-    /// cannot observe). Zero-cost when no software transaction is running:
-    /// one transactional read that also dooms this transaction should a
-    /// software entry race in.
+    /// the software presence counter and give the backend its chance to
+    /// serialize against live software transactions (NOrec bumps its
+    /// clock; TL2 aborts the hardware transaction, whose plain-store
+    /// commits its stripe versions cannot observe). Zero-cost when no
+    /// software transaction is running: one transactional read that also
+    /// dooms this transaction should a software entry race in.
     #[inline]
     fn hw_commit_hooks(&self) {
-        if !self.sw_backends.is_empty() && self.sw_running.read() > 0 {
-            for tm in &self.sw_backends {
+        if let Some(tm) = &self.sw_backend {
+            if self.sw_running.read() > 0 {
                 tm.hw_commit_hook();
             }
         }
@@ -1637,24 +1603,19 @@ mod tests {
         assert_eq!(c.read_plain(), 2 * OPS as u64);
     }
 
-    /// With two backends the heatmap decides; without signal (or without
-    /// orecs) the first registered backend wins.
+    /// A lock has one software backend: a second `with_software_backend`
+    /// replaces the first, like a second `.policy()`.
     #[test]
-    fn two_backends_default_to_the_first() {
+    fn a_second_software_backend_replaces_the_first() {
+        let tl2: Arc<dyn SoftwareTm> = Arc::new(rtle_hytm::Tl2::new());
         let lock = ElidableLock::builder()
             .policy(ElisionPolicy::FgTle { orecs: 16 })
             .with_software_backend(Arc::new(rtle_hytm::Norec::new()))
-            .with_software_backend(Arc::new(rtle_hytm::Tl2::new()))
+            .with_software_backend(Arc::clone(&tl2))
             .build();
-        // No conflict signal yet: the hot-key-immune first backend.
-        assert_eq!(lock.software_backend_name(), Some("norec"));
-        // Policies without orecs have no heatmap at all — still the first.
-        let plain = ElidableLock::builder()
-            .policy(ElisionPolicy::Tle)
-            .with_software_backend(Arc::new(rtle_hytm::Norec::new()))
-            .with_software_backend(Arc::new(rtle_hytm::Tl2::new()))
-            .build();
-        assert_eq!(plain.software_backend_name(), Some("norec"));
+        assert_eq!(lock.software_backends().len(), 1);
+        assert!(Arc::ptr_eq(&lock.software_backends()[0], &tl2));
+        assert_eq!(lock.software_backend_name(), Some("tl2"));
     }
 
     /// The lock's own live source: kind `"lock"`, STM commits counted,

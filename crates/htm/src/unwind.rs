@@ -7,7 +7,7 @@
 //! | [`Channel`] | raised by                                   | caught by                 |
 //! |-------------|---------------------------------------------|---------------------------|
 //! | `Htm`       | [`crate::abort()`], barrier conflicts       | [`crate::swhtm::try_txn`] |
-//! | `Sw`        | `rtle_hytm::abort_sw`, validation failures  | `rtle_hytm::sw_attempt`   |
+//! | `Sw`        | `rtle_hytm::abort_sw`, validation failures  | `rtle_hytm::SwPhase`      |
 //! | `Restart`   | `rtle-stm` touching a lock outside its plan | `Stm::atomically`         |
 //!
 //! One concrete payload type carries the channel tag and an [`AbortCode`];

@@ -139,6 +139,24 @@ pub(crate) fn sw_read(
     val
 }
 
+/// NOrec's single-global-lock commit of a writing transaction: acquire
+/// the clock (`snapshot` → odd), revalidating and extending the snapshot
+/// whenever it moved (aborts on a mismatch), write the log back, release
+/// at `snapshot + 2`.
+pub(crate) fn sgl_commit(d: &mut SwDescriptor, clock: &TxCell<u64>, stats: &TmStats) {
+    while !clock.compare_exchange_plain(d.snapshot, d.snapshot + 1) {
+        d.snapshot = validate(d, clock, stats);
+    }
+    for w in &d.writes {
+        // SAFETY: cells outlive the transaction (captured from live
+        // references inside the executing closure). Plain stores are
+        // fine — the odd clock excludes every other committer and
+        // software readers wait for an even clock before validating.
+        unsafe { (*w.cell).write(w.value) };
+    }
+    clock.write(d.snapshot + 2);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

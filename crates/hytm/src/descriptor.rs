@@ -12,8 +12,8 @@ use rtle_htm::{AbortCode, RedoLog, TxCell};
 /// unwinding on the software channel — validation failures inside the
 /// backends, and external retry drivers (`rtle-stm`'s participant
 /// enrollment backs off a held lock this way). Only meaningful under
-/// [`crate::tm::sw_attempt`] / the backend `execute` loops, which catch the
-/// unwind and count the abort.
+/// [`crate::SwPhase::attempt`] (the backend `execute` loops run on it), which
+/// catches the unwind and counts the abort.
 pub fn abort_sw() -> ! {
     unwind::raise(Channel::Sw, AbortCode::Conflict)
 }

@@ -30,10 +30,13 @@
 //! underneath runs too. All three are unified behind
 //! the [`tm::SoftwareTm`] trait — begin/read/write/commit lifecycle plus
 //! stats and the hardware commit-time hook — so `rtle-core`'s
-//! `ElidableLock` can plug any of them in as its software fallback
-//! (`with_software_backend`) and the benchmark harness can swap
-//! synchronization methods freely (they all expose the same
-//! closure-over-context `execute` interface).
+//! `ElidableLock` can plug any *one* of them in as its software fallback
+//! (`with_software_backend`; two protocols over one data set do not
+//! validate against each other, so a lock has one) and the benchmark
+//! harness can swap synchronization methods freely (they all expose the
+//! same closure-over-context `execute` interface). One software
+//! transaction is a [`tm::SwPhase`]: the backend's `enter_sw`/`exit_sw`
+//! bracket and the thread's reusable descriptor, whichever driver runs it.
 //!
 //! The paper's Figures 8–10 are plotted from the statistics kept here:
 //! execution-type distribution (HTMFast / HTMSlow / STMFastCommit /
@@ -48,12 +51,12 @@ pub mod tl2;
 pub mod tm;
 
 pub use ctx::TmCtx;
-pub use descriptor::{abort_sw, SwDescriptor};
+pub use descriptor::abort_sw;
 pub use norec::Norec;
 pub use rhnorec::RhNorec;
 pub use stats::{CommitKind, TmStats, TmStatsSnapshot};
 pub use tl2::Tl2;
-pub use tm::{run_sw, sw_attempt, SoftwareTm, SwPhase};
+pub use tm::{run_sw, SoftwareTm, SwPhase};
 
 /// Explicit abort codes used by the hybrid runtimes inside hardware
 /// transactions.

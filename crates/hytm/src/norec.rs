@@ -10,7 +10,7 @@
 use rtle_htm::TxCell;
 
 use crate::abort_codes;
-use crate::ctx::{sw_read, validate, wait_even, TmCtx};
+use crate::ctx::{sgl_commit, sw_read, wait_even, TmCtx};
 use crate::descriptor::SwDescriptor;
 use crate::stats::{CommitKind, TmStats};
 use crate::tm::{run_sw, SoftwareTm};
@@ -68,25 +68,7 @@ impl SoftwareTm for Norec {
         if d.is_read_only() {
             return CommitKind::StmSlowCommit;
         }
-        loop {
-            if self
-                .clock
-                .compare_exchange_plain(d.snapshot, d.snapshot + 1)
-            {
-                break;
-            }
-            // The clock moved: revalidate (aborts on mismatch) and retry
-            // with the extended snapshot.
-            d.snapshot = validate(d, &self.clock, &self.stats);
-        }
-        for w in &d.writes {
-            // SAFETY: cells outlive the transaction (captured from live
-            // references inside the executing closure). Plain stores are
-            // fine — the odd clock excludes every other committer and
-            // software readers wait for an even clock before validating.
-            unsafe { (*w.cell).write(w.value) };
-        }
-        self.clock.write(d.snapshot + 2);
+        sgl_commit(d, &self.clock, &self.stats);
         CommitKind::StmSlowCommit
     }
 

@@ -20,7 +20,7 @@
 use rtle_htm::{swhtm, TxCell};
 
 use crate::abort_codes;
-use crate::ctx::{sw_read, validate, wait_even, TmCtx};
+use crate::ctx::{sgl_commit, sw_read, validate, wait_even, TmCtx};
 use crate::descriptor::SwDescriptor;
 use crate::stats::{CommitKind, TmStats};
 use crate::tm::{run_sw, SoftwareTm};
@@ -95,7 +95,6 @@ impl RhNorec {
                     } else {
                         CommitKind::HtmFast
                     });
-                    self.stats.record_op();
                     return r;
                 }
                 Err(code) => {
@@ -145,20 +144,7 @@ impl RhNorec {
         }
 
         // SGL fallback: acquire the clock (odd), halting all commits.
-        loop {
-            if self
-                .clock
-                .compare_exchange_plain(d.snapshot, d.snapshot + 1)
-            {
-                break;
-            }
-            d.snapshot = validate(d, &self.clock, &self.stats);
-        }
-        for w in &d.writes {
-            // SAFETY: as above; the odd clock excludes all other commits.
-            unsafe { (*w.cell).write(w.value) };
-        }
-        self.clock.write(d.snapshot + 2);
+        sgl_commit(d, &self.clock, &self.stats);
         CommitKind::StmSlowCommit
     }
 }

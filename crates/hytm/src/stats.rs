@@ -45,14 +45,12 @@ impl TmStats {
         Self::default()
     }
 
-    #[inline]
-    pub(crate) fn record_op(&self) {
-        self.lanes.add(OPS, 1);
-    }
-
+    /// One transaction completed by a commit of `kind`: counted on the
+    /// kind and on `ops`.
     #[inline]
     pub(crate) fn record_commit(&self, kind: CommitKind) {
-        self.lanes.add(
+        let lane = self.lanes.mine();
+        lane.add(
             match kind {
                 CommitKind::HtmFast => HTM_FAST,
                 CommitKind::HtmSlow => HTM_SLOW,
@@ -61,6 +59,7 @@ impl TmStats {
             },
             1,
         );
+        lane.add(OPS, 1);
     }
 
     #[inline]

@@ -1,14 +1,17 @@
 //! The [`SoftwareTm`] trait: one begin/read/write/commit lifecycle shared
-//! by every software transactional memory in this crate, plus the common
-//! retry driver ([`run_sw`]) that executes a closure as a software
-//! transaction against any backend.
+//! by every software transactional memory in this crate, plus
+//! [`SwPhase`] — one software transaction's `enter_sw`/`exit_sw` bracket
+//! and the owner of its per-attempt [`SwDescriptor`] — and the closed retry
+//! loop over one phase ([`run_sw`]).
 //!
 //! Extracting the lifecycle lets `rtle-core`'s `ElidableLock` treat the
-//! software fallback as a pluggable backend (`with_software_backend`): the
-//! adaptive policy can pick NOrec for hot-key workloads (value-based
-//! validation, immune to false conflicts) and TL2 for disjoint-write
-//! workloads (per-stripe commit locks, concurrent writer commits) without
-//! the lock knowing anything about clocks or stripes.
+//! software fallback as a pluggable backend (`with_software_backend`)
+//! without knowing anything about clocks or stripes. A lock has *one*
+//! backend, chosen when it is built: NOrec for hot-key workloads
+//! (value-based validation, immune to false conflicts) or TL2 for
+//! disjoint-write workloads (per-stripe commit locks, concurrent writer
+//! commits). Two backends never run side by side over one data set —
+//! neither validates against the other's write-back (DESIGN §14a).
 //!
 //! The trait is not designed for implementation outside this crate: the
 //! descriptor's logging methods are crate-private, so foreign impls could
@@ -79,13 +82,15 @@ pub trait SoftwareTm: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Runs `cs` as one software transaction against `tm`, retrying aborted
-/// attempts until one commits. Records per-attempt wall time, the commit
-/// kind, aborts, and the completed op on `tm`'s [`TmStats`].
-///
-/// The descriptor is kept for the thread's next call: its logs and TL2's
-/// footprint tables are built once per thread, not once per transaction.
-/// (A nested call finds no spare and builds its own.)
+thread_local! {
+    /// The thread's spare descriptor, between phases: its logs and TL2's
+    /// footprint tables are built once per thread, not once per
+    /// transaction. Dropped with the thread.
+    static SPARE: Cell<Option<SwDescriptor>> = const { Cell::new(None) };
+}
+
+/// Runs `cs` as one software transaction against `tm`: one [`SwPhase`],
+/// retrying aborted attempts until one commits.
 ///
 /// # Panics
 ///
@@ -93,72 +98,84 @@ pub trait SoftwareTm: Send + Sync + std::fmt::Debug {
 /// [`rtle_htm::swhtm::try_txn`]: a thread-local destructor cannot run a
 /// transaction.
 pub fn run_sw<R>(tm: &dyn SoftwareTm, cs: impl Fn(&TmCtx<'_>) -> R) -> R {
-    thread_local! {
-        static SPARE: Cell<Option<SwDescriptor>> = const { Cell::new(None) };
-    }
-    let _phase = SwPhase::enter(tm);
-    let desc = RefCell::new(SPARE.take().unwrap_or_default());
+    let phase = SwPhase::enter(tm);
     loop {
-        if let Some(r) = sw_attempt(tm, &desc, &cs) {
-            SPARE.set(Some(desc.into_inner()));
+        if let Some(r) = phase.attempt(&cs) {
             return r;
         }
     }
 }
 
-/// Brackets one software transaction's `enter_sw`/`exit_sw` lifecycle.
+/// One software transaction on `tm`: the `enter_sw`/`exit_sw` bracket and
+/// the descriptor its attempts run on — the thread's spare one, handed
+/// back on drop (a nested phase finds none and builds its own).
 /// `exit_sw` must run even if the closure panics for real (not an abort):
 /// leaking e.g. RH-NOrec's software counter would force every future
 /// hardware commit to bump the clock forever — hence a drop guard.
 ///
-/// External retry drivers (`rtle-stm`'s `atomically`) hold one of these
-/// around their own [`sw_attempt`] loop, so they can interleave per-attempt
-/// work (presence acquisition, parking decisions) that [`run_sw`]'s closed
-/// loop cannot express.
-pub struct SwPhase<'a>(&'a dyn SoftwareTm);
+/// [`run_sw`] is the closed retry loop over one phase; external drivers
+/// (`rtle-core`'s software rung, `rtle-stm`'s `atomically`) hold one
+/// around their own loop, so they can interleave per-attempt work
+/// (presence acquisition, parking decisions) the closed loop cannot
+/// express.
+pub struct SwPhase<'a> {
+    tm: &'a dyn SoftwareTm,
+    /// `Some` until drop hands the descriptor back to the thread.
+    desc: Option<RefCell<SwDescriptor>>,
+}
 
 impl<'a> SwPhase<'a> {
-    /// Calls `tm.enter_sw()` and returns the guard whose drop exits it.
+    /// Calls `tm.enter_sw()` and takes the thread's descriptor; the
+    /// returned guard's drop undoes both.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_sw`].
     pub fn enter(tm: &'a dyn SoftwareTm) -> Self {
         tm.enter_sw();
-        SwPhase(tm)
+        SwPhase {
+            tm,
+            desc: Some(RefCell::new(SPARE.take().unwrap_or_default())),
+        }
+    }
+
+    /// One attempt: begin, run `cs`, commit. Returns `Some(result)` on
+    /// commit, `None` when the attempt aborted (validation failure or an
+    /// explicit [`crate::abort_sw`]) — the caller decides whether and when
+    /// to retry. Records the attempt's wall time, and the commit (kind and
+    /// completed op) or the abort, on the backend's [`TmStats`].
+    pub fn attempt<R>(&self, cs: impl FnOnce(&TmCtx<'_>) -> R) -> Option<R> {
+        let (tm, desc) = (self.tm, self.desc.as_ref().expect("held until drop"));
+        let t0 = Instant::now();
+        tm.begin(&mut desc.borrow_mut());
+        let outcome = unwind::catch(Channel::Sw, || {
+            let ctx = TmCtx::sw(tm, desc);
+            let r = cs(&ctx);
+            let kind = tm.commit(&mut desc.borrow_mut());
+            (r, kind)
+        });
+        tm.stats().record_sw_time(t0.elapsed());
+        match outcome {
+            Ok((r, kind)) => {
+                tm.stats().record_commit(kind);
+                Some(r)
+            }
+            Err(_) => {
+                tm.stats().record_sw_abort();
+                None
+            }
+        }
     }
 }
 
 impl Drop for SwPhase<'_> {
     fn drop(&mut self) {
-        self.0.exit_sw();
-    }
-}
-
-/// One software-transaction attempt against `tm`: begin, run `cs`, commit.
-/// Returns `Some(result)` on commit, `None` when the attempt aborted
-/// (validation failure or an explicit [`crate::abort_sw`]) — the caller
-/// decides whether and when to retry. Must run inside an
-/// [`SwPhase::enter`] bracket; the descriptor is reused across attempts.
-pub fn sw_attempt<R>(
-    tm: &dyn SoftwareTm,
-    desc: &RefCell<SwDescriptor>,
-    cs: impl FnOnce(&TmCtx<'_>) -> R,
-) -> Option<R> {
-    let t0 = Instant::now();
-    tm.begin(&mut desc.borrow_mut());
-    let outcome = unwind::catch(Channel::Sw, || {
-        let ctx = TmCtx::sw(tm, desc);
-        let r = cs(&ctx);
-        let kind = tm.commit(&mut desc.borrow_mut());
-        (r, kind)
-    });
-    tm.stats().record_sw_time(t0.elapsed());
-    match outcome {
-        Ok((r, kind)) => {
-            tm.stats().record_commit(kind);
-            tm.stats().record_op();
-            Some(r)
-        }
-        Err(_) => {
-            tm.stats().record_sw_abort();
-            None
+        self.tm.exit_sw();
+        if let Some(desc) = self.desc.take() {
+            // Whatever the attempts left in it — a real panic leaves the
+            // logs mid-flight — the next `begin` resets. A thread already
+            // tearing down its locals just drops it.
+            let _ = SPARE.try_with(|spare| spare.set(Some(desc.into_inner())));
         }
     }
 }
@@ -204,13 +221,71 @@ mod tests {
 
     #[test]
     fn exit_sw_runs_on_real_panics() {
-        // RH-NOrec's counter must not leak when the closure panics.
+        // RH-NOrec's counter must not leak when the closure panics — and
+        // the descriptor the panic left mid-flight (a logged read, a
+        // buffered write, TL2 footprint entries) goes back to the thread
+        // and is fully reset by the next `begin`.
+        for tm in backends() {
+            let a = TxCell::new(1u64);
+            let b = TxCell::new(2u64);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_sw(tm.as_ref(), |ctx| -> u64 {
+                    let v = ctx.read(&a);
+                    ctx.write(&b, v + 40);
+                    panic!("real bug")
+                })
+            }));
+            assert!(r.is_err(), "{}", tm.name());
+            assert_eq!(b.read_plain(), 2, "{}: nothing published", tm.name());
+
+            let phase = SwPhase::enter(tm.as_ref());
+            tm.begin(&mut phase.desc.as_ref().unwrap().borrow_mut());
+            {
+                let d = phase.desc.as_ref().unwrap().borrow();
+                assert!(d.reads.is_empty() && d.is_read_only(), "{}", tm.name());
+            }
+            // And it runs a transaction that neither sees nor publishes
+            // the stale write.
+            assert_eq!(phase.attempt(|ctx| ctx.read(&b)), Some(2), "{}", tm.name());
+            assert_eq!(b.read_plain(), 2, "{}", tm.name());
+        }
         let tm = RhNorec::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_sw(&tm, |_ctx| -> u64 { panic!("real bug") })
         }));
         assert!(r.is_err());
         assert_eq!(tm.sw_running(), 0, "sw counter restored on panic");
+    }
+
+    #[test]
+    fn a_phase_reuses_the_threads_descriptor_and_a_nested_one_builds_its_own() {
+        let tm = Norec::new();
+        let a = TxCell::new(0u64);
+        // Grow the log once; the next phase on this thread finds the capacity.
+        run_sw(&tm, |ctx| (0..100).for_each(|_| drop(ctx.read(&a))));
+        let outer = SwPhase::enter(&tm);
+        assert!(outer.desc.as_ref().unwrap().borrow().reads.capacity() >= 100);
+        let inner = SwPhase::enter(&tm);
+        assert_eq!(inner.desc.as_ref().unwrap().borrow().reads.capacity(), 0);
+        assert_eq!(inner.attempt(|ctx| ctx.read(&a)), Some(0));
+    }
+
+    #[test]
+    fn short_lived_threads_drop_their_descriptor_with_them() {
+        let tm = Tl2::new();
+        let a = TxCell::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..64 {
+                s.spawn(|| {
+                    run_sw(&tm, |ctx| {
+                        let v = ctx.read(&a);
+                        ctx.write(&a, v + 1);
+                    })
+                });
+            }
+        });
+        assert_eq!(a.read_plain(), 64);
+        assert_eq!(tm.stats().snapshot().ops, 64);
     }
 
     #[test]

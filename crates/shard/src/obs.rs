@@ -34,10 +34,10 @@ pub struct ShardReport {
     /// so each entry is already the cross-shard merged window — the same
     /// series the collapse watchdog inspects. Empty without a recorder.
     pub windows: Vec<rtle_obs::WindowSnapshot>,
-    /// Name of the software-TM fallback the shards would currently run
-    /// (`None` when built without one). `with_builder` clones one
-    /// template per shard, so every shard holds the same backend `Arc`s
-    /// and the first shard's selection is the map's.
+    /// Name of the shards' software-TM fallback (`None` when built
+    /// without one). `with_builder` clones one template per shard, so
+    /// every shard holds the same one backend `Arc` and the first shard
+    /// answers for the map.
     pub software_backend: Option<&'static str>,
 }
 
@@ -178,9 +178,9 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         }
     }
 
-    /// Name of the software-TM fallback the shards would currently run,
-    /// or `None` without one (all shards share the template's backends,
-    /// so the first shard answers for the map).
+    /// Name of the shards' software-TM fallback, or `None` without one
+    /// (all shards share the template's backend, so the first shard
+    /// answers for the map).
     pub fn software_backend_name(&self) -> Option<&'static str> {
         self.shards
             .first()

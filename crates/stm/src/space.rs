@@ -1,14 +1,14 @@
 //! [`Stm`]: a transaction space and its `atomically` driver.
 //!
 //! A space owns one [`ElidableLock`] (the *space lock*) guarding every
-//! [`TxVar`] and every space-domain structure used through it, plus the
-//! software backends shared with participant locks. [`Stm::atomically`]
+//! [`TxVar`] and every space-domain structure used through it; the lock's
+//! software backend is shared with participant locks. [`Stm::atomically`]
 //! drives one composable transaction down the refined-TLE ladder:
 //!
 //! 1. **Speculation** — the space lock's fast/slow hardware phase
 //!    ([`ElidableLock::try_speculate`]), with participant locks enrolled
 //!    by transactional subscription.
-//! 2. **Software TM** — attempts on the space's active backend, with
+//! 2. **Software TM** — attempts on the space lock's backend, with
 //!    participant presences keeping pessimistic holders quiesced.
 //! 3. **Pessimistic** — all discovered locks acquired in ascending
 //!    address order; the plan grows by restart when the closure touches a
@@ -28,7 +28,7 @@ use rtle_core::{
 use rtle_htm::lanes::Lanes;
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::{DynAccess, SwHtmBackend};
-use rtle_hytm::{Norec, SoftwareTm, SwDescriptor, SwPhase};
+use rtle_hytm::{Norec, SoftwareTm, SwPhase};
 
 use crate::tx::{
     flush_locked, flush_via, run_participant_hooks, Lock, LockedPlan, Mode, Tx, TxError, TxInner,
@@ -124,7 +124,7 @@ enum Rung {
 pub struct StmBuilder {
     policy: ElisionPolicy,
     retry: RetryPolicy,
-    backends: Vec<Arc<dyn SoftwareTm>>,
+    backend: Option<Arc<dyn SoftwareTm>>,
 }
 
 impl Default for StmBuilder {
@@ -136,7 +136,7 @@ impl Default for StmBuilder {
             // episodes.
             policy: ElisionPolicy::FgTle { orecs: 128 },
             retry: RetryPolicy::default(),
-            backends: vec![Arc::new(Norec::new())],
+            backend: Some(Arc::new(Norec::new())),
         }
     }
 }
@@ -154,23 +154,21 @@ impl StmBuilder {
         self
     }
 
-    /// Replaces the software backends (default: one shared NOrec). The
-    /// first registered backend is favoured by the heatmap selection; an
-    /// empty list disables the software rung entirely.
-    pub fn software_backends(mut self, backends: Vec<Arc<dyn SoftwareTm>>) -> Self {
-        self.backends = backends;
+    /// Replaces the software backend (default: one shared NOrec); `None`
+    /// disables the software rung entirely.
+    pub fn software_backend(mut self, backend: Option<Arc<dyn SoftwareTm>>) -> Self {
+        self.backend = backend;
         self
     }
 
     /// Builds the space.
     pub fn build(self) -> Stm {
         let mut b = ElidableLock::builder().policy(self.policy).retry(self.retry);
-        for tm in &self.backends {
-            b = b.with_software_backend(Arc::clone(tm));
+        if let Some(tm) = self.backend {
+            b = b.with_software_backend(tm);
         }
         Stm {
             lock: b.build(),
-            backends: self.backends,
             stats: StmStats::default(),
         }
     }
@@ -180,7 +178,6 @@ impl StmBuilder {
 #[derive(Debug)]
 pub struct Stm {
     lock: Lock,
-    backends: Vec<Arc<dyn SoftwareTm>>,
     stats: StmStats,
 }
 
@@ -213,17 +210,17 @@ impl Stm {
         &self.stats
     }
 
-    /// A lock builder pre-loaded with this space's software backends
-    /// (shared `Arc`s). Participant locks — e.g. the per-shard locks of a
+    /// A lock builder pre-loaded with this space's software backend
+    /// (the shared `Arc`). Participant locks — e.g. the per-shard locks of a
     /// `ShardedTxMap` built via `with_builder` — **must** be constructed
     /// from this, so the space's software rung validates against the same
     /// backend the participants' hardware commits publish to.
     pub fn lock_builder(&self) -> ElidableLockBuilder<SwHtmBackend> {
-        let mut b = ElidableLock::builder();
-        for tm in &self.backends {
-            b = b.with_software_backend(Arc::clone(tm));
+        let b = ElidableLock::builder();
+        match self.lock.software_backends().first() {
+            Some(tm) => b.with_software_backend(Arc::clone(tm)),
+            None => b,
         }
-        b
     }
 
     pub(crate) fn lock_addr(&self) -> usize {
@@ -307,22 +304,20 @@ impl Stm {
         inner: &RefCell<TxInner<'env>>,
         known: &mut Vec<&'env Lock>,
     ) -> Option<TxResult<R>> {
-        let tm = self.lock.selected_software_backend()?;
-        let tm_ref: &dyn SoftwareTm = tm.as_ref();
-        let _phase = SwPhase::enter(tm_ref);
-        let desc = RefCell::new(SwDescriptor::default());
+        let tm = self.lock.software_backends().first()?;
+        let phase = SwPhase::enter(&**tm);
         let presences: RefCell<Vec<SoftwarePresence<'env>>> = RefCell::new(Vec::new());
         for _ in 0..SW_ATTEMPTS {
             // `software_attempt` raises the presence on the space lock
             // itself first (blocking is safe — this thread holds no other
             // presences or locks yet) and counts the commit on its stats.
-            let outcome = self.lock.software_attempt(tm_ref, &desc, |ctx| {
+            let outcome = self.lock.software_attempt(&phase, |ctx| {
                 inner.borrow_mut().reset();
                 let tx = Tx::new(
                     self,
                     Mode::Sw {
                         acc: ctx,
-                        tm: &tm,
+                        tm,
                         presences: &presences,
                     },
                     inner,

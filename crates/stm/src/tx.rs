@@ -144,7 +144,7 @@ impl<'s> LockedPlan<'s> {
 pub(crate) enum Mode<'env, 'run> {
     /// Hardware speculation under the space lock.
     Spec(&'run (dyn DynAccess + 'run)),
-    /// Software-TM attempt on the space's active backend.
+    /// Software-TM attempt on the space lock's backend.
     Sw {
         acc: &'run (dyn DynAccess + 'run),
         tm: &'run Arc<dyn SoftwareTm>,
@@ -534,5 +534,20 @@ mod tests {
     #[test]
     fn tx_error_is_comparable() {
         assert_eq!(TxError::Retry, TxError::Retry);
+    }
+
+    /// A participant whose hardware commits do not run the space backend's
+    /// commit hook is invisible to the software rung's validation: enrolling
+    /// one there is a construction bug, refused loudly.
+    #[test]
+    #[should_panic(expected = "does not share")]
+    fn a_participant_built_without_lock_builder_is_refused_on_the_software_rung() {
+        // LockOnly: no speculation, so the first rung that runs is software.
+        let space = Stm::builder()
+            .policy(rtle_core::ElisionPolicy::LockOnly)
+            .build();
+        let foreign: ShardedTxMap<u64, SwHtmBackend> =
+            ShardedTxMap::with_builder(2, 16, ElidableLock::builder());
+        space.atomically(|tx| Ok(tx.map_get(&foreign, 1)));
     }
 }

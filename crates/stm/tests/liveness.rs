@@ -108,7 +108,7 @@ fn ping_pong_has_no_lost_wakeups() {
 fn pessimistic_commits_wake_waiters_too() {
     let space = Stm::builder()
         .policy(ElisionPolicy::LockOnly)
-        .software_backends(Vec::new())
+        .software_backend(None)
         .build();
     let flag = TxVar::new(0u64);
 

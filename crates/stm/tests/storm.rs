@@ -187,7 +187,7 @@ fn three_structure_storm_under_chaos_has_zero_divergence() {
 fn storm_on_lock_only_space_is_fully_pessimistic() {
     let space = Stm::builder()
         .policy(ElisionPolicy::LockOnly)
-        .software_backends(Vec::new())
+        .software_backend(None)
         .build();
     run_storm(&space);
     let s = space.stats().snapshot();

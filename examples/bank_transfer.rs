@@ -34,7 +34,7 @@ fn main() {
             "LockOnly",
             Stm::builder()
                 .policy(ElisionPolicy::LockOnly)
-                .software_backends(Vec::new())
+                .software_backend(None)
                 .build(),
         ),
         ("Tle", Stm::builder().policy(ElisionPolicy::Tle).build()),

@@ -25,7 +25,7 @@ fn spaces() -> [(&'static str, Stm); 4] {
             "LockOnly",
             Stm::builder()
                 .policy(ElisionPolicy::LockOnly)
-                .software_backends(Vec::new())
+                .software_backend(None)
                 .build(),
         ),
         ("Tle", Stm::builder().policy(ElisionPolicy::Tle).build()),

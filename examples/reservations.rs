@@ -177,7 +177,7 @@ fn throughput(threads: usize, ops: u64) {
             "LockOnly",
             Stm::builder()
                 .policy(ElisionPolicy::LockOnly)
-                .software_backends(Vec::new())
+                .software_backend(None)
                 .build(),
         ),
         ("Tle", Stm::builder().policy(ElisionPolicy::Tle).build()),

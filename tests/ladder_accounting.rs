@@ -138,7 +138,7 @@ fn every_commit_is_counted_once_on_every_lock_under_every_policy() {
             let without_sw = Stm::builder()
                 .policy(policy)
                 .retry(retry)
-                .software_backends(Vec::new())
+                .software_backend(None)
                 .build();
             storm_space(&without_sw, policy, retry);
             locked += without_sw.stats().snapshot().commits_locked;

@@ -1,18 +1,17 @@
 //! The one abort-by-unwind channel (`rtle_htm::unwind`), exercised through
 //! the three runners built on it: `swhtm::try_txn` (`Htm`),
-//! `rtle_hytm::sw_attempt` (`Sw`) and a bare `catch` standing in for
+//! `rtle_hytm::SwPhase::attempt` (`Sw`) and a bare `catch` standing in for
 //! `atomically`'s pessimistic plan growth (`Restart`).
 //!
 //! One test per binary: it installs a panic hook *before* the first raise,
 //! which is the hook the channel's silent hook must chain to.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::{swhtm, AbortCode, TxCell};
-use rtle_hytm::{sw_attempt, Norec, SwDescriptor, SwPhase};
+use rtle_hytm::{Norec, SwPhase};
 
 /// Runs `body` under the runner of `channel`.
 fn run_under(channel: Channel, body: &dyn Fn()) -> Option<()> {
@@ -20,9 +19,8 @@ fn run_under(channel: Channel, body: &dyn Fn()) -> Option<()> {
         Channel::Htm => swhtm::try_txn(body).ok(),
         Channel::Sw => {
             let tm = Norec::new();
-            let _phase = SwPhase::enter(&tm);
-            let desc = RefCell::new(SwDescriptor::default());
-            sw_attempt(&tm, &desc, |_ctx| body())
+            let phase = SwPhase::enter(&tm);
+            phase.attempt(|_ctx| body())
         }
         Channel::Restart => unwind::catch(Channel::Restart, body).ok(),
     }
@@ -72,10 +70,9 @@ fn every_channel_is_caught_by_its_own_runner_and_only_by_it() {
     // A hardware abort carries its code to its own runner, through a
     // software attempt in between.
     let tm = Norec::new();
-    let _phase = SwPhase::enter(&tm);
-    let desc = RefCell::new(SwDescriptor::default());
+    let phase = SwPhase::enter(&tm);
     let r: Result<Option<()>, AbortCode> =
-        swhtm::try_txn(|| sw_attempt(&tm, &desc, |_ctx| rtle_htm::abort(9)));
+        swhtm::try_txn(|| phase.attempt(|_ctx| rtle_htm::abort(9)));
     assert_eq!(r, Err(AbortCode::Explicit(9)));
 
     // Flat nesting: an abort in the inner transaction kills the outer one
