@@ -368,7 +368,7 @@ impl Lowerer {
                 self.loops.pop();
                 self.cur = after;
             }
-            Expr::Closure { body, .. } => self.lower_bypassed_closure(body),
+            Expr::Closure { body, .. } => self.lower_bypassed(body, true),
             Expr::Block(b) => self.lower_block(b),
             Expr::Return(inner, line) => {
                 if let Some(inner) = inner {
@@ -381,8 +381,10 @@ impl Lowerer {
                 if let Some(slice) = sorted_assert_slice(name, text) {
                     self.emit(EventKind::SortedFact { slice }, *line);
                 }
-                // The arguments may run zero times (`debug_assert!`).
-                self.lower_bypassed_closure(args);
+                // The arguments may run zero times (`debug_assert!`), but
+                // they are the function's own code: a `return` or `?` in
+                // them leaves the function, not the macro.
+                self.lower_bypassed(args, false);
             }
             Expr::Tuple(items, _) | Expr::Array(items, _) => {
                 for it in items {
@@ -407,9 +409,11 @@ impl Lowerer {
         self.cur = self.new_block();
     }
 
-    /// A closure that may run zero or many times: lower the body between
-    /// the current block and a join, with a bypass edge around it.
-    fn lower_bypassed_closure(&mut self, body: &Expr) {
+    /// Code that may run zero or many times — a closure body, or the
+    /// arguments of an expression macro: lowered between the current
+    /// block and a join, with a bypass edge around it. A closure's
+    /// `return` lands on the join; a macro argument's leaves the function.
+    fn lower_bypassed(&mut self, body: &Expr, closure: bool) {
         let entry = self.new_block();
         let join = self.new_block();
         let cur = self.cur;
@@ -417,7 +421,9 @@ impl Lowerer {
         self.edge(cur, join);
         self.cur = entry;
         let saved_rt = self.ret_target;
-        self.ret_target = join;
+        if closure {
+            self.ret_target = join;
+        }
         self.lower_expr(body, false);
         self.ret_target = saved_rt;
         let cur = self.cur;
@@ -518,7 +524,7 @@ impl Lowerer {
                         if iter_slice.is_some() {
                             self.loop_slice = iter_slice.clone();
                         }
-                        self.lower_bypassed_closure(body);
+                        self.lower_bypassed(body, true);
                         self.loop_slice = saved;
                     } else {
                         self.lower_expr(a, false);
@@ -570,7 +576,7 @@ impl Lowerer {
         }
         for a in args {
             if let Expr::Closure { body, .. } = a {
-                self.lower_bypassed_closure(body);
+                self.lower_bypassed(body, true);
             } else {
                 self.lower_expr(a, false);
             }
@@ -870,13 +876,8 @@ mod tests {
             .find(|(_, e)| matches!(e.kind, EventKind::Fence { .. }))
             .unwrap()
             .0;
-        let other = cfg
-            .events()
-            .find(|(_, e)| matches!(&e.kind, EventKind::Call { name, .. } if name == "other"))
-            .unwrap()
-            .0;
         assert!(
-            !cfg.ev_dominates(&doms, fence, other),
+            !cfg.ev_dominates(&doms, fence, call(&cfg, "other")),
             "closure body must not dominate code after the call"
         );
     }
@@ -909,5 +910,33 @@ mod tests {
             !cfg.ev_dominates(&cfg.dominators(), load, read),
             "a `debug_assert!` argument may never run"
         );
+    }
+
+    /// The first call of `name` in `cfg`.
+    fn call(cfg: &FnCfg, name: &str) -> super::super::EvRef {
+        cfg.events()
+            .find(|(_, e)| matches!(&e.kind, EventKind::Call { name: n, .. } if n == name))
+            .unwrap_or_else(|| panic!("no call of {name}"))
+            .0
+    }
+
+    #[test]
+    fn a_return_in_a_macro_argument_leaves_the_function() {
+        let cfg = lower_first(
+            "fn f(&self) -> u64 { assert!(if self.bad() { cleanup(); return 0 } else { true }); other(); 1 }",
+        );
+        let (cleanup, other) = (call(&cfg, "cleanup"), call(&cfg, "other"));
+        let reach = cfg.reachability();
+        assert!(reach[cleanup.block][cfg.exit], "the `return` is an exit of the function");
+        assert!(
+            !cfg.ev_reaches(&reach, cleanup, other),
+            "nothing after the macro runs once its argument has returned"
+        );
+        // A closure's `return` still lands after the closure.
+        let cfg = lower_first(
+            "fn f(&self) { self.xs.iter().for_each(|x| { cleanup(); return }); other(); }",
+        );
+        let (cleanup, other) = (call(&cfg, "cleanup"), call(&cfg, "other"));
+        assert!(cfg.ev_reaches(&cfg.reachability(), cleanup, other));
     }
 }

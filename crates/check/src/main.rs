@@ -99,9 +99,9 @@ fn print_model_row(r: &Report, mutant: bool) -> bool {
     r.clean()
 }
 
-/// One loop over every machine's safe suite (TLE family, `tl2-*`, and the
-/// emulated HTM's cached-rv + snapshot-extension `swhtm-*`), then over the
-/// seeded mutants — all through the one generic explorer.
+/// One loop over every machine's safe suite (the TLE family, and the
+/// versioned-lock protocol's cached-rv + snapshot-extension `swhtm-*`),
+/// then over the seeded mutants — all through the one generic explorer.
 fn run_model() -> bool {
     let safe = explore_safe().into_iter().map(|r| (r, false));
     let mutants = explore_mutants().into_iter().map(|r| (r, true));

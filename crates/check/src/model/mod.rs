@@ -4,9 +4,11 @@
 //! `rtle-core`: each thread is a state machine walking the fast
 //! (speculative), slow (speculative-while-locked) and pessimistic (under
 //! lock) paths of TLE, RW-TLE and FG-TLE, over a tiny shared memory of
-//! numbered locations. The explorer ([`explore`]) enumerates *every*
-//! interleaving of the per-thread steps from a given configuration (DFS with
-//! memoized states) and checks each terminal state against
+//! numbered locations — which of the three it tries next is *called*, not
+//! modeled: `rtle_core::RetryPolicy::next_step`, the runtime's Figure 1.
+//! The explorer ([`explore`]) enumerates *every* interleaving of the
+//! per-thread steps from a given configuration (DFS with memoized states)
+//! and checks each terminal state against
 //!
 //! * structural invariants (lock released, `write_flag` lowered, epoch even,
 //!   every thread committed exactly once), and
@@ -26,12 +28,13 @@
 //! Every protocol model implements [`Machine`] ([`machine`]); the explorer,
 //! the terminal judge and — in `rtle-fuzz` — the PCT runner, replay,
 //! shrinker and hunt are each written once against it. [`tle`] is the
-//! machine above. [`tl2`] is the TL2 software TM (per-stripe versioned
-//! write-locks, global version clock) with its own safe suite and a seeded
-//! stale-read mutant ([`tl2_mutant_config`]); configured with a cached
-//! read-version and snapshot extension it is `rtle-htm`'s emulated HTM,
-//! whose seeded mutant ([`swhtm_mutant_config`]) extends in the wrong
-//! order. The oracle must catch every mutant.
+//! machine above. [`tl2`] is the versioned-lock protocol of `rtle-htm`'s
+//! `stripe.rs` (per-stripe versioned write-locks, a global version clock,
+//! a cached read-version, snapshot extension) — the one TL2 that
+//! `rtle_hytm::Tl2` and the emulated HTM both run — with its own safe
+//! suite and two seeded mutants: a skipped commit-time revalidation
+//! ([`tl2_mutant_config`]) and an extension in the wrong step order
+//! ([`swhtm_mutant_config`]). The oracle must catch every mutant.
 
 pub mod explore;
 pub mod machine;

@@ -65,7 +65,8 @@ pub fn standard_suite() -> Vec<Config> {
         // Same workload, lazy subscription with the safe commit-time check.
         invariant_pair("tle-lazysafe-pair", Policy::Tle, Subscription::LazySafe, 0),
         // RW-TLE: the reader may speculate while the writer holds the lock,
-        // but write_flag must fence it away from torn observations.
+        // but write_flag must fence it away from torn observations — and
+        // once both its slow attempts have died it queues on the lock.
         invariant_pair("rwtle-reader-vs-writer", Policy::RwTle, Subscription::Eager, 2),
         // RW-TLE with a read-only holder: the slow reader can commit
         // *while the lock is held* (the paper's §3 win).

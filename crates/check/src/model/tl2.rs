@@ -2,17 +2,35 @@
 //! `crates/htm/src/stripe.rs` (`Table::{read, extend, validate,
 //! commit}` over a `Footprint`) — the one copy of TL2 that both `rtle_hytm::Tl2`
 //! (`crates/hytm/src/tl2.rs`) and the emulated HTM
-//! (`crates/htm/src/swhtm.rs`) run. [`Machine`] for [`Tl2State`], explored
-//! and fuzzed by the same drivers as the TLE machine in [`super::tle`].
+//! (`crates/htm/src/swhtm.rs`) run, and the only one modeled (classic TL2 —
+//! sample at every begin, abort on a newer stripe — runs nowhere).
+//! [`Machine`] for [`Tl2State`], explored and fuzzed by the same drivers as
+//! the TLE machine in [`super::tle`].
 //!
 //! Fidelity notes (kept deliberately close to the runtime):
 //!
-//! * **Begin** samples the global clock into `rv` (always even).
+//! * **Cached read-version.** The runtime's begin reads no shared state:
+//!   `rv` is the last clock value the thread observed. The model keeps a
+//!   `Begin` step as that *earlier observation* — any number of other
+//!   threads' steps may fall between it and the first read, so `rv` ranges
+//!   over every clock value from the thread's start to its first access —
+//!   and a retry does not pass through `Begin` again: it carries over the
+//!   `rv` of the aborted attempt (its last extension sample or drawn `wv`).
+//!   (`rtle_hytm::Tl2`'s fresh sample at every begin is a carried-over `rv`
+//!   plus an extension over an empty read set.)
 //! * The **read barrier** is modeled as one atomic step per read: abort
-//!   if the stripe is locked or its version is newer than `rv`, else
-//!   load and log. The runtime's check/load/recheck sequence is exactly
-//!   an implementation of this atomic load — collapsing it loses no
-//!   behavior of *successful* reads, and failed reads abort either way.
+//!   if the stripe is locked, extend the snapshot if its version is newer
+//!   than `rv`, else load and log. The runtime's check/load/recheck
+//!   sequence is exactly an implementation of this atomic load —
+//!   collapsing it loses no behavior of *successful* reads, and failed
+//!   reads abort either way.
+//! * **Snapshot extension.** A read that meets an unlocked stripe newer
+//!   than `rv` does not abort: it samples the clock (one step), revalidates
+//!   the read set stripe by stripe against the old `rv` (one step each),
+//!   advances `rv` to the sample and re-runs the read.
+//!   [`Extension::ValidateFirst`] is the seeded bug — revalidate, *then*
+//!   sample — which lets a writer commit between the two and land inside
+//!   the new snapshot unchecked; the oracle must catch the zombie read.
 //! * **Writer commit** is phased like the runtime: lock the sorted,
 //!   deduplicated write stripes one step at a time (the bounded TATAS
 //!   spin becomes an enabledness condition — a thread waiting on a held
@@ -28,8 +46,9 @@
 //!   revalidation even though the clock advanced — the same seeded bug
 //!   the `tl2-stale-read-mutant` cargo feature reintroduces in the
 //!   runtime's `Table::commit` (feature of `rtle-htm`; tier-1 runs a
-//!   storm of each instance under it). The serializability oracle must flag the resulting lost
-//!   updates; if it ever stops doing so, the oracle has regressed.
+//!   storm of each instance under it). The serializability oracle must
+//!   flag the resulting lost updates; if it ever stops doing so, the
+//!   oracle has regressed.
 //! * A thread that exhausts [`Tl2Config::max_attempts`] aborts runs its
 //!   final attempt as **one atomic step** (enabled only while every
 //!   stripe it touches is unlocked). The runtime has no such mode — it
@@ -37,31 +56,6 @@
 //!   in every terminal state while the clock (which aborted commits
 //!   still advance, exactly like the runtime's `fetch_add`) stays
 //!   bounded and the DFS terminates.
-//!
-//! # The swhtm configuration
-//!
-//! What the runtime runs is [`Tl2Config::extension`]` = Some(SampleFirst)`.
-//! `None` is TL2 as `rtle-hytm` ran it while it had a copy of its own —
-//! begin-time sample, abort on a newer stripe. No runtime runs that any
-//! more (`Tl2` extends like the emulated HTM; its fresh sample at every
-//! begin is a carried-over `rv` plus an extension over an empty read set);
-//! the `tl2-*` rows are kept until they are retired in their own change.
-//! `Some` differs from `None` in two ways:
-//!
-//! * **Cached read-version.** Begin reads no shared state: `rv` is the
-//!   last clock value the thread observed. The model keeps the `Begin`
-//!   step as that *earlier observation* — any number of other threads'
-//!   steps may fall between it and the first read, so `rv` ranges over
-//!   every clock value from the thread's start to its first access — and a
-//!   retry does not pass through `Begin` again: it carries over the `rv`
-//!   of the aborted attempt (its last extension sample or drawn `wv`).
-//! * **Snapshot extension.** A read that meets an unlocked stripe newer
-//!   than `rv` does not abort: it samples the clock (one step), revalidates
-//!   the read set stripe by stripe against the old `rv` (one step each),
-//!   advances `rv` to the sample and re-runs the read.
-//!   [`Extension::ValidateFirst`] is the seeded bug — revalidate, *then*
-//!   sample — which lets a writer commit between the two and land inside
-//!   the new snapshot unchecked; the oracle must catch the zombie read.
 //!
 //! Stripes map as `loc % stripes` instead of the runtime's Fibonacci
 //! hash, for the same reason the TLE model indexes orecs transparently:
@@ -87,11 +81,9 @@ pub struct Tl2Config {
     /// Skip commit-time read-set revalidation when the clock advanced —
     /// the seeded stale-read bug. Never set in the safe suite.
     pub stale_read_mutant: bool,
-    /// `None`: classic TL2 — every attempt samples the clock at begin and
-    /// a newer stripe aborts (no runtime runs this any more). `Some`: the
-    /// protocol of `crates/htm/src/stripe.rs` — an `rv` carried across
-    /// attempts, and snapshot extension in the given step order.
-    pub extension: Option<Extension>,
+    /// The step order of a snapshot extension: the runtime's, or the
+    /// seeded bug's.
+    pub extension: Extension,
 }
 
 /// The step order of a snapshot extension.
@@ -130,7 +122,7 @@ impl Tl2Config {
 /// Where a TL2 thread is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
-    /// Sample the clock into `rv`.
+    /// The first attempt's `rv`: the clock as the thread last observed it.
     Begin,
     /// Execute op `i` (read barrier or write buffering).
     Op(u8),
@@ -331,13 +323,10 @@ impl Machine for Tl2State {
                                 }
                                 if stripe.version > th.rv {
                                     th.phase = match cfg.extension {
-                                        None => return self.abort_with_budget(cfg, t),
-                                        Some(Extension::ValidateFirst)
-                                            if !th.read_stripes.is_empty() =>
-                                        {
+                                        Extension::ValidateFirst if !th.read_stripes.is_empty() => {
                                             Phase::ExtValidate(i, 0)
                                         }
-                                        Some(_) => Phase::ExtSample(i),
+                                        _ => Phase::ExtSample(i),
                                     };
                                     return;
                                 }
@@ -376,7 +365,7 @@ impl Machine for Tl2State {
                 let th = &mut self.threads[t];
                 th.ext_rv = std::mem::replace(&mut th.rv, clock);
                 th.phase = match cfg.extension {
-                    Some(Extension::SampleFirst) if !th.read_stripes.is_empty() => {
+                    Extension::SampleFirst if !th.read_stripes.is_empty() => {
                         Phase::ExtValidate(i, 0)
                     }
                     // Nothing (left) to revalidate: the snapshot is extended.
@@ -391,8 +380,8 @@ impl Machine for Tl2State {
                 let th = &self.threads[t];
                 let stripe = self.stripes[th.read_stripes[j as usize] as usize];
                 let against = match cfg.extension {
-                    Some(Extension::SampleFirst) => th.ext_rv,
-                    _ => th.rv,
+                    Extension::SampleFirst => th.ext_rv,
+                    Extension::ValidateFirst => th.rv,
                 };
                 if stripe.owner.is_some() || stripe.version > against {
                     return self.abort_with_budget(cfg, t);
@@ -400,7 +389,7 @@ impl Machine for Tl2State {
                 let th = &mut self.threads[t];
                 th.phase = if (j as usize + 1) < th.read_stripes.len() {
                     Phase::ExtValidate(i, j + 1)
-                } else if cfg.extension == Some(Extension::ValidateFirst) {
+                } else if cfg.extension == Extension::ValidateFirst {
                     Phase::ExtSample(i)
                 } else {
                     th.ext_rv = 0;
@@ -520,18 +509,16 @@ impl Tl2State {
         }
         let th = &mut self.threads[t];
         th.attempts += 1;
-        // swhtm carries the latest clock value the attempt saw — a drawn
-        // `wv`, else its (possibly extended) `rv` — into the retry, which
-        // does not sample again.
-        let carried = cfg.extension.map(|_| th.rv.max(th.wv));
+        // The retry does not sample again: it carries the latest clock
+        // value the attempt saw — a drawn `wv`, else its (possibly
+        // extended) `rv`.
+        let carried = th.rv.max(th.wv);
         th.reset_attempt();
-        th.phase = match carried {
-            _ if th.attempts >= cfg.max_attempts => Phase::Atomic,
-            Some(rv) => {
-                th.rv = rv;
-                Phase::Op(0)
-            }
-            None => Phase::Begin,
+        th.phase = if th.attempts >= cfg.max_attempts {
+            Phase::Atomic
+        } else {
+            th.rv = carried;
+            Phase::Op(0)
         };
     }
 }
@@ -540,17 +527,39 @@ fn inc(loc: u8) -> Vec<Op> {
     vec![Op::Read(loc), Op::Write(loc, Val::LastReadPlus(loc, 1))]
 }
 
-/// The five workloads of the safe suite, configured for one protocol
-/// (`extension`), named `<protocol>-<workload>`.
-fn workloads(protocol: &str, extension: Option<Extension>) -> Vec<Tl2Config> {
+/// The extension workload: a scanner of the pair `(x, y)`, a writer of the
+/// whole pair, and a writer of `y` alone. The lone `y` write is what makes
+/// the scanner's second read meet a newer stripe *before* the pair writer
+/// commits — the window in which a validate-first extension goes wrong.
+fn extension_pair(name: &str, extension: Extension) -> Tl2Config {
+    Tl2Config {
+        name: name.into(),
+        threads: vec![
+            vec![Op::Write(1, Val::Const(5))],
+            vec![Op::Write(0, Val::Const(1)), Op::Write(1, Val::Const(1))],
+            vec![Op::Read(0), Op::Read(1)],
+        ],
+        nloc: 2,
+        stripes: 2,
+        max_attempts: 1,
+        stale_read_mutant: false,
+        extension,
+    }
+}
+
+/// Safe configurations: the explorer must find **zero** violations in
+/// every one, over every interleaving — five workloads, named
+/// `swhtm-<workload>`, and the extension mutant's own workload with the
+/// steps in the right order.
+pub fn tl2_suite() -> Vec<Tl2Config> {
     let cfg = |name: &str, threads: Vec<Vec<Op>>, nloc, stripes, max_attempts| Tl2Config {
-        name: format!("{protocol}-{name}"),
+        name: format!("swhtm-{name}"),
         threads,
         nloc,
         stripes,
         max_attempts,
         stale_read_mutant: false,
-        extension,
+        extension: Extension::SampleFirst,
     };
     vec![
         // Two incrementers on one counter: the commit-time revalidation
@@ -597,44 +606,15 @@ fn workloads(protocol: &str, extension: Option<Extension>) -> Vec<Tl2Config> {
             2,
             1,
         ),
+        extension_pair("swhtm-extension-pair", Extension::SampleFirst),
     ]
-}
-
-/// The extension workload: a scanner of the pair `(x, y)`, a writer of the
-/// whole pair, and a writer of `y` alone. The lone `y` write is what makes
-/// the scanner's second read meet a newer stripe *before* the pair writer
-/// commits — the window in which a validate-first extension goes wrong.
-fn extension_pair(name: &str, extension: Extension) -> Tl2Config {
-    Tl2Config {
-        name: name.into(),
-        threads: vec![
-            vec![Op::Write(1, Val::Const(5))],
-            vec![Op::Write(0, Val::Const(1)), Op::Write(1, Val::Const(1))],
-            vec![Op::Read(0), Op::Read(1)],
-        ],
-        nloc: 2,
-        stripes: 2,
-        max_attempts: 1,
-        stale_read_mutant: false,
-        extension: Some(extension),
-    }
-}
-
-/// Safe configurations: the explorer must find **zero** violations in
-/// every one, over every interleaving. Every workload runs as `tl2-*`
-/// (classic TL2: begin-time sample, abort on a newer stripe) and as
-/// `swhtm-*` (the runtime's protocol: carried `rv`, snapshot extension).
-pub fn tl2_suite() -> Vec<Tl2Config> {
-    let mut suite = workloads("tl2", None);
-    suite.extend(workloads("swhtm", Some(Extension::SampleFirst)));
-    suite.push(extension_pair("swhtm-extension-pair", Extension::SampleFirst));
-    suite
 }
 
 /// The seeded TL2 bug: skip read-set revalidation when the clock
 /// advanced. Two incrementers then race to the classic lost update — the
 /// explorer must report a non-serializable history, mirroring the
-/// `tle-lazyunsafe-mutant` contract.
+/// `tle-lazyunsafe-mutant` contract. (The name is the one the runtime's
+/// cargo feature, tier-1 and the fuzz corpus key on.)
 pub fn tl2_mutant_config() -> Tl2Config {
     Tl2Config {
         name: "tl2-stale-read-mutant".into(),
@@ -643,7 +623,7 @@ pub fn tl2_mutant_config() -> Tl2Config {
         stripes: 2,
         max_attempts: 2,
         stale_read_mutant: true,
-        extension: None,
+        extension: Extension::SampleFirst,
     }
 }
 
@@ -741,7 +721,7 @@ mod tests {
             stripes: 1,
             max_attempts: 1,
             stale_read_mutant: false,
-            extension: None,
+            extension: Extension::SampleFirst,
         };
         assert!(std::panic::catch_unwind(|| bad.validate()).is_err());
     }

@@ -23,19 +23,18 @@
 //! * Threads observe the lock state in a separate probe step
 //!   ([`Phase::Decide`]) before acting on it, so the model contains the
 //!   real code's probe/act races.
-//! * [`Phase::Decide`] is a hand copy of Figure 1's choice of rung — the
-//!   runtime and the simulator both call `rtle_core::RetryPolicy::next_step`,
-//!   this crate does not link `rtle-core` — and differs from it in one
-//!   corner: *slow budget exhausted while the lock is held*. Here the
-//!   thread is disabled until the release (`enabled`'s
-//!   `slow_attempts < max_slow_attempts`) and then goes **fast**; the
-//!   runtime with `max_slow_attempts: Some(_)` answers `Step::Fallback`
-//!   and queues on the **lock**. Documented, not changed: state counts
-//!   and witnesses stay as they are.
+//! * [`Phase::Decide`]'s choice of rung is Figure 1 itself: `State::decide`
+//!   builds the runtime's `RetryPolicy` from the two budgets and `match`es
+//!   on `rtle_core::RetryPolicy::next_step`, as the runtime and the
+//!   simulator do. So a thread whose slow budget is spent under a held
+//!   lock queues on the **lock** (`max_slow_attempts: Some(_)`, the only
+//!   setting under which the DFS terminates).
 //!
 //! The model indexes orecs as `loc % orecs` instead of the runtime's
 //! Thomas-Wang hash: the protocol logic is what is being checked, and a
 //! transparent mapping lets configurations pin down aliasing exactly.
+
+use rtle_core::{RetryPolicy, Step};
 
 use super::machine::{validate_programs, AttemptLog, Machine, Op};
 use super::oracle::{CommitPath, Committed};
@@ -359,16 +358,7 @@ impl Machine for State {
         match th.phase {
             Phase::Done => false,
             Phase::LockAcquire => !self.shared.lock,
-            Phase::Decide => {
-                if !self.shared.lock {
-                    return true;
-                }
-                // Lock held at the probe: lock-bound threads spin; others
-                // may speculate on the slow path while budget remains.
-                !Self::wants_lock(cfg, th, &cfg.threads[t])
-                    && cfg.policy.has_slow_path()
-                    && th.slow_attempts < cfg.max_slow_attempts
-            }
+            Phase::Decide => Self::decide(cfg, &cfg.threads[t], self.shared.lock, th).is_some(),
             _ => true,
         }
     }
@@ -395,20 +385,8 @@ impl Machine for State {
                 Phase::Done => unreachable!("done threads are never enabled"),
                 Phase::Decide => {
                     th.reset_attempt();
-                    if !shared.lock {
-                        if Self::wants_lock(cfg, th, spec) {
-                            th.phase = Phase::LockAcquire;
-                        } else {
-                            th.phase = match cfg.sub {
-                                Subscription::Eager => Phase::FastSub,
-                                _ if spec.ops.is_empty() => Phase::FastCommit,
-                                _ => Phase::FastOp(0),
-                            };
-                        }
-                    } else {
-                        // enabled() guaranteed the slow route is open.
-                        th.phase = Phase::SlowStart;
-                    }
+                    th.phase = Self::decide(cfg, spec, shared.lock, th)
+                        .expect("a thread awaiting the release is not enabled");
                 }
 
                 // ---- fast path -------------------------------------------
@@ -600,8 +578,34 @@ impl Machine for State {
 }
 
 impl State {
-    fn wants_lock(cfg: &Config, th: &Thread, spec: &ThreadSpec) -> bool {
-        spec.hostile || th.fast_attempts >= cfg.max_fast_attempts
+    /// Figure 1's choice of rung for a thread probing the lock at
+    /// [`Phase::Decide`] — the runtime's `RetryPolicy`, the runtime's
+    /// `next_step` — as the phase it moves to; `None` while it waits for
+    /// the release (standard TLE's spin: the thread is disabled).
+    fn decide(cfg: &Config, spec: &ThreadSpec, lock_held: bool, th: &Thread) -> Option<Phase> {
+        let retry = RetryPolicy {
+            max_attempts: cfg.max_fast_attempts.into(),
+            max_slow_attempts: Some(cfg.max_slow_attempts.into()),
+            ..RetryPolicy::default()
+        };
+        // A hostile thread's fast attempt dies `Unsupported`, which under
+        // `give_up_on_unsupported` (the default) spends the fast budget.
+        let fast_used = if spec.hostile {
+            retry.max_attempts
+        } else {
+            th.fast_attempts.into()
+        };
+        let has_slow_path = cfg.policy.has_slow_path();
+        match retry.next_step(has_slow_path, lock_held, fast_used, th.slow_attempts.into()) {
+            Step::Fast => Some(match cfg.sub {
+                Subscription::Eager => Phase::FastSub,
+                _ if spec.ops.is_empty() => Phase::FastCommit,
+                _ => Phase::FastOp(0),
+            }),
+            Step::Slow => Some(Phase::SlowStart),
+            Step::Fallback => Some(Phase::LockAcquire),
+            Step::AwaitRelease => None,
+        }
     }
 
     fn orec_index(policy: Policy, loc: u8) -> usize {
@@ -688,5 +692,76 @@ impl State {
                 None => break,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::super::suite::standard_suite;
+    use super::*;
+
+    /// Every reachable state of `cfg`: the explorer's DFS, keeping the
+    /// states instead of judging them.
+    fn reachable(cfg: &Config) -> HashSet<State> {
+        let mut seen = HashSet::from([State::initial(cfg)]);
+        let mut stack: Vec<State> = seen.iter().cloned().collect();
+        while let Some(s) = stack.pop() {
+            for t in s.enabled_threads(cfg) {
+                let mut next = s.clone();
+                next.step(cfg, t);
+                if seen.insert(next.clone()) {
+                    stack.push(next);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The corner the model's hand copy of Figure 1 used to get wrong: a
+    /// thread that probes a *held* lock with its slow budget spent queues
+    /// on the lock (the runtime's `Step::Fallback`); it does not sit out
+    /// the holder and then go fast.
+    #[test]
+    fn a_spent_slow_budget_under_a_held_lock_queues_on_the_lock() {
+        const READER: usize = 1;
+        let cfg = standard_suite()
+            .into_iter()
+            .find(|c| c.name == "rwtle-reader-vs-writer")
+            .expect("suite config exists");
+        assert!(!cfg.threads[READER].hostile);
+        let states = reachable(&cfg);
+        let spent = |s: &State| s.threads[READER].slow_attempts == cfg.max_slow_attempts;
+
+        let mut corner = 0;
+        for s in &states {
+            if s.threads[READER].phase == Phase::Decide && s.shared.lock && spent(s) {
+                corner += 1;
+                assert!(s.enabled(&cfg, READER), "the reader sits out the holder");
+                let mut next = s.clone();
+                next.step(&cfg, READER);
+                assert_eq!(next.threads[READER].phase, Phase::LockAcquire);
+            }
+        }
+        assert!(corner > 0, "the corner is never reached");
+
+        // And it shows in the histories: the reader commits under the lock
+        // in some terminal, always with both slow attempts behind it (the
+        // one acquisition of the writer can cost it one fast attempt, never
+        // its fast budget of two).
+        let mut on_lock = 0;
+        for s in states.iter().filter(|s| s.terminal()) {
+            let reader = s.committed[READER].as_ref().expect("terminal: committed");
+            if reader.path == CommitPath::Lock {
+                on_lock += 1;
+                assert!(spent(s), "lock commit with slow budget left");
+                assert!(s.threads[READER].fast_attempts < cfg.max_fast_attempts);
+            }
+        }
+        assert!(
+            on_lock > 0,
+            "no terminal has the reader commit under the lock"
+        );
     }
 }

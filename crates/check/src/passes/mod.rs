@@ -2,8 +2,9 @@
 //!
 //! The driver ([`analyze_workspace`]) reads every workspace source file
 //! once — [`crate::syntax::parse_file`]: one token stream, its comments,
-//! one item tree — lowers each function with [`crate::cfg`], and runs the
-//! passes, each scoped to the files whose invariants it encodes. Four are
+//! one item tree — lowers each function of a file some CFG-reading pass
+//! covers with [`crate::cfg`], and runs the passes, each scoped to the
+//! files whose invariants it encodes. Four are
 //! path-sensitive **flow passes** (`rtle-check analyze`):
 //!
 //! | pass          | scope                         | invariant |
@@ -57,6 +58,10 @@ pub const PASSES: [&str; 7] = [
 /// How many of [`PASSES`] are flow passes (`rtle-check analyze` runs
 /// those, `rtle-check lint` the rest).
 pub const FLOW_PASSES: usize = 4;
+
+/// The two passes that read a file's token stream ([`hygiene::run`]); the
+/// other five read a lowered function.
+const TOKEN_PASSES: [&str; 2] = ["unsafe-safety-comment", "hot-path-hygiene"];
 
 /// A raw (line, message) finding from a single pass run.
 #[derive(Debug)]
@@ -284,8 +289,7 @@ fn run_pass(
         "publication" => publication::run(cfg),
         "fence" => fence::run(cfg),
         "ordering-table" => return ordering::run(path, cfg, comments),
-        // The token-level passes ran once, over the whole file.
-        _ => Vec::new(),
+        _ => unreachable!("{name} reads the token stream, not a lowered function"),
     };
     findings.into_iter().map(|pf| (name, pf)).collect()
 }
@@ -323,9 +327,10 @@ pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Runs those of `passes` that cover the file over its text — one parse;
-/// appends to `findings` / `mutant_hits` and returns the number of
-/// non-test functions lowered.
+/// Runs those of `passes` that cover the file over its text — one parse,
+/// and one lowering per function where a pass that reads one is among
+/// them; appends to `findings` / `mutant_hits` and returns the number of
+/// non-test functions in the file.
 fn analyze_file(
     rel_path: &Path,
     text: &str,
@@ -370,12 +375,16 @@ fn analyze_file(
     for (pass, pf) in hygiene::run(&src, &active) {
         report(pass, None, pf);
     }
+    active.retain(|p| !TOKEN_PASSES.contains(p));
     let mut functions = 0;
     for_each_fn(&src.items, &mut |f, marker| {
         if marker == Some("test") {
             return;
         }
         functions += 1;
+        if active.is_empty() {
+            return;
+        }
         let cfg = lower_fn(f, marker);
         for pass in &active {
             for (label, pf) in run_pass(pass, &path_str, &cfg, &src.comments) {

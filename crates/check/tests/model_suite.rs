@@ -1,7 +1,8 @@
 //! Acceptance tests for the interleaving checker: every safe configuration
 //! explores clean, the protocol paths are actually exercised, and the
 //! seeded mutants (unsafe lazy subscription; TL2 skipped revalidation;
-//! swhtm validate-before-sample extension) are detected.
+//! swhtm validate-before-sample extension) are detected — and every row's
+//! state, terminal and path counts are pinned in `golden/model_rows.txt`.
 
 use rtle_check::model::{
     explore, explore_mutants, explore_safe, mutant_config, standard_suite, swhtm_mutant_config,
@@ -113,7 +114,7 @@ fn path_coverage_counts_terminal_histories_on_every_machine() {
     // `Report` documents the three path counters as "terminal histories
     // containing at least one such commit" — so none can exceed the
     // terminal count, whatever the machine. A per-commit count would:
-    // `tl2-counter` has 14 writer commits over its 8 terminals.
+    // `swhtm-counter` has 14 writer commits over its 8 terminals.
     let reports = explore_safe().into_iter().chain(explore_mutants());
     let mut seen = 0;
     for r in reports {
@@ -159,15 +160,14 @@ fn tl2_stale_read_mutant_is_caught() {
 
 #[test]
 fn swhtm_configurations_verify_and_the_extension_mutant_is_caught() {
-    // The emulated HTM's protocol — a cached (stale) read-version and
-    // snapshot extension — is in the safe suite under `swhtm-*`, including
-    // the mutant's own workload with the steps in the right order.
-    let swhtm: Vec<_> = tl2_suite()
-        .into_iter()
-        .filter(|c| c.name.starts_with("swhtm-"))
-        .collect();
+    // The versioned-lock protocol as the runtime runs it — a cached
+    // (stale) read-version and snapshot extension — is the whole safe
+    // suite, including the mutant's own workload with the steps in the
+    // right order.
+    let swhtm = tl2_suite();
+    assert!(swhtm.iter().all(|c| c.name.starts_with("swhtm-")));
     assert!(swhtm.iter().any(|c| c.name == "swhtm-extension-pair"));
-    assert!(swhtm.len() >= 6, "every TL2 workload has its swhtm twin");
+    assert_eq!(swhtm.len(), 6, "five workloads and the extension pair");
     for cfg in &swhtm {
         let r = explore::<Tl2State>(cfg);
         assert!(r.clean(), "{}: {:?}", r.config, r.violations.first());
@@ -197,4 +197,37 @@ fn safe_lazy_subscription_is_clean_under_same_workload() {
         .expect("suite config exists");
     let r = explore::<State>(&cfg);
     assert!(r.clean(), "{:?}", r.violations.first());
+}
+
+#[test]
+fn every_row_matches_its_golden_counts() {
+    // States, terminals and path coverage of every safe row and mutant: a
+    // change to a machine that moves a count fails here and has to say why
+    // (EXPERIMENTS.md keeps the before/after table). Re-bless with
+    // `BLESS=1 cargo test -p rtle-check --test model_suite`.
+    let mut actual = String::new();
+    for r in explore_safe().into_iter().chain(explore_mutants()) {
+        actual += &format!(
+            "{} states={} terminals={} {}={}/{}/{} violations={}\n",
+            r.config,
+            r.states,
+            r.terminals,
+            r.path_labels,
+            r.fast_commit_terminals,
+            r.slow_commit_terminals,
+            r.lock_commit_terminals,
+            r.violation_count
+        );
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/model_rows.txt");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, &actual).expect("write golden file");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {} ({e}); run with BLESS=1", path.display()));
+    assert_eq!(
+        actual, expected,
+        "a model row moved; explain it, then re-bless"
+    );
 }

@@ -215,9 +215,13 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
 
     plan.htm.with_installed(|| {
         let stop = Arc::new(AtomicBool::new(false));
+        // Raised inside the staller's first critical section: the workers
+        // start beside a holder, however short their run.
+        let stalled = Arc::new(AtomicBool::new(!plan.staller));
 
         let staller = plan.staller.then(|| {
             let (lock, set, stop) = (Arc::clone(&lock), Arc::clone(&set), Arc::clone(&stop));
+            let stalled = Arc::clone(&stalled);
             let spins = plan.stall_spins;
             std::thread::spawn(move || {
                 let mut held = 0u64;
@@ -229,6 +233,13 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
                         // orecs and concurrent slow *readers* stay clean.
                         rtle_htm::htm_unfriendly_instruction();
                         let _ = set.contains(ctx, held % range);
+                        stalled.store(true, Ordering::Relaxed);
+                        // A lock holder off the CPU: with fewer cores than
+                        // threads, what runs the workers *beside* the hold.
+                        // (As a software transaction it holds nothing.)
+                        if !ctx.is_speculative() {
+                            std::thread::yield_now();
+                        }
                         for _ in 0..spins {
                             std::hint::spin_loop();
                         }
@@ -244,6 +255,7 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
         let workers: Vec<_> = (0..plan.workers)
             .map(|w| {
                 let (lock, set) = (Arc::clone(&lock), Arc::clone(&set));
+                let stalled = Arc::clone(&stalled);
                 let (kpw, opw) = (plan.keys_per_worker, plan.ops_per_worker);
                 std::thread::spawn(move || {
                     let mut rng =
@@ -252,6 +264,9 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
                     let mut model: BTreeSet<u64> = BTreeSet::new();
                     let mut divergences = Vec::new();
                     let stream = ops::gen_ops(&mut rng, kpw, opw, opw);
+                    while !stalled.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
                     for (i, rel_op) in stream.into_iter().enumerate() {
                         let op = rel_op.offset(base);
                         let got = lock.execute(|ctx| ops::apply_avl(&set, ctx, op));
@@ -319,6 +334,17 @@ mod tests {
         let r = run_chaos(&plan, 0x00ca_0001);
         assert!(r.clean(), "divergences: {:?}", r.divergences);
         assert!(r.fast_commits > 0);
+    }
+
+    /// The tier-1 profile leaves the fast path: its workers start beside
+    /// the staller's first hold, so slow commits and lock acquisitions do
+    /// not depend on how the scheduler interleaves a run this short (the
+    /// gate `fuzz run` applies).
+    #[test]
+    fn quick_plan_exercises_all_three_paths() {
+        let r = run_chaos(&ChaosPlan::quick(true), 0x00ca_0003);
+        assert!(r.clean(), "divergences: {:?}", r.divergences);
+        assert!(r.all_paths_exercised(), "need f, s and l commits: {r:?}");
     }
 
     /// TL2-backed smoke run: a seeded abort storm pushes exhausted

@@ -1,9 +1,7 @@
 //! Random *safe* configurations of each machine for the sweep: 4–8
 //! threads, bigger footprints than the exhaustive explorer can afford.
 
-use rtle_check::model::{
-    Config, Extension, Op, Policy, Subscription, ThreadSpec, Tl2Config, Val,
-};
+use rtle_check::model::{Config, Extension, Op, Policy, Subscription, ThreadSpec, Tl2Config, Val};
 use rtle_htm::prng::SplitMix64;
 
 /// One thread body of 1–3 reads and writes over `nloc` locations; a
@@ -70,10 +68,9 @@ pub fn random_safe_config(rng: &mut SplitMix64, idx: u64) -> Config {
 
 /// A random *safe* TL2 configuration at 4–8 threads: any violation the
 /// oracle reports against one of these is a genuine protocol/model bug,
-/// never an expected mutant. Odd `idx` draws the swhtm protocol (cached
-/// read-version, sample-first snapshot extension), so both halves of the
-/// machine are hunted at 4–8 threads, not only explored at 2–3. Pure
-/// function of the rng stream and `idx`.
+/// never an expected mutant — the runtime's protocol (cached read-version,
+/// sample-first snapshot extension) hunted at 4–8 threads, not only
+/// explored at 2–3. Pure function of the rng stream.
 pub fn random_safe_tl2_config(rng: &mut SplitMix64, idx: u64) -> Tl2Config {
     let nthreads = rng.range_inclusive(4, 8) as usize;
     let nloc = rng.range_inclusive(2, 4) as u8;
@@ -84,16 +81,14 @@ pub fn random_safe_tl2_config(rng: &mut SplitMix64, idx: u64) -> Tl2Config {
     for _ in 0..nthreads {
         threads.push(random_ops(rng, nloc));
     }
-    let extension = (idx % 2 == 1).then_some(Extension::SampleFirst);
-    let protocol = if extension.is_some() { "swhtm" } else { "tl2" };
     Tl2Config {
-        name: format!("fuzz-{protocol}-rand-{idx}"),
+        name: format!("fuzz-swhtm-rand-{idx}"),
         threads,
         nloc,
         stripes,
         max_attempts: rng.range_inclusive(1, 2) as u8,
         stale_read_mutant: false,
-        extension,
+        extension: Extension::SampleFirst,
     }
 }
 
@@ -117,14 +112,11 @@ mod tests {
     #[test]
     fn random_safe_tl2_configs_validate_and_terminate() {
         let mut rng = SplitMix64::new(0x0420_0002);
-        let mut swhtm = 0;
         for idx in 0..16 {
             let cfg = random_safe_tl2_config(&mut rng, idx);
             assert!(cfg.threads.len() >= 4 && cfg.threads.len() <= 8);
-            swhtm += cfg.extension.is_some() as u32;
             let run = run_pct::<Tl2State>(&cfg, &mut rng, 3, 256);
             assert!(run.state.terminal(), "{}: run did not terminate", cfg.name);
         }
-        assert_eq!(swhtm, 8, "half the configs run the swhtm protocol");
     }
 }

@@ -10,11 +10,12 @@
 //! * `run` — the full campaign: (1) mutant fitness (every seeded mutant
 //!   — the TLE lazy-subscription zombie, the TL2 stale read, the swhtm
 //!   validate-first extension — must be caught within the budget), (2) a
-//!   sweep of the standard TLE and TL2/swhtm suites plus random safe
+//!   sweep of the standard TLE and swhtm suites plus random safe
 //!   4–8-thread configurations of each machine (must stay clean), (3)
 //!   chaos runs over the real runtime, classic HTM-or-lock and
-//!   TL2-software-backed (must show zero oracle divergence). Exit code 0
-//!   iff all three hold. `--quick` is the deterministic, time-budgeted
+//!   TL2-software-backed (must show zero oracle divergence, and commits on
+//!   all of fast/slow/lock resp. both of HTM/STM). Exit code 0 iff all
+//!   three hold. `--quick` is the deterministic, time-budgeted
 //!   tier-1 profile.
 //! * `replay <seed>` — re-runs the fitness hunt of one seeded mutant for
 //!   `seed` (`--mutant` names its configuration; default
@@ -25,7 +26,7 @@
 use std::process::ExitCode;
 
 use rtle_check::model::{standard_suite, tl2_suite, State, Tl2State};
-use rtle_fuzz::chaos::{run_chaos, ChaosPlan};
+use rtle_fuzz::chaos::{run_chaos, ChaosPlan, ChaosReport};
 use rtle_fuzz::configs::{random_safe_config, random_safe_tl2_config};
 use rtle_fuzz::corpus::{self, Mutant, DOC_SEED};
 use rtle_fuzz::report::campaign_json;
@@ -98,7 +99,12 @@ fn mutant_fitness(m: &Mutant, seed: u64, budget: Option<u64>) -> HuntReport {
     r
 }
 
-fn print_chaos(label: &str, plan: &ChaosPlan, r: &rtle_fuzz::chaos::ChaosReport) {
+/// Runs one chaos plan and prints its row; clears `ok` unless the run is
+/// clean *and* left the fast path — the assertion that the fallback
+/// machinery actually ran (a lock-backed plan: fast, slow and lock
+/// commits; a software-backed one: HTM and STM commits in one run).
+fn chaos_run(label: &str, plan: &ChaosPlan, seed: u64, ok: &mut bool) -> ChaosReport {
+    let r = run_chaos(plan, seed);
     println!(
         "fuzz: {label} ({} workers, {} ops): commits f/s/l/stm {}/{}/{}/{}, {} aborts -> {}",
         plan.workers,
@@ -113,6 +119,18 @@ fn print_chaos(label: &str, plan: &ChaosPlan, r: &rtle_fuzz::chaos::ChaosReport)
     for d in r.divergences.iter().take(5) {
         println!("fuzz:   {d}");
     }
+    let exercised = match plan.software {
+        Some(_) => r.hybrid_paths_exercised(),
+        None => r.all_paths_exercised(),
+    };
+    if !exercised {
+        println!(
+            "fuzz: {label} stayed on one path (f={}, s={}, l={}, stm={}) — plan regression!",
+            r.fast_commits, r.slow_commits, r.lock_acquisitions, r.stm_commits
+        );
+    }
+    *ok &= r.clean() && exercised;
+    r
 }
 
 fn cmd_run(a: RunArgs) -> ExitCode {
@@ -150,39 +168,19 @@ fn cmd_run(a: RunArgs) -> ExitCode {
 
     // 3. Chaos over the real runtime: the classic HTM-or-lock stack,
     // then the same storm with the TL2 software tier installed.
-    let chaos = a.chaos.then(|| {
-        let plan = if a.quick {
-            ChaosPlan::quick(true)
+    let plans = a.chaos.then(|| {
+        if a.quick {
+            (ChaosPlan::quick(true), ChaosPlan::quick_tl2(true))
         } else {
-            ChaosPlan::storm8()
-        };
-        let r = run_chaos(&plan, a.seed);
-        print_chaos("chaos", &plan, &r);
-        r
-    });
-    if let Some(c) = &chaos {
-        ok &= c.clean();
-    }
-    let tl2_chaos = a.chaos.then(|| {
-        let plan = if a.quick {
-            ChaosPlan::quick_tl2(true)
-        } else {
-            ChaosPlan::storm8_tl2()
-        };
-        let r = run_chaos(&plan, a.seed);
-        print_chaos("chaos[tl2]", &plan, &r);
-        r
-    });
-    if let Some(c) = &tl2_chaos {
-        ok &= c.clean();
-        if !c.hybrid_paths_exercised() {
-            println!(
-                "fuzz: chaos[tl2] never hit the hybrid regime (f={}, stm={}) — plan regression!",
-                c.fast_commits, c.stm_commits
-            );
-            ok = false;
+            (ChaosPlan::storm8(), ChaosPlan::storm8_tl2())
         }
-    }
+    });
+    let chaos = plans
+        .as_ref()
+        .map(|(plan, _)| chaos_run("chaos", plan, a.seed, &mut ok));
+    let tl2_chaos = plans
+        .as_ref()
+        .map(|(_, plan)| chaos_run("chaos[tl2]", plan, a.seed, &mut ok));
 
     if let Some(path) = &a.json {
         let doc = campaign_json(a.seed, &mutants, &hunts, chaos.as_ref(), tl2_chaos.as_ref());

@@ -45,6 +45,16 @@ trap 'rm -rf "$tmp"' EXIT
 stage "build (release)"
 cargo build --workspace --release
 cargo build --workspace --examples
+# The root, check and fuzz manifests each promise a workspace with no
+# external dependency (rtle-check now links rtle-core, and that is all it
+# may come to): every package of the resolved graph — normal, build and
+# dev edges — is a workspace member, or the stage fails naming the stranger.
+strangers="$(cargo tree --workspace --offline -e normal,build,dev --prefix none \
+    | awk 'NF && $1 != "refined-tle" && $1 !~ /^rtle-/ { print $1 }' | sort -u)"
+if [ -n "$strangers" ]; then
+    echo "the workspace depends on packages outside itself:" $strangers
+    exit 1
+fi
 
 stage "tests"
 # Includes tests/fast_path_sharing.rs (counter-lane/clock/recorder-lane
@@ -74,26 +84,34 @@ stage "rtle-check (seven static passes + interleaving model)"
 # then the model checker:
 # one generic explorer + terminal judge (`model::explore::<M>`,
 # `model::judge`) over every `impl Machine`, which must verify every safe
-# configuration (TLE family, TL2, and the emulated HTM's cached-rv +
-# snapshot-extension `swhtm-*` twins) and catch its three seeded mutants:
-# unsafe lazy subscription, the TL2 stale read, and the swhtm extension
-# that validates before it samples.
+# configuration — two row families: the TLE machine's eight (`tle-*`,
+# `rwtle-*`, `fgtle-*`; its choice of rung is the runtime's
+# `RetryPolicy::next_step`) and the versioned-lock protocol's six
+# (`swhtm-*`: cached rv + snapshot extension, what `Tl2` and the emulated
+# HTM run) — and catch its three seeded mutants: `tle-lazyunsafe-mutant`
+# (unsafe lazy subscription), `tl2-stale-read-mutant` (skipped commit-time
+# revalidation) and `swhtm-validate-first-mutant` (the extension that
+# validates before it samples). Every row's counts are pinned by
+# crates/check/tests/golden/model_rows.txt.
 cargo run -p rtle-check --release
 
 stage "rtle-check lint + analyze budget"
 # The two pass filters again, standalone, together under one wall-clock
 # budget: the whole workspace twice, JSON exports included, in under 5 s.
+# `lint` alone is printed too: it lowers only the files its ordering table
+# covers (the two token-level passes need no CFG).
 # The export itself is checked by crates/check/tests/analyze_workspace.rs;
 # here its per-pass counts are printed (the pretty writer puts a pass's
 # `findings`, `name`, `suppressed` on consecutive lines, keys sorted).
 t0="$(now_ms)"
 ./target/release/rtle-check lint --json "$tmp/lint.json" >/dev/null
+lint_ms=$(( $(now_ms) - t0 ))
 ./target/release/rtle-check analyze --json "$tmp/analyze.json" >/dev/null
 check_ms=$(( $(now_ms) - t0 ))
 awk -F'[:,]' '/"findings": [0-9]/ { live = $2 } /"name":/ { name = $2 }
     /"suppressed": [0-9]/ { print "  pass" name ":" live " findings," $2 " suppressed" }' \
     "$tmp/lint.json" "$tmp/analyze.json"
-echo "lint + analyze wall-clock: ${check_ms} ms"
+echo "lint wall-clock: ${lint_ms} ms; lint + analyze: ${check_ms} ms"
 if [ "$check_ms" -ge 5000 ]; then
     echo "lint + analyze blew their 5 s whole-workspace budget (${check_ms} ms)"
     exit 1
@@ -130,7 +148,8 @@ stage "fuzz (seeded quick campaign + mutant fitness)"
 # mutant fitness — the same machines as above, through the one generic
 # `run_pct`/`replay`/`hunt` of rtle-fuzz's schedule.rs) and oracle-checked
 # on the chaos side. Exit code gates: a missed mutant, any model
-# violation, or any chaos divergence fails.
+# violation, any chaos divergence, or a chaos run that stayed on one path
+# (lock-backed: fast, slow and lock commits; TL2-backed: HTM and STM) fails.
 fuzz_json="$tmp/fuzz.json"
 cargo run -p rtle-fuzz --release --bin fuzz -- run --quick --seed 0xf422 --json "$fuzz_json" >/dev/null
 grep -q '"tool":"rtle-fuzz"' "$fuzz_json" || { echo "fuzz json missing"; exit 1; }
