@@ -54,6 +54,8 @@ use rtle_obs::{
 };
 use rtle_shard::{ShardedTxMap, TxMap};
 
+use crate::top::fmt_ns;
+
 /// All knobs of one SLO run (both configurations share it).
 #[derive(Debug, Clone)]
 pub struct SloConfig {
@@ -721,16 +723,6 @@ pub fn load_versioned(text: &str) -> Result<Json, SloViewError> {
             found,
             expected: SCHEMA_VERSION,
         }),
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 10_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 10_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 

@@ -75,7 +75,8 @@ fn gauge(src: &Json, key: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn fmt_ns(ns: u64) -> String {
+/// A latency for the text views (`diag top`, `diag --slo`, `diag --timeline`).
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 10_000_000 {
         format!("{:.1}ms", ns as f64 / 1e6)
     } else if ns >= 10_000 {

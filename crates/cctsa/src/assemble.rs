@@ -4,7 +4,7 @@
 
 use rtle_core::TatasLock;
 use rtle_htm::hash::wang_mix64;
-use rtle_htm::{DynAccess, PlainAccess, TxAccess};
+use rtle_htm::{DynAccess, PlainAccess};
 
 use crate::genome::BASES;
 use crate::kmer::{kmers_with_edges, Kmer};
@@ -30,12 +30,7 @@ pub fn ingest_single_map(
     let chunk = reads.len().div_ceil(threads);
     let mut processed = vec![0usize; threads];
     std::thread::scope(|scope| {
-        for (t, (slice, out)) in reads
-            .chunks(chunk.max(1))
-            .zip(processed.iter_mut())
-            .enumerate()
-        {
-            let _ = t;
+        for (slice, out) in reads.chunks(chunk.max(1)).zip(processed.iter_mut()) {
             scope.spawn(move || {
                 // Thread-local read storage (the paper's per-thread vectors
                 // that remove coordination during the processing phase).
@@ -260,10 +255,6 @@ pub fn assemble_sequential(reads: &[Vec<u8>], k: usize, min_count: u32) -> Vec<V
     map.filter_low_coverage(min_count);
     assemble_contigs(&map, k)
 }
-
-// Suppress unused warning for the generic TxAccess import used in docs.
-#[allow(unused)]
-fn _assert_traits<A: TxAccess>() {}
 
 #[cfg(test)]
 mod tests {

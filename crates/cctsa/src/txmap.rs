@@ -3,28 +3,40 @@
 //! Replaces ccTSA's STL hash map with an implementation whose every shared
 //! field is a [`TxCell`], so updates can run inside critical sections under
 //! any synchronization method (the paper: "replacing the STL hash-map with
-//! our own transaction-safe hash-map implementation", §6.4.1).
+//! our own transaction-safe hash-map implementation", §6.4.1): the
+//! workspace's one open-addressing table, [`rtle_htm::table`], with a
+//! k-mer's count and edge masks as the payload of its slot.
 //!
-//! Fixed-capacity linear probing; deletion is by count-zeroing (tombstoned
-//! keys keep their slot), which the coverage-filtering phase uses.
+//! The coverage filter deletes by zeroing a count: the k-mer keeps its
+//! slot, so the map never tombstones a key word.
 
-use rtle_htm::hash::wang_mix64;
+use rtle_htm::table::{Entry, Table};
 use rtle_htm::{PlainAccess, TxAccess, TxCell};
 
 use crate::kmer::Kmer;
 
-/// One map slot, cache-line aligned (one conflict line per k-mer entry).
-#[repr(align(64))]
-#[derive(Debug)]
-struct Entry {
-    /// `kmer value + 1`; 0 = never occupied.
-    key: TxCell<u64>,
-    /// Occurrence count; 0 on a tombstoned (filtered-out) entry.
+/// A k-mer's cells, on its key's line.
+#[derive(Debug, Default)]
+struct Counts {
+    /// Occurrence count; 0 on a filtered-out entry (and an empty slot).
     count: TxCell<u32>,
     /// Bit b set: some read showed base b immediately before this k-mer.
     in_mask: TxCell<u32>,
     /// Bit b set: some read showed base b immediately after this k-mer.
     out_mask: TxCell<u32>,
+}
+
+impl Counts {
+    /// `kmer`'s record; `None` when filtered out.
+    fn info<A: TxAccess + ?Sized>(&self, a: &A, kmer: Kmer) -> Option<KmerInfo> {
+        let count = a.load(&self.count);
+        (count > 0).then(|| KmerInfo {
+            kmer,
+            count,
+            in_mask: a.load(&self.in_mask),
+            out_mask: a.load(&self.out_mask),
+        })
+    }
 }
 
 /// Snapshot of one k-mer's record.
@@ -43,8 +55,7 @@ pub struct KmerInfo {
 /// The transaction-safe k-mer map.
 #[derive(Debug)]
 pub struct KmerMap {
-    slots: Box<[Entry]>,
-    mask: u64,
+    table: Table<Counts>,
 }
 
 impl KmerMap {
@@ -52,23 +63,14 @@ impl KmerMap {
     /// power of two). Size it at ≥ 2× the expected number of distinct
     /// k-mers; the map panics when completely full.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(8);
         KmerMap {
-            slots: (0..cap)
-                .map(|_| Entry {
-                    key: TxCell::new(0),
-                    count: TxCell::new(0),
-                    in_mask: TxCell::new(0),
-                    out_mask: TxCell::new(0),
-                })
-                .collect(),
-            mask: cap as u64 - 1,
+            table: Table::with_capacity(capacity),
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.table.slots().len()
     }
 
     /// Base cache-line index of the slot array: slot `i` occupies line
@@ -76,7 +78,7 @@ impl KmerMap {
     /// Lets the simulator translate recorded addresses into stable,
     /// address-independent line ids.
     pub fn slot_line_base(&self) -> u64 {
-        (self.slots.as_ptr() as usize >> 6) as u64
+        self.table.line_base()
     }
 
     /// Records one occurrence of `kmer` with optional in/out edge labels.
@@ -91,75 +93,48 @@ impl KmerMap {
         prev: Option<u8>,
         next: Option<u8>,
     ) -> bool {
-        let stored = kmer.0 + 1;
-        let mut i = wang_mix64(kmer.0) & self.mask;
-        for _probe in 0..self.slots.len() {
-            let e = &self.slots[i as usize];
-            let k = a.load(&e.key);
-            if k == stored {
-                let c = a.load(&e.count);
-                a.store(&e.count, c.saturating_add(1));
-                self.merge_masks(a, e, prev, next);
-                return false;
-            }
-            if k == 0 {
-                a.store(&e.key, stored);
-                a.store(&e.count, 1);
-                a.store(&e.in_mask, prev.map_or(0, |b| 1 << b));
-                a.store(&e.out_mask, next.map_or(0, |b| 1 << b));
-                return true;
-            }
-            i = (i + 1) & self.mask;
-        }
-        panic!("KmerMap full: size it at ≥ 2× the expected distinct k-mers");
+        self.merge(
+            a,
+            KmerInfo {
+                kmer,
+                count: 1,
+                in_mask: prev.map_or(0, |b| 1 << b),
+                out_mask: next.map_or(0, |b| 1 << b),
+            },
+        )
     }
 
-    fn merge_masks<A: TxAccess + ?Sized>(
-        &self,
-        a: &A,
-        e: &Entry,
-        prev: Option<u8>,
-        next: Option<u8>,
-    ) {
-        if let Some(b) = prev {
-            let m = a.load(&e.in_mask);
-            if m & (1 << b) == 0 {
-                a.store(&e.in_mask, m | (1 << b));
-            }
-        }
-        if let Some(b) = next {
-            let m = a.load(&e.out_mask);
-            if m & (1 << b) == 0 {
-                a.store(&e.out_mask, m | (1 << b));
-            }
-        }
-    }
-
-    /// Looks up `kmer`. A tombstoned entry (count 0) reports `None`.
-    pub fn get<A: TxAccess + ?Sized>(&self, a: &A, kmer: Kmer) -> Option<KmerInfo> {
-        let stored = kmer.0 + 1;
-        let mut i = wang_mix64(kmer.0) & self.mask;
-        for _probe in 0..self.slots.len() {
-            let e = &self.slots[i as usize];
-            let k = a.load(&e.key);
-            if k == stored {
-                let count = a.load(&e.count);
-                if count == 0 {
-                    return None;
+    /// Adds `info`'s count and edges to its k-mer's record; `true` iff
+    /// the k-mer was newly inserted. A mask cell is written only when
+    /// `info` sets a new bit in it.
+    fn merge<A: TxAccess + ?Sized>(&self, a: &A, info: KmerInfo) -> bool {
+        let entry = self.table.entry(a, info.kmer.0);
+        match entry.expect("KmerMap full: size it at ≥ 2× the expected distinct k-mers") {
+            Entry::Occupied(slot) => {
+                let e = &slot.payload;
+                a.store(&e.count, a.load(&e.count).saturating_add(info.count));
+                for (cell, bits) in [(&e.in_mask, info.in_mask), (&e.out_mask, info.out_mask)] {
+                    let m = a.load(cell);
+                    if m | bits != m {
+                        a.store(cell, m | bits);
+                    }
                 }
-                return Some(KmerInfo {
-                    kmer,
-                    count,
-                    in_mask: a.load(&e.in_mask),
-                    out_mask: a.load(&e.out_mask),
-                });
+                false
             }
-            if k == 0 {
-                return None;
+            Entry::Vacant(slot) => {
+                slot.claim(a, info.kmer.0);
+                let e = &slot.payload;
+                a.store(&e.count, info.count);
+                a.store(&e.in_mask, info.in_mask);
+                a.store(&e.out_mask, info.out_mask);
+                true
             }
-            i = (i + 1) & self.mask;
         }
-        None
+    }
+
+    /// Looks up `kmer`. A filtered-out entry (count 0) reports `None`.
+    pub fn get<A: TxAccess + ?Sized>(&self, a: &A, kmer: Kmer) -> Option<KmerInfo> {
+        self.table.find(a, kmer.0)?.payload.info(a, kmer)
     }
 
     /// Zeroes the count of every k-mer seen fewer than `min_count` times —
@@ -175,21 +150,21 @@ impl KmerMap {
     /// disjoint, so no synchronization beyond the chunking is needed.
     pub fn filter_low_coverage_parallel(&self, min_count: u32, threads: usize) -> usize {
         assert!(threads >= 1);
-        let chunk = self.slots.len().div_ceil(threads);
+        let slots = self.table.slots();
+        let chunk = slots.len().div_ceil(threads);
         let total = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for slice in self.slots.chunks(chunk.max(1)) {
+            for slice in slots.chunks(chunk.max(1)) {
                 let total = &total;
                 scope.spawn(move || {
                     let a = PlainAccess;
                     let mut filtered = 0;
-                    for e in slice {
-                        if a.load(&e.key) != 0 {
-                            let c = a.load(&e.count);
-                            if c > 0 && c < min_count {
-                                a.store(&e.count, 0);
-                                filtered += 1;
-                            }
+                    // An empty slot's count is 0, so only live k-mers match.
+                    for slot in slice {
+                        let c = a.load(&slot.payload.count);
+                        if c > 0 && c < min_count {
+                            a.store(&slot.payload.count, 0);
+                            filtered += 1;
                         }
                     }
                     total.fetch_add(filtered, std::sync::atomic::Ordering::Relaxed);
@@ -202,20 +177,10 @@ impl KmerMap {
     /// All live entries (count > 0). Quiescent use only.
     pub fn iter_plain(&self) -> impl Iterator<Item = KmerInfo> + '_ {
         let a = PlainAccess;
-        self.slots.iter().filter_map(move |e| {
-            let k = a.load(&e.key);
-            let count = a.load(&e.count);
-            if k == 0 || count == 0 {
-                None
-            } else {
-                Some(KmerInfo {
-                    kmer: Kmer(k - 1),
-                    count,
-                    in_mask: a.load(&e.in_mask),
-                    out_mask: a.load(&e.out_mask),
-                })
-            }
-        })
+        self.table
+            .slots()
+            .iter()
+            .filter_map(move |slot| slot.payload.info(&a, Kmer(slot.key(&a)?)))
     }
 
     /// Number of live k-mers. O(capacity); quiescent use only.
@@ -225,28 +190,8 @@ impl KmerMap {
 
     /// Merges every live entry of `other` into `self` (quiescent).
     pub fn absorb_plain(&self, other: &KmerMap) {
-        let a = PlainAccess;
         for info in other.iter_plain() {
-            let stored = info.kmer.0 + 1;
-            let mut i = wang_mix64(info.kmer.0) & self.mask;
-            loop {
-                let e = &self.slots[i as usize];
-                let k = a.load(&e.key);
-                if k == stored {
-                    a.store(&e.count, a.load(&e.count).saturating_add(info.count));
-                    a.store(&e.in_mask, a.load(&e.in_mask) | info.in_mask);
-                    a.store(&e.out_mask, a.load(&e.out_mask) | info.out_mask);
-                    break;
-                }
-                if k == 0 {
-                    a.store(&e.key, stored);
-                    a.store(&e.count, info.count);
-                    a.store(&e.in_mask, info.in_mask);
-                    a.store(&e.out_mask, info.out_mask);
-                    break;
-                }
-                i = (i + 1) & self.mask;
-            }
+            self.merge(&PlainAccess, info);
         }
     }
 }
@@ -271,8 +216,8 @@ mod tests {
 
     #[test]
     fn zero_kmer_is_storable() {
-        // Kmer 0 = "AAA..."; the +1 key encoding must not confuse it with
-        // an empty slot.
+        // Kmer 0 = "AAA..."; the key encoding must not confuse it with an
+        // empty slot.
         let m = KmerMap::with_capacity(8);
         let a = PlainAccess;
         assert!(m.record(&a, Kmer(0), None, None));
@@ -301,6 +246,19 @@ mod tests {
         for v in 0..9u64 {
             m.record(&a, Kmer(v), None, None);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "KmerMap full")]
+    fn absorbing_into_a_full_map_panics() {
+        let m = KmerMap::with_capacity(8);
+        let other = KmerMap::with_capacity(8);
+        let a = PlainAccess;
+        for v in 0..8u64 {
+            m.record(&a, Kmer(v), None, None);
+        }
+        other.record(&a, Kmer(8), None, None);
+        m.absorb_plain(&other);
     }
 
     #[test]
@@ -366,7 +324,11 @@ mod tests {
         use rtle_core::{ElidableLock, ElisionPolicy};
         use std::sync::Arc;
         let m = Arc::new(KmerMap::with_capacity(4096));
-        let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 256 }).build());
+        let lock = Arc::new(
+            ElidableLock::builder()
+                .policy(ElisionPolicy::FgTle { orecs: 256 })
+                .build(),
+        );
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let (m, lock) = (Arc::clone(&m), Arc::clone(&lock));

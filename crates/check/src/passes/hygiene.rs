@@ -23,6 +23,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     // Every abort of every rung unwinds through here: a stray panic in
     // the raise/catch pair would surface as a bogus abort or a lost one.
     "htm/src/unwind.rs",
+    // The probe of every hash set, shard map and k-mer map operation.
+    "htm/src/table.rs",
     "hytm/src/norec.rs",
     "hytm/src/tl2.rs",
     "shard/src/map.rs",

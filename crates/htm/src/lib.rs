@@ -21,6 +21,10 @@
 //!   caller of: stripe table, commit clock, read → extend → validate,
 //!   lock → stamp → release, written once. `rtle-hytm`'s `Tl2` is its
 //!   other caller.
+//! * [`table`] — the one open-addressing table of `u64` keys (one slot
+//!   line per key, linear probe, tombstones) whose payloads are
+//!   `rtle-structs`' hash set, `rtle-shard`'s per-shard map and
+//!   `rtle-cctsa`'s k-mer map.
 //! * `rtm` *(feature `rtm`)* — a thin backend over the real Intel RTM
 //!   intrinsics (`_xbegin`/`_xend`/`_xabort`/`_xtest`) with runtime CPUID
 //!   detection, for machines that do have TSX.
@@ -70,6 +74,7 @@ pub mod rtm;
 pub mod stats;
 pub mod stripe;
 pub mod swhtm;
+pub mod table;
 pub mod unwind;
 pub mod wait;
 pub mod word;

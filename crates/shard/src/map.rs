@@ -1,26 +1,10 @@
 //! The per-shard store: a fixed-capacity open-addressing transactional
-//! map from `u64` keys to [`TxWord`] values.
-//!
-//! Same shape as `rtle_structs::TxHashSet` (linear probing, tombstoned
-//! deletion, no rehashing) with a value cell colocated in the key's
-//! cache-line-padded slot — one conflict line per entry, so FG-TLE orec
+//! map from `u64` keys to [`TxWord`] values — [`rtle_htm::table`] with a
+//! value cell as the payload of the key's cache-line slot, so FG-TLE orec
 //! traffic and HTM read/write sets stay per-entry, never per-table.
 
-use rtle_htm::hash::wang_mix64;
+use rtle_htm::table::{Entry, Table};
 use rtle_htm::{PlainAccess, TxAccess, TxCell, TxWord};
-
-/// Slot encoding for the key word: 0 = never used, 1 = tombstone,
-/// key + 2 = occupied.
-const EMPTY: u64 = 0;
-const TOMBSTONE: u64 = 1;
-
-/// One slot: key word and value, sharing one 64-byte conflict line.
-#[repr(align(64))]
-#[derive(Debug)]
-struct Slot<V: TxWord> {
-    key: TxCell<u64>,
-    val: TxCell<V>,
-}
 
 /// A fixed-capacity transactional `u64 → V` map with linear-probing open
 /// addressing. Deletions leave tombstones (probe chains stay intact); the
@@ -30,25 +14,15 @@ struct Slot<V: TxWord> {
 /// slow path, and instrumented under the lock.
 #[derive(Debug)]
 pub struct TxMap<V: TxWord> {
-    slots: Box<[Slot<V>]>,
-    mask: u64,
-    max_key: u64,
+    table: Table<TxCell<V>>,
 }
 
 impl<V: TxWord + Default> TxMap<V> {
     /// Allocates a map with at least `capacity` slots (rounded up to a
     /// power of two). Keys up to `u64::MAX - 2` are supported.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(8);
         TxMap {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    key: TxCell::new(EMPTY),
-                    val: TxCell::new(V::default()),
-                })
-                .collect(),
-            mask: cap as u64 - 1,
-            max_key: u64::MAX - 2,
+            table: Table::with_capacity(capacity),
         }
     }
 }
@@ -56,120 +30,64 @@ impl<V: TxWord + Default> TxMap<V> {
 impl<V: TxWord> TxMap<V> {
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn encode(&self, key: u64) -> u64 {
-        assert!(key <= self.max_key, "key too large");
-        key + 2
+        self.table.slots().len()
     }
 
     /// Looks `key` up; `None` when absent. Reads the probe chain only.
     pub fn get<A: TxAccess + ?Sized>(&self, a: &A, key: u64) -> Option<V> {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        for _ in 0..self.slots.len() {
-            let w = a.load(&self.slots[i as usize].key);
-            if w == stored {
-                return Some(a.load(&self.slots[i as usize].val));
-            }
-            if w == EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-        None
+        self.table.find(a, key).map(|slot| a.load(&slot.payload))
     }
 
     /// Membership probe without reading the value cell.
     pub fn contains<A: TxAccess + ?Sized>(&self, a: &A, key: u64) -> bool {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        for _ in 0..self.slots.len() {
-            let w = a.load(&self.slots[i as usize].key);
-            if w == stored {
-                return true;
-            }
-            if w == EMPTY {
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-        false
+        self.table.find(a, key).is_some()
     }
 
     /// Inserts or updates `key`; returns the previous value, if any.
     pub fn insert<A: TxAccess + ?Sized>(&self, a: &A, key: u64, value: V) -> Option<V> {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        let mut first_tombstone: Option<u64> = None;
-        for _ in 0..self.slots.len() {
-            let slot = &self.slots[i as usize];
-            let w = a.load(&slot.key);
-            if w == stored {
-                let prev = a.load(&slot.val);
-                a.store(&slot.val, value);
-                return Some(prev);
+        match self
+            .table
+            .entry(a, key)
+            .expect("TxMap full: size it at >= 2x the expected keys")
+        {
+            Entry::Occupied(slot) => {
+                let prev = a.load(&slot.payload);
+                a.store(&slot.payload, value);
+                Some(prev)
             }
-            if w == TOMBSTONE && first_tombstone.is_none() {
-                first_tombstone = Some(i);
+            Entry::Vacant(slot) => {
+                a.store(&slot.payload, value);
+                slot.claim(a, key);
+                None
             }
-            if w == EMPTY {
-                let target = &self.slots[first_tombstone.unwrap_or(i) as usize];
-                a.store(&target.val, value);
-                a.store(&target.key, stored);
-                return None;
-            }
-            i = (i + 1) & self.mask;
         }
-        // No EMPTY found: reuse a tombstone if the probe saw one.
-        let t = first_tombstone.expect("TxMap full: size it at >= 2x the expected keys");
-        let target = &self.slots[t as usize];
-        a.store(&target.val, value);
-        a.store(&target.key, stored);
-        None
     }
 
     /// Removes `key`; returns the removed value, `None` if absent.
     pub fn remove<A: TxAccess + ?Sized>(&self, a: &A, key: u64) -> Option<V> {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        for _ in 0..self.slots.len() {
-            let slot = &self.slots[i as usize];
-            let w = a.load(&slot.key);
-            if w == stored {
-                let prev = a.load(&slot.val);
-                a.store(&slot.key, TOMBSTONE);
-                return Some(prev);
-            }
-            if w == EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-        None
+        let slot = self.table.find(a, key)?;
+        let prev = a.load(&slot.payload);
+        slot.vacate(a);
+        Some(prev)
     }
 
     /// Live entry count. O(capacity); quiescent use only.
     pub fn len_plain(&self) -> usize {
         let a = PlainAccess;
-        self.slots.iter().filter(|s| a.load(&s.key) >= 2).count()
+        self.table
+            .slots()
+            .iter()
+            .filter(|slot| slot.key(&a).is_some())
+            .count()
     }
 
     /// All `(key, value)` entries, unordered. Quiescent use only.
     pub fn entries_plain(&self) -> Vec<(u64, V)> {
         let a = PlainAccess;
-        self.slots
+        self.table
+            .slots()
             .iter()
-            .filter_map(|s| {
-                let w = a.load(&s.key);
-                if w >= 2 {
-                    Some((w - 2, a.load(&s.val)))
-                } else {
-                    None
-                }
-            })
+            .filter_map(|slot| Some((slot.key(&a)?, a.load(&slot.payload))))
             .collect()
     }
 }
@@ -224,8 +142,9 @@ mod tests {
 
     #[test]
     fn slots_are_line_padded() {
-        assert_eq!(std::mem::size_of::<Slot<u64>>(), 64);
-        assert_eq!(std::mem::size_of::<Slot<bool>>(), 64);
+        use rtle_htm::table::Slot;
+        assert_eq!(std::mem::size_of::<Slot<TxCell<u64>>>(), 64);
+        assert_eq!(std::mem::size_of::<Slot<TxCell<bool>>>(), 64);
     }
 
     #[test]

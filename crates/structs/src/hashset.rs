@@ -1,19 +1,8 @@
-//! Open-addressing transactional hash set.
+//! Open-addressing transactional hash set: [`rtle_htm::table`] with an
+//! empty payload.
 
-use rtle_htm::hash::wang_mix64;
-use rtle_htm::{PlainAccess, TxAccess, TxCell};
-
-/// Slot encoding: 0 = never used, 1 = tombstone, key + 2 = occupied.
-const EMPTY: u64 = 0;
-const TOMBSTONE: u64 = 1;
-
-/// One slot, cache-line padded so distinct slots never share a conflict
-/// line (probing neighbours stay independent).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Slot {
-    word: TxCell<u64>,
-}
+use rtle_htm::table::{Entry, Table};
+use rtle_htm::{PlainAccess, TxAccess};
 
 /// A fixed-capacity set of `u64` keys with linear-probing open addressing.
 ///
@@ -22,97 +11,52 @@ struct Slot {
 /// All operations are generic over [`TxAccess`].
 #[derive(Debug)]
 pub struct TxHashSet {
-    slots: Box<[Slot]>,
-    mask: u64,
-    max_key: u64,
+    table: Table<()>,
 }
 
 impl TxHashSet {
     /// Allocates a set with at least `capacity` slots (rounded to a power
     /// of two). Keys up to `u64::MAX - 2` are supported.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(8);
         TxHashSet {
-            slots: (0..cap).map(|_| Slot::default()).collect(),
-            mask: cap as u64 - 1,
-            max_key: u64::MAX - 2,
+            table: Table::with_capacity(capacity),
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn encode(&self, key: u64) -> u64 {
-        assert!(key <= self.max_key, "key too large");
-        key + 2
+        self.table.slots().len()
     }
 
     /// Membership test. Reads the probe chain only.
     pub fn contains<A: TxAccess + ?Sized>(&self, a: &A, key: u64) -> bool {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        for _ in 0..self.slots.len() {
-            let w = a.load(&self.slots[i as usize].word);
-            if w == stored {
-                return true;
-            }
-            if w == EMPTY {
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-        false
+        self.table.find(a, key).is_some()
     }
 
     /// Inserts `key`; returns `false` if already present (read-only in
     /// that case — the §3 shape that lets RW-TLE commit it concurrently
     /// with a lock holder).
     pub fn insert<A: TxAccess + ?Sized>(&self, a: &A, key: u64) -> bool {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        let mut first_tombstone: Option<u64> = None;
-        for _ in 0..self.slots.len() {
-            let w = a.load(&self.slots[i as usize].word);
-            if w == stored {
-                return false;
+        match self
+            .table
+            .entry(a, key)
+            .expect("TxHashSet full: size it at >= 2x the expected keys")
+        {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.claim(a, key);
+                true
             }
-            if w == TOMBSTONE && first_tombstone.is_none() {
-                first_tombstone = Some(i);
-            }
-            if w == EMPTY {
-                let target = first_tombstone.unwrap_or(i);
-                a.store(&self.slots[target as usize].word, stored);
-                return true;
-            }
-            i = (i + 1) & self.mask;
         }
-        // No EMPTY found: reuse a tombstone if the probe found one.
-        if let Some(t) = first_tombstone {
-            a.store(&self.slots[t as usize].word, stored);
-            return true;
-        }
-        panic!("TxHashSet full: size it at >= 2x the expected keys");
     }
 
     /// Removes `key`; returns `false` if absent (read-only in that case).
     pub fn remove<A: TxAccess + ?Sized>(&self, a: &A, key: u64) -> bool {
-        let stored = self.encode(key);
-        let mut i = wang_mix64(key) & self.mask;
-        for _ in 0..self.slots.len() {
-            let w = a.load(&self.slots[i as usize].word);
-            if w == stored {
-                a.store(&self.slots[i as usize].word, TOMBSTONE);
-                return true;
-            }
-            if w == EMPTY {
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-        false
+        let Some(slot) = self.table.find(a, key) else {
+            return false;
+        };
+        slot.vacate(a);
+        true
     }
 
     /// Returns an arbitrary present key, transactionally — the classic
@@ -121,34 +65,26 @@ impl TxHashSet {
     /// blocks until a producer commits an insert. O(capacity) scan; size
     /// the set for the working set, not the key space.
     pub fn any_key<A: TxAccess + ?Sized>(&self, a: &A) -> Option<u64> {
-        for slot in self.slots.iter() {
-            let w = a.load(&slot.word);
-            if w >= 2 {
-                return Some(w - 2);
-            }
-        }
-        None
+        self.table.slots().iter().find_map(|slot| slot.key(a))
     }
 
     /// Live key count. O(capacity); quiescent use only.
     pub fn len_plain(&self) -> usize {
         let a = PlainAccess;
-        self.slots.iter().filter(|s| a.load(&s.word) >= 2).count()
+        self.table
+            .slots()
+            .iter()
+            .filter(|slot| slot.key(&a).is_some())
+            .count()
     }
 
     /// All keys, unordered. Quiescent use only.
     pub fn keys_plain(&self) -> Vec<u64> {
         let a = PlainAccess;
-        self.slots
+        self.table
+            .slots()
             .iter()
-            .filter_map(|s| {
-                let w = a.load(&s.word);
-                if w >= 2 {
-                    Some(w - 2)
-                } else {
-                    None
-                }
-            })
+            .filter_map(|slot| slot.key(&a))
             .collect()
     }
 }
@@ -203,7 +139,7 @@ mod tests {
 
     #[test]
     fn slots_are_line_padded() {
-        assert_eq!(std::mem::size_of::<Slot>(), 64);
+        assert_eq!(std::mem::size_of::<rtle_htm::table::Slot<()>>(), 64);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! Companions to the AVL tree of `rtle-avltree`, covering the other
 //! critical-section shapes the paper's discussion leans on:
 //!
-//! * [`TxHashSet`] — an open-addressing hash set. §3 motivates RW-TLE with
-//!   exactly this shape: "a look up operation in a hash table, or an
+//! * [`TxHashSet`] — an open-addressing hash set: the workspace's one
+//!   open-addressing table, [`rtle_htm::table`], with no payload. §3
+//!   motivates RW-TLE with exactly this shape: "a look up operation in a
+//!   hash table, or an
 //!   insert operation … which does not modify the data structure when the
 //!   given key is already present". Operations touch O(1) lines, so they
 //!   almost never abort for capacity and the read-only prefix is short.

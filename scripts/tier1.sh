@@ -175,8 +175,11 @@ done
 stage "benchmark harness self-tests"
 # The repo benchmark (BENCHMARK.json, benchmark/) is its own package:
 # build it against the changed crates and run its harness self-tests
-# (~6 s; each workload runs 200 ms against its exact oracles).
-cargo_test --offline --manifest-path benchmark/Cargo.toml -q
+# (~6 s; each workload runs 200 ms against its exact oracles). `--locked`,
+# as benchmark/run.sh builds it: a new dependency edge in a crate the
+# benchmark links would make cargo rewrite benchmark/Cargo.lock, and
+# cargo names that and fails here instead.
+cargo_test --offline --locked --manifest-path benchmark/Cargo.toml -q
 
 stage_done
 echo "tier1: all green in $(secs $(( $(now_ms) - run_start ))) s"
