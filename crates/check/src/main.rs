@@ -8,7 +8,7 @@
 //!   mutants are caught.
 //! * `model` — exhaustively check the standard protocol configurations
 //!   *and* verify the seeded model mutants (lazy subscription, TL2 stale
-//!   read, swhtm validate-first extension) are caught.
+//!   read, swhtm validate-first extension, carried `wv`) are caught.
 //! * `all` (default) — all seven passes in one reading of the sources,
 //!   then the model.
 //!

@@ -20,7 +20,8 @@ use super::oracle::{CommitPath, Committed, HOp};
 /// A small-step protocol model over `Config`'s closed thread programs.
 ///
 /// Contract the drivers rely on: all data locations start at 0; every
-/// thread commits exactly one [`Committed`] entry; `step` is
+/// thread commits each of its critical sections as one [`Committed`]
+/// entry, listed in the order it ran them; `step` is
 /// deterministic; and a state with no enabled thread is either
 /// [`terminal`](Machine::terminal) or a modeling bug (`stuck`).
 pub trait Machine: Clone + Eq + Hash {
@@ -50,8 +51,8 @@ pub trait Machine: Clone + Eq + Hash {
     fn invariant_violation(&self) -> Option<String>;
     /// Shared data memory (judged in terminal states).
     fn data(&self) -> &[u64];
-    /// The committed history, one entry per thread (all present in a valid
-    /// terminal state).
+    /// The committed history, one entry per critical section, each
+    /// thread's in program order (all present in a valid terminal state).
     fn committed(&self) -> &[Option<Committed>];
 
     /// The threads able to step, lowest id first.

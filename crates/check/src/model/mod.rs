@@ -11,7 +11,8 @@
 //! and checks each terminal state against
 //!
 //! * structural invariants (lock released, `write_flag` lowered, epoch even,
-//!   every thread committed exactly once), and
+//!   every thread — every body of a TL2 thread — committed exactly once),
+//!   and
 //! * a serializability oracle ([`oracle`]): the committed history must be
 //!   equivalent to *some* serial order of the critical sections replayed
 //!   over shadow memory.
@@ -29,12 +30,14 @@
 //! the terminal judge and — in `rtle-fuzz` — the PCT runner, replay,
 //! shrinker and hunt are each written once against it. [`tle`] is the
 //! machine above. [`tl2`] is the versioned-lock protocol of `rtle-htm`'s
-//! `stripe.rs` (per-stripe versioned write-locks, a global version clock,
-//! a cached read-version, snapshot extension) — the one TL2 that
-//! `rtle_hytm::Tl2` and the emulated HTM both run — with its own safe
-//! suite and two seeded mutants: a skipped commit-time revalidation
-//! ([`tl2_mutant_config`]) and an extension in the wrong step order
-//! ([`swhtm_mutant_config`]). The oracle must catch every mutant.
+//! `stripe.rs` (per-stripe versioned write-locks, a global version clock
+//! only extensions write, a cached read-version, snapshot extension, the
+//! own-write exemption) — the one TL2 that `rtle_hytm::Tl2` and the
+//! emulated HTM both run — with its own safe suite and three seeded
+//! mutants: a skipped commit-time revalidation ([`tl2_mutant_config`]), an
+//! extension in the wrong step order ([`swhtm_mutant_config`]) and a
+//! commit that carries its `wv` instead of its clock sample
+//! ([`carry_wv_mutant_config`]). The oracle must catch every mutant.
 
 pub mod explore;
 pub mod machine;
@@ -47,5 +50,8 @@ pub use explore::{explore, judge, Report, TerminalVerdict, ViolationReport};
 pub use machine::{AttemptLog, Machine, Op, Val};
 pub use oracle::{find_serial_witness, CommitPath, Committed, HOp};
 pub use suite::{explore_mutants, explore_safe, mutant_config, standard_suite};
-pub use tl2::{swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension, Tl2Config, Tl2State};
+pub use tl2::{
+    carry_wv_mutant_config, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension,
+    Tl2Config, Tl2State,
+};
 pub use tle::{Config, Policy, State, Subscription, ThreadSpec};

@@ -5,8 +5,9 @@
 //! (starting from the initial contents) reproduces every recorded read
 //! observation and ends in the recorded final memory. This is exactly the
 //! lock's specification: every critical section must appear to run alone,
-//! in some total order. With at most 3–4 sections per configuration the
-//! oracle simply tries every permutation.
+//! in some total order — one that keeps each thread's own sections in the
+//! order the thread ran them. With a handful of sections per configuration
+//! the oracle simply tries every permutation.
 
 use std::fmt;
 
@@ -65,11 +66,18 @@ impl fmt::Display for Committed {
 }
 
 /// Replays `entries` in the order given by `perm` over a copy of `init`;
-/// true iff every read observation matches and the final memory equals
-/// `final_mem`.
+/// true iff `perm` keeps each thread's entries in their given order, every
+/// read observation matches and the final memory equals `final_mem`.
 fn replays(init: &[u64], final_mem: &[u64], entries: &[&Committed], perm: &[usize]) -> bool {
     let mut mem = init.to_vec();
-    for &i in perm {
+    for (k, &i) in perm.iter().enumerate() {
+        let thread = entries[i].thread;
+        if perm[..k]
+            .iter()
+            .any(|&j| j > i && entries[j].thread == thread)
+        {
+            return false;
+        }
         for op in &entries[i].ops {
             match *op {
                 HOp::Read(loc, v) => {
@@ -86,6 +94,8 @@ fn replays(init: &[u64], final_mem: &[u64], entries: &[&Committed], perm: &[usiz
 
 /// Searches for a serial witness order. Returns the entry permutation that
 /// explains the history, or `None` if the history is not serializable.
+/// Entries of one thread must be listed in the order the thread committed
+/// them; a witness keeps them in that order.
 pub fn find_serial_witness(
     init: &[u64],
     final_mem: &[u64],
@@ -176,6 +186,21 @@ mod tests {
         let a = e(0, vec![HOp::Read(0, 0), HOp::Write(0, 1)]);
         let b = e(1, vec![HOp::Read(0, 0), HOp::Write(0, 1)]);
         assert!(find_serial_witness(&[0], &[1], &[&a, &b]).is_none());
+    }
+
+    #[test]
+    fn one_threads_sections_keep_their_order() {
+        // T0 writes x=1, then reads x=0: only running T0's sections out of
+        // order could explain it.
+        let a = e(0, vec![HOp::Write(0, 1)]);
+        let b = e(0, vec![HOp::Read(0, 0)]);
+        assert!(find_serial_witness(&[0], &[1], &[&a, &b]).is_none());
+        let b = e(1, vec![HOp::Read(0, 0)]);
+        assert_eq!(
+            find_serial_witness(&[0], &[1], &[&a, &b]),
+            Some(vec![1, 0]),
+            "another thread's section may go first"
+        );
     }
 
     #[test]

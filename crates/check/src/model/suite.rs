@@ -6,7 +6,9 @@
 
 use super::explore::{explore, Report};
 use super::machine::{Op, Val};
-use super::tl2::{swhtm_mutant_config, tl2_mutant_config, tl2_suite, Tl2State};
+use super::tl2::{
+    carry_wv_mutant_config, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Tl2State,
+};
 use super::tle::{Config, Policy, State, Subscription, ThreadSpec};
 
 fn t(ops: Vec<Op>) -> ThreadSpec {
@@ -145,12 +147,14 @@ pub fn explore_safe() -> Vec<Report> {
 
 /// Explores every seeded mutant — the oracle's own regression tests: the
 /// unsafe-lazy-subscription zombie, the TL2 skipped-revalidation stale
-/// read, and the swhtm extension that revalidates before it samples the
-/// clock. Each report must contain a `non-serializable` violation.
+/// read, the swhtm extension that revalidates before it raises the clock,
+/// and the commit that carries its `wv`. Each report must contain a
+/// `non-serializable` violation.
 pub fn explore_mutants() -> Vec<Report> {
     vec![
         explore::<State>(&mutant_config()),
         explore::<Tl2State>(&tl2_mutant_config()),
         explore::<Tl2State>(&swhtm_mutant_config()),
+        explore::<Tl2State>(&carry_wv_mutant_config()),
     ]
 }

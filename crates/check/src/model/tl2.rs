@@ -14,10 +14,18 @@
 //!   `Begin` step as that *earlier observation* — any number of other
 //!   threads' steps may fall between it and the first read, so `rv` ranges
 //!   over every clock value from the thread's start to its first access —
-//!   and a retry does not pass through `Begin` again: it carries over the
-//!   `rv` of the aborted attempt (its last extension sample or drawn `wv`).
+//!   and neither a retry nor the thread's next body passes through `Begin`
+//!   again: each carries over the `rv` the thread holds (its last
+//!   extension's clock, or its last commit's clock sample).
 //!   (`rtle_hytm::Tl2`'s fresh sample at every begin is a carried-over `rv`
-//!   plus an extension over an empty read set.)
+//!   plus an extension over an empty read set to a version the clock has
+//!   already passed.)
+//! * **Several bodies per thread.** A thread runs its bodies in order, each
+//!   to commit, so the carried `rv` and the **own-write exemption** are
+//!   explored: a stripe at exactly the thread's last commit version, in
+//!   that commit's write set, does not count as newer than `rv` (the
+//!   runtime's `Footprint::is_newer`). The oracle keeps one thread's
+//!   committed bodies in program order.
 //! * The **read barrier** is modeled as one atomic step per read: abort
 //!   if the stripe is locked, extend the snapshot if its version is newer
 //!   than `rv`, else load and log. The runtime's check/load/recheck
@@ -25,37 +33,39 @@
 //!   collapsing it loses no behavior of *successful* reads, and failed
 //!   reads abort either way.
 //! * **Snapshot extension.** A read that meets an unlocked stripe newer
-//!   than `rv` does not abort: it samples the clock (one step), revalidates
-//!   the read set stripe by stripe against the old `rv` (one step each),
-//!   advances `rv` to the sample and re-runs the read.
-//!   [`Extension::ValidateFirst`] is the seeded bug — revalidate, *then*
-//!   sample — which lets a writer commit between the two and land inside
-//!   the new snapshot unchecked; the oracle must catch the zombie read.
+//!   than `rv` does not abort: it raises the clock to the stripe's version
+//!   and takes the clock as `rv` (one step), revalidates the read set
+//!   stripe by stripe against the old `rv` (one step each) and re-runs the
+//!   read. The raise reads the stripe's version at its own step — the
+//!   runtime's load of the word, taken that late. [`Extension::ValidateFirst`]
+//!   is the seeded bug — revalidate, *then* raise — which lets a writer
+//!   commit between the two and land inside the new snapshot unchecked;
+//!   the oracle must catch the zombie read.
 //! * **Writer commit** is phased like the runtime: lock the sorted,
 //!   deduplicated write stripes one step at a time (the bounded TATAS
 //!   spin becomes an enabledness condition — a thread waiting on a held
-//!   stripe is simply not schedulable), then bump the clock
-//!   (`wv = clock + 2`, one atomic step, mirroring `fetch_add`), then
-//!   validate the read set stripe by stripe — **skipped entirely when
-//!   `wv == rv + 2`** (nobody else committed; the runtime's shortcut) —
-//!   then write back and release every stripe at version `wv`.
+//!   stripe is simply not schedulable), then draw (`wv` = two past the
+//!   newer of the clock and the held stripes' versions; the clock is not
+//!   written, and `rv` becomes the clock sample), then validate the read
+//!   set stripe by stripe against the old `rv` — every writer with reads
+//!   validates — then write back and release every stripe at `wv`.
 //!   Write-back and release are single steps: every stripe they touch is
 //!   locked, and the read barrier refuses locked stripes, so the
 //!   intermediate states are unobservable.
 //! * [`Tl2Config::stale_read_mutant`] skips the commit-time read-set
-//!   revalidation even though the clock advanced — the same seeded bug
-//!   the `tl2-stale-read-mutant` cargo feature reintroduces in the
-//!   runtime's `Table::commit` (feature of `rtle-htm`; tier-1 runs a
-//!   storm of each instance under it). The serializability oracle must
-//!   flag the resulting lost updates; if it ever stops doing so, the
-//!   oracle has regressed.
+//!   revalidation — the same seeded bug the `tl2-stale-read-mutant` cargo
+//!   feature reintroduces in the runtime's `Table::commit` (feature of
+//!   `rtle-htm`; tier-1 runs a storm of each instance under it).
+//!   [`Tl2Config::carry_wv_mutant`] carries the drawn `wv` instead of the
+//!   clock sample — a lost update once another writer draws the same `wv`.
+//!   The serializability oracle must flag both; if it ever stops doing so,
+//!   the oracle has regressed.
 //! * A thread that exhausts [`Tl2Config::max_attempts`] aborts runs its
-//!   final attempt as **one atomic step** (enabled only while every
-//!   stripe it touches is unlocked). The runtime has no such mode — it
-//!   retries forever — but the model needs one so every thread commits
-//!   in every terminal state while the clock (which aborted commits
-//!   still advance, exactly like the runtime's `fetch_add`) stays
-//!   bounded and the DFS terminates.
+//!   body's final attempt as **one atomic step** (enabled only while every
+//!   stripe it touches is unlocked), drawing its version as a commit does.
+//!   The runtime has no such mode — it retries forever — but the model
+//!   needs one so every body commits in every terminal state and the DFS
+//!   terminates.
 //!
 //! Stripes map as `loc % stripes` instead of the runtime's Fibonacci
 //! hash, for the same reason the TLE model indexes orecs transparently:
@@ -69,18 +79,22 @@ use super::oracle::{CommitPath, Committed};
 pub struct Tl2Config {
     /// Display name (reports and violation messages).
     pub name: String,
-    /// Per-thread transaction bodies (each thread runs its body once, to
-    /// commit). [`Op`]/[`Val`] are shared with the TLE machine.
-    pub threads: Vec<Vec<Op>>,
+    /// Per-thread programs: the transaction bodies each thread runs in
+    /// order, each to commit (at most 8 bodies in all — the oracle tries
+    /// every serial order). [`Op`]/[`Val`] are shared with the TLE machine.
+    pub threads: Vec<Vec<Vec<Op>>>,
     /// Number of data locations (all start at 0).
     pub nloc: u8,
     /// Number of version-lock stripes (addresses map as `loc % stripes`).
     pub stripes: u8,
-    /// Aborts before the final attempt runs as one atomic step.
+    /// Aborts of one body before its final attempt runs as one atomic step.
     pub max_attempts: u8,
-    /// Skip commit-time read-set revalidation when the clock advanced —
-    /// the seeded stale-read bug. Never set in the safe suite.
+    /// Skip commit-time read-set revalidation — the seeded stale-read bug.
+    /// Never set in the safe suite.
     pub stale_read_mutant: bool,
+    /// Carry the drawn `wv` as the next `rv` instead of the clock sample —
+    /// the seeded carried-`wv` bug. Never set in the safe suite.
+    pub carry_wv_mutant: bool,
     /// The step order of a snapshot extension: the runtime's, or the
     /// seeded bug's.
     pub extension: Extension,
@@ -89,16 +103,18 @@ pub struct Tl2Config {
 /// The step order of a snapshot extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Extension {
-    /// Sample the clock, then revalidate the read set (the runtime).
+    /// Raise the clock, then revalidate the read set (the runtime).
     SampleFirst,
-    /// Revalidate, then sample — the seeded bug. Never in the safe suite.
+    /// Revalidate, then raise — the seeded bug. Never in the safe suite.
     ValidateFirst,
 }
 
 impl Tl2Config {
     /// Panics if the configuration is internally inconsistent.
     pub fn validate(&self) {
-        validate_programs(self.threads.iter().map(|ops| &ops[..]), self.nloc);
+        assert!(self.threads.iter().all(|bodies| !bodies.is_empty()));
+        let bodies: Vec<&[Op]> = self.threads.iter().flatten().map(|b| &b[..]).collect();
+        validate_programs(bodies.into_iter(), self.nloc);
         assert!(self.stripes >= 1);
     }
 
@@ -106,10 +122,21 @@ impl Tl2Config {
         loc % self.stripes
     }
 
-    /// Every stripe thread `t`'s body can touch (atomic-fallback
-    /// enabledness).
-    fn footprint_stripes(&self, t: usize) -> Vec<u8> {
-        let mut s: Vec<u8> = self.threads[t]
+    /// Thread `t`'s body `body`.
+    fn body(&self, t: usize, body: u8) -> &[Op] {
+        &self.threads[t][body as usize]
+    }
+
+    /// Where thread `t`'s body `body` commits in the history: threads in
+    /// order, each one's bodies in program order.
+    fn slot(&self, t: usize, body: u8) -> usize {
+        self.threads[..t].iter().map(Vec::len).sum::<usize>() + body as usize
+    }
+
+    /// Every stripe a body can touch (atomic-fallback enabledness).
+    fn footprint_stripes(&self, t: usize, body: u8) -> Vec<u8> {
+        let mut s: Vec<u8> = self
+            .body(t, body)
             .iter()
             .map(|op| self.stripe_of(op.loc()))
             .collect();
@@ -122,19 +149,20 @@ impl Tl2Config {
 /// Where a TL2 thread is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
-    /// The first attempt's `rv`: the clock as the thread last observed it.
+    /// The first body's `rv`: the clock as the thread last observed it.
     Begin,
     /// Execute op `i` (read barrier or write buffering).
     Op(u8),
-    /// Extension on behalf of op `i`: sample the clock.
+    /// Extension on behalf of op `i`: raise the clock to the stripe's
+    /// version and take it as `rv`.
     ExtSample(u8),
     /// Extension on behalf of op `i`: revalidate the `j`-th read stripe.
     ExtValidate(u8, u8),
     /// Acquire the `k`-th sorted write stripe (enabled iff unlocked).
     LockStripe(u8),
-    /// `wv = clock + 2; clock = wv` (the runtime's `fetch_add`).
-    ClockBump,
-    /// Validate the `j`-th read stripe against `rv`.
+    /// Sample the clock and draw `wv` past it and the held stripes.
+    Draw,
+    /// Validate the `j`-th read stripe against the old `rv`.
     Validate(u8),
     /// Apply the write buffer (all touched stripes held).
     WriteBack,
@@ -143,7 +171,7 @@ enum Phase {
     /// Budget exhausted: run the whole body as one atomic step (enabled
     /// iff every footprint stripe is unlocked).
     Atomic,
-    /// Committed.
+    /// Every body committed.
     Done,
 }
 
@@ -151,15 +179,23 @@ enum Phase {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Thread {
     phase: Phase,
+    /// The body being run.
+    body: u8,
     attempts: u8,
-    /// Read-version: the clock snapshot from `Begin`, advanced by
-    /// extension.
+    /// Read-version: the clock from `Begin`, raised by extension, replaced
+    /// by the clock sample at each draw, carried across attempts and
+    /// bodies.
     rv: u64,
-    /// During a sample-first extension, the `rv` being revalidated against
-    /// (`rv` itself already holds the sample, as in the runtime).
-    ext_rv: u64,
-    /// Commit version from `ClockBump`.
+    /// What validation checks against while `rv` already holds the newer
+    /// value: during an extension the `rv` before the raise, during a
+    /// commit the `rv` before the draw — as in the runtime.
+    old_rv: u64,
+    /// Commit version from `Draw`.
     wv: u64,
+    /// Write stripes and version of the last writing commit: the own-write
+    /// exemption.
+    own: Vec<u8>,
+    own_wv: u64,
     /// Stripes subscribed by the read barrier (insertion order, deduped).
     read_stripes: Vec<u8>,
     /// Sorted, deduplicated write stripes (computed entering commit).
@@ -172,23 +208,32 @@ impl Thread {
     fn new(nloc: u8) -> Self {
         Thread {
             phase: Phase::Begin,
+            body: 0,
             attempts: 0,
             rv: 0,
-            ext_rv: 0,
+            old_rv: 0,
             wv: 0,
+            own: Vec::new(),
+            own_wv: 0,
             read_stripes: Vec::new(),
             write_stripes: Vec::new(),
             log: AttemptLog::new(nloc),
         }
     }
 
+    /// Forgets the attempt; `rv` and the own-write exemption carry over.
     fn reset_attempt(&mut self) {
-        self.rv = 0;
-        self.ext_rv = 0;
+        self.old_rv = 0;
         self.wv = 0;
         self.read_stripes.clear();
         self.write_stripes.clear();
         self.log.reset();
+    }
+
+    /// Whether stripe `s` at `version` counts as newer than `rv`: it is,
+    /// and it is not this thread's own last write.
+    fn is_newer(&self, s: u8, version: u64, rv: u64) -> bool {
+        version > rv && !(version == self.own_wv && self.own.contains(&s))
     }
 }
 
@@ -206,9 +251,10 @@ struct Stripe {
 pub struct Tl2State {
     data: Vec<u64>,
     stripes: Vec<Stripe>,
-    /// Global version clock; always even.
+    /// Global version clock; always even, written only by extension.
     clock: u64,
     threads: Vec<Thread>,
+    /// One slot per body ([`Tl2Config::slot`]).
     committed: Vec<Option<Committed>>,
 }
 
@@ -228,7 +274,11 @@ impl Machine for Tl2State {
     /// TL2 writers take more commit steps than TLE threads, hence the
     /// larger slack.
     fn horizon_hint(cfg: &Tl2Config) -> u64 {
-        cfg.threads.iter().map(|t| t.len() as u64 + 6).sum()
+        cfg.threads
+            .iter()
+            .flatten()
+            .map(|b| b.len() as u64 + 6)
+            .sum()
     }
 
     /// Initial state for `cfg`: all locations 0, clock 0, every thread at
@@ -246,7 +296,7 @@ impl Machine for Tl2State {
             ],
             clock: 0,
             threads: cfg.threads.iter().map(|_| Thread::new(cfg.nloc)).collect(),
-            committed: vec![None; cfg.threads.len()],
+            committed: vec![None; cfg.threads.iter().map(Vec::len).sum()],
         }
     }
 
@@ -269,8 +319,8 @@ impl Machine for Tl2State {
         if !self.clock.is_multiple_of(2) {
             return Some(format!("terminal state with odd clock {}", self.clock));
         }
-        if let Some(t) = self.committed.iter().position(|c| c.is_none()) {
-            return Some(format!("thread {t} finished without committing"));
+        if let Some(b) = self.committed.iter().position(|c| c.is_none()) {
+            return Some(format!("body {b} finished without committing"));
         }
         None
     }
@@ -281,11 +331,11 @@ impl Machine for Tl2State {
         let th = &self.threads[t];
         match th.phase {
             Phase::Done => false,
-            Phase::LockStripe(k) => {
-                self.stripes[th.write_stripes[k as usize] as usize].owner.is_none()
-            }
+            Phase::LockStripe(k) => self.stripes[th.write_stripes[k as usize] as usize]
+                .owner
+                .is_none(),
             Phase::Atomic => cfg
-                .footprint_stripes(t)
+                .footprint_stripes(t, th.body)
                 .iter()
                 .all(|&s| self.stripes[s as usize].owner.is_none()),
             _ => true,
@@ -294,18 +344,13 @@ impl Machine for Tl2State {
 
     fn step(&mut self, cfg: &Tl2Config, t: usize) {
         debug_assert!(self.enabled(cfg, t));
-        let ops = &cfg.threads[t];
+        let ops = cfg.body(t, self.threads[t].body);
         match self.threads[t].phase {
             Phase::Done => unreachable!("done threads are never enabled"),
 
             Phase::Begin => {
                 self.threads[t].rv = self.clock;
-                if ops.is_empty() {
-                    // Empty body: a read-only no-op commit.
-                    self.commit(t, CommitPath::Fast);
-                } else {
-                    self.threads[t].phase = Phase::Op(0);
-                }
+                self.start_body(cfg, t);
             }
 
             Phase::Op(i) => {
@@ -321,7 +366,7 @@ impl Machine for Tl2State {
                                 if stripe.owner.is_some() {
                                     return self.abort_with_budget(cfg, t);
                                 }
-                                if stripe.version > th.rv {
+                                if th.is_newer(s, stripe.version, th.rv) {
                                     th.phase = match cfg.extension {
                                         Extension::ValidateFirst if !th.read_stripes.is_empty() => {
                                             Phase::ExtValidate(i, 0)
@@ -330,8 +375,8 @@ impl Machine for Tl2State {
                                     };
                                     return;
                                 }
-                                if !self.threads[t].read_stripes.contains(&s) {
-                                    self.threads[t].read_stripes.push(s);
+                                if !th.read_stripes.contains(&s) {
+                                    th.read_stripes.push(s);
                                 }
                                 self.data[loc as usize]
                             }
@@ -348,11 +393,15 @@ impl Machine for Tl2State {
                     // Read-only: every read was validated against rv at
                     // read time; the transaction serializes at its begin
                     // point with no commit-time work (the runtime's
-                    // `is_read_only` early return).
-                    self.commit(t, CommitPath::Fast);
+                    // read-only early return).
+                    self.commit(cfg, t, CommitPath::Fast);
                 } else {
-                    let mut ws: Vec<u8> =
-                        th.log.writes().iter().map(|&(l, _)| cfg.stripe_of(l)).collect();
+                    let mut ws: Vec<u8> = th
+                        .log
+                        .writes()
+                        .iter()
+                        .map(|&(l, _)| cfg.stripe_of(l))
+                        .collect();
                     ws.sort_unstable();
                     ws.dedup();
                     th.write_stripes = ws;
@@ -361,16 +410,19 @@ impl Machine for Tl2State {
             }
 
             Phase::ExtSample(i) => {
+                // The clock's only writer: raise it to the stripe's version.
+                let s = cfg.stripe_of(ops[i as usize].loc());
+                self.clock = self.clock.max(self.stripes[s as usize].version);
                 let clock = self.clock;
                 let th = &mut self.threads[t];
-                th.ext_rv = std::mem::replace(&mut th.rv, clock);
+                th.old_rv = std::mem::replace(&mut th.rv, clock);
                 th.phase = match cfg.extension {
                     Extension::SampleFirst if !th.read_stripes.is_empty() => {
                         Phase::ExtValidate(i, 0)
                     }
                     // Nothing (left) to revalidate: the snapshot is extended.
                     _ => {
-                        th.ext_rv = 0;
+                        th.old_rv = 0;
                         Phase::Op(i)
                     }
                 };
@@ -378,12 +430,13 @@ impl Machine for Tl2State {
 
             Phase::ExtValidate(i, j) => {
                 let th = &self.threads[t];
-                let stripe = self.stripes[th.read_stripes[j as usize] as usize];
+                let s = th.read_stripes[j as usize];
+                let stripe = self.stripes[s as usize];
                 let against = match cfg.extension {
-                    Extension::SampleFirst => th.ext_rv,
+                    Extension::SampleFirst => th.old_rv,
                     Extension::ValidateFirst => th.rv,
                 };
-                if stripe.owner.is_some() || stripe.version > against {
+                if stripe.owner.is_some() || th.is_newer(s, stripe.version, against) {
                     return self.abort_with_budget(cfg, t);
                 }
                 let th = &mut self.threads[t];
@@ -392,7 +445,7 @@ impl Machine for Tl2State {
                 } else if cfg.extension == Extension::ValidateFirst {
                     Phase::ExtSample(i)
                 } else {
-                    th.ext_rv = 0;
+                    th.old_rv = 0;
                     Phase::Op(i)
                 };
             }
@@ -405,22 +458,28 @@ impl Machine for Tl2State {
                 th.phase = if (k as usize + 1) < th.write_stripes.len() {
                     Phase::LockStripe(k + 1)
                 } else {
-                    Phase::ClockBump
+                    Phase::Draw
                 };
             }
 
-            Phase::ClockBump => {
-                self.clock += 2;
+            Phase::Draw => {
+                let now = self.clock;
+                let wv = self.draw(&self.threads[t].write_stripes);
                 let th = &mut self.threads[t];
-                th.wv = self.clock;
-                // Validation is skipped when nobody committed since rv
-                // (the runtime's `wv == rv + 2` shortcut), when there is
-                // nothing to validate — or by the seeded mutant, which is
-                // exactly the bug the oracle must then catch.
-                let skip = cfg.stale_read_mutant
-                    || th.wv == th.rv + 2
-                    || th.read_stripes.is_empty();
-                th.phase = if skip { Phase::WriteBack } else { Phase::Validate(0) };
+                th.wv = wv;
+                // The runtime carries the sample; the seeded mutant the
+                // version it drew.
+                let carried = if cfg.carry_wv_mutant { wv } else { now };
+                th.old_rv = std::mem::replace(&mut th.rv, carried);
+                // Validation is skipped only when there is nothing to
+                // validate — or by the seeded mutant, which is exactly the
+                // bug the oracle must then catch.
+                let skip = cfg.stale_read_mutant || th.read_stripes.is_empty();
+                th.phase = if skip {
+                    Phase::WriteBack
+                } else {
+                    Phase::Validate(0)
+                };
             }
 
             Phase::Validate(j) => {
@@ -431,7 +490,7 @@ impl Machine for Tl2State {
                 // version — which is still `stripe.version`, since the
                 // model keeps versions unchanged until release.
                 let locked_by_other = stripe.owner.is_some_and(|o| o != t as u8);
-                if locked_by_other || stripe.version > th.rv {
+                if locked_by_other || th.is_newer(s, stripe.version, th.old_rv) {
                     return self.abort_with_budget(cfg, t);
                 }
                 let th = &mut self.threads[t];
@@ -450,55 +509,88 @@ impl Machine for Tl2State {
             }
 
             Phase::Release => {
-                let (wv, ws) = {
-                    let th = &self.threads[t];
-                    (th.wv, th.write_stripes.clone())
-                };
-                for s in ws {
+                let th = &mut self.threads[t];
+                for &s in &th.write_stripes {
                     let st = &mut self.stripes[s as usize];
                     debug_assert_eq!(st.owner, Some(t as u8));
-                    st.version = wv;
+                    st.version = th.wv;
                     st.owner = None;
                 }
-                self.commit(t, CommitPath::Slow);
+                th.own.clone_from(&th.write_stripes);
+                th.own_wv = th.wv;
+                self.commit(cfg, t, CommitPath::Slow);
             }
 
             Phase::Atomic => {
                 // Budget exhausted: the whole body in one step, stripes
                 // guaranteed free by enabledness.
-                let mut wrote = false;
                 for &op in ops {
+                    let th = &mut self.threads[t];
                     match op {
-                        Op::Read(loc) => self.threads[t].log.read(loc, self.data[loc as usize]),
+                        Op::Read(loc) => th.log.read(loc, self.data[loc as usize]),
                         Op::Write(loc, val) => {
-                            self.data[loc as usize] = self.threads[t].log.write_through(loc, val);
+                            self.data[loc as usize] = th.log.write_through(loc, val);
                             let s = cfg.stripe_of(loc);
-                            if !self.threads[t].write_stripes.contains(&s) {
-                                self.threads[t].write_stripes.push(s);
+                            if !th.write_stripes.contains(&s) {
+                                th.write_stripes.push(s);
                             }
-                            wrote = true;
                         }
                     }
                 }
-                if wrote {
-                    self.clock += 2;
-                    let wv = self.clock;
-                    for &s in &self.threads[t].write_stripes.clone() {
+                if !self.threads[t].write_stripes.is_empty() {
+                    let now = self.clock;
+                    let wv = self.draw(&self.threads[t].write_stripes);
+                    let th = &mut self.threads[t];
+                    for &s in &th.write_stripes {
                         self.stripes[s as usize].version = wv;
                     }
+                    th.rv = now;
+                    th.own.clone_from(&th.write_stripes);
+                    th.own_wv = wv;
                 }
-                self.commit(t, CommitPath::Lock);
+                self.commit(cfg, t, CommitPath::Lock);
             }
         }
     }
 }
 
 impl Tl2State {
-    fn commit(&mut self, t: usize, path: CommitPath) {
+    /// `wv` for the held `stripes`: two past the newer of the clock and
+    /// their versions. The clock is not written.
+    fn draw(&self, stripes: &[u8]) -> u64 {
+        stripes
+            .iter()
+            .map(|&s| self.stripes[s as usize].version)
+            .fold(self.clock, u64::max)
+            + 2
+    }
+
+    /// Starts thread `t`'s current body at the `rv` it holds.
+    fn start_body(&mut self, cfg: &Tl2Config, t: usize) {
+        if cfg.body(t, self.threads[t].body).is_empty() {
+            // Empty body: a read-only no-op commit.
+            self.commit(cfg, t, CommitPath::Fast);
+        } else {
+            self.threads[t].phase = Phase::Op(0);
+        }
+    }
+
+    /// Books thread `t`'s current body and moves on to its next, if any.
+    fn commit(&mut self, cfg: &Tl2Config, t: usize, path: CommitPath) {
         let th = &mut self.threads[t];
-        self.committed[t] = Some(th.log.commit(t, path));
+        self.committed[cfg.slot(t, th.body)] = Some(th.log.commit(t, path));
         th.reset_attempt();
-        th.phase = Phase::Done;
+        th.attempts = 0;
+        if (th.body as usize + 1) < cfg.threads[t].len() {
+            th.body += 1;
+            self.start_body(cfg, t);
+        } else {
+            // Nothing carries past the last body: done threads compare equal.
+            *th = Thread {
+                phase: Phase::Done,
+                ..Thread::new(cfg.nloc)
+            };
+        }
     }
 
     fn abort_with_budget(&mut self, cfg: &Tl2Config, t: usize) {
@@ -509,15 +601,12 @@ impl Tl2State {
         }
         let th = &mut self.threads[t];
         th.attempts += 1;
-        // The retry does not sample again: it carries the latest clock
-        // value the attempt saw — a drawn `wv`, else its (possibly
-        // extended) `rv`.
-        let carried = th.rv.max(th.wv);
+        // The retry does not sample again: it carries the `rv` the attempt
+        // left — its last extension's clock, or its draw's clock sample.
         th.reset_attempt();
         th.phase = if th.attempts >= cfg.max_attempts {
             Phase::Atomic
         } else {
-            th.rv = carried;
             Phase::Op(0)
         };
     }
@@ -535,44 +624,73 @@ fn extension_pair(name: &str, extension: Extension) -> Tl2Config {
     Tl2Config {
         name: name.into(),
         threads: vec![
-            vec![Op::Write(1, Val::Const(5))],
-            vec![Op::Write(0, Val::Const(1)), Op::Write(1, Val::Const(1))],
-            vec![Op::Read(0), Op::Read(1)],
+            vec![vec![Op::Write(1, Val::Const(5))]],
+            vec![vec![
+                Op::Write(0, Val::Const(1)),
+                Op::Write(1, Val::Const(1)),
+            ]],
+            vec![vec![Op::Read(0), Op::Read(1)]],
         ],
         nloc: 2,
         stripes: 2,
         max_attempts: 1,
         stale_read_mutant: false,
+        carry_wv_mutant: false,
         extension,
     }
 }
 
+/// The carried-`rv` workload: a thread writes `x`, then increments `y`,
+/// racing a lone incrementer of `y`. The incrementer draws the very
+/// version the first thread's write of `x` drew, so a carried `wv` takes
+/// its commit to `y` for one already seen.
+fn carried_rv(name: &str, carry_wv_mutant: bool) -> Tl2Config {
+    Tl2Config {
+        name: name.into(),
+        threads: vec![
+            vec![vec![Op::Write(0, Val::Const(1))], inc(1)],
+            vec![inc(1)],
+        ],
+        nloc: 2,
+        stripes: 2,
+        max_attempts: 2,
+        stale_read_mutant: false,
+        carry_wv_mutant,
+        extension: Extension::SampleFirst,
+    }
+}
+
 /// Safe configurations: the explorer must find **zero** violations in
-/// every one, over every interleaving — five workloads, named
+/// every one, over every interleaving — six workloads, named
 /// `swhtm-<workload>`, and the extension mutant's own workload with the
 /// steps in the right order.
 pub fn tl2_suite() -> Vec<Tl2Config> {
-    let cfg = |name: &str, threads: Vec<Vec<Op>>, nloc, stripes, max_attempts| Tl2Config {
+    let cfg = |name: &str, threads: Vec<Vec<Vec<Op>>>, nloc, stripes, max_attempts| Tl2Config {
         name: format!("swhtm-{name}"),
         threads,
         nloc,
         stripes,
         max_attempts,
         stale_read_mutant: false,
+        carry_wv_mutant: false,
         extension: Extension::SampleFirst,
     };
     vec![
-        // Two incrementers on one counter: the commit-time revalidation
-        // (and its wv == rv + 2 shortcut) carry the whole correctness
-        // burden; the oracle additionally rules out lost updates.
-        cfg("counter", vec![inc(0), inc(0)], 1, 2, 2),
+        // Incrementers on one counter, the first one twice: commit-time
+        // revalidation carries the correctness burden, and the second
+        // increment reads the first one's stripe under the own-write
+        // exemption; the oracle additionally rules out lost updates.
+        cfg("counter", vec![vec![inc(0), inc(0)], vec![inc(0)]], 1, 2, 2),
         // Writer of the invariant pair vs a read-only scanner: the read
         // barrier must never let the scanner observe x=1, y=0.
         cfg(
             "invariant-pair",
             vec![
-                vec![Op::Write(0, Val::Const(1)), Op::Write(1, Val::Const(1))],
-                vec![Op::Read(0), Op::Read(1)],
+                vec![vec![
+                    Op::Write(0, Val::Const(1)),
+                    Op::Write(1, Val::Const(1)),
+                ]],
+                vec![vec![Op::Read(0), Op::Read(1)]],
             ],
             2,
             2,
@@ -583,8 +701,8 @@ pub fn tl2_suite() -> Vec<Tl2Config> {
         cfg(
             "write-skew",
             vec![
-                vec![Op::Read(0), Op::Write(1, Val::LastReadPlus(0, 1))],
-                vec![Op::Read(1), Op::Write(0, Val::LastReadPlus(1, 1))],
+                vec![vec![Op::Read(0), Op::Write(1, Val::LastReadPlus(0, 1))]],
+                vec![vec![Op::Read(1), Op::Write(0, Val::LastReadPlus(1, 1))]],
             ],
             2,
             2,
@@ -592,47 +710,58 @@ pub fn tl2_suite() -> Vec<Tl2Config> {
         ),
         // Every location aliases one stripe: false conflicts must cost
         // retries, never correctness (the runtime's `with_stripes(1)`).
-        cfg("aliased-stripes", vec![inc(0), inc(1)], 2, 1, 2),
+        cfg("aliased-stripes", vec![vec![inc(0)], vec![inc(1)]], 2, 1, 2),
         // Three threads: two disjoint writers (distinct stripes — they
         // may hold their locks concurrently) and a scanner across both.
         cfg(
             "3thread-disjoint",
             vec![
-                vec![Op::Write(0, Val::Const(1))],
-                vec![Op::Write(1, Val::Const(2))],
-                vec![Op::Read(0), Op::Read(1)],
+                vec![vec![Op::Write(0, Val::Const(1))]],
+                vec![vec![Op::Write(1, Val::Const(2))]],
+                vec![vec![Op::Read(0), Op::Read(1)]],
             ],
             2,
             2,
             1,
         ),
+        carried_rv("swhtm-carried-rv", false),
         extension_pair("swhtm-extension-pair", Extension::SampleFirst),
     ]
 }
 
-/// The seeded TL2 bug: skip read-set revalidation when the clock
-/// advanced. Two incrementers then race to the classic lost update — the
-/// explorer must report a non-serializable history, mirroring the
-/// `tle-lazyunsafe-mutant` contract. (The name is the one the runtime's
-/// cargo feature, tier-1 and the fuzz corpus key on.)
+/// The seeded TL2 bug: skip read-set revalidation. Two incrementers then
+/// race to the classic lost update — the explorer must report a
+/// non-serializable history, mirroring the `tle-lazyunsafe-mutant`
+/// contract. (The name is the one the runtime's cargo feature, tier-1 and
+/// the fuzz corpus key on.)
 pub fn tl2_mutant_config() -> Tl2Config {
     Tl2Config {
         name: "tl2-stale-read-mutant".into(),
-        threads: vec![inc(0), inc(0)],
+        threads: vec![vec![inc(0)], vec![inc(0)]],
         nloc: 1,
         stripes: 2,
         max_attempts: 2,
         stale_read_mutant: true,
+        carry_wv_mutant: false,
         extension: Extension::SampleFirst,
     }
 }
 
-/// The seeded extension bug: revalidate the read set, *then* sample the
+/// The seeded extension bug: revalidate the read set, *then* raise the
 /// clock. The pair writer commits between the two, the scanner's snapshot
 /// jumps past it unchecked, and the scanner commits old `x` with new `y` —
 /// the explorer must report a non-serializable history.
 pub fn swhtm_mutant_config() -> Tl2Config {
     extension_pair("swhtm-validate-first-mutant", Extension::ValidateFirst)
+}
+
+/// The seeded carried-`wv` bug: a commit carries the version it drew
+/// instead of its clock sample. On the carried-`rv` workload the lone
+/// incrementer releases `y` at the version the other thread carried, that
+/// thread's increment of `y` validates against it, and one increment is
+/// lost — the explorer must report a non-serializable history.
+pub fn carry_wv_mutant_config() -> Tl2Config {
+    carried_rv("swhtm-carry-wv-mutant", true)
 }
 
 #[cfg(test)]
@@ -690,7 +819,32 @@ mod tests {
         cfg.stale_read_mutant = false;
         cfg.name = "tl2-stale-read-fixed".into();
         let r = explore::<Tl2State>(&cfg);
-        assert!(r.clean(), "fixed config must be clean: {:?}", r.violations.first());
+        assert!(
+            r.clean(),
+            "fixed config must be clean: {:?}",
+            r.violations.first()
+        );
+    }
+
+    #[test]
+    fn carried_wv_is_caught_as_a_lost_update() {
+        let r = explore::<Tl2State>(&carry_wv_mutant_config());
+        assert!(
+            r.violations.iter().any(|v| v.kind == "non-serializable"),
+            "carrying wv must lose an increment; report: {r:?}"
+        );
+        // Its workload carrying the sample is in the safe suite.
+        assert!(tl2_suite().iter().any(|c| c.name == "swhtm-carried-rv"));
+    }
+
+    #[test]
+    fn the_carried_rv_workload_needs_its_second_body() {
+        // With the first thread's write of `x` gone, nothing is carried
+        // and the mutant is harmless: the bug needs the body before.
+        let mut cfg = carry_wv_mutant_config();
+        cfg.threads[0].remove(0);
+        let r = explore::<Tl2State>(&cfg);
+        assert!(r.clean(), "{:?}", r.violations.first());
     }
 
     #[test]
@@ -707,22 +861,36 @@ mod tests {
         // The same workload, sampling first, is clean (it is in the safe
         // suite) — and it does extend: the scanner commits read-only in
         // terminals where both writers committed before its second read.
-        let r = explore::<Tl2State>(&extension_pair("swhtm-extension-fixed", Extension::SampleFirst));
-        assert!(r.clean(), "sample-first must be clean: {:?}", r.violations.first());
+        let r = explore::<Tl2State>(&extension_pair(
+            "swhtm-extension-fixed",
+            Extension::SampleFirst,
+        ));
+        assert!(
+            r.clean(),
+            "sample-first must be clean: {:?}",
+            r.violations.first()
+        );
         assert!(r.fast_commit_terminals > 0);
     }
 
     #[test]
     fn validate_rejects_bad_configs() {
-        let bad = Tl2Config {
+        let bad = |threads: Vec<Vec<Vec<Op>>>| Tl2Config {
             name: "bad".into(),
-            threads: vec![vec![Op::Read(5)]],
+            threads,
             nloc: 1,
             stripes: 1,
             max_attempts: 1,
             stale_read_mutant: false,
+            carry_wv_mutant: false,
             extension: Extension::SampleFirst,
         };
-        assert!(std::panic::catch_unwind(|| bad.validate()).is_err());
+        assert!(
+            std::panic::catch_unwind(|| bad(vec![vec![vec![Op::Read(5)]]]).validate()).is_err()
+        );
+        assert!(
+            std::panic::catch_unwind(|| bad(vec![vec![]]).validate()).is_err(),
+            "no body"
+        );
     }
 }

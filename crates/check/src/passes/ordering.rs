@@ -101,27 +101,28 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     // for both of its instances (the emulated HTM's global table and each
     // `rtle_hytm::Tl2`'s own), so these rows are the only ones it has.
     //
-    // The clock is the serialization spine: every rv is a sample of it (or
-    // an earlier one carried over), every writer commit bumps it, and the
-    // `wv == rv + 2` "nobody else committed" validation shortcut reasons
-    // from the value the bump returned about one total order of bumps and
-    // samples every thread agrees on — hence SeqCst on both, not just
-    // Acquire/AcqRel. (Same `mov` / `lock xadd` on x86-64. Whether a
-    // release-sequence argument carries the shortcut at AcqRel is for the
-    // weak-memory model to show, with a TSO machine to check it.)
+    // The clock is the serialization spine: every rv is a value it held
+    // (a sample, or the clock after an extension raised it), and every wv
+    // is drawn past a sample taken once the write set is locked. Safety
+    // rests on "a writer with wv <= rv sampled before the clock reached rv",
+    // an argument about one total order of samples and raises that every
+    // thread agrees on — hence SeqCst on both, not just Acquire/AcqRel.
+    // (Same `mov` / `lock cmpxchg` on x86-64. Whether something weaker
+    // carries it is for the weak-memory model to show, with a TSO machine
+    // to check it.)
     OrderingRule {
         file_suffix: "htm/src/stripe.rs",
         receiver: "clock",
         op: AtomicOp::Load,
         allowed: &["SeqCst"],
-        why: "clock sample fixes a read-version; must join the single total order of commit bumps",
+        why: "clock sample: a read-version, or the floor a commit draws wv past; must join the single total order of clock raises",
     },
     OrderingRule {
         file_suffix: "htm/src/stripe.rs",
         receiver: "clock",
-        op: AtomicOp::FetchAdd,
+        op: AtomicOp::CompareExchange,
         allowed: &["SeqCst"],
-        why: "clock bump: the wv == rv+2 no-other-writer shortcut needs a total order of bumps; SeqCst",
+        why: "clock raise by an extension, the clock's only write: a writer that sampled below the raised value must be ordered before it; SeqCst",
     },
     // Stripe words: loads validate (pre/post read, extension, commit
     // revalidation), the CAS acquires the lock, stores release it (commit

@@ -1,12 +1,13 @@
 //! Acceptance tests for the interleaving checker: every safe configuration
 //! explores clean, the protocol paths are actually exercised, and the
 //! seeded mutants (unsafe lazy subscription; TL2 skipped revalidation;
-//! swhtm validate-before-sample extension) are detected — and every row's
+//! swhtm validate-before-sample extension; a carried `wv`) are detected —
+//! and every row's
 //! state, terminal and path counts are pinned in `golden/model_rows.txt`.
 
 use rtle_check::model::{
-    explore, explore_mutants, explore_safe, mutant_config, standard_suite, swhtm_mutant_config,
-    tl2_mutant_config, tl2_suite, State, Tl2State,
+    carry_wv_mutant_config, explore, explore_mutants, explore_safe, mutant_config, standard_suite,
+    swhtm_mutant_config, tl2_mutant_config, tl2_suite, State, Tl2State,
 };
 
 #[test]
@@ -114,7 +115,7 @@ fn path_coverage_counts_terminal_histories_on_every_machine() {
     // `Report` documents the three path counters as "terminal histories
     // containing at least one such commit" — so none can exceed the
     // terminal count, whatever the machine. A per-commit count would:
-    // `swhtm-counter` has 14 writer commits over its 8 terminals.
+    // `swhtm-counter` commits three increments in every terminal.
     let reports = explore_safe().into_iter().chain(explore_mutants());
     let mut seen = 0;
     for r in reports {
@@ -135,16 +136,16 @@ fn path_coverage_counts_terminal_histories_on_every_machine() {
     }
     assert_eq!(
         seen,
-        standard_suite().len() + tl2_suite().len() + 3,
-        "both suites and the three seeded mutants"
+        standard_suite().len() + tl2_suite().len() + 4,
+        "both suites and the four seeded mutants"
     );
 }
 
 #[test]
 fn tl2_stale_read_mutant_is_caught() {
     // The TL2 analog of the lazy-subscription contract: skipping read-set
-    // revalidation when the clock advanced must surface as a lost update
-    // the serializability oracle flags.
+    // revalidation must surface as a lost update the serializability
+    // oracle flags.
     let r = explore::<Tl2State>(&tl2_mutant_config());
     let v = r
         .violations
@@ -167,7 +168,7 @@ fn swhtm_configurations_verify_and_the_extension_mutant_is_caught() {
     let swhtm = tl2_suite();
     assert!(swhtm.iter().all(|c| c.name.starts_with("swhtm-")));
     assert!(swhtm.iter().any(|c| c.name == "swhtm-extension-pair"));
-    assert_eq!(swhtm.len(), 6, "five workloads and the extension pair");
+    assert_eq!(swhtm.len(), 7, "six workloads and the extension pair");
     for cfg in &swhtm {
         let r = explore::<Tl2State>(cfg);
         assert!(r.clean(), "{}: {:?}", r.config, r.violations.first());
@@ -181,6 +182,24 @@ fn swhtm_configurations_verify_and_the_extension_mutant_is_caught() {
         .expect("the seeded validate-first extension was NOT detected — oracle regression");
     assert!(
         v.detail.contains("matches no serial order"),
+        "unexpected violation detail: {}",
+        v.detail
+    );
+}
+
+#[test]
+fn carried_wv_mutant_is_caught_with_both_bodies_of_one_thread() {
+    // A commit that carries its drawn version as the next rv: the second
+    // body of the same thread validates against it and loses the other
+    // thread's increment.
+    let r = explore::<Tl2State>(&carry_wv_mutant_config());
+    let v = r
+        .violations
+        .iter()
+        .find(|v| v.kind == "non-serializable")
+        .expect("the seeded carried-wv bug was NOT detected — oracle regression");
+    assert!(
+        v.detail.contains("T0[Slow]{W0:=1}, T0[Slow]"),
         "unexpected violation detail: {}",
         v.detail
     );

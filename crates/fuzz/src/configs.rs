@@ -79,7 +79,7 @@ pub fn random_safe_tl2_config(rng: &mut SplitMix64, idx: u64) -> Tl2Config {
     let stripes = rng.range_inclusive(1, nloc as u64) as u8;
     let mut threads = Vec::with_capacity(nthreads);
     for _ in 0..nthreads {
-        threads.push(random_ops(rng, nloc));
+        threads.push(vec![random_ops(rng, nloc)]);
     }
     Tl2Config {
         name: format!("fuzz-swhtm-rand-{idx}"),
@@ -88,6 +88,7 @@ pub fn random_safe_tl2_config(rng: &mut SplitMix64, idx: u64) -> Tl2Config {
         stripes,
         max_attempts: rng.range_inclusive(1, 2) as u8,
         stale_read_mutant: false,
+        carry_wv_mutant: false,
         extension: Extension::SampleFirst,
     }
 }

@@ -5,11 +5,12 @@
 //! (oracle regression, scheduler change, shrinker change). The mutant
 //! entries double as the fuzzer's *fitness test*: a fuzzer that can no
 //! longer find a seeded bug — the TLE lazy-subscription zombie, the TL2
-//! stale read or the swhtm validate-first extension — within its budget is
-//! broken, whatever else it reports.
+//! stale read, the swhtm validate-first extension or the carried `wv` —
+//! within its budget is broken, whatever else it reports.
 
 use rtle_check::model::{
-    mutant_config, swhtm_mutant_config, tl2_mutant_config, State, Tl2State,
+    carry_wv_mutant_config, mutant_config, swhtm_mutant_config, tl2_mutant_config, State,
+    Tl2State,
 };
 
 use crate::schedule::{hunt, HuntReport};
@@ -35,9 +36,9 @@ pub struct Mutant {
     pub hunt: fn(u64, u64) -> HuntReport,
 }
 
-/// Every seeded mutant of every machine — the same three `rtle-check
+/// Every seeded mutant of every machine — the same four `rtle-check
 /// model` must catch exhaustively. A new machine's mutant joins here.
-pub const MUTANTS: [Mutant; 3] = [
+pub const MUTANTS: [Mutant; 4] = [
     Mutant {
         name: "tle-lazyunsafe-mutant",
         budget: MUTANT_BUDGET,
@@ -48,14 +49,19 @@ pub const MUTANTS: [Mutant; 3] = [
         budget: MUTANT_BUDGET,
         hunt: |seed, budget| hunt::<Tl2State>(&tl2_mutant_config(), seed, budget),
     },
-    // A depth-4 bug (three forced preemptions at near-exact steps: the
-    // scanner must validate between the two writers' commits and sample
-    // after the second), so PCT's 1/(n·k^(d-1)) bound bites: over seeds
-    // 0..80 the catch came at a median of ~1000 runs, worst 5875.
+    // A deep bug (the scanner must validate between the two writers'
+    // commits and raise the clock after the second), so PCT's
+    // 1/(n·k^(d-1)) bound bites: over seeds 0..80 the catch came at a
+    // median of ~64 runs, worst 365.
     Mutant {
         name: "swhtm-validate-first-mutant",
         budget: 64 * MUTANT_BUDGET,
         hunt: |seed, budget| hunt::<Tl2State>(&swhtm_mutant_config(), seed, budget),
+    },
+    Mutant {
+        name: "swhtm-carry-wv-mutant",
+        budget: MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<Tl2State>(&carry_wv_mutant_config(), seed, budget),
     },
 ];
 
@@ -115,14 +121,21 @@ pub const ENTRIES: &[CorpusEntry] = &[
         seed: DOC_SEED,
         budget: 64 * MUTANT_BUDGET,
         expect_kind: "non-serializable",
-        note: "documented seed: the swhtm validate-before-sample extension, caught at run 391 (so not within MUTANT_BUDGET; this mutant's own budget is 64x)",
+        note: "documented seed: the swhtm validate-before-sample extension, caught at run 353 (so not within MUTANT_BUDGET; this mutant's own budget is 64x)",
     },
     CorpusEntry {
         mutant: "swhtm-validate-first-mutant",
         seed: 0x0002,
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
-        note: "smallest seed that catches the swhtm extension within MUTANT_BUDGET",
+        note: "a seed that catches the swhtm extension within MUTANT_BUDGET",
+    },
+    CorpusEntry {
+        mutant: "swhtm-carry-wv-mutant",
+        seed: DOC_SEED,
+        budget: MUTANT_BUDGET,
+        expect_kind: "non-serializable",
+        note: "documented seed: the carried-wv lost update, caught at run 5",
     },
 ];
 

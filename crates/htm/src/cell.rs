@@ -115,9 +115,9 @@ impl<T: TxWord> TxCell<T> {
     /// lock (a plain store must always succeed — exactly like an
     /// uninstrumented store eventually wins the cache line on real
     /// hardware), runs `access` on the raw word under it and releases — at
-    /// a fresh global-clock version if `access` reports that it stored, so
-    /// that concurrent transactions that read the line are doomed (strong
-    /// atomicity); at the old version otherwise, invisibly.
+    /// a freshly drawn version, past the clock, if `access` reports that it
+    /// stored, so that concurrent transactions that read the line are
+    /// doomed (strong atomicity); at the old version otherwise, invisibly.
     #[inline]
     fn under_stripe_lock<R>(&self, access: impl FnOnce(&AtomicU64) -> (bool, R)) -> R {
         let idx = stripe::stripe_index(self.addr());
@@ -125,7 +125,14 @@ impl<T: TxWord> TxCell<T> {
         let mut prev = 0;
         backoff_until(|| GLOBAL.try_lock(idx, owner).map(|p| prev = p).is_ok());
         let (stored, result) = access(&self.raw);
-        GLOBAL.unlock(idx, if stored { GLOBAL.next_version() } else { prev });
+        GLOBAL.unlock(
+            idx,
+            if stored {
+                GLOBAL.next_version(prev)
+            } else {
+                prev
+            },
+        );
         result
     }
 

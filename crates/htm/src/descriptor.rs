@@ -113,8 +113,8 @@ impl SwTxn {
 
     /// Begins a transaction: empties the footprint and the log. The
     /// read-version is not sampled — it is whatever the thread last
-    /// observed (its own last commit version or its last snapshot
-    /// extension; 0 on a fresh thread) and advances by extension.
+    /// observed (its last writing commit's clock sample or its last
+    /// snapshot extension; 0 on a fresh thread) and advances by extension.
     pub fn reset(&mut self) {
         self.footprint.begin(self.footprint.rv);
         self.redo.clear();

@@ -6,24 +6,30 @@
 //! Every tracked address maps to one *stripe*, a single `AtomicU64` that
 //! plays the role the cache-coherence directory plays for real HTM:
 //!
-//! * **Unlocked** stripes hold an even *version* — the value of the commit
-//!   clock at the last commit that wrote the stripe.
+//! * **Unlocked** stripes hold an even *version*, drawn by the last commit
+//!   that wrote the stripe.
 //! * **Locked** stripes hold `(owner_token << 1) | 1`, taken by a committing
 //!   transaction for the duration of its write-back (or by a plain
 //!   non-transactional store for its brief update).
 //!
-//! The clock advances by 2 per writing commit, so lock bit (LSB) and
-//! version never collide, and versions compare in wrapping order
-//! ([`newer_than`]): the protocol survives clock wraparound.
+//! A writer draws its version without writing the clock (TL2's GV5): two
+//! past the newer of a clock sample and the pre-lock versions of the
+//! stripes it holds ([`Table::next_version`]). Versions stay even, so lock
+//! bit (LSB) and version never collide, and they compare in wrapping order
+//! ([`newer_than`]): the protocol survives clock wraparound. The clock has
+//! one writer, the snapshot extension, which raises it to the version of a
+//! stripe a read found ahead of it. So a writing commit writes nothing
+//! shared but its own stripes, and disjoint committers share no line —
+//! as `xbegin`/`xend` on disjoint data share none.
 //!
 //! # The two instances
 //!
 //! * The emulated HTM ([`crate::swhtm`], [`crate::TxCell`]'s plain
 //!   accesses) runs on [`GLOBAL`], the const-initialised process-wide
-//!   table. Plain stores also draw fresh clock values, so a store performed
-//!   *after* a transaction read a line carries a version newer than any
-//!   read-version that transaction holds and dooms it — this is what makes
-//!   the emulation strongly atomic.
+//!   table. Plain stores draw versions too, past the clock, so a store
+//!   performed *after* a transaction read a line carries a version newer
+//!   than any read-version that transaction holds and dooms it — this is
+//!   what makes the emulation strongly atomic.
 //! * `rtle_hytm::Tl2` owns a [`BoxedTable`] per instance.
 //!
 //! A caller supplies exactly what differs between them: the address →
@@ -34,35 +40,63 @@
 //! the write-back store (raw `Release` word vs strongly atomic
 //! `TxCell::write`). Nothing here branches on which caller it serves.
 //!
-//! # Why a stale `rv` is safe
+//! # Why it is safe
 //!
-//! The protocol needs only that `rv` is a value the clock held *no later
-//! than* begin: every read is of an unlocked stripe with version not newer
-//! than `rv`, unchanged across the load. A writer that releases a stripe
-//! after we read it locked it before drawing its version; had it drawn a
-//! version ≤ `rv` it would have held the lock since before our begin and
-//! our read would have met the lock. So everything we read is the memory
-//! state as of clock value `rv`, and an older `rv` only makes more stripes
-//! look new. **Extension** keeps the invariant: once the clock is sampled
-//! as `now`, a writer with version ≤ `now` that touches a stripe we read
-//! holds or has released that stripe by the time we revalidate it, so
-//! revalidation meets its lock or its version newer than the old `rv`; a
-//! writer that locks later draws a version > `now`. The order matters — a
-//! writer that slips in between a validation and a later clock sample
-//! would be inside the new snapshot without having been checked. The
-//! **shortcut** survives as well: `wv == rv + 2` means the clock stood at
-//! `rv` when we bumped it — nobody drew a version since `rv` was observed.
+//! Three facts carry the argument.
+//!
+//! 1. **Every `rv` is a value the clock held**, and the clock only moves
+//!    forward: `rv` is a sample, or what the clock was after an extension
+//!    raised it, or one of those carried over from an earlier transaction.
+//! 2. **Every `wv` exceeds both the clock at the draw and the pre-lock
+//!    version of every stripe it is released on**, and the draw comes after
+//!    the write set is locked. So a stripe's versions strictly increase, and
+//!    a writer with `wv` ≤ `rv` sampled the clock before it ever held `rv`:
+//!    it held all its locks before any transaction obtained `rv`.
+//! 3. **A stripe at exactly the footprint's last `wv`, in that commit's
+//!    write set, still holds what the commit wrote**: by fact 2 any later
+//!    writer releases it strictly above.
+//!
+//! A read takes an unlocked stripe at a version not newer than `rv`,
+//! unchanged across the load. By fact 2, a writer with `wv` ≤ `rv` locked
+//! that stripe before we obtained `rv`, so we read its value or a later
+//! one; a writer with `wv` > `rv` shows as newer. So everything we read is
+//! the memory state as of `rv` — every writer at or below it, none above —
+//! and a staler `rv` only makes more stripes look new. **Extension** keeps
+//! this. It raises the clock to the newer version first, takes the clock
+//! as the new `rv`, then revalidates the read set against the old `rv`. A
+//! writer with `wv` ≤ the new `rv` locked its stripes before the clock got
+//! there (fact 2), hence before the revalidation, which meets its lock or
+//! its version newer than the old `rv`; a writer that samples later draws
+//! past the new `rv`. The order matters: a writer that slips in between a
+//! validation and a later advance would be inside the new snapshot
+//! without having been checked.
+//!
+//! **The own-write exemption** (fact 3) lets a read or validation take such
+//! a stripe as not newer than `rv`. Its content is the footprint's own last
+//! commit, which this transaction follows anyway; that commit validated its
+//! reads against an `rv` no newer than the sample it carried, and any
+//! writer it overwrote held the stripe before it did. Without the
+//! exemption every read-modify-write of a thread's own data would find its
+//! own last version ahead of the clock and write the clock in an extension.
+//! The exemption is keyed to the table ([`Table`] ids are never reused),
+//! because one footprint can serve several `Tl2` instances in turn.
+//!
+//! **What a commit carries is the sample, never `wv`.** `wv` is not a value
+//! the clock held, and another writer — a plain store, say — can draw the
+//! same `wv` for a stripe we read; a carried `wv` would take its version for
+//! one we had seen, and lose its update. For the same reason no commit can
+//! infer "nobody else committed" from its `wv`: every writing commit
+//! validates its read set.
 //!
 //! # Orderings
 //!
 //! Stripe words: `Acquire` loads and lock CAS, `Release` unlock. The clock
-//! is sampled and bumped `SeqCst`: the shortcut infers "no other writer"
-//! from the value our own bump returned, which is an argument about one
-//! total order of bumps and samples that every thread agrees on. A
-//! release-sequence argument may well carry it at `AcqRel`, but nothing
-//! in the repo checks that (the models run under SC), and on x86-64 the
-//! sample is the same `mov` and the bump the same `lock xadd` either way.
-//! Relaxing it is the weak-memory model's job.
+//! is sampled and raised `SeqCst`: fact 2 is an argument about one total
+//! order of samples and advances that every thread agrees on. Something
+//! weaker may well carry it, but nothing in the repo checks that (the
+//! models run under SC), and on x86-64 the sample is the same `mov` and the
+//! advance the same `lock cmpxchg` either way. Relaxing it is the
+//! weak-memory model's job.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,6 +132,16 @@ pub fn newer_than(v: u64, rv: u64) -> bool {
     v != rv && v.wrapping_sub(rv) < u64::MAX / 2
 }
 
+/// The newer of two versions, in wrapping order.
+#[inline]
+fn later(a: u64, b: u64) -> u64 {
+    if newer_than(b, a) {
+        b
+    } else {
+        a
+    }
+}
+
 /// A small open-addressing set of stripe indices, used both to deduplicate
 /// the read/write sets and to count distinct stripes against capacity
 /// limits. `slots` stores `stripe + 1` so that 0 can be the empty sentinel,
@@ -130,27 +174,39 @@ impl StripeSet {
         }
     }
 
+    /// The probe: `Ok(slot)` holding `stripe`, or `Err(slot)`, the empty
+    /// slot where it would go. The table must not be empty.
+    fn probe(&self, stripe: u32) -> Result<u32, u32> {
+        let mask = self.slots.len() as u32 - 1;
+        let key = stripe + 1;
+        let mut i = stripe & mask;
+        loop {
+            match self.slots[i as usize] {
+                v if v == key => return Ok(i),
+                0 => return Err(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
     /// Inserts `stripe`; returns `true` iff it was not already present.
     fn insert(&mut self, stripe: u32) -> bool {
         // Load factor below one half (also covers the empty table).
         if self.order.len() * 2 >= self.slots.len() {
             self.grow();
         }
-        let mask = self.slots.len() as u32 - 1;
-        let key = stripe + 1;
-        let mut i = stripe & mask;
-        loop {
-            let v = self.slots[i as usize];
-            if v == key {
-                return false;
-            }
-            if v == 0 {
-                self.slots[i as usize] = key;
+        match self.probe(stripe) {
+            Ok(_) => false,
+            Err(i) => {
+                self.slots[i as usize] = stripe + 1;
                 self.order.push(i);
-                return true;
+                true
             }
-            i = (i + 1) & mask;
         }
+    }
+
+    fn contains(&self, stripe: u32) -> bool {
+        !self.is_empty() && self.probe(stripe).is_ok()
     }
 
     pub(crate) fn len(&self) -> u32 {
@@ -180,19 +236,25 @@ impl StripeSet {
 
 /// The transaction side of the protocol: what one transaction has read
 /// and written, in stripes of one [`Table`]. Lives across transactions —
-/// the sets keep their allocations, and `rv` is there for a caller that
-/// carries it from one transaction to its next begin.
+/// the sets keep their allocations, `rv` is there for a caller that
+/// carries it from one transaction to its next begin, and the last
+/// writing commit's stripes stay for the own-write exemption.
 #[derive(Debug, Default)]
 pub struct Footprint {
     /// Read-version: some value the clock held no later than begin.
-    /// Advances by extension; a commit leaves its `wv` here, so this is
-    /// always the latest clock value the footprint has observed.
+    /// Advances by extension; a writing commit leaves its clock sample
+    /// here, so this is always the latest clock value the footprint has
+    /// observed.
     pub(crate) rv: u64,
     /// Distinct stripes read (validated at extension, and at commit when
     /// the transaction has writes).
     pub(crate) reads: StripeSet,
     /// Distinct stripes written (locked at commit).
     pub(crate) writes: StripeSet,
+    /// The write stripes of the last successful writing commit …
+    wrote: StripeSet,
+    /// … and the table it ran on and the version it released them at.
+    wrote_at: (u64, u64),
     /// Commit scratch: the write stripes in ascending order with their
     /// pre-lock versions. Empty outside `commit`.
     locked: Vec<(u32, u64)>,
@@ -208,6 +270,8 @@ impl Footprint {
             rv: 0,
             reads: StripeSet::new(),
             writes: StripeSet::new(),
+            wrote: StripeSet::new(),
+            wrote_at: (0, 0),
             locked: Vec::new(),
             validations: 0,
         }
@@ -228,6 +292,14 @@ impl Footprint {
     pub fn write(&mut self, stripe: u32) {
         self.writes.insert(stripe);
     }
+
+    /// Whether `stripe` of table `table`, at `version`, counts as newer
+    /// than `rv`: it is, and it is not this footprint's own last write.
+    #[inline]
+    fn is_newer(&self, table: u64, stripe: u32, version: u64, rv: u64) -> bool {
+        newer_than(version, rv)
+            && !((table, version) == self.wrote_at && self.wrote.contains(stripe))
+    }
 }
 
 /// A commit clock plus the stripe words it versions. `S` is the storage of
@@ -235,10 +307,13 @@ impl Footprint {
 /// per `Tl2` instance.
 #[derive(Debug)]
 pub struct Table<S> {
-    /// Alone in its block: it is the one line every writing commit must
-    /// pull exclusive, so nothing read-mostly (the words, the owner's other
-    /// fields) may share it.
+    /// Alone in its block: every transaction samples it, so nothing that
+    /// is written (the words) may share its line. Only an extension that
+    /// meets a stripe ahead of it writes it.
     clock: Block<AtomicU64>,
+    /// Unique over the process's life: [`GLOBAL`] is 0, and every
+    /// [`BoxedTable`] draws the next.
+    id: u64,
     words: S,
 }
 
@@ -249,8 +324,12 @@ pub type BoxedTable = Table<Box<[AtomicU64]>>;
 /// in as stripes are first touched), so a stripe access is one indexed load.
 pub static GLOBAL: Table<[AtomicU64; STRIPE_COUNT]> = Table {
     clock: Block(AtomicU64::new(0)),
+    id: 0,
     words: [const { AtomicU64::new(0) }; STRIPE_COUNT],
 };
+
+/// The next [`BoxedTable`]'s id.
+static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The emulation's address → stripe map: the cell's cache line, Wang-mixed.
 #[inline]
@@ -277,6 +356,9 @@ impl BoxedTable {
         assert!(start & 1 == 0, "versions are even");
         Table {
             clock: Block(AtomicU64::new(start)),
+            // ordering: id allocation — only uniqueness matters, the value
+            // never synchronizes other memory.
+            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             words: (0..stripes).map(|_| AtomicU64::new(start)).collect(),
         }
     }
@@ -328,10 +410,28 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         self.clock.load(Ordering::SeqCst)
     }
 
-    /// Advances the clock and returns the new (even) commit version.
+    /// Draws the version to release a stripe at whose pre-lock version is
+    /// `prev`, the caller holding its lock: two past the newer of `prev`
+    /// and a clock sample. The clock is not written.
     #[inline]
-    pub fn next_version(&self) -> u64 {
-        self.clock.fetch_add(2, Ordering::SeqCst).wrapping_add(2)
+    pub fn next_version(&self, prev: u64) -> u64 {
+        later(self.clock(), prev).wrapping_add(2)
+    }
+
+    /// Raises the clock to at least `version` and returns the clock after
+    /// the raise — the protocol's only clock write.
+    fn advance(&self, version: u64) -> u64 {
+        let mut now = self.clock();
+        while newer_than(version, now) {
+            match self
+                .clock
+                .compare_exchange_weak(now, version, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return version,
+                Err(seen) => now = seen,
+            }
+        }
+        now
     }
 
     /// Reads through `stripe` for `fp`: sample the stripe word, extend the
@@ -349,9 +449,8 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         if is_locked(w1) {
             return Err(AbortCode::Conflict);
         }
-        if newer_than(w1, fp.rv) {
-            self.extend(fp)?;
-            // The version was published before the clock sample.
+        if fp.is_newer(self.id, stripe, w1, fp.rv) {
+            self.extend(fp, w1)?;
             debug_assert!(!newer_than(w1, fp.rv));
         }
         let val = load();
@@ -362,14 +461,15 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         Ok(val)
     }
 
-    /// Snapshot extension: a read met an unlocked stripe newer than `rv`.
-    /// Samples the clock *first*, then checks that nothing read so far has
-    /// changed since the old `rv`; on success the reads so far are equally
-    /// the memory state as of the sample, which becomes `rv`.
+    /// Snapshot extension: a read met an unlocked stripe at `version`,
+    /// newer than `rv`. Raises the clock to it *first*, then checks that
+    /// nothing read so far has changed since the old `rv`; on success the
+    /// reads so far are equally the memory state as of the raised clock,
+    /// which becomes `rv`.
     #[cold]
-    fn extend(&self, fp: &mut Footprint) -> Result<(), AbortCode> {
+    fn extend(&self, fp: &mut Footprint, version: u64) -> Result<(), AbortCode> {
         // Kept even when validation fails: a retry then begins from it.
-        let rv = std::mem::replace(&mut fp.rv, self.clock());
+        let rv = std::mem::replace(&mut fp.rv, self.advance(version));
         self.validate(fp, rv)
     }
 
@@ -390,7 +490,7 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
                     Err(_) => return Err(AbortCode::Conflict),
                 }
             }
-            if newer_than(version, rv) {
+            if fp.is_newer(self.id, s, version, rv) {
                 return Err(AbortCode::Conflict);
             }
         }
@@ -399,15 +499,15 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
 
     /// Commits `fp`: read-only transactions at once (their reads were each
     /// validated against `rv`); writers lock the write set through
-    /// `acquire` in ascending stripe order, draw `wv`, validate the read
-    /// set unless `wv == rv + 2`, run `write_back` under the locks and
-    /// release every stripe at `wv`. On `Err` every lock taken here has
-    /// been released at its pre-lock version and `write_back` has not run.
+    /// `acquire` in ascending stripe order, sample the clock, draw `wv`,
+    /// validate the read set, run `write_back` under the locks and release
+    /// every stripe at `wv`. On `Err` every lock taken here has been
+    /// released at its pre-lock version and `write_back` has not run.
     ///
     /// `acquire` returns a stripe's pre-lock version once it holds the
     /// lock (through [`Table::try_lock`], waiting or not), `None` to give
-    /// up. The bump that draws `wv` is the only shared word a commit writes
-    /// besides its own stripes.
+    /// up. Besides its own stripes a commit touches one shared word, the
+    /// clock, and only loads it.
     #[inline]
     pub fn commit(
         &self,
@@ -432,21 +532,23 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
             }
         }
 
-        // Whatever happens next, wv is the latest clock value this
-        // footprint has seen: a carried-over rv starts from it.
-        let wv = self.next_version();
-        let rv = std::mem::replace(&mut fp.rv, wv);
+        // Whatever happens next, the sample is the latest clock value this
+        // footprint has seen: a carried-over rv starts from it, never from
+        // wv (module docs).
+        let now = self.clock();
+        let wv = fp
+            .locked
+            .iter()
+            .fold(now, |v, l| later(v, l.1))
+            .wrapping_add(2);
+        let rv = std::mem::replace(&mut fp.rv, now);
 
         // Seeded mutant (`tl2-stale-read-mutant`, never default): skip the
-        // read-set revalidation precisely when the clock advanced — the
-        // one case it matters. The storms of tier-1's mutant stage, the
+        // read-set revalidation. The storms of tier-1's mutant stage, the
         // fuzz campaign's pinned seed and the model checker's TL2 mutant
         // config must all catch this.
-        #[cfg(not(feature = "tl2-stale-read-mutant"))]
-        let clock_advanced = wv != rv.wrapping_add(2);
-        #[cfg(feature = "tl2-stale-read-mutant")]
-        let clock_advanced = false;
-        if clock_advanced && self.validate(fp, rv).is_err() {
+        let validating = cfg!(not(feature = "tl2-stale-read-mutant"));
+        if validating && self.validate(fp, rv).is_err() {
             return self.back_out(fp);
         }
 
@@ -454,6 +556,8 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         for (s, _) in fp.locked.drain(..) {
             self.unlock(s, wv);
         }
+        fp.wrote_at = (self.id, wv);
+        std::mem::swap(&mut fp.wrote, &mut fp.writes);
         Ok(())
     }
 
@@ -526,13 +630,17 @@ mod tests {
 
         fn plain_store(&self, cell: usize, v: u64) {
             let s = self.stripe(cell);
-            self.table.try_lock(s, OTHER).unwrap();
+            let prev = self.table.try_lock(s, OTHER).unwrap();
             self.cells[cell].store(v, Ordering::Release);
-            self.table.unlock(s, self.table.next_version());
+            self.table.unlock(s, self.table.next_version(prev));
         }
 
         fn value(&self, cell: usize) -> u64 {
             self.cells[cell].load(Ordering::Acquire)
+        }
+
+        fn version(&self, cell: usize) -> u64 {
+            self.table.load(self.stripe(cell))
         }
 
         fn all_unlocked(&self) -> bool {
@@ -560,16 +668,27 @@ mod tests {
     }
 
     #[test]
-    fn clock_is_even_and_advances_by_two() {
+    fn a_draw_passes_clock_and_stripe_and_writes_nothing() {
         let t = Table::boxed(4, 10);
-        assert_eq!(t.clock(), 10);
-        assert_eq!(t.next_version(), 12);
-        assert_eq!(t.next_version(), 14);
-        assert_eq!(t.clock(), 14);
+        assert_eq!(t.next_version(10), 12, "two past the clock");
+        assert_eq!(
+            t.next_version(4),
+            12,
+            "an older stripe draws from the clock"
+        );
+        assert_eq!(t.next_version(20), 22, "a stripe ahead draws from itself");
+        assert_eq!(t.clock(), 10, "nothing written");
         assert!(
             std::panic::catch_unwind(|| Table::boxed(4, 1)).is_err(),
             "odd start"
         );
+    }
+
+    #[test]
+    fn boxed_tables_never_share_an_id() {
+        let (a, b) = (Table::boxed(1, 0), Table::boxed(1, 0));
+        assert_ne!(a.id, b.id);
+        assert!(a.id != GLOBAL.id && b.id != GLOBAL.id);
     }
 
     #[test]
@@ -627,10 +746,29 @@ mod tests {
         let before = m.read(&mut fp, 0).unwrap();
         m.plain_store(1, 7);
         assert_eq!(m.read(&mut fp, 1), Ok(7));
-        assert_eq!(fp.rv, m.table.clock(), "extended to the sample");
+        assert_eq!(fp.rv, m.table.clock(), "extended to the raised clock");
         assert_eq!(std::mem::take(&mut fp.validations), 1, "one extension");
         m.commit(&mut fp, &[(0, before + 7)]).unwrap();
         assert_eq!(m.value(0), 7);
+    }
+
+    #[test]
+    fn a_stripe_ahead_of_the_clock_raises_it() {
+        // Plain stores draw past the stripe, so a line written three times
+        // runs ahead of a clock nobody has raised.
+        let m = Mem::new(8, 0);
+        for v in 1..=3 {
+            m.plain_store(0, v);
+        }
+        assert_eq!((m.version(0), m.table.clock()), (6, 0));
+        let mut fp = m.begin();
+        assert_eq!(m.read(&mut fp, 0), Ok(3));
+        assert_eq!(
+            (fp.rv, m.table.clock()),
+            (6, 6),
+            "the extension raised the clock to the stripe and took it as rv"
+        );
+        assert_eq!(m.table.next_version(0), 8, "every later draw is past it");
     }
 
     #[test]
@@ -671,38 +809,49 @@ mod tests {
             versions
         );
         assert!(fp.locked.is_empty());
-        assert_eq!(fp.rv, m.table.clock(), "the drawn wv is kept for the retry");
 
         // A stripe somebody else holds fails the acquisition, and the
         // stripes taken before it are released again.
         fp.begin(fp.rv);
         m.table.try_lock(m.stripe(5), OTHER).unwrap();
-        let clock = m.table.clock();
         assert_eq!(
             m.commit(&mut fp, &[(0, 1), (5, 1)]),
             Err(AbortCode::Conflict)
         );
-        assert_eq!(m.table.clock(), clock, "no version drawn");
-        assert_eq!(m.table.load(m.stripe(0)), versions[0]);
-        assert_eq!(owner_of(m.table.load(m.stripe(5))), OTHER);
+        assert_eq!(m.version(0), versions[0]);
+        assert_eq!(owner_of(m.version(5)), OTHER);
     }
 
     #[test]
-    fn the_shortcut_skips_validation_only_when_nobody_else_committed() {
+    fn every_writing_commit_validates_and_carries_its_sample() {
         let m = Mem::new(8, 0);
         let mut fp = m.begin();
         m.read(&mut fp, 0).unwrap();
         m.commit(&mut fp, &[(1, 1)]).unwrap();
-        assert_eq!(std::mem::take(&mut fp.validations), 0, "wv == rv + 2");
-        assert_eq!(m.table.load(m.stripe(1)), fp.rv, "released at wv");
-
-        // An unrelated commit in between: validation runs, and passes.
-        fp.begin(fp.rv);
-        m.read(&mut fp, 0).unwrap();
-        m.plain_store(4, 1);
-        m.commit(&mut fp, &[(1, 2)]).unwrap();
-        assert_eq!(std::mem::take(&mut fp.validations), 1);
+        assert_eq!(std::mem::take(&mut fp.validations), 1, "no shortcut");
+        assert_eq!(m.version(1), 2, "released at wv");
+        assert_eq!(
+            (fp.rv, m.table.clock()),
+            (0, 0),
+            "carries the sample, not wv"
+        );
         assert!(m.all_unlocked());
+    }
+
+    #[test]
+    fn carried_wv_is_a_lost_update() {
+        // The plain store draws the very version the commit drew. Had the
+        // commit carried wv as its rv, the store's version would pass for
+        // one the next transaction had seen, and its update would be lost.
+        let m = Mem::new(8, 0);
+        let mut fp = m.begin();
+        m.commit(&mut fp, &[(0, 1)]).unwrap();
+        fp.begin(fp.rv);
+        let v = m.read(&mut fp, 1).unwrap();
+        m.plain_store(1, 10);
+        assert_eq!(m.version(1), m.version(0), "the same version, drawn twice");
+        assert_eq!(m.commit(&mut fp, &[(1, v + 1)]), Err(AbortCode::Conflict));
+        assert_eq!(m.value(1), 10, "no lost update");
     }
 
     #[test]
@@ -711,9 +860,13 @@ mod tests {
         let mut fp = m.begin();
         m.read(&mut fp, 0).unwrap();
         m.plain_store(0, 1); // even a stale read: serialized at rv
-        let clock = m.table.clock();
+        let versions: Vec<u64> = (0..8).map(|s| m.table.load(s)).collect();
         m.commit(&mut fp, &[]).unwrap();
-        assert_eq!(m.table.clock(), clock);
+        assert_eq!(
+            (0..8).map(|s| m.table.load(s)).collect::<Vec<_>>(),
+            versions
+        );
+        assert_eq!(m.table.clock(), 0);
     }
 
     #[test]
@@ -744,9 +897,94 @@ mod tests {
         );
     }
 
+    // ---- the own-write exemption ----------------------------------------
+
+    #[test]
+    fn own_writes_are_read_without_extension() {
+        let m = Mem::new(8, 0);
+        let mut fp = m.begin();
+        for i in 1..=3 {
+            fp.begin(fp.rv);
+            let v = m.read(&mut fp, 0).unwrap();
+            m.commit(&mut fp, &[(0, v + 1)]).unwrap();
+            assert_eq!((m.value(0), m.version(0)), (i, 2 * i));
+        }
+        assert_eq!(std::mem::take(&mut fp.validations), 3, "the commits only");
+        assert_eq!((fp.rv, m.table.clock()), (0, 0), "the clock never moved");
+    }
+
+    #[test]
+    fn a_stripe_outside_the_own_set_at_the_own_version_is_not_exempt() {
+        let m = Mem::new(8, 0);
+        let mut fp = m.begin();
+        m.commit(&mut fp, &[(0, 1)]).unwrap();
+        m.plain_store(1, 5);
+        assert_eq!(m.version(1), m.version(0));
+        fp.begin(fp.rv);
+        fp.validations = 0;
+        assert_eq!(m.read(&mut fp, 0), Ok(1));
+        assert_eq!(std::mem::take(&mut fp.validations), 0, "own write");
+        assert_eq!(m.read(&mut fp, 1), Ok(5));
+        assert_eq!(std::mem::take(&mut fp.validations), 1, "extended");
+        assert_eq!(fp.rv, 2);
+    }
+
+    #[test]
+    fn a_rewritten_own_stripe_loses_its_exemption() {
+        let m = Mem::new(8, 0);
+        let mut fp = m.begin();
+        m.commit(&mut fp, &[(0, 1)]).unwrap();
+        fp.begin(fp.rv);
+        let v = m.read(&mut fp, 0).unwrap();
+        // Another writer rewrites the stripe: still in the own set, no
+        // longer at the own version.
+        m.plain_store(0, 7);
+        assert_eq!(m.commit(&mut fp, &[(0, v + 1)]), Err(AbortCode::Conflict));
+        assert_eq!(m.value(0), 7, "no lost update");
+        fp.begin(fp.rv);
+        fp.validations = 0;
+        assert_eq!(m.read(&mut fp, 0), Ok(7));
+        assert_eq!(fp.validations, 1, "and a read extends over it");
+    }
+
+    #[test]
+    fn disjoint_committers_leave_the_clock_alone() {
+        let m = Mem::new(8, 10);
+        std::thread::scope(|s| {
+            for cell in [1, 2] {
+                let m = &m;
+                s.spawn(move || {
+                    let mut fp = m.begin();
+                    for _ in 0..10_000 {
+                        fp.begin(fp.rv);
+                        let v = m.read(&mut fp, cell).unwrap();
+                        m.commit(&mut fp, &[(cell, v + 1)]).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!((m.value(1), m.value(2)), (10_000, 10_000));
+        assert_eq!(m.table.clock(), 10, "no writing commit wrote the clock");
+    }
+
     // ---- clock wraparound: a table pinned two commits below u64::MAX ----
 
     const NEAR_WRAP: u64 = u64::MAX - 3; // even: 2^64 - 4
+
+    #[test]
+    fn draws_are_exact_across_the_wrap() {
+        assert_eq!(later(u64::MAX - 1, 0), 0, "0 is one draw past 2^64 - 2");
+        assert_eq!(later(0, u64::MAX - 1), 0);
+        assert_eq!(later(4, 6), 6);
+        let t = Table::boxed(4, NEAR_WRAP);
+        assert_eq!(t.next_version(0), 2, "a stripe past the wrap is ahead");
+        assert_eq!(
+            t.next_version(NEAR_WRAP - 2),
+            u64::MAX - 1,
+            "and an older one is not"
+        );
+        assert_eq!(t.next_version(u64::MAX - 1), 0, "the draw itself wraps");
+    }
 
     #[test]
     fn reads_and_extension_cross_the_wrap() {
@@ -754,11 +992,12 @@ mod tests {
         let mut fp = m.begin();
         assert_eq!(m.read(&mut fp, 0), Ok(0));
         m.plain_store(1, 1); // version 2^64 - 2
+        m.plain_store(2, 1);
         m.plain_store(2, 2); // version 0: wrapped
-        assert_eq!(m.table.clock(), 0);
+        assert_eq!((m.version(1), m.version(2)), (u64::MAX - 1, 0));
         // Both are newer than rv = 2^64 - 4, the wrapped one included.
         assert_eq!(m.read(&mut fp, 2), Ok(2));
-        assert_eq!(fp.rv, 0, "extended across the wrap");
+        assert_eq!((fp.rv, m.table.clock()), (0, 0), "extended across the wrap");
         assert_eq!(m.read(&mut fp, 1), Ok(1), "2^64 - 2 is not newer than 0");
         assert_eq!(std::mem::take(&mut fp.validations), 1);
 
@@ -779,9 +1018,9 @@ mod tests {
         let mut fp = m.begin();
         let v = m.read(&mut fp, 0).unwrap();
         m.plain_store(0, v + 1);
-        assert_eq!(m.table.clock(), 0, "clock wrapped");
+        assert_eq!(m.version(0), 0, "the stripe's version wrapped");
         assert_eq!(m.commit(&mut fp, &[(0, v + 1)]), Err(AbortCode::Conflict));
-        assert_eq!(fp.rv, 2);
+        assert_eq!(fp.rv, u64::MAX - 1);
         fp.begin(fp.rv);
         let v = m.read(&mut fp, 0).unwrap();
         m.commit(&mut fp, &[(0, v + 1)]).unwrap();
@@ -789,24 +1028,17 @@ mod tests {
     }
 
     #[test]
-    fn the_shortcut_holds_across_the_wrap() {
+    fn own_writes_stay_exempt_across_the_wrap() {
         let m = Mem::new(8, u64::MAX - 1);
         let mut fp = m.begin();
-        m.read(&mut fp, 0).unwrap();
-        m.commit(&mut fp, &[(1, 1)]).unwrap();
-        assert_eq!(fp.rv, 0, "wv wrapped to rv + 2");
-        assert_eq!(
-            std::mem::take(&mut fp.validations),
-            0,
-            "and still took the shortcut"
-        );
-        assert_eq!(m.table.load(m.stripe(1)), 0);
         for i in 1..=3 {
             fp.begin(fp.rv);
             let v = m.read(&mut fp, 1).unwrap();
             m.commit(&mut fp, &[(1, v + 1)]).unwrap();
-            assert_eq!((m.value(1), m.table.clock()), (1 + i, 2 * i));
+            assert_eq!((m.value(1), m.version(1)), (i, 2 * i - 2));
         }
+        assert_eq!(std::mem::take(&mut fp.validations), 3, "no extension");
+        assert_eq!(m.table.clock(), u64::MAX - 1);
     }
 
     // ---- one stripe for everything: total aliasing ----------------------
@@ -822,36 +1054,31 @@ mod tests {
         assert!(m.all_unlocked());
         assert_eq!(std::mem::take(&mut fp.validations), 1);
 
-        // The clock moved but the stripe did not: the self-locked stripe
-        // validates at its pre-lock version and the commit goes through.
+        // The retry extends over the store, and the self-locked stripe
+        // validates at its pre-lock version: the commit goes through.
         fp.begin(fp.rv);
         let x = m.read(&mut fp, 0).unwrap();
-        m.table.next_version();
         m.commit(&mut fp, &[(0, x + 1), (1, 10)]).unwrap();
-        assert_eq!(std::mem::take(&mut fp.validations), 1);
+        assert_eq!(std::mem::take(&mut fp.validations), 2, "extension, commit");
         assert_eq!((m.value(0), m.value(1)), (1, 10));
-        assert_eq!(m.table.load(0), fp.rv);
+        assert_eq!(m.table.load(0), 4);
     }
 
     // ---- the stripe set --------------------------------------------------
 
-    fn contains(s: &StripeSet, stripe: u32) -> bool {
-        s.iter().any(|m| m == stripe)
-    }
-
     #[test]
     fn stripe_set_insert_dedup_count() {
         let mut s = StripeSet::new();
-        assert!(s.is_empty());
+        assert!(s.is_empty() && !s.contains(0));
         assert!(s.insert(5));
         assert!(!s.insert(5));
         assert!(s.insert(9));
         assert!(s.insert(0), "stripe zero is representable");
         assert!(!s.insert(0));
         assert_eq!(s.len(), 3);
-        assert!(contains(&s, 5) && contains(&s, 9) && !contains(&s, 6));
+        assert!(s.contains(5) && s.contains(9) && s.contains(0) && !s.contains(6));
         s.clear();
-        assert!(s.is_empty() && !contains(&s, 5));
+        assert!(s.is_empty() && !s.contains(5));
         assert!(s.insert(5));
     }
 

@@ -14,10 +14,10 @@
 //! has: capacity limits, abort injection and the eager write check.
 //!
 //! 1. **Begin** — no shared access at all. The read-version `rv` is the
-//!    last clock value this thread observed (its own last commit version
-//!    `wv`, or its last snapshot extension; 0 on a fresh thread), carried
-//!    over in the thread's footprint. Optionally inject a spurious abort
-//!    (configurable rate).
+//!    last clock value this thread observed (the sample its last writing
+//!    commit drew at, or its last snapshot extension; 0 on a fresh
+//!    thread), carried over in the thread's footprint. Optionally inject a
+//!    spurious abort (configurable rate).
 //! 2. **Read barrier** — read own redo log first; otherwise
 //!    [`Table::read`](stripe::Table::read) through the cell's cache line:
 //!    abort on a locked stripe, extend the snapshot over an unlocked

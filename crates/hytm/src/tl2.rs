@@ -220,15 +220,40 @@ mod tests {
     }
 
     #[test]
-    fn writer_commit_advances_clock_by_two() {
+    fn writer_commit_leaves_the_clock_alone() {
         let tm = Tl2::new();
         let a = TxCell::new(1u64);
         let before = tm.clock();
         tm.execute(|ctx| ctx.write(&a, 2));
-        assert_eq!(tm.clock(), before + 2);
-        assert!(tm.clock().is_multiple_of(2));
-        // The written stripe carries the commit version.
+        assert_eq!(tm.clock(), before, "a commit only samples the clock");
+        // The written stripe carries the commit version, drawn past it.
         assert_eq!(tm.table.load(tm.stripe_for(&a)), before + 2);
+    }
+
+    #[test]
+    fn an_own_write_exemption_never_crosses_instances() {
+        // This thread's descriptor last committed on `a`'s stripe 0 at
+        // version 2; then a nested transaction releases `b`'s stripe 0 at
+        // that same version under the outer one's read. Taking it for the
+        // outer transaction's own write would lose the nested update.
+        let (a, b) = (Tl2::with_stripes(1), Tl2::with_stripes(1));
+        let (x, y) = (TxCell::new(0u64), TxCell::new(0u64));
+        a.execute(|ctx| ctx.write(&x, 1));
+        assert_eq!(a.table.load(0), 2);
+        let first = std::cell::Cell::new(true);
+        b.execute(|ctx| {
+            let v = ctx.read(&y);
+            if first.replace(false) {
+                b.execute(|inner| {
+                    let w = inner.read(&y);
+                    inner.write(&y, w + 1);
+                });
+                assert_eq!(b.table.load(0), 2);
+            }
+            ctx.write(&y, v + 1);
+        });
+        assert_eq!(y.read_plain(), 2, "no lost update");
+        assert!(b.stats().snapshot().sw_aborts >= 1);
     }
 
     #[test]
@@ -348,19 +373,23 @@ mod tests {
 
     #[test]
     fn wraparound_preserves_parity_and_commits() {
-        // Pin the clock two commits below wraparound and drive it across.
+        // Pin the stripes two commits below wraparound and drive one across.
         let tm = Tl2::starting_at(u64::MAX - 3); // even: 2^64 - 4
         let a = TxCell::new(0u64);
+        let stripe = tm.stripe_for(&a);
         for i in 1..=4u64 {
             tm.execute(|ctx| {
                 let v = ctx.read(&a);
                 ctx.write(&a, v + 1);
             });
             assert_eq!(a.read_plain(), i);
-            assert!(tm.clock().is_multiple_of(2), "clock stays even across wrap");
+            assert!(
+                tm.table.load(stripe).is_multiple_of(2),
+                "versions stay even across wrap"
+            );
         }
-        // (2^64 - 4) + 4*2 wraps to 4.
-        assert_eq!(tm.clock(), 4);
+        // (2^64 - 4) + 4*2 wraps to 4; the clock was only ever sampled.
+        assert_eq!((tm.table.load(stripe), tm.clock()), (4, u64::MAX - 3));
     }
 
     #[test]
@@ -374,12 +403,12 @@ mod tests {
         tm.execute(|ctx| {
             let v = ctx.read(&x); // rv = 2^64 - 2
             if first.replace(false) {
-                // Conflicting commit wraps the clock to 0.
+                // Conflicting commit draws a version past the wrap: 0.
                 tm.execute(|inner| {
                     let w = inner.read(&x);
                     inner.write(&x, w + 1);
                 });
-                assert_eq!(tm.clock(), 0, "clock wrapped");
+                assert_eq!(tm.table.load(tm.stripe_for(&x)), 0, "version wrapped");
             }
             ctx.write(&x, v + 1);
         });

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, the full test suite, clippy, rtle-check, the
-# seeded mutants, the fuzz campaign, the checked-in figures and the
-# benchmark harness's self-tests. Every check of a document a binary
-# writes is a cargo test (the binaries themselves are driven by
-# crates/bench/tests/cli.rs); what is left here is what only a shell can
-# hold: exit codes, wall-clock budgets, and builds under other features.
+# seeded mutants, the fuzz campaign, real RTM where it commits, the
+# checked-in figures and the benchmark harness's self-tests. Every check
+# of a document a binary writes is a cargo test (the binaries themselves
+# are driven by crates/bench/tests/cli.rs); what is left here is what only
+# a shell can hold: exit codes, wall-clock budgets, and builds under other
+# features.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,13 +87,15 @@ stage "rtle-check (seven static passes + interleaving model)"
 # `model::judge`) over every `impl Machine`, which must verify every safe
 # configuration — two row families: the TLE machine's eight (`tle-*`,
 # `rwtle-*`, `fgtle-*`; its choice of rung is the runtime's
-# `RetryPolicy::next_step`) and the versioned-lock protocol's six
-# (`swhtm-*`: cached rv + snapshot extension, what `Tl2` and the emulated
-# HTM run) — and catch its three seeded mutants: `tle-lazyunsafe-mutant`
-# (unsafe lazy subscription), `tl2-stale-read-mutant` (skipped commit-time
-# revalidation) and `swhtm-validate-first-mutant` (the extension that
-# validates before it samples). Every row's counts are pinned by
-# crates/check/tests/golden/model_rows.txt.
+# `RetryPolicy::next_step`) and the versioned-lock protocol's seven
+# (`swhtm-*`: cached rv, snapshot extension as the clock's only writer,
+# the own-write exemption — what `Tl2` and the emulated HTM run) — and
+# catch its four seeded mutants: `tle-lazyunsafe-mutant` (unsafe lazy
+# subscription), `tl2-stale-read-mutant` (skipped commit-time
+# revalidation), `swhtm-validate-first-mutant` (the extension that
+# validates before it raises the clock) and `swhtm-carry-wv-mutant` (a
+# commit that carries its drawn version instead of its clock sample).
+# Every row's counts are pinned by crates/check/tests/golden/model_rows.txt.
 cargo run -p rtle-check --release
 
 stage "rtle-check lint + analyze budget"
@@ -124,12 +127,16 @@ cargo check -q -p rtle-shard --features mutant-lock-order
 cargo check -q -p rtle-htm --features mutant-publication
 
 stage "seeded protocol mutant must fail the storms"
-# The stale-read mutant lives where the `wv == rv + 2` shortcut does, in
+# The stale-read mutant skips the commit-time read-set validation in
 # rtle-htm's versioned-lock protocol, so it breaks both instances. It is
 # *run*, not just type-checked: one oracle-checked storm per instance must
-# exit non-zero under it (each caught it 20/20 in release on a 2-core
-# box). What the model explorer and the pinned fuzz seed catch is the
-# model's copy of the bug; this stage is the check on the code's.
+# exit non-zero under it (each caught it in every run in release on a
+# 2-core box). What the model explorer and the pinned fuzz seed catch is
+# the model's copy of the bug; this stage is the check on the code's. The
+# storms are blind to some protocol bugs — a commit that carries its
+# drawn version instead of its clock sample passes both — so each rule of
+# the clock is also pinned by a deterministic unit test in
+# crates/htm/src/stripe.rs and crates/hytm/src/tl2.rs.
 mutant_must_fail() {
     # It must build (a compile error is not a catch), then fail.
     cargo test --release -q --features "$1" -p "$2" --test "$3" --no-run
@@ -156,10 +163,26 @@ grep -q '"tool":"rtle-fuzz"' "$fuzz_json" || { echo "fuzz json missing"; exit 1;
 # The export must list every seeded mutant as caught: a `mutant_fitness`
 # entry is a hunt report, and a caught mutant is one that is not clean
 # (the writer sorts keys, so `clean` sits right before `config`).
-for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-mutant; do
+for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-mutant \
+    swhtm-carry-wv-mutant; do
     grep -q "\"clean\":false,\"config\":\"$mutant\"" "$fuzz_json" \
         || { echo "fuzz json: $mutant not reported as caught"; exit 1; }
 done
+
+stage "real RTM (hardware in the loop)"
+# Where the CPU commits hardware transactions, the elision runtimes run on
+# real `xbegin`/`xend`: rtle-core's suite under the `rtm` feature, whose
+# `tests/rtm_real.rs` drives genuine hardware commits. Elsewhere (no TSX,
+# or TSX force-aborted by microcode) this stage prints a loud SKIP and
+# never fails. `rtm_probe` tries 1000 one-line transactions.
+probe="$(cargo run -q --release -p rtle-htm --features rtm --example rtm_probe)"
+echo "$probe"
+rtm_commits="$(echo "$probe" | sed -n 's/^commits=\([0-9]*\) .*/\1/p')"
+if [ "${rtm_commits:-0}" -gt 0 ]; then
+    cargo_test --release -q -p rtle-core --features rtm
+else
+    echo "!!! SKIP: no RTM transaction commits on this machine — the rtm suite did NOT run !!!"
+fi
 
 stage "results reproduce"
 # The simulator is deterministic and results/README.md promises the
