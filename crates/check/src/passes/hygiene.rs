@@ -27,6 +27,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "htm/src/table.rs",
     "hytm/src/norec.rs",
     "hytm/src/tl2.rs",
+    // Every batched op is grouped and run through here.
+    "shard/src/batch.rs",
     "shard/src/map.rs",
     "shard/src/sharded.rs",
 ];

@@ -61,7 +61,11 @@ stage "tests"
 # Includes tests/fast_path_sharing.rs (counter-lane/clock/recorder-lane
 # layout, lane books vs per-thread ground truth), the htm zombie hunt, the
 # software rung's allocation gate (crates/core/tests/software_rung_allocs.rs:
-# a warm rung allocates nothing) and tests/one_software_rung.rs, the
+# a warm rung allocates nothing) and the sharded map's
+# (crates/shard/tests/call_allocs.rs: a warm execute_batch allocates only
+# its result, a cross-shard transfer or compare_and_swap_pair nothing), so
+# a per-call allocation on either path fails here,
+# tests/one_software_rung.rs, the
 # recorder overhead gates of crates/bench/tests/overhead.rs (sampled:
 # 2.5 x bare + 50 ns; every operation: bare + 200 ns), and
 # crates/bench/tests/cli.rs, which runs the real
