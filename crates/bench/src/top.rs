@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rtle_obs::event::OUTCOME_LABELS;
+use rtle_htm::AbortCode;
 use rtle_obs::{Json, WindowSnapshot, PATH_LABELS, SCHEMA_VERSION};
 
 /// One `diag top` session.
@@ -111,7 +111,7 @@ fn render_commits(out: &mut String, src: &Json) {
 fn render_recorder(out: &mut String, src: &Json) {
     use std::fmt::Write as _;
     render_commits(out, src);
-    let aborts: Vec<(&str, u64)> = OUTCOME_LABELS[1..]
+    let aborts: Vec<(&str, u64)> = AbortCode::LABELS
         .iter()
         .map(|label| (*label, counter(src, &format!("aborts_{label}"))))
         .filter(|(_, n)| *n > 0)

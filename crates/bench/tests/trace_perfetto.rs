@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use rtle_obs::trace::{records_from_chrome_json, to_chrome_json, validate_chrome};
-use rtle_obs::{parse_json, Json, ObsConfig, Outcome, PathKind, Recorder};
+use rtle_obs::{parse_json, Json, ObsConfig, PathKind, Recorder};
 use rtle_sim::{Access, CostModel, Engine, OpSpec, RunMode, SimMethod, Workload};
 
 /// Thread 0 is HTM-hostile (locks every op); the others run disjoint
@@ -128,9 +128,9 @@ fn eight_thread_fg_tle_trace_loads_in_perfetto_shape() {
     // (d) A lock-holder span overlaps a committed slow-path span from a
     // different thread.
     let spans_on = |path| {
-        let on_path = records.iter().filter(move |r| {
-            r.attempt().map(|a| (a.path, a.outcome)) == Some((path, Outcome::Commit))
-        });
+        let on_path = records
+            .iter()
+            .filter(move |r| r.attempt().map(|a| (a.path, a.abort)) == Some((path, None)));
         on_path.collect::<Vec<_>>()
     };
     let lock_spans = spans_on(PathKind::Lock);

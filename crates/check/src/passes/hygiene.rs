@@ -17,6 +17,8 @@ use crate::syntax::ParsedFile;
 pub const HOT_PATH_FILES: &[&str] = &[
     "core/src/elidable.rs",
     "core/src/orec.rs",
+    // Every attempt's ending is classified here.
+    "htm/src/abort.rs",
     "htm/src/swhtm.rs",
     // Every read, extension and commit of both the emulated HTM and TL2.
     "htm/src/stripe.rs",
@@ -27,6 +29,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "htm/src/table.rs",
     "hytm/src/norec.rs",
     "hytm/src/tl2.rs",
+    // Every recorded attempt is counted here.
+    "obs/src/lane.rs",
     // Every batched op is grouped and run through here.
     "shard/src/batch.rs",
     "shard/src/map.rs",

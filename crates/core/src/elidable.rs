@@ -22,8 +22,8 @@ use rtle_htm::wait::backoff_until;
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
 use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_obs::{
-    commit_counters, AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, Outcome, PathKind,
-    RecordKind, Recorder, SourceSnapshot,
+    commit_counters, AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, PathKind, RecordKind,
+    Recorder, SourceSnapshot,
 };
 
 use crate::abort_codes;
@@ -119,10 +119,10 @@ impl Rec<'_> {
     /// Records the attempt that began at `started` and ends now: the one
     /// clock read here yields its latency, and `started` its timestamp.
     #[inline]
-    fn attempt(&self, path: PathKind, outcome: Outcome, attempt: u32, started: Instant) {
+    fn attempt(&self, path: PathKind, abort: Option<AbortCode>, attempt: u32, started: Instant) {
         let ev = AttemptEvent {
             path,
-            outcome,
+            abort,
             attempt: attempt.min(u8::MAX as u32) as u8,
             latency: started.elapsed().as_nanos() as u64,
         };
@@ -442,18 +442,13 @@ impl<B: HtmBackend> ElidableLock<B> {
         attempt: u32,
         sampled: Option<(Rec<'_>, Instant)>,
     ) {
-        let observed = match outcome {
-            Ok(_) => {
-                self.stats.record_commit(path);
-                Outcome::Commit
-            }
-            Err(code) => {
-                self.stats.record_abort(path, *code);
-                Outcome::from_abort(*code)
-            }
-        };
+        let abort = outcome.as_ref().err().copied();
+        match abort {
+            None => self.stats.record_commit(path),
+            Some(code) => self.stats.record_abort(path, code),
+        }
         if let Some((rc, t0)) = sampled {
-            rc.attempt(path, observed, attempt, t0);
+            rc.attempt(path, abort, attempt, t0);
         }
     }
 
@@ -670,7 +665,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         loop {
             if let Some(r) = self.software_attempt(&phase, cs) {
                 if let Some((rc, t0)) = sampled {
-                    rc.attempt(PathKind::Stm, Outcome::Commit, prior_attempts, t0);
+                    rc.attempt(PathKind::Stm, None, prior_attempts, t0);
                 }
                 return r;
             }
@@ -778,7 +773,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         let r = cs(&section.ctx);
         if let Some(rc) = rec {
             // The holding window: also the recorder's lock-hold sample.
-            rc.attempt(PathKind::Lock, Outcome::Commit, prior_attempts, section.t0);
+            rc.attempt(PathKind::Lock, None, prior_attempts, section.t0);
         }
         r
     }

@@ -16,21 +16,18 @@ const COMMITS: usize = 1;
 const FAST_ABORTS: usize = 5;
 const _: () = assert!(FAST_ABORTS == COMMITS + PATHS);
 const SLOW_ABORTS: usize = 6;
-const ABORTS_CONFLICT: usize = 7;
-const ABORTS_CAPACITY: usize = 8;
-const ABORTS_EXPLICIT: usize = 9;
-const ABORTS_UNSUPPORTED: usize = 10;
-const ABORTS_OTHER: usize = 11;
 /// Aborts reported against a path that cannot abort at this level — a
 /// caller bug (the pessimistic path completes in one attempt; a software
 /// backend retries internally and keeps its own abort books), but counted
 /// rather than silently dropped so release-build misuse is observable.
-const LOCK_PATH_ABORTS: usize = 12;
-const TIME_LOCKED_NS: usize = 13;
-/// Explicit aborts broken down by runtime code: `ABORTS_BY_CODE + c` for
-/// `c` in `crate::abort_codes::*`, 0..8.
-const ABORTS_BY_CODE: usize = 14;
-const COUNTERS: usize = ABORTS_BY_CODE + 8;
+const LOCK_PATH_ABORTS: usize = 7;
+const TIME_LOCKED_NS: usize = 8;
+/// Aborts per class: `ABORTS + AbortCode::index()`.
+const ABORTS: usize = 9;
+/// Explicit aborts broken down by runtime code: `ABORTS_BY_CODE + b` for
+/// the code's `AbortCode::explicit_bucket` `b` (`crate::abort_codes::*`).
+const ABORTS_BY_CODE: usize = ABORTS + AbortCode::KINDS;
+const COUNTERS: usize = ABORTS_BY_CODE + AbortCode::EXPLICIT_CODES;
 
 /// Relaxed counters attached to one [`crate::ElidableLock`], kept in
 /// per-thread lanes: counting an operation writes no line another running
@@ -70,21 +67,10 @@ impl ExecStats {
             },
             1,
         );
-        lane.add(
-            match code {
-                AbortCode::Conflict => ABORTS_CONFLICT,
-                AbortCode::Capacity => ABORTS_CAPACITY,
-                AbortCode::Explicit(c) => {
-                    if c < 8 {
-                        lane.add(ABORTS_BY_CODE + c as usize, 1);
-                    }
-                    ABORTS_EXPLICIT
-                }
-                AbortCode::Unsupported => ABORTS_UNSUPPORTED,
-                AbortCode::Nested | AbortCode::Spurious => ABORTS_OTHER,
-            },
-            1,
-        );
+        lane.add(ABORTS + code.index(), 1);
+        if let Some(bucket) = code.explicit_bucket() {
+            lane.add(ABORTS_BY_CODE + bucket, 1);
+        }
     }
 
     #[inline]
@@ -107,6 +93,7 @@ impl ExecStats {
     /// Consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         let c = self.lanes.sums();
+        let aborts = |code: AbortCode| c[ABORTS + code.index()];
         StatsSnapshot {
             ops: c[OPS],
             fast_commits: c[COMMITS + PathKind::FastHtm.index()],
@@ -115,11 +102,11 @@ impl ExecStats {
             lock_acquisitions: c[COMMITS + PathKind::Lock.index()],
             fast_aborts: c[FAST_ABORTS],
             slow_aborts: c[SLOW_ABORTS],
-            aborts_conflict: c[ABORTS_CONFLICT],
-            aborts_capacity: c[ABORTS_CAPACITY],
-            aborts_explicit: c[ABORTS_EXPLICIT],
-            aborts_unsupported: c[ABORTS_UNSUPPORTED],
-            aborts_other: c[ABORTS_OTHER],
+            aborts_conflict: aborts(AbortCode::Conflict),
+            aborts_capacity: aborts(AbortCode::Capacity),
+            aborts_explicit: aborts(AbortCode::Explicit(0)),
+            aborts_unsupported: aborts(AbortCode::Unsupported),
+            aborts_other: aborts(AbortCode::Nested) + aborts(AbortCode::Spurious),
             aborts_by_code: std::array::from_fn(|i| c[ABORTS_BY_CODE + i]),
             lock_path_aborts: c[LOCK_PATH_ABORTS],
             time_locked: Duration::from_nanos(c[TIME_LOCKED_NS]),
@@ -156,8 +143,10 @@ pub struct StatsSnapshot {
     pub aborts_unsupported: u64,
     /// Nested/spurious aborts.
     pub aborts_other: u64,
-    /// Explicit aborts by runtime code (index = `crate::abort_codes::*`).
-    pub aborts_by_code: [u64; 8],
+    /// Explicit aborts by runtime code (index = `crate::abort_codes::*`);
+    /// a code at or past [`AbortCode::EXPLICIT_CODES`] counts only in
+    /// `aborts_explicit`.
+    pub aborts_by_code: [u64; AbortCode::EXPLICIT_CODES],
     /// Aborts misreported against the pessimistic path (always 0 unless a
     /// caller violates the recording contract; see `ExecStats`).
     pub lock_path_aborts: u64,
@@ -286,6 +275,29 @@ mod tests {
         assert_eq!(snap.aborts_explicit, 1);
         assert_eq!(snap.time_locked, Duration::from_micros(5));
         assert!(snap.taken_at_ns > 0, "snapshots stamp the process epoch");
+    }
+
+    #[test]
+    fn aborts_are_booked_by_class_and_low_explicit_code() {
+        let s = ExecStats::new();
+        for code in [
+            AbortCode::Explicit(4),
+            AbortCode::Explicit(34),
+            AbortCode::Nested,
+            AbortCode::Spurious,
+            AbortCode::Unsupported,
+            AbortCode::Capacity,
+        ] {
+            s.record_abort(PathKind::FastHtm, code);
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.aborts_explicit, 2);
+        let mut by_code = [0; AbortCode::EXPLICIT_CODES];
+        by_code[4] = 1;
+        assert_eq!(snap.aborts_by_code, by_code, "code 34 has no bucket");
+        assert_eq!(snap.aborts_other, 2, "nested + spurious");
+        assert_eq!((snap.aborts_unsupported, snap.aborts_capacity), (1, 1));
+        assert_eq!((snap.fast_aborts, snap.aborts_conflict), (6, 0));
     }
 
     #[test]

@@ -12,13 +12,9 @@ use crate::lanes::{Lane, Lanes};
 
 const STARTS: usize = 0;
 const COMMITS: usize = 1;
-const ABORT_CONFLICT: usize = 2;
-const ABORT_CAPACITY: usize = 3;
-const ABORT_EXPLICIT: usize = 4;
-const ABORT_UNSUPPORTED: usize = 5;
-const ABORT_NESTED: usize = 6;
-const ABORT_SPURIOUS: usize = 7;
-const COUNTERS: usize = 8;
+/// Aborts per class: `ABORTS + AbortCode::index()`.
+const ABORTS: usize = 2;
+const COUNTERS: usize = ABORTS + AbortCode::KINDS;
 
 static EVENTS: Lanes<COUNTERS> = Lanes::new();
 
@@ -54,15 +50,16 @@ impl HtmStats {
     /// Reads the current counter values.
     pub fn snapshot() -> Self {
         let c = EVENTS.sums();
+        let aborts = |code: AbortCode| c[ABORTS + code.index()];
         HtmStats {
             starts: c[STARTS],
             commits: c[COMMITS],
-            aborts_conflict: c[ABORT_CONFLICT],
-            aborts_capacity: c[ABORT_CAPACITY],
-            aborts_explicit: c[ABORT_EXPLICIT],
-            aborts_unsupported: c[ABORT_UNSUPPORTED],
-            aborts_nested: c[ABORT_NESTED],
-            aborts_spurious: c[ABORT_SPURIOUS],
+            aborts_conflict: aborts(AbortCode::Conflict),
+            aborts_capacity: aborts(AbortCode::Capacity),
+            aborts_explicit: aborts(AbortCode::Explicit(0)),
+            aborts_unsupported: aborts(AbortCode::Unsupported),
+            aborts_nested: aborts(AbortCode::Nested),
+            aborts_spurious: aborts(AbortCode::Spurious),
         }
     }
 
@@ -102,18 +99,7 @@ pub(crate) fn record_start(lane: Lane<'_, COUNTERS>) {
 /// Counts how one started attempt ended: a commit, or an abort with a code.
 #[inline]
 pub(crate) fn record_end(lane: Lane<'_, COUNTERS>, abort: Option<AbortCode>) {
-    lane.add(
-        match abort {
-            None => COMMITS,
-            Some(AbortCode::Conflict) => ABORT_CONFLICT,
-            Some(AbortCode::Capacity) => ABORT_CAPACITY,
-            Some(AbortCode::Explicit(_)) => ABORT_EXPLICIT,
-            Some(AbortCode::Unsupported) => ABORT_UNSUPPORTED,
-            Some(AbortCode::Nested) => ABORT_NESTED,
-            Some(AbortCode::Spurious) => ABORT_SPURIOUS,
-        },
-        1,
-    );
+    lane.add(abort.map_or(COMMITS, |code| ABORTS + code.index()), 1);
 }
 
 #[cfg(test)]

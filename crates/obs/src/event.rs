@@ -1,5 +1,8 @@
-//! The recording vocabulary: the four paths of the ladder, how an
-//! attempt can end, and what the adaptive policy can decide.
+//! The recording vocabulary: the four paths of the ladder and what the
+//! adaptive policy can decide. How an attempt ended is not a vocabulary
+//! of this crate: it is an `Option<AbortCode>` (`None`: committed), and
+//! [`AbortCode`] in `rtle_htm` is the workspace's one table of abort
+//! classes, labels and explicit-code buckets.
 //!
 //! An [`AttemptEvent`] describes the outcome of one pass through
 //! `ElidableLock::execute`'s retry machinery: which path ran, how it
@@ -30,10 +33,9 @@ pub enum PathKind {
 
 /// Number of execution paths.
 pub const PATHS: usize = 4;
-/// Number of outcome kinds ([`Outcome::Commit`] is kind 0).
-pub const OUTCOMES: usize = 7;
-/// Explicit-abort protocol codes counted separately (code mod 8).
-pub const EXPLICIT_CODES: usize = 8;
+/// The `"outcome"` export label of a committed attempt; an aborted one
+/// carries its [`AbortCode::label`].
+const COMMIT_LABEL: &str = "commit";
 
 /// Stable lowercase path labels used in every export, in
 /// [`PathKind::index`] order.
@@ -47,18 +49,6 @@ pub fn commit_counters(commits: [u64; PATHS]) -> impl Iterator<Item = (String, u
         .zip(commits)
         .map(|(label, n)| (format!("commits_{label}"), n))
 }
-
-/// Stable lowercase outcome labels used in every export, in
-/// [`Outcome::index`] order (slot 0, "commit", is never an abort label).
-pub const OUTCOME_LABELS: [&str; OUTCOMES] = [
-    "commit",
-    "conflict",
-    "capacity",
-    "explicit",
-    "unsupported",
-    "nested",
-    "spurious",
-];
 
 impl PathKind {
     /// Every path, in [`Self::index`] order.
@@ -87,99 +77,13 @@ impl PathKind {
     }
 }
 
-/// How an attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// The attempt committed.
-    Commit,
-    /// Aborted on a data conflict.
-    AbortConflict,
-    /// Aborted on read/write capacity exhaustion.
-    AbortCapacity,
-    /// Explicit abort with the runtime's protocol code (lock held,
-    /// write-flag set, orec conflict, ...).
-    AbortExplicit(u8),
-    /// Aborted on an HTM-unfriendly instruction.
-    AbortUnsupported,
-    /// Aborted on illegal nesting.
-    AbortNested,
-    /// Spurious (microarchitectural) abort.
-    AbortSpurious,
-}
-
-impl Outcome {
-    /// The outcome for a given backend abort code.
-    pub fn from_abort(code: AbortCode) -> Outcome {
-        match code {
-            AbortCode::Conflict => Outcome::AbortConflict,
-            AbortCode::Capacity => Outcome::AbortCapacity,
-            AbortCode::Explicit(c) => Outcome::AbortExplicit(c),
-            AbortCode::Unsupported => Outcome::AbortUnsupported,
-            AbortCode::Nested => Outcome::AbortNested,
-            AbortCode::Spurious => Outcome::AbortSpurious,
-        }
-    }
-
-    /// `true` for [`Outcome::Commit`].
-    pub fn is_commit(self) -> bool {
-        matches!(self, Outcome::Commit)
-    }
-
-    /// Position in every per-outcome table: the abort counter arrays,
-    /// [`OUTCOME_LABELS`] and the packed record's outcome field.
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            Outcome::Commit => 0,
-            Outcome::AbortConflict => 1,
-            Outcome::AbortCapacity => 2,
-            Outcome::AbortExplicit(_) => 3,
-            Outcome::AbortUnsupported => 4,
-            Outcome::AbortNested => 5,
-            Outcome::AbortSpurious => 6,
-        }
-    }
-
-    /// Stable lowercase label used in JSON exports ("commit",
-    /// "conflict", "explicit", ...).
-    pub fn label(self) -> &'static str {
-        OUTCOME_LABELS[self.index()]
-    }
-
-    /// The outcome for an export label (inverse of [`Self::label`]);
-    /// "explicit" comes back with protocol code 0.
-    pub fn from_label(label: &str) -> Option<Outcome> {
-        let kind = OUTCOME_LABELS.iter().position(|&l| l == label)?;
-        Some(Outcome::from_codes(kind as u64, 0))
-    }
-
-    pub(crate) fn explicit_code(self) -> u64 {
-        match self {
-            Outcome::AbortExplicit(c) => c as u64,
-            _ => 0,
-        }
-    }
-
-    pub(crate) fn from_codes(kind: u64, explicit: u8) -> Outcome {
-        match kind {
-            0 => Outcome::Commit,
-            1 => Outcome::AbortConflict,
-            2 => Outcome::AbortCapacity,
-            3 => Outcome::AbortExplicit(explicit),
-            4 => Outcome::AbortUnsupported,
-            5 => Outcome::AbortNested,
-            _ => Outcome::AbortSpurious,
-        }
-    }
-}
-
 /// One attempt-level event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptEvent {
     /// Path the attempt ran on.
     pub path: PathKind,
-    /// How it ended.
-    pub outcome: Outcome,
+    /// How it ended: `None` if it committed, else why it aborted.
+    pub abort: Option<AbortCode>,
     /// Zero-based attempt index within the operation (saturates at 255).
     pub attempt: u8,
     /// Duration of the attempt's critical section, in the recorder's
@@ -193,11 +97,14 @@ impl AttemptEvent {
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("path", Json::Str(self.path.label().into())),
-            ("outcome", Json::Str(self.outcome.label().into())),
+            (
+                "outcome",
+                Json::Str(self.abort.map_or(COMMIT_LABEL, AbortCode::label).into()),
+            ),
             ("attempt", Json::UInt(self.attempt as u64)),
             ("latency", Json::UInt(self.latency)),
         ];
-        if let Outcome::AbortExplicit(c) = self.outcome {
+        if let Some(AbortCode::Explicit(c)) = self.abort {
             pairs.push(("abort_code", Json::UInt(c as u64)));
         }
         Json::obj(pairs)
@@ -206,15 +113,20 @@ impl AttemptEvent {
     /// Rebuilds an event from [`Self::to_json`] output; `None` on shape
     /// mismatch.
     pub fn from_json(j: &Json) -> Option<AttemptEvent> {
-        let outcome = match Outcome::from_label(j.get("outcome")?.as_str()?)? {
-            Outcome::AbortExplicit(_) => {
-                Outcome::AbortExplicit(j.get("abort_code")?.as_u64()? as u8)
+        let abort = match j.get("outcome")?.as_str()? {
+            COMMIT_LABEL => None,
+            label => {
+                let index = AbortCode::LABELS.iter().position(|&l| l == label)?;
+                let mut code = AbortCode::from_index(index, 0)?;
+                if let AbortCode::Explicit(c) = &mut code {
+                    *c = j.get("abort_code")?.as_u64()? as u8;
+                }
+                Some(code)
             }
-            other => other,
         };
         Some(AttemptEvent {
             path: PathKind::from_label(j.get("path")?.as_str()?)?,
-            outcome,
+            abort,
             attempt: j.get("attempt")?.as_u64()? as u8,
             latency: j.get("latency")?.as_u64()?,
         })
@@ -311,37 +223,40 @@ mod tests {
             assert_eq!(p.index(), i);
             assert_eq!(PathKind::from_label(p.label()), Some(p));
         }
-        for (i, &label) in OUTCOME_LABELS.iter().enumerate() {
-            let o = Outcome::from_label(label).expect("every label has an outcome");
-            assert_eq!((o.index(), o.label()), (i, label));
-        }
-        assert_eq!(
-            Outcome::from_label("explicit"),
-            Some(Outcome::AbortExplicit(0))
-        );
         for a in AdaptAction::ALL {
             assert_eq!(AdaptAction::from_label(a.label()), Some(a));
         }
         assert_eq!(PathKind::from_label("bogus"), None);
-        assert_eq!(Outcome::from_label("bogus"), None);
         assert_eq!(AdaptAction::from_label("bogus"), None);
-        let ev = AttemptEvent {
-            path: PathKind::SlowHtm,
-            outcome: Outcome::AbortExplicit(6),
-            attempt: 4,
-            latency: 99,
-        };
-        assert_eq!(AttemptEvent::from_json(&ev.to_json()), Some(ev));
     }
 
     #[test]
-    fn abort_mapping_matches_backend_codes() {
-        assert_eq!(
-            Outcome::from_abort(AbortCode::Explicit(4)),
-            Outcome::AbortExplicit(4)
-        );
-        assert_eq!(Outcome::from_abort(AbortCode::Conflict).label(), "conflict");
-        assert!(!Outcome::from_abort(AbortCode::Capacity).is_commit());
-        assert!(Outcome::Commit.is_commit());
+    fn every_ending_round_trips_under_its_export_label() {
+        let ends =
+            std::iter::once(None).chain((0..AbortCode::KINDS).map(|i| AbortCode::from_index(i, 6)));
+        for abort in ends {
+            let ev = AttemptEvent {
+                path: PathKind::SlowHtm,
+                abort,
+                attempt: 4,
+                latency: 99,
+            };
+            let j = ev.to_json();
+            let label = abort.map_or("commit", AbortCode::label);
+            assert_eq!(j.get("outcome").and_then(Json::as_str), Some(label));
+            assert_eq!(AttemptEvent::from_json(&j), Some(ev));
+        }
+        let explicit = AttemptEvent {
+            path: PathKind::Lock,
+            abort: Some(AbortCode::Explicit(255)),
+            attempt: 0,
+            latency: 1,
+        };
+        let mut j = explicit.to_json();
+        assert_eq!(j.get("abort_code").and_then(Json::as_u64), Some(255));
+        if let Json::Obj(m) = &mut j {
+            m.insert("outcome".into(), Json::Str("bogus".into()));
+        }
+        assert_eq!(AttemptEvent::from_json(&j), None);
     }
 }

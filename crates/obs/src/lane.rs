@@ -10,18 +10,25 @@
 //! telemetry window is the difference of two readings of them
 //! ([`crate::window`]). The lane's segment of the record ring is
 //! [`crate::ring::Ring`]'s, selected by the same key.
+//!
+//! Commits are counted per [`PathKind::index`], aborts per
+//! [`AbortCode::index`], and explicit aborts also per
+//! [`AbortCode::explicit_bucket`] — the one vocabulary every abort
+//! counter of the workspace indexes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::{AttemptEvent, Outcome, PathKind, EXPLICIT_CODES, OUTCOMES, PATHS};
+use rtle_htm::AbortCode;
+
+use crate::event::{AttemptEvent, PathKind, PATHS};
 use crate::hist::Histogram;
 use crate::window::WindowCounts;
 
 /// One thread's recording state. See the module docs.
 pub(crate) struct Lane {
     commits: [AtomicU64; PATHS],
-    aborts: [AtomicU64; OUTCOMES],
-    explicit: [AtomicU64; EXPLICIT_CODES],
+    aborts: [AtomicU64; AbortCode::KINDS],
+    explicit: [AtomicU64; AbortCode::EXPLICIT_CODES],
     /// Critical-section latency of committed attempts.
     pub cs_latency: Histogram,
     /// Time the fallback lock was held per acquisition: the latency of
@@ -49,14 +56,14 @@ impl Lane {
 
     /// Counts one attempt event, once: the path's commit counter and the
     /// critical-section and retry histograms (and, under the lock, the
-    /// hold time) on commit, the outcome's abort counter (and the
-    /// protocol code's) otherwise.
+    /// hold time) on commit, the abort's class counter (and its explicit
+    /// code's bucket, if it has one) otherwise.
     #[inline]
     pub fn count(&self, ev: AttemptEvent) {
         // ordering: monotonic statistics counters, no synchronization
         // role; exact once the recording threads are quiet.
-        match ev.outcome {
-            Outcome::Commit => {
+        match ev.abort {
+            None => {
                 self.commits[ev.path.index()].fetch_add(1, Ordering::Relaxed);
                 self.cs_latency.record(ev.latency);
                 self.retries.record(ev.attempt as u64);
@@ -64,10 +71,10 @@ impl Lane {
                     self.lock_hold.record(ev.latency);
                 }
             }
-            abort => {
-                self.aborts[abort.index()].fetch_add(1, Ordering::Relaxed);
-                if let Outcome::AbortExplicit(code) = abort {
-                    self.explicit[code as usize % EXPLICIT_CODES].fetch_add(1, Ordering::Relaxed);
+            Some(code) => {
+                self.aborts[code.index()].fetch_add(1, Ordering::Relaxed);
+                if let Some(bucket) = code.explicit_bucket() {
+                    self.explicit[bucket].fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -107,28 +114,35 @@ mod tests {
     #[test]
     fn an_event_is_counted_once_on_the_lane_its_key_selects() {
         let lanes = PerLane::new(Lane::new);
-        let on = |path, outcome| AttemptEvent {
+        let on = |path, abort| AttemptEvent {
             path,
-            outcome,
+            abort,
             attempt: 2,
             latency: 70,
         };
-        let ev = |outcome| on(PathKind::SlowHtm, outcome);
-        lanes.of(3).count(ev(Outcome::Commit));
+        let ev = |abort| on(PathKind::SlowHtm, abort);
+        lanes.of(3).count(ev(None));
         lanes
             .of(3 + LANES as u64)
-            .count(ev(Outcome::AbortExplicit(12)));
-        lanes.of(4).count(ev(Outcome::AbortNested));
+            .count(ev(Some(AbortCode::Explicit(5))));
+        lanes
+            .of(3 + LANES as u64)
+            .count(ev(Some(AbortCode::Explicit(12))));
+        lanes.of(4).count(ev(Some(AbortCode::Nested)));
         let read: Vec<WindowCounts> = lanes.iter().map(Lane::read).collect();
         assert_eq!(read[3].commits, [0, 1, 0, 0]);
-        assert_eq!(read[3].aborts, [0, 0, 0, 1, 0, 0, 0]);
-        assert_eq!(read[3].explicit[12 % EXPLICIT_CODES], 1);
-        assert_eq!(read[4].aborts[Outcome::AbortNested.index()], 1);
+        assert_eq!(read[3].aborts, [0, 0, 2, 0, 0, 0]);
+        assert_eq!(
+            read[3].explicit,
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            "code 12 has no bucket of its own"
+        );
+        assert_eq!(read[4].aborts[AbortCode::Nested.index()], 1);
         assert_eq!(lanes.of(3).cs_latency.snapshot().count, 1);
         assert_eq!(lanes.of(3).retries.snapshot().buckets, [(2, 1)]);
         assert_eq!(lanes.of(3).lock_hold.snapshot().count, 0);
         // A commit under the lock is also a hold-time sample.
-        lanes.of(5).count(on(PathKind::Lock, Outcome::Commit));
+        lanes.of(5).count(on(PathKind::Lock, None));
         assert_eq!(lanes.of(5).read().commits, [0, 0, 0, 1]);
         assert_eq!(lanes.of(5).lock_hold.snapshot().buckets, [(70, 1)]);
         let untouched = read.iter().enumerate().filter(|&(i, _)| i != 3 && i != 4);

@@ -7,8 +7,8 @@
 //! counters into a reusable pipeline with these pieces:
 //!
 //! * **The record** ([`Record`]) — one timestamped, two-word entry per
-//!   retry-loop pass ([`AttemptEvent`]: path, outcome, attempt index,
-//!   critical-section latency — with the recording thread and the start
+//!   retry-loop pass ([`AttemptEvent`]: path, abort code or commit,
+//!   attempt index, critical-section latency — with the recording thread and the start
 //!   time) and per holder instant (write-flag raise, epoch bump, adaptive
 //!   decision), in one lock-free ring ([`ring::Ring`]). The snapshot's
 //!   recent events, the watchdog's flight record and the Chrome
@@ -68,8 +68,7 @@ pub mod watchdog;
 pub mod window;
 
 pub use event::{
-    commit_counters, AdaptAction, AdaptDecision, AttemptEvent, Outcome, PathKind, PATHS,
-    PATH_LABELS,
+    commit_counters, AdaptAction, AdaptDecision, AttemptEvent, PathKind, PATHS, PATH_LABELS,
 };
 pub use hist::{HistSnapshot, Histogram};
 pub use json::{parse as parse_json, Json};

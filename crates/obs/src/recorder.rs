@@ -17,10 +17,9 @@
 use std::sync::{Arc, Mutex};
 
 use rtle_htm::lanes::PerLane;
+use rtle_htm::AbortCode;
 
-use crate::event::{
-    commit_counters, AdaptAction, AdaptDecision, AttemptEvent, OUTCOME_LABELS, PATH_LABELS,
-};
+use crate::event::{commit_counters, AdaptAction, AdaptDecision, AttemptEvent, PATH_LABELS};
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 use crate::lane::Lane;
@@ -228,8 +227,7 @@ impl Recorder {
             latency_unit: self.cfg.latency_unit.to_string(),
             sample_shift: self.cfg.sample_shift,
             commits: labelled(&PATH_LABELS, &counts.commits),
-            // Slot 0 is "commit", not an abort.
-            aborts: labelled(&OUTCOME_LABELS[1..], &counts.aborts[1..]),
+            aborts: labelled(&AbortCode::LABELS, &counts.aborts),
             explicit_codes: (0u64..)
                 .zip(counts.explicit)
                 .filter(|&(_, n)| n > 0)
@@ -260,7 +258,7 @@ impl crate::registry::LiveSource for Recorder {
     fn live_snapshot(&self) -> crate::registry::SourceSnapshot {
         let counts = self.counts();
         let mut counters: Vec<(String, u64)> = commit_counters(counts.commits).collect();
-        for (label, n) in OUTCOME_LABELS.iter().zip(counts.aborts).skip(1) {
+        for (label, n) in AbortCode::LABELS.iter().zip(counts.aborts) {
             counters.push((format!("aborts_{label}"), n));
         }
         for (c, n) in counts.explicit.into_iter().enumerate() {
@@ -314,9 +312,10 @@ pub struct ObsSnapshot {
     pub sample_shift: u32,
     /// Sampled commits by path label.
     pub commits: Vec<(String, u64)>,
-    /// Sampled aborts by outcome label.
+    /// Sampled aborts by class label ([`AbortCode::LABELS`]).
     pub aborts: Vec<(String, u64)>,
-    /// Sampled explicit aborts by protocol code.
+    /// Sampled explicit aborts by protocol code, for the codes with a
+    /// bucket of their own ([`AbortCode::explicit_bucket`]).
     pub explicit_codes: Vec<(u64, u64)>,
     /// Critical-section latency of committed attempts.
     pub cs_latency: HistSnapshot,
@@ -472,21 +471,21 @@ impl ObsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Outcome, PathKind};
+    use crate::event::PathKind;
 
     fn commit(path: PathKind, attempt: u8, latency: u64) -> RecordKind {
         RecordKind::Attempt(AttemptEvent {
             path,
-            outcome: Outcome::Commit,
+            abort: None,
             attempt,
             latency,
         })
     }
 
-    fn abort(path: PathKind, outcome: Outcome, attempt: u8) -> RecordKind {
+    fn abort(path: PathKind, code: AbortCode, attempt: u8) -> RecordKind {
         RecordKind::Attempt(AttemptEvent {
             path,
-            outcome,
+            abort: Some(code),
             attempt,
             latency: 0,
         })
@@ -507,7 +506,7 @@ mod tests {
         let r = Recorder::new(ObsConfig::default());
         r.record(0, 0, commit(PathKind::FastHtm, 0, 100));
         r.record(0, 0, commit(PathKind::FastHtm, 2, 300));
-        r.record(0, 0, abort(PathKind::SlowHtm, Outcome::AbortExplicit(4), 1));
+        r.record(0, 0, abort(PathKind::SlowHtm, AbortCode::Explicit(4), 1));
         r.record(0, 0, commit(PathKind::Lock, 3, 9_000));
         r.record(0, 9_000, RecordKind::EpochBump(7));
         let s = r.snapshot();
@@ -532,6 +531,28 @@ mod tests {
         );
         assert_eq!(s.recent_events.len(), 4, "instants are not attempt events");
         assert_eq!((s.events_recorded, r.pushed()), (4, 5));
+    }
+
+    #[test]
+    fn an_explicit_code_past_the_buckets_counts_only_in_its_class() {
+        use crate::registry::LiveSource;
+        // TL2's SW_ACTIVE (34) is not WRITE_FLAG_SET (2) on any export.
+        let r = Recorder::new(ObsConfig {
+            window_len_ms: 1_000,
+            ..ObsConfig::default()
+        });
+        r.record(0, 0, abort(PathKind::FastHtm, AbortCode::Explicit(34), 0));
+        let s = r.snapshot();
+        assert_eq!(s.explicit_codes, vec![]);
+        let aborts: std::collections::BTreeMap<_, _> = s.aborts.into_iter().collect();
+        assert_eq!(aborts["explicit"], 1);
+        assert_eq!(aborts.values().sum::<u64>(), 1);
+        let live = r.live_snapshot().counters;
+        assert!(live.contains(&("aborts_explicit".to_string(), 1)));
+        assert!(!live.iter().any(|(k, _)| k.starts_with("explicit_code_")));
+        let w = r.windows().unwrap().rotate().merged;
+        assert_eq!((w.explicit_aborts(34), w.explicit_aborts(2)), (0, 0));
+        assert_eq!(w.counts.aborts[AbortCode::Explicit(34).index()], 1);
     }
 
     #[test]
@@ -630,7 +651,7 @@ mod tests {
         for i in 0..200u64 {
             r.record(i % 4, 0, commit(PathKind::FastHtm, (i % 3) as u8, i * 13));
         }
-        r.record(1, 0, abort(PathKind::SlowHtm, Outcome::AbortConflict, 0));
+        r.record(1, 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
         r.record(2, 0, commit(PathKind::Lock, 5, 4_000));
         r.record_decision(AdaptDecision {
             action: AdaptAction::Grow,
@@ -738,7 +759,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
                         if i % 5 == 4 {
-                            r.record(t, 0, abort(PathKind::SlowHtm, Outcome::AbortConflict, 0));
+                            r.record(t, 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
                         } else {
                             r.record(t, 0, commit(PathKind::FastHtm, 1, i % 1_000));
                         }
@@ -791,14 +812,18 @@ mod tests {
             r.record(
                 key,
                 0,
-                abort(PathKind::FastHtm, Outcome::AbortExplicit(key as u8), 0),
+                abort(PathKind::FastHtm, AbortCode::Explicit(key as u8), 0),
             );
         }
         let ops: u64 = (1..=36).sum();
         let s = r.snapshot();
         assert_eq!(s.total_commits(), ops);
         assert_eq!(s.total_aborts(), 36);
-        assert_eq!(s.explicit_codes.iter().map(|&(_, n)| n).sum::<u64>(), 36);
+        // Codes 0..8 have buckets; the other 28 count only in the class.
+        assert_eq!(
+            s.explicit_codes.iter().map(|&(_, n)| n).sum::<u64>(),
+            AbortCode::EXPLICIT_CODES as u64
+        );
         assert_eq!((s.cs_latency.count, s.retries.count), (ops, ops));
         assert_eq!(
             s.cs_latency.max,

@@ -6,7 +6,7 @@
 //! burst of slow-path commits overlapped, when the write flag went up,
 //! where the adaptive policy resized. Everything the recorder writes down
 //! about a moment in time is one [`Record`]: an attempt (a span: thread,
-//! path, outcome, explicit code, attempt index, start, duration) or one
+//! path, abort class, explicit code, attempt index, start, duration) or one
 //! of the instants (write-flag raise, epoch bump, adaptive decision).
 //! Records live in the recorder's one [`crate::ring::Ring`], in the
 //! segment of the lane the recording thread's key selects;
@@ -30,15 +30,17 @@
 //!                     process epoch, ~73 min, or sim cycles)
 //! word 1: bits 63..57 generation tag (7)
 //!         bits 56..0  payload (57), by kind:
-//!           attempt      path (2) | outcome (3) | explicit code (8)
-//!                        | attempt index (8) | duration (36, saturating,
-//!                        ~68 s of ns)
+//!           attempt      path (2) | abort (3): 0 = commit, 1 + `AbortCode::index`
+//!                        | explicit code (8) | attempt index (8)
+//!                        | duration (36, saturating, ~68 s of ns)
 //!           epoch bump   the epoch the holder ran at (saturating)
 //!           adaptive     action (2) | active orecs afterwards (55,
 //!                        saturating)
 //! ```
 
-use crate::event::{AdaptAction, AttemptEvent, Outcome, PathKind, PATHS};
+use rtle_htm::AbortCode;
+
+use crate::event::{AdaptAction, AttemptEvent, PathKind, PATHS};
 use crate::json::Json;
 
 /// What a [`Record`] describes. An attempt is a span (its
@@ -89,8 +91,8 @@ const PAYLOAD_BITS: u32 = W1_TAG_SHIFT;
 const DUR_BITS: u32 = 36;
 const ATTEMPT_SHIFT: u32 = DUR_BITS; // 36
 const EXPLICIT_SHIFT: u32 = ATTEMPT_SHIFT + 8; // 44
-const OUTCOME_SHIFT: u32 = EXPLICIT_SHIFT + 8; // 52
-const PATH_SHIFT: u32 = OUTCOME_SHIFT + 3; // 55
+const ABORT_SHIFT: u32 = EXPLICIT_SHIFT + 8; // 52
+const PATH_SHIFT: u32 = ABORT_SHIFT + 3; // 55
 const ADAPT_ACTION_SHIFT: u32 = PAYLOAD_BITS - 2; // 55
 
 const fn mask(bits: u32) -> u64 {
@@ -134,7 +136,7 @@ impl Record {
     pub fn label(&self) -> &'static str {
         match self.kind {
             RecordKind::Attempt(ev) => {
-                SPAN_LABELS[ev.path.index()][usize::from(!ev.outcome.is_commit())]
+                SPAN_LABELS[ev.path.index()][usize::from(ev.abort.is_some())]
             }
             RecordKind::WriteFlagSet => "write_flag_set",
             RecordKind::EpochBump(_) => "epoch_bump",
@@ -150,8 +152,11 @@ impl Record {
             RecordKind::Attempt(ev) => (
                 KIND_ATTEMPT,
                 ((ev.path.index() as u64) << PATH_SHIFT)
-                    | ((ev.outcome.index() as u64) << OUTCOME_SHIFT)
-                    | (ev.outcome.explicit_code() << EXPLICIT_SHIFT)
+                    | (ev.abort.map_or(0, |code| 1 + code.index() as u64) << ABORT_SHIFT)
+                    | (match ev.abort {
+                        Some(AbortCode::Explicit(c)) => u64::from(c) << EXPLICIT_SHIFT,
+                        _ => 0,
+                    })
                     | ((ev.attempt as u64) << ATTEMPT_SHIFT)
                     | ev.latency.min(mask(DUR_BITS)),
             ),
@@ -173,7 +178,7 @@ impl Record {
     }
 
     /// Decodes a word pair. `None` for an empty slot, a torn pair
-    /// (generation tags disagree), or an unknown kind code.
+    /// (generation tags disagree), or an unknown kind or abort code.
     pub fn unpack([w0, w1]: [u64; 2]) -> Option<Record> {
         if w0 & W0_VALID == 0 {
             return None;
@@ -185,10 +190,13 @@ impl Record {
         let kind = match (w0 >> W0_KIND_SHIFT) & 0xf {
             KIND_ATTEMPT => RecordKind::Attempt(AttemptEvent {
                 path: PathKind::ALL[(payload >> PATH_SHIFT) as usize],
-                outcome: Outcome::from_codes(
-                    (payload >> OUTCOME_SHIFT) & 0x7,
-                    (payload >> EXPLICIT_SHIFT) as u8,
-                ),
+                abort: match (payload >> ABORT_SHIFT) & 0x7 {
+                    0 => None,
+                    code => Some(AbortCode::from_index(
+                        code as usize - 1,
+                        (payload >> EXPLICIT_SHIFT) as u8,
+                    )?),
+                },
                 attempt: (payload >> ATTEMPT_SHIFT) as u8,
                 latency: payload & mask(DUR_BITS),
             }),
@@ -363,13 +371,20 @@ mod tests {
         Record { tid, ts, kind }
     }
 
-    fn attempt(path: PathKind, outcome: Outcome, attempt: u8, latency: u64) -> RecordKind {
+    fn attempt(path: PathKind, abort: Option<AbortCode>, attempt: u8, latency: u64) -> RecordKind {
         RecordKind::Attempt(AttemptEvent {
             path,
-            outcome,
+            abort,
             attempt,
             latency,
         })
+    }
+
+    /// A commit, then one abort of every class carrying explicit code
+    /// `explicit`.
+    fn endings(explicit: u8) -> impl Iterator<Item = Option<AbortCode>> {
+        std::iter::once(None)
+            .chain((0..AbortCode::KINDS).map(move |i| AbortCode::from_index(i, explicit)))
     }
 
     /// Every kind, each at the zero and at the saturation point of every
@@ -392,17 +407,14 @@ mod tests {
             ));
         }
         for path in PathKind::ALL {
-            for kind in 0..crate::event::OUTCOMES as u64 {
-                cases.push(rec(0, 0, attempt(path, Outcome::from_codes(kind, 0), 0, 0)));
+            for abort in endings(0) {
+                cases.push(rec(0, 0, attempt(path, abort, 0, 0)));
+            }
+            for abort in endings(u8::MAX) {
                 cases.push(rec(
                     tid_max,
                     ts_max,
-                    attempt(
-                        path,
-                        Outcome::from_codes(kind, u8::MAX),
-                        u8::MAX,
-                        mask(DUR_BITS),
-                    ),
+                    attempt(path, abort, u8::MAX, mask(DUR_BITS)),
                 ));
             }
         }
@@ -421,14 +433,19 @@ mod tests {
         let wide = rec(
             u16::MAX,
             u64::MAX,
-            attempt(PathKind::Lock, Outcome::AbortExplicit(9), 3, u64::MAX),
+            attempt(PathKind::Lock, Some(AbortCode::Explicit(9)), 3, u64::MAX),
         );
         assert_eq!(
             Record::unpack(wide.pack(5)),
             Some(rec(
                 mask(TID_BITS) as u16,
                 mask(TS_BITS),
-                attempt(PathKind::Lock, Outcome::AbortExplicit(9), 3, mask(DUR_BITS)),
+                attempt(
+                    PathKind::Lock,
+                    Some(AbortCode::Explicit(9)),
+                    3,
+                    mask(DUR_BITS)
+                ),
             ))
         );
         let back = |kind| Record::unpack(rec(1, 2, kind).pack(0)).unwrap().kind;
@@ -445,14 +462,52 @@ mod tests {
     #[test]
     fn empty_torn_and_unknown_slots_decode_to_none() {
         assert_eq!(Record::unpack([0, 0]), None);
-        let [w0_new, _] = rec(1, 10, attempt(PathKind::FastHtm, Outcome::Commit, 0, 5)).pack(3);
-        let [_, w1_old] = rec(1, 900, attempt(PathKind::SlowHtm, Outcome::Commit, 0, 5)).pack(2);
+        let [w0_new, _] = rec(1, 10, attempt(PathKind::FastHtm, None, 0, 5)).pack(3);
+        let [_, w1_old] = rec(1, 900, attempt(PathKind::SlowHtm, None, 0, 5)).pack(2);
         assert_eq!(Record::unpack([w0_new, w1_old]), None, "tag mismatch");
         for unknown in KIND_ADAPT + 1..16 {
             let [w0, w1] = rec(1, 10, RecordKind::WriteFlagSet).pack(3);
             let w0 = w0 & !(0xf << W0_KIND_SHIFT) | unknown << W0_KIND_SHIFT;
             assert_eq!(Record::unpack([w0, w1]), None, "kind {unknown}");
         }
+        let [w0, w1] = rec(1, 10, attempt(PathKind::Lock, None, 0, 5)).pack(3);
+        let past_the_classes = (1 + AbortCode::KINDS as u64) << ABORT_SHIFT;
+        assert_eq!(Record::unpack([w0, w1 | past_the_classes]), None);
+    }
+
+    /// The packed words of one attempt per path and ending (explicit code
+    /// 0), and of an explicit abort with code 255, as literals: the ring
+    /// and Chrome layouts cannot drift with the vocabulary that fills them.
+    #[test]
+    fn the_attempt_layout_is_pinned() {
+        const W0: u64 = 0xd500_1c00_0000_03e8;
+        #[rustfmt::skip]
+        const W1: [[u64; 1 + AbortCode::KINDS]; PATHS] = [
+            [0xaa00_0020_0000_012c, 0xaa10_0020_0000_012c, 0xaa20_0020_0000_012c,
+             0xaa30_0020_0000_012c, 0xaa40_0020_0000_012c, 0xaa50_0020_0000_012c,
+             0xaa60_0020_0000_012c],
+            [0xaa80_0020_0000_012c, 0xaa90_0020_0000_012c, 0xaaa0_0020_0000_012c,
+             0xaab0_0020_0000_012c, 0xaac0_0020_0000_012c, 0xaad0_0020_0000_012c,
+             0xaae0_0020_0000_012c],
+            [0xab00_0020_0000_012c, 0xab10_0020_0000_012c, 0xab20_0020_0000_012c,
+             0xab30_0020_0000_012c, 0xab40_0020_0000_012c, 0xab50_0020_0000_012c,
+             0xab60_0020_0000_012c],
+            [0xab80_0020_0000_012c, 0xab90_0020_0000_012c, 0xaba0_0020_0000_012c,
+             0xabb0_0020_0000_012c, 0xabc0_0020_0000_012c, 0xabd0_0020_0000_012c,
+             0xabe0_0020_0000_012c],
+        ];
+        let pinned = |path, abort, words: [u64; 2]| {
+            let r = rec(7, 1_000, attempt(path, abort, 2, 300));
+            assert_eq!(r.pack(0x55), words, "{path:?} {abort:?}");
+            assert_eq!(Record::unpack(words), Some(r));
+        };
+        for (path, row) in PathKind::ALL.into_iter().zip(W1) {
+            for (abort, w1) in endings(0).zip(row) {
+                pinned(path, abort, [W0, w1]);
+            }
+        }
+        let code_255 = Some(AbortCode::Explicit(255));
+        pinned(PathKind::SlowHtm, code_255, [W0, 0xaabf_f020_0000_012c]);
     }
 
     #[test]

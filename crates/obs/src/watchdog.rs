@@ -409,6 +409,7 @@ mod tests {
     use super::*;
     use crate::hist::HistSnapshot;
     use crate::window::WindowCounts;
+    use rtle_htm::AbortCode;
 
     /// Builds a window snapshot the way a rotator would have produced
     /// it from live counters: fast / slow / lock commits, conflict +
@@ -423,9 +424,9 @@ mod tests {
     ) -> WindowSnapshot {
         let commits = [fast, slow, 0, lock];
         let total_ops = commits.iter().sum::<u64>();
-        let mut aborts = [0u64; 7];
-        aborts[1] = conflicts; // conflict
-        aborts[3] = orec_explicit; // explicit
+        let mut aborts = [0u64; AbortCode::KINDS];
+        aborts[AbortCode::Conflict.index()] = conflicts;
+        aborts[AbortCode::Explicit(0).index()] = orec_explicit;
         let mut explicit = [0u64; 8];
         explicit[4] = orec_explicit; // OREC_CONFLICT protocol code
         WindowSnapshot {
@@ -614,7 +615,7 @@ mod tests {
             0,
             crate::RecordKind::Attempt(crate::event::AttemptEvent {
                 path: crate::event::PathKind::Lock,
-                outcome: crate::event::Outcome::Commit,
+                abort: None,
                 attempt: 7,
                 latency: 1_000_000,
             }),

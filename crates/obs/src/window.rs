@@ -30,8 +30,9 @@
 use std::sync::{Arc, Mutex};
 
 use rtle_htm::lanes::PerLane;
+use rtle_htm::AbortCode;
 
-use crate::event::{AttemptEvent, EXPLICIT_CODES, OUTCOMES, OUTCOME_LABELS, PATHS, PATH_LABELS};
+use crate::event::{AttemptEvent, PATHS, PATH_LABELS};
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 use crate::lane::Lane;
@@ -42,10 +43,10 @@ use crate::lane::Lane;
 pub struct WindowCounts {
     /// Commits per path, indexed by [`crate::PathKind::index`].
     pub commits: [u64; PATHS],
-    /// Aborts per outcome kind (index 0 — commit — always zero).
-    pub aborts: [u64; OUTCOMES],
-    /// Explicit aborts per protocol code (code mod 8).
-    pub explicit: [u64; EXPLICIT_CODES],
+    /// Aborts per class, indexed by [`AbortCode::index`].
+    pub aborts: [u64; AbortCode::KINDS],
+    /// Explicit aborts per [`AbortCode::explicit_bucket`].
+    pub explicit: [u64; AbortCode::EXPLICIT_CODES],
     /// Operation latency distribution for the window.
     pub latency: HistSnapshot,
 }
@@ -147,20 +148,22 @@ impl WindowSnapshot {
         self.counts.total_aborts() as f64 / self.counts.total_commits().max(1) as f64
     }
 
-    /// Explicit aborts recorded for protocol code `code` (mod 8).
+    /// Explicit aborts recorded for protocol code `code`; 0 for a code
+    /// without a bucket of its own ([`AbortCode::explicit_bucket`]).
     pub fn explicit_aborts(&self, code: u8) -> u64 {
-        self.counts.explicit[code as usize % EXPLICIT_CODES]
+        AbortCode::Explicit(code)
+            .explicit_bucket()
+            .map_or(0, |bucket| self.counts.explicit[bucket])
     }
 
     /// JSON form: timeline position, derived rates, percentiles, and the
     /// full latency histogram (commit/abort maps keyed by stable label).
     pub fn to_json(&self) -> Json {
-        let label_map = |labels: &[&str], counts: &[u64], skip_zero: bool| {
+        let label_map = |labels: &[&str], counts: &[u64]| {
             Json::Obj(
                 labels
                     .iter()
                     .zip(counts)
-                    .skip(usize::from(skip_zero)) // drop the "commit" abort slot
                     .map(|(&l, &n)| (l.to_string(), Json::UInt(n)))
                     .collect(),
             )
@@ -176,14 +179,8 @@ impl WindowSnapshot {
             ("commit_rate", Json::Num(self.commit_rate())),
             ("fallback_rate", Json::Num(self.fallback_rate())),
             ("aborts_per_commit", Json::Num(self.aborts_per_commit())),
-            (
-                "commits",
-                label_map(&PATH_LABELS, &self.counts.commits, false),
-            ),
-            (
-                "aborts",
-                label_map(&OUTCOME_LABELS, &self.counts.aborts, true),
-            ),
+            ("commits", label_map(&PATH_LABELS, &self.counts.commits)),
+            ("aborts", label_map(&AbortCode::LABELS, &self.counts.aborts)),
             (
                 "explicit_codes",
                 Json::Arr(
@@ -204,9 +201,9 @@ impl WindowSnapshot {
     /// mismatch. Derived fields (rates, percentiles) are recomputed from
     /// the counts rather than trusted from the document.
     pub fn from_json(j: &Json) -> Option<WindowSnapshot> {
-        fn labelled<const N: usize>(j: &Json, labels: &[&str], off: usize) -> Option<[u64; N]> {
+        fn labelled<const N: usize>(j: &Json, labels: &[&str; N]) -> Option<[u64; N]> {
             let mut out = [0u64; N];
-            for (i, &l) in labels.iter().enumerate().skip(off) {
+            for (i, &l) in labels.iter().enumerate() {
                 out[i] = match j.get(l) {
                     Some(n) => n.as_u64()?,
                     // A v2 document written before the software rung was
@@ -217,18 +214,19 @@ impl WindowSnapshot {
             }
             Some(out)
         }
-        let mut explicit = [0u64; EXPLICIT_CODES];
+        let mut explicit = [0u64; AbortCode::EXPLICIT_CODES];
         for pair in j.get("explicit_codes")?.as_arr()? {
             let p = pair.as_arr()?;
-            explicit[p.first()?.as_u64()? as usize % EXPLICIT_CODES] = p.get(1)?.as_u64()?;
+            let code = u8::try_from(p.first()?.as_u64()?).ok()?;
+            explicit[AbortCode::Explicit(code).explicit_bucket()?] = p.get(1)?.as_u64()?;
         }
         Some(WindowSnapshot {
             index: j.get("index")?.as_u64()?,
             start_ns: j.get("start_ns")?.as_u64()?,
             len_ns: j.get("len_ns")?.as_u64()?,
             counts: WindowCounts {
-                commits: labelled(j.get("commits")?, &PATH_LABELS, 0)?,
-                aborts: labelled(j.get("aborts")?, &OUTCOME_LABELS, 1)?,
+                commits: labelled(j.get("commits")?, &PATH_LABELS)?,
+                aborts: labelled(j.get("aborts")?, &AbortCode::LABELS)?,
                 explicit,
                 latency: HistSnapshot::from_json(j.get("latency")?)?,
             },
@@ -422,13 +420,13 @@ impl WindowCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Outcome, PathKind};
+    use crate::event::PathKind;
     use rtle_htm::lanes::LANES;
 
     fn commit(path: PathKind, latency: u64) -> AttemptEvent {
         AttemptEvent {
             path,
-            outcome: Outcome::Commit,
+            abort: None,
             attempt: 0,
             latency,
         }
@@ -449,7 +447,7 @@ mod tests {
             1,
             AttemptEvent {
                 path: PathKind::SlowHtm,
-                outcome: Outcome::AbortExplicit(4),
+                abort: Some(AbortCode::Explicit(4)),
                 attempt: 1,
                 latency: 0,
             },
@@ -587,7 +585,7 @@ mod tests {
             0,
             AttemptEvent {
                 path: PathKind::SlowHtm,
-                outcome: Outcome::AbortConflict,
+                abort: Some(AbortCode::Conflict),
                 attempt: 2,
                 latency: 0,
             },
@@ -596,7 +594,7 @@ mod tests {
             1,
             AttemptEvent {
                 path: PathKind::Lock,
-                outcome: Outcome::AbortExplicit(6),
+                abort: Some(AbortCode::Explicit(6)),
                 attempt: 3,
                 latency: 0,
             },

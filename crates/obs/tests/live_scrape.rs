@@ -19,9 +19,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
+use rtle_htm::AbortCode;
 use rtle_obs::{
-    AttemptEvent, Histogram, Json, LiveServer, LiveSource, MetricsRegistry, ObsConfig, Outcome,
-    PathKind, RecordKind, Recorder, SourceSnapshot, WindowCounts, WindowSnapshot,
+    AttemptEvent, Histogram, Json, LiveServer, LiveSource, MetricsRegistry, ObsConfig, PathKind,
+    RecordKind, Recorder, SourceSnapshot, WindowCounts, WindowSnapshot,
 };
 
 fn golden_path() -> PathBuf {
@@ -35,7 +36,7 @@ fn fixed_window(index: u64, ops: u64) -> WindowSnapshot {
     counts.commits[PathKind::FastHtm as usize] = ops * 7 / 10;
     counts.commits[PathKind::SlowHtm as usize] = ops * 2 / 10;
     counts.commits[PathKind::Lock as usize] = ops - counts.commits[0] - counts.commits[1];
-    counts.aborts[1] = ops / 5; // index 1 = AbortConflict
+    counts.aborts[AbortCode::Conflict.index()] = ops / 5;
     let h = Histogram::new();
     for i in 0..ops {
         h.record(500 + i * 37);
@@ -207,7 +208,7 @@ fn eight_writers_scrape_under_load_loses_nothing_and_never_blocks() {
                         i,
                         RecordKind::Attempt(AttemptEvent {
                             path: PathKind::FastHtm,
-                            outcome: Outcome::Commit,
+                            abort: None,
                             attempt: 0,
                             latency: i & 0xffff,
                         }),

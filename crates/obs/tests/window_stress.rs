@@ -13,9 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use rtle_htm::lanes::LANES;
+use rtle_htm::AbortCode;
 use rtle_obs::window::WindowCounts;
 use rtle_obs::{
-    AttemptEvent, HistSnapshot, Histogram, ObsConfig, Outcome, PathKind, RecordKind, Recorder,
+    AttemptEvent, HistSnapshot, Histogram, ObsConfig, PathKind, RecordKind, Recorder,
     WindowCollector,
 };
 
@@ -68,14 +69,14 @@ fn no_samples_lost_across_rotations() {
                     let ev = if i % 5 == 4 {
                         AttemptEvent {
                             path: PathKind::SlowHtm,
-                            outcome: Outcome::AbortExplicit(4),
+                            abort: Some(AbortCode::Explicit(4)),
                             attempt: 1,
                             latency: 0,
                         }
                     } else {
                         AttemptEvent {
                             path: PathKind::FastHtm,
-                            outcome: Outcome::Commit,
+                            abort: None,
                             attempt: 0,
                             latency: i % 512,
                         }
@@ -118,7 +119,11 @@ fn no_samples_lost_across_rotations() {
         "lost or duplicated latency samples across {rotations} live rotations"
     );
     assert_eq!(all.commits, [total_ops / 5 * 4, 0, 0, 0], "lost commits");
-    assert_eq!(all.aborts[3], total_ops / 5, "lost explicit aborts");
+    assert_eq!(
+        all.aborts[AbortCode::Explicit(4).index()],
+        total_ops / 5,
+        "lost explicit aborts"
+    );
     assert_eq!(all.explicit[4], total_ops / 5, "lost explicit-code counts");
     assert!(
         series.iter().map(|w| w.ops()).max().unwrap() < total_ops,
@@ -159,7 +164,7 @@ fn merged_window_equals_sum_of_per_thread_windows() {
                 t,
                 AttemptEvent {
                     path: PathKind::FastHtm,
-                    outcome: Outcome::Commit,
+                    abort: None,
                     attempt: 0,
                     latency: i,
                 },

@@ -73,7 +73,8 @@ use rtle_core::abort_codes;
 use rtle_core::adaptive::Adaptation;
 use rtle_core::{RetryPolicy, Step};
 use rtle_htm::hash::fast_hash;
-use rtle_obs::{AdaptAction, AttemptEvent, Outcome, PathKind, RecordKind, Recorder};
+use rtle_htm::AbortCode;
+use rtle_obs::{AdaptAction, AttemptEvent, PathKind, RecordKind, Recorder};
 
 use crate::cost::CostModel;
 use crate::method::SimMethod;
@@ -122,15 +123,6 @@ struct Watch {
     write: bool,
 }
 
-/// Cause attached to a pre-decided (forced) abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum ForcedCause {
-    #[default]
-    None,
-    Capacity,
-    Uarch,
-}
-
 /// When a [`Plan`]'s subscription joins the attempt's read/write set.
 #[derive(Debug, Clone, Copy)]
 enum Since {
@@ -172,9 +164,9 @@ struct Plan {
 /// [`rtle_core::policy::slow_attempt_hopeless`] in two places (DESIGN
 /// §4b): an owned orec waits here (the runtime retries and re-aborts),
 /// and a slow-path capacity abort retries here (the runtime waits).
-fn awaits_release(path: PathKind, outcome: Outcome) -> bool {
-    match outcome {
-        Outcome::AbortExplicit(code) => matches!(
+fn awaits_release(path: PathKind, code: AbortCode) -> bool {
+    match code {
+        AbortCode::Explicit(code) => matches!(
             code,
             abort_codes::WRITE_FLAG_SET
                 | abort_codes::RW_SLOW_WRITE
@@ -183,7 +175,7 @@ fn awaits_release(path: PathKind, outcome: Outcome) -> bool {
                 | abort_codes::LAZY_LOCK_HELD
         ),
         // On the fast path the lock is free: nothing to wait for.
-        Outcome::AbortUnsupported => path == PathKind::SlowHtm,
+        AbortCode::Unsupported => path == PathKind::SlowHtm,
         _ => false,
     }
 }
@@ -196,11 +188,10 @@ struct Attempt {
     path: PathKind,
     watches: Vec<Watch>,
     commit_writes: Vec<u64>,
-    /// Abort regardless of validation (capacity, injected
-    /// microarchitectural abort, loser of an eager pairwise conflict);
-    /// the cause is recorded so the statistics can attribute it.
-    forced_abort: bool,
-    forced_cause: ForcedCause,
+    /// Abort regardless of validation with this code: capacity, an
+    /// injected spurious abort, or — the loser of an eager pairwise
+    /// conflict — conflict.
+    forced: Option<AbortCode>,
     /// RHNOrec hardware attempt: resolve the clock obligation at commit.
     rh_hw: bool,
     /// Lazy subscription (§5): check the lock *state* just before commit
@@ -691,7 +682,7 @@ impl<W: Workload> Engine<W> {
                 self.abort(
                     t,
                     PathKind::FastHtm,
-                    Outcome::AbortUnsupported,
+                    AbortCode::Unsupported,
                     start,
                     end,
                     end,
@@ -701,7 +692,7 @@ impl<W: Workload> Engine<W> {
             Step::Slow => match self.slow_plan(start, &spec) {
                 Ok(plan) => self.launch(t, start, &spec, plan),
                 // Decided before launching: one cheap abort.
-                Err((outcome, end)) => self.abort(t, PathKind::SlowHtm, outcome, start, end, end),
+                Err((code, end)) => self.abort(t, PathKind::SlowHtm, code, start, end, end),
             },
         }
     }
@@ -773,11 +764,11 @@ impl<W: Workload> Engine<W> {
     /// The instrumented slow path beside a lock holder (RW-TLE's or
     /// FG-TLE's), or — when the attempt is hopeless from the start — the
     /// abort it is charged instead, with the time that abort ends.
-    fn slow_plan(&mut self, start: u64, spec: &OpSpec) -> Result<Plan, (Outcome, u64)> {
+    fn slow_plan(&mut self, start: u64, spec: &OpSpec) -> Result<Plan, (AbortCode, u64)> {
         let c = self.cost;
         let lock = &self.locks[0];
-        let cheap_abort = |code| Err((Outcome::AbortExplicit(code), start + c.abort_penalty));
-        let hostile = Err((Outcome::AbortUnsupported, start + c.abort_penalty));
+        let cheap_abort = |code| Err((AbortCode::Explicit(code), start + c.abort_penalty));
+        let hostile = Err((AbortCode::Unsupported, start + c.abort_penalty));
 
         if self.method == SimMethod::RwTle {
             let covering = lock.covering(start);
@@ -794,7 +785,7 @@ impl<W: Workload> Engine<W> {
                 // Figure 2: the write barrier aborts the transaction at
                 // the first write.
                 let abort_at = start + c.htm_begin + (fw as u64 + 1) * c.access + c.abort_penalty;
-                return Err((Outcome::AbortExplicit(abort_codes::RW_SLOW_WRITE), abort_at));
+                return Err((AbortCode::Explicit(abort_codes::RW_SLOW_WRITE), abort_at));
             }
             // Read-only: subscribe to the write flag (from the covering CS
             // start: a flag raised by that holder at any time dooms us)
@@ -872,12 +863,12 @@ impl<W: Workload> Engine<W> {
             let (dr, dw) = spec.distinct_rw();
             plan.footprint * (dr + dw) > c.htm_read_capacity || dw > c.htm_write_capacity
         };
-        let forced_cause = if over_capacity {
-            ForcedCause::Capacity
+        let forced = if over_capacity {
+            Some(AbortCode::Capacity)
         } else if hardware && self.spurious_abort() {
-            ForcedCause::Uarch
+            Some(AbortCode::Spurious)
         } else {
-            ForcedCause::None
+            None
         };
 
         let per_access_watches = if plan.orecs_since.is_some() { 2 } else { 1 };
@@ -920,8 +911,7 @@ impl<W: Workload> Engine<W> {
             path: plan.path,
             watches,
             commit_writes,
-            forced_abort: forced_cause != ForcedCause::None || loses_eager_conflict,
-            forced_cause,
+            forced: forced.or(loses_eager_conflict.then_some(AbortCode::Conflict)),
             rh_hw: plan.rh_hw,
             lazy_lock: plan.lazy_lock,
         });
@@ -939,8 +929,8 @@ impl<W: Workload> Engine<W> {
     /// that reached the line *earlier* is invalidated by the later access
     /// (requester wins, as on Intel TSX). Registers the new attempt's
     /// `watches` in the per-line watcher index and returns `true` when
-    /// the new attempt itself is doomed; doomed victims are marked
-    /// `forced_abort` and fail at their own end event.
+    /// the new attempt itself is doomed; doomed victims are `forced` to
+    /// a conflict (unless already forced) and fail at their own end event.
     fn eager_conflict_scan(&mut self, me: usize, watches: &[Watch]) -> bool {
         let mut i_die = false;
         let mut victims: Vec<u32> = Vec::new();
@@ -960,7 +950,7 @@ impl<W: Workload> Engine<W> {
         }
         for v in victims {
             if let Some(oa) = &mut self.ts[v as usize].pending {
-                oa.forced_abort = true;
+                oa.forced.get_or_insert(AbortCode::Conflict);
             }
         }
         i_die
@@ -984,31 +974,29 @@ impl<W: Workload> Engine<W> {
     /// `SimStats` class counter, software time is accumulated, and the
     /// span `[t0, t1]` (simulator cycles) goes to the recorder when one is
     /// installed — so the two cannot disagree, on any path.
-    fn book(&mut self, t: usize, path: PathKind, outcome: Outcome, t0: u64, t1: u64) {
+    fn book(&mut self, t: usize, path: PathKind, abort: Option<AbortCode>, t0: u64, t1: u64) {
         if path == PathKind::Stm {
             self.stats.cycles_in_sw += t1 - t0;
-            if !outcome.is_commit() {
+            if abort.is_some() {
                 self.stats.sw_aborts += 1;
             }
-        } else if !outcome.is_commit() {
+        } else if let Some(code) = abort {
             self.stats.aborts += 1;
             let s = &mut self.stats;
-            *match outcome {
-                Outcome::AbortConflict => &mut s.aborts_conflict,
-                Outcome::AbortCapacity => &mut s.aborts_capacity,
-                Outcome::AbortSpurious => &mut s.aborts_uarch,
-                Outcome::AbortUnsupported => &mut s.aborts_hostile,
-                Outcome::AbortExplicit(abort_codes::LAZY_LOCK_HELD) => &mut s.aborts_lazy,
-                Outcome::AbortExplicit(_) => &mut s.aborts_eager_owned,
-                Outcome::Commit | Outcome::AbortNested => {
-                    unreachable!("the engine produces no {outcome:?} abort")
-                }
+            *match code {
+                AbortCode::Conflict => &mut s.aborts_conflict,
+                AbortCode::Capacity => &mut s.aborts_capacity,
+                AbortCode::Spurious => &mut s.aborts_uarch,
+                AbortCode::Unsupported => &mut s.aborts_hostile,
+                AbortCode::Explicit(abort_codes::LAZY_LOCK_HELD) => &mut s.aborts_lazy,
+                AbortCode::Explicit(_) => &mut s.aborts_eager_owned,
+                AbortCode::Nested => unreachable!("the engine produces no {code:?} abort"),
             } += 1;
         }
         if let Some(rec) = &self.recorder {
             let ev = AttemptEvent {
                 path,
-                outcome,
+                abort,
                 attempt: self.ts[t].fast_used.min(u8::MAX as u32) as u8,
                 latency: t1.saturating_sub(t0),
             };
@@ -1024,12 +1012,12 @@ impl<W: Workload> Engine<W> {
         &mut self,
         t: usize,
         path: PathKind,
-        outcome: Outcome,
+        code: AbortCode,
         t0: u64,
         t1: u64,
         retry_at: u64,
     ) {
-        self.book(t, path, outcome, t0, t1);
+        self.book(t, path, Some(code), t0, t1);
         match path {
             PathKind::FastHtm => self.ts[t].fast_used += 1,
             PathKind::SlowHtm => {
@@ -1038,7 +1026,7 @@ impl<W: Workload> Engine<W> {
             }
             PathKind::Stm | PathKind::Lock => {}
         }
-        if awaits_release(path, outcome) {
+        if awaits_release(path, code) {
             self.await_release(t, retry_at);
         } else {
             self.push(retry_at, EvKind::Ready(t as u32));
@@ -1059,7 +1047,7 @@ impl<W: Workload> Engine<W> {
         self.unindex_attempt(t, &attempt);
         let t1 = self.now;
 
-        let conflict_line = if attempt.forced_abort {
+        let conflict_line = if attempt.forced.is_some() {
             None
         } else {
             attempt
@@ -1076,22 +1064,20 @@ impl<W: Workload> Engine<W> {
             let commit_from = t1.saturating_sub(self.cost.htm_commit);
             self.clock_free_at > t1 || self.last_write_of(self.clock_line()) >= commit_from
         };
-        let failure = if attempt.forced_abort || conflict_line.is_some() {
-            Some(match attempt.forced_cause {
-                ForcedCause::Capacity => Outcome::AbortCapacity,
-                ForcedCause::Uarch => Outcome::AbortSpurious,
-                ForcedCause::None => Outcome::AbortConflict,
-            })
+        let failure = if attempt.forced.is_some() {
+            attempt.forced
+        } else if conflict_line.is_some() {
+            Some(AbortCode::Conflict)
         } else if attempt.lazy_lock && self.locks[0].held(t1) {
             // Lazy subscription: the lock must be free at commit time (§5).
-            Some(Outcome::AbortExplicit(abort_codes::LAZY_LOCK_HELD))
+            Some(AbortCode::Explicit(abort_codes::LAZY_LOCK_HELD))
         } else if rh_clock && clock_busy() {
-            Some(Outcome::AbortConflict)
+            Some(AbortCode::Conflict)
         } else {
             None
         };
 
-        if let Some(outcome) = failure {
+        if let Some(code) = failure {
             if attempt.path == PathKind::SlowHtm {
                 // A slow-path validation failure on an orec line means the
                 // holder stamped it during our window: attribute the abort
@@ -1101,7 +1087,7 @@ impl<W: Workload> Engine<W> {
                 }
             }
             let retry_at = t1 + self.cost.abort_penalty;
-            self.abort(t, attempt.path, outcome, attempt.t0, t1, retry_at);
+            self.abort(t, attempt.path, code, attempt.t0, t1, retry_at);
             return;
         }
 
@@ -1118,7 +1104,7 @@ impl<W: Workload> Engine<W> {
         } else {
             self.stats.slow_commits += 1;
         }
-        self.book(t, attempt.path, Outcome::Commit, attempt.t0, t1);
+        self.book(t, attempt.path, None, attempt.t0, t1);
         self.complete_op(t, t1);
     }
 
@@ -1265,7 +1251,7 @@ impl<W: Workload> Engine<W> {
         // The holding window [s, e], as the runtime records it — not
         // acquire-to-release: it is the span slow-path commits visibly
         // overlap with, and the recorder's lock-hold sample.
-        self.book(t, PathKind::Lock, Outcome::Commit, s, e);
+        self.book(t, PathKind::Lock, None, s, e);
         if let Some(rec) = &self.recorder {
             if matches!(self.method, SimMethod::RwTle) {
                 if let Some(fw) = first_write {
@@ -1315,7 +1301,7 @@ impl<W: Workload> Engine<W> {
             self.abort(
                 t,
                 PathKind::Stm,
-                Outcome::AbortConflict,
+                AbortCode::Conflict,
                 attempt.t0,
                 t1v,
                 retry_at,
@@ -1326,7 +1312,7 @@ impl<W: Workload> Engine<W> {
         if attempt.commit_writes.is_empty() {
             // Read-only: serialized at the last validation point.
             self.stats.stm_fast_commits += 1;
-            self.book(t, PathKind::Stm, Outcome::Commit, attempt.t0, t1v);
+            self.book(t, PathKind::Stm, None, attempt.t0, t1v);
             self.complete_op(t, t1v);
             return;
         }
@@ -1366,7 +1352,7 @@ impl<W: Workload> Engine<W> {
         } else {
             self.stats.stm_fast_commits += 1;
         }
-        self.book(t, PathKind::Stm, Outcome::Commit, commit.t0, self.now);
+        self.book(t, PathKind::Stm, None, commit.t0, self.now);
         self.complete_op(t, self.now);
     }
 }

@@ -116,8 +116,8 @@ fn fast_attempt() {
     assert_eq!(a.path, PathKind::FastHtm);
     assert_eq!(a.t0, START);
     assert_eq!(a.commit_writes, vec![d(11)]);
-    assert_eq!(a.forced_cause, ForcedCause::None);
-    assert!(!a.forced_abort && !a.rh_hw && !a.lazy_lock);
+    assert_eq!(a.forced, None);
+    assert!(!a.rh_hw && !a.lazy_lock);
     assert_eq!(only_event(&e), (1_152, EvKind::AttemptEnd(0)));
 }
 
@@ -152,8 +152,8 @@ fn rw_slow_read_only_attempt() {
     assert_eq!(a.path, PathKind::SlowHtm);
     assert_eq!(a.t0, START);
     assert!(a.commit_writes.is_empty());
-    assert_eq!(a.forced_cause, ForcedCause::None);
-    assert!(!a.forced_abort && !a.rh_hw && !a.lazy_lock);
+    assert_eq!(a.forced, None);
+    assert!(!a.rh_hw && !a.lazy_lock);
     assert_eq!(only_event(&e), (1_156, EvKind::AttemptEnd(0)));
 }
 
@@ -184,8 +184,8 @@ fn fg_slow_attempt_under_a_covering_section() {
     assert_eq!(a.path, PathKind::SlowHtm);
     assert_eq!(a.t0, START);
     assert_eq!(a.commit_writes, vec![e.data_line(11)]);
-    assert_eq!(a.forced_cause, ForcedCause::None);
-    assert!(!a.forced_abort && !a.rh_hw && !a.lazy_lock);
+    assert_eq!(a.forced, None);
+    assert!(!a.rh_hw && !a.lazy_lock);
     assert_eq!(only_event(&e), (1_194, EvKind::AttemptEnd(0)));
 }
 
@@ -224,8 +224,8 @@ fn rh_hardware_attempt_with_software_running() {
     assert_eq!(a.path, PathKind::FastHtm);
     assert_eq!(a.t0, START);
     assert_eq!(a.commit_writes, vec![d(11)]);
-    assert_eq!(a.forced_cause, ForcedCause::None);
-    assert!(a.rh_hw && !a.forced_abort && !a.lazy_lock);
+    assert_eq!(a.forced, None);
+    assert!(a.rh_hw && !a.lazy_lock);
     assert_eq!(only_event(&e), (1_152, EvKind::AttemptEnd(0)));
 }
 
@@ -260,8 +260,8 @@ fn software_attempt() {
     assert_eq!(a.path, PathKind::Stm);
     assert_eq!(a.t0, START);
     assert_eq!(a.commit_writes, vec![d(11)]);
-    assert_eq!(a.forced_cause, ForcedCause::None);
-    assert!(!a.forced_abort && !a.rh_hw && !a.lazy_lock);
+    assert_eq!(a.forced, None);
+    assert!(!a.rh_hw && !a.lazy_lock);
     assert_eq!(only_event(&e), (1_101, EvKind::SwAttemptEnd(0)));
     assert_eq!(e.rng, rng, "software attempts never draw");
     assert!(e.watchers.is_empty(), "and stay out of the eager index");
@@ -278,15 +278,15 @@ fn forced_cause_and_the_generator() {
     let fg = SimMethod::FgTle { orecs: 4 };
     let cases = [
         // Inside capacity: the draw happens, and at 0.999 it hits.
-        (SimMethod::Tle, false, 4_096, ForcedCause::Uarch, true),
-        (SimMethod::RhNorec, false, 4_096, ForcedCause::Uarch, true),
-        (fg, true, 4_096, ForcedCause::Uarch, true),
+        (SimMethod::Tle, false, 4_096, AbortCode::Spurious, true),
+        (SimMethod::RhNorec, false, 4_096, AbortCode::Spurious, true),
+        (fg, true, 4_096, AbortCode::Spurious, true),
         // Over capacity (3 distinct lines): no draw.
-        (SimMethod::Tle, false, 2, ForcedCause::Capacity, false),
-        (SimMethod::RhNorec, false, 2, ForcedCause::Capacity, false),
+        (SimMethod::Tle, false, 2, AbortCode::Capacity, false),
+        (SimMethod::RhNorec, false, 2, AbortCode::Capacity, false),
         // The slow path's orec reads double the footprint: 6 > 5 ≥ 3.
-        (SimMethod::Tle, false, 5, ForcedCause::Uarch, true),
-        (fg, true, 5, ForcedCause::Capacity, false),
+        (SimMethod::Tle, false, 5, AbortCode::Spurious, true),
+        (fg, true, 5, AbortCode::Capacity, false),
     ];
     for (method, held, capacity, cause, stepped) in cases {
         let mut e = engine_with(method, tight(capacity), rwr()).with_spurious_aborts(0.999);
@@ -297,8 +297,7 @@ fn forced_cause_and_the_generator() {
         e.on_ready(0);
         let a = pending(&e);
         let what = format!("{method:?} with read capacity {capacity}");
-        assert_eq!(a.forced_cause, cause, "{what}");
-        assert!(a.forced_abort, "{what}");
+        assert_eq!(a.forced, Some(cause), "{what}");
         assert_eq!(e.rng != rng, stepped, "{what}");
     }
     // RW-TLE's read-only slow path has no capacity test and always draws.
@@ -307,7 +306,7 @@ fn forced_cause_and_the_generator() {
     hold(&mut e, None);
     let rng = e.rng;
     e.on_ready(0);
-    assert_eq!(pending(&e).forced_cause, ForcedCause::Uarch);
+    assert_eq!(pending(&e).forced, Some(AbortCode::Spurious));
     assert_ne!(e.rng, rng);
 }
 

@@ -65,7 +65,9 @@ stage "tests"
 # (crates/shard/tests/call_allocs.rs: a warm execute_batch allocates only
 # its result, a cross-shard transfer or compare_and_swap_pair nothing), so
 # a per-call allocation on either path fails here,
-# tests/one_software_rung.rs, the
+# tests/one_software_rung.rs, tests/one_abort_vocabulary.rs (`AbortCode`
+# is the only abort enum; its class labels are spelled only in
+# htm/src/abort.rs), the
 # recorder overhead gates of crates/bench/tests/overhead.rs (sampled:
 # 2.5 x bare + 50 ns; every operation: bare + 200 ns), and
 # crates/bench/tests/cli.rs, which runs the real
