@@ -236,7 +236,7 @@ impl Target {
                     }
                 }
                 rec.record_op_latency(
-                    rtle_htm::thread_token(),
+                    rtle_htm::lanes::Writer::current(),
                     intended.elapsed().as_nanos() as u64,
                 );
             }
@@ -285,7 +285,7 @@ impl Target {
         };
         std::hint::black_box(acc);
         rec.record_op_latency(
-            rtle_htm::thread_token(),
+            rtle_htm::lanes::Writer::current(),
             intended.elapsed().as_nanos() as u64,
         );
     }

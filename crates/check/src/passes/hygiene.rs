@@ -19,6 +19,10 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "core/src/orec.rs",
     // Every attempt's ending is classified here.
     "htm/src/abort.rs",
+    // The clock of every recorded attempt, lock hold and software attempt.
+    "htm/src/epoch.rs",
+    // Every counter bump of every layer.
+    "htm/src/lanes.rs",
     "htm/src/swhtm.rs",
     // Every read, extension and commit of both the emulated HTM and TL2.
     "htm/src/stripe.rs",

@@ -165,23 +165,46 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         why: "strong-atomicity read of a possibly-concurrently-committed cell; Acquire is the floor",
     },
     // Statistics: every counter of the workspace's hot paths (HtmStats,
-    // ExecStats, TmStats, StmStats) lives in per-thread lanes, and the
-    // lanes module is the only place that touches the atomics. Counters
+    // ExecStats, TmStats, StmStats, the recorder's lanes and ring cursors)
+    // lives in per-thread lanes and is bumped by `Writer::bump`. Counters
     // with no synchronization role: Relaxed, and nothing stronger — a
-    // stronger ordering would imply a role they must never grow.
+    // stronger ordering would imply a role they must never grow. The one
+    // ordering that carries weight is the claim table's: a lane's next
+    // owner continues the sums its last owner left.
+    OrderingRule {
+        file_suffix: "htm/src/lanes.rs",
+        receiver: "claimed",
+        op: AtomicOp::CompareExchange,
+        allowed: &["Acquire"],
+        why: "lane claim: the claimer's plain bumps continue the last owner's sums, so it must see that owner's last stores (pairs with the Release hand-back)",
+    },
+    OrderingRule {
+        file_suffix: "htm/src/lanes.rs",
+        receiver: "claimed",
+        op: AtomicOp::Store,
+        allowed: &["Release"],
+        why: "lane hand-back from the owner's thread-local destructor: publishes its last bumps to the next claimer",
+    },
+    OrderingRule {
+        file_suffix: "htm/src/lanes.rs",
+        receiver: "word",
+        op: AtomicOp::Store,
+        allowed: &["Relaxed"],
+        why: "owned bump: the lane's only writer stores load + n, no read-modify-write; readers only sum",
+    },
     OrderingRule {
         file_suffix: "htm/src/lanes.rs",
         receiver: "*",
         op: AtomicOp::Load,
         allowed: &["Relaxed"],
-        why: "lane sums: monotonic statistics counters, advisory, no ordering role",
+        why: "lane sums and the owned bump's load: monotonic statistics counters, advisory, no ordering role",
     },
     OrderingRule {
         file_suffix: "htm/src/lanes.rs",
         receiver: "*",
         op: AtomicOp::FetchAdd,
         allowed: &["Relaxed"],
-        why: "lane bumps: monotonic statistics counters, advisory, no ordering role",
+        why: "shared bumps (overflow and keyed lanes): monotonic statistics counters, advisory, no ordering role",
     },
     // Configuration: values with no synchronization role.
     OrderingRule {
@@ -261,13 +284,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     OrderingRule {
         file_suffix: "obs/src/lane.rs",
         receiver: "*",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "lane event counters: monotonic statistics, summed by snapshots, differenced by windows",
-    },
-    OrderingRule {
-        file_suffix: "obs/src/lane.rs",
-        receiver: "*",
         op: AtomicOp::Load,
         allowed: &["Relaxed"],
         why: "lane reading: each monotonic word read once; a racing sample is in this reading or the next",
@@ -277,7 +293,14 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         receiver: "*",
         op: AtomicOp::FetchAdd,
         allowed: &["Relaxed"],
-        why: "histogram bucket / value sum / running maximum: monotonic statistics words",
+        why: "shared histogram's running maximum: a monotonic statistics word",
+    },
+    OrderingRule {
+        file_suffix: "obs/src/hist.rs",
+        receiver: "max",
+        op: AtomicOp::Store,
+        allowed: &["Relaxed"],
+        why: "owned running maximum: the lane's only writer raises it with a plain store",
     },
     OrderingRule {
         file_suffix: "obs/src/hist.rs",
@@ -285,13 +308,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
         op: AtomicOp::Load,
         allowed: &["Relaxed"],
         why: "histogram snapshot and max pre-check: advisory statistics reads",
-    },
-    OrderingRule {
-        file_suffix: "obs/src/ring.rs",
-        receiver: "cursor",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "ring slot claim: hands out slots of the lane's segment, publishes nothing",
     },
     OrderingRule {
         file_suffix: "obs/src/ring.rs",

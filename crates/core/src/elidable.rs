@@ -18,9 +18,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rtle_htm::lanes::Writer;
 use rtle_htm::wait::backoff_until;
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
 use rtle_hytm::{SoftwareTm, SwPhase};
+use rtle_obs::epoch::now_ns;
 use rtle_obs::{
     commit_counters, AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, PathKind, RecordKind,
     Recorder, SourceSnapshot,
@@ -71,13 +73,15 @@ pub struct ElidableLock<B: HtmBackend = SwHtmBackend> {
     stats: ExecStats,
     /// Attempt-level observability. `None` (the default) costs one branch
     /// per operation; installed, each attempt of a sampled operation
-    /// additionally pays two `Instant` reads (its start and its end), a
-    /// few relaxed counter bumps and one two-word ring push.
+    /// additionally pays two reads of the telemetry clock
+    /// ([`rtle_obs::epoch`]: one `rdtsc` each where the TSC is invariant)
+    /// for its start and its end, a few plain stores to counters on the
+    /// thread's own lane and one two-word ring push.
     recorder: Option<Arc<Recorder>>,
 }
 
-/// The per-thread sampling ticket. (The thread's recorder lane is
-/// selected by [`rtle_htm::thread_token`], like every other counter lane.)
+/// The per-thread sampling ticket. (The thread's recorder lane is the one
+/// it claimed, [`Writer::current`], like every other counter lane.)
 mod obs_thread {
     use std::cell::Cell;
 
@@ -112,33 +116,30 @@ mod obs_thread {
 #[derive(Clone, Copy)]
 pub(crate) struct Rec<'a> {
     recorder: &'a Recorder,
-    thread_key: u64,
+    by: Writer,
 }
 
 impl Rec<'_> {
-    /// Records the attempt that began at `started` and ends now: the one
-    /// clock read here yields its latency, and `started` its timestamp.
+    /// Records the attempt that began at `started` (ns on the process
+    /// epoch) and ends now: the one clock read here yields its latency,
+    /// and `started` its timestamp.
     #[inline]
-    fn attempt(&self, path: PathKind, abort: Option<AbortCode>, attempt: u32, started: Instant) {
+    fn attempt(&self, path: PathKind, abort: Option<AbortCode>, attempt: u32, started: u64) {
         let ev = AttemptEvent {
             path,
             abort,
             attempt: attempt.min(u8::MAX as u32) as u8,
-            latency: started.elapsed().as_nanos() as u64,
+            latency: now_ns().saturating_sub(started),
         };
-        self.recorder.record(
-            self.thread_key,
-            rtle_obs::epoch::ns_at(started),
-            RecordKind::Attempt(ev),
-        );
+        self.recorder
+            .record(self.by, started, RecordKind::Attempt(ev));
     }
 
     /// Records a protocol instant (write-flag raise, epoch bump)
     /// happening now. Only the lock holder calls this: an instant recorded
     /// inside a transaction that later aborts would be a lie.
     pub(crate) fn instant(&self, kind: RecordKind) {
-        self.recorder
-            .record(self.thread_key, rtle_obs::epoch::now_ns(), kind);
+        self.recorder.record(self.by, now_ns(), kind);
     }
 }
 
@@ -322,7 +323,9 @@ impl<B: HtmBackend> ElidableLock<B> {
         }
     }
 
-    /// The installed recorder, if any.
+    /// The installed recorder, if any. The lock feeds it from each calling
+    /// thread's claimed lane ([`Writer::current`]), so it must not also be
+    /// fed by keyed writers.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
         self.recorder.as_ref()
     }
@@ -373,7 +376,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         let rec = match &self.recorder {
             Some(recorder) if obs_thread::take_ticket(recorder.sample_period()) => Some(Rec {
                 recorder,
-                thread_key: rtle_htm::thread_token(),
+                by: Writer::current(),
             }),
             _ => None,
         };
@@ -396,7 +399,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         let r = self.execute(cs);
         if let Some(recorder) = &self.recorder {
             recorder.record_op_latency(
-                rtle_htm::thread_token(),
+                Writer::current(),
                 intended_start.elapsed().as_nanos() as u64,
             );
         }
@@ -440,7 +443,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         path: PathKind,
         outcome: &Result<R, AbortCode>,
         attempt: u32,
-        sampled: Option<(Rec<'_>, Instant)>,
+        sampled: Option<(Rec<'_>, u64)>,
     ) {
         let abort = outcome.as_ref().err().copied();
         match abort {
@@ -470,7 +473,7 @@ impl<B: HtmBackend> ElidableLock<B> {
             let step = self.retry.next_step(slow.is_some(), held, attempts, slow_attempts);
             match (step, slow) {
                 (Step::Fast, _) => {
-                    let sampled = rec.map(|rc| (rc, Instant::now()));
+                    let sampled = rec.map(|rc| (rc, now_ns()));
                     let outcome = self.fast_attempt(cs);
                     self.note_attempt(
                         PathKind::FastHtm,
@@ -494,7 +497,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                 (Step::Slow, Some(slow)) => {
                     // Refined TLE: speculate on the instrumented slow path,
                     // concurrently with the lock holder.
-                    let sampled = rec.map(|rc| (rc, Instant::now()));
+                    let sampled = rec.map(|rc| (rc, now_ns()));
                     let outcome = self.slow_attempt(slow, cs);
                     self.note_attempt(
                         PathKind::SlowHtm,
@@ -660,7 +663,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         rec: Option<Rec<'_>>,
         prior_attempts: u32,
     ) -> R {
-        let sampled = rec.map(|rc| (rc, Instant::now()));
+        let sampled = rec.map(|rc| (rc, now_ns()));
         let phase = SwPhase::enter(tm);
         loop {
             if let Some(r) = self.software_attempt(&phase, cs) {
@@ -787,7 +790,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         // Recorded at acquisition (not completion) so concurrent observers
         // see the pessimistic execution while it is in flight.
         self.stats.record_commit(PathKind::Lock);
-        let t0 = Instant::now();
+        let t0 = now_ns();
         let holder = match (self.policy, &self.orecs) {
             (ElisionPolicy::RwTle, _) => Holder::Rw {
                 write_flag: &self.write_flag,
@@ -907,7 +910,8 @@ where
 pub struct LockedSection<'a, B: HtmBackend> {
     lock: &'a ElidableLock<B>,
     ctx: Ctx<'a>,
-    t0: Instant,
+    /// When the lock was taken, ns on the process epoch.
+    t0: u64,
 }
 
 impl<'a, B: HtmBackend> LockedSection<'a, B> {
@@ -941,7 +945,9 @@ impl<B: HtmBackend> Drop for LockedSection<'_, B> {
             }
             _ => {}
         }
-        self.lock.stats.record_time_locked(self.t0.elapsed());
+        self.lock
+            .stats
+            .record_time_locked(now_ns().saturating_sub(self.t0));
         self.lock.lock.release();
     }
 }

@@ -30,9 +30,9 @@ const ABORTS_BY_CODE: usize = ABORTS + AbortCode::KINDS;
 const COUNTERS: usize = ABORTS_BY_CODE + AbortCode::EXPLICIT_CODES;
 
 /// Relaxed counters attached to one [`crate::ElidableLock`], kept in
-/// per-thread lanes: counting an operation writes no line another running
-/// thread writes, and — the lanes being block-aligned — none the lock word
-/// or the lock's read-mostly configuration lives on.
+/// per-thread lanes: counting an operation is a plain store to a line no
+/// other running thread writes, and — the lanes being block-aligned — not
+/// one the lock word or the lock's read-mostly configuration lives on.
 #[derive(Debug, Default)]
 pub struct ExecStats {
     lanes: Lanes<COUNTERS>,
@@ -73,9 +73,10 @@ impl ExecStats {
         }
     }
 
+    /// One holding of the lock, `ns` long.
     #[inline]
-    pub(crate) fn record_time_locked(&self, d: Duration) {
-        self.lanes.add(TIME_LOCKED_NS, d.as_nanos() as u64);
+    pub(crate) fn record_time_locked(&self, ns: u64) {
+        self.lanes.add(TIME_LOCKED_NS, ns);
     }
 
     /// Number of slow-path HTM commits so far (used by the adaptive
@@ -260,7 +261,7 @@ mod tests {
         }
         s.record_abort(PathKind::FastHtm, AbortCode::Conflict);
         s.record_abort(PathKind::SlowHtm, AbortCode::Explicit(4));
-        s.record_time_locked(Duration::from_micros(5));
+        s.record_time_locked(5_000);
 
         let snap = s.snapshot();
         assert_eq!(snap.ops, 4, "every commit, on any path, completes one op");

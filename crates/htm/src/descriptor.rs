@@ -7,6 +7,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::lanes::{self, Writer};
 use crate::stripe::Footprint;
 
 /// One buffered write of a [`RedoLog`]: target cell and the new word.
@@ -126,28 +127,42 @@ impl SwTxn {
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 /// Everything the runtime keeps per thread, in one const-initialised
-/// thread-local: one TLS address computation reaches all of it. The
-/// descriptor's buffers give the slot a destructor, so an access still
+/// thread-local: one TLS address computation reaches all of it. The slot
+/// has a destructor (it hands the counter lane back and frees the
+/// descriptor's buffers), so an access still
 /// checks the slot's liveness byte, and once the thread has torn the slot
 /// down only the entry points that need no descriptor keep working (see
 /// [`if_active`] and [`thread_token`]).
 pub(crate) struct ThreadState {
     /// Whether a software transaction is active on this thread.
     active: Cell<bool>,
-    /// Stripe-lock owner token, which also selects the thread's counter
-    /// lane; 0 until first drawn.
+    /// Stripe-lock owner token and recorder track id; 0 until first drawn.
     token: Cell<u64>,
+    /// The counter lane this thread claimed ([`crate::lanes`]);
+    /// [`UNCLAIMED`] until its first bump.
+    lane: Cell<usize>,
     txn: RefCell<SwTxn>,
 }
+
+/// [`ThreadState::lane`] before the thread's first bump.
+const UNCLAIMED: usize = usize::MAX;
 
 thread_local! {
     static THREAD: ThreadState = const {
         ThreadState {
             active: Cell::new(false),
             token: Cell::new(0),
+            lane: Cell::new(UNCLAIMED),
             txn: RefCell::new(SwTxn::new()),
         }
     };
+}
+
+impl Drop for ThreadState {
+    /// Hands the claimed lane back: its next claimer continues its sums.
+    fn drop(&mut self) {
+        lanes::release(self.lane.get());
+    }
 }
 
 impl ThreadState {
@@ -189,6 +204,24 @@ impl ThreadState {
         token
     }
 
+    /// This thread as a writer of counter lanes: its token, on the lane it
+    /// claimed at its first bump.
+    #[inline]
+    pub fn writer(&self) -> Writer {
+        let lane = match self.lane.get() {
+            UNCLAIMED => self.claim_lane(),
+            lane => lane,
+        };
+        Writer::claimed(self.token(), lane)
+    }
+
+    #[cold]
+    fn claim_lane(&self) -> usize {
+        let lane = lanes::claim();
+        self.lane.set(lane);
+        lane
+    }
+
     /// Grants `f` access to this thread's descriptor.
     ///
     /// # Panics
@@ -226,14 +259,23 @@ pub(crate) fn if_active<R>(f: impl FnOnce(&ThreadState) -> R) -> Option<R> {
 
 /// This thread's stripe-lock owner token. Past the destruction of the
 /// thread's thread-locals every call draws a fresh one: still unique, so
-/// still a valid stripe owner and counter-lane selector for the one plain
-/// access or counter bump that asked.
+/// still a valid stripe owner for the one plain access that asked.
 #[inline]
 pub fn thread_token() -> u64 {
     // ordering: token allocation, as in `draw_token`.
     THREAD
         .try_with(ThreadState::token)
         .unwrap_or_else(|_| NEXT_TOKEN.fetch_add(1, Ordering::Relaxed))
+}
+
+/// This thread as a writer of counter lanes ([`Writer::current`]). Past the
+/// destruction of the thread's thread-locals, its lane is handed back: it
+/// bumps the shared overflow lane under a fresh token.
+#[inline]
+pub(crate) fn lane_writer() -> Writer {
+    THREAD
+        .try_with(ThreadState::writer)
+        .unwrap_or_else(|_| Writer::claimed(thread_token(), lanes::OVERFLOW))
 }
 
 /// Whether a software transaction is active on this thread.

@@ -64,6 +64,7 @@ pub mod backend;
 pub mod cell;
 pub mod config;
 pub mod descriptor;
+pub mod epoch;
 pub mod hash;
 pub mod lanes;
 #[cfg(feature = "mutant-publication")]

@@ -5,10 +5,10 @@
 //! emulated equivalent of the hardware performance events a real TSX study
 //! would read. They are process-global, relaxed, and kept in per-thread
 //! [`Lanes`] so that counting a transaction writes no line another running
-//! thread writes.
+//! thread writes and takes no locked instruction.
 
 use crate::abort::AbortCode;
-use crate::lanes::{Lane, Lanes};
+use crate::lanes::{Lane, Lanes, Writer};
 
 const STARTS: usize = 0;
 const COMMITS: usize = 1;
@@ -18,11 +18,11 @@ const COUNTERS: usize = ABORTS + AbortCode::KINDS;
 
 static EVENTS: Lanes<COUNTERS> = Lanes::new();
 
-/// The lane of the thread holding stripe-owner token `token`; the runtime
-/// looks it up once per transaction attempt.
+/// The lane `by` writes; the runtime looks it up once per transaction
+/// attempt.
 #[inline]
-pub(crate) fn lane_of(token: u64) -> Lane<'static, COUNTERS> {
-    EVENTS.of_token(token)
+pub(crate) fn lane(by: Writer) -> Lane<'static, COUNTERS> {
+    EVENTS.of(by)
 }
 
 /// Immutable snapshot of the global HTM counters.

@@ -74,7 +74,7 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
             return Ok(f());
         }
 
-        let lane = stats::lane_of(th.token());
+        let lane = stats::lane(th.writer());
         stats::record_start(lane);
         let outcome = match injected_abort() {
             Some(code) => Err(code),

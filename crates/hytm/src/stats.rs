@@ -77,9 +77,10 @@ impl TmStats {
         self.lanes.add(VALIDATIONS, n);
     }
 
+    /// One software attempt, `ns` long.
     #[inline]
-    pub(crate) fn record_sw_time(&self, d: Duration) {
-        self.lanes.add(SW_TIME_NS, d.as_nanos() as u64);
+    pub(crate) fn record_sw_time(&self, ns: u64) {
+        self.lanes.add(SW_TIME_NS, ns);
     }
 
     /// Consistent-enough snapshot of all counters.

@@ -19,8 +19,8 @@
 //! cross the crate boundary.
 
 use std::cell::{Cell, RefCell};
-use std::time::Instant;
 
+use rtle_htm::epoch;
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::TxCell;
 
@@ -146,7 +146,7 @@ impl<'a> SwPhase<'a> {
     /// completed op) or the abort, on the backend's [`TmStats`].
     pub fn attempt<R>(&self, cs: impl FnOnce(&TmCtx<'_>) -> R) -> Option<R> {
         let (tm, desc) = (self.tm, self.desc.as_ref().expect("held until drop"));
-        let t0 = Instant::now();
+        let t0 = epoch::now_ns();
         tm.begin(&mut desc.borrow_mut());
         let outcome = unwind::catch(Channel::Sw, || {
             let ctx = TmCtx::sw(tm, desc);
@@ -154,7 +154,7 @@ impl<'a> SwPhase<'a> {
             let kind = tm.commit(&mut desc.borrow_mut());
             (r, kind)
         });
-        tm.stats().record_sw_time(t0.elapsed());
+        tm.stats().record_sw_time(epoch::now_ns().saturating_sub(t0));
         match outcome {
             Ok((r, kind)) => {
                 tm.stats().record_commit(kind);

@@ -9,13 +9,17 @@
 //! and each tier is split into [`SUB_BUCKETS`] linear sub-buckets.
 //!
 //! Recording is three `Relaxed` updates (bucket, value sum, running
-//! maximum) of words that only ever grow, so a histogram can be shared
-//! across threads, two [`HistSnapshot`]s of one histogram can be
-//! subtracted ([`HistSnapshot::since`] — how a telemetry window is cut),
-//! and snapshots of several can be summed ([`HistSnapshot::merged`] — how
-//! the recorder's per-thread lanes become one distribution).
+//! maximum) of words that only ever grow: plain stores when the recording
+//! thread owns the lane the histogram lives in
+//! ([`rtle_htm::lanes::Writer`]), atomic read-modify-writes when it shares
+//! it. Two [`HistSnapshot`]s of one histogram can be subtracted
+//! ([`HistSnapshot::since`] — how a telemetry window is cut), and
+//! snapshots of several can be summed ([`HistSnapshot::merged`] — how the
+//! recorder's per-thread lanes become one distribution).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use rtle_htm::lanes::Writer;
 
 use crate::json::Json;
 
@@ -84,19 +88,31 @@ impl Histogram {
         (1u64 << tier) | (sub << (tier - SUB_SHIFT))
     }
 
-    /// Records one sample: the bucket, the value sum, and (only when it
-    /// grows) the maximum.
+    /// Records one sample from any thread: the histogram is shared by
+    /// whoever records into it, so every word is bumped atomically.
     #[inline]
     pub fn record(&self, v: u64) {
-        // ordering: monotonic statistics words with no synchronization
-        // role; each is exact on its own once the recording threads are
-        // quiet, which is all a snapshot or a window difference needs.
-        self.counts[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.record_by(Writer::keyed(0), v);
+    }
+
+    /// Records one sample as `by`, a writer of the lane this histogram
+    /// lives in: the bucket, the value sum, and (only when it grows) the
+    /// maximum.
+    #[inline]
+    pub fn record_by(&self, by: Writer, v: u64) {
+        by.bump(&self.counts[Self::bucket_index(v)], 1);
         // A zero (the usual retry count) moves neither the sum nor the max.
         if v > 0 {
-            self.total.fetch_add(v, Ordering::Relaxed);
+            by.bump(&self.total, v);
+            // ordering: monotonic statistics words with no synchronization
+            // role; each is exact on its own once the recording threads are
+            // quiet, which is all a snapshot or a window difference needs.
             if v > self.max.load(Ordering::Relaxed) {
-                self.max.fetch_max(v, Ordering::Relaxed);
+                if by.owns_lane() {
+                    self.max.store(v, Ordering::Relaxed);
+                } else {
+                    self.max.fetch_max(v, Ordering::Relaxed);
+                }
             }
         }
     }

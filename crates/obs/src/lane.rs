@@ -1,15 +1,16 @@
 //! The recorder lane: everything a recording thread counts, on lines no
 //! other lane's threads write.
 //!
-//! A [`crate::Recorder`] holds [`rtle_htm::lanes::LANES`] of these, one
-//! per [`rtle_htm::lanes::Block`], selected by `thread_key & (LANES - 1)`
-//! — the runtime passes [`rtle_htm::thread_token`], the simulator its
-//! logical thread ids. Every word in a lane is monotonic and bumped with
-//! an atomic read-modify-write, so threads beyond `LANES` share lanes at
-//! a cost in speed, never in exactness; a snapshot sums the lanes, and a
+//! A [`crate::Recorder`] holds one of these per lane of
+//! [`rtle_htm::lanes`], each in its own [`rtle_htm::lanes::Block`]s, and a
+//! recording [`Writer`] picks one: the runtime's threads their claimed
+//! lanes, bumped with plain stores, and the simulator's logical threads
+//! the lanes their keys select, bumped atomically. Every word in a lane is
+//! monotonic, so threads beyond the lanes share the overflow lane at a
+//! cost in speed, never in exactness; a snapshot sums the lanes, and a
 //! telemetry window is the difference of two readings of them
 //! ([`crate::window`]). The lane's segment of the record ring is
-//! [`crate::ring::Ring`]'s, selected by the same key.
+//! [`crate::ring::Ring`]'s, picked by the same writer.
 //!
 //! Commits are counted per [`PathKind::index`], aborts per
 //! [`AbortCode::index`], and explicit aborts also per
@@ -18,6 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rtle_htm::lanes::Writer;
 use rtle_htm::AbortCode;
 
 use crate::event::{AttemptEvent, PathKind, PATHS};
@@ -54,27 +56,25 @@ impl Lane {
         }
     }
 
-    /// Counts one attempt event, once: the path's commit counter and the
-    /// critical-section and retry histograms (and, under the lock, the
-    /// hold time) on commit, the abort's class counter (and its explicit
-    /// code's bucket, if it has one) otherwise.
+    /// Counts one attempt event as `by`, a writer of this lane, once: the
+    /// path's commit counter and the critical-section and retry histograms
+    /// (and, under the lock, the hold time) on commit, the abort's class
+    /// counter (and its explicit code's bucket, if it has one) otherwise.
     #[inline]
-    pub fn count(&self, ev: AttemptEvent) {
-        // ordering: monotonic statistics counters, no synchronization
-        // role; exact once the recording threads are quiet.
+    pub fn count(&self, by: Writer, ev: AttemptEvent) {
         match ev.abort {
             None => {
-                self.commits[ev.path.index()].fetch_add(1, Ordering::Relaxed);
-                self.cs_latency.record(ev.latency);
-                self.retries.record(ev.attempt as u64);
+                by.bump(&self.commits[ev.path.index()], 1);
+                self.cs_latency.record_by(by, ev.latency);
+                self.retries.record_by(by, ev.attempt as u64);
                 if ev.path == PathKind::Lock {
-                    self.lock_hold.record(ev.latency);
+                    self.lock_hold.record_by(by, ev.latency);
                 }
             }
             Some(code) => {
-                self.aborts[code.index()].fetch_add(1, Ordering::Relaxed);
+                by.bump(&self.aborts[code.index()], 1);
                 if let Some(bucket) = code.explicit_bucket() {
-                    self.explicit[bucket].fetch_add(1, Ordering::Relaxed);
+                    by.bump(&self.explicit[bucket], 1);
                 }
             }
         }
@@ -114,6 +114,8 @@ mod tests {
     #[test]
     fn an_event_is_counted_once_on_the_lane_its_key_selects() {
         let lanes = PerLane::new(Lane::new);
+        let key = Writer::keyed;
+        let count = |k: u64, ev| lanes.of(key(k)).count(key(k), ev);
         let on = |path, abort| AttemptEvent {
             path,
             abort,
@@ -121,14 +123,10 @@ mod tests {
             latency: 70,
         };
         let ev = |abort| on(PathKind::SlowHtm, abort);
-        lanes.of(3).count(ev(None));
-        lanes
-            .of(3 + LANES as u64)
-            .count(ev(Some(AbortCode::Explicit(5))));
-        lanes
-            .of(3 + LANES as u64)
-            .count(ev(Some(AbortCode::Explicit(12))));
-        lanes.of(4).count(ev(Some(AbortCode::Nested)));
+        count(3, ev(None));
+        count(3 + LANES as u64, ev(Some(AbortCode::Explicit(5))));
+        count(3 + LANES as u64, ev(Some(AbortCode::Explicit(12))));
+        count(4, ev(Some(AbortCode::Nested)));
         let read: Vec<WindowCounts> = lanes.iter().map(Lane::read).collect();
         assert_eq!(read[3].commits, [0, 1, 0, 0]);
         assert_eq!(read[3].aborts, [0, 0, 2, 0, 0, 0]);
@@ -138,13 +136,13 @@ mod tests {
             "code 12 has no bucket of its own"
         );
         assert_eq!(read[4].aborts[AbortCode::Nested.index()], 1);
-        assert_eq!(lanes.of(3).cs_latency.snapshot().count, 1);
-        assert_eq!(lanes.of(3).retries.snapshot().buckets, [(2, 1)]);
-        assert_eq!(lanes.of(3).lock_hold.snapshot().count, 0);
+        assert_eq!(lanes.of(key(3)).cs_latency.snapshot().count, 1);
+        assert_eq!(lanes.of(key(3)).retries.snapshot().buckets, [(2, 1)]);
+        assert_eq!(lanes.of(key(3)).lock_hold.snapshot().count, 0);
         // A commit under the lock is also a hold-time sample.
-        lanes.of(5).count(on(PathKind::Lock, None));
-        assert_eq!(lanes.of(5).read().commits, [0, 0, 0, 1]);
-        assert_eq!(lanes.of(5).lock_hold.snapshot().buckets, [(70, 1)]);
+        count(5, on(PathKind::Lock, None));
+        assert_eq!(lanes.of(key(5)).read().commits, [0, 0, 0, 1]);
+        assert_eq!(lanes.of(key(5)).lock_hold.snapshot().buckets, [(70, 1)]);
         let untouched = read.iter().enumerate().filter(|&(i, _)| i != 3 && i != 4);
         assert!(untouched
             .into_iter()

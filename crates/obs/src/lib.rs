@@ -21,8 +21,9 @@
 //!   and produces schema-versioned [`ObsSnapshot`]s, exported as JSON
 //!   ([`ObsSnapshot::to_json`]) or scraped live (below). Everything a
 //!   recording thread writes — counters, histograms, its segment of the
-//!   record ring — lives in the one lane its thread key selects ([`rtle_htm::lanes::PerLane`]), on lines no other running
-//!   thread writes.
+//!   record ring — lives in the lane it claimed
+//!   ([`rtle_htm::lanes::Writer`]), on lines no other running thread
+//!   writes, bumped with plain stores.
 //! * **Decision tracing** ([`AdaptDecision`]) — each adaptive FG-TLE
 //!   resize/collapse/re-enable with the slow-commit/abort window signal
 //!   that triggered it.
@@ -54,7 +55,6 @@
 //! vendored, and the parser lets tests assert that every `--json` file
 //! round-trips.
 
-pub mod epoch;
 pub mod event;
 pub mod hist;
 pub mod json;
@@ -66,6 +66,8 @@ pub mod ring;
 pub mod trace;
 pub mod watchdog;
 pub mod window;
+
+pub use rtle_htm::epoch;
 
 pub use event::{
     commit_counters, AdaptAction, AdaptDecision, AttemptEvent, PathKind, PATHS, PATH_LABELS,

@@ -7,16 +7,21 @@
 //! A recorder is shared behind an `Arc`: the lock runtime (or the
 //! simulator) holds one and feeds it from the hot path; the harness
 //! snapshots it at any time. Everything on the recording side is
-//! lock-free, `Relaxed`, and lands in the recording thread's own lane
-//! (`lane.rs`) — a handful of fetch-adds on lines no other running
-//! thread writes, and one two-word ring store per *sampled* attempt —
-//! except the full decision list, which is a mutex-guarded `Vec` because
-//! decisions happen at most once per adaptation window and always under
-//! the elided lock.
+//! lock-free, `Relaxed`, and lands in the recording writer's own lane
+//! (`lane.rs`) — a handful of bumps on lines no other running thread
+//! writes, plain stores on a lane the thread owns, and one two-word ring
+//! store per *sampled* attempt — except the full decision list, which is a
+//! mutex-guarded `Vec` because decisions happen at most once per
+//! adaptation window and always under the elided lock.
+//!
+//! A recorder is fed by claimed writers ([`Writer::current`], the runtime)
+//! or by keyed ones ([`Writer::keyed`], the simulator's logical threads),
+//! never both: a keyed bump racing a lane owner's plain store could lose
+//! an update ([`rtle_htm::lanes`]).
 
 use std::sync::{Arc, Mutex};
 
-use rtle_htm::lanes::PerLane;
+use rtle_htm::lanes::{PerLane, Writer};
 use rtle_htm::AbortCode;
 
 use crate::event::{commit_counters, AdaptAction, AdaptDecision, AttemptEvent, PATH_LABELS};
@@ -137,23 +142,28 @@ impl Recorder {
         self.sample_mask + 1
     }
 
-    /// Records one thing that happened at `ts` (an attempt's start, an
+    /// Records one thing `by` saw happen at `ts` (an attempt's start, an
     /// instant's time; the recorder's latency unit, on the process epoch
-    /// for real time) on the lane `thread_key` selects: an attempt is
-    /// counted once (windows are cut from the same counters, not fed a
-    /// copy), and the packed record goes to the lane's ring segment.
+    /// for real time) on `by`'s lane, on the track of `by`'s key: an
+    /// attempt is counted once (windows are cut from the same counters,
+    /// not fed a copy), and the packed record goes to the lane's ring
+    /// segment.
     #[inline]
-    pub fn record(&self, thread_key: u64, ts: u64, kind: RecordKind) {
+    pub fn record(&self, by: Writer, ts: u64, kind: RecordKind) {
+        self.push(by, by.key(), ts, kind);
+    }
+
+    #[inline]
+    fn push(&self, by: Writer, track: u64, ts: u64, kind: RecordKind) {
         if let RecordKind::Attempt(ev) = kind {
-            self.lanes.of(thread_key).count(ev);
+            self.lanes.of(by).count(by, ev);
         }
         let rec = Record {
-            tid: Record::tid_of(thread_key),
+            tid: Record::tid_of(track),
             ts,
             kind,
         };
-        self.ring
-            .push(thread_key, |generation| rec.pack(generation));
+        self.ring.push(by, |generation| rec.pack(generation));
     }
 
     /// Records one end-to-end operation latency for the telemetry
@@ -163,24 +173,30 @@ impl Recorder {
     /// expected to measure from the operation's *intended* start so the
     /// per-window p99/p999 are coordinated-omission-corrected.
     #[inline]
-    pub fn record_op_latency(&self, thread_key: u64, latency_ns: u64) {
+    pub fn record_op_latency(&self, by: Writer, latency_ns: u64) {
         if self.windows.is_some() {
-            self.lanes.of(thread_key).op_latency.record(latency_ns);
+            self.lanes.of(by).op_latency.record_by(by, latency_ns);
         }
     }
 
     /// Appends an adaptive-policy decision to the decision list, stamped
-    /// now on the process epoch.
+    /// now on the process epoch, from the calling thread's lane.
     pub fn record_decision(&self, d: AdaptDecision) {
-        self.record_decision_at(d, crate::epoch::now_ns());
+        self.decide(Writer::current(), d, crate::epoch::now_ns());
     }
 
     /// Appends an adaptive-policy decision with an explicit timestamp in
-    /// the recorder's latency unit (the simulator passes its sim clock),
-    /// and puts it on the record timeline as a process-scoped instant
-    /// carrying the post-decision orec count.
+    /// the recorder's latency unit, from keyed writer 0 (the simulator
+    /// passes its sim clock).
     pub fn record_decision_at(&self, d: AdaptDecision, ts: u64) {
-        self.record(0, ts, RecordKind::Adapt(d.action, d.orecs_after));
+        self.decide(Writer::keyed(0), d, ts);
+    }
+
+    /// Appends `d` to the decision list and puts it on the record timeline
+    /// as a process-scoped instant (track 0) carrying the post-decision
+    /// orec count.
+    fn decide(&self, by: Writer, d: AdaptDecision, ts: u64) {
+        self.push(by, 0, ts, RecordKind::Adapt(d.action, d.orecs_after));
         self.decisions.lock().unwrap().push(d);
     }
 
@@ -473,6 +489,10 @@ mod tests {
     use super::*;
     use crate::event::PathKind;
 
+    fn key(k: u64) -> Writer {
+        Writer::keyed(k)
+    }
+
     fn commit(path: PathKind, attempt: u8, latency: u64) -> RecordKind {
         RecordKind::Attempt(AttemptEvent {
             path,
@@ -504,11 +524,11 @@ mod tests {
     #[test]
     fn counters_and_histograms_populate() {
         let r = Recorder::new(ObsConfig::default());
-        r.record(0, 0, commit(PathKind::FastHtm, 0, 100));
-        r.record(0, 0, commit(PathKind::FastHtm, 2, 300));
-        r.record(0, 0, abort(PathKind::SlowHtm, AbortCode::Explicit(4), 1));
-        r.record(0, 0, commit(PathKind::Lock, 3, 9_000));
-        r.record(0, 9_000, RecordKind::EpochBump(7));
+        r.record(key(0), 0, commit(PathKind::FastHtm, 0, 100));
+        r.record(key(0), 0, commit(PathKind::FastHtm, 2, 300));
+        r.record(key(0), 0, abort(PathKind::SlowHtm, AbortCode::Explicit(4), 1));
+        r.record(key(0), 0, commit(PathKind::Lock, 3, 9_000));
+        r.record(key(0), 9_000, RecordKind::EpochBump(7));
         let s = r.snapshot();
         assert_eq!(s.total_commits(), 3);
         assert_eq!(s.total_aborts(), 1);
@@ -541,7 +561,7 @@ mod tests {
             window_len_ms: 1_000,
             ..ObsConfig::default()
         });
-        r.record(0, 0, abort(PathKind::FastHtm, AbortCode::Explicit(34), 0));
+        r.record(key(0), 0, abort(PathKind::FastHtm, AbortCode::Explicit(34), 0));
         let s = r.snapshot();
         assert_eq!(s.explicit_codes, vec![]);
         let aborts: std::collections::BTreeMap<_, _> = s.aborts.into_iter().collect();
@@ -558,9 +578,9 @@ mod tests {
     #[test]
     fn records_come_back_timestamped_and_in_time_order() {
         let r = Recorder::new(ObsConfig::default());
-        r.record(3, 1_000, commit(PathKind::Lock, 0, 500));
-        r.record(4, 1_100, commit(PathKind::SlowHtm, 0, 50));
-        r.record(3, 1_500, RecordKind::EpochBump(7));
+        r.record(key(3), 1_000, commit(PathKind::Lock, 0, 500));
+        r.record(key(4), 1_100, commit(PathKind::SlowHtm, 0, 50));
+        r.record(key(3), 1_500, RecordKind::EpochBump(7));
         r.record_decision_at(
             AdaptDecision {
                 action: AdaptAction::Grow,
@@ -611,6 +631,10 @@ mod tests {
             ts >= before && ts <= crate::epoch::now_ns(),
             "stamped at {ts}"
         );
+        // On the caller's lane, on the process track.
+        let slot = r.ring.resident().position(|w| Record::unpack(w).is_some());
+        assert_eq!(slot.map(|s| s / RING_SLOTS), Some(Writer::current().lane()));
+        assert_eq!(r.records()[0].tid, 0);
     }
 
     #[test]
@@ -620,9 +644,9 @@ mod tests {
         // under distinct ids.
         let r = Recorder::new(ObsConfig::default());
         for i in 0..RING_SLOTS as u64 + 5 {
-            r.record(5_000, i, commit(PathKind::FastHtm, 0, 1));
+            r.record(key(5_000), i, commit(PathKind::FastHtm, 0, 1));
         }
-        r.record(6_001, 9_999_999, commit(PathKind::SlowHtm, 0, 1));
+        r.record(key(6_001), 9_999_999, commit(PathKind::SlowHtm, 0, 1));
         let lane_of = |tid: u16| {
             let slot = r
                 .ring
@@ -649,10 +673,10 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..200u64 {
-            r.record(i % 4, 0, commit(PathKind::FastHtm, (i % 3) as u8, i * 13));
+            r.record(key(i % 4), 0, commit(PathKind::FastHtm, (i % 3) as u8, i * 13));
         }
-        r.record(1, 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
-        r.record(2, 0, commit(PathKind::Lock, 5, 4_000));
+        r.record(key(1), 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
+        r.record(key(2), 0, commit(PathKind::Lock, 5, 4_000));
         r.record_decision(AdaptDecision {
             action: AdaptAction::Grow,
             orecs_before: 64,
@@ -682,8 +706,8 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..40u64 {
-            r.record(i % 2, 0, commit(PathKind::FastHtm, 0, 100));
-            r.record_op_latency(i % 2, 1_000 + i * 10);
+            r.record(key(i % 2), 0, commit(PathKind::FastHtm, 0, 100));
+            r.record_op_latency(key(i % 2), 1_000 + i * 10);
         }
         let rot = r.windows().expect("collector configured").rotate();
         assert_eq!(rot.merged.ops(), 40);
@@ -713,8 +737,8 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..32u64 {
-            r.record(0, 0, commit(PathKind::FastHtm, 0, 100 + i));
-            r.record_op_latency(0, 500);
+            r.record(key(0), 0, commit(PathKind::FastHtm, 0, 100 + i));
+            r.record_op_latency(key(0), 500);
         }
         r.windows().unwrap().rotate();
 
@@ -753,15 +777,17 @@ mod tests {
     #[test]
     fn concurrent_recording_is_consistent() {
         let r = Arc::new(Recorder::new(ObsConfig::default()));
+        // The runtime's way: every thread records on the lane it claimed.
         let threads: Vec<_> = (0..8u64)
-            .map(|t| {
+            .map(|_| {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
+                    let me = Writer::current();
                     for i in 0..10_000u64 {
                         if i % 5 == 4 {
-                            r.record(t, 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
+                            r.record(me, 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
                         } else {
-                            r.record(t, 0, commit(PathKind::FastHtm, 1, i % 1_000));
+                            r.record(me, 0, commit(PathKind::FastHtm, 1, i % 1_000));
                         }
                     }
                 })
@@ -800,19 +826,19 @@ mod tests {
             window_len_ms: 1_000,
             ..ObsConfig::default()
         });
-        for key in 0..36u64 {
-            for i in 0..=key {
+        for k in 0..36u64 {
+            for i in 0..=k {
                 r.record(
-                    key,
+                    key(k),
                     0,
-                    commit(PathKind::SlowHtm, (i % 4) as u8, 10 * key + i),
+                    commit(PathKind::SlowHtm, (i % 4) as u8, 10 * k + i),
                 );
-                r.record_op_latency(key, 1_000 + key);
+                r.record_op_latency(key(k), 1_000 + k);
             }
             r.record(
-                key,
+                key(k),
                 0,
-                abort(PathKind::FastHtm, AbortCode::Explicit(key as u8), 0),
+                abort(PathKind::FastHtm, AbortCode::Explicit(k as u8), 0),
             );
         }
         let ops: u64 = (1..=36).sum();

@@ -2,11 +2,12 @@
 //!
 //! The hot path pushes one record per sampled attempt (and one per
 //! holder instant); the ring must never block, allocate, or serialize
-//! writers. [`Ring<W, N>`] is [`rtle_htm::lanes::LANES`] segments of `N`
-//! slots of `W` words, each segment — wrapping cursor and slots — alone
+//! writers. [`Ring<W, N>`] is one segment of `N` slots of `W` words per
+//! lane of [`rtle_htm::lanes`], each segment — wrapping cursor and slots — alone
 //! in its own [`rtle_htm::lanes::Block`]s: a writer claims a slot of its
-//! lane's segment with one `fetch_add` and stores the words, on lines no
-//! other lane's writers touch. Old records are overwritten — a segment
+//! lane's segment by bumping the segment's cursor — a plain store on a
+//! lane it owns, a `fetch_add` on a shared one — and stores the words, on
+//! lines no other lane's writers touch. Old records are overwritten — a segment
 //! keeps its most recent `N`, which is the right shape for "what just
 //! happened" diagnostics.
 //!
@@ -18,14 +19,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtle_htm::lanes::PerLane;
+use rtle_htm::lanes::{PerLane, Writer};
 
 struct Segment<const W: usize, const N: usize> {
     cursor: AtomicU64,
     slots: [[AtomicU64; W]; N],
 }
 
-/// A bounded multi-writer ring of `W`-word records, `N` slots per lane.
+/// A bounded ring of `W`-word records, `N` slots per lane.
 /// See the module docs.
 pub struct Ring<const W: usize, const N: usize> {
     lanes: PerLane<Segment<W, N>>,
@@ -47,14 +48,14 @@ impl<const W: usize, const N: usize> Ring<W, N> {
         }
     }
 
-    /// Publishes one record to the segment of the lane `thread_key`
-    /// selects. `pack` is handed the claimed slot's generation.
+    /// Publishes one record to the segment of the lane `by` writes.
+    /// `pack` is handed the claimed slot's generation.
     #[inline]
-    pub fn push(&self, thread_key: u64, pack: impl FnOnce(u64) -> [u64; W]) {
-        let seg = self.lanes.of(thread_key);
-        // ordering: the cursor only hands out slots and the words are
-        // self-validating (module docs); nothing is published through them.
-        let claim = seg.cursor.fetch_add(1, Ordering::Relaxed);
+    pub fn push(&self, by: Writer, pack: impl FnOnce(u64) -> [u64; W]) {
+        let seg = self.lanes.of(by);
+        // The cursor only hands out slots and the words are self-validating
+        // (module docs); nothing is published through them.
+        let claim = by.bump(&seg.cursor, 1);
         let slot = &seg.slots[claim as usize & Self::MASK];
         let words = pack(claim / N as u64);
         for (cell, word) in slot.iter().zip(words).rev() {
@@ -102,6 +103,10 @@ mod tests {
     use rtle_htm::lanes::LANES;
     use std::sync::Arc;
 
+    fn key(k: u64) -> Writer {
+        Writer::keyed(k)
+    }
+
     const VALID: u64 = 1 << 63;
 
     /// A test record: every word carries the valid bit, the low 7 bits of
@@ -121,15 +126,19 @@ mod tests {
     fn keeps_the_most_recent_records_when_overflowing() {
         let ring = Ring::<2, 8>::new();
         for i in 0..20u64 {
-            ring.push(3, |g| words(g, i));
+            ring.push(key(3), |g| words(g, i));
         }
-        ring.push(4, |g| words(g, 77));
+        ring.push(key(4), |g| words(g, 77));
         let kept: Vec<u64> = ring.resident().filter_map(payload).collect();
         let mut expected: Vec<u64> = (12..20).collect();
         expected.push(77);
         assert_eq!(kept, expected, "lane order, oldest-first, most recent kept");
         assert_eq!(ring.pushed(), 21);
-        assert_eq!(ring.resident().count(), 8 * LANES, "every slot is visited");
+        assert_eq!(
+            ring.resident().count(),
+            8 * (LANES + 1),
+            "every slot is visited"
+        );
     }
 
     #[test]
@@ -143,7 +152,7 @@ mod tests {
                         // Two writers per lane: thread and sequence in the
                         // payload, so a torn slot that slipped through
                         // would decode to an impossible combination.
-                        ring.push(t % 4, |g| words(g, t << 32 | i));
+                        ring.push(key(t % 4), |g| words(g, t << 32 | i));
                     }
                 })
             })
@@ -164,8 +173,8 @@ mod tests {
     #[test]
     fn partial_fill_returns_only_written() {
         let ring = Ring::<2, 8>::new();
-        ring.push(1, |_| [VALID | 77, 1]);
-        ring.push(2, |_| [VALID | 99, 2]);
+        ring.push(key(1), |_| [VALID | 77, 1]);
+        ring.push(key(2), |_| [VALID | 99, 2]);
         let written: Vec<[u64; 2]> = ring.resident().filter(|w| w[0] != 0).collect();
         assert_eq!(written, [[VALID | 77, 1], [VALID | 99, 2]]);
     }
@@ -175,7 +184,7 @@ mod tests {
         let ring = Ring::<2, 8>::new();
         let mut seen = Vec::new();
         for _ in 0..17 {
-            ring.push(5, |g| {
+            ring.push(key(5), |g| {
                 seen.push(g);
                 [VALID, 0]
             });

@@ -9,7 +9,7 @@
 //! path, abort class, explicit code, attempt index, start, duration) or one
 //! of the instants (write-flag raise, epoch bump, adaptive decision).
 //! Records live in the recorder's one [`crate::ring::Ring`], in the
-//! segment of the lane the recording thread's key selects;
+//! segment of the recording writer's lane ([`rtle_htm::lanes::Writer`]);
 //! `ObsSnapshot::recent_events`, the watchdog's flight record and the
 //! Chrome export below (which loads directly in Perfetto) are readings of
 //! it. A new thing to record is a new [`RecordKind`], never a second ring.

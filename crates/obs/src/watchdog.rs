@@ -611,7 +611,7 @@ mod tests {
 
         let r = Recorder::new(ObsConfig::default());
         r.record(
-            0,
+            rtle_htm::lanes::Writer::keyed(0),
             0,
             crate::RecordKind::Attempt(crate::event::AttemptEvent {
                 path: crate::event::PathKind::Lock,

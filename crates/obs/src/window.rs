@@ -29,7 +29,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use rtle_htm::lanes::PerLane;
+use rtle_htm::lanes::{PerLane, Writer};
 use rtle_htm::AbortCode;
 
 use crate::event::{AttemptEvent, PATHS, PATH_LABELS};
@@ -353,17 +353,19 @@ impl WindowCollector {
 
     /// Records one end-to-end operation latency (ns, ideally measured
     /// from the *intended* start to correct for coordinated omission)
-    /// on the lane `thread_key` selects. Lock-free.
+    /// on the lane `thread_key` selects ([`Writer::keyed`]). Lock-free.
     #[inline]
     pub fn record_latency(&self, thread_key: u64, latency_ns: u64) {
-        self.lanes.of(thread_key).op_latency.record(latency_ns);
+        let by = Writer::keyed(thread_key);
+        self.lanes.of(by).op_latency.record_by(by, latency_ns);
     }
 
-    /// Counts one attempt event on the lane `thread_key` selects.
-    /// Lock-free.
+    /// Counts one attempt event on the lane `thread_key` selects
+    /// ([`Writer::keyed`]). Lock-free.
     #[inline]
     pub fn record_attempt(&self, thread_key: u64, ev: AttemptEvent) {
-        self.lanes.of(thread_key).count(ev);
+        let by = Writer::keyed(thread_key);
+        self.lanes.of(by).count(by, ev);
     }
 
     /// Closes the open window unconditionally: reads the lanes, pushes
@@ -473,7 +475,7 @@ mod tests {
             }
         }
         let rot = c.rotate();
-        assert_eq!(rot.per_lane.len(), LANES);
+        assert_eq!(rot.per_lane.len(), LANES + 1, "and the overflow lane");
         for (key, lane) in rot.per_lane.iter().enumerate() {
             let expected = if key < 8 { key as u64 + 1 } else { 0 };
             assert_eq!(lane.commits[0], expected, "lane {key}");

@@ -199,12 +199,13 @@ fn eight_writers_scrape_under_load_loses_nothing_and_never_blocks() {
     };
 
     std::thread::scope(|scope| {
-        for t in 0..WRITERS {
+        for _ in 0..WRITERS {
             let rec = Arc::clone(&rec);
             scope.spawn(move || {
+                let me = rtle_htm::lanes::Writer::current();
                 for i in 0..OPS_PER_WRITER {
                     rec.record(
-                        t,
+                        me,
                         i,
                         RecordKind::Attempt(AttemptEvent {
                             path: PathKind::FastHtm,

@@ -9,10 +9,10 @@
 //! * **merged == sum of lanes** — every rotation's merged window is the
 //!   field-wise sum of its per-lane shares.
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use rtle_htm::lanes::LANES;
+use rtle_htm::lanes::{Writer, LANES};
 use rtle_htm::AbortCode;
 use rtle_obs::window::WindowCounts;
 use rtle_obs::{
@@ -35,6 +35,9 @@ fn no_samples_lost_across_rotations() {
         ..ObsConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
+    // Rotations so far: every writer waits for one between the two halves
+    // of its work, so the work spans windows however the threads are run.
+    let rotated = Arc::new(AtomicU64::new(0));
 
     // The rotator: close a window every millisecond-ish tick (throttled so
     // the bounded series can provably retain every window), checking the
@@ -42,17 +45,19 @@ fn no_samples_lost_across_rotations() {
     let rotator = {
         let rec = Arc::clone(&rec);
         let stop = Arc::clone(&stop);
+        let rotated = Arc::clone(&rotated);
         std::thread::spawn(move || {
             let mut rotations = 0u64;
             while !stop.load(Relaxed) {
                 let rot = rec.windows().unwrap().rotate();
-                assert_eq!(rot.per_lane.len(), LANES);
+                assert_eq!(rot.per_lane.len(), LANES + 1);
                 let mut sum = WindowCounts::default();
                 for lane in &rot.per_lane {
                     sum.merge(lane);
                 }
                 assert_eq!(rot.merged.counts, sum, "rotation {rotations}");
                 rotations += 1;
+                rotated.store(rotations, Relaxed);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             rotations
@@ -63,9 +68,17 @@ fn no_samples_lost_across_rotations() {
     let writers: Vec<_> = (0..WRITERS)
         .map(|t| {
             let rec = Arc::clone(&rec);
+            let rotated = Arc::clone(&rotated);
             std::thread::spawn(move || {
                 let truth = Histogram::new();
+                let me = Writer::current();
                 for i in 0..OPS_PER_WRITER {
+                    if i == OPS_PER_WRITER / 2 {
+                        let seen = rotated.load(Relaxed);
+                        while rotated.load(Relaxed) == seen {
+                            std::thread::yield_now();
+                        }
+                    }
                     let ev = if i % 5 == 4 {
                         AttemptEvent {
                             path: PathKind::SlowHtm,
@@ -81,9 +94,9 @@ fn no_samples_lost_across_rotations() {
                             latency: i % 512,
                         }
                     };
-                    rec.record(t, i, RecordKind::Attempt(ev));
+                    rec.record(me, i, RecordKind::Attempt(ev));
                     let latency = 100 + (i * 7 + t) % 10_000;
-                    rec.record_op_latency(t, latency);
+                    rec.record_op_latency(me, latency);
                     truth.record(latency);
                 }
                 truth.snapshot()

@@ -73,6 +73,7 @@ use rtle_core::abort_codes;
 use rtle_core::adaptive::Adaptation;
 use rtle_core::{RetryPolicy, Step};
 use rtle_htm::hash::fast_hash;
+use rtle_htm::lanes::Writer;
 use rtle_htm::AbortCode;
 use rtle_obs::{AdaptAction, AttemptEvent, PathKind, RecordKind, Recorder};
 
@@ -1000,7 +1001,7 @@ impl<W: Workload> Engine<W> {
                 attempt: self.ts[t].fast_used.min(u8::MAX as u32) as u8,
                 latency: t1.saturating_sub(t0),
             };
-            rec.record(t as u64, t0, RecordKind::Attempt(ev));
+            rec.record(Writer::keyed(t as u64), t0, RecordKind::Attempt(ev));
         }
     }
 
@@ -1255,12 +1256,12 @@ impl<W: Workload> Engine<W> {
         if let Some(rec) = &self.recorder {
             if matches!(self.method, SimMethod::RwTle) {
                 if let Some(fw) = first_write {
-                    rec.record(t as u64, fw, RecordKind::WriteFlagSet);
+                    rec.record(Writer::keyed(t as u64), fw, RecordKind::WriteFlagSet);
                 }
             }
             if fg_instrumented {
                 // Pre-release epoch bump (§4.2) at the CS end.
-                rec.record(t as u64, e, RecordKind::EpochBump(0));
+                rec.record(Writer::keyed(t as u64), e, RecordKind::EpochBump(0));
             }
         }
         self.complete_op(t, e + c.lock_release);

@@ -6,7 +6,9 @@
 //! with the lock word, or with the lock's read-mostly configuration.
 //! Books: per-thread lanes are an implementation detail — `HtmStats`,
 //! `ExecStats` and recorder snapshots must still equal what the threads
-//! actually did, exactly, also when more threads run than there are lanes.
+//! actually did, exactly, also when more threads run than there are lanes
+//! (some bump the shared overflow lane) and when threads exit mid-run (their
+//! lanes pass to threads started later, which continue the sums).
 //!
 //! One storm per binary: `HtmStats` and the chaos configuration are
 //! process-global.
@@ -17,12 +19,38 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rtle_core::{ElidableLock, ElisionPolicy, ExecStats};
-use rtle_htm::lanes::{Block, Lanes, PerLane, BLOCK_BYTES, LANES};
+use rtle_htm::lanes::{Block, Lanes, PerLane, Writer, BLOCK_BYTES, LANES};
 use rtle_htm::{stripe, swhtm, AbortCode, HtmConfig, HtmStats, TxCell};
 use rtle_obs::{ObsConfig, Recorder};
 
-/// Two threads per lane (tokens are handed out in spawn order).
-const THREADS: usize = 2 * LANES;
+/// Three threads per lane over a storm.
+const THREADS: usize = 3 * LANES;
+
+/// Runs `work(rounds)` on [`THREADS`] threads and returns what each one
+/// reports. `2 × LANES` start together behind a barrier, so half of them
+/// bump the overflow lane at the same time; the first `LANES` of them stop
+/// after a quarter of the rounds and exit, and only then do the last
+/// `LANES` start, claiming the lanes handed back while the long runners
+/// are still going.
+fn storm<T: Send>(rounds: u64, work: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    let start = &std::sync::Barrier::new(2 * LANES);
+    std::thread::scope(|s| {
+        let first: Vec<_> = (0..2 * LANES)
+            .map(|t| {
+                s.spawn(move || {
+                    start.wait();
+                    work(if t < LANES { rounds / 4 } else { rounds })
+                })
+            })
+            .collect();
+        let mut first = first.into_iter();
+        let mut done: Vec<T> = first.by_ref().take(LANES).map(|h| h.join().unwrap()).collect();
+        let late: Vec<_> = (0..LANES).map(|_| s.spawn(move || work(rounds))).collect();
+        done.extend(first.chain(late).map(|h| h.join().unwrap()));
+        done
+    })
+}
 
 #[test]
 fn lanes_and_clock_sit_alone_in_their_blocks() {
@@ -30,8 +58,8 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
     assert!(align_of::<Lanes<1>>() >= BLOCK_BYTES);
     assert_eq!(
         size_of::<Lanes<1>>(),
-        LANES * BLOCK_BYTES,
-        "one block per lane"
+        (LANES + 1) * BLOCK_BYTES,
+        "one block per lane, and one for the overflow lane"
     );
 
     // The clock's block holds the clock and padding, nothing else.
@@ -59,14 +87,14 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
         .iter()
         .map(|lane| lane as *const Odd as usize)
         .collect();
-    assert_eq!(starts.len(), LANES);
+    assert_eq!(starts.len(), LANES + 1);
     assert!(starts.iter().all(|s| s % BLOCK_BYTES == 0));
     assert!(starts
         .windows(2)
         .all(|w| w[1] >= (w[0] + size_of::<Odd>()).next_multiple_of(BLOCK_BYTES)));
     for key in 0..2 * LANES {
         assert_eq!(
-            lanes.of(key as u64) as *const Odd as usize,
+            lanes.of(Writer::keyed(key as u64)) as *const Odd as usize,
             starts[key % LANES]
         );
     }
@@ -97,33 +125,26 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         // outcomes; the global snapshot must be their sum.
         let hot = TxCell::new(0u64);
         let before = HtmStats::snapshot();
-        let seen: Vec<Seen> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let hot = &hot;
-                    s.spawn(move || {
-                        let mut seen = Seen::default();
-                        for i in 0..ROUNDS {
-                            seen.starts += 1;
-                            match swhtm::try_txn(|| {
-                                hot.write(hot.read() + 1);
-                                if (i + t as u64).is_multiple_of(17) {
-                                    rtle_htm::abort(3);
-                                }
-                            }) {
-                                Ok(()) => seen.commits += 1,
-                                Err(AbortCode::Conflict) => seen.conflict += 1,
-                                Err(AbortCode::Capacity) => seen.capacity += 1,
-                                Err(AbortCode::Explicit(_)) => seen.explicit += 1,
-                                Err(AbortCode::Spurious) => seen.spurious += 1,
-                                Err(other) => panic!("unexpected abort {other}"),
-                            }
-                        }
-                        seen
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        let seen: Vec<Seen> = storm(ROUNDS, |rounds| {
+            let salt = rtle_htm::thread_token();
+            let mut seen = Seen::default();
+            for i in 0..rounds {
+                seen.starts += 1;
+                match swhtm::try_txn(|| {
+                    hot.write(hot.read() + 1);
+                    if (i + salt).is_multiple_of(17) {
+                        rtle_htm::abort(3);
+                    }
+                }) {
+                    Ok(()) => seen.commits += 1,
+                    Err(AbortCode::Conflict) => seen.conflict += 1,
+                    Err(AbortCode::Capacity) => seen.capacity += 1,
+                    Err(AbortCode::Explicit(_)) => seen.explicit += 1,
+                    Err(AbortCode::Spurious) => seen.spurious += 1,
+                    Err(other) => panic!("unexpected abort {other}"),
+                }
+            }
+            seen
         });
         let total = seen.iter().fold(Seen::default(), |a, b| Seen {
             starts: a.starts + b.starts,
@@ -157,21 +178,19 @@ fn snapshots_equal_the_per_thread_ground_truth() {
             .build();
         let cell = TxCell::new(0u64);
         let before = HtmStats::snapshot();
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    for _ in 0..ROUNDS {
-                        lock.execute(|ctx| ctx.write(&cell, ctx.read(&cell) + 1));
-                    }
-                    for _ in 0..SECTIONS {
-                        let section = lock.lock_section();
-                        let ctx = section.ctx();
-                        ctx.write(&cell, ctx.read(&cell) + 1);
-                    }
-                });
+        let calls: u64 = storm(ROUNDS, |rounds| {
+            for _ in 0..rounds {
+                lock.execute(|ctx| ctx.write(&cell, ctx.read(&cell) + 1));
             }
-        });
-        let calls = THREADS as u64 * (ROUNDS + SECTIONS);
+            for _ in 0..SECTIONS {
+                let section = lock.lock_section();
+                let ctx = section.ctx();
+                ctx.write(&cell, ctx.read(&cell) + 1);
+            }
+            rounds + SECTIONS
+        })
+        .into_iter()
+        .sum();
         let d = HtmStats::snapshot().since(&before);
         let books = lock.stats().snapshot();
         assert_eq!(cell.read_plain(), calls);
@@ -194,10 +213,10 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         );
 
         // Phase 3 — the recorder is one more lane user. Default sampling
-        // records every operation, windows are on, two threads share each
-        // lane: every attempt is on the recorder's books exactly once, in
-        // the cumulative snapshot and in the window cut from the same
-        // lanes.
+        // records every operation, windows are on, lanes change hands and
+        // overflow: every attempt is on the recorder's books exactly once,
+        // in the cumulative snapshot, its histograms, its ring cursors and
+        // the window cut from the same lanes.
         let rec = Arc::new(Recorder::new(ObsConfig {
             window_len_ms: 1_000,
             ..ObsConfig::default()
@@ -207,24 +226,16 @@ fn snapshots_equal_the_per_thread_ground_truth() {
             .recorder(Arc::clone(&rec))
             .build();
         let cell = TxCell::new(0u64);
-        let tallies: Vec<u64> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut calls = 0;
-                        for _ in 0..ROUNDS {
-                            lock.execute_from(Instant::now(), |ctx| {
-                                ctx.write(&cell, ctx.read(&cell) + 1)
-                            });
-                            calls += 1;
-                        }
-                        calls
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        let calls: u64 = tallies.iter().sum();
+        let calls: u64 = storm(ROUNDS, |rounds| {
+            for _ in 0..rounds {
+                lock.execute_from(Instant::now(), |ctx| {
+                    ctx.write(&cell, ctx.read(&cell) + 1)
+                });
+            }
+            rounds
+        })
+        .into_iter()
+        .sum();
         let books = lock.stats().snapshot();
         let snap = rec.snapshot();
         let aborts = books.fast_aborts + books.slow_aborts;
@@ -245,6 +256,8 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         assert_eq!(snap.retries.count, calls);
         assert_eq!(snap.lock_hold.count, books.lock_acquisitions);
         assert_eq!(snap.events_recorded, calls + aborts);
+        // Every pessimistic FG-TLE section also stamps its epoch bump.
+        assert_eq!(rec.pushed(), calls + aborts + books.lock_acquisitions);
         let window = rec.windows().unwrap().rotate().merged;
         assert_eq!(
             window.counts.total_commits(),
