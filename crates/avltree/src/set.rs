@@ -1,5 +1,6 @@
 //! The transactional AVL set.
 
+use rtle_htm::config::LINE_SHIFT;
 use rtle_htm::{PlainAccess, TxAccess, TxCell};
 
 use crate::node::{Node, NIL};
@@ -344,14 +345,14 @@ impl AvlSet {
     /// sized and aligned). Used by the simulator's trace generator to name
     /// node lines without touching them.
     pub fn node_line_base(&self) -> u64 {
-        (self.nodes.as_ptr() as usize >> 6) as u64
+        (self.nodes.as_ptr() as usize >> LINE_SHIFT) as u64
     }
 
     /// Cache line of the root link cell (outside the node arena). Used by
     /// the simulator to translate recorded addresses into stable,
     /// address-independent line ids.
     pub fn root_cell_line(&self) -> u64 {
-        (self.root.addr() >> 6) as u64
+        (self.root.addr() >> LINE_SHIFT) as u64
     }
 
     /// Stored height of the root (0 when empty). Quiescent use only.

@@ -945,7 +945,7 @@ mod tests {
         assert!(err.to_string().contains("re-run the producing tool"));
         let err = load_versioned("{not json").unwrap_err();
         assert!(matches!(err, SloViewError::Parse(_)));
-        let err = load_versioned("{\"schema_version\": 2}")
+        let err = load_versioned(&format!("{{\"schema_version\": {SCHEMA_VERSION}}}"))
             .map(|j| render_slo(&j).unwrap_err())
             .unwrap();
         assert_eq!(err, SloViewError::Shape("no slo section"));

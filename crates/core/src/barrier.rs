@@ -62,7 +62,7 @@ pub(crate) enum Rung<'a> {
 }
 
 /// The lock holder's instrumentation. The instrumented variants carry the
-/// operation's `rec` when it is sampled, so protocol instants (write-flag
+/// operation's `rec` when it is recorded, so protocol instants (write-flag
 /// raise, epoch bump) land on the record timeline. Speculative rungs
 /// never do: an instant recorded inside a transaction that later aborts
 /// would be a lie.
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn write_flag_raise_is_recorded_once() {
-        // A sampled operation that falls back to the lock hands its
+        // A recorded operation that falls back to the lock hands its
         // recording context to the holder rung.
         let recorder = Arc::new(rtle_obs::Recorder::new(rtle_obs::ObsConfig::default()));
         let l = ElidableLock::builder()

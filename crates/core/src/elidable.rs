@@ -24,8 +24,8 @@ use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
 use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_obs::epoch::now_ns;
 use rtle_obs::{
-    commit_counters, AttemptEvent, LiveSource, MetricsRegistry, ObsConfig, PathKind, RecordKind,
-    Recorder, SourceSnapshot,
+    commit_counters, AttemptEvent, LiveSource, MetricsRegistry, PathKind, RecordKind, Recorder,
+    SourceSnapshot,
 };
 
 use crate::abort_codes;
@@ -72,47 +72,14 @@ pub struct ElidableLock<B: HtmBackend = SwHtmBackend> {
     sw_running: TxCell<u64>,
     stats: ExecStats,
     /// Attempt-level observability. `None` (the default) costs one branch
-    /// per operation; installed, each attempt of a sampled operation
-    /// additionally pays two reads of the telemetry clock
-    /// ([`rtle_obs::epoch`]: one `rdtsc` each where the TSC is invariant)
-    /// for its start and its end, a few plain stores to counters on the
-    /// thread's own lane and one two-word ring push.
+    /// per operation; installed, every attempt additionally pays two reads
+    /// of the telemetry clock ([`rtle_obs::epoch`]: one `rdtsc` each where
+    /// the TSC is invariant) for its start and its end, a few plain stores
+    /// to counters on the thread's own lane and one two-word ring push.
     recorder: Option<Arc<Recorder>>,
 }
 
-/// The per-thread sampling ticket. (The thread's recorder lane is the one
-/// it claimed, [`Writer::current`], like every other counter lane.)
-mod obs_thread {
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Operations left until the next sampled one; `0` = sample now.
-        /// Const-initialised and destructor-free, so the unsampled path —
-        /// the one an always-on recorder puts every operation but the
-        /// sampled minority through — is one TLS read-modify-write.
-        static TICKET: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Ticket-based sampling: one decrement-and-test per operation,
-    /// reloading with `period - 1` each time it hits zero, so a thread
-    /// samples 1 in `period` operations. The ticket is shared across
-    /// locks on the thread, so with several sampled recorders the phases
-    /// interleave — fine for statistics.
-    #[inline]
-    pub(super) fn take_ticket(period: u64) -> bool {
-        TICKET.with(|t| {
-            let left = t.get();
-            t.set(if left == 0 {
-                period.saturating_sub(1)
-            } else {
-                left - 1
-            });
-            left == 0
-        })
-    }
-}
-
-/// Recording context threaded through one sampled operation.
+/// Recording context threaded through one recorded operation.
 #[derive(Clone, Copy)]
 pub(crate) struct Rec<'a> {
     recorder: &'a Recorder,
@@ -233,30 +200,12 @@ impl<B: HtmBackend> ElidableLockBuilder<B> {
         self
     }
 
-    /// Installs an attempt-level [`Recorder`]; sampled operations then
-    /// emit events, latency histograms, and adaptive decision traces.
+    /// Installs an attempt-level [`Recorder`]; every operation then
+    /// emits events, latency histograms, and adaptive decision traces.
     /// Shards built from one template share the recorder, so their
     /// attempt streams aggregate into a single observability snapshot.
     pub fn recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Opts this lock into the live telemetry plane: registers its
-    /// recorder with `registry` under `name`, so a
-    /// [`rtle_obs::LiveServer`] scraping that registry sees the lock's
-    /// commit-path mix, abort composition, and window series while the
-    /// workload runs. If no recorder was installed yet, a windowed one
-    /// is created (100 ms windows) — a live plane without a time axis
-    /// cannot show a collapse happening.
-    pub fn with_live(mut self, registry: &MetricsRegistry, name: impl Into<String>) -> Self {
-        let recorder = self.recorder.get_or_insert_with(|| {
-            Arc::new(Recorder::new(ObsConfig {
-                window_len_ms: 100,
-                ..ObsConfig::default()
-            }))
-        });
-        registry.register(name, Arc::clone(recorder) as Arc<dyn LiveSource>);
         self
     }
 
@@ -371,24 +320,19 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// shared accesses in atomic blocks to be instrumented.
     pub fn execute<R>(&self, cs: impl Fn(&Ctx<'_>) -> R) -> R {
         // The recording decision is made once per operation, out of the
-        // retry loop: unsampled (and recorder-less) operations run the
-        // exact uninstrumented path.
-        let rec = match &self.recorder {
-            Some(recorder) if obs_thread::take_ticket(recorder.sample_period()) => Some(Rec {
-                recorder,
-                by: Writer::current(),
-            }),
-            _ => None,
-        };
+        // retry loop: a recorder-less operation runs the exact
+        // uninstrumented path.
+        let rec = self.recorder.as_deref().map(|recorder| Rec {
+            recorder,
+            by: Writer::current(),
+        });
         self.execute_inner(&cs, rec)
     }
 
     /// Executes `cs` like [`Self::execute`], additionally recording the
     /// operation's end-to-end latency — measured from `intended_start`,
     /// not from now — into the recorder's windowed telemetry (a no-op
-    /// without a recorder or window collector; unlike attempt events
-    /// this is recorded for every operation, since tail percentiles
-    /// cannot be sampled honestly).
+    /// without a recorder or window collector).
     ///
     /// Open-loop harnesses pass the operation's *scheduled* arrival
     /// time: when the lock convoys and the worker falls behind, the
@@ -435,22 +379,22 @@ impl<B: HtmBackend> ElidableLock<B> {
         }
     }
 
-    /// Counts one speculative attempt's outcome and, when the operation is
-    /// sampled (`sampled` carries the attempt's start), mirrors it to the
+    /// Counts one speculative attempt's outcome and, when a recorder is
+    /// installed (`timed` carries the attempt's start), mirrors it to the
     /// recorder. A commit completes the operation.
     fn note_attempt<R>(
         &self,
         path: PathKind,
         outcome: &Result<R, AbortCode>,
         attempt: u32,
-        sampled: Option<(Rec<'_>, u64)>,
+        timed: Option<(Rec<'_>, u64)>,
     ) {
         let abort = outcome.as_ref().err().copied();
         match abort {
             None => self.stats.record_commit(path),
             Some(code) => self.stats.record_abort(path, code),
         }
-        if let Some((rc, t0)) = sampled {
+        if let Some((rc, t0)) = timed {
             rc.attempt(path, abort, attempt, t0);
         }
     }
@@ -473,13 +417,13 @@ impl<B: HtmBackend> ElidableLock<B> {
             let step = self.retry.next_step(slow.is_some(), held, attempts, slow_attempts);
             match (step, slow) {
                 (Step::Fast, _) => {
-                    let sampled = rec.map(|rc| (rc, now_ns()));
+                    let timed = rec.map(|rc| (rc, now_ns()));
                     let outcome = self.fast_attempt(cs);
                     self.note_attempt(
                         PathKind::FastHtm,
                         &outcome,
                         attempts + slow_attempts,
-                        sampled,
+                        timed,
                     );
                     match outcome {
                         Ok(r) => return Ok(r),
@@ -497,13 +441,13 @@ impl<B: HtmBackend> ElidableLock<B> {
                 (Step::Slow, Some(slow)) => {
                     // Refined TLE: speculate on the instrumented slow path,
                     // concurrently with the lock holder.
-                    let sampled = rec.map(|rc| (rc, now_ns()));
+                    let timed = rec.map(|rc| (rc, now_ns()));
                     let outcome = self.slow_attempt(slow, cs);
                     self.note_attempt(
                         PathKind::SlowHtm,
                         &outcome,
                         attempts + slow_attempts,
-                        sampled,
+                        timed,
                     );
                     match outcome {
                         Ok(r) => return Ok(r),
@@ -653,7 +597,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     }
 
     /// Runs `cs` as a software transaction on `tm`: [`Self::software_attempt`]
-    /// until one commits. A sampled operation records that one commit,
+    /// until one commits. A recorded operation records that one commit,
     /// timed around the whole rung (the backend keeps its own abort books),
     /// after the `prior_attempts` speculative ones it already recorded.
     fn run_software<R>(
@@ -663,11 +607,11 @@ impl<B: HtmBackend> ElidableLock<B> {
         rec: Option<Rec<'_>>,
         prior_attempts: u32,
     ) -> R {
-        let sampled = rec.map(|rc| (rc, now_ns()));
+        let timed = rec.map(|rc| (rc, now_ns()));
         let phase = SwPhase::enter(tm);
         loop {
             if let Some(r) = self.software_attempt(&phase, cs) {
-                if let Some((rc, t0)) = sampled {
+                if let Some((rc, t0)) = timed {
                     rc.attempt(PathKind::Stm, None, prior_attempts, t0);
                 }
                 return r;
@@ -801,8 +745,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                 if let Some(ad) = &self.adaptive {
                     // Resizes / mode flips are only legal right here, while
                     // holding the lock and before the CS runs (§4.2.1).
-                    // Decisions are always traced when a recorder is
-                    // installed — they are rare and too valuable to sample.
+                    // Decisions are traced when a recorder is installed.
                     ad.on_lock_acquired(
                         orecs,
                         &self.fg_enabled,
@@ -875,10 +818,9 @@ impl<B: HtmBackend> ElidableLock<B> {
     }
 }
 
-/// Live-registry view of one lock: the always-on [`ExecStats`] counters
-/// (unsampled, unlike the recorder's), with the software-TM backend name
-/// as an identity label so `diag top` and `/metrics` show which software
-/// path is live.
+/// Live-registry view of one lock: the always-on [`ExecStats`] counters,
+/// with the software-TM backend name as an identity label so `diag top`
+/// and `/metrics` show which software path is live.
 impl<B: HtmBackend> LiveSource for ElidableLock<B>
 where
     ElidableLock<B>: Send + Sync,
@@ -1372,22 +1314,23 @@ mod tests {
         assert!(plain.recorder().is_none());
     }
 
-    /// `with_live` wires the lock's recorder into a scrape registry —
-    /// installing a windowed default recorder when none was configured —
-    /// and live scrapes then see the lock's traffic without disturbing
-    /// the destructive end-of-run snapshot.
+    /// `register_live` puts the lock on a scrape registry as `name` and
+    /// its recorder as `<name>_recorder`, and live scrapes then see every
+    /// operation without disturbing the end-of-run snapshot.
     #[test]
-    fn with_live_registers_recorder_with_the_registry() {
+    fn register_live_registers_the_lock_and_its_recorder() {
         let registry = MetricsRegistry::new();
-        let lock = ElidableLock::builder()
-            .policy(ElisionPolicy::Tle)
-            .with_live(&registry, "demo_lock")
-            .build();
-        assert!(lock.recorder().is_some(), "with_live installs a default recorder");
-        assert!(
-            lock.recorder().unwrap().windows().is_some(),
-            "the default live recorder is windowed"
+        let rec = Arc::new(rtle_obs::Recorder::new(rtle_obs::ObsConfig {
+            window_len_ms: 100,
+            ..rtle_obs::ObsConfig::default()
+        }));
+        let lock = Arc::new(
+            ElidableLock::builder()
+                .policy(ElisionPolicy::Tle)
+                .recorder(Arc::clone(&rec))
+                .build(),
         );
+        lock.register_live(&registry, "demo_lock");
         let c = TxCell::new(0u64);
         for _ in 0..50 {
             lock.execute(|ctx| {
@@ -1396,27 +1339,31 @@ mod tests {
             });
         }
         let scrape = registry.scrape();
-        assert_eq!(scrape.len(), 1);
-        assert_eq!(scrape[0].0, "demo_lock");
-        let commits: u64 = scrape[0]
-            .1
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("commits_"))
-            .map(|&(_, n)| n)
-            .sum();
-        assert_eq!(commits, 50, "every sampled op is visible to the scrape");
+        let names: Vec<&str> = scrape.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names.len(), 2);
+        assert!(names.contains(&"demo_lock") && names.contains(&"demo_lock_recorder"));
+        let source = |name: &str| &scrape.iter().find(|(n, _)| n == name).unwrap().1;
+        let commits = |name: &str| -> u64 {
+            source(name)
+                .counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("commits_"))
+                .map(|&(_, n)| n)
+                .sum()
+        };
+        assert_eq!(source("demo_lock").kind, "lock");
+        assert_eq!(source("demo_lock_recorder").kind, "recorder");
+        assert_eq!(commits("demo_lock"), 50);
+        assert_eq!(
+            commits("demo_lock_recorder"),
+            50,
+            "every op is visible to the scrape"
+        );
         let text = registry.to_prometheus();
-        assert!(text.contains("rtle_commits_fast_htm{source=\"demo_lock\",kind=\"recorder\"}"));
-
-        // An explicitly-installed recorder is reused, not replaced.
-        let rec = Arc::new(rtle_obs::Recorder::new(rtle_obs::ObsConfig::default()));
-        let lock2 = ElidableLock::builder()
-            .recorder(Arc::clone(&rec))
-            .with_live(&registry, "second")
-            .build();
-        assert!(Arc::ptr_eq(lock2.recorder().unwrap(), &rec));
-        assert_eq!(registry.len(), 2);
+        assert!(
+            text.contains("rtle_commits_fast_htm{source=\"demo_lock_recorder\",kind=\"recorder\"}")
+        );
+        assert!(Arc::ptr_eq(lock.recorder().unwrap(), &rec));
     }
 
     #[test]

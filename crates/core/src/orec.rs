@@ -19,7 +19,6 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use rtle_htm::hash::fast_hash;
 use rtle_htm::TxCell;
-use rtle_obs::Json;
 
 use crate::epoch::SeqEpoch;
 
@@ -140,17 +139,11 @@ impl OrecTable {
     }
 
     /// Slow-path read barrier check (Figure 3, lines 2–5): inside a hardware
-    /// transaction, is the *write* orec for `addr` owned? The transactional
-    /// read also subscribes to the orec, so a later stamp by the holder
-    /// aborts this transaction.
-    #[inline]
-    pub fn read_would_conflict(&self, addr: usize, n: usize, local_seq: u64) -> bool {
-        self.read_conflict_slot(addr, n, local_seq).is_some()
-    }
-
-    /// Like [`Self::read_would_conflict`], but on conflict returns the
-    /// slot index and the owning stamp, so the caller can attribute the
-    /// self-abort before raising it.
+    /// transaction, is the *write* orec for `addr` owned? On conflict,
+    /// returns the slot index and the owning stamp, so the caller can
+    /// attribute the self-abort before raising it. The transactional read
+    /// also subscribes to the orec, so a later stamp by the holder aborts
+    /// this transaction.
     #[inline]
     pub fn read_conflict_slot(&self, addr: usize, n: usize, local_seq: u64) -> Option<(usize, u64)> {
         let i = Self::index(addr, n);
@@ -160,14 +153,8 @@ impl OrecTable {
 
     /// Slow-path write barrier check (Figure 3, lines 16–20): inside a
     /// hardware transaction, is the read *or* write orec for `addr` owned?
-    #[inline]
-    pub fn write_would_conflict(&self, addr: usize, n: usize, local_seq: u64) -> bool {
-        self.write_conflict_slot(addr, n, local_seq).is_some()
-    }
-
-    /// Like [`Self::write_would_conflict`], but on conflict returns the
-    /// slot index and the owning stamp (the read-orec stamp wins when both
-    /// arrays own the slot).
+    /// On conflict, returns the slot index and the owning stamp (the
+    /// read-orec stamp wins when both arrays own the slot).
     #[inline]
     pub fn write_conflict_slot(&self, addr: usize, n: usize, local_seq: u64) -> Option<(usize, u64)> {
         let i = Self::index(addr, n);
@@ -286,50 +273,6 @@ impl OrecHeatmap {
         hot.truncate(k);
         hot
     }
-
-    /// Sparse JSON form: only slots with any activity are listed.
-    pub fn to_json(&self) -> Json {
-        let slots = (0..self.capacity)
-            .filter(|&i| self.conflicts[i] > 0 || self.stamps[i] > 0)
-            .map(|i| {
-                Json::obj([
-                    ("slot", Json::UInt(i as u64)),
-                    ("conflicts", Json::UInt(self.conflicts[i])),
-                    ("stamps", Json::UInt(self.stamps[i])),
-                    ("last_epoch", Json::UInt(self.conflict_epoch[i])),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("capacity", Json::UInt(self.capacity as u64)),
-            ("active", Json::UInt(self.active as u64)),
-            ("total_conflicts", Json::UInt(self.total_conflicts())),
-            ("total_stamps", Json::UInt(self.total_stamps())),
-            ("slots", Json::Arr(slots)),
-        ])
-    }
-
-    /// Rebuilds a heatmap from [`Self::to_json`] output.
-    pub fn from_json(j: &Json) -> Option<OrecHeatmap> {
-        let capacity = j.get("capacity")?.as_u64()? as usize;
-        let mut h = OrecHeatmap {
-            capacity,
-            active: j.get("active")?.as_u64()? as usize,
-            conflicts: vec![0; capacity],
-            stamps: vec![0; capacity],
-            conflict_epoch: vec![0; capacity],
-        };
-        for s in j.get("slots")?.as_arr()? {
-            let i = s.get("slot")?.as_u64()? as usize;
-            if i >= capacity {
-                return None;
-            }
-            h.conflicts[i] = s.get("conflicts")?.as_u64()?;
-            h.stamps[i] = s.get("stamps")?.as_u64()?;
-            h.conflict_epoch[i] = s.get("last_epoch")?.as_u64()?;
-        }
-        Some(h)
-    }
 }
 
 #[cfg(test)]
@@ -357,11 +300,11 @@ mod tests {
         // Holder in epoch 1 stamps a write orec.
         t.stamp(OrecKind::Write, addr, 1);
         // Slow txn that started during epoch 1 sees the conflict...
-        assert!(t.read_would_conflict(addr, n, 1));
-        assert!(t.write_would_conflict(addr, n, 1));
+        assert!(t.read_conflict_slot(addr, n, 1).is_some());
+        assert!(t.write_conflict_slot(addr, n, 1).is_some());
         // ...but one that starts after release (snapshot 2) does not.
-        assert!(!t.read_would_conflict(addr, n, 2));
-        assert!(!t.write_would_conflict(addr, n, 2));
+        assert!(t.read_conflict_slot(addr, n, 2).is_none());
+        assert!(t.write_conflict_slot(addr, n, 2).is_none());
     }
 
     #[test]
@@ -370,8 +313,14 @@ mod tests {
         let addr = 0xcafe_usize;
         let n = t.active_plain();
         t.stamp(OrecKind::Read, addr, 1);
-        assert!(!t.read_would_conflict(addr, n, 1), "read-read is allowed");
-        assert!(t.write_would_conflict(addr, n, 1), "read-write is not");
+        assert!(
+            t.read_conflict_slot(addr, n, 1).is_none(),
+            "read-read is allowed"
+        );
+        assert!(
+            t.write_conflict_slot(addr, n, 1).is_some(),
+            "read-write is not"
+        );
     }
 
     #[test]
@@ -380,7 +329,7 @@ mod tests {
         let n = t.active_plain();
         t.stamp(OrecKind::Write, 0x1, 1);
         assert!(
-            t.read_would_conflict(0x9999, n, 1),
+            t.read_conflict_slot(0x9999, n, 1).is_some(),
             "FG-TLE(1): any address conflicts"
         );
     }
@@ -422,7 +371,6 @@ mod tests {
         let (slot, stamp) = t.read_conflict_slot(addr, n, 3).expect("conflict");
         assert_eq!(slot, OrecTable::index(addr, n));
         assert_eq!(stamp, 3, "the owning stamp is reported");
-        assert!(t.read_would_conflict(addr, n, 3));
         assert!(t.read_conflict_slot(addr, n, 4).is_none(), "released");
         // Read stamps surface through the write check only.
         let addr2 = 0x1234_usize;
@@ -457,19 +405,5 @@ mod tests {
         t.stamp(OrecKind::Write, 0x10, 3);
         let h = t.heatmap();
         assert_eq!(h.total_stamps(), 2, "only performed stores are counted");
-    }
-
-    #[test]
-    fn heatmap_json_round_trips_sparsely() {
-        let t = OrecTable::with_active(32, 8);
-        t.note_conflict(1, 9);
-        t.stamp(OrecKind::Read, 0x40, 9);
-        let h = t.heatmap();
-        let j = h.to_json();
-        let back = OrecHeatmap::from_json(&j).expect("heatmap parses");
-        assert_eq!(back, h);
-        let slots = j.get("slots").and_then(Json::as_arr).unwrap();
-        assert!(slots.len() <= 2, "sparse: only active slots listed");
-        assert_eq!(j.get("active").and_then(Json::as_u64), Some(8));
     }
 }

@@ -49,8 +49,7 @@ fn recorder_captures_fast_and_lock_paths() {
     assert_eq!(snap.lock_hold.count, 10);
     assert!(snap.cs_latency.percentile(0.99) >= snap.cs_latency.percentile(0.50));
     assert!(!snap.recent_events.is_empty());
-    // The recorder's view agrees with the exact ExecStats counters
-    // (sampling is 1-in-1 here).
+    // The recorder's view agrees with the exact ExecStats counters.
     let stats = lock.stats().snapshot();
     assert_eq!(stats.fast_commits, 90);
     assert_eq!(stats.lock_acquisitions, 10);
@@ -59,7 +58,7 @@ fn recorder_captures_fast_and_lock_paths() {
 /// An operation that finishes on a software backend is on the recorder's
 /// books like any other: its aborted speculative attempts, then one
 /// commit on the `stm` path, so recorder and `ExecStats` agree on commits
-/// per path at 1-in-1 sampling.
+/// per path.
 #[test]
 fn software_rung_commits_reach_the_recorder() {
     let rec = Arc::new(Recorder::new(ObsConfig::default()));
@@ -102,7 +101,7 @@ fn software_rung_commits_reach_the_recorder() {
     assert_eq!(stm.attempt, 1, "after the one hopeless fast attempt");
 }
 
-/// One attempt, one record: under contention every attempt of a sampled
+/// One attempt, one record: under contention every attempt of a recorded
 /// operation — committed or aborted, on any path — is exactly one ring
 /// push, and the only other pushes are the holder's epoch bumps.
 #[test]
@@ -146,45 +145,37 @@ fn every_attempt_is_one_record_and_instants_are_the_rest() {
     assert!(bumps > 0, "the instants share the attempts' ring");
 }
 
-/// Sampling records 1 in 2^k operations without losing the exact
-/// ExecStats counters.
+/// A recorded lock records every operation: the recorder's books equal
+/// the exact ExecStats counters, under TLE and both refined slow paths.
 #[test]
-fn sampling_thins_recording_but_not_stats() {
-    let rec = Arc::new(Recorder::new(ObsConfig {
-        sample_shift: 3, // 1 in 8
-        ..ObsConfig::default()
-    }));
-    let lock = ElidableLock::builder()
-        .policy(ElisionPolicy::Tle)
-        .recorder(Arc::clone(&rec))
-        .build();
-    let c = TxCell::new(0u64);
-    for _ in 0..800 {
-        lock.execute(|ctx: &Ctx| {
-            let v = ctx.read(&c);
-            ctx.write(&c, v + 1);
-        });
+fn the_recorder_books_every_operation() {
+    for policy in [
+        ElisionPolicy::Tle,
+        ElisionPolicy::RwTle,
+        ElisionPolicy::FgTle { orecs: 64 },
+    ] {
+        let (lock, rec) = recorded_lock(policy);
+        let c = TxCell::new(0u64);
+        for _ in 0..800 {
+            lock.execute(|ctx: &Ctx| {
+                let v = ctx.read(&c);
+                ctx.write(&c, v + 1);
+            });
+        }
+        let stats = lock.stats().snapshot();
+        assert_eq!(stats.ops, 800, "{policy:?}");
+        assert_eq!(rec.snapshot().total_commits(), stats.ops, "{policy:?}");
     }
-    assert_eq!(lock.stats().snapshot().ops, 800, "stats stay exact");
-    let snap = rec.snapshot();
-    // This thread's op sequence may be offset by other tests' threads, so
-    // allow one sample of slack around 800/8.
-    assert!(
-        (99..=101).contains(&snap.total_commits()),
-        "sampled ~100, got {}",
-        snap.total_commits()
-    );
 }
 
 /// `execute_from` charges latency from the *intended* start into the
 /// windowed telemetry: an operation scheduled in the past shows its
 /// queueing delay in the window percentiles (coordinated-omission
-/// correction), and the window sees every op even under sampling.
+/// correction), and the window sees every op.
 #[test]
 #[cfg_attr(miri, ignore = "timing-sensitive: asserts on Instant-derived start latency")]
 fn execute_from_records_intended_start_latency_into_windows() {
     let rec = Arc::new(Recorder::new(ObsConfig {
-        sample_shift: 4, // attempt events 1-in-16; window ops unsampled
         window_len_ms: 1_000,
         ..ObsConfig::default()
     }));
@@ -202,7 +193,7 @@ fn execute_from_records_intended_start_latency_into_windows() {
     }
     assert_eq!(c.read_plain(), 64);
     let w = rec.windows().expect("window collector configured").rotate().merged;
-    assert_eq!(w.ops(), 64, "every op lands in the window, sampled or not");
+    assert_eq!(w.ops(), 64, "every op lands in the window");
     // >= 5ms minus the histogram's one-sub-bucket floor underestimate.
     assert!(
         w.latency_p(0.50) >= 4_800_000,
@@ -211,9 +202,10 @@ fn execute_from_records_intended_start_latency_into_windows() {
     );
     let snap = rec.snapshot();
     assert_eq!(snap.windows.len(), 1);
-    assert!(
-        snap.total_commits() < 64,
-        "attempt events stay sampled while window latency is exact"
+    assert_eq!(
+        snap.total_commits(),
+        64,
+        "and every op's attempts are booked"
     );
 }
 
@@ -290,7 +282,7 @@ fn concurrent_hammer_while_snapshotting() {
     assert_eq!(
         stats.fast_commits + stats.slow_commits + stats.lock_acquisitions,
         obs.total_commits(),
-        "recorder and exact counters agree at 1-in-1 sampling"
+        "recorder and exact counters agree"
     );
 }
 

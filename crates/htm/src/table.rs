@@ -14,6 +14,7 @@
 
 use crate::access::TxAccess;
 use crate::cell::TxCell;
+use crate::config::LINE_SHIFT;
 use crate::hash::wang_mix64;
 
 /// Key-word encoding: 0 = never used, 1 = tombstone, key + 2 = occupied.
@@ -129,7 +130,7 @@ impl<P> Table<P> {
     /// Lets the simulator turn recorded addresses into stable,
     /// address-independent line ids.
     pub fn line_base(&self) -> u64 {
-        (self.slots.as_ptr() as usize >> 6) as u64
+        (self.slots.as_ptr() as usize >> LINE_SHIFT) as u64
     }
 }
 
@@ -243,7 +244,7 @@ mod tests {
         let lines: Vec<u64> = t
             .slots()
             .iter()
-            .map(|s| (s as *const _ as u64) >> 6)
+            .map(|s| (s as *const _ as u64) >> LINE_SHIFT)
             .collect();
         assert_eq!(lines, (0..8).map(|i| t.line_base() + i).collect::<Vec<_>>());
     }

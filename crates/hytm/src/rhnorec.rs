@@ -26,9 +26,9 @@ use crate::stats::{CommitKind, TmStats};
 use crate::tm::{run_sw, SoftwareTm};
 
 /// Hardware attempts before falling to the software path (paper: 5).
-pub const DEFAULT_HW_ATTEMPTS: u32 = 5;
+pub const HW_ATTEMPTS: u32 = 5;
 /// Reduced-hardware commit attempts before the SGL fallback (paper: 5).
-pub const DEFAULT_COMMIT_ATTEMPTS: u32 = 5;
+pub const COMMIT_ATTEMPTS: u32 = 5;
 
 /// A Reduced-Hardware NOrec hybrid TM instance.
 #[derive(Debug)]
@@ -39,8 +39,6 @@ pub struct RhNorec {
     /// whether the clock bump is required.
     sw_count: TxCell<u64>,
     stats: TmStats,
-    hw_attempts: u32,
-    commit_attempts: u32,
 }
 
 impl Default for RhNorec {
@@ -52,18 +50,10 @@ impl Default for RhNorec {
 impl RhNorec {
     /// A fresh instance with the paper's attempt budgets (5 and 5).
     pub fn new() -> Self {
-        Self::with_attempts(DEFAULT_HW_ATTEMPTS, DEFAULT_COMMIT_ATTEMPTS)
-    }
-
-    /// Custom attempt budgets (both ≥ 0; zero hardware attempts degrades to
-    /// pure NOrec with a hardware-assisted commit).
-    pub fn with_attempts(hw_attempts: u32, commit_attempts: u32) -> Self {
         RhNorec {
             clock: TxCell::new(0),
             sw_count: TxCell::new(0),
             stats: TmStats::new(),
-            hw_attempts,
-            commit_attempts,
         }
     }
 
@@ -80,7 +70,7 @@ impl RhNorec {
     /// Runs `cs` as one atomic transaction: hardware first, software after.
     pub fn execute<R>(&self, cs: impl Fn(&TmCtx<'_>) -> R) -> R {
         // Phase 1: entirely-in-hardware attempts.
-        for _ in 0..self.hw_attempts {
+        for _ in 0..HW_ATTEMPTS {
             match swhtm::try_txn(|| {
                 let ctx = TmCtx::hw();
                 let r = cs(&ctx);
@@ -119,7 +109,7 @@ impl RhNorec {
             return CommitKind::StmFastCommit;
         }
 
-        for _ in 0..self.commit_attempts {
+        for _ in 0..COMMIT_ATTEMPTS {
             let r = swhtm::try_txn(|| {
                 // The snapshot check subscribes to the clock: any racing
                 // commit (hardware or software) aborts this one.

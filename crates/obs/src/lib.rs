@@ -27,7 +27,7 @@
 //! * **Decision tracing** ([`AdaptDecision`]) — each adaptive FG-TLE
 //!   resize/collapse/re-enable with the slow-commit/abort window signal
 //!   that triggered it.
-//! * **Windowed telemetry** ([`WindowCollector`], [`TimeSeries`]) —
+//! * **Windowed telemetry** ([`Recorder::windows`], [`TimeSeries`]) —
 //!   every N ms the difference between two readings of the recorder's
 //!   monotonic lanes becomes one [`WindowSnapshot`] (per-window
 //!   p50/p99/p999 latency, abort-cause rates, path-mix) in a bounded
@@ -46,9 +46,8 @@
 //!   correlate with flight records and offline timelines.
 //!
 //! Recording is opt-in: the lock runtime holds an `Option<Arc<Recorder>>`
-//! and pays only an `Option` null-check when none is installed, plus a
-//! per-thread sampling-ticket decrement (period
-//! [`Recorder::sample_period`]) when one is.
+//! and pays only an `Option` null-check when none is installed; with one
+//! installed, every operation is recorded.
 //!
 //! The [`json`] module is a self-contained JSON writer/parser — exports
 //! must work in offline build environments where serde cannot be

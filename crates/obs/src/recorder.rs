@@ -10,7 +10,7 @@
 //! lock-free, `Relaxed`, and lands in the recording writer's own lane
 //! (`lane.rs`) — a handful of bumps on lines no other running thread
 //! writes, plain stores on a lane the thread owns, and one two-word ring
-//! store per *sampled* attempt — except the full decision list, which is a
+//! store per attempt — except the full decision list, which is a
 //! mutex-guarded `Vec` because decisions happen at most once per
 //! adaptation window and always under the elided lock.
 //!
@@ -37,11 +37,11 @@ use crate::window::{WindowCollector, WindowCounts, WindowSnapshot};
 ///
 /// History: v1 = cumulative counters/histograms only; v2 added the
 /// `windows` time series (and the windowed-telemetry documents built on
-/// it). The software rung's `stm` entry in per-path commit maps arrived
-/// without a bump: a v2 document written before it reads back with zero
-/// `stm` commits. See the [`crate::json`] module docs for the migration
-/// policy.
-pub const SCHEMA_VERSION: u64 = 2;
+/// it), and later, without a bump, the software rung's `stm` entry in
+/// per-path commit maps; v3 dropped the sampling rate — every operation
+/// of a recorded lock is recorded. See the [`crate::json`] module docs
+/// for the migration policy.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Record slots per lane: 16 KiB a lane, 256 KiB a recorder, which reads
 /// as +0.2 MB (0.6 %) on `shard_batch`'s 33 MB `peak_rss_mb` against the
@@ -55,9 +55,6 @@ pub const RING_SLOTS: usize = 1024;
 /// ([`rtle_htm::lanes::LANES`], [`RING_SLOTS`]).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Sample 1 in `2^sample_shift` operations for event/histogram
-    /// recording. `0` records every operation; `4` records 1 in 16.
-    pub sample_shift: u32,
     /// Unit of every latency value fed to this recorder: `"ns"` for the
     /// real runtime, `"cycles"` for the simulator. Purely descriptive —
     /// stamped into snapshots so downstream tooling never mixes units.
@@ -72,7 +69,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            sample_shift: 0,
             latency_unit: "ns",
             window_len_ms: 0,
             window_series_cap: 256,
@@ -84,7 +80,6 @@ impl Default for ObsConfig {
 /// decisions. See the module docs.
 pub struct Recorder {
     cfg: ObsConfig,
-    sample_mask: u64,
     /// Everything the recording threads count, one lane per thread.
     lanes: Arc<PerLane<Lane>>,
     /// Everything they stamp: the one record stream ([`crate::trace`]).
@@ -110,7 +105,6 @@ impl Recorder {
     pub fn new(cfg: ObsConfig) -> Recorder {
         let lanes = Arc::new(PerLane::new(Lane::new));
         Recorder {
-            sample_mask: (1u64 << cfg.sample_shift.min(63)) - 1,
             ring: Ring::new(),
             decisions: Mutex::new(Vec::new()),
             windows: (cfg.window_len_ms > 0).then(|| {
@@ -131,15 +125,6 @@ impl Recorder {
     /// The recorder's configuration.
     pub fn config(&self) -> &ObsConfig {
         &self.cfg
-    }
-
-    /// The sampling period (`2^sample_shift`): one in this many
-    /// operations is recorded. Callers that sample with a decrementing
-    /// per-thread ticket (cheaper than a masked counter on the hot path)
-    /// reload the ticket from this.
-    #[inline]
-    pub fn sample_period(&self) -> u64 {
-        self.sample_mask + 1
     }
 
     /// Records one thing `by` saw happen at `ts` (an attempt's start, an
@@ -167,9 +152,7 @@ impl Recorder {
     }
 
     /// Records one end-to-end operation latency for the telemetry
-    /// windows (no-op without a window collector). Unlike attempt events
-    /// this is fed for **every** operation, not just sampled ones —
-    /// honest tail percentiles cannot be sampled — and the caller is
+    /// windows (no-op without a window collector). The caller is
     /// expected to measure from the operation's *intended* start so the
     /// per-window p99/p999 are coordinated-omission-corrected.
     #[inline]
@@ -241,7 +224,6 @@ impl Recorder {
         ObsSnapshot {
             schema_version: SCHEMA_VERSION,
             latency_unit: self.cfg.latency_unit.to_string(),
-            sample_shift: self.cfg.sample_shift,
             commits: labelled(&PATH_LABELS, &counts.commits),
             aborts: labelled(&AbortCode::LABELS, &counts.aborts),
             explicit_codes: (0u64..)
@@ -324,13 +306,11 @@ pub struct ObsSnapshot {
     pub schema_version: u64,
     /// `"ns"` or `"cycles"` — the unit of every latency field below.
     pub latency_unit: String,
-    /// Sampling rate the data was collected at (1 in `2^sample_shift`).
-    pub sample_shift: u32,
-    /// Sampled commits by path label.
+    /// Commits by path label.
     pub commits: Vec<(String, u64)>,
-    /// Sampled aborts by class label ([`AbortCode::LABELS`]).
+    /// Aborts by class label ([`AbortCode::LABELS`]).
     pub aborts: Vec<(String, u64)>,
-    /// Sampled explicit aborts by protocol code, for the codes with a
+    /// Explicit aborts by protocol code, for the codes with a
     /// bucket of their own ([`AbortCode::explicit_bucket`]).
     pub explicit_codes: Vec<(u64, u64)>,
     /// Critical-section latency of committed attempts.
@@ -353,12 +333,12 @@ pub struct ObsSnapshot {
 }
 
 impl ObsSnapshot {
-    /// Total sampled commits across paths.
+    /// Total commits across paths.
     pub fn total_commits(&self) -> u64 {
         self.commits.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Total sampled aborts across causes.
+    /// Total aborts across causes.
     pub fn total_aborts(&self) -> u64 {
         self.aborts.iter().map(|&(_, n)| n).sum()
     }
@@ -376,7 +356,6 @@ impl ObsSnapshot {
         Json::obj([
             ("schema_version", Json::UInt(self.schema_version)),
             ("latency_unit", Json::Str(self.latency_unit.clone())),
-            ("sample_shift", Json::UInt(self.sample_shift as u64)),
             ("commits", counts(&self.commits)),
             ("aborts", counts(&self.aborts)),
             (
@@ -446,7 +425,6 @@ impl ObsSnapshot {
         Some(ObsSnapshot {
             schema_version: version,
             latency_unit: j.get("latency_unit")?.as_str()?.to_string(),
-            sample_shift: j.get("sample_shift")?.as_u64()? as u32,
             commits: counts(j.get("commits")?)?,
             aborts: counts(j.get("aborts")?)?,
             explicit_codes: j
@@ -509,16 +487,6 @@ mod tests {
             attempt,
             latency: 0,
         })
-    }
-
-    #[test]
-    fn sampling_period() {
-        assert_eq!(Recorder::new(ObsConfig::default()).sample_period(), 1);
-        let sixteenth = Recorder::new(ObsConfig {
-            sample_shift: 4,
-            ..ObsConfig::default()
-        });
-        assert_eq!(sixteenth.sample_period(), 16);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A lock-free, bounded ring of packed records, one segment per lane.
 //!
-//! The hot path pushes one record per sampled attempt (and one per
+//! The hot path pushes one record per attempt (and one per
 //! holder instant); the ring must never block, allocate, or serialize
 //! writers. [`Ring<W, N>`] is one segment of `N` slots of `W` words per
 //! lane of [`rtle_htm::lanes`], each segment — wrapping cursor and slots — alone

@@ -29,10 +29,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use rtle_htm::lanes::{PerLane, Writer};
+use rtle_htm::lanes::PerLane;
 use rtle_htm::AbortCode;
 
-use crate::event::{AttemptEvent, PATHS, PATH_LABELS};
+use crate::event::{PATHS, PATH_LABELS};
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 use crate::lane::Lane;
@@ -204,13 +204,7 @@ impl WindowSnapshot {
         fn labelled<const N: usize>(j: &Json, labels: &[&str; N]) -> Option<[u64; N]> {
             let mut out = [0u64; N];
             for (i, &l) in labels.iter().enumerate() {
-                out[i] = match j.get(l) {
-                    Some(n) => n.as_u64()?,
-                    // A v2 document written before the software rung was
-                    // a path: its recorder counted no commits there.
-                    None if l == crate::PathKind::Stm.label() => 0,
-                    None => return None,
-                };
+                out[i] = j.get(l)?.as_u64()?;
             }
             Some(out)
         }
@@ -305,7 +299,8 @@ struct Open {
 }
 
 /// The windowed-telemetry collector: closes windows over a recorder's
-/// lanes. Any thread may rotate. See the module docs.
+/// lanes ([`crate::Recorder::windows`]). Any thread may rotate. See the
+/// module docs.
 pub struct WindowCollector {
     lanes: Arc<PerLane<Lane>>,
     window_len_ns: u64,
@@ -313,14 +308,10 @@ pub struct WindowCollector {
 }
 
 impl WindowCollector {
-    /// A collector over lanes of its own (a [`crate::Recorder`]
-    /// configured with `window_len_ms > 0` makes one over *its* lanes),
-    /// rotating `window_len_ms`-long windows into a series of at most
-    /// `series_cap` snapshots.
-    pub fn new(window_len_ms: u64, series_cap: usize) -> WindowCollector {
-        WindowCollector::over(Arc::new(PerLane::new(Lane::new)), window_len_ms, series_cap)
-    }
-
+    /// A collector over a recorder's `lanes` (a [`crate::Recorder`]
+    /// configured with `window_len_ms > 0` makes one), rotating
+    /// `window_len_ms`-long windows into a series of at most `series_cap`
+    /// snapshots.
     pub(crate) fn over(
         lanes: Arc<PerLane<Lane>>,
         window_len_ms: u64,
@@ -349,23 +340,6 @@ impl WindowCollector {
     pub fn epoch(&self) -> u64 {
         let open = self.open.lock().unwrap();
         open.series.dropped() + open.series.len() as u64
-    }
-
-    /// Records one end-to-end operation latency (ns, ideally measured
-    /// from the *intended* start to correct for coordinated omission)
-    /// on the lane `thread_key` selects ([`Writer::keyed`]). Lock-free.
-    #[inline]
-    pub fn record_latency(&self, thread_key: u64, latency_ns: u64) {
-        let by = Writer::keyed(thread_key);
-        self.lanes.of(by).op_latency.record_by(by, latency_ns);
-    }
-
-    /// Counts one attempt event on the lane `thread_key` selects
-    /// ([`Writer::keyed`]). Lock-free.
-    #[inline]
-    pub fn record_attempt(&self, thread_key: u64, ev: AttemptEvent) {
-        let by = Writer::keyed(thread_key);
-        self.lanes.of(by).count(by, ev);
     }
 
     /// Closes the open window unconditionally: reads the lanes, pushes
@@ -422,8 +396,10 @@ impl WindowCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PathKind;
-    use rtle_htm::lanes::LANES;
+    use crate::event::{AttemptEvent, PathKind};
+    use crate::trace::RecordKind;
+    use crate::{ObsConfig, Recorder};
+    use rtle_htm::lanes::{Writer, LANES};
 
     fn commit(path: PathKind, latency: u64) -> AttemptEvent {
         AttemptEvent {
@@ -434,18 +410,40 @@ mod tests {
         }
     }
 
+    /// A recorder cutting `window_len_ms`-long windows into a series of
+    /// at most `series_cap`.
+    fn windowed(window_len_ms: u64, series_cap: usize) -> Recorder {
+        Recorder::new(ObsConfig {
+            window_len_ms,
+            window_series_cap: series_cap,
+            ..ObsConfig::default()
+        })
+    }
+
+    /// Counts one attempt on the lane logical thread `key` selects.
+    fn attempt(r: &Recorder, key: u64, ev: AttemptEvent) {
+        r.record(Writer::keyed(key), 0, RecordKind::Attempt(ev));
+    }
+
+    /// Records one operation latency on the lane `key` selects.
+    fn latency(r: &Recorder, key: u64, ns: u64) {
+        r.record_op_latency(Writer::keyed(key), ns);
+    }
+
     #[test]
     fn rotation_cuts_distinct_windows() {
-        let c = WindowCollector::new(1_000, 16);
-        c.record_attempt(0, commit(PathKind::FastHtm, 10));
-        c.record_latency(0, 100);
+        let r = windowed(1_000, 16);
+        let c = r.windows().unwrap();
+        attempt(&r, 0, commit(PathKind::FastHtm, 10));
+        latency(&r, 0, 100);
         let w1 = c.rotate().merged;
         assert_eq!(w1.index, 0);
         assert_eq!(w1.counts.commits, [1, 0, 0, 0]);
         assert_eq!(w1.ops(), 1);
 
-        c.record_attempt(1, commit(PathKind::Lock, 20));
-        c.record_attempt(
+        attempt(&r, 1, commit(PathKind::Lock, 20));
+        attempt(
+            &r,
             1,
             AttemptEvent {
                 path: PathKind::SlowHtm,
@@ -467,11 +465,12 @@ mod tests {
 
     #[test]
     fn merged_window_is_sum_of_lanes() {
-        let c = WindowCollector::new(1_000, 16);
+        let r = windowed(1_000, 16);
+        let c = r.windows().unwrap();
         for key in 0..8u64 {
             for _ in 0..=key {
-                c.record_attempt(key, commit(PathKind::FastHtm, 5));
-                c.record_latency(key, 50 * (key + 1));
+                attempt(&r, key, commit(PathKind::FastHtm, 5));
+                latency(&r, key, 50 * (key + 1));
             }
         }
         let rot = c.rotate();
@@ -490,13 +489,14 @@ mod tests {
 
     #[test]
     fn windows_telescope_to_the_cumulative_reading() {
-        let c = WindowCollector::new(1_000, 64);
+        let r = windowed(1_000, 64);
+        let c = r.windows().unwrap();
         let mut all = WindowCounts::default();
         for round in 0..5u64 {
             // Logical keys beyond LANES share lanes; the books stay exact.
             for key in 0..36u64 {
-                c.record_attempt(key, commit(PathKind::SlowHtm, key));
-                c.record_latency(key, 100 * (key + round) + 7);
+                attempt(&r, key, commit(PathKind::SlowHtm, key));
+                latency(&r, key, 100 * (key + round) + 7);
             }
             let w = c.rotate().merged;
             assert_eq!(
@@ -523,9 +523,10 @@ mod tests {
 
     #[test]
     fn series_is_bounded_and_counts_drops() {
-        let c = WindowCollector::new(1_000, 3);
+        let r = windowed(1_000, 3);
+        let c = r.windows().unwrap();
         for i in 0..5u64 {
-            c.record_latency(0, i + 1);
+            latency(&r, 0, i + 1);
             c.rotate();
         }
         let series = c.series();
@@ -541,11 +542,13 @@ mod tests {
     #[test]
     fn maybe_rotate_respects_the_deadline() {
         // 1000 ms window: the deadline cannot have passed yet.
-        let c = WindowCollector::new(1_000, 4);
+        let r = windowed(1_000, 4);
+        let c = r.windows().unwrap();
         assert!(c.maybe_rotate().is_none());
         // 1 ms window: spin past the deadline, measured on the process
         // epoch's clock like the collector's own.
-        let c = WindowCollector::new(1, 4);
+        let r = windowed(1, 4);
+        let c = r.windows().unwrap();
         let base = crate::epoch::now_ns();
         while crate::epoch::now_ns() < base + 2_000_000 {
             std::hint::spin_loop();
@@ -557,8 +560,9 @@ mod tests {
     #[test]
     fn windows_are_anchored_to_the_process_epoch() {
         let before = crate::epoch::now_ns();
-        let c = WindowCollector::new(1, 4);
-        c.record_latency(0, 5);
+        let r = windowed(1, 4);
+        let c = r.windows().unwrap();
+        latency(&r, 0, 5);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let w = c.rotate().merged;
         assert!(
@@ -578,12 +582,14 @@ mod tests {
 
     #[test]
     fn window_json_round_trips() {
-        let c = WindowCollector::new(50, 8);
+        let r = windowed(50, 8);
+        let c = r.windows().unwrap();
         for i in 0..100u64 {
-            c.record_attempt(i % 2, commit(PathKind::FastHtm, i));
-            c.record_latency(i % 2, i * 17 + 3);
+            attempt(&r, i % 2, commit(PathKind::FastHtm, i));
+            latency(&r, i % 2, i * 17 + 3);
         }
-        c.record_attempt(
+        attempt(
+            &r,
             0,
             AttemptEvent {
                 path: PathKind::SlowHtm,
@@ -592,7 +598,8 @@ mod tests {
                 latency: 0,
             },
         );
-        c.record_attempt(
+        attempt(
+            &r,
             1,
             AttemptEvent {
                 path: PathKind::Lock,
@@ -608,8 +615,7 @@ mod tests {
         assert_eq!(back, w);
         assert_eq!(back.latency_p(0.999), w.latency_p(0.999));
 
-        // A v2 document from before the software rung was a path has no
-        // `stm` entry; it still reads, with zero commits there.
+        // A window without an `stm` entry is a shape mismatch.
         let mut old = w.to_json();
         let Json::Obj(fields) = &mut old else {
             panic!("a window is an object")
@@ -618,14 +624,15 @@ mod tests {
             panic!("with a commits map")
         };
         assert_eq!(commits.remove("stm"), Some(Json::UInt(0)));
-        assert_eq!(WindowSnapshot::from_json(&old), Some(w));
+        assert_eq!(WindowSnapshot::from_json(&old), None);
     }
 
     #[test]
     fn percentiles_come_from_window_latency() {
-        let c = WindowCollector::new(50, 8);
+        let r = windowed(50, 8);
+        let c = r.windows().unwrap();
         for v in 1..=1000u64 {
-            c.record_latency(0, v);
+            latency(&r, 0, v);
         }
         let w = c.rotate().merged;
         assert!(w.latency_p(0.5) >= 450 && w.latency_p(0.5) <= 550);

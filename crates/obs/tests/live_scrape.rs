@@ -159,8 +159,8 @@ fn eight_writers_scrape_under_load_loses_nothing_and_never_blocks() {
     const WRITERS: u64 = 8;
     const OPS_PER_WRITER: u64 = 40_000;
 
-    // Default `sample_shift` of 0 records every attempt: the test
-    // counts exact totals.
+    // A recorder counts every attempt it is fed: the test counts exact
+    // totals.
     let rec = Arc::new(Recorder::new(ObsConfig::default()));
     let registry = Arc::new(MetricsRegistry::new());
     registry.register("hot", Arc::clone(&rec) as Arc<dyn LiveSource>);

@@ -15,10 +15,7 @@ use std::sync::Arc;
 use rtle_htm::lanes::{Writer, LANES};
 use rtle_htm::AbortCode;
 use rtle_obs::window::WindowCounts;
-use rtle_obs::{
-    AttemptEvent, HistSnapshot, Histogram, ObsConfig, PathKind, RecordKind, Recorder,
-    WindowCollector,
-};
+use rtle_obs::{AttemptEvent, HistSnapshot, Histogram, ObsConfig, PathKind, RecordKind, Recorder};
 
 const WRITERS: u64 = 8;
 const OPS_PER_WRITER: u64 = 40_000;
@@ -170,22 +167,25 @@ fn merged_window_equals_sum_of_per_thread_windows() {
     // Deterministic single-threaded shape check: distinct per-thread
     // loads land in distinct lanes (direct key selection) and the merged
     // window is exactly their sum.
-    let c = WindowCollector::new(1_000, 16);
+    let rec = Recorder::new(ObsConfig {
+        window_len_ms: 1_000,
+        window_series_cap: 16,
+        ..ObsConfig::default()
+    });
     for t in 0..WRITERS {
+        let by = Writer::keyed(t);
         for i in 0..(t + 1) * 10 {
-            c.record_attempt(
-                t,
-                AttemptEvent {
-                    path: PathKind::FastHtm,
-                    abort: None,
-                    attempt: 0,
-                    latency: i,
-                },
-            );
-            c.record_latency(t, 1_000 * (t + 1));
+            let ev = AttemptEvent {
+                path: PathKind::FastHtm,
+                abort: None,
+                attempt: 0,
+                latency: i,
+            };
+            rec.record(by, 0, RecordKind::Attempt(ev));
+            rec.record_op_latency(by, 1_000 * (t + 1));
         }
     }
-    let rot = c.rotate();
+    let rot = rec.windows().unwrap().rotate();
     let mut sum = WindowCounts::default();
     for (t, lane) in rot.per_lane.iter().enumerate() {
         let expected = if (t as u64) < WRITERS {

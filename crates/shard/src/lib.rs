@@ -25,8 +25,8 @@
 //!   batch cannot starve concurrent speculators.
 //! * **Merged observability** ([`ShardedTxMap::report`]): per-shard
 //!   [`rtle_core::StatsSnapshot`]s summed into one lock-shaped aggregate,
-//!   load/abort imbalance metrics, and a `kind: "shard-stats"` JSON
-//!   export built on `rtle_obs`.
+//!   load/abort imbalance metrics, and one export: the map's live source
+//!   ([`ShardedTxMap::register_live`]), beside its shared recorder's.
 //!
 //! Shard configuration reuses the single-lock builder verbatim: pass an
 //! [`rtle_core::ElidableLockBuilder`] template to

@@ -1,16 +1,13 @@
 //! Merged observability for [`ShardedTxMap`]: per-shard stats snapshots
 //! aggregated into one lock-shaped view, per-shard load/abort imbalance
-//! metrics fed by routing counters and the orec conflict heatmap, and a
-//! single JSON export (`kind: "shard-stats"`) that downstream tooling
-//! consumes the same way it consumes single-lock snapshots.
+//! metrics fed by routing counters and the orec conflict heatmap, and the
+//! map's one export, its [`LiveSource`] snapshot.
 
 use std::sync::Arc;
 
 use rtle_core::StatsSnapshot;
 use rtle_htm::{HtmBackend, TxWord};
-use rtle_obs::{
-    commit_counters, Json, LiveSource, MetricsRegistry, SourceSnapshot, SCHEMA_VERSION,
-};
+use rtle_obs::{commit_counters, LiveSource, MetricsRegistry, SourceSnapshot};
 
 use crate::sharded::ShardedTxMap;
 
@@ -28,12 +25,6 @@ pub struct ShardReport {
     /// orecs) — the "which shard's footprint is actually contended"
     /// signal, as opposed to `routed`'s "which shard is merely busy".
     pub heat_conflicts: Vec<u64>,
-    /// Merged windowed time series, when the shards were built (via
-    /// [`ShardedTxMap::with_builder`]) around a shared recorder with
-    /// windowing configured. All shards feed the same per-thread stripes,
-    /// so each entry is already the cross-shard merged window — the same
-    /// series the collapse watchdog inspects. Empty without a recorder.
-    pub windows: Vec<rtle_obs::WindowSnapshot>,
     /// Name of the shards' software-TM fallback (`None` when built
     /// without one). `with_builder` clones one template per shard, so
     /// every shard holds the same one backend `Arc` and the first shard
@@ -72,59 +63,6 @@ impl ShardReport {
             .collect();
         imbalance(&aborts)
     }
-
-    /// The JSON export document (`kind: "shard-stats"`). Layout follows
-    /// the workspace's other exports: a `kind` discriminator and
-    /// `schema_version` at top level, aggregate metrics flat, per-shard
-    /// detail in an array.
-    pub fn to_json(&self) -> Json {
-        let shards: Vec<Json> = self
-            .per_shard
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Json::obj([
-                    ("shard", Json::UInt(i as u64)),
-                    ("ops", Json::UInt(s.ops)),
-                    ("fast_commits", Json::UInt(s.fast_commits)),
-                    ("slow_commits", Json::UInt(s.slow_commits)),
-                    ("lock_acquisitions", Json::UInt(s.lock_acquisitions)),
-                    ("fast_aborts", Json::UInt(s.fast_aborts)),
-                    ("slow_aborts", Json::UInt(s.slow_aborts)),
-                    ("routed", Json::UInt(self.routed[i])),
-                    ("heat_conflicts", Json::UInt(self.heat_conflicts[i])),
-                ])
-            })
-            .collect();
-        let mut doc = Json::obj([
-            ("kind", Json::Str("shard-stats".into())),
-            ("schema_version", Json::UInt(SCHEMA_VERSION)),
-            ("shards", Json::UInt(self.per_shard.len() as u64)),
-            ("ops", Json::UInt(self.merged.ops)),
-            ("fast_commits", Json::UInt(self.merged.fast_commits)),
-            ("slow_commits", Json::UInt(self.merged.slow_commits)),
-            ("lock_acquisitions", Json::UInt(self.merged.lock_acquisitions)),
-            ("fast_aborts", Json::UInt(self.merged.fast_aborts)),
-            ("slow_aborts", Json::UInt(self.merged.slow_aborts)),
-            ("lock_fallback_rate", Json::Num(self.merged.lock_fallback_rate())),
-            ("load_imbalance", Json::Num(self.load_imbalance())),
-            ("abort_imbalance", Json::Num(self.abort_imbalance())),
-            ("per_shard", Json::Arr(shards)),
-            (
-                "windows",
-                Json::Arr(
-                    self.windows
-                        .iter()
-                        .map(rtle_obs::WindowSnapshot::to_json)
-                        .collect(),
-                ),
-            ),
-        ]);
-        if let (Some(name), Json::Obj(m)) = (self.software_backend, &mut doc) {
-            m.insert("software_backend".to_string(), Json::Str(name.into()));
-        }
-        doc
-    }
 }
 
 impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
@@ -151,17 +89,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         let merged = per_shard
             .iter()
             .fold(StatsSnapshot::default(), |acc, s| acc.merge(s));
-        // `with_builder` clones one template per shard, so every shard
-        // holds the same `Arc<Recorder>` — the first shard's window
-        // series is already the cross-shard merge.
-        let windows = self
-            .shards
-            .first()
-            .and_then(|s| s.lock.recorder())
-            .and_then(|r| r.windows())
-            .map_or_else(Vec::new, |w| w.series());
         ShardReport {
-            windows,
             heat_conflicts: self
                 .shards
                 .iter()
@@ -236,12 +164,12 @@ impl<V: TxWord + 'static, B: HtmBackend + 'static> ShardedTxMap<V, B>
 where
     ShardedTxMap<V, B>: Send + Sync,
 {
-    /// Shard-side equivalent of `ElidableLock::builder().with_live(..)`:
-    /// registers this map with `registry` under `name`, and — when the
+    /// Registers this map with `registry` under `name`, and — when the
     /// shards were built around a shared recorder — registers that
     /// recorder too (as `<name>_recorder`), so the commit-path mix,
     /// latency percentiles, and per-window series all reach the same
-    /// scrape endpoint as the imbalance gauges.
+    /// scrape endpoint as the imbalance gauges. The same two-source
+    /// pattern as [`rtle_core::ElidableLock::register_live`].
     pub fn register_live(self: &Arc<Self>, registry: &MetricsRegistry, name: &str) {
         registry.register(name, Arc::clone(self) as Arc<dyn LiveSource>);
         // `with_builder` clones one template per shard, so the first
@@ -258,7 +186,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtle_obs::parse_json;
 
     #[test]
     fn merged_stats_sum_per_shard() {
@@ -294,6 +221,8 @@ mod tests {
         assert!((imbalance(&[8, 0, 0, 0]) - 4.0).abs() < 1e-12, "all-on-one = shard count");
     }
 
+    /// The shards share one recorder, so its windows are the cross-shard
+    /// merge.
     #[test]
     fn report_carries_the_merged_window_series() {
         use rtle_core::ElidableLock;
@@ -309,29 +238,15 @@ mod tests {
         for k in 0..200u64 {
             m.insert(k, k);
         }
-        // Without a rotation nothing has closed yet.
-        assert!(m.report().windows.is_empty());
-        rec.windows().expect("windowing configured").rotate();
-        let report = m.report();
-        assert_eq!(report.windows.len(), 1, "one closed window");
-        let w = &report.windows[0];
+        let windows = rec.windows().expect("windowing configured");
+        assert!(windows.series().is_empty(), "nothing has closed yet");
+        let w = windows.rotate().merged;
+        assert_eq!(windows.series().len(), 1, "one closed window");
         assert_eq!(
             w.counts.total_commits(),
             200,
             "window merges commits from every shard"
         );
-        let doc = report.to_json();
-        let back = parse_json(&doc.to_string_pretty()).expect("export parses");
-        let ws = back.get("windows").and_then(Json::as_arr).expect("windows array");
-        assert_eq!(ws.len(), 1);
-        let round = rtle_obs::WindowSnapshot::from_json(&ws[0]).expect("window round-trips");
-        assert_eq!(round.counts.total_commits(), 200);
-
-        // A recorder-less map exports an empty series, not a missing key.
-        let plain: ShardedTxMap = ShardedTxMap::new(4, 64);
-        plain.insert(1, 1);
-        let bare = parse_json(&plain.report().to_json().to_string_pretty()).unwrap();
-        assert_eq!(bare.get("windows").and_then(Json::as_arr).map(<[_]>::len), Some(0));
     }
 
     #[test]
@@ -403,8 +318,8 @@ mod tests {
     }
 
     /// A software-TM fallback registered on the builder template flows
-    /// through every shard into the report, the JSON export, and the
-    /// live-snapshot identity label.
+    /// through every shard into the report and the live-snapshot identity
+    /// label.
     #[test]
     fn software_backend_flows_through_report_json_and_live_label() {
         use rtle_core::ElidableLock;
@@ -422,53 +337,16 @@ mod tests {
         assert_eq!(m.software_backend_name(), Some("tl2"));
         let report = m.report();
         assert_eq!(report.software_backend, Some("tl2"));
-        let back = parse_json(&report.to_json().to_string_pretty()).unwrap();
-        assert_eq!(
-            back.get("software_backend").and_then(Json::as_str),
-            Some("tl2")
-        );
         let snap = m.live_snapshot();
         assert_eq!(
             snap.labels,
             vec![("software_backend".to_string(), "tl2".to_string())]
         );
 
-        // Without a fallback: no label, no JSON key.
+        // Without a fallback: no label.
         let plain: ShardedTxMap = ShardedTxMap::new(2, 64);
         plain.insert(1, 1);
         assert_eq!(plain.software_backend_name(), None);
         assert!(plain.live_snapshot().labels.is_empty());
-        let bare = parse_json(&plain.report().to_json().to_string_pretty()).unwrap();
-        assert!(bare.get("software_backend").is_none());
-    }
-
-    #[test]
-    fn json_export_round_trips_and_has_the_contract_fields() {
-        let m: ShardedTxMap = ShardedTxMap::new(8, 128);
-        for k in 0..200u64 {
-            m.insert(k, k);
-        }
-        let doc = m.report().to_json();
-        let text = doc.to_string_pretty();
-        let back = parse_json(&text).expect("export must parse with our own parser");
-        assert_eq!(back.get("kind").and_then(Json::as_str), Some("shard-stats"));
-        assert_eq!(
-            back.get("schema_version").and_then(Json::as_u64),
-            Some(SCHEMA_VERSION)
-        );
-        assert_eq!(back.get("shards").and_then(Json::as_u64), Some(8));
-        assert_eq!(back.get("ops").and_then(Json::as_u64), Some(200));
-        let per = match back.get("per_shard") {
-            Some(Json::Arr(v)) => v,
-            other => panic!("per_shard must be an array, got {other:?}"),
-        };
-        assert_eq!(per.len(), 8);
-        let routed_sum: u64 = per
-            .iter()
-            .map(|s| s.get("routed").and_then(Json::as_u64).unwrap())
-            .sum();
-        assert_eq!(routed_sum, 200);
-        assert!(back.get("load_imbalance").is_some());
-        assert!(back.get("abort_imbalance").is_some());
     }
 }

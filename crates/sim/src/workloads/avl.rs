@@ -11,12 +11,11 @@
 //! mutation is then applied to the shadow for real, so the tree shape —
 //! and therefore every later trace — stays faithful.
 
-use rtle_avltree::AvlSet;
+use rtle_avltree::{xorshift64, AvlSet};
 use rtle_htm::PlainAccess;
 
 use crate::workload::{Access, OpSpec, Workload};
 use crate::workloads::recorder::Recorder;
-use crate::workloads::xorshift;
 
 /// Per-op non-critical work (key/op selection), cycles.
 const SETUP: u64 = 60;
@@ -97,7 +96,7 @@ impl AvlWorkload {
     }
 
     fn pick_op(&mut self, thread: usize) {
-        let r = xorshift(&mut self.rngs[thread]);
+        let r = xorshift64(&mut self.rngs[thread]);
         let key = (r >> 16) % self.cfg.key_range;
         let (kind, hostile) = match self.cfg.hostile_thread {
             Some(h) if thread == h => {
@@ -175,7 +174,7 @@ impl AvlWorkload {
             // propagate further than the textbook 1–2 nodes.
             let mut p = 1.0f64;
             for line in path.iter().rev() {
-                let roll = xorshift(&mut self.rngs[thread]) as f64 / u64::MAX as f64;
+                let roll = xorshift64(&mut self.rngs[thread]) as f64 / u64::MAX as f64;
                 if roll < p {
                     trace.push(Access {
                         line: *line,
@@ -190,7 +189,7 @@ impl AvlWorkload {
 
         OpSpec {
             trace,
-            setup_cycles: SETUP + xorshift(&mut self.rngs[thread]) % 32,
+            setup_cycles: SETUP + xorshift64(&mut self.rngs[thread]) % 32,
             htm_hostile: hostile,
             ..Default::default()
         }

@@ -4,8 +4,9 @@
 //! critical section (every op writes, so RW-TLE's slow path can never
 //! commit and NOrec-family writer commits serialize).
 
+use rtle_avltree::xorshift64;
+
 use crate::workload::{Access, OpSpec, Workload};
-use crate::workloads::xorshift;
 
 /// The paper's account count.
 pub const DEFAULT_ACCOUNTS: u64 = 256;
@@ -88,7 +89,7 @@ impl BankWorkload {
                     write: true,
                 },
             ],
-            setup_cycles: SETUP + xorshift(&mut self.rngs[thread]) % 16,
+            setup_cycles: SETUP + xorshift64(&mut self.rngs[thread]) % 16,
             cs_compute: CS_COMPUTE,
             ..Default::default()
         }
@@ -97,7 +98,7 @@ impl BankWorkload {
 
 impl Workload for BankWorkload {
     fn next_op(&mut self, thread: usize) -> OpSpec {
-        let r = xorshift(&mut self.rngs[thread]);
+        let r = xorshift64(&mut self.rngs[thread]);
         let from = r % self.cfg.accounts;
         let mut to = (r >> 24) % self.cfg.accounts;
         if to == from {

@@ -13,6 +13,7 @@
 //!   bookkeeping cost — the overhead that makes the original more than 2×
 //!   slower single-threaded (§6.4.2, citing McSherry et al.).
 
+use rtle_avltree::xorshift64;
 use rtle_cctsa::genome::{sample_reads, Genome};
 use rtle_cctsa::kmer::{kmers_with_edges, Kmer};
 use rtle_cctsa::txmap::KmerMap;
@@ -21,7 +22,6 @@ use rtle_htm::PlainAccess;
 
 use crate::workload::{Access, OpSpec, Workload};
 use crate::workloads::recorder::Recorder;
-use crate::workloads::xorshift;
 
 /// Per-record non-critical work in the simple transactified design
 /// (rolling the k-mer window, bumping cursors).
@@ -148,7 +148,7 @@ impl CctsaWorkload {
             } else {
                 0
             }
-            + xorshift(&mut self.rngs[thread]) % 24;
+            + xorshift64(&mut self.rngs[thread]) % 24;
         OpSpec {
             trace,
             lock_id: (wang_mix64(rec.kmer.0) as usize) % self.cfg.shards,

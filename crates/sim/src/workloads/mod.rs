@@ -13,14 +13,3 @@ pub mod avl;
 pub mod bank;
 pub mod cctsa;
 pub mod recorder;
-
-/// Cheap per-thread xorshift used by all workloads.
-#[inline]
-pub(crate) fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}

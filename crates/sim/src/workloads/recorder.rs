@@ -3,14 +3,12 @@
 
 use std::cell::RefCell;
 
+use rtle_htm::config::LINE_SHIFT;
 use rtle_htm::{TxAccess, TxCell, TxWord};
 
 use crate::workload::Access;
 
-/// Cache-line shift (matches `rtle_htm::config::LINE_SHIFT`).
-const LINE_SHIFT: u32 = 6;
-
-/// Records each access's line (address ≫ 6) and direction while delegating
+/// Records each access's line (address ≫ [`LINE_SHIFT`]) and direction while delegating
 /// to plain reads/writes. Run *read-only* operations through it to obtain
 /// search-path traces without mutating the shadow (mutations are applied
 /// separately at commit time).

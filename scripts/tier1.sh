@@ -68,9 +68,9 @@ stage "tests"
 # tests/one_software_rung.rs, tests/one_abort_vocabulary.rs (`AbortCode`
 # is the only abort enum; its class labels are spelled only in
 # htm/src/abort.rs), the
-# recorder overhead gates of crates/bench/tests/overhead.rs (sampled:
-# 2.5 x bare + 50 ns; every operation, two TSC reads and plain stores on
-# the thread's own lane: bare + 100 ns), and
+# recorder overhead gate of crates/bench/tests/overhead.rs (a recorded
+# lock records every operation — two TSC reads and plain stores on the
+# thread's own lane — for at most bare + 100 ns), and
 # crates/bench/tests/cli.rs, which runs the real
 # `slo_bench` and `diag` binaries: the forced single-lock collapse must
 # trip the watchdog, write a flight record and show on /metrics and /json

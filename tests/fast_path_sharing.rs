@@ -212,8 +212,8 @@ fn snapshots_equal_the_per_thread_ground_truth() {
                 + books.aborts_other
         );
 
-        // Phase 3 — the recorder is one more lane user. Default sampling
-        // records every operation, windows are on, lanes change hands and
+        // Phase 3 — the recorder is one more lane user. It records every
+        // operation, windows are on, lanes change hands and
         // overflow: every attempt is on the recorder's books exactly once,
         // in the cumulative snapshot, its histograms, its ring cursors and
         // the window cut from the same lanes.
