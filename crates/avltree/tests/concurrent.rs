@@ -126,10 +126,13 @@ fn avl_under_norec() {
 #[test]
 fn avl_under_rhnorec() {
     let set = AvlSet::with_key_range(KEY_RANGE);
-    let tm = RhNorec::new();
-    let balance = workload(|op, key| tm.execute(|ctx| apply(&set, ctx, op, key)));
+    let lock = ElidableLock::builder()
+        .policy(ElisionPolicy::Tle)
+        .with_software_backend(Arc::new(RhNorec::new()))
+        .build();
+    let balance = workload(|op, key| lock.execute(|ctx| apply(&set, ctx, op, key)));
     check(&set, balance, "RHNOrec");
-    assert_eq!(tm.stats().snapshot().ops as usize, THREADS * OPS);
+    assert_eq!(lock.stats().snapshot().ops as usize, THREADS * OPS);
 }
 
 #[test]

@@ -216,7 +216,7 @@ impl Ctx<'_> {
     /// (`None` on hardware and lock paths).
     pub fn software_backend(&self) -> Option<&'static str> {
         match self.0 {
-            Rung::Software(tm) => tm.backend_name(),
+            Rung::Software(tm) => Some(tm.backend_name()),
             _ => None,
         }
     }

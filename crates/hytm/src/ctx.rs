@@ -1,79 +1,54 @@
-//! The transactional execution context for software/hybrid-TM critical
-//! sections — the hybrid-TM counterpart of `rtle_core::Ctx`.
+//! The transactional execution context of software-TM critical sections —
+//! the software-TM counterpart of `rtle_core::Ctx` — and the NOrec family's
+//! clock protocol (validation, read barrier, SGL commit, hardware hook).
 
 use std::cell::RefCell;
 
 use rtle_htm::wait::backoff_until;
 use rtle_htm::{TxCell, TxWord};
 
+use crate::abort_codes;
 use crate::descriptor::{abort_sw, SwDescriptor};
 use crate::stats::TmStats;
 use crate::tm::SoftwareTm;
 
-enum Inner<'a> {
-    /// Running inside a hardware transaction: plain accesses, the HTM
-    /// tracks everything.
-    Hw,
-    /// Running as a software transaction: reads and writes dispatch to the
-    /// backend's barriers ([`SoftwareTm::read`] / [`SoftwareTm::write`]).
-    Sw {
-        tm: &'a dyn SoftwareTm,
-        desc: &'a RefCell<SwDescriptor>,
-    },
-}
-
 /// Execution token passed to [`crate::Norec::execute`] /
-/// [`crate::RhNorec::execute`] / [`crate::Tl2::execute`] closures. All
-/// shared accesses inside the atomic block must go through it.
+/// [`crate::Tl2::execute`] closures and to every software attempt of a
+/// [`crate::SwPhase`]. All shared accesses inside the atomic block must go
+/// through it: reads and writes dispatch to the backend's barriers
+/// ([`SoftwareTm::read`] / [`SoftwareTm::write`]).
 pub struct TmCtx<'a> {
-    inner: Inner<'a>,
+    tm: &'a dyn SoftwareTm,
+    desc: &'a RefCell<SwDescriptor>,
 }
 
 impl<'a> TmCtx<'a> {
-    pub(crate) fn hw() -> Self {
-        TmCtx { inner: Inner::Hw }
-    }
-
     pub(crate) fn sw(tm: &'a dyn SoftwareTm, desc: &'a RefCell<SwDescriptor>) -> Self {
-        TmCtx {
-            inner: Inner::Sw { tm, desc },
-        }
+        TmCtx { tm, desc }
     }
 
-    /// Whether this execution runs in hardware.
-    pub fn is_hardware(&self) -> bool {
-        matches!(self.inner, Inner::Hw)
-    }
-
-    /// The software backend driving this context, if any.
-    pub fn backend_name(&self) -> Option<&'static str> {
-        match &self.inner {
-            Inner::Hw => None,
-            Inner::Sw { tm, .. } => Some(tm.name()),
-        }
+    /// The software backend driving this context.
+    pub fn backend_name(&self) -> &'static str {
+        self.tm.name()
     }
 
     /// Transactional read.
     #[inline]
     pub fn read<T: TxWord>(&self, cell: &TxCell<T>) -> T {
-        match &self.inner {
-            Inner::Hw => cell.read(),
-            Inner::Sw { tm, desc } => {
-                let word = tm.read(&mut desc.borrow_mut(), cell.as_word_cell());
-                T::from_word(word)
-            }
-        }
+        T::from_word(
+            self.tm
+                .read(&mut self.desc.borrow_mut(), cell.as_word_cell()),
+        )
     }
 
     /// Transactional write.
     #[inline]
     pub fn write<T: TxWord>(&self, cell: &TxCell<T>, value: T) {
-        match &self.inner {
-            Inner::Hw => cell.write(value),
-            Inner::Sw { tm, desc } => {
-                tm.write(&mut desc.borrow_mut(), cell.as_word_cell(), value.to_word());
-            }
-        }
+        self.tm.write(
+            &mut self.desc.borrow_mut(),
+            cell.as_word_cell(),
+            value.to_word(),
+        );
     }
 }
 
@@ -157,6 +132,18 @@ pub(crate) fn sgl_commit(d: &mut SwDescriptor, clock: &TxCell<u64>, stats: &TmSt
     clock.write(d.snapshot + 2);
 }
 
+/// The NOrec family's hardware commit hook: a hardware commit publishes
+/// to software readers by bumping the clock (they revalidate by value).
+/// An odd clock means an SGL committer may write back at any moment — the
+/// hardware transaction must bail. Runs inside the hardware transaction.
+pub(crate) fn hw_commit_bump(clock: &TxCell<u64>) {
+    let c = clock.read();
+    if c & 1 == 1 {
+        rtle_htm::abort(abort_codes::SGL_HELD);
+    }
+    clock.write(c + 2);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,24 +151,12 @@ mod tests {
     use crate::norec::Norec;
 
     #[test]
-    fn hw_ctx_reads_plainly() {
-        let c = TxCell::new(3u64);
-        let ctx = TmCtx::hw();
-        assert!(ctx.is_hardware());
-        assert_eq!(ctx.backend_name(), None);
-        assert_eq!(ctx.read(&c), 3);
-        ctx.write(&c, 4);
-        assert_eq!(c.read_plain(), 4);
-    }
-
-    #[test]
     fn sw_ctx_buffers_writes() {
         let tm = Norec::new();
         let desc = RefCell::new(SwDescriptor::default());
         desc.borrow_mut().reset(0);
         let ctx = TmCtx::sw(&tm, &desc);
-        assert!(!ctx.is_hardware());
-        assert_eq!(ctx.backend_name(), Some("norec"));
+        assert_eq!(ctx.backend_name(), "norec");
 
         let c = TxCell::new(1u64);
         ctx.write(&c, 9);

@@ -12,15 +12,16 @@
 //!   commit under the clock's odd state (a de-facto single global lock for
 //!   the write-back), so NOrec is immune to false conflicts but serializes
 //!   writer commits.
-//! * [`rhnorec::RhNorec`] — Reduced-Hardware NOrec (Matveev & Shavit,
-//!   TRANSACT 2014, the variant the paper compares against): a hybrid TM.
-//!   Transactions first try to run **entirely in hardware**; while software
-//!   transactions are running, committing hardware transactions must bump
-//!   the global clock (forcing software readers to revalidate). A software
-//!   transaction tries to execute its *commit phase* — write-back plus
-//!   clock bump — inside a small ("reduced") hardware transaction, falling
-//!   back to a clock-acquired single-global-lock commit that halts
-//!   everything.
+//! * [`rhnorec::RhNorec`] — the software half of Reduced-Hardware NOrec
+//!   (Matveev & Shavit, TRANSACT 2014, the hybrid the paper compares
+//!   against). Transactions first try to run **entirely in hardware** —
+//!   that is `rtle-core`'s `ElidableLock` ladder with this backend
+//!   installed; while software transactions are running, committing
+//!   hardware transactions must bump the global clock (forcing software
+//!   readers to revalidate). A software transaction tries to execute its
+//!   *commit phase* — write-back plus clock bump — inside a small
+//!   ("reduced") hardware transaction, falling back to a clock-acquired
+//!   single-global-lock commit that halts everything.
 //!
 //! Beyond the paper's baselines, [`tl2::Tl2`] is the TL2 STM (Dice,
 //! Shalev, Shavit; DISC 2006): per-stripe versioned write-locks plus a
@@ -32,15 +33,15 @@
 //! stats and the hardware commit-time hook — so `rtle-core`'s
 //! `ElidableLock` can plug any *one* of them in as its software fallback
 //! (`with_software_backend`; two protocols over one data set do not
-//! validate against each other, so a lock has one) and the benchmark
-//! harness can swap synchronization methods freely (they all expose the
-//! same closure-over-context `execute` interface). One software
-//! transaction is a [`tm::SwPhase`]: the backend's `enter_sw`/`exit_sw`
-//! bracket and the thread's reusable descriptor, whichever driver runs it.
+//! validate against each other, so a lock has one). NOrec and TL2 also run
+//! standalone through their `execute` (software only, the closed retry
+//! loop [`tm::run_sw`]). One software transaction is a [`tm::SwPhase`]:
+//! the thread's reusable descriptor, whichever driver runs it.
 //!
-//! The paper's Figures 8–10 are plotted from the statistics kept here:
-//! execution-type distribution (HTMFast / HTMSlow / STMFastCommit /
-//! STMSlowCommit) and value-based validations per software transaction.
+//! [`stats::TmStats`] counts software commits by flavour (STMFastCommit /
+//! STMSlowCommit), aborts and value-based validations. The paper's
+//! Figures 8–10 are plotted from the simulator's statistics (`rtle-sim`'s
+//! `SimStats`), not from these.
 
 pub mod ctx;
 pub mod descriptor;

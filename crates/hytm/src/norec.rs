@@ -9,8 +9,7 @@
 
 use rtle_htm::TxCell;
 
-use crate::abort_codes;
-use crate::ctx::{sgl_commit, sw_read, wait_even, TmCtx};
+use crate::ctx::{hw_commit_bump, sgl_commit, sw_read, wait_even, TmCtx};
 use crate::descriptor::SwDescriptor;
 use crate::stats::{CommitKind, TmStats};
 use crate::tm::{run_sw, SoftwareTm};
@@ -72,16 +71,9 @@ impl SoftwareTm for Norec {
         CommitKind::StmSlowCommit
     }
 
-    /// A hardware commit publishes to NOrec readers by bumping the clock
-    /// (they revalidate by value). An odd clock means an SGL committer may
-    /// write back at any moment — the hardware transaction must bail.
-    fn hw_commit_hook(&self) -> bool {
-        let c = self.clock.read();
-        if c & 1 == 1 {
-            rtle_htm::abort(abort_codes::SGL_HELD);
-        }
-        self.clock.write(c + 2);
-        true
+    /// A hardware commit publishes to NOrec readers by bumping the clock.
+    fn hw_commit_hook(&self) {
+        hw_commit_bump(&self.clock);
     }
 }
 

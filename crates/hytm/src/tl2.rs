@@ -180,7 +180,7 @@ impl SoftwareTm for Tl2 {
     /// TL2's stripe versions cannot observe a hardware commit (hardware
     /// writes don't bump stripe versions), so hardware must yield while
     /// TL2 transactions are live.
-    fn hw_commit_hook(&self) -> bool {
+    fn hw_commit_hook(&self) {
         rtle_htm::abort(crate::abort_codes::SW_ACTIVE);
     }
 }

@@ -1,17 +1,24 @@
 //! The [`SoftwareTm`] trait: one begin/read/write/commit lifecycle shared
 //! by every software transactional memory in this crate, plus
-//! [`SwPhase`] — one software transaction's `enter_sw`/`exit_sw` bracket
-//! and the owner of its per-attempt [`SwDescriptor`] — and the closed retry
-//! loop over one phase ([`run_sw`]).
+//! [`SwPhase`] — one software transaction: the owner of its per-attempt
+//! [`SwDescriptor`] — and the closed retry loop over one phase
+//! ([`run_sw`]).
 //!
 //! Extracting the lifecycle lets `rtle-core`'s `ElidableLock` treat the
 //! software fallback as a pluggable backend (`with_software_backend`)
 //! without knowing anything about clocks or stripes. A lock has *one*
 //! backend, chosen when it is built: NOrec for hot-key workloads
-//! (value-based validation, immune to false conflicts) or TL2 for
+//! (value-based validation, immune to false conflicts), RH-NOrec for the
+//! paper's hybrid (NOrec with a reduced-hardware commit), or TL2 for
 //! disjoint-write workloads (per-stripe commit locks, concurrent writer
 //! commits). Two backends never run side by side over one data set —
 //! neither validates against the other's write-back (DESIGN §14a).
+//!
+//! The lock, not the backend, knows whether software transactions are
+//! live: its software-presence counter is raised around every software
+//! attempt, and its hardware paths run [`SoftwareTm::hw_commit_hook`] only
+//! while that counter, read inside the hardware transaction, is above
+//! zero.
 //!
 //! The trait is not designed for implementation outside this crate: the
 //! descriptor's logging methods are crate-private, so foreign impls could
@@ -29,8 +36,8 @@ use crate::descriptor::SwDescriptor;
 use crate::stats::{CommitKind, TmStats};
 
 /// One software transactional memory: the begin/read/write/commit/abort
-/// lifecycle plus the commit-time hook hardware transactions must run when
-/// software transactions are live.
+/// lifecycle plus the commit-time hook hardware transactions must run
+/// while software transactions are live.
 ///
 /// Aborts are signalled by unwinding ([`crate::abort_sw`]), never by
 /// return value — [`run_sw`] catches the unwind, records the abort, and
@@ -61,25 +68,14 @@ pub trait SoftwareTm: Send + Sync + std::fmt::Debug {
     /// Returns which commit flavour was used (for [`TmStats`]).
     fn commit(&self, d: &mut SwDescriptor) -> CommitKind;
 
-    /// Called once before the first attempt of a software transaction
-    /// (e.g. RH-NOrec increments its software-transaction counter here).
-    fn enter_sw(&self) {}
-
-    /// Called once after the transaction committed or the thread unwound —
-    /// the balancing bracket of [`SoftwareTm::enter_sw`], run from a drop
-    /// guard so a panicking closure cannot leak it.
-    fn exit_sw(&self) {}
-
     /// Commit-time instrumentation a *hardware* transaction must execute
-    /// when software transactions may be running concurrently. Runs inside
-    /// the hardware transaction; must either publish the hardware commit to
-    /// the software validation protocol (NOrec: bump the global clock) or
-    /// abort the hardware transaction (TL2: versioned stripes cannot
-    /// observe hardware commits, so hardware yields). Returns whether
-    /// instrumented work was done (drives the HtmFast/HtmSlow split).
-    fn hw_commit_hook(&self) -> bool {
-        false
-    }
+    /// while software transactions are running concurrently — the caller
+    /// (`rtle-core`'s lock) decides that from its software presence. Runs
+    /// inside the hardware transaction; must either publish the hardware
+    /// commit to the software validation protocol (NOrec, RH-NOrec: bump
+    /// the global clock) or abort the hardware transaction (TL2: versioned
+    /// stripes cannot observe hardware commits, so hardware yields).
+    fn hw_commit_hook(&self);
 }
 
 thread_local! {
@@ -106,12 +102,9 @@ pub fn run_sw<R>(tm: &dyn SoftwareTm, cs: impl Fn(&TmCtx<'_>) -> R) -> R {
     }
 }
 
-/// One software transaction on `tm`: the `enter_sw`/`exit_sw` bracket and
-/// the descriptor its attempts run on — the thread's spare one, handed
-/// back on drop (a nested phase finds none and builds its own).
-/// `exit_sw` must run even if the closure panics for real (not an abort):
-/// leaking e.g. RH-NOrec's software counter would force every future
-/// hardware commit to bump the clock forever — hence a drop guard.
+/// One software transaction on `tm`: the descriptor its attempts run on —
+/// the thread's spare one, handed back on drop, also when the closure
+/// panics for real (a nested phase finds none and builds its own).
 ///
 /// [`run_sw`] is the closed retry loop over one phase; external drivers
 /// (`rtle-core`'s software rung, `rtle-stm`'s `atomically`) hold one
@@ -125,14 +118,13 @@ pub struct SwPhase<'a> {
 }
 
 impl<'a> SwPhase<'a> {
-    /// Calls `tm.enter_sw()` and takes the thread's descriptor; the
-    /// returned guard's drop undoes both.
+    /// Takes the thread's descriptor; the returned guard's drop hands it
+    /// back.
     ///
     /// # Panics
     ///
     /// As [`run_sw`].
     pub fn enter(tm: &'a dyn SoftwareTm) -> Self {
-        tm.enter_sw();
         SwPhase {
             tm,
             desc: Some(RefCell::new(SPARE.take().unwrap_or_default())),
@@ -170,7 +162,6 @@ impl<'a> SwPhase<'a> {
 
 impl Drop for SwPhase<'_> {
     fn drop(&mut self) {
-        self.tm.exit_sw();
         if let Some(desc) = self.desc.take() {
             // Whatever the attempts left in it — a real panic leaves the
             // logs mid-flight — the next `begin` resets. A thread already
@@ -220,9 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn exit_sw_runs_on_real_panics() {
-        // RH-NOrec's counter must not leak when the closure panics — and
-        // the descriptor the panic left mid-flight (a logged read, a
+    fn a_descriptor_a_real_panic_left_mid_flight_is_reset_by_the_next_begin() {
+        // The descriptor the panic left mid-flight (a logged read, a
         // buffered write, TL2 footprint entries) goes back to the thread
         // and is fully reset by the next `begin`.
         for tm in backends() {
@@ -249,12 +239,6 @@ mod tests {
             assert_eq!(phase.attempt(|ctx| ctx.read(&b)), Some(2), "{}", tm.name());
             assert_eq!(b.read_plain(), 2, "{}", tm.name());
         }
-        let tm = RhNorec::new();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sw(&tm, |_ctx| -> u64 { panic!("real bug") })
-        }));
-        assert!(r.is_err());
-        assert_eq!(tm.sw_running(), 0, "sw counter restored on panic");
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn check_conservation(name: &str, seed: u64, finals: &[u64], snap: &TmStatsSnaps
         "{name}: every transaction must be accounted"
     );
     assert_eq!(
-        snap.htm_fast + snap.htm_slow + snap.stm_fast_commit + snap.stm_slow_commit,
+        snap.stm_fast_commit + snap.stm_slow_commit,
         snap.ops,
         "{name}: commit kinds must partition the op count"
     );

@@ -1,4 +1,4 @@
-//! Randomized tests for the NOrec / RHNOrec baselines: differential
+//! Randomized tests for the NOrec baseline: differential
 //! equivalence against a sequential model, for arbitrary transaction
 //! programs. Driven by a seeded [`SplitMix64`] stream (dependency-free
 //! stand-in for a property-testing harness; failures reproduce from the
@@ -6,7 +6,7 @@
 
 use rtle_htm::prng::SplitMix64;
 use rtle_htm::TxCell;
-use rtle_hytm::{Norec, RhNorec};
+use rtle_hytm::Norec;
 
 /// A tiny straight-line transactional program over `N` cells.
 #[derive(Debug, Clone)]
@@ -85,58 +85,5 @@ fn norec_matches_model() {
         for (c, m) in cells.iter().zip(&model) {
             assert_eq!(c.read_plain(), *m);
         }
-    }
-}
-
-/// Same for RHNOrec, mixing hardware and (forced) software paths.
-#[test]
-fn rhnorec_matches_model() {
-    let mut rng = SplitMix64::new(0x51e9_4002);
-    for _case in 0..96 {
-        let tm = RhNorec::new();
-        let cells: Vec<TxCell<u64>> = (0..6).map(|_| TxCell::new(0)).collect();
-        let mut model = vec![0u64; 6];
-        for _ in 0..rng.below(12) {
-            let prog = gen_prog(&mut rng, 6, 12);
-            let force_sw = rng.bool();
-            tm.execute(|ctx| {
-                if force_sw {
-                    rtle_htm::htm_unfriendly_instruction();
-                }
-                apply_tm(ctx, &cells, &prog)
-            });
-            apply_model(&mut model, &prog);
-        }
-        for (c, m) in cells.iter().zip(&model) {
-            assert_eq!(c.read_plain(), *m);
-        }
-        assert_eq!(tm.sw_running(), 0, "sw counter balanced");
-    }
-}
-
-/// Commit-kind accounting partitions the op count.
-#[test]
-fn rhnorec_commit_kinds_partition_ops() {
-    let mut rng = SplitMix64::new(0x51e9_4003);
-    for _case in 0..96 {
-        let force_sw: Vec<bool> = (0..1 + rng.below(39)).map(|_| rng.bool()).collect();
-        let tm = RhNorec::new();
-        let c = TxCell::new(0u64);
-        for f in &force_sw {
-            tm.execute(|ctx| {
-                if *f {
-                    rtle_htm::htm_unfriendly_instruction();
-                }
-                let v = ctx.read(&c);
-                ctx.write(&c, v + 1);
-            });
-        }
-        let s = tm.stats().snapshot();
-        assert_eq!(s.ops as usize, force_sw.len());
-        assert_eq!(
-            s.htm_fast + s.htm_slow + s.stm_fast_commit + s.stm_slow_commit,
-            s.ops
-        );
-        assert_eq!(c.read_plain() as usize, force_sw.len());
     }
 }

@@ -3,6 +3,7 @@
 //! of overflowing HTM capacity and escalating to the lock.
 
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 
 use rtle_core::{ElidableLock, ElisionPolicy};
 use rtle_htm::TxAccess;
@@ -102,11 +103,15 @@ fn hashset_under_tms() {
     assert_eq!(set.len_plain() as i64, balance, "NOrec");
 
     let set2 = TxHashSet::with_capacity(2048);
-    let rh = RhNorec::new();
+    let rh = ElidableLock::builder()
+        .policy(ElisionPolicy::Tle)
+        .with_software_backend(Arc::new(RhNorec::new()))
+        .build();
     let balance2 = drive(4, 1_200, 512, |op, key| {
         rh.execute(|ctx| apply_hash(&set2, ctx, op, key))
     });
     assert_eq!(set2.len_plain() as i64, balance2, "RHNOrec");
+    assert_eq!(rh.stats().snapshot().ops, 4 * 1_200, "RHNOrec");
 }
 
 #[test]

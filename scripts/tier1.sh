@@ -65,7 +65,11 @@ stage "tests"
 # (crates/shard/tests/call_allocs.rs: a warm execute_batch allocates only
 # its result, a cross-shard transfer or compare_and_swap_pair nothing), so
 # a per-call allocation on either path fails here,
-# tests/one_software_rung.rs, tests/one_abort_vocabulary.rs (`AbortCode`
+# tests/one_software_rung.rs (one software backend per lock, one
+# descriptor builder, and RH-NOrec on the lock's ladder: no enter_sw/
+# exit_sw, sw_count, TmCtx::hw, HtmFast/HtmSlow or record_hw_abort in
+# crates/hytm/src, whose one swhtm::try_txn is the reduced commit),
+# tests/one_abort_vocabulary.rs (`AbortCode`
 # is the only abort enum; its class labels are spelled only in
 # htm/src/abort.rs), the
 # recorder overhead gate of crates/bench/tests/overhead.rs (a recorded

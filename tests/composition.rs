@@ -154,18 +154,23 @@ fn composition_under_norec() {
 #[test]
 fn composition_under_rhnorec() {
     let sys = Arc::new(Sys::new());
-    let tm = Arc::new(RhNorec::new());
+    let lock = Arc::new(
+        ElidableLock::builder()
+            .policy(ElisionPolicy::Tle)
+            .with_software_backend(Arc::new(RhNorec::new()))
+            .build(),
+    );
     std::thread::scope(|scope| {
         for t in 0..4u64 {
             let sys = Arc::clone(&sys);
-            let tm = Arc::clone(&tm);
+            let lock = Arc::clone(&lock);
             scope.spawn(move || {
                 let mut rng = 0xf00d ^ (t + 1);
                 for i in 0..1_500u64 {
                     let r = xorshift64(&mut rng);
                     let res = r % RESOURCES;
                     let member = (r >> 16) % 64;
-                    tm.execute(|ctx| {
+                    lock.execute(|ctx| {
                         if i % 32 == 0 {
                             rtle_htm::htm_unfriendly_instruction();
                         }
@@ -180,5 +185,5 @@ fn composition_under_rhnorec() {
         }
     });
     sys.check();
-    assert_eq!(tm.sw_running(), 0);
+    assert_eq!(lock.stats().snapshot().ops, 4 * 1_500);
 }

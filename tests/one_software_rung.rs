@@ -1,6 +1,8 @@
 //! One software rung, by grep: a lock has one software backend and no
 //! code that chooses between two, a software-transaction descriptor is
-//! built in one place, and the adaptive state holds no bare atomics.
+//! built in one place, RH-NOrec's hardware phase is the lock's ladder (no
+//! second hardware-first loop, no second software-presence counter), and
+//! the adaptive state holds no bare atomics.
 //! Textual on purpose — the point is that a second copy cannot come back
 //! unnoticed.
 
@@ -64,6 +66,33 @@ fn a_descriptor_is_built_in_one_place() {
     assert_eq!(exempt, 1, "shard/src/batch.rs: `{INDEX_SCRATCH}` once");
     assert_eq!(builders.len(), 1, "{builders:?}");
     assert!(builders[0].ends_with("hytm/src/tm.rs"), "{builders:?}");
+}
+
+#[test]
+fn rhnorec_runs_on_the_locks_ladder() {
+    let mut hardware_txns = Vec::new();
+    for (path, src) in production_sources("hytm") {
+        for gone in [
+            "enter_sw",
+            "exit_sw",
+            "sw_count",
+            "TmCtx::hw",
+            "HtmFast",
+            "HtmSlow",
+            "record_hw_abort",
+        ] {
+            assert!(!src.contains(gone), "`{gone}` is back in {path}");
+        }
+        let code = src.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let n = code.map(|l| l.matches("swhtm::try_txn").count()).sum();
+        hardware_txns.extend(std::iter::repeat_n(path, n));
+    }
+    // The one hardware transaction is RH-NOrec's reduced commit.
+    assert_eq!(hardware_txns.len(), 1, "{hardware_txns:?}");
+    assert!(
+        hardware_txns[0].ends_with("hytm/src/rhnorec.rs"),
+        "{hardware_txns:?}"
+    );
 }
 
 #[test]
