@@ -14,9 +14,11 @@
 //!    address order; the plan grows by restart when the closure touches a
 //!    lock it does not hold.
 //!
-//! A [`Tx::retry`] outcome at any rung parks the thread on the read-set
-//! vars' waiter lists (see `var.rs` for the lost-wakeup argument) and
-//! reruns the ladder from the top when woken.
+//! A [`Tx::retry`] outcome on the software or pessimistic rung parks the
+//! thread on the read-set vars' waiter lists (see `var.rs` for the
+//! lost-wakeup argument) and reruns the ladder from the top when woken.
+//! Speculation logs no reads, so a retry there hands off to the next rung,
+//! which logs the reads it parks on.
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
@@ -27,12 +29,11 @@ use rtle_core::{
 };
 use rtle_htm::lanes::Lanes;
 use rtle_htm::unwind::{self, Channel};
-use rtle_htm::{DynAccess, SwHtmBackend};
+use rtle_htm::SwHtmBackend;
 use rtle_hytm::{Norec, SoftwareTm, SwPhase};
 
 use crate::tx::{
-    flush_locked, flush_via, run_participant_hooks, Lock, LockedPlan, Mode, Tx, TxError, TxInner,
-    TxResult,
+    end_spec, flush_locked, flush_sw, Lock, LockedPlan, Mode, Tx, TxError, TxInner, TxResult,
 };
 use crate::var::{WaitList, Waiter};
 
@@ -236,7 +237,7 @@ impl Stm {
     /// The closure may run any number of times and must be side-effect
     /// free outside its transactional accesses.
     pub fn atomically<'env, R>(&'env self, f: impl Fn(&Tx<'env, '_>) -> TxResult<R>) -> R {
-        let inner: RefCell<TxInner<'env>> = RefCell::new(TxInner::new());
+        let inner: RefCell<TxInner<'env>> = RefCell::new(TxInner::take());
         // Participant locks discovered in failed attempts seed the
         // pessimistic plan, so the Locked rung usually acquires the full
         // set on its first try instead of growing lock by lock.
@@ -248,11 +249,7 @@ impl Stm {
                 inner.borrow_mut().reset();
                 let tx = Tx::new(self, Mode::Spec(ctx), &inner);
                 let r = f(&tx);
-                if r.is_ok() {
-                    let logs = inner.borrow();
-                    flush_via(&logs, ctx);
-                    run_participant_hooks(&logs);
-                }
+                end_spec(&inner.borrow(), &r);
                 r
             });
             match spec {
@@ -260,11 +257,9 @@ impl Stm {
                     self.finish(Rung::Spec, &inner);
                     return v;
                 }
-                Some(Err(TxError::Retry)) => {
-                    self.park(&inner);
-                    continue;
-                }
-                None => self.merge_known(&mut known, &inner),
+                // A retry's read set is the next rung's to log: the
+                // hardware kept none to park on.
+                Some(Err(TxError::Retry)) | None => self.merge_known(&mut known, &inner),
             }
 
             // ---- Rung 2: software TM -----------------------------------
@@ -316,7 +311,7 @@ impl Stm {
                 let tx = Tx::new(
                     self,
                     Mode::Sw {
-                        acc: ctx,
+                        ctx,
                         tm,
                         presences: &presences,
                     },
@@ -324,7 +319,7 @@ impl Stm {
                 );
                 let r = f(&tx);
                 if r.is_ok() {
-                    flush_via(&inner.borrow(), ctx);
+                    flush_sw(&inner.borrow(), ctx);
                 }
                 r
             });
@@ -361,12 +356,7 @@ impl Stm {
                 entries: plan
                     .iter()
                     .zip(&sections)
-                    .map(|(l, s)| {
-                        (
-                            *l as *const Lock as usize,
-                            s.ctx() as &dyn DynAccess,
-                        )
-                    })
+                    .map(|(l, s)| (*l as *const Lock as usize, s.ctx()))
                     .collect(),
             };
             let attempt = unwind::catch(Channel::Restart, || {
@@ -415,16 +405,8 @@ impl Stm {
             },
             1,
         );
-        let logs = inner.borrow();
-        let mut seen: Vec<*const WaitList> = Vec::new();
-        for w in &logs.writes {
-            if let Some(wl) = w.waiters {
-                if !seen.contains(&wl) {
-                    seen.push(wl);
-                }
-            }
-        }
-        for wl in seen {
+        // `woken` holds each written var's list once.
+        for &wl in &inner.borrow().logs.woken {
             // SAFETY: the list belongs to a `&'env TxVar` that outlives
             // this `atomically` call (enforced by `Tx::write`'s bound).
             // lockcheck: waiter lists are mutex-guarded internally; the
@@ -439,7 +421,7 @@ impl Stm {
     /// var's waiter list, revalidate the logged reads, park. See `var.rs`
     /// for why this ordering has no lost wakeups.
     fn park(&self, inner: &RefCell<TxInner<'_>>) {
-        let logs = inner.borrow();
+        let logs = &inner.borrow().logs;
         let mut lists: Vec<*const WaitList> = Vec::new();
         for r in &logs.reads {
             if let Some(wl) = r.waiters {
@@ -485,9 +467,8 @@ impl Stm {
     /// Remembers participant locks enrolled by a failed attempt, seeding
     /// the pessimistic plan.
     fn merge_known<'env>(&self, known: &mut Vec<&'env Lock>, inner: &RefCell<TxInner<'env>>) {
-        let logs = inner.borrow();
-        for l in &logs.enrolled {
-            if !known.iter().any(|k| std::ptr::eq(*k, *l)) {
+        for l in inner.borrow().enrolled() {
+            if !known.iter().any(|k| std::ptr::eq(*k, l)) {
                 known.push(l);
             }
         }

@@ -24,12 +24,27 @@
 //!   of [`rtle_htm::unwind`] ([`restart`]); the driver grows the plan and
 //!   re-runs.
 //!
-//! In **every** mode the transaction buffers its writes in an append-only
-//! redo log and flushes them at commit time. Append-only is what makes
-//! [`Tx::or_else`] cheap: the abandoned first branch is rolled back by
-//! truncating the write log to a checkpoint, while its reads stay logged —
-//! STM-Haskell's semantics, where a nested-retry blocks on the *union* of
-//! both branches' read sets.
+//! **Spec** reads and writes go straight through the space lock's `Ctx`:
+//! the hardware transaction is the log. Its footprint is the read set and
+//! its redo log answers read-own-write and publishes the writes at commit,
+//! so nothing is copied and nothing is flushed. The `Tx` keeps only the
+//! written [`TxVar`]s' waiter lists, for the wakeups after commit, and a
+//! count of its stores. Hardware cannot roll back half a transaction, so
+//! the two cases that would need it — an [`Tx::or_else`] first branch that
+//! stored and then retries, and a [`Tx::retry`] after a store — end the
+//! attempt with [`AbortCode::Unsupported`] and the software rung reruns
+//! the transaction. A retry without stores commits read-only and hands
+//! off to the next rung, which logs the reads it parks on.
+//!
+//! **Sw** and **Locked** buffer their writes in an append-only redo log
+//! and flush them at commit time. Append-only is what makes
+//! [`Tx::or_else`] cheap there: the abandoned first branch is rolled back
+//! by truncating the write log to a checkpoint, while its reads stay
+//! logged — STM-Haskell's semantics, where a nested retry blocks on the
+//! *union* of both branches' read sets.
+//!
+//! The buffers are the thread's: a call takes the spare its last call
+//! handed back, so a warm call allocates nothing.
 //!
 //! # Safety contract
 //!
@@ -42,12 +57,12 @@
 //! contract the descriptors document: do not feed it cells owned by the
 //! closure's own stack frame.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use rtle_core::{ElidableLock, SoftwarePresence};
+use rtle_core::{Ctx, ElidableLock, SoftwarePresence};
 use rtle_htm::unwind::{self, Channel};
-use rtle_htm::{AbortCode, DynAccess, SwHtmBackend, TxAccess, TxCell, TxWord};
+use rtle_htm::{abort, AbortCode, SwHtmBackend, TxAccess, TxCell, TxWord};
 use rtle_hytm::SoftwareTm;
 use rtle_shard::ShardedTxMap;
 
@@ -71,82 +86,142 @@ pub enum TxError {
 /// and rerun. Compose with `?`.
 pub type TxResult<T> = Result<T, TxError>;
 
-/// One logged read: the cell, the value observed, and — for [`TxVar`]
-/// reads — the var's waiter list, so `retry` knows where to park.
+/// One logged read (Sw and Locked): the cell, the value observed, and —
+/// for [`TxVar`] reads — the var's waiter list, so `retry` knows where to
+/// park.
 pub(crate) struct ReadRec {
     pub(crate) cell: *const TxCell<u64>,
     pub(crate) value: u64,
     pub(crate) waiters: Option<*const WaitList>,
 }
 
-/// One buffered write. `domain` is the owning lock's address, so the
-/// pessimistic flush can route it through that lock's holder context
-/// (stamping the right orecs / write flag for slow-path coexistence).
+/// One buffered write (Sw and Locked). `domain` is the owning lock's
+/// address, so the pessimistic flush can route it through that lock's
+/// holder context (stamping the right orecs / write flag for slow-path
+/// coexistence).
 pub(crate) struct WriteRec {
     pub(crate) cell: *const TxCell<u64>,
     pub(crate) value: u64,
     pub(crate) domain: usize,
-    pub(crate) waiters: Option<*const WaitList>,
 }
 
-/// Per-attempt state, owned by the driver so it survives the closure frame
-/// (the flush and the park/wake bookkeeping run after `f` returns).
+/// A call's buffers, free of the call's lifetime so the thread can keep
+/// them between calls.
 #[derive(Default)]
-pub(crate) struct TxInner<'env> {
+pub(crate) struct Logs {
     pub(crate) reads: Vec<ReadRec>,
     pub(crate) writes: Vec<WriteRec>,
-    /// Participant locks enrolled this attempt (the space lock excluded).
-    pub(crate) enrolled: Vec<&'env Lock>,
+    /// Waiter lists of the [`TxVar`]s written, each once, in every mode.
+    pub(crate) woken: Vec<*const WaitList>,
+    /// Participant locks enrolled this attempt (the space lock excluded);
+    /// each was a `&'env Lock` (see [`TxInner::enrolled`]).
+    enrolled: Vec<*const Lock>,
+}
+
+impl Logs {
+    const fn new() -> Self {
+        Logs {
+            reads: Vec::new(),
+            writes: Vec::new(),
+            woken: Vec::new(),
+            enrolled: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.woken.clear();
+        self.enrolled.clear();
+    }
+}
+
+thread_local! {
+    /// The thread's spare [`Logs`], between `atomically` calls.
+    static SPARE: Cell<Logs> = const { Cell::new(Logs::new()) };
+}
+
+/// Per-call state, owned by the driver so it survives the closure frame
+/// (the flush and the park/wake bookkeeping run after `f` returns). Its
+/// buffers are the thread's spare, taken by [`TxInner::take`] and handed
+/// back on drop, the way `rtle_hytm::SwPhase` lends its descriptor.
+pub(crate) struct TxInner<'env> {
+    pub(crate) logs: Logs,
+    /// Stores a Spec attempt made straight through the hardware
+    /// transaction (the other rungs count their `writes`).
+    pub(crate) stores: usize,
     /// Set by a Locked-mode enrollment miss just before [`restart`].
     pub(crate) missing: Option<&'env Lock>,
 }
 
 impl<'env> TxInner<'env> {
-    /// Fresh per-call state. The logs start above the allocator's
-    /// thread-cache sizes on purpose: a log grown from empty is a chain of
-    /// `realloc`s through those sizes, where glibc hands a thread chunks
-    /// other threads' arenas own (anything it freed lately, say tree nodes
-    /// the loader allocated) and `realloc` then locks the owning arena —
-    /// all clients serialising on one arena is a third of the throughput.
-    /// A request this size is always served from the thread's own arena.
-    pub(crate) fn new() -> Self {
+    /// Takes the thread's spare buffers; a nested call finds none and
+    /// builds its own.
+    pub(crate) fn take() -> Self {
         TxInner {
-            reads: Vec::with_capacity(64),
-            writes: Vec::with_capacity(32),
-            ..TxInner::default()
+            logs: SPARE.try_with(Cell::take).unwrap_or_default(),
+            stores: 0,
+            missing: None,
         }
     }
 
     pub(crate) fn reset(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
-        self.enrolled.clear();
+        self.logs.clear();
+        self.stores = 0;
         self.missing = None;
+    }
+
+    /// The participant locks this attempt enrolled.
+    pub(crate) fn enrolled(&self) -> impl Iterator<Item = &'env Lock> + '_ {
+        self.logs.enrolled.iter().map(|&lock| {
+            // SAFETY: `Tx::enroll` pushes only `&'env Lock`s, and the list
+            // is cleared before the buffers outlive this `TxInner<'env>`.
+            // lockcheck: the deref only reconstructs a reference the caller
+            // held; nothing is published through it.
+            unsafe { &*lock }
+        })
+    }
+
+    /// Where a rollback returns to: the ends of the write log and the
+    /// waiter list, and the Spec store count.
+    fn mark(&self) -> (usize, usize, usize) {
+        (self.logs.writes.len(), self.logs.woken.len(), self.stores)
+    }
+}
+
+impl Drop for TxInner<'_> {
+    /// Hands the emptied buffers back to the thread — also when the
+    /// closure panicked for real. A thread already tearing down its
+    /// locals just drops them.
+    fn drop(&mut self) {
+        let mut logs = std::mem::take(&mut self.logs);
+        logs.clear();
+        let _ = SPARE.try_with(|spare| spare.set(logs));
     }
 }
 
 /// The held pessimistic plan: each acquired lock's address paired with its
 /// holder execution context (borrowed from the driver's `LockedSection`s).
 pub(crate) struct LockedPlan<'s> {
-    pub(crate) entries: Vec<(usize, &'s (dyn DynAccess + 's))>,
+    pub(crate) entries: Vec<(usize, &'s Ctx<'s>)>,
 }
 
 impl<'s> LockedPlan<'s> {
-    pub(crate) fn access_for(&self, domain: usize) -> Option<&'s (dyn DynAccess + 's)> {
+    pub(crate) fn ctx_for(&self, domain: usize) -> Option<&'s Ctx<'s>> {
         self.entries
             .iter()
             .find(|(d, _)| *d == domain)
-            .map(|(_, a)| *a)
+            .map(|(_, ctx)| *ctx)
     }
 }
 
 /// The attempt's execution mode (see module docs).
 pub(crate) enum Mode<'env, 'run> {
     /// Hardware speculation under the space lock.
-    Spec(&'run (dyn DynAccess + 'run)),
+    Spec(&'run Ctx<'run>),
     /// Software-TM attempt on the space lock's backend.
     Sw {
-        acc: &'run (dyn DynAccess + 'run),
+        ctx: &'run Ctx<'run>,
         tm: &'run Arc<dyn SoftwareTm>,
         presences: &'run RefCell<Vec<SoftwarePresence<'env>>>,
     },
@@ -193,8 +268,8 @@ impl<'env, 'run> Tx<'env, 'run> {
         T::from_word(word)
     }
 
-    /// Transactional write of a [`TxVar`]. Buffered until commit; the
-    /// var's waiter list is woken after the commit is visible.
+    /// Transactional write of a [`TxVar`]. Visible to other threads at
+    /// commit; the var's waiter list is woken after the commit is visible.
     pub fn write<T: TxWord>(&self, var: &'env TxVar<T>, value: T) {
         self.store_raw(
             var.cell().as_word_cell(),
@@ -212,9 +287,9 @@ impl<'env, 'run> Tx<'env, 'run> {
     /// if n == 0 { return tx.retry(); }
     /// ```
     ///
-    /// The blocked transaction commits nothing (its buffered writes are
-    /// discarded); the read set it parks on is the consistent snapshot the
-    /// attempt observed. At least one `TxVar` must have been read — a
+    /// The blocked transaction commits nothing (its writes are discarded);
+    /// the read set it parks on is the consistent snapshot the attempt
+    /// observed. At least one `TxVar` must have been read — a
     /// retry with no vars in the read set has no wakeup source and panics
     /// rather than blocking forever.
     pub fn retry<T>(&self) -> TxResult<T> {
@@ -235,15 +310,27 @@ impl<'env, 'run> Tx<'env, 'run> {
     /// runs `b`. Reads from the abandoned branch stay logged, so a retry
     /// of the *composition* blocks on the union of both branches' read
     /// sets — exactly STM-Haskell's `orElse`. Nests freely.
+    ///
+    /// On the hardware rung an `a` that stored cannot be rolled back on
+    /// its own: the attempt aborts as unsupported and the software rung
+    /// reruns the whole transaction.
     pub fn or_else<R>(
         &self,
         a: impl FnOnce(&Self) -> TxResult<R>,
         b: impl FnOnce(&Self) -> TxResult<R>,
     ) -> TxResult<R> {
-        let checkpoint = self.inner.borrow().writes.len();
+        let checkpoint = self.inner.borrow().mark();
         match a(self) {
             Err(TxError::Retry) => {
-                self.inner.borrow_mut().writes.truncate(checkpoint);
+                let (writes, woken, stores) = checkpoint;
+                let mut inner = self.inner.borrow_mut();
+                if inner.stores != stores {
+                    drop(inner);
+                    abort::raise(AbortCode::Unsupported);
+                }
+                inner.logs.writes.truncate(writes);
+                inner.logs.woken.truncate(woken);
+                drop(inner);
                 b(self)
             }
             done => done,
@@ -314,9 +401,9 @@ impl<'env, 'run> Tx<'env, 'run> {
         let already = self
             .inner
             .borrow()
+            .logs
             .enrolled
-            .iter()
-            .any(|l| std::ptr::eq(*l as *const Lock, lock as *const Lock));
+            .contains(&(lock as *const Lock));
         if already {
             return domain;
         }
@@ -355,13 +442,13 @@ impl<'env, 'run> Tx<'env, 'run> {
                 }
             }
             Mode::Locked(plan) => {
-                if plan.access_for(domain).is_none() {
+                if plan.ctx_for(domain).is_none() {
                     self.inner.borrow_mut().missing = Some(lock);
                     restart();
                 }
             }
         }
-        self.inner.borrow_mut().enrolled.push(lock);
+        self.inner.borrow_mut().logs.enrolled.push(lock);
         domain
     }
 
@@ -369,30 +456,37 @@ impl<'env, 'run> Tx<'env, 'run> {
     // Barriers
     // ------------------------------------------------------------------
 
-    /// Read barrier: redo-log lookup (read-own-write), then the mode's
-    /// underlying access, then the read log.
+    /// Read barrier. Spec reads through the hardware transaction, whose
+    /// redo log answers read-own-write. The other modes look up their own
+    /// redo log, then read through the mode's `Ctx` and log the read.
     pub(crate) fn load_raw(
         &self,
         cell: &TxCell<u64>,
         domain: usize,
         waiters: Option<*const WaitList>,
     ) -> u64 {
+        let ctx = match &self.mode {
+            Mode::Spec(ctx) => return ctx.read(cell),
+            Mode::Sw { ctx, .. } => *ctx,
+            Mode::Locked(plan) => plan
+                .ctx_for(domain)
+                .expect("read from a domain that was never enrolled"),
+        };
         let ptr = cell as *const TxCell<u64>;
         {
             let inner = self.inner.borrow();
-            if let Some(w) = inner.writes.iter().rev().find(|w| std::ptr::eq(w.cell, ptr)) {
+            let own = inner
+                .logs
+                .writes
+                .iter()
+                .rev()
+                .find(|w| std::ptr::eq(w.cell, ptr));
+            if let Some(w) = own {
                 return w.value;
             }
         }
-        let value = match &self.mode {
-            Mode::Spec(acc) => acc.load_word(cell),
-            Mode::Sw { acc, .. } => acc.load_word(cell),
-            Mode::Locked(plan) => plan
-                .access_for(domain)
-                .expect("read from a domain that was never enrolled")
-                .load_word(cell),
-        };
-        self.inner.borrow_mut().reads.push(ReadRec {
+        let value = ctx.read(cell);
+        self.inner.borrow_mut().logs.reads.push(ReadRec {
             cell: ptr,
             value,
             waiters,
@@ -400,7 +494,8 @@ impl<'env, 'run> Tx<'env, 'run> {
         value
     }
 
-    /// Write barrier: append to the redo log. Nothing touches memory
+    /// Write barrier. Spec writes through the hardware transaction; the
+    /// other modes append to the redo log, and nothing touches memory
     /// until the attempt flushes at commit time.
     pub(crate) fn store_raw(
         &self,
@@ -409,12 +504,28 @@ impl<'env, 'run> Tx<'env, 'run> {
         domain: usize,
         waiters: Option<*const WaitList>,
     ) {
-        self.inner.borrow_mut().writes.push(WriteRec {
-            cell: cell as *const TxCell<u64>,
-            value,
-            domain,
-            waiters,
-        });
+        let spec = match &self.mode {
+            Mode::Spec(ctx) => {
+                ctx.write(cell, value);
+                true
+            }
+            _ => false,
+        };
+        let mut inner = self.inner.borrow_mut();
+        if spec {
+            inner.stores += 1;
+        } else {
+            inner.logs.writes.push(WriteRec {
+                cell: cell as *const TxCell<u64>,
+                value,
+                domain,
+            });
+        }
+        if let Some(wl) = waiters {
+            if !inner.logs.woken.contains(&wl) {
+                inner.logs.woken.push(wl);
+            }
+        }
     }
 }
 
@@ -465,33 +576,38 @@ impl TxAccess for DomainAccess<'_, '_, '_> {
 // Commit-time flush (driver side)
 // ----------------------------------------------------------------------
 
-/// Flushes the redo log through one access (Spec: inside the hardware
-/// transaction; Sw: into the backend's buffered write set, published by
-/// the backend commit). Log order is preserved, so later writes to the
-/// same cell win.
+/// Flushes the redo log into the software attempt's `Ctx`, i.e. into the
+/// backend's buffered write set, published by the backend commit. Log
+/// order is preserved, so later writes to the same cell win.
 ///
 /// # Safety (by contract, see module docs)
 /// Cell pointers were captured from references live in the closure; the
 /// flush runs while those references are still borrowed.
-pub(crate) fn flush_via(inner: &TxInner<'_>, acc: &dyn DynAccess) {
-    for w in &inner.writes {
+pub(crate) fn flush_sw(inner: &TxInner<'_>, ctx: &Ctx<'_>) {
+    for w in &inner.logs.writes {
         // SAFETY: the pointer was captured from a `&TxCell` that is still
         // borrowed by the closure this flush runs inside (module contract).
         // lockcheck: the deref only reconstructs the reference; the store
         // goes through the attempt's own transactional access barriers.
         let cell = unsafe { &*w.cell };
-        acc.store_word(cell, w.value);
+        ctx.write(cell, w.value);
     }
 }
 
-/// Runs each enrolled participant's hardware commit hook — Spec-mode
-/// commits must give participants' software backends their commit-time
-/// instrumentation, exactly as the space lock's own attempt machinery
-/// does for the space's backends. Must run inside the hardware
-/// transaction, after the flush.
-pub(crate) fn run_participant_hooks(inner: &TxInner<'_>) {
-    for lock in &inner.enrolled {
-        lock.participant_commit_hook();
+/// Ends a Spec attempt inside its hardware transaction. A commit runs each
+/// enrolled participant's hardware commit hook, giving participants'
+/// software backends their commit-time instrumentation exactly as the
+/// space lock's own attempt machinery does for the space's backends. A
+/// retry commits read-only, which a retry after a store cannot: its
+/// stores are in the hardware's redo log, so it aborts as unsupported and
+/// the software rung reruns the transaction.
+pub(crate) fn end_spec<R>(inner: &TxInner<'_>, r: &TxResult<R>) {
+    match r {
+        Ok(_) => inner
+            .enrolled()
+            .for_each(|lock| lock.participant_commit_hook()),
+        Err(TxError::Retry) if inner.stores > 0 => abort::raise(AbortCode::Unsupported),
+        Err(TxError::Retry) => {}
     }
 }
 
@@ -500,9 +616,9 @@ pub(crate) fn run_participant_hooks(inner: &TxInner<'_>) {
 /// slow-path hardware transactions on the participant observe the holder
 /// mutating (the refined-TLE coexistence invariant).
 pub(crate) fn flush_locked(inner: &TxInner<'_>, plan: &LockedPlan<'_>) {
-    for w in &inner.writes {
-        let acc = plan
-            .access_for(w.domain)
+    for w in &inner.logs.writes {
+        let ctx = plan
+            .ctx_for(w.domain)
             .expect("write to a domain missing from the locked plan");
         // SAFETY: the pointer was captured from a `&TxCell` that is still
         // borrowed by the closure this flush runs inside (module contract).
@@ -510,7 +626,7 @@ pub(crate) fn flush_locked(inner: &TxInner<'_>, plan: &LockedPlan<'_>) {
         // goes through the owning domain's holder-context barriers while
         // that domain's lock is held.
         let cell = unsafe { &*w.cell };
-        acc.store_word(cell, w.value);
+        ctx.write(cell, w.value);
     }
 }
 

@@ -63,8 +63,13 @@ stage "tests"
 # software rung's allocation gate (crates/core/tests/software_rung_allocs.rs:
 # a warm rung allocates nothing) and the sharded map's
 # (crates/shard/tests/call_allocs.rs: a warm execute_batch allocates only
-# its result, a cross-shard transfer or compare_and_swap_pair nothing), so
-# a per-call allocation on either path fails here,
+# its result, a cross-shard transfer or compare_and_swap_pair nothing) and
+# atomically's (crates/stm/tests/atomically_allocs.rs: a warm lookup or
+# or_else transfer allocates nothing, a touch only its unwind's two), so
+# a per-call allocation on any of these paths fails here,
+# crates/stm/tests/rollback.rs (an or_else first branch that wrote and
+# retried leaves no trace on the Spec, Sw and Locked rungs; on Spec its
+# rollback is one unsupported abort and a software commit),
 # tests/one_software_rung.rs (one software backend per lock, one
 # descriptor builder, and RH-NOrec on the lock's ladder: no enter_sw/
 # exit_sw, sw_count, TmCtx::hw, HtmFast/HtmSlow or record_hw_abort in

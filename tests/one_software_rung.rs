@@ -46,24 +46,36 @@ fn no_code_chooses_between_software_backends() {
 
 #[test]
 fn a_descriptor_is_built_in_one_place() {
-    // The one take-or-default that builds no descriptor: the shard map's
-    // index scratch, exempt by its exact text in its one file.
-    const INDEX_SCRATCH: &str = "SCRATCH.try_with(Cell::take).unwrap_or_default()";
+    // The take-or-defaults that build no descriptor, each exempt by its
+    // exact text in its one file: the shard map's index scratch and
+    // `atomically`'s spare logs.
+    const SCRATCH: [(&str, &str); 2] = [
+        (
+            "shard/src/batch.rs",
+            "SCRATCH.try_with(Cell::take).unwrap_or_default()",
+        ),
+        (
+            "stm/src/tx.rs",
+            "SPARE.try_with(Cell::take).unwrap_or_default()",
+        ),
+    ];
     let mut builders = Vec::new();
-    let mut exempt = 0;
+    let mut exempt = [0; SCRATCH.len()];
     for krate in ["core", "hytm", "stm", "shard"] {
         for (path, src) in production_sources(krate) {
             let mut n = src.matches("SwDescriptor::default()").count()
                 + src.matches(".unwrap_or_default()").count();
-            if path.ends_with("shard/src/batch.rs") {
-                let scratch = src.matches(INDEX_SCRATCH).count();
-                exempt += scratch;
-                n -= scratch;
+            for (seen, (file, text)) in exempt.iter_mut().zip(SCRATCH) {
+                if path.ends_with(file) {
+                    let scratch = src.matches(text).count();
+                    *seen += scratch;
+                    n -= scratch;
+                }
             }
             builders.extend(std::iter::repeat_n(path, n));
         }
     }
-    assert_eq!(exempt, 1, "shard/src/batch.rs: `{INDEX_SCRATCH}` once");
+    assert_eq!(exempt, [1; SCRATCH.len()], "{SCRATCH:?}: each once");
     assert_eq!(builders.len(), 1, "{builders:?}");
     assert!(builders[0].ends_with("hytm/src/tm.rs"), "{builders:?}");
 }
