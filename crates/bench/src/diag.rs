@@ -133,25 +133,24 @@ pub fn diag_trace_to_json(rows: &[DiagRow]) -> Json {
 }
 
 /// Hash-hot-spot report: the per-orec conflict heatmap for methods that
-/// attribute conflicts (FG-TLE and adaptive FG-TLE), with the invariant
-/// line (per-slot sums == aggregate attributed aborts) made visible.
+/// attribute conflicts (FG-TLE and adaptive FG-TLE): each method's
+/// attributed total and its hottest slots.
 pub fn print_heatmap_report(rows: &[DiagRow]) {
     println!("orec conflict heatmap (top 8 slots per method):");
     for r in rows {
-        let s = &r.stats;
-        if s.orec_conflicts.is_empty() {
+        let heat = &r.stats.orec_heatmap;
+        if heat.conflicts.is_empty() {
             continue;
         }
-        let sum: u64 = s.orec_conflicts.iter().sum();
+        let total = heat.total_conflicts();
         println!(
-            "  {:<18} capacity {:>5}  attributed {:>8}  (slot sum {:>8})",
+            "  {:<18} capacity {:>5}  attributed {:>8}",
             r.label,
-            s.orec_conflicts.len(),
-            s.orec_conflict_aborts,
-            sum
+            heat.conflicts.len(),
+            total
         );
-        for (slot, n) in s.hottest_orec_slots(8) {
-            let share = n as f64 / s.orec_conflict_aborts.max(1) as f64;
+        for (slot, n) in heat.hottest(8) {
+            let share = n as f64 / total.max(1) as f64;
             println!("    slot {slot:>5}  {n:>8} conflicts  ({share:>5.1}%)", share = share * 100.0);
         }
     }
@@ -264,10 +263,11 @@ mod tests {
     }
 
     /// Heatmap and trace exports off one sweep. The hash-hot-spot
-    /// invariant: for every FG method, the per-slot conflict sums equal
-    /// the aggregate attributed counter. The combined diag trace is valid
-    /// Chrome `trace_event` JSON after a parser round-trip (what Perfetto
-    /// checks before loading), with one named process per method.
+    /// invariant: for every FG method, every OREC_CONFLICT self-abort the
+    /// recorder saw is attributed to a slot, and besides those only
+    /// validation aborts on an orec line are. The combined diag trace is
+    /// valid Chrome `trace_event` JSON after a parser round-trip (what
+    /// Perfetto checks before loading), with one named process per method.
     #[test]
     fn heatmap_invariant_and_chrome_trace_validity() {
         use rtle_obs::trace::validate_chrome;
@@ -275,15 +275,21 @@ mod tests {
 
         let mut fg_rows = 0;
         for r in &rows {
-            if r.stats.orec_conflicts.is_empty() {
-                assert_eq!(r.stats.orec_conflict_aborts, 0, "{}", r.label);
+            let attributed = r.stats.orec_heatmap.total_conflicts();
+            if r.stats.orec_heatmap.conflicts.is_empty() {
+                assert_eq!(attributed, 0, "{}", r.label);
                 continue;
             }
             fg_rows += 1;
-            assert_eq!(
-                r.stats.orec_conflicts.iter().sum::<u64>(),
-                r.stats.orec_conflict_aborts,
-                "{}: slot sums must equal the aggregate",
+            let eager = r
+                .snapshot
+                .explicit_codes
+                .iter()
+                .find(|&&(code, _)| code == u64::from(rtle_core::abort_codes::OREC_CONFLICT))
+                .map_or(0, |&(_, n)| n);
+            assert!(
+                (eager..=eager + r.stats.aborts_conflict).contains(&attributed),
+                "{}: {attributed} attributed, {eager} OREC_CONFLICT self-aborts",
                 r.label
             );
         }

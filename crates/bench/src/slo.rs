@@ -50,7 +50,7 @@ use rtle_core::{Ctx, ElidableLock, ElisionPolicy, RetryPolicy};
 use rtle_htm::prng::SplitMix64;
 use rtle_obs::{
     flight_record, CollapseEvent, HistSnapshot, Json, LiveServer, LiveSource, MetricsRegistry,
-    ObsConfig, Recorder, Watchdog, WatchdogConfig, WindowSnapshot, SCHEMA_VERSION,
+    ObsConfig, Recorder, Watchdog, WindowSnapshot, SCHEMA_VERSION,
 };
 use rtle_shard::{ShardedTxMap, TxMap};
 
@@ -554,7 +554,7 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloOutcome> {
         ),
         map: TxMap::with_capacity(capacity),
     };
-    let mut single_wd = Watchdog::new(WatchdogConfig::default());
+    let mut single_wd = Watchdog::new();
 
     let sharded_rec = harness_recorder(cfg);
     let sharded_name = format!("sharded{}", cfg.shards);
@@ -566,7 +566,7 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloOutcome> {
             .retry(retry)
             .recorder(Arc::clone(&sharded_rec)),
     ));
-    let mut sharded_wd = Watchdog::new(WatchdogConfig::default());
+    let mut sharded_wd = Watchdog::new();
 
     // The live scrape endpoint, when asked for: one registry + server
     // outlives both target runs, so an operator watching `diag top` sees

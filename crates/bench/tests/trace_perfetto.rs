@@ -109,7 +109,7 @@ fn eight_thread_fg_tle_trace_loads_in_perfetto_shape() {
     );
     let mut aborts = named("fast_abort");
     aborts.extend(named("slow_abort"));
-    assert_eq!(aborts.len() as u64, stats.aborts, "no segment wrapped");
+    assert_eq!(aborts.len() as u64, stats.aborts(), "no segment wrapped");
     let mut explicit = 0;
     for e in aborts {
         let args = e.get("args").expect("args");

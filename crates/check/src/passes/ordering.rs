@@ -248,20 +248,6 @@ pub const ORDERING_RULES: &[OrderingRule] = &[
     },
     OrderingRule {
         file_suffix: "core/src/orec.rs",
-        receiver: "stamps",
-        op: AtomicOp::FetchAdd,
-        allowed: &["Relaxed"],
-        why: "heatmap holder-acquisition counters: advisory, no synchronization role",
-    },
-    OrderingRule {
-        file_suffix: "core/src/orec.rs",
-        receiver: "conflict_epoch",
-        op: AtomicOp::Store,
-        allowed: &["Relaxed"],
-        why: "last-conflict epoch tag: advisory heatmap metadata, no synchronization role",
-    },
-    OrderingRule {
-        file_suffix: "core/src/orec.rs",
         receiver: "*",
         op: AtomicOp::Load,
         allowed: &["Relaxed"],

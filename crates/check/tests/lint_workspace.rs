@@ -80,3 +80,49 @@ fn watchdog_live_mirror_sites_match_their_table_rows() {
         assert_eq!(u.orderings, ["Relaxed"], "{path}:{}", u.line);
     }
 }
+
+/// Every row of the invariant table covers at least one production atomic
+/// site of the workspace: a row whose site is gone is deleted with it, not
+/// left to bless a future atomic nobody reviewed.
+#[test]
+fn every_ordering_row_matches_a_production_site() {
+    use rtle_check::cfg::lower_fn;
+    use rtle_check::passes::ordering::{ordering_uses, rule_for, ORDERING_RULES, ORDERING_SCOPE};
+    use rtle_check::passes::workspace_sources;
+    use rtle_check::syntax::{for_each_fn, parse_file};
+
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
+    let mut used = vec![false; ORDERING_RULES.len()];
+    for path in workspace_sources(&root) {
+        let rel = path.strip_prefix(&root).expect("under the root");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        if !ORDERING_SCOPE.iter().any(|s| rel.contains(s)) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("source");
+        for_each_fn(&parse_file(&text).items, &mut |f, marker| {
+            if marker == Some("test") {
+                return;
+            }
+            for u in ordering_uses(&lower_fn(f, marker)) {
+                if let Some(rule) = rule_for(&rel, &u.receiver, u.op) {
+                    let row = ORDERING_RULES
+                        .iter()
+                        .position(|r| {
+                            (r.file_suffix, r.receiver, r.op)
+                                == (rule.file_suffix, rule.receiver, rule.op)
+                        })
+                        .expect("a table row");
+                    used[row] = true;
+                }
+            }
+        });
+    }
+    let stale: Vec<String> = ORDERING_RULES
+        .iter()
+        .zip(&used)
+        .filter(|(_, &used)| !used)
+        .map(|(r, _)| format!("{} `{}` {:?}", r.file_suffix, r.receiver, r.op))
+        .collect();
+    assert!(stale.is_empty(), "rows matching no production site: {stale:#?}");
+}

@@ -191,8 +191,10 @@ impl AdaptiveState {
                 // The conflict heatmap names the hottest slot, so a grow's
                 // trace shows *where* the aliasing concentrated.
                 decision.hot_slot = orecs
-                    .hottest_conflict_slot()
-                    .map(|(slot, n)| (slot as u64, n));
+                    .heatmap()
+                    .hottest(1)
+                    .first()
+                    .map(|&(slot, n)| (slot as u64, n));
             }
             rec.record_decision(decision);
         }
@@ -389,7 +391,7 @@ mod tests {
         // orec slot, which the heatmap attributes.
         for _ in 0..100 {
             stats.record_abort(PathKind::SlowHtm, AbortCode::Explicit(4));
-            orecs.note_conflict(3, 1);
+            orecs.note_conflict(3);
         }
         step(1);
 

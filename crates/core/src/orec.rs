@@ -47,11 +47,6 @@ pub struct OrecTable {
     /// would roll back with the transaction; attribution there would need
     /// a post-abort re-check, noted in DESIGN.md §8.)
     conflicts: Box<[AtomicU64]>,
-    /// The conflicting orec stamp (holder epoch) observed at each slot's
-    /// most recent attributed conflict.
-    conflict_epoch: Box<[AtomicU64]>,
-    /// Holder-side acquisitions (stamp stores actually performed) per slot.
-    stamps: Box<[AtomicU64]>,
 }
 
 impl OrecTable {
@@ -63,8 +58,6 @@ impl OrecTable {
             w_orecs: (0..capacity).map(|_| TxCell::new(0)).collect(),
             active: TxCell::new(capacity as u64),
             conflicts: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            conflict_epoch: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            stamps: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -134,79 +127,44 @@ impl OrecTable {
         // (rtle-check's `fence` pass proves it dominates every store that
         // follows the stamp, on every path).
         fence(Ordering::SeqCst);
-        self.stamps[i].fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// Slow-path read barrier check (Figure 3, lines 2–5): inside a hardware
     /// transaction, is the *write* orec for `addr` owned? On conflict,
-    /// returns the slot index and the owning stamp, so the caller can
-    /// attribute the self-abort before raising it. The transactional read
-    /// also subscribes to the orec, so a later stamp by the holder aborts
-    /// this transaction.
+    /// returns the slot index, so the caller can attribute the self-abort
+    /// before raising it. The transactional read also subscribes to the
+    /// orec, so a later stamp by the holder aborts this transaction.
     #[inline]
-    pub fn read_conflict_slot(&self, addr: usize, n: usize, local_seq: u64) -> Option<(usize, u64)> {
+    pub fn read_conflict_slot(&self, addr: usize, n: usize, local_seq: u64) -> Option<usize> {
         let i = Self::index(addr, n);
-        let w = self.w_orecs[i].read();
-        SeqEpoch::owned(w, local_seq).then_some((i, w))
+        SeqEpoch::owned(self.w_orecs[i].read(), local_seq).then_some(i)
     }
 
     /// Slow-path write barrier check (Figure 3, lines 16–20): inside a
     /// hardware transaction, is the read *or* write orec for `addr` owned?
-    /// On conflict, returns the slot index and the owning stamp (the
-    /// read-orec stamp wins when both arrays own the slot).
+    /// On conflict, returns the slot index.
     #[inline]
-    pub fn write_conflict_slot(&self, addr: usize, n: usize, local_seq: u64) -> Option<(usize, u64)> {
+    pub fn write_conflict_slot(&self, addr: usize, n: usize, local_seq: u64) -> Option<usize> {
         let i = Self::index(addr, n);
-        let r = self.r_orecs[i].read();
-        if SeqEpoch::owned(r, local_seq) {
-            return Some((i, r));
-        }
-        let w = self.w_orecs[i].read();
-        SeqEpoch::owned(w, local_seq).then_some((i, w))
+        let owned = SeqEpoch::owned(self.r_orecs[i].read(), local_seq)
+            || SeqEpoch::owned(self.w_orecs[i].read(), local_seq);
+        owned.then_some(i)
     }
 
-    /// Attributes one slow-path self-abort to `slot`, recording the
-    /// conflicting stamp. Called immediately before the explicit
-    /// [`crate::abort_codes::OREC_CONFLICT`] abort, so each such abort is
-    /// attributed exactly once and the per-slot counts sum to the
-    /// aggregate counter.
+    /// Attributes one slow-path self-abort to `slot`. Called immediately
+    /// before the explicit [`crate::abort_codes::OREC_CONFLICT`] abort, so
+    /// each such abort is attributed exactly once and the per-slot counts
+    /// sum to the aggregate counter.
     #[inline]
-    pub fn note_conflict(&self, slot: usize, stamp: u64) {
+    pub fn note_conflict(&self, slot: usize) {
         self.conflicts[slot].fetch_add(1, Ordering::Relaxed);
-        self.conflict_epoch[slot].store(stamp, Ordering::Relaxed);
     }
 
-    /// The slot with the most attributed conflicts so far, with its
-    /// count. `None` until a conflict has been attributed. Cumulative —
-    /// the adaptive policy cites it as evidence, it is not a window rate.
-    pub fn hottest_conflict_slot(&self) -> Option<(usize, u64)> {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, c) in self.conflicts.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
-            let better = match best {
-                None => n > 0,
-                Some((_, bn)) => n > bn,
-            };
-            if better {
-                best = Some((i, n));
-            }
-        }
-        best
-    }
-
-    /// Point-in-time copy of the conflict-attribution arrays.
+    /// Point-in-time copy of the per-slot conflict counts.
     pub fn heatmap(&self) -> OrecHeatmap {
         OrecHeatmap {
-            capacity: self.capacity(),
-            active: self.active_plain(),
             conflicts: self.conflicts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            stamps: self.stamps.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            conflict_epoch: self
-                .conflict_epoch
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
         }
     }
 
@@ -228,22 +186,13 @@ impl OrecTable {
     }
 }
 
-/// A snapshot of an [`OrecTable`]'s conflict-attribution heatmap: which
-/// slots caused slow-path self-aborts ([`OrecTable::note_conflict`]), how
-/// often the holder acquired each slot, and the stamp each conflict saw.
+/// Which orec slots caused slow-path self-aborts: one conflict count per
+/// slot, capacity-length. A snapshot of an [`OrecTable`]
+/// ([`OrecTable::note_conflict`]), or the simulator's own books.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OrecHeatmap {
-    /// Allocated orecs at snapshot time.
-    pub capacity: usize,
-    /// Active orecs at snapshot time.
-    pub active: usize,
-    /// Per-slot attributed self-aborts (capacity-length).
+    /// Per-slot attributed self-aborts.
     pub conflicts: Vec<u64>,
-    /// Per-slot holder acquisitions (capacity-length).
-    pub stamps: Vec<u64>,
-    /// Per-slot stamp observed at the latest conflict (capacity-length;
-    /// 0 when the slot never conflicted).
-    pub conflict_epoch: Vec<u64>,
 }
 
 impl OrecHeatmap {
@@ -252,11 +201,6 @@ impl OrecHeatmap {
     /// tested in `elidable.rs`).
     pub fn total_conflicts(&self) -> u64 {
         self.conflicts.iter().sum()
-    }
-
-    /// Sum of per-slot holder acquisitions.
-    pub fn total_stamps(&self) -> u64 {
-        self.stamps.iter().sum()
     }
 
     /// The `k` hottest slots by conflict count (descending; slots with
@@ -363,14 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn conflict_slots_match_bool_checks_and_carry_stamps() {
+    fn conflict_slots_name_the_owned_slot() {
         let t = OrecTable::new(16);
         let addr = 0xbeef_usize;
         let n = t.active_plain();
         t.stamp(OrecKind::Write, addr, 3);
-        let (slot, stamp) = t.read_conflict_slot(addr, n, 3).expect("conflict");
+        let slot = t.read_conflict_slot(addr, n, 3).expect("conflict");
         assert_eq!(slot, OrecTable::index(addr, n));
-        assert_eq!(stamp, 3, "the owning stamp is reported");
         assert!(t.read_conflict_slot(addr, n, 4).is_none(), "released");
         // Read stamps surface through the write check only.
         let addr2 = 0x1234_usize;
@@ -385,25 +328,15 @@ mod tests {
     #[test]
     fn heatmap_attribution_and_hottest() {
         let t = OrecTable::new(8);
-        assert_eq!(t.hottest_conflict_slot(), None);
-        t.note_conflict(2, 5);
-        t.note_conflict(2, 7);
-        t.note_conflict(6, 7);
-        assert_eq!(t.hottest_conflict_slot(), Some((2, 2)));
+        assert_eq!(t.heatmap().hottest(1), []);
+        t.note_conflict(2);
+        t.note_conflict(2);
+        t.note_conflict(6);
         let h = t.heatmap();
+        assert_eq!(h.conflicts.len(), 8, "capacity-length");
         assert_eq!(h.total_conflicts(), 3);
         assert_eq!(h.conflicts[2], 2);
-        assert_eq!(h.conflict_epoch[2], 7, "latest conflicting stamp");
         assert_eq!(h.hottest(10), vec![(2, 2), (6, 1)]);
-    }
-
-    #[test]
-    fn heatmap_counts_holder_stamps_once_per_epoch() {
-        let t = OrecTable::new(8);
-        t.stamp(OrecKind::Write, 0x10, 1);
-        t.stamp(OrecKind::Write, 0x10, 1); // elided duplicate: no store
-        t.stamp(OrecKind::Write, 0x10, 3);
-        let h = t.heatmap();
-        assert_eq!(h.total_stamps(), 2, "only performed stores are counted");
+        assert_eq!(h.hottest(1), vec![(2, 2)]);
     }
 }

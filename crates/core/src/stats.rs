@@ -2,6 +2,10 @@
 //! paper instruments its runs with (§6.2.1): per-path commit counts, abort
 //! counts by cause, lock acquisitions, and total time spent with the lock
 //! held. Figures 6 and 7 are plotted directly from these quantities.
+//!
+//! Each fact is counted once: a commit bumps its path's word and nothing
+//! else. A total — [`StatsSnapshot::ops`], the sum of the per-path
+//! commits — is summed by [`ExecStats::snapshot`], never counted.
 
 use std::time::Duration;
 
@@ -10,20 +14,19 @@ use rtle_htm::AbortCode;
 use rtle_obs::{PathKind, PATHS};
 
 // Counter indices into the lanes.
-const OPS: usize = 0;
-/// Commits per path: `COMMITS + PathKind::index()`, 1..=4.
-const COMMITS: usize = 1;
-const FAST_ABORTS: usize = 5;
+/// Commits per path: `COMMITS + PathKind::index()`, 0..=3.
+const COMMITS: usize = 0;
+const FAST_ABORTS: usize = 4;
 const _: () = assert!(FAST_ABORTS == COMMITS + PATHS);
-const SLOW_ABORTS: usize = 6;
+const SLOW_ABORTS: usize = 5;
 /// Aborts reported against a path that cannot abort at this level — a
 /// caller bug (the pessimistic path completes in one attempt; a software
 /// backend retries internally and keeps its own abort books), but counted
 /// rather than silently dropped so release-build misuse is observable.
-const LOCK_PATH_ABORTS: usize = 7;
-const TIME_LOCKED_NS: usize = 8;
+const LOCK_PATH_ABORTS: usize = 6;
+const TIME_LOCKED_NS: usize = 7;
 /// Aborts per class: `ABORTS + AbortCode::index()`.
-const ABORTS: usize = 9;
+const ABORTS: usize = 8;
 /// Explicit aborts broken down by runtime code: `ABORTS_BY_CODE + b` for
 /// the code's `AbortCode::explicit_bucket` `b` (`crate::abort_codes::*`).
 const ABORTS_BY_CODE: usize = ABORTS + AbortCode::KINDS;
@@ -44,13 +47,10 @@ impl ExecStats {
         Self::default()
     }
 
-    /// One critical section completed by committing on `path`: counted
-    /// on the path and on `ops`.
+    /// One critical section completed by committing on `path`.
     #[inline]
     pub(crate) fn record_commit(&self, path: PathKind) {
-        let lane = self.lanes.mine();
-        lane.add(COMMITS + path.index(), 1);
-        lane.add(OPS, 1);
+        self.lanes.add(COMMITS + path.index(), 1);
     }
 
     #[inline]
@@ -96,7 +96,7 @@ impl ExecStats {
         let c = self.lanes.sums();
         let aborts = |code: AbortCode| c[ABORTS + code.index()];
         StatsSnapshot {
-            ops: c[OPS],
+            ops: c[COMMITS..COMMITS + PATHS].iter().sum(),
             fast_commits: c[COMMITS + PathKind::FastHtm.index()],
             slow_commits: c[COMMITS + PathKind::SlowHtm.index()],
             stm_commits: c[COMMITS + PathKind::Stm.index()],
@@ -119,7 +119,8 @@ impl ExecStats {
 /// Immutable view of [`ExecStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Critical sections completed (by any path).
+    /// Critical sections completed (by any path): the sum of
+    /// [`StatsSnapshot::commits`], taken by [`ExecStats::snapshot`].
     pub ops: u64,
     /// Commits on the uninstrumented fast path.
     pub fast_commits: u64,
@@ -276,6 +277,23 @@ mod tests {
         assert_eq!(snap.aborts_explicit, 1);
         assert_eq!(snap.time_locked, Duration::from_micros(5));
         assert!(snap.taken_at_ns > 0, "snapshots stamp the process epoch");
+    }
+
+    /// A commit is one fact: recording it changes exactly one lane word,
+    /// its path's, by one.
+    #[test]
+    fn a_recorded_commit_changes_exactly_one_lane_word() {
+        let s = ExecStats::new();
+        for path in PathKind::ALL {
+            let before = s.lanes.sums();
+            s.record_commit(path);
+            let after = s.lanes.sums();
+            let changed: Vec<(usize, u64)> = (0..COUNTERS)
+                .filter(|&i| after[i] != before[i])
+                .map(|i| (i, after[i] - before[i]))
+                .collect();
+            assert_eq!(changed, [(COMMITS + path.index(), 1)], "{path:?}");
+        }
     }
 
     #[test]

@@ -18,11 +18,15 @@ pub const LINE_SHIFT: u32 = 6;
 /// rarely alias in the benchmarks while still fitting comfortably in memory.
 pub const STRIPE_COUNT: usize = 1 << 20;
 
-/// Default write-set capacity in lines (Haswell L1D-sized).
+/// Default write-set capacity in lines (Haswell L1D-sized: a guess, not
+/// a measurement). The simulator's cost model reads it too
+/// (`rtle_sim::CostModel`), so the runtime and the figures abort at one
+/// footprint.
 pub const DEFAULT_WRITE_CAPACITY: u32 = 512;
 
 /// Default read-set capacity in lines (Haswell tracks reads in L2-ish
-/// structures; we allow 8× the write capacity).
+/// structures; we allow 8× the write capacity). Shared with the
+/// simulator's cost model, like the write capacity.
 pub const DEFAULT_READ_CAPACITY: u32 = 4096;
 
 static WRITE_CAPACITY: AtomicU32 = AtomicU32::new(DEFAULT_WRITE_CAPACITY);

@@ -6,29 +6,26 @@
 //! would read. They are process-global, relaxed, and kept in per-thread
 //! [`Lanes`] so that counting a transaction writes no line another running
 //! thread writes and takes no locked instruction.
+//!
+//! Each fact is counted once: an attempt bumps one word, its commit or
+//! its abort class. [`HtmStats::starts`] is the sum of those, taken by
+//! [`HtmStats::snapshot`]; no word counts begins.
 
 use crate::abort::AbortCode;
-use crate::lanes::{Lane, Lanes, Writer};
+use crate::lanes::{Lanes, Writer};
 
-const STARTS: usize = 0;
-const COMMITS: usize = 1;
+const COMMITS: usize = 0;
 /// Aborts per class: `ABORTS + AbortCode::index()`.
-const ABORTS: usize = 2;
+const ABORTS: usize = 1;
 const COUNTERS: usize = ABORTS + AbortCode::KINDS;
 
 static EVENTS: Lanes<COUNTERS> = Lanes::new();
 
-/// The lane `by` writes; the runtime looks it up once per transaction
-/// attempt.
-#[inline]
-pub(crate) fn lane(by: Writer) -> Lane<'static, COUNTERS> {
-    EVENTS.of(by)
-}
-
 /// Immutable snapshot of the global HTM counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HtmStats {
-    /// Transactions begun.
+    /// Transactions that ran to an end: `commits + aborts()`, summed at
+    /// snapshot time (an attempt still in flight is not counted yet).
     pub starts: u64,
     /// Transactions committed.
     pub commits: u64,
@@ -52,7 +49,7 @@ impl HtmStats {
         let c = EVENTS.sums();
         let aborts = |code: AbortCode| c[ABORTS + code.index()];
         HtmStats {
-            starts: c[STARTS],
+            starts: c[COMMITS] + c[ABORTS..].iter().sum::<u64>(),
             commits: c[COMMITS],
             aborts_conflict: aborts(AbortCode::Conflict),
             aborts_capacity: aborts(AbortCode::Capacity),
@@ -91,15 +88,11 @@ impl HtmStats {
     }
 }
 
+/// Counts how one attempt by `by` ended: a commit, or an abort with a
+/// code.
 #[inline]
-pub(crate) fn record_start(lane: Lane<'_, COUNTERS>) {
-    lane.add(STARTS, 1);
-}
-
-/// Counts how one started attempt ended: a commit, or an abort with a code.
-#[inline]
-pub(crate) fn record_end(lane: Lane<'_, COUNTERS>, abort: Option<AbortCode>) {
-    lane.add(abort.map_or(COMMITS, |code| ABORTS + code.index()), 1);
+pub(crate) fn record_end(by: Writer, abort: Option<AbortCode>) {
+    EVENTS.of(by).add(abort.map_or(COMMITS, |code| ABORTS + code.index()), 1);
 }
 
 #[cfg(test)]
@@ -118,6 +111,39 @@ mod tests {
         assert!(d.commits >= 1);
         assert!(d.aborts_explicit >= 1);
         assert!(d.aborts() >= 1);
+    }
+
+    /// An attempt is one fact: it changes exactly one lane word, its
+    /// commit or its abort class, by one. The lanes are process-global and
+    /// sibling tests run transactions too, so a trial whose difference
+    /// carries a sibling's bumps is run again; a second word bumped per
+    /// attempt would show in every trial.
+    #[test]
+    fn an_attempt_changes_exactly_one_lane_word() {
+        let c = TxCell::new(0u64);
+        let changed_by = |attempt: &dyn Fn()| {
+            for _ in 0..10_000 {
+                let before = EVENTS.sums();
+                attempt();
+                let after = EVENTS.sums();
+                let changed: Vec<(usize, u64)> = (0..COUNTERS)
+                    .filter(|&i| after[i] != before[i])
+                    .map(|i| (i, after[i] - before[i]))
+                    .collect();
+                if let [(_, 1)] = changed[..] {
+                    return changed;
+                }
+                std::thread::yield_now();
+            }
+            panic!("no attempt changed exactly one lane word by one");
+        };
+        let commit = || swhtm::try_txn(|| c.write(1)).unwrap();
+        assert_eq!(changed_by(&commit), [(COMMITS, 1)]);
+        let abort = || {
+            let _ = swhtm::try_txn(|| crate::abort(1));
+        };
+        let explicit = ABORTS + AbortCode::Explicit(1).index();
+        assert_eq!(changed_by(&abort), [(explicit, 1)]);
     }
 
     #[test]

@@ -74,8 +74,6 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
             return Ok(f());
         }
 
-        let lane = stats::lane(th.writer());
-        stats::record_start(lane);
         let outcome = match injected_abort() {
             Some(code) => Err(code),
             None => {
@@ -89,7 +87,7 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
                 outcome
             }
         };
-        stats::record_end(lane, outcome.as_ref().err().copied());
+        stats::record_end(th.writer(), outcome.as_ref().err().copied());
         outcome
     })
 }

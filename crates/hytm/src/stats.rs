@@ -2,6 +2,10 @@
 //! value-based validations and time spent in software attempts. The
 //! paper's Figures 8–10 are plotted from the simulator's `SimStats`, not
 //! from these.
+//!
+//! Each fact is counted once: a commit bumps its kind's word and nothing
+//! else. [`TmStatsSnapshot::ops`] is the sum of the two commit kinds,
+//! taken by [`TmStats::snapshot`], never counted.
 
 use std::time::Duration;
 
@@ -19,13 +23,12 @@ pub enum CommitKind {
 }
 
 // Counter indices into the lanes.
-const OPS: usize = 0;
-const STM_FAST_COMMIT: usize = 1;
-const STM_SLOW_COMMIT: usize = 2;
-const SW_ABORTS: usize = 3;
-const VALIDATIONS: usize = 4;
-const SW_TIME_NS: usize = 5;
-const COUNTERS: usize = 6;
+const STM_FAST_COMMIT: usize = 0;
+const STM_SLOW_COMMIT: usize = 1;
+const SW_ABORTS: usize = 2;
+const VALIDATIONS: usize = 3;
+const SW_TIME_NS: usize = 4;
+const COUNTERS: usize = 5;
 
 /// Relaxed counters for one TM instance, in per-thread lanes.
 #[derive(Debug, Default)]
@@ -39,19 +42,16 @@ impl TmStats {
         Self::default()
     }
 
-    /// One transaction completed by a commit of `kind`: counted on the
-    /// kind and on `ops`.
+    /// One transaction completed by a commit of `kind`.
     #[inline]
     pub(crate) fn record_commit(&self, kind: CommitKind) {
-        let lane = self.lanes.mine();
-        lane.add(
+        self.lanes.add(
             match kind {
                 CommitKind::StmFastCommit => STM_FAST_COMMIT,
                 CommitKind::StmSlowCommit => STM_SLOW_COMMIT,
             },
             1,
         );
-        lane.add(OPS, 1);
     }
 
     #[inline]
@@ -74,7 +74,7 @@ impl TmStats {
     pub fn snapshot(&self) -> TmStatsSnapshot {
         let c = self.lanes.sums();
         TmStatsSnapshot {
-            ops: c[OPS],
+            ops: c[STM_FAST_COMMIT] + c[STM_SLOW_COMMIT],
             stm_fast_commit: c[STM_FAST_COMMIT],
             stm_slow_commit: c[STM_SLOW_COMMIT],
             sw_aborts: c[SW_ABORTS],
@@ -87,7 +87,8 @@ impl TmStats {
 /// Immutable view of [`TmStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TmStatsSnapshot {
-    /// Transactions completed.
+    /// Transactions completed: `stm_fast_commit + stm_slow_commit`,
+    /// summed by [`TmStats::snapshot`].
     pub ops: u64,
     /// Software commits via the reduced hardware transaction.
     pub stm_fast_commit: u64,
@@ -132,6 +133,27 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.stm_commits(), 2);
         assert!((snap.validations_per_stm_txn() - 3.0).abs() < 1e-12);
+    }
+
+    /// A commit is one fact: recording it changes exactly one lane word,
+    /// its kind's, by one.
+    #[test]
+    fn a_recorded_commit_changes_exactly_one_lane_word() {
+        let s = TmStats::new();
+        for (kind, word) in [
+            (CommitKind::StmFastCommit, STM_FAST_COMMIT),
+            (CommitKind::StmSlowCommit, STM_SLOW_COMMIT),
+        ] {
+            let before = s.lanes.sums();
+            s.record_commit(kind);
+            let after = s.lanes.sums();
+            let changed: Vec<(usize, u64)> = (0..COUNTERS)
+                .filter(|&i| after[i] != before[i])
+                .map(|i| (i, after[i] - before[i]))
+                .collect();
+            assert_eq!(changed, [(word, 1)], "{kind:?}");
+        }
+        assert_eq!(s.snapshot().ops, 2);
     }
 
     #[test]

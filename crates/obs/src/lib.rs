@@ -77,7 +77,5 @@ pub use live::LiveServer;
 pub use recorder::{ObsConfig, ObsSnapshot, Recorder, SCHEMA_VERSION};
 pub use registry::{LiveSource, MetricsRegistry, SourceSnapshot, SCRAPE_WINDOW_TAIL};
 pub use trace::{Record, RecordKind};
-pub use watchdog::{
-    flight_record, CollapseEvent, CollapseKind, Watchdog, WatchdogConfig, WatchdogLive,
-};
+pub use watchdog::{flight_record, CollapseEvent, CollapseKind, Watchdog, WatchdogLive};
 pub use window::{TimeSeries, WindowCollector, WindowCounts, WindowRotation, WindowSnapshot};

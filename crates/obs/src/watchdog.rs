@@ -6,30 +6,28 @@
 //! Three signatures are recognised:
 //!
 //! * **Fallback collapse** (the classic TLE lemming effect): the
-//!   pessimistic-lock share of commits spikes past
-//!   [`WatchdogConfig::fallback_spike`] **while** the commit rate falls
-//!   below [`WatchdogConfig::commit_floor_frac`] of the trailing healthy
-//!   mean. Either alone is benign — a lock-heavy-but-fast phase, or a
-//!   quiet period — together they mean the lock convoy is starving HTM.
+//!   pessimistic-lock share of commits spikes past `FALLBACK_SPIKE`
+//!   **while** the commit rate falls below `COMMIT_FLOOR_FRAC` of the
+//!   trailing healthy mean. Either alone is benign — a
+//!   lock-heavy-but-fast phase, or a quiet period — together they mean
+//!   the lock convoy is starving HTM.
 //! * **Conflict storm**: aborts-per-commit stays above
-//!   [`WatchdogConfig::storm_aborts_per_commit`] for
-//!   [`WatchdogConfig::storm_windows`] consecutive windows (sustained
-//!   OREC_CONFLICT storms from pessimistic audits stamping the orec
-//!   table look exactly like this).
-//! * **Convoy stall**: the commit rate drops below
-//!   [`WatchdogConfig::stall_rate_frac`] of the trailing mean **while**
-//!   the window's p99 latency exceeds the window length itself, for
-//!   [`WatchdogConfig::stall_windows`] consecutive windows. This is the
-//!   quiet convoy the other two miss: when waiters politely spin (or
-//!   yield) behind a long pessimistic hold, nothing aborts and nothing
-//!   falls back — throughput simply halves while every op's latency
-//!   blows past a full window. The latency guard keeps genuinely idle
-//!   periods (low rate, instant ops) from masquerading as a stall.
+//!   `STORM_ABORTS_PER_COMMIT` for `STORM_WINDOWS` consecutive windows
+//!   (sustained OREC_CONFLICT storms from pessimistic audits stamping the
+//!   orec table look exactly like this).
+//! * **Convoy stall**: the commit rate drops below `STALL_RATE_FRAC` of
+//!   the trailing mean **while** the window's p99 latency exceeds the
+//!   window length itself, for `STALL_WINDOWS` consecutive windows. This
+//!   is the quiet convoy the other two miss: when waiters politely spin
+//!   (or yield) behind a long pessimistic hold, nothing aborts and
+//!   nothing falls back — throughput simply halves while every op's
+//!   latency blows past a full window. The latency guard keeps genuinely
+//!   idle periods (low rate, instant ops) from masquerading as a stall.
 //!
-//! The watchdog arms only after [`WatchdogConfig::warmup_windows`]
-//! healthy windows so startup noise cannot trigger it, and collapsed
-//! windows are kept **out** of the trailing mean so a long incident
-//! cannot normalise itself.
+//! The watchdog arms only after `WARMUP_WINDOWS` healthy windows so
+//! startup noise cannot trigger it, and collapsed windows are kept
+//! **out** of the trailing mean so a long incident cannot normalise
+//! itself.
 //!
 //! On trigger, [`flight_record`] assembles the postmortem JSON: the
 //! triggering verdict, the trailing window series, and the last K
@@ -45,55 +43,35 @@ use crate::recorder::{ObsSnapshot, SCHEMA_VERSION};
 use crate::registry::{LiveSource, SourceSnapshot};
 use crate::window::WindowSnapshot;
 
-/// Thresholds for the collapse signatures. The defaults are tuned on
-/// the `slo_bench` single-lock collapse reproduction: a healthy
-/// elided map stays under 5% fallback and ~0.5 aborts/commit even
-/// under storms, while a convoyed single lock blows through all three
-/// thresholds at once.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Fallback-rate spike threshold (fraction of commits on the lock
-    /// path) for the collapse signature.
-    pub fallback_spike: f64,
-    /// Commit-rate floor, as a fraction of the trailing healthy mean.
-    pub commit_floor_frac: f64,
-    /// Aborts-per-commit level that counts a window toward a storm.
-    pub storm_aborts_per_commit: f64,
-    /// Consecutive stormy windows required to flag a conflict storm.
-    pub storm_windows: usize,
-    /// Commit-rate fraction (of the trailing mean) below which a window
-    /// counts toward a convoy stall.
-    pub stall_rate_frac: f64,
-    /// p99-latency floor for a stall window, as a multiple of the
-    /// window length (1.0 = ops are waiting longer than a whole window).
-    pub stall_p99_factor: f64,
-    /// Consecutive stalled windows required to flag a convoy stall.
-    pub stall_windows: usize,
-    /// Healthy windows required before the watchdog arms.
-    pub warmup_windows: usize,
-    /// Trailing-mean horizon (healthy windows remembered).
-    pub trailing: usize,
-    /// Windows with fewer total commits than this are ignored entirely
-    /// (idle tails, rotator jitter).
-    pub min_commits: u64,
-}
+// Thresholds for the collapse signatures, tuned on the `slo_bench`
+// single-lock collapse reproduction: a healthy elided map stays under 5%
+// fallback and ~0.5 aborts/commit even under storms, while a convoyed
+// single lock blows through all three thresholds at once.
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            fallback_spike: 0.5,
-            commit_floor_frac: 0.35,
-            storm_aborts_per_commit: 4.0,
-            storm_windows: 2,
-            stall_rate_frac: 0.5,
-            stall_p99_factor: 1.0,
-            stall_windows: 2,
-            warmup_windows: 3,
-            trailing: 8,
-            min_commits: 16,
-        }
-    }
-}
+/// Fallback-rate spike threshold (fraction of commits on the lock
+/// path) for the collapse signature.
+const FALLBACK_SPIKE: f64 = 0.5;
+/// Commit-rate floor, as a fraction of the trailing healthy mean.
+const COMMIT_FLOOR_FRAC: f64 = 0.35;
+/// Aborts-per-commit level that counts a window toward a storm.
+const STORM_ABORTS_PER_COMMIT: f64 = 4.0;
+/// Consecutive stormy windows required to flag a conflict storm.
+const STORM_WINDOWS: usize = 2;
+/// Commit-rate fraction (of the trailing mean) below which a window
+/// counts toward a convoy stall.
+const STALL_RATE_FRAC: f64 = 0.5;
+/// p99-latency floor for a stall window, as a multiple of the
+/// window length (1.0 = ops are waiting longer than a whole window).
+const STALL_P99_FACTOR: f64 = 1.0;
+/// Consecutive stalled windows required to flag a convoy stall.
+const STALL_WINDOWS: usize = 2;
+/// Healthy windows required before the watchdog arms.
+const WARMUP_WINDOWS: usize = 3;
+/// Trailing-mean horizon (healthy windows remembered).
+const TRAILING: usize = 8;
+/// Windows with fewer total commits than this are ignored entirely
+/// (idle tails, rotator jitter).
+const MIN_COMMITS: u64 = 16;
 
 /// Which signature fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,8 +232,8 @@ impl LiveSource for WatchdogLive {
 
 /// The watchdog: feed it each closed window via [`Watchdog::inspect`].
 /// Single-consumer by design — it rides the rotator thread.
+#[derive(Default)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     /// Commit rates of recent *healthy* windows (collapsed windows are
     /// excluded so an incident cannot drag the baseline down to itself).
     trailing: VecDeque<f64>,
@@ -269,16 +247,9 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// A watchdog with the given thresholds.
-    pub fn new(cfg: WatchdogConfig) -> Watchdog {
-        Watchdog {
-            cfg,
-            trailing: VecDeque::new(),
-            storm_run: 0,
-            stall_run: 0,
-            events: Vec::new(),
-            live: None,
-        }
+    /// A watchdog with the module's thresholds.
+    pub fn new() -> Watchdog {
+        Watchdog::default()
     }
 
     /// The scrape mirror for this watchdog, created on first call.
@@ -300,37 +271,37 @@ impl Watchdog {
     /// Inspects one closed window; returns the verdict if a signature
     /// fired. Verdicts are also accumulated in [`Watchdog::events`].
     pub fn inspect(&mut self, w: &WindowSnapshot) -> Option<CollapseEvent> {
-        if w.counts.total_commits() < self.cfg.min_commits {
+        if w.counts.total_commits() < MIN_COMMITS {
             // Idle window: no evidence either way; do not advance the
             // storm run or pollute the trailing mean.
             return None;
         }
         let commit_rate = w.commit_rate();
         let trailing_rate = self.trailing_commit_rate();
-        let armed = self.trailing.len() >= self.cfg.warmup_windows;
+        let armed = self.trailing.len() >= WARMUP_WINDOWS;
 
         let mut fired: Option<CollapseKind> = None;
         if armed {
-            let collapsed = w.fallback_rate() >= self.cfg.fallback_spike
-                && commit_rate <= trailing_rate * self.cfg.commit_floor_frac;
+            let collapsed = w.fallback_rate() >= FALLBACK_SPIKE
+                && commit_rate <= trailing_rate * COMMIT_FLOOR_FRAC;
             if collapsed {
                 fired = Some(CollapseKind::FallbackCollapse);
             }
-            if w.aborts_per_commit() >= self.cfg.storm_aborts_per_commit {
+            if w.aborts_per_commit() >= STORM_ABORTS_PER_COMMIT {
                 self.storm_run += 1;
-                if fired.is_none() && self.storm_run >= self.cfg.storm_windows {
+                if fired.is_none() && self.storm_run >= STORM_WINDOWS {
                     fired = Some(CollapseKind::ConflictStorm);
                     self.storm_run = 0;
                 }
             } else {
                 self.storm_run = 0;
             }
-            let stall_p99_floor = w.len_ns as f64 * self.cfg.stall_p99_factor;
-            let stalled = commit_rate <= trailing_rate * self.cfg.stall_rate_frac
+            let stall_p99_floor = w.len_ns as f64 * STALL_P99_FACTOR;
+            let stalled = commit_rate <= trailing_rate * STALL_RATE_FRAC
                 && w.latency_p(0.99) as f64 >= stall_p99_floor;
             if stalled {
                 self.stall_run += 1;
-                if fired.is_none() && self.stall_run >= self.cfg.stall_windows {
+                if fired.is_none() && self.stall_run >= STALL_WINDOWS {
                     fired = Some(CollapseKind::ConvoyStall);
                     self.stall_run = 0;
                 }
@@ -355,14 +326,14 @@ impl Watchdog {
             }
             None => {
                 self.trailing.push_back(commit_rate);
-                if self.trailing.len() > self.cfg.trailing {
+                if self.trailing.len() > TRAILING {
                     self.trailing.pop_front();
                 }
                 None
             }
         };
         if let Some(live) = &self.live {
-            let armed_now = self.trailing.len() >= self.cfg.warmup_windows;
+            let armed_now = self.trailing.len() >= WARMUP_WINDOWS;
             live.publish(armed || armed_now, verdict.as_ref());
         }
         verdict
@@ -454,7 +425,7 @@ mod tests {
     /// The watchdog must fire on the first collapsed window.
     #[test]
     fn fires_on_recorded_single_lock_collapse() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         for i in 0..5 {
             let w = window(i, 100, [900, 45, 5], 60, 12, 8_000);
             assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
@@ -489,7 +460,7 @@ mod tests {
         // The sharded run under the same storm: audits pin one shard,
         // the rest keep committing — fallback stays low, rate dips but
         // stays above the floor.
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         for i in 0..5 {
             assert!(wd.inspect(&window(i, 100, [920, 60, 8], 70, 15, 7_000)).is_none());
         }
@@ -503,7 +474,7 @@ mod tests {
 
     #[test]
     fn sustained_orec_storm_fires_without_a_rate_floor() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         for i in 0..4 {
             wd.inspect(&window(i, 100, [800, 100, 10], 80, 20, 9_000));
         }
@@ -527,7 +498,7 @@ mod tests {
     /// this shape, and it needs two consecutive windows.
     #[test]
     fn convoy_stall_fires_without_fallback_or_abort_evidence() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         for i in 0..5 {
             let w = window(i, 125, [780, 0, 15], 10, 8, 150_000);
             assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
@@ -554,7 +525,7 @@ mod tests {
 
     #[test]
     fn warmup_and_idle_windows_never_fire() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         // Unarmed: even a blatant collapse shape is ignored pre-warmup.
         let bad = window(0, 100, [2, 1, 60], 500, 900, 5_000_000);
         assert_eq!(wd.inspect(&bad), None);
@@ -567,7 +538,7 @@ mod tests {
 
     #[test]
     fn live_mirror_tracks_arming_and_verdicts() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         let live = wd.live();
         assert!(!live.armed());
         assert_eq!(live.fired_total(), 0);
@@ -598,7 +569,7 @@ mod tests {
     #[test]
     fn flight_record_document_shape() {
         use crate::recorder::{ObsConfig, Recorder};
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         let mut windows = Vec::new();
         for i in 0..4 {
             let w = window(i, 100, [900, 45, 5], 60, 12, 8_000);

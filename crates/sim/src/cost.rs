@@ -104,8 +104,11 @@ impl Default for CostModel {
             sw_validate_per_entry: 4,
             sw_writeback_per_line: 6,
             sw_commit: 60,
-            htm_write_capacity: 448,
-            htm_read_capacity: 4096,
+            // The emulated HTM's capacities, so the simulator and the
+            // runtime abort at one footprint (both are guesses, not
+            // measurements: DESIGN §4b).
+            htm_write_capacity: rtle_htm::config::DEFAULT_WRITE_CAPACITY as usize,
+            htm_read_capacity: rtle_htm::config::DEFAULT_READ_CAPACITY as usize,
         }
     }
 }

@@ -71,6 +71,7 @@ use std::sync::Arc;
 
 use rtle_core::abort_codes;
 use rtle_core::adaptive::Adaptation;
+use rtle_core::orec::OrecHeatmap;
 use rtle_core::{RetryPolicy, Step};
 use rtle_htm::hash::fast_hash;
 use rtle_htm::lanes::Writer;
@@ -362,7 +363,9 @@ impl<W: Workload> Engine<W> {
             _ => 0,
         };
         let stats = SimStats {
-            orec_conflicts: vec![0; heat_capacity],
+            orec_heatmap: OrecHeatmap {
+                conflicts: vec![0; heat_capacity],
+            },
             ..Default::default()
         };
         Engine {
@@ -408,12 +411,11 @@ impl<W: Workload> Engine<W> {
         self
     }
 
-    /// Attributes one slow-path conflict abort to an orec slot (mirrors
-    /// `OrecTable::note_conflict`).
+    /// Attributes one slow-path conflict abort to an orec slot (as
+    /// `OrecTable::note_conflict` does).
     fn note_orec_conflict(&mut self, slot: u64) {
-        if let Some(c) = self.stats.orec_conflicts.get_mut(slot as usize) {
+        if let Some(c) = self.stats.orec_heatmap.conflicts.get_mut(slot as usize) {
             *c += 1;
-            self.stats.orec_conflict_aborts += 1;
         }
     }
 
@@ -982,7 +984,6 @@ impl<W: Workload> Engine<W> {
                 self.stats.sw_aborts += 1;
             }
         } else if let Some(code) = abort {
-            self.stats.aborts += 1;
             let s = &mut self.stats;
             *match code {
                 AbortCode::Conflict => &mut s.aborts_conflict,
@@ -1158,7 +1159,8 @@ impl<W: Workload> Engine<W> {
                     // Cite the hottest heatmap slot, like the runtime.
                     d.hot_slot = self
                         .stats
-                        .hottest_orec_slots(1)
+                        .orec_heatmap
+                        .hottest(1)
                         .first()
                         .map(|&(slot, n)| (slot as u64, n));
                 }
@@ -1482,7 +1484,7 @@ mod tests {
     fn contended_tle_aborts_but_completes() {
         let s = run_fixed(SimMethod::Tle, 4, true);
         assert_eq!(s.ops, 800);
-        assert!(s.aborts > 0, "shared writes must conflict: {s:?}");
+        assert!(s.aborts() > 0, "shared writes must conflict: {s:?}");
         // Conflicting attempts serialize through abort-retry; whether the
         // 5-attempt budget ever exhausts here is timing-dependent, but the
         // run must cost far more than the uncontended one.
@@ -1534,7 +1536,7 @@ mod tests {
         .run();
         assert_eq!(s.ops, 100);
         assert_eq!(s.lock_commits, 100, "every op must fall back: {s:?}");
-        assert_eq!(s.aborts, 500, "5 attempts burned per op: {s:?}");
+        assert_eq!(s.aborts(), 500, "5 attempts burned per op: {s:?}");
     }
 
     /// The recorder's books equal `SimStats`' on every method, software
@@ -1563,7 +1565,7 @@ mod tests {
             assert_eq!(snap.total_commits(), s.ops, "{label}: commits recorded");
             assert_eq!(
                 snap.total_aborts(),
-                s.aborts + s.sw_aborts,
+                s.aborts() + s.sw_aborts,
                 "{label}: every simulated abort must be recorded"
             );
             assert_eq!(snap.cs_latency.count, s.ops, "{label}");
@@ -1761,17 +1763,22 @@ mod tests {
         .run();
 
         assert_eq!(s.ops, 800);
-        assert_eq!(s.orec_conflicts.len(), 2, "capacity-length heatmap");
-        assert_eq!(
-            s.orec_conflict_aborts,
-            s.orec_conflicts.iter().sum::<u64>(),
+        let heat = &s.orec_heatmap;
+        assert_eq!(heat.conflicts.len(), 2, "capacity-length heatmap");
+        // Every eager OREC_CONFLICT self-abort is attributed to its slot,
+        // and so is a validation abort on an orec line, nothing else.
+        let snap = rec.snapshot();
+        let eager = snap
+            .explicit_codes
+            .iter()
+            .find(|&&(code, _)| code == u64::from(abort_codes::OREC_CONFLICT))
+            .map_or(0, |&(_, n)| n);
+        assert!(eager > 0, "shared writes over 2 orecs must self-abort: {s:?}");
+        assert!(
+            (eager..=eager + s.aborts_conflict).contains(&heat.total_conflicts()),
             "attribution invariant: {s:?}"
         );
-        assert!(
-            s.orec_conflict_aborts > 0,
-            "shared writes over 2 orecs must attribute conflicts: {s:?}"
-        );
-        let hot = s.hottest_orec_slots(8);
+        let hot = heat.hottest(8);
         assert!(!hot.is_empty());
         assert!(hot.windows(2).all(|w| w[0].1 >= w[1].1), "descending");
 

@@ -406,7 +406,7 @@ fn pre_decided_aborts_and_their_wake_times() {
         let rng = e.rng;
         e.on_ready(0);
         assert!(e.ts[0].pending.is_none(), "{}", c.name);
-        assert_eq!(e.stats.aborts, 1, "{}", c.name);
+        assert_eq!(e.stats.aborts(), 1, "{}", c.name);
         assert_eq!(
             (e.stats.aborts_hostile, e.stats.aborts_eager_owned),
             c.class,
@@ -414,7 +414,8 @@ fn pre_decided_aborts_and_their_wake_times() {
             c.name
         );
         assert_eq!(
-            e.stats.orec_conflict_aborts, c.owned_orec as u64,
+            e.stats.orec_heatmap.total_conflicts(),
+            c.owned_orec as u64,
             "{}",
             c.name
         );
@@ -442,7 +443,7 @@ fn pre_decided_aborts_and_their_wake_times() {
     let mut e = engine(SimMethod::Tle, rwr());
     hold(&mut e, None);
     e.on_ready(0);
-    assert_eq!(e.stats.aborts, 0);
+    assert_eq!(e.stats.aborts(), 0);
     assert_eq!(only_event(&e), (FREE_AT + 1, EvKind::Ready(0)));
     assert_eq!(e.locks[0].waiters, 1);
 }

@@ -1,5 +1,11 @@
 //! Simulation statistics — the quantities the paper's Figures 5–13 plot.
+//!
+//! Each fact is counted once: an abort bumps its class counter, an
+//! attributed conflict its orec slot. The totals — [`SimStats::aborts`],
+//! the heatmap's [`OrecHeatmap::total_conflicts`] — are sums of those
+//! parts, taken when read.
 
+use rtle_core::orec::OrecHeatmap;
 use rtle_obs::Json;
 
 use crate::cost::MachineProfile;
@@ -22,8 +28,6 @@ pub struct SimStats {
     pub stm_fast_commits: u64,
     /// NOrec/RHNOrec: software commits under the single global lock.
     pub stm_slow_commits: u64,
-    /// HTM aborts (all paths, all causes).
-    pub aborts: u64,
     /// Aborts from validation/eager pairwise conflicts.
     pub aborts_conflict: u64,
     /// Aborts from capacity overflow.
@@ -48,15 +52,22 @@ pub struct SimStats {
     /// Simulated wall time of the run, in cycles.
     pub sim_cycles: u64,
     /// Per-orec-slot attributed slow-path conflict aborts (capacity-length
-    /// for FG methods, empty otherwise) — the simulator's mirror of
-    /// `rtle_core::OrecHeatmap`.
-    pub orec_conflicts: Vec<u64>,
-    /// Total slot-attributed conflict aborts. Invariant: equals the sum of
-    /// `orec_conflicts` (every attributed abort lands in exactly one slot).
-    pub orec_conflict_aborts: u64,
+    /// for FG methods, empty otherwise), booked like the runtime's.
+    pub orec_heatmap: OrecHeatmap,
 }
 
 impl SimStats {
+    /// HTM aborts (all paths, all causes): the sum of the six class
+    /// counters.
+    pub fn aborts(&self) -> u64 {
+        self.aborts_conflict
+            + self.aborts_capacity
+            + self.aborts_uarch
+            + self.aborts_hostile
+            + self.aborts_eager_owned
+            + self.aborts_lazy
+    }
+
     /// ops/ms throughput, the paper's headline metric.
     pub fn ops_per_ms(&self, machine: &MachineProfile) -> f64 {
         if self.sim_cycles == 0 {
@@ -138,24 +149,10 @@ impl SimStats {
         }
     }
 
-    /// The `k` hottest orec slots (descending by attributed conflicts;
-    /// zero-conflict slots omitted; slot index breaks ties ascending).
-    pub fn hottest_orec_slots(&self, k: usize) -> Vec<(usize, u64)> {
-        let mut hot: Vec<(usize, u64)> = self
-            .orec_conflicts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
-        hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hot.truncate(k);
-        hot
-    }
-
     /// JSON form: every raw counter, keyed by its field name (units are
     /// simulator cycles).
     pub fn to_json(&self) -> Json {
+        let heat = &self.orec_heatmap;
         let mut pairs = vec![
             ("ops", Json::UInt(self.ops)),
             ("fast_commits", Json::UInt(self.fast_commits)),
@@ -164,7 +161,7 @@ impl SimStats {
             ("htm_slow_commits", Json::UInt(self.htm_slow_commits)),
             ("stm_fast_commits", Json::UInt(self.stm_fast_commits)),
             ("stm_slow_commits", Json::UInt(self.stm_slow_commits)),
-            ("aborts", Json::UInt(self.aborts)),
+            ("aborts", Json::UInt(self.aborts())),
             ("aborts_conflict", Json::UInt(self.aborts_conflict)),
             ("aborts_capacity", Json::UInt(self.aborts_capacity)),
             ("aborts_uarch", Json::UInt(self.aborts_uarch)),
@@ -176,12 +173,12 @@ impl SimStats {
             ("cycles_locked", Json::UInt(self.cycles_locked)),
             ("cycles_in_sw", Json::UInt(self.cycles_in_sw)),
             ("sim_cycles", Json::UInt(self.sim_cycles)),
-            ("orec_conflict_aborts", Json::UInt(self.orec_conflict_aborts)),
+            ("orec_conflict_aborts", Json::UInt(heat.total_conflicts())),
         ];
-        if self.orec_conflict_aborts > 0 {
+        if heat.total_conflicts() > 0 {
             // Sparse heatmap: hot slots only, hottest first.
-            let slots: Vec<Json> = self
-                .hottest_orec_slots(self.orec_conflicts.len())
+            let slots: Vec<Json> = heat
+                .hottest(heat.conflicts.len())
                 .into_iter()
                 .map(|(slot, n)| {
                     Json::obj([
@@ -193,7 +190,7 @@ impl SimStats {
             pairs.push((
                 "orec_heatmap",
                 Json::obj([
-                    ("capacity", Json::UInt(self.orec_conflicts.len() as u64)),
+                    ("capacity", Json::UInt(heat.conflicts.len() as u64)),
                     ("slots", Json::Arr(slots)),
                 ]),
             ));

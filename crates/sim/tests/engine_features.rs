@@ -178,11 +178,11 @@ fn spurious_aborts_inject_and_cost() {
     };
     let clean = run(0.0);
     let noisy = run(0.2);
-    assert_eq!(clean.aborts, 0, "disjoint ops never conflict");
+    assert_eq!(clean.aborts(), 0, "disjoint ops never conflict");
     assert!(
-        noisy.aborts > 100,
+        noisy.aborts() > 100,
         "20% injection must show: {}",
-        noisy.aborts
+        noisy.aborts()
     );
     assert!(noisy.sim_cycles > clean.sim_cycles);
     assert_eq!(noisy.ops, 1000, "all work still completes");
@@ -292,9 +292,13 @@ fn adaptive_fg_is_competitive_with_best_fixed() {
     );
 }
 
+/// The class counters partition the aborts: their sum, `aborts()`, equals
+/// the count the recorder keeps on its own, one event per booked attempt.
 #[test]
 fn abort_causes_partition_total() {
+    use rtle_obs::{ObsConfig, Recorder};
     use rtle_sim::workloads::avl::{AvlConfig, AvlWorkload};
+    use std::sync::Arc;
     let machine = MachineProfile::XEON;
     for m in [
         SimMethod::Tle,
@@ -306,6 +310,10 @@ fn abort_causes_partition_total() {
         },
     ] {
         let w = AvlWorkload::new(18, AvlConfig::new(4096, 30, 30));
+        let rec = Arc::new(Recorder::new(ObsConfig {
+            latency_unit: "cycles",
+            ..ObsConfig::default()
+        }));
         let s = Engine::new(
             m,
             18,
@@ -314,14 +322,14 @@ fn abort_causes_partition_total() {
             w,
         )
         .with_spurious_aborts(0.03)
+        .with_recorder(Arc::clone(&rec))
         .run();
-        let sum = s.aborts_conflict
-            + s.aborts_capacity
-            + s.aborts_uarch
-            + s.aborts_hostile
-            + s.aborts_eager_owned
-            + s.aborts_lazy;
-        assert_eq!(s.aborts, sum, "{m:?}: abort causes must partition: {s:?}");
+        assert!(s.aborts() > 0, "{m:?}: the run must abort");
+        assert_eq!(
+            rec.snapshot().total_aborts(),
+            s.aborts() + s.sw_aborts,
+            "{m:?}: abort causes must partition: {s:?}"
+        );
         assert!(s.aborts_uarch > 0, "{m:?}: injection must be visible");
     }
 }

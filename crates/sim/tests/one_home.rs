@@ -25,8 +25,21 @@ fn body_of(name: &str) -> &'static str {
 #[test]
 fn every_resolution_is_booked_in_book() {
     let src = engine_source();
-    assert_eq!(src.matches("stats.aborts +=").count(), 1);
-    assert_eq!(body_of("book").matches("stats.aborts +=").count(), 1);
+    // The six abort-class counters are written in `book` alone, each
+    // once, and no total beside them is counted.
+    for class in [
+        "aborts_conflict",
+        "aborts_capacity",
+        "aborts_uarch",
+        "aborts_hostile",
+        "aborts_eager_owned",
+        "aborts_lazy",
+    ] {
+        let write = format!("&mut s.{class}");
+        assert_eq!(src.matches(class).count(), 1, "{class} is read or written outside `book`");
+        assert_eq!(body_of("book").matches(&write).count(), 1, "{class}");
+    }
+    assert!(!src.contains("stats.aborts +="), "a counted abort total is back");
     assert_eq!(src.matches("stats.sw_aborts +=").count(), 1);
     assert_eq!(body_of("book").matches("stats.sw_aborts +=").count(), 1);
     // The recorder is fed attempts from `book` alone.
