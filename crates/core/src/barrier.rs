@@ -287,7 +287,7 @@ mod tests {
         release: impl FnOnce(),
     ) -> Option<R> {
         std::thread::scope(|s| {
-            let speculator = s.spawn(|| l.try_speculate(&cs));
+            let speculator = s.spawn(|| l.try_speculate(&cs).ok());
             while aborts(l, code) == 0 {
                 std::thread::yield_now();
             }
@@ -330,7 +330,7 @@ mod tests {
             assert_eq!(policy.has_slow_path(), slow.is_some());
             if slow.is_some() {
                 // (A policy without a slow path would wait for the guard.)
-                let seen = l.try_speculate(|ctx| (variant(ctx), ctx.mode()));
+                let seen = l.try_speculate(|ctx| (variant(ctx), ctx.mode())).ok();
                 assert_eq!(
                     seen,
                     slow.map(|v| (v, PathKind::SlowHtm)),
@@ -378,7 +378,7 @@ mod tests {
         let g = l.lock_section();
         assert_eq!(variant(g.ctx()), "Holder::Rw");
         // Before the holder's first write a slow reader commits beside it.
-        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), Some(0));
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)).ok(), Some(0));
         g.ctx().write(&c, 1);
         g.ctx().write(&c, 2);
         // The first write raised the flag: slow readers now abort at start
@@ -393,7 +393,7 @@ mod tests {
         assert_eq!(aborts(&l, abort_codes::WRITE_FLAG_SET), 1);
         // The exit protocol reset the flag for the next holder's readers.
         let g = l.lock_section();
-        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), Some(2));
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)).ok(), Some(2));
         drop(g);
     }
 
@@ -424,7 +424,7 @@ mod tests {
         let g = l.lock_section();
         // The holder owns the only write orec.
         g.ctx().write(&held, 1);
-        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), None);
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)).ok(), None);
         assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
     }
 
@@ -436,12 +436,12 @@ mod tests {
         let _ = g.ctx().read(&held); // holder only *read*
                                      // Slow reads are fine...
         assert_eq!(
-            l.try_speculate(|ctx| ctx.read(&c)),
+            l.try_speculate(|ctx| ctx.read(&c)).ok(),
             Some(0),
             "read-read parallelism"
         );
         // ...but a slow write to a read-owned orec must abort.
-        assert_eq!(l.try_speculate(|ctx| ctx.write(&c, 9)), None);
+        assert_eq!(l.try_speculate(|ctx| ctx.write(&c, 9)).ok(), None);
         assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
         assert_eq!(c.read_plain(), 0);
     }
@@ -478,7 +478,7 @@ mod tests {
         };
         g.ctx().write(&held, 1);
         for _ in 0..3 {
-            assert_eq!(l.try_speculate(|ctx| ctx.read(&c)), None);
+            assert_eq!(l.try_speculate(|ctx| ctx.read(&c)).ok(), None);
         }
         let h = l.orec_heatmap().expect("FG-TLE has orecs");
         assert_eq!(h.total_conflicts(), 3, "one attribution per self-abort");
@@ -526,10 +526,12 @@ mod tests {
         // epoch past the stamp.
         l.lock_section().ctx().write(&c, 1);
         let _g = l.lock_section();
-        let r = l.try_speculate(|ctx| {
-            ctx.write(&c, 5);
-            ctx.read(&c)
-        });
+        let r = l
+            .try_speculate(|ctx| {
+                ctx.write(&c, 5);
+                ctx.read(&c)
+            })
+            .ok();
         assert_eq!(r, Some(5));
         assert_eq!(c.read_plain(), 5);
     }

@@ -357,7 +357,7 @@ impl<B: HtmBackend> ElidableLock<B> {
 
         match self.speculative_phase(cs, rec) {
             Ok(r) => r,
-            Err(attempts) => {
+            Err((attempts, _)) => {
                 // Speculation budget exhausted. With a pluggable software TM
                 // the operation stays concurrent (a software transaction)
                 // instead of serializing behind the lock.
@@ -403,14 +403,16 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// [`RetryPolicy::next_step`] (Figure 1) chooses — fast attempts while
     /// the lock is free, instrumented slow attempts while it is held — up
     /// to the retry policy's budgets. `Ok` carries the committed result;
-    /// `Err` carries the attempt count for the caller's fallback decision.
+    /// `Err` carries the attempt count for the caller's fallback decision
+    /// and the abort that ended the phase (`None` when no attempt ran).
     fn speculative_phase<R>(
         &self,
         cs: &impl Fn(&Ctx<'_>) -> R,
         rec: Option<Rec<'_>>,
-    ) -> Result<R, u32> {
+    ) -> Result<R, (u32, Option<AbortCode>)> {
         let mut attempts = 0u32;
         let mut slow_attempts = 0u32;
+        let mut last = None;
         let slow = self.slow_path();
         loop {
             let held = self.lock.is_held();
@@ -429,6 +431,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                         Ok(r) => return Ok(r),
                         Err(code) => {
                             attempts += 1;
+                            last = Some(code);
                             if self.retry.give_up_on_unsupported && !code.may_retry() {
                                 break;
                             }
@@ -453,6 +456,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                         Ok(r) => return Ok(r),
                         Err(code) => {
                             slow_attempts += 1;
+                            last = Some(code);
                             if slow_attempt_hopeless(code) {
                                 self.lock.spin_while_held();
                             } else {
@@ -467,22 +471,27 @@ impl<B: HtmBackend> ElidableLock<B> {
             }
         }
 
-        Err(attempts + slow_attempts)
+        Err((attempts + slow_attempts, last))
     }
 
     /// Runs `cs` speculatively only — the fast/slow HTM ladder with this
     /// lock's retry policy, **never** the software or pessimistic
-    /// fallbacks. Returns `None` when the speculation budget is exhausted
-    /// (or the policy is [`ElisionPolicy::LockOnly`]), leaving the caller
-    /// free to choose its own fallback. This is the composable-transaction
+    /// fallbacks. `Ok` carries the committed result. When the phase gives
+    /// up — budget exhausted, or a non-retryable abort under
+    /// `give_up_on_unsupported` — `Err` carries the abort that ended it:
+    /// `Some(code)` of the last attempt, or `None` when no attempt ran
+    /// (the policy is [`ElisionPolicy::LockOnly`], or the budget is zero).
+    /// The caller chooses its own fallback and may let the abort inform
+    /// it: [`AbortCode::Unsupported`] says the body cannot commit in
+    /// hardware at all. This is the composable-transaction
     /// entry point: `rtle-stm`'s `atomically` drives its own
     /// HTM → software → pessimistic ladder, so it needs the speculative
     /// phase as a separable step.
-    pub fn try_speculate<R>(&self, cs: impl Fn(&Ctx<'_>) -> R) -> Option<R> {
+    pub fn try_speculate<R>(&self, cs: impl Fn(&Ctx<'_>) -> R) -> Result<R, Option<AbortCode>> {
         if self.policy == ElisionPolicy::LockOnly {
-            return None;
+            return Err(None);
         }
-        self.speculative_phase(&cs, None).ok()
+        self.speculative_phase(&cs, None).map_err(|(_, last)| last)
     }
 
     /// Whether the lock word is currently held (advisory snapshot).

@@ -88,6 +88,7 @@ pub use var::TxVar;
 
 /// Runs `f` as one composable transaction on the process-wide default
 /// space ([`global`]). See [`Stm::atomically`].
+#[track_caller]
 pub fn atomically<'env, R>(f: impl Fn(&Tx<'env, '_>) -> TxResult<R>) -> R {
     global().atomically(f)
 }

@@ -7,7 +7,9 @@
 //!
 //! 1. **Speculation** — the space lock's fast/slow hardware phase
 //!    ([`ElidableLock::try_speculate`]), with participant locks enrolled
-//!    by transactional subscription.
+//!    by transactional subscription. Skipped by a call whose call site's
+//!    last hardware attempt ended on an abort no retry can fix (see
+//!    *Hostile call sites* below).
 //! 2. **Software TM** — attempts on the space lock's backend, with
 //!    participant presences keeping pessimistic holders quiesced.
 //! 3. **Pessimistic** — all discovered locks acquired in ascending
@@ -19,13 +21,35 @@
 //! lost-wakeup argument) and reruns the ladder from the top when woken.
 //! Speculation logs no reads, so a retry there hands off to the next rung,
 //! which logs the reads it parks on.
+//!
+//! # Hostile call sites
+//!
+//! A body that runs an instruction the hardware cannot commit aborts as
+//! [`AbortCode::Unsupported`] on every hardware attempt, and under the
+//! emulated HTM each such abort is an unwind that costs far more than the
+//! software rung's commit. The calling thread remembers, per `atomically`
+//! call site (`#[track_caller]`'s [`Location`], in a direct-mapped,
+//! tag-checked table of 16 entries), whether the site's last hardware
+//! attempt ended that way. When it did, the site's next *b* calls skip
+//! rung 1 and start on the software rung; the call after them probes the
+//! hardware again. *b* starts at 1 and doubles on each consecutive hostile
+//! probe up to 64, and a probe that commits resets it.
+//! Only a space with a software backend skips: without one the next rung
+//! is the pessimistic one, which would serialize every other thread.
+//! [`ElidableLock::execute`] never skips: its holder/reader coexistence
+//! depends on every call trying the hardware.
+//!
+//! On real RTM an unsupported abort costs hundreds of cycles, not an
+//! unwind, so there a skip saves only the wasted body.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::panic::Location;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use rtle_core::{
-    ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection, RetryPolicy, SoftwarePresence,
+    fast_hash, AbortCode, ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection,
+    RetryPolicy, SoftwarePresence,
 };
 use rtle_htm::lanes::Lanes;
 use rtle_htm::unwind::{self, Channel};
@@ -43,6 +67,13 @@ const SW_ATTEMPTS: usize = 8;
 /// Park timeout backstop: a timed-out waiter revalidates and reruns, so a
 /// (hypothetical) lost wakeup costs bounded latency, not a hang.
 const PARK_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Entries in each thread's table of `atomically` call sites.
+const SITES: usize = 16;
+
+/// The most consecutive calls a hostile call site sends straight to the
+/// software rung before it probes the hardware again.
+const MAX_SKIP: u8 = 64;
 
 /// Counters for the composable-transaction plane. All counters are
 /// monotonic statistics read at quiescence or for telemetry, kept in
@@ -63,7 +94,8 @@ const WAKES_TIMEOUT: usize = 5;
 const RETRY_RERUNS: usize = 6;
 const PLAN_RESTARTS: usize = 7;
 const WAKEUPS_SENT: usize = 8;
-const COUNTERS: usize = 9;
+const SPEC_SKIPS: usize = 9;
+const COUNTERS: usize = 10;
 
 /// Point-in-time copy of [`StmStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,6 +142,95 @@ impl StmStats {
             plan_restarts: c[PLAN_RESTARTS],
             wakeups_sent: c[WAKEUPS_SENT],
         }
+    }
+
+    /// Calls that started on the software rung without a hardware
+    /// attempt, because their call site's last attempt could not commit
+    /// in hardware. Each is also counted on the rung that committed it,
+    /// so this tells a call its site sent to software apart from one that
+    /// aborted there. Summed over the lanes at each read.
+    pub fn spec_skips(&self) -> u64 {
+        self.lanes.sum(SPEC_SKIPS)
+    }
+}
+
+/// What the calling thread has learned about one `atomically` call site.
+#[derive(Clone, Copy)]
+struct SiteState {
+    /// The call site's [`Location`] address; 0 marks an empty entry.
+    tag: usize,
+    /// Calls left to send straight to the software rung.
+    skip: u8,
+    /// The next hostile probe's skip: 1, doubling up to [`MAX_SKIP`].
+    backoff: u8,
+}
+
+const NO_SITE: SiteState = SiteState {
+    tag: 0,
+    skip: 0,
+    backoff: 1,
+};
+
+thread_local! {
+    static SITE_TABLE: [Cell<SiteState>; SITES] = const { [const { Cell::new(NO_SITE) }; SITES] };
+}
+
+/// One `atomically` call site's entry in the calling thread's table.
+#[derive(Clone, Copy)]
+struct Site {
+    tag: usize,
+    slot: usize,
+}
+
+impl Site {
+    fn of(at: &'static Location<'static>) -> Site {
+        let tag = at as *const Location<'static> as usize;
+        Site {
+            tag,
+            slot: fast_hash(tag as u64, SITES as u64) as usize,
+        }
+    }
+
+    /// Whether this call skips the hardware rung, counting the skip down.
+    fn skips(self) -> bool {
+        SITE_TABLE.with(|t| {
+            let e = &t[self.slot];
+            let s = e.get();
+            let skip = s.tag == self.tag && s.skip > 0;
+            if skip {
+                e.set(SiteState {
+                    skip: s.skip - 1,
+                    ..s
+                });
+            }
+            skip
+        })
+    }
+
+    /// Learns from how the hardware rung ended: a commit forgets the site,
+    /// an abort no retry can fix skips the next `backoff` calls and
+    /// doubles it, any other abort teaches nothing.
+    fn learn<T>(self, spec: &Result<T, Option<AbortCode>>) {
+        let hostile = match spec {
+            Ok(_) => false,
+            Err(Some(code)) if !code.may_retry() => true,
+            Err(_) => return,
+        };
+        SITE_TABLE.with(|t| {
+            let e = &t[self.slot];
+            let s = e.get();
+            let mine = s.tag == self.tag;
+            if hostile {
+                let backoff = if mine { s.backoff } else { 1 };
+                e.set(SiteState {
+                    tag: self.tag,
+                    skip: backoff,
+                    backoff: (2 * backoff).min(MAX_SKIP),
+                });
+            } else if mine {
+                e.set(NO_SITE);
+            }
+        })
     }
 }
 
@@ -236,7 +357,20 @@ impl Stm {
     ///
     /// The closure may run any number of times and must be side-effect
     /// free outside its transactional accesses.
+    ///
+    /// A call site whose last hardware attempt could not commit in
+    /// hardware starts its next calls on the software rung (see the
+    /// module docs' *Hostile call sites*).
+    #[track_caller]
     pub fn atomically<'env, R>(&'env self, f: impl Fn(&Tx<'env, '_>) -> TxResult<R>) -> R {
+        // (`Location::caller` must be read here: inside a closure it
+        // would name the closure, not this call's caller.)
+        let here = Location::caller();
+        let site = (!self.lock.software_backends().is_empty()).then(|| Site::of(here));
+        let skip_spec = site.is_some_and(Site::skips);
+        if skip_spec {
+            self.stats.lanes.add(SPEC_SKIPS, 1);
+        }
         let inner: RefCell<TxInner<'env>> = RefCell::new(TxInner::take());
         // Participant locks discovered in failed attempts seed the
         // pessimistic plan, so the Locked rung usually acquires the full
@@ -245,21 +379,26 @@ impl Stm {
 
         loop {
             // ---- Rung 1: hardware speculation --------------------------
-            let spec = self.lock.try_speculate(|ctx| {
-                inner.borrow_mut().reset();
-                let tx = Tx::new(self, Mode::Spec(ctx), &inner);
-                let r = f(&tx);
-                end_spec(&inner.borrow(), &r);
-                r
-            });
-            match spec {
-                Some(Ok(v)) => {
-                    self.finish(Rung::Spec, &inner);
-                    return v;
+            if !skip_spec {
+                let spec = self.lock.try_speculate(|ctx| {
+                    inner.borrow_mut().reset();
+                    let tx = Tx::new(self, Mode::Spec(ctx), &inner);
+                    let r = f(&tx);
+                    end_spec(&inner.borrow(), &r);
+                    r
+                });
+                if let Some(site) = site {
+                    site.learn(&spec);
                 }
-                // A retry's read set is the next rung's to log: the
-                // hardware kept none to park on.
-                Some(Err(TxError::Retry)) | None => self.merge_known(&mut known, &inner),
+                match spec {
+                    Ok(Ok(v)) => {
+                        self.finish(Rung::Spec, &inner);
+                        return v;
+                    }
+                    // A retry's read set is the next rung's to log: the
+                    // hardware kept none to park on.
+                    Ok(Err(TxError::Retry)) | Err(_) => self.merge_known(&mut known, &inner),
+                }
             }
 
             // ---- Rung 2: software TM -----------------------------------

@@ -10,9 +10,11 @@
 //! - an `or_else` transfer between two `TxVar`s makes 0 (3: the two logs
 //!   and `finish`'s waiter-list dedup);
 //! - a touch — an instruction the hardware cannot run, then a `TxVar`
-//!   increment on the software rung — makes at most 2, the aborted
-//!   hardware attempt's unwind (the boxed payload and the exception
-//!   object) (5: the unwind's two, the two logs and the dedup).
+//!   increment on the software rung — makes fewer than 0.1: its call site
+//!   starts on the software rung, and only the hardware re-probe, one
+//!   warm call in 65, pays the aborted attempt's unwind (the boxed payload
+//!   and the exception object) (2 when every touch tried the hardware
+//!   first; 5 when it also built the two logs and the dedup).
 //!
 //! Its own test binary, so the counting `#[global_allocator]` is scoped to
 //! it; the count is per thread, so the harness's threads do not show.
@@ -71,7 +73,7 @@ fn allocations_per_call(mut op: impl FnMut(u64)) -> f64 {
 }
 
 #[test]
-fn a_warm_call_allocates_only_its_unwind() {
+fn a_warm_call_allocates_only_a_reprobes_unwind() {
     let space = Stm::builder()
         .policy(ElisionPolicy::FgTle { orecs: 128 })
         .build();
@@ -115,7 +117,7 @@ fn a_warm_call_allocates_only_its_unwind() {
             )
         });
     });
-    let spec = space.stats().snapshot();
+    let (spec, skips) = (space.stats().snapshot(), space.stats().spec_skips());
     let touch = allocations_per_call(|i| {
         let account = &accounts[i as usize % 8];
         space.atomically(|tx| {
@@ -127,12 +129,14 @@ fn a_warm_call_allocates_only_its_unwind() {
     let after = space.stats().snapshot();
 
     // The lookups and transfers ran on the hardware rung, the touches on
-    // the software rung: the counts are each rung's.
+    // the software rung (most of them skipping the hardware): the counts
+    // are each rung's.
     let calls = 2 * (WARM_UP + CALLS);
     assert_eq!(spec.commits_spec - before.commits_spec, calls);
     assert_eq!(spec.commits() - before.commits(), calls);
     assert_eq!(after.commits_sw - spec.commits_sw, WARM_UP + CALLS);
     assert_eq!(after.commits() - spec.commits(), WARM_UP + CALLS);
+    assert!(space.stats().spec_skips() - skips > CALLS * 9 / 10);
     let total: u64 = accounts.iter().map(TxVar::read_plain).sum();
     assert_eq!(total, 8 * 1_000 + WARM_UP + CALLS, "touches add one each");
 
@@ -142,7 +146,7 @@ fn a_warm_call_allocates_only_its_unwind() {
         "allocations per warm call (lookup, transfer)"
     );
     assert!(
-        touch <= 2.0,
+        touch < 0.1,
         "a warm touch made {touch} allocations per call"
     );
 }

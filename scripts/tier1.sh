@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the full test suite, clippy, rtle-check, the
+# Tier-1 gate: release build, the full test suite (in release, then in
+# debug with overflow checks and debug assertions on), clippy, rtle-check, the
 # seeded mutants, the fuzz campaign, real RTM where it commits, the
 # checked-in figures and the benchmark harness's self-tests. Every check
 # of a document a binary writes is a cargo test (the binaries themselves
@@ -65,8 +66,13 @@ stage "tests"
 # (crates/shard/tests/call_allocs.rs: a warm execute_batch allocates only
 # its result, a cross-shard transfer or compare_and_swap_pair nothing) and
 # atomically's (crates/stm/tests/atomically_allocs.rs: a warm lookup or
-# or_else transfer allocates nothing, a touch only its unwind's two), so
-# a per-call allocation on any of these paths fails here,
+# or_else transfer allocates nothing, a touch under 0.1 a call, because
+# its call site skips the hardware rung and only a re-probe, one call in
+# 65, pays the unwind's two), so a per-call allocation on any of these
+# paths fails here, crates/stm/tests/hostile_sites.rs (a call site whose
+# body cannot commit in hardware starts on the software rung and probes
+# the hardware again after at most 64 skipped calls; without a software
+# rung it never skips),
 # crates/stm/tests/rollback.rs (an or_else first branch that wrote and
 # retried leaves no trace on the Spec, Sw and Locked rungs; on Spec its
 # rollback is one unsupported abort and a software commit),
@@ -88,6 +94,14 @@ stage "tests"
 # --json --trace --heatmap` must write a parseable document and a clean
 # Chrome trace.
 cargo_test --workspace --release -q
+
+stage "tests (debug: overflow checks + debug assertions)"
+# The same suite in the dev profile: the release profile, which the
+# figures and the benchmark build, turns off overflow checks and
+# `debug_assert!`, so without this stage no gate runs them (the clock
+# code's wraparound claims, the lanes' and tables' debug assertions). On
+# a 2-core box it takes ~2.5 min including the debug build.
+cargo_test --workspace -q
 
 stage "clippy (deny warnings)"
 cargo clippy --all-targets -q -- -D warnings

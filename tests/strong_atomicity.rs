@@ -128,8 +128,7 @@ fn outside_writes_are_respected_by_speculation() {
                 let _stop = StopOnDrop(&stop);
                 let mut committed = 0u32;
                 for _ in 0..20_000 {
-                    if let Some((a, b)) =
-                        lock.try_speculate(|ctx| (ctx.read(&cell), ctx.read(&cell)))
+                    if let Ok((a, b)) = lock.try_speculate(|ctx| (ctx.read(&cell), ctx.read(&cell)))
                     {
                         assert_eq!(a, b, "torn snapshot across an outside write");
                         committed += 1;
