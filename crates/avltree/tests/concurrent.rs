@@ -139,7 +139,11 @@ fn avl_under_rhnorec() {
 fn avl_htm_hostile_updater_with_finders() {
     // The Figure 12 corner case, as a correctness test: one thread whose
     // updates always abort HTM (forcing the lock), others doing finds.
-    let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 4096 }).build());
+    let lock = Arc::new(
+        ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 4096 })
+            .build(),
+    );
     let set = Arc::new(AvlSet::with_key_range(KEY_RANGE));
 
     // Pre-fill half the range.

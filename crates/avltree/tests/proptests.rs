@@ -28,7 +28,10 @@ fn sequential_matches_btreeset() {
         let mut model = BTreeSet::new();
         let a = PlainAccess;
         for op in ops {
-            assert_eq!(ops::apply_avl(&set, &a, op), ops::apply_model(op, &mut model));
+            assert_eq!(
+                ops::apply_avl(&set, &a, op),
+                ops::apply_model(op, &mut model)
+            );
         }
         assert!(set.check_invariants_plain().is_ok(), "case {case}");
         assert_eq!(set.keys_plain(), model.iter().copied().collect::<Vec<_>>());
@@ -47,9 +50,15 @@ fn churn_matches_btreeset() {
         let mut model = BTreeSet::new();
         let a = PlainAccess;
         for op in ops {
-            assert_eq!(ops::apply_avl(&set, &a, op), ops::apply_model(op, &mut model));
+            assert_eq!(
+                ops::apply_avl(&set, &a, op),
+                ops::apply_model(op, &mut model)
+            );
         }
-        assert!(set.check_invariants_plain().is_ok(), "case {case} (hot {hot})");
+        assert!(
+            set.check_invariants_plain().is_ok(),
+            "case {case} (hot {hot})"
+        );
         assert_eq!(set.keys_plain(), model.iter().copied().collect::<Vec<_>>());
     }
 }
@@ -65,7 +74,10 @@ fn skewed_matches_btreeset() {
         let mut model = BTreeSet::new();
         let a = PlainAccess;
         for op in ops {
-            assert_eq!(ops::apply_avl(&set, &a, op), ops::apply_model(op, &mut model));
+            assert_eq!(
+                ops::apply_avl(&set, &a, op),
+                ops::apply_model(op, &mut model)
+            );
         }
         assert!(set.check_invariants_plain().is_ok(), "case {case}");
         assert_eq!(set.keys_plain(), model.iter().copied().collect::<Vec<_>>());
@@ -83,7 +95,9 @@ fn elided_execution_equals_plain() {
         let orecs = [1usize, 16, 256][(case % 3) as usize];
         let plain_set = AvlSet::with_key_range(64);
         let elided_set = AvlSet::with_key_range(64);
-        let lock = ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs }).build();
+        let lock = ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs })
+            .build();
         let a = PlainAccess;
 
         for op in ops {

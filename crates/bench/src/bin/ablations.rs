@@ -16,7 +16,10 @@ fn main() {
     print_csv("Ablation uniq", "ops_per_ms", &uniq);
     println!();
     let ad = figures::ablation_adaptive(scale);
-    print_table("Beyond-paper: adaptive FG-TLE vs fixed configs (ops/ms)", &ad);
+    print_table(
+        "Beyond-paper: adaptive FG-TLE vs fixed configs (ops/ms)",
+        &ad,
+    );
     print_csv("Adaptive", "ops_per_ms", &ad);
     let mut report = Report::new("ablations", scale);
     report.add_series("lazy_subscription", "ops_per_ms", &lazy);

@@ -80,11 +80,16 @@ fn run_top_command(rest: &[String]) -> ! {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--iters" => {
-                cfg.iters = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                cfg.iters = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             "--interval-ms" => {
-                cfg.interval_ms =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                cfg.interval_ms = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             flag if flag.starts_with('-') => usage(),
             addr if cfg.addr.is_empty() => cfg.addr = addr.to_string(),

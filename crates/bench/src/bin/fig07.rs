@@ -9,6 +9,10 @@ fn main() {
     print_table("Figure 7 RelativeTimeUnderLock", &series);
     print_csv("Figure 7", "relative_time_under_lock", &series);
     let mut report = Report::new("fig07", args.scale());
-    report.add_series("relative_time_under_lock", "relative_time_under_lock", &series);
+    report.add_series(
+        "relative_time_under_lock",
+        "relative_time_under_lock",
+        &series,
+    );
     report.write_if_requested(args.json.as_deref());
 }

@@ -88,7 +88,11 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    Args { cfg, json, timeline }
+    Args {
+        cfg,
+        json,
+        timeline,
+    }
 }
 
 fn main() {
@@ -102,7 +106,10 @@ fn main() {
     let doc = rtle_bench::slo::doc_to_json(cfg, &outcomes);
     print!("{}", render_slo(&doc).expect("fresh export always renders"));
     if args.timeline {
-        print!("{}", render_timeline(&doc).expect("fresh export always renders"));
+        print!(
+            "{}",
+            render_timeline(&doc).expect("fresh export always renders")
+        );
     }
     for o in &outcomes {
         if let Some(p) = &o.flight_path {

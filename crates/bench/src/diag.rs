@@ -151,7 +151,10 @@ pub fn print_heatmap_report(rows: &[DiagRow]) {
         );
         for (slot, n) in heat.hottest(8) {
             let share = n as f64 / total.max(1) as f64;
-            println!("    slot {slot:>5}  {n:>8} conflicts  ({share:>5.1}%)", share = share * 100.0);
+            println!(
+                "    slot {slot:>5}  {n:>8} conflicts  ({share:>5.1}%)",
+                share = share * 100.0
+            );
         }
     }
 }

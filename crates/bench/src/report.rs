@@ -216,7 +216,10 @@ mod tests {
         assert_eq!(a.scale(), Scale::Quick);
         assert_eq!(a.json.as_deref(), Some(Path::new("/tmp/x.json")));
         assert_eq!(a.rest, vec!["12".to_string()]);
-        assert_eq!(BenchArgs::parse_args(std::iter::empty()).scale(), Scale::Full);
+        assert_eq!(
+            BenchArgs::parse_args(std::iter::empty()).scale(),
+            Scale::Full
+        );
     }
 
     #[test]
@@ -243,7 +246,10 @@ mod tests {
         r.add_series("panel", "speedup", &sample_series());
         let text = r.to_json().to_string_pretty();
         let j = parse_json(&text).expect("report must be valid JSON");
-        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(SCHEMA_VERSION));
+        assert_eq!(
+            j.get("schema_version").and_then(Json::as_u64),
+            Some(SCHEMA_VERSION)
+        );
         assert_eq!(j.get("tool").and_then(Json::as_str), Some("fig05"));
         assert_eq!(j.get("scale").and_then(Json::as_str), Some("quick"));
         let panel = j

@@ -275,13 +275,11 @@ impl Target {
                 std::thread::sleep(hold);
                 acc
             }
-            Target::Sharded { map } => {
-                map.with_shard_locked(map.shard_of(probe_key), |m, ctx| {
-                    let acc = sweep(m, ctx, cfg);
-                    std::thread::sleep(hold);
-                    acc
-                })
-            }
+            Target::Sharded { map } => map.with_shard_locked(map.shard_of(probe_key), |m, ctx| {
+                let acc = sweep(m, ctx, cfg);
+                std::thread::sleep(hold);
+                acc
+            }),
         };
         std::hint::black_box(acc);
         rec.record_op_latency(
@@ -384,7 +382,10 @@ fn run_target(
     let rotator = {
         let rec = Arc::clone(&rec);
         let stop = Arc::clone(&stop);
-        let flight_to = cfg.flight_dir.as_ref().map(|d| d.join(format!("slo_flight_{name}.json")));
+        let flight_to = cfg
+            .flight_dir
+            .as_ref()
+            .map(|d| d.join(format!("slo_flight_{name}.json")));
         let tick = Duration::from_millis((cfg.window_ms / 4).max(5));
         std::thread::spawn(move || {
             let live_mirror = wd.live();
@@ -488,8 +489,12 @@ fn run_target(
         .windows()
         .expect("harness recorder always has windows")
         .series();
-    let merged_latency =
-        HistSnapshot::merged(windows.iter().map(|w| &w.counts.latency).collect::<Vec<_>>());
+    let merged_latency = HistSnapshot::merged(
+        windows
+            .iter()
+            .map(|w| &w.counts.latency)
+            .collect::<Vec<_>>(),
+    );
     let worst = windows
         .iter()
         .filter(|w| w.ops() > 0)
@@ -623,7 +628,10 @@ pub fn outcome_to_json(cfg: &SloConfig, o: &SloOutcome) -> Json {
         (
             "verdicts",
             Json::obj([
-                ("p99_target_ns", Json::UInt((cfg.p99_target_ms * 1e6) as u64)),
+                (
+                    "p99_target_ns",
+                    Json::UInt((cfg.p99_target_ms * 1e6) as u64),
+                ),
                 ("p99_met", Json::Bool(o.p99_met)),
                 (
                     "p999_target_ns",
@@ -634,7 +642,12 @@ pub fn outcome_to_json(cfg: &SloConfig, o: &SloOutcome) -> Json {
         ),
         (
             "watchdog",
-            Json::Arr(o.watchdog_events.iter().map(CollapseEvent::to_json).collect()),
+            Json::Arr(
+                o.watchdog_events
+                    .iter()
+                    .map(CollapseEvent::to_json)
+                    .collect(),
+            ),
         ),
         (
             "flight_record",
@@ -757,19 +770,31 @@ pub fn render_timeline(doc: &Json) -> Result<String, SloViewError> {
     use std::fmt::Write as _;
     let mut out = String::new();
     if doc.get("kind").and_then(Json::as_str) == Some("flight-record") {
-        let trigger = doc.get("trigger").ok_or(SloViewError::Shape("no trigger"))?;
+        let trigger = doc
+            .get("trigger")
+            .ok_or(SloViewError::Shape("no trigger"))?;
         let _ = writeln!(
             out,
             "flight record: {} at window {} (commit rate {:.0}/s vs trailing {:.0}/s, \
              fallback {:.1}%, {:.2} aborts/commit)",
             trigger.get("kind").and_then(Json::as_str).unwrap_or("?"),
-            trigger.get("window_index").and_then(Json::as_u64).unwrap_or(0),
-            trigger.get("commit_rate").and_then(Json::as_f64).unwrap_or(0.0),
+            trigger
+                .get("window_index")
+                .and_then(Json::as_u64)
+                .unwrap_or(0),
+            trigger
+                .get("commit_rate")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0),
             trigger
                 .get("trailing_commit_rate")
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0),
-            trigger.get("fallback_rate").and_then(Json::as_f64).unwrap_or(0.0) * 100.0,
+            trigger
+                .get("fallback_rate")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0)
+                * 100.0,
             trigger
                 .get("aborts_per_commit")
                 .and_then(Json::as_f64)
@@ -793,7 +818,9 @@ pub fn render_timeline(doc: &Json) -> Result<String, SloViewError> {
         .get("slo")
         .and_then(|s| s.get("configs"))
         .and_then(Json::as_arr)
-        .ok_or(SloViewError::Shape("not an slo_bench document (no slo.configs)"))?;
+        .ok_or(SloViewError::Shape(
+            "not an slo_bench document (no slo.configs)",
+        ))?;
     for c in configs {
         let _ = writeln!(
             out,
@@ -813,7 +840,9 @@ pub fn render_timeline(doc: &Json) -> Result<String, SloViewError> {
 /// (`diag --slo FILE`).
 pub fn render_slo(doc: &Json) -> Result<String, SloViewError> {
     use std::fmt::Write as _;
-    let slo = doc.get("slo").ok_or(SloViewError::Shape("no slo section"))?;
+    let slo = doc
+        .get("slo")
+        .ok_or(SloViewError::Shape("no slo section"))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -829,7 +858,9 @@ pub fn render_slo(doc: &Json) -> Result<String, SloViewError> {
         .ok_or(SloViewError::Shape("no configs"))?;
     for c in configs {
         let name = c.get("name").and_then(Json::as_str).unwrap_or("?");
-        let verdicts = c.get("verdicts").ok_or(SloViewError::Shape("no verdicts"))?;
+        let verdicts = c
+            .get("verdicts")
+            .ok_or(SloViewError::Shape("no verdicts"))?;
         let worst = c.get("worst_window");
         let (wp99, wp999, widx) = match worst {
             Some(w) if w.get("p99_ns").is_some() => (
@@ -844,7 +875,10 @@ pub fn render_slo(doc: &Json) -> Result<String, SloViewError> {
             Some(Json::Bool(false)) => "MISSED",
             _ => "?",
         };
-        let dog = c.get("watchdog").and_then(Json::as_arr).map_or(0, |a| a.len());
+        let dog = c
+            .get("watchdog")
+            .and_then(Json::as_arr)
+            .map_or(0, |a| a.len());
         let _ = writeln!(
             out,
             "  {name:<14} worst window {widx}: p99 {} [{}]  p999 {} [{}]  watchdog: {}",
@@ -909,8 +943,7 @@ mod tests {
             assert!(o.ops_submitted > 200, "{}: {}", o.name, o.ops_submitted);
             assert!(!o.windows.is_empty(), "{} produced no windows", o.name);
             assert_eq!(
-                o.merged_latency.count,
-                o.ops_submitted,
+                o.merged_latency.count, o.ops_submitted,
                 "{}: every op's latency must land in some window",
                 o.name
             );
@@ -1006,7 +1039,10 @@ mod tests {
         assert!(json.starts_with("HTTP/1.1 200 OK"), "{json}");
         let body = json.split("\r\n\r\n").nth(1).expect("json body");
         let doc = rtle_obs::parse_json(body).expect("live JSON parses");
-        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("live-registry"));
+        assert_eq!(
+            doc.get("kind").and_then(Json::as_str),
+            Some("live-registry")
+        );
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_u64),
             Some(SCHEMA_VERSION)

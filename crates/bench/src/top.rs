@@ -205,7 +205,10 @@ pub fn render_top(doc: &Json) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let taken_ms = doc.get("taken_at_ns").and_then(Json::as_u64).unwrap_or(0) / 1_000_000;
-    let _ = writeln!(out, "rtle live telemetry — t+{taken_ms}ms since process epoch");
+    let _ = writeln!(
+        out,
+        "rtle live telemetry — t+{taken_ms}ms since process epoch"
+    );
     let Some(sources) = doc.get("sources").and_then(Json::as_arr) else {
         let _ = writeln!(out, "  (no sources)");
         return out;
@@ -326,7 +329,12 @@ mod tests {
     #[test]
     fn fetch_and_render_against_a_real_endpoint() {
         let registry = Arc::new(MetricsRegistry::new());
-        registry.register("demo", Arc::new(FakeLock { fast: AtomicU64::new(75) }));
+        registry.register(
+            "demo",
+            Arc::new(FakeLock {
+                fast: AtomicU64::new(75),
+            }),
+        );
         registry.register("demo_watchdog", Arc::new(FakeDog));
         let server = LiveServer::start(Arc::clone(&registry), "127.0.0.1:0").unwrap();
         let addr = server.addr().to_string();

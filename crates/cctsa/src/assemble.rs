@@ -373,7 +373,9 @@ mod tests {
         let distinct_upper: usize = reads.iter().map(|r| r.len() - (k - 1)).sum();
 
         let map = KmerMap::with_capacity(2 * distinct_upper);
-        let lock = ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 1024 }).build();
+        let lock = ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 1024 })
+            .build();
         let exec = |cs: &dyn Fn(&dyn DynAccess)| {
             lock.execute(|ctx| cs(ctx));
         };

@@ -41,11 +41,7 @@ fn kmer_map_matches_hashmap() {
     let mut rng = SplitMix64::new(0x51e9_cc02);
     for _case in 0..48 {
         let reads: Vec<Vec<u8>> = (0..1 + rng.below(19))
-            .map(|_| {
-                (0..8 + rng.below(32))
-                    .map(|_| rng.below(4) as u8)
-                    .collect()
-            })
+            .map(|_| (0..8 + rng.below(32)).map(|_| rng.below(4) as u8).collect())
             .collect();
         let k = 7;
         let map = KmerMap::with_capacity(1 << 12);
@@ -88,10 +84,7 @@ fn edge_masks_are_symmetric() {
                     let v = info.kmer.roll(b, k);
                     let vi = map.get(&a, v).expect("successor k-mer must exist");
                     let first = info.kmer.first_base(k);
-                    assert!(
-                        vi.in_mask & (1 << first) != 0,
-                        "missing reciprocal in-edge"
-                    );
+                    assert!(vi.in_mask & (1 << first) != 0, "missing reciprocal in-edge");
                 }
             }
         }

@@ -166,7 +166,10 @@ impl Lowerer {
         }
         if pat.len() == 1 {
             // Shard alias: `let s = &self.shards[idx];`
-            if let Some(sym) = strip_refs(init).shards_index().and_then(Expr::simple_symbol) {
+            if let Some(sym) = strip_refs(init)
+                .shards_index()
+                .and_then(Expr::simple_symbol)
+            {
                 if is_pure_place(strip_refs(init)) {
                     self.env.insert(pat[0].clone(), sym);
                 }
@@ -377,7 +380,12 @@ impl Lowerer {
                 let rt = self.ret_target;
                 self.diverge(Some(rt), *line);
             }
-            Expr::Macro { name, text, args, line } => {
+            Expr::Macro {
+                name,
+                text,
+                args,
+                line,
+            } => {
                 if let Some(slice) = sorted_assert_slice(name, text) {
                     self.emit(EventKind::SortedFact { slice }, *line);
                 }
@@ -656,7 +664,9 @@ fn block_tail_pair(b: &Block) -> Option<(String, String)> {
     let [Stmt::Expr(Expr::Tuple(items, _))] = b.stmts.as_slice() else {
         return None;
     };
-    let [x, y] = items.as_slice() else { return None };
+    let [x, y] = items.as_slice() else {
+        return None;
+    };
     Some((x.simple_symbol()?, y.simple_symbol()?))
 }
 
@@ -753,7 +763,8 @@ mod tests {
             .expect("txwrite");
         assert!(matches!(&ks[wi + 1], EventKind::Fence { ordering } if ordering == "SeqCst"));
         assert!(
-            ks.iter().any(|k| matches!(k, EventKind::Atomic { op, orderings, .. }
+            ks.iter()
+                .any(|k| matches!(k, EventKind::Atomic { op, orderings, .. }
                 if op == "fetch_add" && orderings == &["Relaxed"])),
             "{ks:?}"
         );
@@ -769,7 +780,10 @@ mod tests {
             .filter(|(_, e)| matches!(&e.kind, EventKind::FieldUse { field, .. } if field == "map"))
             .collect();
         assert_eq!(field.len(), 1);
-        assert_eq!(field[0].1.guard_depth, 1, "map access inside execute is guarded");
+        assert_eq!(
+            field[0].1.guard_depth, 1,
+            "map access inside execute is guarded"
+        );
     }
 
     #[test]
@@ -796,7 +810,9 @@ mod tests {
                 .any(|k| matches!(k, EventKind::OrderFact { lt, gt } if lt == "lo" && gt == "hi")),
             "{ks:?}"
         );
-        assert!(ks.iter().any(|k| matches!(k, EventKind::ContractCall { arg }
+        assert!(ks
+            .iter()
+            .any(|k| matches!(k, EventKind::ContractCall { arg }
             if *arg == ContractArg::Pair("lo".into(), "hi".into()))));
     }
 
@@ -807,12 +823,15 @@ mod tests {
         );
         let ks = kinds(&cfg);
         assert!(
-            ks.iter().any(|k| matches!(k, EventKind::SortedFact { slice } if slice == "idxs")),
+            ks.iter()
+                .any(|k| matches!(k, EventKind::SortedFact { slice } if slice == "idxs")),
             "{ks:?}"
         );
         assert!(
-            ks.iter().any(|k| matches!(k, EventKind::Acquire { index: Some(i), loop_over: Some(s), .. }
-                if i == "i" && s == "idxs")),
+            ks.iter().any(
+                |k| matches!(k, EventKind::Acquire { index: Some(i), loop_over: Some(s), .. }
+                if i == "i" && s == "idxs")
+            ),
             "{ks:?}"
         );
     }
@@ -841,11 +860,15 @@ mod tests {
         );
         let ks = kinds(&cfg);
         assert_eq!(
-            ks.iter().filter(|k| matches!(k, EventKind::RawWrite)).count(),
+            ks.iter()
+                .filter(|k| matches!(k, EventKind::RawWrite))
+                .count(),
             1
         );
         assert_eq!(
-            ks.iter().filter(|k| matches!(k, EventKind::RawRead)).count(),
+            ks.iter()
+                .filter(|k| matches!(k, EventKind::RawRead))
+                .count(),
             1,
             "safe deref must not count: {ks:?}"
         );
@@ -857,10 +880,13 @@ mod tests {
             "fn commit(e: &Entry) { unsafe { (*e.cell).store(e.value, std::sync::atomic::Ordering::Release) }; }",
         );
         let ks = kinds(&cfg);
-        assert!(ks.iter().any(|k| matches!(k, EventKind::Atomic { op, recv, orderings }
+        assert!(ks
+            .iter()
+            .any(|k| matches!(k, EventKind::Atomic { op, recv, orderings }
             if op == "store" && recv == "cell" && orderings == &["Release"])));
         assert!(
-            !ks.iter().any(|k| matches!(k, EventKind::RawWrite | EventKind::RawRead)),
+            !ks.iter()
+                .any(|k| matches!(k, EventKind::RawWrite | EventKind::RawRead)),
             "{ks:?}"
         );
     }
@@ -884,9 +910,8 @@ mod tests {
 
     #[test]
     fn return_paths_reach_exit() {
-        let cfg = lower_first(
-            "fn f(x: bool) -> u32 { if x { return 1; } loop { if g() { break; } } 2 }",
-        );
+        let cfg =
+            lower_first("fn f(x: bool) -> u32 { if x { return 1; } loop { if g() { break; } } 2 }");
         let reach = cfg.reachability();
         assert!(reach[cfg.entry][cfg.exit]);
         // The `return 1` block reaches exit without passing the loop.
@@ -901,11 +926,17 @@ mod tests {
         );
         let load = cfg
             .events()
-            .find(|(_, e)| matches!(&e.kind, EventKind::Atomic { op, recv, orderings }
-                if op == "load" && recv == "ready" && orderings == &["Acquire"]))
+            .find(|(_, e)| {
+                matches!(&e.kind, EventKind::Atomic { op, recv, orderings }
+                if op == "load" && recv == "ready" && orderings == &["Acquire"])
+            })
             .expect("the atomic inside the macro is an event")
             .0;
-        let read = cfg.events().find(|(_, e)| matches!(e.kind, EventKind::RawRead)).unwrap().0;
+        let read = cfg
+            .events()
+            .find(|(_, e)| matches!(e.kind, EventKind::RawRead))
+            .unwrap()
+            .0;
         assert!(
             !cfg.ev_dominates(&cfg.dominators(), load, read),
             "a `debug_assert!` argument may never run"
@@ -927,7 +958,10 @@ mod tests {
         );
         let (cleanup, other) = (call(&cfg, "cleanup"), call(&cfg, "other"));
         let reach = cfg.reachability();
-        assert!(reach[cleanup.block][cfg.exit], "the `return` is an exit of the function");
+        assert!(
+            reach[cleanup.block][cfg.exit],
+            "the `return` is an exit of the function"
+        );
         assert!(
             !cfg.ev_reaches(&reach, cleanup, other),
             "nothing after the macro runs once its argument has returned"

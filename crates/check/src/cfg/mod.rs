@@ -119,7 +119,11 @@ impl fmt::Display for Event {
                 Some(r) => write!(f, "call {r}.{name}"),
                 None => write!(f, "call {name}"),
             },
-            EventKind::Atomic { op, recv, orderings } => {
+            EventKind::Atomic {
+                op,
+                recv,
+                orderings,
+            } => {
                 write!(f, "atomic {recv}.{op} {}", orderings.join("/"))
             }
             EventKind::Fence { ordering } => write!(f, "fence {ordering}"),
@@ -127,7 +131,11 @@ impl fmt::Display for Event {
             EventKind::RawWrite => write!(f, "raw-write"),
             EventKind::RawRead => write!(f, "raw-read"),
             EventKind::FieldUse { path, .. } => write!(f, "field {path}"),
-            EventKind::Acquire { index, loop_over, live } => {
+            EventKind::Acquire {
+                index,
+                loop_over,
+                live,
+            } => {
                 write!(f, "acquire")?;
                 if let Some(i) = index {
                     write!(f, " idx={i}")?;
@@ -190,7 +198,9 @@ impl FnCfg {
     /// Is this function a seeded analyzer mutant
     /// (`#[cfg(feature = "mutant-...")]`)?
     pub fn mutant_feature(&self) -> Option<&str> {
-        self.cfg_marker.as_deref().filter(|m| m.starts_with("mutant"))
+        self.cfg_marker
+            .as_deref()
+            .filter(|m| m.starts_with("mutant"))
     }
 
     /// Iterates all events with their positions, in block order.

@@ -20,9 +20,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use rtle_check::find_workspace_root;
 use rtle_check::model::{explore_mutants, explore_safe, Report};
 use rtle_check::passes::{analyze_workspace, FLOW_PASSES, PASSES};
-use rtle_check::find_workspace_root;
 
 /// Runs `passes` over the workspace, printing under the `mode` label.
 fn run_passes(mode: &str, root: &Path, passes: &[&'static str], json: Option<&Path>) -> bool {
@@ -74,7 +74,10 @@ fn print_model_row(r: &Report, mutant: bool) -> bool {
     if mutant {
         let caught = r.violations.iter().any(|v| v.kind == "non-serializable");
         let verdict = if caught {
-            format!("MUTANT CAUGHT ({} violations, as required)", r.violation_count)
+            format!(
+                "MUTANT CAUGHT ({} violations, as required)",
+                r.violation_count
+            )
         } else {
             "MUTANT MISSED — oracle regression!".to_string()
         };
@@ -94,7 +97,10 @@ fn print_model_row(r: &Report, mutant: bool) -> bool {
         r.path_labels, r.fast_commit_terminals, r.slow_commit_terminals, r.lock_commit_terminals,
     );
     for v in &r.violations {
-        println!("model:   [{}] {} (schedule {:?})", v.kind, v.detail, v.schedule);
+        println!(
+            "model:   [{}] {} (schedule {:?})",
+            v.kind, v.detail, v.schedule
+        );
     }
     r.clean()
 }

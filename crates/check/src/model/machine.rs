@@ -155,8 +155,7 @@ impl AttemptLog {
         match v {
             Val::Const(c) => c,
             Val::LastReadPlus(loc, k) => {
-                self.last_read[loc as usize]
-                    .expect("config validated: LastReadPlus follows a read")
+                self.last_read[loc as usize].expect("config validated: LastReadPlus follows a read")
                     + k
             }
         }

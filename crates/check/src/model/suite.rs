@@ -69,7 +69,12 @@ pub fn standard_suite() -> Vec<Config> {
         // RW-TLE: the reader may speculate while the writer holds the lock,
         // but write_flag must fence it away from torn observations — and
         // once both its slow attempts have died it queues on the lock.
-        invariant_pair("rwtle-reader-vs-writer", Policy::RwTle, Subscription::Eager, 2),
+        invariant_pair(
+            "rwtle-reader-vs-writer",
+            Policy::RwTle,
+            Subscription::Eager,
+            2,
+        ),
         // RW-TLE with a read-only holder: the slow reader can commit
         // *while the lock is held* (the paper's §3 win).
         Config {

@@ -9,7 +9,7 @@
 //! `fence(SeqCst)` before any store-class event or the function exit.
 
 use super::PassFinding;
-use crate::cfg::{EventKind, EvRef, FnCfg};
+use crate::cfg::{EvRef, EventKind, FnCfg};
 
 /// Is this event a store the fence must precede?
 fn is_store_class(k: &EventKind) -> bool {
@@ -126,9 +126,7 @@ mod tests {
 
     #[test]
     fn other_receivers_are_not_stamps() {
-        let cfg = lower_first(
-            "fn resize(&self) { self.active.write(self.next_len()); }",
-        );
+        let cfg = lower_first("fn resize(&self) { self.active.write(self.next_len()); }");
         assert!(run(&cfg).is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //! acquisition — it must hold on *every* path, not just some path.
 
 use super::PassFinding;
-use crate::cfg::{ContractArg, EventKind, EvRef, FnCfg};
+use crate::cfg::{ContractArg, EvRef, EventKind, FnCfg};
 
 /// Runs the pass over one lowered function.
 pub fn run(cfg: &FnCfg) -> Vec<PassFinding> {
@@ -161,9 +161,7 @@ mod tests {
 
     #[test]
     fn literal_pair_is_self_evident() {
-        let cfg = lower_first(
-            "fn t(&self) { self.with_shards_locked(&[0, 3], |g| g.len()); }",
-        );
+        let cfg = lower_first("fn t(&self) { self.with_shards_locked(&[0, 3], |g| g.len()); }");
         assert!(run(&cfg).is_empty());
     }
 

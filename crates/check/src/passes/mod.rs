@@ -102,11 +102,7 @@ impl fmt::Display for Finding {
             self.msg
         )?;
         if self.suppressed {
-            write!(
-                f,
-                " (suppressed: {})",
-                self.reason.as_deref().unwrap_or("")
-            )?;
+            write!(f, " (suppressed: {})", self.reason.as_deref().unwrap_or(""))?;
         }
         Ok(())
     }
@@ -162,7 +158,9 @@ impl AnalysisReport {
     /// (unsuppressed, suppressed) findings of one pass; the ordering
     /// table's no-row verdict counts with its pass.
     fn pass_counts(&self, name: &str) -> (u64, u64) {
-        let of = |f: &&Finding| f.pass == name || (name == "ordering-table" && f.pass == "ordering-unaudited");
+        let of = |f: &&Finding| {
+            f.pass == name || (name == "ordering-table" && f.pass == "ordering-unaudited")
+        };
         let mut live = 0;
         let mut supp = 0;
         for f in self.findings.iter().filter(of) {
@@ -200,10 +198,7 @@ impl AnalysisReport {
                     ("pass", Json::Str(f.pass.into())),
                     ("msg", Json::Str(f.msg.clone())),
                     ("suppressed", Json::Bool(f.suppressed)),
-                    (
-                        "reason",
-                        f.reason.clone().map_or(Json::Null, Json::Str),
-                    ),
+                    ("reason", f.reason.clone().map_or(Json::Null, Json::Str)),
                 ])
             })
             .collect();
@@ -268,10 +263,16 @@ fn passes_for(path_str: &str) -> Vec<&'static str> {
     if FENCE_FILES.iter().any(|f| path_str.ends_with(f)) {
         v.push("fence");
     }
-    if ordering::ORDERING_SCOPE.iter().any(|s| path_str.contains(s)) {
+    if ordering::ORDERING_SCOPE
+        .iter()
+        .any(|s| path_str.contains(s))
+    {
         v.push("ordering-table");
     }
-    if hygiene::HOT_PATH_FILES.iter().any(|f| path_str.ends_with(f)) {
+    if hygiene::HOT_PATH_FILES
+        .iter()
+        .any(|f| path_str.ends_with(f))
+    {
         v.push("hot-path-hygiene");
     }
     v
@@ -474,7 +475,10 @@ pub(crate) mod tests {
         let (f, _) = analyze_one("crates/shard/src/sharded.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].suppressed);
-        assert_eq!(f[0].reason.as_deref(), Some("advisory read, documented racy"));
+        assert_eq!(
+            f[0].reason.as_deref(),
+            Some("advisory read, documented racy")
+        );
     }
 
     #[test]
@@ -499,7 +503,8 @@ pub(crate) mod tests {
 
     #[test]
     fn test_functions_are_skipped() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(&self) { self.shards[0].map.len_plain(); }\n}\n";
+        let src =
+            "#[cfg(test)]\nmod tests {\n    fn t(&self) { self.shards[0].map.len_plain(); }\n}\n";
         let (f, _) = analyze_one("crates/shard/src/sharded.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
@@ -535,7 +540,10 @@ pub(crate) mod tests {
         };
         assert!(report.ok());
         let j = report.to_json();
-        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(SCHEMA_VERSION));
+        assert_eq!(
+            j.get("schema_version").and_then(Json::as_u64),
+            Some(SCHEMA_VERSION)
+        );
         assert_eq!(j.get("kind").and_then(Json::as_str), Some("check-findings"));
         let text = j.to_string_pretty();
         let back = rtle_obs::parse_json(&text).expect("round-trip");
@@ -584,12 +592,16 @@ pub(crate) mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].pass, "ordering-table");
 
-        let f = lint_str("/ws/crates/core/src/other.rs", "fn f() { MYSTERY.store(1, Relaxed); }");
+        let f = lint_str(
+            "/ws/crates/core/src/other.rs",
+            "fn f() { MYSTERY.store(1, Relaxed); }",
+        );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].pass, "ordering-unaudited");
 
         // And the watchdog's live-mirror rows now match real sites.
-        let mirror = "fn f(&self) { self.fired.fetch_add(1, Relaxed); self.state.store(2, Release); }";
+        let mirror =
+            "fn f(&self) { self.fired.fetch_add(1, Relaxed); self.state.store(2, Release); }";
         let f = lint_str("/ws/crates/obs/src/watchdog.rs", mirror);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].msg.contains("store on `state`"), "{}", f[0].msg);
@@ -608,7 +620,8 @@ pub(crate) mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].pass, "unsafe-safety-comment");
 
-        let ok = "fn f() {\n    // SAFETY: foo is sound here because reasons.\n    unsafe { foo(); }\n}";
+        let ok =
+            "fn f() {\n    // SAFETY: foo is sound here because reasons.\n    unsafe { foo(); }\n}";
         assert!(lint_str("/ws/crates/htm/src/x.rs", ok).is_empty());
 
         // `unsafe fn` declarations are not blocks.
@@ -617,10 +630,7 @@ pub(crate) mod tests {
 
     #[test]
     fn hot_path_unwrap_flagged() {
-        let f = lint_str(
-            "/ws/crates/core/src/elidable.rs",
-            "fn f() { x.unwrap(); }",
-        );
+        let f = lint_str("/ws/crates/core/src/elidable.rs", "fn f() { x.unwrap(); }");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].pass, "hot-path-hygiene");
         // expect() is allowed.
@@ -634,11 +644,17 @@ pub(crate) mod tests {
     #[test]
     fn every_fetch_method_is_audited() {
         // The retired scanner's op list lacked `fetch_or/and/xor/min/update`.
-        let f = lint_str("/ws/crates/core/src/other.rs", "fn f() { FLAGS.fetch_or(1, Ordering::Relaxed); }");
+        let f = lint_str(
+            "/ws/crates/core/src/other.rs",
+            "fn f() { FLAGS.fetch_or(1, Ordering::Relaxed); }",
+        );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].pass, "ordering-unaudited");
         // On a covered file it lands on the read-modify-write row.
-        let f = lint_str("/ws/crates/htm/src/lanes.rs", "fn f(&self) { self.w.fetch_or(1, Ordering::AcqRel); }");
+        let f = lint_str(
+            "/ws/crates/htm/src/lanes.rs",
+            "fn f(&self) { self.w.fetch_or(1, Ordering::AcqRel); }",
+        );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].pass, "ordering-table");
         assert!(f[0].msg.starts_with("fetch_or on `w`"), "{}", f[0].msg);
@@ -646,7 +662,8 @@ pub(crate) mod tests {
 
     #[test]
     fn atomics_and_unsafe_inside_macro_arguments_are_seen() {
-        let src = "fn f(&self) -> Vec<u64> { vec![self.a.load(Ordering::SeqCst), unsafe { *self.p }] }";
+        let src =
+            "fn f(&self) -> Vec<u64> { vec![self.a.load(Ordering::SeqCst), unsafe { *self.p }] }";
         let f = lint_str("/ws/crates/obs/src/watchdog.rs", src);
         let mut passes: Vec<_> = f.iter().map(|f| f.pass).collect();
         passes.sort_unstable();
@@ -658,7 +675,13 @@ pub(crate) mod tests {
         let src = "impl M {\n    fn len_plain(&self) -> usize {\n        unsafe { hint() };\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
         let run = |passes: &[&'static str]| {
             let mut findings = Vec::new();
-            analyze_file(Path::new("crates/shard/src/sharded.rs"), src, passes, &mut findings, &mut Vec::new());
+            analyze_file(
+                Path::new("crates/shard/src/sharded.rs"),
+                src,
+                passes,
+                &mut findings,
+                &mut Vec::new(),
+            );
             findings.iter().map(|f| f.pass).collect::<Vec<_>>()
         };
         assert_eq!(run(&PASSES[..FLOW_PASSES]), ["lockset"]);

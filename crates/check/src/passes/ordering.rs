@@ -393,8 +393,14 @@ pub struct OrderingUse {
 pub fn ordering_uses(cfg: &FnCfg) -> Vec<OrderingUse> {
     let site = |e: &crate::cfg::Event| {
         let (method, receiver, orderings) = match &e.kind {
-            EventKind::Atomic { op, recv, orderings } => (op.as_str(), recv.as_str(), orderings.clone()),
-            EventKind::Fence { ordering } if !ordering.is_empty() => ("fence", "", vec![ordering.clone()]),
+            EventKind::Atomic {
+                op,
+                recv,
+                orderings,
+            } => (op.as_str(), recv.as_str(), orderings.clone()),
+            EventKind::Fence { ordering } if !ordering.is_empty() => {
+                ("fence", "", vec![ordering.clone()])
+            }
             _ => return None,
         };
         Some(OrderingUse {
@@ -421,7 +427,11 @@ pub fn rule_for(path: &str, receiver: &str, op: AtomicOp) -> Option<&'static Ord
 pub fn run(path: &str, cfg: &FnCfg, comments: &Comments) -> Vec<(&'static str, PassFinding)> {
     let mut out = Vec::new();
     for u in ordering_uses(cfg) {
-        let receiver = if u.receiver.is_empty() { "<fence>" } else { &u.receiver };
+        let receiver = if u.receiver.is_empty() {
+            "<fence>"
+        } else {
+            &u.receiver
+        };
         let orderings = u.orderings.join("/");
         match rule_for(path, &u.receiver, u.op) {
             Some(rule) if u.orderings.iter().all(|o| rule.allowed.contains(&o.as_str())) => {}
@@ -461,7 +471,9 @@ mod tests {
     fn uses_of(code: &str) -> Vec<OrderingUse> {
         let src = parse_file(&format!("fn fixture() {{\n{code}\n}}"));
         let mut uses = Vec::new();
-        for_each_fn(&src.items, &mut |f, marker| uses.extend(ordering_uses(&lower_fn(f, marker))));
+        for_each_fn(&src.items, &mut |f, marker| {
+            uses.extend(ordering_uses(&lower_fn(f, marker)))
+        });
         uses
     }
 
@@ -484,7 +496,8 @@ mod tests {
 
     #[test]
     fn deref_and_index_receivers() {
-        let u = uses_of("unsafe { (*e.cell).store(e.value, std::sync::atomic::Ordering::Release) };");
+        let u =
+            uses_of("unsafe { (*e.cell).store(e.value, std::sync::atomic::Ordering::Release) };");
         assert_eq!(u[0].receiver, "cell");
         let u = uses_of("stripes()[idx as usize].load(Ordering::Acquire)");
         assert_eq!(u[0].receiver, "stripes");
@@ -522,7 +535,10 @@ mod tests {
         let u = uses_of("s.compare_exchange(cur, next, AcqRel, Ordering::Acquire)");
         assert_eq!(u[0].orderings, vec!["AcqRel", "Acquire"]);
         let u = uses_of("fence(SeqCst);");
-        assert_eq!((u[0].op, &u[0].orderings), (AtomicOp::Fence, &vec!["SeqCst".to_string()]));
+        assert_eq!(
+            (u[0].op, &u[0].orderings),
+            (AtomicOp::Fence, &vec!["SeqCst".to_string()])
+        );
         // A same-named segment of another path, a field, or a longer
         // identifier is not an ordering.
         assert!(uses_of("buf.store(x, Mode::Relaxed);").is_empty());

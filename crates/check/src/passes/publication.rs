@@ -42,7 +42,12 @@ pub fn run(cfg: &FnCfg) -> Vec<PassFinding> {
 
     // Rule A: raw writes reachable after a publication store.
     for (pr, pub_ev) in cfg.events() {
-        let EventKind::Atomic { op, recv, orderings } = &pub_ev.kind else {
+        let EventKind::Atomic {
+            op,
+            recv,
+            orderings,
+        } = &pub_ev.kind
+        else {
             continue;
         };
         if !is_store_op(op) || !releases(orderings) {
@@ -111,7 +116,11 @@ mod tests {
         );
         let f = run(&cfg);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("must precede publication"), "{}", f[0].msg);
+        assert!(
+            f[0].msg.contains("must precede publication"),
+            "{}",
+            f[0].msg
+        );
     }
 
     #[test]
@@ -149,6 +158,10 @@ mod tests {
         );
         let f = run(&cfg);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("must precede publication"), "{}", f[0].msg);
+        assert!(
+            f[0].msg.contains("must precede publication"),
+            "{}",
+            f[0].msg
+        );
     }
 }

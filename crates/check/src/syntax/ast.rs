@@ -433,13 +433,17 @@ fn dump_item(it: &Item, depth: usize, out: &mut String) {
             let _ = writeln!(
                 out,
                 "mod {name}{}",
-                cfg.as_deref().map(|c| format!(" (cfg {c})")).unwrap_or_default()
+                cfg.as_deref()
+                    .map(|c| format!(" (cfg {c})"))
+                    .unwrap_or_default()
             );
             for it in items {
                 dump_item(it, depth + 1, out);
             }
         }
-        Item::Impl { type_name, items, .. } => {
+        Item::Impl {
+            type_name, items, ..
+        } => {
             let _ = writeln!(out, "impl {type_name}");
             for it in items {
                 dump_item(it, depth + 1, out);
@@ -456,7 +460,9 @@ fn dump_block(b: &Block, depth: usize, out: &mut String) {
     let _ = writeln!(out, "block{}", if b.is_unsafe { " (unsafe)" } else { "" });
     for s in &b.stmts {
         match s {
-            Stmt::Let { pat, init, line, .. } => {
+            Stmt::Let {
+                pat, init, line, ..
+            } => {
                 pad(depth + 1, out);
                 let _ = writeln!(out, "let [{}] (line {line})", pat.join(", "));
                 if let Some(e) = init {
@@ -484,7 +490,9 @@ fn dump_expr(e: &Expr, depth: usize, out: &mut String) {
                 dump_expr(a, depth + 1, out);
             }
         }
-        Expr::MethodCall { recv, method, args, .. } => {
+        Expr::MethodCall {
+            recv, method, args, ..
+        } => {
             let _ = writeln!(out, "method .{method}");
             dump_expr(recv, depth + 1, out);
             for a in args {
@@ -522,7 +530,13 @@ fn dump_expr(e: &Expr, depth: usize, out: &mut String) {
             dump_expr(lhs, depth + 1, out);
             dump_expr(rhs, depth + 1, out);
         }
-        Expr::If { cond, if_let, then, else_, .. } => {
+        Expr::If {
+            cond,
+            if_let,
+            then,
+            else_,
+            ..
+        } => {
             let _ = writeln!(out, "if{}", if *if_let { "-let" } else { "" });
             dump_expr(cond, depth + 1, out);
             dump_block(then, depth + 1, out);
@@ -537,7 +551,16 @@ fn dump_expr(e: &Expr, depth: usize, out: &mut String) {
             dump_expr(scrut, depth + 1, out);
             for arm in arms {
                 pad(depth + 1, out);
-                let _ = writeln!(out, "arm `{}`{}", arm.pat, if arm.guard.is_some() { " (guarded)" } else { "" });
+                let _ = writeln!(
+                    out,
+                    "arm `{}`{}",
+                    arm.pat,
+                    if arm.guard.is_some() {
+                        " (guarded)"
+                    } else {
+                        ""
+                    }
+                );
                 if let Some(g) = &arm.guard {
                     dump_expr(g, depth + 2, out);
                 }
@@ -553,7 +576,9 @@ fn dump_expr(e: &Expr, depth: usize, out: &mut String) {
             dump_expr(cond, depth + 1, out);
             dump_block(body, depth + 1, out);
         }
-        Expr::For { pat, iter, body, .. } => {
+        Expr::For {
+            pat, iter, body, ..
+        } => {
             let _ = writeln!(out, "for [{}]", pat.join(", "));
             dump_expr(iter, depth + 1, out);
             dump_block(body, depth + 1, out);

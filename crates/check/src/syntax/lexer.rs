@@ -170,7 +170,12 @@ pub fn lex(text: &str) -> (Vec<Tok>, Comments) {
                         line += 1;
                         i += 1;
                     } else if b[i] == '"'
-                        && b[i + 1..].iter().take(hashes).filter(|&&c| c == '#').count() == hashes
+                        && b[i + 1..]
+                            .iter()
+                            .take(hashes)
+                            .filter(|&&c| c == '#')
+                            .count()
+                            == hashes
                     {
                         i += 1 + hashes;
                         break;
@@ -188,7 +193,10 @@ pub fn lex(text: &str) -> (Vec<Tok>, Comments) {
                 // Char literal vs. lifetime/label.
                 let close = if b.get(i + 1) == Some(&'\\') {
                     // The escaped character may itself be a quote (`'\''`).
-                    b.iter().skip(i + 3).position(|&c| c == '\'').map(|p| i + 3 + p)
+                    b.iter()
+                        .skip(i + 3)
+                        .position(|&c| c == '\'')
+                        .map(|p| i + 3 + p)
                 } else if b.get(i + 2) == Some(&'\'') && b.get(i + 1) != Some(&'\'') {
                     Some(i + 2)
                 } else {
@@ -223,7 +231,11 @@ pub fn lex(text: &str) -> (Vec<Tok>, Comments) {
                 let mut j = i;
                 let mut text = String::new();
                 while j < b.len()
-                    && (b[j].is_alphanumeric() || b[j] == '_' || (b[j] == '.' && b.get(j + 1).is_some_and(|d| d.is_ascii_digit()) && !text.contains('.')))
+                    && (b[j].is_alphanumeric()
+                        || b[j] == '_'
+                        || (b[j] == '.'
+                            && b.get(j + 1).is_some_and(|d| d.is_ascii_digit())
+                            && !text.contains('.')))
                 {
                     // Stop before `..` range operators.
                     if b[j] == '.' && b.get(j + 1) == Some(&'.') {
@@ -345,7 +357,10 @@ mod tests {
 
     #[test]
     fn multi_char_ops() {
-        assert_eq!(texts("a && b || c == d => e -> f :: g"), ["a", "&&", "b", "||", "c", "==", "d", "=>", "e", "->", "f", "::", "g"]);
+        assert_eq!(
+            texts("a && b || c == d => e -> f :: g"),
+            ["a", "&&", "b", "||", "c", "==", "d", "=>", "e", "->", "f", "::", "g"]
+        );
         assert_eq!(texts("0..=n"), ["0", "..=", "n"]);
         // Shifts stay split so generic skipping can treat `>` uniformly.
         assert_eq!(texts("a << b"), ["a", "<", "<", "b"]);
@@ -361,7 +376,10 @@ mod tests {
 
     #[test]
     fn numbers_with_suffixes_and_ranges() {
-        assert_eq!(texts("0xf422u64 1_000 2.5f64"), ["0xf422u64", "1_000", "2.5f64"]);
+        assert_eq!(
+            texts("0xf422u64 1_000 2.5f64"),
+            ["0xf422u64", "1_000", "2.5f64"]
+        );
         assert_eq!(texts("0..3"), ["0", "..", "3"]);
     }
 
@@ -369,16 +387,33 @@ mod tests {
     fn escaped_quote_is_one_char_literal() {
         // `'\''` used to end at its second quote and leave a stray one
         // that swallowed code up to the next quote in the file.
-        assert_eq!(texts("m('\\'', '\\\\'); fn b() {}"), ["m", "(", "' '", ",", "' '", ")", ";", "fn", "b", "(", ")", "{", "}"]);
+        assert_eq!(
+            texts("m('\\'', '\\\\'); fn b() {}"),
+            ["m", "(", "' '", ",", "' '", ")", ";", "fn", "b", "(", ")", "{", "}"]
+        );
     }
 
     #[test]
     fn comments_are_kept_by_line() {
         let (toks, c) = lex("a(); // ordering: one-off\n/* SAFETY: first line\n   second */ unsafe { b() }\nlet s = \"// lockcheck: no\";");
         assert_eq!(c.annotation(1, "ordering:"), Some("one-off"));
-        assert_eq!(c.annotation(3, "SAFETY:"), Some("first line"), "block comments are tagged line by line");
-        assert_eq!(c.annotation(4, "lockcheck:"), None, "a literal is not a comment");
-        assert_eq!(toks.iter().filter(|t| t.is("unsafe")).map(|t| t.line).collect::<Vec<_>>(), [3]);
+        assert_eq!(
+            c.annotation(3, "SAFETY:"),
+            Some("first line"),
+            "block comments are tagged line by line"
+        );
+        assert_eq!(
+            c.annotation(4, "lockcheck:"),
+            None,
+            "a literal is not a comment"
+        );
+        assert_eq!(
+            toks.iter()
+                .filter(|t| t.is("unsafe"))
+                .map(|t| t.line)
+                .collect::<Vec<_>>(),
+            [3]
+        );
     }
 
     #[test]
@@ -391,6 +426,10 @@ mod tests {
         assert_eq!(lex(far).1.annotation(5, "SAFETY:"), None);
         let block = "x();\n// SAFETY: long\n// two\n// three\n// four\n#[inline]\nunsafe { d() }";
         assert_eq!(lex(block).1.annotation(7, "SAFETY:"), Some("long"));
-        assert_eq!(lex("// lockcheck:\nf();").1.annotation(2, "lockcheck:"), Some(""), "an empty reason is found, and empty");
+        assert_eq!(
+            lex("// lockcheck:\nf();").1.annotation(2, "lockcheck:"),
+            Some(""),
+            "an empty reason is found, and empty"
+        );
     }
 }

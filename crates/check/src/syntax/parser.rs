@@ -67,7 +67,16 @@ struct Parser {
 
 /// Item-starting keywords valid both at top level and inside blocks.
 const ITEM_KEYWORDS: &[&str] = &[
-    "fn", "mod", "impl", "struct", "enum", "union", "use", "trait", "macro_rules", "extern",
+    "fn",
+    "mod",
+    "impl",
+    "struct",
+    "enum",
+    "union",
+    "use",
+    "trait",
+    "macro_rules",
+    "extern",
 ];
 
 impl Parser {
@@ -90,7 +99,8 @@ impl Parser {
     }
 
     fn line(&self) -> usize {
-        self.peek().map_or_else(|| self.toks.last().map_or(0, |t| t.line), |t| t.line)
+        self.peek()
+            .map_or_else(|| self.toks.last().map_or(0, |t| t.line), |t| t.line)
     }
 
     fn bump(&mut self) -> Option<Tok> {
@@ -131,7 +141,9 @@ impl Parser {
 
     /// The opener at the cursor and its closer, if a group starts here.
     fn group_delims(&self) -> Option<(&'static str, &'static str)> {
-        [("(", ")"), ("[", "]"), ("{", "}")].into_iter().find(|(open, _)| self.at(open))
+        [("(", ")"), ("[", "]"), ("{", "}")]
+            .into_iter()
+            .find(|(open, _)| self.at(open))
     }
 
     /// Skips tokens until (and including) a balanced closer for `open`.
@@ -488,7 +500,9 @@ impl Parser {
             // `extern` in expression position does not occur here.
             return true;
         }
-        if self.at("unsafe") && (self.at_off(1, "fn") || self.at_off(1, "impl") || self.at_off(1, "trait")) {
+        if self.at("unsafe")
+            && (self.at_off(1, "fn") || self.at_off(1, "impl") || self.at_off(1, "trait"))
+        {
             return true;
         }
         if (self.at("const") || self.at("static")) && !self.at_off(1, "{") {
@@ -512,7 +526,8 @@ impl Parser {
                 depth += 1;
             } else if t.is(")") || t.is("]") {
                 depth = depth.saturating_sub(1);
-            } else if depth == 0 && (t.is("=") || t.is(":") || t.is(";") || t.is("{") || t.is("}")) {
+            } else if depth == 0 && (t.is("=") || t.is(":") || t.is(";") || t.is("{") || t.is("}"))
+            {
                 break;
             }
             self.pos += 1;
@@ -626,12 +641,9 @@ impl Parser {
     fn starts_expr(&self) -> bool {
         match self.peek() {
             None => false,
-            Some(t) => !(t.is(";")
-                || t.is(",")
-                || t.is(")")
-                || t.is("]")
-                || t.is("}")
-                || t.is("=>")),
+            Some(t) => {
+                !(t.is(";") || t.is(",") || t.is(")") || t.is("]") || t.is("}") || t.is("=>"))
+            }
         }
     }
 
@@ -1024,7 +1036,10 @@ impl Parser {
                 }
                 self.pos += 1;
             }
-            let pat: Vec<String> = self.toks[start..self.pos].iter().map(|t| t.text.clone()).collect();
+            let pat: Vec<String> = self.toks[start..self.pos]
+                .iter()
+                .map(|t| t.text.clone())
+                .collect();
             let guard = if self.eat("if") {
                 Some(self.parse_expr(true))
             } else {
@@ -1127,7 +1142,11 @@ impl Parser {
                 self.pos += 1;
                 let start = self.pos;
                 args = self.within_group(open, close, |p| p.parse_expr_list(""));
-                text.extend(self.toks[start..self.pos.saturating_sub(1)].iter().map(|t| t.text.clone()));
+                text.extend(
+                    self.toks[start..self.pos.saturating_sub(1)]
+                        .iter()
+                        .map(|t| t.text.clone()),
+                );
             }
             return Expr::Macro {
                 name,
@@ -1145,7 +1164,10 @@ impl Parser {
                     self.pos += 1;
                     let e = self.parse_expr(true);
                     fields.push(("..".to_string(), e));
-                } else if self.peek().is_some_and(|t| t.kind == TokKind::Ident || t.kind == TokKind::Lit) {
+                } else if self
+                    .peek()
+                    .is_some_and(|t| t.kind == TokKind::Ident || t.kind == TokKind::Lit)
+                {
                     let name = self.bump().map(|t| t.text).unwrap_or_default();
                     if self.eat(":") {
                         let e = self.parse_expr(true);
@@ -1218,7 +1240,10 @@ fn is_binding_ident(s: &str) -> bool {
     if s == "_" || s == "mut" || s == "ref" || s == "box" || s == "self" {
         return s == "self";
     }
-    s.chars().next().is_some_and(|c| c.is_lowercase() || c == '_') && s != "_"
+    s.chars()
+        .next()
+        .is_some_and(|c| c.is_lowercase() || c == '_')
+        && s != "_"
 }
 
 /// Extracts the `cfg` marker from one attribute's inner token run.
@@ -1280,11 +1305,17 @@ mod tests {
     fn method_chain_shape() {
         let f = first_fn("fn f(&self) { self.shards[i].lock.execute(|ctx| ctx.read()); }");
         let body = f.body.unwrap();
-        let Stmt::Expr(Expr::MethodCall { method, recv, args, .. }) = &body.stmts[0] else {
+        let Stmt::Expr(Expr::MethodCall {
+            method, recv, args, ..
+        }) = &body.stmts[0]
+        else {
             panic!("expected method call, got {:?}", body.stmts[0]);
         };
         assert_eq!(method, "execute");
-        assert_eq!(recv.access_path().unwrap(), ["self", "shards", "[..]", "lock"]);
+        assert_eq!(
+            recv.access_path().unwrap(),
+            ["self", "shards", "[..]", "lock"]
+        );
         assert!(matches!(args[0], Expr::Closure { .. }));
     }
 
@@ -1294,13 +1325,20 @@ mod tests {
             "fn t(&self, s1: usize, s2: usize) {\n                let (lo, hi) = if s1 < s2 { (s1, s2) } else { (s2, s1) };\n                self.with_shards_locked(&[lo, hi], |g| g.len());\n            }",
         );
         let body = f.body.unwrap();
-        let Stmt::Let { pat, tuple, init, .. } = &body.stmts[0] else {
+        let Stmt::Let {
+            pat, tuple, init, ..
+        } = &body.stmts[0]
+        else {
             panic!("expected let");
         };
         assert_eq!(pat, &["lo", "hi"]);
         assert!(tuple);
-        let Some(Expr::If { cond, .. }) = init else { panic!("if init") };
-        let Expr::Binary { op, lhs, rhs, .. } = &**cond else { panic!("cmp cond") };
+        let Some(Expr::If { cond, .. }) = init else {
+            panic!("if init")
+        };
+        let Expr::Binary { op, lhs, rhs, .. } = &**cond else {
+            panic!("cmp cond")
+        };
         assert_eq!(op, "<");
         assert_eq!(lhs.simple_symbol().unwrap(), "s1");
         assert_eq!(rhs.simple_symbol().unwrap(), "s2");
@@ -1318,7 +1356,9 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests { fn helper() {} }\nfn real() {}";
         let items = parse_file(src).items;
         let mut seen = Vec::new();
-        for_each_fn(&items, &mut |f, cfg| seen.push((f.name.clone(), cfg.map(str::to_string))));
+        for_each_fn(&items, &mut |f, cfg| {
+            seen.push((f.name.clone(), cfg.map(str::to_string)))
+        });
         assert_eq!(
             seen,
             [
@@ -1392,7 +1432,9 @@ mod tests {
             .expect("workspace root");
         for dir in ["crates/core/src", "crates/htm/src", "crates/shard/src"] {
             let d = root.join(dir);
-            let Ok(rd) = std::fs::read_dir(&d) else { continue };
+            let Ok(rd) = std::fs::read_dir(&d) else {
+                continue;
+            };
             for entry in rd.flatten() {
                 let p = entry.path();
                 if p.extension().and_then(|e| e.to_str()) != Some("rs") {
@@ -1413,7 +1455,9 @@ mod tests {
     fn fn_names(src: &str) -> Vec<(String, Option<String>)> {
         let parsed = parse_file(src);
         let mut seen = Vec::new();
-        for_each_fn(&parsed.items, &mut |f, cfg| seen.push((f.name.clone(), cfg.map(str::to_string))));
+        for_each_fn(&parsed.items, &mut |f, cfg| {
+            seen.push((f.name.clone(), cfg.map(str::to_string)))
+        });
         seen
     }
 
@@ -1425,10 +1469,15 @@ mod tests {
     fn shift_after_an_operand_is_an_operator() {
         // `x << 1` used to open a generic-argument list that ran to the
         // next `>` in the file, swallowing every function on the way.
-        assert_eq!(names_only("fn a(x: u64) -> u64 { x << 1 } fn b() {} fn d() {}"), ["a", "b", "d"]);
+        assert_eq!(
+            names_only("fn a(x: u64) -> u64 { x << 1 } fn b() {} fn d() {}"),
+            ["a", "b", "d"]
+        );
         assert_eq!(names_only("fn a(x: u64) -> u64 { (x >> 1) | (x << 63) } fn b() -> Vec<Vec<u8>> { Vec::<Vec<u8>>::new() } fn d() {}"), ["a", "b", "d"]);
         let f = first_fn("fn a(x: u64) -> bool { x << 1 < y }");
-        let Stmt::Expr(Expr::Binary { op, lhs, .. }) = &f.body.unwrap().stmts[0] else { panic!("binary") };
+        let Stmt::Expr(Expr::Binary { op, lhs, .. }) = &f.body.unwrap().stmts[0] else {
+            panic!("binary")
+        };
         assert_eq!(op, "<");
         assert!(matches!(&**lhs, Expr::Binary { op, .. } if op == "<<"));
     }
@@ -1438,15 +1487,22 @@ mod tests {
         let src = "pub trait Tm: Sync { fn name(&self) -> &str; fn write(&self, v: u64) { self.enter(); } }\n\
                    fn outer() { struct A; impl Drop for A { fn drop(&mut self) { g(); } } \
                    let c = || { fn deep() {} deep() }; fn sub() {} }";
-        assert_eq!(names_only(src), ["name", "write", "outer", "drop", "deep", "sub"]);
+        assert_eq!(
+            names_only(src),
+            ["name", "write", "outer", "drop", "deep", "sub"]
+        );
     }
 
     #[test]
     fn macro_token_trees_are_read() {
         // Expression position: the arguments are expressions too.
         let f = first_fn("fn f(&self) -> Vec<u64> { vec![self.a.load(Relaxed), 2] }");
-        let Stmt::Expr(Expr::Macro { name, args, .. }) = &f.body.unwrap().stmts[0] else { panic!("macro") };
-        let Expr::Tuple(args, _) = &**args else { panic!("tuple") };
+        let Stmt::Expr(Expr::Macro { name, args, .. }) = &f.body.unwrap().stmts[0] else {
+            panic!("macro")
+        };
+        let Expr::Tuple(args, _) = &**args else {
+            panic!("tuple")
+        };
         assert_eq!((name.as_str(), args.len()), ("vec", 2));
         assert!(matches!(&args[0], Expr::MethodCall { method, .. } if method == "load"));
         // Item position: a template's functions are functions, and the

@@ -18,7 +18,11 @@ fn root() -> std::path::PathBuf {
 fn workspace_is_clean_and_mutants_are_caught() {
     let report = analyze_workspace(&root(), &PASSES);
     let live: Vec<String> = report.unsuppressed().map(|f| f.to_string()).collect();
-    assert!(live.is_empty(), "unsuppressed findings:\n{}", live.join("\n"));
+    assert!(
+        live.is_empty(),
+        "unsuppressed findings:\n{}",
+        live.join("\n")
+    );
     assert_eq!(report.mutants.len(), EXPECTED_MUTANTS.len());
     for m in &report.mutants {
         assert!(
@@ -28,8 +32,16 @@ fn workspace_is_clean_and_mutants_are_caught() {
         );
     }
     assert!(report.ok());
-    assert!(report.files > 50, "workspace scan looks truncated: {} files", report.files);
-    assert!(report.functions > 50, "too few functions analyzed: {}", report.functions);
+    assert!(
+        report.files > 50,
+        "workspace scan looks truncated: {} files",
+        report.files
+    );
+    assert!(
+        report.functions > 50,
+        "too few functions analyzed: {}",
+        report.functions
+    );
 }
 
 #[test]
@@ -57,7 +69,10 @@ fn report_round_trips_through_obs_json() {
         back.get("schema_version").and_then(Json::as_u64),
         Some(SCHEMA_VERSION)
     );
-    assert_eq!(back.get("kind").and_then(Json::as_str), Some("check-findings"));
+    assert_eq!(
+        back.get("kind").and_then(Json::as_str),
+        Some("check-findings")
+    );
     assert_eq!(back.get("tool").and_then(Json::as_str), Some("rtle-check"));
     let findings = back
         .get("findings")
@@ -75,14 +90,23 @@ fn report_round_trips_through_obs_json() {
     );
     // All seven passes report, in order (then the annotation-hygiene
     // bucket), and none has a finding that gates.
-    let passes = back.get("passes").and_then(Json::as_arr).expect("passes array");
-    let names: Vec<_> = passes.iter().filter_map(|p| p.get("name")?.as_str()).collect();
+    let passes = back
+        .get("passes")
+        .and_then(Json::as_arr)
+        .expect("passes array");
+    let names: Vec<_> = passes
+        .iter()
+        .filter_map(|p| p.get("name")?.as_str())
+        .collect();
     assert_eq!(names[..PASSES.len()], PASSES);
     assert_eq!(names[PASSES.len()..], ["suppression"]);
     for p in passes {
         assert_eq!(p.get("findings").and_then(Json::as_u64), Some(0), "{p:?}");
     }
-    let mutants = back.get("mutants").and_then(Json::as_arr).expect("mutants array");
+    let mutants = back
+        .get("mutants")
+        .and_then(Json::as_arr)
+        .expect("mutants array");
     assert_eq!(mutants.len(), EXPECTED_MUTANTS.len());
     assert!(mutants
         .iter()

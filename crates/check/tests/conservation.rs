@@ -27,11 +27,19 @@ fn sources() -> Vec<(String, ParsedFile)> {
         .into_iter()
         .map(|p| {
             let text = std::fs::read_to_string(&p).expect("readable source");
-            let rel = p.strip_prefix(&root).unwrap_or(&p).to_string_lossy().replace('\\', "/");
+            let rel = p
+                .strip_prefix(&root)
+                .unwrap_or(&p)
+                .to_string_lossy()
+                .replace('\\', "/");
             (rel, parse_file(&text))
         })
         .collect();
-    assert!(files.len() > 100, "workspace scan looks truncated: {} files", files.len());
+    assert!(
+        files.len() > 100,
+        "workspace scan looks truncated: {} files",
+        files.len()
+    );
     files
 }
 
@@ -72,7 +80,12 @@ fn every_fn_token_with_a_body_is_lowered() {
         }
     }
     assert!(total > 1500, "only {total} fn tokens seen");
-    assert!(lost.is_empty(), "{} of {total} functions never reach the passes:\n{}", lost.len(), lost.join("\n"));
+    assert!(
+        lost.is_empty(),
+        "{} of {total} functions never reach the passes:\n{}",
+        lost.len(),
+        lost.join("\n")
+    );
 }
 
 #[test]
@@ -90,7 +103,11 @@ fn every_ordering_token_is_an_event() {
             match t.text.as_str() {
                 "use" => in_use = true,
                 ";" => in_use = false,
-                name if !in_use && !src.in_test(i) && t.kind == TokKind::Ident && ORDERING_NAMES.contains(&name) => {
+                name if !in_use
+                    && !src.in_test(i)
+                    && t.kind == TokKind::Ident
+                    && ORDERING_NAMES.contains(&name) =>
+                {
                     *in_tokens.entry(name).or_default() += 1;
                 }
                 _ => {}
@@ -104,7 +121,10 @@ fn every_ordering_token_is_an_event() {
             }
             for u in ordering_uses(&lower_fn(f, marker)) {
                 for o in &u.orderings {
-                    let name = ORDERING_NAMES.iter().find(|n| *n == o).expect("a known ordering");
+                    let name = ORDERING_NAMES
+                        .iter()
+                        .find(|n| *n == o)
+                        .expect("a known ordering");
                     *in_events.entry(name).or_default() += 1;
                     sites += 1;
                 }

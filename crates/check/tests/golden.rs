@@ -27,11 +27,14 @@ fn check(name: &str, ext: &str, actual: &str) {
         std::fs::write(&path, actual).expect("write golden file");
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with BLESS=1", path.display()));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with BLESS=1",
+            path.display()
+        )
+    });
     assert_eq!(
-        actual,
-        expected,
+        actual, expected,
         "{name}.{ext} drifted; run `BLESS=1 cargo test -p rtle-check --test golden` \
          and review the diff"
     );
@@ -50,8 +53,8 @@ fn cfg_dump(src: &str) -> String {
 #[test]
 fn golden_ast_and_cfg() {
     for name in SNIPPETS {
-        let src = std::fs::read_to_string(golden_dir().join(format!("{name}.rs")))
-            .expect("read snippet");
+        let src =
+            std::fs::read_to_string(golden_dir().join(format!("{name}.rs"))).expect("read snippet");
         check(name, "ast", &dump_items(&parse_file(&src).items));
         check(name, "cfg", &cfg_dump(&src));
     }

@@ -12,7 +12,10 @@ fn workspace_lint_is_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root locatable from crates/check");
     let report = analyze_workspace(&root, &PASSES[FLOW_PASSES..]);
-    assert!(report.mutants.is_empty(), "the seeded mutants belong to the flow passes");
+    assert!(
+        report.mutants.is_empty(),
+        "the seeded mutants belong to the flow passes"
+    );
     assert!(
         report.findings.is_empty(),
         "lint findings:\n{}",
@@ -72,7 +75,11 @@ fn watchdog_live_mirror_sites_match_their_table_rows() {
             uses.extend(ordering_uses(&lower_fn(f, marker)));
         }
     });
-    assert!(uses.len() >= 12, "only {} live-mirror sites seen", uses.len());
+    assert!(
+        uses.len() >= 12,
+        "only {} live-mirror sites seen",
+        uses.len()
+    );
     for u in &uses {
         let rule = rule_for(path, &u.receiver, u.op)
             .unwrap_or_else(|| panic!("{path}:{}: `{}` matches no row", u.line, u.receiver));
@@ -124,5 +131,8 @@ fn every_ordering_row_matches_a_production_site() {
         .filter(|(_, &used)| !used)
         .map(|(r, _)| format!("{} `{}` {:?}", r.file_suffix, r.receiver, r.op))
         .collect();
-    assert!(stale.is_empty(), "rows matching no production site: {stale:#?}");
+    assert!(
+        stale.is_empty(),
+        "rows matching no production site: {stale:#?}"
+    );
 }

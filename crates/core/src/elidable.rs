@@ -416,17 +416,14 @@ impl<B: HtmBackend> ElidableLock<B> {
         let slow = self.slow_path();
         loop {
             let held = self.lock.is_held();
-            let step = self.retry.next_step(slow.is_some(), held, attempts, slow_attempts);
+            let step = self
+                .retry
+                .next_step(slow.is_some(), held, attempts, slow_attempts);
             match (step, slow) {
                 (Step::Fast, _) => {
                     let timed = rec.map(|rc| (rc, now_ns()));
                     let outcome = self.fast_attempt(cs);
-                    self.note_attempt(
-                        PathKind::FastHtm,
-                        &outcome,
-                        attempts + slow_attempts,
-                        timed,
-                    );
+                    self.note_attempt(PathKind::FastHtm, &outcome, attempts + slow_attempts, timed);
                     match outcome {
                         Ok(r) => return Ok(r),
                         Err(code) => {
@@ -446,12 +443,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                     // concurrently with the lock holder.
                     let timed = rec.map(|rc| (rc, now_ns()));
                     let outcome = self.slow_attempt(slow, cs);
-                    self.note_attempt(
-                        PathKind::SlowHtm,
-                        &outcome,
-                        attempts + slow_attempts,
-                        timed,
-                    );
+                    self.note_attempt(PathKind::SlowHtm, &outcome, attempts + slow_attempts, timed);
                     match outcome {
                         Ok(r) => return Ok(r),
                         Err(code) => {
@@ -1072,7 +1064,11 @@ mod tests {
     /// held, provided the orecs do not alias.
     #[test]
     fn fg_slow_path_allows_disjoint_writes() {
-        let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 8192 }).build());
+        let lock = Arc::new(
+            ElidableLock::builder()
+                .policy(ElisionPolicy::FgTle { orecs: 8192 })
+                .build(),
+        );
         let holder_cell = Arc::new(TxCell::new(0u64));
         let writer_cell = Arc::new(TxCell::new(0u64));
         let in_cs = Arc::new(AtomicBool::new(false));
@@ -1175,7 +1171,11 @@ mod tests {
     /// the lock is held under FG-TLE — the §5 caveat, demonstrated.
     #[test]
     fn eager_refined_tle_breaks_barrier_semantics() {
-        let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 64 }).build());
+        let lock = Arc::new(
+            ElidableLock::builder()
+                .policy(ElisionPolicy::FgTle { orecs: 64 })
+                .build(),
+        );
         let in_cs = Arc::new(AtomicBool::new(false));
         let released = Arc::new(AtomicBool::new(false));
 
@@ -1213,7 +1213,9 @@ mod tests {
     /// Unsupported instructions force the lock path.
     #[test]
     fn unsupported_instruction_falls_back_to_lock() {
-        let lock = ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 16 }).build();
+        let lock = ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 16 })
+            .build();
         let c = TxCell::new(0u64);
         lock.execute(|ctx| {
             rtle_htm::htm_unfriendly_instruction();
@@ -1264,7 +1266,11 @@ mod tests {
     fn heatmap_conflicts_sum_to_aggregate_abort_counter() {
         const THREADS: usize = 8;
         const OPS: usize = 400;
-        let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 4 }).build());
+        let lock = Arc::new(
+            ElidableLock::builder()
+                .policy(ElisionPolicy::FgTle { orecs: 4 })
+                .build(),
+        );
         // Many cells hashing over few orecs: slow-path attempts regularly
         // collide with the holder's acquired orecs.
         let cells: Arc<Vec<TxCell<u64>>> = Arc::new((0..64).map(|_| TxCell::new(0)).collect());
@@ -1624,9 +1630,7 @@ mod tests {
         let a = ElidableLock::builder()
             .policy(ElisionPolicy::FgTle { orecs: 8 })
             .build();
-        let b = ElidableLock::builder()
-            .policy(ElisionPolicy::RwTle)
-            .build();
+        let b = ElidableLock::builder().policy(ElisionPolicy::RwTle).build();
         let ca = TxCell::new(10u64);
         let cb = TxCell::new(0u64);
         {

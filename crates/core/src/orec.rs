@@ -164,7 +164,11 @@ impl OrecTable {
     /// Point-in-time copy of the per-slot conflict counts.
     pub fn heatmap(&self) -> OrecHeatmap {
         OrecHeatmap {
-            conflicts: self.conflicts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            conflicts: self
+                .conflicts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 

@@ -204,13 +204,17 @@ impl StatsSnapshot {
             fast_commits: self.fast_commits.saturating_add(other.fast_commits),
             slow_commits: self.slow_commits.saturating_add(other.slow_commits),
             stm_commits: self.stm_commits.saturating_add(other.stm_commits),
-            lock_acquisitions: self.lock_acquisitions.saturating_add(other.lock_acquisitions),
+            lock_acquisitions: self
+                .lock_acquisitions
+                .saturating_add(other.lock_acquisitions),
             fast_aborts: self.fast_aborts.saturating_add(other.fast_aborts),
             slow_aborts: self.slow_aborts.saturating_add(other.slow_aborts),
             aborts_conflict: self.aborts_conflict.saturating_add(other.aborts_conflict),
             aborts_capacity: self.aborts_capacity.saturating_add(other.aborts_capacity),
             aborts_explicit: self.aborts_explicit.saturating_add(other.aborts_explicit),
-            aborts_unsupported: self.aborts_unsupported.saturating_add(other.aborts_unsupported),
+            aborts_unsupported: self
+                .aborts_unsupported
+                .saturating_add(other.aborts_unsupported),
             aborts_other: self.aborts_other.saturating_add(other.aborts_other),
             aborts_by_code: std::array::from_fn(|i| {
                 self.aborts_by_code[i].saturating_add(other.aborts_by_code[i])
@@ -232,18 +236,24 @@ impl StatsSnapshot {
             fast_commits: self.fast_commits.saturating_sub(earlier.fast_commits),
             slow_commits: self.slow_commits.saturating_sub(earlier.slow_commits),
             stm_commits: self.stm_commits.saturating_sub(earlier.stm_commits),
-            lock_acquisitions: self.lock_acquisitions.saturating_sub(earlier.lock_acquisitions),
+            lock_acquisitions: self
+                .lock_acquisitions
+                .saturating_sub(earlier.lock_acquisitions),
             fast_aborts: self.fast_aborts.saturating_sub(earlier.fast_aborts),
             slow_aborts: self.slow_aborts.saturating_sub(earlier.slow_aborts),
             aborts_conflict: self.aborts_conflict.saturating_sub(earlier.aborts_conflict),
             aborts_capacity: self.aborts_capacity.saturating_sub(earlier.aborts_capacity),
             aborts_explicit: self.aborts_explicit.saturating_sub(earlier.aborts_explicit),
-            aborts_unsupported: self.aborts_unsupported.saturating_sub(earlier.aborts_unsupported),
+            aborts_unsupported: self
+                .aborts_unsupported
+                .saturating_sub(earlier.aborts_unsupported),
             aborts_other: self.aborts_other.saturating_sub(earlier.aborts_other),
             aborts_by_code: std::array::from_fn(|i| {
                 self.aborts_by_code[i].saturating_sub(earlier.aborts_by_code[i])
             }),
-            lock_path_aborts: self.lock_path_aborts.saturating_sub(earlier.lock_path_aborts),
+            lock_path_aborts: self
+                .lock_path_aborts
+                .saturating_sub(earlier.lock_path_aborts),
             time_locked: self.time_locked.saturating_sub(earlier.time_locked),
             taken_at_ns: self.taken_at_ns.saturating_sub(earlier.taken_at_ns),
         }
@@ -331,8 +341,16 @@ mod tests {
             taken_at_ns: 4_500,
             ..Default::default()
         };
-        assert_eq!(a.merge(&b).taken_at_ns, 4_500, "merged view is as fresh as its freshest part");
-        assert_eq!(b.since(&a).taken_at_ns, 3_500, "delta carries the measurement interval");
+        assert_eq!(
+            a.merge(&b).taken_at_ns,
+            4_500,
+            "merged view is as fresh as its freshest part"
+        );
+        assert_eq!(
+            b.since(&a).taken_at_ns,
+            3_500,
+            "delta carries the measurement interval"
+        );
         assert_eq!(a.since(&b).taken_at_ns, 0, "racing order saturates");
     }
 

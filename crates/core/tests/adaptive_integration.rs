@@ -11,7 +11,10 @@ use rtle_core::{ElidableLock, ElisionPolicy, TxCell};
 /// overhead, so the adaptive policy must shrink the active orecs and
 /// eventually collapse to plain TLE.
 #[test]
-#[cfg_attr(miri, ignore = "timing-sensitive: adaptive collapse relies on wall-clock pacing")]
+#[cfg_attr(
+    miri,
+    ignore = "timing-sensitive: adaptive collapse relies on wall-clock pacing"
+)]
 fn adaptive_collapses_when_slow_path_is_useless() {
     let lock = ElidableLock::builder()
         .policy(ElisionPolicy::AdaptiveFgTle {
@@ -151,7 +154,10 @@ fn adaptive_keeps_slow_path_when_it_pays() {
 /// Resizes only ever happen while the lock is held; the data structure
 /// stays correct across them (counter total is exact).
 #[test]
-#[cfg_attr(miri, ignore = "timing-sensitive: multi-thread stress with wall-clock duration")]
+#[cfg_attr(
+    miri,
+    ignore = "timing-sensitive: multi-thread stress with wall-clock duration"
+)]
 fn adaptive_resizes_preserve_correctness() {
     let lock = Arc::new(
         ElidableLock::builder()

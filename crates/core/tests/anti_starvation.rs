@@ -70,7 +70,10 @@ fn run_victim(cap: Option<u32>) -> (rtle_core::StatsSnapshot, Duration) {
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "timing-sensitive: victim runs against an Instant-based deadline")]
+#[cfg_attr(
+    miri,
+    ignore = "timing-sensitive: victim runs against an Instant-based deadline"
+)]
 fn capped_slow_retries_escalate_to_the_lock() {
     let (snap, _) = run_victim(Some(3));
     // The victim burned exactly its slow budget on orec conflicts, then
@@ -84,7 +87,10 @@ fn capped_slow_retries_escalate_to_the_lock() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "timing-sensitive: victim runs against an Instant-based deadline")]
+#[cfg_attr(
+    miri,
+    ignore = "timing-sensitive: victim runs against an Instant-based deadline"
+)]
 fn uncapped_victim_keeps_speculating() {
     let (snap, _) = run_victim(None);
     // Without the cap the victim retries the slow path until the holder

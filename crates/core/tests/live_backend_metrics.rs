@@ -86,7 +86,10 @@ fn backend_name_label_matches_the_golden_exposition() {
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {} ({e}); run with BLESS=1", path.display())
+        panic!(
+            "missing golden file {} ({e}); run with BLESS=1",
+            path.display()
+        )
     });
     assert_eq!(
         text, expected,

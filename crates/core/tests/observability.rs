@@ -173,7 +173,10 @@ fn the_recorder_books_every_operation() {
 /// queueing delay in the window percentiles (coordinated-omission
 /// correction), and the window sees every op.
 #[test]
-#[cfg_attr(miri, ignore = "timing-sensitive: asserts on Instant-derived start latency")]
+#[cfg_attr(
+    miri,
+    ignore = "timing-sensitive: asserts on Instant-derived start latency"
+)]
 fn execute_from_records_intended_start_latency_into_windows() {
     let rec = Arc::new(Recorder::new(ObsConfig {
         window_len_ms: 1_000,
@@ -192,7 +195,11 @@ fn execute_from_records_intended_start_latency_into_windows() {
         });
     }
     assert_eq!(c.read_plain(), 64);
-    let w = rec.windows().expect("window collector configured").rotate().merged;
+    let w = rec
+        .windows()
+        .expect("window collector configured")
+        .rotate()
+        .merged;
     assert_eq!(w.ops(), 64, "every op lands in the window");
     // >= 5ms minus the histogram's one-sub-bucket floor underestimate.
     assert!(
@@ -213,7 +220,10 @@ fn execute_from_records_intended_start_latency_into_windows() {
 /// the main thread snapshots both continuously: no panics, no torn
 /// values, and the final counts add up.
 #[test]
-#[cfg_attr(miri, ignore = "8-thread hammer: minutes under the interpreter; covered by TSan instead")]
+#[cfg_attr(
+    miri,
+    ignore = "8-thread hammer: minutes under the interpreter; covered by TSan instead"
+)]
 fn concurrent_hammer_while_snapshotting() {
     const THREADS: usize = 8;
     const OPS: usize = 3_000;
@@ -254,10 +264,8 @@ fn concurrent_hammer_while_snapshotting() {
                 // committed while the snapshot itself was being read. The
                 // bracketing snapshots bound the latter. Exact equality is
                 // asserted after joining below.
-                let slack = THREADS as u64
-                    + after
-                        .total_commits()
-                        .saturating_sub(before.total_commits());
+                let slack =
+                    THREADS as u64 + after.total_commits().saturating_sub(before.total_commits());
                 let skew = |a: u64, b: u64| a.abs_diff(b) <= slack;
                 assert!(skew(obs.cs_latency.count, obs.total_commits()));
                 assert!(skew(obs.retries.count, obs.total_commits()));

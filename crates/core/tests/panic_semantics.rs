@@ -10,7 +10,9 @@ use rtle_core::{Ctx, ElidableLock, ElisionPolicy, TxCell};
 
 #[test]
 fn panic_on_fast_path_rolls_back_and_propagates() {
-    let lock = ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 64 }).build();
+    let lock = ElidableLock::builder()
+        .policy(ElisionPolicy::FgTle { orecs: 64 })
+        .build();
     let cell = TxCell::new(0u64);
 
     let r = catch_unwind(AssertUnwindSafe(|| {
@@ -52,7 +54,11 @@ fn panic_under_lock_leaves_lock_held() {
     // spinlock, the data may be partially updated and the lock is left
     // held (poisoned). Another thread's speculation must now treat the
     // lock as permanently held; we just verify the documented state.
-    assert_eq!(cell.read_plain(), 7, "under-lock writes are not rolled back");
+    assert_eq!(
+        cell.read_plain(),
+        7,
+        "under-lock writes are not rolled back"
+    );
     let snap = lock.stats().snapshot();
     assert_eq!(snap.lock_acquisitions, 1);
 }

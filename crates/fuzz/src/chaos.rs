@@ -201,10 +201,12 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
     assert!(plan.workers >= 1);
     let range = plan.workers as u64 * plan.keys_per_worker;
     let set = Arc::new(AvlSet::with_key_range(range));
-    let mut builder = ElidableLock::builder().policy(plan.policy).retry(RetryPolicy {
-        max_attempts: plan.max_attempts,
-        ..RetryPolicy::default()
-    });
+    let mut builder = ElidableLock::builder()
+        .policy(plan.policy)
+        .retry(RetryPolicy {
+            max_attempts: plan.max_attempts,
+            ..RetryPolicy::default()
+        });
     if let Some(backend) = plan.software {
         builder = builder.with_software_backend(match backend {
             ChaosBackend::Norec => Arc::new(Norec::new()) as Arc<dyn SoftwareTm>,

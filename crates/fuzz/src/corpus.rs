@@ -9,8 +9,7 @@
 //! within its budget is broken, whatever else it reports.
 
 use rtle_check::model::{
-    carry_wv_mutant_config, mutant_config, swhtm_mutant_config, tl2_mutant_config, State,
-    Tl2State,
+    carry_wv_mutant_config, mutant_config, swhtm_mutant_config, tl2_mutant_config, State, Tl2State,
 };
 
 use crate::schedule::{hunt, HuntReport};
@@ -169,7 +168,11 @@ mod tests {
     #[test]
     fn corpus_covers_every_seeded_mutant() {
         for m in MUTANTS {
-            assert_eq!((m.hunt)(1, 1).config, m.name, "the key is the config's own name");
+            assert_eq!(
+                (m.hunt)(1, 1).config,
+                m.name,
+                "the key is the config's own name"
+            );
             assert!(
                 ENTRIES.iter().any(|e| e.mutant == m.name),
                 "no pinned corpus entry hunts {}",

@@ -203,7 +203,10 @@ fn cmd_run(a: RunArgs) -> ExitCode {
 fn cmd_replay(seed: u64, budget: Option<u64>, mutant: &str) -> ExitCode {
     let Some(m) = corpus::mutant(mutant) else {
         let known: Vec<&str> = corpus::MUTANTS.iter().map(|m| m.name).collect();
-        return usage(&format!("no seeded mutant {mutant:?} (known: {})", known.join(", ")));
+        return usage(&format!(
+            "no seeded mutant {mutant:?} (known: {})",
+            known.join(", ")
+        ));
     };
     if mutant_fitness(m, seed, budget).failure.is_some() {
         ExitCode::SUCCESS

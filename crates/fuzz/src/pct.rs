@@ -94,7 +94,10 @@ mod tests {
         let mut pct = Pct::new(&mut rng, 6, 4, 200);
         let picks: Vec<usize> = (0..200).map(|s| pct.pick(s, &[0, 1, 2, 3, 4, 5])).collect();
         let switches = picks.windows(2).filter(|w| w[0] != w[1]).count();
-        assert!(switches <= 3, "depth 4 allows at most 3 switches, saw {switches}");
+        assert!(
+            switches <= 3,
+            "depth 4 allows at most 3 switches, saw {switches}"
+        );
     }
 
     #[test]

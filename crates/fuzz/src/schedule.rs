@@ -179,9 +179,7 @@ pub fn hunt<M: Machine>(cfg: &M::Config, seed: u64, max_iters: u64) -> HuntRepor
         report.slow_terminals += verdict.slow as u64;
         report.lock_terminals += verdict.lock as u64;
         if let Some((kind, _)) = verdict.violation {
-            let still_fails = |s: &[u8]| {
-                matches!(judge(&replay::<M>(cfg, s)).violation, Some((k, _)) if k == kind)
-            };
+            let still_fails = |s: &[u8]| matches!(judge(&replay::<M>(cfg, s)).violation, Some((k, _)) if k == kind);
             let shrunk = shrink_schedule(&run.schedule, still_fails);
             let detail = judge(&replay::<M>(cfg, &shrunk))
                 .violation

@@ -85,9 +85,7 @@ mod tests {
             let Some((kind, _)) = judge(&run.state).violation else {
                 continue;
             };
-            let fails = |s: &[u8]| {
-                matches!(judge(&replay::<State>(&cfg, s)).violation, Some((k, _)) if k == kind)
-            };
+            let fails = |s: &[u8]| matches!(judge(&replay::<State>(&cfg, s)).violation, Some((k, _)) if k == kind);
             let shrunk = shrink_schedule(&run.schedule, fails);
             assert!(fails(&shrunk), "shrunk schedule must still fail");
             assert!(shrunk.len() <= run.schedule.len());
@@ -96,6 +94,9 @@ mod tests {
                 break;
             }
         }
-        assert!(checked > 0, "no failing schedule found on the mutant in 256 runs");
+        assert!(
+            checked > 0,
+            "no failing schedule found on the mutant in 256 runs"
+        );
     }
 }

@@ -33,7 +33,10 @@ fn spurious_storm_8_threads_zero_divergence_all_paths() {
             r.divergences,
             r.final_state_ok
         );
-        assert!(r.aborts > 0, "round {round}: a p=0.5 storm must abort transactions");
+        assert!(
+            r.aborts > 0,
+            "round {round}: a p=0.5 storm must abort transactions"
+        );
         fast += r.fast_commits;
         slow += r.slow_commits;
         lock += r.lock_acquisitions;

@@ -25,7 +25,10 @@ fn documented_seed_catches_mutant_within_budget() {
     let f = report
         .failure
         .expect("documented seed must catch the mutant within the budget");
-    assert_eq!(f.kind, "non-serializable", "the zombie read is a serializability violation");
+    assert_eq!(
+        f.kind, "non-serializable",
+        "the zombie read is a serializability violation"
+    );
     assert!(
         f.iteration < MUTANT_BUDGET,
         "caught at iteration {} >= budget {}",
@@ -43,10 +46,17 @@ fn documented_seed_catches_mutant_within_budget() {
 #[test]
 fn replay_witness_is_byte_for_byte_deterministic() {
     for seed in [DOC_SEED, 0x0001, 0xdead_beef] {
-        let witness = || mutant_hunt(seed, MUTANT_BUDGET).failure.map(|f| f.witness());
+        let witness = || {
+            mutant_hunt(seed, MUTANT_BUDGET)
+                .failure
+                .map(|f| f.witness())
+        };
         let (wa, wb) = (witness(), witness());
         assert!(wa.is_some(), "seed {seed:#x} must catch the mutant");
-        assert_eq!(wa, wb, "seed {seed:#x}: witness must be reproducible byte-for-byte");
+        assert_eq!(
+            wa, wb,
+            "seed {seed:#x}: witness must be reproducible byte-for-byte"
+        );
     }
 }
 

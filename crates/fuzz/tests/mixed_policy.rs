@@ -27,7 +27,13 @@ fn policies() -> Vec<ElisionPolicy> {
 fn agree_on(stream: &[SetOp], range: u64, label: &str) {
     let sets: Vec<(ElisionPolicy, AvlSet, ElidableLock)> = policies()
         .into_iter()
-        .map(|p| (p, AvlSet::with_key_range(range), ElidableLock::builder().policy(p).build()))
+        .map(|p| {
+            (
+                p,
+                AvlSet::with_key_range(range),
+                ElidableLock::builder().policy(p).build(),
+            )
+        })
         .collect();
     let mut model = BTreeSet::new();
     for (i, &op) in stream.iter().enumerate() {

@@ -30,7 +30,11 @@ impl Machine for Racy {
         4
     }
     fn initial(_: &()) -> Self {
-        Racy { x: [0], read: [None; 2], committed: vec![None; 2] }
+        Racy {
+            x: [0],
+            read: [None; 2],
+            committed: vec![None; 2],
+        }
     }
     fn enabled(&self, _: &(), t: usize) -> bool {
         self.committed[t].is_none()
@@ -41,7 +45,11 @@ impl Machine for Racy {
             Some(v) => {
                 self.x[0] = v + 1;
                 let ops = vec![HOp::Read(0, v), HOp::Write(0, v + 1)];
-                self.committed[t] = Some(Committed { thread: t as u8, path: CommitPath::Fast, ops });
+                self.committed[t] = Some(Committed {
+                    thread: t as u8,
+                    path: CommitPath::Fast,
+                    ops,
+                });
             }
         }
     }
@@ -75,20 +83,38 @@ fn explorer_reports_the_lost_update() {
 #[test]
 fn hunt_catches_shrinks_and_replay_reproduces() {
     let report = hunt::<Racy>(&(), 0xf422, 64);
-    let f = report.failure.expect("PCT must interleave the two increments within 64 runs");
+    let f = report
+        .failure
+        .expect("PCT must interleave the two increments within 64 runs");
     assert_eq!(f.kind, "non-serializable");
     // The minimal witness: one thread reads, then the other runs (or at
     // least reads) before the first writes. Deterministic completion
     // supplies the rest, so shrinking must get below the full 4 steps.
-    assert!(f.schedule.len() < f.original_len, "not shrunk: {:?}", f.schedule);
+    assert!(
+        f.schedule.len() < f.original_len,
+        "not shrunk: {:?}",
+        f.schedule
+    );
 
     let state = replay::<Racy>(&(), &f.schedule);
-    assert_eq!(state, replay::<Racy>(&(), &f.schedule), "replay is bit-identical");
+    assert_eq!(
+        state,
+        replay::<Racy>(&(), &f.schedule),
+        "replay is bit-identical"
+    );
     assert_eq!(state.x, [1], "both increments committed, one was lost");
-    let (kind, detail) = judge(&state).violation.expect("the shrunk schedule still fails");
-    assert_eq!((kind, detail), (f.kind, f.detail.clone()), "same verdict as the witness");
+    let (kind, detail) = judge(&state)
+        .violation
+        .expect("the shrunk schedule still fails");
+    assert_eq!(
+        (kind, detail),
+        (f.kind, f.detail.clone()),
+        "same verdict as the witness"
+    );
 
     // And the whole hunt is a pure function of its seed.
-    let again = hunt::<Racy>(&(), 0xf422, 64).failure.expect("deterministic");
+    let again = hunt::<Racy>(&(), 0xf422, 64)
+        .failure
+        .expect("deterministic");
     assert_eq!(again.witness(), f.witness());
 }

@@ -92,7 +92,9 @@ impl HtmStats {
 /// code.
 #[inline]
 pub(crate) fn record_end(by: Writer, abort: Option<AbortCode>) {
-    EVENTS.of(by).add(abort.map_or(COMMITS, |code| ABORTS + code.index()), 1);
+    EVENTS
+        .of(by)
+        .add(abort.map_or(COMMITS, |code| ABORTS + code.index()), 1);
 }
 
 #[cfg(test)]

@@ -323,9 +323,7 @@ mod tests {
             ..Default::default()
         };
         cfg.with_installed(|| {
-            let outcomes: Vec<bool> = (0..6)
-                .map(|_| try_txn(|| ()).is_err())
-                .collect();
+            let outcomes: Vec<bool> = (0..6).map(|_| try_txn(|| ()).is_err()).collect();
             assert_eq!(outcomes.iter().filter(|&&e| e).count(), 3, "{outcomes:?}");
         });
     }
@@ -371,11 +369,22 @@ mod tests {
 
             // The first read extends over everything missed; the others are
             // then inside the snapshot.
-            let rvs = try_txn(|| cells.iter().map(|c| (c.read(), rv_now())).collect::<Vec<_>>())
-                .expect("a stale rv costs an extension, never the transaction");
+            let rvs = try_txn(|| {
+                cells
+                    .iter()
+                    .map(|c| (c.read(), rv_now()))
+                    .collect::<Vec<_>>()
+            })
+            .expect("a stale rv costs an extension, never the transaction");
             assert!(rvs.iter().all(|&(v, _)| v == 9_999));
-            assert!(rvs[0].1 >= stale + 2 * 10_000, "one extension, at the first read");
-            assert!(rvs.iter().all(|&(_, rv)| rv == rvs[0].1), "and no second one");
+            assert!(
+                rvs[0].1 >= stale + 2 * 10_000,
+                "one extension, at the first read"
+            );
+            assert!(
+                rvs.iter().all(|&(_, rv)| rv == rvs[0].1),
+                "and no second one"
+            );
         });
     }
 }

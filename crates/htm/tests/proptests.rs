@@ -131,8 +131,7 @@ fn write_capacity_respected() {
             ..HtmConfig::default()
         };
         let outcome = cfg.with_installed(|| {
-            let cells: Vec<Box<TxCell<u64>>> =
-                (0..n).map(|_| Box::new(TxCell::new(0))).collect();
+            let cells: Vec<Box<TxCell<u64>>> = (0..n).map(|_| Box::new(TxCell::new(0))).collect();
             swhtm::try_txn(|| {
                 for c in &cells {
                     c.write(1);

@@ -147,8 +147,8 @@ pub(crate) fn hw_commit_bump(clock: &TxCell<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtle_htm::unwind::{catch, Channel};
     use crate::norec::Norec;
+    use rtle_htm::unwind::{catch, Channel};
 
     #[test]
     fn sw_ctx_buffers_writes() {

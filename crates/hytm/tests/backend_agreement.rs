@@ -98,7 +98,9 @@ fn run_mutex_oracle(seed: u64) -> Vec<u64> {
         }
     });
     let m = map.into_inner().unwrap();
-    (0..CELLS).map(|i| m.get(&i).copied().unwrap_or(0)).collect()
+    (0..CELLS)
+        .map(|i| m.get(&i).copied().unwrap_or(0))
+        .collect()
 }
 
 /// Every op's delta, summed — what the final memory must add up to if no
@@ -138,8 +140,14 @@ fn norec_tl2_and_mutex_oracle_agree_under_storm() {
         let (tl2_final, tl2_snap) = run_tm(&tl2, seed);
 
         // Byte-identical final state across all three executors.
-        assert_eq!(norec_final, oracle, "seed {seed:#x}: NOrec diverged from the oracle");
-        assert_eq!(tl2_final, oracle, "seed {seed:#x}: TL2 diverged from the oracle");
+        assert_eq!(
+            norec_final, oracle,
+            "seed {seed:#x}: NOrec diverged from the oracle"
+        );
+        assert_eq!(
+            tl2_final, oracle,
+            "seed {seed:#x}: TL2 diverged from the oracle"
+        );
         assert_eq!(norec_final, tl2_final, "seed {seed:#x}: backends disagree");
 
         check_conservation("norec", seed, &norec_final, &norec_snap);

@@ -52,12 +52,7 @@ pub enum Json {
 impl Json {
     /// Builds an object from `(key, value)` pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Member lookup on an object; `None` for other variants.
@@ -450,12 +445,10 @@ impl<'a> Parser<'a> {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| ParseError {
-                at: start,
-                msg: "invalid number",
-            })
+        text.parse::<f64>().map(Json::Num).map_err(|_| ParseError {
+            at: start,
+            msg: "invalid number",
+        })
     }
 }
 
@@ -533,7 +526,10 @@ mod tests {
     fn accessors() {
         let doc = parse(r#"{"a": 3, "b": [1.5, "x"], "c": "s"}"#).unwrap();
         assert_eq!(doc.get("a").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.get("b").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        assert_eq!(
+            doc.get("b").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
         assert_eq!(doc.get("c").and_then(Json::as_str), Some("s"));
         assert_eq!(doc.get("missing"), None);
     }

@@ -91,7 +91,9 @@ impl Drop for LiveServer {
 
 impl std::fmt::Debug for LiveServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveServer").field("addr", &self.addr).finish()
+        f.debug_struct("LiveServer")
+            .field("addr", &self.addr)
+            .finish()
     }
 }
 
@@ -120,13 +122,23 @@ fn serve_connection(mut stream: TcpStream, registry: &MetricsRegistry) -> std::i
     let head = match read_request_head(&mut stream) {
         Ok(head) => head,
         Err(_) => {
-            return write_response(&mut stream, "400 Bad Request", "text/plain", "bad request\n");
+            return write_response(
+                &mut stream,
+                "400 Bad Request",
+                "text/plain",
+                "bad request\n",
+            );
         }
     };
     let (method, path) = match parse_request_line(&head) {
         Some(pair) => pair,
         None => {
-            return write_response(&mut stream, "400 Bad Request", "text/plain", "bad request\n");
+            return write_response(
+                &mut stream,
+                "400 Bad Request",
+                "text/plain",
+                "bad request\n",
+            );
         }
     };
     if method != "GET" {

@@ -494,7 +494,11 @@ mod tests {
         let r = Recorder::new(ObsConfig::default());
         r.record(key(0), 0, commit(PathKind::FastHtm, 0, 100));
         r.record(key(0), 0, commit(PathKind::FastHtm, 2, 300));
-        r.record(key(0), 0, abort(PathKind::SlowHtm, AbortCode::Explicit(4), 1));
+        r.record(
+            key(0),
+            0,
+            abort(PathKind::SlowHtm, AbortCode::Explicit(4), 1),
+        );
         r.record(key(0), 0, commit(PathKind::Lock, 3, 9_000));
         r.record(key(0), 9_000, RecordKind::EpochBump(7));
         let s = r.snapshot();
@@ -529,7 +533,11 @@ mod tests {
             window_len_ms: 1_000,
             ..ObsConfig::default()
         });
-        r.record(key(0), 0, abort(PathKind::FastHtm, AbortCode::Explicit(34), 0));
+        r.record(
+            key(0),
+            0,
+            abort(PathKind::FastHtm, AbortCode::Explicit(34), 0),
+        );
         let s = r.snapshot();
         assert_eq!(s.explicit_codes, vec![]);
         let aborts: std::collections::BTreeMap<_, _> = s.aborts.into_iter().collect();
@@ -641,7 +649,11 @@ mod tests {
             ..ObsConfig::default()
         });
         for i in 0..200u64 {
-            r.record(key(i % 4), 0, commit(PathKind::FastHtm, (i % 3) as u8, i * 13));
+            r.record(
+                key(i % 4),
+                0,
+                commit(PathKind::FastHtm, (i % 3) as u8, i * 13),
+            );
         }
         r.record(key(1), 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
         r.record(key(2), 0, commit(PathKind::Lock, 5, 4_000));

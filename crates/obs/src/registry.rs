@@ -104,8 +104,7 @@ impl MetricsRegistry {
     /// held only long enough to clone the `Arc` list; the (potentially
     /// slower) per-source snapshot runs after it is released.
     pub fn scrape(&self) -> Vec<(String, SourceSnapshot)> {
-        let sources: Vec<(String, Arc<dyn LiveSource>)> =
-            self.sources.lock().unwrap().clone();
+        let sources: Vec<(String, Arc<dyn LiveSource>)> = self.sources.lock().unwrap().clone();
         sources
             .into_iter()
             .map(|(name, src)| (name, src.live_snapshot()))
@@ -140,7 +139,9 @@ impl std::fmt::Debug for MetricsRegistry {
             .iter()
             .map(|(n, _)| n.clone())
             .collect();
-        f.debug_struct("MetricsRegistry").field("sources", &names).finish()
+        f.debug_struct("MetricsRegistry")
+            .field("sources", &names)
+            .finish()
     }
 }
 
@@ -303,7 +304,9 @@ mod tests {
     #[test]
     fn scrape_reflects_current_counters() {
         let reg = MetricsRegistry::new();
-        let fake = Arc::new(Fake { hits: AtomicU64::new(0) });
+        let fake = Arc::new(Fake {
+            hits: AtomicU64::new(0),
+        });
         reg.register("a", fake.clone());
         fake.hits.store(7, Relaxed);
         let scrape = reg.scrape();
@@ -315,8 +318,18 @@ mod tests {
     #[test]
     fn prometheus_text_has_type_lines_and_labels() {
         let reg = MetricsRegistry::new();
-        reg.register("alpha", Arc::new(Fake { hits: AtomicU64::new(3) }));
-        reg.register("beta", Arc::new(Fake { hits: AtomicU64::new(5) }));
+        reg.register(
+            "alpha",
+            Arc::new(Fake {
+                hits: AtomicU64::new(3),
+            }),
+        );
+        reg.register(
+            "beta",
+            Arc::new(Fake {
+                hits: AtomicU64::new(5),
+            }),
+        );
         let text = reg.to_prometheus();
         // One TYPE line per metric name even with two sources.
         assert_eq!(text.matches("# TYPE rtle_hits counter").count(), 1);
@@ -329,11 +342,19 @@ mod tests {
     #[test]
     fn json_export_is_schema_versioned_and_parses() {
         let reg = MetricsRegistry::new();
-        reg.register("alpha", Arc::new(Fake { hits: AtomicU64::new(9) }));
+        reg.register(
+            "alpha",
+            Arc::new(Fake {
+                hits: AtomicU64::new(9),
+            }),
+        );
         let json = reg.to_json();
         let text = json.to_string_pretty();
         let back = crate::json::parse(&text).expect("registry JSON must round-trip");
-        assert_eq!(back.get("kind").and_then(Json::as_str), Some("live-registry"));
+        assert_eq!(
+            back.get("kind").and_then(Json::as_str),
+            Some("live-registry")
+        );
         assert_eq!(
             back.get("schema_version").and_then(Json::as_u64),
             Some(crate::recorder::SCHEMA_VERSION)
@@ -342,7 +363,10 @@ mod tests {
         let sources = back.get("sources").and_then(Json::as_arr).unwrap();
         assert_eq!(sources.len(), 1);
         assert_eq!(
-            sources[0].get("counters").and_then(|c| c.get("hits")).and_then(Json::as_u64),
+            sources[0]
+                .get("counters")
+                .and_then(|c| c.get("hits"))
+                .and_then(Json::as_u64),
             Some(9)
         );
     }

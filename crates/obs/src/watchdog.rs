@@ -212,16 +212,32 @@ impl LiveSource for WatchdogLive {
         SourceSnapshot {
             kind: "watchdog",
             counters: vec![
-                ("windows_inspected".into(), self.windows_inspected.load(Relaxed)),
-                ("collapse_fired_total".into(), self.fired_total.load(Relaxed)),
-                ("collapse_last_kind_code".into(), self.last_kind.load(Relaxed)),
-                ("collapse_last_window".into(), self.last_window.load(Relaxed)),
+                (
+                    "windows_inspected".into(),
+                    self.windows_inspected.load(Relaxed),
+                ),
+                (
+                    "collapse_fired_total".into(),
+                    self.fired_total.load(Relaxed),
+                ),
+                (
+                    "collapse_last_kind_code".into(),
+                    self.last_kind.load(Relaxed),
+                ),
+                (
+                    "collapse_last_window".into(),
+                    self.last_window.load(Relaxed),
+                ),
             ],
             gauges: vec![
                 ("armed".into(), if self.armed() { 1.0 } else { 0.0 }),
                 (
                     "flight_record_available".into(),
-                    if self.flight_path.lock().unwrap().is_some() { 1.0 } else { 0.0 },
+                    if self.flight_path.lock().unwrap().is_some() {
+                        1.0
+                    } else {
+                        0.0
+                    },
                 ),
             ],
             windows: Vec::new(),
@@ -257,7 +273,10 @@ impl Watchdog {
     /// [`crate::MetricsRegistry`]; every subsequent
     /// [`Watchdog::inspect`] publishes into it.
     pub fn live(&mut self) -> Arc<WatchdogLive> {
-        Arc::clone(self.live.get_or_insert_with(|| Arc::new(WatchdogLive::new())))
+        Arc::clone(
+            self.live
+                .get_or_insert_with(|| Arc::new(WatchdogLive::new())),
+        )
     }
 
     /// Mean commit rate of the trailing healthy windows (0.0 pre-warmup).
@@ -462,7 +481,9 @@ mod tests {
         // stays above the floor.
         let mut wd = Watchdog::new();
         for i in 0..5 {
-            assert!(wd.inspect(&window(i, 100, [920, 60, 8], 70, 15, 7_000)).is_none());
+            assert!(wd
+                .inspect(&window(i, 100, [920, 60, 8], 70, 15, 7_000))
+                .is_none());
         }
         for i in 5..8 {
             // Storm windows: ~20% dip, modest fallback, some conflicts.
@@ -487,7 +508,9 @@ mod tests {
         assert!(ev.aborts_per_commit >= 4.0);
 
         // A healthy window resets the run.
-        assert!(wd.inspect(&window(6, 100, [800, 100, 10], 80, 20, 9_000)).is_none());
+        assert!(wd
+            .inspect(&window(6, 100, [800, 100, 10], 80, 20, 9_000))
+            .is_none());
         assert_eq!(wd.inspect(&stormy(7)), None, "run was reset");
     }
 
@@ -506,21 +529,41 @@ mod tests {
         let baseline = wd.trailing_commit_rate();
         // ~220 commits / 125 ms with 150-260 ms p99 and no abort storm.
         let stalled = |i, lat| window(i, 125, [215, 0, 5], 12, 10, lat);
-        assert_eq!(wd.inspect(&stalled(5, 150_000_000)), None, "one window is noise");
-        let ev = wd.inspect(&stalled(6, 260_000_000)).expect("second stalled window");
+        assert_eq!(
+            wd.inspect(&stalled(5, 150_000_000)),
+            None,
+            "one window is noise"
+        );
+        let ev = wd
+            .inspect(&stalled(6, 260_000_000))
+            .expect("second stalled window");
         assert_eq!(ev.kind, CollapseKind::ConvoyStall);
-        assert!(ev.fallback_rate < 0.05, "no fallback evidence: {}", ev.fallback_rate);
+        assert!(
+            ev.fallback_rate < 0.05,
+            "no fallback evidence: {}",
+            ev.fallback_rate
+        );
         assert!(ev.aborts_per_commit < 0.5, "no abort evidence");
         assert!(ev.commit_rate < baseline * 0.5);
         assert!(ev.latency_p99_ns >= 125_000_000);
 
         // A healthy window resets the run; an idle drain tail (low rate
         // but instant ops) fails the latency guard and never counts.
-        assert!(wd.inspect(&window(7, 125, [780, 0, 15], 10, 8, 150_000)).is_none());
+        assert!(wd
+            .inspect(&window(7, 125, [780, 0, 15], 10, 8, 150_000))
+            .is_none());
         assert_eq!(wd.inspect(&stalled(8, 130_000_000)), None, "run was reset");
         let idle_tail = window(9, 125, [50, 0, 1], 0, 0, 700_000);
-        assert_eq!(wd.inspect(&idle_tail), None, "fast idle tail is not a stall");
-        assert_eq!(wd.inspect(&stalled(10, 130_000_000)), None, "tail reset the run");
+        assert_eq!(
+            wd.inspect(&idle_tail),
+            None,
+            "fast idle tail is not a stall"
+        );
+        assert_eq!(
+            wd.inspect(&stalled(10, 130_000_000)),
+            None,
+            "tail reset the run"
+        );
     }
 
     #[test]
@@ -533,7 +576,11 @@ mod tests {
         assert!(after_warmup > 0.0, "pre-warmup windows build the baseline");
         // Idle windows (below min_commits) are skipped entirely.
         assert_eq!(wd.inspect(&window(1, 100, [3, 0, 1], 0, 0, 100)), None);
-        assert_eq!(wd.trailing_commit_rate(), after_warmup, "idle windows not tracked");
+        assert_eq!(
+            wd.trailing_commit_rate(),
+            after_warmup,
+            "idle windows not tracked"
+        );
     }
 
     #[test]
@@ -558,12 +605,19 @@ mod tests {
 
         assert!(live.flight_record_path().is_none());
         live.set_flight_record_path("/tmp/flight.json");
-        assert_eq!(live.flight_record_path().as_deref(), Some("/tmp/flight.json"));
+        assert_eq!(
+            live.flight_record_path().as_deref(),
+            Some("/tmp/flight.json")
+        );
         let snap = live.live_snapshot();
         assert_eq!(snap.kind, "watchdog");
-        assert!(snap.counters.contains(&("collapse_fired_total".to_string(), 1)));
+        assert!(snap
+            .counters
+            .contains(&("collapse_fired_total".to_string(), 1)));
         assert!(snap.gauges.contains(&("armed".to_string(), 1.0)));
-        assert!(snap.gauges.contains(&("flight_record_available".to_string(), 1.0)));
+        assert!(snap
+            .gauges
+            .contains(&("flight_record_available".to_string(), 1.0)));
     }
 
     #[test]
@@ -594,7 +648,10 @@ mod tests {
         let doc = flight_record(&trigger, &windows, &r.snapshot());
         let text = doc.to_string_pretty();
         let back = crate::json::parse(&text).expect("flight record parses");
-        assert_eq!(back.get("kind").and_then(Json::as_str), Some("flight-record"));
+        assert_eq!(
+            back.get("kind").and_then(Json::as_str),
+            Some("flight-record")
+        );
         assert_eq!(
             back.get("schema_version").and_then(Json::as_u64),
             Some(SCHEMA_VERSION)
@@ -614,7 +671,9 @@ mod tests {
         let last = WindowSnapshot::from_json(&ws[4]).expect("windows round-trip");
         assert_eq!(last.index, 4);
         assert_eq!(
-            back.get("recent_events").and_then(Json::as_arr).map(<[_]>::len),
+            back.get("recent_events")
+                .and_then(Json::as_arr)
+                .map(<[_]>::len),
             Some(1)
         );
     }

@@ -131,7 +131,10 @@ fn prometheus_text_matches_the_golden_file() {
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {} ({e}); run with BLESS=1", path.display())
+        panic!(
+            "missing golden file {} ({e}); run with BLESS=1",
+            path.display()
+        )
     });
     assert_eq!(
         text, expected,

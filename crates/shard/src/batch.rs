@@ -158,14 +158,10 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
                     shard.lock.execute(|ctx| {
                         for &i in chunk {
                             slots[i].set(match ops[i] {
-                                MapOp::Insert(k, v) => {
-                                    OpResult::Value(shard.map.insert(ctx, k, v))
-                                }
+                                MapOp::Insert(k, v) => OpResult::Value(shard.map.insert(ctx, k, v)),
                                 MapOp::Remove(k) => OpResult::Value(shard.map.remove(ctx, k)),
                                 MapOp::Get(k) => OpResult::Found(shard.map.get(ctx, k)),
-                                MapOp::Contains(k) => {
-                                    OpResult::Present(shard.map.contains(ctx, k))
-                                }
+                                MapOp::Contains(k) => OpResult::Present(shard.map.contains(ctx, k)),
                             });
                         }
                     });

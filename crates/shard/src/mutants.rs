@@ -25,14 +25,16 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         let (s1, s2) = (self.shard_of(k1), self.shard_of(k2));
         if s1 == s2 {
             let s = &self.shards[s1];
-            return s.lock.execute(|ctx| match (s.map.get(ctx, k1), s.map.get(ctx, k2)) {
-                (Some(v1), Some(v2)) => {
-                    s.map.insert(ctx, k1, v2);
-                    s.map.insert(ctx, k2, v1);
-                    true
-                }
-                _ => false,
-            });
+            return s
+                .lock
+                .execute(|ctx| match (s.map.get(ctx, k1), s.map.get(ctx, k2)) {
+                    (Some(v1), Some(v2)) => {
+                        s.map.insert(ctx, k1, v2);
+                        s.map.insert(ctx, k2, v1);
+                        true
+                    }
+                    _ => false,
+                });
         }
         let (lo, hi) = if s1 < s2 { (s1, s2) } else { (s2, s1) };
         // BUG (seeded): `hi` is locked while `lo` is still wanted — the
@@ -40,7 +42,11 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         // real cross-shard operations.
         let g_hi = self.shards[hi].lock.lock_section();
         let g_lo = self.shards[lo].lock.lock_section();
-        let (g1, g2) = if s1 == lo { (&g_lo, &g_hi) } else { (&g_hi, &g_lo) };
+        let (g1, g2) = if s1 == lo {
+            (&g_lo, &g_hi)
+        } else {
+            (&g_hi, &g_lo)
+        };
         match (
             self.shards[s1].map.get(g1.ctx(), k1),
             self.shards[s2].map.get(g2.ctx(), k2),

@@ -68,7 +68,10 @@ impl ShardReport {
 impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     /// Per-shard stats snapshots, in shard-index order.
     pub fn shard_stats(&self) -> Vec<StatsSnapshot> {
-        self.shards.iter().map(|s| s.lock.stats().snapshot()).collect()
+        self.shards
+            .iter()
+            .map(|s| s.lock.stats().snapshot())
+            .collect()
     }
 
     /// All shards' counters summed into one lock-shaped snapshot.
@@ -93,11 +96,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
             heat_conflicts: self
                 .shards
                 .iter()
-                .map(|s| {
-                    s.lock
-                        .orec_heatmap()
-                        .map_or(0, |h| h.total_conflicts())
-                })
+                .map(|s| s.lock.orec_heatmap().map_or(0, |h| h.total_conflicts()))
                 .collect(),
             routed: self.routed_counts(),
             software_backend: self.software_backend_name(),
@@ -218,7 +217,10 @@ mod tests {
     fn imbalance_metrics_behave() {
         assert_eq!(imbalance(&[0, 0, 0]), 0.0);
         assert!((imbalance(&[5, 5, 5, 5]) - 1.0).abs() < 1e-12);
-        assert!((imbalance(&[8, 0, 0, 0]) - 4.0).abs() < 1e-12, "all-on-one = shard count");
+        assert!(
+            (imbalance(&[8, 0, 0, 0]) - 4.0).abs() < 1e-12,
+            "all-on-one = shard count"
+        );
     }
 
     /// The shards share one recorder, so its windows are the cross-shard
@@ -294,7 +296,10 @@ mod tests {
             map_src.gauges.iter().any(|(k, _)| k == "load_imbalance"),
             "imbalance gauges present"
         );
-        assert!(map_src.windows.is_empty(), "windows come via the recorder source");
+        assert!(
+            map_src.windows.is_empty(),
+            "windows come via the recorder source"
+        );
 
         let rec_src = scrape
             .iter()

@@ -326,8 +326,7 @@ impl<V: TxWord + PartialEq, B: HtmBackend> ShardedTxMap<V, B> {
         if s1 == s2 {
             let s = self.route(k1);
             return s.lock.execute(|ctx| {
-                let ok = s.map.get(ctx, k1) == Some(expect1)
-                    && s.map.get(ctx, k2) == Some(expect2);
+                let ok = s.map.get(ctx, k1) == Some(expect1) && s.map.get(ctx, k2) == Some(expect2);
                 if ok {
                     s.map.insert(ctx, k1, new1);
                     s.map.insert(ctx, k2, new2);
@@ -363,9 +362,9 @@ impl<B: HtmBackend> ShardedTxMap<u64, B> {
         let (sf, st) = (self.shard_of(from), self.shard_of(to));
         if sf == st {
             let s = self.route(from);
-            return s.lock.execute(|ctx| {
-                Self::transfer_in(&s.map, ctx, &s.map, ctx, from, to, amount)
-            });
+            return s
+                .lock
+                .execute(|ctx| Self::transfer_in(&s.map, ctx, &s.map, ctx, from, to, amount));
         }
         let (lo, hi) = if sf < st { (sf, st) } else { (st, sf) };
         self.with_shards_locked(&[lo, hi], |guards| {
@@ -473,7 +472,10 @@ mod tests {
             assert_eq!(s, m.shard_of(k), "routing must be deterministic");
             seen[s] = true;
         }
-        assert!(seen.iter().all(|&b| b), "4096 keys must touch all 16 shards");
+        assert!(
+            seen.iter().all(|&b| b),
+            "4096 keys must touch all 16 shards"
+        );
     }
 
     #[test]

@@ -145,10 +145,18 @@ fn an_outsized_batch_keeps_no_scratch() {
 fn multi_get_allocates_its_result_and_guard_list_at_most() {
     let map = service_map();
     let per_call = allocations_per_call(|call| {
-        let keys = [call % KEYS, (call + 1) % KEYS, (call + 7) % KEYS, (call + 13) % KEYS];
+        let keys = [
+            call % KEYS,
+            (call + 1) % KEYS,
+            (call + 7) % KEYS,
+            (call + 13) % KEYS,
+        ];
         assert_eq!(map.multi_get(&keys).len(), 4);
     });
-    assert!(per_call <= 2.0, "allocations per warm 4-key multi_get: {per_call}");
+    assert!(
+        per_call <= 2.0,
+        "allocations per warm 4-key multi_get: {per_call}"
+    );
 }
 
 #[test]
@@ -158,7 +166,8 @@ fn cross_shard_pairs_allocate_nothing() {
         let (a, b) = cross_pair(&map, call % (KEYS / 2));
         // Alternate the direction so balances stay put.
         let (from, to) = if call % 2 == 0 { (a, b) } else { (b, a) };
-        map.transfer(from, to, 1).expect("both accounts hold balance");
+        map.transfer(from, to, 1)
+            .expect("both accounts hold balance");
     });
     let cas = allocations_per_call(|call| {
         let (a, b) = cross_pair(&map, KEYS / 2 + call % (KEYS / 4));

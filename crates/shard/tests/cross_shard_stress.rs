@@ -84,8 +84,7 @@ fn stress(map: Arc<ShardedTxMap>, seed_base: u64) -> (u64, u64) {
                         // in every atomic cross-shard read, mid-run.
                         _ => {
                             let keys: Vec<u64> = (0..ACCOUNTS).collect();
-                            let total: u64 =
-                                map.multi_get(&keys).into_iter().flatten().sum();
+                            let total: u64 = map.multi_get(&keys).into_iter().flatten().sum();
                             assert_eq!(
                                 total,
                                 ACCOUNTS * INITIAL,
@@ -125,7 +124,10 @@ fn transfers_conserve_under_chaos_storm() {
         ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 128 }),
     ));
     let (ok, _) = chaos.with_installed(|| stress(Arc::clone(&map), 0xc405_0001));
-    assert!(ok > 0, "no transfer ever succeeded — the workload is broken");
+    assert!(
+        ok > 0,
+        "no transfer ever succeeded — the workload is broken"
+    );
 
     // The storm must actually have exercised the fallback machinery.
     let merged = map.merged_stats();
@@ -147,7 +149,10 @@ fn transfers_conserve_without_chaos() {
     let (ok, _) = HtmConfig::default().with_installed(|| stress(Arc::clone(&map), 0xc405_0002));
     assert!(ok > 0);
     let merged = map.merged_stats();
-    assert!(merged.fast_commits > 0, "clean run must commit on HTM: {merged:?}");
+    assert!(
+        merged.fast_commits > 0,
+        "clean run must commit on HTM: {merged:?}"
+    );
 }
 
 /// Pair-CAS across shards under chaos: each slot holds a generation
@@ -181,10 +186,8 @@ fn cas_pair_generations_account_exactly_under_chaos() {
                         }
                         // Read current generations, then CAS both forward.
                         let vals = map.multi_get(&[a, b]);
-                        let (ga, gb) = (
-                            vals[0].expect("slot exists"),
-                            vals[1].expect("slot exists"),
-                        );
+                        let (ga, gb) =
+                            (vals[0].expect("slot exists"), vals[1].expect("slot exists"));
                         if map.compare_and_swap_pair((a, ga, ga + 1), (b, gb, gb + 1)) {
                             successes.fetch_add(1, Ordering::Relaxed);
                         }

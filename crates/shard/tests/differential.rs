@@ -131,7 +131,11 @@ fn batch_agrees(
     let results = map.execute_batch(batch);
     assert_eq!(results.len(), batch.len(), "[{label}] result count");
     for (i, (&op, &got)) in batch.iter().zip(&results).enumerate() {
-        assert_eq!(got, apply_oracle_op(op, model), "[{label}, op {i}] {op:?} diverged");
+        assert_eq!(
+            got,
+            apply_oracle_op(op, model),
+            "[{label}, op {i}] {op:?} diverged"
+        );
     }
 }
 
@@ -145,7 +149,12 @@ fn churn_batches_agree(policy: ElisionPolicy, seed: u64, label: &str) -> Sharded
     let mut model = BTreeMap::new();
     for batch_no in 0..48u64 {
         let batch = to_batch(&gen_ops_churn(&mut rng, 24, 200), batch_no, |k| k);
-        batch_agrees(&map, &batch, &mut model, &format!("{label}, batch {batch_no}"));
+        batch_agrees(
+            &map,
+            &batch,
+            &mut model,
+            &format!("{label}, batch {batch_no}"),
+        );
     }
     final_states_match(&map, &Mutex::new(model), label);
     map
@@ -154,7 +163,11 @@ fn churn_batches_agree(policy: ElisionPolicy, seed: u64, label: &str) -> Sharded
 #[test]
 fn batched_execution_agrees_under_lock_only() {
     let map = churn_batches_agree(ElisionPolicy::LockOnly, 0x5aad_0003, "LockOnly");
-    assert_eq!(map.merged_stats().fast_commits, 0, "LockOnly never speculates");
+    assert_eq!(
+        map.merged_stats().fast_commits,
+        0,
+        "LockOnly never speculates"
+    );
 }
 
 #[test]
@@ -176,14 +189,16 @@ fn batched_execution_agrees_when_attempts_abort_mid_chunk() {
         ..HtmConfig::default()
     };
     chaos.with_installed(|| {
-        let map =
-            churn_batches_agree(ElisionPolicy::FgTle { orecs: 64 }, 0x5aad_0006, "chaos");
+        let map = churn_batches_agree(ElisionPolicy::FgTle { orecs: 64 }, 0x5aad_0006, "chaos");
         let stats = map.merged_stats();
         assert!(
             stats.aborts_capacity > 0 && stats.aborts_conflict > 0,
             "attempts must abort mid-chunk and at begin: {stats:?}"
         );
-        assert!(stats.fast_commits > 0 && stats.lock_acquisitions > 0, "{stats:?}");
+        assert!(
+            stats.fast_commits > 0 && stats.lock_acquisitions > 0,
+            "{stats:?}"
+        );
     });
 }
 
@@ -231,7 +246,10 @@ fn a_chunk_reports_only_its_committing_attempt() {
             torn
         });
         assert_eq!(torn, 0, "chunks whose two reads of one key disagree");
-        assert!(map.merged_stats().aborts_capacity > 0, "the chunk must abort part-way");
+        assert!(
+            map.merged_stats().aborts_capacity > 0,
+            "the chunk must abort part-way"
+        );
     });
 }
 
@@ -260,7 +278,10 @@ fn per_key_order_holds_across_chunks() {
             .iter()
             .filter(|op| map.shard_of(op.key()) == map.shard_of(HOT))
             .count();
-        assert!(hot_shard_ops > 2 * BATCH_CHUNK, "the hot group spans chunks");
+        assert!(
+            hot_shard_ops > 2 * BATCH_CHUNK,
+            "the hot group spans chunks"
+        );
         batch_agrees(&map, &batch, &mut model, &format!("round {round}"));
     }
     final_states_match(&map, &Mutex::new(model), "across chunks");
@@ -283,7 +304,12 @@ fn concurrent_batches_keep_their_own_scratch() {
                 for batch_no in 0..400u64 {
                     let ops = gen_ops_churn(&mut rng, 48, 96);
                     let batch = to_batch(&ops, batch_no, |k| 2 * k + tid);
-                    batch_agrees(map, &batch, &mut model, &format!("thread {tid}, batch {batch_no}"));
+                    batch_agrees(
+                        map,
+                        &batch,
+                        &mut model,
+                        &format!("thread {tid}, batch {batch_no}"),
+                    );
                 }
             });
         }

@@ -1773,7 +1773,10 @@ mod tests {
             .iter()
             .find(|&&(code, _)| code == u64::from(abort_codes::OREC_CONFLICT))
             .map_or(0, |&(_, n)| n);
-        assert!(eager > 0, "shared writes over 2 orecs must self-abort: {s:?}");
+        assert!(
+            eager > 0,
+            "shared writes over 2 orecs must self-abort: {s:?}"
+        );
         assert!(
             (eager..=eager + s.aborts_conflict).contains(&heat.total_conflicts()),
             "attribution invariant: {s:?}"

@@ -36,10 +36,17 @@ fn every_resolution_is_booked_in_book() {
         "aborts_lazy",
     ] {
         let write = format!("&mut s.{class}");
-        assert_eq!(src.matches(class).count(), 1, "{class} is read or written outside `book`");
+        assert_eq!(
+            src.matches(class).count(),
+            1,
+            "{class} is read or written outside `book`"
+        );
         assert_eq!(body_of("book").matches(&write).count(), 1, "{class}");
     }
-    assert!(!src.contains("stats.aborts +="), "a counted abort total is back");
+    assert!(
+        !src.contains("stats.aborts +="),
+        "a counted abort total is back"
+    );
     assert_eq!(src.matches("stats.sw_aborts +=").count(), 1);
     assert_eq!(body_of("book").matches("stats.sw_aborts +=").count(), 1);
     // The recorder is fed attempts from `book` alone.

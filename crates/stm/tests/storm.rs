@@ -115,7 +115,11 @@ fn run_storm(space: &Stm) -> Vec<Record> {
 
     // Sequence sanity: every commit owns a unique serialization slot.
     let total = THREADS * OPS_PER_THREAD;
-    assert_eq!(seq.read_plain(), total as u64, "every op committed exactly once");
+    assert_eq!(
+        seq.read_plain(),
+        total as u64,
+        "every op committed exactly once"
+    );
 
     // Replay in serialization order against a sequential oracle.
     let mut all = records.into_inner().unwrap();

@@ -37,7 +37,9 @@ fn main() {
 
     // --- Transactified design: one map, one elided global lock. ---------
     let map = KmerMap::with_capacity(2 * total_kmers);
-    let lock = ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 4096 }).build();
+    let lock = ElidableLock::builder()
+        .policy(ElisionPolicy::FgTle { orecs: 4096 })
+        .build();
     let exec = |cs: &dyn Fn(&dyn DynAccess)| {
         lock.execute(|ctx| cs(ctx));
     };

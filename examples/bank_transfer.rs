@@ -104,5 +104,8 @@ fn main() {
             total
         );
     }
-    println!("\nconservation held on every space (sum == {} for all).", ACCOUNTS * INITIAL);
+    println!(
+        "\nconservation held on every space (sum == {} for all).",
+        ACCOUNTS * INITIAL
+    );
 }

@@ -13,7 +13,11 @@ fn main() {
     // A lock running the paper's FG-TLE algorithm with 256 ownership
     // records. Swap the policy to compare: LockOnly, Tle, RwTle,
     // FgTle { orecs }, AdaptiveFgTle { .. }.
-    let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 256 }).build());
+    let lock = Arc::new(
+        ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 256 })
+            .build(),
+    );
 
     // Shared data lives in TxCells so the (software-emulated) HTM can
     // track it on every path.

@@ -65,7 +65,10 @@ impl Sys {
             let used = CAPACITY - a.load(&self.remaining[r as usize]);
             assert!(used <= CAPACITY, "capacity overdrawn on resource {r}");
             let recorded = keys.iter().filter(|&&k| k >> 16 == r).count() as u64;
-            assert_eq!(used, recorded, "resource {r}: {used} used vs {recorded} booked");
+            assert_eq!(
+                used, recorded,
+                "resource {r}: {used} used vs {recorded} booked"
+            );
             total_used += used;
         }
         assert_eq!(total_used as usize, keys.len());
@@ -120,7 +123,10 @@ fn composition_under_fg_tle() {
 
 #[test]
 fn composition_under_adaptive() {
-    drive(ElisionPolicy::AdaptiveFgTle { initial_orecs: 32, max_orecs: 2048 });
+    drive(ElisionPolicy::AdaptiveFgTle {
+        initial_orecs: 32,
+        max_orecs: 2048,
+    });
 }
 
 #[test]

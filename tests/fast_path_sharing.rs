@@ -45,7 +45,11 @@ fn storm<T: Send>(rounds: u64, work: impl Fn(u64) -> T + Sync) -> Vec<T> {
             })
             .collect();
         let mut first = first.into_iter();
-        let mut done: Vec<T> = first.by_ref().take(LANES).map(|h| h.join().unwrap()).collect();
+        let mut done: Vec<T> = first
+            .by_ref()
+            .take(LANES)
+            .map(|h| h.join().unwrap())
+            .collect();
         let late: Vec<_> = (0..LANES).map(|_| s.spawn(move || work(rounds))).collect();
         done.extend(first.chain(late).map(|h| h.join().unwrap()));
         done
@@ -228,9 +232,7 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         let cell = TxCell::new(0u64);
         let calls: u64 = storm(ROUNDS, |rounds| {
             for _ in 0..rounds {
-                lock.execute_from(Instant::now(), |ctx| {
-                    ctx.write(&cell, ctx.read(&cell) + 1)
-                });
+                lock.execute_from(Instant::now(), |ctx| ctx.write(&cell, ctx.read(&cell) + 1));
             }
             rounds
         })

@@ -101,7 +101,11 @@ fn outside_readers_see_ordered_committed_state() {
 /// transactions that read it (strong atomicity in the write direction).
 #[test]
 fn outside_writes_are_respected_by_speculation() {
-    let lock = Arc::new(ElidableLock::builder().policy(ElisionPolicy::FgTle { orecs: 64 }).build());
+    let lock = Arc::new(
+        ElidableLock::builder()
+            .policy(ElisionPolicy::FgTle { orecs: 64 })
+            .build(),
+    );
     let cell = Arc::new(TxCell::new(0u64));
     let stop = Arc::new(AtomicBool::new(false));
 
