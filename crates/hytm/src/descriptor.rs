@@ -76,7 +76,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn write_log_supersedes() {
+    fn write_log_appends_and_truncate_restores() {
         let a = TxCell::new(0u64);
         let b = TxCell::new(0u64);
         let mut d = SwDescriptor::default();
@@ -85,10 +85,14 @@ mod tests {
         d.writes.log_write(&a, 1);
         d.writes.log_write(&b, 2);
         d.writes.log_write(&a, 3);
-        assert_eq!(d.writes.lookup(&a), Some(3));
+        assert_eq!(d.writes.lookup(&a), Some(3), "the latest write");
         assert_eq!(d.writes.lookup(&b), Some(2));
-        assert_eq!(d.writes.iter().count(), 2);
+        assert_eq!(d.writes.iter().count(), 3, "every write appends");
+        d.writes.truncate(2);
+        assert_eq!(d.writes.lookup(&a), Some(1), "the earlier value is back");
         assert!(!d.is_read_only());
+        d.writes.truncate(0);
+        assert!(d.is_read_only(), "a log truncated to 0 commits read-only");
     }
 
     #[test]

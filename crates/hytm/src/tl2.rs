@@ -147,6 +147,9 @@ impl SoftwareTm for Tl2 {
         self.settle(d, read)
     }
 
+    /// A write later truncated away ([`crate::SwPhase::truncate_writes`])
+    /// leaves its stripe in the footprint: commit locks and re-versions it
+    /// with nothing written under it, which is at worst a false conflict.
     fn write(&self, d: &mut SwDescriptor, cell: &TxCell<u64>, value: u64) {
         d.writes.log_write(cell, value);
         d.footprint.write(self.stripe_for(cell));

@@ -32,8 +32,9 @@
 //! per-participant lock subscription, then the space's software-TM backend
 //! with per-participant presence, then pessimistic acquisition of every
 //! involved lock in ascending address order. Each rung reuses the exact
-//! coexistence machinery `ElidableLock` already implements; the new code
-//! is the redo log, the enrollment protocol, and the retry/wakeup plane.
+//! coexistence machinery `ElidableLock` already implements, and each rung
+//! has one write log; the new code is the pessimistic rung's write
+//! buffer, the enrollment protocol, and the retry/wakeup plane.
 //!
 //! ## Blocking and choice
 //!

@@ -24,24 +24,26 @@
 //!   of [`rtle_htm::unwind`] ([`restart`]); the driver grows the plan and
 //!   re-runs.
 //!
-//! **Spec** reads and writes go straight through the space lock's `Ctx`:
-//! the hardware transaction is the log. Its footprint is the read set and
-//! its redo log answers read-own-write and publishes the writes at commit,
-//! so nothing is copied and nothing is flushed. The `Tx` keeps only the
-//! written [`TxVar`]s' waiter lists, for the wakeups after commit, and a
-//! count of its stores. Hardware cannot roll back half a transaction, so
-//! the two cases that would need it — an [`Tx::or_else`] first branch that
-//! stored and then retries, and a [`Tx::retry`] after a store — end the
-//! attempt with [`AbortCode::Unsupported`] and the software rung reruns
-//! the transaction. A retry without stores commits read-only and hands
-//! off to the next rung, which logs the reads it parks on.
+//! Each rung has one write log, and the `Tx`'s store count is its length.
+//! **Spec** and **Sw** read and write straight through the mode's `Ctx`:
+//! the hardware transaction's redo log, or the software backend
+//! descriptor's, answers read-own-write and is published by the commit,
+//! so nothing is copied and nothing is flushed. On **Locked** a holder's
+//! `Ctx` writes in place, so the rung buffers its writes itself and
+//! flushes them through each owning lock's holder context at commit time.
 //!
-//! **Sw** and **Locked** buffer their writes in an append-only redo log
-//! and flush them at commit time. Append-only is what makes
-//! [`Tx::or_else`] cheap there: the abandoned first branch is rolled back
-//! by truncating the write log to a checkpoint, while its reads stay
-//! logged — STM-Haskell's semantics, where a nested retry blocks on the
-//! *union* of both branches' read sets.
+//! The logs are append-only, so off the hardware rung [`Tx::or_else`]
+//! rolls the abandoned first branch back by truncating the log to the
+//! store count the branch started at, while its reads stay logged —
+//! STM-Haskell's semantics, where a nested retry blocks on the *union* of
+//! both branches' read sets. A Sw [`Tx::retry`] truncates the log to
+//! nothing, so it commits read-only. Hardware cannot roll back half a
+//! transaction, so there a first branch that stored and then retries, and
+//! a retry after a store, end the attempt with [`AbortCode::Unsupported`]
+//! and the software rung reruns the transaction; a retry without stores
+//! commits read-only and hands off to the next rung. The read log holds
+//! the [`TxVar`] reads a retry parks on: not a read of a var the attempt
+//! wrote, which saw its own write.
 //!
 //! The buffers are the thread's: a call takes the spare its last call
 //! handed back, so a warm call allocates nothing.
@@ -63,7 +65,7 @@ use std::sync::Arc;
 use rtle_core::{Ctx, ElidableLock, SoftwarePresence};
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::{abort, AbortCode, SwHtmBackend, TxAccess, TxCell, TxWord};
-use rtle_hytm::SoftwareTm;
+use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_shard::ShardedTxMap;
 
 use crate::space::Stm;
@@ -86,19 +88,17 @@ pub enum TxError {
 /// and rerun. Compose with `?`.
 pub type TxResult<T> = Result<T, TxError>;
 
-/// One logged read (Sw and Locked): the cell, the value observed, and —
-/// for [`TxVar`] reads — the var's waiter list, so `retry` knows where to
-/// park.
+/// One logged [`TxVar`] read (Sw and Locked): the cell, the value
+/// observed, and the var's waiter list, so `retry` knows where to park.
 pub(crate) struct ReadRec {
     pub(crate) cell: *const TxCell<u64>,
     pub(crate) value: u64,
-    pub(crate) waiters: Option<*const WaitList>,
+    pub(crate) waiters: *const WaitList,
 }
 
-/// One buffered write (Sw and Locked). `domain` is the owning lock's
-/// address, so the pessimistic flush can route it through that lock's
-/// holder context (stamping the right orecs / write flag for slow-path
-/// coexistence).
+/// One buffered write (Locked). `domain` is the owning lock's address, so
+/// the pessimistic flush can route it through that lock's holder context
+/// (stamping the right orecs / write flag for slow-path coexistence).
 pub(crate) struct WriteRec {
     pub(crate) cell: *const TxCell<u64>,
     pub(crate) value: u64,
@@ -147,8 +147,8 @@ thread_local! {
 /// back on drop, the way `rtle_hytm::SwPhase` lends its descriptor.
 pub(crate) struct TxInner<'env> {
     pub(crate) logs: Logs,
-    /// Stores a Spec attempt made straight through the hardware
-    /// transaction (the other rungs count their `writes`).
+    /// Stores this attempt made, on every rung: the length of the rung's
+    /// one write log, so it is where a rollback truncates to.
     pub(crate) stores: usize,
     /// Set by a Locked-mode enrollment miss just before [`restart`].
     pub(crate) missing: Option<&'env Lock>,
@@ -180,12 +180,6 @@ impl<'env> TxInner<'env> {
             // held; nothing is published through it.
             unsafe { &*lock }
         })
-    }
-
-    /// Where a rollback returns to: the ends of the write log and the
-    /// waiter list, and the Spec store count.
-    fn mark(&self) -> (usize, usize, usize) {
-        (self.logs.writes.len(), self.logs.woken.len(), self.stores)
     }
 }
 
@@ -219,10 +213,12 @@ impl<'s> LockedPlan<'s> {
 pub(crate) enum Mode<'env, 'run> {
     /// Hardware speculation under the space lock.
     Spec(&'run Ctx<'run>),
-    /// Software-TM attempt on the space lock's backend.
+    /// Software-TM attempt on the space lock's backend; `phase` lends the
+    /// descriptor whose write log `or_else` truncates.
     Sw {
         ctx: &'run Ctx<'run>,
         tm: &'run Arc<dyn SoftwareTm>,
+        phase: &'run SwPhase<'run>,
         presences: &'run RefCell<Vec<SoftwarePresence<'env>>>,
     },
     /// Pessimistic: all planned locks held in address order.
@@ -306,7 +302,7 @@ impl<'env, 'run> Tx<'env, 'run> {
     }
 
     /// Composes two alternatives: runs `a`; if it retries, rolls back its
-    /// writes (truncating the append-only redo log to a checkpoint) and
+    /// writes (truncating the append-only write log to a checkpoint) and
     /// runs `b`. Reads from the abandoned branch stay logged, so a retry
     /// of the *composition* blocks on the union of both branches' read
     /// sets — exactly STM-Haskell's `orElse`. Nests freely.
@@ -319,16 +315,24 @@ impl<'env, 'run> Tx<'env, 'run> {
         a: impl FnOnce(&Self) -> TxResult<R>,
         b: impl FnOnce(&Self) -> TxResult<R>,
     ) -> TxResult<R> {
-        let checkpoint = self.inner.borrow().mark();
+        let (stores, woken) = {
+            let inner = self.inner.borrow();
+            (inner.stores, inner.logs.woken.len())
+        };
         match a(self) {
             Err(TxError::Retry) => {
-                let (writes, woken, stores) = checkpoint;
                 let mut inner = self.inner.borrow_mut();
                 if inner.stores != stores {
-                    drop(inner);
-                    abort::raise(AbortCode::Unsupported);
+                    match &self.mode {
+                        Mode::Spec(_) => {
+                            drop(inner);
+                            abort::raise(AbortCode::Unsupported);
+                        }
+                        Mode::Sw { phase, .. } => phase.truncate_writes(stores),
+                        Mode::Locked(_) => inner.logs.writes.truncate(stores),
+                    }
+                    inner.stores = stores;
                 }
-                inner.logs.writes.truncate(writes);
                 inner.logs.woken.truncate(woken);
                 drop(inner);
                 b(self)
@@ -456,46 +460,45 @@ impl<'env, 'run> Tx<'env, 'run> {
     // Barriers
     // ------------------------------------------------------------------
 
-    /// Read barrier. Spec reads through the hardware transaction, whose
-    /// redo log answers read-own-write. The other modes look up their own
-    /// redo log, then read through the mode's `Ctx` and log the read.
+    /// Read barrier. Spec and Sw read through the mode's `Ctx`, whose write
+    /// log answers read-own-write; Locked looks up its own log first. A
+    /// [`TxVar`] read from memory is logged for `retry` to park on.
     pub(crate) fn load_raw(
         &self,
         cell: &TxCell<u64>,
         domain: usize,
         waiters: Option<*const WaitList>,
     ) -> u64 {
-        let ctx = match &self.mode {
-            Mode::Spec(ctx) => return ctx.read(cell),
-            Mode::Sw { ctx, .. } => *ctx,
-            Mode::Locked(plan) => plan
-                .ctx_for(domain)
-                .expect("read from a domain that was never enrolled"),
-        };
         let ptr = cell as *const TxCell<u64>;
-        {
-            let inner = self.inner.borrow();
-            let own = inner
-                .logs
-                .writes
-                .iter()
-                .rev()
-                .find(|w| std::ptr::eq(w.cell, ptr));
-            if let Some(w) = own {
-                return w.value;
+        let value = match &self.mode {
+            Mode::Spec(ctx) => return ctx.read(cell),
+            Mode::Sw { ctx, .. } => ctx.read(cell),
+            Mode::Locked(plan) => {
+                let inner = self.inner.borrow();
+                if let Some(w) = inner.logs.writes.iter().rfind(|w| w.cell == ptr) {
+                    return w.value;
+                }
+                drop(inner);
+                plan.ctx_for(domain)
+                    .expect("read from a domain that was never enrolled")
+                    .read(cell)
+            }
+        };
+        if let Some(wl) = waiters {
+            let mut inner = self.inner.borrow_mut();
+            if !inner.logs.woken.contains(&wl) {
+                inner.logs.reads.push(ReadRec {
+                    cell: ptr,
+                    value,
+                    waiters: wl,
+                });
             }
         }
-        let value = ctx.read(cell);
-        self.inner.borrow_mut().logs.reads.push(ReadRec {
-            cell: ptr,
-            value,
-            waiters,
-        });
         value
     }
 
-    /// Write barrier. Spec writes through the hardware transaction; the
-    /// other modes append to the redo log, and nothing touches memory
+    /// Write barrier. Spec and Sw write through the mode's `Ctx` into its
+    /// write log; Locked appends to its own, and nothing touches memory
     /// until the attempt flushes at commit time.
     pub(crate) fn store_raw(
         &self,
@@ -504,23 +507,16 @@ impl<'env, 'run> Tx<'env, 'run> {
         domain: usize,
         waiters: Option<*const WaitList>,
     ) {
-        let spec = match &self.mode {
-            Mode::Spec(ctx) => {
-                ctx.write(cell, value);
-                true
-            }
-            _ => false,
-        };
         let mut inner = self.inner.borrow_mut();
-        if spec {
-            inner.stores += 1;
-        } else {
-            inner.logs.writes.push(WriteRec {
-                cell: cell as *const TxCell<u64>,
+        match &self.mode {
+            Mode::Spec(ctx) | Mode::Sw { ctx, .. } => ctx.write(cell, value),
+            Mode::Locked(_) => inner.logs.writes.push(WriteRec {
+                cell,
                 value,
                 domain,
-            });
+            }),
         }
+        inner.stores += 1;
         if let Some(wl) = waiters {
             if !inner.logs.woken.contains(&wl) {
                 inner.logs.woken.push(wl);
@@ -575,24 +571,6 @@ impl TxAccess for DomainAccess<'_, '_, '_> {
 // ----------------------------------------------------------------------
 // Commit-time flush (driver side)
 // ----------------------------------------------------------------------
-
-/// Flushes the redo log into the software attempt's `Ctx`, i.e. into the
-/// backend's buffered write set, published by the backend commit. Log
-/// order is preserved, so later writes to the same cell win.
-///
-/// # Safety (by contract, see module docs)
-/// Cell pointers were captured from references live in the closure; the
-/// flush runs while those references are still borrowed.
-pub(crate) fn flush_sw(inner: &TxInner<'_>, ctx: &Ctx<'_>) {
-    for w in &inner.logs.writes {
-        // SAFETY: the pointer was captured from a `&TxCell` that is still
-        // borrowed by the closure this flush runs inside (module contract).
-        // lockcheck: the deref only reconstructs the reference; the store
-        // goes through the attempt's own transactional access barriers.
-        let cell = unsafe { &*w.cell };
-        ctx.write(cell, w.value);
-    }
-}
 
 /// Ends a Spec attempt inside its hardware transaction. A commit runs each
 /// enrolled participant's hardware commit hook, giving participants'

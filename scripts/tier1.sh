@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the full test suite (in release, then in
-# debug with overflow checks and debug assertions on), clippy, rtle-check, the
-# seeded mutants, the fuzz campaign, real RTM where it commits, the
-# checked-in figures and the benchmark harness's self-tests. Every check
-# of a document a binary writes is a cargo test (the binaries themselves
-# are driven by crates/bench/tests/cli.rs); what is left here is what only
-# a shell can hold: exit codes, wall-clock budgets, and builds under other
-# features.
+# Tier-1 gate: formatting, release build, the full test suite (in release,
+# then in debug with overflow checks and debug assertions on), clippy,
+# rtle-check, the seeded mutants, the fuzz campaign, real RTM where it
+# commits, the checked-in figures and the benchmark harness's self-tests.
+# Every check of a document a binary writes is a cargo test (the binaries
+# themselves are driven by crates/bench/tests/cli.rs); what is left here
+# is what only a shell can hold: exit codes, wall-clock budgets, and
+# builds under other features.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +44,12 @@ cargo_test() {
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+stage "format (rustfmt --check)"
+# The tree is rustfmt-clean, root workspace and benchmark package alike:
+# a mis-formatted line fails here, before anything is built.
+cargo fmt --all --check
+cargo fmt --manifest-path benchmark/Cargo.toml --check
+
 stage "build (release)"
 cargo build --workspace --release
 cargo build --workspace --examples
@@ -74,8 +80,10 @@ stage "tests"
 # the hardware again after at most 64 skipped calls; without a software
 # rung it never skips),
 # crates/stm/tests/rollback.rs (an or_else first branch that wrote and
-# retried leaves no trace on the Spec, Sw and Locked rungs; on Spec its
-# rollback is one unsupported abort and a software commit),
+# retried leaves no trace on the Spec, Sw and Locked rungs, the Sw rung on
+# NOrec, TL2 and RH-NOrec; on Spec its rollback is one unsupported abort
+# and a software commit; a retry after a store, or after reading its own
+# store, publishes nothing and parks within a 10 s deadline),
 # tests/one_software_rung.rs (one software backend per lock, one
 # descriptor builder, and RH-NOrec on the lock's ladder: no enter_sw/
 # exit_sw, sw_count, TmCtx::hw, HtmFast/HtmSlow or record_hw_abort in
