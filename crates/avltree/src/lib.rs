@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-avltree: the paper's micro-benchmark data structure
 //!
 //! An internal, balanced (AVL) binary search tree implementing a set, in

@@ -247,9 +247,11 @@ mod tests {
             let p50 = lat.get("p50").and_then(Json::as_u64).unwrap();
             let p99 = lat.get("p99").and_then(Json::as_u64).unwrap();
             assert!(p99 >= p50, "{label}: p99 {p99} < p50 {p50}");
-            // The embedded full snapshot round-trips.
+            // The full snapshot is embedded, stamped with the schema.
             let snap = m.get("observability").unwrap();
-            assert!(ObsSnapshot::from_json(snap).is_some(), "{label}");
+            let version = snap.get("schema_version").and_then(Json::as_u64);
+            assert_eq!(version, Some(rtle_obs::SCHEMA_VERSION), "{label}");
+            assert!(snap.get("recent_events").and_then(Json::as_arr).is_some());
         }
         // TLE commits on the fast path in this workload.
         let tle = methods

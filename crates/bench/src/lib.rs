@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-bench: the evaluation harness
 //!
 //! One function — and one binary under `src/bin/` — per figure of the

@@ -1,8 +1,8 @@
 //! Acceptance test for the record stream's Chrome reading: a
 //! deterministic 8-thread FG-TLE run exports a Chrome `trace_event`
 //! document that (a) passes the same structural checks Perfetto applies
-//! before loading, (b) survives a full parse → records → re-export
-//! round-trip, (c) has a span on every path that committed, every abort
+//! before loading, (b) carries every record's exact stamp through a full
+//! write → parse, (c) has a span on every path that committed, every abort
 //! span saying why and at which attempt, and (d) shows at least one
 //! lock-holder span overlapping a *committed* slow-path span — the
 //! paper's central claim ("slow-path transactions commit while the lock
@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use rtle_obs::trace::{records_from_chrome_json, to_chrome_json, validate_chrome};
+use rtle_obs::trace::{chrome_document, chrome_event, chrome_process_name, validate_chrome};
 use rtle_obs::{parse_json, Json, ObsConfig, PathKind, Recorder};
 use rtle_sim::{Access, CostModel, Engine, OpSpec, RunMode, SimMethod, Workload};
 
@@ -79,20 +79,25 @@ fn eight_thread_fg_tle_trace_loads_in_perfetto_shape() {
 
     // (a) Structural validity of the export, after a real parse of the
     // serialized text (not just the in-memory tree).
-    let doc = to_chrome_json(&records, "fg-tle-sim", "cycles");
-    let text = doc.to_string_pretty();
+    let mut events = vec![chrome_process_name(1, "fg-tle-sim")];
+    events.extend(records.iter().map(|r| chrome_event(r, 1)));
+    let text = chrome_document(events, "cycles").to_string_pretty();
     let parsed = parse_json(&text).expect("exported trace is valid JSON");
     let n = validate_chrome(&parsed).expect("trace_event structure");
-    assert!(n > records.len(), "all records exported plus metadata");
+    assert_eq!(n, records.len() + 1, "all records exported plus metadata");
 
-    // (b) Lossless round-trip through the Chrome shape.
-    let back = records_from_chrome_json(&parsed).expect("round-trip parse");
-    assert_eq!(back, records, "raw args preserve exact cycle stamps");
+    // (b) Each record's event carries its exact cycle stamp under
+    // `args.raw_ts` (the `ts` field is in microseconds).
+    let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
+    for (e, r) in events[1..].iter().zip(&records) {
+        let raw_ts = e.get("args").and_then(|a| a.get("raw_ts"));
+        assert_eq!(raw_ts.and_then(Json::as_u64), Some(r.ts), "{r:?}");
+        assert_eq!(e.get("tid").and_then(Json::as_u64), Some(r.tid as u64));
+    }
 
     // (c) Every path that committed has its span, and every abort span
     // carries its outcome, its attempt index and — when explicit — the
     // protocol code.
-    let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
     let named = |name: &str| {
         let named = events
             .iter()

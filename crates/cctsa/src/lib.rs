@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-cctsa: a coverage-centric threaded sequence assembler substrate
 //!
 //! The paper's real-application benchmark (§6.4) is ccTSA, an open-source

@@ -4,12 +4,13 @@
 //! Two engines, both dependency-free:
 //!
 //! * the static side — one reading of the source ([`syntax`]: one lexer
-//!   that keeps comments, one parser; [`cfg`]: one lowering to typed
-//!   events) and the seven [`passes`] over it: four path-sensitive flow
-//!   passes (lockset, lock order, publication, the §4 fence) and three
-//!   site-local ones (the memory-ordering invariant table over
-//!   `rtle-core`/`rtle-htm`/…, `// SAFETY:` comments on every `unsafe`
-//!   block, `unwrap`/`panic!` bans in hot-path modules).
+//!   that keeps comments, one parser; [`cfg`](mod@cfg): one lowering to typed
+//!   events) and the five [`passes`] over it: four path-sensitive flow
+//!   passes (lockset, lock order, publication, the §4 fence) and one
+//!   site-local one (the memory-ordering invariant table over
+//!   `rtle-core`/`rtle-htm`/…). Generic Rust hygiene (`// SAFETY:`
+//!   comments, `unwrap`/`panic!` bans in hot-path modules) is clippy's,
+//!   from the workspace lint table.
 //! * [`model`] — an exhaustive interleaving explorer over small closed
 //!   configurations of the TLE / RW-TLE / FG-TLE / lazy-subscription state
 //!   machines, validating every committed history against a
@@ -19,8 +20,6 @@
 //!
 //! Run both with `cargo run -p rtle-check` (see `main.rs` for flags); the
 //! tier-1 script wires this into CI.
-
-#![warn(missing_docs)]
 
 pub mod cfg;
 pub mod model;

@@ -40,7 +40,7 @@ pub struct Report {
     /// Distinct terminal states reached.
     pub terminals: u64,
     /// Total violations found (recorded ones capped at
-    /// [`MAX_RECORDED_VIOLATIONS`]).
+    /// `MAX_RECORDED_VIOLATIONS`).
     pub violation_count: u64,
     /// Recorded violations.
     pub violations: Vec<ViolationReport>,

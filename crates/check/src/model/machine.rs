@@ -5,7 +5,7 @@
 //! every thread is done — hand over its final memory and committed
 //! history. Everything that *drives* a machine is written once against
 //! this trait: the exhaustive explorer and the terminal judge in
-//! [`super::explore`], and `rtle-fuzz`'s PCT runner, replay, shrinker and
+//! [`super::explore`](mod@super::explore), and `rtle-fuzz`'s PCT runner, replay, shrinker and
 //! hunt. A new machine (the x86-TSO store-buffer model, say) is one
 //! `impl Machine` and inherits all of them.
 //!

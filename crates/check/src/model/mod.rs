@@ -6,7 +6,7 @@
 //! lock) paths of TLE, RW-TLE and FG-TLE, over a tiny shared memory of
 //! numbered locations — which of the three it tries next is *called*, not
 //! modeled: `rtle_core::RetryPolicy::next_step`, the runtime's Figure 1.
-//! The explorer ([`explore`]) enumerates *every* interleaving of the
+//! The explorer ([`explore()`]) enumerates *every* interleaving of the
 //! per-thread steps from a given configuration (DFS with memoized states)
 //! and checks each terminal state against
 //!

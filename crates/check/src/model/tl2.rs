@@ -282,7 +282,7 @@ impl Machine for Tl2State {
     }
 
     /// Initial state for `cfg`: all locations 0, clock 0, every thread at
-    /// [`Phase::Begin`].
+    /// `Phase::Begin`.
     fn initial(cfg: &Tl2Config) -> Self {
         cfg.validate();
         Tl2State {

@@ -4,7 +4,7 @@
 //! Fidelity notes (kept deliberately close to `rtle-core`):
 //!
 //! * A fast attempt with eager subscription reads the lock *inside* the
-//!   transaction first ([`Phase::FastSub`]); if the lock is held it aborts
+//!   transaction first (`Phase::FastSub`); if the lock is held it aborts
 //!   (the runtime's `LOCK_HELD`), otherwise the subscription stays in the
 //!   read set so a later acquisition dooms the transaction.
 //! * RW-TLE slow attempts subscribe `write_flag` (never the lock — the lock
@@ -21,9 +21,9 @@
 //!   where snapshot 0 sees virgin orecs as owned (spurious abort, safe
 //!   direction).
 //! * Threads observe the lock state in a separate probe step
-//!   ([`Phase::Decide`]) before acting on it, so the model contains the
+//!   (`Phase::Decide`) before acting on it, so the model contains the
 //!   real code's probe/act races.
-//! * [`Phase::Decide`]'s choice of rung is Figure 1 itself: `State::decide`
+//! * `Phase::Decide`'s choice of rung is Figure 1 itself: `State::decide`
 //!   builds the runtime's `RetryPolicy` from the two budgets and `match`es
 //!   on `rtle_core::RetryPolicy::next_step`, as the runtime and the
 //!   simulator do. So a thread whose slow budget is spent under a held
@@ -300,7 +300,7 @@ impl Machine for State {
     }
 
     /// Initial state for `cfg`: all locations 0, all threads at
-    /// [`Phase::Decide`].
+    /// `Phase::Decide`.
     fn initial(cfg: &Config) -> Self {
         cfg.validate();
         let orecs = match cfg.policy {

@@ -1,10 +1,10 @@
-//! The seven passes and their one driver.
+//! The five passes and their one driver.
 //!
-//! The driver ([`analyze_workspace`]) reads every workspace source file
-//! once — [`crate::syntax::parse_file`]: one token stream, its comments,
-//! one item tree — lowers each function of a file some CFG-reading pass
-//! covers with [`crate::cfg`], and runs the passes, each scoped to the
-//! files whose invariants it encodes. Four are
+//! The driver ([`analyze_workspace`]) parses every workspace source file
+//! some pass covers once — [`crate::syntax::parse_file`]: one token
+//! stream, its comments, one item tree — lowers each of its functions with
+//! [`crate::cfg`], and runs the passes over the lowering, each scoped to
+//! the files whose invariants it encodes. Four are
 //! path-sensitive **flow passes** (`rtle-check analyze`):
 //!
 //! | pass          | scope                         | invariant |
@@ -14,23 +14,25 @@
 //! | `publication` | htm cell/swhtm/stripe, hytm tl2, core lock/barrier | Release publishes after init; raw reads behind Acquire |
 //! | `fence`       | `core/src/orec.rs`, `hytm/src/tl2.rs` | §4 store-load fence post-dominates the stamp |
 //!
-//! and three are **site-local passes** (`rtle-check lint`):
+//! and one is a **site-local pass** (`rtle-check lint`):
 //!
-//! | pass                    | scope                      | invariant |
-//! |-------------------------|----------------------------|-----------|
-//! | `ordering-table`        | [`ordering::ORDERING_SCOPE`] | every atomic site matches its [`ordering::ORDERING_RULES`] row, or (`ordering-unaudited`) carries `// ordering: <reason>` |
-//! | `unsafe-safety-comment` | every file                 | `unsafe` blocks and impls carry `// SAFETY:` |
-//! | `hot-path-hygiene`      | [`hygiene::HOT_PATH_FILES`] | no `unwrap`/`panic!` outside tests |
+//! | pass             | scope                        | invariant |
+//! |------------------|------------------------------|-----------|
+//! | `ordering-table` | [`ordering::ORDERING_SCOPE`] | every atomic site matches its [`ordering::ORDERING_RULES`] row, or (`ordering-unaudited`) carries `// ordering: <reason>` |
+//!
+//! Generic Rust hygiene is not a pass: `// SAFETY:` on every `unsafe`
+//! block and no `unwrap`/`panic!` in the hot-path modules are clippy lints
+//! (the root `Cargo.toml`'s `[workspace.lints]` table and each hot-path
+//! module's `#![warn(clippy::unwrap_used, clippy::panic)]`).
 //!
 //! Findings can be suppressed with a `// lockcheck: <reason>` comment
-//! within three lines (same mechanics as `// SAFETY:`); the reason is
+//! within three lines of the site; the reason is
 //! mandatory — an empty one is itself a finding. Functions gated behind
 //! a `mutant-*` cargo feature are **seeded mutants**: their findings are
 //! diverted into a per-feature bucket that must be non-empty, a
 //! regression test for the analyzer itself.
 
 pub mod fence;
-pub mod hygiene;
 pub mod lock_order;
 pub mod lockset;
 pub mod ordering;
@@ -44,24 +46,18 @@ use rtle_obs::{Json, SCHEMA_VERSION};
 use crate::cfg::{lower_fn, FnCfg};
 use crate::syntax::{for_each_fn, parse_file, Comments};
 
-/// The seven passes: the four flow passes, then the three site-local ones.
-pub const PASSES: [&str; 7] = [
+/// The five passes: the four flow passes, then the site-local one.
+pub const PASSES: [&str; 5] = [
     "lockset",
     "lock-order",
     "publication",
     "fence",
     "ordering-table",
-    "unsafe-safety-comment",
-    "hot-path-hygiene",
 ];
 
 /// How many of [`PASSES`] are flow passes (`rtle-check analyze` runs
 /// those, `rtle-check lint` the rest).
 pub const FLOW_PASSES: usize = 4;
-
-/// The two passes that read a file's token stream ([`hygiene::run`]); the
-/// other five read a lowered function.
-const TOKEN_PASSES: [&str; 2] = ["unsafe-safety-comment", "hot-path-hygiene"];
 
 /// A raw (line, message) finding from a single pass run.
 #[derive(Debug)]
@@ -252,7 +248,7 @@ fn passes_for(path_str: &str) -> Vec<&'static str> {
     // is vacuous there today — keeping the file in scope means any future
     // orec-style stamp added to the backend is checked automatically.
     const FENCE_FILES: &[&str] = &["core/src/orec.rs", "hytm/src/tl2.rs"];
-    let mut v = vec!["unsafe-safety-comment"];
+    let mut v = Vec::new();
     if path_str.contains("shard/src/") {
         v.push("lockset");
         v.push("lock-order");
@@ -269,12 +265,6 @@ fn passes_for(path_str: &str) -> Vec<&'static str> {
     {
         v.push("ordering-table");
     }
-    if hygiene::HOT_PATH_FILES
-        .iter()
-        .any(|f| path_str.ends_with(f))
-    {
-        v.push("hot-path-hygiene");
-    }
     v
 }
 
@@ -290,7 +280,7 @@ fn run_pass(
         "publication" => publication::run(cfg),
         "fence" => fence::run(cfg),
         "ordering-table" => return ordering::run(path, cfg, comments),
-        _ => unreachable!("{name} reads the token stream, not a lowered function"),
+        _ => unreachable!("{name} is not one of PASSES"),
     };
     findings.into_iter().map(|pf| (name, pf)).collect()
 }
@@ -329,9 +319,9 @@ pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Runs those of `passes` that cover the file over its text — one parse,
-/// and one lowering per function where a pass that reads one is among
-/// them; appends to `findings` / `mutant_hits` and returns the number of
-/// non-test functions in the file.
+/// and one lowering per non-test function; appends to `findings` /
+/// `mutant_hits` and returns the number of functions it lowered (none
+/// when no pass covers the file).
 fn analyze_file(
     rel_path: &Path,
     text: &str,
@@ -373,19 +363,12 @@ fn analyze_file(
             reason: reason.map(str::to_string),
         });
     };
-    for (pass, pf) in hygiene::run(&src, &active) {
-        report(pass, None, pf);
-    }
-    active.retain(|p| !TOKEN_PASSES.contains(p));
     let mut functions = 0;
     for_each_fn(&src.items, &mut |f, marker| {
         if marker == Some("test") {
             return;
         }
         functions += 1;
-        if active.is_empty() {
-            return;
-        }
         let cfg = lower_fn(f, marker);
         for pass in &active {
             for (label, pf) in run_pass(pass, &path_str, &cfg, &src.comments) {
@@ -464,7 +447,7 @@ pub(crate) mod tests {
         (findings, hits)
     }
 
-    /// The site-local passes' fixture loader (the retired lint's name).
+    /// The site-local pass's fixture loader (the retired lint's name).
     fn lint_str(fake_path: &str, code: &str) -> Vec<Finding> {
         analyze_one(fake_path, code).0
     }
@@ -615,33 +598,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn unsafe_without_safety_comment_flagged() {
-        let f = lint_str("/ws/crates/htm/src/x.rs", "fn f() { unsafe { foo(); } }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].pass, "unsafe-safety-comment");
-
-        let ok =
-            "fn f() {\n    // SAFETY: foo is sound here because reasons.\n    unsafe { foo(); }\n}";
-        assert!(lint_str("/ws/crates/htm/src/x.rs", ok).is_empty());
-
-        // `unsafe fn` declarations are not blocks.
-        assert!(lint_str("/ws/crates/htm/src/x.rs", "pub unsafe fn g() {}").is_empty());
-    }
-
-    #[test]
-    fn hot_path_unwrap_flagged() {
-        let f = lint_str("/ws/crates/core/src/elidable.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].pass, "hot-path-hygiene");
-        // expect() is allowed.
-        assert!(lint_str(
-            "/ws/crates/core/src/elidable.rs",
-            "fn f() { x.expect(\"invariant\"); }"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn every_fetch_method_is_audited() {
         // The retired scanner's op list lacked `fetch_or/and/xor/min/update`.
         let f = lint_str(
@@ -661,18 +617,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn atomics_and_unsafe_inside_macro_arguments_are_seen() {
-        let src =
-            "fn f(&self) -> Vec<u64> { vec![self.a.load(Ordering::SeqCst), unsafe { *self.p }] }";
+    fn atomics_inside_macro_arguments_are_seen() {
+        let src = "fn f(&self) -> Vec<u64> { vec![self.a.load(Ordering::SeqCst), 1] }";
         let f = lint_str("/ws/crates/obs/src/watchdog.rs", src);
-        let mut passes: Vec<_> = f.iter().map(|f| f.pass).collect();
-        passes.sort_unstable();
-        assert_eq!(passes, ["ordering-table", "unsafe-safety-comment"], "{f:?}");
+        let passes: Vec<_> = f.iter().map(|f| f.pass).collect();
+        assert_eq!(passes, ["ordering-table"], "{f:?}");
     }
 
     #[test]
     fn lint_and_analyze_are_filters_over_the_one_driver() {
-        let src = "impl M {\n    fn len_plain(&self) -> usize {\n        unsafe { hint() };\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
+        let src = "impl M {\n    fn len_plain(&self) -> usize {\n        HINT.load(Ordering::Relaxed);\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
         let run = |passes: &[&'static str]| {
             let mut findings = Vec::new();
             analyze_file(
@@ -685,7 +639,7 @@ pub(crate) mod tests {
             findings.iter().map(|f| f.pass).collect::<Vec<_>>()
         };
         assert_eq!(run(&PASSES[..FLOW_PASSES]), ["lockset"]);
-        assert_eq!(run(&PASSES[FLOW_PASSES..]), ["unsafe-safety-comment"]);
-        assert_eq!(run(&PASSES), ["unsafe-safety-comment", "lockset"]);
+        assert_eq!(run(&PASSES[FLOW_PASSES..]), ["ordering-unaudited"]);
+        assert_eq!(run(&PASSES), ["lockset", "ordering-unaudited"]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Produces a flat token stream with line numbers, and the comments as
 //! line-tagged trivia beside it ([`Comments`], which answers every
-//! `// ordering:` / `// SAFETY:` / `// lockcheck:` lookup). String/char
+//! `// ordering:` / `// lockcheck:` lookup). String/char
 //! literals become a single `Lit` token carrying their source text —
 //! token-level patterns cannot match inside them, and attribute parsing
 //! can still read `cfg(feature = "...")` names.
@@ -60,8 +60,8 @@ impl Comments {
 
     /// The text after `needle` in a comment on `line` (1-based) or the
     /// three lines above it, or anywhere in the contiguous
-    /// comment/attribute block immediately above (so multi-line SAFETY
-    /// comments of any length count, up to a sanity cap).
+    /// comment/attribute block immediately above (so multi-line
+    /// annotations of any length count, up to a sanity cap).
     pub fn annotation(&self, line: usize, needle: &str) -> Option<&str> {
         let grab = |i: usize| {
             let comment = &self.lines.get(i)?.0;
@@ -395,10 +395,10 @@ mod tests {
 
     #[test]
     fn comments_are_kept_by_line() {
-        let (toks, c) = lex("a(); // ordering: one-off\n/* SAFETY: first line\n   second */ unsafe { b() }\nlet s = \"// lockcheck: no\";");
+        let (toks, c) = lex("a(); // ordering: one-off\n/* note: first line\n   second */ unsafe { b() }\nlet s = \"// lockcheck: no\";");
         assert_eq!(c.annotation(1, "ordering:"), Some("one-off"));
         assert_eq!(
-            c.annotation(3, "SAFETY:"),
+            c.annotation(3, "note:"),
             Some("first line"),
             "block comments are tagged line by line"
         );
@@ -420,12 +420,13 @@ mod tests {
     fn annotation_window_and_comment_block() {
         // Three lines up whatever they hold; further only through a
         // contiguous comment/attribute block.
-        let near = "// SAFETY: near\na();\nb();\nunsafe { c() }";
-        assert_eq!(lex(near).1.annotation(4, "SAFETY:"), Some("near"));
-        let far = "// SAFETY: far\na();\nb();\nc();\nunsafe { d() }";
-        assert_eq!(lex(far).1.annotation(5, "SAFETY:"), None);
-        let block = "x();\n// SAFETY: long\n// two\n// three\n// four\n#[inline]\nunsafe { d() }";
-        assert_eq!(lex(block).1.annotation(7, "SAFETY:"), Some("long"));
+        let near = "// ordering: near\na();\nb();\nX.load(Relaxed);";
+        assert_eq!(lex(near).1.annotation(4, "ordering:"), Some("near"));
+        let far = "// ordering: far\na();\nb();\nc();\nX.load(Relaxed);";
+        assert_eq!(lex(far).1.annotation(5, "ordering:"), None);
+        let block =
+            "x();\n// ordering: long\n// two\n// three\n// four\n#[inline]\nX.load(Relaxed);";
+        assert_eq!(lex(block).1.annotation(7, "ordering:"), Some("long"));
         assert_eq!(
             lex("// lockcheck:\nf();").1.annotation(2, "lockcheck:"),
             Some(""),

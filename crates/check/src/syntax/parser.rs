@@ -13,8 +13,10 @@ use std::ops::Range;
 use super::ast::{Arm, Block, Expr, FnItem, Item, Stmt};
 use super::lexer::{lex, Comments, Tok, TokKind};
 
-/// One source file, read once: the item tree the flow passes lower, and
-/// beside it what the token-level passes and annotation lookups need.
+/// One source file, read once: the item tree the passes lower, and beside
+/// it the comments the annotation lookups read and the token stream with
+/// its test spans, which `tests/conservation.rs` counts the reading
+/// against.
 #[derive(Debug)]
 pub struct ParsedFile {
     /// Top-level items.

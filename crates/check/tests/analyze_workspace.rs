@@ -88,7 +88,7 @@ fn report_round_trips_through_obs_json() {
         back.get("files").and_then(Json::as_u64),
         Some(report.files as u64)
     );
-    // All seven passes report, in order (then the annotation-hygiene
+    // All five passes report, in order (then the annotation-hygiene
     // bucket), and none has a finding that gates.
     let passes = back
         .get("passes")

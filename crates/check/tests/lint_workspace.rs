@@ -1,4 +1,4 @@
-//! The site-local passes (`rtle-check lint`) must run clean on this
+//! The site-local pass (`rtle-check lint`) must run clean on this
 //! workspace: `cargo test` therefore enforces the invariant table even
 //! when `scripts/tier1.sh` is skipped.
 

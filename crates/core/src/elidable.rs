@@ -14,6 +14,10 @@
 //! speculation continues on the instrumented slow path, concurrent with the
 //! single lock holder.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every elided critical
+// section runs through here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -519,7 +523,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// `sw_running` counter iff the lock is observed free (re-checked after
     /// the raise, exactly like the internal software path). On success the
     /// returned guard keeps pessimistic acquirers of *this* lock waiting in
-    /// [`Self::quiesce_software`] until it drops — giving an external
+    /// `quiesce_software` until it drops — giving an external
     /// software transaction (e.g. an `atomically` space's backend touching
     /// this lock's data) the same holder exclusion the built-in software
     /// fallback enjoys. Returns `None` when the lock is held; the caller
@@ -581,7 +585,7 @@ impl<B: HtmBackend> ElidableLock<B> {
 
     /// Participant-side hardware commit hook: gives this lock's software
     /// backend its commit-time instrumentation if software transactions
-    /// are live on it — the same [`Self::hw_commit_hooks`] the lock's own
+    /// are live on it — the same `hw_commit_hooks` the lock's own
     /// hardware paths run, exposed for hardware transactions that touched
     /// this lock's data as composable-transaction participants (their
     /// commit otherwise bypasses this lock entirely).

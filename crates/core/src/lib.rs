@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-core: refined transactional lock elision
 //!
 //! Faithful implementation of *Refined Transactional Lock Elision* (Dice,

@@ -15,6 +15,10 @@
 //! active size inside their transaction, so a resize dooms them instead of
 //! letting them index with a stale size.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every slow-path write
+// stamps its orec here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use rtle_htm::hash::fast_hash;

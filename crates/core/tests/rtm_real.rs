@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use rtle_core::{ElidableLock, ElisionPolicy, RetryPolicy};
+use rtle_core::{ElidableLock, ElisionPolicy};
 use rtle_htm::{rtm, RtmBackend, TxCell};
 
 fn rtm_available() -> bool {

@@ -30,8 +30,6 @@
 //! The `fuzz` binary exposes `run | replay | corpus`; `scripts/tier1.sh`
 //! wires its seeded quick mode into CI.
 
-#![warn(missing_docs)]
-
 pub mod chaos;
 pub mod configs;
 pub mod corpus;

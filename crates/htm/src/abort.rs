@@ -14,6 +14,10 @@
 //! [`AbortCode::explicit_bucket`] is the one rule for which explicit codes
 //! get a counter of their own.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every attempt's ending is
+// classified here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::fmt;
 
 use crate::unwind::{self, Channel};

@@ -28,18 +28,15 @@ use crate::word::TxWord;
 
 /// A 64-bit-word shared cell, tracked by the emulated HTM.
 ///
-/// `TxCell` is `Sync`: any thread may access it at any time, transactionally
-/// or not; the emulation guarantees transactions serialize with each other
-/// and with plain accesses.
+/// `TxCell` is `Sync` (derived: its one field is an `AtomicU64` and every
+/// [`TxWord`] is `Send + Sync`): any thread may access it at any time,
+/// transactionally or not; the emulation guarantees transactions serialize
+/// with each other and with plain accesses.
 #[repr(transparent)]
 pub struct TxCell<T: TxWord> {
     raw: AtomicU64,
     _marker: std::marker::PhantomData<T>,
 }
-
-// SAFETY: all access to `raw` is via atomics; `T` is a Copy word type.
-unsafe impl<T: TxWord> Sync for TxCell<T> {}
-unsafe impl<T: TxWord> Send for TxCell<T> {}
 
 impl<T: TxWord> TxCell<T> {
     /// Creates a cell holding `value`.

@@ -21,7 +21,7 @@ pub struct WriteEntry<C> {
     pub value: u64,
 }
 
-/// The lazy-versioning write log shared by the emulated HTM ([`SwTxn`],
+/// The lazy-versioning write log shared by the emulated HTM (`SwTxn`,
 /// over raw `AtomicU64` words) and `rtle-hytm`'s software-TM descriptor
 /// (over `TxCell<u64>`). Append-only: every write is a new entry in
 /// program order, read-own-write lookups scan back-to-front, and

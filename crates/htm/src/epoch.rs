@@ -15,6 +15,10 @@
 //! is calibrated once against `Instant`, when the epoch is pinned, by
 //! spinning 200 µs. Anywhere else the clock reads `Instant`.
 
+// Hot path, no `unwrap` or `panic!` outside tests: the clock of every
+// recorded attempt, lock hold and software attempt.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 

@@ -25,6 +25,10 @@
 //! keyed ones, never both: a keyed bump racing the owner's plain store on
 //! one lane could lose an update.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every counter bump of
+// every layer.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::descriptor;

@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-htm: a best-effort hardware transactional memory substrate
 //!
 //! The algorithms of *Refined Transactional Lock Elision* (Dice, Kogan, Lev;

@@ -98,6 +98,10 @@
 //! advance the same `lock cmpxchg` either way. Relaxing it is the
 //! weak-memory model's job.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every read, extension and
+// commit of both the emulated HTM and TL2.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::abort::AbortCode;

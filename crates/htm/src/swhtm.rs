@@ -43,6 +43,10 @@
 //! [`crate::unwind`]; the runner catches exactly that channel and translates
 //! it back into an `Err(AbortCode)`. Genuine panics propagate unchanged.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every emulated hardware
+// transaction begins and commits here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::abort::{self, AbortCode};

@@ -12,6 +12,10 @@
 //! churn. A slot is one 64-byte line holding the key word and its payload,
 //! so HTM conflict lines and FG-TLE orecs stay per entry, never per table.
 
+// Hot path, no `unwrap` or `panic!` outside tests: the probe of every hash
+// set, shard map and k-mer map operation.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use crate::access::TxAccess;
 use crate::cell::TxCell;
 use crate::config::LINE_SHIFT;
@@ -235,6 +239,7 @@ mod tests {
     #[test]
     fn slots_are_one_line_for_every_payload() {
         #[derive(Default)]
+        #[expect(dead_code, reason = "only the slot layout of the payload is measured")]
         struct KmerCells(TxCell<u32>, TxCell<u32>, TxCell<u32>);
         assert_eq!(std::mem::size_of::<Slot<()>>(), 64);
         assert_eq!(std::mem::size_of::<Slot<TxCell<u64>>>(), 64);

@@ -17,6 +17,11 @@
 //! installed from the cold [`raise`] path, keeps these unwinds off stderr
 //! and defers to the previously installed hook for real panics.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every abort of every
+// rung unwinds through here, and a stray panic in the raise/catch pair
+// would surface as a bogus abort or a lost one.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
@@ -44,6 +49,10 @@ struct Unwind {
 /// [`AbortCode::Conflict`].
 #[cold]
 #[inline(never)]
+#[expect(
+    clippy::panic,
+    reason = "the unwind is the abort mechanism itself; `catch` turns it into `Err(code)`"
+)]
 pub fn raise(channel: Channel, code: AbortCode) -> ! {
     // Installed here rather than at every begin: an attempt that never
     // aborts never needs the hook, and this path is already cold.

@@ -6,14 +6,14 @@
 //! All implementations are bit-faithful round-trips.
 
 /// A `Copy` type representable in 64 bits, usable as a [`crate::TxCell`]
-/// payload.
+/// payload. It is `Send + Sync`, so a cell of it is too.
 ///
 /// # Contract
 ///
 /// `from_word(to_word(x)) == x` for every value `x`. Implementations must not
 /// read or write anything besides the given word (no side tables), because
 /// the HTM redo log stores only the word.
-pub trait TxWord: Copy {
+pub trait TxWord: Copy + Send + Sync {
     /// Encodes `self` into a raw 64-bit word.
     fn to_word(self) -> u64;
     /// Decodes a raw word produced by [`TxWord::to_word`].

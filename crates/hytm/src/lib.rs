@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-hytm: the paper's baseline transactional memories
 //!
 //! The evaluation of *Refined Transactional Lock Elision* (§6.2.2) compares

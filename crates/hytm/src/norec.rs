@@ -7,6 +7,10 @@
 //! NOrec immune to false conflicts — the property the paper calls out when
 //! explaining why it is a strong software baseline (§6.2.2).
 
+// Hot path, no `unwrap` or `panic!` outside tests: every NOrec read,
+// validation and commit runs here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use rtle_htm::TxCell;
 
 use crate::ctx::{hw_commit_bump, sgl_commit, sw_read, wait_even, TmCtx};

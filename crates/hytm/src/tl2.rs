@@ -25,6 +25,10 @@
 //! Versions compare in wrapping order, so the clock survives wraparound;
 //! [`Tl2::starting_at`] exists so tests can pin the clock near `u64::MAX`.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every TL2 software-rung
+// read and commit runs here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use rtle_htm::stripe::{BoxedTable, Table};
 use rtle_htm::wait::backoff_until;
 use rtle_htm::{thread_token, AbortCode, TxCell};

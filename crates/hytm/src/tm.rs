@@ -255,7 +255,11 @@ mod tests {
         let tm = Norec::new();
         let a = TxCell::new(0u64);
         // Grow the log once; the next phase on this thread finds the capacity.
-        run_sw(&tm, |ctx| (0..100).for_each(|_| drop(ctx.read(&a))));
+        run_sw(&tm, |ctx| {
+            for _ in 0..100 {
+                let _ = ctx.read(&a);
+            }
+        });
         let outer = SwPhase::enter(&tm);
         assert!(outer.desc.as_ref().unwrap().borrow().reads.capacity() >= 100);
         let inner = SwPhase::enter(&tm);

@@ -4,16 +4,16 @@
 //! environments where serde cannot be vendored, so this module implements
 //! the small subset of JSON the snapshot schema uses: objects, arrays,
 //! strings, booleans, null, unsigned/signed integers (emitted exactly, not
-//! through `f64`) and finite floats. The parser exists so tests can
-//! round-trip snapshots and so `scripts/tier1.sh` can validate exports
-//! with the repository's own tooling.
+//! through `f64`) and finite floats. The parser exists so tests and the
+//! `diag` viewers can read exports back with the repository's own
+//! tooling.
 //!
 //! # Schema migration policy
 //!
 //! Every exported document carries a top-level `schema_version` stamped
-//! from [`crate::SCHEMA_VERSION`]. Loaders (`ObsSnapshot::from_json`,
-//! the `diag --slo`/`--timeline` file views) **reject** documents whose
-//! version differs from the one they were built with — there is no
+//! from [`crate::SCHEMA_VERSION`]. Loaders (the `diag --slo`/`--timeline`
+//! file views) **reject** documents whose version differs from the one
+//! they were built with — there is no
 //! in-place upgrade path, because snapshots are cheap to regenerate
 //! while silently misreading an old layout is not. Version history
 //! lives on [`crate::SCHEMA_VERSION`]; to migrate an old file, re-run

@@ -17,6 +17,10 @@
 //! [`AbortCode::explicit_bucket`] — the one vocabulary every abort
 //! counter of the workspace indexes.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every recorded attempt is
+// counted here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtle_htm::lanes::Writer;

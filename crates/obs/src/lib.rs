@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-obs: observability for the elision runtimes
 //!
 //! The paper's evaluation (§6.2.1) leans on "various lightweight
@@ -51,8 +50,8 @@
 //!
 //! The [`json`] module is a self-contained JSON writer/parser — exports
 //! must work in offline build environments where serde cannot be
-//! vendored, and the parser lets tests assert that every `--json` file
-//! round-trips.
+//! vendored, and the parser lets tests and the `diag` viewers read a
+//! `--json` file back.
 
 pub mod event;
 pub mod hist;

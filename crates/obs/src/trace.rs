@@ -222,8 +222,8 @@ impl Record {
 /// for explicit aborts — the protocol code); instants become `"i"` events
 /// with a thread or process `s` scope and their argument. Times are
 /// exported in microseconds (the trace_event unit) as fractional values,
-/// and the exact `raw_ts` rides along under `args` so tools can round-trip
-/// losslessly.
+/// and the exact `raw_ts` rides along under `args` so a reader keeps the
+/// exact stamp.
 pub fn chrome_event(rec: &Record, pid: u64) -> Json {
     let instant = |scope: &str, arg: u64| {
         (
@@ -288,47 +288,6 @@ pub fn chrome_document(events: Vec<Json>, unit: &str) -> Json {
             ]),
         ),
     ])
-}
-
-/// Records → complete single-process Chrome trace document.
-pub fn to_chrome_json(records: &[Record], process: &str, unit: &str) -> Json {
-    let mut events = vec![chrome_process_name(1, process)];
-    events.extend(records.iter().map(|r| chrome_event(r, 1)));
-    chrome_document(events, unit)
-}
-
-/// Rebuilds records from a document produced by [`to_chrome_json`] /
-/// [`chrome_document`] (metadata events are skipped). `None` when the
-/// document does not have the trace_event shape.
-pub fn records_from_chrome_json(j: &Json) -> Option<Vec<Record>> {
-    let events = j.get("traceEvents")?.as_arr()?;
-    let mut out = Vec::new();
-    for e in events {
-        let ph = e.get("ph")?.as_str()?;
-        if ph == "M" {
-            continue;
-        }
-        let name = e.get("name")?.as_str()?;
-        let args = e.get("args")?;
-        let arg = || args.get("arg")?.as_u64();
-        let kind = if ph == "X" {
-            RecordKind::Attempt(AttemptEvent::from_json(args)?)
-        } else if let Some(action) = ADAPT_LABELS.iter().position(|&l| l == name) {
-            RecordKind::Adapt(AdaptAction::ALL[action], arg()?)
-        } else {
-            match name {
-                "write_flag_set" => RecordKind::WriteFlagSet,
-                "epoch_bump" => RecordKind::EpochBump(arg()?),
-                _ => return None,
-            }
-        };
-        out.push(Record {
-            tid: e.get("tid")?.as_u64()? as u16,
-            ts: args.get("raw_ts")?.as_u64()?,
-            kind,
-        });
-    }
-    Some(out)
 }
 
 /// Structural validation of a Chrome trace document: every event must
@@ -519,20 +478,31 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_has_perfetto_shape_and_round_trips() {
+    fn chrome_export_has_perfetto_shape_and_exact_stamps() {
         let records = corner_cases();
-        let doc = to_chrome_json(&records, "rtle", "ns");
+        let mut events = vec![chrome_process_name(1, "rtle")];
+        events.extend(records.iter().map(|r| chrome_event(r, 1)));
         // Survives the hand-rolled writer + parser.
-        let text = doc.to_string_pretty();
+        let text = chrome_document(events, "ns").to_string_pretty();
         let parsed = crate::json::parse(&text).expect("trace JSON parses");
         // Perfetto-required keys on every event.
         let n = validate_chrome(&parsed).expect("valid trace_event shape");
         assert_eq!(n, records.len() + 1, "events + process_name metadata");
-        // Exact record round-trip via the raw args.
-        let back = records_from_chrome_json(&parsed).expect("records parse back");
-        assert_eq!(back, records);
-        // Instants carry the right scopes.
+        // Each record's event, in order, carries its name, thread, exact
+        // stamp and — for a span — the whole attempt.
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
+        for (e, r) in events[1..].iter().zip(&records) {
+            assert_eq!(e.get("name").and_then(Json::as_str), Some(r.label()));
+            assert_eq!(e.get("tid").and_then(Json::as_u64), Some(r.tid as u64));
+            let args = e.get("args").expect("args");
+            assert_eq!(args.get("raw_ts").and_then(Json::as_u64), Some(r.ts));
+            if let Some(Json::Obj(want)) = r.attempt().map(|ev| ev.to_json()) {
+                for (key, value) in &want {
+                    assert_eq!(args.get(key), Some(value), "{r:?}: {key}");
+                }
+            }
+        }
+        // Instants carry the right scopes.
         let scope_of = |name: &str| {
             events
                 .iter()

@@ -23,7 +23,7 @@
 //!
 //! Only the `Vec<OpResult>` it returns. The grouping is a stable counting
 //! sort of op indices (per-shard counts, prefix sums, placement in
-//! submission order) in the thread's scratch vector ([`with_scratch`]),
+//! submission order) in the thread's scratch vector (`with_scratch`),
 //! and each chunk's critical section writes its results straight into the
 //! returned vector's slots. An aborted attempt may leave some of its
 //! chunk's slots written; the attempt that commits — fast, slow or under
@@ -31,6 +31,10 @@
 //! only after the batch returns. The thread keeps its scratch between
 //! calls only up to the shard count plus a few chunks of op indices; a
 //! larger batch allocates its own and frees it on return.
+
+// Hot path, no `unwrap` or `panic!` outside tests: every batched op is
+// grouped and run through here.
+#![warn(clippy::unwrap_used, clippy::panic)]
 
 use std::cell::Cell;
 

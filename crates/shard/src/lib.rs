@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-shard: scaling refined TLE beyond one lock
 //!
 //! The paper's refined TLE (PPoPP 2016) extracts concurrency *around one

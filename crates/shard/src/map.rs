@@ -3,6 +3,10 @@
 //! value cell as the payload of the key's cache-line slot, so FG-TLE orec
 //! traffic and HTM read/write sets stay per-entry, never per-table.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every shard's map
+// operation runs here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use rtle_htm::table::{Entry, Table};
 use rtle_htm::{PlainAccess, TxAccess, TxCell, TxWord};
 

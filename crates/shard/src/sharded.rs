@@ -36,6 +36,10 @@
 //! traffic on the same shards keeps speculating concurrently on the
 //! instrumented slow path.
 
+// Hot path, no `unwrap` or `panic!` outside tests: every sharded-map call is
+// routed through here.
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 use rtle_core::{ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection};
 use rtle_htm::hash::wang_mix64;
 use rtle_htm::lanes::Lanes;

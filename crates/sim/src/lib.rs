@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-sim: deterministic evaluation substrate for the paper's figures
 //!
 //! The paper's evaluation (§6) ran on 4-core Haswell and 2×18-core Xeon

@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-stm: composable transactions over the refined-TLE stack
 //!
 //! STM-Haskell's composition operators — `atomically`, `retry`,

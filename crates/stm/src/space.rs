@@ -1,9 +1,10 @@
 //! [`Stm`]: a transaction space and its `atomically` driver.
 //!
 //! A space owns one [`ElidableLock`] (the *space lock*) guarding every
-//! [`TxVar`] and every space-domain structure used through it; the lock's
-//! software backend is shared with participant locks. [`Stm::atomically`]
-//! drives one composable transaction down the refined-TLE ladder:
+//! [`TxVar`](crate::TxVar) and every space-domain structure used through
+//! it; the lock's software backend is shared with participant locks.
+//! [`Stm::atomically`] drives one composable transaction down the
+//! refined-TLE ladder:
 //!
 //! 1. **Speculation** — the space lock's fast/slow hardware phase
 //!    ([`ElidableLock::try_speculate`]), with participant locks enrolled

@@ -21,7 +21,7 @@
 //!   ascending address order (the same total order `rtle-shard` uses for
 //!   cross-shard transfers, so the deadlock-freedom argument composes).
 //!   Touching a lock outside the held plan unwinds on the `Restart` channel
-//!   of [`rtle_htm::unwind`] ([`restart`]); the driver grows the plan and
+//!   of [`rtle_htm::unwind`] (`restart`); the driver grows the plan and
 //!   re-runs.
 //!
 //! Each rung has one write log, and the `Tx`'s store count is its length.

@@ -5,7 +5,7 @@
 //! transactional state — the space lock's domain, read and written through
 //! whatever execution mode the `atomically` ladder is in. The waiter list
 //! is what makes `retry` a *blocking* primitive instead of a spin: a
-//! transaction that gives up via [`crate::Tx::retry`] parks one [`Waiter`]
+//! transaction that gives up via [`crate::Tx::retry`] parks one `Waiter`
 //! on every `TxVar` in its read set, and every committing transaction that
 //! wrote a `TxVar` wakes that var's list after its writes are visible.
 //!

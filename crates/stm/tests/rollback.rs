@@ -21,11 +21,14 @@ use rtle_stm::{Stm, StmStatsSnapshot, TxVar};
 /// judges the retry broken.
 const PARK_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Builds one software backend.
+type MakeBackend = fn() -> Arc<dyn SoftwareTm>;
+
 /// Runs `case` once per software backend, each on a fresh thread: the
 /// table of hostile call sites is per thread, so a case's first call
 /// always probes the hardware.
 fn on_each_backend(case: fn(&str, &Stm)) {
-    let backends: [(&str, fn() -> Arc<dyn SoftwareTm>); 3] = [
+    let backends: [(&str, MakeBackend); 3] = [
         ("norec", || Arc::new(Norec::new())),
         ("tl2", || Arc::new(Tl2::new())),
         ("rh-norec", || Arc::new(RhNorec::new())),

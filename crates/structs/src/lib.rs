@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # rtle-structs: more transactional data structures
 //!
 //! Companions to the AVL tree of `rtle-avltree`, covering the other

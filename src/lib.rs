@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! # refined-tle: Refined Transactional Lock Elision, reproduced in Rust
 //!
 //! A from-scratch reproduction of *Refined Transactional Lock Elision*
