@@ -6,8 +6,12 @@
 
 use std::sync::Arc;
 
+use rtle_htm::AbortCode;
 use rtle_obs::trace::{chrome_document, chrome_event, chrome_process_name};
-use rtle_obs::{Json, ObsConfig, ObsSnapshot, Record, Recorder, SCHEMA_VERSION};
+use rtle_obs::{
+    AdaptDecision, HistSnapshot, Json, ObsConfig, Record, Recorder, WindowCounts, PATH_LABELS,
+    SCHEMA_VERSION,
+};
 use rtle_sim::engine::{Engine, RunMode};
 use rtle_sim::workloads::avl::{AvlConfig, AvlWorkload};
 use rtle_sim::{CostModel, MachineProfile, SimMethod, SimStats};
@@ -19,8 +23,14 @@ pub struct DiagRow {
     pub label: String,
     /// Exact simulator counters.
     pub stats: SimStats,
-    /// Attempt-level recorder snapshot (latencies in simulator cycles).
-    pub snapshot: ObsSnapshot,
+    /// The recorder's attempt counts: commits per path, aborts per class
+    /// and per explicit code.
+    pub counts: WindowCounts,
+    /// Critical-section latency of committed attempts, in simulator
+    /// cycles.
+    pub cs_latency: HistSnapshot,
+    /// The adaptive policy's decisions (empty for fixed policies).
+    pub decisions: Vec<AdaptDecision>,
     /// The run's resident records (attempt spans and holder instants),
     /// cycle-stamped and time-ordered.
     pub trace: Vec<Record>,
@@ -60,7 +70,9 @@ pub fn run_diag(threads: usize, sim_ms: u64) -> Vec<DiagRow> {
             DiagRow {
                 label: m.label(),
                 stats,
-                snapshot: rec.snapshot(),
+                counts: rec.counts(),
+                cs_latency: rec.cs_latency(),
+                decisions: rec.decisions(),
                 trace: rec.records(),
             }
         })
@@ -68,43 +80,42 @@ pub fn run_diag(threads: usize, sim_ms: u64) -> Vec<DiagRow> {
 }
 
 /// JSON document for a diag sweep: per-method path distribution, abort
-/// composition, latency p50/p99 and the raw simulator counters, under a
-/// shared schema version.
+/// composition, latency p50/p99, the adaptive policy's decisions and the
+/// raw simulator counters, under a shared schema version.
 pub fn diag_to_json(threads: usize, rows: &[DiagRow]) -> Json {
     let methods = rows
         .iter()
         .map(|r| {
-            let total = r.snapshot.total_commits().max(1) as f64;
-            let path_distribution = Json::Obj(
-                r.snapshot
-                    .commits
-                    .iter()
-                    .map(|(label, n)| (label.clone(), Json::Num(*n as f64 / total)))
-                    .collect(),
+            let total = r.counts.total_commits().max(1) as f64;
+            let path_distribution = Json::obj(
+                PATH_LABELS
+                    .into_iter()
+                    .zip(r.counts.commits)
+                    .map(|(label, n)| (label, Json::Num(n as f64 / total))),
+            );
+            let abort_composition = Json::obj(
+                AbortCode::LABELS
+                    .into_iter()
+                    .zip(r.counts.aborts)
+                    .map(|(label, n)| (label, Json::UInt(n))),
             );
             Json::obj([
                 ("method", Json::Str(r.label.clone())),
                 ("path_distribution", path_distribution),
-                (
-                    "abort_composition",
-                    Json::Obj(
-                        r.snapshot
-                            .aborts
-                            .iter()
-                            .map(|(label, n)| (label.clone(), Json::UInt(*n)))
-                            .collect(),
-                    ),
-                ),
+                ("abort_composition", abort_composition),
                 (
                     "cs_latency_cycles",
                     Json::obj([
-                        ("p50", Json::UInt(r.snapshot.cs_latency.percentile(0.50))),
-                        ("p99", Json::UInt(r.snapshot.cs_latency.percentile(0.99))),
-                        ("max", Json::UInt(r.snapshot.cs_latency.max)),
+                        ("p50", Json::UInt(r.cs_latency.percentile(0.50))),
+                        ("p99", Json::UInt(r.cs_latency.percentile(0.99))),
+                        ("max", Json::UInt(r.cs_latency.max)),
                     ]),
                 ),
+                (
+                    "decisions",
+                    Json::Arr(r.decisions.iter().map(AdaptDecision::to_json).collect()),
+                ),
                 ("stats", r.stats.to_json()),
-                ("observability", r.snapshot.to_json()),
             ])
         })
         .collect();
@@ -194,8 +205,8 @@ pub fn print_diag_table(threads: usize, rows: &[DiagRow]) {
             s.aborts_uarch,
             s.aborts_eager_owned,
             s.cycles_locked as f64 / s.sim_cycles.max(1) as f64,
-            r.snapshot.cs_latency.percentile(0.50),
-            r.snapshot.cs_latency.percentile(0.99),
+            r.cs_latency.percentile(0.50),
+            r.cs_latency.percentile(0.99),
         );
     }
 }
@@ -247,11 +258,13 @@ mod tests {
             let p50 = lat.get("p50").and_then(Json::as_u64).unwrap();
             let p99 = lat.get("p99").and_then(Json::as_u64).unwrap();
             assert!(p99 >= p50, "{label}: p99 {p99} < p50 {p50}");
-            // The full snapshot is embedded, stamped with the schema.
-            let snap = m.get("observability").unwrap();
-            let version = snap.get("schema_version").and_then(Json::as_u64);
-            assert_eq!(version, Some(rtle_obs::SCHEMA_VERSION), "{label}");
-            assert!(snap.get("recent_events").and_then(Json::as_arr).is_some());
+            let decisions = m.get("decisions").and_then(Json::as_arr).unwrap();
+            if !label.contains("adaptive") {
+                assert!(
+                    decisions.is_empty(),
+                    "{label}: a fixed policy decides nothing"
+                );
+            }
         }
         // TLE commits on the fast path in this workload.
         let tle = methods
@@ -286,12 +299,8 @@ mod tests {
                 continue;
             }
             fg_rows += 1;
-            let eager = r
-                .snapshot
-                .explicit_codes
-                .iter()
-                .find(|&&(code, _)| code == u64::from(rtle_core::abort_codes::OREC_CONFLICT))
-                .map_or(0, |&(_, n)| n);
+            let orec_conflict = AbortCode::Explicit(rtle_core::abort_codes::OREC_CONFLICT);
+            let eager = r.counts.explicit[orec_conflict.explicit_bucket().unwrap()];
             assert!(
                 (eager..=eager + r.stats.aborts_conflict).contains(&attributed),
                 "{}: {attributed} attributed, {eager} OREC_CONFLICT self-aborts",
@@ -309,7 +318,7 @@ mod tests {
         assert_eq!(n, rows.len() + records);
         for r in &rows {
             // (NOrec's software transactions are not recorded attempts.)
-            let recorded = r.snapshot.events_recorded > 0;
+            let recorded = r.counts.attempts() > 0;
             assert_eq!(!r.trace.is_empty(), recorded, "{}", r.label);
         }
     }

@@ -38,7 +38,7 @@
 //!
 //! A rotator thread closes telemetry windows every `window_ms` and
 //! feeds each to a [`Watchdog`]; on the first collapse verdict the
-//! flight record (trailing windows + recent attempt events) is dumped
+//! flight record (trailing windows + the recorder's resident records) is dumped
 //! to a JSON file for offline `diag --timeline` analysis.
 
 use std::path::PathBuf;
@@ -402,7 +402,7 @@ fn run_target(
                 if let Some(rot) = closed {
                     if let Some(ev) = wd.inspect(&rot.merged) {
                         if let (Some(path), None) = (&flight_to, &flight_path) {
-                            let doc = flight_record(&ev, &coll.series(), &rec.snapshot());
+                            let doc = flight_record(&ev, &coll.series(), &rec);
                             if std::fs::write(path, doc.to_string_pretty()).is_ok() {
                                 live_mirror.set_flight_record_path(path.display().to_string());
                                 flight_path = Some(path.clone());
@@ -807,8 +807,8 @@ pub fn render_timeline(doc: &Json) -> Result<String, SloViewError> {
         timeline_rows(&mut out, windows)?;
         let _ = writeln!(
             out,
-            "  recent events in ring: {}",
-            doc.get("recent_events")
+            "  records in ring: {}",
+            doc.get("records")
                 .and_then(Json::as_arr)
                 .map_or(0, |a| a.len())
         );

@@ -14,6 +14,7 @@
 //! first spent building the backlog — exactly two stalled windows in 5
 //! runs of 24 here, no verdict in one of ~50. `--duration-ms 3000` makes
 //! the storm 600 ms: four or more stalled windows in 12 loaded runs of 12.
+//! The offered rate is sized to the build under test ([`RATE`]).
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -28,6 +29,18 @@ const DIAG: &str = env!("CARGO_BIN_EXE_diag");
 
 /// Where `--flight-dir flight` puts the single lock's flight record.
 const FLIGHT: &str = "flight/slo_flight_single_lock.json";
+
+/// The schedule's offered rate, ops/s. The asymmetry needs the sharded
+/// map to keep up with the storm, and in a debug build it does not at
+/// `--quick`'s 6 000: each operation costs several times the CPU (an
+/// audit's sweep 1.8 ms against 0.25 ms in release), waiters spin behind
+/// the held shards, and on a loaded 2-core host the sharded storm windows
+/// complete 35–65 % of the offered operations while p99 passes the window
+/// length — a real stall, which the watchdog reports. At 3 000 the debug
+/// sharded map completes every storm window's arrivals, and the single
+/// lock, whose storm capacity is one 8 ms hold per 15 operations (about
+/// 1 900 ops/s in any build), is still past it.
+const RATE: u64 = if cfg!(debug_assertions) { 3_000 } else { 6_000 };
 
 /// A child process or scraper still going after this long has hung.
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -191,8 +204,10 @@ fn forced_collapse_is_visible_live_in_the_export_and_to_the_viewers() {
     let bench = spawn(
         SLO_BENCH,
         &dir,
-        "--quick --duration-ms 3000 --seed 0x510b42d --live 127.0.0.1:0 \
-         --live-port-file port --flight-dir flight --json slo.json",
+        &format!(
+            "--quick --duration-ms 3000 --rate {RATE} --seed 0x510b42d --live 127.0.0.1:0 \
+             --live-port-file port --flight-dir flight --json slo.json"
+        ),
     );
     let addr = loop {
         match std::fs::read_to_string(dir.join("port")) {

@@ -2,30 +2,28 @@
 //! organizations the paper compares), coverage filtering, and unitig-style
 //! contig construction over the De Bruijn graph.
 
-use rtle_core::TatasLock;
+use rtle_core::{ElidableLock, TatasLock};
 use rtle_htm::hash::wang_mix64;
-use rtle_htm::{DynAccess, PlainAccess};
+use rtle_htm::{HtmBackend, PlainAccess};
 
 use crate::genome::BASES;
 use crate::kmer::{kmers_with_edges, Kmer};
 use crate::txmap::KmerMap;
 
-/// An executor running one critical section under some synchronization
-/// method: the harness passes `|cs| lock.execute(|ctx| cs(ctx))` or the
-/// NOrec/RHNOrec equivalent.
-pub type CsExec<'a> = dyn Fn(&dyn Fn(&dyn DynAccess)) + Sync + 'a;
-
 /// Transactified ingestion (§6.4.1): one shared map, one critical section
-/// per k-mer occurrence, reads kept in thread-local vectors (returned per
-/// thread, mirroring ccTSA's coordination-free read storage). Returns the
-/// per-thread read counts.
-pub fn ingest_single_map(
+/// of `lock` per k-mer occurrence, reads kept in thread-local vectors
+/// (returned per thread, mirroring ccTSA's coordination-free read
+/// storage). Returns the per-thread read counts.
+pub fn ingest_single_map<B: HtmBackend>(
     map: &KmerMap,
     reads: &[Vec<u8>],
     k: usize,
     threads: usize,
-    exec: &CsExec<'_>,
-) -> Vec<usize> {
+    lock: &ElidableLock<B>,
+) -> Vec<usize>
+where
+    ElidableLock<B>: Sync,
+{
     assert!(threads >= 1);
     let chunk = reads.len().div_ceil(threads);
     let mut processed = vec![0usize; threads];
@@ -38,9 +36,7 @@ pub fn ingest_single_map(
                 for read in slice {
                     local_reads.push(read);
                     for (kmer, prev, next) in kmers_with_edges(read, k) {
-                        exec(&|a: &dyn DynAccess| {
-                            map.record(a, kmer, prev, next);
-                        });
+                        lock.execute(|ctx| map.record(ctx, kmer, prev, next));
                     }
                 }
                 *out = local_reads.len();
@@ -228,19 +224,6 @@ pub fn contig_to_ascii(contig: &[u8]) -> String {
     contig.iter().map(|&b| BASES[b as usize]).collect()
 }
 
-/// One critical-section body, as passed to a [`CsExec`] executor.
-pub type CsBody<'b> = dyn Fn(&dyn DynAccess) + 'b;
-
-/// Convenience single-map executor for sequential use: runs each critical
-/// section with plain access (no synchronization).
-#[allow(clippy::type_complexity)] // mirrors CsExec's shape on purpose
-pub fn sequential_exec() -> impl Fn(&CsBody<'_>) + Sync {
-    |cs: &CsBody<'_>| {
-        let a = PlainAccess;
-        cs(&a as &dyn DynAccess)
-    }
-}
-
 /// End-to-end sequential assembly (reference path used by tests and the
 /// example binaries): ingest with plain access, filter, build contigs.
 pub fn assemble_sequential(reads: &[Vec<u8>], k: usize, min_count: u32) -> Vec<Vec<u8>> {
@@ -300,13 +283,11 @@ mod tests {
         let reads = sample_reads(&g, 36, 3, 0.0, 2);
         let k = 15;
 
-        // Transactified single map, sequential executor. One thread: the
-        // sequential executor provides no synchronization, so it must not
-        // be combined with concurrent ingestion.
+        // Transactified single map, one thread on a lock.
         let distinct_upper: usize = reads.iter().map(|r| r.len() - (k - 1)).sum();
         let single = KmerMap::with_capacity(2 * distinct_upper);
-        let exec = sequential_exec();
-        let counts = ingest_single_map(&single, &reads, k, 1, &exec);
+        let lock = ElidableLock::builder().build();
+        let counts = ingest_single_map(&single, &reads, k, 1, &lock);
         assert_eq!(counts.iter().sum::<usize>(), reads.len());
 
         // Original sharded design.
@@ -376,10 +357,7 @@ mod tests {
         let lock = ElidableLock::builder()
             .policy(ElisionPolicy::FgTle { orecs: 1024 })
             .build();
-        let exec = |cs: &dyn Fn(&dyn DynAccess)| {
-            lock.execute(|ctx| cs(ctx));
-        };
-        ingest_single_map(&map, &reads, k, 4, &exec);
+        ingest_single_map(&map, &reads, k, 4, &lock);
 
         // Reference ingestion.
         let reference = KmerMap::with_capacity(2 * distinct_upper);

@@ -18,8 +18,8 @@
 //!   by its own plain lock; scalable, but paying the fine-grained-locking
 //!   overhead the paper quotes McSherry et al. \[20\] for.
 //! * [`assemble::ingest_single_map`] — the **transactified** design: one
-//!   big transaction-safe hash map, one elidable global lock (or any other
-//!   synchronization method), one critical section per k-mer; much simpler
+//!   big transaction-safe hash map, one elidable global lock (any
+//!   `ElidableLock` policy), one critical section per k-mer; much simpler
 //!   and faster single-threaded, scalable only through lock elision.
 //!
 //! Phases after ingestion (coverage filtering, unitig walking, contig

@@ -232,13 +232,6 @@ impl FnCfg {
         iterate_flow(self.blocks.len(), self.entry, &self.preds())
     }
 
-    /// Block-level postdominator sets over the reversed graph from exit
-    /// (the reverse graph's predecessors are the forward successors).
-    pub fn postdominators(&self) -> Vec<Vec<bool>> {
-        let fwd_succs: Vec<Vec<usize>> = self.blocks.iter().map(|b| b.succs.clone()).collect();
-        iterate_flow(self.blocks.len(), self.exit, &fwd_succs)
-    }
-
     /// Block-level reachability: `reach[a][b]` ⇔ a path a→…→b exists
     /// (including the empty path: `reach[a][a]`).
     pub fn reachability(&self) -> Vec<Vec<bool>> {
@@ -304,8 +297,8 @@ impl FnCfg {
     }
 }
 
-/// The shared dominator-style fixpoint: `sets[root] = {root}`, every
-/// other node starts full and intersects over `edges_in` until stable.
+/// The dominator fixpoint: `sets[root] = {root}`, every other node
+/// starts full and intersects over `edges_in` until stable.
 fn iterate_flow(n: usize, root: usize, edges_in: &[Vec<usize>]) -> Vec<Vec<bool>> {
     let mut sets: Vec<Vec<bool>> = vec![vec![true; n]; n];
     if n == 0 {
@@ -370,10 +363,6 @@ mod tests {
         assert!(doms[3][0], "entry dominates join");
         assert!(!doms[3][1], "one branch does not dominate the join");
         assert!(!doms[3][2]);
-        let pdoms = cfg.postdominators();
-        assert!(pdoms[0][3], "join postdominates entry");
-        assert!(pdoms[1][3]);
-        assert!(!pdoms[0][1], "a branch does not postdominate entry");
     }
 
     #[test]

@@ -832,8 +832,7 @@ where
 {
     fn live_snapshot(&self) -> SourceSnapshot {
         let s = self.stats.snapshot();
-        let mut counters = vec![("ops".into(), s.ops)];
-        counters.extend(commit_counters(s.commits()));
+        let mut counters: Vec<(String, u64)> = commit_counters(s.commits()).collect();
         counters.push(("aborts_fast".into(), s.fast_aborts));
         counters.push(("aborts_slow".into(), s.slow_aborts));
         SourceSnapshot {

@@ -1,12 +1,15 @@
 //! Integration tests for attempt-level observability: the recorder wired
-//! through `ElidableLock::execute`, concurrent snapshotting, and adaptive
-//! decision tracing from a real workload.
+//! through `ElidableLock::execute`, reading it under concurrent recording,
+//! adaptive decision tracing from a real workload, and the watchdog's
+//! flight record of a real lock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rtle_core::obs::{ObsConfig, PathKind, RecordKind, Recorder};
+use rtle_core::obs::watchdog::{flight_record, CollapseEvent, CollapseKind};
+use rtle_core::obs::{Json, ObsConfig, PathKind, Record, RecordKind, Recorder};
 use rtle_core::{Ctx, ElidableLock, ElisionPolicy, TxCell};
+use rtle_htm::lanes::Writer;
 
 fn recorded_lock(policy: ElisionPolicy) -> (Arc<ElidableLock>, Arc<Recorder>) {
     let rec = Arc::new(Recorder::new(ObsConfig::default()));
@@ -20,8 +23,8 @@ fn recorded_lock(policy: ElisionPolicy) -> (Arc<ElidableLock>, Arc<Recorder>) {
 }
 
 /// A single-threaded run populates every recorder surface: per-path
-/// commits, retry and latency histograms, the record ring, and lock-hold
-/// samples when the pessimistic path runs.
+/// commits, the latency histogram, the record ring, and lock-hold samples
+/// when the pessimistic path runs.
 #[test]
 fn recorder_captures_fast_and_lock_paths() {
     let (lock, rec) = recorded_lock(ElisionPolicy::Tle);
@@ -38,17 +41,16 @@ fn recorder_captures_fast_and_lock_paths() {
     }
     assert_eq!(c.read_plain(), 100);
 
-    let snap = rec.snapshot();
-    let commits: std::collections::HashMap<_, _> = snap.commits.iter().cloned().collect();
-    assert_eq!(commits["fast_htm"], 90);
-    assert_eq!(commits["lock"], 10);
-    assert_eq!(snap.total_commits(), 100);
-    assert!(snap.total_aborts() >= 10, "unsupported aborts recorded");
-    assert_eq!(snap.cs_latency.count, 100);
-    assert_eq!(snap.retries.count, 100);
-    assert_eq!(snap.lock_hold.count, 10);
-    assert!(snap.cs_latency.percentile(0.99) >= snap.cs_latency.percentile(0.50));
-    assert!(!snap.recent_events.is_empty());
+    let counts = rec.counts();
+    assert_eq!(counts.commits[PathKind::FastHtm.index()], 90);
+    assert_eq!(counts.commits[PathKind::Lock.index()], 10);
+    assert_eq!(counts.total_commits(), 100);
+    assert!(counts.total_aborts() >= 10, "unsupported aborts recorded");
+    let cs = rec.cs_latency();
+    assert_eq!(cs.count, 100);
+    assert_eq!(rec.lock_hold().count, 10);
+    assert!(cs.percentile(0.99) >= cs.percentile(0.50));
+    assert!(!rec.records().is_empty());
     // The recorder's view agrees with the exact ExecStats counters.
     let stats = lock.stats().snapshot();
     assert_eq!(stats.fast_commits, 90);
@@ -82,15 +84,16 @@ fn software_rung_commits_reach_the_recorder() {
 
     let stats = lock.stats().snapshot();
     assert_eq!((stats.stm_commits, stats.lock_acquisitions), (10, 0));
-    let snap = rec.snapshot();
-    assert_eq!(snap.total_commits(), stats.ops);
-    let commits: std::collections::HashMap<_, _> = snap.commits.iter().cloned().collect();
-    assert_eq!(commits["stm"], stats.stm_commits);
-    assert_eq!(commits["fast_htm"], stats.fast_commits);
-    assert_eq!(snap.total_aborts(), stats.fast_aborts + stats.slow_aborts);
-    assert_eq!(snap.retries.count, stats.ops, "in the retry books");
-    assert_eq!(snap.cs_latency.count, stats.ops);
-    assert_eq!(snap.lock_hold.count, 0, "the lock was never held");
+    let counts = rec.counts();
+    assert_eq!(counts.total_commits(), stats.ops);
+    assert_eq!(counts.commits[PathKind::Stm.index()], stats.stm_commits);
+    assert_eq!(
+        counts.commits[PathKind::FastHtm.index()],
+        stats.fast_commits
+    );
+    assert_eq!(counts.total_aborts(), stats.fast_aborts + stats.slow_aborts);
+    assert_eq!(rec.cs_latency().count, stats.ops);
+    assert_eq!(rec.lock_hold().count, 0, "the lock was never held");
     // The commit comes after the speculative attempts it gave up on.
     let stm = rec
         .records()
@@ -131,10 +134,9 @@ fn every_attempt_is_one_record_and_instants_are_the_rest() {
     assert_eq!(c.read_plain(), THREADS * OPS);
 
     let stats = lock.stats().snapshot();
-    let snap = rec.snapshot();
     let attempts = stats.ops + stats.fast_aborts + stats.slow_aborts;
     assert!(stats.lock_acquisitions >= THREADS * OPS / 16);
-    assert_eq!(snap.events_recorded, attempts);
+    assert_eq!(rec.counts().attempts(), attempts);
     // An FG-TLE holder bumps the epoch once per section.
     assert_eq!(rec.pushed(), attempts + stats.lock_acquisitions);
     let bumps = rec
@@ -164,7 +166,7 @@ fn the_recorder_books_every_operation() {
         }
         let stats = lock.stats().snapshot();
         assert_eq!(stats.ops, 800, "{policy:?}");
-        assert_eq!(rec.snapshot().total_commits(), stats.ops, "{policy:?}");
+        assert_eq!(rec.counts().total_commits(), stats.ops, "{policy:?}");
     }
 }
 
@@ -207,18 +209,17 @@ fn execute_from_records_intended_start_latency_into_windows() {
         "queueing delay from the intended start must be charged: p50 = {} ns",
         w.latency_p(0.50)
     );
-    let snap = rec.snapshot();
-    assert_eq!(snap.windows.len(), 1);
+    assert_eq!(rec.windows().unwrap().series().len(), 1);
     assert_eq!(
-        snap.total_commits(),
+        rec.counts().total_commits(),
         64,
         "and every op's attempts are booked"
     );
 }
 
 /// Eight threads hammer a recorded lock (histograms + ExecStats) while
-/// the main thread snapshots both continuously: no panics, no torn
-/// values, and the final counts add up.
+/// the main thread reads both continuously: no panics, no torn values,
+/// and the final counts add up.
 #[test]
 #[cfg_attr(
     miri,
@@ -253,22 +254,20 @@ fn concurrent_hammer_while_snapshotting() {
                 let now = lock.stats().snapshot();
                 let delta = now.since(&last); // must never panic (saturating)
                 assert!(delta.ops <= (THREADS * OPS) as u64);
-                let before = rec.snapshot();
-                let obs = rec.snapshot();
-                let after = rec.snapshot();
+                let before = rec.counts().total_commits();
+                let cs = rec.cs_latency().count;
+                let commits = rec.counts().total_commits();
+                let after = rec.counts().total_commits();
                 // Commit counters and histogram cells are separate relaxed
-                // atomics, and a snapshot reads them one by one while the
-                // workers keep committing. Two sources of skew: at most one
-                // in-flight op per thread (caught between its histogram
-                // record and its commit-counter bump), plus every op that
-                // committed while the snapshot itself was being read. The
-                // bracketing snapshots bound the latter. Exact equality is
-                // asserted after joining below.
-                let slack =
-                    THREADS as u64 + after.total_commits().saturating_sub(before.total_commits());
-                let skew = |a: u64, b: u64| a.abs_diff(b) <= slack;
-                assert!(skew(obs.cs_latency.count, obs.total_commits()));
-                assert!(skew(obs.retries.count, obs.total_commits()));
+                // atomics, read one by one while the workers keep
+                // committing. Two sources of skew: at most one in-flight
+                // op per thread (caught between its histogram record and
+                // its commit-counter bump), plus every op that committed
+                // between the two readings. The bracketing readings bound
+                // the latter. Exact equality is asserted after joining
+                // below.
+                let slack = THREADS as u64 + after.saturating_sub(before);
+                assert!(cs.abs_diff(commits) <= slack);
                 last = now;
             }
         })
@@ -283,13 +282,12 @@ fn concurrent_hammer_while_snapshotting() {
     assert_eq!(c.read_plain(), (THREADS * OPS) as u64);
     let stats = lock.stats().snapshot();
     assert_eq!(stats.ops, (THREADS * OPS) as u64);
-    let obs = rec.snapshot();
-    assert_eq!(obs.total_commits(), (THREADS * OPS) as u64);
-    assert_eq!(obs.cs_latency.count, obs.total_commits());
-    assert_eq!(obs.retries.count, obs.total_commits());
+    let commits = rec.counts().total_commits();
+    assert_eq!(commits, (THREADS * OPS) as u64);
+    assert_eq!(rec.cs_latency().count, commits);
     assert_eq!(
         stats.fast_commits + stats.slow_commits + stats.lock_acquisitions,
-        obs.total_commits(),
+        commits,
         "recorder and exact counters agree"
     );
 }
@@ -329,10 +327,48 @@ fn adaptive_workload_emits_decision_events() {
     assert_eq!(first.orecs_before, 16);
     assert_eq!(first.orecs_after, 8);
     assert_eq!(first.slow_commits, 0);
-    // The same trace appears in the exported snapshot.
-    let snap = rec.snapshot();
-    assert_eq!(snap.decisions.len(), decisions.len());
-    assert!(snap.lock_hold.count >= 300);
-    let commits: std::collections::HashMap<_, _> = snap.commits.iter().cloned().collect();
-    assert_eq!(commits["lock"], 300);
+    assert!(rec.lock_hold().count >= 300);
+    assert_eq!(rec.counts().commits[PathKind::Lock.index()], 300);
+}
+
+/// The watchdog's flight record of a real lock names the thread that held
+/// it: a thread whose body cannot commit in hardware takes the FG-TLE
+/// lock, and the record carries its commit as a lock-path span on that
+/// thread's track.
+#[test]
+fn a_flight_record_names_the_holders_thread() {
+    let (lock, rec) = recorded_lock(ElisionPolicy::FgTle { orecs: 64 });
+    let c = TxCell::new(0u64);
+    let holder = std::thread::scope(|s| {
+        s.spawn(|| {
+            lock.execute(|ctx: &Ctx| {
+                rtle_htm::htm_unfriendly_instruction();
+                ctx.write(&c, ctx.read(&c) + 1);
+            });
+            Record::tid_of(Writer::current().key())
+        })
+        .join()
+        .unwrap()
+    });
+    assert_eq!(lock.stats().snapshot().lock_acquisitions, 1);
+
+    let trigger = CollapseEvent {
+        kind: CollapseKind::ConvoyStall,
+        window_index: 0,
+        fallback_rate: 1.0,
+        commit_rate: 1.0,
+        trailing_commit_rate: 10.0,
+        aborts_per_commit: 0.0,
+        latency_p99_ns: 0,
+    };
+    let doc = flight_record(&trigger, &[], &rec);
+    let records = doc.get("records").and_then(Json::as_arr).expect("records");
+    let on_holder = |name: &str| {
+        records.iter().any(|e| {
+            e.get("name").and_then(Json::as_str) == Some(name)
+                && e.get("tid").and_then(Json::as_u64) == Some(u64::from(holder))
+        })
+    };
+    assert!(on_holder("lock_held"), "the holder's span: {records:?}");
+    assert!(on_holder("epoch_bump"), "and its instant on the same track");
 }

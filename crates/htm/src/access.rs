@@ -21,44 +21,6 @@ pub trait TxAccess {
     fn store<T: TxWord>(&self, cell: &TxCell<T>, value: T);
 }
 
-/// Object-safe, word-level variant of [`TxAccess`].
-///
-/// `TxAccess` has generic methods and therefore cannot be a trait object;
-/// benchmark harnesses that select the synchronization method at runtime
-/// need one. Every `TxAccess` is automatically a `DynAccess` (blanket
-/// impl), and `dyn DynAccess` implements `TxAccess` back, so generic
-/// data-structure code accepts it directly (with `A: TxAccess + ?Sized`).
-pub trait DynAccess {
-    /// Reads the raw word of `cell`.
-    fn load_word(&self, cell: &TxCell<u64>) -> u64;
-    /// Writes the raw word of `cell`.
-    fn store_word(&self, cell: &TxCell<u64>, word: u64);
-}
-
-impl<A: TxAccess> DynAccess for A {
-    #[inline]
-    fn load_word(&self, cell: &TxCell<u64>) -> u64 {
-        self.load(cell)
-    }
-
-    #[inline]
-    fn store_word(&self, cell: &TxCell<u64>, word: u64) {
-        self.store(cell, word)
-    }
-}
-
-impl TxAccess for dyn DynAccess + '_ {
-    #[inline]
-    fn load<T: TxWord>(&self, cell: &TxCell<T>) -> T {
-        T::from_word(self.load_word(cell.as_word_cell()))
-    }
-
-    #[inline]
-    fn store<T: TxWord>(&self, cell: &TxCell<T>, value: T) {
-        self.store_word(cell.as_word_cell(), value.to_word())
-    }
-}
-
 /// Direct, unsynchronized access — for sequential setup/teardown phases and
 /// single-threaded reference runs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -99,34 +61,5 @@ mod tests {
         generic_inc(&PlainAccess, &c);
         generic_inc(&PlainAccess, &c);
         assert_eq!(c.read_plain(), 2);
-    }
-}
-
-#[cfg(test)]
-mod dyn_tests {
-    use super::*;
-
-    fn generic_add<A: TxAccess + ?Sized>(a: &A, c: &TxCell<u32>, d: u32) {
-        a.store(c, a.load(c) + d);
-    }
-
-    #[test]
-    fn dyn_access_roundtrips_through_words() {
-        let c = TxCell::new(5u32);
-        let plain = PlainAccess;
-        let dynamic: &dyn DynAccess = &plain;
-        generic_add(dynamic, &c, 3);
-        assert_eq!(c.read_plain(), 8);
-        assert_eq!(dynamic.load_word(c.as_word_cell()), 8);
-    }
-
-    #[test]
-    fn dyn_access_preserves_typed_values() {
-        let b = TxCell::new(false);
-        let plain = PlainAccess;
-        let dynamic: &dyn DynAccess = &plain;
-        dynamic.store(&b, true);
-        assert!(b.read_plain());
-        assert!(dynamic.load(&b));
     }
 }

@@ -80,7 +80,7 @@ pub mod wait;
 pub mod word;
 
 pub use abort::AbortCode;
-pub use access::{DynAccess, PlainAccess, TxAccess};
+pub use access::{PlainAccess, TxAccess};
 #[cfg(feature = "rtm")]
 pub use backend::RtmBackend;
 pub use backend::{HtmBackend, SwHtmBackend};

@@ -2,7 +2,7 @@
 //!
 //! The export pipeline needs machine-readable output in offline build
 //! environments where serde cannot be vendored, so this module implements
-//! the small subset of JSON the snapshot schema uses: objects, arrays,
+//! the small subset of JSON the exports use: objects, arrays,
 //! strings, booleans, null, unsigned/signed integers (emitted exactly, not
 //! through `f64`) and finite floats. The parser exists so tests and the
 //! `diag` viewers can read exports back with the repository's own

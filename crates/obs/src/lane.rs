@@ -40,8 +40,6 @@ pub(crate) struct Lane {
     /// Time the fallback lock was held per acquisition: the latency of
     /// the lock path's commits.
     pub lock_hold: Histogram,
-    /// Attempts needed before an operation committed (0 = first try).
-    pub retries: Histogram,
     /// End-to-end operation latency (intended start to completion when
     /// the harness corrects for coordinated omission); what windows cut.
     pub op_latency: Histogram,
@@ -55,14 +53,13 @@ impl Lane {
             explicit: Default::default(),
             cs_latency: Histogram::new(),
             lock_hold: Histogram::new(),
-            retries: Histogram::new(),
             op_latency: Histogram::new(),
         }
     }
 
     /// Counts one attempt event as `by`, a writer of this lane, once: the
-    /// path's commit counter and the critical-section and retry histograms
-    /// (and, under the lock, the hold time) on commit, the abort's class
+    /// path's commit counter and the critical-section histogram (and, under
+    /// the lock, the hold time) on commit, the abort's class
     /// counter (and its explicit code's bucket, if it has one) otherwise.
     #[inline]
     pub fn count(&self, by: Writer, ev: AttemptEvent) {
@@ -70,7 +67,6 @@ impl Lane {
             None => {
                 by.bump(&self.commits[ev.path.index()], 1);
                 self.cs_latency.record_by(by, ev.latency);
-                self.retries.record_by(by, ev.attempt as u64);
                 if ev.path == PathKind::Lock {
                     self.lock_hold.record_by(by, ev.latency);
                 }
@@ -108,9 +104,9 @@ mod tests {
     #[test]
     fn a_lane_is_whole_blocks_with_its_histograms_inline() {
         // Nothing a recording thread bumps is behind a pointer into memory
-        // another lane could share: the four 10 KiB bucket arrays are part
+        // another lane could share: the three 10 KiB bucket arrays are part
         // of the lane, and the lane is padded out to whole blocks.
-        assert!(std::mem::size_of::<Lane>() > 4 * 1280 * 8);
+        assert!(std::mem::size_of::<Lane>() > 3 * 1280 * 8);
         assert_eq!(std::mem::size_of::<Block<Lane>>() % BLOCK_BYTES, 0);
         assert_eq!(std::mem::align_of::<Block<Lane>>(), BLOCK_BYTES);
     }
@@ -141,7 +137,6 @@ mod tests {
         );
         assert_eq!(read[4].aborts[AbortCode::Nested.index()], 1);
         assert_eq!(lanes.of(key(3)).cs_latency.snapshot().count, 1);
-        assert_eq!(lanes.of(key(3)).retries.snapshot().buckets, [(2, 1)]);
         assert_eq!(lanes.of(key(3)).lock_hold.snapshot().count, 0);
         // A commit under the lock is also a hold-time sample.
         count(5, on(PathKind::Lock, None));

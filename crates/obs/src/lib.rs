@@ -9,16 +9,18 @@
 //!   retry-loop pass ([`AttemptEvent`]: path, abort code or commit,
 //!   attempt index, critical-section latency — with the recording thread and the start
 //!   time) and per holder instant (write-flag raise, epoch bump, adaptive
-//!   decision), in one lock-free ring ([`ring::Ring`]). The snapshot's
-//!   recent events, the watchdog's flight record and the Chrome
-//!   `trace_event` export that loads in Perfetto ([`trace`]) are readings
-//!   of it.
+//!   decision), in one lock-free ring ([`ring::Ring`]). The watchdog's
+//!   flight record and the Chrome `trace_event` export that loads in
+//!   Perfetto ([`trace`]) are readings of it, both written through
+//!   [`trace::chrome_event`].
 //! * **Histograms** ([`Histogram`]) — log-linear (HDR-style) with atomic
-//!   buckets, for critical-section latency, lock-hold time, and retry
-//!   counts; snapshots sum across threads and subtract across time.
-//! * **Recorder** ([`Recorder`]) — one shared object absorbs everything
-//!   and produces schema-versioned [`ObsSnapshot`]s, exported as JSON
-//!   ([`ObsSnapshot::to_json`]) or scraped live (below). Everything a
+//!   buckets, for critical-section latency, lock-hold time and operation
+//!   latency; snapshots sum across threads and subtract across time.
+//! * **Recorder** ([`Recorder`]) — one shared object absorbs everything.
+//!   It has one export, its [`LiveSource`] reading (below), and typed
+//!   readers for in-process use ([`Recorder::counts`],
+//!   [`Recorder::cs_latency`], [`Recorder::lock_hold`],
+//!   [`Recorder::records`], [`Recorder::decisions`]). Everything a
 //!   recording thread writes — counters, histograms, its segment of the
 //!   record ring — lives in the lane it claimed
 //!   ([`rtle_htm::lanes::Writer`]), on lines no other running thread
@@ -73,7 +75,7 @@ pub use event::{
 pub use hist::{HistSnapshot, Histogram};
 pub use json::{parse as parse_json, Json};
 pub use live::LiveServer;
-pub use recorder::{ObsConfig, ObsSnapshot, Recorder, SCHEMA_VERSION};
+pub use recorder::{ObsConfig, Recorder, SCHEMA_VERSION};
 pub use registry::{LiveSource, MetricsRegistry, SourceSnapshot, SCRAPE_WINDOW_TAIL};
 pub use trace::{Record, RecordKind};
 pub use watchdog::{flight_record, CollapseEvent, CollapseKind, Watchdog, WatchdogLive};

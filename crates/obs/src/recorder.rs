@@ -1,12 +1,15 @@
 //! The [`Recorder`]: one object that absorbs timestamped records
 //! (attempts and holder instants), latency samples, and adaptive-policy
-//! decisions, and produces schema-versioned [`ObsSnapshot`]s (exported as
-//! JSON by every `--json` tool and served live through
-//! [`crate::registry`]).
+//! decisions. It has one export, its [`crate::registry::LiveSource`]
+//! reading (served live and written by `--json` tools through
+//! [`crate::registry`]), and typed readers for in-process use:
+//! [`Recorder::counts`], [`Recorder::cs_latency`], [`Recorder::lock_hold`],
+//! [`Recorder::records`] and [`Recorder::decisions`]. None of them resets
+//! anything.
 //!
 //! A recorder is shared behind an `Arc`: the lock runtime (or the
 //! simulator) holds one and feeds it from the hot path; the harness
-//! snapshots it at any time. Everything on the recording side is
+//! reads it at any time. Everything on the recording side is
 //! lock-free, `Relaxed`, and lands in the recording writer's own lane
 //! (`lane.rs`) — a handful of bumps on lines no other running thread
 //! writes, plain stores on a lane the thread owns, and one two-word ring
@@ -24,24 +27,27 @@ use std::sync::{Arc, Mutex};
 use rtle_htm::lanes::{PerLane, Writer};
 use rtle_htm::AbortCode;
 
-use crate::event::{commit_counters, AdaptDecision, AttemptEvent, PATH_LABELS};
+use crate::event::{commit_counters, AdaptDecision};
 use crate::hist::HistSnapshot;
-use crate::json::Json;
 use crate::lane::Lane;
 use crate::ring::Ring;
 use crate::trace::{Record, RecordKind};
-use crate::window::{WindowCollector, WindowCounts, WindowSnapshot};
+use crate::window::{WindowCollector, WindowCounts};
 
-/// Version stamped into every exported snapshot. Bump on any
+/// Version stamped into every exported document. Bump on any
 /// backwards-incompatible change to the JSON layout.
 ///
 /// History: v1 = cumulative counters/histograms only; v2 added the
 /// `windows` time series (and the windowed-telemetry documents built on
 /// it), and later, without a bump, the software rung's `stm` entry in
 /// per-path commit maps; v3 dropped the sampling rate — every operation
-/// of a recorded lock is recorded. See the [`crate::json`] module docs
-/// for the migration policy.
-pub const SCHEMA_VERSION: u64 = 3;
+/// of a recorded lock is recorded; v4 deleted the recorder's second export
+/// (the `observability` object of `diag --json`), wrote the flight
+/// record's resident records as Chrome events (thread, time and holder
+/// instants; its `events_recorded` went), and dropped the live export's
+/// totals that are sums of exported parts. See the [`crate::json`] module
+/// docs for the migration policy.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Record slots per lane: 16 KiB a lane, 256 KiB a recorder, which reads
 /// as +0.2 MB (0.6 %) on `shard_batch`'s 33 MB `peak_rss_mb` against the
@@ -57,7 +63,8 @@ pub const RING_SLOTS: usize = 1024;
 pub struct ObsConfig {
     /// Unit of every latency value fed to this recorder: `"ns"` for the
     /// real runtime, `"cycles"` for the simulator. Purely descriptive —
-    /// stamped into snapshots so downstream tooling never mixes units.
+    /// stamped into flight records and traces so downstream tooling never
+    /// mixes units.
     pub latency_unit: &'static str,
     /// Windowed-telemetry period in milliseconds; `0` (the default)
     /// disables the window collector.
@@ -86,18 +93,6 @@ pub struct Recorder {
     ring: Ring<2, RING_SLOTS>,
     decisions: Mutex<Vec<AdaptDecision>>,
     windows: Option<WindowCollector>,
-}
-
-/// `(label, count)` pairs sorted by label — the order the JSON object
-/// form carries.
-fn labelled(labels: &[&str], counts: &[u64]) -> Vec<(String, u64)> {
-    let mut pairs: Vec<(String, u64)> = labels
-        .iter()
-        .zip(counts)
-        .map(|(&l, &n)| (l.to_string(), n))
-        .collect();
-    pairs.sort();
-    pairs
 }
 
 impl Recorder {
@@ -202,8 +197,11 @@ impl Recorder {
         out
     }
 
-    /// The event counters summed over the lanes.
-    fn counts(&self) -> WindowCounts {
+    /// The event counters summed over the lanes: commits per path,
+    /// aborts per class and per explicit code, and the operation latencies
+    /// windows cut. Each word only grows; the words are read one after
+    /// another, so equalities between them hold only at quiescence.
+    pub fn counts(&self) -> WindowCounts {
         let mut sum = WindowCounts::default();
         for lane in self.lanes.iter() {
             sum.merge(&lane.read());
@@ -211,47 +209,30 @@ impl Recorder {
         sum
     }
 
+    /// Critical-section latency of committed attempts, merged over the
+    /// lanes: one sample per commit.
+    pub fn cs_latency(&self) -> HistSnapshot {
+        self.hist(|l| l.cs_latency.snapshot())
+    }
+
+    /// Fallback-lock hold time per acquisition, merged over the lanes: the
+    /// latency of the lock path's commits.
+    pub fn lock_hold(&self) -> HistSnapshot {
+        self.hist(|l| l.lock_hold.snapshot())
+    }
+
     /// One of the lanes' histograms, merged.
     fn hist(&self, of: impl Fn(&Lane) -> HistSnapshot) -> HistSnapshot {
         let parts: Vec<HistSnapshot> = self.lanes.iter().map(of).collect();
         HistSnapshot::merged(&parts)
     }
-
-    /// A point-in-time snapshot of everything the recorder holds. Reads
-    /// only: neither the counters nor the ring are reset.
-    pub fn snapshot(&self) -> ObsSnapshot {
-        let counts = self.counts();
-        ObsSnapshot {
-            schema_version: SCHEMA_VERSION,
-            latency_unit: self.cfg.latency_unit.to_string(),
-            commits: labelled(&PATH_LABELS, &counts.commits),
-            aborts: labelled(&AbortCode::LABELS, &counts.aborts),
-            explicit_codes: (0u64..)
-                .zip(counts.explicit)
-                .filter(|&(_, n)| n > 0)
-                .collect(),
-            cs_latency: self.hist(|l| l.cs_latency.snapshot()),
-            lock_hold: self.hist(|l| l.lock_hold.snapshot()),
-            retries: self.hist(|l| l.retries.snapshot()),
-            decisions: self.decisions(),
-            events_recorded: counts.attempts(),
-            recent_events: self
-                .ring
-                .resident()
-                .filter_map(|words| Record::unpack(words)?.attempt())
-                .collect(),
-            windows: self
-                .windows
-                .as_ref()
-                .map(WindowCollector::series)
-                .unwrap_or_default(),
-        }
-    }
 }
 
-/// Live scraping reads the same lanes as [`Recorder::snapshot`], and like
-/// it resets nothing, so a scrape every second cannot disturb the
-/// end-of-run export (and vice versa).
+/// The recorder's one export: a reading of its lanes that resets nothing,
+/// so a scrape every second disturbs neither the recording threads nor
+/// the typed readers above. Each fact is exported once: a total that is
+/// the sum of exported parts (all commits, all attempts, the latency
+/// sample count) is left to the reader to sum.
 impl crate::registry::LiveSource for Recorder {
     fn live_snapshot(&self) -> crate::registry::SourceSnapshot {
         let counts = self.counts();
@@ -264,11 +245,8 @@ impl crate::registry::LiveSource for Recorder {
                 counters.push((format!("explicit_code_{c}"), n));
             }
         }
-        counters.push(("events_recorded".into(), counts.attempts()));
-        let cs = self.hist(|l| l.cs_latency.snapshot());
-        let hold = self.hist(|l| l.lock_hold.snapshot());
-        counters.push(("cs_latency_count".into(), cs.count));
-        counters.push(("lock_hold_count".into(), hold.count));
+        let cs = self.cs_latency();
+        let hold = self.lock_hold();
         let mut gauges: Vec<(String, f64)> = vec![
             ("cs_latency_p50".into(), cs.percentile(0.50) as f64),
             ("cs_latency_p99".into(), cs.percentile(0.99) as f64),
@@ -299,103 +277,13 @@ impl crate::registry::LiveSource for Recorder {
     }
 }
 
-/// A complete, self-describing export of a [`Recorder`]'s state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsSnapshot {
-    /// [`SCHEMA_VERSION`] at export time.
-    pub schema_version: u64,
-    /// `"ns"` or `"cycles"` — the unit of every latency field below.
-    pub latency_unit: String,
-    /// Commits by path label.
-    pub commits: Vec<(String, u64)>,
-    /// Aborts by class label ([`AbortCode::LABELS`]).
-    pub aborts: Vec<(String, u64)>,
-    /// Explicit aborts by protocol code, for the codes with a
-    /// bucket of their own ([`AbortCode::explicit_bucket`]).
-    pub explicit_codes: Vec<(u64, u64)>,
-    /// Critical-section latency of committed attempts.
-    pub cs_latency: HistSnapshot,
-    /// Fallback lock hold time per acquisition.
-    pub lock_hold: HistSnapshot,
-    /// Attempts before commit (0 = committed first try).
-    pub retries: HistSnapshot,
-    /// Adaptive-policy decision trace, oldest first.
-    pub decisions: Vec<AdaptDecision>,
-    /// Total attempt events recorded (monotone; the ring keeps only the
-    /// most recent of them).
-    pub events_recorded: u64,
-    /// Attempt events resident in the ring at snapshot time, lane by lane
-    /// and oldest first within a lane.
-    pub recent_events: Vec<AttemptEvent>,
-    /// Closed telemetry windows (oldest first); empty when the recorder
-    /// was configured without a window collector. Schema v2.
-    pub windows: Vec<WindowSnapshot>,
-}
-
-impl ObsSnapshot {
-    /// Total commits across paths.
-    pub fn total_commits(&self) -> u64 {
-        self.commits.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Total aborts across causes.
-    pub fn total_aborts(&self) -> u64 {
-        self.aborts.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// JSON form (the schema that `--json` files carry).
-    pub fn to_json(&self) -> Json {
-        fn counts(pairs: &[(String, u64)]) -> Json {
-            Json::Obj(
-                pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                    .collect(),
-            )
-        }
-        Json::obj([
-            ("schema_version", Json::UInt(self.schema_version)),
-            ("latency_unit", Json::Str(self.latency_unit.clone())),
-            ("commits", counts(&self.commits)),
-            ("aborts", counts(&self.aborts)),
-            (
-                "explicit_codes",
-                Json::Arr(
-                    self.explicit_codes
-                        .iter()
-                        .map(|&(c, n)| Json::Arr(vec![Json::UInt(c), Json::UInt(n)]))
-                        .collect(),
-                ),
-            ),
-            ("cs_latency", self.cs_latency.to_json()),
-            ("lock_hold", self.lock_hold.to_json()),
-            ("retries", self.retries.to_json()),
-            (
-                "decisions",
-                Json::Arr(self.decisions.iter().map(AdaptDecision::to_json).collect()),
-            ),
-            ("events_recorded", Json::UInt(self.events_recorded)),
-            (
-                "recent_events",
-                Json::Arr(
-                    self.recent_events
-                        .iter()
-                        .map(AttemptEvent::to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "windows",
-                Json::Arr(self.windows.iter().map(WindowSnapshot::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AdaptAction, PathKind};
+    use crate::event::{AdaptAction, AttemptEvent, PathKind};
+    use crate::json::Json;
+    use crate::registry::LiveSource;
+    use crate::window::WindowSnapshot;
 
     fn key(k: u64) -> Writer {
         Writer::keyed(k)
@@ -431,33 +319,24 @@ mod tests {
         );
         r.record(key(0), 0, commit(PathKind::Lock, 3, 9_000));
         r.record(key(0), 9_000, RecordKind::EpochBump(7));
-        let s = r.snapshot();
-        assert_eq!(s.total_commits(), 3);
-        assert_eq!(s.total_aborts(), 1);
+        let c = r.counts();
+        assert_eq!((c.total_commits(), c.total_aborts()), (3, 1));
+        assert_eq!(c.commits, [2, 0, 0, 1], "fast, slow, stm, lock");
+        assert_eq!(c.explicit, [0, 0, 0, 0, 1, 0, 0, 0]);
+        assert_eq!(r.cs_latency().count, 3);
+        let hold = r.lock_hold();
         assert_eq!(
-            s.commits,
-            vec![
-                ("fast_htm".to_string(), 2),
-                ("lock".to_string(), 1),
-                ("slow_htm".to_string(), 0),
-                ("stm".to_string(), 0)
-            ]
-        );
-        assert_eq!(s.explicit_codes, vec![(4, 1)]);
-        assert_eq!(s.cs_latency.count, 3);
-        assert_eq!(s.retries.count, 3);
-        assert_eq!(
-            (s.lock_hold.count, s.lock_hold.max),
+            (hold.count, hold.max),
             (1, 9_000),
             "a lock-path commit is the hold-time sample"
         );
-        assert_eq!(s.recent_events.len(), 4, "instants are not attempt events");
-        assert_eq!((s.events_recorded, r.pushed()), (4, 5));
+        let attempts = r.records().iter().filter_map(Record::attempt).count();
+        assert_eq!(attempts, 4, "instants are not attempts");
+        assert_eq!((c.attempts(), r.pushed()), (4, 5));
     }
 
     #[test]
     fn an_explicit_code_past_the_buckets_counts_only_in_its_class() {
-        use crate::registry::LiveSource;
         // TL2's SW_ACTIVE (34) is not WRITE_FLAG_SET (2) on any export.
         let r = Recorder::new(ObsConfig {
             window_len_ms: 1_000,
@@ -468,11 +347,10 @@ mod tests {
             0,
             abort(PathKind::FastHtm, AbortCode::Explicit(34), 0),
         );
-        let s = r.snapshot();
-        assert_eq!(s.explicit_codes, vec![]);
-        let aborts: std::collections::BTreeMap<_, _> = s.aborts.into_iter().collect();
-        assert_eq!(aborts["explicit"], 1);
-        assert_eq!(aborts.values().sum::<u64>(), 1);
+        let c = r.counts();
+        assert_eq!(c.explicit, [0; AbortCode::EXPLICIT_CODES]);
+        assert_eq!(c.aborts[AbortCode::Explicit(34).index()], 1);
+        assert_eq!(c.total_aborts(), 1);
         let live = r.live_snapshot().counters;
         assert!(live.contains(&("aborts_explicit".to_string(), 1)));
         assert!(!live.iter().any(|(k, _)| k.starts_with("explicit_code_")));
@@ -572,55 +450,6 @@ mod tests {
         assert_eq!(records.last().unwrap().tid, 6_001 % 1_024);
     }
 
-    /// The export of one fixed recording, pinned byte for byte by
-    /// `tests/golden/obs_snapshot.json`. Regenerate after an intentional
-    /// schema change with
-    /// `BLESS=1 cargo test -p rtle-obs --lib json_export_matches`.
-    #[test]
-    fn json_export_matches_the_golden_file() {
-        let r = Recorder::new(ObsConfig {
-            latency_unit: "cycles",
-            ..ObsConfig::default()
-        });
-        for i in 0..12u64 {
-            r.record(
-                key(i % 4),
-                0,
-                commit(PathKind::FastHtm, (i % 3) as u8, i * 13),
-            );
-        }
-        r.record(key(1), 0, abort(PathKind::SlowHtm, AbortCode::Conflict, 0));
-        r.record(key(2), 0, commit(PathKind::Lock, 5, 4_000));
-        r.record_decision(AdaptDecision {
-            action: AdaptAction::Grow,
-            orecs_before: 64,
-            orecs_after: 128,
-            slow_commits: 2,
-            slow_aborts: 11,
-            hot_slot: Some((17, 9)),
-        });
-        let text = r.snapshot().to_json().to_string_pretty();
-        crate::json::parse(&text).expect("export parses");
-
-        let path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs_snapshot.json");
-        if std::env::var_os("BLESS").is_some() {
-            std::fs::write(&path, &text).expect("write golden file");
-            return;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden file {} ({e}); run with BLESS=1",
-                path.display()
-            )
-        });
-        assert_eq!(
-            text, expected,
-            "obs_snapshot.json drifted; run `BLESS=1 cargo test -p rtle-obs --lib json_export_matches` \
-             and review the diff"
-        );
-    }
-
     #[test]
     fn windowed_recorder_rotates_and_exports_its_windows() {
         assert!(
@@ -642,26 +471,30 @@ mod tests {
             "windows are cut from the lanes"
         );
         assert_eq!(
-            r.snapshot().total_commits(),
+            r.counts().total_commits(),
             40,
             "which count each attempt once"
         );
 
-        let snap = r.snapshot();
-        assert_eq!(snap.windows.len(), 1);
-        assert!(snap.windows[0].latency_p(0.999) >= snap.windows[0].latency_p(0.5));
-        let parsed = crate::json::parse(&snap.to_json().to_string()).unwrap();
-        let windows = parsed.get("windows").and_then(Json::as_arr).unwrap();
+        let series = r.windows().unwrap().series();
+        assert_eq!(series.len(), 1);
+        assert!(series[0].latency_p(0.999) >= series[0].latency_p(0.5));
+        let scrape = [("r".to_string(), r.live_snapshot())];
+        let text = crate::registry::render_json(&scrape, 0).to_string();
+        let parsed = crate::json::parse(&text).unwrap();
+        let windows = parsed.get("sources").and_then(Json::as_arr).unwrap()[0]
+            .get("windows")
+            .and_then(Json::as_arr)
+            .unwrap();
         let back: Vec<_> = windows
             .iter()
             .filter_map(WindowSnapshot::from_json)
             .collect();
-        assert_eq!(back, snap.windows);
+        assert_eq!(back, series);
     }
 
     #[test]
     fn live_snapshot_is_non_destructive() {
-        use crate::registry::LiveSource;
         let r = Recorder::new(ObsConfig {
             window_len_ms: 50,
             ..ObsConfig::default()
@@ -681,17 +514,13 @@ mod tests {
         assert!(live1
             .counters
             .contains(&("commits_fast_htm".to_string(), 32)));
-        assert!(live1
-            .counters
-            .contains(&("events_recorded".to_string(), 32)));
         assert_eq!(live1.windows.len(), 1);
         assert_eq!(live1.windows[0].ops(), 32);
 
-        // The end-of-run snapshot still sees every resident ring event
-        // after any number of scrapes.
-        let snap = r.snapshot();
-        assert_eq!(snap.recent_events.len(), 32);
-        assert_eq!(snap.total_commits(), 32);
+        // The typed readers still see every resident record after any
+        // number of scrapes.
+        assert_eq!(r.records().len(), 32);
+        assert_eq!(r.counts().total_commits(), 32);
     }
 
     #[test]
@@ -713,28 +542,27 @@ mod tests {
                 })
             })
             .collect();
-        // Snapshot while writers are running: must never panic, and every
-        // word it reads is a monotonic count bounded by the final one. The
+        // Read while writers are running: must never panic, and every
+        // word read is a monotonic count bounded by the final one. The
         // words are read one after another, not atomically, so equalities
         // *between* them (cs_latency.count == commits) hold only at
         // quiescence, below.
         let mut last = 0;
         for _ in 0..20 {
-            let s = r.snapshot();
-            assert!(s.total_commits() >= last && s.total_commits() <= 8 * 8_000);
-            assert!(s.cs_latency.count <= 8 * 8_000 && s.retries.count <= 8 * 8_000);
-            assert!(s.total_aborts() <= 8 * 2_000 && s.events_recorded <= 8 * 10_000);
-            last = s.total_commits();
+            let c = r.counts();
+            assert!(c.total_commits() >= last && c.total_commits() <= 8 * 8_000);
+            assert!(r.cs_latency().count <= 8 * 8_000);
+            assert!(c.total_aborts() <= 8 * 2_000 && c.attempts() <= 8 * 10_000);
+            last = c.total_commits();
         }
         for t in threads {
             t.join().unwrap();
         }
-        let s = r.snapshot();
-        assert_eq!(s.total_commits(), 8 * 8_000);
-        assert_eq!(s.total_aborts(), 8 * 2_000);
-        assert_eq!(s.cs_latency.count, s.total_commits());
-        assert_eq!(s.retries.count, 8 * 8_000);
-        assert_eq!(s.events_recorded, 8 * 10_000);
+        let c = r.counts();
+        assert_eq!(c.total_commits(), 8 * 8_000);
+        assert_eq!(c.total_aborts(), 8 * 2_000);
+        assert_eq!(r.cs_latency().count, c.total_commits());
+        assert_eq!(c.attempts(), 8 * 10_000);
     }
 
     #[test]
@@ -762,23 +590,17 @@ mod tests {
             );
         }
         let ops: u64 = (1..=36).sum();
-        let s = r.snapshot();
-        assert_eq!(s.total_commits(), ops);
-        assert_eq!(s.total_aborts(), 36);
+        let c = r.counts();
+        assert_eq!(c.total_commits(), ops);
+        assert_eq!(c.total_aborts(), 36);
         // Codes 0..8 have buckets; the other 28 count only in the class.
+        assert_eq!(c.explicit, [1; AbortCode::EXPLICIT_CODES]);
+        let cs = r.cs_latency();
+        assert_eq!(cs.count, ops);
+        assert_eq!(cs.max, 10 * 35 + 35, "the cumulative maximum is exact");
+        assert_eq!(c.attempts(), ops + 36);
         assert_eq!(
-            s.explicit_codes.iter().map(|&(_, n)| n).sum::<u64>(),
-            AbortCode::EXPLICIT_CODES as u64
-        );
-        assert_eq!((s.cs_latency.count, s.retries.count), (ops, ops));
-        assert_eq!(
-            s.cs_latency.max,
-            10 * 35 + 35,
-            "the cumulative maximum is exact"
-        );
-        assert_eq!(s.events_recorded, ops + 36);
-        assert_eq!(
-            s.recent_events.len() as u64,
+            r.records().len() as u64,
             ops + 36,
             "no lane segment wrapped"
         );

@@ -11,9 +11,10 @@
 //! * the registry's own `Mutex` guards only the *registration list*,
 //!   which hot-path writers never touch; the scrape clones the `Arc`s
 //!   under that mutex and snapshots each source after releasing it;
-//! * sources must not drain rings or reset counters when snapshotting
-//!   (the destructive [`crate::Recorder::snapshot`] stays reserved for
-//!   end-of-run export).
+//! * sources must not drain rings or reset counters when snapshotting:
+//!   a recorder's reading is its one export, and a scrape must leave the
+//!   typed readers ([`crate::Recorder::counts`] and the rest) what they
+//!   would have read without it.
 //!
 //! Two renderers sit on top of a scrape: Prometheus text exposition
 //! (format 0.0.4) for `/metrics`, and the repo's schema-versioned JSON

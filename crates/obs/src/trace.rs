@@ -10,9 +10,8 @@
 //! of the instants (write-flag raise, epoch bump, adaptive decision).
 //! Records live in the recorder's one [`crate::ring::Ring`], in the
 //! segment of the recording writer's lane ([`rtle_htm::lanes::Writer`]);
-//! `ObsSnapshot::recent_events`, the watchdog's flight record and the
-//! Chrome export below (which loads directly in Perfetto) are readings of
-//! it. A new thing to record is a new [`RecordKind`], never a second ring.
+//! the watchdog's flight record and `diag --trace` are readings of it, both
+//! in the Chrome form below (which loads directly in Perfetto). A new thing to record is a new [`RecordKind`], never a second ring.
 //!
 //! A record packs into **two** `u64` words. Torn reads are detected with
 //! a 7-bit *generation tag* stored in both: the ring stores word 1, then

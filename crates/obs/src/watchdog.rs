@@ -30,17 +30,20 @@
 //! itself.
 //!
 //! On trigger, [`flight_record`] assembles the postmortem JSON: the
-//! triggering verdict, the trailing window series, and the last K
-//! attempt events from the recorder's per-thread rings — enough for
-//! offline `diag --timeline` analysis without any live re-run.
+//! triggering verdict, the trailing window series, and the records
+//! resident in the recorder's ring as Chrome `trace_event` objects — each
+//! attempt on its thread's track at its time, beside the lock holders'
+//! instants, so the record names the thread that held the lock. Enough
+//! for offline `diag --timeline` analysis without any live re-run.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::recorder::{ObsSnapshot, SCHEMA_VERSION};
+use crate::recorder::{Recorder, SCHEMA_VERSION};
 use crate::registry::{LiveSource, SourceSnapshot};
+use crate::trace::chrome_event;
 use crate::window::WindowSnapshot;
 
 // Thresholds for the collapse signatures, tuned on the `slo_bench`
@@ -366,30 +369,26 @@ impl Watchdog {
 
 /// Assembles the postmortem flight-record document (`kind:
 /// "flight-record"`): the triggering verdict, the trailing window
-/// series, and the recorder's recent attempt events. Written to a file
-/// by the harness, read back by `diag --timeline`. `taken_at_ns` is
+/// series, and `rec`'s resident records, time-ordered, as Chrome
+/// `trace_event` objects of one process ([`chrome_event`]). Written to a
+/// file by the harness, read back by `diag --timeline`. `taken_at_ns` is
 /// stamped from the shared [`crate::epoch`] timebase, so the record can
 /// be lined up against live scrapes of the same process.
-pub fn flight_record(
-    trigger: &CollapseEvent,
-    windows: &[WindowSnapshot],
-    obs: &ObsSnapshot,
-) -> Json {
+pub fn flight_record(trigger: &CollapseEvent, windows: &[WindowSnapshot], rec: &Recorder) -> Json {
     Json::obj([
         ("kind", Json::Str("flight-record".into())),
         ("schema_version", Json::UInt(SCHEMA_VERSION)),
         ("tool", Json::Str("watchdog".into())),
         ("taken_at_ns", Json::UInt(crate::epoch::now_ns())),
-        ("latency_unit", Json::Str(obs.latency_unit.clone())),
+        ("latency_unit", Json::Str(rec.config().latency_unit.into())),
         ("trigger", trigger.to_json()),
         (
             "windows",
             Json::Arr(windows.iter().map(WindowSnapshot::to_json).collect()),
         ),
-        ("events_recorded", Json::UInt(obs.events_recorded)),
         (
-            "recent_events",
-            Json::Arr(obs.recent_events.iter().map(|e| e.to_json()).collect()),
+            "records",
+            Json::Arr(rec.records().iter().map(|r| chrome_event(r, 1)).collect()),
         ),
     ])
 }
@@ -622,7 +621,7 @@ mod tests {
 
     #[test]
     fn flight_record_document_shape() {
-        use crate::recorder::{ObsConfig, Recorder};
+        use crate::recorder::ObsConfig;
         let mut wd = Watchdog::new();
         let mut windows = Vec::new();
         for i in 0..4 {
@@ -636,8 +635,8 @@ mod tests {
 
         let r = Recorder::new(ObsConfig::default());
         r.record(
-            rtle_htm::lanes::Writer::keyed(0),
-            0,
+            rtle_htm::lanes::Writer::keyed(5),
+            2_000,
             crate::RecordKind::Attempt(crate::event::AttemptEvent {
                 path: crate::event::PathKind::Lock,
                 abort: None,
@@ -645,7 +644,12 @@ mod tests {
                 latency: 1_000_000,
             }),
         );
-        let doc = flight_record(&trigger, &windows, &r.snapshot());
+        r.record(
+            rtle_htm::lanes::Writer::keyed(5),
+            1_002_000,
+            crate::RecordKind::EpochBump(3),
+        );
+        let doc = flight_record(&trigger, &windows, &r);
         let text = doc.to_string_pretty();
         let back = crate::json::parse(&text).expect("flight record parses");
         assert_eq!(
@@ -670,11 +674,25 @@ mod tests {
         assert_eq!(ws.len(), 5);
         let last = WindowSnapshot::from_json(&ws[4]).expect("windows round-trip");
         assert_eq!(last.index, 4);
+        // The holder's span and its instant, on its thread's track, in
+        // time order.
+        let records = back.get("records").and_then(Json::as_arr).unwrap();
+        let seen: Vec<_> = records
+            .iter()
+            .map(|e| {
+                (
+                    e.get("name").and_then(Json::as_str),
+                    e.get("tid").and_then(Json::as_u64),
+                    e.get("args").and_then(|a| a.get("raw_ts")?.as_u64()),
+                )
+            })
+            .collect();
         assert_eq!(
-            back.get("recent_events")
-                .and_then(Json::as_arr)
-                .map(<[_]>::len),
-            Some(1)
+            seen,
+            [
+                (Some("lock_held"), Some(5), Some(2_000)),
+                (Some("epoch_bump"), Some(5), Some(1_002_000)),
+            ]
         );
     }
 }

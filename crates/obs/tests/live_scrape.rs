@@ -3,8 +3,13 @@
 //! * A golden-file test pinning the Prometheus text exposition: the
 //!   registry is fed hand-built deterministic sources (no wall-clock
 //!   values appear in the text format by design), and the rendered page
-//!   is compared against `tests/golden/live_metrics.prom`. Regenerate
-//!   after an intentional format change with:
+//!   is compared against `tests/golden/live_metrics.prom`.
+//! * A golden-file test pinning the JSON page (`/json`, the documents'
+//!   writer): a recorder with a fixed recording, a lock's source and a
+//!   watchdog mirror, rendered at a fixed `taken_at_ns` and compared
+//!   against `tests/golden/live_registry.json`.
+//!
+//!   Regenerate either after an intentional format change with:
 //!
 //!   ```sh
 //!   BLESS=1 cargo test -p rtle-obs --test live_scrape
@@ -19,14 +24,39 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
+use rtle_htm::lanes::Writer;
 use rtle_htm::AbortCode;
 use rtle_obs::{
     AttemptEvent, Histogram, Json, LiveServer, LiveSource, MetricsRegistry, ObsConfig, PathKind,
-    RecordKind, Recorder, SourceSnapshot, WindowCounts, WindowSnapshot,
+    RecordKind, Recorder, SourceSnapshot, Watchdog, WindowCounts, WindowSnapshot,
 };
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/live_metrics.prom")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// Compares `text` with the golden file `name`, or rewrites the file
+/// under `BLESS=1`.
+fn check_golden(name: &str, text: &str) {
+    let path = golden_path(name);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, text).expect("write golden file");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        text, expected,
+        "{name} drifted; run `BLESS=1 cargo test -p rtle-obs --test live_scrape` \
+         and review the diff"
+    );
 }
 
 /// A fully deterministic window: fixed index, fixed counts, a latency
@@ -57,6 +87,7 @@ struct FixedSource {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
     windows: Vec<WindowSnapshot>,
+    labels: Vec<(String, String)>,
 }
 
 impl LiveSource for FixedSource {
@@ -66,7 +97,7 @@ impl LiveSource for FixedSource {
             counters: self.counters.clone(),
             gauges: self.gauges.clone(),
             windows: self.windows.clone(),
-            labels: Vec::new(),
+            labels: self.labels.clone(),
         }
     }
 }
@@ -86,6 +117,7 @@ fn deterministic_registry() -> MetricsRegistry {
             ],
             gauges: vec![("cs_latency_p99".into(), 1536.0)],
             windows: vec![fixed_window(3, 100), fixed_window(4, 80)],
+            labels: Vec::new(),
         }),
     );
     registry.register(
@@ -99,6 +131,7 @@ fn deterministic_registry() -> MetricsRegistry {
                 ("lock_fallback_rate".into(), 0.0625),
             ],
             windows: Vec::new(),
+            labels: Vec::new(),
         }),
     );
     registry.register(
@@ -110,6 +143,7 @@ fn deterministic_registry() -> MetricsRegistry {
             counters: vec![("collapse_fired_total".into(), 1)],
             gauges: vec![("armed".into(), 1.0)],
             windows: Vec::new(),
+            labels: Vec::new(),
         }),
     );
     registry
@@ -124,23 +158,67 @@ fn prometheus_text_matches_the_golden_file() {
     assert!(!text.contains("taken_at"), "{text}");
     assert!(!text.contains("123456"), "window start leaked:\n{text}");
 
-    let path = golden_path();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &text).expect("write golden file");
-        return;
+    check_golden("live_metrics.prom", &text);
+}
+
+/// The JSON page of a registry whose every value is fixed: a recorder fed
+/// one fixed recording by keyed writers (it has no window collector, whose
+/// windows start on the clock), the source of a lock with a software
+/// fallback (the lock's own crate depends on this one, so its source is
+/// written out here as the lock reports it: commits per path, aborts per
+/// speculative path, fallback rate, backend label) and the mirror of a
+/// watchdog that armed on fixed windows.
+#[test]
+fn json_page_matches_the_golden_file() {
+    let rec = Arc::new(Recorder::new(ObsConfig::default()));
+    let attempt = |key: u64, path, abort, attempt: u8, latency: u64| {
+        let ev = AttemptEvent {
+            path,
+            abort,
+            attempt,
+            latency,
+        };
+        rec.record(Writer::keyed(key), 0, RecordKind::Attempt(ev));
+    };
+    for i in 0..12u64 {
+        attempt(i % 4, PathKind::FastHtm, None, (i % 3) as u8, 100 + i * 13);
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text, expected,
-        "live_metrics.prom drifted; run `BLESS=1 cargo test -p rtle-obs --test live_scrape` \
-         and review the diff"
+    attempt(1, PathKind::SlowHtm, Some(AbortCode::Conflict), 0, 0);
+    attempt(1, PathKind::SlowHtm, Some(AbortCode::Explicit(4)), 1, 0);
+    attempt(1, PathKind::SlowHtm, None, 2, 700);
+    attempt(2, PathKind::Stm, None, 3, 2_500);
+    attempt(3, PathKind::Lock, None, 5, 4_000);
+
+    let mut watchdog = Watchdog::new();
+    let mirror = watchdog.live();
+    for i in 0..4 {
+        assert_eq!(watchdog.inspect(&fixed_window(i, 100)), None);
+    }
+
+    let registry = MetricsRegistry::new();
+    registry.register(
+        "bank",
+        Arc::new(FixedSource {
+            kind: "lock",
+            counters: vec![
+                ("commits_fast_htm".into(), 12),
+                ("commits_slow_htm".into(), 1),
+                ("commits_stm".into(), 1),
+                ("commits_lock".into(), 1),
+                ("aborts_fast".into(), 0),
+                ("aborts_slow".into(), 2),
+            ],
+            gauges: vec![("lock_fallback_rate".into(), 1.0 / 15.0)],
+            windows: Vec::new(),
+            labels: vec![("software_backend".into(), "tl2".into())],
+        }),
     );
+    registry.register("bank_recorder", rec);
+    registry.register("bank_watchdog", mirror);
+    let text =
+        rtle_obs::registry::render_json(&registry.scrape(), 1_234_567_890).to_string_pretty();
+    rtle_obs::parse_json(&text).expect("the page parses");
+    check_golden("live_registry.json", &text);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! * **conservation** — once writers quiesce and the tail window is
 //!   closed, the field-wise sum over all closed windows equals exactly
 //!   what the writers recorded, which is also exactly what the
-//!   cumulative snapshot reports: every counter and every latency bucket;
+//!   cumulative reading reports: every counter and every latency bucket;
 //! * **merged == sum of lanes** — every rotation's merged window is the
 //!   field-wise sum of its per-lane shares.
 
@@ -147,14 +147,13 @@ fn no_samples_lost_across_rotations() {
     assert_eq!(all.latency.max, truth.buckets.last().unwrap().0);
 
     // ... and the windows were cut from the same counters the cumulative
-    // snapshot reports, each event counted once.
-    let snap = rec.snapshot();
-    assert_eq!(snap.total_commits(), all.total_commits());
-    assert_eq!(snap.total_aborts(), all.total_aborts());
-    assert_eq!(snap.explicit_codes, vec![(4, total_ops / 5)]);
-    assert_eq!(snap.cs_latency.count, all.total_commits());
-    assert_eq!(snap.events_recorded, total_ops);
-    assert_eq!(snap.windows, series);
+    // reading reports, each event counted once.
+    let cumulative = rec.counts();
+    assert_eq!(cumulative.commits, all.commits);
+    assert_eq!(cumulative.aborts, all.aborts);
+    assert_eq!(cumulative.explicit, all.explicit);
+    assert_eq!(rec.cs_latency().count, all.total_commits());
+    assert_eq!(cumulative.attempts(), total_ops);
 
     // Window indexes are the rotation count, strictly consecutive.
     for (i, pair) in series.windows(2).enumerate() {

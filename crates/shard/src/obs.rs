@@ -127,10 +127,7 @@ where
     fn live_snapshot(&self) -> SourceSnapshot {
         let report = self.report();
         let m = &report.merged;
-        let mut counters = vec![
-            ("shards".into(), self.shard_count() as u64),
-            ("ops".into(), m.ops),
-        ];
+        let mut counters = vec![("shards".into(), self.shard_count() as u64)];
         counters.extend(commit_counters(m.commits()));
         counters.extend([
             ("aborts_fast".into(), m.fast_aborts),
@@ -284,7 +281,6 @@ mod tests {
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("counter {key} missing"))
         };
-        assert_eq!(counter("ops"), 150);
         assert_eq!(counter("shards"), 4);
         assert_eq!(counter("routed_total"), 150);
         let commits: u64 = rtle_obs::PATH_LABELS
@@ -317,7 +313,7 @@ mod tests {
         // The prometheus rendering carries the shard-map labels.
         let text = registry.to_prometheus();
         assert!(
-            text.contains(r#"rtle_ops{source="bank",kind="shard_map"}"#),
+            text.contains(r#"rtle_shards{source="bank",kind="shard_map"} 4"#),
             "prometheus text:\n{text}"
         );
     }

@@ -1558,34 +1558,28 @@ mod tests {
             let s = Engine::new(method, 4, CostModel::default(), RunMode::FixedWork, w)
                 .with_recorder(Arc::clone(&rec))
                 .run();
-            let snap = rec.snapshot();
+            let counts = rec.counts();
             let label = method.label();
-            assert_eq!(snap.latency_unit, "cycles");
             assert_eq!(s.ops, 800, "{label}");
-            assert_eq!(snap.total_commits(), s.ops, "{label}: commits recorded");
+            assert_eq!(counts.total_commits(), s.ops, "{label}: commits recorded");
             assert_eq!(
-                snap.total_aborts(),
+                counts.total_aborts(),
                 s.aborts() + s.sw_aborts,
                 "{label}: every simulated abort must be recorded"
             );
-            assert_eq!(snap.cs_latency.count, s.ops, "{label}");
-            assert!(
-                snap.cs_latency.percentile(0.5) > 0,
-                "{label}: cycle latencies"
-            );
-            let commits: HashMap<_, _> = snap.commits.iter().cloned().collect();
+            let cs = rec.cs_latency();
+            assert_eq!(cs.count, s.ops, "{label}");
+            assert!(cs.percentile(0.5) > 0, "{label}: cycle latencies");
             assert_eq!(
-                commits["fast_htm"],
-                s.fast_commits + s.htm_slow_commits,
-                "{label}"
+                counts.commits,
+                [
+                    s.fast_commits + s.htm_slow_commits,
+                    s.slow_commits,
+                    s.stm_fast_commits + s.stm_slow_commits,
+                    s.lock_commits,
+                ],
+                "{label}: fast, slow, stm, lock"
             );
-            assert_eq!(commits["slow_htm"], s.slow_commits, "{label}");
-            assert_eq!(
-                commits["stm"],
-                s.stm_fast_commits + s.stm_slow_commits,
-                "{label}"
-            );
-            assert_eq!(commits["lock"], s.lock_commits, "{label}");
         }
     }
 
@@ -1647,7 +1641,6 @@ mod tests {
         assert!(labels.contains(&"collapse"), "{labels:?}");
         assert_eq!(decisions[0].orecs_before, 16);
         assert_eq!(decisions[0].orecs_after, 8);
-        assert_eq!(rec.snapshot().decisions.len(), decisions.len());
     }
 
     #[test]
@@ -1767,12 +1760,8 @@ mod tests {
         assert_eq!(heat.conflicts.len(), 2, "capacity-length heatmap");
         // Every eager OREC_CONFLICT self-abort is attributed to its slot,
         // and so is a validation abort on an orec line, nothing else.
-        let snap = rec.snapshot();
-        let eager = snap
-            .explicit_codes
-            .iter()
-            .find(|&&(code, _)| code == u64::from(abort_codes::OREC_CONFLICT))
-            .map_or(0, |&(_, n)| n);
+        let orec_conflict = AbortCode::Explicit(abort_codes::OREC_CONFLICT);
+        let eager = rec.counts().explicit[orec_conflict.explicit_bucket().unwrap()];
         assert!(
             eager > 0,
             "shared writes over 2 orecs must self-abort: {s:?}"
@@ -1817,10 +1806,10 @@ mod tests {
         )
         .with_recorder(Arc::clone(&rec))
         .run();
-        let snap = rec.snapshot();
-        assert_eq!(snap.lock_hold.count, s.lock_commits);
-        assert_eq!(snap.cs_latency, snap.lock_hold, "one record, one meaning");
-        assert_eq!(snap.cs_latency.total, s.cycles_locked);
+        let (cs, hold) = (rec.cs_latency(), rec.lock_hold());
+        assert_eq!(hold.count, s.lock_commits);
+        assert_eq!(cs, hold, "one record, one meaning");
+        assert_eq!(cs.total, s.cycles_locked);
         let held: u64 = rec.records().iter().map(|r| r.dur()).sum();
         assert_eq!(held, s.cycles_locked, "and the spans are the same windows");
     }

@@ -326,7 +326,7 @@ fn abort_causes_partition_total() {
         .run();
         assert!(s.aborts() > 0, "{m:?}: the run must abort");
         assert_eq!(
-            rec.snapshot().total_aborts(),
+            rec.counts().total_aborts(),
             s.aborts() + s.sw_aborts,
             "{m:?}: abort causes must partition: {s:?}"
         );

@@ -16,7 +16,6 @@ use rtle_cctsa::assemble::{
 use rtle_cctsa::genome::{sample_reads, Genome};
 use rtle_cctsa::kmer::kmers_with_edges;
 use rtle_cctsa::txmap::KmerMap;
-use rtle_htm::DynAccess;
 
 const READ_LEN: usize = 36;
 const K: usize = 15;
@@ -40,11 +39,8 @@ fn main() {
     let lock = ElidableLock::builder()
         .policy(ElisionPolicy::FgTle { orecs: 4096 })
         .build();
-    let exec = |cs: &dyn Fn(&dyn DynAccess)| {
-        lock.execute(|ctx| cs(ctx));
-    };
     let t0 = Instant::now();
-    ingest_single_map(&map, &reads, K, threads, &exec);
+    ingest_single_map(&map, &reads, K, threads, &lock);
     let elided = t0.elapsed();
     let snap = lock.stats().snapshot();
     println!(

@@ -219,7 +219,7 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         // Phase 3 — the recorder is one more lane user. It records every
         // operation, windows are on, lanes change hands and
         // overflow: every attempt is on the recorder's books exactly once,
-        // in the cumulative snapshot, its histograms, its ring cursors and
+        // in the cumulative counts, its histograms, its ring cursors and
         // the window cut from the same lanes.
         let rec = Arc::new(Recorder::new(ObsConfig {
             window_len_ms: 1_000,
@@ -239,25 +239,25 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         .into_iter()
         .sum();
         let books = lock.stats().snapshot();
-        let snap = rec.snapshot();
+        let counts = rec.counts();
         let aborts = books.fast_aborts + books.slow_aborts;
         assert_eq!(cell.read_plain(), calls);
         assert_eq!(
-            snap.commits,
+            counts.commits,
             [
-                ("fast_htm".to_string(), books.fast_commits),
-                ("lock".to_string(), books.lock_acquisitions),
-                ("slow_htm".to_string(), books.slow_commits),
-                ("stm".to_string(), books.stm_commits),
-            ]
+                books.fast_commits,
+                books.slow_commits,
+                books.stm_commits,
+                books.lock_acquisitions,
+            ],
+            "fast, slow, stm, lock"
         );
-        assert_eq!(snap.total_commits(), calls);
-        assert_eq!(snap.total_aborts(), aborts);
+        assert_eq!(counts.total_commits(), calls);
+        assert_eq!(counts.total_aborts(), aborts);
         assert!(aborts > 0, "the chaos reached this lock too");
-        assert_eq!(snap.cs_latency.count, calls);
-        assert_eq!(snap.retries.count, calls);
-        assert_eq!(snap.lock_hold.count, books.lock_acquisitions);
-        assert_eq!(snap.events_recorded, calls + aborts);
+        assert_eq!(rec.cs_latency().count, calls);
+        assert_eq!(rec.lock_hold().count, books.lock_acquisitions);
+        assert_eq!(counts.attempts(), calls + aborts);
         // Every pessimistic FG-TLE section also stamps its epoch bump.
         assert_eq!(rec.pushed(), calls + aborts + books.lock_acquisitions);
         let window = rec.windows().unwrap().rotate().merged;
