@@ -375,6 +375,19 @@ fn run_target(
     let stop = Arc::new(AtomicBool::new(false));
     let submitted = AtomicU64::new(0);
     let (storm_lo, storm_hi) = cfg.storm_span();
+    // The run's windows start with it. The window open until now began
+    // when the recorder was built: it holds the set-up and, for the
+    // second target, the whole run of the first one, idle here. Close it
+    // before the watchdog sees a window, and leave it out of the outcome.
+    let setup = rec
+        .windows()
+        .expect("harness recorder always has windows")
+        .rotate()
+        .merged
+        .index;
+    let of_run = move |series: Vec<WindowSnapshot>| -> Vec<WindowSnapshot> {
+        series.into_iter().filter(|w| w.index > setup).collect()
+    };
     let t0 = Instant::now();
 
     // The rotator + watchdog thread: closes windows on schedule, feeds
@@ -402,7 +415,7 @@ fn run_target(
                 if let Some(rot) = closed {
                     if let Some(ev) = wd.inspect(&rot.merged) {
                         if let (Some(path), None) = (&flight_to, &flight_path) {
-                            let doc = flight_record(&ev, &coll.series(), &rec);
+                            let doc = flight_record(&ev, &of_run(coll.series()), &rec);
                             if std::fs::write(path, doc.to_string_pretty()).is_ok() {
                                 live_mirror.set_flight_record_path(path.display().to_string());
                                 flight_path = Some(path.clone());
@@ -485,10 +498,11 @@ fn run_target(
     stop.store(true, Relaxed);
     let (watchdog_events, flight_path) = rotator.join().expect("rotator never panics");
 
-    let windows = rec
-        .windows()
-        .expect("harness recorder always has windows")
-        .series();
+    let windows = of_run(
+        rec.windows()
+            .expect("harness recorder always has windows")
+            .series(),
+    );
     let merged_latency = HistSnapshot::merged(
         windows
             .iter()
@@ -959,6 +973,23 @@ mod tests {
         let timeline = render_timeline(&back).expect("timeline renders");
         assert!(timeline.contains("== single_lock =="));
         assert!(timeline.contains("p999"));
+    }
+
+    #[test]
+    fn each_run_opens_its_own_first_window() {
+        // The sharded recorder is built before the single-lock run; its
+        // first window must not span that run.
+        let cfg = tiny(false);
+        let window_ns = cfg.window_ms * 1_000_000;
+        for o in run_slo(&cfg) {
+            let first = o.windows.first().expect("windows");
+            assert!(
+                first.len_ns <= 2 * window_ns,
+                "{}: first window spans {} ns",
+                o.name,
+                first.len_ns
+            );
+        }
     }
 
     #[test]

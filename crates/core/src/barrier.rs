@@ -111,6 +111,26 @@ impl Ctx<'_> {
     /// Read barrier.
     #[inline]
     pub fn read<T: TxWord>(&self, cell: &TxCell<T>) -> T {
+        match self.0 {
+            Rung::Fast => cell.read(),
+            _ => self.read_instrumented(cell),
+        }
+    }
+
+    /// Write barrier.
+    #[inline]
+    pub fn write<T: TxWord>(&self, cell: &TxCell<T>, value: T) {
+        match self.0 {
+            Rung::Fast => cell.write(value),
+            _ => self.write_instrumented(cell, value),
+        }
+    }
+
+    /// The read barrier of every rung but the fast one. Out of line, so
+    /// the fast rung's access inlines at its call site; not `#[cold]`,
+    /// because the slow rung and the holder run it on every access.
+    #[inline(never)]
+    fn read_instrumented<T: TxWord>(&self, cell: &TxCell<T>) -> T {
         match &self.0 {
             // RW-TLE reads are uninstrumented on both sides.
             Rung::Fast | Rung::SlowRw | Rung::Holder(Holder::Plain | Holder::Rw { .. }) => {}
@@ -150,9 +170,10 @@ impl Ctx<'_> {
         cell.read()
     }
 
-    /// Write barrier.
-    #[inline]
-    pub fn write<T: TxWord>(&self, cell: &TxCell<T>, value: T) {
+    /// The write barrier of every rung but the fast one (see
+    /// [`Ctx::read_instrumented`]).
+    #[inline(never)]
+    fn write_instrumented<T: TxWord>(&self, cell: &TxCell<T>, value: T) {
         match &self.0 {
             Rung::Fast | Rung::Holder(Holder::Plain) => {}
             // Figure 2: a slow-path transaction that needs to write cannot

@@ -184,12 +184,30 @@ mod tests {
         assert!(now_ns() >= last + 2_000_000, "elapsed time must advance");
     }
 
-    /// Elapsed time on `clock` and on `Instant` over the same ≥ 20 ms span.
-    fn both_over_a_span(clock: &Clock) -> (f64, f64) {
-        let (i0, c0) = (Instant::now(), clock.now_ns());
+    /// A reading of `clock` between two `Instant`s: the narrowest of a
+    /// few such brackets, as in `tsc::paired`, so one preemption between
+    /// the reads does not skew it.
+    fn bracketed(clock: &Clock) -> (Instant, u64, Instant) {
+        (0..5)
+            .map(|_| {
+                let before = Instant::now();
+                let ns = clock.now_ns();
+                (before, ns, Instant::now())
+            })
+            .min_by_key(|&(before, _, after)| after - before)
+            .expect("five brackets")
+    }
+
+    /// Elapsed time over the same ≥ 20 ms span: on `clock`, on `Instant`
+    /// between the midpoints of the two brackets, and on `Instant` from
+    /// the first bracket's start to the last one's end.
+    fn both_over_a_span(clock: &Clock) -> (f64, f64, f64) {
+        let (b0, c0, a0) = bracketed(clock);
         std::thread::sleep(Duration::from_millis(25));
-        let (c1, i1) = (clock.now_ns(), Instant::now());
-        ((c1 - c0) as f64, i1.duration_since(i0).as_nanos() as f64)
+        let (b1, c1, a1) = bracketed(clock);
+        let mid = |b: Instant, a: Instant| b + (a - b) / 2;
+        let ns = |d: Duration| d.as_nanos() as f64;
+        ((c1 - c0) as f64, ns(mid(b1, a1) - mid(b0, a0)), ns(a1 - b0))
     }
 
     #[test]
@@ -201,7 +219,7 @@ mod tests {
             tsc::invariant(),
             "the TSC is used exactly where it is invariant"
         );
-        let (ours, real) = both_over_a_span(&pinned);
+        let (ours, real, _) = both_over_a_span(&pinned);
         assert!(real >= 20e6);
         assert!(
             (ours - real).abs() <= real / 1_000.0,
@@ -222,7 +240,7 @@ mod tests {
     #[test]
     fn the_instant_fallback_counts_from_its_epoch() {
         let clock = Clock::on_instant(Instant::now());
-        let (ours, real) = both_over_a_span(&clock);
+        let (ours, _, real) = both_over_a_span(&clock);
         assert!(ours <= real && real - ours < 1e6, "{ours} against {real}");
         let early = Clock::on_instant(Instant::now() + Duration::from_secs(60));
         assert_eq!(early.now_ns(), 0, "an instant before the epoch");

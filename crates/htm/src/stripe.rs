@@ -146,103 +146,24 @@ fn later(a: u64, b: u64) -> u64 {
     }
 }
 
-/// A small open-addressing set of stripe indices, used both to deduplicate
-/// the read/write sets and to count distinct stripes against capacity
-/// limits. `slots` stores `stripe + 1` so that 0 can be the empty sentinel,
-/// indexed by the stripe index itself (already a hash of the address);
-/// `order` remembers the occupied slots in insertion order, so iterating
-/// and clearing cost the footprint, not the table's high-water mark.
-#[derive(Debug, Default)]
-pub(crate) struct StripeSet {
-    slots: Vec<u32>,
-    order: Vec<u32>,
-}
-
-impl StripeSet {
-    const fn new() -> Self {
-        StripeSet {
-            slots: Vec::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Doubles the table (64 slots to start with) and re-seats the members
-    /// in their insertion order.
-    #[cold]
-    fn grow(&mut self) {
-        let members: Vec<u32> = self.iter().collect();
-        self.slots = vec![0; (self.slots.len() * 2).max(64)];
-        self.order.clear();
-        for stripe in members {
-            self.insert(stripe);
-        }
-    }
-
-    /// The probe: `Ok(slot)` holding `stripe`, or `Err(slot)`, the empty
-    /// slot where it would go. The table must not be empty.
-    fn probe(&self, stripe: u32) -> Result<u32, u32> {
-        let mask = self.slots.len() as u32 - 1;
-        let key = stripe + 1;
-        let mut i = stripe & mask;
-        loop {
-            match self.slots[i as usize] {
-                v if v == key => return Ok(i),
-                0 => return Err(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Inserts `stripe`; returns `true` iff it was not already present.
-    fn insert(&mut self, stripe: u32) -> bool {
-        // Load factor below one half (also covers the empty table).
-        if self.order.len() * 2 >= self.slots.len() {
-            self.grow();
-        }
-        match self.probe(stripe) {
-            Ok(_) => false,
-            Err(i) => {
-                self.slots[i as usize] = stripe + 1;
-                self.order.push(i);
-                true
-            }
-        }
-    }
-
-    fn contains(&self, stripe: u32) -> bool {
-        !self.is_empty() && self.probe(stripe).is_ok()
-    }
-
-    pub(crate) fn len(&self) -> u32 {
-        self.order.len() as u32
-    }
-
-    fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Iterates the distinct stripes in insertion order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.order.iter().map(|&i| self.slots[i as usize] - 1)
-    }
-
-    /// Empties the set, keeping the table. Returns how many slots it had
-    /// to reset — the members, however large the table has grown.
-    fn clear(&mut self) -> usize {
-        for &i in &self.order {
-            self.slots[i as usize] = 0;
-        }
-        let reset = self.order.len();
-        self.order.clear();
-        reset
-    }
-}
-
 /// The transaction side of the protocol: what one transaction has read
 /// and written, in stripes of one [`Table`]. Lives across transactions —
-/// the sets keep their allocations, `rv` is there for a caller that
+/// the logs keep their allocations, `rv` is there for a caller that
 /// carries it from one transaction to its next begin, and the last
 /// writing commit's stripes stay for the own-write exemption.
+///
+/// The read and write sets are append-only logs: an access costs a push,
+/// with no probe and no dedup, so a stripe read twice is logged twice.
+/// A duplicate costs validation a redundant check, never a wrong answer,
+/// and commit sorts and dedups the write log into its lock list anyway.
+/// The length of a log therefore bounds its distinct count from above; a
+/// caller that needs the count exactly (a capacity limit) compacts the
+/// log first, in place, once its length passes the limit. Once compacted,
+/// a log keeps its sorted, distinct prefix, and an access appends only a
+/// stripe that prefix lacks: a transaction at its capacity that keeps
+/// re-reading its lines neither grows the log nor compacts it again.
+/// Without a limit (`Tl2`) nothing compacts, and a log holds one entry
+/// per access.
 #[derive(Debug, Default)]
 pub struct Footprint {
     /// Read-version: some value the clock held no later than begin.
@@ -250,13 +171,16 @@ pub struct Footprint {
     /// here, so this is always the latest clock value the footprint has
     /// observed.
     pub(crate) rv: u64,
-    /// Distinct stripes read (validated at extension, and at commit when
-    /// the transaction has writes).
-    pub(crate) reads: StripeSet,
-    /// Distinct stripes written (locked at commit).
-    pub(crate) writes: StripeSet,
-    /// The write stripes of the last successful writing commit …
-    wrote: StripeSet,
+    /// Stripes read (validated at extension, and at commit when the
+    /// transaction has writes).
+    pub(crate) reads: Vec<u32>,
+    /// Stripes written (locked at commit, each once).
+    pub(crate) writes: Vec<u32>,
+    /// How many leading entries of `reads` and of `writes` are sorted and
+    /// distinct: 0 until the log is first compacted.
+    sorted: (usize, usize),
+    /// The write stripes of the last successful writing commit, ascending …
+    wrote: Vec<u32>,
     /// … and the table it ran on and the version it released them at.
     wrote_at: (u64, u64),
     /// Commit scratch: the write stripes in ascending order with their
@@ -272,16 +196,17 @@ impl Footprint {
     pub const fn new() -> Self {
         Footprint {
             rv: 0,
-            reads: StripeSet::new(),
-            writes: StripeSet::new(),
-            wrote: StripeSet::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            sorted: (0, 0),
+            wrote: Vec::new(),
             wrote_at: (0, 0),
             locked: Vec::new(),
             validations: 0,
         }
     }
 
-    /// Begins a transaction: empties both sets. `rv` must be a value the
+    /// Begins a transaction: empties both logs. `rv` must be a value the
     /// table's clock held no later than now — a fresh sample, or whatever
     /// this footprint last observed.
     #[inline]
@@ -289,12 +214,24 @@ impl Footprint {
         self.rv = rv;
         self.reads.clear();
         self.writes.clear();
+        self.sorted = (0, 0);
     }
 
     /// Notes that the transaction writes through `stripe`.
     #[inline]
     pub fn write(&mut self, stripe: u32) {
-        self.writes.insert(stripe);
+        append(&mut self.writes, self.sorted.1, stripe);
+    }
+
+    /// Compacts the read log; returns the number of distinct stripes read.
+    pub(crate) fn compact_reads(&mut self) -> usize {
+        compact(&mut self.reads, &mut self.sorted.0)
+    }
+
+    /// Compacts the write log; returns the number of distinct stripes
+    /// written.
+    pub(crate) fn compact_writes(&mut self) -> usize {
+        compact(&mut self.writes, &mut self.sorted.1)
     }
 
     /// Whether `stripe` of table `table`, at `version`, counts as newer
@@ -302,8 +239,47 @@ impl Footprint {
     #[inline]
     fn is_newer(&self, table: u64, stripe: u32, version: u64, rv: u64) -> bool {
         newer_than(version, rv)
-            && !((table, version) == self.wrote_at && self.wrote.contains(stripe))
+            && !((table, version) == self.wrote_at && self.wrote.binary_search(&stripe).is_ok())
     }
+}
+
+/// Appends `stripe` to a log whose first `sorted` entries are sorted and
+/// distinct, unless it is among them.
+#[inline]
+fn append(log: &mut Vec<u32>, sorted: usize, stripe: u32) {
+    if sorted == 0 || log[..sorted].binary_search(&stripe).is_err() {
+        if log.len() == log.capacity() {
+            grow(log);
+        }
+        log.push(stripe);
+    }
+}
+
+/// Stripes a log's first allocation holds.
+const LOG_START: usize = 256;
+
+/// Makes room in a full log: `LOG_START` entries at first, then twice
+/// the length. A log grows with its transaction's accesses, not its
+/// lines, so without a first allocation this large a warm thread would
+/// still be reallocating whenever a transaction re-reads more than ever
+/// before.
+#[cold]
+fn grow(log: &mut Vec<u32>) {
+    log.reserve(log.len().max(LOG_START));
+}
+
+/// Sorts and dedups `log` in place, which makes all of it the sorted
+/// prefix; returns its new length, the distinct count.
+#[cold]
+fn compact(log: &mut Vec<u32>, sorted: &mut usize) -> usize {
+    if *sorted < log.len() {
+        #[cfg(test)]
+        tests::COMPACTIONS.with(|c| c.set(c.get() + 1));
+        log.sort_unstable();
+        log.dedup();
+        *sorted = log.len();
+    }
+    log.len()
 }
 
 /// A commit clock plus the stripe words it versions. `S` is the storage of
@@ -461,7 +437,7 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         if self.load(stripe) != w1 {
             return Err(AbortCode::Conflict);
         }
-        fp.reads.insert(stripe);
+        append(&mut fp.reads, fp.sorted.0, stripe);
         Ok(val)
     }
 
@@ -484,7 +460,7 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
     /// locking it for write and both committing).
     fn validate(&self, fp: &mut Footprint, rv: u64) -> Result<(), AbortCode> {
         fp.validations += 1;
-        for s in fp.reads.iter() {
+        for &s in &fp.reads {
             let mut version = self.load(s);
             if is_locked(version) {
                 // Ours iff it is in the lock list (complete before any
@@ -524,8 +500,9 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         }
 
         debug_assert!(fp.locked.is_empty());
-        fp.locked.extend(fp.writes.iter().map(|s| (s, 0)));
+        fp.locked.extend(fp.writes.iter().map(|&s| (s, 0)));
         fp.locked.sort_unstable();
+        fp.locked.dedup_by_key(|l| l.0);
         for held in 0..fp.locked.len() {
             match acquire(fp.locked[held].0) {
                 Some(prev) => fp.locked[held].1 = prev,
@@ -557,11 +534,12 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
         }
 
         write_back();
+        fp.wrote.clear();
         for (s, _) in fp.locked.drain(..) {
             self.unlock(s, wv);
+            fp.wrote.push(s);
         }
         fp.wrote_at = (self.id, wv);
-        std::mem::swap(&mut fp.wrote, &mut fp.writes);
         Ok(())
     }
 
@@ -880,14 +858,15 @@ mod tests {
         for cell in [6, 2, 7, 0, 2] {
             fp.write(m.stripe(cell));
         }
-        assert_eq!(fp.writes.len(), 4);
+        assert_eq!(fp.writes, [6, 2, 7, 0, 2], "the log holds every write");
         let mut order = Vec::new();
         let acquire = |s| {
             order.push(s);
             m.table.try_lock(s, ME).ok()
         };
         m.table.commit(&mut fp, acquire, || ()).unwrap();
-        assert_eq!(order, [0, 2, 6, 7]);
+        assert_eq!(order, [0, 2, 6, 7], "ascending, stripe 2 once");
+        assert!(m.all_unlocked());
 
         let cap = fp.locked.capacity();
         assert!(fp.locked.is_empty() && cap >= 4, "empty outside commit");
@@ -1068,60 +1047,68 @@ mod tests {
         assert_eq!(m.table.load(0), 4);
     }
 
-    // ---- the stripe set --------------------------------------------------
+    // ---- the logs ----------------------------------------------------------
 
-    #[test]
-    fn stripe_set_insert_dedup_count() {
-        let mut s = StripeSet::new();
-        assert!(s.is_empty() && !s.contains(0));
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
-        assert!(s.insert(9));
-        assert!(s.insert(0), "stripe zero is representable");
-        assert!(!s.insert(0));
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(5) && s.contains(9) && s.contains(0) && !s.contains(6));
-        s.clear();
-        assert!(s.is_empty() && !s.contains(5));
-        assert!(s.insert(5));
+    thread_local! {
+        /// Sorts run by `compact` on this thread.
+        pub(super) static COMPACTIONS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    fn compactions() -> u32 {
+        COMPACTIONS.with(|c| c.get())
+    }
+
+    /// Reads `cells` in order under a read capacity of `cap`, checked the
+    /// way the emulated HTM checks it. Returns how many reads passed.
+    fn read_at_capacity(m: &Mem, fp: &mut Footprint, cap: usize, cells: &[usize]) -> usize {
+        for (done, &cell) in cells.iter().enumerate() {
+            m.read(fp, cell).unwrap();
+            if fp.reads.len() > cap && fp.compact_reads() > cap {
+                return done;
+            }
+        }
+        cells.len()
     }
 
     #[test]
-    fn stripe_set_grows_past_initial_capacity() {
-        let mut s = StripeSet::new();
-        for i in 0..10_000u32 {
-            assert!(s.insert(i));
-        }
-        assert_eq!(s.len(), 10_000);
-        for i in 0..10_000u32 {
-            assert!(!s.insert(i));
-        }
+    fn a_log_at_its_capacity_rereads_its_lines_without_compacting_again() {
+        let m = Mem::new(8, 0);
+        let mut fp = m.begin();
+        // Four lines, read twice: the log is compacted to them.
+        let twice = [3, 1, 2, 0, 3, 1, 2, 0];
+        assert_eq!(read_at_capacity(&m, &mut fp, 4, &twice), 8);
+        assert_eq!(fp.reads, [0, 1, 2, 3], "sorted and distinct");
+
+        // From here every re-read finds its line in the sorted log.
+        let before = compactions();
+        let rereads: Vec<usize> = (0..4_000).map(|i| i % 4).collect();
+        assert_eq!(read_at_capacity(&m, &mut fp, 4, &rereads), 4_000);
+        assert_eq!(compactions(), before, "no compaction while re-reading");
+        assert_eq!(fp.reads, [0, 1, 2, 3], "nothing appended");
+
+        // A fifth line passes the capacity at once.
+        assert_eq!(read_at_capacity(&m, &mut fp, 4, &[1, 4]), 1);
+        assert_eq!(compactions(), before + 1);
     }
 
     #[test]
-    fn clear_costs_the_footprint_not_the_high_water_mark() {
-        let mut s = StripeSet::new();
-        for i in 0..4000u32 {
-            s.insert(i.wrapping_mul(0x9e37_79b9) >> 12);
-        }
-        let big = s.len() as usize;
-        assert!(big > 3900, "a 4000-line footprint (a few aliases aside)");
-        assert_eq!(s.clear(), big);
-        // The table stays grown; the next, one-line transaction must not
-        // pay for it.
-        assert!(s.insert(7));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![7]);
-        assert_eq!(s.clear(), 1, "one member, one slot reset");
-        assert_eq!(s.clear(), 0, "an empty set resets nothing");
-    }
+    fn a_stripe_read_twice_still_fails_validation_after_a_foreign_stamp() {
+        // At commit.
+        let m = Mem::new(8, 0);
+        let mut fp = m.begin();
+        let v = m.read(&mut fp, 0).unwrap();
+        m.read(&mut fp, 0).unwrap();
+        assert_eq!(fp.reads, [0, 0], "no dedup on the hot path");
+        m.plain_store(0, 5);
+        assert_eq!(m.commit(&mut fp, &[(1, v + 1)]), Err(AbortCode::Conflict));
+        assert_eq!(m.value(1), 0);
 
-    #[test]
-    fn iteration_keeps_insertion_order_across_growth() {
-        let mut s = StripeSet::new();
-        let members: Vec<u32> = (0..200u32).map(|i| i * 64 + 3).collect();
-        for &m in &members {
-            s.insert(m);
-        }
-        assert_eq!(s.iter().collect::<Vec<_>>(), members);
+        // At an extension.
+        fp.begin(fp.rv);
+        m.read(&mut fp, 0).unwrap();
+        m.read(&mut fp, 0).unwrap();
+        m.plain_store(0, 6);
+        m.plain_store(1, 6);
+        assert_eq!(m.read(&mut fp, 1), Err(AbortCode::Conflict));
     }
 }

@@ -21,10 +21,11 @@
 //! 2. **Read barrier** — read own redo log first; otherwise
 //!    [`Table::read`](stripe::Table::read) through the cell's cache line:
 //!    abort on a locked stripe, extend the snapshot over an unlocked
-//!    stripe newer than `rv`. Count distinct lines against the read
-//!    capacity.
-//! 3. **Write barrier** — buffer the word in the redo log; count distinct
-//!    lines against the write capacity.
+//!    stripe newer than `rv`. The footprint logs the line; once the log
+//!    passes the read capacity, compact it and abort if its distinct
+//!    lines still do.
+//! 3. **Write barrier** — buffer the word in the redo log; the same for
+//!    the write log against the write capacity.
 //! 4. **Commit** — [`Table::commit`](stripe::Table::commit), trying each
 //!    write stripe once (hardware does not wait) and writing the redo log
 //!    back with raw `Release` stores. The write-back window is covered by
@@ -121,8 +122,12 @@ pub(crate) fn read_barrier(th: &ThreadState, cell: &AtomicU64) -> u64 {
         if let Some(v) = t.redo.lookup(cell) {
             return Ok(v);
         }
-        let val = GLOBAL.read(&mut t.footprint, idx, || cell.load(Ordering::Acquire))?;
-        if t.footprint.reads.len() > config::read_capacity() {
+        let fp = &mut t.footprint;
+        let val = GLOBAL.read(fp, idx, || cell.load(Ordering::Acquire))?;
+        // The log's length bounds its distinct lines from above: count
+        // them exactly only once it passes the capacity.
+        let cap = config::read_capacity() as usize;
+        if fp.reads.len() > cap && fp.compact_reads() > cap {
             return Err(AbortCode::Capacity);
         }
         Ok(val)
@@ -147,8 +152,10 @@ pub(crate) fn write_barrier(th: &ThreadState, cell: &AtomicU64, value: u64) {
 
     let over = th.with_txn(|t| {
         t.redo.log_write(cell, value);
-        t.footprint.write(idx);
-        t.footprint.writes.len() > config::write_capacity()
+        let fp = &mut t.footprint;
+        fp.write(idx);
+        let cap = config::write_capacity() as usize;
+        fp.writes.len() > cap && fp.compact_writes() > cap
     });
     if over {
         abort::raise(AbortCode::Capacity);
@@ -286,6 +293,72 @@ mod tests {
             let r: Result<u64, AbortCode> = try_txn(|| cells.iter().map(|c| c.read()).sum());
             assert_eq!(r, Err(AbortCode::Capacity));
         });
+    }
+
+    #[repr(align(64))]
+    struct Padded(TxCell<u64>);
+
+    /// Five of `pool`'s cells, each on its own line, on five distinct
+    /// stripes.
+    fn five_lines(pool: &[Padded]) -> Vec<&TxCell<u64>> {
+        let mut cells: Vec<&TxCell<u64>> = Vec::new();
+        for p in pool {
+            let s = stripe::stripe_index(p.0.addr());
+            if cells.len() < 5 && cells.iter().all(|c| stripe::stripe_index(c.addr()) != s) {
+                cells.push(&p.0);
+            }
+        }
+        assert_eq!(cells.len(), 5, "sixteen lines on fewer than five stripes");
+        cells
+    }
+
+    /// Runs `access` on the four first of `cells` a thousand times each,
+    /// then on the fifth, under a capacity of 4 for both sets. Returns
+    /// the outcome and how many accesses completed.
+    fn at_capacity_four(access: impl Fn(&TxCell<u64>)) -> (Result<(), AbortCode>, u32) {
+        let cfg = crate::HtmConfig {
+            write_capacity: 4,
+            read_capacity: 4,
+            spurious_one_in: 0,
+            ..crate::HtmConfig::default()
+        };
+        cfg.with_installed(|| {
+            let pool: Vec<Padded> = (0..16).map(|_| Padded(TxCell::new(0))).collect();
+            let cells = five_lines(&pool);
+            let done = std::cell::Cell::new(0);
+            let run = |lines: usize| {
+                done.set(0);
+                try_txn(|| {
+                    for _ in 0..1_000 {
+                        for c in &cells[..4] {
+                            access(c);
+                            done.set(done.get() + 1);
+                        }
+                    }
+                    for c in &cells[4..lines] {
+                        access(c);
+                        done.set(done.get() + 1);
+                    }
+                })
+            };
+            assert_eq!(run(4), Ok(()), "four lines, a thousand times each");
+            assert_eq!(done.get(), 4_000);
+            (run(5), done.get())
+        })
+    }
+
+    #[test]
+    fn read_capacity_counts_distinct_lines_exactly() {
+        let (fifth, done) = at_capacity_four(|c| {
+            c.read();
+        });
+        assert_eq!((fifth, done), (Err(AbortCode::Capacity), 4_000));
+    }
+
+    #[test]
+    fn write_capacity_counts_distinct_lines_exactly() {
+        let (fifth, done) = at_capacity_four(|c| c.write(1));
+        assert_eq!((fifth, done), (Err(AbortCode::Capacity), 4_000));
     }
 
     #[test]

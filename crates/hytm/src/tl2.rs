@@ -290,6 +290,25 @@ mod tests {
     }
 
     #[test]
+    fn a_stripe_read_twice_still_fails_validation_after_a_foreign_commit() {
+        // The read log keeps both reads of x; the commit's validation must
+        // still meet the foreign version on x's stripe.
+        let tm = Tl2::new();
+        let (x, y) = (TxCell::new(0u64), TxCell::new(0u64));
+        let first = std::cell::Cell::new(true);
+        tm.execute(|ctx| {
+            let v = ctx.read(&x);
+            assert_eq!(ctx.read(&x), v);
+            if first.replace(false) {
+                tm.execute(|inner| inner.write(&x, 10));
+            }
+            ctx.write(&y, v);
+        });
+        assert_eq!(y.read_plain(), 10, "the stale attempt did not commit");
+        assert_eq!(tm.stats().snapshot().sw_aborts, 1);
+    }
+
+    #[test]
     fn concurrent_transfers_conserve_sum() {
         const ACCOUNTS: usize = 16;
         const THREADS: usize = 4;
