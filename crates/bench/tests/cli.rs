@@ -108,22 +108,71 @@ fn load(path: &Path) -> Json {
     load_versioned(&text).expect("a current, parseable document")
 }
 
+/// How long a failed scrape waits for `slo_bench` to finish its run
+/// before the panic (and the drop kills it).
+const EXIT_WAIT: Duration = Duration::from_secs(20);
+
+/// Fails the live check with what a post-mortem needs: waits (at most
+/// [`EXIT_WAIT`]) for the bench to exit, so its `slo.json` and flight
+/// record are written, keeps the last scraped `/json` page beside them as
+/// `last_scrape.json`, and names the directory and the exit status.
+fn collapse_not_visible(why: String, bench: &mut KillOnDrop, dir: &Path, last: Option<&str>) -> ! {
+    let waited = Instant::now() + EXIT_WAIT;
+    let status = loop {
+        match bench.0.try_wait() {
+            Ok(Some(status)) => break status.to_string(),
+            Ok(None) if Instant::now() < waited => std::thread::sleep(Duration::from_millis(20)),
+            Ok(None) => break format!("still running after {EXIT_WAIT:?}"),
+            Err(e) => break format!("unknown ({e})"),
+        }
+    };
+    let kept = match last.map(|page| std::fs::write(dir.join("last_scrape.json"), page)) {
+        Some(Ok(())) => "last_scrape.json".to_string(),
+        Some(Err(e)) => format!("no last_scrape.json ({e})"),
+        None => "no /json page (none was scraped)".to_string(),
+    };
+    let slo = if dir.join("slo.json").exists() {
+        "slo.json"
+    } else {
+        "no slo.json"
+    };
+    panic!(
+        "{why}; slo_bench: {status}; {} holds {slo} and {kept}",
+        dir.display()
+    );
+}
+
 /// Scrapes `/metrics` and `/json` against the running load until the
 /// forced single-lock collapse is visible in both: the watchdog mirror
 /// flipped to fired and the closed windows exported.
-fn scrape_until_collapse_is_visible(addr: &str, deadline: Instant) {
+fn scrape_until_collapse_is_visible(
+    addr: &str,
+    deadline: Instant,
+    bench: &mut KillOnDrop,
+    dir: &Path,
+) {
     let mut scrapes = 0u64;
+    let mut last: Option<String> = None;
     loop {
-        assert!(
-            Instant::now() < deadline,
-            "collapse never became visible over {scrapes} scrapes"
-        );
+        if Instant::now() >= deadline {
+            collapse_not_visible(
+                format!("collapse never became visible over {scrapes} scrapes"),
+                bench,
+                dir,
+                last.as_deref(),
+            );
+        }
         let pages = (
             http_get_body(addr, "/metrics"),
             http_get_body(addr, "/json"),
         );
         let (Ok(metrics), Ok(json)) = pages else {
-            panic!("endpoint went away after {scrapes} scrapes without a visible collapse");
+            collapse_not_visible(
+                format!("endpoint went away after {scrapes} scrapes without a visible collapse"),
+                bench,
+                dir,
+                last.as_deref(),
+            );
         };
         scrapes += 1;
         let doc = load_versioned(&json).expect("a current, parseable live document");
@@ -156,6 +205,7 @@ fn scrape_until_collapse_is_visible(addr: &str, deadline: Instant) {
             );
             return;
         }
+        last = Some(json);
         std::thread::sleep(Duration::from_millis(100));
     }
 }
@@ -201,7 +251,7 @@ fn forced_collapse_is_visible_live_in_the_export_and_to_the_viewers() {
     let dir = scratch("slo");
     std::fs::create_dir(dir.join("flight")).expect("create flight directory");
     let deadline = Instant::now() + DEADLINE;
-    let bench = spawn(
+    let mut bench = spawn(
         SLO_BENCH,
         &dir,
         &format!(
@@ -216,7 +266,7 @@ fn forced_collapse_is_visible_live_in_the_export_and_to_the_viewers() {
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    scrape_until_collapse_is_visible(&addr, deadline);
+    scrape_until_collapse_is_visible(&addr, deadline, &mut bench, &dir);
     assert_eq!(exit_code(bench, deadline), Some(0), "slo_bench failed");
 
     check_slo_export(&dir);

@@ -175,7 +175,7 @@ impl AdaptiveState {
             .expect("poisoned: a lock holder panicked mid-adaptation");
         state.active = orecs.active_plain() as u64;
         state.capacity = orecs.capacity() as u64;
-        state.enabled = fg_enabled.read_plain();
+        state.enabled = fg_enabled.read_unvalidated();
         let before = *state;
         let decision =
             state.on_lock_acquired(|| (stats.slow_commits_now(), stats.slow_aborts_now()));

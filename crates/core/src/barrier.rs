@@ -160,7 +160,7 @@ impl Ctx<'_> {
                 // Figure 3, read_barrier, lock side, with the uniq
                 // shortcut: stop hashing once every orec is owned.
                 if (uniq_r.get() as usize) < *n
-                    && orecs.stamp(OrecKind::Read, cell.addr(), *epoch_now)
+                    && orecs.stamp(OrecKind::Read, cell.addr(), *n, *epoch_now)
                 {
                     uniq_r.set(uniq_r.get() + 1);
                 }
@@ -213,7 +213,7 @@ impl Ctx<'_> {
                 ..
             }) => {
                 if (uniq_w.get() as usize) < *n
-                    && orecs.stamp(OrecKind::Write, cell.addr(), *epoch_now)
+                    && orecs.stamp(OrecKind::Write, cell.addr(), *n, *epoch_now)
                 {
                     uniq_w.set(uniq_w.get() + 1);
                 }
@@ -290,6 +290,16 @@ mod tests {
                 ..Default::default()
             })
             .build()
+    }
+
+    /// One 64-byte-aligned cache line of cells: all eight share an orec.
+    #[repr(align(64))]
+    struct Line([TxCell<u64>; 8]);
+
+    fn lines(n: usize) -> Vec<Line> {
+        (0..n)
+            .map(|_| Line(std::array::from_fn(|_| TxCell::new(0))))
+            .collect()
     }
 
     fn aborts(lock: &ElidableLock, code: u8) -> u64 {
@@ -425,17 +435,83 @@ mod tests {
         let Rung::Holder(Holder::Fg { epoch_now, .. }) = g.ctx().0 else {
             panic!("FG-TLE holder is {}", variant(g.ctx()));
         };
-        let cells: Vec<Box<TxCell<u64>>> = (0..32).map(|_| Box::new(TxCell::new(0))).collect();
-        for c in &cells {
-            g.ctx().write(c, 7);
-            let _ = g.ctx().read(c);
+        for Line(line) in &lines(32) {
+            g.ctx().write(&line[0], 7);
+            let _ = g.ctx().read(&line[0]);
         }
         let (ur, uw) = g.ctx().uniq_orecs();
         assert!(uw <= 2 && ur <= 2, "cannot acquire more than all orecs");
-        // With 32 random addresses over 2 orecs, both are owned w.h.p.
+        // With 32 distinct lines over 2 orecs, both are owned w.h.p.
         assert_eq!(uw, 2);
         let orecs = l.orec_table().expect("FG-TLE has orecs");
         assert_eq!(orecs.stamped_since(OrecKind::Write, epoch_now), 2);
+    }
+
+    #[test]
+    fn the_holder_stamps_a_line_once() {
+        let l = lock(ElisionPolicy::FgTle { orecs: 4096 });
+        let line = &lines(1)[0].0;
+        let g = l.lock_section();
+        for (i, c) in line.iter().enumerate() {
+            g.ctx().write(c, i as u64);
+        }
+        assert_eq!(g.ctx().uniq_orecs(), (0, 1), "eight words, one line");
+    }
+
+    #[test]
+    fn a_slow_read_of_another_word_of_a_written_line_conflicts_on_its_slot() {
+        let l = lock(ElisionPolicy::FgTle { orecs: 4096 });
+        let lines = lines(8);
+        let written = &lines[0].0;
+        let base = written[0].addr();
+        let slot = OrecTable::index(base, 4096);
+        let untouched = lines
+            .iter()
+            .map(|Line(c)| c)
+            .find(|c| OrecTable::index(c[0].addr(), 4096) != slot)
+            .expect("eight lines do not all share one slot of 4096");
+        let g = l.lock_section();
+        g.ctx().write(&written[0], 1);
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&written[5])).ok(), None);
+        assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
+        let h = l.orec_heatmap().expect("FG-TLE has orecs");
+        assert_eq!((h.total_conflicts(), h.conflicts[slot]), (1, 1));
+        assert_eq!(l.try_speculate(|ctx| ctx.read(&untouched[5])).ok(), Some(0));
+        drop(g);
+    }
+
+    #[test]
+    fn the_holder_stamps_with_its_sections_orec_count() {
+        let l = lock(ElisionPolicy::AdaptiveFgTle {
+            initial_orecs: 4,
+            max_orecs: 16,
+        });
+        let lines = lines(64);
+        let g = l.lock_section();
+        let Rung::Holder(Holder::Fg { epoch_now, n, .. }) = g.ctx().0 else {
+            panic!("adaptive FG-TLE holder is {}", variant(g.ctx()));
+        };
+        assert_eq!(n, 4);
+        for Line(line) in &lines {
+            g.ctx().write(&line[0], 1);
+        }
+        let orecs = l.orec_table().expect("FG-TLE has orecs");
+        assert_eq!(orecs.stamped_since(OrecKind::Write, epoch_now), 4);
+        // No stamp landed beyond the section's four slots.
+        orecs.resize_active(16);
+        assert_eq!(orecs.stamped_since(OrecKind::Write, epoch_now), 4);
+        orecs.resize_active(4);
+        // A slow write to any word of a written line conflicts, on the
+        // line's slot.
+        for (k, Line(line)) in lines.iter().enumerate() {
+            let slot = OrecTable::index(line[0].addr(), 4);
+            let before = l.orec_heatmap().expect("FG-TLE has orecs").conflicts[slot];
+            assert_eq!(l.try_speculate(|ctx| ctx.write(&line[7], 2)).ok(), None);
+            let after = l.orec_heatmap().expect("FG-TLE has orecs").conflicts[slot];
+            assert_eq!(after, before + 1, "line {k}");
+        }
+        assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 64);
+        drop(g);
     }
 
     #[test]

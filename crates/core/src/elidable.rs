@@ -758,7 +758,10 @@ impl<B: HtmBackend> ElidableLock<B> {
                         self.recorder.as_deref(),
                     );
                 }
-                if self.fg_enabled.read_plain() {
+                // Holder-only words (`fg_enabled`, the epoch, the active
+                // orec count) are read with one load each: see
+                // `TxCell::read_unvalidated`.
+                if self.fg_enabled.read_unvalidated() {
                     Holder::Fg {
                         orecs,
                         epoch_now: self.epoch.begin_locked_section(),
@@ -878,7 +881,11 @@ impl<B: HtmBackend> Drop for LockedSection<'_, B> {
         }
         match &self.ctx.0 {
             // Reset the write flag before releasing the lock (§3).
-            Rung::Holder(Holder::Rw { write_flag, .. }) if write_flag.read_plain() => {
+            // Only this section can have raised the flag, and its own
+            // `wrote` says whether it did.
+            Rung::Holder(Holder::Rw {
+                write_flag, wrote, ..
+            }) if wrote.get() => {
                 write_flag.write(false);
             }
             Rung::Holder(Holder::Fg { epoch_now, rec, .. }) => {

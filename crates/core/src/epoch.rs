@@ -58,10 +58,11 @@ impl SeqEpoch {
     /// holder will store into orecs it acquires.
     ///
     /// Only the lock holder calls this, so a plain read-modify-write is
-    /// race-free.
+    /// race-free, and its read is one load (see
+    /// [`TxCell::read_unvalidated`]).
     #[inline]
     pub fn begin_locked_section(&self) -> u64 {
-        let v = self.counter.read_plain();
+        let v = self.counter.read_unvalidated();
         debug_assert_eq!(v & 1, 0, "epoch must be even when the lock is acquired");
         let odd = v.wrapping_add(1);
         self.counter.write(odd);
@@ -72,7 +73,7 @@ impl SeqEpoch {
     /// the holder acquired, without aborting slow-path transactions.
     #[inline]
     pub fn end_locked_section(&self) {
-        let v = self.counter.read_plain();
+        let v = self.counter.read_unvalidated();
         debug_assert_eq!(v & 1, 1, "epoch must be odd while the lock is held");
         self.counter.write(v.wrapping_add(1));
     }

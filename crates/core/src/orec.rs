@@ -5,6 +5,14 @@
 //! transition from unowned to *read*-owned does not abort hardware
 //! transactions that only read addresses mapping to it (§4.2).
 //!
+//! An orec covers cache lines, not words: [`line_slot`] maps the line
+//! `addr >> LINE_SHIFT` to its slot, so every cell on one 64-byte line
+//! shares one orec — the granularity at which the hardware tracks
+//! conflicts, the paper's "cache-line hashed" orecs, and the map the
+//! simulator uses for its orec lines. The lock holder pays one stamp per
+//! line it touches; a slow-path transaction that touches another word of
+//! a line the holder wrote aborts, as it would on the hardware.
+//!
 //! Only the lock holder ever writes the arrays; slow-path hardware
 //! transactions only read them. Stamping an orec stores the current odd
 //! epoch; the pre-release epoch increment releases all orecs implicitly
@@ -21,10 +29,19 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
+use rtle_htm::config::LINE_SHIFT;
 use rtle_htm::hash::fast_hash;
 use rtle_htm::TxCell;
 
 use crate::epoch::SeqEpoch;
+
+/// The one address → orec map: the slot of cache line `line` under `n`
+/// active orecs (the paper's `fast_hash(line, N)`). [`OrecTable::index`]
+/// hashes a cell's line through it, and the simulator its data lines.
+#[inline]
+pub fn line_slot(line: u64, n: usize) -> usize {
+    fast_hash(line, n as u64) as usize
+}
 
 /// Which array an access stamps/checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +95,11 @@ impl OrecTable {
         self.r_orecs.len()
     }
 
-    /// Active orec count, plain read (lock-holder / reporting use).
+    /// Active orec count, outside a transaction (lock-holder / reporting
+    /// use). One load: only the lock holder writes the count (see
+    /// [`TxCell::read_unvalidated`]).
     pub fn active_plain(&self) -> usize {
-        self.active.read_plain() as usize
+        self.active.read_unvalidated() as usize
     }
 
     /// Active orec count, read transactionally (slow-path use: subscribes
@@ -99,26 +118,31 @@ impl OrecTable {
         self.active.write(new_active as u64);
     }
 
-    /// Maps an address to its orec index under `n` active orecs
-    /// (the paper's `fast_hash(addr, N)`).
+    /// Maps an address to its orec index under `n` active orecs: the slot
+    /// of the address's cache line ([`line_slot`]), so all words of one
+    /// line share an orec. A heatmap slot is therefore a line's orec.
     #[inline]
     pub fn index(addr: usize, n: usize) -> usize {
-        fast_hash(addr as u64, n as u64) as usize
+        line_slot((addr >> LINE_SHIFT) as u64, n)
     }
 
-    /// Lock-holder barrier half: stamps the orec for `addr` with `epoch`
-    /// unless it already carries a stamp `>= epoch`. Returns `true` iff a
-    /// store was performed (i.e. this orec was newly acquired by this
-    /// critical section) — the caller maintains the `uniq_*_orecs` counter.
+    /// Lock-holder barrier half: stamps the orec of `addr`'s line under the
+    /// section's `n` active orecs with `epoch`, unless it already carries a
+    /// stamp `>= epoch`. `n` is the count the holder read at lock
+    /// acquisition, after any resize (§4.2.1 allows resizes only there).
+    /// Returns `true` iff a store was performed (i.e. this orec was newly
+    /// acquired by this critical section) — the caller maintains the
+    /// `uniq_*_orecs` counter.
     #[inline]
-    pub fn stamp(&self, kind: OrecKind, addr: usize, epoch: u64) -> bool {
-        let n = self.active_plain();
+    pub fn stamp(&self, kind: OrecKind, addr: usize, n: usize, epoch: u64) -> bool {
         let i = Self::index(addr, n);
         let orec = &self.array(kind)[i];
         // "we only store a value in the orec if that value is greater than
         // the value already stored there" — avoids both the duplicate store
-        // and its fence (§4.2).
-        if orec.read_plain() >= epoch {
+        // and its fence (§4.2). One load: only lock holders write an orec,
+        // and the lock's release → acquire orders every earlier holder's
+        // stamps before this one's check.
+        if orec.read_unvalidated() >= epoch {
             return false;
         }
         orec.write(epoch);
@@ -234,13 +258,13 @@ mod tests {
     #[test]
     fn stamp_once_per_epoch() {
         let t = OrecTable::new(16);
-        assert!(t.stamp(OrecKind::Read, 0x1000, 1));
+        assert!(t.stamp(OrecKind::Read, 0x1000, 16, 1));
         assert!(
-            !t.stamp(OrecKind::Read, 0x1000, 1),
+            !t.stamp(OrecKind::Read, 0x1000, 16, 1),
             "second stamp is elided"
         );
         // A later critical section stamps again.
-        assert!(t.stamp(OrecKind::Read, 0x1000, 3));
+        assert!(t.stamp(OrecKind::Read, 0x1000, 16, 3));
     }
 
     #[test]
@@ -250,7 +274,7 @@ mod tests {
         let n = t.active_plain();
 
         // Holder in epoch 1 stamps a write orec.
-        t.stamp(OrecKind::Write, addr, 1);
+        t.stamp(OrecKind::Write, addr, n, 1);
         // Slow txn that started during epoch 1 sees the conflict...
         assert!(t.read_conflict_slot(addr, n, 1).is_some());
         assert!(t.write_conflict_slot(addr, n, 1).is_some());
@@ -264,7 +288,7 @@ mod tests {
         let t = OrecTable::new(16);
         let addr = 0xcafe_usize;
         let n = t.active_plain();
-        t.stamp(OrecKind::Read, addr, 1);
+        t.stamp(OrecKind::Read, addr, n, 1);
         assert!(
             t.read_conflict_slot(addr, n, 1).is_none(),
             "read-read is allowed"
@@ -279,7 +303,7 @@ mod tests {
     fn single_orec_aliases_everything() {
         let t = OrecTable::new(1);
         let n = t.active_plain();
-        t.stamp(OrecKind::Write, 0x1, 1);
+        t.stamp(OrecKind::Write, 0x1, n, 1);
         assert!(
             t.read_conflict_slot(0x9999, n, 1).is_some(),
             "FG-TLE(1): any address conflicts"
@@ -301,11 +325,29 @@ mod tests {
     #[test]
     fn stamped_since_counts_current_section_only() {
         let t = OrecTable::new(8);
-        t.stamp(OrecKind::Write, 0x10, 1);
-        t.stamp(OrecKind::Write, 0x20, 1);
+        assert!(t.stamp(OrecKind::Write, 0x10, 8, 1));
+        assert!(
+            !t.stamp(OrecKind::Write, 0x38, 8, 1),
+            "another word of the same line shares its orec"
+        );
+        t.stamp(OrecKind::Write, 0x40, 8, 1);
         let stamped = t.stamped_since(OrecKind::Write, 1);
-        assert!((1..=2).contains(&stamped), "two addrs may alias");
+        assert!((1..=2).contains(&stamped), "two lines may alias");
         assert_eq!(t.stamped_since(OrecKind::Write, 3), 0);
+    }
+
+    #[test]
+    fn one_line_is_one_slot_and_the_simulator_shares_the_map() {
+        for n in [1, 4, 16, 4096] {
+            for line in 0..256u64 {
+                let base = (line << LINE_SHIFT) as usize;
+                let slot = OrecTable::index(base, n);
+                assert_eq!(slot, line_slot(line, n));
+                for word in 1..8 {
+                    assert_eq!(OrecTable::index(base + 8 * word, n), slot);
+                }
+            }
+        }
     }
 
     #[test]
@@ -319,13 +361,13 @@ mod tests {
         let t = OrecTable::new(16);
         let addr = 0xbeef_usize;
         let n = t.active_plain();
-        t.stamp(OrecKind::Write, addr, 3);
+        t.stamp(OrecKind::Write, addr, n, 3);
         let slot = t.read_conflict_slot(addr, n, 3).expect("conflict");
         assert_eq!(slot, OrecTable::index(addr, n));
         assert!(t.read_conflict_slot(addr, n, 4).is_none(), "released");
         // Read stamps surface through the write check only.
         let addr2 = 0x1234_usize;
-        t.stamp(OrecKind::Read, addr2, 3);
+        t.stamp(OrecKind::Read, addr2, n, 3);
         assert!(
             t.read_conflict_slot(addr2, n, 3).is_none()
                 || OrecTable::index(addr2, n) == OrecTable::index(addr, n)

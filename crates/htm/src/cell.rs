@@ -85,7 +85,16 @@ impl<T: TxWord> TxCell<T> {
 
     /// Completely unsynchronized snapshot (single atomic load, no seqlock).
     /// Only meaningful when no transaction can be mid-commit, e.g. in
-    /// quiescent phases.
+    /// quiescent phases — or for a word no transaction ever writes.
+    ///
+    /// The lock holder's own protocol words (an FG-TLE orec, the epoch,
+    /// the active orec count, the adaptive `fg_enabled` flag) are such
+    /// words: only the thread holding the lock writes them, always with a
+    /// plain store, and transactions only read them. No commit can be
+    /// writing one back, so the seqlock of [`Self::read_plain`] has
+    /// nothing to wait out, and the lock's release → acquire orders every
+    /// earlier holder's stores before the current holder's load. The
+    /// holder reads them with this one load.
     #[inline]
     pub fn read_unvalidated(&self) -> T {
         T::from_word(self.raw.load(Ordering::Acquire))

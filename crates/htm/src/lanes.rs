@@ -391,14 +391,22 @@ mod tests {
             static PROBE: std::cell::RefCell<Option<BumpOnExit>> =
                 const { std::cell::RefCell::new(None) };
         }
-        std::thread::spawn(|| {
+        let live = std::thread::spawn(|| {
             // Registered before the thread state: dropped after it.
             PROBE.with(|p| *p.borrow_mut() = Some(BumpOnExit));
             L.add(0, 1);
+            Writer::current()
         })
         .join()
         .unwrap();
         assert_eq!(L.sum(0), 8);
-        assert_eq!(L.lanes[OVERFLOW][0].load(Ordering::Relaxed), 7);
+        // The live bump lands on the overflow lane too when every lane was
+        // taken (a sibling test keeps 2 × LANES threads alive).
+        assert_eq!(
+            L.lanes[OVERFLOW][0].load(Ordering::Relaxed),
+            7 + u64::from(!live.owns_lane()),
+            "live bump on lane {}",
+            live.lane()
+        );
     }
 }

@@ -71,9 +71,8 @@ use std::sync::Arc;
 
 use rtle_core::abort_codes;
 use rtle_core::adaptive::Adaptation;
-use rtle_core::orec::OrecHeatmap;
+use rtle_core::orec::{line_slot, OrecHeatmap};
 use rtle_core::{RetryPolicy, Step};
-use rtle_htm::hash::fast_hash;
 use rtle_htm::lanes::Writer;
 use rtle_htm::AbortCode;
 use rtle_obs::{AdaptAction, AttemptEvent, PathKind, RecordKind, Recorder};
@@ -529,14 +528,17 @@ impl<W: Workload> Engine<W> {
         matches!(self.method, SimMethod::AdaptiveFgTle { .. })
     }
 
-    /// Write-orec line for a workload line.
+    /// Write-orec line for a workload line: the runtime's one line → orec
+    /// map ([`line_slot`]), offset into the orec line space.
     fn w_orec_line(&self, data_line: u64) -> u64 {
-        self.orec_base() + fast_hash(data_line, self.active_orecs_now())
+        self.orec_base() + line_slot(data_line, self.active_orecs_now() as usize) as u64
     }
 
     /// Read-orec line for a workload line.
     fn r_orec_line(&self, data_line: u64) -> u64 {
-        self.orec_base() + self.orec_capacity() + fast_hash(data_line, self.active_orecs_now())
+        self.orec_base()
+            + self.orec_capacity()
+            + line_slot(data_line, self.active_orecs_now() as usize) as u64
     }
 
     fn data_line(&self, workload_line: u64) -> u64 {
