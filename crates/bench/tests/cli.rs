@@ -14,7 +14,7 @@
 //! first spent building the backlog — exactly two stalled windows in 5
 //! runs of 24 here, no verdict in one of ~50. `--duration-ms 3000` makes
 //! the storm 600 ms: four or more stalled windows in 12 loaded runs of 12.
-//! The offered rate is sized to the build under test ([`RATE`]).
+//! The offered rate is the same in every build ([`RATE`]).
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -30,17 +30,15 @@ const DIAG: &str = env!("CARGO_BIN_EXE_diag");
 /// Where `--flight-dir flight` puts the single lock's flight record.
 const FLIGHT: &str = "flight/slo_flight_single_lock.json";
 
-/// The schedule's offered rate, ops/s. The asymmetry needs the sharded
-/// map to keep up with the storm, and in a debug build it does not at
-/// `--quick`'s 6 000: each operation costs several times the CPU (an
-/// audit's sweep 1.8 ms against 0.25 ms in release), waiters spin behind
-/// the held shards, and on a loaded 2-core host the sharded storm windows
-/// complete 35–65 % of the offered operations while p99 passes the window
-/// length — a real stall, which the watchdog reports. At 3 000 the debug
-/// sharded map completes every storm window's arrivals, and the single
-/// lock, whose storm capacity is one 8 ms hold per 15 operations (about
-/// 1 900 ops/s in any build), is still past it.
-const RATE: u64 = if cfg!(debug_assertions) { 3_000 } else { 6_000 };
+/// The schedule's offered rate, ops/s, in every build. The single lock's
+/// storm capacity is one 8 ms hold per 15 operations, about 1 900 ops/s
+/// in any build, so at 6 000 its storm windows complete about a third of
+/// their arrivals: a collapse deep enough for `convoy_stall`'s half-rate
+/// rule. A debug build once offered 3 000, because its sharded map, with
+/// waiters spinning behind the held shards, fell behind at 6 000; the
+/// waiters park now, and at 3 000 the single lock completes ~0.6 of its
+/// storm arrivals, around the rule's threshold (ROADMAP N9).
+const RATE: u64 = 6_000;
 
 /// A child process or scraper still going after this long has hung.
 const DEADLINE: Duration = Duration::from_secs(60);

@@ -65,14 +65,14 @@ fn run_passes(mode: &str, root: &Path, passes: &[&'static str], json: Option<&Pa
 
 /// Prints one explored configuration and returns whether it met its
 /// contract: a safe configuration is clean over every interleaving, a
-/// seeded mutant is caught as a serializability violation.
-fn print_model_row(r: &Report, mutant: bool) -> bool {
+/// seeded mutant is caught as a violation of its `expect`ed kind.
+fn print_model_row(r: &Report, expect: Option<&str>) -> bool {
     let row = format!(
         "model: {:<24} {:>7} states {:>6} terminals",
         r.config, r.states, r.terminals
     );
-    if mutant {
-        let caught = r.violations.iter().any(|v| v.kind == "non-serializable");
+    if let Some(kind) = expect {
+        let caught = r.violations.iter().any(|v| v.kind == kind);
         let verdict = if caught {
             format!(
                 "MUTANT CAUGHT ({} violations, as required)",
@@ -109,11 +109,13 @@ fn print_model_row(r: &Report, mutant: bool) -> bool {
 /// versioned-lock protocol's cached-rv + snapshot-extension `swhtm-*`),
 /// then over the seeded mutants — all through the one generic explorer.
 fn run_model() -> bool {
-    let safe = explore_safe().into_iter().map(|r| (r, false));
-    let mutants = explore_mutants().into_iter().map(|r| (r, true));
+    let safe = explore_safe().into_iter().map(|r| (r, None));
+    let mutants = explore_mutants()
+        .into_iter()
+        .map(|(r, kind)| (r, Some(kind)));
     let mut ok = true;
-    for (r, mutant) in safe.chain(mutants) {
-        ok &= print_model_row(&r, mutant);
+    for (r, expect) in safe.chain(mutants) {
+        ok &= print_model_row(&r, expect);
     }
     ok
 }

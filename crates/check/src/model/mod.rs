@@ -37,11 +37,16 @@
 //! mutants: a skipped commit-time revalidation ([`tl2_mutant_config`]), an
 //! extension in the wrong step order ([`swhtm_mutant_config`]) and a
 //! commit that carries its `wv` instead of its clock sample
-//! ([`carry_wv_mutant_config`]). The oracle must catch every mutant.
+//! ([`carry_wv_mutant_config`]). [`park`] is `rtle_htm::wait`'s park as the
+//! lock runs it — register, re-check, park; release stores FREE, loads
+//! the waiter count and wakes only when it is non-zero — with two seeded
+//! lost wakeups ([`park_release_mutant_config`],
+//! [`park_register_mutant_config`]). The judge must catch every mutant.
 
 pub mod explore;
 pub mod machine;
 pub mod oracle;
+pub mod park;
 pub mod suite;
 pub mod tl2;
 pub mod tle;
@@ -49,6 +54,10 @@ pub mod tle;
 pub use explore::{explore, judge, Report, TerminalVerdict, ViolationReport};
 pub use machine::{AttemptLog, Machine, Op, Val};
 pub use oracle::{find_serial_witness, CommitPath, Committed, HOp};
+pub use park::{
+    park_register_mutant_config, park_release_mutant_config, park_suite, ParkConfig, ParkMutant,
+    ParkState,
+};
 pub use suite::{explore_mutants, explore_safe, mutant_config, standard_suite};
 pub use tl2::{
     carry_wv_mutant_config, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension,

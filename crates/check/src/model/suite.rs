@@ -6,6 +6,7 @@
 
 use super::explore::{explore, Report};
 use super::machine::{Op, Val};
+use super::park::{park_register_mutant_config, park_release_mutant_config, park_suite, ParkState};
 use super::tl2::{
     carry_wv_mutant_config, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Tl2State,
 };
@@ -147,19 +148,40 @@ pub fn mutant_config() -> Config {
 pub fn explore_safe() -> Vec<Report> {
     let mut reports: Vec<Report> = standard_suite().iter().map(explore::<State>).collect();
     reports.extend(tl2_suite().iter().map(explore::<Tl2State>));
+    reports.extend(park_suite().iter().map(explore::<ParkState>));
     reports
 }
 
 /// Explores every seeded mutant — the oracle's own regression tests: the
 /// unsafe-lazy-subscription zombie, the TL2 skipped-revalidation stale
-/// read, the swhtm extension that revalidates before it raises the clock,
-/// and the commit that carries its `wv`. Each report must contain a
-/// `non-serializable` violation.
-pub fn explore_mutants() -> Vec<Report> {
+/// read, the swhtm extension that revalidates before it raises the clock
+/// and the commit that carries its `wv` must each show a
+/// `non-serializable` history; the two park mutants — a release that
+/// skips the waiter count, a waiter that registers after its re-check —
+/// must each lose a wakeup (`bad-terminal`). Each report comes with the
+/// violation kind that catches it.
+pub fn explore_mutants() -> Vec<(Report, &'static str)> {
     vec![
-        explore::<State>(&mutant_config()),
-        explore::<Tl2State>(&tl2_mutant_config()),
-        explore::<Tl2State>(&swhtm_mutant_config()),
-        explore::<Tl2State>(&carry_wv_mutant_config()),
+        (explore::<State>(&mutant_config()), "non-serializable"),
+        (
+            explore::<Tl2State>(&tl2_mutant_config()),
+            "non-serializable",
+        ),
+        (
+            explore::<Tl2State>(&swhtm_mutant_config()),
+            "non-serializable",
+        ),
+        (
+            explore::<Tl2State>(&carry_wv_mutant_config()),
+            "non-serializable",
+        ),
+        (
+            explore::<ParkState>(&park_release_mutant_config()),
+            "bad-terminal",
+        ),
+        (
+            explore::<ParkState>(&park_register_mutant_config()),
+            "bad-terminal",
+        ),
     ]
 }

@@ -1,13 +1,14 @@
 //! Acceptance tests for the interleaving checker: every safe configuration
 //! explores clean, the protocol paths are actually exercised, and the
 //! seeded mutants (unsafe lazy subscription; TL2 skipped revalidation;
-//! swhtm validate-before-sample extension; a carried `wv`) are detected —
+//! swhtm validate-before-sample extension; a carried `wv`; the park's
+//! two lost wakeups) are detected —
 //! and every row's
 //! state, terminal and path counts are pinned in `golden/model_rows.txt`.
 
 use rtle_check::model::{
-    carry_wv_mutant_config, explore, explore_mutants, explore_safe, mutant_config, standard_suite,
-    swhtm_mutant_config, tl2_mutant_config, tl2_suite, State, Tl2State,
+    carry_wv_mutant_config, explore, explore_mutants, explore_safe, mutant_config, park_suite,
+    standard_suite, swhtm_mutant_config, tl2_mutant_config, tl2_suite, State, Tl2State,
 };
 
 #[test]
@@ -116,7 +117,9 @@ fn path_coverage_counts_terminal_histories_on_every_machine() {
     // containing at least one such commit" — so none can exceed the
     // terminal count, whatever the machine. A per-commit count would:
     // `swhtm-counter` commits three increments in every terminal.
-    let reports = explore_safe().into_iter().chain(explore_mutants());
+    let reports = explore_safe()
+        .into_iter()
+        .chain(explore_mutants().into_iter().map(|(r, _)| r));
     let mut seen = 0;
     for r in reports {
         for (label, n) in [
@@ -136,8 +139,8 @@ fn path_coverage_counts_terminal_histories_on_every_machine() {
     }
     assert_eq!(
         seen,
-        standard_suite().len() + tl2_suite().len() + 4,
-        "both suites and the four seeded mutants"
+        standard_suite().len() + tl2_suite().len() + park_suite().len() + 6,
+        "the three suites and the six seeded mutants"
     );
 }
 
@@ -225,7 +228,10 @@ fn every_row_matches_its_golden_counts() {
     // (EXPERIMENTS.md keeps the before/after table). Re-bless with
     // `BLESS=1 cargo test -p rtle-check --test model_suite`.
     let mut actual = String::new();
-    for r in explore_safe().into_iter().chain(explore_mutants()) {
+    for r in explore_safe()
+        .into_iter()
+        .chain(explore_mutants().into_iter().map(|(r, _)| r))
+    {
         actual += &format!(
             "{} states={} terminals={} {}={}/{}/{} violations={}\n",
             r.config,

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rtle_htm::lanes::Writer;
-use rtle_htm::wait::backoff_until;
+use rtle_htm::wait::{self, WaitList};
 use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
 use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_obs::epoch::now_ns;
@@ -456,7 +456,8 @@ impl<B: HtmBackend> ElidableLock<B> {
                             if slow_attempt_hopeless(code) {
                                 self.lock.spin_while_held();
                             } else {
-                                brief_pause();
+                                // A short fixed pause, then retry at once.
+                                wait::pause(64);
                             }
                         }
                     }
@@ -538,25 +539,13 @@ impl<B: HtmBackend> ElidableLock<B> {
         // drop — the one place the counter comes back down.
         let presence = SoftwarePresence {
             counter: &self.sw_running,
+            waiters: self.lock.waiters(),
         };
         // A holder that acquired between the check and the raise sees the
         // counter and waits in `quiesce_software`; we see the held lock and
         // retreat. Both sides eventually stop colliding because software
         // transactions are finite and lock holds are finite.
         (!self.lock.is_held()).then_some(presence)
-    }
-
-    /// The blocking form of [`Self::try_software_presence`]: waits out the
-    /// current holder (with the lock's backoff) and retries until the
-    /// presence is raised. Only safe while the caller holds no other
-    /// presence or lock.
-    fn software_presence(&self) -> SoftwarePresence<'_> {
-        loop {
-            self.lock.spin_while_held();
-            if let Some(presence) = self.try_software_presence() {
-                return presence;
-            }
-        }
     }
 
     /// One attempt on this lock's software rung: raises the presence
@@ -576,8 +565,14 @@ impl<B: HtmBackend> ElidableLock<B> {
     ) -> Option<R> {
         // The lock holder's instrumented writes do not speak the backend's
         // validation protocol, so software transactions never overlap a
-        // held lock (and vice versa — see `quiesce_software`).
-        let _presence = self.software_presence();
+        // held lock (and vice versa — see `quiesce_software`): wait out the
+        // holder and raise the presence.
+        let _presence = loop {
+            self.lock.spin_while_held();
+            if let Some(presence) = self.try_software_presence() {
+                break presence;
+            }
+        };
         let r = phase.attempt(|tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
         self.stats.record_commit(PathKind::Stm);
         Some(r)
@@ -627,10 +622,10 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// Lock-holder side of the software/pessimistic exclusion: after
     /// acquiring the lock, wait until no software transaction is inside
     /// the backend. New arrivals observe the held lock and retreat, so this
-    /// terminates.
+    /// terminates. A long wait parks; a [`SoftwarePresence`] drop wakes it.
     fn quiesce_software(&self) {
         if self.sw_backend.is_some() {
-            backoff_until(|| self.sw_running.read_plain() == 0);
+            wait::until(self.lock.waiters(), || self.sw_running.read_plain() == 0);
         }
     }
 
@@ -909,14 +904,17 @@ impl<B: HtmBackend> Drop for LockedSection<'_, B> {
 /// the lock's `sw_running` counter is raised, so pessimistic acquirers
 /// wait in `quiesce_software` before touching the lock's data. Returned
 /// by [`ElidableLock::try_software_presence`]; dropping it (including via
-/// unwind, when a software attempt aborts) retreats the counter.
+/// unwind, when a software attempt aborts) retreats the counter and wakes
+/// a holder parked in `quiesce_software`.
 pub struct SoftwarePresence<'a> {
     counter: &'a TxCell<u64>,
+    waiters: &'a WaitList,
 }
 
 impl Drop for SoftwarePresence<'_> {
     fn drop(&mut self) {
         self.counter.fetch_add_plain(u64::MAX);
+        self.waiters.wake_all();
     }
 }
 
@@ -938,14 +936,6 @@ enum SlowPath<'a> {
     Rw,
     /// FG-TLE (§4) over this lock's orec table.
     Fg(&'a OrecTable),
-}
-
-/// Short fixed pause between hopeful slow-path retries.
-#[inline]
-fn brief_pause() {
-    for _ in 0..64 {
-        std::hint::spin_loop();
-    }
 }
 
 #[cfg(test)]

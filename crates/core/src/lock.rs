@@ -8,28 +8,34 @@
 //! compare-and-swap) dooms every subscribed transaction — the mechanism
 //! TLE's correctness rests on.
 
-use rtle_htm::wait::backoff_until;
+use rtle_htm::wait::{self, WaitList};
 use rtle_htm::TxCell;
 
 const FREE: u64 = 0;
 const HELD: u64 = 1;
 
 /// Test-and-test-and-set spin lock with exponential backoff, built on a
-/// transactionally visible word.
+/// transactionally visible word; waits that outlast the backoff park.
 ///
 /// Not reentrant; no fairness/anti-starvation machinery (the paper
 /// explicitly leaves that out, §6.2.1, noting it is trivial to add).
 #[derive(Debug, Default)]
 pub struct TatasLock {
     word: TxCell<u64>,
+    /// Boxed onto a line of its own: a waiter that registers writes the
+    /// list's count, and speculating transactions hold the word's line.
+    waiters: Box<OwnLine>,
 }
+
+/// A [`WaitList`] alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct OwnLine(WaitList);
 
 impl TatasLock {
     /// A new, free lock.
     pub fn new() -> Self {
-        TatasLock {
-            word: TxCell::new(FREE),
-        }
+        TatasLock::default()
     }
 
     /// Non-transactional probe: is the lock currently held?
@@ -59,31 +65,31 @@ impl TatasLock {
         !self.is_held() && self.word.compare_exchange_plain(FREE, HELD)
     }
 
-    /// Acquires the lock, spinning with exponential backoff (yielding
-    /// once the backoff saturates — see [`backoff_until`]).
+    /// Acquires the lock: test-and-test-and-set with exponential backoff;
+    /// past ~0.7 ms the waiter parks until a release wakes it ([`wait::until`]).
     pub fn acquire(&self) {
-        backoff_until(|| self.try_acquire());
+        wait::until(self.waiters(), || self.try_acquire());
     }
 
-    /// Releases the lock.
+    /// Releases the lock: stores FREE, then wakes parked waiters if the wait
+    /// list's count, loaded after a `fence(SeqCst)`, says there are any.
     #[inline]
     pub fn release(&self) {
         debug_assert!(self.is_held(), "release of a free TatasLock");
         self.word.write(FREE);
+        self.waiters().wake_all();
     }
 
-    /// Spins (with backoff) until the lock is observed free. Used by the
-    /// retry policy: "we spin until the lock is not held after every
+    /// Waits, like [`Self::acquire`], until the lock is observed free. Used
+    /// by the retry policy: "we spin until the lock is not held after every
     /// failure" (§6.2.1, citing Kleen's TSX anti-patterns \[16\]).
     pub fn spin_while_held(&self) {
-        backoff_until(|| !self.is_held());
+        wait::until(self.waiters(), || !self.is_held());
     }
 
-    /// Test hook: force the lock word to `HELD` without the CAS protocol,
-    /// modelling an acquisition landing from another thread mid-test.
-    #[doc(hidden)]
-    pub fn force_held_for_test(&self) {
-        self.word.store_plain_for_test(HELD);
+    /// The list its waiters park on (a holder quiescing software, too).
+    pub(crate) fn waiters(&self) -> &WaitList {
+        &self.waiters.0
     }
 }
 
@@ -140,7 +146,7 @@ mod tests {
         let r = rtle_htm::swhtm::try_txn(|| {
             assert!(!l.subscribe());
             // Simulate a concurrent acquisition landing mid-transaction.
-            l.force_held_for_test();
+            l.word.store_plain_for_test(HELD);
             // Re-reading observes the doomed snapshot -> conflict abort.
             l.subscribe()
         });

@@ -5,11 +5,13 @@
 //! (oracle regression, scheduler change, shrinker change). The mutant
 //! entries double as the fuzzer's *fitness test*: a fuzzer that can no
 //! longer find a seeded bug — the TLE lazy-subscription zombie, the TL2
-//! stale read, the swhtm validate-first extension or the carried `wv` —
-//! within its budget is broken, whatever else it reports.
+//! stale read, the swhtm validate-first extension, the carried `wv` or
+//! either of the park's lost wakeups — within its budget is broken,
+//! whatever else it reports.
 
 use rtle_check::model::{
-    carry_wv_mutant_config, mutant_config, swhtm_mutant_config, tl2_mutant_config, State, Tl2State,
+    carry_wv_mutant_config, mutant_config, park_register_mutant_config, park_release_mutant_config,
+    swhtm_mutant_config, tl2_mutant_config, ParkState, State, Tl2State,
 };
 
 use crate::schedule::{hunt, HuntReport};
@@ -35,9 +37,9 @@ pub struct Mutant {
     pub hunt: fn(u64, u64) -> HuntReport,
 }
 
-/// Every seeded mutant of every machine — the same four `rtle-check
+/// Every seeded mutant of every machine — the same six `rtle-check
 /// model` must catch exhaustively. A new machine's mutant joins here.
-pub const MUTANTS: [Mutant; 4] = [
+pub const MUTANTS: [Mutant; 6] = [
     Mutant {
         name: "tle-lazyunsafe-mutant",
         budget: MUTANT_BUDGET,
@@ -61,6 +63,16 @@ pub const MUTANTS: [Mutant; 4] = [
         name: "swhtm-carry-wv-mutant",
         budget: MUTANT_BUDGET,
         hunt: |seed, budget| hunt::<Tl2State>(&carry_wv_mutant_config(), seed, budget),
+    },
+    Mutant {
+        name: "park-release-skips-check",
+        budget: MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<ParkState>(&park_release_mutant_config(), seed, budget),
+    },
+    Mutant {
+        name: "park-register-after-recheck",
+        budget: MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<ParkState>(&park_register_mutant_config(), seed, budget),
     },
 ];
 
@@ -135,6 +147,20 @@ pub const ENTRIES: &[CorpusEntry] = &[
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
         note: "documented seed: the carried-wv lost update, caught at run 5",
+    },
+    CorpusEntry {
+        mutant: "park-release-skips-check",
+        seed: DOC_SEED,
+        budget: MUTANT_BUDGET,
+        expect_kind: "bad-terminal",
+        note: "documented seed: a release that never loads the waiter count strands a parked waiter, caught at run 0",
+    },
+    CorpusEntry {
+        mutant: "park-register-after-recheck",
+        seed: DOC_SEED,
+        budget: MUTANT_BUDGET,
+        expect_kind: "bad-terminal",
+        note: "documented seed: a waiter that re-checks before it registers misses the release between, caught at run 31",
     },
 ];
 

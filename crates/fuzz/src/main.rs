@@ -25,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use rtle_check::model::{standard_suite, tl2_suite, State, Tl2State};
+use rtle_check::model::{park_suite, standard_suite, tl2_suite, ParkState, State, Tl2State};
 use rtle_fuzz::chaos::{run_chaos, ChaosPlan, ChaosReport};
 use rtle_fuzz::configs::{random_safe_config, random_safe_tl2_config};
 use rtle_fuzz::corpus::{self, Mutant, DOC_SEED};
@@ -145,13 +145,17 @@ fn cmd_run(a: RunArgs) -> ExitCode {
 
     // 2. Safe sweep, one loop through the one generic hunt: every
     // machine's standard suite, then random 4–8-thread configs of each.
-    let (tle, tl2) = (standard_suite(), tl2_suite());
+    let (tle, tl2, park) = (standard_suite(), tl2_suite(), park_suite());
     let mut cfg_rng = SplitMix64::new(a.seed ^ 0xc0f1_65ee_d000_0001);
     let mut tl2_cfg_rng = SplitMix64::new(a.seed ^ 0x712f_c0f1_65ee_d002);
     let suites = tle
         .iter()
         .map(|cfg| hunt::<State>(cfg, a.seed, a.iters))
-        .chain(tl2.iter().map(|cfg| hunt::<Tl2State>(cfg, a.seed, a.iters)));
+        .chain(tl2.iter().map(|cfg| hunt::<Tl2State>(cfg, a.seed, a.iters)))
+        .chain(
+            park.iter()
+                .map(|cfg| hunt::<ParkState>(cfg, a.seed, a.iters)),
+        );
     let random_tle = (0..a.configs).map(|idx| {
         let cfg = random_safe_config(&mut cfg_rng, idx);
         hunt::<State>(&cfg, a.seed.wrapping_add(idx), a.iters)

@@ -18,16 +18,16 @@
 //! * **Convoy stall**: the commit rate drops below `STALL_RATE_FRAC` of
 //!   the trailing mean **while** the window's p99 latency exceeds the
 //!   window length itself, for `STALL_WINDOWS` consecutive windows. This
-//!   is the quiet convoy the other two miss: when waiters politely spin
-//!   (or yield) behind a long pessimistic hold, nothing aborts and
+//!   is the quiet convoy the other two miss: when waiters politely wait
+//!   (spin, then park) behind a long pessimistic hold, nothing aborts and
 //!   nothing falls back — throughput simply halves while every op's
 //!   latency blows past a full window. The latency guard keeps genuinely
 //!   idle periods (low rate, instant ops) from masquerading as a stall.
 //!
 //! The watchdog arms only after `WARMUP_WINDOWS` healthy windows so
-//! startup noise cannot trigger it, and collapsed windows are kept
-//! **out** of the trailing mean so a long incident cannot normalise
-//! itself.
+//! startup noise cannot trigger it, and collapsed windows (those that
+//! fired, and stalled ones on their way to firing) are kept **out** of
+//! the trailing mean so a long incident cannot normalise itself.
 //!
 //! On trigger, [`flight_record`] assembles the postmortem JSON: the
 //! triggering verdict, the trailing window series, and the records
@@ -303,6 +303,7 @@ impl Watchdog {
         let armed = self.trailing.len() >= WARMUP_WINDOWS;
 
         let mut fired: Option<CollapseKind> = None;
+        let mut stalled = false;
         if armed {
             let collapsed = w.fallback_rate() >= FALLBACK_SPIKE
                 && commit_rate <= trailing_rate * COMMIT_FLOOR_FRAC;
@@ -319,7 +320,7 @@ impl Watchdog {
                 self.storm_run = 0;
             }
             let stall_p99_floor = w.len_ns as f64 * STALL_P99_FACTOR;
-            let stalled = commit_rate <= trailing_rate * STALL_RATE_FRAC
+            stalled = commit_rate <= trailing_rate * STALL_RATE_FRAC
                 && w.latency_p(0.99) as f64 >= stall_p99_floor;
             if stalled {
                 self.stall_run += 1;
@@ -346,6 +347,10 @@ impl Watchdog {
                 self.events.push(ev.clone());
                 Some(ev)
             }
+            // A stalled window is no healthy baseline either: let it in,
+            // and a stall that holds the rate near half the mean drags the
+            // mean down until no second window in a row falls below half.
+            None if stalled => None,
             None => {
                 self.trailing.push_back(commit_rate);
                 if self.trailing.len() > TRAILING {
@@ -563,6 +568,26 @@ mod tests {
             None,
             "tail reset the run"
         );
+    }
+
+    /// A stall that holds the rate just under half the healthy mean (the
+    /// `slo_bench` single lock once its waiters park instead of spinning):
+    /// the stalled windows stay out of the trailing mean, so the second in
+    /// a row still reads as stalled. Let in, the first would drag the
+    /// mean down far enough that the second reads as healthy.
+    #[test]
+    fn a_stall_does_not_drag_its_own_baseline_down() {
+        let mut wd = Watchdog::new();
+        for i in 0..8 {
+            let w = window(i, 125, [785, 0, 15], 10, 8, 150_000);
+            assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
+        }
+        let stalled = |i| window(i, 125, [385, 0, 5], 12, 10, 200_000_000);
+        assert_eq!(wd.inspect(&stalled(8)), None, "one window is noise");
+        let ev = wd
+            .inspect(&stalled(9))
+            .expect("the second stalled window fires");
+        assert_eq!(ev.kind, CollapseKind::ConvoyStall);
     }
 
     #[test]

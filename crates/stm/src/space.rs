@@ -19,8 +19,8 @@
 //!    lock it does not hold.
 //!
 //! A [`Tx::retry`] outcome on the software or pessimistic rung parks the
-//! thread on the read-set vars' waiter lists (see `var.rs` for the
-//! lost-wakeup argument) and reruns the ladder from the top when woken.
+//! thread on the read-set vars' waiter lists (`rtle_htm::wait::park`) and
+//! reruns the ladder from the top when woken.
 //! Speculation logs no reads, so a retry there hands off to the next rung,
 //! which logs the reads it parks on.
 //!
@@ -47,7 +47,6 @@
 use std::cell::{Cell, RefCell};
 use std::panic::Location;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use rtle_core::{
     fast_hash, AbortCode, ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection,
@@ -55,18 +54,14 @@ use rtle_core::{
 };
 use rtle_htm::lanes::Lanes;
 use rtle_htm::unwind::{self, Channel};
+use rtle_htm::wait;
 use rtle_htm::SwHtmBackend;
 use rtle_hytm::{Norec, SoftwareTm, SwPhase};
 
 use crate::tx::{end_spec, flush_locked, Lock, LockedPlan, Mode, Tx, TxError, TxInner, TxResult};
-use crate::var::{WaitList, Waiter};
 
 /// Software attempts per ladder round before falling back to locks.
 const SW_ATTEMPTS: usize = 8;
-
-/// Park timeout backstop: a timed-out waiter revalidates and reruns, so a
-/// (hypothetical) lost wakeup costs bounded latency, not a hang.
-const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Entries in each thread's table of `atomically` call sites.
 const SITES: usize = 16;
@@ -552,56 +547,49 @@ impl Stm {
         for &wl in &inner.borrow().logs.woken {
             // SAFETY: the list belongs to a `&'env TxVar` that outlives
             // this `atomically` call (enforced by `Tx::write`'s bound).
-            // lockcheck: waiter lists are mutex-guarded internally; the
-            // committed values this wake publishes went through the
-            // rung's own commit protocol before finish() runs.
+            // lockcheck: the deref only reconstructs the reference;
+            // `wake_all` fences the rung's commit before its count load.
             let woken = unsafe { &*wl }.wake_all();
             self.stats.lanes.add(WAKEUPS_SENT, woken as u64);
         }
     }
 
     /// Blocks until some read-set var changes: register on every read
-    /// var's waiter list, revalidate the logged reads, park. See `var.rs`
-    /// for why this ordering has no lost wakeups.
+    /// var's waiter list, revalidate the logged reads, park — the park
+    /// protocol of `rtle_htm::wait`, which has no lost wakeups.
     fn park(&self, inner: &RefCell<TxInner<'_>>) {
         let logs = &inner.borrow().logs;
-        let mut lists: Vec<*const WaitList> = Vec::new();
-        for r in &logs.reads {
-            if !lists.contains(&r.waiters) {
-                lists.push(r.waiters);
-            }
-        }
         assert!(
-            !lists.is_empty(),
+            !logs.reads.is_empty(),
             "retry would block forever: the transaction read no TxVars, so \
              nothing can wake it (only TxVar reads register wakeups)"
         );
-        let waiter = Arc::new(Waiter::new());
-        for wl in &lists {
-            // SAFETY: lists belong to `&'env TxVar`s outliving this call.
-            // lockcheck: waiter lists are mutex-guarded internally; the
-            // deref only reconstructs the reference.
-            unsafe { &**wl }.register(&waiter);
-        }
-        // Registered first, *then* validate: a writer committing after
-        // this check must see our registration.
-        let changed = logs
-            .reads
-            .iter()
+        // SAFETY: lists belong to `&'env TxVar`s outliving this call.
+        // lockcheck: the deref only reconstructs the reference;
+        // `park` fences its registration before the revalidation.
+        let lists: Vec<_> = logs.reads.iter().map(|r| unsafe { &*r.waiters }).collect();
+        let changed = || {
             // SAFETY: read-set cells outlive the atomically call.
             // lockcheck: deliberately racy revalidation read — a stale
             // value is caught by the rerun's own transactional read, and
             // TxCell's internal Acquire floor orders the load itself.
-            .any(|r| unsafe { (*r.cell).read_plain() } != r.value);
-        if changed {
-            self.stats.lanes.add(RETRY_RERUNS, 1);
-            return;
-        }
-        self.stats.lanes.add(PARKS, 1);
-        if waiter.park(PARK_TIMEOUT) {
-            self.stats.lanes.add(WAKES_NOTIFIED, 1);
-        } else {
-            self.stats.lanes.add(WAKES_TIMEOUT, 1);
+            let changed = logs
+                .reads
+                .iter()
+                .any(|r| unsafe { (*r.cell).read_plain() } != r.value);
+            // Counted before the sleep, so the park shows while it lasts.
+            self.stats
+                .lanes
+                .add(if changed { RETRY_RERUNS } else { PARKS }, 1);
+            changed
+        };
+        if let Some(notified) = wait::park(&lists, changed) {
+            let wake = if notified {
+                WAKES_NOTIFIED
+            } else {
+                WAKES_TIMEOUT
+            };
+            self.stats.lanes.add(wake, 1);
         }
     }
 

@@ -64,12 +64,13 @@ use std::sync::Arc;
 
 use rtle_core::{Ctx, ElidableLock, SoftwarePresence};
 use rtle_htm::unwind::{self, Channel};
+use rtle_htm::wait::WaitList;
 use rtle_htm::{abort, AbortCode, SwHtmBackend, TxAccess, TxCell, TxWord};
 use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_shard::ShardedTxMap;
 
 use crate::space::Stm;
-use crate::var::{TxVar, WaitList};
+use crate::var::TxVar;
 
 /// The elidable-lock flavour composable transactions run over. The stack
 /// is built on the emulated HTM backend throughout (chaos injection,
@@ -427,14 +428,12 @@ impl<'env, 'run> Tx<'env, 'run> {
                      space's software backend; build participant locks with \
                      Stm::lock_builder() so hybrid validation covers them"
                 );
-                let mut presence = None;
-                for _ in 0..PRESENCE_SPIN {
-                    if let Some(p) = lock.try_software_presence() {
-                        presence = Some(p);
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
+                let presence = (0..PRESENCE_SPIN).find_map(|_| {
+                    lock.try_software_presence().or_else(|| {
+                        std::hint::spin_loop();
+                        None
+                    })
+                });
                 match presence {
                     Some(p) => presences.borrow_mut().push(p),
                     // Held by a pessimist: back off by aborting the

@@ -138,16 +138,20 @@ stage "rtle-check (five static passes + interleaving model)"
 # seeded mutant is a non-zero exit — then the model checker:
 # one generic explorer + terminal judge (`model::explore::<M>`,
 # `model::judge`) over every `impl Machine`, which must verify every safe
-# configuration — two row families: the TLE machine's eight (`tle-*`,
+# configuration — three row families: the TLE machine's eight (`tle-*`,
 # `rwtle-*`, `fgtle-*`; its choice of rung is the runtime's
-# `RetryPolicy::next_step`) and the versioned-lock protocol's seven
+# `RetryPolicy::next_step`), the versioned-lock protocol's seven
 # (`swhtm-*`: cached rv, snapshot extension as the clock's only writer,
-# the own-write exemption — what `Tl2` and the emulated HTM run) — and
-# catch its four seeded mutants: `tle-lazyunsafe-mutant` (unsafe lazy
+# the own-write exemption — what `Tl2` and the emulated HTM run) and the
+# park's one (`park-holder-two-waiters`: register, re-check, park; a
+# release that wakes only when the waiter count says so) — and
+# catch its six seeded mutants: `tle-lazyunsafe-mutant` (unsafe lazy
 # subscription), `tl2-stale-read-mutant` (skipped commit-time
 # revalidation), `swhtm-validate-first-mutant` (the extension that
-# validates before it raises the clock) and `swhtm-carry-wv-mutant` (a
-# commit that carries its drawn version instead of its clock sample).
+# validates before it raises the clock), `swhtm-carry-wv-mutant` (a
+# commit that carries its drawn version instead of its clock sample),
+# `park-release-skips-check` and `park-register-after-recheck` (each a
+# lost wakeup). A missed mutant is a non-zero exit.
 # Every row's counts are pinned by crates/check/tests/golden/model_rows.txt.
 cargo run -p rtle-check --release
 
@@ -211,7 +215,7 @@ grep -q '"tool":"rtle-fuzz"' "$fuzz_json" || { echo "fuzz json missing"; exit 1;
 # entry is a hunt report, and a caught mutant is one that is not clean
 # (the writer sorts keys, so `clean` sits right before `config`).
 for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-mutant \
-    swhtm-carry-wv-mutant; do
+    swhtm-carry-wv-mutant park-release-skips-check park-register-after-recheck; do
     grep -q "\"clean\":false,\"config\":\"$mutant\"" "$fuzz_json" \
         || { echo "fuzz json: $mutant not reported as caught"; exit 1; }
 done
