@@ -1,11 +1,10 @@
 //! Per-function control-flow graphs over the [`crate::syntax`] AST.
 //!
 //! Each function lowers to a graph of basic blocks holding typed
-//! [`Event`]s — the only program actions the concurrency passes reason
-//! about (atomic ops, fences, raw-pointer accesses, lock acquisitions,
-//! guard-protected field uses, and ordering *facts* like "`lo < hi`
-//! holds here"). Everything else in the function is dropped at lowering
-//! time, which keeps the dominance machinery tiny.
+//! [`Event`]s — the only program actions the passes reason about (atomic
+//! ops, fences, `TxCell`-style stores, raw-pointer accesses and calls).
+//! Everything else in the function is dropped at lowering time, which
+//! keeps the dominance machinery tiny.
 //!
 //! Dominance and postdominance are computed by the classic iterative
 //! bitset dataflow; functions in this workspace have tens of blocks, so
@@ -17,17 +16,6 @@ pub mod lower;
 use std::fmt;
 
 pub use lower::lower_fn;
-
-/// How `with_shards_locked` was called (its slice argument shape).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContractArg {
-    /// `&name` — a slice variable; needs a dominating sortedness fact.
-    Slice(String),
-    /// `&[a, b]` — a two-element array; needs a dominating `a < b` fact.
-    Pair(String, String),
-    /// Anything the lowering could not resolve symbolically.
-    Unknown,
-}
 
 /// One analyzable program action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,57 +51,19 @@ pub enum EventKind {
     /// Raw-pointer read: an `unsafe` deref that is not a store target or
     /// an atomic receiver.
     RawRead,
-    /// Access to a watched shared field (`....map`), with the guard
-    /// nesting depth recorded on the event.
-    FieldUse {
-        /// Dotted access path.
-        path: String,
-        /// Field name.
-        field: String,
-    },
-    /// Shard-lock acquisition (`lock_section()`).
-    Acquire {
-        /// Symbolic shard index (`hi`, `3`, loop variable), if resolvable.
-        index: Option<String>,
-        /// When acquired inside an iterator closure: the slice iterated.
-        loop_over: Option<String>,
-        /// Symbols of locks already held lexically at this point.
-        live: Vec<String>,
-    },
-    /// Fact: `lt < gt` holds from here on (conditional-swap binding).
-    OrderFact {
-        /// The smaller symbol.
-        lt: String,
-        /// The larger symbol.
-        gt: String,
-    },
-    /// Fact: `slice` is sorted ascending (a `sort*()` call or the
-    /// `debug_assert!(s.windows(2).all(|w| w[0] < w[1]))` idiom).
-    SortedFact {
-        /// The slice symbol.
-        slice: String,
-    },
-    /// A `with_shards_locked(arg, ...)` call site and its argument shape.
-    ContractCall {
-        /// The slice argument.
-        arg: ContractArg,
-    },
 }
 
-/// An [`EventKind`] with its source position and guard nesting depth.
+/// An [`EventKind`] with its source position.
 #[derive(Debug, Clone)]
 pub struct Event {
     /// The action.
     pub kind: EventKind,
     /// 1-based source line.
     pub line: usize,
-    /// How many guard regions (critical sections) enclose this event.
-    pub guard_depth: usize,
 }
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[g{}] ", self.guard_depth)?;
         match &self.kind {
             EventKind::Call { name, recv } => match recv {
                 Some(r) => write!(f, "call {r}.{name}"),
@@ -130,31 +80,6 @@ impl fmt::Display for Event {
             EventKind::TxWrite { recv } => write!(f, "txwrite {recv}"),
             EventKind::RawWrite => write!(f, "raw-write"),
             EventKind::RawRead => write!(f, "raw-read"),
-            EventKind::FieldUse { path, .. } => write!(f, "field {path}"),
-            EventKind::Acquire {
-                index,
-                loop_over,
-                live,
-            } => {
-                write!(f, "acquire")?;
-                if let Some(i) = index {
-                    write!(f, " idx={i}")?;
-                }
-                if let Some(s) = loop_over {
-                    write!(f, " loop={s}")?;
-                }
-                if !live.is_empty() {
-                    write!(f, " live=[{}]", live.join(","))?;
-                }
-                Ok(())
-            }
-            EventKind::OrderFact { lt, gt } => write!(f, "order-fact {lt}<{gt}"),
-            EventKind::SortedFact { slice } => write!(f, "sorted-fact {slice}"),
-            EventKind::ContractCall { arg } => match arg {
-                ContractArg::Slice(s) => write!(f, "contract &{s}"),
-                ContractArg::Pair(a, b) => write!(f, "contract &[{a},{b}]"),
-                ContractArg::Unknown => write!(f, "contract ?"),
-            },
         }
     }
 }
@@ -378,11 +303,7 @@ mod tests {
     #[test]
     fn event_level_relations() {
         let mut cfg = diamond();
-        let ev = |k: EventKind| Event {
-            kind: k,
-            line: 1,
-            guard_depth: 0,
-        };
+        let ev = |k: EventKind| Event { kind: k, line: 1 };
         cfg.blocks[0].events.push(ev(EventKind::RawRead));
         cfg.blocks[0].events.push(ev(EventKind::RawWrite));
         cfg.blocks[1].events.push(ev(EventKind::RawRead));

@@ -5,12 +5,13 @@
 //!
 //! * the static side — one reading of the source ([`syntax`]: one lexer
 //!   that keeps comments, one parser; [`cfg`](mod@cfg): one lowering to typed
-//!   events) and the five [`passes`] over it: four path-sensitive flow
-//!   passes (lockset, lock order, publication, the §4 fence) and one
-//!   site-local one (the memory-ordering invariant table over
-//!   `rtle-core`/`rtle-htm`/…). Generic Rust hygiene (`// SAFETY:`
-//!   comments, `unwrap`/`panic!` bans in hot-path modules) is clippy's,
-//!   from the workspace lint table.
+//!   events) and the three [`passes`] over it: two path-sensitive flow
+//!   passes (publication, the §4 fence) and one site-local one (the
+//!   memory-ordering invariant table over `rtle-core`/`rtle-htm`/…).
+//!   Generic Rust hygiene (`// SAFETY:` comments, `unwrap`/`panic!` bans
+//!   in hot-path modules) is clippy's, from the workspace lint table; the
+//!   sharded map's lockset and lock order are `rtle-shard`'s types and
+//!   its `clippy.toml`.
 //! * [`model`] — an exhaustive interleaving explorer over small closed
 //!   configurations of the TLE / RW-TLE / FG-TLE / lazy-subscription state
 //!   machines, validating every committed history against a

@@ -3,13 +3,12 @@
 //!
 //! * `lint` — run the site-local pass (the memory-ordering table) over the
 //!   workspace sources.
-//! * `analyze` — run the four path-sensitive flow passes (lockset,
-//!   lock-order, publication, §4 fence) and verify the seeded analyzer
-//!   mutants are caught.
+//! * `analyze` — run the two path-sensitive flow passes (publication, §4
+//!   fence) and verify the seeded analyzer mutant is caught.
 //! * `model` — exhaustively check the standard protocol configurations
 //!   *and* verify the seeded model mutants (lazy subscription, TL2 stale
 //!   read, swhtm validate-first extension, carried `wv`) are caught.
-//! * `all` (default) — all five passes in one reading of the sources,
+//! * `all` (default) — all three passes in one reading of the sources,
 //!   then the model.
 //!
 //! `lint`, `analyze` and `all` are pass filters over the one driver; with

@@ -1,17 +1,15 @@
-//! The five passes and their one driver.
+//! The three passes and their one driver.
 //!
 //! The driver ([`analyze_workspace`]) parses every workspace source file
 //! some pass covers once — [`crate::syntax::parse_file`]: one token
 //! stream, its comments, one item tree — lowers each of its functions with
 //! [`crate::cfg`], and runs the passes over the lowering, each scoped to
-//! the files whose invariants it encodes. Four are
+//! the files whose invariants it encodes. Two are
 //! path-sensitive **flow passes** (`rtle-check analyze`):
 //!
 //! | pass          | scope                         | invariant |
 //! |---------------|-------------------------------|-----------|
-//! | `lockset`     | `shard/src/`                  | shard `map` only touched under a guard |
-//! | `lock-order`  | `shard/src/`                  | cross-shard acquisition ascending |
-//! | `publication` | htm cell/swhtm/stripe, hytm tl2, core lock/barrier | Release publishes after init; raw reads behind Acquire |
+//! | `publication` | htm cell/swhtm/stripe, hytm tl2, core lock/barrier, stm | Release publishes after init; raw reads behind Acquire |
 //! | `fence`       | `core/src/orec.rs`, `hytm/src/tl2.rs` | §4 store-load fence post-dominates the stamp |
 //!
 //! and one is a **site-local pass** (`rtle-check lint`):
@@ -23,7 +21,11 @@
 //! Generic Rust hygiene is not a pass: `// SAFETY:` on every `unsafe`
 //! block and no `unwrap`/`panic!` in the hot-path modules are clippy lints
 //! (the root `Cargo.toml`'s `[workspace.lints]` table and each hot-path
-//! module's `#![warn(clippy::unwrap_used, clippy::panic)]`).
+//! module's `#![warn(clippy::unwrap_used, clippy::panic)]`). Nor are the
+//! sharded map's two invariants: its map is private to `shard/src/shard.rs`
+//! and reachable only with the shard's lock, and its one multi-shard
+//! section constructor sorts before it locks, the only `lock_section` call
+//! that `shard/clippy.toml` allows (DESIGN §7a).
 //!
 //! Findings can be suppressed with a `// lockcheck: <reason>` comment
 //! within three lines of the site; the reason is
@@ -33,8 +35,6 @@
 //! regression test for the analyzer itself.
 
 pub mod fence;
-pub mod lock_order;
-pub mod lockset;
 pub mod ordering;
 pub mod publication;
 
@@ -46,18 +46,12 @@ use rtle_obs::{Json, SCHEMA_VERSION};
 use crate::cfg::{lower_fn, FnCfg};
 use crate::syntax::{for_each_fn, parse_file, Comments};
 
-/// The five passes: the four flow passes, then the site-local one.
-pub const PASSES: [&str; 5] = [
-    "lockset",
-    "lock-order",
-    "publication",
-    "fence",
-    "ordering-table",
-];
+/// The three passes: the two flow passes, then the site-local one.
+pub const PASSES: [&str; 3] = ["publication", "fence", "ordering-table"];
 
 /// How many of [`PASSES`] are flow passes (`rtle-check analyze` runs
 /// those, `rtle-check lint` the rest).
-pub const FLOW_PASSES: usize = 4;
+pub const FLOW_PASSES: usize = 2;
 
 /// A raw (line, message) finding from a single pass run.
 #[derive(Debug)]
@@ -107,7 +101,7 @@ impl fmt::Display for Finding {
 /// Outcome of one seeded mutant.
 #[derive(Debug)]
 pub struct MutantResult {
-    /// Cargo feature gating the mutant (`mutant-lock-order`, ...).
+    /// Cargo feature gating the mutant (`mutant-publication`).
     pub feature: String,
     /// Pass expected to catch it.
     pub pass: &'static str,
@@ -118,10 +112,7 @@ pub struct MutantResult {
 }
 
 /// The seeded mutants the workspace must contain and catch.
-pub const EXPECTED_MUTANTS: &[(&str, &str)] = &[
-    ("mutant-lock-order", "lock-order"),
-    ("mutant-publication", "publication"),
-];
+pub const EXPECTED_MUTANTS: &[(&str, &str)] = &[("mutant-publication", "publication")];
 
 /// Whole-workspace analysis result.
 #[derive(Debug)]
@@ -249,10 +240,6 @@ fn passes_for(path_str: &str) -> Vec<&'static str> {
     // orec-style stamp added to the backend is checked automatically.
     const FENCE_FILES: &[&str] = &["core/src/orec.rs", "hytm/src/tl2.rs"];
     let mut v = Vec::new();
-    if path_str.contains("shard/src/") {
-        v.push("lockset");
-        v.push("lock-order");
-    }
     if PUBLICATION_FILES.iter().any(|f| path_str.ends_with(f)) {
         v.push("publication");
     }
@@ -275,8 +262,6 @@ fn run_pass(
     comments: &Comments,
 ) -> Vec<(&'static str, PassFinding)> {
     let findings = match name {
-        "lockset" => lockset::run(cfg),
-        "lock-order" => lock_order::run(cfg),
         "publication" => publication::run(cfg),
         "fence" => fence::run(cfg),
         "ordering-table" => return ordering::run(path, cfg, comments),
@@ -454,8 +439,8 @@ pub(crate) mod tests {
 
     #[test]
     fn suppression_with_reason_marks_finding() {
-        let src = "impl M {\n    fn len_plain(&self) -> usize {\n        // lockcheck: advisory read, documented racy\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
-        let (f, _) = analyze_one("crates/shard/src/sharded.rs", src);
+        let src = "impl M {\n    fn peek(&self) -> u64 {\n        // lockcheck: advisory read, documented racy\n        unsafe { *self.slot.get() }\n    }\n}\n";
+        let (f, _) = analyze_one("crates/htm/src/cell.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].suppressed);
         assert_eq!(
@@ -466,20 +451,20 @@ pub(crate) mod tests {
 
     #[test]
     fn suppression_without_reason_is_a_finding() {
-        let src = "impl M {\n    fn len_plain(&self) -> usize {\n        // lockcheck:\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
-        let (f, _) = analyze_one("crates/shard/src/sharded.rs", src);
+        let src = "impl M {\n    fn peek(&self) -> u64 {\n        // lockcheck:\n        unsafe { *self.slot.get() }\n    }\n}\n";
+        let (f, _) = analyze_one("crates/htm/src/cell.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().any(|f| f.pass == "suppression" && !f.suppressed));
     }
 
     #[test]
     fn mutant_findings_divert_to_bucket() {
-        let src = "impl M {\n    #[cfg(feature = \"mutant-lock-order\")]\n    fn bad(&self, s1: usize, s2: usize) {\n        let (lo, hi) = if s1 < s2 { (s1, s2) } else { (s2, s1) };\n        let g_hi = self.shards[hi].lock.lock_section();\n        let g_lo = self.shards[lo].lock.lock_section();\n    }\n}\n";
-        let (f, hits) = analyze_one("crates/shard/src/mutants.rs", src);
+        let src = "impl M {\n    #[cfg(feature = \"mutant-publication\")]\n    fn bad(&self, v: u64) {\n        self.ready.store(true, Ordering::Release);\n        unsafe { *self.slot.get() = v };\n    }\n}\n";
+        let (f, hits) = analyze_one("crates/htm/src/mutants.rs", src);
         assert!(f.is_empty(), "mutant findings must not gate: {f:?}");
         assert!(
             hits.iter()
-                .any(|(feat, pass, _)| feat == "mutant-lock-order" && *pass == "lock-order"),
+                .any(|(feat, pass, _)| feat == "mutant-publication" && *pass == "publication"),
             "{hits:?}"
         );
     }
@@ -487,14 +472,14 @@ pub(crate) mod tests {
     #[test]
     fn test_functions_are_skipped() {
         let src =
-            "#[cfg(test)]\nmod tests {\n    fn t(&self) { self.shards[0].map.len_plain(); }\n}\n";
-        let (f, _) = analyze_one("crates/shard/src/sharded.rs", src);
+            "#[cfg(test)]\nmod tests {\n    fn t(&self) -> u64 { unsafe { *self.slot.get() } }\n}\n";
+        let (f, _) = analyze_one("crates/htm/src/cell.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn out_of_scope_files_are_not_analyzed() {
-        let src = "fn f(&self) { self.shards[0].map.len_plain(); }";
+        let src = "fn f(&self) -> u64 { unsafe { *self.slot.get() } }";
         let (f, _) = analyze_one("crates/bench/src/main.rs", src);
         assert!(f.is_empty());
     }
@@ -507,16 +492,16 @@ pub(crate) mod tests {
             functions: 7,
             elapsed_ms: 12,
             findings: vec![Finding {
-                path: PathBuf::from("crates/shard/src/sharded.rs"),
+                path: PathBuf::from("crates/htm/src/cell.rs"),
                 line: 4,
-                pass: "lockset",
+                pass: "publication",
                 msg: "m".into(),
                 suppressed: true,
                 reason: Some("r".into()),
             }],
             mutants: vec![MutantResult {
-                feature: "mutant-lock-order".into(),
-                pass: "lock-order",
+                feature: "mutant-publication".into(),
+                pass: "publication",
                 caught: true,
                 findings: 1,
             }],
@@ -626,11 +611,11 @@ pub(crate) mod tests {
 
     #[test]
     fn lint_and_analyze_are_filters_over_the_one_driver() {
-        let src = "impl M {\n    fn len_plain(&self) -> usize {\n        HINT.load(Ordering::Relaxed);\n        self.shards.iter().map(|s| s.map.len_plain()).sum()\n    }\n}\n";
+        let src = "impl M {\n    fn peek(&self) -> u64 {\n        HINT.load(Ordering::Relaxed);\n        unsafe { *self.slot.get() }\n    }\n}\n";
         let run = |passes: &[&'static str]| {
             let mut findings = Vec::new();
             analyze_file(
-                Path::new("crates/shard/src/sharded.rs"),
+                Path::new("crates/htm/src/cell.rs"),
                 src,
                 passes,
                 &mut findings,
@@ -638,8 +623,8 @@ pub(crate) mod tests {
             );
             findings.iter().map(|f| f.pass).collect::<Vec<_>>()
         };
-        assert_eq!(run(&PASSES[..FLOW_PASSES]), ["lockset"]);
+        assert_eq!(run(&PASSES[..FLOW_PASSES]), ["publication"]);
         assert_eq!(run(&PASSES[FLOW_PASSES..]), ["ordering-unaudited"]);
-        assert_eq!(run(&PASSES), ["lockset", "ordering-unaudited"]);
+        assert_eq!(run(&PASSES), ["publication", "ordering-unaudited"]);
     }
 }

@@ -44,7 +44,7 @@ pub struct FnItem {
     /// Parameter names (patterns reduced to their bound identifier).
     pub params: Vec<String>,
     /// `cfg(feature = "...")` value from attributes, when present
-    /// (e.g. `mutant-lock-order` for seeded analyzer mutants).
+    /// (e.g. `mutant-publication` for seeded analyzer mutants).
     pub cfg_feature: Option<String>,
     /// Body (absent for trait method declarations).
     pub body: Option<Block>,
@@ -230,12 +230,10 @@ pub enum Expr {
     Continue(usize),
     /// `expr?`.
     Try(Box<Expr>, usize),
-    /// `name!(...)`; `text` is the space-joined token stream inside.
+    /// `name!(...)`.
     Macro {
         /// Macro name (last path segment).
         name: String,
-        /// Raw joined tokens of the arguments.
-        text: String,
         /// The arguments read as a comma-separated expression list (a
         /// `Tuple`), so an atomic inside `vec![..]` or `assert!(..)` is
         /// still an event; what is not an expression degrades to `Unknown`.
@@ -294,27 +292,6 @@ impl Expr {
         }
     }
 
-    /// The expression as a dotted access path (`self.shards.lock`), when
-    /// it is a pure chain of paths / fields / indexes / derefs / refs.
-    /// Index segments render as `[..]`; anything else returns `None`.
-    pub fn access_path(&self) -> Option<Vec<String>> {
-        match self {
-            Expr::Path(segs, _) => Some(vec![segs.last()?.clone()]),
-            Expr::Field { base, name, .. } => {
-                let mut p = base.access_path()?;
-                p.push(name.clone());
-                Some(p)
-            }
-            Expr::Index { base, .. } => {
-                let mut p = base.access_path()?;
-                p.push("[..]".into());
-                Some(p)
-            }
-            Expr::Deref(e, _) | Expr::Ref(e, _) => e.access_path(),
-            _ => None,
-        }
-    }
-
     /// The "receiver name" for rule lookups: the last name of the
     /// expression once index, deref, reference and call-argument groups
     /// are stripped — `self.stamps[i]` → `stamps`, `(*e.cell)` → `cell`,
@@ -328,34 +305,6 @@ impl Expr {
             | Expr::Index { base: e, .. }
             | Expr::Deref(e, _)
             | Expr::Ref(e, _) => e.receiver_name(),
-            _ => None,
-        }
-    }
-
-    /// If this expression indexes `<...>.shards[IDX]` (possibly under
-    /// further field accesses), the index expression.
-    pub fn shards_index(&self) -> Option<&Expr> {
-        match self {
-            Expr::Index { base, index, .. } => {
-                if base.receiver_name().as_deref() == Some("shards") {
-                    Some(index)
-                } else {
-                    base.shards_index()
-                }
-            }
-            Expr::Field { base, .. } | Expr::MethodCall { recv: base, .. } => base.shards_index(),
-            Expr::Deref(e, _) | Expr::Ref(e, _) => e.shards_index(),
-            _ => None,
-        }
-    }
-
-    /// A compact single-identifier rendering of an index expression:
-    /// `hi` → `hi`, `3` → `3`, `*idx` → `idx`; anything compound → `None`.
-    pub fn simple_symbol(&self) -> Option<String> {
-        match self {
-            Expr::Path(segs, _) => segs.last().cloned(),
-            Expr::Lit(t, _) => Some(t.clone()),
-            Expr::Deref(e, _) | Expr::Ref(e, _) => e.simple_symbol(),
             _ => None,
         }
     }

@@ -1134,25 +1134,17 @@ impl Parser {
             }
         }
         if self.at("!") && !self.at_off(1, "=") {
-            // Macro call: capture the raw argument tokens, and read them
-            // as a comma-separated expression list as well.
+            // Macro call: read the arguments as a comma-separated
+            // expression list.
             self.pos += 1;
             let name = segs.last().cloned().unwrap_or_default();
             let mut args = Vec::new();
-            let mut text = Vec::new();
             if let Some((open, close)) = self.group_delims() {
                 self.pos += 1;
-                let start = self.pos;
                 args = self.within_group(open, close, |p| p.parse_expr_list(""));
-                text.extend(
-                    self.toks[start..self.pos.saturating_sub(1)]
-                        .iter()
-                        .map(|t| t.text.clone()),
-                );
             }
             return Expr::Macro {
                 name,
-                text: text.join(" "),
                 args: Box::new(Expr::Tuple(args, line)),
                 line,
             };
@@ -1314,10 +1306,14 @@ mod tests {
             panic!("expected method call, got {:?}", body.stmts[0]);
         };
         assert_eq!(method, "execute");
-        assert_eq!(
-            recv.access_path().unwrap(),
-            ["self", "shards", "[..]", "lock"]
-        );
+        let Expr::Field { base, name, .. } = &**recv else {
+            panic!("expected `<..>.lock`, got {recv:?}");
+        };
+        assert_eq!(name, "lock");
+        let Expr::Index { base, .. } = &**base else {
+            panic!("expected `<..>.shards[i]`, got {base:?}");
+        };
+        assert!(matches!(&**base, Expr::Field { name, .. } if name == "shards"));
         assert!(matches!(args[0], Expr::Closure { .. }));
     }
 
@@ -1342,15 +1338,15 @@ mod tests {
             panic!("cmp cond")
         };
         assert_eq!(op, "<");
-        assert_eq!(lhs.simple_symbol().unwrap(), "s1");
-        assert_eq!(rhs.simple_symbol().unwrap(), "s2");
+        assert!(matches!(&**lhs, Expr::Path(p, _) if p == &["s1"]));
+        assert!(matches!(&**rhs, Expr::Path(p, _) if p == &["s2"]));
     }
 
     #[test]
     fn cfg_feature_attr_is_captured() {
-        let src = "#[cfg(feature = \"mutant-lock-order\")]\npub fn bad(&self) {}";
+        let src = "#[cfg(feature = \"mutant-publication\")]\npub fn bad(&self) {}";
         let f = first_fn(src);
-        assert_eq!(f.cfg_feature.as_deref(), Some("mutant-lock-order"));
+        assert_eq!(f.cfg_feature.as_deref(), Some("mutant-publication"));
     }
 
     #[test]
@@ -1391,11 +1387,15 @@ mod tests {
         );
         assert_eq!(f.params, ["v"]);
         let body = f.body.unwrap();
-        let Stmt::Expr(Expr::Macro { name, text, .. }) = &body.stmts[0] else {
+        let Stmt::Expr(Expr::Macro { name, args, .. }) = &body.stmts[0] else {
             panic!("macro");
         };
         assert_eq!(name, "debug_assert");
-        assert!(text.contains("windows"));
+        let Expr::Tuple(items, _) = &**args else {
+            panic!("macro arguments read as a list");
+        };
+        assert_eq!(items.len(), 2, "{items:?}");
+        assert!(matches!(&items[0], Expr::MethodCall { method, .. } if method == "all"));
     }
 
     #[test]

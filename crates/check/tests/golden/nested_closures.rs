@@ -1,5 +1,5 @@
 // Golden-test snippet: nested closures, iterator adapters, and a
-// guard-method closure — the shapes the sharded map's hot paths use.
+// critical-section closure — shapes the sharded map's hot paths use.
 impl Sharded {
     fn batch_get(&self, keys: &[u64]) -> Vec<Option<u64>> {
         keys.iter()

@@ -159,13 +159,13 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
                     // retry → lock path); it only reads `ops`, and each
                     // run rewrites its chunk's slots, so the committing
                     // run's results are the ones left.
-                    shard.lock.execute(|ctx| {
+                    shard.execute(|map, ctx| {
                         for &i in chunk {
                             slots[i].set(match ops[i] {
-                                MapOp::Insert(k, v) => OpResult::Value(shard.map.insert(ctx, k, v)),
-                                MapOp::Remove(k) => OpResult::Value(shard.map.remove(ctx, k)),
-                                MapOp::Get(k) => OpResult::Found(shard.map.get(ctx, k)),
-                                MapOp::Contains(k) => OpResult::Present(shard.map.contains(ctx, k)),
+                                MapOp::Insert(k, v) => OpResult::Value(map.insert(ctx, k, v)),
+                                MapOp::Remove(k) => OpResult::Value(map.remove(ctx, k)),
+                                MapOp::Get(k) => OpResult::Found(map.get(ctx, k)),
+                                MapOp::Contains(k) => OpResult::Present(map.contains(ctx, k)),
                             });
                         }
                     });

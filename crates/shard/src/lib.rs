@@ -49,9 +49,8 @@
 
 pub mod batch;
 pub mod map;
-#[cfg(feature = "mutant-lock-order")]
-pub mod mutants;
 pub mod obs;
+mod shard;
 pub mod sharded;
 
 pub use batch::{MapOp, OpResult, BATCH_CHUNK};

@@ -8,7 +8,7 @@
 #![warn(clippy::unwrap_used, clippy::panic)]
 
 use rtle_htm::table::{Entry, Table};
-use rtle_htm::{PlainAccess, TxAccess, TxCell, TxWord};
+use rtle_htm::{TxAccess, TxCell, TxWord};
 
 /// A fixed-capacity transactional `u64 → V` map with linear-probing open
 /// addressing. Deletions leave tombstones (probe chains stay intact); the
@@ -75,29 +75,29 @@ impl<V: TxWord> TxMap<V> {
         Some(prev)
     }
 
-    /// Live entry count. O(capacity); quiescent use only.
-    pub fn len_plain(&self) -> usize {
-        let a = PlainAccess;
+    /// Live entry count. O(capacity): reads every slot's key.
+    pub fn len<A: TxAccess + ?Sized>(&self, a: &A) -> usize {
         self.table
             .slots()
             .iter()
-            .filter(|slot| slot.key(&a).is_some())
+            .filter(|slot| slot.key(a).is_some())
             .count()
     }
 
-    /// All `(key, value)` entries, unordered. Quiescent use only.
-    pub fn entries_plain(&self) -> Vec<(u64, V)> {
-        let a = PlainAccess;
+    /// All `(key, value)` entries, unordered. O(capacity).
+    pub fn entries<A: TxAccess + ?Sized>(&self, a: &A) -> Vec<(u64, V)> {
         self.table
             .slots()
             .iter()
-            .filter_map(|slot| Some((slot.key(&a)?, a.load(&slot.payload))))
+            .filter_map(|slot| Some((slot.key(a)?, a.load(&slot.payload))))
             .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rtle_htm::PlainAccess;
+
     use super::*;
 
     #[test]
@@ -112,7 +112,7 @@ mod tests {
         assert_eq!(m.remove(&a, 7), Some(71));
         assert_eq!(m.remove(&a, 7), None);
         assert_eq!(m.get(&a, 7), None);
-        assert_eq!(m.len_plain(), 0);
+        assert_eq!(m.len(&a), 0);
     }
 
     #[test]
@@ -138,8 +138,8 @@ mod tests {
         }
         // Reinsertion reuses the tombstone.
         assert_eq!(m.insert(&a, 2, 22), None);
-        assert_eq!(m.len_plain(), 5);
-        let mut entries = m.entries_plain();
+        assert_eq!(m.len(&a), 5);
+        let mut entries = m.entries(&a);
         entries.sort_unstable();
         assert_eq!(entries[2], (2, 22));
     }

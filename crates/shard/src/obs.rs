@@ -70,7 +70,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     pub fn shard_stats(&self) -> Vec<StatsSnapshot> {
         self.shards
             .iter()
-            .map(|s| s.lock.stats().snapshot())
+            .map(|s| s.lock().stats().snapshot())
             .collect()
     }
 
@@ -96,7 +96,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
             heat_conflicts: self
                 .shards
                 .iter()
-                .map(|s| s.lock.orec_heatmap().map_or(0, |h| h.total_conflicts()))
+                .map(|s| s.lock().orec_heatmap().map_or(0, |h| h.total_conflicts()))
                 .collect(),
             routed: self.routed_counts(),
             software_backend: self.software_backend_name(),
@@ -111,7 +111,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     pub fn software_backend_name(&self) -> Option<&'static str> {
         self.shards
             .first()
-            .and_then(|s| s.lock.software_backend_name())
+            .and_then(|s| s.lock().software_backend_name())
     }
 }
 
@@ -170,7 +170,7 @@ where
         registry.register(name, Arc::clone(self) as Arc<dyn LiveSource>);
         // `with_builder` clones one template per shard, so the first
         // shard's recorder is the shared cross-shard one.
-        if let Some(rec) = self.shards.first().and_then(|s| s.lock.recorder()) {
+        if let Some(rec) = self.shards.first().and_then(|s| s.lock().recorder()) {
             registry.register(
                 format!("{name}_recorder"),
                 Arc::clone(rec) as Arc<dyn LiveSource>,

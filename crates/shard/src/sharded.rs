@@ -24,7 +24,10 @@
 //! Multi-key operations that span shards ([`ShardedTxMap::multi_get`],
 //! [`ShardedTxMap::transfer`], [`ShardedTxMap::compare_and_swap_pair`])
 //! acquire every involved shard's lock **pessimistically, in ascending
-//! shard-index order**, via [`ElidableLock::lock_section`]. Deadlock
+//! shard-index order**, through the crate's one multi-shard section
+//! constructor, which sorts the indices it is given before it takes any
+//! lock ([`ElidableLock::lock_section`] is called nowhere else in the
+//! crate, and its `clippy.toml` disallows the method elsewhere). Deadlock
 //! freedom is the classical total-order argument: a thread only ever
 //! blocks on a shard index strictly greater than every index it already
 //! holds, so any wait-for cycle would need an index descent — impossible.
@@ -40,30 +43,19 @@
 // routed through here.
 #![warn(clippy::unwrap_used, clippy::panic)]
 
-use rtle_core::{ElidableLock, ElidableLockBuilder, ElisionPolicy, LockedSection};
+use rtle_core::{Ctx, ElidableLock, ElidableLockBuilder, ElisionPolicy};
 use rtle_htm::hash::wang_mix64;
-use rtle_htm::lanes::Lanes;
 use rtle_htm::{HtmBackend, SwHtmBackend, TxWord};
 
 use crate::batch::with_scratch;
 use crate::map::TxMap;
+use crate::shard::{with_shards_locked, Held, Shard};
 
 /// Default orecs per shard for [`ShardedTxMap::new`]: small, because each
 /// shard's conflict domain is already 1/`shards` of the key space —
 /// PAPERS.md's "progressive TM" point that small per-domain conflict
 /// tables beat one big one.
 pub const DEFAULT_ORECS_PER_SHARD: usize = 128;
-
-pub(crate) struct Shard<V: TxWord, B: HtmBackend> {
-    pub(crate) lock: ElidableLock<B>,
-    pub(crate) map: TxMap<V>,
-    /// Operations routed to this shard (single-key, batched, and
-    /// cross-shard legs all count): an advisory load metric every routed
-    /// op of every thread bumps, so it is a counter lane set of its own —
-    /// no line shared with the read-mostly lock and map headers beside
-    /// it, nor with another thread's bumps.
-    pub(crate) routed: Lanes<1>,
-}
 
 /// A transactional `u64 → V` map partitioned over `shards` independent
 /// [`ElidableLock`]-protected [`TxMap`]s. See the module docs for the
@@ -144,11 +136,7 @@ impl<V: TxWord + Default, B: HtmBackend + Clone> ShardedTxMap<V, B> {
         let bits = shards.trailing_zeros();
         ShardedTxMap {
             shards: (0..shards)
-                .map(|_| Shard {
-                    lock: template.clone().build(),
-                    map: TxMap::with_capacity(capacity_per_shard),
-                    routed: Lanes::new(),
-                })
+                .map(|_| Shard::new(template.clone().build(), capacity_per_shard))
                 .collect(),
             // For 1 shard, bits = 0 and a 64-bit shift would be UB; route
             // everything to shard 0 via a full shift of a zeroed index.
@@ -179,39 +167,26 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
         s
     }
 
-    /// Runs `f` under `key`'s shard lock — the pessimistic, instrumented
-    /// lock-holder path, never speculation. For maintenance operations
-    /// that must not run in a hardware transaction (audits, scans with
-    /// irrevocable side effects, HTM-unfriendly work): the shard's other
+    /// Runs `f` over shard `idx`'s map under its lock — the pessimistic,
+    /// instrumented lock-holder path, never speculation. For maintenance
+    /// operations that must not run in a hardware transaction (audits,
+    /// scans with irrevocable side effects, HTM-unfriendly work), shard by
+    /// shard (incremental audits, per-shard compaction sweeps);
+    /// [`Self::shard_of`] names the shard of a key. The shard's other
     /// traffic keeps speculating on the instrumented slow path while `f`
     /// runs, and every *other* shard is completely unaffected — the
     /// single-lock pathology (one pessimistic op stalling the whole map)
     /// shrinks to one shard.
-    pub fn with_key_shard_locked<R>(
-        &self,
-        key: u64,
-        f: impl FnOnce(&TxMap<V>, &rtle_core::Ctx<'_>) -> R,
-    ) -> R {
-        self.with_shard_locked(self.shard_of(key), f)
-    }
-
-    /// [`Self::with_key_shard_locked`] addressed by shard index instead of
-    /// by key — for maintenance that walks the shards themselves
-    /// (incremental audits, per-shard compaction sweeps), where the unit
-    /// of work is "shard `idx`", not "the shard owning key `k`".
     ///
     /// # Panics
     ///
     /// Panics if `idx >= self.shard_count()`.
-    pub fn with_shard_locked<R>(
-        &self,
-        idx: usize,
-        f: impl FnOnce(&TxMap<V>, &rtle_core::Ctx<'_>) -> R,
-    ) -> R {
-        let s = &self.shards[idx];
-        s.routed.add(0, 1);
-        let guard = s.lock.lock_section();
-        f(&s.map, guard.ctx())
+    pub fn with_shard_locked<R>(&self, idx: usize, f: impl FnOnce(&TxMap<V>, &Ctx<'_>) -> R) -> R {
+        self.shards[idx].routed.add(0, 1);
+        with_shards_locked(&self.shards, &mut [idx], |held| {
+            let (map, ctx) = held.shard(idx);
+            f(map, ctx)
+        })
     }
 
     /// The lock and store of `key`'s shard — the composable-transaction
@@ -223,59 +198,28 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     /// [`Self::get`]-family operations, which drive the shard's own
     /// speculation ladder.
     pub fn shard_parts(&self, key: u64) -> (&ElidableLock<B>, &TxMap<V>) {
-        let s = self.route(key);
-        // lockcheck: returns the lock/map pair without touching map state;
-        // the stm layer enrolls the lock before every access it routes.
-        (&s.lock, &s.map)
+        self.route(key).parts()
     }
 
     /// Looks `key` up. Single-shard: speculates on the key's shard only.
     pub fn get(&self, key: u64) -> Option<V> {
-        let s = self.route(key);
-        s.lock.execute(|ctx| s.map.get(ctx, key))
+        self.route(key).execute(|map, ctx| map.get(ctx, key))
     }
 
     /// Membership probe.
     pub fn contains(&self, key: u64) -> bool {
-        let s = self.route(key);
-        s.lock.execute(|ctx| s.map.contains(ctx, key))
+        self.route(key).execute(|map, ctx| map.contains(ctx, key))
     }
 
     /// Inserts or updates `key`; returns the previous value, if any.
     pub fn insert(&self, key: u64, value: V) -> Option<V> {
-        let s = self.route(key);
-        s.lock.execute(|ctx| s.map.insert(ctx, key, value))
+        self.route(key)
+            .execute(|map, ctx| map.insert(ctx, key, value))
     }
 
     /// Removes `key`; returns the removed value.
     pub fn remove(&self, key: u64) -> Option<V> {
-        let s = self.route(key);
-        s.lock.execute(|ctx| s.map.remove(ctx, key))
-    }
-
-    /// Runs `f` with every listed shard locked in ascending index order
-    /// (the deadlock-freedom spine; see module docs). `idxs` must be
-    /// sorted and deduplicated; the guards passed to `f` are parallel to
-    /// `idxs`. A pair — what every two-shard operation locks — holds its
-    /// guards in an array; only a wider set needs a `Vec`. Either way the
-    /// guards drop front to back, so the locks are released in ascending
-    /// order as well: release order does not matter for deadlock freedom,
-    /// only acquisition order does.
-    pub(crate) fn with_shards_locked<R>(
-        &self,
-        idxs: &[usize],
-        f: impl FnOnce(&[LockedSection<'_, B>]) -> R,
-    ) -> R {
-        debug_assert!(idxs.windows(2).all(|w| w[0] < w[1]), "ascending order");
-        let enter = |i: usize| {
-            self.shards[i].routed.add(0, 1);
-            self.shards[i].lock.lock_section()
-        };
-        if let [lo, hi] = *idxs {
-            return f(&[enter(lo), enter(hi)]);
-        }
-        let guards: Vec<LockedSection<'_, B>> = idxs.iter().map(|&i| enter(i)).collect();
-        f(&guards)
+        self.route(key).execute(|map, ctx| map.remove(ctx, key))
     }
 
     /// Atomically reads every key in `keys`, returning values parallel to
@@ -283,31 +227,27 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     /// section; keys spanning shards use the ordered cross-shard path, so
     /// the result is one consistent snapshot across all involved shards.
     pub fn multi_get(&self, keys: &[u64]) -> Vec<Option<V>> {
-        if keys.is_empty() {
+        let Some(&first) = keys.first() else {
             return Vec::new();
-        }
-        // The involved shards, ascending and distinct, in the thread's
-        // scratch: the call allocates its result and, across more than
-        // two shards, the guard list — nothing else.
-        with_scratch(self.shard_count(), |sorted| {
-            sorted.extend(keys.iter().map(|&k| self.shard_of(k)));
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() == 1 {
-                let s = self.route(keys[0]);
-                return s
-                    .lock
-                    .execute(|ctx| keys.iter().map(|&k| s.map.get(ctx, k)).collect());
+        };
+        // The involved shards in the thread's scratch: the call allocates
+        // its result and, across more than two shards, the section list —
+        // nothing else.
+        with_scratch(self.shard_count(), |idxs| {
+            idxs.extend(keys.iter().map(|&k| self.shard_of(k)));
+            if idxs.iter().all(|&i| i == idxs[0]) {
+                return self
+                    .route(first)
+                    .execute(|map, ctx| keys.iter().map(|&k| map.get(ctx, k)).collect());
             }
-            let sorted: &[usize] = sorted;
-            self.with_shards_locked(sorted, |guards| {
+            with_shards_locked(&self.shards, idxs, |held| {
+                for (i, ..) in held.iter() {
+                    self.shards[i].routed.add(0, 1);
+                }
                 keys.iter()
                     .map(|&k| {
-                        let idx = self.shard_of(k);
-                        let at = sorted
-                            .binary_search(&idx)
-                            .expect("every routed shard index is in the sorted set");
-                        self.shards[idx].map.get(guards[at].ctx(), k)
+                        let (map, ctx) = held.shard(self.shard_of(k));
+                        map.get(ctx, k)
                     })
                     .collect()
             })
@@ -328,28 +268,24 @@ impl<V: TxWord + PartialEq, B: HtmBackend> ShardedTxMap<V, B> {
     ) -> bool {
         let (s1, s2) = (self.shard_of(k1), self.shard_of(k2));
         if s1 == s2 {
-            let s = self.route(k1);
-            return s.lock.execute(|ctx| {
-                let ok = s.map.get(ctx, k1) == Some(expect1) && s.map.get(ctx, k2) == Some(expect2);
+            return self.route(k1).execute(|map, ctx| {
+                let ok = map.get(ctx, k1) == Some(expect1) && map.get(ctx, k2) == Some(expect2);
                 if ok {
-                    s.map.insert(ctx, k1, new1);
-                    s.map.insert(ctx, k2, new2);
+                    map.insert(ctx, k1, new1);
+                    map.insert(ctx, k2, new2);
                 }
                 ok
             });
         }
-        let (lo, hi) = if s1 < s2 { (s1, s2) } else { (s2, s1) };
-        self.with_shards_locked(&[lo, hi], |guards| {
-            let (g1, g2) = if s1 == lo {
-                (&guards[0], &guards[1])
-            } else {
-                (&guards[1], &guards[0])
-            };
-            let ok = self.shards[s1].map.get(g1.ctx(), k1) == Some(expect1)
-                && self.shards[s2].map.get(g2.ctx(), k2) == Some(expect2);
+        for s in [s1, s2] {
+            self.shards[s].routed.add(0, 1);
+        }
+        with_shards_locked(&self.shards, &mut [s1, s2], |held| {
+            let ((m1, c1), (m2, c2)) = (held.shard(s1), held.shard(s2));
+            let ok = m1.get(c1, k1) == Some(expect1) && m2.get(c2, k2) == Some(expect2);
             if ok {
-                self.shards[s1].map.insert(g1.ctx(), k1, new1);
-                self.shards[s2].map.insert(g2.ctx(), k2, new2);
+                m1.insert(c1, k1, new1);
+                m2.insert(c2, k2, new2);
             }
             ok
         })
@@ -365,27 +301,16 @@ impl<B: HtmBackend> ShardedTxMap<u64, B> {
     pub fn transfer(&self, from: u64, to: u64, amount: u64) -> Result<(), TransferError> {
         let (sf, st) = (self.shard_of(from), self.shard_of(to));
         if sf == st {
-            let s = self.route(from);
-            return s
-                .lock
-                .execute(|ctx| Self::transfer_in(&s.map, ctx, &s.map, ctx, from, to, amount));
+            return self
+                .route(from)
+                .execute(|map, ctx| Self::transfer_in(map, ctx, map, ctx, from, to, amount));
         }
-        let (lo, hi) = if sf < st { (sf, st) } else { (st, sf) };
-        self.with_shards_locked(&[lo, hi], |guards| {
-            let (gf, gt) = if sf == lo {
-                (&guards[0], &guards[1])
-            } else {
-                (&guards[1], &guards[0])
-            };
-            Self::transfer_in(
-                &self.shards[sf].map,
-                gf.ctx(),
-                &self.shards[st].map,
-                gt.ctx(),
-                from,
-                to,
-                amount,
-            )
+        for s in [sf, st] {
+            self.shards[s].routed.add(0, 1);
+        }
+        with_shards_locked(&self.shards, &mut [sf, st], |held| {
+            let ((fm, fc), (tm, tc)) = (held.shard(sf), held.shard(st));
+            Self::transfer_in(fm, fc, tm, tc, from, to, amount)
         })
     }
 
@@ -423,32 +348,47 @@ impl<B: HtmBackend> ShardedTxMap<u64, B> {
         Ok(())
     }
 
-    /// Sum of all values (balances). Quiescent use only — races with
-    /// in-flight transfers see torn totals.
+    /// Sum of all values (balances), read under every shard's lock at
+    /// once (see [`Self::entries_plain`]).
     pub fn total_plain(&self) -> u64 {
-        // lockcheck: quiescent-only diagnostic; torn totals are documented.
-        self.shards
-            .iter()
-            .flat_map(|s| s.map.entries_plain())
-            .map(|(_, v)| v)
-            .sum()
+        self.with_all_locked(|held| {
+            held.iter()
+                .flat_map(|(_, map, ctx)| map.entries(ctx))
+                .map(|(_, v)| v)
+                .sum()
+        })
     }
 }
 
 impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
-    /// Live entries across all shards. Quiescent use only.
-    pub fn len_plain(&self) -> usize {
-        // lockcheck: quiescent-only diagnostic, documented above.
-        self.shards.iter().map(|s| s.map.len_plain()).sum()
+    /// Runs `f` with every shard's lock held: the whole map at one
+    /// instant. Counts no routed operation.
+    fn with_all_locked<R>(&self, f: impl FnOnce(&Held<'_, '_, V, B>) -> R) -> R {
+        with_shards_locked(
+            &self.shards,
+            &mut (0..self.shard_count()).collect::<Vec<_>>(),
+            f,
+        )
     }
 
-    /// All entries across all shards, unordered. Quiescent use only.
+    /// Live entries across all shards, read under every shard's lock at
+    /// once (see [`Self::entries_plain`]).
+    pub fn len_plain(&self) -> usize {
+        self.with_all_locked(|held| held.iter().map(|(_, map, ctx)| map.len(ctx)).sum())
+    }
+
+    /// All entries across all shards, unordered. For setup, audits and
+    /// exit checks: it holds every shard's lock for one O(total capacity)
+    /// scan, so it reads one consistent snapshot of the map, and meanwhile
+    /// each shard's other traffic runs only on its instrumented slow path
+    /// or waits. A caller that holds a shard's lock (inside
+    /// [`Self::with_shard_locked`]) must not call it.
     pub fn entries_plain(&self) -> Vec<(u64, V)> {
-        // lockcheck: quiescent-only diagnostic, documented above.
-        self.shards
-            .iter()
-            .flat_map(|s| s.map.entries_plain())
-            .collect()
+        self.with_all_locked(|held| {
+            held.iter()
+                .flat_map(|(_, map, ctx)| map.entries(ctx))
+                .collect()
+        })
     }
 }
 
@@ -456,8 +396,7 @@ impl<V: TxWord, B: HtmBackend> std::fmt::Debug for ShardedTxMap<V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedTxMap")
             .field("shards", &self.shards.len())
-            // lockcheck: capacity is fixed at construction, never mutated.
-            .field("capacity_per_shard", &self.shards[0].map.capacity())
+            .field("capacity_per_shard", &self.shards[0].capacity())
             .finish_non_exhaustive()
     }
 }

@@ -117,11 +117,14 @@ stage "clippy (deny warnings)"
 # every feature, under the root Cargo.toml's `[workspace.lints]` table
 # (`missing_docs`, `undocumented_unsafe_blocks`) plus the hot-path
 # modules' own `#![warn(clippy::unwrap_used, clippy::panic)]`
-# (clippy.toml exempts test code from those two). `--all-features` also
-# type-checks the `rtm` backend and the seeded mutants (`mutant-*`,
-# `tl2-stale-read-mutant`), so the seeded code cannot rot while staying
-# caught. The benchmark package is its own workspace: it is linted too,
-# check only.
+# (clippy.toml exempts test code from those two). It also holds the
+# sharded map's lock order: crates/shard/clippy.toml disallows
+# `ElidableLock::lock_section` in rtle-shard outside its one sorting
+# section constructor, so a shard lock taken anywhere else fails here.
+# `--all-features` also type-checks the `rtm` backend and the seeded
+# mutants (`mutant-publication`, `tl2-stale-read-mutant`), so the seeded
+# code cannot rot while staying caught. The benchmark package is its own
+# workspace: it is linted too, check only.
 cargo clippy --workspace --all-targets --all-features -q -- -D warnings
 cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -q -- -D warnings
 
@@ -130,12 +133,12 @@ stage "rustdoc (deny warnings)"
 # public documentation.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-stage "rtle-check (five static passes + interleaving model)"
+stage "rtle-check (three static passes + interleaving model)"
 # Zero-findings gate: `all` reads every source file some pass covers once
-# (one lexer, one parser, one lowering to events) and runs the five passes
-# over that reading — lockset, lock-order, publication, §4 fence (flow)
-# and ordering-table (site-local); any unsuppressed finding or missed
-# seeded mutant is a non-zero exit — then the model checker:
+# (one lexer, one parser, one lowering to events) and runs the three
+# passes over that reading — publication, §4 fence (flow) and
+# ordering-table (site-local); any unsuppressed finding or a missed
+# `mutant-publication` is a non-zero exit — then the model checker:
 # one generic explorer + terminal judge (`model::explore::<M>`,
 # `model::judge`) over every `impl Machine`, which must verify every safe
 # configuration — three row families: the TLE machine's eight (`tle-*`,
