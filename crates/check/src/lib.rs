@@ -3,15 +3,15 @@
 //!
 //! Two engines, both dependency-free:
 //!
-//! * the static side — one reading of the source ([`syntax`]: one lexer
-//!   that keeps comments, one parser; [`cfg`](mod@cfg): one lowering to typed
-//!   events) and the three [`passes`] over it: two path-sensitive flow
-//!   passes (publication, the §4 fence) and one site-local one (the
-//!   memory-ordering invariant table over `rtle-core`/`rtle-htm`/…).
-//!   Generic Rust hygiene (`// SAFETY:` comments, `unwrap`/`panic!` bans
-//!   in hot-path modules) is clippy's, from the workspace lint table; the
-//!   sharded map's lockset and lock order are `rtle-shard`'s types and
-//!   its `clippy.toml`.
+//! * [`ordering`] — the memory-ordering table: every atomic site of
+//!   `rtle-core`/`rtle-htm`/`rtle-hytm`/`rtle-shard`/`rtle-stm` and the
+//!   recording side of `rtle-obs`, read off one token stream ([`lexer`]),
+//!   matches its table row or carries a `// ordering: <reason>` comment.
+//!   The other source invariants are held elsewhere: generic Rust hygiene
+//!   by clippy's workspace lint table, the sharded map's lockset and lock
+//!   order by `rtle-shard`'s types and its `clippy.toml`, publication by
+//!   the `UnsafeCell` ban in `clippy.toml`, and the §4 fence by the orec
+//!   arrays' privacy and `tests/one_home.rs` (DESIGN §7a).
 //! * [`model`] — an exhaustive interleaving explorer over small closed
 //!   configurations of the TLE / RW-TLE / FG-TLE / lazy-subscription state
 //!   machines, validating every committed history against a
@@ -19,13 +19,12 @@
 //!   lazy-subscription mutant the checker must catch — a regression test
 //!   for the oracle itself.
 //!
-//! Run both with `cargo run -p rtle-check` (see `main.rs` for flags); the
-//! tier-1 script wires this into CI.
+//! Run both with `cargo run -p rtle-check` (see `main.rs` for the
+//! subcommands); the tier-1 script wires this into CI.
 
-pub mod cfg;
+pub mod lexer;
 pub mod model;
-pub mod passes;
-pub mod syntax;
+pub mod ordering;
 
 use std::path::{Path, PathBuf};
 

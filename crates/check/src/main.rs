@@ -1,18 +1,12 @@
-//! `rtle-check` CLI:
-//! `rtle-check [--root <path>] [--json <file>] [lint|analyze|model|all]`.
+//! `rtle-check` CLI: `rtle-check [--root <path>] [lint|model|all]`.
 //!
-//! * `lint` — run the site-local pass (the memory-ordering table) over the
-//!   workspace sources.
-//! * `analyze` — run the two path-sensitive flow passes (publication, §4
-//!   fence) and verify the seeded analyzer mutant is caught.
+//! * `lint` — audit every atomic site of the workspace sources against the
+//!   memory-ordering table.
 //! * `model` — exhaustively check the standard protocol configurations
 //!   *and* verify the seeded model mutants (lazy subscription, TL2 stale
-//!   read, swhtm validate-first extension, carried `wv`) are caught.
-//! * `all` (default) — all three passes in one reading of the sources,
-//!   then the model.
-//!
-//! `lint`, `analyze` and `all` are pass filters over the one driver; with
-//! `--json <file>` its report is exported through the rtle-obs JSON schema.
+//!   read, swhtm validate-first extension, carried `wv`, the two park
+//!   mutants) are caught.
+//! * `all` (default) — `lint`, then `model`.
 //!
 //! Exit code 0 iff everything is clean (and every mutant was detected).
 
@@ -21,45 +15,24 @@ use std::process::ExitCode;
 
 use rtle_check::find_workspace_root;
 use rtle_check::model::{explore_mutants, explore_safe, Report};
-use rtle_check::passes::{analyze_workspace, FLOW_PASSES, PASSES};
+use rtle_check::ordering::lint_workspace;
 
-/// Runs `passes` over the workspace, printing under the `mode` label.
-fn run_passes(mode: &str, root: &Path, passes: &[&'static str], json: Option<&Path>) -> bool {
-    let report = analyze_workspace(root, passes);
-    for f in report.unsuppressed() {
+/// Audits the workspace's atomic sites, printing under the `mode` label.
+fn run_lint(mode: &str, root: &Path) -> bool {
+    let report = lint_workspace(root);
+    for f in &report.findings {
         println!("{mode}: {f}");
     }
-    for m in &report.mutants {
-        println!(
-            "{mode}: mutant {:<22} [{}] -> {}",
-            m.feature,
-            m.pass,
-            if m.caught {
-                format!("CAUGHT ({} findings, as required)", m.findings)
-            } else {
-                "MISSED — analyzer regression!".to_string()
-            }
-        );
-    }
-    let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
-    let live = report.unsuppressed().count();
+    let clean = report.findings.is_empty();
     println!(
-        "{mode}: {} ({} passes, {} files, {} fns, {live} findings, {suppressed} suppressed, {} ms)",
-        if report.ok() { "OK" } else { "FAILED" },
-        passes.len(),
+        "{mode}: {} ({} sites in {} files, {} findings, {} ms)",
+        if clean { "OK" } else { "FAILED" },
+        report.sites,
         report.files,
-        report.functions,
+        report.findings.len(),
         report.elapsed_ms
     );
-    if let Some(path) = json {
-        let text = report.to_json().to_string_pretty();
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("{mode}: could not write {}: {e}", path.display());
-            return false;
-        }
-        println!("{mode}: report written to {}", path.display());
-    }
-    report.ok()
+    clean
 }
 
 /// Prints one explored configuration and returns whether it met its
@@ -121,28 +94,20 @@ fn run_model() -> bool {
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json: Option<PathBuf> = None;
     let mut mode = String::from("all");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--root" | "--json" => {
+            "--root" => {
                 let Some(v) = args.next() else {
                     eprintln!("rtle-check: {a} requires a path argument");
                     return ExitCode::from(2);
                 };
-                if a == "--root" {
-                    root = Some(PathBuf::from(v));
-                } else {
-                    json = Some(PathBuf::from(v));
-                }
+                root = Some(PathBuf::from(v));
             }
-            "lint" | "analyze" | "model" | "all" => mode = a,
+            "lint" | "model" | "all" => mode = a,
             other => {
-                eprintln!(
-                    "usage: rtle-check [--root <path>] [--json <file>] \
-                     [lint|analyze|model|all] (got {other:?})"
-                );
+                eprintln!("usage: rtle-check [--root <path>] [lint|model|all] (got {other:?})");
                 return ExitCode::from(2);
             }
         }
@@ -154,16 +119,10 @@ fn main() -> ExitCode {
     });
 
     let mut ok = true;
-    let passes = match mode.as_str() {
-        "lint" => &PASSES[FLOW_PASSES..],
-        "analyze" => &PASSES[..FLOW_PASSES],
-        "all" => &PASSES[..],
-        _ => &[],
-    };
-    if !passes.is_empty() {
-        let label = if mode == "all" { "check" } else { &mode };
+    if mode == "lint" || mode == "all" {
+        let label = if mode == "all" { "check" } else { "lint" };
         match &root {
-            Some(r) => ok &= run_passes(label, r, passes, json.as_deref()),
+            Some(r) => ok &= run_lint(label, r),
             None => {
                 eprintln!("rtle-check: could not locate the workspace root (use --root)");
                 ok = false;

@@ -1,21 +1,21 @@
-//! The site-local pass (`rtle-check lint`) must run clean on this
+//! The ordering table (`rtle-check lint`) must run clean on this
 //! workspace: `cargo test` therefore enforces the invariant table even
 //! when `scripts/tier1.sh` is skipped.
 
 use std::path::Path;
 
 use rtle_check::find_workspace_root;
-use rtle_check::passes::{analyze_workspace, FLOW_PASSES, PASSES};
+use rtle_check::lexer::lex;
+use rtle_check::ordering::{
+    in_scope, lint_workspace, relative, rule_for, sites, workspace_sources, ORDERING_RULES,
+};
 
 #[test]
 fn workspace_lint_is_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root locatable from crates/check");
-    let report = analyze_workspace(&root, &PASSES[FLOW_PASSES..]);
-    assert!(
-        report.mutants.is_empty(),
-        "the seeded mutants belong to the flow passes"
-    );
+    let report = lint_workspace(&root);
+    assert!(report.sites >= 74, "only {} sites audited", report.sites);
     assert!(
         report.findings.is_empty(),
         "lint findings:\n{}",
@@ -56,25 +56,15 @@ fn no_manifest_declares_a_trace_feature() {
 
 /// The watchdog's live mirror imports its ordering (`use …::Relaxed`), so
 /// every one of its atomic accesses is a bare `Relaxed` argument — four of
-/// them inside a `vec![..]`: the lowering must emit an event for each, and
-/// each must land on one of the three `obs/src/watchdog.rs` table rows
-/// rather than go unaudited.
+/// them inside a `vec![..]`: the scanner must find each, and each must
+/// land on one of the three `obs/src/watchdog.rs` table rows rather than
+/// go unaudited.
 #[test]
 fn watchdog_live_mirror_sites_match_their_table_rows() {
-    use rtle_check::cfg::lower_fn;
-    use rtle_check::passes::ordering::{ordering_uses, rule_for};
-    use rtle_check::syntax::{for_each_fn, parse_file};
-
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
     let path = "crates/obs/src/watchdog.rs";
     let text = std::fs::read_to_string(root.join(path)).expect("watchdog source");
-    let src = parse_file(&text);
-    let mut uses = Vec::new();
-    for_each_fn(&src.items, &mut |f, marker| {
-        if marker != Some("test") {
-            uses.extend(ordering_uses(&lower_fn(f, marker)));
-        }
-    });
+    let uses = sites(&lex(&text).0);
     assert!(
         uses.len() >= 12,
         "only {} live-mirror sites seen",
@@ -93,37 +83,26 @@ fn watchdog_live_mirror_sites_match_their_table_rows() {
 /// left to bless a future atomic nobody reviewed.
 #[test]
 fn every_ordering_row_matches_a_production_site() {
-    use rtle_check::cfg::lower_fn;
-    use rtle_check::passes::ordering::{ordering_uses, rule_for, ORDERING_RULES, ORDERING_SCOPE};
-    use rtle_check::passes::workspace_sources;
-    use rtle_check::syntax::{for_each_fn, parse_file};
-
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
     let mut used = vec![false; ORDERING_RULES.len()];
     for path in workspace_sources(&root) {
-        let rel = path.strip_prefix(&root).expect("under the root");
-        let rel = rel.to_string_lossy().replace('\\', "/");
-        if !ORDERING_SCOPE.iter().any(|s| rel.contains(s)) {
+        let rel = relative(&root, &path);
+        if !in_scope(&rel) {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("source");
-        for_each_fn(&parse_file(&text).items, &mut |f, marker| {
-            if marker == Some("test") {
-                return;
+        for u in sites(&lex(&text).0) {
+            if let Some(rule) = rule_for(&rel, &u.receiver, u.op) {
+                let row = ORDERING_RULES
+                    .iter()
+                    .position(|r| {
+                        (r.file_suffix, r.receiver, r.op)
+                            == (rule.file_suffix, rule.receiver, rule.op)
+                    })
+                    .expect("a table row");
+                used[row] = true;
             }
-            for u in ordering_uses(&lower_fn(f, marker)) {
-                if let Some(rule) = rule_for(&rel, &u.receiver, u.op) {
-                    let row = ORDERING_RULES
-                        .iter()
-                        .position(|r| {
-                            (r.file_suffix, r.receiver, r.op)
-                                == (rule.file_suffix, rule.receiver, rule.op)
-                        })
-                        .expect("a table row");
-                    used[row] = true;
-                }
-            }
-        });
+        }
     }
     let stale: Vec<String> = ORDERING_RULES
         .iter()

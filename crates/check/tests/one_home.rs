@@ -1,7 +1,8 @@
 //! One home, by grep: the TLE machine chooses its rung with the runtime's
-//! own function and reads its budgets in one place, and the TL2 machine
-//! has one protocol. Textual on purpose — the point is that a second copy
-//! cannot come back unnoticed.
+//! own function and reads its budgets in one place, the TL2 machine has
+//! one protocol, and FG-TLE stores an orec in one place, fenced. Textual
+//! on purpose — the point is that a second copy cannot come back
+//! unnoticed.
 
 /// The code lines of `src` up to its test module (comments dropped).
 fn code_lines(src: &'static str) -> Vec<&'static str> {
@@ -64,4 +65,43 @@ fn the_tl2_machine_has_one_protocol() {
             "`{gone}` is back in tl2.rs"
         );
     }
+}
+
+/// §4's store-load fence. The orec arrays are private to
+/// `core/src/orec.rs`, and its production code stores to an orec once —
+/// `OrecTable::stamp`'s acquisition store — with `fence(SeqCst)` on the
+/// next code line, on the one path out of the store. (The ordering
+/// table's `core/src/orec.rs` fence row holds the strength; what neither
+/// sees is a stamp moved after the holder's data access: DESIGN §7a.)
+#[test]
+fn the_orec_stamp_is_stored_once_and_fenced() {
+    let lines: Vec<&str> = code_lines(include_str!("../../core/src/orec.rs"))
+        .into_iter()
+        .filter(|l| !l.trim().is_empty())
+        .collect();
+    for array in ["r_orecs", "w_orecs"] {
+        assert!(
+            lines.contains(&&*format!("    {array}: Box<[TxCell<u64>]>,")),
+            "`{array}` is no longer a private field of `OrecTable`"
+        );
+    }
+    // Every `TxCell` mutator; the active-size word is the one other cell
+    // the file writes.
+    let mutators = [
+        ".write(",
+        ".fetch_add_plain(",
+        ".compare_exchange_plain(",
+        ".store_plain_for_test(",
+    ];
+    let stores: Vec<usize> = (0..lines.len())
+        .filter(|&i| mutators.iter().any(|m| lines[i].contains(m)))
+        .filter(|&i| !lines[i].contains("active.write("))
+        .collect();
+    let texts: Vec<&str> = stores.iter().map(|&i| lines[i].trim()).collect();
+    assert_eq!(texts, ["orec.write(epoch);"], "one orec store, in `stamp`");
+    assert_eq!(
+        lines.get(stores[0] + 1).map(|l| l.trim()),
+        Some("fence(Ordering::SeqCst);"),
+        "the §4 fence must be the next code line after the orec store"
+    );
 }

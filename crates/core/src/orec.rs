@@ -152,8 +152,8 @@ impl OrecTable {
         // TxCell::write already publishes a fresh stripe version, but that
         // is an artifact of the software emulation — on real RTM hardware
         // the store above is plain, so the protocol-mandated fence stays
-        // (rtle-check's `fence` pass proves it dominates every store that
-        // follows the stamp, on every path).
+        // (rtle-check's `tests/one_home.rs` holds it on the line after the
+        // store, and the ordering table holds it at SeqCst).
         fence(Ordering::SeqCst);
         true
     }

@@ -199,9 +199,8 @@ impl<T: TxWord> TxCell<T> {
     #[inline]
     pub fn as_word_cell(&self) -> &TxCell<u64> {
         // SAFETY: identical layout (repr(transparent) over AtomicU64);
-        // TxWord conversions are bit-faithful.
-        // lockcheck: reference cast, not a data read — no payload memory
-        // is dereferenced here, so no acquire synchronization is needed.
+        // TxWord conversions are bit-faithful. A reference cast, not a data
+        // read: no payload memory is dereferenced, so no Acquire is needed.
         unsafe { &*(self as *const TxCell<T> as *const TxCell<u64>) }
     }
 

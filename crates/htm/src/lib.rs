@@ -66,8 +66,6 @@ pub mod descriptor;
 pub mod epoch;
 pub mod hash;
 pub mod lanes;
-#[cfg(feature = "mutant-publication")]
-pub mod mutants;
 pub mod prng;
 #[cfg(feature = "rtm")]
 pub mod rtm;

@@ -6,7 +6,7 @@
 //! parse the request line of a `GET`, discard headers, answer with
 //! `Content-Length` and `Connection: close`. That subset is all a
 //! scraper needs, and hand-rolling it keeps the endpoint auditable by
-//! the same rtle-check passes as the rest of the stack.
+//! the same rtle-check ordering table as the rest of the stack.
 //!
 //! Serving is deliberately decoupled from recording: the accept thread
 //! renders from the registry's non-destructive scrape path, so a slow

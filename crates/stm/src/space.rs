@@ -547,7 +547,6 @@ impl Stm {
         for &wl in &inner.borrow().logs.woken {
             // SAFETY: the list belongs to a `&'env TxVar` that outlives
             // this `atomically` call (enforced by `Tx::write`'s bound).
-            // lockcheck: the deref only reconstructs the reference;
             // `wake_all` fences the rung's commit before its count load.
             let woken = unsafe { &*wl }.wake_all();
             self.stats.lanes.add(WAKEUPS_SENT, woken as u64);
@@ -565,14 +564,13 @@ impl Stm {
              nothing can wake it (only TxVar reads register wakeups)"
         );
         // SAFETY: lists belong to `&'env TxVar`s outliving this call.
-        // lockcheck: the deref only reconstructs the reference;
         // `park` fences its registration before the revalidation.
         let lists: Vec<_> = logs.reads.iter().map(|r| unsafe { &*r.waiters }).collect();
         let changed = || {
-            // SAFETY: read-set cells outlive the atomically call.
-            // lockcheck: deliberately racy revalidation read — a stale
-            // value is caught by the rerun's own transactional read, and
-            // TxCell's internal Acquire floor orders the load itself.
+            // SAFETY: read-set cells outlive the atomically call. A
+            // deliberately racy revalidation read: a stale value is caught
+            // by the rerun's own transactional read, and TxCell's internal
+            // Acquire floor orders the load itself.
             let changed = logs
                 .reads
                 .iter()

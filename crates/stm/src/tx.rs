@@ -177,8 +177,8 @@ impl<'env> TxInner<'env> {
         self.logs.enrolled.iter().map(|&lock| {
             // SAFETY: `Tx::enroll` pushes only `&'env Lock`s, and the list
             // is cleared before the buffers outlive this `TxInner<'env>`.
-            // lockcheck: the deref only reconstructs a reference the caller
-            // held; nothing is published through it.
+            // The deref only rebuilds a reference the caller held; nothing
+            // is published through it.
             unsafe { &*lock }
         })
     }
@@ -599,9 +599,8 @@ pub(crate) fn flush_locked(inner: &TxInner<'_>, plan: &LockedPlan<'_>) {
             .expect("write to a domain missing from the locked plan");
         // SAFETY: the pointer was captured from a `&TxCell` that is still
         // borrowed by the closure this flush runs inside (module contract).
-        // lockcheck: the deref only reconstructs the reference; the store
-        // goes through the owning domain's holder-context barriers while
-        // that domain's lock is held.
+        // The store goes through the owning domain's holder-context
+        // barriers while that domain's lock is held.
         let cell = unsafe { &*w.cell };
         ctx.write(cell, w.value);
     }

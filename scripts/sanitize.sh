@@ -5,8 +5,9 @@
 # nightly toolchain, which the baseline container does not guarantee, so
 # a missing toolchain degrades to a loud SKIP instead of a failure. Run it
 # before merging changes to unsafe code, atomics orderings, the lane claim
-# table, or the publication protocol — the static analyzer (`rtle-check
-# analyze`) proves the modelled paths, this script exercises the real ones.
+# table, or the publication protocol — the static gates (`rtle-check`'s
+# ordering table and models, clippy's `UnsafeCell` ban) hold the modelled
+# orderings, this script exercises the real ones.
 #
 # Stages:
 #   1. Miri: always SKIP. The `miri` component is not installed and

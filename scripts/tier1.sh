@@ -121,10 +121,13 @@ stage "clippy (deny warnings)"
 # sharded map's lock order: crates/shard/clippy.toml disallows
 # `ElidableLock::lock_section` in rtle-shard outside its one sorting
 # section constructor, so a shard lock taken anywhere else fails here.
+# And it holds publication: both clippy.toml files disallow
+# `std::cell::UnsafeCell`, so a raw publication (data through a raw cell,
+# then a flag) fails here unless a reviewed `#[expect]` names why.
 # `--all-features` also type-checks the `rtm` backend and the seeded
-# mutants (`mutant-publication`, `tl2-stale-read-mutant`), so the seeded
-# code cannot rot while staying caught. The benchmark package is its own
-# workspace: it is linted too, check only.
+# protocol mutant (`tl2-stale-read-mutant`), so the seeded code cannot
+# rot while staying caught. The benchmark package is its own workspace:
+# it is linted too, check only.
 cargo clippy --workspace --all-targets --all-features -q -- -D warnings
 cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -q -- -D warnings
 
@@ -133,12 +136,11 @@ stage "rustdoc (deny warnings)"
 # public documentation.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-stage "rtle-check (three static passes + interleaving model)"
-# Zero-findings gate: `all` reads every source file some pass covers once
-# (one lexer, one parser, one lowering to events) and runs the three
-# passes over that reading — publication, §4 fence (flow) and
-# ordering-table (site-local); any unsuppressed finding or a missed
-# `mutant-publication` is a non-zero exit — then the model checker:
+stage "rtle-check (ordering table + interleaving model)"
+# Zero-findings gate: `all` lexes every file of the ordering table's scope
+# and audits each atomic site (a call with an ordering argument) against
+# its row, or its `// ordering: <reason>` comment — any finding is a
+# non-zero exit — then the model checker:
 # one generic explorer + terminal judge (`model::explore::<M>`,
 # `model::judge`) over every `impl Machine`, which must verify every safe
 # configuration — three row families: the TLE machine's eight (`tle-*`,
@@ -156,29 +158,9 @@ stage "rtle-check (three static passes + interleaving model)"
 # `park-release-skips-check` and `park-register-after-recheck` (each a
 # lost wakeup). A missed mutant is a non-zero exit.
 # Every row's counts are pinned by crates/check/tests/golden/model_rows.txt.
+# The §4 fence after the orec stamp is crates/check/tests/one_home.rs's,
+# in the tests stages above.
 cargo run -p rtle-check --release
-
-stage "rtle-check lint + analyze budget"
-# The two pass filters again, standalone, together under one wall-clock
-# budget: the whole workspace twice, JSON exports included, in under 5 s.
-# `lint` alone is printed too: it reads only the files its ordering table
-# covers.
-# The export itself is checked by crates/check/tests/analyze_workspace.rs;
-# here its per-pass counts are printed (the pretty writer puts a pass's
-# `findings`, `name`, `suppressed` on consecutive lines, keys sorted).
-t0="$(now_ms)"
-./target/release/rtle-check lint --json "$tmp/lint.json" >/dev/null
-lint_ms=$(( $(now_ms) - t0 ))
-./target/release/rtle-check analyze --json "$tmp/analyze.json" >/dev/null
-check_ms=$(( $(now_ms) - t0 ))
-awk -F'[:,]' '/"findings": [0-9]/ { live = $2 } /"name":/ { name = $2 }
-    /"suppressed": [0-9]/ { print "  pass" name ":" live " findings," $2 " suppressed" }' \
-    "$tmp/lint.json" "$tmp/analyze.json"
-echo "lint wall-clock: ${lint_ms} ms; lint + analyze: ${check_ms} ms"
-if [ "$check_ms" -ge 5000 ]; then
-    echo "lint + analyze blew their 5 s whole-workspace budget (${check_ms} ms)"
-    exit 1
-fi
 
 stage "seeded protocol mutant must fail the storms"
 # The stale-read mutant skips the commit-time read-set validation in
