@@ -3,6 +3,11 @@
 //! linearizable set semantics via operation-count accounting and
 //! post-run structural invariants.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 

@@ -42,11 +42,11 @@
 //! to a JSON file for offline `diag --timeline` analysis.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rtle_core::{Ctx, ElidableLock, ElisionPolicy, RetryPolicy};
+use rtle_htm::atomic::{RelaxedWord, StopFlag};
 use rtle_htm::prng::SplitMix64;
 use rtle_obs::{
     flight_record, CollapseEvent, HistSnapshot, Json, LiveServer, LiveSource, MetricsRegistry,
@@ -372,8 +372,8 @@ fn run_target(
         }
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let submitted = AtomicU64::new(0);
+    let stop = Arc::new(StopFlag::new());
+    let submitted = RelaxedWord::new(0);
     let (storm_lo, storm_hi) = cfg.storm_span();
     // The run's windows start with it. The window open until now began
     // when the recorder was built: it holds the set-up and, for the
@@ -405,7 +405,7 @@ fn run_target(
             let mut flight_path = None;
             let coll = rec.windows().expect("harness recorder always has windows");
             loop {
-                let done = stop.load(Relaxed);
+                let done = stop.is_raised();
                 let closed = if done {
                     // Final rotation collects the partial tail window.
                     Some(coll.rotate())
@@ -490,12 +490,12 @@ fn run_target(
                     count += 1;
                     next_ns += exp_gap_ns(&mut rng, mean_gap_ns);
                 }
-                submitted.fetch_add(count, Relaxed);
+                submitted.fetch_add(count);
             });
         }
     });
     let wall = t0.elapsed();
-    stop.store(true, Relaxed);
+    stop.raise();
     let (watchdog_events, flight_path) = rotator.join().expect("rotator never panics");
 
     let windows = of_run(
@@ -518,7 +518,7 @@ fn run_target(
             p99_ns: w.latency_p(0.99),
             p999_ns: w.latency_p(0.999),
         });
-    let ops_submitted = submitted.load(Relaxed);
+    let ops_submitted = submitted.load();
     SloOutcome {
         p99_met: worst
             .as_ref()

@@ -280,12 +280,12 @@ pub fn run_top(cfg: &TopConfig) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtle_htm::atomic::RelaxedWord;
     use rtle_obs::{LiveServer, LiveSource, MetricsRegistry, SourceSnapshot};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::Arc;
 
     struct FakeLock {
-        fast: AtomicU64,
+        fast: RelaxedWord,
     }
 
     impl LiveSource for FakeLock {
@@ -293,7 +293,7 @@ mod tests {
             SourceSnapshot {
                 kind: "recorder",
                 counters: vec![
-                    ("commits_fast_htm".into(), self.fast.load(Relaxed)),
+                    ("commits_fast_htm".into(), self.fast.load()),
                     ("commits_lock".into(), 25),
                     ("aborts_conflict".into(), 10),
                 ],
@@ -332,7 +332,7 @@ mod tests {
         registry.register(
             "demo",
             Arc::new(FakeLock {
-                fast: AtomicU64::new(75),
+                fast: RelaxedWord::new(75),
             }),
         );
         registry.register("demo_watchdog", Arc::new(FakeDog));

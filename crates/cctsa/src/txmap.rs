@@ -152,7 +152,7 @@ impl KmerMap {
         assert!(threads >= 1);
         let slots = self.table.slots();
         let chunk = slots.len().div_ceil(threads);
-        let total = std::sync::atomic::AtomicUsize::new(0);
+        let total = rtle_htm::atomic::RelaxedWord::new(0);
         std::thread::scope(|scope| {
             for slice in slots.chunks(chunk.max(1)) {
                 let total = &total;
@@ -167,11 +167,11 @@ impl KmerMap {
                             filtered += 1;
                         }
                     }
-                    total.fetch_add(filtered, std::sync::atomic::Ordering::Relaxed);
+                    total.fetch_add(filtered);
                 });
             }
         });
-        total.into_inner()
+        total.load() as usize
     }
 
     /// All live entries (count > 0). Quiescent use only.

@@ -1,8 +1,10 @@
 //! One home, by grep: the TLE machine chooses its rung with the runtime's
 //! own function and reads its budgets in one place, the TL2 machine has
-//! one protocol, and FG-TLE stores an orec in one place, fenced. Textual
-//! on purpose — the point is that a second copy cannot come back
-//! unnoticed.
+//! one protocol, FG-TLE stores an orec in one place, fenced, and no crate
+//! declares a `trace` feature. Textual on purpose — the point is that a
+//! second copy cannot come back unnoticed.
+
+use std::path::Path;
 
 /// The code lines of `src` up to its test module (comments dropped).
 fn code_lines(src: &'static str) -> Vec<&'static str> {
@@ -67,12 +69,12 @@ fn the_tl2_machine_has_one_protocol() {
     }
 }
 
-/// §4's store-load fence. The orec arrays are private to
-/// `core/src/orec.rs`, and its production code stores to an orec once —
-/// `OrecTable::stamp`'s acquisition store — with `fence(SeqCst)` on the
-/// next code line, on the one path out of the store. (The ordering
-/// table's `core/src/orec.rs` fence row holds the strength; what neither
-/// sees is a stamp moved after the holder's data access: DESIGN §7a.)
+/// §4's store-load fence. The orec arrays hold `Orec`s, private to
+/// `core/src/orec.rs`, whose one mutator is `Orec::stamp`: the orec store,
+/// then `store_load_fence()` on the next code line. Nothing else in the
+/// file stores to an orec. (The fence's strength is the type's:
+/// `rtle_htm::atomic::store_load_fence` is SeqCst. What this does not see
+/// is a stamp moved after the holder's data access: DESIGN §7a.)
 #[test]
 fn the_orec_stamp_is_stored_once_and_fenced() {
     let lines: Vec<&str> = code_lines(include_str!("../../core/src/orec.rs"))
@@ -81,27 +83,61 @@ fn the_orec_stamp_is_stored_once_and_fenced() {
         .collect();
     for array in ["r_orecs", "w_orecs"] {
         assert!(
-            lines.contains(&&*format!("    {array}: Box<[TxCell<u64>]>,")),
-            "`{array}` is no longer a private field of `OrecTable`"
+            lines.contains(&&*format!("    {array}: Box<[Orec]>,")),
+            "`{array}` is no longer a private array of `Orec`s"
         );
     }
-    // Every `TxCell` mutator; the active-size word is the one other cell
-    // the file writes.
-    let mutators = [
-        ".write(",
-        ".fetch_add_plain(",
-        ".compare_exchange_plain(",
-        ".store_plain_for_test(",
-    ];
-    let stores: Vec<usize> = (0..lines.len())
-        .filter(|&i| mutators.iter().any(|m| lines[i].contains(m)))
-        .filter(|&i| !lines[i].contains("active.write("))
-        .collect();
-    let texts: Vec<&str> = stores.iter().map(|&i| lines[i].trim()).collect();
-    assert_eq!(texts, ["orec.write(epoch);"], "one orec store, in `stamp`");
+    assert!(lines.contains(&"struct Orec(TxCell<u64>);"));
+    let stamp = lines
+        .iter()
+        .position(|l| l.trim() == "fn stamp(&self, epoch: u64) {")
+        .expect("`Orec::stamp`");
     assert_eq!(
-        lines.get(stores[0] + 1).map(|l| l.trim()),
-        Some("fence(Ordering::SeqCst);"),
-        "the §4 fence must be the next code line after the orec store"
+        lines[stamp + 1..stamp + 4]
+            .iter()
+            .map(|l| l.trim())
+            .collect::<Vec<_>>(),
+        ["self.0.write(epoch);", "store_load_fence();", "}"],
+        "`Orec::stamp` is the orec store, then the §4 fence on the next code line"
     );
+    let stores: Vec<&str> = lines
+        .iter()
+        .map(|l| l.trim())
+        .filter(|l| l.contains("self.0.write(") || l.contains("Orec(TxCell::new"))
+        .collect();
+    assert_eq!(
+        stores,
+        [
+            "self.0.write(epoch);",
+            "r_orecs: (0..capacity).map(|_| Orec(TxCell::new(0))).collect(),",
+            "w_orecs: (0..capacity).map(|_| Orec(TxCell::new(0))).collect(),",
+        ],
+        "an orec is built in `OrecTable::new` and stored to only in `Orec::stamp`"
+    );
+}
+
+/// Recording is not a build option: there is one record stream, and a
+/// recorded operation is a timestamped one. No crate may grow the `trace`
+/// cargo feature back.
+#[test]
+fn no_manifest_declares_a_trace_feature() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = 0;
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let manifest = krate.expect("dir entry").path().join("Cargo.toml");
+        let Ok(text) = std::fs::read_to_string(&manifest) else {
+            continue;
+        };
+        manifests += 1;
+        let declares = text.lines().any(|line| {
+            let (key, value) = line.split_once('=').unwrap_or((line, ""));
+            key.trim() == "trace" || key.trim() == "default" && value.contains("\"trace\"")
+        });
+        assert!(
+            !declares,
+            "{} declares a `trace` feature",
+            manifest.display()
+        );
+    }
+    assert!(manifests >= 13, "only {manifests} crate manifests scanned");
 }

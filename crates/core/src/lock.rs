@@ -72,7 +72,7 @@ impl TatasLock {
     }
 
     /// Releases the lock: stores FREE, then wakes parked waiters if the wait
-    /// list's count, loaded after a `fence(SeqCst)`, says there are any.
+    /// list's count, loaded after a `store_load_fence`, says there are any.
     #[inline]
     pub fn release(&self) {
         debug_assert!(self.is_held(), "release of a free TatasLock");

@@ -27,8 +27,7 @@
 // stamps its orec here.
 #![warn(clippy::unwrap_used, clippy::panic)]
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-
+use rtle_htm::atomic::{store_load_fence, RelaxedWord};
 use rtle_htm::config::LINE_SHIFT;
 use rtle_htm::hash::fast_hash;
 use rtle_htm::TxCell;
@@ -52,11 +51,48 @@ pub enum OrecKind {
     Write,
 }
 
+/// One ownership record: the odd epoch of the last critical section that
+/// stamped it. Slow-path transactions read it; its one mutator is
+/// [`Orec::stamp`], the lock holder's store and §4's fence.
+#[derive(Debug)]
+#[repr(transparent)]
+struct Orec(TxCell<u64>);
+
+impl Orec {
+    /// Stamps `epoch` and fences: the acquisition store must be ordered
+    /// before the holder's next data access, or a slow-path transaction
+    /// could read the old data after checking the old orec (§4's
+    /// store-load fence). `TxCell::write` already publishes a fresh stripe
+    /// version, but that is an artifact of the software emulation — on
+    /// real RTM hardware the store is plain, so the fence stays
+    /// (`rtle-check`'s `tests/one_home.rs` holds it on the line after the
+    /// store).
+    #[inline]
+    fn stamp(&self, epoch: u64) {
+        self.0.write(epoch);
+        store_load_fence();
+    }
+
+    /// Transactional read: subscribes the slow path to the orec, so a later
+    /// stamp by the holder aborts it.
+    #[inline]
+    fn read(&self) -> u64 {
+        self.0.read()
+    }
+
+    /// One load (see [`TxCell::read_unvalidated`]): only lock holders
+    /// stamp an orec, with a plain store, and transactions only read it.
+    #[inline]
+    fn read_unvalidated(&self) -> u64 {
+        self.0.read_unvalidated()
+    }
+}
+
 /// The pair of orec arrays attached to one [`crate::ElidableLock`].
 #[derive(Debug)]
 pub struct OrecTable {
-    r_orecs: Box<[TxCell<u64>]>,
-    w_orecs: Box<[TxCell<u64>]>,
+    r_orecs: Box<[Orec]>,
+    w_orecs: Box<[Orec]>,
     /// Number of orecs currently in use (≤ capacity). Read transactionally
     /// by the slow path; written only by the lock holder.
     active: TxCell<u64>,
@@ -67,7 +103,7 @@ pub struct OrecTable {
     /// per-slot/aggregate invariant exact. (On real RTM the increment
     /// would roll back with the transaction; attribution there would need
     /// a post-abort re-check, noted in DESIGN.md §8.)
-    conflicts: Box<[AtomicU64]>,
+    conflicts: Box<[RelaxedWord]>,
 }
 
 impl OrecTable {
@@ -75,10 +111,10 @@ impl OrecTable {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "need at least one orec");
         OrecTable {
-            r_orecs: (0..capacity).map(|_| TxCell::new(0)).collect(),
-            w_orecs: (0..capacity).map(|_| TxCell::new(0)).collect(),
+            r_orecs: (0..capacity).map(|_| Orec(TxCell::new(0))).collect(),
+            w_orecs: (0..capacity).map(|_| Orec(TxCell::new(0))).collect(),
             active: TxCell::new(capacity as u64),
-            conflicts: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            conflicts: (0..capacity).map(|_| RelaxedWord::new(0)).collect(),
         }
     }
 
@@ -145,16 +181,7 @@ impl OrecTable {
         if orec.read_unvalidated() >= epoch {
             return false;
         }
-        orec.write(epoch);
-        // §4's store-load fence: the acquisition store must be ordered
-        // before the holder's subsequent data access, or a slow-path
-        // transaction could read the old data after checking the old orec.
-        // TxCell::write already publishes a fresh stripe version, but that
-        // is an artifact of the software emulation — on real RTM hardware
-        // the store above is plain, so the protocol-mandated fence stays
-        // (rtle-check's `tests/one_home.rs` holds it on the line after the
-        // store, and the ordering table holds it at SeqCst).
-        fence(Ordering::SeqCst);
+        orec.stamp(epoch);
         true
     }
 
@@ -186,17 +213,13 @@ impl OrecTable {
     /// sum to the aggregate counter.
     #[inline]
     pub fn note_conflict(&self, slot: usize) {
-        self.conflicts[slot].fetch_add(1, Ordering::Relaxed);
+        self.conflicts[slot].fetch_add(1);
     }
 
     /// Point-in-time copy of the per-slot conflict counts.
     pub fn heatmap(&self) -> OrecHeatmap {
         OrecHeatmap {
-            conflicts: self
-                .conflicts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            conflicts: self.conflicts.iter().map(RelaxedWord::load).collect(),
         }
     }
 
@@ -206,11 +229,11 @@ impl OrecTable {
         let n = self.active_plain();
         self.array(kind)[..n]
             .iter()
-            .filter(|o| o.read_plain() >= epoch)
+            .filter(|o| o.read_unvalidated() >= epoch)
             .count()
     }
 
-    fn array(&self, kind: OrecKind) -> &[TxCell<u64>] {
+    fn array(&self, kind: OrecKind) -> &[Orec] {
         match kind {
             OrecKind::Read => &self.r_orecs,
             OrecKind::Write => &self.w_orecs,

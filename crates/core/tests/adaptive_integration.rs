@@ -2,6 +2,11 @@
 //! lock holder shrinks/disables the slow path when it buys nothing, and
 //! keeps it when concurrent slow-path commits are happening.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -4,6 +4,11 @@
 //! backend's commit hook on its software presence; the backend runs the
 //! software transaction and its reduced-hardware commit.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

@@ -3,6 +3,11 @@
 //! adaptive decision tracing from a real workload, and the watchdog's
 //! flight record of a real lock.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

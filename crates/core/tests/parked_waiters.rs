@@ -4,6 +4,11 @@
 //! Past their backoff the waiters park on the lock's wait list, so their
 //! on-CPU time over the hold, read from `/proc/thread-self/schedstat`,
 //! stays under a tenth of the hold.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
 #![cfg(target_os = "linux")]
 
 use std::sync::atomic::{AtomicBool, Ordering};

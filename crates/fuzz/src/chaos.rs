@@ -18,11 +18,11 @@
 //! models, and the AVL structural invariants must hold.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rtle_avltree::AvlSet;
 use rtle_core::{ElidableLock, ElisionPolicy, RetryPolicy};
+use rtle_htm::atomic::StopFlag;
 use rtle_htm::prng::SplitMix64;
 use rtle_htm::HtmConfig;
 use rtle_hytm::{Norec, SoftwareTm, Tl2};
@@ -216,10 +216,13 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
     let lock = Arc::new(builder.build());
 
     plan.htm.with_installed(|| {
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopFlag::new());
         // Raised inside the staller's first critical section: the workers
         // start beside a holder, however short their run.
-        let stalled = Arc::new(AtomicBool::new(!plan.staller));
+        let stalled = Arc::new(StopFlag::new());
+        if !plan.staller {
+            stalled.raise();
+        }
 
         let staller = plan.staller.then(|| {
             let (lock, set, stop) = (Arc::clone(&lock), Arc::clone(&set), Arc::clone(&stop));
@@ -227,7 +230,7 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
             let spins = plan.stall_spins;
             std::thread::spawn(move || {
                 let mut held = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_raised() {
                     lock.execute(|ctx| {
                         // Force the pessimistic path, then linger: a long
                         // lock-held window for slow-path speculation. The
@@ -235,7 +238,7 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
                         // orecs and concurrent slow *readers* stay clean.
                         rtle_htm::htm_unfriendly_instruction();
                         let _ = set.contains(ctx, held % range);
-                        stalled.store(true, Ordering::Relaxed);
+                        stalled.raise();
                         // A lock holder off the CPU: with fewer cores than
                         // threads, what runs the workers *beside* the hold.
                         // (As a software transaction it holds nothing.)
@@ -266,7 +269,7 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
                     let mut model: BTreeSet<u64> = BTreeSet::new();
                     let mut divergences = Vec::new();
                     let stream = ops::gen_ops(&mut rng, kpw, opw, opw);
-                    while !stalled.load(Ordering::Relaxed) {
+                    while !stalled.is_raised() {
                         std::thread::yield_now();
                     }
                     for (i, rel_op) in stream.into_iter().enumerate() {
@@ -292,7 +295,7 @@ pub fn run_chaos(plan: &ChaosPlan, seed: u64) -> ChaosReport {
             let base = w as u64 * plan.keys_per_worker;
             expected_keys.extend(model.into_iter().map(|k| base + k));
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.raise();
         let staller_ops = match staller {
             Some(h) => h.join().expect("staller panicked"),
             None => 0,

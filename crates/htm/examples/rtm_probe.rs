@@ -6,17 +6,14 @@ fn main() {
         println!("cpuid RTM: {}", rtm::rtm_supported());
         let mut commits = 0;
         let mut aborts = 0;
-        let cell = std::sync::atomic::AtomicU64::new(0);
+        let cell = rtle_htm::atomic::RelaxedWord::new(0);
         for _ in 0..1000 {
-            match rtm::try_txn(|| cell.fetch_add(1, std::sync::atomic::Ordering::Relaxed)) {
+            match rtm::try_txn(|| cell.fetch_add(1)) {
                 Ok(_) => commits += 1,
                 Err(_) => aborts += 1,
             }
         }
-        println!(
-            "commits={commits} aborts={aborts} cell={}",
-            cell.load(std::sync::atomic::Ordering::Relaxed)
-        );
+        println!("commits={commits} aborts={aborts} cell={}", cell.load());
     }
     #[cfg(not(feature = "rtm"))]
     println!("built without the rtm feature");

@@ -18,8 +18,9 @@
 //! the TLE fast path, the refined-TLE slow path, and under the lock.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::{align_of, size_of};
 
+use crate::atomic::ProtocolWord;
 use crate::descriptor;
 use crate::stripe::{self, GLOBAL};
 use crate::swhtm;
@@ -28,13 +29,13 @@ use crate::word::TxWord;
 
 /// A 64-bit-word shared cell, tracked by the emulated HTM.
 ///
-/// `TxCell` is `Sync` (derived: its one field is an `AtomicU64` and every
+/// `TxCell` is `Sync` (derived: its one field is a [`ProtocolWord`] and every
 /// [`TxWord`] is `Send + Sync`): any thread may access it at any time,
 /// transactionally or not; the emulation guarantees transactions serialize
 /// with each other and with plain accesses.
 #[repr(transparent)]
 pub struct TxCell<T: TxWord> {
-    raw: AtomicU64,
+    raw: ProtocolWord,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -43,7 +44,7 @@ impl<T: TxWord> TxCell<T> {
     #[inline]
     pub fn new(value: T) -> Self {
         TxCell {
-            raw: AtomicU64::new(value.to_word()),
+            raw: ProtocolWord::new(value.to_word()),
             _marker: std::marker::PhantomData,
         }
     }
@@ -53,7 +54,7 @@ impl<T: TxWord> TxCell<T> {
     pub fn read(&self) -> T {
         #[cfg(feature = "rtm")]
         if crate::rtm::in_hw_txn() {
-            return T::from_word(self.raw.load(Ordering::Acquire));
+            return T::from_word(self.raw.load());
         }
         T::from_word(
             descriptor::if_active(|th| swhtm::read_barrier(th, &self.raw))
@@ -66,7 +67,7 @@ impl<T: TxWord> TxCell<T> {
     pub fn write(&self, value: T) {
         #[cfg(feature = "rtm")]
         if crate::rtm::in_hw_txn() {
-            self.raw.store(value.to_word(), Ordering::Release);
+            self.raw.store(value.to_word());
             return;
         }
         let word = value.to_word();
@@ -97,7 +98,7 @@ impl<T: TxWord> TxCell<T> {
     /// holder reads them with this one load.
     #[inline]
     pub fn read_unvalidated(&self) -> T {
-        T::from_word(self.raw.load(Ordering::Acquire))
+        T::from_word(self.raw.load())
     }
 
     /// Seqlock read against the cell's stripe: waits while a committer holds
@@ -111,7 +112,7 @@ impl<T: TxWord> TxCell<T> {
             if stripe::is_locked(w1) {
                 return false;
             }
-            val = self.raw.load(Ordering::Acquire);
+            val = self.raw.load();
             GLOBAL.load(idx) == w1
         });
         val
@@ -125,7 +126,7 @@ impl<T: TxWord> TxCell<T> {
     /// stored, so that concurrent transactions that read the line are
     /// doomed (strong atomicity); at the old version otherwise, invisibly.
     #[inline]
-    fn under_stripe_lock<R>(&self, access: impl FnOnce(&AtomicU64) -> (bool, R)) -> R {
+    fn under_stripe_lock<R>(&self, access: impl FnOnce(&ProtocolWord) -> (bool, R)) -> R {
         let idx = stripe::stripe_index(self.addr());
         let owner = descriptor::thread_token();
         let mut prev = 0;
@@ -145,7 +146,7 @@ impl<T: TxWord> TxCell<T> {
     /// Plain store (see [`Self::under_stripe_lock`]).
     #[inline]
     fn store_plain(&self, word: u64) {
-        self.under_stripe_lock(|raw| (true, raw.store(word, Ordering::Release)));
+        self.under_stripe_lock(|raw| (true, raw.store(word)));
     }
 
     /// Plain atomic fetch-add on the raw word (only sensible for integer
@@ -158,8 +159,8 @@ impl<T: TxWord> TxCell<T> {
             "fetch_add_plain inside a software transaction"
         );
         T::from_word(self.under_stripe_lock(|raw| {
-            let cur = raw.load(Ordering::Acquire);
-            raw.store(cur.wrapping_add(delta), Ordering::Release);
+            let cur = raw.load();
+            raw.store(cur.wrapping_add(delta));
             (true, cur)
         }))
     }
@@ -176,9 +177,9 @@ impl<T: TxWord> TxCell<T> {
             "compare_exchange_plain inside a software transaction"
         );
         self.under_stripe_lock(|raw| {
-            let hit = raw.load(Ordering::Acquire) == expected.to_word();
+            let hit = raw.load() == expected.to_word();
             if hit {
-                raw.store(new.to_word(), Ordering::Release);
+                raw.store(new.to_word());
             }
             (hit, hit)
         })
@@ -193,12 +194,12 @@ impl<T: TxWord> TxCell<T> {
     }
 
     /// Reinterprets this cell as a word-typed cell. Sound because `TxCell`
-    /// is `repr(transparent)` over `AtomicU64` for every payload type and
-    /// all payloads round-trip through the same raw word. Used by software
-    /// TMs that keep heterogeneous redo logs.
+    /// is `repr(transparent)` over one [`ProtocolWord`] for every payload
+    /// type and all payloads round-trip through the same raw word. Used by
+    /// software TMs that keep heterogeneous redo logs.
     #[inline]
     pub fn as_word_cell(&self) -> &TxCell<u64> {
-        // SAFETY: identical layout (repr(transparent) over AtomicU64);
+        // SAFETY: identical layout (repr(transparent) over ProtocolWord);
         // TxWord conversions are bit-faithful. A reference cast, not a data
         // read: no payload memory is dereferenced, so no Acquire is needed.
         unsafe { &*(self as *const TxCell<T> as *const TxCell<u64>) }
@@ -209,9 +210,13 @@ impl<T: TxWord> TxCell<T> {
     /// stripe — both at cache-line granularity.
     #[inline]
     pub fn addr(&self) -> usize {
-        &self.raw as *const AtomicU64 as usize
+        &self.raw as *const ProtocolWord as usize
     }
 }
+
+// One transparent word whatever the payload, so `as_word_cell` is sound.
+const _: () = assert!(size_of::<TxCell<bool>>() == size_of::<ProtocolWord>());
+const _: () = assert!(align_of::<TxCell<bool>>() == align_of::<ProtocolWord>());
 
 impl<T: TxWord + fmt::Debug> fmt::Debug for TxCell<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

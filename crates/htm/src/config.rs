@@ -6,7 +6,7 @@
 //! or between — transactions, which the tests use to exercise capacity
 //! aborts deterministically.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::atomic::RelaxedWord;
 
 /// log2 of the emulated cache-line size; conflict detection granularity.
 /// Two `TxCell`s whose addresses share all bits above this shift alias to
@@ -29,15 +29,17 @@ pub const DEFAULT_WRITE_CAPACITY: u32 = 512;
 /// simulator's cost model, like the write capacity.
 pub const DEFAULT_READ_CAPACITY: u32 = 4096;
 
-static WRITE_CAPACITY: AtomicU32 = AtomicU32::new(DEFAULT_WRITE_CAPACITY);
-static READ_CAPACITY: AtomicU32 = AtomicU32::new(DEFAULT_READ_CAPACITY);
+// The knobs are self-contained values with no ordering role. The
+// capacities are `u32`s held in a 64-bit word.
+static WRITE_CAPACITY: RelaxedWord = RelaxedWord::new(DEFAULT_WRITE_CAPACITY as u64);
+static READ_CAPACITY: RelaxedWord = RelaxedWord::new(DEFAULT_READ_CAPACITY as u64);
 /// Spurious abort injection: a transaction aborts spuriously with
 /// probability 1 / `SPURIOUS_ONE_IN` at begin-time. 0 disables injection.
-static SPURIOUS_ONE_IN: AtomicU64 = AtomicU64::new(0);
+static SPURIOUS_ONE_IN: RelaxedWord = RelaxedWord::new(0);
 /// Injected begin-time conflict aborts (chaos testing), same scheme.
-static CONFLICT_ONE_IN: AtomicU64 = AtomicU64::new(0);
+static CONFLICT_ONE_IN: RelaxedWord = RelaxedWord::new(0);
 /// Injected begin-time capacity aborts (chaos testing), same scheme.
-static CAPACITY_ONE_IN: AtomicU64 = AtomicU64::new(0);
+static CAPACITY_ONE_IN: RelaxedWord = RelaxedWord::new(0);
 
 /// Snapshot of the emulated-HTM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,11 +80,11 @@ impl HtmConfig {
     /// Reads the currently installed global configuration.
     pub fn current() -> Self {
         HtmConfig {
-            write_capacity: WRITE_CAPACITY.load(Ordering::Relaxed),
-            read_capacity: READ_CAPACITY.load(Ordering::Relaxed),
-            spurious_one_in: SPURIOUS_ONE_IN.load(Ordering::Relaxed),
-            conflict_one_in: CONFLICT_ONE_IN.load(Ordering::Relaxed),
-            capacity_one_in: CAPACITY_ONE_IN.load(Ordering::Relaxed),
+            write_capacity: write_capacity(),
+            read_capacity: read_capacity(),
+            spurious_one_in: SPURIOUS_ONE_IN.load(),
+            conflict_one_in: CONFLICT_ONE_IN.load(),
+            capacity_one_in: CAPACITY_ONE_IN.load(),
         }
     }
 
@@ -90,11 +92,11 @@ impl HtmConfig {
     /// that begin after the call; in-flight transactions keep the limits
     /// they started with.
     pub fn install(self) {
-        WRITE_CAPACITY.store(self.write_capacity, Ordering::Relaxed);
-        READ_CAPACITY.store(self.read_capacity, Ordering::Relaxed);
-        SPURIOUS_ONE_IN.store(self.spurious_one_in, Ordering::Relaxed);
-        CONFLICT_ONE_IN.store(self.conflict_one_in, Ordering::Relaxed);
-        CAPACITY_ONE_IN.store(self.capacity_one_in, Ordering::Relaxed);
+        WRITE_CAPACITY.store(u64::from(self.write_capacity));
+        READ_CAPACITY.store(u64::from(self.read_capacity));
+        SPURIOUS_ONE_IN.store(self.spurious_one_in);
+        CONFLICT_ONE_IN.store(self.conflict_one_in);
+        CAPACITY_ONE_IN.store(self.capacity_one_in);
     }
 
     /// Runs `f` with `self` installed, then restores the previous
@@ -116,27 +118,27 @@ impl HtmConfig {
 
 #[inline]
 pub(crate) fn write_capacity() -> u32 {
-    WRITE_CAPACITY.load(Ordering::Relaxed)
+    WRITE_CAPACITY.load() as u32
 }
 
 #[inline]
 pub(crate) fn read_capacity() -> u32 {
-    READ_CAPACITY.load(Ordering::Relaxed)
+    READ_CAPACITY.load() as u32
 }
 
 #[inline]
 pub(crate) fn spurious_one_in() -> u64 {
-    SPURIOUS_ONE_IN.load(Ordering::Relaxed)
+    SPURIOUS_ONE_IN.load()
 }
 
 #[inline]
 pub(crate) fn conflict_one_in() -> u64 {
-    CONFLICT_ONE_IN.load(Ordering::Relaxed)
+    CONFLICT_ONE_IN.load()
 }
 
 #[inline]
 pub(crate) fn capacity_one_in() -> u64 {
-    CAPACITY_ONE_IN.load(Ordering::Relaxed)
+    CAPACITY_ONE_IN.load()
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! the outer transaction, as real RTM does).
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::atomic::{ProtocolWord, RelaxedWord};
 use crate::lanes::{self, Writer};
 use crate::stripe::Footprint;
 
@@ -22,7 +22,7 @@ pub struct WriteEntry<C> {
 }
 
 /// The lazy-versioning write log shared by the emulated HTM (`SwTxn`,
-/// over raw `AtomicU64` words) and `rtle-hytm`'s software-TM descriptor
+/// over raw [`ProtocolWord`]s) and `rtle-hytm`'s software-TM descriptor
 /// (over `TxCell<u64>`). Append-only: every write is a new entry in
 /// program order, read-own-write lookups scan back-to-front, and
 /// write-back runs in log order, so a cell's last entry wins either way.
@@ -100,7 +100,7 @@ pub(crate) struct SwTxn {
     /// Lines read and written, as stripes of [`crate::stripe::GLOBAL`].
     pub footprint: Footprint,
     /// Buffered writes, published at commit.
-    pub redo: RedoLog<AtomicU64>,
+    pub redo: RedoLog<ProtocolWord>,
 }
 
 impl SwTxn {
@@ -122,8 +122,9 @@ impl SwTxn {
 }
 
 /// Per-thread owner token used in stripe lock words. Token 0 is reserved for
-/// "anonymous" plain stores.
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+/// "anonymous" plain stores. Only uniqueness matters: a token never
+/// synchronizes other memory.
+static NEXT_TOKEN: RelaxedWord = RelaxedWord::new(1);
 
 /// Everything the runtime keeps per thread, in one const-initialised
 /// thread-local: one TLS address computation reaches all of it. The slot
@@ -196,9 +197,7 @@ impl ThreadState {
 
     #[cold]
     fn draw_token(&self) -> u64 {
-        // ordering: token allocation — only uniqueness matters, the value
-        // never synchronizes other memory.
-        let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
+        let token = NEXT_TOKEN.fetch_add(1);
         self.token.set(token);
         token
     }
@@ -261,10 +260,9 @@ pub(crate) fn if_active<R>(f: impl FnOnce(&ThreadState) -> R) -> Option<R> {
 /// still a valid stripe owner for the one plain access that asked.
 #[inline]
 pub fn thread_token() -> u64 {
-    // ordering: token allocation, as in `draw_token`.
     THREAD
         .try_with(ThreadState::token)
-        .unwrap_or_else(|_| NEXT_TOKEN.fetch_add(1, Ordering::Relaxed))
+        .unwrap_or_else(|_| NEXT_TOKEN.fetch_add(1))
 }
 
 /// This thread as a writer of counter lanes ([`Writer::current`]). Past the
@@ -289,8 +287,8 @@ mod tests {
 
     #[test]
     fn redo_log_appends_every_write_and_looks_up_the_latest() {
-        let a = AtomicU64::new(0);
-        let b = AtomicU64::new(0);
+        let a = ProtocolWord::new(0);
+        let b = ProtocolWord::new(0);
         let mut t = SwTxn::new();
         t.reset();
         assert_eq!(t.redo.lookup(&a), None);
@@ -307,8 +305,8 @@ mod tests {
 
     #[test]
     fn redo_log_truncate_restores_the_earlier_value() {
-        let a = AtomicU64::new(0);
-        let b = AtomicU64::new(0);
+        let a = ProtocolWord::new(0);
+        let b = ProtocolWord::new(0);
         let mut log = RedoLog::new();
         log.log_write(&a, 1);
         log.log_write(&a, 2);
@@ -324,7 +322,7 @@ mod tests {
     fn plain_accesses_and_tokens_outlive_the_thread_state() {
         use crate::lanes::Lanes;
         use crate::TxCell;
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
         static STATE_WAS_GONE: AtomicBool = AtomicBool::new(false);

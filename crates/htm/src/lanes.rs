@@ -29,8 +29,7 @@
 // every layer.
 #![warn(clippy::unwrap_used, clippy::panic)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
+use crate::atomic::{LaneClaim, RelaxedWord};
 use crate::descriptor;
 
 /// Size and alignment of one [`Block`]: two 64-byte lines, so neither the
@@ -67,30 +66,22 @@ const _: () = assert!(std::mem::align_of::<Block<u8>>() == BLOCK_BYTES);
 const _: () = assert!(LANES.is_power_of_two());
 
 /// The claim table: `CLAIMED[i]` while a live thread owns lane `i`.
-static CLAIMED: [AtomicBool; LANES] = [const { AtomicBool::new(false) }; LANES];
+static CLAIMED: [LaneClaim; LANES] = [const { LaneClaim::new() }; LANES];
 
 /// Claims a free lane for the calling thread: its index, or [`OVERFLOW`]
 /// when every lane is taken.
 #[cold]
 pub(crate) fn claim() -> usize {
-    for (lane, claimed) in CLAIMED.iter().enumerate() {
-        // Acquire: the claimer continues the sums the lane's last owner
-        // left, so it must see that owner's last plain stores (`release`).
-        if claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
-            .is_ok()
-        {
-            return lane;
-        }
-    }
-    OVERFLOW
+    CLAIMED
+        .iter()
+        .position(LaneClaim::try_claim)
+        .unwrap_or(OVERFLOW)
 }
 
 /// Hands `lane` back, from its owner's thread-local destructor.
 pub(crate) fn release(lane: usize) {
     if let Some(claimed) = CLAIMED.get(lane) {
-        // Release: publishes the owner's last bumps to the next claimer.
-        claimed.store(false, Ordering::Release);
+        claimed.hand_back();
     }
 }
 
@@ -156,15 +147,13 @@ impl Writer {
     /// previous value: a plain load and store when the writer owns the
     /// lane, an atomic read-modify-write when it shares it.
     #[inline]
-    pub fn bump(self, word: &AtomicU64, n: u64) -> u64 {
-        // Relaxed: monotonic statistics words with no synchronization role,
-        // exact once the bumping threads are quiet.
+    pub fn bump(self, word: &RelaxedWord, n: u64) -> u64 {
         if self.owned {
-            let was = word.load(Ordering::Relaxed);
-            word.store(was.wrapping_add(n), Ordering::Relaxed);
+            let was = word.load();
+            word.store(was.wrapping_add(n));
             was
         } else {
-            word.fetch_add(n, Ordering::Relaxed)
+            word.fetch_add(n)
         }
     }
 }
@@ -201,13 +190,13 @@ impl<T> PerLane<T> {
 /// `N` monotonic counters, each spread over per-thread lanes.
 #[derive(Debug)]
 pub struct Lanes<const N: usize> {
-    lanes: [Block<[AtomicU64; N]>; SLOTS],
+    lanes: [Block<[RelaxedWord; N]>; SLOTS],
 }
 
 /// One writer's lane of a [`Lanes`].
 #[derive(Debug, Clone, Copy)]
 pub struct Lane<'a, const N: usize> {
-    words: &'a [AtomicU64; N],
+    words: &'a [RelaxedWord; N],
     by: Writer,
 }
 
@@ -215,7 +204,7 @@ impl<const N: usize> Lanes<N> {
     /// All counters zero.
     pub const fn new() -> Self {
         Lanes {
-            lanes: [const { Block([const { AtomicU64::new(0) }; N]) }; SLOTS],
+            lanes: [const { Block([const { RelaxedWord::new(0) }; N]) }; SLOTS],
         }
     }
 
@@ -243,12 +232,7 @@ impl<const N: usize> Lanes<N> {
 
     /// Current value of `counter`: the sum over the lanes.
     pub fn sum(&self, counter: usize) -> u64 {
-        // ordering: statistics counters — monotonic, advisory, no
-        // synchronization role; exact once the bumping threads are quiet.
-        self.lanes
-            .iter()
-            .map(|lane| lane[counter].load(Ordering::Relaxed))
-            .sum()
+        self.lanes.iter().map(|lane| lane[counter].load()).sum()
     }
 
     /// Current value of every counter.
@@ -285,18 +269,18 @@ mod tests {
 
     #[test]
     fn per_lane_state_is_block_aligned_and_selected_by_key() {
-        let lanes = PerLane::new(|| AtomicU64::new(0));
+        let lanes = PerLane::new(|| RelaxedWord::new(0));
         for key in 0..(2 * LANES as u64 + 3) {
             Writer::keyed(key).bump(lanes.of(Writer::keyed(key)), 1);
         }
         let addrs: Vec<usize> = lanes
             .iter()
-            .map(|l| l as *const AtomicU64 as usize)
+            .map(|l| l as *const RelaxedWord as usize)
             .collect();
         assert_eq!(addrs.len(), SLOTS);
         assert!(addrs.iter().all(|a| a % BLOCK_BYTES == 0));
         assert!(addrs.windows(2).all(|w| w[1] - w[0] == BLOCK_BYTES));
-        let counts: Vec<u64> = lanes.iter().map(|l| l.load(Ordering::Relaxed)).collect();
+        let counts: Vec<u64> = lanes.iter().map(|l| l.load()).collect();
         assert_eq!(counts[..3], [3, 3, 3]);
         assert!(counts[3..LANES].iter().all(|&n| n == 2));
         assert_eq!(counts[OVERFLOW], 0, "no key selects the overflow lane");
@@ -343,7 +327,7 @@ mod tests {
             }
         });
         assert_eq!(l.sum(0), 2 * LANES as u64 * 1000);
-        assert!(l.lanes[OVERFLOW][0].load(Ordering::Relaxed) >= 1000);
+        assert!(l.lanes[OVERFLOW][0].load() >= 1000);
     }
 
     #[test]
@@ -373,7 +357,7 @@ mod tests {
         };
         assert_eq!(L.sum(0), threads * 1000);
         assert!(
-            L.lanes[handed_over][0].load(Ordering::Relaxed) >= 2000,
+            L.lanes[handed_over][0].load() >= 2000,
             "the next claimer's bumps continued the first one's sum"
         );
     }
@@ -403,7 +387,7 @@ mod tests {
         // The live bump lands on the overflow lane too when every lane was
         // taken (a sibling test keeps 2 × LANES threads alive).
         assert_eq!(
-            L.lanes[OVERFLOW][0].load(Ordering::Relaxed),
+            L.lanes[OVERFLOW][0].load(),
             7 + u64::from(!live.owns_lane()),
             "live bump on lane {}",
             live.lane()

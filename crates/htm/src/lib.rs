@@ -20,6 +20,8 @@
 //!   caller of: stripe table, commit clock, read → extend → validate,
 //!   lock → stamp → release, written once. `rtle-hytm`'s `Tl2` is its
 //!   other caller.
+//! * [`atomic`] — the protocol words: the workspace's only std atomics,
+//!   one type per ordering contract, each method fixing its ordering.
 //! * [`table`] — the one open-addressing table of `u64` keys (one slot
 //!   line per key, linear probe, tombstones) whose payloads are
 //!   `rtle-structs`' hash set, `rtle-shard`'s per-shard map and
@@ -57,8 +59,15 @@
 //! assert_eq!(sum, 42);
 //! ```
 
+// Test modules keep std atomics for their own harness flags (some
+// SeqCst); production code names only `rtle_htm::atomic`'s types
+// (clippy.toml), which this allow does not reach: clippy lints the
+// non-test build of the library too.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod abort;
 pub mod access;
+pub mod atomic;
 pub mod backend;
 pub mod cell;
 pub mod config;

@@ -3,7 +3,7 @@
 //! [`Footprint`] it works on. [`Table::read`], its snapshot extension and
 //! [`Table::commit`] are the only copy of each TL2 step in the workspace.
 //!
-//! Every tracked address maps to one *stripe*, a single `AtomicU64` that
+//! Every tracked address maps to one *stripe*, a single [`ProtocolWord`] that
 //! plays the role the cache-coherence directory plays for real HTM:
 //!
 //! * **Unlocked** stripes hold an even *version*, drawn by the last commit
@@ -90,21 +90,20 @@
 //!
 //! # Orderings
 //!
-//! Stripe words: `Acquire` loads and lock CAS, `Release` unlock. The clock
-//! is sampled and raised `SeqCst`: fact 2 is an argument about one total
-//! order of samples and advances that every thread agrees on. Something
-//! weaker may well carry it, but nothing in the repo checks that (the
-//! models run under SC), and on x86-64 the sample is the same `mov` and the
-//! advance the same `lock cmpxchg` either way. Relaxing it is the
-//! weak-memory model's job.
+//! The stripe words are [`ProtocolWord`]s: `Acquire` loads and lock CAS,
+//! `Release` unlock. The clock is a [`Clock`], sampled and raised `SeqCst`:
+//! fact 2 is an argument about one total order of samples and advances
+//! that every thread agrees on. Something weaker may well carry it, but
+//! nothing in the repo checks that (the models run under SC), and on
+//! x86-64 the sample is the same `mov` and the advance the same `lock
+//! cmpxchg` either way. Relaxing it is the weak-memory model's job.
 
 // Hot path, no `unwrap` or `panic!` outside tests: every read, extension and
 // commit of both the emulated HTM and TL2.
 #![warn(clippy::unwrap_used, clippy::panic)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::abort::AbortCode;
+use crate::atomic::{Clock, ProtocolWord, RelaxedWord};
 use crate::config::{LINE_SHIFT, STRIPE_COUNT};
 use crate::hash::wang_mix64;
 use crate::lanes::Block;
@@ -290,7 +289,7 @@ pub struct Table<S> {
     /// Alone in its block: every transaction samples it, so nothing that
     /// is written (the words) may share its line. Only an extension that
     /// meets a stripe ahead of it writes it.
-    clock: Block<AtomicU64>,
+    clock: Block<Clock>,
     /// Unique over the process's life: [`GLOBAL`] is 0, and every
     /// [`BoxedTable`] draws the next.
     id: u64,
@@ -298,18 +297,18 @@ pub struct Table<S> {
 }
 
 /// A heap-allocated table, sized at run time.
-pub type BoxedTable = Table<Box<[AtomicU64]>>;
+pub type BoxedTable = Table<Box<[ProtocolWord]>>;
 
 /// The emulated HTM's table: a plain zeroed static (8 MiB of `.bss`, paged
 /// in as stripes are first touched), so a stripe access is one indexed load.
-pub static GLOBAL: Table<[AtomicU64; STRIPE_COUNT]> = Table {
-    clock: Block(AtomicU64::new(0)),
+pub static GLOBAL: Table<[ProtocolWord; STRIPE_COUNT]> = Table {
+    clock: Block(Clock::new(0)),
     id: 0,
-    words: [const { AtomicU64::new(0) }; STRIPE_COUNT],
+    words: [const { ProtocolWord::new(0) }; STRIPE_COUNT],
 };
 
 /// The next [`BoxedTable`]'s id.
-static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_TABLE_ID: RelaxedWord = RelaxedWord::new(1);
 
 /// The emulation's address → stripe map: the cell's cache line, Wang-mixed.
 #[inline]
@@ -321,7 +320,7 @@ pub fn stripe_index(addr: usize) -> u32 {
 /// a [`crate::lanes::BLOCK_BYTES`] block).
 #[doc(hidden)]
 pub fn clock_addr() -> usize {
-    &GLOBAL.clock as *const Block<AtomicU64> as usize
+    &GLOBAL.clock as *const Block<Clock> as usize
 }
 
 impl BoxedTable {
@@ -335,16 +334,14 @@ impl BoxedTable {
     pub fn boxed(stripes: usize, start: u64) -> Self {
         assert!(start & 1 == 0, "versions are even");
         Table {
-            clock: Block(AtomicU64::new(start)),
-            // ordering: id allocation — only uniqueness matters, the value
-            // never synchronizes other memory.
-            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
-            words: (0..stripes).map(|_| AtomicU64::new(start)).collect(),
+            clock: Block(Clock::new(start)),
+            id: NEXT_TABLE_ID.fetch_add(1),
+            words: (0..stripes).map(|_| ProtocolWord::new(start)).collect(),
         }
     }
 }
 
-impl<S: AsRef<[AtomicU64]>> Table<S> {
+impl<S: AsRef<[ProtocolWord]>> Table<S> {
     /// Number of stripes (the modulus of the caller's address map).
     #[inline]
     pub fn stripes(&self) -> usize {
@@ -354,7 +351,7 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
     /// Loads the raw stripe word.
     #[inline]
     pub fn load(&self, idx: u32) -> u64 {
-        self.words.as_ref()[idx as usize].load(Ordering::Acquire)
+        self.words.as_ref()[idx as usize].load()
     }
 
     /// Attempts to lock stripe `idx` for `owner`, expecting it unlocked with
@@ -364,30 +361,24 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
     #[inline]
     pub fn try_lock(&self, idx: u32, owner: u64) -> Result<u64, u64> {
         let s = &self.words.as_ref()[idx as usize];
-        let cur = s.load(Ordering::Acquire);
+        let cur = s.load();
         if is_locked(cur) {
             return Err(cur);
         }
-        s.compare_exchange(
-            cur,
-            locked_word(owner),
-            Ordering::Acquire,
-            Ordering::Acquire,
-        )
-        .map(|_| cur)
+        s.compare_exchange(cur, locked_word(owner)).map(|_| cur)
     }
 
     /// Unlocks stripe `idx` by installing `version` (must be even).
     #[inline]
     pub fn unlock(&self, idx: u32, version: u64) {
         debug_assert!(version & 1 == 0, "versions are even");
-        self.words.as_ref()[idx as usize].store(version, Ordering::Release);
+        self.words.as_ref()[idx as usize].store(version);
     }
 
     /// Samples the clock: a read-version.
     #[inline]
     pub fn clock(&self) -> u64 {
-        self.clock.load(Ordering::SeqCst)
+        self.clock.sample()
     }
 
     /// Draws the version to release a stripe at whose pre-lock version is
@@ -403,10 +394,7 @@ impl<S: AsRef<[AtomicU64]>> Table<S> {
     fn advance(&self, version: u64) -> u64 {
         let mut now = self.clock();
         while newer_than(version, now) {
-            match self
-                .clock
-                .compare_exchange_weak(now, version, Ordering::SeqCst, Ordering::SeqCst)
-            {
+            match self.clock.raise(now, version) {
                 Ok(_) => return version,
                 Err(seen) => now = seen,
             }
@@ -564,7 +552,7 @@ mod tests {
     /// other thread's committed write looks like.
     struct Mem {
         table: BoxedTable,
-        cells: Vec<AtomicU64>,
+        cells: Vec<ProtocolWord>,
     }
 
     const ME: u64 = 7;
@@ -574,7 +562,7 @@ mod tests {
         fn new(stripes: usize, start: u64) -> Self {
             Mem {
                 table: Table::boxed(stripes, start),
-                cells: (0..8).map(|_| AtomicU64::new(0)).collect(),
+                cells: (0..8).map(|_| ProtocolWord::new(0)).collect(),
             }
         }
 
@@ -589,9 +577,8 @@ mod tests {
         }
 
         fn read(&self, fp: &mut Footprint, cell: usize) -> Result<u64, AbortCode> {
-            self.table.read(fp, self.stripe(cell), || {
-                self.cells[cell].load(Ordering::Acquire)
-            })
+            self.table
+                .read(fp, self.stripe(cell), || self.cells[cell].load())
         }
 
         /// Commits `fp` with `writes`, trying each stripe once.
@@ -604,7 +591,7 @@ mod tests {
                 |s| self.table.try_lock(s, ME).ok(),
                 || {
                     for &(cell, v) in writes {
-                        self.cells[cell].store(v, Ordering::Release);
+                        self.cells[cell].store(v);
                     }
                 },
             )
@@ -613,12 +600,12 @@ mod tests {
         fn plain_store(&self, cell: usize, v: u64) {
             let s = self.stripe(cell);
             let prev = self.table.try_lock(s, OTHER).unwrap();
-            self.cells[cell].store(v, Ordering::Release);
+            self.cells[cell].store(v);
             self.table.unlock(s, self.table.next_version(prev));
         }
 
         fn value(&self, cell: usize) -> u64 {
-            self.cells[cell].load(Ordering::Acquire)
+            self.cells[cell].load()
         }
 
         fn version(&self, cell: usize) -> u64 {

@@ -48,9 +48,8 @@
 // transaction begins and commits here.
 #![warn(clippy::unwrap_used, clippy::panic)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::abort::{self, AbortCode};
+use crate::atomic::ProtocolWord;
 use crate::config;
 use crate::descriptor::{with_thread, SwTxn, ThreadState};
 use crate::stats;
@@ -108,7 +107,7 @@ fn commit(t: &mut SwTxn, owner: u64) -> Result<(), AbortCode> {
                 // SAFETY: `cell` was captured from a live `&TxCell` earlier in
                 // this same transaction; the cell cannot have been dropped while
                 // a reference existed, and the log does not outlive try_txn.
-                unsafe { (*e.cell).store(e.value, Ordering::Release) };
+                unsafe { (*e.cell).store(e.value) };
             }
         },
     )
@@ -116,14 +115,14 @@ fn commit(t: &mut SwTxn, owner: u64) -> Result<(), AbortCode> {
 
 /// Transactional read barrier for `cell` (called via `TxCell::read`).
 #[inline]
-pub(crate) fn read_barrier(th: &ThreadState, cell: &AtomicU64) -> u64 {
-    let idx = stripe::stripe_index(cell as *const AtomicU64 as usize);
+pub(crate) fn read_barrier(th: &ThreadState, cell: &ProtocolWord) -> u64 {
+    let idx = stripe::stripe_index(cell as *const ProtocolWord as usize);
     let read = th.with_txn(|t| {
         if let Some(v) = t.redo.lookup(cell) {
             return Ok(v);
         }
         let fp = &mut t.footprint;
-        let val = GLOBAL.read(fp, idx, || cell.load(Ordering::Acquire))?;
+        let val = GLOBAL.read(fp, idx, || cell.load())?;
         // The log's length bounds its distinct lines from above: count
         // them exactly only once it passes the capacity.
         let cap = config::read_capacity() as usize;
@@ -140,8 +139,8 @@ pub(crate) fn read_barrier(th: &ThreadState, cell: &AtomicU64) -> u64 {
 
 /// Transactional write barrier for `cell` (called via `TxCell::write`).
 #[inline]
-pub(crate) fn write_barrier(th: &ThreadState, cell: &AtomicU64, value: u64) {
-    let idx = stripe::stripe_index(cell as *const AtomicU64 as usize);
+pub(crate) fn write_barrier(th: &ThreadState, cell: &ProtocolWord, value: u64) {
+    let idx = stripe::stripe_index(cell as *const ProtocolWord as usize);
 
     // Eager sanity check: a stripe currently locked by another committer is
     // a conflict we will certainly lose; abort now (hardware would too).

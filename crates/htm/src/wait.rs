@@ -4,13 +4,14 @@
 //! holds short by construction, and [`until`] takes the one [`park`], for
 //! holds of any length. The park cannot lose a wakeup: the waiter
 //! registers, re-checks, then sleeps; the waker stores, then
-//! [`WaitList::wake_all`]s; each fences `SeqCst` between its store and its
-//! load (a Dekker pattern, explored by `rtle-check`'s `park` machine).
+//! [`WaitList::wake_all`]s; each takes a [`store_load_fence`] between its
+//! store and its load (a Dekker pattern, explored by `rtle-check`'s `park` machine).
 
 use std::hint;
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+use crate::atomic::{store_load_fence, RelaxedWord};
 
 /// Initial backoff spin count; doubled after each failed probe.
 const BACKOFF_MIN: u32 = 1 << 4;
@@ -82,8 +83,9 @@ pub fn park(lists: &[&WaitList], done: impl FnOnce() -> bool) -> Option<bool> {
 /// The waiters parked on one word or variable; wakers read the count.
 #[derive(Debug, Default)]
 pub struct WaitList {
-    /// Entries (stale ones too), stored under `inner`.
-    count: AtomicUsize,
+    /// Entries (stale ones too), stored under `inner`, loaded after a
+    /// [`store_load_fence`].
+    count: RelaxedWord,
     inner: Mutex<Vec<Arc<Waiter>>>,
 }
 
@@ -91,7 +93,7 @@ impl WaitList {
     /// An empty list.
     pub const fn new() -> Self {
         WaitList {
-            count: AtomicUsize::new(0),
+            count: RelaxedWord::new(0),
             inner: Mutex::new(Vec::new()),
         }
     }
@@ -102,21 +104,19 @@ impl WaitList {
         let mut list = self.inner.lock().unwrap();
         list.retain(|old| Arc::strong_count(old) > 1 && !old.is_notified());
         list.push(Arc::clone(w));
-        self.count.store(list.len(), Ordering::Relaxed); // ordering: under the mutex
-        fence(Ordering::SeqCst); // ordering: the waiter's half of the Dekker
+        self.count.store(list.len() as u64);
+        store_load_fence();
     }
 
     /// Notifies and drains every registered waiter; returns how many were
     /// listed. Call it after the store that ends the wait.
     pub fn wake_all(&self) -> usize {
-        // ordering: the waker's half of the Dekker; with `register`'s fence
-        // it orders the count load.
-        fence(Ordering::SeqCst);
-        if self.count.load(Ordering::Relaxed) == 0 {
+        store_load_fence();
+        if self.count.load() == 0 {
             return 0;
         }
         let mut list = self.inner.lock().unwrap();
-        self.count.store(0, Ordering::Relaxed); // ordering: under the mutex
+        self.count.store(0);
         list.drain(..).map(|w| w.notify()).count()
     }
 }
@@ -156,7 +156,7 @@ impl Waiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use crate::atomic::ProtocolWord;
     use std::thread;
 
     impl WaitList {
@@ -241,16 +241,16 @@ mod tests {
         // hand-off is a store and a `wake_all` — a release. A park that
         // ended by the backstop would be a lost wakeup.
         const ROUNDS: u64 = 30;
-        let turn = Arc::new(AtomicU64::new(0));
+        let turn = Arc::new(ProtocolWord::new(0));
         let list = Arc::new(WaitList::new());
         let player = |me: u64| {
             let (turn, list) = (Arc::clone(&turn), Arc::clone(&list));
             thread::spawn(move || {
                 let (mut woken, mut all_notified) = (0, true);
                 for round in (me..ROUNDS).step_by(2) {
-                    all_notified &= until(&list, || turn.load(Ordering::Acquire) == round);
+                    all_notified &= until(&list, || turn.load() == round);
                     thread::sleep(Duration::from_millis(10));
-                    turn.store(round + 1, Ordering::Release);
+                    turn.store(round + 1);
                     woken += list.wake_all();
                 }
                 (woken, all_notified)

@@ -1,7 +1,8 @@
 //! Types that fit in one transactional machine word.
 //!
-//! The emulated HTM tracks memory at word granularity: every [`crate::TxCell`]
-//! stores its payload in a single `AtomicU64`. [`TxWord`] is the (sealed-ish)
+//! The emulated HTM tracks memory at word granularity: every
+//! [`crate::TxCell`] stores its payload in a single 64-bit
+//! [`crate::atomic::ProtocolWord`]. [`TxWord`] is the (sealed-ish)
 //! conversion trait between user-visible payload types and that raw word.
 //! All implementations are bit-faithful round-trips.
 

@@ -2,6 +2,11 @@
 //! hammering the same cells concurrently — the full strong-atomicity
 //! surface at once.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

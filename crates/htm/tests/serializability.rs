@@ -2,6 +2,11 @@
 //! serializable among themselves and atomic with respect to plain accesses
 //! (strong atomicity), and aborted transactions must leave no trace.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

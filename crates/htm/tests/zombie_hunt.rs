@@ -8,6 +8,11 @@
 //! new second half. This binary holds nothing else, so the chaos
 //! configuration it installs races with no other test.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use rtle_htm::{swhtm, HtmConfig, TxCell};

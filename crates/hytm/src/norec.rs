@@ -173,7 +173,7 @@ mod tests {
         let tm = Arc::new(Norec::new());
         let a = Arc::new(TxCell::new(500u64));
         let b = Arc::new(TxCell::new(500u64));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(rtle_htm::atomic::StopFlag::new());
 
         let writer = {
             let (tm, a, b, stop) = (
@@ -184,7 +184,7 @@ mod tests {
             );
             std::thread::spawn(move || {
                 let mut i = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.is_raised() {
                     i += 1;
                     let d = i % 20;
                     tm.execute(|ctx| {
@@ -203,7 +203,7 @@ mod tests {
             let (av, bv) = tm.execute(|ctx| (ctx.read(&a), ctx.read(&b)));
             assert_eq!(av + bv, 1_000, "torn snapshot");
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.raise();
         writer.join().unwrap();
     }
 

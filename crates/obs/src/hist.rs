@@ -17,8 +17,7 @@
 //! snapshots of several can be summed ([`HistSnapshot::merged`] — how the
 //! recorder's per-thread lanes become one distribution).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use rtle_htm::atomic::RelaxedWord;
 use rtle_htm::lanes::Writer;
 
 use crate::json::Json;
@@ -38,21 +37,21 @@ const BUCKETS: usize = TIERS * SUB_BUCKETS;
 /// buckets are inline (10 KiB), so a histogram sits wherever its owner
 /// does — inside one recorder lane, on lines no other lane touches.
 pub struct Histogram {
-    counts: [AtomicU64; BUCKETS],
+    counts: [RelaxedWord; BUCKETS],
     /// Sum of recorded values (wrapping is acceptable for a diagnostics
     /// mean).
-    total: AtomicU64,
+    total: RelaxedWord,
     /// Running maximum, written only on increase.
-    max: AtomicU64,
+    max: RelaxedWord,
 }
 
 impl Histogram {
     /// An empty histogram.
     pub const fn new() -> Self {
         Histogram {
-            counts: [const { AtomicU64::new(0) }; BUCKETS],
-            total: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            counts: [const { RelaxedWord::new(0) }; BUCKETS],
+            total: RelaxedWord::new(0),
+            max: RelaxedWord::new(0),
         }
     }
 
@@ -104,14 +103,11 @@ impl Histogram {
         // A zero (the usual retry count) moves neither the sum nor the max.
         if v > 0 {
             by.bump(&self.total, v);
-            // ordering: monotonic statistics words with no synchronization
-            // role; each is exact on its own once the recording threads are
-            // quiet, which is all a snapshot or a window difference needs.
-            if v > self.max.load(Ordering::Relaxed) {
+            if v > self.max.load() {
                 if by.owns_lane() {
-                    self.max.store(v, Ordering::Relaxed);
+                    self.max.store(v);
                 } else {
-                    self.max.fetch_max(v, Ordering::Relaxed);
+                    self.max.fetch_max(v);
                 }
             }
         }
@@ -121,20 +117,19 @@ impl Histogram {
     /// recording: a racing sample's bucket, sum and maximum may straddle
     /// it, which skews a mean by at most that sample).
     pub fn snapshot(&self) -> HistSnapshot {
-        // ordering: statistics reads, as in `record`.
         let buckets: Vec<(u64, u64)> = self
             .counts
             .iter()
             .enumerate()
             .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
+                let n = c.load();
                 (n > 0).then(|| (Self::bucket_floor(i), n))
             })
             .collect();
         HistSnapshot {
             count: buckets.iter().map(|&(_, n)| n).sum(),
-            total: self.total.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            total: self.total.load(),
+            max: self.max.load(),
             buckets,
         }
     }

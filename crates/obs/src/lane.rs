@@ -21,8 +21,7 @@
 // counted here.
 #![warn(clippy::unwrap_used, clippy::panic)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use rtle_htm::atomic::RelaxedWord;
 use rtle_htm::lanes::Writer;
 use rtle_htm::AbortCode;
 
@@ -32,9 +31,9 @@ use crate::window::WindowCounts;
 
 /// One thread's recording state. See the module docs.
 pub(crate) struct Lane {
-    commits: [AtomicU64; PATHS],
-    aborts: [AtomicU64; AbortCode::KINDS],
-    explicit: [AtomicU64; AbortCode::EXPLICIT_CODES],
+    commits: [RelaxedWord; PATHS],
+    aborts: [RelaxedWord; AbortCode::KINDS],
+    explicit: [RelaxedWord; AbortCode::EXPLICIT_CODES],
     /// Critical-section latency of committed attempts.
     pub cs_latency: Histogram,
     /// Time the fallback lock was held per acquisition: the latency of
@@ -85,8 +84,7 @@ impl Lane {
     /// word is read once and only grows, so a racing sample is in this
     /// reading or the next.
     pub fn read(&self) -> WindowCounts {
-        // ordering: statistics reads, as in `count`.
-        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let read = RelaxedWord::load;
         WindowCounts {
             commits: std::array::from_fn(|i| read(&self.commits[i])),
             aborts: std::array::from_fn(|i| read(&self.aborts[i])),

@@ -6,7 +6,8 @@
 //! parse the request line of a `GET`, discard headers, answer with
 //! `Content-Length` and `Connection: close`. That subset is all a
 //! scraper needs, and hand-rolling it keeps the endpoint auditable by
-//! the same rtle-check ordering table as the rest of the stack.
+//! the same gates as the rest of the stack (its one shared word is a
+//! `StopFlag`).
 //!
 //! Serving is deliberately decoupled from recording: the accept thread
 //! renders from the registry's non-destructive scrape path, so a slow
@@ -23,10 +24,11 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use rtle_htm::atomic::StopFlag;
 
 use crate::registry::MetricsRegistry;
 
@@ -43,7 +45,7 @@ const MAX_REQUEST_BYTES: usize = 8192;
 /// A running scrape endpoint. Shut down explicitly or on drop.
 pub struct LiveServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopFlag>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -57,7 +59,7 @@ impl LiveServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopFlag::new());
         let thread_stop = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name("rtle-live".into())
@@ -76,7 +78,7 @@ impl LiveServer {
 
     /// Stops the accept loop and joins the thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.raise();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -97,8 +99,8 @@ impl std::fmt::Debug for LiveServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Acquire) {
+fn accept_loop(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Arc<StopFlag>) {
+    while !stop.is_raised() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Serve inline: scrapes are small, periodic, and the

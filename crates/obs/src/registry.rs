@@ -284,17 +284,17 @@ pub fn render_json(scrape: &[(String, SourceSnapshot)], taken_at_ns: u64) -> Jso
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use rtle_htm::atomic::RelaxedWord;
 
     struct Fake {
-        hits: AtomicU64,
+        hits: RelaxedWord,
     }
 
     impl LiveSource for Fake {
         fn live_snapshot(&self) -> SourceSnapshot {
             SourceSnapshot {
                 kind: "fake",
-                counters: vec![("hits".into(), self.hits.load(Relaxed))],
+                counters: vec![("hits".into(), self.hits.load())],
                 gauges: vec![("ratio".into(), 0.25)],
                 windows: Vec::new(),
                 labels: Vec::new(),
@@ -306,10 +306,10 @@ mod tests {
     fn scrape_reflects_current_counters() {
         let reg = MetricsRegistry::new();
         let fake = Arc::new(Fake {
-            hits: AtomicU64::new(0),
+            hits: RelaxedWord::new(0),
         });
         reg.register("a", fake.clone());
-        fake.hits.store(7, Relaxed);
+        fake.hits.store(7);
         let scrape = reg.scrape();
         assert_eq!(scrape.len(), 1);
         assert_eq!(scrape[0].0, "a");
@@ -322,13 +322,13 @@ mod tests {
         reg.register(
             "alpha",
             Arc::new(Fake {
-                hits: AtomicU64::new(3),
+                hits: RelaxedWord::new(3),
             }),
         );
         reg.register(
             "beta",
             Arc::new(Fake {
-                hits: AtomicU64::new(5),
+                hits: RelaxedWord::new(5),
             }),
         );
         let text = reg.to_prometheus();
@@ -346,7 +346,7 @@ mod tests {
         reg.register(
             "alpha",
             Arc::new(Fake {
-                hits: AtomicU64::new(9),
+                hits: RelaxedWord::new(9),
             }),
         );
         let json = reg.to_json();

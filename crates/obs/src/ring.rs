@@ -17,13 +17,12 @@
 //! the slot was claimed, handed to the packing closure — into every word;
 //! its decoder rejects a slot whose words disagree.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use rtle_htm::atomic::RelaxedWord;
 use rtle_htm::lanes::{PerLane, Writer};
 
 struct Segment<const W: usize, const N: usize> {
-    cursor: AtomicU64,
-    slots: [[AtomicU64; W]; N],
+    cursor: RelaxedWord,
+    slots: [[RelaxedWord; W]; N],
 }
 
 /// A bounded ring of `W`-word records, `N` slots per lane.
@@ -42,8 +41,8 @@ impl<const W: usize, const N: usize> Ring<W, N> {
     pub fn new() -> Self {
         Ring {
             lanes: PerLane::new(|| Segment {
-                cursor: AtomicU64::new(0),
-                slots: [const { [const { AtomicU64::new(0) }; W] }; N],
+                cursor: RelaxedWord::new(0),
+                slots: [const { [const { RelaxedWord::new(0) }; W] }; N],
             }),
         }
     }
@@ -59,18 +58,14 @@ impl<const W: usize, const N: usize> Ring<W, N> {
         let slot = &seg.slots[claim as usize & Self::MASK];
         let words = pack(claim / N as u64);
         for (cell, word) in slot.iter().zip(words).rev() {
-            cell.store(word, Ordering::Relaxed);
+            cell.store(word);
         }
     }
 
     /// Number of records published so far (monotone; includes
     /// overwritten ones).
     pub fn pushed(&self) -> u64 {
-        // ordering: statistics read.
-        self.lanes
-            .iter()
-            .map(|seg| seg.cursor.load(Ordering::Relaxed))
-            .sum()
+        self.lanes.iter().map(|seg| seg.cursor.load()).sum()
     }
 
     /// The words of every slot, lane by lane and oldest-first within a
@@ -81,11 +76,10 @@ impl<const W: usize, const N: usize> Ring<W, N> {
         self.lanes.iter().flat_map(|seg| {
             // `cur` is the next write position, so `cur..cur+n` (mod n) is
             // oldest..newest once the segment has wrapped.
-            // ordering: racy diagnostic reads, as in `push`.
-            let cur = seg.cursor.load(Ordering::Relaxed) as usize;
+            let cur = seg.cursor.load() as usize;
             (0..N).map(move |i| {
                 let slot = &seg.slots[(cur + i) & Self::MASK];
-                std::array::from_fn(|w| slot[w].load(Ordering::Relaxed))
+                std::array::from_fn(|w| slot[w].load())
             })
         })
     }

@@ -37,8 +37,9 @@
 //! for offline `diag --timeline` analysis without any live re-run.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
+
+use rtle_htm::atomic::RelaxedWord;
 
 use crate::json::Json;
 use crate::recorder::{Recorder, SCHEMA_VERSION};
@@ -145,18 +146,19 @@ impl CollapseEvent {
 
 /// Scrape-visible mirror of the watchdog's state. The watchdog itself
 /// is single-consumer and rides the rotator thread; the mirror is a
-/// handful of relaxed atomics the rotator publishes into on every
+/// handful of `RelaxedWord`s the rotator publishes into on every
 /// [`Watchdog::inspect`], so a live scrape can report armed/fired
 /// status without touching the watchdog's internals or its thread.
 #[derive(Debug, Default)]
 pub struct WatchdogLive {
-    armed: AtomicBool,
-    windows_inspected: AtomicU64,
-    fired_total: AtomicU64,
+    /// 1 once armed.
+    armed: RelaxedWord,
+    windows_inspected: RelaxedWord,
+    fired_total: RelaxedWord,
     /// [`CollapseKind::code`] of the most recent verdict, 0 if none.
-    last_kind: AtomicU64,
+    last_kind: RelaxedWord,
     /// Window index of the most recent verdict.
-    last_window: AtomicU64,
+    last_window: RelaxedWord,
     /// Path of the most recent flight-record dump, if the harness wrote
     /// one. Scrape-side only; never touched by hot-path writers.
     flight_path: Mutex<Option<String>>,
@@ -170,17 +172,17 @@ impl WatchdogLive {
 
     /// True once the watchdog has seen its warmup windows.
     pub fn armed(&self) -> bool {
-        self.armed.load(Relaxed)
+        self.armed.load() != 0
     }
 
     /// Total verdicts so far.
     pub fn fired_total(&self) -> u64 {
-        self.fired_total.load(Relaxed)
+        self.fired_total.load()
     }
 
     /// Label of the most recent verdict, if any fired yet.
     pub fn last_kind(&self) -> Option<&'static str> {
-        match self.last_kind.load(Relaxed) {
+        match self.last_kind.load() {
             1 => Some(CollapseKind::FallbackCollapse.label()),
             2 => Some(CollapseKind::ConflictStorm.label()),
             3 => Some(CollapseKind::ConvoyStall.label()),
@@ -200,12 +202,12 @@ impl WatchdogLive {
     }
 
     fn publish(&self, armed: bool, verdict: Option<&CollapseEvent>) {
-        self.windows_inspected.fetch_add(1, Relaxed);
-        self.armed.store(armed, Relaxed);
+        self.windows_inspected.fetch_add(1);
+        self.armed.store(u64::from(armed));
         if let Some(ev) = verdict {
-            self.fired_total.fetch_add(1, Relaxed);
-            self.last_kind.store(ev.kind.code(), Relaxed);
-            self.last_window.store(ev.window_index, Relaxed);
+            self.fired_total.fetch_add(1);
+            self.last_kind.store(ev.kind.code());
+            self.last_window.store(ev.window_index);
         }
     }
 }
@@ -215,22 +217,10 @@ impl LiveSource for WatchdogLive {
         SourceSnapshot {
             kind: "watchdog",
             counters: vec![
-                (
-                    "windows_inspected".into(),
-                    self.windows_inspected.load(Relaxed),
-                ),
-                (
-                    "collapse_fired_total".into(),
-                    self.fired_total.load(Relaxed),
-                ),
-                (
-                    "collapse_last_kind_code".into(),
-                    self.last_kind.load(Relaxed),
-                ),
-                (
-                    "collapse_last_window".into(),
-                    self.last_window.load(Relaxed),
-                ),
+                ("windows_inspected".into(), self.windows_inspected.load()),
+                ("collapse_fired_total".into(), self.fired_total.load()),
+                ("collapse_last_kind_code".into(), self.last_kind.load()),
+                ("collapse_last_window".into(), self.last_window.load()),
             ],
             gauges: vec![
                 ("armed".into(), if self.armed() { 1.0 } else { 0.0 }),
@@ -625,7 +615,7 @@ mod tests {
             .expect("collapse fires");
         assert_eq!(live.fired_total(), 1);
         assert_eq!(live.last_kind(), Some("fallback_collapse"));
-        assert_eq!(live.last_window.load(Relaxed), 5);
+        assert_eq!(live.last_window.load(), 5);
 
         assert!(live.flight_record_path().is_none());
         live.set_flight_record_path("/tmp/flight.json");

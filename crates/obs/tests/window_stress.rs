@@ -9,6 +9,11 @@
 //! * **merged == sum of lanes** — every rotation's merged window is the
 //!   field-wise sum of its per-lane shares.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 

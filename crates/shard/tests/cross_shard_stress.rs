@@ -19,6 +19,11 @@
 //!   sufficient funds may only fail for insufficiency observed at
 //!   transfer time, never `MissingFrom`/`MissingTo`.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

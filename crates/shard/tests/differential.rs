@@ -5,6 +5,11 @@
 //! already draw from. Every operation's *result* must match the oracle
 //! op-for-op, and the final entry sets must be identical.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};

@@ -7,6 +7,11 @@
 //! own test thread, and each helper below holds exactly one `atomically`
 //! call site.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use rtle_htm::htm_unfriendly_instruction;

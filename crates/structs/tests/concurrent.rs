@@ -2,6 +2,11 @@
 //! synchronization method — including the linked list's designed behavior
 //! of overflowing HTM capacity and escalating to the lock.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 

@@ -6,12 +6,12 @@
 //! cargo run --release --example avl_set [key_range] [update_pct] [threads] [secs]
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use refined_tle::prelude::*;
 use rtle_avltree::xorshift64;
+use rtle_htm::atomic::StopFlag;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -53,7 +53,7 @@ fn run_one(policy: ElisionPolicy, key_range: u64, update_pct: u64, threads: usiz
         }
     }
     let lock = Arc::new(ElidableLock::builder().policy(policy).build());
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(StopFlag::new());
     let t0 = Instant::now();
 
     std::thread::scope(|scope| {
@@ -63,7 +63,7 @@ fn run_one(policy: ElisionPolicy, key_range: u64, update_pct: u64, threads: usiz
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let mut rng = 0xbeef ^ (t as u64 + 1);
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_raised() {
                     let r = xorshift64(&mut rng);
                     let key = (r >> 16) % key_range;
                     let pct = r % 100;
@@ -80,7 +80,7 @@ fn run_one(policy: ElisionPolicy, key_range: u64, update_pct: u64, threads: usiz
             });
         }
         std::thread::sleep(Duration::from_secs(secs));
-        stop.store(true, Ordering::Relaxed);
+        stop.raise();
     });
 
     let elapsed = t0.elapsed();

@@ -13,11 +13,11 @@
 //! cargo run --release --example hash_and_list
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use refined_tle::prelude::*;
 use rtle_avltree::xorshift64;
+use rtle_htm::atomic::StopFlag;
 
 fn spaces() -> [(&'static str, Stm); 4] {
     [
@@ -86,14 +86,14 @@ fn main() {
 
 /// Times a 4-thread run of `op` wrapped in `atomically` until `stop`.
 fn run(label: &str, space: &Stm, op: impl for<'e, 'r> Fn(&Tx<'e, 'r>, u64, u64) + Sync) {
-    let stop = AtomicBool::new(false);
+    let stop = StopFlag::new();
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         let (stop, op) = (&stop, &op);
         for t in 0..4u64 {
             scope.spawn(move || {
                 let mut rng = 0xabc ^ (t + 1);
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_raised() {
                     let r = xorshift64(&mut rng);
                     space.atomically(|tx| {
                         op(tx, (r >> 16) % 512, r % 100);
@@ -103,7 +103,7 @@ fn run(label: &str, space: &Stm, op: impl for<'e, 'r> Fn(&Tx<'e, 'r>, u64, u64) 
             });
         }
         std::thread::sleep(Duration::from_secs(1));
-        stop.store(true, Ordering::Relaxed);
+        stop.raise();
     });
     let snap = space.stats().snapshot();
     println!(

@@ -4,10 +4,11 @@
 # This script is NOT part of tier-1 (`scripts/tier1.sh`). It needs a
 # nightly toolchain, which the baseline container does not guarantee, so
 # a missing toolchain degrades to a loud SKIP instead of a failure. Run it
-# before merging changes to unsafe code, atomics orderings, the lane claim
-# table, or the publication protocol — the static gates (`rtle-check`'s
-# ordering table and models, clippy's `UnsafeCell` ban) hold the modelled
-# orderings, this script exercises the real ones.
+# before merging changes to unsafe code, `rtle_htm::atomic`'s orderings,
+# the lane claim table, or the publication protocol — the static gates
+# (the protocol-word types and clippy's std-atomic and `UnsafeCell` bans,
+# `rtle-check`'s models) fix the orderings and model the protocols, this
+# script exercises the real ones.
 #
 # Stages:
 #   1. Miri: always SKIP. The `miri` component is not installed and

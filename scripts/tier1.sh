@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build, the full test suite (in release,
 # then in debug with overflow checks and debug assertions on), clippy and
-# rustdoc, rtle-check, the seeded protocol mutant, the fuzz campaign, real
+# rustdoc, the interleaving model, the seeded protocol mutant, the fuzz campaign, real
 # RTM where it commits, the checked-in figures and the benchmark harness's
 # self-tests.
 # Every check of a document a binary writes is a cargo test (the binaries
@@ -123,7 +123,12 @@ stage "clippy (deny warnings)"
 # section constructor, so a shard lock taken anywhere else fails here.
 # And it holds publication: both clippy.toml files disallow
 # `std::cell::UnsafeCell`, so a raw publication (data through a raw cell,
-# then a flag) fails here unless a reviewed `#[expect]` names why.
+# then a flag) fails here unless a reviewed `#[expect]` names why. And the
+# memory orderings: both files disallow the std atomic types and
+# `fence`/`compiler_fence`, so every shared word is one of
+# `rtle_htm::atomic`'s types, whose methods each fix their ordering
+# (crates/htm/src/atomic.rs, the one module that may name std atomics);
+# a new std atomic or fence in production code fails here.
 # `--all-features` also type-checks the `rtm` backend and the seeded
 # protocol mutant (`tl2-stale-read-mutant`), so the seeded code cannot
 # rot while staying caught. The benchmark package is its own workspace:
@@ -136,11 +141,8 @@ stage "rustdoc (deny warnings)"
 # public documentation.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-stage "rtle-check (ordering table + interleaving model)"
-# Zero-findings gate: `all` lexes every file of the ordering table's scope
-# and audits each atomic site (a call with an ordering argument) against
-# its row, or its `// ordering: <reason>` comment — any finding is a
-# non-zero exit — then the model checker:
+stage "interleaving model"
+# rtle-check runs the model checker:
 # one generic explorer + terminal judge (`model::explore::<M>`,
 # `model::judge`) over every `impl Machine`, which must verify every safe
 # configuration — three row families: the TLE machine's eight (`tle-*`,
@@ -156,7 +158,7 @@ stage "rtle-check (ordering table + interleaving model)"
 # validates before it raises the clock), `swhtm-carry-wv-mutant` (a
 # commit that carries its drawn version instead of its clock sample),
 # `park-release-skips-check` and `park-register-after-recheck` (each a
-# lost wakeup). A missed mutant is a non-zero exit.
+# lost wakeup). A violation or a missed mutant is a non-zero exit.
 # Every row's counts are pinned by crates/check/tests/golden/model_rows.txt.
 # The §4 fence after the orec stamp is crates/check/tests/one_home.rs's,
 # in the tests stages above.

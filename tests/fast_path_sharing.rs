@@ -14,14 +14,15 @@
 //! process-global.
 
 use std::mem::{align_of, size_of};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rtle_core::{ElidableLock, ElisionPolicy, ExecStats};
+use rtle_htm::atomic::{Clock, RelaxedWord};
 use rtle_htm::lanes::{Block, Lanes, PerLane, Writer, BLOCK_BYTES, LANES};
+use rtle_htm::wait::WaitList;
 use rtle_htm::{stripe, swhtm, AbortCode, HtmConfig, HtmStats, TxCell};
-use rtle_obs::{ObsConfig, Recorder};
+use rtle_obs::{Histogram, ObsConfig, Recorder};
 
 /// Three threads per lane over a storm.
 const THREADS: usize = 3 * LANES;
@@ -67,7 +68,7 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
     );
 
     // The clock's block holds the clock and padding, nothing else.
-    assert_eq!(size_of::<Block<AtomicU64>>(), BLOCK_BYTES);
+    assert_eq!(size_of::<Block<Clock>>(), BLOCK_BYTES);
     assert_eq!(stripe::clock_addr() % BLOCK_BYTES, 0);
 
     // ExecStats starts and ends on block boundaries, so whatever else an
@@ -85,8 +86,8 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
     // Heap lanes — the recorder's counters and histograms, the record
     // ring's segments — start on block boundaries and never share a
     // block, whatever the size of a lane (here: not a multiple of anything).
-    type Odd = [AtomicU64; 5131];
-    let lanes = PerLane::<Odd>::new(|| [const { AtomicU64::new(0) }; 5131]);
+    type Odd = [RelaxedWord; 5131];
+    let lanes = PerLane::<Odd>::new(|| [const { RelaxedWord::new(0) }; 5131]);
     let starts: Vec<usize> = lanes
         .iter()
         .map(|lane| lane as *const Odd as usize)
@@ -102,6 +103,24 @@ fn lanes_and_clock_sit_alone_in_their_blocks() {
             starts[key % LANES]
         );
     }
+}
+
+/// The protocol words of `rtle_htm::atomic` are their std atomics (each
+/// pins its size and alignment), so nothing that holds them moved: these
+/// are the sizes the structures had when they held std atomics. (The
+/// lock's size includes std's `Mutex`, hence the platform gate.)
+#[test]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn the_protocol_words_kept_every_layout() {
+    assert_eq!(
+        (size_of::<TxCell<u64>>(), align_of::<TxCell<u64>>()),
+        (8, 8)
+    );
+    assert_eq!(size_of::<ElidableLock>(), 4608);
+    assert_eq!(size_of::<WaitList>(), 40);
+    assert_eq!(size_of::<Block<Clock>>(), 128);
+    assert_eq!(size_of::<Block<[RelaxedWord; 16]>>(), 128, "one lane block");
+    assert_eq!(size_of::<Histogram>(), 10256);
 }
 
 /// What one thread saw its own attempts do.

@@ -8,6 +8,11 @@
 //!   commits on the slow path while the holder is still inside.
 //! * Refined TLE with lazy subscription restores it.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

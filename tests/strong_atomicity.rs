@@ -4,6 +4,11 @@
 //! in which critical-section stores become visible is preserved even for
 //! readers outside any critical section.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

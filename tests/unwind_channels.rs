@@ -6,6 +6,11 @@
 //! One test per binary: it installs a panic hook *before* the first raise,
 //! which is the hook the channel's silent hook must chain to.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the test's own harness flags and counters, at the orderings it chose; the code under test uses `rtle_htm::atomic`"
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
