@@ -80,8 +80,8 @@ impl HtmConfig {
     /// Reads the currently installed global configuration.
     pub fn current() -> Self {
         HtmConfig {
-            write_capacity: write_capacity(),
-            read_capacity: read_capacity(),
+            write_capacity: write_capacity() as u32,
+            read_capacity: read_capacity() as u32,
             spurious_one_in: SPURIOUS_ONE_IN.load(),
             conflict_one_in: CONFLICT_ONE_IN.load(),
             capacity_one_in: CAPACITY_ONE_IN.load(),
@@ -116,14 +116,17 @@ impl HtmConfig {
     }
 }
 
+/// The write capacity, in lines (a `u32` widened: the barriers compare it
+/// with a log length).
 #[inline]
-pub(crate) fn write_capacity() -> u32 {
-    WRITE_CAPACITY.load() as u32
+pub(crate) fn write_capacity() -> usize {
+    WRITE_CAPACITY.load() as usize
 }
 
+/// The read capacity, in lines (as [`write_capacity`]).
 #[inline]
-pub(crate) fn read_capacity() -> u32 {
-    READ_CAPACITY.load() as u32
+pub(crate) fn read_capacity() -> usize {
+    READ_CAPACITY.load() as usize
 }
 
 #[inline]

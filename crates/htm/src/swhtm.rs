@@ -125,7 +125,7 @@ pub(crate) fn read_barrier(th: &ThreadState, cell: &ProtocolWord) -> u64 {
         let val = GLOBAL.read(fp, idx, || cell.load())?;
         // The log's length bounds its distinct lines from above: count
         // them exactly only once it passes the capacity.
-        let cap = config::read_capacity() as usize;
+        let cap = config::read_capacity();
         if fp.reads.len() > cap && fp.compact_reads() > cap {
             return Err(AbortCode::Capacity);
         }
@@ -153,7 +153,7 @@ pub(crate) fn write_barrier(th: &ThreadState, cell: &ProtocolWord, value: u64) {
         t.redo.log_write(cell, value);
         let fp = &mut t.footprint;
         fp.write(idx);
-        let cap = config::write_capacity() as usize;
+        let cap = config::write_capacity();
         fp.writes.len() > cap && fp.compact_writes() > cap
     });
     if over {
