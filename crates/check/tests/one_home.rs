@@ -1,10 +1,11 @@
 //! One home, by grep: the TLE machine chooses its rung with the runtime's
 //! own function and reads its budgets in one place, the TL2 machine has
-//! one protocol, FG-TLE stores an orec in one place, fenced, and no crate
-//! declares a `trace` feature. Textual on purpose — the point is that a
-//! second copy cannot come back unnoticed.
+//! one protocol, FG-TLE stores an orec in one place, fenced, one function
+//! decides what an abort waits for, and no crate declares a `trace`
+//! feature. Textual on purpose — the point is that a second copy cannot
+//! come back unnoticed.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The code lines of `src` up to its test module (comments dropped).
 fn code_lines(src: &'static str) -> Vec<&'static str> {
@@ -140,4 +141,53 @@ fn no_manifest_declares_a_trace_feature() {
         );
     }
     assert!(manifests >= 13, "only {manifests} crate manifests scanned");
+}
+
+/// Every `.rs` file under `dir`, build outputs excepted.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("a readable directory") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The after-abort rule is one function, `policy::awaits_release`, which
+/// the runtime and the simulator's engine both call; the runtime's second
+/// wait set and its wait for a free lock are gone.
+#[test]
+fn one_after_abort_rule() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    rust_files(&crates, &mut files);
+    assert!(files.len() > 100, "only {} files scanned", files.len());
+    let mut homes = Vec::new();
+    // This file names what it looks for.
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with("check/tests/one_home.rs"))
+    {
+        let text = std::fs::read_to_string(file).expect("a readable source file");
+        let name = file
+            .strip_prefix(&crates)
+            .expect("under crates/")
+            .display()
+            .to_string();
+        if text.contains("fn awaits_release(") {
+            homes.push(name.clone());
+        }
+        for gone in ["slow_attempt_hopeless", "spin_while_held"] {
+            assert!(!text.contains(gone), "`{gone}` is back in {name}");
+        }
+    }
+    assert_eq!(
+        homes,
+        ["core/src/policy.rs"],
+        "`fn awaits_release` is defined once"
+    );
 }

@@ -472,7 +472,7 @@ mod tests {
             .expect("eight lines do not all share one slot of 4096");
         let g = l.lock_section();
         g.ctx().write(&written[0], 1);
-        assert_eq!(l.try_speculate(|ctx| ctx.read(&written[5])).ok(), None);
+        assert_eq!(l.slow_attempt_once(|ctx| ctx.read(&written[5])), None);
         assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
         let h = l.orec_heatmap().expect("FG-TLE has orecs");
         assert_eq!((h.total_conflicts(), h.conflicts[slot]), (1, 1));
@@ -506,7 +506,7 @@ mod tests {
         for (k, Line(line)) in lines.iter().enumerate() {
             let slot = OrecTable::index(line[0].addr(), 4);
             let before = l.orec_heatmap().expect("FG-TLE has orecs").conflicts[slot];
-            assert_eq!(l.try_speculate(|ctx| ctx.write(&line[7], 2)).ok(), None);
+            assert_eq!(l.slow_attempt_once(|ctx| ctx.write(&line[7], 2)), None);
             let after = l.orec_heatmap().expect("FG-TLE has orecs").conflicts[slot];
             assert_eq!(after, before + 1, "line {k}");
         }
@@ -521,7 +521,7 @@ mod tests {
         let g = l.lock_section();
         // The holder owns the only write orec.
         g.ctx().write(&held, 1);
-        assert_eq!(l.try_speculate(|ctx| ctx.read(&c)).ok(), None);
+        assert_eq!(l.slow_attempt_once(|ctx| ctx.read(&c)), None);
         assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
     }
 
@@ -538,7 +538,7 @@ mod tests {
             "read-read parallelism"
         );
         // ...but a slow write to a read-owned orec must abort.
-        assert_eq!(l.try_speculate(|ctx| ctx.write(&c, 9)).ok(), None);
+        assert_eq!(l.slow_attempt_once(|ctx| ctx.write(&c, 9)), None);
         assert_eq!(aborts(&l, abort_codes::OREC_CONFLICT), 1);
         assert_eq!(c.read_plain(), 0);
     }
@@ -575,7 +575,7 @@ mod tests {
         };
         g.ctx().write(&held, 1);
         for _ in 0..3 {
-            assert_eq!(l.try_speculate(|ctx| ctx.read(&c)).ok(), None);
+            assert_eq!(l.slow_attempt_once(|ctx| ctx.read(&c)), None);
         }
         let h = l.orec_heatmap().expect("FG-TLE has orecs");
         assert_eq!(h.total_conflicts(), 3, "one attribution per self-abort");

@@ -38,7 +38,7 @@ use crate::barrier::{Ctx, Holder, Rung};
 use crate::epoch::SeqEpoch;
 use crate::lock::TatasLock;
 use crate::orec::OrecTable;
-use crate::policy::{slow_attempt_hopeless, ElisionPolicy, RetryPolicy, Step};
+use crate::policy::{awaits_release, ElisionPolicy, RetryPolicy, Step};
 use crate::stats::ExecStats;
 
 /// A lock whose critical sections are executed speculatively on HTM
@@ -406,9 +406,11 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// The speculative half of [`Self::execute`]'s ladder: whatever
     /// [`RetryPolicy::next_step`] (Figure 1) chooses — fast attempts while
     /// the lock is free, instrumented slow attempts while it is held — up
-    /// to the retry policy's budgets. `Ok` carries the committed result;
-    /// `Err` carries the attempt count for the caller's fallback decision
-    /// and the abort that ended the phase (`None` when no attempt ran).
+    /// to the retry policy's budgets, an abort waiting out the holding it
+    /// met only if [`awaits_release`] says so. `Ok` carries the committed
+    /// result; `Err` carries the attempt count for the caller's fallback
+    /// decision and the abort that ended the phase (`None` when no attempt
+    /// ran).
     fn speculative_phase<R>(
         &self,
         cs: &impl Fn(&Ctx<'_>) -> R,
@@ -436,9 +438,9 @@ impl<B: HtmBackend> ElidableLock<B> {
                             if self.retry.give_up_on_unsupported && !code.may_retry() {
                                 break;
                             }
-                            // Anti-lemming: never start a transaction into
-                            // a held lock ([16]).
-                            self.lock.spin_while_held();
+                            if awaits_release(PathKind::FastHtm, code) {
+                                self.lock.await_release();
+                            }
                         }
                     }
                 }
@@ -453,8 +455,8 @@ impl<B: HtmBackend> ElidableLock<B> {
                         Err(code) => {
                             slow_attempts += 1;
                             last = Some(code);
-                            if slow_attempt_hopeless(code) {
-                                self.lock.spin_while_held();
+                            if awaits_release(PathKind::SlowHtm, code) {
+                                self.lock.await_release();
                             } else {
                                 // A short fixed pause, then retry at once.
                                 wait::pause(64);
@@ -463,7 +465,7 @@ impl<B: HtmBackend> ElidableLock<B> {
                     }
                 }
                 // Standard TLE (`Slow` is only chosen with a slow path).
-                (Step::AwaitRelease, _) | (Step::Slow, None) => self.lock.spin_while_held(),
+                (Step::AwaitRelease, _) | (Step::Slow, None) => self.lock.await_release(),
                 (Step::Fallback, _) => break,
             }
         }
@@ -568,7 +570,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         // held lock (and vice versa — see `quiesce_software`): wait out the
         // holder and raise the presence.
         let _presence = loop {
-            self.lock.spin_while_held();
+            self.lock.await_release();
             if let Some(presence) = self.try_software_presence() {
                 break presence;
             }
@@ -939,10 +941,28 @@ enum SlowPath<'a> {
 }
 
 #[cfg(test)]
+impl<B: HtmBackend> ElidableLock<B> {
+    /// One counted slow-path attempt and no after-abort wait: how the
+    /// barrier tests probe a lock their own thread holds (an owned orec
+    /// would otherwise wait for that thread's release).
+    pub(crate) fn slow_attempt_once<R>(&self, cs: impl Fn(&Ctx<'_>) -> R) -> Option<R> {
+        let slow = self.slow_path().expect("a refined policy");
+        let outcome = self.slow_attempt(slow, &cs);
+        self.note_attempt(PathKind::SlowHtm, &outcome, 0, None);
+        outcome.ok()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// A cell alone on its cache line: an orec covers a line, and two
+    /// small allocations may share one.
+    #[repr(align(64))]
+    struct OwnLine(TxCell<u64>);
 
     fn policies() -> Vec<ElisionPolicy> {
         vec![
@@ -1060,6 +1080,78 @@ mod tests {
         }
     }
 
+    /// A fast attempt that an acquisition dooms mid-body does not wait for
+    /// the lock to come free: `next_step` sends its retry to the slow path,
+    /// which commits beside the holder.
+    #[test]
+    fn doomed_fast_reader_commits_on_the_slow_path_while_held() {
+        let lock = Arc::new(
+            ElidableLock::builder()
+                .policy(ElisionPolicy::FgTle { orecs: 64 })
+                .build(),
+        );
+        let (data, newer) = (Arc::new(TxCell::new(7u64)), Arc::new(TxCell::new(0u64)));
+        let in_body = Arc::new(AtomicBool::new(false));
+        let in_cs = Arc::new(AtomicBool::new(false));
+        let deadline = std::time::Duration::from_secs(2);
+
+        let reader = {
+            let (lock, data, newer, in_body, in_cs) = (
+                Arc::clone(&lock),
+                Arc::clone(&data),
+                Arc::clone(&newer),
+                Arc::clone(&in_body),
+                Arc::clone(&in_cs),
+            );
+            std::thread::spawn(move || {
+                let first = AtomicBool::new(true);
+                lock.execute(|ctx| {
+                    if first.swap(false, Ordering::SeqCst) {
+                        // The first (fast) attempt: the lock is acquired
+                        // under it; reading a word written after it began
+                        // revalidates its subscription, which dooms it.
+                        in_body.store(true, Ordering::SeqCst);
+                        let start = std::time::Instant::now();
+                        while !in_cs.load(Ordering::SeqCst) && start.elapsed() < deadline {
+                            std::hint::spin_loop();
+                        }
+                        let _ = ctx.read(&newer);
+                    }
+                    ctx.read(&data)
+                })
+            })
+        };
+
+        while !in_body.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        newer.write(1);
+        // The holder releases once the reader committed on the slow path,
+        // or at the deadline.
+        let held_through = lock.execute(|_| {
+            rtle_htm::htm_unfriendly_instruction();
+            in_cs.store(true, Ordering::SeqCst);
+            let start = std::time::Instant::now();
+            while lock.stats().snapshot().slow_commits == 0 {
+                if start.elapsed() > deadline {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            true
+        });
+        assert_eq!(reader.join().unwrap(), 7);
+        let snap = lock.stats().snapshot();
+        assert_eq!(
+            snap.aborts_conflict, 1,
+            "the reader's fast attempt was doomed: {snap:?}"
+        );
+        assert!(
+            held_through && snap.slow_commits == 1,
+            "the doomed reader waited for a free lock: {snap:?}"
+        );
+    }
+
     /// FG-TLE slow path: writers to disjoint data commit while the lock is
     /// held, provided the orecs do not alias.
     #[test]
@@ -1069,8 +1161,8 @@ mod tests {
                 .policy(ElisionPolicy::FgTle { orecs: 8192 })
                 .build(),
         );
-        let holder_cell = Arc::new(TxCell::new(0u64));
-        let writer_cell = Arc::new(TxCell::new(0u64));
+        let holder_cell = Arc::new(OwnLine(TxCell::new(0)));
+        let writer_cell = Arc::new(OwnLine(TxCell::new(0)));
         let in_cs = Arc::new(AtomicBool::new(false));
         let writer_done = Arc::new(AtomicBool::new(false));
 
@@ -1084,7 +1176,7 @@ mod tests {
             std::thread::spawn(move || {
                 lock.execute(|ctx| {
                     rtle_htm::htm_unfriendly_instruction();
-                    ctx.write(&holder_cell, 1);
+                    ctx.write(&holder_cell.0, 1);
                     in_cs.store(true, Ordering::SeqCst);
                     let start = std::time::Instant::now();
                     while !writer_done.load(Ordering::SeqCst)
@@ -1102,8 +1194,8 @@ mod tests {
 
         if lock.stats().snapshot().lock_acquisitions > 0 {
             lock.execute(|ctx| {
-                let v = ctx.read(&writer_cell);
-                ctx.write(&writer_cell, v + 41);
+                let v = ctx.read(&writer_cell.0);
+                ctx.write(&writer_cell.0, v + 41);
             });
             let snap = lock.stats().snapshot();
             assert!(
@@ -1113,8 +1205,8 @@ mod tests {
         }
         writer_done.store(true, Ordering::SeqCst);
         holder.join().unwrap();
-        assert_eq!(writer_cell.read_plain(), 41);
-        assert_eq!(holder_cell.read_plain(), 1);
+        assert_eq!(writer_cell.0.read_plain(), 41);
+        assert_eq!(holder_cell.0.read_plain(), 1);
     }
 
     /// With lazy subscription (§5), no critical section may complete while
@@ -1432,11 +1524,11 @@ mod tests {
                 .policy(ElisionPolicy::FgTle { orecs: 4096 })
                 .build(),
         );
-        let holder_cell = Arc::new(TxCell::new(0u64));
-        let other_cell = Arc::new(TxCell::new(0u64));
+        let holder_cell = Arc::new(OwnLine(TxCell::new(0)));
+        let other_cell = Arc::new(OwnLine(TxCell::new(0)));
 
         let g = lock.lock_section();
-        g.ctx().write(&holder_cell, 1);
+        g.ctx().write(&holder_cell.0, 1);
 
         // A concurrent operation on a disjoint cell commits on the slow
         // path while the guard is still alive.
@@ -1444,8 +1536,8 @@ mod tests {
             let (lock, other_cell) = (Arc::clone(&lock), Arc::clone(&other_cell));
             std::thread::spawn(move || {
                 lock.execute(|ctx| {
-                    let v = ctx.read(&other_cell);
-                    ctx.write(&other_cell, v + 5);
+                    let v = ctx.read(&other_cell.0);
+                    ctx.write(&other_cell.0, v + 5);
                 });
             })
         };
@@ -1456,8 +1548,8 @@ mod tests {
             "disjoint op should commit on the slow path: {snap:?}"
         );
         drop(g);
-        assert_eq!(other_cell.read_plain(), 5);
-        assert_eq!(holder_cell.read_plain(), 1);
+        assert_eq!(other_cell.0.read_plain(), 5);
+        assert_eq!(holder_cell.0.read_plain(), 1);
     }
 
     /// A software backend turns the "speculation exhausted" fallback into

@@ -6,13 +6,12 @@
 //! can **subscribe** to it: a transactional read of the word puts it in the
 //! transaction's read set, and a subsequent acquisition (a plain
 //! compare-and-swap) dooms every subscribed transaction — the mechanism
-//! TLE's correctness rests on.
+//! TLE's correctness rests on. The word counts: odd is held, and an
+//! acquisition and a release each add one, so a held value names its
+//! holding ([`TatasLock::await_release`] waits for that value to move).
 
 use rtle_htm::wait::{self, WaitList};
 use rtle_htm::TxCell;
-
-const FREE: u64 = 0;
-const HELD: u64 = 1;
 
 /// Test-and-test-and-set spin lock with exponential backoff, built on a
 /// transactionally visible word; waits that outlast the backoff park.
@@ -45,7 +44,7 @@ impl TatasLock {
     /// transaction avoids pointless aborts while the lock is held.
     #[inline]
     pub fn is_held(&self) -> bool {
-        self.word.read_plain() == HELD
+        self.word.read_plain() & 1 == 1
     }
 
     /// Transactional probe: reads the lock word *inside* the current
@@ -54,7 +53,7 @@ impl TatasLock {
     /// at subscription time.
     #[inline]
     pub fn subscribe(&self) -> bool {
-        self.word.read() == HELD
+        self.word.read() & 1 == 1
     }
 
     /// One acquisition attempt (test, then atomic test-and-set). Returns
@@ -62,7 +61,8 @@ impl TatasLock {
     /// dooms every transaction subscribed to the lock word.
     #[inline]
     pub fn try_acquire(&self) -> bool {
-        !self.is_held() && self.word.compare_exchange_plain(FREE, HELD)
+        let seq = self.word.read_plain();
+        seq & 1 == 0 && self.word.compare_exchange_plain(seq, seq + 1)
     }
 
     /// Acquires the lock: test-and-test-and-set with exponential backoff;
@@ -71,20 +71,29 @@ impl TatasLock {
         wait::until(self.waiters(), || self.try_acquire());
     }
 
-    /// Releases the lock: stores FREE, then wakes parked waiters if the wait
-    /// list's count, loaded after a `store_load_fence`, says there are any.
+    /// Releases the lock: the holder, a held word's only writer, stores the
+    /// next (even) value, then wakes parked waiters if the wait list's
+    /// count, loaded after a `store_load_fence`, says there are any.
     #[inline]
     pub fn release(&self) {
-        debug_assert!(self.is_held(), "release of a free TatasLock");
-        self.word.write(FREE);
+        let seq = self.word.read_unvalidated();
+        debug_assert!(seq & 1 == 1, "release of a free TatasLock");
+        self.word.write(seq + 1);
         self.waiters().wake_all();
     }
 
-    /// Waits, like [`Self::acquire`], until the lock is observed free. Used
-    /// by the retry policy: "we spin until the lock is not held after every
-    /// failure" (§6.2.1, citing Kleen's TSX anti-patterns \[16\]).
-    pub fn spin_while_held(&self) {
-        wait::until(self.waiters(), || !self.is_held());
+    /// Waits, like [`Self::acquire`], until the holding seen on entry ends
+    /// (at once on a free lock); a holding that begins after it does not
+    /// extend the wait. "We spin until the lock is not held after every
+    /// failure" (§6.2.1, citing Kleen's TSX anti-patterns \[16\]), read as
+    /// "no *fast* transaction starts into a held lock": a refined lock's
+    /// retry goes to the slow path, and only `policy::awaits_release`'s
+    /// aborts wait here.
+    pub fn await_release(&self) {
+        let seen = self.word.read_plain();
+        wait::until(self.waiters(), || {
+            seen & 1 == 0 || self.word.read_plain() != seen
+        });
     }
 
     /// The list its waiters park on (a holder quiescing software, too).
@@ -146,7 +155,7 @@ mod tests {
         let r = rtle_htm::swhtm::try_txn(|| {
             assert!(!l.subscribe());
             // Simulate a concurrent acquisition landing mid-transaction.
-            l.word.store_plain_for_test(HELD);
+            l.word.store_plain_for_test(1);
             // Re-reading observes the doomed snapshot -> conflict abort.
             l.subscribe()
         });
@@ -156,18 +165,40 @@ mod tests {
     }
 
     #[test]
-    fn spin_while_held_returns_when_freed() {
+    fn await_release_returns_when_the_holding_it_saw_ends() {
         let l = Arc::new(TatasLock::new());
         l.acquire();
+        let entered = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (done, returned) = std::sync::mpsc::channel();
         let waiter = {
-            let l = Arc::clone(&l);
+            let (l, entered) = (Arc::clone(&l), Arc::clone(&entered));
             std::thread::spawn(move || {
-                l.spin_while_held();
-                true
+                entered.store(true, std::sync::atomic::Ordering::SeqCst);
+                l.await_release();
+                done.send(()).unwrap();
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        while !entered.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // Past the spin phase: the waiter has read the word and parked.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // A release and a new holding before the waiter runs again.
         l.release();
-        assert!(waiter.join().unwrap());
+        l.acquire();
+        let ended = returned.recv_timeout(std::time::Duration::from_secs(5));
+        l.release();
+        waiter.join().unwrap();
+        assert!(ended.is_ok(), "the wait outlived the holding it saw");
+    }
+
+    #[test]
+    fn await_release_returns_at_once_on_a_free_lock() {
+        let l = TatasLock::new();
+        l.await_release();
+        l.acquire();
+        l.release();
+        l.await_release();
+        assert!(!l.is_held());
     }
 }

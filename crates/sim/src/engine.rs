@@ -59,8 +59,9 @@
 //! HTM aborts mid-flight); the wasted time is slightly overestimated for
 //! every method equally. A slow-path attempt that hits an already-owned
 //! orec or a raised write flag is charged one abort and then waits for the
-//! lock release (the real runtime retries and re-aborts, with the same net
-//! effect); `awaits_release` is the engine's set of such aborts.
+//! lock release, as the runtime waits: which aborts wait, on either path,
+//! is `rtle_core::policy::awaits_release`, the one after-abort rule that
+//! `Engine::abort` and `ElidableLock::speculative_phase` both call.
 //! RHNOrec software writer commits serialize on the clock; a commit that
 //! had to queue is classified as an SGL (slow) commit.
 
@@ -72,6 +73,7 @@ use std::sync::Arc;
 use rtle_core::abort_codes;
 use rtle_core::adaptive::Adaptation;
 use rtle_core::orec::{line_slot, OrecHeatmap};
+use rtle_core::policy::awaits_release;
 use rtle_core::{RetryPolicy, Step};
 use rtle_htm::lanes::Writer;
 use rtle_htm::AbortCode;
@@ -157,28 +159,6 @@ struct Plan {
     orecs_since: Option<u64>,
     rh_hw: bool,
     lazy_lock: bool,
-}
-
-/// The engine's wait-for-release set: aborts after which retrying against
-/// the same holder would only abort again, so the thread spins until the
-/// release. It differs from the runtime's
-/// [`rtle_core::policy::slow_attempt_hopeless`] in two places (DESIGN
-/// §4b): an owned orec waits here (the runtime retries and re-aborts),
-/// and a slow-path capacity abort retries here (the runtime waits).
-fn awaits_release(path: PathKind, code: AbortCode) -> bool {
-    match code {
-        AbortCode::Explicit(code) => matches!(
-            code,
-            abort_codes::WRITE_FLAG_SET
-                | abort_codes::RW_SLOW_WRITE
-                | abort_codes::OREC_CONFLICT
-                | abort_codes::FG_DISABLED
-                | abort_codes::LAZY_LOCK_HELD
-        ),
-        // On the fast path the lock is free: nothing to wait for.
-        AbortCode::Unsupported => path == PathKind::SlowHtm,
-        _ => false,
-    }
 }
 
 #[derive(Debug)]
