@@ -30,8 +30,8 @@
 //! configurations:
 //!
 //! * `single_lock` — one `ElidableLock` + `TxMap`, operations through
-//!   [`rtle_core::ElidableLock::execute_from`] (the core intended-start
-//!   hook); every audit pins the world and the storm convoys the lock.
+//!   [`rtle_core::ElidableLock::execute`]; every audit pins the world and
+//!   the storm convoys the lock.
 //! * `sharded` — a [`ShardedTxMap`] whose shards share one windowed
 //!   [`Recorder`]; audits pin one shard, and the same storm stays a
 //!   local nuisance.
@@ -204,14 +204,14 @@ enum Target {
 
 impl Target {
     /// One workload op (`action`: 0 insert, 1 remove, else get), with
-    /// the latency charged from `intended`. The single-lock target goes
-    /// through `execute_from` — the runtime-side intended-start hook —
-    /// while the sharded target (whose per-key API picks the lock
-    /// internally) is timed harness-side into the same recorder.
+    /// the latency charged from `intended` into `rec`, the target's
+    /// recorder. Both targets are timed here, the same way: the sharded
+    /// map's per-key API picks its lock internally, so only the harness
+    /// sees a whole operation of either.
     fn op(&self, rec: &Recorder, intended: Instant, action: u64, key: u64) {
         match self {
             Target::SingleLock { lock, map } => {
-                lock.execute_from(intended, |ctx: &Ctx<'_>| match action {
+                lock.execute(|ctx: &Ctx<'_>| match action {
                     0 => {
                         map.insert(ctx, key, key);
                     }
@@ -223,24 +223,22 @@ impl Target {
                     }
                 });
             }
-            Target::Sharded { map } => {
-                match action {
-                    0 => {
-                        map.insert(key, key);
-                    }
-                    1 => {
-                        map.remove(key);
-                    }
-                    _ => {
-                        std::hint::black_box(map.get(key));
-                    }
+            Target::Sharded { map } => match action {
+                0 => {
+                    map.insert(key, key);
                 }
-                rec.record_op_latency(
-                    rtle_htm::lanes::Writer::current(),
-                    intended.elapsed().as_nanos() as u64,
-                );
-            }
+                1 => {
+                    map.remove(key);
+                }
+                _ => {
+                    std::hint::black_box(map.get(key));
+                }
+            },
         }
+        rec.record_op_latency(
+            rtle_htm::lanes::Writer::current(),
+            intended.elapsed().as_nanos() as u64,
+        );
     }
 
     /// One pessimistic audit: a verify-and-refresh sweep over the key
@@ -545,6 +543,13 @@ fn harness_recorder(cfg: &SloConfig) -> Arc<Recorder> {
     }))
 }
 
+/// The nominal window length of a harness recorder's collector.
+fn window_len_ns(rec: &Recorder) -> u64 {
+    rec.windows()
+        .expect("harness recorder always has windows")
+        .window_len_ns()
+}
+
 /// Runs the identical schedule against both configurations:
 /// `single_lock` first, then `sharded<N>`.
 ///
@@ -573,7 +578,7 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloOutcome> {
         ),
         map: TxMap::with_capacity(capacity),
     };
-    let mut single_wd = Watchdog::new();
+    let mut single_wd = Watchdog::new(window_len_ns(&single_rec));
 
     let sharded_rec = harness_recorder(cfg);
     let sharded_name = format!("sharded{}", cfg.shards);
@@ -585,7 +590,7 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloOutcome> {
             .retry(retry)
             .recorder(Arc::clone(&sharded_rec)),
     ));
-    let mut sharded_wd = Watchdog::new();
+    let mut sharded_wd = Watchdog::new(window_len_ns(&sharded_rec));
 
     // The live scrape endpoint, when asked for: one registry + server
     // outlives both target runs, so an operator watching `diag top` sees

@@ -14,7 +14,8 @@
 //! first spent building the backlog — exactly two stalled windows in 5
 //! runs of 24 here, no verdict in one of ~50. `--duration-ms 3000` makes
 //! the storm 600 ms: four or more stalled windows in 12 loaded runs of 12.
-//! The offered rate is the same in every build ([`RATE`]).
+//! The offered rate and the audit hold are the same in every build
+//! ([`RATE`], [`AUDIT_HOLD_MS`]).
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -30,15 +31,21 @@ const DIAG: &str = env!("CARGO_BIN_EXE_diag");
 /// Where `--flight-dir flight` puts the single lock's flight record.
 const FLIGHT: &str = "flight/slo_flight_single_lock.json";
 
-/// The schedule's offered rate, ops/s, in every build. The single lock's
-/// storm capacity is one 8 ms hold per 15 operations, about 1 900 ops/s
-/// in any build, so at 6 000 its storm windows complete about a third of
-/// their arrivals: a collapse deep enough for `convoy_stall`'s half-rate
-/// rule. A debug build once offered 3 000, because its sharded map, with
-/// waiters spinning behind the held shards, fell behind at 6 000; the
-/// waiters park now, and at 3 000 the single lock completes ~0.6 of its
-/// storm arrivals, around the rule's threshold (ROADMAP N9).
-const RATE: u64 = 6_000;
+/// The schedule's offered rate, ops/s, in every build, and how long each
+/// audit holds its lock. The collapse is forced by the holds, not by the
+/// CPU: the single lock's storm capacity is one 16 ms hold per 15
+/// operations, about 950 ops/s in any build, so at 3 000 its storm
+/// windows complete about a third of their arrivals, deep under
+/// `convoy_stall`'s half-rate rule. The sharded map spreads the same
+/// holds over 16 shards. Before, 6 000 ops/s with 8 ms holds forced the
+/// same depth, but a debug sharded map beside two CPU hogs then spent so
+/// much CPU on the storm's audit sweeps (one op in 16, each four passes
+/// over the key space) that its own rate halved with p99 past the window
+/// — a real stall of the host, which the watchdog rightly reported, in 5
+/// runs of 8 (ROADMAP N9). At 3 000 the sweeps cost half the CPU.
+const RATE: u64 = 3_000;
+/// How long each audit holds its lock, ms (see [`RATE`]).
+const AUDIT_HOLD_MS: u64 = 16;
 
 /// A child process or scraper still going after this long has hung.
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -253,8 +260,9 @@ fn forced_collapse_is_visible_live_in_the_export_and_to_the_viewers() {
         SLO_BENCH,
         &dir,
         &format!(
-            "--quick --duration-ms 3000 --rate {RATE} --seed 0x510b42d --live 127.0.0.1:0 \
-             --live-port-file port --flight-dir flight --json slo.json"
+            "--quick --duration-ms 3000 --rate {RATE} --audit-hold-ms {AUDIT_HOLD_MS} \
+             --seed 0x510b42d --live 127.0.0.1:0 --live-port-file port --flight-dir flight \
+             --json slo.json"
         ),
     );
     let addr = loop {

@@ -4,7 +4,7 @@
 
 use rtle_core::{ElidableLock, TatasLock};
 use rtle_htm::hash::wang_mix64;
-use rtle_htm::{HtmBackend, PlainAccess};
+use rtle_htm::PlainAccess;
 
 use crate::genome::BASES;
 use crate::kmer::{kmers_with_edges, Kmer};
@@ -14,16 +14,13 @@ use crate::txmap::KmerMap;
 /// of `lock` per k-mer occurrence, reads kept in thread-local vectors
 /// (returned per thread, mirroring ccTSA's coordination-free read
 /// storage). Returns the per-thread read counts.
-pub fn ingest_single_map<B: HtmBackend>(
+pub fn ingest_single_map(
     map: &KmerMap,
     reads: &[Vec<u8>],
     k: usize,
     threads: usize,
-    lock: &ElidableLock<B>,
-) -> Vec<usize>
-where
-    ElidableLock<B>: Sync,
-{
+    lock: &ElidableLock,
+) -> Vec<usize> {
     assert!(threads >= 1);
     let chunk = reads.len().div_ceil(threads);
     let mut processed = vec![0usize; threads];

@@ -1,9 +1,9 @@
 //! One home, by grep: the TLE machine chooses its rung with the runtime's
 //! own function and reads its budgets in one place, the TL2 machine has
 //! one protocol, FG-TLE stores an orec in one place, fenced, one function
-//! decides what an abort waits for, and no crate declares a `trace`
-//! feature. Textual on purpose — the point is that a second copy cannot
-//! come back unnoticed.
+//! decides what an abort waits for, one function picks the process's HTM,
+//! and no crate declares a `trace` feature. Textual on purpose — the point
+//! is that a second copy cannot come back unnoticed.
 
 use std::path::{Path, PathBuf};
 
@@ -189,5 +189,51 @@ fn one_after_abort_rule() {
         homes,
         ["core/src/policy.rs"],
         "`fn awaits_release` is defined once"
+    );
+}
+
+/// One HTM per process: `rtle_htm::try_txn` picks it, so no HTM backend
+/// type comes back, and outside tests nothing else under `crates/*/src`
+/// starts an emulated or a real-RTM transaction directly.
+#[test]
+fn one_htm_per_process() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    rust_files(&crates, &mut files);
+    assert!(files.len() > 100, "only {} files scanned", files.len());
+    let mut callers = Vec::new();
+    // This file names what it looks for.
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with("check/tests/one_home.rs"))
+    {
+        let text = std::fs::read_to_string(file).expect("a readable source file");
+        let name = file
+            .strip_prefix(&crates)
+            .expect("under crates/")
+            .display()
+            .to_string();
+        for gone in ["HtmBackend", "SwHtmBackend", "RtmBackend"] {
+            assert!(!text.contains(gone), "`{gone}` is back in {name}");
+        }
+        if name.split('/').nth(1) != Some("src") {
+            continue;
+        }
+        // The code up to the file's test module, comments dropped.
+        let code = text
+            .find("\n#[cfg(test)]\nmod ")
+            .map_or(&*text, |end| &text[..end]);
+        let calls = code
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .any(|l| l.contains("swhtm::try_txn(") || l.contains("rtm::try_txn("));
+        if calls {
+            callers.push(name);
+        }
+    }
+    assert_eq!(
+        callers,
+        ["htm/src/lib.rs"],
+        "only `rtle_htm::try_txn` calls `swhtm::try_txn` or `rtm::try_txn`"
     );
 }

@@ -20,11 +20,10 @@
 
 use std::cell::Cell;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rtle_htm::lanes::Writer;
 use rtle_htm::wait::{self, WaitList};
-use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell};
+use rtle_htm::{AbortCode, TxCell};
 use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_obs::epoch::now_ns;
 use rtle_obs::{
@@ -49,8 +48,7 @@ use crate::stats::ExecStats;
 /// A critical section that panics while holding the lock leaves the lock
 /// held (poisoned), like a raw spin lock would; speculative executions that
 /// panic roll back and re-raise.
-pub struct ElidableLock<B: HtmBackend = SwHtmBackend> {
-    backend: B,
+pub struct ElidableLock {
     policy: ElisionPolicy,
     retry: RetryPolicy,
     lock: TatasLock,
@@ -131,23 +129,21 @@ impl Rec<'_> {
 /// assert_eq!(lock.retry_policy().max_attempts, 3);
 /// ```
 ///
-/// The builder is `Clone` (when the backend is), so it doubles as a
-/// *template*: sharded containers clone one builder per shard, giving
-/// every shard an identical configuration from a single description.
+/// The builder is `Clone`, so it doubles as a *template*: sharded
+/// containers clone one builder per shard, giving every shard an
+/// identical configuration from a single description.
 #[derive(Clone)]
-pub struct ElidableLockBuilder<B: HtmBackend = SwHtmBackend> {
-    backend: B,
+pub struct ElidableLockBuilder {
     policy: ElisionPolicy,
     retry: RetryPolicy,
     recorder: Option<Arc<Recorder>>,
     sw_backend: Option<Arc<dyn SoftwareTm>>,
 }
 
-impl<B: HtmBackend> std::fmt::Debug for ElidableLockBuilder<B> {
+impl std::fmt::Debug for ElidableLockBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ElidableLockBuilder")
             .field("policy", &self.policy.label())
-            .field("backend", &self.backend.name())
             .field("retry", &self.retry)
             .field("recorder", &self.recorder.is_some())
             .field("software", &self.sw_backend.as_ref().map(|tm| tm.name()))
@@ -155,10 +151,9 @@ impl<B: HtmBackend> std::fmt::Debug for ElidableLockBuilder<B> {
     }
 }
 
-impl Default for ElidableLockBuilder<SwHtmBackend> {
+impl Default for ElidableLockBuilder {
     fn default() -> Self {
         ElidableLockBuilder {
-            backend: SwHtmBackend,
             policy: ElisionPolicy::Tle,
             retry: RetryPolicy::default(),
             recorder: None,
@@ -167,7 +162,7 @@ impl Default for ElidableLockBuilder<SwHtmBackend> {
     }
 }
 
-impl<B: HtmBackend> ElidableLockBuilder<B> {
+impl ElidableLockBuilder {
     /// Sets the elision policy (default: [`ElisionPolicy::Tle`]).
     pub fn policy(mut self, policy: ElisionPolicy) -> Self {
         self.policy = policy;
@@ -178,18 +173,6 @@ impl<B: HtmBackend> ElidableLockBuilder<B> {
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// Swaps the HTM backend (default: the software emulation,
-    /// [`SwHtmBackend`]). Resets nothing else.
-    pub fn backend<B2: HtmBackend>(self, backend: B2) -> ElidableLockBuilder<B2> {
-        ElidableLockBuilder {
-            backend,
-            policy: self.policy,
-            retry: self.retry,
-            recorder: self.recorder,
-            sw_backend: self.sw_backend,
-        }
     }
 
     /// Installs a pluggable software-TM fallback ([`SoftwareTm`]): when
@@ -214,28 +197,25 @@ impl<B: HtmBackend> ElidableLockBuilder<B> {
     }
 
     /// Builds the lock.
-    pub fn build(self) -> ElidableLock<B> {
-        ElidableLock::assemble(
-            self.backend,
-            self.policy,
-            self.retry,
-            self.recorder,
-            self.sw_backend,
-        )
+    pub fn build(self) -> ElidableLock {
+        ElidableLock::assemble(self.policy, self.retry, self.recorder, self.sw_backend)
     }
 }
 
-impl ElidableLock<SwHtmBackend> {
+// The methods an operation runs that take no type parameter (the holder
+// rung's entry and exit, the software rung's presence, the speculative
+// subscription) are `#[inline]`: a caller in another crate — the sharded
+// map, `atomically` — then compiles them into its own code, as it does the
+// generic ones, and can inline them there, instead of calling the one copy
+// compiled in this crate.
+impl ElidableLock {
     /// Starts configuring a lock; see [`ElidableLockBuilder`].
-    pub fn builder() -> ElidableLockBuilder<SwHtmBackend> {
+    pub fn builder() -> ElidableLockBuilder {
         ElidableLockBuilder::default()
     }
-}
 
-impl<B: HtmBackend> ElidableLock<B> {
     /// The one real constructor; every public entry point routes here.
     fn assemble(
-        backend: B,
         policy: ElisionPolicy,
         retry: RetryPolicy,
         recorder: Option<Arc<Recorder>>,
@@ -260,7 +240,6 @@ impl<B: HtmBackend> ElidableLock<B> {
             _ => None,
         };
         ElidableLock {
-            backend,
             policy,
             retry,
             lock: TatasLock::new(),
@@ -333,27 +312,6 @@ impl<B: HtmBackend> ElidableLock<B> {
         self.execute_inner(&cs, rec)
     }
 
-    /// Executes `cs` like [`Self::execute`], additionally recording the
-    /// operation's end-to-end latency — measured from `intended_start`,
-    /// not from now — into the recorder's windowed telemetry (a no-op
-    /// without a recorder or window collector).
-    ///
-    /// Open-loop harnesses pass the operation's *scheduled* arrival
-    /// time: when the lock convoys and the worker falls behind, the
-    /// queueing delay is charged to the operation, which corrects the
-    /// coordinated omission a closed-loop start-to-end measurement
-    /// would commit.
-    pub fn execute_from<R>(&self, intended_start: Instant, cs: impl Fn(&Ctx<'_>) -> R) -> R {
-        let r = self.execute(cs);
-        if let Some(recorder) = &self.recorder {
-            recorder.record_op_latency(
-                Writer::current(),
-                intended_start.elapsed().as_nanos() as u64,
-            );
-        }
-        r
-    }
-
     fn execute_inner<R>(&self, cs: &impl Fn(&Ctx<'_>) -> R, rec: Option<Rec<'_>>) -> R {
         if self.policy == ElisionPolicy::LockOnly {
             return self.run_under_lock(cs, rec, 0);
@@ -375,6 +333,7 @@ impl<B: HtmBackend> ElidableLock<B> {
 
     /// Which instrumented slow path this lock's policy has, if any, with
     /// the state that path needs.
+    #[inline]
     fn slow_path(&self) -> Option<SlowPath<'_>> {
         match (self.policy, &self.orecs) {
             (ElisionPolicy::RwTle, _) => Some(SlowPath::Rw),
@@ -507,6 +466,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// barriers check a *different* lock's orecs/write-flag.
     ///
     /// Must be called inside a hardware transaction.
+    #[inline]
     pub fn subscribe_speculatively(&self) {
         if self.lock.subscribe() {
             rtle_htm::abort(abort_codes::PARTICIPANT_LOCK_HELD);
@@ -532,6 +492,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// fallback enjoys. Returns `None` when the lock is held; the caller
     /// must back off *without blocking* (it may hold other presences, and
     /// blocking here closes a deadlock cycle with multi-lock acquirers).
+    #[inline]
     pub fn try_software_presence(&self) -> Option<SoftwarePresence<'_>> {
         if self.lock.is_held() {
             return None;
@@ -588,6 +549,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// commit otherwise bypasses this lock entirely).
     ///
     /// Must be called inside a hardware transaction.
+    #[inline]
     pub fn participant_commit_hook(&self) {
         self.hw_commit_hooks();
     }
@@ -625,6 +587,7 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// acquiring the lock, wait until no software transaction is inside
     /// the backend. New arrivals observe the held lock and retreat, so this
     /// terminates. A long wait parks; a [`SoftwarePresence`] drop wakes it.
+    #[inline]
     fn quiesce_software(&self) {
         if self.sw_backend.is_some() {
             wait::until(self.lock.waiters(), || self.sw_running.read_plain() == 0);
@@ -649,7 +612,7 @@ impl<B: HtmBackend> ElidableLock<B> {
 
     /// One uninstrumented fast-path attempt.
     fn fast_attempt<R>(&self, cs: &impl Fn(&Ctx<'_>) -> R) -> Result<R, AbortCode> {
-        self.backend.try_txn(|| {
+        rtle_htm::try_txn(|| {
             if !self.retry.lazy_subscription && self.lock.subscribe() {
                 rtle_htm::abort(abort_codes::LOCK_HELD);
             }
@@ -671,7 +634,7 @@ impl<B: HtmBackend> ElidableLock<B> {
         // FG-TLE's local_seq_number: epoch snapshot *before* the
         // transaction begins (Figure 3 header comment).
         let local_seq = self.epoch.snapshot();
-        self.backend.try_txn(|| {
+        rtle_htm::try_txn(|| {
             let ctx = match slow {
                 SlowPath::Rw => {
                     // Eager-return strategy (§6.3): subscribe to the lock so
@@ -730,7 +693,8 @@ impl<B: HtmBackend> ElidableLock<B> {
     /// The holder rung: acquires the lock and builds the guard whose drop
     /// leaves it — the one entry to pessimistic execution, shared by
     /// [`Self::execute`]'s fallback and [`Self::lock_section`].
-    fn enter_locked<'a>(&'a self, rec: Option<Rec<'a>>) -> LockedSection<'a, B> {
+    #[inline]
+    fn enter_locked<'a>(&'a self, rec: Option<Rec<'a>>) -> LockedSection<'a> {
         self.lock.acquire();
         self.quiesce_software();
         // Recorded at acquisition (not completion) so concurrent observers
@@ -797,22 +761,19 @@ impl<B: HtmBackend> ElidableLock<B> {
     ///
     /// A panic while the guard is held leaves the lock held (poisoned),
     /// matching [`ElidableLock::execute`]'s panic semantics.
-    pub fn lock_section(&self) -> LockedSection<'_, B> {
+    #[inline]
+    pub fn lock_section(&self) -> LockedSection<'_> {
         self.enter_locked(None)
     }
 }
 
-impl<B: HtmBackend> ElidableLock<B> {
+impl ElidableLock {
     /// Registers this lock with a live scrape registry under `name`:
     /// the lock itself (kind `"lock"`: commit-path mix including the
     /// software-TM path, plus the backend-name label) and, when a
     /// recorder is installed, the recorder as `<name>_recorder` — the
     /// same two-source pattern sharded maps use.
-    pub fn register_live(self: &Arc<Self>, registry: &MetricsRegistry, name: &str)
-    where
-        B: 'static,
-        ElidableLock<B>: Send + Sync,
-    {
+    pub fn register_live(self: &Arc<Self>, registry: &MetricsRegistry, name: &str) {
         registry.register(name, Arc::clone(self) as Arc<dyn LiveSource>);
         if let Some(rec) = self.recorder() {
             registry.register(
@@ -826,10 +787,7 @@ impl<B: HtmBackend> ElidableLock<B> {
 /// Live-registry view of one lock: the always-on [`ExecStats`] counters,
 /// with the software-TM backend name as an identity label so `diag top`
 /// and `/metrics` show which software path is live.
-impl<B: HtmBackend> LiveSource for ElidableLock<B>
-where
-    ElidableLock<B>: Send + Sync,
-{
+impl LiveSource for ElidableLock {
     fn live_snapshot(&self) -> SourceSnapshot {
         let s = self.stats.snapshot();
         let mut counters: Vec<(String, u64)> = commit_counters(s.commits()).collect();
@@ -853,23 +811,24 @@ where
 /// [`ElidableLock::lock_section`]. Access shared state through
 /// [`LockedSection::ctx`]; the lock is released (after the holder exit
 /// protocol) when the guard drops.
-pub struct LockedSection<'a, B: HtmBackend> {
-    lock: &'a ElidableLock<B>,
+pub struct LockedSection<'a> {
+    lock: &'a ElidableLock,
     ctx: Ctx<'a>,
     /// When the lock was taken, ns on the process epoch.
     t0: u64,
 }
 
-impl<'a, B: HtmBackend> LockedSection<'a, B> {
+impl<'a> LockedSection<'a> {
     /// The instrumented lock-holder execution context.
     pub fn ctx(&self) -> &Ctx<'a> {
         &self.ctx
     }
 }
 
-impl<B: HtmBackend> Drop for LockedSection<'_, B> {
+impl Drop for LockedSection<'_> {
     /// The lock-holder exit protocol: write-flag reset / pre-release epoch
     /// bump, then release.
+    #[inline]
     fn drop(&mut self) {
         if std::thread::panicking() {
             // A panicking critical section leaves the lock held (poisoned),
@@ -920,11 +879,11 @@ impl Drop for SoftwarePresence<'_> {
     }
 }
 
-impl<B: HtmBackend> std::fmt::Debug for ElidableLock<B> {
+impl std::fmt::Debug for ElidableLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ElidableLock")
             .field("policy", &self.policy.label())
-            .field("backend", &self.backend.name())
+            .field("htm", &rtle_htm::htm_name())
             .field("held", &self.lock.is_held())
             .finish_non_exhaustive()
     }
@@ -941,7 +900,7 @@ enum SlowPath<'a> {
 }
 
 #[cfg(test)]
-impl<B: HtmBackend> ElidableLock<B> {
+impl ElidableLock {
     /// One counted slow-path attempt and no after-abort wait: how the
     /// barrier tests probe a lock their own thread holds (an owned orec
     /// would otherwise wait for that thread's release).

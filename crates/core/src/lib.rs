@@ -66,7 +66,7 @@ pub use stats::{ExecStats, StatsSnapshot};
 /// Re-export of the paper's `fast_hash` (\[25\], Thomas Wang) used for orec
 /// indexing, and of the HTM word/cell types critical sections are built on.
 pub use rtle_htm::hash::{fast_hash, wang_mix64};
-pub use rtle_htm::{AbortCode, HtmBackend, SwHtmBackend, TxCell, TxWord};
+pub use rtle_htm::{AbortCode, TxCell, TxWord};
 
 /// Re-export of the observability crate so callers can install a
 /// [`rtle_obs::Recorder`] via [`elidable::ElidableLockBuilder::recorder`]

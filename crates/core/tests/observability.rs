@@ -11,8 +11,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use rtle_core::adaptive::Adaptation;
 use rtle_core::obs::watchdog::{flight_record, CollapseEvent, CollapseKind};
-use rtle_core::obs::{Json, ObsConfig, PathKind, Record, RecordKind, Recorder};
+use rtle_core::obs::{Json, ObsConfig, PathKind, Record, RecordKind, Recorder, DECISIONS_KEPT};
 use rtle_core::{Ctx, ElidableLock, ElisionPolicy, TxCell};
 use rtle_htm::lanes::Writer;
 
@@ -175,16 +176,18 @@ fn the_recorder_books_every_operation() {
     }
 }
 
-/// `execute_from` charges latency from the *intended* start into the
-/// windowed telemetry: an operation scheduled in the past shows its
-/// queueing delay in the window percentiles (coordinated-omission
-/// correction), and the window sees every op.
+/// An open-loop harness charges each operation's latency from its
+/// *intended* start into the windowed telemetry: `execute`, then
+/// `record_op_latency` measured from the scheduled arrival. An operation
+/// scheduled in the past shows its queueing delay in the window
+/// percentiles (coordinated-omission correction), and the window sees
+/// every op.
 #[test]
 #[cfg_attr(
     miri,
     ignore = "timing-sensitive: asserts on Instant-derived start latency"
 )]
-fn execute_from_records_intended_start_latency_into_windows() {
+fn op_latency_from_the_intended_start_lands_in_windows() {
     let rec = Arc::new(Recorder::new(ObsConfig {
         window_len_ms: 1_000,
         ..ObsConfig::default()
@@ -196,10 +199,11 @@ fn execute_from_records_intended_start_latency_into_windows() {
     let c = TxCell::new(0u64);
     let backlogged = std::time::Instant::now() - std::time::Duration::from_millis(5);
     for _ in 0..64u64 {
-        lock.execute_from(backlogged, |ctx: &Ctx| {
+        lock.execute(|ctx: &Ctx| {
             let v = ctx.read(&c);
             ctx.write(&c, v + 1);
         });
+        rec.record_op_latency(Writer::current(), backlogged.elapsed().as_nanos() as u64);
     }
     assert_eq!(c.read_plain(), 64);
     let w = rec
@@ -334,6 +338,43 @@ fn adaptive_workload_emits_decision_events() {
     assert_eq!(first.slow_commits, 0);
     assert!(rec.lock_hold().count >= 300);
     assert_eq!(rec.counts().commits[PathKind::Lock.index()], 300);
+}
+
+/// A recording adaptive lock decides for as long as it runs: its idle slow
+/// path shrinks and collapses, the periodic probe re-enables it, and it
+/// shrinks again. The recorder keeps the newest `DECISIONS_KEPT` of those
+/// decisions, ending with the newest, and counts the older ones dropped.
+/// The same `Adaptation`, stepped beside the lock, names every decision.
+#[test]
+fn a_long_running_adaptive_lock_keeps_the_newest_decisions() {
+    let (lock, rec) = recorded_lock(ElisionPolicy::AdaptiveFgTle {
+        initial_orecs: 1024,
+        max_orecs: 1024,
+    });
+    let mut replay = Adaptation {
+        active: 1024,
+        capacity: 1024,
+        initial: 1024,
+        enabled: true,
+        ..Adaptation::default()
+    };
+    let mut made = Vec::new();
+    // No attempt runs, so the slow path's totals stay (0, 0).
+    while made.len() < 3 * DECISIONS_KEPT {
+        drop(lock.lock_section());
+        made.extend(replay.on_lock_acquired(|| (0, 0)));
+    }
+    let kept = rec.decisions();
+    assert_eq!(kept.len(), DECISIONS_KEPT, "the list stays bounded");
+    assert_eq!(
+        kept,
+        made[made.len() - DECISIONS_KEPT..],
+        "the newest, in order"
+    );
+    assert_eq!(
+        rec.decisions_dropped(),
+        (made.len() - DECISIONS_KEPT) as u64
+    );
 }
 
 /// The watchdog's flight record of a real lock names the thread that held

@@ -1,16 +1,17 @@
 //! Refined TLE on *real* Intel RTM hardware (feature `rtm`).
 //!
-//! Run with `cargo test -p rtle-core --features rtm`. Each test is a no-op
-//! (with a note) on machines whose CPU does not expose TSX; on TSX
-//! machines the elision runtimes execute genuine `xbegin`-based
-//! transactions: lock subscription, write-flag subscription and orec
-//! checks are all tracked by the processor, not the software emulation.
+//! Run with `cargo test -p rtle-core --features rtm --test rtm_real`. Each
+//! test is a no-op (with a note) on machines whose CPU does not commit RTM
+//! transactions; where it does, the process's HTM is RTM, so the elision
+//! runtimes execute genuine `xbegin`-based transactions: lock
+//! subscription, write-flag subscription and orec checks are all tracked
+//! by the processor, not the software emulation.
 #![cfg(feature = "rtm")]
 
 use std::sync::Arc;
 
 use rtle_core::{ElidableLock, ElisionPolicy};
-use rtle_htm::{rtm, RtmBackend, TxCell};
+use rtle_htm::{rtm, TxCell};
 
 fn rtm_available() -> bool {
     if !rtm::rtm_supported() {
@@ -24,6 +25,12 @@ fn rtm_available() -> bool {
         eprintln!("skipping: RTM advertised but transactions never commit (force-abort?)");
         return false;
     }
+    // Every test below would otherwise pass on the emulation unnoticed.
+    assert_eq!(
+        rtle_htm::htm_name(),
+        "rtm",
+        "RTM commits here, so the process must run its transactions on it"
+    );
     true
 }
 
@@ -50,12 +57,7 @@ fn elidable_lock_counter_on_real_htm() {
         ElisionPolicy::RwTle,
         ElisionPolicy::FgTle { orecs: 64 },
     ] {
-        let lock = Arc::new(
-            ElidableLock::builder()
-                .backend(RtmBackend)
-                .policy(policy)
-                .build(),
-        );
+        let lock = Arc::new(ElidableLock::builder().policy(policy).build());
         let cell = Arc::new(TxCell::new(0u64));
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -91,7 +93,6 @@ fn real_htm_subscription_respects_lock() {
     // explicit hostile helper which xaborts under the rtm feature).
     let lock = Arc::new(
         ElidableLock::builder()
-            .backend(RtmBackend)
             .policy(ElisionPolicy::FgTle { orecs: 256 })
             .build(),
     );

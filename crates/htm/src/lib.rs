@@ -26,15 +26,20 @@
 //!   line per key, linear probe, tombstones) whose payloads are
 //!   `rtle-structs`' hash set, `rtle-shard`'s per-shard map and
 //!   `rtle-cctsa`'s k-mer map.
-//! * `rtm` *(feature `rtm`)* — a thin backend over the real Intel RTM
-//!   intrinsics (`_xbegin`/`_xend`/`_xabort`/`_xtest`) with runtime CPUID
+//! * `rtm` *(feature `rtm`)* — a thin layer over the real Intel RTM
+//!   instructions (`xbegin`/`xend`/`xabort`/`xtest`) with runtime CPUID
 //!   detection, for machines that do have TSX.
 //!
-//! Both backends expose the same closure-based interface through
-//! [`backend::HtmBackend`]. Explicit aborts and barrier-raised conflicts use
-//! panic-based unwinding internally (the [`unwind`] channel), which
-//! mirrors the "returns twice" control flow of `xbegin` without forcing user
-//! code to thread `Result`s through every read.
+//! A process runs on one HTM, and [`try_txn`] is its one entry: every
+//! elided attempt and every reduced hardware commit above this crate goes
+//! through it. The platform picks the HTM once, on the first attempt —
+//! real RTM when the crate is built with the `rtm` feature and a probe
+//! transaction commits, the emulation otherwise — so the emulation's
+//! versioned stripes and RTM's raw stores never meet on the same data.
+//! Explicit aborts and barrier-raised conflicts use panic-based unwinding
+//! internally (the [`unwind`] channel), which mirrors the "returns twice"
+//! control flow of `xbegin` without forcing user code to thread `Result`s
+//! through every read.
 //!
 //! ## Granularity and strong atomicity
 //!
@@ -68,7 +73,6 @@
 pub mod abort;
 pub mod access;
 pub mod atomic;
-pub mod backend;
 pub mod cell;
 pub mod config;
 pub mod descriptor;
@@ -88,14 +92,36 @@ pub mod word;
 
 pub use abort::AbortCode;
 pub use access::{PlainAccess, TxAccess};
-#[cfg(feature = "rtm")]
-pub use backend::RtmBackend;
-pub use backend::{HtmBackend, SwHtmBackend};
 pub use cell::TxCell;
 pub use config::HtmConfig;
 pub use descriptor::{thread_token, RedoLog};
 pub use stats::HtmStats;
 pub use word::TxWord;
+
+/// One transaction attempt on the process's HTM: runs `f` atomically or
+/// reports why it aborted, and makes no retry decision of its own.
+///
+/// The HTM is real Intel RTM when this crate is built with the `rtm`
+/// feature and the CPU commits a probe transaction (`rtm::live`), and the
+/// emulation ([`swhtm::try_txn`]) otherwise; without the feature this is
+/// `swhtm::try_txn`. [`htm_name`] says which.
+#[inline]
+pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
+    #[cfg(feature = "rtm")]
+    if rtm::live() {
+        return rtm::try_txn(f);
+    }
+    swhtm::try_txn(f)
+}
+
+/// The process's HTM, by name: `"rtm"` or `"swhtm"` (see [`try_txn`]).
+pub fn htm_name() -> &'static str {
+    #[cfg(feature = "rtm")]
+    if rtm::live() {
+        return "rtm";
+    }
+    "swhtm"
+}
 
 /// Returns `true` when the calling thread is currently inside a transaction
 /// (software-emulated or, with the `rtm` feature, a real hardware one).
@@ -109,7 +135,7 @@ pub fn in_txn() -> bool {
 }
 
 /// Explicitly aborts the current transaction with `code`, transferring
-/// control back to the [`swhtm::try_txn`] (or RTM `xbegin`) call site.
+/// control back to the [`try_txn`] call site.
 ///
 /// # Panics
 ///
@@ -147,6 +173,28 @@ pub fn htm_unfriendly_instruction() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Where RTM does not commit (the default build, or a feature build on
+    /// a CPU without working TSX), the process's HTM is the emulation: the
+    /// closure `try_txn` runs is inside an emulated transaction. The body
+    /// holds the default configuration, so no injection test beside it
+    /// aborts its transactions.
+    #[test]
+    fn without_committing_rtm_try_txn_runs_the_emulation() {
+        #[cfg(feature = "rtm")]
+        if (0..50).any(|_| rtm::try_txn(|| ()).is_ok()) {
+            // The other side: rtle-core's `rtm_real` runs where RTM commits.
+            assert_eq!(htm_name(), "rtm");
+            return;
+        }
+        HtmConfig::default().with_installed(|| {
+            let inside = try_txn(|| (descriptor::in_sw_txn(), in_txn()));
+            assert_eq!(inside, Ok((true, true)));
+            #[cfg(feature = "rtm")]
+            assert_eq!(try_txn(rtm::in_hw_txn), Ok(false));
+        });
+        assert_eq!(htm_name(), "swhtm");
+    }
 
     #[test]
     fn not_in_txn_by_default() {

@@ -1,10 +1,10 @@
-//! Real Intel RTM backend (feature `rtm`, x86-64 only).
+//! Real Intel RTM (feature `rtm`, x86-64 only).
 //!
-//! Uses the `xbegin`/`xend`/`xabort`/`xtest` instructions through
-//! `core::arch::x86_64` intrinsics. Availability is detected at runtime via
-//! CPUID leaf 7 (EBX bit 11); call [`rtm_supported`] before relying on this
-//! backend — on machines without TSX every attempt reports
-//! [`AbortCode::Unsupported`].
+//! Uses the `xbegin`/`xend`/`xabort`/`xtest` instructions, hand-encoded in
+//! inline assembly. Availability is detected at runtime via CPUID leaf 7
+//! (EBX bit 11) and a probe transaction ([`live`]); on machines without
+//! TSX every attempt reports [`AbortCode::Unsupported`], and
+//! [`crate::try_txn`] runs the emulation instead.
 //!
 //! Restrictions inside a hardware transaction: the closure must not panic,
 //! allocate unboundedly, or perform syscalls — any of those aborts the
@@ -115,6 +115,20 @@ pub fn rtm_supported() -> bool {
     }
 }
 
+/// Probe transactions [`live`] tries before it settles on the emulation:
+/// an interrupt or a first-touch page fault aborts a lone probe on a CPU
+/// whose RTM works, but not fifty in a row.
+const PROBES: usize = 50;
+
+/// Whether this process runs its transactions on RTM: the CPU reports RTM
+/// and a probe transaction commits. Decided on the first call and fixed
+/// for the life of the process. The probe tells apart microcode that
+/// advertises RTM but aborts every transaction (TSX force-abort).
+pub fn live() -> bool {
+    static LIVE: OnceLock<bool> = OnceLock::new();
+    *LIVE.get_or_init(|| rtm_supported() && (0..PROBES).any(|_| try_txn(|| ()).is_ok()))
+}
+
 thread_local! {
     // `xtest` is authoritative, but calling it requires the rtm feature;
     // the flag lets `in_hw_txn` answer cheaply (and safely on non-TSX CPUs).
@@ -152,12 +166,15 @@ pub fn hw_abort(code: u8) -> ! {
     unreachable!("hw_abort on non-x86_64")
 }
 
-/// One hardware transaction attempt.
+/// One hardware transaction attempt. A call inside a hardware
+/// transaction runs `f` inline as part of it (flat nesting, as the
+/// emulation does).
 ///
-/// Must not be mixed with software-emulated transactions **on the same
-/// data**: the emulation's versioned stripes are not maintained by plain
-/// stores inside hardware transactions, so the two backends are only
-/// coherent with each other through the pessimistic (plain) paths.
+/// Hardware and emulated transactions are not coherent with each other on
+/// the same data: the emulation's versioned stripes are not maintained by
+/// plain stores inside hardware transactions. They never meet, because a
+/// process runs on one HTM: [`crate::try_txn`], the one caller outside
+/// tests and probes, picks this function for every attempt or for none.
 pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
     #[cfg(target_arch = "x86_64")]
     {
@@ -165,6 +182,9 @@ pub fn try_txn<R>(f: impl FnOnce() -> R) -> Result<R, AbortCode> {
             !crate::descriptor::in_sw_txn(),
             "real-RTM transaction started inside a software transaction"
         );
+        if in_hw_txn() {
+            return Ok(f());
+        }
         if !rtm_supported() {
             return Err(AbortCode::Unsupported);
         }

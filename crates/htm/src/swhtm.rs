@@ -240,19 +240,23 @@ mod tests {
         assert_eq!(c.read_plain(), 50);
     }
 
+    /// Holds the default configuration for its body: an injection test
+    /// beside it would otherwise abort the outer transaction.
     #[test]
     fn flat_nesting_commits_together() {
         let a = TxCell::new(0u64);
         let b = TxCell::new(0u64);
-        try_txn(|| {
-            a.write(1);
-            let inner = try_txn(|| {
-                b.write(2);
-                b.read()
-            });
-            assert_eq!(inner, Ok(2));
-        })
-        .unwrap();
+        crate::HtmConfig::default().with_installed(|| {
+            try_txn(|| {
+                a.write(1);
+                let inner = try_txn(|| {
+                    b.write(2);
+                    b.read()
+                });
+                assert_eq!(inner, Ok(2));
+            })
+            .unwrap();
+        });
         assert_eq!((a.read_plain(), b.read_plain()), (1, 2));
     }
 

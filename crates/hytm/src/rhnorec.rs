@@ -19,12 +19,12 @@
 //!
 //! Step 1 is `rtle-core`'s ladder: an `ElidableLock` built with
 //! `ElisionPolicy::Tle` and this backend (`with_software_backend`) makes
-//! the paper's five hardware attempts on its own HTM backend, gates
+//! the paper's five hardware attempts on the process's HTM, gates
 //! [`SoftwareTm::hw_commit_hook`] on its software-presence counter (read
 //! inside the hardware transaction, so a software entry dooms it), and
 //! falls back to step 2. This type is step 2 and the hook.
 
-use rtle_htm::{swhtm, TxCell};
+use rtle_htm::TxCell;
 
 use crate::abort_codes;
 use crate::ctx::{hw_commit_bump, sgl_commit, sw_read, validate, wait_even};
@@ -79,7 +79,7 @@ impl SoftwareTm for RhNorec {
         }
 
         for _ in 0..COMMIT_ATTEMPTS {
-            let r = swhtm::try_txn(|| {
+            let r = rtle_htm::try_txn(|| {
                 // The snapshot check subscribes to the clock: any racing
                 // commit (hardware or software) aborts this one.
                 if self.clock.read() != d.snapshot {
@@ -118,7 +118,7 @@ impl SoftwareTm for RhNorec {
 mod tests {
     use super::*;
     use crate::norec::Norec;
-    use rtle_htm::AbortCode;
+    use rtle_htm::{swhtm, AbortCode};
 
     /// The hook both NOrec-family backends run inside a committing hardware
     /// transaction: +2 on an even clock, `SGL_HELD` on an odd one. Whether

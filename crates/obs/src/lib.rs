@@ -75,7 +75,7 @@ pub use event::{
 pub use hist::{HistSnapshot, Histogram};
 pub use json::{parse as parse_json, Json};
 pub use live::LiveServer;
-pub use recorder::{ObsConfig, Recorder, SCHEMA_VERSION};
+pub use recorder::{ObsConfig, Recorder, DECISIONS_KEPT, SCHEMA_VERSION};
 pub use registry::{LiveSource, MetricsRegistry, SourceSnapshot, SCRAPE_WINDOW_TAIL};
 pub use trace::{Record, RecordKind};
 pub use watchdog::{flight_record, CollapseEvent, CollapseKind, Watchdog, WatchdogLive};

@@ -13,15 +13,19 @@
 //! lock-free, `Relaxed`, and lands in the recording writer's own lane
 //! (`lane.rs`) — a handful of bumps on lines no other running thread
 //! writes, plain stores on a lane the thread owns, and one two-word ring
-//! store per attempt — except the full decision list, which is a
-//! mutex-guarded `Vec` because decisions happen at most once per
-//! adaptation window and always under the elided lock.
+//! store per attempt — except the decision list, which is a mutex-guarded
+//! ring of the newest [`DECISIONS_KEPT`] decisions because decisions
+//! happen at most once per adaptation window and always under the elided
+//! lock. The list is bounded because a recording adaptive lock decides
+//! for as long as it runs: one whose slow path goes idle shrinks and
+//! collapses, re-enables on the next demand, and shrinks again.
 //!
 //! A recorder is fed by claimed writers ([`Writer::current`], the runtime)
 //! or by keyed ones ([`Writer::keyed`], the simulator's logical threads),
 //! never both: a keyed bump racing a lane owner's plain store could lose
 //! an update ([`rtle_htm::lanes`]).
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use rtle_htm::lanes::{PerLane, Writer};
@@ -83,6 +87,21 @@ impl Default for ObsConfig {
     }
 }
 
+/// Adaptive decisions a recorder keeps, newest last; older ones are
+/// dropped and counted ([`Recorder::decisions_dropped`]). A decision
+/// comes at most once per adaptation window (32 lock acquisitions), so
+/// this keeps at least the last 32 768 acquisitions' worth — more than
+/// any reader prints — in about 64 KiB.
+pub const DECISIONS_KEPT: usize = 1024;
+
+/// The newest [`DECISIONS_KEPT`] decisions, oldest first, and the count
+/// of older ones dropped.
+#[derive(Default)]
+struct DecisionLog {
+    kept: VecDeque<AdaptDecision>,
+    dropped: u64,
+}
+
 /// Collects timestamped records, latency histograms, and adaptive
 /// decisions. See the module docs.
 pub struct Recorder {
@@ -91,7 +110,7 @@ pub struct Recorder {
     lanes: Arc<PerLane<Lane>>,
     /// Everything they stamp: the one record stream ([`crate::trace`]).
     ring: Ring<2, RING_SLOTS>,
-    decisions: Mutex<Vec<AdaptDecision>>,
+    decisions: Mutex<DecisionLog>,
     windows: Option<WindowCollector>,
 }
 
@@ -101,7 +120,7 @@ impl Recorder {
         let lanes = Arc::new(PerLane::new(Lane::new));
         Recorder {
             ring: Ring::new(),
-            decisions: Mutex::new(Vec::new()),
+            decisions: Mutex::default(),
             windows: (cfg.window_len_ms > 0).then(|| {
                 WindowCollector::over(Arc::clone(&lanes), cfg.window_len_ms, cfg.window_series_cap)
             }),
@@ -170,17 +189,34 @@ impl Recorder {
         self.decide(Writer::keyed(0), d, ts);
     }
 
-    /// Appends `d` to the decision list and puts it on the record timeline
-    /// as a process-scoped instant (track 0) carrying the post-decision
-    /// orec count.
+    /// Appends `d` to the decision list (dropping the oldest at
+    /// [`DECISIONS_KEPT`]) and puts it on the record timeline as a
+    /// process-scoped instant (track 0) carrying the post-decision orec
+    /// count.
     fn decide(&self, by: Writer, d: AdaptDecision, ts: u64) {
         self.push(by, 0, ts, RecordKind::Adapt(d.action, d.orecs_after));
-        self.decisions.lock().unwrap().push(d);
+        let mut log = self.decisions.lock().unwrap();
+        if log.kept.len() == DECISIONS_KEPT {
+            log.kept.pop_front();
+            log.dropped += 1;
+        }
+        log.kept.push_back(d);
     }
 
-    /// The decisions traced so far.
+    /// The newest [`DECISIONS_KEPT`] decisions traced, oldest first.
     pub fn decisions(&self) -> Vec<AdaptDecision> {
-        self.decisions.lock().unwrap().clone()
+        self.decisions
+            .lock()
+            .unwrap()
+            .kept
+            .iter()
+            .cloned()
+            .collect()
+    }
+
+    /// Decisions dropped from the list since creation.
+    pub fn decisions_dropped(&self) -> u64 {
+        self.decisions.lock().unwrap().dropped
     }
 
     /// Total records published to the ring — attempts and instants

@@ -15,19 +15,25 @@
 //!   `STORM_ABORTS_PER_COMMIT` for `STORM_WINDOWS` consecutive windows
 //!   (sustained OREC_CONFLICT storms from pessimistic audits stamping the
 //!   orec table look exactly like this).
-//! * **Convoy stall**: the commit rate drops below `STALL_RATE_FRAC` of
-//!   the trailing mean **while** the window's p99 latency exceeds the
-//!   window length itself, for `STALL_WINDOWS` consecutive windows. This
-//!   is the quiet convoy the other two miss: when waiters politely wait
-//!   (spin, then park) behind a long pessimistic hold, nothing aborts and
-//!   nothing falls back — throughput simply halves while every op's
-//!   latency blows past a full window. The latency guard keeps genuinely
-//!   idle periods (low rate, instant ops) from masquerading as a stall.
+//! * **Convoy stall**: two consecutive windows whose p99 latency each
+//!   exceeds the window length itself, and whose mean commit rate is at
+//!   most `STALL_RATE_FRAC` of the trailing mean. This is the quiet convoy
+//!   the other two miss: when waiters politely wait (spin, then park)
+//!   behind a long pessimistic hold, nothing aborts and nothing falls
+//!   back — throughput simply halves while every op's latency blows past
+//!   a full window. The latency guard keeps genuinely idle periods (low
+//!   rate, instant ops) from masquerading as a stall. The two windows'
+//!   *mean* rate is compared, not each window's: a stall that hovers at
+//!   half the healthy rate puts one window a little above half and the
+//!   next below, and a per-window test never sees two in a row.
 //!
 //! The watchdog arms only after `WARMUP_WINDOWS` healthy windows so
 //! startup noise cannot trigger it, and collapsed windows (those that
-//! fired, and stalled ones on their way to firing) are kept **out** of
-//! the trailing mean so a long incident cannot normalise itself.
+//! fired, and armed windows whose p99 passed the window length) are kept
+//! **out** of the trailing mean so a long incident cannot normalise
+//! itself. A window that lasted more than `OVERRUN_FACTOR` times its
+//! nominal length is no evidence either way: it neither fires nor enters
+//! the mean.
 //!
 //! On trigger, [`flight_record`] assembles the postmortem JSON: the
 //! triggering verdict, the trailing window series, and the records
@@ -61,14 +67,19 @@ const COMMIT_FLOOR_FRAC: f64 = 0.35;
 const STORM_ABORTS_PER_COMMIT: f64 = 4.0;
 /// Consecutive stormy windows required to flag a conflict storm.
 const STORM_WINDOWS: usize = 2;
-/// Commit-rate fraction (of the trailing mean) below which a window
-/// counts toward a convoy stall.
+/// Commit-rate fraction (of the trailing mean) that two consecutive
+/// windows' mean rate must not exceed for a convoy stall.
 const STALL_RATE_FRAC: f64 = 0.5;
 /// p99-latency floor for a stall window, as a multiple of the
 /// window length (1.0 = ops are waiting longer than a whole window).
 const STALL_P99_FACTOR: f64 = 1.0;
-/// Consecutive stalled windows required to flag a convoy stall.
-const STALL_WINDOWS: usize = 2;
+/// A window whose measured length passes its nominal length by this
+/// factor is skipped. The rotator closes a window within a quarter of
+/// its nominal length after it is due, so a window twice as long means
+/// the rotator itself went a whole window without CPU: the whole
+/// process was starved, and the window's rate and latency measure the
+/// host, not the lock.
+const OVERRUN_FACTOR: u64 = 2;
 /// Healthy windows required before the watchdog arms.
 const WARMUP_WINDOWS: usize = 3;
 /// Trailing-mean horizon (healthy windows remembered).
@@ -241,24 +252,36 @@ impl LiveSource for WatchdogLive {
 
 /// The watchdog: feed it each closed window via [`Watchdog::inspect`].
 /// Single-consumer by design — it rides the rotator thread.
-#[derive(Default)]
 pub struct Watchdog {
+    /// The collector's nominal window length (ns), against which a
+    /// window's measured `len_ns` is judged an overrun.
+    nominal_len_ns: u64,
     /// Commit rates of recent *healthy* windows (collapsed windows are
     /// excluded so an incident cannot drag the baseline down to itself).
     trailing: VecDeque<f64>,
     /// Consecutive stormy windows seen so far.
     storm_run: usize,
-    /// Consecutive stalled windows seen so far.
-    stall_run: usize,
+    /// The commit rate of the previous window, when its p99 passed the
+    /// window length: the first half of a convoy-stall pair.
+    stall_prev: Option<f64>,
     events: Vec<CollapseEvent>,
     /// Optional scrape mirror, published on every inspect.
     live: Option<Arc<WatchdogLive>>,
 }
 
 impl Watchdog {
-    /// A watchdog with the module's thresholds.
-    pub fn new() -> Watchdog {
-        Watchdog::default()
+    /// A watchdog with the module's thresholds, for windows of
+    /// `nominal_len_ns` (the collector's
+    /// [`crate::window::WindowCollector::window_len_ns`]).
+    pub fn new(nominal_len_ns: u64) -> Watchdog {
+        Watchdog {
+            nominal_len_ns,
+            trailing: VecDeque::new(),
+            storm_run: 0,
+            stall_prev: None,
+            events: Vec::new(),
+            live: None,
+        }
     }
 
     /// The scrape mirror for this watchdog, created on first call.
@@ -283,9 +306,11 @@ impl Watchdog {
     /// Inspects one closed window; returns the verdict if a signature
     /// fired. Verdicts are also accumulated in [`Watchdog::events`].
     pub fn inspect(&mut self, w: &WindowSnapshot) -> Option<CollapseEvent> {
-        if w.counts.total_commits() < MIN_COMMITS {
-            // Idle window: no evidence either way; do not advance the
-            // storm run or pollute the trailing mean.
+        if w.counts.total_commits() < MIN_COMMITS
+            || w.len_ns > self.nominal_len_ns.saturating_mul(OVERRUN_FACTOR)
+        {
+            // Idle or overrun window: no evidence either way; do not
+            // advance the storm run or pollute the trailing mean.
             return None;
         }
         let commit_rate = w.commit_rate();
@@ -293,7 +318,7 @@ impl Watchdog {
         let armed = self.trailing.len() >= WARMUP_WINDOWS;
 
         let mut fired: Option<CollapseKind> = None;
-        let mut stalled = false;
+        let p99_past = w.latency_p(0.99) as f64 >= w.len_ns as f64 * STALL_P99_FACTOR;
         if armed {
             let collapsed = w.fallback_rate() >= FALLBACK_SPIKE
                 && commit_rate <= trailing_rate * COMMIT_FLOOR_FRAC;
@@ -309,18 +334,17 @@ impl Watchdog {
             } else {
                 self.storm_run = 0;
             }
-            let stall_p99_floor = w.len_ns as f64 * STALL_P99_FACTOR;
-            stalled = commit_rate <= trailing_rate * STALL_RATE_FRAC
-                && w.latency_p(0.99) as f64 >= stall_p99_floor;
-            if stalled {
-                self.stall_run += 1;
-                if fired.is_none() && self.stall_run >= STALL_WINDOWS {
+            self.stall_prev = match self.stall_prev {
+                _ if !p99_past => None,
+                Some(prev)
+                    if fired.is_none()
+                        && (prev + commit_rate) / 2.0 <= trailing_rate * STALL_RATE_FRAC =>
+                {
                     fired = Some(CollapseKind::ConvoyStall);
-                    self.stall_run = 0;
+                    None
                 }
-            } else {
-                self.stall_run = 0;
-            }
+                _ => Some(commit_rate),
+            };
         }
 
         let verdict = match fired {
@@ -337,10 +361,10 @@ impl Watchdog {
                 self.events.push(ev.clone());
                 Some(ev)
             }
-            // A stalled window is no healthy baseline either: let it in,
-            // and a stall that holds the rate near half the mean drags the
-            // mean down until no second window in a row falls below half.
-            None if stalled => None,
+            // A window whose ops waited longer than the window itself is
+            // no healthy baseline, whatever its rate: let in, a stall's
+            // first windows drag the mean down toward the stall.
+            None if armed && p99_past => None,
             None => {
                 self.trailing.push_back(commit_rate);
                 if self.trailing.len() > TRAILING {
@@ -395,6 +419,10 @@ mod tests {
     use crate::window::WindowCounts;
     use rtle_htm::AbortCode;
 
+    /// The collectors' nominal window length: the tests' windows are 100
+    /// or 125 ms long unless a test says otherwise.
+    const NOMINAL: u64 = 125_000_000;
+
     /// Builds a window snapshot the way a rotator would have produced
     /// it from live counters: fast / slow / lock commits, conflict +
     /// explicit aborts, and a flat latency distribution at `lat_ns`.
@@ -438,7 +466,7 @@ mod tests {
     /// The watchdog must fire on the first collapsed window.
     #[test]
     fn fires_on_recorded_single_lock_collapse() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         for i in 0..5 {
             let w = window(i, 100, [900, 45, 5], 60, 12, 8_000);
             assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
@@ -473,7 +501,7 @@ mod tests {
         // The sharded run under the same storm: audits pin one shard,
         // the rest keep committing — fallback stays low, rate dips but
         // stays above the floor.
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         for i in 0..5 {
             assert!(wd
                 .inspect(&window(i, 100, [920, 60, 8], 70, 15, 7_000))
@@ -489,7 +517,7 @@ mod tests {
 
     #[test]
     fn sustained_orec_storm_fires_without_a_rate_floor() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         for i in 0..4 {
             wd.inspect(&window(i, 100, [800, 100, 10], 80, 20, 9_000));
         }
@@ -515,7 +543,7 @@ mod tests {
     /// this shape, and it needs two consecutive windows.
     #[test]
     fn convoy_stall_fires_without_fallback_or_abort_evidence() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         for i in 0..5 {
             let w = window(i, 125, [780, 0, 15], 10, 8, 150_000);
             assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
@@ -567,7 +595,7 @@ mod tests {
     /// mean down far enough that the second reads as healthy.
     #[test]
     fn a_stall_does_not_drag_its_own_baseline_down() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         for i in 0..8 {
             let w = window(i, 125, [785, 0, 15], 10, 8, 150_000);
             assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
@@ -580,9 +608,61 @@ mod tests {
         assert_eq!(ev.kind, CollapseKind::ConvoyStall);
     }
 
+    /// A stall that hovers around half the healthy rate, one window a
+    /// little above half and the next below (the shape of the `slo_bench`
+    /// single lock's failing series: 1 959, 925, 1 419, 1 413 commits/s
+    /// against ~2 850). Judged window by window, no two in a row fall
+    /// below half, and each one above drags the mean down; judged by the
+    /// pair's mean rate, the second window fires.
+    #[test]
+    fn a_stall_hovering_at_half_the_rate_fires() {
+        let mut wd = Watchdog::new(NOMINAL);
+        for i in 0..8 {
+            let w = window(i, 125, [785, 0, 15], 10, 8, 150_000);
+            assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
+        }
+        let baseline = wd.trailing_commit_rate();
+        // 440 and 320 commits per 125 ms: 0.55 and 0.40 of the healthy
+        // 6 400 commits/s, with every op late by more than a window.
+        let hover = |i, commits| window(i, 125, [commits, 0, 5], 12, 10, 200_000_000);
+        assert_eq!(wd.inspect(&hover(8, 435)), None, "one window is noise");
+        let ev = wd
+            .inspect(&hover(9, 315))
+            .expect("the pair's mean rate is under half the trailing mean");
+        assert_eq!(ev.kind, CollapseKind::ConvoyStall);
+        assert_eq!(ev.trailing_commit_rate, baseline, "the hover stayed out");
+    }
+
+    /// A window that lasted far past its nominal length — the whole
+    /// process went without CPU, rotator included (the sharded map's
+    /// window that lasted 1.12 s of 125 ms) — neither fires nor enters
+    /// the trailing mean, however slow and late its ops look.
+    #[test]
+    fn an_overrun_window_neither_fires_nor_enters_the_mean() {
+        let mut wd = Watchdog::new(NOMINAL);
+        for i in 0..8 {
+            let w = window(i, 125, [785, 0, 15], 10, 8, 150_000);
+            assert_eq!(wd.inspect(&w), None, "healthy window {i} must not fire");
+        }
+        let baseline = wd.trailing_commit_rate();
+        // Nine nominal lengths with one nominal window's commits.
+        let overrun = |i, lat| window(i, 1_125, [785, 0, 15], 10, 8, lat);
+        assert_eq!(wd.inspect(&overrun(8, 300_000_000)), None);
+        assert_eq!(
+            wd.trailing_commit_rate(),
+            baseline,
+            "an overrun window stays out of the mean"
+        );
+        // Two in a row whose p99 passes even their own length.
+        assert_eq!(wd.inspect(&overrun(9, 1_200_000_000)), None);
+        assert_eq!(wd.inspect(&overrun(10, 1_200_000_000)), None);
+        assert!(wd.events().is_empty(), "{:?}", wd.events());
+        assert_eq!(wd.trailing_commit_rate(), baseline);
+    }
+
     #[test]
     fn warmup_and_idle_windows_never_fire() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         // Unarmed: even a blatant collapse shape is ignored pre-warmup.
         let bad = window(0, 100, [2, 1, 60], 500, 900, 5_000_000);
         assert_eq!(wd.inspect(&bad), None);
@@ -599,7 +679,7 @@ mod tests {
 
     #[test]
     fn live_mirror_tracks_arming_and_verdicts() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         let live = wd.live();
         assert!(!live.armed());
         assert_eq!(live.fired_total(), 0);
@@ -637,7 +717,7 @@ mod tests {
     #[test]
     fn flight_record_document_shape() {
         use crate::recorder::ObsConfig;
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::new(NOMINAL);
         let mut windows = Vec::new();
         for i in 0..4 {
             let w = window(i, 100, [900, 45, 5], 60, 12, 8_000);

@@ -194,7 +194,7 @@ fn json_page_matches_the_golden_file() {
     attempt(2, PathKind::Stm, None, 3, 2_500);
     attempt(3, PathKind::Lock, None, 5, 4_000);
 
-    let mut watchdog = Watchdog::new();
+    let mut watchdog = Watchdog::new(100_000_000);
     let mirror = watchdog.live();
     for i in 0..4 {
         assert_eq!(watchdog.inspect(&fixed_window(i, 100)), None);

@@ -38,7 +38,7 @@
 
 use std::cell::Cell;
 
-use rtle_htm::{HtmBackend, TxWord};
+use rtle_htm::TxWord;
 
 use crate::sharded::ShardedTxMap;
 
@@ -109,7 +109,7 @@ pub enum OpResult<V: TxWord> {
     Present(bool),
 }
 
-impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
+impl<V: TxWord> ShardedTxMap<V> {
     /// Executes `ops` with per-key program order preserved, returning
     /// results parallel to the input. Operations are grouped by
     /// destination shard and each group runs as critical sections of at

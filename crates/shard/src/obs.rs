@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use rtle_core::StatsSnapshot;
-use rtle_htm::{HtmBackend, TxWord};
+use rtle_htm::TxWord;
 use rtle_obs::{commit_counters, LiveSource, MetricsRegistry, SourceSnapshot};
 
 use crate::sharded::ShardedTxMap;
@@ -65,7 +65,7 @@ impl ShardReport {
     }
 }
 
-impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
+impl<V: TxWord> ShardedTxMap<V> {
     /// Per-shard stats snapshots, in shard-index order.
     pub fn shard_stats(&self) -> Vec<StatsSnapshot> {
         self.shards
@@ -120,10 +120,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
 /// are deliberately *not* duplicated here — when the shards share a
 /// windowed recorder, [`ShardedTxMap::register_live`] registers that
 /// recorder as its own source and the windows arrive through it.
-impl<V: TxWord, B: HtmBackend> LiveSource for ShardedTxMap<V, B>
-where
-    ShardedTxMap<V, B>: Send + Sync,
-{
+impl<V: TxWord> LiveSource for ShardedTxMap<V> {
     fn live_snapshot(&self) -> SourceSnapshot {
         let report = self.report();
         let m = &report.merged;
@@ -156,10 +153,7 @@ where
     }
 }
 
-impl<V: TxWord + 'static, B: HtmBackend + 'static> ShardedTxMap<V, B>
-where
-    ShardedTxMap<V, B>: Send + Sync,
-{
+impl<V: TxWord + 'static> ShardedTxMap<V> {
     /// Registers this map with `registry` under `name`, and — when the
     /// shards were built around a shared recorder — registers that
     /// recorder too (as `<name>_recorder`), so the commit-path mix,

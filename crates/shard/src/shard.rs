@@ -31,13 +31,13 @@
 
 use rtle_core::{Ctx, ElidableLock, LockedSection};
 use rtle_htm::lanes::Lanes;
-use rtle_htm::{HtmBackend, TxWord};
+use rtle_htm::TxWord;
 
 use crate::map::TxMap;
 
 /// One shard: an [`ElidableLock`] and the [`TxMap`] it guards.
-pub(crate) struct Shard<V: TxWord, B: HtmBackend> {
-    lock: ElidableLock<B>,
+pub(crate) struct Shard<V: TxWord> {
+    lock: ElidableLock,
     map: TxMap<V>,
     /// Operations routed to this shard (single-key, batched, and
     /// cross-shard legs all count): an advisory load metric every routed
@@ -47,9 +47,9 @@ pub(crate) struct Shard<V: TxWord, B: HtmBackend> {
     pub(crate) routed: Lanes<1>,
 }
 
-impl<V: TxWord + Default, B: HtmBackend> Shard<V, B> {
+impl<V: TxWord + Default> Shard<V> {
     /// A shard of `capacity` slots guarded by `lock`.
-    pub(crate) fn new(lock: ElidableLock<B>, capacity: usize) -> Self {
+    pub(crate) fn new(lock: ElidableLock, capacity: usize) -> Self {
         Shard {
             lock,
             map: TxMap::with_capacity(capacity),
@@ -58,10 +58,10 @@ impl<V: TxWord + Default, B: HtmBackend> Shard<V, B> {
     }
 }
 
-impl<V: TxWord, B: HtmBackend> Shard<V, B> {
+impl<V: TxWord> Shard<V> {
     /// The shard's lock, for its statistics, heatmap, recorder and
     /// backend.
-    pub(crate) fn lock(&self) -> &ElidableLock<B> {
+    pub(crate) fn lock(&self) -> &ElidableLock {
         &self.lock
     }
 
@@ -78,21 +78,21 @@ impl<V: TxWord, B: HtmBackend> Shard<V, B> {
 
     /// The lock and the map, for a caller that enrolls the lock before it
     /// touches the map (see the module docs).
-    pub(crate) fn parts(&self) -> (&ElidableLock<B>, &TxMap<V>) {
+    pub(crate) fn parts(&self) -> (&ElidableLock, &TxMap<V>) {
         (&self.lock, &self.map)
     }
 }
 
 /// The shards a [`with_shards_locked`] section holds.
-pub(crate) struct Held<'h, 'a, V: TxWord, B: HtmBackend> {
-    shards: &'a [Shard<V, B>],
+pub(crate) struct Held<'h, 'a, V: TxWord> {
+    shards: &'a [Shard<V>],
     /// The held shards' indices: ascending, distinct, parallel to
     /// `sections`.
     idxs: &'h [usize],
-    sections: &'h [LockedSection<'a, B>],
+    sections: &'h [LockedSection<'a>],
 }
 
-impl<'h, 'a, V: TxWord, B: HtmBackend> Held<'h, 'a, V, B> {
+impl<'h, 'a, V: TxWord> Held<'h, 'a, V> {
     /// Shard `idx`'s map and the `Ctx` of its held section.
     ///
     /// # Panics
@@ -133,10 +133,10 @@ impl<'h, 'a, V: TxWord, B: HtmBackend> Held<'h, 'a, V, B> {
     clippy::disallowed_methods,
     reason = "the one place shard locks are taken, after sorting their indices"
 )]
-pub(crate) fn with_shards_locked<V: TxWord, B: HtmBackend, R>(
-    shards: &[Shard<V, B>],
+pub(crate) fn with_shards_locked<V: TxWord, R>(
+    shards: &[Shard<V>],
     idxs: &mut [usize],
-    f: impl FnOnce(&Held<'_, '_, V, B>) -> R,
+    f: impl FnOnce(&Held<'_, '_, V>) -> R,
 ) -> R {
     idxs.sort_unstable();
     let mut n = usize::from(!idxs.is_empty());
@@ -148,7 +148,7 @@ pub(crate) fn with_shards_locked<V: TxWord, B: HtmBackend, R>(
     }
     let idxs = &idxs[..n];
     let enter = |i: usize| shards[i].lock.lock_section();
-    let run = |sections: &[LockedSection<'_, B>]| {
+    let run = |sections: &[LockedSection<'_>]| {
         f(&Held {
             shards,
             idxs,
@@ -169,11 +169,11 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use rtle_core::ElisionPolicy;
-    use rtle_htm::{PlainAccess, SwHtmBackend};
+    use rtle_htm::PlainAccess;
 
     use super::*;
 
-    fn shards(n: usize) -> Vec<Shard<u64, SwHtmBackend>> {
+    fn shards(n: usize) -> Vec<Shard<u64>> {
         (0..n)
             .map(|_| Shard::new(ElidableLock::builder().build(), 16))
             .collect()
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn opposite_orders_of_two_shards_never_deadlock() {
         const ITERS: u64 = 10_000;
-        let shards: Arc<[Shard<u64, SwHtmBackend>]> = (0..2)
+        let shards: Arc<[Shard<u64>]> = (0..2)
             .map(|_| {
                 Shard::new(
                     ElidableLock::builder()

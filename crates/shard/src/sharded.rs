@@ -45,7 +45,7 @@
 
 use rtle_core::{Ctx, ElidableLock, ElidableLockBuilder, ElisionPolicy};
 use rtle_htm::hash::wang_mix64;
-use rtle_htm::{HtmBackend, SwHtmBackend, TxWord};
+use rtle_htm::TxWord;
 
 use crate::batch::with_scratch;
 use crate::map::TxMap;
@@ -60,8 +60,8 @@ pub const DEFAULT_ORECS_PER_SHARD: usize = 128;
 /// A transactional `u64 → V` map partitioned over `shards` independent
 /// [`ElidableLock`]-protected [`TxMap`]s. See the module docs for the
 /// routing, concurrency, and deadlock-freedom design.
-pub struct ShardedTxMap<V: TxWord = u64, B: HtmBackend = SwHtmBackend> {
-    pub(crate) shards: Box<[Shard<V, B>]>,
+pub struct ShardedTxMap<V: TxWord = u64> {
+    pub(crate) shards: Box<[Shard<V>]>,
     /// `64 - log2(shards)`; shard index = `wang_mix64(key) >> shift`.
     shift: u32,
 }
@@ -95,7 +95,7 @@ impl std::fmt::Display for TransferError {
     }
 }
 
-impl ShardedTxMap<u64, SwHtmBackend> {
+impl ShardedTxMap<u64> {
     /// A map with `shards` shards (power of two) of `capacity_per_shard`
     /// slots each, every shard running FG-TLE with
     /// [`DEFAULT_ORECS_PER_SHARD`] orecs. Use [`ShardedTxMap::with_builder`]
@@ -111,7 +111,7 @@ impl ShardedTxMap<u64, SwHtmBackend> {
     }
 }
 
-impl<V: TxWord + Default, B: HtmBackend + Clone> ShardedTxMap<V, B> {
+impl<V: TxWord + Default> ShardedTxMap<V> {
     /// A map whose every shard is built from one [`ElidableLockBuilder`]
     /// template — policy, retry, backend, and recorder are cloned per
     /// shard, so shard configuration is exactly the single-lock builder
@@ -126,7 +126,7 @@ impl<V: TxWord + Default, B: HtmBackend + Clone> ShardedTxMap<V, B> {
     pub fn with_builder(
         shards: usize,
         capacity_per_shard: usize,
-        template: ElidableLockBuilder<B>,
+        template: ElidableLockBuilder,
     ) -> Self {
         assert!(
             shards.is_power_of_two() && shards > 0,
@@ -145,7 +145,7 @@ impl<V: TxWord + Default, B: HtmBackend + Clone> ShardedTxMap<V, B> {
     }
 }
 
-impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
+impl<V: TxWord> ShardedTxMap<V> {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -161,7 +161,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     }
 
     #[inline]
-    fn route(&self, key: u64) -> &Shard<V, B> {
+    fn route(&self, key: u64) -> &Shard<V> {
         let s = &self.shards[self.shard_of(key)];
         s.routed.add(0, 1);
         s
@@ -197,7 +197,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     /// transaction's own barriers. Direct callers should prefer the
     /// [`Self::get`]-family operations, which drive the shard's own
     /// speculation ladder.
-    pub fn shard_parts(&self, key: u64) -> (&ElidableLock<B>, &TxMap<V>) {
+    pub fn shard_parts(&self, key: u64) -> (&ElidableLock, &TxMap<V>) {
         self.route(key).parts()
     }
 
@@ -255,7 +255,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     }
 }
 
-impl<V: TxWord + PartialEq, B: HtmBackend> ShardedTxMap<V, B> {
+impl<V: TxWord + PartialEq> ShardedTxMap<V> {
     /// Atomically compares-and-swaps *two* entries: iff `k1` currently
     /// maps to `expect1` **and** `k2` maps to `expect2`, both are updated
     /// (to `new1`/`new2`) in one transaction. Returns whether the swap
@@ -292,12 +292,15 @@ impl<V: TxWord + PartialEq, B: HtmBackend> ShardedTxMap<V, B> {
     }
 }
 
-impl<B: HtmBackend> ShardedTxMap<u64, B> {
+impl ShardedTxMap<u64> {
     /// Atomically moves `amount` from `from`'s balance to `to`'s. Both
     /// accounts must exist and the debit must not overdraw; on any error
     /// neither balance changes. Cross-shard transfers take the ordered
     /// pessimistic path; same-shard transfers speculate like any other
     /// single-shard operation.
+    // `#[inline]`: compiled into the caller's crate, as the map's generic
+    // methods are (see `ElidableLock`'s impl).
+    #[inline]
     pub fn transfer(&self, from: u64, to: u64, amount: u64) -> Result<(), TransferError> {
         let (sf, st) = (self.shard_of(from), self.shard_of(to));
         if sf == st {
@@ -360,10 +363,10 @@ impl<B: HtmBackend> ShardedTxMap<u64, B> {
     }
 }
 
-impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
+impl<V: TxWord> ShardedTxMap<V> {
     /// Runs `f` with every shard's lock held: the whole map at one
     /// instant. Counts no routed operation.
-    fn with_all_locked<R>(&self, f: impl FnOnce(&Held<'_, '_, V, B>) -> R) -> R {
+    fn with_all_locked<R>(&self, f: impl FnOnce(&Held<'_, '_, V>) -> R) -> R {
         with_shards_locked(
             &self.shards,
             &mut (0..self.shard_count()).collect::<Vec<_>>(),
@@ -392,7 +395,7 @@ impl<V: TxWord, B: HtmBackend> ShardedTxMap<V, B> {
     }
 }
 
-impl<V: TxWord, B: HtmBackend> std::fmt::Debug for ShardedTxMap<V, B> {
+impl<V: TxWord> std::fmt::Debug for ShardedTxMap<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedTxMap")
             .field("shards", &self.shards.len())

@@ -55,10 +55,9 @@ use rtle_core::{
 use rtle_htm::lanes::Lanes;
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::wait;
-use rtle_htm::SwHtmBackend;
 use rtle_hytm::{Norec, SoftwareTm, SwPhase};
 
-use crate::tx::{end_spec, flush_locked, Lock, LockedPlan, Mode, Tx, TxError, TxInner, TxResult};
+use crate::tx::{end_spec, flush_locked, LockedPlan, Mode, Tx, TxError, TxInner, TxResult};
 
 /// Software attempts per ladder round before falling back to locks.
 const SW_ATTEMPTS: usize = 8;
@@ -296,7 +295,7 @@ impl StmBuilder {
 /// A transaction space: the front door for composable transactions.
 #[derive(Debug)]
 pub struct Stm {
-    lock: Lock,
+    lock: ElidableLock,
     stats: StmStats,
 }
 
@@ -320,7 +319,7 @@ impl Stm {
 
     /// The space lock (telemetry: its [`rtle_core::ExecStats`] show the
     /// spec/software/pessimistic mix of the space's own phase).
-    pub fn lock(&self) -> &Lock {
+    pub fn lock(&self) -> &ElidableLock {
         &self.lock
     }
 
@@ -334,7 +333,7 @@ impl Stm {
     /// `ShardedTxMap` built via `with_builder` — **must** be constructed
     /// from this, so the space's software rung validates against the same
     /// backend the participants' hardware commits publish to.
-    pub fn lock_builder(&self) -> ElidableLockBuilder<SwHtmBackend> {
+    pub fn lock_builder(&self) -> ElidableLockBuilder {
         let b = ElidableLock::builder();
         match self.lock.software_backends().first() {
             Some(tm) => b.with_software_backend(Arc::clone(tm)),
@@ -343,7 +342,7 @@ impl Stm {
     }
 
     pub(crate) fn lock_addr(&self) -> usize {
-        &self.lock as *const Lock as usize
+        &self.lock as *const ElidableLock as usize
     }
 
     /// Runs `f` as one composable transaction: every read and write in
@@ -372,7 +371,7 @@ impl Stm {
         // Participant locks discovered in failed attempts seed the
         // pessimistic plan, so the Locked rung usually acquires the full
         // set on its first try instead of growing lock by lock.
-        let mut known: Vec<&'env Lock> = Vec::new();
+        let mut known: Vec<&'env ElidableLock> = Vec::new();
 
         loop {
             // ---- Rung 1: hardware speculation --------------------------
@@ -433,7 +432,7 @@ impl Stm {
         &'env self,
         f: &impl Fn(&Tx<'env, '_>) -> TxResult<R>,
         inner: &RefCell<TxInner<'env>>,
-        known: &mut Vec<&'env Lock>,
+        known: &mut Vec<&'env ElidableLock>,
     ) -> Option<TxResult<R>> {
         let tm = self.lock.software_backends().first()?;
         let phase = SwPhase::enter(&**tm);
@@ -481,20 +480,20 @@ impl Stm {
         &'env self,
         f: &impl Fn(&Tx<'env, '_>) -> TxResult<R>,
         inner: &RefCell<TxInner<'env>>,
-        known: &mut Vec<&'env Lock>,
+        known: &mut Vec<&'env ElidableLock>,
     ) -> TxResult<R> {
-        let mut plan: Vec<&'env Lock> = Vec::with_capacity(known.len() + 1);
+        let mut plan: Vec<&'env ElidableLock> = Vec::with_capacity(known.len() + 1);
         plan.push(&self.lock);
         plan.extend(known.iter().copied());
         sort_plan(&mut plan);
         loop {
-            let sections: Vec<LockedSection<'env, SwHtmBackend>> =
+            let sections: Vec<LockedSection<'env>> =
                 plan.iter().map(|l| l.lock_section()).collect();
             let locked = LockedPlan {
                 entries: plan
                     .iter()
                     .zip(&sections)
-                    .map(|(l, s)| (*l as *const Lock as usize, s.ctx()))
+                    .map(|(l, s)| (*l as *const ElidableLock as usize, s.ctx()))
                     .collect(),
             };
             let attempt = unwind::catch(Channel::Restart, || {
@@ -593,7 +592,11 @@ impl Stm {
 
     /// Remembers participant locks enrolled by a failed attempt, seeding
     /// the pessimistic plan.
-    fn merge_known<'env>(&self, known: &mut Vec<&'env Lock>, inner: &RefCell<TxInner<'env>>) {
+    fn merge_known<'env>(
+        &self,
+        known: &mut Vec<&'env ElidableLock>,
+        inner: &RefCell<TxInner<'env>>,
+    ) {
         for l in inner.borrow().enrolled() {
             if !known.iter().any(|k| std::ptr::eq(*k, l)) {
                 known.push(l);
@@ -605,8 +608,8 @@ impl Stm {
 /// Ascending raw-address order — the global acquisition order shared with
 /// `rtle-shard`'s cross-shard transfers (shards sort by index, and shard
 /// locks live in one allocation, so index order *is* address order).
-fn sort_plan(plan: &mut Vec<&Lock>) {
-    plan.sort_by_key(|l| *l as *const Lock as usize);
+fn sort_plan(plan: &mut Vec<&ElidableLock>) {
+    plan.sort_by_key(|l| *l as *const ElidableLock as usize);
     plan.dedup_by(|a, b| std::ptr::eq(*a, *b));
 }
 

@@ -65,17 +65,12 @@ use std::sync::Arc;
 use rtle_core::{Ctx, ElidableLock, SoftwarePresence};
 use rtle_htm::unwind::{self, Channel};
 use rtle_htm::wait::WaitList;
-use rtle_htm::{abort, AbortCode, SwHtmBackend, TxAccess, TxCell, TxWord};
+use rtle_htm::{abort, AbortCode, TxAccess, TxCell, TxWord};
 use rtle_hytm::{SoftwareTm, SwPhase};
 use rtle_shard::ShardedTxMap;
 
 use crate::space::Stm;
 use crate::var::TxVar;
-
-/// The elidable-lock flavour composable transactions run over. The stack
-/// is built on the emulated HTM backend throughout (chaos injection,
-/// deterministic tests); a generic-`B` space would buy nothing here.
-pub(crate) type Lock = ElidableLock<SwHtmBackend>;
 
 /// Why a transaction attempt did not produce a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +110,8 @@ pub(crate) struct Logs {
     /// Waiter lists of the [`TxVar`]s written, each once, in every mode.
     pub(crate) woken: Vec<*const WaitList>,
     /// Participant locks enrolled this attempt (the space lock excluded);
-    /// each was a `&'env Lock` (see [`TxInner::enrolled`]).
-    enrolled: Vec<*const Lock>,
+    /// each was a `&'env ElidableLock` (see [`TxInner::enrolled`]).
+    enrolled: Vec<*const ElidableLock>,
 }
 
 impl Logs {
@@ -152,7 +147,7 @@ pub(crate) struct TxInner<'env> {
     /// one write log, so it is where a rollback truncates to.
     pub(crate) stores: usize,
     /// Set by a Locked-mode enrollment miss just before [`restart`].
-    pub(crate) missing: Option<&'env Lock>,
+    pub(crate) missing: Option<&'env ElidableLock>,
 }
 
 impl<'env> TxInner<'env> {
@@ -173,9 +168,9 @@ impl<'env> TxInner<'env> {
     }
 
     /// The participant locks this attempt enrolled.
-    pub(crate) fn enrolled(&self) -> impl Iterator<Item = &'env Lock> + '_ {
+    pub(crate) fn enrolled(&self) -> impl Iterator<Item = &'env ElidableLock> + '_ {
         self.logs.enrolled.iter().map(|&lock| {
-            // SAFETY: `Tx::enroll` pushes only `&'env Lock`s, and the list
+            // SAFETY: `Tx::enroll` pushes only `&'env ElidableLock`s, and the list
             // is cleared before the buffers outlive this `TxInner<'env>`.
             // The deref only rebuilds a reference the caller held; nothing
             // is published through it.
@@ -348,22 +343,14 @@ impl<'env, 'run> Tx<'env, 'run> {
 
     /// Transactional `get` on a sharded map: enrolls the key's shard lock
     /// as a participant, then routes the probe through this transaction.
-    pub fn map_get<V: TxWord>(
-        &self,
-        map: &'env ShardedTxMap<V, SwHtmBackend>,
-        key: u64,
-    ) -> Option<V> {
+    pub fn map_get<V: TxWord>(&self, map: &'env ShardedTxMap<V>, key: u64) -> Option<V> {
         let (lock, shard) = map.shard_parts(key);
         let domain = self.enroll(lock);
         shard.get(&DomainAccess { tx: self, domain }, key)
     }
 
     /// Transactional membership test on a sharded map.
-    pub fn map_contains<V: TxWord>(
-        &self,
-        map: &'env ShardedTxMap<V, SwHtmBackend>,
-        key: u64,
-    ) -> bool {
+    pub fn map_contains<V: TxWord>(&self, map: &'env ShardedTxMap<V>, key: u64) -> bool {
         let (lock, shard) = map.shard_parts(key);
         let domain = self.enroll(lock);
         shard.contains(&DomainAccess { tx: self, domain }, key)
@@ -372,7 +359,7 @@ impl<'env, 'run> Tx<'env, 'run> {
     /// Transactional insert on a sharded map; returns the previous value.
     pub fn map_insert<V: TxWord>(
         &self,
-        map: &'env ShardedTxMap<V, SwHtmBackend>,
+        map: &'env ShardedTxMap<V>,
         key: u64,
         value: V,
     ) -> Option<V> {
@@ -382,11 +369,7 @@ impl<'env, 'run> Tx<'env, 'run> {
     }
 
     /// Transactional remove on a sharded map; returns the removed value.
-    pub fn map_remove<V: TxWord>(
-        &self,
-        map: &'env ShardedTxMap<V, SwHtmBackend>,
-        key: u64,
-    ) -> Option<V> {
+    pub fn map_remove<V: TxWord>(&self, map: &'env ShardedTxMap<V>, key: u64) -> Option<V> {
         let (lock, shard) = map.shard_parts(key);
         let domain = self.enroll(lock);
         shard.remove(&DomainAccess { tx: self, domain }, key)
@@ -398,8 +381,8 @@ impl<'env, 'run> Tx<'env, 'run> {
 
     /// Enrolls a participant lock into this attempt (idempotent) and
     /// returns its domain id. Mode-specific protocol per module docs.
-    pub(crate) fn enroll(&self, lock: &'env Lock) -> usize {
-        let domain = lock as *const Lock as usize;
+    pub(crate) fn enroll(&self, lock: &'env ElidableLock) -> usize {
+        let domain = lock as *const ElidableLock as usize;
         if domain == self.space_domain() {
             return domain;
         }
@@ -408,7 +391,7 @@ impl<'env, 'run> Tx<'env, 'run> {
             .borrow()
             .logs
             .enrolled
-            .contains(&(lock as *const Lock));
+            .contains(&(lock as *const ElidableLock));
         if already {
             return domain;
         }
@@ -638,8 +621,7 @@ mod tests {
         let space = Stm::builder()
             .policy(rtle_core::ElisionPolicy::LockOnly)
             .build();
-        let foreign: ShardedTxMap<u64, SwHtmBackend> =
-            ShardedTxMap::with_builder(2, 16, ElidableLock::builder());
+        let foreign: ShardedTxMap<u64> = ShardedTxMap::with_builder(2, 16, ElidableLock::builder());
         space.atomically(|tx| Ok(tx.map_get(&foreign, 1)));
     }
 }

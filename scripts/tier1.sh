@@ -88,7 +88,7 @@ stage "tests"
 # tests/one_software_rung.rs (one software backend per lock, one
 # descriptor builder, and RH-NOrec on the lock's ladder: no enter_sw/
 # exit_sw, sw_count, TmCtx::hw, HtmFast/HtmSlow or record_hw_abort in
-# crates/hytm/src, whose one swhtm::try_txn is the reduced commit),
+# crates/hytm/src, whose one try_txn is the reduced commit),
 # tests/one_abort_vocabulary.rs (`AbortCode`
 # is the only abort enum; its class labels are spelled only in
 # htm/src/abort.rs), the
@@ -208,16 +208,24 @@ for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-m
 done
 
 stage "real RTM (hardware in the loop)"
-# Where the CPU commits hardware transactions, the elision runtimes run on
-# real `xbegin`/`xend`: rtle-core's suite under the `rtm` feature, whose
-# `tests/rtm_real.rs` drives genuine hardware commits. Elsewhere (no TSX,
-# or TSX force-aborted by microcode) this stage prints a loud SKIP and
-# never fails. `rtm_probe` tries 1000 one-line transactions.
+# A process runs on one HTM, which `rtle_htm::try_txn` picks on its first
+# attempt. rtle-htm's own suite under the `rtm` feature runs on every
+# box: where RTM does not commit, its fallback test sees the emulation
+# run the closure. Where the CPU commits hardware transactions, the
+# elision runtimes run on real `xbegin`/`xend`: `tests/rtm_real.rs`
+# drives genuine hardware commits and asserts that the process HTM is
+# RTM. Only that suite: in a feature build on such a CPU every other
+# suite would run on RTM too, where the emulation-only knobs their
+# assertions rely on (`HtmConfig` capacities, abort injection) do
+# nothing. Elsewhere (no TSX, or TSX force-aborted by microcode) the
+# `rtm_real` half prints a loud SKIP and never fails. `rtm_probe` tries
+# 1000 one-line transactions.
+cargo_test -q -p rtle-htm --features rtm
 probe="$(cargo run -q --release -p rtle-htm --features rtm --example rtm_probe)"
 echo "$probe"
 rtm_commits="$(echo "$probe" | sed -n 's/^commits=\([0-9]*\) .*/\1/p')"
 if [ "${rtm_commits:-0}" -gt 0 ]; then
-    cargo_test --release -q -p rtle-core --features rtm
+    cargo_test --release -q -p rtle-core --features rtm --test rtm_real
 else
     echo "!!! SKIP: no RTM transaction commits on this machine — the rtm suite did NOT run !!!"
 fi

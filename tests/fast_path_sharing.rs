@@ -251,7 +251,9 @@ fn snapshots_equal_the_per_thread_ground_truth() {
         let cell = TxCell::new(0u64);
         let calls: u64 = storm(ROUNDS, |rounds| {
             for _ in 0..rounds {
-                lock.execute_from(Instant::now(), |ctx| ctx.write(&cell, ctx.read(&cell) + 1));
+                let start = Instant::now();
+                lock.execute(|ctx| ctx.write(&cell, ctx.read(&cell) + 1));
+                rec.record_op_latency(Writer::current(), start.elapsed().as_nanos() as u64);
             }
             rounds
         })

@@ -96,7 +96,7 @@ fn rhnorec_runs_on_the_locks_ladder() {
             assert!(!src.contains(gone), "`{gone}` is back in {path}");
         }
         let code = src.lines().filter(|l| !l.trim_start().starts_with("//"));
-        let n = code.map(|l| l.matches("swhtm::try_txn").count()).sum();
+        let n = code.map(|l| l.matches("try_txn(").count()).sum();
         hardware_txns.extend(std::iter::repeat_n(path, n));
     }
     // The one hardware transaction is RH-NOrec's reduced commit.
