@@ -10,12 +10,20 @@
 //! sharded map under the identical arrival schedule keeps up — so the
 //! watchdog asymmetry below holds on a loaded 1-core host. What needs
 //! slack is the *detection*: a convoy stall is two consecutive stalled
-//! windows, and the 2 s quick schedule's 400 ms storm spans three, the
-//! first spent building the backlog — exactly two stalled windows in 5
-//! runs of 24 here, no verdict in one of ~50. `--duration-ms 3000` makes
-//! the storm 600 ms: four or more stalled windows in 12 loaded runs of 12.
-//! The offered rate and the audit hold are the same in every build
-//! ([`RATE`], [`AUDIT_HOLD_MS`]).
+//! windows, and `--quick`'s 3 s schedule makes the storm 600 ms: four or
+//! more stalled windows in 12 loaded runs of 12. (A 2 s schedule's 400 ms
+//! storm spans three windows, the first spent building the backlog —
+//! exactly two stalled windows in 5 runs of 24, no verdict in one of ~50.)
+//! The schedule is `--quick`'s own, the same in every build: 3 000 ops/s
+//! offered with 16 ms audit holds, so the collapse is forced by the holds,
+//! not by the CPU — the single lock's storm capacity is one hold per ~15
+//! operations, about 950 ops/s, and its storm windows complete about a
+//! third of their arrivals, deep under `convoy_stall`'s half-rate rule,
+//! while the sharded map spreads the same holds over 16 shards. At 6 000
+//! ops/s with 8 ms holds the depth was the same, but a debug sharded map
+//! beside two CPU hogs spent so much CPU on the storm's audit sweeps that
+//! its own rate halved with p99 past the window — a real stall of the
+//! host, which the watchdog rightly reported, in 5 runs of 8.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -30,22 +38,6 @@ const DIAG: &str = env!("CARGO_BIN_EXE_diag");
 
 /// Where `--flight-dir flight` puts the single lock's flight record.
 const FLIGHT: &str = "flight/slo_flight_single_lock.json";
-
-/// The schedule's offered rate, ops/s, in every build, and how long each
-/// audit holds its lock. The collapse is forced by the holds, not by the
-/// CPU: the single lock's storm capacity is one 16 ms hold per 15
-/// operations, about 950 ops/s in any build, so at 3 000 its storm
-/// windows complete about a third of their arrivals, deep under
-/// `convoy_stall`'s half-rate rule. The sharded map spreads the same
-/// holds over 16 shards. Before, 6 000 ops/s with 8 ms holds forced the
-/// same depth, but a debug sharded map beside two CPU hogs then spent so
-/// much CPU on the storm's audit sweeps (one op in 16, each four passes
-/// over the key space) that its own rate halved with p99 past the window
-/// — a real stall of the host, which the watchdog rightly reported, in 5
-/// runs of 8 (ROADMAP N9). At 3 000 the sweeps cost half the CPU.
-const RATE: u64 = 3_000;
-/// How long each audit holds its lock, ms (see [`RATE`]).
-const AUDIT_HOLD_MS: u64 = 16;
 
 /// A child process or scraper still going after this long has hung.
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -259,11 +251,7 @@ fn forced_collapse_is_visible_live_in_the_export_and_to_the_viewers() {
     let mut bench = spawn(
         SLO_BENCH,
         &dir,
-        &format!(
-            "--quick --duration-ms 3000 --rate {RATE} --audit-hold-ms {AUDIT_HOLD_MS} \
-             --seed 0x510b42d --live 127.0.0.1:0 --live-port-file port --flight-dir flight \
-             --json slo.json"
-        ),
+        "--quick --live 127.0.0.1:0 --live-port-file port --flight-dir flight --json slo.json",
     );
     let addr = loop {
         match std::fs::read_to_string(dir.join("port")) {

@@ -1,7 +1,8 @@
 //! `rtle-check` CLI: `rtle-check [model]`.
 //!
 //! Exhaustively checks the standard protocol configurations *and* verifies
-//! that the seeded model mutants (lazy subscription, TL2 stale read, swhtm
+//! that the seeded model mutants (lazy subscription, the FG-TLE stamp
+//! from the pre-acquisition lock word, TL2 stale read, swhtm
 //! validate-first extension, carried `wv`, the two park mutants) are
 //! caught.
 //!

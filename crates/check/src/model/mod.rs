@@ -10,7 +10,7 @@
 //! per-thread steps from a given configuration (DFS with memoized states)
 //! and checks each terminal state against
 //!
-//! * structural invariants (lock released, `write_flag` lowered, epoch even,
+//! * structural invariants (lock word even, `write_flag` lowered,
 //!   every thread — every body of a TL2 thread — committed exactly once),
 //!   and
 //! * a serializability oracle ([`oracle`]): the committed history must be
@@ -58,9 +58,11 @@ pub use park::{
     park_register_mutant_config, park_release_mutant_config, park_suite, ParkConfig, ParkMutant,
     ParkState,
 };
-pub use suite::{explore_mutants, explore_safe, mutant_config, standard_suite};
+pub use suite::{
+    explore_mutants, explore_safe, fgtle_stamp_mutant_config, mutant_config, standard_suite,
+};
 pub use tl2::{
     carry_wv_mutant_config, swhtm_mutant_config, tl2_mutant_config, tl2_suite, Extension,
     Tl2Config, Tl2State,
 };
-pub use tle::{Config, Policy, State, Subscription, ThreadSpec};
+pub use tle::{Config, Policy, Stamp, State, Subscription, ThreadSpec};

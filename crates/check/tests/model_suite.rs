@@ -1,14 +1,16 @@
 //! Acceptance tests for the interleaving checker: every safe configuration
 //! explores clean, the protocol paths are actually exercised, and the
-//! seeded mutants (unsafe lazy subscription; TL2 skipped revalidation;
+//! seeded mutants (unsafe lazy subscription; an FG-TLE holder stamping
+//! with the pre-acquisition lock word; TL2 skipped revalidation;
 //! swhtm validate-before-sample extension; a carried `wv`; the park's
 //! two lost wakeups) are detected —
 //! and every row's
 //! state, terminal and path counts are pinned in `golden/model_rows.txt`.
 
 use rtle_check::model::{
-    carry_wv_mutant_config, explore, explore_mutants, explore_safe, mutant_config, park_suite,
-    standard_suite, swhtm_mutant_config, tl2_mutant_config, tl2_suite, State, Tl2State,
+    carry_wv_mutant_config, explore, explore_mutants, explore_safe, fgtle_stamp_mutant_config,
+    mutant_config, park_suite, standard_suite, swhtm_mutant_config, tl2_mutant_config, tl2_suite,
+    Policy, Stamp, State, Tl2State,
 };
 
 #[test]
@@ -90,6 +92,42 @@ fn unsafe_lazy_subscription_mutant_is_caught() {
     );
 }
 
+/// The holder that stamps with the even word it acquired from lets a slow
+/// reader that began during the holding read the invariant pair torn;
+/// `fgtle-conflict` is the identical workload with the runtime's stamp,
+/// and it is clean — so the catch is the stamp's, not the workload's.
+#[test]
+fn fgtle_pre_acquire_stamp_mutant_is_caught() {
+    let mutant = fgtle_stamp_mutant_config();
+    let r = explore::<State>(&mutant);
+    let v = r
+        .violations
+        .iter()
+        .find(|v| v.kind == "non-serializable")
+        .expect("the pre-acquisition stamp was NOT detected — oracle regression");
+    assert!(
+        v.detail.contains("T1[Slow]{R0=1 R1=0}"),
+        "unexpected violation detail: {}",
+        v.detail
+    );
+    let safe = standard_suite()
+        .into_iter()
+        .find(|c| c.name == "fgtle-conflict")
+        .expect("suite config exists");
+    assert_eq!(
+        safe.policy,
+        Policy::FgTle {
+            orecs: 2,
+            stamp: Stamp::Held
+        }
+    );
+    assert_eq!(
+        (safe.threads.len(), safe.max_slow_attempts),
+        (mutant.threads.len(), mutant.max_slow_attempts)
+    );
+    assert!(explore::<State>(&safe).clean());
+}
+
 #[test]
 fn tl2_suite_is_violation_free_and_concurrent() {
     let mut saw_ro = false;
@@ -139,8 +177,8 @@ fn path_coverage_counts_terminal_histories_on_every_machine() {
     }
     assert_eq!(
         seen,
-        standard_suite().len() + tl2_suite().len() + park_suite().len() + 6,
-        "the three suites and the six seeded mutants"
+        standard_suite().len() + tl2_suite().len() + park_suite().len() + 7,
+        "the three suites and the seven seeded mutants"
     );
 }
 

@@ -2,7 +2,8 @@
 //! own function and reads its budgets in one place, the TL2 machine has
 //! one protocol, FG-TLE stores an orec in one place, fenced, one function
 //! decides what an abort waits for, one function picks the process's HTM,
-//! and no crate declares a `trace` feature. Textual on purpose — the point
+//! a lock counts its holdings in one word, and no crate declares a `trace`
+//! feature. Textual on purpose — the point
 //! is that a second copy cannot come back unnoticed.
 
 use std::path::{Path, PathBuf};
@@ -236,4 +237,36 @@ fn one_htm_per_process() {
         ["htm/src/lib.rs"],
         "only `rtle_htm::try_txn` calls `swhtm::try_txn` or `rtm::try_txn`"
     );
+}
+
+/// A lock counts its holdings once: the `TatasLock` word is FG-TLE's
+/// `global_seq_number`, so no second counter beside it comes back — no
+/// `SeqEpoch`, none of its two bumps per holding, no epoch module in
+/// `rtle-core` (rtle-htm's `epoch` is the telemetry clock, not a count).
+#[test]
+fn a_lock_counts_its_holdings_once() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    rust_files(&crates, &mut files);
+    assert!(files.len() > 100, "only {} files scanned", files.len());
+    let mut sources = 0;
+    for file in &files {
+        let name = file
+            .strip_prefix(&crates)
+            .expect("under crates/")
+            .display()
+            .to_string();
+        if name.split('/').nth(1) != Some("src") {
+            continue;
+        }
+        sources += 1;
+        let text = std::fs::read_to_string(file).expect("a readable source file");
+        for gone in ["SeqEpoch", "begin_locked_section", "end_locked_section"] {
+            assert!(!text.contains(gone), "`{gone}` is back in {name}");
+        }
+        if name.starts_with("core/") {
+            assert!(!text.contains("mod epoch"), "`mod epoch` is back in {name}");
+        }
+    }
+    assert!(sources > 50, "only {sources} files under crates/*/src");
 }

@@ -34,7 +34,6 @@ use rtle_obs::{
 use crate::abort_codes;
 use crate::adaptive::AdaptiveState;
 use crate::barrier::{Ctx, Holder, Rung};
-use crate::epoch::SeqEpoch;
 use crate::lock::TatasLock;
 use crate::orec::OrecTable;
 use crate::policy::{awaits_release, ElisionPolicy, RetryPolicy, Step};
@@ -54,8 +53,6 @@ pub struct ElidableLock {
     lock: TatasLock,
     /// RW-TLE's write flag (§3), colocated with the lock conceptually.
     write_flag: TxCell<bool>,
-    /// FG-TLE's `global_seq_number` (§4.2).
-    epoch: SeqEpoch,
     /// FG-TLE's ownership records; `None` for Lock/TLE/RW-TLE.
     orecs: Option<OrecTable>,
     /// Adaptive FG-TLE's "slow path enabled" flag (§4.2.1).
@@ -244,7 +241,6 @@ impl ElidableLock {
             retry,
             lock: TatasLock::new(),
             write_flag: TxCell::new(false),
-            epoch: SeqEpoch::new(),
             orecs,
             fg_enabled: TxCell::new(true),
             adaptive,
@@ -631,9 +627,9 @@ impl ElidableLock {
         slow: SlowPath<'_>,
         cs: &impl Fn(&Ctx<'_>) -> R,
     ) -> Result<R, AbortCode> {
-        // FG-TLE's local_seq_number: epoch snapshot *before* the
+        // FG-TLE's local_seq_number: a lock-word snapshot *before* the
         // transaction begins (Figure 3 header comment).
-        let local_seq = self.epoch.snapshot();
+        let local_seq = self.lock.seq();
         rtle_htm::try_txn(|| {
             let ctx = match slow {
                 SlowPath::Rw => {
@@ -695,7 +691,7 @@ impl ElidableLock {
     /// [`Self::execute`]'s fallback and [`Self::lock_section`].
     #[inline]
     fn enter_locked<'a>(&'a self, rec: Option<Rec<'a>>) -> LockedSection<'a> {
-        self.lock.acquire();
+        let held = self.lock.acquire();
         self.quiesce_software();
         // Recorded at acquisition (not completion) so concurrent observers
         // see the pessimistic execution while it is in flight.
@@ -719,13 +715,14 @@ impl ElidableLock {
                         self.recorder.as_deref(),
                     );
                 }
-                // Holder-only words (`fg_enabled`, the epoch, the active
-                // orec count) are read with one load each: see
-                // `TxCell::read_unvalidated`.
+                // Holder-only words (`fg_enabled`, the active orec count)
+                // are read with one load each: see
+                // `TxCell::read_unvalidated`. The lock word the acquisition
+                // installed is the holding's epoch.
                 if self.fg_enabled.read_unvalidated() {
                     Holder::Fg {
                         orecs,
-                        epoch_now: self.epoch.begin_locked_section(),
+                        epoch_now: held,
                         n: orecs.active_plain(),
                         uniq_r: Cell::new(0),
                         uniq_w: Cell::new(0),
@@ -757,7 +754,8 @@ impl ElidableLock {
     /// guards in a globally consistent order (ascending shard index, for
     /// sharded containers) — that total order is the deadlock-freedom
     /// argument. Dropping the guard runs the holder exit protocol
-    /// (write-flag reset / pre-release epoch bump) and releases the lock.
+    /// (write-flag reset) and releases the lock, which is FG-TLE's
+    /// pre-release epoch bump.
     ///
     /// A panic while the guard is held leaves the lock held (poisoned),
     /// matching [`ElidableLock::execute`]'s panic semantics.
@@ -826,8 +824,8 @@ impl<'a> LockedSection<'a> {
 }
 
 impl Drop for LockedSection<'_> {
-    /// The lock-holder exit protocol: write-flag reset / pre-release epoch
-    /// bump, then release.
+    /// The lock-holder exit protocol: write-flag reset, then release (for
+    /// FG-TLE the release is the epoch bump).
     #[inline]
     fn drop(&mut self) {
         if std::thread::panicking() {
@@ -844,13 +842,14 @@ impl Drop for LockedSection<'_> {
             }) if wrote.get() => {
                 write_flag.write(false);
             }
-            Rung::Holder(Holder::Fg { epoch_now, rec, .. }) => {
-                // Pre-release epoch bump: releases all orecs at once
-                // without aborting slow-path transactions (§4.2).
-                self.lock.epoch.end_locked_section();
-                if let Some(rc) = rec {
-                    rc.instant(RecordKind::EpochBump(*epoch_now));
-                }
+            Rung::Holder(Holder::Fg {
+                epoch_now,
+                rec: Some(rc),
+                ..
+            }) => {
+                // The release below is the epoch bump: it frees every orec
+                // at once without aborting slow-path transactions (§4.2).
+                rc.instant(RecordKind::EpochBump(*epoch_now));
             }
             _ => {}
         }
@@ -1447,7 +1446,7 @@ mod tests {
 
     /// `lock_section` is the pessimistic path as a guard: it must hold the
     /// lock while live, run the instrumented holder protocol, and release
-    /// (with the epoch bump) on drop.
+    /// on drop.
     #[test]
     fn lock_section_guard_holds_runs_instrumented_and_releases() {
         let lock = ElidableLock::builder()
@@ -1468,9 +1467,6 @@ mod tests {
         assert_eq!(snap.ops, 1);
         assert_eq!(snap.lock_acquisitions, 1);
         assert!(snap.time_locked > std::time::Duration::ZERO);
-        // The orec epoch ended even (no locked section in progress), so a
-        // later slow-path attempt sees all orecs released.
-        assert_eq!(lock.epoch.snapshot() % 2, 0);
     }
 
     /// Slow-path speculation commits concurrently with a `lock_section`

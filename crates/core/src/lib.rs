@@ -50,7 +50,6 @@
 pub mod adaptive;
 pub mod barrier;
 pub mod elidable;
-pub mod epoch;
 pub mod lock;
 pub mod orec;
 pub mod policy;

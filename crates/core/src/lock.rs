@@ -7,8 +7,12 @@
 //! transaction's read set, and a subsequent acquisition (a plain
 //! compare-and-swap) dooms every subscribed transaction — the mechanism
 //! TLE's correctness rests on. The word counts: odd is held, and an
-//! acquisition and a release each add one, so a held value names its
-//! holding ([`TatasLock::await_release`] waits for that value to move).
+//! acquisition and a release each add one (wrapping), so a held value
+//! names its holding ([`TatasLock::await_release`] waits for that value to
+//! move). That makes it FG-TLE's `global_seq_number` (§4.2): a holder
+//! stamps orecs with the odd value its acquisition installed, a slow path
+//! snapshots the word (`TatasLock::seq`) before it begins, and the
+//! release frees every orec at once.
 
 use rtle_htm::wait::{self, WaitList};
 use rtle_htm::TxCell;
@@ -37,6 +41,26 @@ impl TatasLock {
         TatasLock::default()
     }
 
+    /// A free lock whose word starts at `seq` (even): exercises the wrap
+    /// at `u64::MAX` without 2^63 holdings.
+    #[cfg(test)]
+    pub(crate) fn starting_at(seq: u64) -> Self {
+        assert_eq!(seq & 1, 0, "a free lock's word is even");
+        TatasLock {
+            word: TxCell::new(seq),
+            waiters: Box::default(),
+        }
+    }
+
+    /// The word, one plain load: FG-TLE's `local_seq_number`, which a slow
+    /// path takes before it begins. An orec stamped at or after it
+    /// ([`crate::orec`]) belongs to a holding that was running then, or
+    /// began since.
+    #[inline]
+    pub(crate) fn seq(&self) -> u64 {
+        self.word.read_plain()
+    }
+
     /// Non-transactional probe: is the lock currently held?
     ///
     /// This is the *test* step done before starting a hardware transaction
@@ -44,7 +68,7 @@ impl TatasLock {
     /// transaction avoids pointless aborts while the lock is held.
     #[inline]
     pub fn is_held(&self) -> bool {
-        self.word.read_plain() & 1 == 1
+        self.seq() & 1 == 1
     }
 
     /// Transactional probe: reads the lock word *inside* the current
@@ -57,28 +81,38 @@ impl TatasLock {
     }
 
     /// One acquisition attempt (test, then atomic test-and-set). Returns
-    /// `true` on success. The CAS is a strongly atomic plain write, so it
-    /// dooms every transaction subscribed to the lock word.
+    /// the odd value it installed on success. The CAS is a strongly atomic
+    /// plain write, so it dooms every transaction subscribed to the lock
+    /// word.
     #[inline]
-    pub fn try_acquire(&self) -> bool {
-        let seq = self.word.read_plain();
-        seq & 1 == 0 && self.word.compare_exchange_plain(seq, seq + 1)
+    pub fn try_acquire(&self) -> Option<u64> {
+        let seq = self.seq();
+        let held = seq.wrapping_add(1);
+        (seq & 1 == 0 && self.word.compare_exchange_plain(seq, held)).then_some(held)
     }
 
     /// Acquires the lock: test-and-test-and-set with exponential backoff;
     /// past ~0.7 ms the waiter parks until a release wakes it ([`wait::until`]).
-    pub fn acquire(&self) {
-        wait::until(self.waiters(), || self.try_acquire());
+    /// Returns the odd value the acquisition installed: the holding's
+    /// FG-TLE epoch.
+    pub fn acquire(&self) -> u64 {
+        let mut held = 0;
+        wait::until(self.waiters(), || {
+            self.try_acquire().map(|seq| held = seq).is_some()
+        });
+        held
     }
 
     /// Releases the lock: the holder, a held word's only writer, stores the
-    /// next (even) value, then wakes parked waiters if the wait list's
-    /// count, loaded after a `store_load_fence`, says there are any.
+    /// next (even) value — FG-TLE's pre-release epoch bump, which frees
+    /// every orec the holding stamped — then wakes parked waiters if the
+    /// wait list's count, loaded after a `store_load_fence`, says there are
+    /// any.
     #[inline]
     pub fn release(&self) {
         let seq = self.word.read_unvalidated();
         debug_assert!(seq & 1 == 1, "release of a free TatasLock");
-        self.word.write(seq + 1);
+        self.word.write(seq.wrapping_add(1));
         self.waiters().wake_all();
     }
 
@@ -113,11 +147,49 @@ mod tests {
         assert!(!l.is_held());
         l.acquire();
         assert!(l.is_held());
-        assert!(!l.try_acquire());
+        assert_eq!(l.try_acquire(), None);
         l.release();
         assert!(!l.is_held());
-        assert!(l.try_acquire());
+        assert_eq!(l.try_acquire(), Some(3));
         l.release();
+    }
+
+    /// The word is FG-TLE's epoch: even while free, odd while held, one
+    /// more per acquisition and per release; an acquisition returns the
+    /// value it installed.
+    #[test]
+    fn the_word_counts_holdings_with_parity() {
+        let l = TatasLock::new();
+        assert_eq!(l.seq(), 0);
+        assert_eq!(l.acquire(), 1);
+        assert_eq!(l.seq(), 1);
+        l.release();
+        assert_eq!(l.seq(), 2);
+        assert_eq!(l.acquire(), 3);
+        l.release();
+        assert_eq!(l.seq(), 4);
+    }
+
+    /// `u64::MAX` is odd, so the last pre-wrap holding is `MAX` and its
+    /// release wraps the word to 0, which is even: parity survives the
+    /// wrap (and, in a debug build, the release does not overflow).
+    #[test]
+    fn parity_survives_the_wrap() {
+        let l = TatasLock::starting_at(u64::MAX - 1);
+        assert_eq!(l.acquire(), u64::MAX);
+        assert!(l.is_held());
+        l.release();
+        assert_eq!(l.seq(), 0, "the word wraps to 0, which is even");
+        assert!(!l.is_held());
+        assert_eq!(l.acquire(), 1);
+        l.release();
+        assert_eq!(l.seq(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "even")]
+    fn starting_at_rejects_a_held_word() {
+        let _ = TatasLock::starting_at(u64::MAX);
     }
 
     #[test]

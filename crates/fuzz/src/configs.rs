@@ -1,7 +1,9 @@
 //! Random *safe* configurations of each machine for the sweep: 4–8
 //! threads, bigger footprints than the exhaustive explorer can afford.
 
-use rtle_check::model::{Config, Extension, Op, Policy, Subscription, ThreadSpec, Tl2Config, Val};
+use rtle_check::model::{
+    Config, Extension, Op, Policy, Stamp, Subscription, ThreadSpec, Tl2Config, Val,
+};
 use rtle_htm::prng::SplitMix64;
 
 /// One thread body of 1–3 reads and writes over `nloc` locations; a
@@ -37,6 +39,7 @@ pub fn random_safe_config(rng: &mut SplitMix64, idx: u64) -> Config {
         1 => Policy::RwTle,
         _ => Policy::FgTle {
             orecs: rng.range_inclusive(1, 3) as u8,
+            stamp: Stamp::Held,
         },
     };
     let sub = if rng.bool() {

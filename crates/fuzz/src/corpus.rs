@@ -4,14 +4,15 @@
 //! one and fails loudly if the fuzzer's behaviour on that seed drifts
 //! (oracle regression, scheduler change, shrinker change). The mutant
 //! entries double as the fuzzer's *fitness test*: a fuzzer that can no
-//! longer find a seeded bug — the TLE lazy-subscription zombie, the TL2
+//! longer find a seeded bug — the TLE lazy-subscription zombie, the
+//! FG-TLE holder stamping with the pre-acquisition lock word, the TL2
 //! stale read, the swhtm validate-first extension, the carried `wv` or
 //! either of the park's lost wakeups — within its budget is broken,
 //! whatever else it reports.
 
 use rtle_check::model::{
-    carry_wv_mutant_config, mutant_config, park_register_mutant_config, park_release_mutant_config,
-    swhtm_mutant_config, tl2_mutant_config, ParkState, State, Tl2State,
+    carry_wv_mutant_config, fgtle_stamp_mutant_config, mutant_config, park_register_mutant_config,
+    park_release_mutant_config, swhtm_mutant_config, tl2_mutant_config, ParkState, State, Tl2State,
 };
 
 use crate::schedule::{hunt, HuntReport};
@@ -37,13 +38,18 @@ pub struct Mutant {
     pub hunt: fn(u64, u64) -> HuntReport,
 }
 
-/// Every seeded mutant of every machine — the same six `rtle-check
+/// Every seeded mutant of every machine — the same seven `rtle-check
 /// model` must catch exhaustively. A new machine's mutant joins here.
-pub const MUTANTS: [Mutant; 6] = [
+pub const MUTANTS: [Mutant; 7] = [
     Mutant {
         name: "tle-lazyunsafe-mutant",
         budget: MUTANT_BUDGET,
         hunt: |seed, budget| hunt::<State>(&mutant_config(), seed, budget),
+    },
+    Mutant {
+        name: "fgtle-stamp-pre-acquire-mutant",
+        budget: MUTANT_BUDGET,
+        hunt: |seed, budget| hunt::<State>(&fgtle_stamp_mutant_config(), seed, budget),
     },
     Mutant {
         name: "tl2-stale-read-mutant",
@@ -119,6 +125,13 @@ pub const ENTRIES: &[CorpusEntry] = &[
         budget: MUTANT_BUDGET,
         expect_kind: "non-serializable",
         note: "third independent seed",
+    },
+    CorpusEntry {
+        mutant: "fgtle-stamp-pre-acquire-mutant",
+        seed: DOC_SEED,
+        budget: MUTANT_BUDGET,
+        expect_kind: "non-serializable",
+        note: "documented seed: the FG-TLE holder stamping with its pre-acquisition lock word, caught at run 5",
     },
     CorpusEntry {
         mutant: "tl2-stale-read-mutant",

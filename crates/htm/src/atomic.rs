@@ -33,8 +33,8 @@ use std::mem::{align_of, size_of};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 /// A word that subscribes or publishes protocol state: the word behind
-/// every `TxCell` (the lock word, the write flag, the epoch and the orecs
-/// all route through it), the emulated HTM's write-back of committed
+/// every `TxCell` (the lock word, which is also FG-TLE's epoch, the write
+/// flag and the orecs all route through it), the emulated HTM's write-back of committed
 /// values, and the stripe words of the versioned-lock protocol.
 #[derive(Debug)]
 #[repr(transparent)]

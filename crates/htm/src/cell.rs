@@ -88,8 +88,9 @@ impl<T: TxWord> TxCell<T> {
     /// Only meaningful when no transaction can be mid-commit, e.g. in
     /// quiescent phases — or for a word no transaction ever writes.
     ///
-    /// The lock holder's own protocol words (an FG-TLE orec, the epoch,
-    /// the active orec count, the adaptive `fg_enabled` flag) are such
+    /// The lock holder's own protocol words (an FG-TLE orec, the held
+    /// lock word — FG-TLE's epoch —, the active orec count, the adaptive
+    /// `fg_enabled` flag) are such
     /// words: only the thread holding the lock writes them, always with a
     /// plain store, and transactions only read them. No commit can be
     /// writing one back, so the seqlock of [`Self::read_plain`] has

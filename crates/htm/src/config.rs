@@ -162,20 +162,4 @@ mod tests {
     fn stripe_count_is_power_of_two() {
         assert!(STRIPE_COUNT.is_power_of_two());
     }
-
-    #[test]
-    fn install_roundtrip() {
-        let prev = HtmConfig::current();
-        let cfg = HtmConfig {
-            write_capacity: 8,
-            read_capacity: 16,
-            spurious_one_in: 5,
-            conflict_one_in: 7,
-            capacity_one_in: 9,
-        };
-        cfg.with_installed(|| {
-            assert_eq!(HtmConfig::current(), cfg);
-        });
-        assert_eq!(HtmConfig::current(), prev);
-    }
 }

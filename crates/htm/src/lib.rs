@@ -177,8 +177,8 @@ mod tests {
     /// Where RTM does not commit (the default build, or a feature build on
     /// a CPU without working TSX), the process's HTM is the emulation: the
     /// closure `try_txn` runs is inside an emulated transaction. The body
-    /// holds the default configuration, so no injection test beside it
-    /// aborts its transactions.
+    /// holds the default configuration, so no capacity limit a test beside
+    /// it installs aborts its transactions.
     #[test]
     fn without_committing_rtm_try_txn_runs_the_emulation() {
         #[cfg(feature = "rtm")]

@@ -240,8 +240,8 @@ mod tests {
         assert_eq!(c.read_plain(), 50);
     }
 
-    /// Holds the default configuration for its body: an injection test
-    /// beside it would otherwise abort the outer transaction.
+    /// Holds the default configuration for its body: the capacity tests
+    /// beside it install their limits under the same mutex.
     #[test]
     fn flat_nesting_commits_together() {
         let a = TxCell::new(0u64);
@@ -362,50 +362,6 @@ mod tests {
     fn write_capacity_counts_distinct_lines_exactly() {
         let (fifth, done) = at_capacity_four(|c| c.write(1));
         assert_eq!((fifth, done), (Err(AbortCode::Capacity), 4_000));
-    }
-
-    #[test]
-    fn spurious_injection_fires() {
-        let cfg = crate::HtmConfig {
-            spurious_one_in: 1,
-            ..Default::default()
-        };
-        cfg.with_installed(|| {
-            let r: Result<(), AbortCode> = try_txn(|| ());
-            assert_eq!(r, Err(AbortCode::Spurious));
-        });
-    }
-
-    #[test]
-    fn conflict_and_capacity_injection_fire() {
-        let cfg = crate::HtmConfig {
-            conflict_one_in: 1,
-            ..Default::default()
-        };
-        cfg.with_installed(|| {
-            let r: Result<(), AbortCode> = try_txn(|| ());
-            assert_eq!(r, Err(AbortCode::Conflict));
-        });
-        let cfg = crate::HtmConfig {
-            capacity_one_in: 1,
-            ..Default::default()
-        };
-        cfg.with_installed(|| {
-            let r: Result<(), AbortCode> = try_txn(|| ());
-            assert_eq!(r, Err(AbortCode::Capacity));
-        });
-    }
-
-    #[test]
-    fn injection_rate_one_in_two_fires_every_other_begin() {
-        let cfg = crate::HtmConfig {
-            spurious_one_in: 2,
-            ..Default::default()
-        };
-        cfg.with_installed(|| {
-            let outcomes: Vec<bool> = (0..6).map(|_| try_txn(|| ()).is_err()).collect();
-            assert_eq!(outcomes.iter().filter(|&&e| e).count(), 3, "{outcomes:?}");
-        });
     }
 
     #[test]

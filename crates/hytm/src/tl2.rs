@@ -389,7 +389,7 @@ mod tests {
         writer.join().unwrap();
     }
 
-    // ---- clock wraparound (the SeqEpoch::starting_at pattern) ----------
+    // ---- clock wraparound (the TatasLock::starting_at pattern) --------
 
     #[test]
     fn starting_at_rejects_odd() {

@@ -152,8 +152,10 @@ stage "interleaving model"
 # the own-write exemption — what `Tl2` and the emulated HTM run) and the
 # park's one (`park-holder-two-waiters`: register, re-check, park; a
 # release that wakes only when the waiter count says so) — and
-# catch its six seeded mutants: `tle-lazyunsafe-mutant` (unsafe lazy
-# subscription), `tl2-stale-read-mutant` (skipped commit-time
+# catch its seven seeded mutants: `tle-lazyunsafe-mutant` (unsafe lazy
+# subscription), `fgtle-stamp-pre-acquire-mutant` (an FG-TLE holder
+# stamping its orecs with the even lock word it acquired from),
+# `tl2-stale-read-mutant` (skipped commit-time
 # revalidation), `swhtm-validate-first-mutant` (the extension that
 # validates before it raises the clock), `swhtm-carry-wv-mutant` (a
 # commit that carries its drawn version instead of its clock sample),
@@ -201,8 +203,9 @@ grep -q '"tool":"rtle-fuzz"' "$fuzz_json" || { echo "fuzz json missing"; exit 1;
 # The export must list every seeded mutant as caught: a `mutant_fitness`
 # entry is a hunt report, and a caught mutant is one that is not clean
 # (the writer sorts keys, so `clean` sits right before `config`).
-for mutant in tle-lazyunsafe-mutant tl2-stale-read-mutant swhtm-validate-first-mutant \
-    swhtm-carry-wv-mutant park-release-skips-check park-register-after-recheck; do
+for mutant in tle-lazyunsafe-mutant fgtle-stamp-pre-acquire-mutant tl2-stale-read-mutant \
+    swhtm-validate-first-mutant swhtm-carry-wv-mutant park-release-skips-check \
+    park-register-after-recheck; do
     grep -q "\"clean\":false,\"config\":\"$mutant\"" "$fuzz_json" \
         || { echo "fuzz json: $mutant not reported as caught"; exit 1; }
 done
