@@ -79,7 +79,8 @@ pub(crate) enum Holder<'a> {
     /// FG-TLE: stamp the orecs of every access with the holder's epoch.
     Fg {
         orecs: &'a OrecTable,
-        /// The current odd epoch stamped into acquired orecs.
+        /// The holding's epoch, the odd lock word its acquisition
+        /// installed, stamped into acquired orecs.
         epoch_now: u64,
         n: usize,
         /// `uniq_r_orecs` / `uniq_w_orecs` (§4.2) — once all orecs are
