@@ -273,6 +273,19 @@ impl ElidableLock {
         &self.stats
     }
 
+    /// Addresses of the lock's cells, the lock word first (layout tests:
+    /// the word sits alone on its line, and to the emulated HTM a line is a
+    /// stripe).
+    #[doc(hidden)]
+    pub fn cell_addrs(&self) -> [usize; 4] {
+        [
+            self.lock.word_addr(),
+            self.write_flag.addr(),
+            self.fg_enabled.addr(),
+            self.sw_running.addr(),
+        ]
+    }
+
     /// The orec table, if the policy has one (diagnostics).
     pub fn orec_table(&self) -> Option<&OrecTable> {
         self.orecs.as_ref()

@@ -24,16 +24,27 @@ use rtle_htm::TxCell;
 /// explicitly leaves that out, §6.2.1, noting it is trivial to add).
 #[derive(Debug, Default)]
 pub struct TatasLock {
-    word: TxCell<u64>,
+    /// Alone on its line: every holding writes it twice, and to the
+    /// emulated HTM a line is a stripe, so any cell beside it would be, to
+    /// every subscribed transaction, the lock word itself.
+    word: OwnLine<TxCell<u64>>,
     /// Boxed onto a line of its own: a waiter that registers writes the
     /// list's count, and speculating transactions hold the word's line.
-    waiters: Box<OwnLine>,
+    waiters: Box<OwnLine<WaitList>>,
 }
 
-/// A [`WaitList`] alone on its cache line.
+/// A `T` alone on its cache line.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct OwnLine(WaitList);
+struct OwnLine<T>(T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 impl TatasLock {
     /// A new, free lock.
@@ -47,7 +58,7 @@ impl TatasLock {
     pub(crate) fn starting_at(seq: u64) -> Self {
         assert_eq!(seq & 1, 0, "a free lock's word is even");
         TatasLock {
-            word: TxCell::new(seq),
+            word: OwnLine(TxCell::new(seq)),
             waiters: Box::default(),
         }
     }
@@ -132,7 +143,12 @@ impl TatasLock {
 
     /// The list its waiters park on (a holder quiescing software, too).
     pub(crate) fn waiters(&self) -> &WaitList {
-        &self.waiters.0
+        &self.waiters
+    }
+
+    /// Address of the word.
+    pub(crate) fn word_addr(&self) -> usize {
+        self.word.addr()
     }
 }
 

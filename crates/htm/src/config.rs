@@ -14,9 +14,19 @@ use crate::atomic::RelaxedWord;
 pub const LINE_SHIFT: u32 = 6;
 
 /// Number of versioned-lock stripes in the global conflict table. Must be a
-/// power of two. 2^20 stripes ≈ 8 MiB; large enough that distinct lines
-/// rarely alias in the benchmarks while still fitting comfortably in memory.
+/// power of two. 2^20 stripes ≈ 8 MiB: one per line of a 64 MiB window of
+/// data, so no two lines of one window alias (`stripe::stripe_index`).
 pub const STRIPE_COUNT: usize = 1 << 20;
+
+/// Data lines whose stripes the address map keeps together: 4 096 lines
+/// (256 KiB of data) own one 32 KiB block of the conflict table, so the
+/// table is paged in as the data is.
+pub const STRIPE_BLOCK_LINES: usize = 1 << 12;
+
+const _: () = assert!(
+    STRIPE_COUNT.is_power_of_two() && STRIPE_COUNT.is_multiple_of(STRIPE_BLOCK_LINES),
+    "the conflict table holds whole blocks"
+);
 
 /// Default write-set capacity in lines (Haswell L1D-sized: a guess, not
 /// a measurement). The simulator's cost model reads it too
@@ -156,10 +166,5 @@ mod tests {
         assert_eq!(c.spurious_one_in, 0);
         assert_eq!(c.conflict_one_in, 0);
         assert_eq!(c.capacity_one_in, 0);
-    }
-
-    #[test]
-    fn stripe_count_is_power_of_two() {
-        assert!(STRIPE_COUNT.is_power_of_two());
     }
 }

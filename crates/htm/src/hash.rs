@@ -1,8 +1,8 @@
 //! Thomas Wang's 64-bit integer mix function, reference \[25\] of the paper.
 //!
 //! FG-TLE hashes the address of every instrumented access to an ownership
-//! record ("a few bitwise operations", §4.2), and the emulated HTM hashes
-//! line addresses to conflict-table stripes. Both use this mix.
+//! record with this mix ("a few bitwise operations", §4.2); the
+//! open-addressing table and the sharded map hash their keys with it too.
 
 /// Thomas Wang's 64-bit mix (the `hash64shift` variant from the archived
 /// "Integer Hash Function" page cited by the paper). Bijective, cheap, and

@@ -45,7 +45,10 @@
 //!
 //! Conflict detection is keyed by the *address* of the `TxCell`, right-shifted
 //! by [`config::LINE_SHIFT`] — two cells on the same 64-byte line conflict
-//! with each other, faithfully reproducing false sharing. Non-transactional
+//! with each other, faithfully reproducing false sharing. Two lines of one
+//! 64 MiB window never alias: [`stripe::stripe_index`] gives every line of
+//! a window a stripe of its own, and keeps a block of data's stripes
+//! together, so the table is paged in as the data is. Non-transactional
 //! reads of a `TxCell` use a seqlock protocol against the line's versioned
 //! lock, so a committing transaction appears atomic even to plain readers;
 //! non-transactional writes bump the line version so in-flight transactions
