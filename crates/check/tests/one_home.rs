@@ -2,9 +2,10 @@
 //! own function and reads its budgets in one place, the TL2 machine has
 //! one protocol, FG-TLE stores an orec in one place, fenced, one function
 //! decides what an abort waits for, one function picks the process's HTM,
-//! a lock counts its holdings in one word, and no crate declares a `trace`
-//! feature. Textual on purpose — the point
-//! is that a second copy cannot come back unnoticed.
+//! a lock counts its holdings in one word, each rung of a lock records its
+//! outcome where it counts it, and no crate declares a `trace` feature.
+//! Textual on purpose — the point is that a second copy cannot come back
+//! unnoticed.
 
 use std::path::{Path, PathBuf};
 
@@ -269,4 +270,116 @@ fn a_lock_counts_its_holdings_once() {
         }
     }
     assert!(sources > 50, "only {sources} files under crates/*/src");
+}
+
+/// The `Type::fn` each code line of `lines` sits in: the type of the last
+/// `impl` header (`impl Drop for LockedSection<'_>` → `LockedSection`) and
+/// the last `fn` name seen.
+fn enclosing_fns<'a>(lines: &[&'a str]) -> Vec<(String, &'a str)> {
+    let ident = |s: &str| -> String {
+        s.chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect()
+    };
+    let (mut ty, mut func) = (String::new(), String::new());
+    let mut out = Vec::new();
+    for &line in lines {
+        let t = line.trim_start();
+        if let Some(rest) = t.strip_prefix("impl") {
+            // Past the impl's own generics, then past the trait, if any.
+            let rest = match rest.strip_prefix('<') {
+                Some(generics) => generics.split_once('>').map_or("", |(_, r)| r),
+                None => rest,
+            };
+            ty = ident(rest.split(" for ").last().unwrap_or(rest).trim_start());
+        }
+        if let Some(at) = t
+            .find("fn ")
+            .filter(|&at| at == 0 || t[..at].ends_with(' '))
+        {
+            func = ident(&t[at + 3..]);
+        }
+        out.push((format!("{ty}::{func}"), line));
+    }
+    out
+}
+
+/// Each rung's home books its outcome once, into the lock's `ExecStats`
+/// and its recorder: `Rec::attempt` is called only by `note_attempt` (the
+/// speculative rungs of `speculative_phase`), `software_attempt` and
+/// `LockedSection::drop`; a `Rec` is built (`Rec::of`) only in those
+/// homes; and no function of `elidable.rs` takes an `Option<Rec` parameter,
+/// so no recording handle is threaded through `execute`'s helpers again.
+#[test]
+fn each_rung_records_where_it_counts() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+    let mut files = Vec::new();
+    rust_files(&dir, &mut files);
+    files.sort();
+    let (mut records, mut builds) = (Vec::new(), Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("a readable source file");
+        let code = text
+            .find("\n#[cfg(test)]")
+            .map_or(&*text, |end| &text[..end]);
+        let lines: Vec<&str> = code
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect();
+        for (at, line) in enclosing_fns(&lines) {
+            // `SwPhase::attempt` runs a software attempt; it records nothing.
+            if line.contains(".attempt(") && !line.contains("phase.attempt(") {
+                records.push(at.clone());
+            }
+            if line.contains("Rec::of(") {
+                builds.push(at);
+            }
+        }
+        if file.ends_with("elidable.rs") {
+            let code = lines.join("\n");
+            for (at, _) in code.match_indices("fn ") {
+                if at > 0 && !code[..at].ends_with([' ', '\n']) {
+                    continue;
+                }
+                // The parameter list: from the first `(` to its match.
+                let sig = &code[at..];
+                let open = sig.find('(').expect("a parameter list");
+                let mut depth = 0;
+                let close = sig[open..]
+                    .find(|c| {
+                        depth += match c {
+                            '(' => 1,
+                            ')' => -1,
+                            _ => 0,
+                        };
+                        depth == 0
+                    })
+                    .expect("a closed parameter list");
+                let params = &sig[open..open + close];
+                assert!(
+                    !params.contains("Option<Rec"),
+                    "a recording handle is threaded again: {}",
+                    &sig[..open + close + 1]
+                );
+            }
+        }
+    }
+    assert_eq!(
+        records,
+        [
+            "ElidableLock::note_attempt",
+            "ElidableLock::software_attempt",
+            "LockedSection::drop",
+        ],
+        "`Rec::attempt` is called from the three rung homes only"
+    );
+    assert_eq!(
+        builds,
+        [
+            "ElidableLock::speculative_phase",
+            "ElidableLock::software_attempt",
+            "ElidableLock::enter_locked",
+        ],
+        "a `Rec` is built in the three rung homes only"
+    );
 }

@@ -22,6 +22,7 @@ use std::cell::Cell;
 
 use rtle_htm::{TxCell, TxWord};
 use rtle_hytm::TmCtx;
+use rtle_obs::epoch::now_ns;
 use rtle_obs::{PathKind, RecordKind};
 
 use crate::abort_codes;
@@ -61,11 +62,11 @@ pub(crate) enum Rung<'a> {
     Software(&'a TmCtx<'a>),
 }
 
-/// The lock holder's instrumentation. The instrumented variants carry the
-/// operation's `rec` when it is recorded, so protocol instants (write-flag
-/// raise, epoch bump) land on the record timeline. Speculative rungs
-/// never do: an instant recorded inside a transaction that later aborts
-/// would be a lie.
+/// The lock holder's instrumentation. RW-TLE's carries the holder's `rec`
+/// when the lock has a recorder, so the write-flag raise lands on the
+/// record timeline (the epoch bump is the release's, recorded by
+/// `LockedSection::drop`). Speculative rungs never do: an instant recorded
+/// inside a transaction that later aborts would be a lie.
 pub(crate) enum Holder<'a> {
     /// Lock/TLE, and adaptive FG-TLE collapsed to plain TLE: none.
     Plain,
@@ -87,7 +88,6 @@ pub(crate) enum Holder<'a> {
         /// acquired the barrier becomes trivial.
         uniq_r: Cell<u32>,
         uniq_w: Cell<u32>,
-        rec: Option<Rec<'a>>,
     },
 }
 
@@ -202,7 +202,7 @@ impl Ctx<'_> {
                 if !wrote.replace(true) {
                     write_flag.write(true);
                     if let Some(rc) = rec {
-                        rc.instant(RecordKind::WriteFlagSet);
+                        rc.instant(RecordKind::WriteFlagSet, now_ns());
                     }
                 }
             }

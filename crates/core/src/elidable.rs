@@ -78,34 +78,44 @@ pub struct ElidableLock {
     recorder: Option<Arc<Recorder>>,
 }
 
-/// Recording context threaded through one recorded operation.
+/// The calling thread's handle on a lock's recorder, built by each rung's
+/// home (`speculative_phase`, `software_attempt`, `enter_locked`), which
+/// books its outcomes through it beside the lock's [`ExecStats`].
 #[derive(Clone, Copy)]
 pub(crate) struct Rec<'a> {
     recorder: &'a Recorder,
     by: Writer,
 }
 
-impl Rec<'_> {
-    /// Records the attempt that began at `started` (ns on the process
-    /// epoch) and ends now: the one clock read here yields its latency,
-    /// and `started` its timestamp.
+impl<'a> Rec<'a> {
+    /// The calling thread's handle on `recorder`, if one is installed.
     #[inline]
-    fn attempt(&self, path: PathKind, abort: Option<AbortCode>, attempt: u32, started: u64) {
+    fn of(recorder: &'a Option<Arc<Recorder>>) -> Option<Self> {
+        recorder.as_deref().map(|recorder| Rec {
+            recorder,
+            by: Writer::current(),
+        })
+    }
+
+    /// Records the `n`th attempt of an operation, which ran from `t0` to
+    /// `t1` (ns on the process epoch): `t0` is its timestamp, the
+    /// difference its latency.
+    #[inline]
+    fn attempt(&self, path: PathKind, abort: Option<AbortCode>, n: u32, t0: u64, t1: u64) {
         let ev = AttemptEvent {
             path,
             abort,
-            attempt: attempt.min(u8::MAX as u32) as u8,
-            latency: now_ns().saturating_sub(started),
+            attempt: n.min(u8::MAX as u32) as u8,
+            latency: t1.saturating_sub(t0),
         };
-        self.recorder
-            .record(self.by, started, RecordKind::Attempt(ev));
+        self.recorder.record(self.by, t0, RecordKind::Attempt(ev));
     }
 
-    /// Records a protocol instant (write-flag raise, epoch bump)
-    /// happening now. Only the lock holder calls this: an instant recorded
-    /// inside a transaction that later aborts would be a lie.
-    pub(crate) fn instant(&self, kind: RecordKind) {
-        self.recorder.record(self.by, now_ns(), kind);
+    /// Records a protocol instant (write-flag raise, epoch bump) at `at`.
+    /// Only the lock holder calls this: an instant recorded inside a
+    /// transaction that later aborts would be a lie.
+    pub(crate) fn instant(&self, kind: RecordKind, at: u64) {
+        self.recorder.record(self.by, at, kind);
     }
 }
 
@@ -311,31 +321,20 @@ impl ElidableLock {
     /// [`Ctx::read`]/[`Ctx::write`], exactly as the paper requires all
     /// shared accesses in atomic blocks to be instrumented.
     pub fn execute<R>(&self, cs: impl Fn(&Ctx<'_>) -> R) -> R {
-        // The recording decision is made once per operation, out of the
-        // retry loop: a recorder-less operation runs the exact
-        // uninstrumented path.
-        let rec = self.recorder.as_deref().map(|recorder| Rec {
-            recorder,
-            by: Writer::current(),
-        });
-        self.execute_inner(&cs, rec)
-    }
-
-    fn execute_inner<R>(&self, cs: &impl Fn(&Ctx<'_>) -> R, rec: Option<Rec<'_>>) -> R {
         if self.policy == ElisionPolicy::LockOnly {
-            return self.run_under_lock(cs, rec, 0);
+            return self.run_under_lock(&cs, 0);
         }
 
-        match self.speculative_phase(cs, rec) {
+        match self.speculative_phase(&cs) {
             Ok(r) => r,
             Err((attempts, _)) => {
                 // Speculation budget exhausted. With a pluggable software TM
                 // the operation stays concurrent (a software transaction)
                 // instead of serializing behind the lock.
                 if let Some(tm) = &self.sw_backend {
-                    return self.run_software(&**tm, cs, rec, attempts);
+                    return self.run_software(&**tm, &cs, attempts);
                 }
-                self.run_under_lock(cs, rec, attempts)
+                self.run_under_lock(&cs, attempts)
             }
         }
     }
@@ -352,8 +351,8 @@ impl ElidableLock {
     }
 
     /// Counts one speculative attempt's outcome and, when a recorder is
-    /// installed (`timed` carries the attempt's start), mirrors it to the
-    /// recorder. A commit completes the operation.
+    /// installed (`timed` carries the attempt's start), records it. A
+    /// commit completes the operation.
     fn note_attempt<R>(
         &self,
         path: PathKind,
@@ -367,7 +366,7 @@ impl ElidableLock {
             Some(code) => self.stats.record_abort(path, code),
         }
         if let Some((rc, t0)) = timed {
-            rc.attempt(path, abort, attempt, t0);
+            rc.attempt(path, abort, attempt, t0, now_ns());
         }
     }
 
@@ -378,12 +377,15 @@ impl ElidableLock {
     /// met only if [`awaits_release`] says so. `Ok` carries the committed
     /// result; `Err` carries the attempt count for the caller's fallback
     /// decision and the abort that ended the phase (`None` when no attempt
-    /// ran).
+    /// ran). Every attempt is counted, and recorded when the lock has a
+    /// recorder, whichever front door ran the phase.
     fn speculative_phase<R>(
         &self,
         cs: &impl Fn(&Ctx<'_>) -> R,
-        rec: Option<Rec<'_>>,
     ) -> Result<R, (u32, Option<AbortCode>)> {
+        // The recording decision is made once per phase, out of the retry
+        // loop: a recorder-less phase runs the exact uninstrumented path.
+        let rec = Rec::of(&self.recorder);
         let mut attempts = 0u32;
         let mut slow_attempts = 0u32;
         let mut last = None;
@@ -458,7 +460,7 @@ impl ElidableLock {
         if self.policy == ElisionPolicy::LockOnly {
             return Err(None);
         }
-        self.speculative_phase(&cs, None).map_err(|(_, last)| last)
+        self.speculative_phase(&cs).map_err(|(_, last)| last)
     }
 
     /// Whether the lock word is currently held (advisory snapshot).
@@ -523,9 +525,12 @@ impl ElidableLock {
     /// One attempt on this lock's software rung: raises the presence
     /// (blocking — call it before enrolling any participant), runs `cs` as
     /// one [`SwPhase::attempt`], and counts a commit on this lock's
-    /// [`ExecStats`]. `None` when the attempt aborted; the caller decides
-    /// whether to retry. `phase` must have been entered on this lock's
-    /// backend ([`Self::software_backends`]).
+    /// [`ExecStats`] — and, when the lock has a recorder, records it, timed
+    /// around the committing attempt, with `attempt` as its index within
+    /// its operation (the attempts the operation made before this rung; the
+    /// backend keeps its own abort books). `None` when the attempt
+    /// aborted; the caller decides whether to retry. `phase` must have
+    /// been entered on this lock's backend ([`Self::software_backends`]).
     ///
     /// Both software drivers go through here: [`Self::execute`]'s fallback
     /// retries it until it commits, and `rtle-stm`'s `atomically` bounds
@@ -533,6 +538,7 @@ impl ElidableLock {
     pub fn software_attempt<R>(
         &self,
         phase: &SwPhase<'_>,
+        attempt: u32,
         cs: impl FnOnce(&Ctx<'_>) -> R,
     ) -> Option<R> {
         // The lock holder's instrumented writes do not speak the backend's
@@ -545,8 +551,12 @@ impl ElidableLock {
                 break presence;
             }
         };
+        let timed = Rec::of(&self.recorder).map(|rc| (rc, now_ns()));
         let r = phase.attempt(|tmctx| cs(&Ctx(Rung::Software(tmctx))))?;
         self.stats.record_commit(PathKind::Stm);
+        if let Some((rc, t0)) = timed {
+            rc.attempt(PathKind::Stm, None, attempt, t0, now_ns());
+        }
         Some(r)
     }
 
@@ -570,23 +580,16 @@ impl ElidableLock {
     }
 
     /// Runs `cs` as a software transaction on `tm`: [`Self::software_attempt`]
-    /// until one commits. A recorded operation records that one commit,
-    /// timed around the whole rung (the backend keeps its own abort books),
-    /// after the `prior_attempts` speculative ones it already recorded.
+    /// until one commits, after the `prior_attempts` speculative ones.
     fn run_software<R>(
         &self,
         tm: &dyn SoftwareTm,
         cs: &impl Fn(&Ctx<'_>) -> R,
-        rec: Option<Rec<'_>>,
         prior_attempts: u32,
     ) -> R {
-        let timed = rec.map(|rc| (rc, now_ns()));
         let phase = SwPhase::enter(tm);
         loop {
-            if let Some(r) = self.software_attempt(&phase, cs) {
-                if let Some((rc, t0)) = timed {
-                    rc.attempt(PathKind::Stm, None, prior_attempts, t0);
-                }
+            if let Some(r) = self.software_attempt(&phase, prior_attempts, cs) {
                 return r;
             }
         }
@@ -684,31 +687,24 @@ impl ElidableLock {
     /// Pessimistic execution: acquire the lock and run the (instrumented,
     /// for refined policies) critical section. Guaranteed to complete in
     /// one attempt — the property §4.1 highlights.
-    fn run_under_lock<R>(
-        &self,
-        cs: &impl Fn(&Ctx<'_>) -> R,
-        rec: Option<Rec<'_>>,
-        prior_attempts: u32,
-    ) -> R {
-        let section = self.enter_locked(rec);
-        let r = cs(&section.ctx);
-        if let Some(rc) = rec {
-            // The holding window: also the recorder's lock-hold sample.
-            rc.attempt(PathKind::Lock, None, prior_attempts, section.t0);
-        }
-        r
+    fn run_under_lock<R>(&self, cs: &impl Fn(&Ctx<'_>) -> R, prior_attempts: u32) -> R {
+        let section = self.enter_locked(prior_attempts);
+        cs(&section.ctx)
     }
 
     /// The holder rung: acquires the lock and builds the guard whose drop
     /// leaves it — the one entry to pessimistic execution, shared by
-    /// [`Self::execute`]'s fallback and [`Self::lock_section`].
+    /// [`Self::execute`]'s fallback and [`Self::lock_section`]. The
+    /// holding is the `prior_attempts`th attempt of its operation.
     #[inline]
-    fn enter_locked<'a>(&'a self, rec: Option<Rec<'a>>) -> LockedSection<'a> {
+    fn enter_locked(&self, prior_attempts: u32) -> LockedSection<'_> {
         let held = self.lock.acquire();
         self.quiesce_software();
-        // Recorded at acquisition (not completion) so concurrent observers
-        // see the pessimistic execution while it is in flight.
+        // Counted at acquisition (not completion) so concurrent observers
+        // see the pessimistic execution while it is in flight; recorded at
+        // the release, which ends its hold time.
         self.stats.record_commit(PathKind::Lock);
+        let rec = Rec::of(&self.recorder);
         let t0 = now_ns();
         let holder = match (self.policy, &self.orecs) {
             (ElisionPolicy::RwTle, _) => Holder::Rw {
@@ -739,7 +735,6 @@ impl ElidableLock {
                         n: orecs.active_plain(),
                         uniq_r: Cell::new(0),
                         uniq_w: Cell::new(0),
-                        rec,
                     }
                 } else {
                     // Collapsed to plain TLE: uninstrumented under lock.
@@ -752,6 +747,8 @@ impl ElidableLock {
             lock: self,
             ctx: Ctx(Rung::Holder(holder)),
             t0,
+            rec,
+            prior_attempts,
         }
     }
 
@@ -774,7 +771,7 @@ impl ElidableLock {
     /// matching [`ElidableLock::execute`]'s panic semantics.
     #[inline]
     pub fn lock_section(&self) -> LockedSection<'_> {
-        self.enter_locked(None)
+        self.enter_locked(0)
     }
 }
 
@@ -827,6 +824,10 @@ pub struct LockedSection<'a> {
     ctx: Ctx<'a>,
     /// When the lock was taken, ns on the process epoch.
     t0: u64,
+    /// The holder's recording handle, when the lock has a recorder, and
+    /// the holding's attempt index within its operation.
+    rec: Option<Rec<'a>>,
+    prior_attempts: u32,
 }
 
 impl<'a> LockedSection<'a> {
@@ -837,14 +838,20 @@ impl<'a> LockedSection<'a> {
 }
 
 impl Drop for LockedSection<'_> {
-    /// The lock-holder exit protocol: write-flag reset, then release (for
-    /// FG-TLE the release is the epoch bump).
+    /// The lock-holder exit protocol: record the holding, write-flag
+    /// reset, then release (for FG-TLE the release is the epoch bump). One
+    /// clock reading ends the holding for the record and `time_locked`.
     #[inline]
     fn drop(&mut self) {
         if std::thread::panicking() {
             // A panicking critical section leaves the lock held (poisoned),
             // like a raw spin lock would.
             return;
+        }
+        let now = now_ns();
+        if let Some(rc) = self.rec {
+            // The holding window: also the recorder's lock-hold sample.
+            rc.attempt(PathKind::Lock, None, self.prior_attempts, self.t0, now);
         }
         match &self.ctx.0 {
             // Reset the write flag before releasing the lock (§3).
@@ -855,20 +862,18 @@ impl Drop for LockedSection<'_> {
             }) if wrote.get() => {
                 write_flag.write(false);
             }
-            Rung::Holder(Holder::Fg {
-                epoch_now,
-                rec: Some(rc),
-                ..
-            }) => {
+            Rung::Holder(Holder::Fg { epoch_now, .. }) => {
                 // The release below is the epoch bump: it frees every orec
                 // at once without aborting slow-path transactions (§4.2).
-                rc.instant(RecordKind::EpochBump(*epoch_now));
+                if let Some(rc) = self.rec {
+                    rc.instant(RecordKind::EpochBump(*epoch_now), now);
+                }
             }
             _ => {}
         }
         self.lock
             .stats
-            .record_time_locked(now_ns().saturating_sub(self.t0));
+            .record_time_locked(now.saturating_sub(self.t0));
         self.lock.lock.release();
     }
 }

@@ -19,14 +19,9 @@ const COMMITS: usize = 0;
 const FAST_ABORTS: usize = 4;
 const _: () = assert!(FAST_ABORTS == COMMITS + PATHS);
 const SLOW_ABORTS: usize = 5;
-/// Aborts reported against a path that cannot abort at this level — a
-/// caller bug (the pessimistic path completes in one attempt; a software
-/// backend retries internally and keeps its own abort books), but counted
-/// rather than silently dropped so release-build misuse is observable.
-const LOCK_PATH_ABORTS: usize = 6;
-const TIME_LOCKED_NS: usize = 7;
+const TIME_LOCKED_NS: usize = 6;
 /// Aborts per class: `ABORTS + AbortCode::index()`.
-const ABORTS: usize = 8;
+const ABORTS: usize = 7;
 /// Explicit aborts broken down by runtime code: `ABORTS_BY_CODE + b` for
 /// the code's `AbortCode::explicit_bucket` `b` (`crate::abort_codes::*`).
 const ABORTS_BY_CODE: usize = ABORTS + AbortCode::KINDS;
@@ -53,20 +48,20 @@ impl ExecStats {
         self.lanes.add(COMMITS + path.index(), 1);
     }
 
+    /// One speculative attempt on `path` aborted with `code`. Only the
+    /// hardware paths abort at this level: the pessimistic path completes
+    /// in one attempt, and a software backend retries internally and keeps
+    /// its own abort books. A misreported path counts only in the class.
     #[inline]
     pub(crate) fn record_abort(&self, path: PathKind, code: AbortCode) {
         let lane = self.lanes.mine();
-        lane.add(
-            match path {
-                PathKind::FastHtm => FAST_ABORTS,
-                PathKind::SlowHtm => SLOW_ABORTS,
-                PathKind::Stm | PathKind::Lock => {
-                    debug_assert!(false, "{path:?} path cannot abort (code {code:?})");
-                    LOCK_PATH_ABORTS
-                }
-            },
-            1,
-        );
+        match path {
+            PathKind::FastHtm => lane.add(FAST_ABORTS, 1),
+            PathKind::SlowHtm => lane.add(SLOW_ABORTS, 1),
+            PathKind::Stm | PathKind::Lock => {
+                debug_assert!(false, "{path:?} path cannot abort (code {code:?})");
+            }
+        }
         lane.add(ABORTS + code.index(), 1);
         if let Some(bucket) = code.explicit_bucket() {
             lane.add(ABORTS_BY_CODE + bucket, 1);
@@ -109,7 +104,6 @@ impl ExecStats {
             aborts_unsupported: aborts(AbortCode::Unsupported),
             aborts_other: aborts(AbortCode::Nested) + aborts(AbortCode::Spurious),
             aborts_by_code: std::array::from_fn(|i| c[ABORTS_BY_CODE + i]),
-            lock_path_aborts: c[LOCK_PATH_ABORTS],
             time_locked: Duration::from_nanos(c[TIME_LOCKED_NS]),
             taken_at_ns: rtle_obs::epoch::now_ns(),
         }
@@ -149,9 +143,6 @@ pub struct StatsSnapshot {
     /// a code at or past [`AbortCode::EXPLICIT_CODES`] counts only in
     /// `aborts_explicit`.
     pub aborts_by_code: [u64; AbortCode::EXPLICIT_CODES],
-    /// Aborts misreported against the pessimistic path (always 0 unless a
-    /// caller violates the recording contract; see `ExecStats`).
-    pub lock_path_aborts: u64,
     /// Total wall time some thread held the lock.
     pub time_locked: Duration,
     /// When this snapshot was taken, in ns since the process-start
@@ -219,7 +210,6 @@ impl StatsSnapshot {
             aborts_by_code: std::array::from_fn(|i| {
                 self.aborts_by_code[i].saturating_add(other.aborts_by_code[i])
             }),
-            lock_path_aborts: self.lock_path_aborts.saturating_add(other.lock_path_aborts),
             time_locked: self.time_locked.saturating_add(other.time_locked),
             taken_at_ns: self.taken_at_ns.max(other.taken_at_ns),
         }
@@ -251,9 +241,6 @@ impl StatsSnapshot {
             aborts_by_code: std::array::from_fn(|i| {
                 self.aborts_by_code[i].saturating_sub(earlier.aborts_by_code[i])
             }),
-            lock_path_aborts: self
-                .lock_path_aborts
-                .saturating_sub(earlier.lock_path_aborts),
             time_locked: self.time_locked.saturating_sub(earlier.time_locked),
             taken_at_ns: self.taken_at_ns.saturating_sub(earlier.taken_at_ns),
         }
@@ -394,7 +381,6 @@ mod tests {
             fast_commits: 90,
             slow_aborts: 7,
             aborts_by_code: [3; 8],
-            lock_path_aborts: 1,
             ..Default::default()
         };
         let later = StatsSnapshot {
@@ -407,7 +393,6 @@ mod tests {
         assert_eq!(d.fast_commits, 5);
         assert_eq!(d.slow_aborts, 0);
         assert_eq!(d.aborts_by_code, [0; 8]);
-        assert_eq!(d.lock_path_aborts, 0);
     }
 
     #[cfg(debug_assertions)]
@@ -426,8 +411,7 @@ mod tests {
         let s = ExecStats::new();
         s.record_abort(PathKind::Lock, AbortCode::Conflict);
         let snap = s.snapshot();
-        assert_eq!(snap.lock_path_aborts, 1, "misuse is observable");
-        assert_eq!(snap.aborts_conflict, 1);
+        assert_eq!(snap.aborts_conflict, 1, "the class is counted");
         assert_eq!(snap.fast_aborts, 0);
         assert_eq!(snap.slow_aborts, 0);
     }

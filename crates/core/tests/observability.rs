@@ -378,25 +378,38 @@ fn a_long_running_adaptive_lock_keeps_the_newest_decisions() {
 }
 
 /// The watchdog's flight record of a real lock names the thread that held
-/// it: a thread whose body cannot commit in hardware takes the FG-TLE
-/// lock, and the record carries its commit as a lock-path span on that
-/// thread's track.
+/// it, whichever front door it took: a thread whose body cannot commit in
+/// hardware takes the FG-TLE lock through `execute`, another holds it
+/// through `lock_section`, and the record carries each holding as a
+/// lock-path span, with its epoch bump, on that thread's track.
 #[test]
 fn a_flight_record_names_the_holders_thread() {
     let (lock, rec) = recorded_lock(ElisionPolicy::FgTle { orecs: 64 });
     let c = TxCell::new(0u64);
-    let holder = std::thread::scope(|s| {
-        s.spawn(|| {
-            lock.execute(|ctx: &Ctx| {
-                rtle_htm::htm_unfriendly_instruction();
-                ctx.write(&c, ctx.read(&c) + 1);
-            });
-            Record::tid_of(Writer::current().key())
-        })
-        .join()
-        .unwrap()
+    let (executor, sectioner) = std::thread::scope(|s| {
+        let executor = s
+            .spawn(|| {
+                lock.execute(|ctx: &Ctx| {
+                    rtle_htm::htm_unfriendly_instruction();
+                    ctx.write(&c, ctx.read(&c) + 1);
+                });
+                Record::tid_of(Writer::current().key())
+            })
+            .join()
+            .unwrap();
+        let sectioner = s
+            .spawn(|| {
+                let section = lock.lock_section();
+                section.ctx().write(&c, section.ctx().read(&c) + 1);
+                drop(section);
+                Record::tid_of(Writer::current().key())
+            })
+            .join()
+            .unwrap();
+        (executor, sectioner)
     });
-    assert_eq!(lock.stats().snapshot().lock_acquisitions, 1);
+    assert_ne!(executor, sectioner);
+    assert_eq!(lock.stats().snapshot().lock_acquisitions, 2);
 
     let trigger = CollapseEvent {
         kind: CollapseKind::ConvoyStall,
@@ -409,12 +422,17 @@ fn a_flight_record_names_the_holders_thread() {
     };
     let doc = flight_record(&trigger, &[], &rec);
     let records = doc.get("records").and_then(Json::as_arr).expect("records");
-    let on_holder = |name: &str| {
+    let on = |holder: u16, name: &str| {
         records.iter().any(|e| {
             e.get("name").and_then(Json::as_str) == Some(name)
                 && e.get("tid").and_then(Json::as_u64) == Some(u64::from(holder))
         })
     };
-    assert!(on_holder("lock_held"), "the holder's span: {records:?}");
-    assert!(on_holder("epoch_bump"), "and its instant on the same track");
+    for holder in [executor, sectioner] {
+        assert!(on(holder, "lock_held"), "{holder}'s span: {records:?}");
+        assert!(
+            on(holder, "epoch_bump"),
+            "and its instant on the same track"
+        );
+    }
 }

@@ -441,7 +441,9 @@ impl Stm {
             // `software_attempt` raises the presence on the space lock
             // itself first (blocking is safe — this thread holds no other
             // presences or locks yet) and counts the commit on its stats.
-            let outcome = self.lock.software_attempt(&phase, |ctx| {
+            // Each rung books its own attempts, so its commit is attempt 0
+            // of this rung, as a Locked rung's holdings are.
+            let outcome = self.lock.software_attempt(&phase, 0, |ctx| {
                 inner.borrow_mut().reset();
                 let tx = Tx::new(
                     self,

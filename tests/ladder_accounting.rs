@@ -1,18 +1,23 @@
 //! One ladder, one set of books: whichever front door an operation comes
-//! through (`execute`, `lock_section`, `Stm::atomically`) and whichever
+//! through (`execute`, `try_speculate`, `lock_section`, `Stm::atomically`,
+//! a sharded map's cross-shard `transfer` and `multi_get`) and whichever
 //! rung commits it, it is counted exactly once on every lock it committed
 //! on — `ops == fast_commits + slow_commits + stm_commits +
 //! lock_acquisitions` — and a space lock's books agree with the space's
 //! own rung mix, including `atomically`'s software rung, which commits on
-//! the space lock without passing through `execute`.
+//! the space lock without passing through `execute`. A lock's recorder
+//! keeps the same books: each rung's home counts and records its outcome
+//! in one place, so at quiescence the recorder's commits per path and
+//! aborts per class equal the lock's `ExecStats`.
 //!
 //! One test per binary: the chaos configuration is process-global.
 
 use std::sync::Arc;
 
 use rtle_core::{ElidableLock, ElisionPolicy, RetryPolicy, StatsSnapshot};
-use rtle_htm::{HtmConfig, TxCell};
+use rtle_htm::{AbortCode, HtmConfig, TxCell};
 use rtle_hytm::Tl2;
+use rtle_obs::{ObsConfig, Recorder};
 use rtle_shard::ShardedTxMap;
 use rtle_stm::{Stm, TxVar};
 
@@ -29,12 +34,57 @@ fn assert_balanced(what: &str, policy: ElisionPolicy, s: &StatsSnapshot) {
     );
 }
 
+fn recorder() -> Arc<Recorder> {
+    Arc::new(Recorder::new(ObsConfig::default()))
+}
+
+/// The recorder's books equal `books` (one lock's `ExecStats`, or the
+/// merge of every lock that shares the recorder): commits per path,
+/// aborts per class and per explicit-code bucket.
+fn assert_recorded(what: &str, policy: ElisionPolicy, rec: &Recorder, books: &StatsSnapshot) {
+    let what = format!("{what} under {}", policy.label());
+    let counts = rec.counts();
+    assert_eq!(counts.commits, books.commits(), "{what}: commits per path");
+    let class = |code: AbortCode| counts.aborts[code.index()];
+    assert_eq!(
+        [
+            class(AbortCode::Conflict),
+            class(AbortCode::Capacity),
+            class(AbortCode::Explicit(0)),
+            class(AbortCode::Unsupported),
+            class(AbortCode::Nested) + class(AbortCode::Spurious),
+        ],
+        [
+            books.aborts_conflict,
+            books.aborts_capacity,
+            books.aborts_explicit,
+            books.aborts_unsupported,
+            books.aborts_other,
+        ],
+        "{what}: aborts per class"
+    );
+    assert_eq!(counts.explicit, books.aborts_by_code, "{what}: by code");
+    assert_eq!(
+        counts.total_aborts(),
+        books.fast_aborts + books.slow_aborts,
+        "{what}: aborts"
+    );
+}
+
 /// 8 threads of `atomically` over a hot `TxVar` plus a sharded-map
-/// participant; returns after checking the space lock's and every shard
-/// lock's books.
+/// participant whose shards share one recorder; returns after checking
+/// the space lock's and every shard lock's books, and the recorder's.
 fn storm_space(space: &Stm, policy: ElisionPolicy, retry: RetryPolicy) {
-    let map: ShardedTxMap<u64> =
-        ShardedTxMap::with_builder(4, 64, space.lock_builder().policy(policy).retry(retry));
+    let rec = recorder();
+    let map: ShardedTxMap<u64> = ShardedTxMap::with_builder(
+        4,
+        64,
+        space
+            .lock_builder()
+            .policy(policy)
+            .retry(retry)
+            .recorder(Arc::clone(&rec)),
+    );
     let hot = TxVar::new(0u64);
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -69,6 +119,49 @@ fn storm_space(space: &Stm, policy: ElisionPolicy, retry: RetryPolicy) {
     for shard in map.shard_stats() {
         assert_balanced("participant shard", policy, &shard);
     }
+    assert_recorded("participant shards", policy, &rec, &map.merged_stats());
+}
+
+/// 8 threads on a 16-shard map whose shards share one recorder: inserts,
+/// then transfers and 4-key `multi_get`s, most of them across shards —
+/// ordered `lock_section` holdings that never pass through `execute`.
+fn storm_shards(policy: ElisionPolicy, retry: RetryPolicy) {
+    const ACCOUNTS: u64 = 64;
+    let rec = recorder();
+    let map: ShardedTxMap<u64> = ShardedTxMap::with_builder(
+        16,
+        64,
+        ElidableLock::builder()
+            .policy(policy)
+            .retry(retry)
+            .recorder(Arc::clone(&rec)),
+    );
+    for k in 0..ACCOUNTS {
+        map.insert(k, 1_000);
+    }
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let map = &map;
+            s.spawn(move || {
+                for i in 0..OPS_PER_THREAD {
+                    let k = (t * 37 + i * 11) % ACCOUNTS;
+                    if i % 2 == 0 {
+                        let _ = map.transfer(k, (k + 1 + i) % ACCOUNTS, 1);
+                    } else {
+                        let keys = [k, (k + 5) % ACCOUNTS, (k + 17) % ACCOUNTS, t];
+                        assert!(map.multi_get(&keys).iter().all(Option::is_some));
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(map.total_plain(), ACCOUNTS * 1_000, "transfers conserve");
+    let books = map.merged_stats();
+    assert!(books.lock_acquisitions > 0, "no cross-shard holding ran");
+    for shard in map.shard_stats() {
+        assert_balanced("16-shard map", policy, &shard);
+    }
+    assert_recorded("16-shard map", policy, &rec, &books);
 }
 
 #[test]
@@ -97,28 +190,35 @@ fn every_commit_is_counted_once_on_every_lock_under_every_policy() {
     chaos.with_installed(|| {
         let (mut sw, mut locked) = (0, 0);
         for policy in policies {
-            // `execute` and `lock_section` on one lock, with and without a
-            // software fallback.
+            // `execute`, `try_speculate` and `lock_section` on one
+            // recorded lock, with and without a software fallback.
             for backend in [None, Some(Arc::new(Tl2::new()))] {
-                let mut b = ElidableLock::builder().policy(policy).retry(retry);
+                let rec = recorder();
+                let mut b = ElidableLock::builder()
+                    .policy(policy)
+                    .retry(retry)
+                    .recorder(Arc::clone(&rec));
                 if let Some(tm) = backend {
                     b = b.with_software_backend(tm);
                 }
                 let lock = b.build();
                 let cell = TxCell::new(0u64);
+                let bump = |ctx: &rtle_core::Ctx<'_>| {
+                    let v = ctx.read(&cell);
+                    ctx.write(&cell, v + 1);
+                };
                 std::thread::scope(|s| {
                     for _ in 0..THREADS {
                         s.spawn(|| {
                             for i in 0..OPS_PER_THREAD {
-                                if i % 4 == 0 {
-                                    let g = lock.lock_section();
-                                    let v = g.ctx().read(&cell);
-                                    g.ctx().write(&cell, v + 1);
-                                } else {
-                                    lock.execute(|ctx| {
-                                        let v = ctx.read(&cell);
-                                        ctx.write(&cell, v + 1);
-                                    });
+                                match i % 4 {
+                                    0 => bump(lock.lock_section().ctx()),
+                                    1 => {
+                                        if lock.try_speculate(bump).is_err() {
+                                            bump(lock.lock_section().ctx());
+                                        }
+                                    }
+                                    _ => lock.execute(bump),
                                 }
                             }
                         });
@@ -128,7 +228,11 @@ fn every_commit_is_counted_once_on_every_lock_under_every_policy() {
                 let books = lock.stats().snapshot();
                 assert_balanced("lock", policy, &books);
                 assert_eq!(books.ops, CALLS, "{}: {books:?}", policy.label());
+                assert_recorded("lock", policy, &rec, &books);
             }
+
+            // Cross-shard `transfer` and `multi_get` on a 16-shard map.
+            storm_shards(policy, retry);
 
             // `atomically` with the software rung (default NOrec), and
             // without it so exhausted speculation goes pessimistic.
